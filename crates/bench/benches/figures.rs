@@ -8,7 +8,9 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, PAPER_LINK_RATE_BPS};
+use ccfuzz_core::evaluate::EvalScratch;
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
+use ccfuzz_core::mode::RunOpts;
 use ccfuzz_core::realism::RealismScorer;
 use ccfuzz_core::scoring::ScoringConfig;
 use ccfuzz_core::trace_gen::{dist_packets, packets_for_rate, DistPacketsParams};
@@ -62,7 +64,9 @@ fn fig4c_adversarial_replay(c: &mut Criterion) {
         group.bench_function(cca.name(), |b| {
             let evaluator = SimEvaluator::new(base.clone(), cca, scoring, PAPER_LINK_RATE_BPS);
             b.iter(|| {
-                let run = evaluator.simulate_traffic(&genome, false);
+                let run = evaluator
+                    .simulate(&genome, &mut EvalScratch::new(), RunOpts::default())
+                    .0;
                 std::hint::black_box(run.stats.flow().delivered_packets)
             });
         });

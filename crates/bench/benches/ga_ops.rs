@@ -5,6 +5,7 @@
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::time::SimDuration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -24,7 +25,7 @@ fn ga_generation(c: &mut Criterion) {
                 SimDuration::from_secs(2),
                 ga,
             );
-            let result = campaign.run_traffic();
+            let result = campaign.run::<TrafficGenome>(None);
             std::hint::black_box(result.total_evaluations)
         });
     });

@@ -159,7 +159,7 @@ fn mini_campaign_run(c: &mut Criterion) {
     );
     group.bench_function("traffic_2gen_4x8", |b| {
         b.iter(|| {
-            let result = campaign.run_traffic();
+            let result = campaign.run::<TrafficGenome>(None);
             std::hint::black_box(result.total_evaluations)
         });
     });

@@ -31,7 +31,10 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, Campaign, FuzzMode};
+use ccfuzz_core::evaluate::EvalScratch;
 use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::genome::TrafficGenome;
+use ccfuzz_core::mode::RunOpts;
 use ccfuzz_netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::TrafficTrace;
@@ -472,14 +475,16 @@ fn mini_campaign(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
                 &mut rng,
             )
         };
-        let result = evaluator.simulate_traffic(&genome, false);
+        let result = evaluator
+            .simulate(&genome, &mut EvalScratch::new(), RunOpts::default())
+            .0;
         events_per_run = result.stats.events_processed;
     }
     // The campaign's own telemetry histogram gives true per-evaluation
     // latency quantiles (per-rep wall time would only show whole campaigns).
     let telemetry = HuntTelemetry::new();
     let (report, _per_rep) = time_workload(reps, || {
-        let result = campaign.run_traffic_with(Some(&telemetry));
+        let result = campaign.run::<TrafficGenome>(Some(&telemetry));
         evals_per_run = result.total_evaluations as u64;
         std::hint::black_box(result.total_evaluations as u64 * events_per_run)
     });

@@ -6,9 +6,10 @@ use ccfuzz_analysis::figures::{rate_curves, trace_capacity};
 use ccfuzz_analysis::report::{
     one_line_summary, retransmission_triggered_rounds, spurious_retransmissions,
 };
-use ccfuzz_bench::{print_figure, print_table, Scale};
+use ccfuzz_bench::{print_figure, print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::genome::LinkGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -19,10 +20,8 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Link, CcaKind::Bbr, duration, ga);
 
     eprintln!("running link fuzzing vs BBR ({:?} scale)...", scale);
-    let result = campaign.run_link();
-    let replay = campaign
-        .evaluator()
-        .simulate_link(&result.best_genome, true);
+    let result = campaign.run::<LinkGenome>(None);
+    let replay = replay_recorded(&campaign.evaluator(), &result.best_genome);
 
     let window = SimDuration::from_millis(250);
     let capacity = trace_capacity(&result.best_genome.timestamps, campaign.sim.mss);

@@ -10,7 +10,7 @@
 use ccfuzz_analysis::report::{
     retransmission_triggered_rounds, rto_timeline, spurious_retransmissions,
 };
-use ccfuzz_bench::print_table;
+use ccfuzz_bench::{print_table, replay_recorded};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, PAPER_LINK_RATE_BPS};
 use ccfuzz_core::genome::TrafficGenome;
@@ -75,7 +75,7 @@ fn main() {
         ("BBR + ProbeRTT-on-RTO", CcaKind::BbrProbeRttOnRto),
     ] {
         let evaluator = SimEvaluator::new(base.clone(), cca, scoring, PAPER_LINK_RATE_BPS);
-        let run = evaluator.simulate_traffic(&genome, true);
+        let run = replay_recorded(&evaluator, &genome);
         print_table(
             &format!("{label}: outcome"),
             &[

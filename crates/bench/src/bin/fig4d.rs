@@ -11,6 +11,7 @@ use ccfuzz_analysis::figures::FigureSeries;
 use ccfuzz_bench::{print_figure, print_table, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         let ga = scale.ga(7, 18, 40);
         let campaign = Campaign::paper_standard(FuzzMode::Traffic, cca, duration, ga);
         eprintln!("fuzzing {label} ({:?} scale)...", scale);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         let points: Vec<(f64, f64)> = result
             .history
             .iter()

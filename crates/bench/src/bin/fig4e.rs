@@ -6,9 +6,10 @@
 use ccfuzz_analysis::figures::queuing_delay_series;
 use ccfuzz_analysis::report::one_line_summary;
 use ccfuzz_analysis::timeseries::percentile;
-use ccfuzz_bench::{print_figure, print_table, Scale};
+use ccfuzz_bench::{print_figure, print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -22,10 +23,8 @@ fn main() {
         "running traffic fuzzing vs BBR with the p10-delay objective ({:?} scale)...",
         scale
     );
-    let result = campaign.run_traffic();
-    let replay = campaign
-        .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+    let result = campaign.run::<TrafficGenome>(None);
+    let replay = replay_recorded(&campaign.evaluator(), &result.best_genome);
 
     let (bbr_delay, cross_delay) = queuing_delay_series(&replay.stats);
     print_figure(

@@ -16,9 +16,10 @@
 use ccfuzz_analysis::figures::FigureSeries;
 use ccfuzz_analysis::table::per_flow_table;
 use ccfuzz_analysis::timeseries::windowed_throughput_bps;
-use ccfuzz_bench::{print_figure, print_table, Scale};
+use ccfuzz_bench::{print_figure, print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::Campaign;
+use ccfuzz_core::scenario::ScenarioGenome;
 use ccfuzz_core::scoring::fairness_breakdown;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -28,7 +29,7 @@ fn main() {
     let ga = scale.ga(21, 8, 40);
     let flow_ccas = vec![CcaKind::Bbr, CcaKind::Reno];
     let campaign = Campaign::paper_fairness(flow_ccas, duration, ga);
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>(None);
 
     // Convergence of the unfairness objective.
     let convergence = FigureSeries::new(
@@ -47,7 +48,7 @@ fn main() {
     // Replay the worst scenario with full recording and chart each flow.
     let evaluator = campaign.evaluator();
     let best = &result.best_genome;
-    let replay = evaluator.simulate_scenario(best, true);
+    let replay = replay_recorded(&evaluator, best);
     let mss = campaign.sim.mss;
     let window = SimDuration::from_millis(250);
     let series: Vec<FigureSeries> = replay

@@ -17,10 +17,11 @@
 use ccfuzz_analysis::figures::FigureSeries;
 use ccfuzz_analysis::table::per_flow_table;
 use ccfuzz_analysis::timeseries::windowed_throughput_bps;
-use ccfuzz_bench::{print_figure, print_table, Scale};
+use ccfuzz_bench::{print_figure, print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::Campaign;
 use ccfuzz_core::scoring::fairness_breakdown;
+use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
     let duration = SimDuration::from_secs(5);
     let ga = scale.ga(31, 8, 40);
     let campaign = Campaign::paper_topology(CcaKind::Reno, 3, duration, ga);
-    let result = campaign.run_topology();
+    let result = campaign.run::<TopologyGenome>(None);
 
     // Convergence of the multi-bottleneck objective.
     let convergence = FigureSeries::new(
@@ -47,7 +48,7 @@ fn main() {
     // Replay the worst topology with full recording.
     let evaluator = campaign.evaluator();
     let best = &result.best_genome;
-    let replay = evaluator.simulate_topology(best, true);
+    let replay = replay_recorded(&evaluator, best);
     let mss = campaign.sim.mss;
     let window = SimDuration::from_millis(250);
     let series: Vec<FigureSeries> = replay

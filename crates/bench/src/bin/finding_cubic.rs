@@ -7,9 +7,10 @@
 //! burst ~1 RTO of data and suffer catastrophic losses.
 
 use ccfuzz_analysis::report::one_line_summary;
-use ccfuzz_bench::{print_table, Scale};
+use ccfuzz_bench::{print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn main() {
@@ -23,17 +24,13 @@ fn main() {
         "running traffic fuzzing vs the NS3-buggy CUBIC ({:?} scale)...",
         scale
     );
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
 
     // Replay the same trace against buggy and fixed CUBIC.
-    let buggy_run = campaign
-        .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+    let buggy_run = replay_recorded(&campaign.evaluator(), &result.best_genome);
     let mut fixed_campaign = campaign.clone();
     fixed_campaign.cca = CcaKind::Cubic;
-    let fixed_run = fixed_campaign
-        .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+    let fixed_run = replay_recorded(&fixed_campaign.evaluator(), &result.best_genome);
 
     print_table(
         "Best adversarial trace",

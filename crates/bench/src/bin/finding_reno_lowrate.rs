@@ -4,9 +4,10 @@
 
 use ccfuzz_analysis::figures::{constant_rate_capacity, rate_curves};
 use ccfuzz_analysis::report::one_line_summary;
-use ccfuzz_bench::{print_figure, print_table, Scale};
+use ccfuzz_bench::{print_figure, print_table, replay_recorded, Scale};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode, PAPER_LINK_RATE_BPS};
+use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::stats::TransportEvent;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -17,10 +18,8 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
 
     eprintln!("running traffic fuzzing vs Reno ({:?} scale)...", scale);
-    let result = campaign.run_traffic();
-    let replay = campaign
-        .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+    let result = campaign.run::<TrafficGenome>(None);
+    let replay = replay_recorded(&campaign.evaluator(), &result.best_genome);
 
     let window = SimDuration::from_millis(250);
     let capacity = constant_rate_capacity(PAPER_LINK_RATE_BPS, window, duration);

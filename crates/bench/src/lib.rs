@@ -11,7 +11,10 @@
 
 use ccfuzz_analysis::figures::FigureSeries;
 use ccfuzz_analysis::plot::{ascii_chart, to_csv};
+use ccfuzz_core::evaluate::{EvalScratch, SimEvaluator};
 use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::mode::{ModeGenome, RunOpts};
+use ccfuzz_netsim::sim::SimResult;
 
 /// Scale of a figure run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,6 +51,16 @@ impl Scale {
         };
         ga
     }
+}
+
+/// Replays `genome` in a fresh simulation with full event recording — the
+/// step every figure binary performs on its campaign's best trace.
+pub fn replay_recorded<G: ModeGenome>(evaluator: &SimEvaluator, genome: &G) -> SimResult {
+    let opts = RunOpts {
+        record_events: true,
+        trace: false,
+    };
+    evaluator.simulate(genome, &mut EvalScratch::new(), opts).0
 }
 
 /// Prints a figure as an ASCII chart followed by its CSV series, under a

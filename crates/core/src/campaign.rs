@@ -2,24 +2,23 @@
 //!
 //! A *campaign* bundles the network scenario (§3.1/§4: 12 Mbps bottleneck,
 //! 20 ms propagation delay, SACK + delayed ACKs, 1 s min-RTO), a CCA under
-//! test, a scoring configuration and the GA parameters, and runs either
-//! traffic fuzzing or link fuzzing end to end. The figure binaries, the
-//! examples and the integration tests all go through this module so the
+//! test, a scoring configuration and the GA parameters, and runs any of the
+//! fuzzing modes end to end through [`Campaign::run`]. The figure binaries,
+//! the examples and the integration tests all go through this module so the
 //! experiment definitions live in exactly one place.
 
-use crate::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use crate::evaluate::{Evaluator, SimEvaluator};
+use crate::checkpoint::{CampaignControl, ControlledRun};
+use crate::evaluate::SimEvaluator;
 use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, RunControl};
-use crate::genome::{Genome, LinkGenome, TrafficGenome};
+use crate::genome::{LinkGenome, TrafficGenome};
+use crate::mode::{served_names, ModeGenome};
 use crate::scenario::{QdiscChoice, ScenarioGenome};
 use crate::scoring::ScoringConfig;
-use crate::topology::TopologyGenome;
 use crate::trace_gen::packets_for_rate;
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::queue::QueueCapacity;
-use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
@@ -32,7 +31,8 @@ pub const PAPER_PROP_DELAY_MS: u64 = 20;
 pub const PAPER_K_AGG_MS: u64 = 50;
 
 /// Which fuzzing mode a campaign uses: the paper's two single-flow modes
-/// (§3.1) plus the multi-flow fairness mode built on top of them.
+/// (§3.1) plus the four built on the multi-flow, multi-hop, dynamic-arrival
+/// engine. [`crate::mode::dispatch`] maps each to the genome type it evolves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FuzzMode {
     /// Evolve bottleneck service curves (fixed cross traffic = none).
@@ -115,22 +115,50 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Builds the paper's standard scenario for a given mode, CCA, duration
-    /// and GA parameters, with the low-throughput objective.
+    /// Builds the paper's standard scenario for one of the paper's two
+    /// single-flow modes (link or traffic), CCA, duration and GA parameters,
+    /// with the low-throughput objective. Panics for the other four modes,
+    /// which need flow mixes, qdisc/hop genes or objectives this preset does
+    /// not configure — each has its own `paper_*` preset.
     pub fn paper_standard(
         mode: FuzzMode,
         cca: CcaKind,
         duration: SimDuration,
         ga: GaParams,
     ) -> Self {
+        assert!(
+            matches!(mode, FuzzMode::Link | FuzzMode::Traffic),
+            "paper_standard/paper_high_delay build link and traffic campaigns only; \
+             use Campaign::paper_{0} for {0} mode",
+            mode.name()
+        );
+        let low_throughput = ScoringConfig::low_throughput_default(PAPER_LINK_RATE_BPS as f64);
+        let base = Self::paper_base(mode, cca, duration, ga, low_throughput);
+        Campaign {
+            // Enough cross traffic to fully occupy the link.
+            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, base.sim.mss, duration),
+            ..base
+        }
+    }
+
+    /// What every preset shares: the paper's 12 Mbps bottleneck and base
+    /// simulation settings, a single flow of `cca`, and a cross-traffic
+    /// helper capped at half the link's packet budget.
+    fn paper_base(
+        mode: FuzzMode,
+        cca: CcaKind,
+        duration: SimDuration,
+        ga: GaParams,
+        scoring: ScoringConfig,
+    ) -> Self {
         let sim = paper_sim_base(duration);
         Campaign {
             mode,
             cca,
             duration,
-            scoring: ScoringConfig::low_throughput_default(PAPER_LINK_RATE_BPS as f64),
+            scoring,
             ga,
-            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, sim.mss, duration),
+            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, sim.mss, duration) / 2,
             sim,
             link_rate_bps: PAPER_LINK_RATE_BPS,
             flow_ccas: vec![cca],
@@ -150,21 +178,12 @@ impl Campaign {
             flow_ccas.len() >= crate::scenario::MIN_FAIRNESS_FLOWS,
             "fairness campaigns need at least two flows"
         );
-        let sim = paper_sim_base(duration);
-        let max_flows = flow_ccas.len().max(4);
+        let scoring = ScoringConfig::fairness_default(PAPER_LINK_RATE_BPS as f64);
+        let base = Self::paper_base(FuzzMode::Fairness, flow_ccas[0], duration, ga, scoring);
         Campaign {
-            mode: FuzzMode::Fairness,
-            cca: flow_ccas[0],
-            duration,
-            scoring: ScoringConfig::fairness_default(PAPER_LINK_RATE_BPS as f64),
-            ga,
-            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, sim.mss, duration) / 2,
-            sim,
-            link_rate_bps: PAPER_LINK_RATE_BPS,
+            max_flows: flow_ccas.len().max(4),
             flow_ccas,
-            max_flows,
-            qdisc_choice: QdiscChoice::Any,
-            topology_hops: 1,
+            ..base
         }
     }
 
@@ -179,20 +198,10 @@ impl Campaign {
         ga: GaParams,
         choice: QdiscChoice,
     ) -> Self {
-        let sim = paper_sim_base(duration);
+        let scoring = ScoringConfig::aqm_default(PAPER_LINK_RATE_BPS as f64);
         Campaign {
-            mode: FuzzMode::Aqm,
-            cca,
-            duration,
-            scoring: ScoringConfig::aqm_default(PAPER_LINK_RATE_BPS as f64),
-            ga,
-            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, sim.mss, duration) / 2,
-            sim,
-            link_rate_bps: PAPER_LINK_RATE_BPS,
-            flow_ccas: vec![cca],
-            max_flows: 1,
             qdisc_choice: choice,
-            topology_hops: 1,
+            ..Self::paper_base(FuzzMode::Aqm, cca, duration, ga, scoring)
         }
     }
 
@@ -202,20 +211,12 @@ impl Campaign {
     /// `cca` + Reno, and a cross-traffic helper at the head of the chain,
     /// hunting for hop chains that break `cca`.
     pub fn paper_topology(cca: CcaKind, hops: usize, duration: SimDuration, ga: GaParams) -> Self {
-        let sim = paper_sim_base(duration);
+        let scoring = ScoringConfig::topology_default(PAPER_LINK_RATE_BPS as f64);
         Campaign {
-            mode: FuzzMode::Topology,
-            cca,
-            duration,
-            scoring: ScoringConfig::topology_default(PAPER_LINK_RATE_BPS as f64),
-            ga,
-            traffic_max_packets: packets_for_rate(PAPER_LINK_RATE_BPS, sim.mss, duration) / 2,
-            sim,
-            link_rate_bps: PAPER_LINK_RATE_BPS,
             flow_ccas: vec![cca, CcaKind::Reno],
             max_flows: 3,
-            qdisc_choice: QdiscChoice::Any,
             topology_hops: hops.max(1),
+            ..Self::paper_base(FuzzMode::Topology, cca, duration, ga, scoring)
         }
     }
 
@@ -225,7 +226,8 @@ impl Campaign {
     /// background elephant mix drawn from `cca_pool` — hunting for churn
     /// patterns that inflate the p99 flow-completion time of short flows
     /// through `cca`'s elephants. `max_elephants` bounds the background mix
-    /// (stored in the campaign's `max_flows` field).
+    /// (stored in the campaign's `max_flows` field). There is no
+    /// cross-traffic helper.
     pub fn paper_workload(
         cca: CcaKind,
         cca_pool: Vec<CcaKind>,
@@ -234,24 +236,17 @@ impl Campaign {
         ga: GaParams,
     ) -> Self {
         assert!(!cca_pool.is_empty(), "workload campaigns need a CCA pool");
-        let sim = paper_sim_base(duration);
+        let scoring = ScoringConfig::workload_default(PAPER_LINK_RATE_BPS as f64);
         Campaign {
-            mode: FuzzMode::Workload,
-            cca,
-            duration,
-            scoring: ScoringConfig::workload_default(PAPER_LINK_RATE_BPS as f64),
-            ga,
             traffic_max_packets: 0,
-            sim,
-            link_rate_bps: PAPER_LINK_RATE_BPS,
             flow_ccas: cca_pool,
             max_flows: max_elephants.max(crate::workload::MIN_ELEPHANTS),
-            qdisc_choice: QdiscChoice::Any,
-            topology_hops: 1,
+            ..Self::paper_base(FuzzMode::Workload, cca, duration, ga, scoring)
         }
     }
 
-    /// Same scenario but hunting for high queuing delay (§4.3 / Figure 4e).
+    /// Same scenario (link or traffic mode only) but hunting for high
+    /// queuing delay (§4.3 / Figure 4e).
     pub fn paper_high_delay(
         mode: FuzzMode,
         cca: CcaKind,
@@ -268,429 +263,126 @@ impl Campaign {
         SimEvaluator::new(self.sim.clone(), self.cca, self.scoring, self.link_rate_bps)
     }
 
-    /// Runs a traffic-fuzzing campaign. Panics if the mode is not [`FuzzMode::Traffic`].
-    pub fn run_traffic(&self) -> FuzzResult<TrafficGenome> {
-        self.run_traffic_with(None)
-    }
-
-    /// [`Campaign::run_traffic`] with an optional telemetry observer. The
-    /// observer is passive — population evolution and results are identical
-    /// with or without it.
-    pub fn run_traffic_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<TrafficGenome> {
-        self.run_traffic_controlled(obs, CampaignControl::default())
+    /// Runs the campaign to completion over genome type `G`, with an
+    /// optional telemetry observer. The observer is passive — population
+    /// evolution and results are identical with or without it. Panics if
+    /// `G` does not serve the campaign's mode.
+    pub fn run<G: ModeGenome>(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<G> {
+        self.run_controlled(obs, CampaignControl::default())
             .expect("uncontrolled campaign runs cannot fail to start")
             .result
     }
 
-    /// [`Campaign::run_traffic_with`] under a [`CampaignControl`] plane:
-    /// shutdown flag, periodic checkpoints, panic budget and resume.
-    pub fn run_traffic_controlled(
+    /// [`Campaign::run`] under a [`CampaignControl`] plane: shutdown flag,
+    /// periodic checkpoints, panic budget and resume.
+    pub fn run_controlled<G: ModeGenome>(
         &self,
         obs: Option<&HuntTelemetry>,
         mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<TrafficGenome>, String> {
+    ) -> Result<ControlledRun<G>, String> {
         let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_traffic()?),
-            None => None,
-        };
-        let fuzzer = self.build_traffic_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Traffic))
+        let resume = ctl.resume.take().map(G::unwrap_snapshot).transpose()?;
+        let mut fuzzer = self.build_fuzzer(&evaluator, resume, obs)?;
+        // Each checkpoint snapshot is type-erased on its way to the sink.
+        let mut forward = ctl
+            .on_checkpoint
+            .take()
+            .map(|sink| move |snapshot: FuzzerSnapshot<G>| sink(G::wrap_snapshot(snapshot)));
+        let (result, stop) = fuzzer.run_controlled(&mut RunControl {
+            shutdown: ctl.shutdown,
+            checkpoint_every: ctl.checkpoint_every,
+            on_checkpoint: forward
+                .as_mut()
+                .map(|f| f as &mut dyn FnMut(FuzzerSnapshot<G>)),
+            panic_budget: ctl.panic_budget,
+        });
+        Ok(ControlledRun {
+            result,
+            stop,
+            final_snapshot: fuzzer.snapshot(),
+        })
     }
 
-    /// Builds this campaign's traffic-mode fuzzer — fresh from the campaign
-    /// seed, or restored from `resume`. Single-process runs and every shard
-    /// worker of a distributed run go through this one constructor, so their
-    /// fuzzers are byte-identical by construction. Panics if the mode is not
-    /// [`FuzzMode::Traffic`].
-    pub fn build_traffic_fuzzer<'e>(
+    /// Builds this campaign's fuzzer over genome type `G` — fresh from the
+    /// campaign seed, or restored from `resume` (refusing checkpoints whose
+    /// GA parameters do not match), with the annealing hook attached when
+    /// `ga.anneal` is set and `G` has one. Single-process runs and every
+    /// shard worker of a distributed run go through this one constructor, so
+    /// their fuzzers are byte-identical by construction. Panics if `G` does
+    /// not serve the campaign's mode.
+    pub fn build_fuzzer<'e, G: ModeGenome>(
         &self,
         evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<TrafficGenome>>,
+        resume: Option<FuzzerSnapshot<G>>,
         obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, TrafficGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Traffic,
-            "campaign is not in traffic mode"
+    ) -> Result<Fuzzer<'e, G, SimEvaluator>, String> {
+        assert!(
+            G::serves(self.mode),
+            "campaign is in {} mode, but this genome type serves {}",
+            self.mode.name(),
+            served_names(G::serves)
         );
-        let duration = self.duration;
-        let max_packets = self.traffic_max_packets;
         let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
+            Some(snapshot) if snapshot.params != self.ga => {
+                return Err(
+                    "checkpoint GA parameters do not match the campaign's configuration".into(),
+                );
+            }
+            Some(snapshot) => Fuzzer::restore(evaluator, snapshot)?,
             None => {
                 let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, |rng: &mut SimRng| {
-                    TrafficGenome::generate(max_packets, duration, rng)
-                })
+                Fuzzer::new(self.ga, evaluator, |rng| G::generate(self, rng))
             }
         };
+        if let (true, Some(anneal)) = (self.ga.anneal, G::annealer()) {
+            fuzzer = fuzzer.with_annealing(anneal);
+        }
         if let Some(obs) = obs {
             fuzzer = fuzzer.with_observer(obs);
         }
         Ok(fuzzer)
     }
 
-    /// Runs a link-fuzzing campaign (with annealing if `ga.anneal` is set).
-    /// Panics if the mode is not [`FuzzMode::Link`].
-    pub fn run_link(&self) -> FuzzResult<LinkGenome> {
-        self.run_link_with(None)
-    }
-
-    /// [`Campaign::run_link`] with an optional telemetry observer.
-    pub fn run_link_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<LinkGenome> {
-        self.run_link_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_link_with`] under a [`CampaignControl`] plane.
-    pub fn run_link_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<LinkGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_link()?),
-            None => None,
-        };
-        let fuzzer = self.build_link_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Link))
-    }
-
-    /// Builds this campaign's link-mode fuzzer (annealing hook attached when
-    /// `ga.anneal` is set) — fresh or restored from `resume`; see
-    /// [`Campaign::build_traffic_fuzzer`] for why construction is shared.
-    /// Panics if the mode is not [`FuzzMode::Link`].
+    /// [`Campaign::build_fuzzer`] for link genomes. This and its three
+    /// siblings are the monomorphic names the benchmark harness compiles
+    /// against.
     pub fn build_link_fuzzer<'e>(
         &self,
         evaluator: &'e SimEvaluator,
         resume: Option<FuzzerSnapshot<LinkGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, LinkGenome, SimEvaluator>, String> {
-        assert_eq!(self.mode, FuzzMode::Link, "campaign is not in link mode");
-        let duration = self.duration;
-        let total_packets = packets_for_rate(self.link_rate_bps, self.sim.mss, duration);
-        let k_agg = SimDuration::from_millis(PAPER_K_AGG_MS);
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    LinkGenome::generate(total_packets, duration, k_agg, rng)
-                })
-            }
-        };
-        if self.ga.anneal {
-            fuzzer = fuzzer.with_annealing(Box::new(|genome: &LinkGenome, rng: &mut SimRng| {
-                genome.anneal(3, SimDuration::from_micros(200), rng)
-            }));
-        }
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
+        self.build_fuzzer(evaluator, resume, obs)
     }
 
-    /// Runs a fairness-fuzzing campaign over multi-flow scenario genomes.
-    /// Panics if the mode is not [`FuzzMode::Fairness`].
-    pub fn run_fairness(&self) -> FuzzResult<ScenarioGenome> {
-        self.run_fairness_with(None)
-    }
-
-    /// [`Campaign::run_fairness`] with an optional telemetry observer.
-    pub fn run_fairness_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<ScenarioGenome> {
-        self.run_fairness_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_fairness_with`] under a [`CampaignControl`] plane.
-    pub fn run_fairness_controlled(
+    /// [`Campaign::build_fuzzer`] for traffic genomes.
+    pub fn build_traffic_fuzzer<'e>(
         &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<ScenarioGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_scenario()?),
-            None => None,
-        };
-        let fuzzer = self.build_fairness_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Scenario))
+        evaluator: &'e SimEvaluator,
+        resume: Option<FuzzerSnapshot<TrafficGenome>>,
+        obs: Option<&'e HuntTelemetry>,
+    ) -> Result<Fuzzer<'e, TrafficGenome, SimEvaluator>, String> {
+        self.build_fuzzer(evaluator, resume, obs)
     }
 
-    /// Builds this campaign's fairness-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Fairness`].
+    /// [`Campaign::build_fuzzer`] for scenario genomes.
     pub fn build_fairness_fuzzer<'e>(
         &self,
         evaluator: &'e SimEvaluator,
         resume: Option<FuzzerSnapshot<ScenarioGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, ScenarioGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Fairness,
-            "campaign is not in fairness mode"
-        );
-        let duration = self.duration;
-        let flow_ccas = self.flow_ccas.clone();
-        let max_flows = self.max_flows;
-        let traffic_max_packets = self.traffic_max_packets;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    ScenarioGenome::generate(
-                        &flow_ccas,
-                        max_flows,
-                        duration,
-                        traffic_max_packets,
-                        rng,
-                    )
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
+        self.build_fuzzer(evaluator, resume, obs)
     }
 
-    /// Runs an AQM-fuzzing campaign over single-flow scenario genomes with
-    /// qdisc genes. Panics if the mode is not [`FuzzMode::Aqm`].
-    pub fn run_aqm(&self) -> FuzzResult<ScenarioGenome> {
-        self.run_aqm_with(None)
-    }
-
-    /// [`Campaign::run_aqm`] with an optional telemetry observer.
-    pub fn run_aqm_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<ScenarioGenome> {
-        self.run_aqm_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_aqm_with`] under a [`CampaignControl`] plane.
-    pub fn run_aqm_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<ScenarioGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_scenario()?),
-            None => None,
-        };
-        let fuzzer = self.build_aqm_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Scenario))
-    }
-
-    /// Builds this campaign's AQM-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Aqm`].
-    pub fn build_aqm_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<ScenarioGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, ScenarioGenome, SimEvaluator>, String> {
-        assert_eq!(self.mode, FuzzMode::Aqm, "campaign is not in aqm mode");
-        let duration = self.duration;
-        let cca = self.cca;
-        let traffic_max_packets = self.traffic_max_packets;
-        let choice = self.qdisc_choice;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    ScenarioGenome::generate_aqm(cca, duration, traffic_max_packets, choice, rng)
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs a topology-fuzzing campaign over multi-hop parking-lot genomes.
-    /// Panics if the mode is not [`FuzzMode::Topology`].
-    pub fn run_topology(&self) -> FuzzResult<TopologyGenome> {
-        self.run_topology_with(None)
-    }
-
-    /// [`Campaign::run_topology`] with an optional telemetry observer.
-    pub fn run_topology_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<TopologyGenome> {
-        self.run_topology_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_topology_with`] under a [`CampaignControl`] plane.
-    pub fn run_topology_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<TopologyGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_topology()?),
-            None => None,
-        };
-        let fuzzer = self.build_topology_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Topology))
-    }
-
-    /// Builds this campaign's topology-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Topology`].
-    pub fn build_topology_fuzzer<'e>(
-        &self,
-        evaluator: &'e SimEvaluator,
-        resume: Option<FuzzerSnapshot<TopologyGenome>>,
-        obs: Option<&'e HuntTelemetry>,
-    ) -> Result<Fuzzer<'e, TopologyGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Topology,
-            "campaign is not in topology mode"
-        );
-        let duration = self.duration;
-        let cca = self.cca;
-        let hops = self.topology_hops;
-        let traffic_max_packets = self.traffic_max_packets;
-        let cca_pool = self.flow_ccas.clone();
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    TopologyGenome::generate(
-                        cca,
-                        hops,
-                        duration,
-                        traffic_max_packets,
-                        &cca_pool,
-                        rng,
-                    )
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Runs a workload-fuzzing campaign over dynamic-arrival genomes.
-    /// Panics if the mode is not [`FuzzMode::Workload`].
-    pub fn run_workload(&self) -> FuzzResult<WorkloadGenome> {
-        self.run_workload_with(None)
-    }
-
-    /// [`Campaign::run_workload`] with an optional telemetry observer.
-    pub fn run_workload_with(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<WorkloadGenome> {
-        self.run_workload_controlled(obs, CampaignControl::default())
-            .expect("uncontrolled campaign runs cannot fail to start")
-            .result
-    }
-
-    /// [`Campaign::run_workload_with`] under a [`CampaignControl`] plane.
-    pub fn run_workload_controlled(
-        &self,
-        obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
-    ) -> Result<ControlledRun<WorkloadGenome>, String> {
-        let evaluator = self.evaluator();
-        let resume = match ctl.resume.take() {
-            Some(payload) => Some(payload.into_workload()?),
-            None => None,
-        };
-        let fuzzer = self.build_workload_fuzzer(&evaluator, resume, obs)?;
-        Ok(drive(fuzzer, &mut ctl, SnapshotPayload::Workload))
-    }
-
-    /// Builds this campaign's workload-mode fuzzer — fresh or restored from
-    /// `resume`; see [`Campaign::build_traffic_fuzzer`] for why construction
-    /// is shared. Panics if the mode is not [`FuzzMode::Workload`].
+    /// [`Campaign::build_fuzzer`] for workload genomes.
     pub fn build_workload_fuzzer<'e>(
         &self,
         evaluator: &'e SimEvaluator,
         resume: Option<FuzzerSnapshot<WorkloadGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, WorkloadGenome, SimEvaluator>, String> {
-        assert_eq!(
-            self.mode,
-            FuzzMode::Workload,
-            "campaign is not in workload mode"
-        );
-        let duration = self.duration;
-        let cca = self.cca;
-        let cca_pool = self.flow_ccas.clone();
-        let max_elephants = self.max_flows;
-        let mut fuzzer = match resume {
-            Some(snapshot) => self.restore_fuzzer(evaluator, snapshot)?,
-            None => {
-                let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, move |rng: &mut SimRng| {
-                    WorkloadGenome::generate(cca, &cca_pool, max_elephants, duration, rng)
-                })
-            }
-        };
-        if let Some(obs) = obs {
-            fuzzer = fuzzer.with_observer(obs);
-        }
-        Ok(fuzzer)
-    }
-
-    /// Restores a fuzzer from a checkpoint snapshot, refusing checkpoints
-    /// whose GA parameters do not match this campaign's.
-    fn restore_fuzzer<'e, G: Genome, E: Evaluator<G>>(
-        &self,
-        evaluator: &'e E,
-        snapshot: FuzzerSnapshot<G>,
-    ) -> Result<Fuzzer<'e, G, E>, String> {
-        if snapshot.params != self.ga {
-            return Err(
-                "checkpoint GA parameters do not match the campaign's configuration".into(),
-            );
-        }
-        Fuzzer::restore(evaluator, snapshot)
-    }
-}
-
-/// Runs a prepared fuzzer under the campaign control plane, wrapping each
-/// checkpoint snapshot into the mode-erased payload.
-fn drive<G: Genome, E: Evaluator<G>>(
-    mut fuzzer: Fuzzer<'_, G, E>,
-    ctl: &mut CampaignControl<'_>,
-    wrap: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
-) -> ControlledRun<G> {
-    let (result, stop) = match ctl.on_checkpoint.as_deref_mut() {
-        Some(sink) => {
-            let mut forward = |snapshot: FuzzerSnapshot<G>| sink(wrap(snapshot));
-            fuzzer.run_controlled(&mut RunControl {
-                shutdown: ctl.shutdown,
-                checkpoint_every: ctl.checkpoint_every,
-                on_checkpoint: Some(&mut forward),
-                panic_budget: ctl.panic_budget,
-            })
-        }
-        None => fuzzer.run_controlled(&mut RunControl {
-            shutdown: ctl.shutdown,
-            checkpoint_every: ctl.checkpoint_every,
-            on_checkpoint: None,
-            panic_budget: ctl.panic_budget,
-        }),
-    };
-    ControlledRun {
-        result,
-        stop,
-        final_snapshot: fuzzer.snapshot(),
+        self.build_fuzzer(evaluator, resume, obs)
     }
 }
 
@@ -713,7 +405,11 @@ pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SnapshotPayload;
+    use crate::evaluate::{EvalScratch, Evaluator};
+    use crate::fuzzer::StopReason;
     use crate::genome::Genome;
+    use crate::mode::{dispatch, GenomePayload, ModeVisitor, RunOpts};
 
     #[test]
     fn paper_base_matches_paper_settings() {
@@ -757,43 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_traffic_campaign_runs_end_to_end() {
-        // A minimal end-to-end GA run over real simulations (kept tiny so the
-        // unit-test suite stays fast; the integration tests run bigger ones).
-        let mut ga = GaParams::quick();
-        ga.islands = 2;
-        ga.population_per_island = 3;
-        ga.generations = 2;
-        let c = Campaign::paper_standard(
-            FuzzMode::Traffic,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            ga,
-        );
-        let result = c.run_traffic();
-        assert_eq!(result.history.len(), 2);
-        assert!(result.total_evaluations >= 6);
-        assert!(result.best_outcome.score > 0.0);
-        result.best_genome.validate().unwrap();
-    }
-
-    #[test]
-    fn tiny_link_campaign_runs_end_to_end() {
-        let mut ga = GaParams::quick();
-        ga.islands = 2;
-        ga.population_per_island = 3;
-        ga.generations = 2;
-        ga.anneal = true;
-        let c =
-            Campaign::paper_standard(FuzzMode::Link, CcaKind::Reno, SimDuration::from_secs(2), ga);
-        let result = c.run_link();
-        assert_eq!(result.history.len(), 2);
-        let expected_packets =
-            packets_for_rate(PAPER_LINK_RATE_BPS, c.sim.mss, SimDuration::from_secs(2));
-        assert_eq!(result.best_genome.packet_count(), expected_packets);
-    }
-
-    #[test]
     fn fairness_campaign_preset_is_consistent() {
         let c = Campaign::paper_fairness(
             vec![CcaKind::Bbr, CcaKind::Reno],
@@ -809,25 +468,6 @@ mod tests {
             other => panic!("unexpected objective {other:?}"),
         }
         assert_eq!(FuzzMode::Fairness.name(), "fairness");
-    }
-
-    #[test]
-    fn tiny_fairness_campaign_runs_end_to_end() {
-        let mut ga = GaParams::quick();
-        ga.islands = 2;
-        ga.population_per_island = 3;
-        ga.generations = 2;
-        let c = Campaign::paper_fairness(
-            vec![CcaKind::Bbr, CcaKind::Reno],
-            SimDuration::from_secs(2),
-            ga,
-        );
-        let result = c.run_fairness();
-        assert_eq!(result.history.len(), 2);
-        assert!(result.total_evaluations >= 6);
-        result.best_genome.validate().unwrap();
-        assert!(result.best_genome.flow_count() >= 2);
-        assert!(result.best_outcome.score.is_finite());
     }
 
     #[test]
@@ -854,31 +494,6 @@ mod tests {
             other => panic!("unexpected objective {other:?}"),
         }
         assert_eq!(FuzzMode::Aqm.name(), "aqm");
-    }
-
-    #[test]
-    fn tiny_aqm_campaign_runs_end_to_end() {
-        let mut ga = GaParams::quick();
-        ga.islands = 2;
-        ga.population_per_island = 3;
-        ga.generations = 2;
-        let c = Campaign::paper_aqm(
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            ga,
-            QdiscChoice::Any,
-        );
-        let result = c.run_aqm();
-        assert_eq!(result.history.len(), 2);
-        assert!(result.total_evaluations >= 6);
-        result.best_genome.validate().unwrap();
-        assert_eq!(result.best_genome.flow_count(), 1);
-        assert!(
-            result.best_genome.qdisc.is_some(),
-            "aqm genomes always carry a qdisc gene"
-        );
-        assert!(result.best_outcome.score.is_finite());
-        assert!(result.best_outcome.score > 0.0);
     }
 
     #[test]
@@ -911,22 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_topology_campaign_runs_end_to_end() {
-        let mut ga = GaParams::quick();
-        ga.islands = 2;
-        ga.population_per_island = 3;
-        ga.generations = 2;
-        let c = Campaign::paper_topology(CcaKind::Reno, 3, SimDuration::from_secs(2), ga);
-        let result = c.run_topology();
-        assert_eq!(result.history.len(), 2);
-        assert!(result.total_evaluations >= 6);
-        result.best_genome.validate().unwrap();
-        assert!(result.best_genome.hop_count() >= 1);
-        assert!(result.best_outcome.score.is_finite());
-        assert!(result.best_outcome.score > 0.0);
-    }
-
-    #[test]
     fn workload_campaign_preset_is_consistent() {
         let c = Campaign::paper_workload(
             CcaKind::Cubic,
@@ -950,83 +549,173 @@ mod tests {
     }
 
     #[test]
-    fn tiny_workload_campaign_runs_end_to_end() {
+    fn paper_standard_rejects_the_modes_it_cannot_configure() {
+        for mode in FuzzMode::ALL {
+            let built = std::panic::catch_unwind(|| {
+                Campaign::paper_high_delay(
+                    mode,
+                    CcaKind::Reno,
+                    SimDuration::from_secs(2),
+                    GaParams::quick(),
+                )
+            });
+            match mode {
+                FuzzMode::Link | FuzzMode::Traffic => assert_eq!(built.unwrap().mode, mode),
+                _ => {
+                    let panic = built.expect_err("must be rejected at construction");
+                    let message = panic.downcast_ref::<String>().expect("formatted panic");
+                    let preset = format!("Campaign::paper_{}", mode.name());
+                    assert!(message.contains(&preset), "{message}");
+                }
+            }
+        }
+    }
+
+    /// A minimal end-to-end campaign per mode (kept tiny so the unit-test
+    /// suite stays fast; the integration tests run bigger ones).
+    fn tiny_campaign(mode: FuzzMode) -> Campaign {
         let mut ga = GaParams::quick();
         ga.islands = 2;
         ga.population_per_island = 3;
         ga.generations = 2;
-        let c = Campaign::paper_workload(
-            CcaKind::Reno,
-            vec![CcaKind::Reno, CcaKind::Cubic],
-            2,
-            SimDuration::from_secs(2),
-            ga,
+        ga.anneal = mode == FuzzMode::Link;
+        let duration = SimDuration::from_secs(2);
+        match mode {
+            FuzzMode::Traffic | FuzzMode::Link => {
+                Campaign::paper_standard(mode, CcaKind::Reno, duration, ga)
+            }
+            FuzzMode::Fairness => {
+                Campaign::paper_fairness(vec![CcaKind::Bbr, CcaKind::Reno], duration, ga)
+            }
+            FuzzMode::Aqm => Campaign::paper_aqm(CcaKind::Reno, duration, ga, QdiscChoice::Any),
+            FuzzMode::Topology => Campaign::paper_topology(CcaKind::Reno, 3, duration, ga),
+            FuzzMode::Workload => Campaign::paper_workload(
+                CcaKind::Reno,
+                vec![CcaKind::Reno, CcaKind::Cubic],
+                2,
+                duration,
+                ga,
+            ),
+        }
+    }
+
+    /// The per-mode body of the conformance test, run for the genome type
+    /// [`dispatch`] picks.
+    struct Conformance(Campaign);
+
+    impl ModeVisitor for Conformance {
+        type Out = ();
+
+        fn visit<G: ModeGenome>(self) {
+            let campaign = self.0;
+            let mode = campaign.mode;
+
+            // (i) The tiny campaign runs end to end.
+            let run = campaign
+                .run_controlled::<G>(None, CampaignControl::default())
+                .unwrap();
+            let result = &run.result;
+            assert_eq!(run.stop, StopReason::Completed);
+            assert_eq!(result.history.len(), 2, "{mode:?}");
+            assert!(result.total_evaluations >= 6, "{mode:?}");
+            assert!(result.best_outcome.score.is_finite(), "{mode:?}");
+            result.best_genome.validate().unwrap();
+            match (mode, result.best_genome.clone().wrap()) {
+                (FuzzMode::Traffic, GenomePayload::Traffic(_)) => {
+                    assert!(result.best_outcome.score > 0.0);
+                }
+                (FuzzMode::Link, GenomePayload::Link(g)) => {
+                    let expected =
+                        packets_for_rate(PAPER_LINK_RATE_BPS, campaign.sim.mss, campaign.duration);
+                    assert_eq!(g.packet_count(), expected, "annealing keeps the count");
+                }
+                (FuzzMode::Fairness, GenomePayload::Scenario(g)) => {
+                    assert!(g.flow_count() >= 2);
+                    assert!(g.qdisc.is_none());
+                }
+                (FuzzMode::Aqm, GenomePayload::Scenario(g)) => {
+                    assert_eq!(g.flow_count(), 1);
+                    assert!(g.qdisc.is_some(), "aqm genomes always carry a qdisc gene");
+                    assert!(result.best_outcome.score > 0.0);
+                }
+                (FuzzMode::Topology, GenomePayload::Topology(g)) => {
+                    assert!(g.hop_count() >= 1);
+                    assert!(result.best_outcome.score > 0.0);
+                }
+                (FuzzMode::Workload, GenomePayload::Workload(g)) => {
+                    assert!(g.elephant_count() >= 1);
+                }
+                (_, other) => panic!("{mode:?} campaign evolved {other:?}"),
+            }
+
+            // (ii) A cold scratch and a warm one score identically, and
+            // (iii) the trace recorder (with or without event recording)
+            // never moves the run's digest.
+            let evaluator = campaign.evaluator();
+            let mut warm = EvalScratch::new();
+            let population = run.final_snapshot.islands.iter().flatten();
+            for individual in population.take(4) {
+                let genome = &individual.genome;
+                let cold = evaluator.evaluate(genome);
+                assert_eq!(
+                    cold,
+                    evaluator.evaluate_reusing(genome, &mut warm),
+                    "{mode:?}"
+                );
+                let (plain, no_trace) = evaluator.simulate(genome, &mut warm, RunOpts::default());
+                assert!(no_trace.is_none());
+                for record_events in [false, true] {
+                    let opts = RunOpts {
+                        record_events,
+                        trace: true,
+                    };
+                    let (traced, trace) = evaluator.simulate(genome, &mut warm, opts);
+                    assert_eq!(traced.stats.digest(), plain.stats.digest(), "{mode:?}");
+                    assert!(!trace.expect("trace requested").events.is_empty());
+                }
+            }
+
+            // (iv) The final snapshot round-trips through the mode-erased
+            // payload and its JSON form.
+            let payload = G::wrap_snapshot(run.final_snapshot.clone());
+            assert!(payload.matches_mode(mode));
+            let json = serde_json::to_string(&payload).unwrap();
+            let back: SnapshotPayload = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, payload);
+            let typed = G::unwrap_snapshot(back).unwrap();
+            assert_eq!(G::wrap_snapshot(typed), payload);
+
+            // ...and (v) a genome type that does not serve the mode can
+            // neither unwrap that payload nor build the campaign's fuzzer.
+            if G::serves(FuzzMode::Traffic) {
+                refuses::<LinkGenome>(&campaign, payload);
+            } else {
+                refuses::<TrafficGenome>(&campaign, payload);
+            }
+        }
+    }
+
+    fn refuses<Wrong: ModeGenome>(campaign: &Campaign, payload: SnapshotPayload) {
+        assert!(!Wrong::serves(campaign.mode));
+        assert!(Wrong::unwrap_snapshot(payload).is_err());
+        let evaluator = campaign.evaluator();
+        let built = std::panic::catch_unwind(|| {
+            campaign
+                .build_fuzzer::<Wrong>(&evaluator, None, None)
+                .map(|_| ())
+        });
+        let panic = built.expect_err("building a fuzzer over the wrong genome type panics");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            message.contains(&format!("campaign is in {} mode", campaign.mode.name())),
+            "{message}"
         );
-        let result = c.run_workload();
-        assert_eq!(result.history.len(), 2);
-        assert!(result.total_evaluations >= 6);
-        result.best_genome.validate().unwrap();
-        assert!(result.best_genome.elephant_count() >= 1);
-        assert!(result.best_outcome.score.is_finite());
     }
 
     #[test]
-    #[should_panic(expected = "not in workload mode")]
-    fn workload_mode_mismatch_panics() {
-        let c = Campaign::paper_standard(
-            FuzzMode::Traffic,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            GaParams::quick(),
-        );
-        let _ = c.run_workload();
-    }
-
-    #[test]
-    #[should_panic(expected = "not in topology mode")]
-    fn topology_mode_mismatch_panics() {
-        let c = Campaign::paper_standard(
-            FuzzMode::Traffic,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            GaParams::quick(),
-        );
-        let _ = c.run_topology();
-    }
-
-    #[test]
-    #[should_panic(expected = "not in aqm mode")]
-    fn aqm_mode_mismatch_panics() {
-        let c = Campaign::paper_standard(
-            FuzzMode::Traffic,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            GaParams::quick(),
-        );
-        let _ = c.run_aqm();
-    }
-
-    #[test]
-    #[should_panic(expected = "not in fairness mode")]
-    fn fairness_mode_mismatch_panics() {
-        let c = Campaign::paper_standard(
-            FuzzMode::Traffic,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            GaParams::quick(),
-        );
-        let _ = c.run_fairness();
-    }
-
-    #[test]
-    #[should_panic(expected = "not in traffic mode")]
-    fn mode_mismatch_panics() {
-        let c = Campaign::paper_standard(
-            FuzzMode::Link,
-            CcaKind::Reno,
-            SimDuration::from_secs(2),
-            GaParams::quick(),
-        );
-        let _ = c.run_traffic();
+    fn every_mode_conforms_end_to_end() {
+        for mode in FuzzMode::ALL {
+            dispatch(mode, Conformance(tiny_campaign(mode)));
+        }
     }
 }

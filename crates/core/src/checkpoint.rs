@@ -1,16 +1,16 @@
 //! Mode-erased campaign checkpoint state and the campaign control plane.
 //!
 //! A [`crate::fuzzer::FuzzerSnapshot`] is generic over its genome type; a
-//! checkpoint file on disk is not. [`SnapshotPayload`] wraps the four
-//! concrete genome populations behind one serializable enum (mirroring the
-//! corpus's `GenomePayload` for findings), and [`CampaignControl`] carries
-//! the shutdown flag, checkpoint cadence, panic budget and optional resume
-//! state into [`crate::campaign::Campaign`]'s `run_*_controlled` entry
-//! points.
+//! checkpoint file on disk is not. [`SnapshotPayload`] wraps the concrete
+//! genome populations behind one serializable enum (mirroring
+//! [`crate::mode::GenomePayload`] for findings), and [`CampaignControl`]
+//! carries the shutdown flag, checkpoint cadence, panic budget and optional
+//! resume state into [`crate::campaign::Campaign::run_controlled`].
 
 use crate::campaign::FuzzMode;
-use crate::fuzzer::{FuzzResult, FuzzerSnapshot, GaParams, StopReason};
+use crate::fuzzer::{FuzzResult, FuzzerSnapshot, StopReason};
 use crate::genome::{LinkGenome, TrafficGenome};
+use crate::mode::{served_names, ModeGenome};
 use crate::scenario::ScenarioGenome;
 use crate::topology::TopologyGenome;
 use crate::workload::WorkloadGenome;
@@ -36,29 +36,23 @@ pub enum SnapshotPayload {
 }
 
 impl SnapshotPayload {
-    /// Short payload-kind name for error messages.
-    pub fn kind_name(&self) -> &'static str {
+    /// Whether this payload can resume a campaign of the given mode.
+    pub fn matches_mode(&self, mode: FuzzMode) -> bool {
         match self {
-            SnapshotPayload::Traffic(_) => "traffic",
-            SnapshotPayload::Link(_) => "link",
-            SnapshotPayload::Scenario(_) => "scenario",
-            SnapshotPayload::Topology(_) => "topology",
-            SnapshotPayload::Workload(_) => "workload",
+            SnapshotPayload::Traffic(_) => TrafficGenome::serves(mode),
+            SnapshotPayload::Link(_) => LinkGenome::serves(mode),
+            SnapshotPayload::Scenario(_) => ScenarioGenome::serves(mode),
+            SnapshotPayload::Topology(_) => TopologyGenome::serves(mode),
+            SnapshotPayload::Workload(_) => WorkloadGenome::serves(mode),
         }
     }
 
-    /// Whether this payload can resume a campaign of the given mode.
-    pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        matches!(
-            (self, mode),
-            (SnapshotPayload::Traffic(_), FuzzMode::Traffic)
-                | (SnapshotPayload::Link(_), FuzzMode::Link)
-                | (
-                    SnapshotPayload::Scenario(_),
-                    FuzzMode::Fairness | FuzzMode::Aqm
-                )
-                | (SnapshotPayload::Topology(_), FuzzMode::Topology)
-                | (SnapshotPayload::Workload(_), FuzzMode::Workload)
+    /// The error for unwrapping this payload as a `G` population.
+    pub(crate) fn mismatch<G: ModeGenome>(&self) -> String {
+        format!(
+            "checkpoint holds a {} population, cannot resume a {} campaign",
+            served_names(|m| self.matches_mode(m)),
+            served_names(G::serves)
         )
     }
 
@@ -95,17 +89,6 @@ impl SnapshotPayload {
         }
     }
 
-    /// The embedded GA parameters.
-    pub fn params(&self) -> &GaParams {
-        match self {
-            SnapshotPayload::Traffic(s) => &s.params,
-            SnapshotPayload::Link(s) => &s.params,
-            SnapshotPayload::Scenario(s) => &s.params,
-            SnapshotPayload::Topology(s) => &s.params,
-            SnapshotPayload::Workload(s) => &s.params,
-        }
-    }
-
     /// Structural validation of the embedded snapshot (schema, shape,
     /// genome invariants). Run before trusting a payload loaded from disk.
     pub fn validate(&self) -> Result<(), String> {
@@ -118,49 +101,27 @@ impl SnapshotPayload {
         }
     }
 
-    /// Unwraps a traffic-mode snapshot.
+    /// Unwraps a traffic-mode snapshot. This and its three siblings are the
+    /// monomorphic names of [`ModeGenome::unwrap_snapshot`] the benchmark
+    /// harness compiles against.
     pub fn into_traffic(self) -> Result<FuzzerSnapshot<TrafficGenome>, String> {
-        match self {
-            SnapshotPayload::Traffic(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "traffic")),
-        }
+        ModeGenome::unwrap_snapshot(self)
     }
 
     /// Unwraps a link-mode snapshot.
     pub fn into_link(self) -> Result<FuzzerSnapshot<LinkGenome>, String> {
-        match self {
-            SnapshotPayload::Link(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "link")),
-        }
+        ModeGenome::unwrap_snapshot(self)
     }
 
     /// Unwraps a fairness/AQM-mode snapshot.
     pub fn into_scenario(self) -> Result<FuzzerSnapshot<ScenarioGenome>, String> {
-        match self {
-            SnapshotPayload::Scenario(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "scenario")),
-        }
-    }
-
-    /// Unwraps a topology-mode snapshot.
-    pub fn into_topology(self) -> Result<FuzzerSnapshot<TopologyGenome>, String> {
-        match self {
-            SnapshotPayload::Topology(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "topology")),
-        }
+        ModeGenome::unwrap_snapshot(self)
     }
 
     /// Unwraps a workload-mode snapshot.
     pub fn into_workload(self) -> Result<FuzzerSnapshot<WorkloadGenome>, String> {
-        match self {
-            SnapshotPayload::Workload(s) => Ok(s),
-            other => Err(mismatch(other.kind_name(), "workload")),
-        }
+        ModeGenome::unwrap_snapshot(self)
     }
-}
-
-fn mismatch(got: &str, wanted: &str) -> String {
-    format!("checkpoint holds a {got} population, cannot resume a {wanted} campaign")
 }
 
 /// External control plane for a campaign run: cooperative shutdown, periodic
@@ -201,6 +162,7 @@ pub struct ControlledRun<G> {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
+    use crate::fuzzer::GaParams;
     use ccfuzz_cca::CcaKind;
     use ccfuzz_netsim::time::SimDuration;
 
@@ -223,18 +185,21 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         assert!(payload.matches_mode(FuzzMode::Traffic));
         assert!(!payload.matches_mode(FuzzMode::Link));
         assert!(!payload.matches_mode(FuzzMode::Fairness));
-        assert_eq!(payload.kind_name(), "traffic");
         assert_eq!(payload.next_generation(), 3);
         assert!(payload.evaluations() >= 6);
         assert_eq!(payload.panics_caught(), 0);
         payload.validate().unwrap();
-        assert!(payload.into_link().is_err());
+        let err = payload.into_scenario().unwrap_err();
+        assert!(
+            err.contains("a traffic population") && err.contains("a fairness/aqm campaign"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -246,7 +211,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         let json = serde_json::to_string(&payload).unwrap();

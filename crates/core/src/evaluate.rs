@@ -1,26 +1,27 @@
-//! Genome evaluation: run the simulator on a trace and score the outcome.
+//! Genome evaluation: run the simulator on a genome and score the outcome.
 //!
 //! This is the "fitness function" of the genetic algorithm (§3.4). Every
 //! evaluation is a fresh, deterministic simulation — the property §3.6 of the
 //! paper identifies as the reason to prefer simulation over emulation.
+//!
+//! There is one path for every fuzzing mode: [`SimEvaluator::simulate`]
+//! lowers a [`ModeGenome`] into the pooled simulator and the blanket
+//! [`Evaluator`] impl scores the result through the same trait.
 
 use crate::genome::{LinkGenome, TrafficGenome};
-use crate::scenario::ScenarioGenome;
+use crate::mode::{ModeGenome, RunOpts};
+use crate::scenario::{FlowGene, ScenarioGenome};
 use crate::scoring::{
     performance_score_reusing, total_score, trace_score, ScoreScratch, ScoringConfig,
     TraceScoreInputs,
 };
-use crate::topology::TopologyGenome;
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
-use ccfuzz_netsim::link::LinkModel;
-use ccfuzz_netsim::sim::{
-    run_multi_flow_simulation_pooled, run_workload_simulation_pooled, FlowSpec, SimResult,
-    SimScratch, Simulation,
-};
+use ccfuzz_netsim::sim::{FlowSpec, SimResult, SimScratch, Simulation};
 use ccfuzz_netsim::simtrace::{SimTrace, DEFAULT_TRACE_CAPACITY};
-use ccfuzz_netsim::trace::{LinkTrace, TrafficTrace};
+use ccfuzz_netsim::time::SimDuration;
+use ccfuzz_netsim::trace::TrafficTrace;
 use serde::{Deserialize, Serialize};
 
 /// Everything the genetic algorithm needs to know about one evaluation.
@@ -49,26 +50,9 @@ pub struct EvalOutcome {
 }
 
 impl EvalOutcome {
-    /// Scores a finished simulation. Public so that replay/corpus tooling can
-    /// derive an outcome from a [`SimResult`] it already has (avoiding a
-    /// second simulation of the same genome).
-    pub fn from_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        trace_inputs: Option<TraceScoreInputs>,
-    ) -> Self {
-        Self::from_result_reusing(
-            scoring,
-            result,
-            mss,
-            trace_inputs,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_result`] with reusable scoring buffers (identical
-    /// result; a warm evaluator allocates nothing while scoring).
+    /// Scores a finished single-flow simulation with reusable scoring
+    /// buffers (a warm evaluator allocates nothing while scoring). Public so
+    /// tooling can derive an outcome from a [`SimResult`] it already has.
     pub fn from_result_reusing(
         scoring: &ScoringConfig,
         result: &SimResult,
@@ -97,700 +81,21 @@ impl EvalOutcome {
             goodput_bps: result.average_goodput_bps(mss),
         }
     }
-}
 
-/// Reusable per-worker evaluation state — the *generation arena*. The
-/// fuzzer creates one per worker thread and threads it through every
-/// evaluation that worker performs; after warm-up an entire genome
-/// generation is evaluated through this one recycled allocation set:
-/// the simulator arena (calendar, pool, endpoints, stat vectors, shared
-/// timestamp buffers), the flow-spec buffer drained by each run, and the
-/// scoring buffers. Scratch reuse never changes results — it only donates
-/// capacity.
-#[derive(Default)]
-pub struct EvalScratch {
-    /// Simulator arena (see [`SimScratch`]), instantiated for the
-    /// enum-dispatched CCA type the evaluator builds.
-    pub sim: SimScratch<CcaDispatch>,
-    /// Recycled flow-spec buffer; refilled per genome and drained by the
-    /// pooled simulation constructor.
-    specs: Vec<FlowSpec<CcaDispatch>>,
-    /// Recycled CCA-prototype buffer for workload genomes; refilled per
-    /// genome and drained into the arena's clone pool.
-    protos: Vec<CcaDispatch>,
-    /// Recycled scoring buffers (windowed throughput counts/rates).
-    score: ScoreScratch,
-}
-
-impl EvalScratch {
-    /// Creates empty scratch state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// An object that can evaluate genomes of type `G`.
-pub trait Evaluator<G>: Sync + Send {
-    /// Runs the scenario described by `genome` and scores it.
-    fn evaluate(&self, genome: &G) -> EvalOutcome;
-
-    /// Like [`Evaluator::evaluate`], but may reuse `scratch` buffers across
-    /// calls. Must return exactly what `evaluate` returns; the default
-    /// implementation ignores the scratch.
-    fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
-        let _ = scratch;
-        self.evaluate(genome)
-    }
-}
-
-/// The standard simulator-backed evaluator used by both fuzzing modes.
-#[derive(Clone, Debug)]
-pub struct SimEvaluator {
-    /// Base simulation settings (duration, delays, queue, transport options).
-    /// The link model and cross-traffic trace inside it are overwritten per
-    /// genome.
-    pub base: SimConfig,
-    /// Which congestion control algorithm is under test.
-    pub cca: CcaKind,
-    /// How outcomes are scored.
-    pub scoring: ScoringConfig,
-    /// Fixed bottleneck rate used in traffic-fuzzing mode (12 Mbps in the paper).
-    pub link_rate_bps: u64,
-}
-
-impl SimEvaluator {
-    /// Creates an evaluator; `base.record_events` is forced off for speed
-    /// (the GA only needs the aggregate statistics).
-    pub fn new(
-        mut base: SimConfig,
-        cca: CcaKind,
-        scoring: ScoringConfig,
-        link_rate_bps: u64,
-    ) -> Self {
-        base.record_events = false;
-        SimEvaluator {
-            base,
-            cca,
-            scoring,
-            link_rate_bps,
-        }
-    }
-
-    fn traffic_cfg(&self, genome: &TrafficGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = genome.to_trace();
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::traffic_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena (identical trace content).
-    fn traffic_cfg_reusing(
-        &self,
-        genome: &TrafficGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        let mut buf = sim.take_time_buf();
-        buf.extend_from_slice(&genome.timestamps);
-        cfg.cross_traffic = TrafficTrace::new(buf, genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    fn link_cfg(&self, genome: &LinkGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::TraceDriven {
-            trace: genome.to_trace(),
-        };
-        cfg.cross_traffic = ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::link_cfg`] building the service curve in a recycled
-    /// timestamp buffer from the arena (identical trace content).
-    fn link_cfg_reusing(
-        &self,
-        genome: &LinkGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        let mut buf = sim.take_time_buf();
-        buf.extend_from_slice(&genome.timestamps);
-        cfg.link = LinkModel::TraceDriven {
-            trace: LinkTrace::new(buf, genome.duration),
-        };
-        cfg.cross_traffic = TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// The scoring configuration used for a topology genome: the reference
-    /// rate is capped at the evolved chain's bottleneck rate, so the
-    /// throughput and collapse terms measure *underutilization of the
-    /// capacity the chain actually offers*. Without the cap, the GA's
-    /// steepest gradient would simply be "evolve slower hops" — a 3 Mbps
-    /// chain scores >= 0.75 against the fixed 12 Mbps reference even when
-    /// every flow behaves perfectly (the same reward hack the link genome
-    /// prevents by fixing its total packet count). Public because corpus
-    /// replay must score a stored topology finding exactly as the hunt did.
-    pub fn topology_scoring(&self, genome: &TopologyGenome) -> ScoringConfig {
-        let mut scoring = self.scoring;
-        if let Some(bottleneck) = genome.hops.iter().map(|h| h.rate_bps).min() {
-            scoring.reference_rate_bps = scoring.reference_rate_bps.min(bottleneck as f64);
-        }
-        scoring
-    }
-
-    fn topology_cfg(&self, genome: &TopologyGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        // The legacy single-bottleneck fields stay at the campaign defaults;
-        // the genome's hop chain supersedes them.
-        cfg.topology = Some(genome.to_topology());
-        cfg.cross_traffic = genome
-            .traffic
-            .as_ref()
-            .map(|t| t.to_trace())
-            .unwrap_or_else(|| ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration));
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    /// [`SimEvaluator::topology_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena. The topology itself is
-    /// still built fresh (its hop vector is small and genome-shaped).
-    fn topology_cfg_reusing(
-        &self,
-        genome: &TopologyGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.topology = Some(genome.to_topology());
-        cfg.cross_traffic = match &genome.traffic {
-            Some(t) => {
-                let mut buf = sim.take_time_buf();
-                buf.extend_from_slice(&t.timestamps);
-                TrafficTrace::new(buf, t.duration)
-            }
-            None => TrafficTrace::empty(genome.duration),
-        };
-        cfg.duration = genome.duration;
-        cfg
-    }
-
-    fn topology_specs(
-        &self,
-        genome: &TopologyGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.flow.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.flow.start,
-                stop: f.flow.stop,
-            })
-            .collect()
-    }
-
-    /// [`SimEvaluator::topology_specs`] into the arena's recycled spec buffer.
-    fn fill_topology_specs(
-        &self,
-        genome: &TopologyGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.flows.iter().map(|f| FlowSpec {
-            cc: f.flow.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.flow.start,
-            stop: f.flow.stop,
-        }));
-    }
-
-    fn scenario_cfg(&self, genome: &ScenarioGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = genome
-            .traffic
-            .as_ref()
-            .map(|t| t.to_trace())
-            .unwrap_or_else(|| ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration));
-        cfg.duration = genome.duration;
-        // AQM scenarios carry the gateway in the genome; fairness scenarios
-        // leave it as the campaign configured (drop-tail today).
-        if let Some(gene) = &genome.qdisc {
-            cfg.qdisc = gene.discipline;
-            cfg.ecn_enabled = gene.ecn;
-        }
-        cfg
-    }
-
-    /// [`SimEvaluator::scenario_cfg`] building the cross-traffic trace in a
-    /// recycled timestamp buffer from the arena (identical trace content).
-    fn scenario_cfg_reusing(
-        &self,
-        genome: &ScenarioGenome,
-        sim: &mut SimScratch<CcaDispatch>,
-    ) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = false;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = match &genome.traffic {
-            Some(t) => {
-                let mut buf = sim.take_time_buf();
-                buf.extend_from_slice(&t.timestamps);
-                TrafficTrace::new(buf, t.duration)
-            }
-            None => TrafficTrace::empty(genome.duration),
-        };
-        cfg.duration = genome.duration;
-        if let Some(gene) = &genome.qdisc {
-            cfg.qdisc = gene.discipline;
-            cfg.ecn_enabled = gene.ecn;
-        }
-        cfg
-    }
-
-    /// The single-flow spec for a prepared configuration, with the CCA under
-    /// test in enum-dispatched form (no virtual calls on the per-ACK path).
-    fn single_flow_spec(&self, cfg: &SimConfig) -> Vec<FlowSpec<CcaDispatch>> {
-        vec![FlowSpec {
-            cc: self.cca.build_dispatch(cfg.initial_cwnd),
-            start: cfg.flow_start,
-            stop: None,
-        }]
-    }
-
-    /// [`SimEvaluator::single_flow_spec`] into the arena's recycled spec
-    /// buffer.
-    fn fill_single_flow_spec(&self, cfg: &SimConfig, specs: &mut Vec<FlowSpec<CcaDispatch>>) {
-        specs.clear();
-        specs.push(FlowSpec {
-            cc: self.cca.build_dispatch(cfg.initial_cwnd),
-            start: cfg.flow_start,
-            stop: None,
-        });
-    }
-
-    fn scenario_specs(
-        &self,
-        genome: &ScenarioGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.start,
-                stop: f.stop,
-            })
-            .collect()
-    }
-
-    /// [`SimEvaluator::scenario_specs`] into the arena's recycled spec buffer.
-    fn fill_scenario_specs(
-        &self,
-        genome: &ScenarioGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.flows.iter().map(|f| FlowSpec {
-            cc: f.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.start,
-            stop: f.stop,
-        }));
-    }
-
-    /// Runs a full simulation for a traffic genome, returning the raw result
-    /// (used by figure binaries that need the detailed statistics, with event
-    /// recording re-enabled).
-    pub fn simulate_traffic(&self, genome: &TrafficGenome, record_events: bool) -> SimResult {
-        let cfg = self.traffic_cfg(genome, record_events);
-        let specs = self.single_flow_spec(&cfg);
-        Simulation::new_multi(cfg, specs).run()
-    }
-
-    /// [`SimEvaluator::simulate_traffic`] with reusable simulator storage.
-    pub fn simulate_traffic_reusing(
-        &self,
-        genome: &TrafficGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.traffic_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_single_flow_spec(&cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    /// Runs a full simulation for a link genome.
-    pub fn simulate_link(&self, genome: &LinkGenome, record_events: bool) -> SimResult {
-        let cfg = self.link_cfg(genome, record_events);
-        let specs = self.single_flow_spec(&cfg);
-        Simulation::new_multi(cfg, specs).run()
-    }
-
-    /// [`SimEvaluator::simulate_link`] with reusable simulator storage.
-    pub fn simulate_link_reusing(
-        &self,
-        genome: &LinkGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.link_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_single_flow_spec(&cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    /// Runs a full multi-flow simulation for a scenario genome: every flow
-    /// gene becomes its own sender with its own enum-dispatched CC instance
-    /// (so mixed-CCA scenarios like BBR vs. Reno work), sharing the
-    /// fixed-rate bottleneck with the optional cross-traffic sub-genome.
-    pub fn simulate_scenario(&self, genome: &ScenarioGenome, record_events: bool) -> SimResult {
-        let cfg = self.scenario_cfg(genome, record_events);
-        let specs = self.scenario_specs(genome, &cfg);
-        Simulation::new_multi(cfg, specs).run()
-    }
-
-    /// [`SimEvaluator::simulate_scenario`] with reusable simulator storage.
-    pub fn simulate_scenario_reusing(
-        &self,
-        genome: &ScenarioGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.scenario_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_scenario_specs(genome, &cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    /// Runs a full multi-hop simulation for a topology genome: the genome's
-    /// hop chain becomes the simulator topology, every flow gene becomes
-    /// its own sender routed over its path, and the optional cross-traffic
-    /// sub-genome injects at the head of the chain.
-    pub fn simulate_topology(&self, genome: &TopologyGenome, record_events: bool) -> SimResult {
-        let cfg = self.topology_cfg(genome, record_events);
-        let specs = self.topology_specs(genome, &cfg);
-        Simulation::new_multi(cfg, specs).run()
-    }
-
-    /// [`SimEvaluator::simulate_topology`] with reusable simulator storage.
-    pub fn simulate_topology_reusing(
-        &self,
-        genome: &TopologyGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.topology_cfg_reusing(genome, &mut scratch.sim);
-        self.fill_topology_specs(genome, &cfg, &mut scratch.specs);
-        run_multi_flow_simulation_pooled(cfg, &mut scratch.specs, &mut scratch.sim)
-    }
-
-    fn workload_cfg(&self, genome: &WorkloadGenome, record_events: bool) -> SimConfig {
-        let mut cfg = self.base.clone();
-        cfg.record_events = record_events;
-        cfg.link = LinkModel::FixedRate {
-            rate_bps: self.link_rate_bps,
-        };
-        cfg.cross_traffic = ccfuzz_netsim::trace::TrafficTrace::empty(genome.duration);
-        cfg.duration = genome.duration;
-        cfg.arrivals = Some(genome.arrivals);
-        cfg
-    }
-
-    /// The static background flows (elephants) of a workload genome, each
-    /// with its own enum-dispatched CC instance.
-    fn workload_specs(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-    ) -> Vec<FlowSpec<CcaDispatch>> {
-        genome
-            .elephants
-            .iter()
-            .map(|f| FlowSpec {
-                cc: f.cca.build_dispatch(cfg.initial_cwnd),
-                start: f.start,
-                stop: f.stop,
-            })
-            .collect()
-    }
-
-    /// [`SimEvaluator::workload_specs`] into the arena's recycled spec buffer.
-    fn fill_workload_specs(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-        specs: &mut Vec<FlowSpec<CcaDispatch>>,
-    ) {
-        specs.clear();
-        specs.extend(genome.elephants.iter().map(|f| FlowSpec {
-            cc: f.cca.build_dispatch(cfg.initial_cwnd),
-            start: f.start,
-            stop: f.stop,
-        }));
-    }
-
-    /// The CCA prototypes dynamic arrivals clone from, one per pool entry.
-    fn fill_workload_protos(
-        &self,
-        genome: &WorkloadGenome,
-        cfg: &SimConfig,
-        protos: &mut Vec<CcaDispatch>,
-    ) {
-        protos.clear();
-        protos.extend(
-            genome
-                .cca_pool
-                .iter()
-                .map(|cca| cca.build_dispatch(cfg.initial_cwnd)),
-        );
-    }
-
-    /// Runs a full dynamic-arrival simulation for a workload genome: the
-    /// elephants become static flows, the arrival genes drive the flow-churn
-    /// engine spawning (and recycling) one dynamic sender per arrival.
-    pub fn simulate_workload(&self, genome: &WorkloadGenome, record_events: bool) -> SimResult {
-        let cfg = self.workload_cfg(genome, record_events);
-        let specs = self.workload_specs(genome, &cfg);
-        let mut protos = Vec::new();
-        self.fill_workload_protos(genome, &cfg, &mut protos);
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_arrivals(&mut protos);
-        sim.run()
-    }
-
-    /// [`SimEvaluator::simulate_workload`] with reusable simulator storage.
-    pub fn simulate_workload_reusing(
-        &self,
-        genome: &WorkloadGenome,
-        scratch: &mut EvalScratch,
-    ) -> SimResult {
-        let cfg = self.workload_cfg(genome, false);
-        self.fill_workload_specs(genome, &cfg, &mut scratch.specs);
-        self.fill_workload_protos(genome, &cfg, &mut scratch.protos);
-        run_workload_simulation_pooled(
-            cfg,
-            &mut scratch.specs,
-            &mut scratch.protos,
-            &mut scratch.sim,
-        )
-    }
-
-    /// [`SimEvaluator::simulate_workload`] with the structured trace
-    /// recorder installed (event recording on).
-    pub fn simulate_workload_traced(&self, genome: &WorkloadGenome) -> (SimResult, SimTrace) {
-        let cfg = self.workload_cfg(genome, true);
-        let specs = self.workload_specs(genome, &cfg);
-        let mut protos = Vec::new();
-        self.fill_workload_protos(genome, &cfg, &mut protos);
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_arrivals(&mut protos);
-        sim.install_tracer(DEFAULT_TRACE_CAPACITY);
-        let result = sim.run();
-        let trace = sim.take_trace().expect("tracer installed before run");
-        (result, trace)
-    }
-
-    fn run_traced(cfg: SimConfig, specs: Vec<FlowSpec<CcaDispatch>>) -> (SimResult, SimTrace) {
-        let mut sim = Simulation::new_multi(cfg, specs);
-        sim.install_tracer(DEFAULT_TRACE_CAPACITY);
-        let result = sim.run();
-        let trace = sim.take_trace().expect("tracer installed before run");
-        (result, trace)
-    }
-
-    /// [`SimEvaluator::simulate_traffic`] with the structured trace
-    /// recorder installed (event recording on). The tracer never perturbs
-    /// the run: the returned result digests identically to an untraced one.
-    pub fn simulate_traffic_traced(&self, genome: &TrafficGenome) -> (SimResult, SimTrace) {
-        let cfg = self.traffic_cfg(genome, true);
-        let specs = self.single_flow_spec(&cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_link`] with the structured trace recorder.
-    pub fn simulate_link_traced(&self, genome: &LinkGenome) -> (SimResult, SimTrace) {
-        let cfg = self.link_cfg(genome, true);
-        let specs = self.single_flow_spec(&cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_scenario`] with the structured trace recorder.
-    pub fn simulate_scenario_traced(&self, genome: &ScenarioGenome) -> (SimResult, SimTrace) {
-        let cfg = self.scenario_cfg(genome, true);
-        let specs = self.scenario_specs(genome, &cfg);
-        Self::run_traced(cfg, specs)
-    }
-
-    /// [`SimEvaluator::simulate_topology`] with the structured trace recorder.
-    pub fn simulate_topology_traced(&self, genome: &TopologyGenome) -> (SimResult, SimTrace) {
-        let cfg = self.topology_cfg(genome, true);
-        let specs = self.topology_specs(genome, &cfg);
-        Self::run_traced(cfg, specs)
-    }
-}
-
-impl SimEvaluator {
-    fn score_traffic(&self, genome: &TrafficGenome, result: &SimResult) -> EvalOutcome {
-        let inputs = TraceScoreInputs {
-            traffic_packets: genome.packet_count(),
-            traffic_max_packets: genome.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        };
-        EvalOutcome::from_result(&self.scoring, result, self.base.mss, Some(inputs))
-    }
-
-    fn score_traffic_reusing(
-        &self,
-        genome: &TrafficGenome,
-        result: &SimResult,
-        score: &mut ScoreScratch,
-    ) -> EvalOutcome {
-        let inputs = TraceScoreInputs {
-            traffic_packets: genome.packet_count(),
-            traffic_max_packets: genome.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        };
-        EvalOutcome::from_result_reusing(&self.scoring, result, self.base.mss, Some(inputs), score)
-    }
-}
-
-impl Evaluator<TrafficGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
-        let result = self.simulate_traffic(genome, false);
-        self.score_traffic(genome, &result)
-    }
-
-    fn evaluate_reusing(&self, genome: &TrafficGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_traffic_reusing(genome, scratch);
-        let outcome = self.score_traffic_reusing(genome, &result, &mut scratch.score);
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl Evaluator<LinkGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &LinkGenome) -> EvalOutcome {
-        let result = self.simulate_link(genome, false);
-        EvalOutcome::from_result(&self.scoring, &result, self.base.mss, None)
-    }
-
-    fn evaluate_reusing(&self, genome: &LinkGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_link_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            None,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl EvalOutcome {
-    /// Scores a finished multi-flow scenario simulation. The legacy
-    /// per-flow fields of [`EvalOutcome`] describe flow 0 in single-flow
-    /// modes; for scenarios they carry aggregates across all competing
-    /// flows so the outcome (and the behaviour signature built from it)
-    /// reflects the whole scenario. Public so replay/corpus tooling can
-    /// derive the outcome from a [`SimResult`] it already has.
-    pub fn from_scenario_result(
+    /// Scores a finished multi-flow simulation. The legacy per-flow fields
+    /// of [`EvalOutcome`] describe flow 0 in single-flow modes; for
+    /// multi-flow runs they carry aggregates across all competing flows so
+    /// the outcome (and the behaviour signature built from it) reflects the
+    /// whole scenario. `traffic` is the genome's cross-traffic sub-genome,
+    /// if it has one (it feeds the trace-minimality term).
+    pub(crate) fn from_multi_flow_result(
         scoring: &ScoringConfig,
         result: &SimResult,
         mss: u32,
-        genome: &ScenarioGenome,
-    ) -> Self {
-        Self::from_scenario_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_scenario_result`] with reusable scoring buffers.
-    pub fn from_scenario_result_reusing(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &ScenarioGenome,
+        traffic: Option<&TrafficGenome>,
         score: &mut ScoreScratch,
     ) -> Self {
-        let inputs = genome.traffic.as_ref().map(|t| TraceScoreInputs {
-            traffic_packets: t.packet_count(),
-            traffic_max_packets: t.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        });
-        Self::from_multi_flow_result(scoring, result, mss, inputs, score)
-    }
-
-    /// Scores a finished multi-hop topology simulation, aggregating the
-    /// per-flow fields across every flow of the parking lot exactly like
-    /// [`EvalOutcome::from_scenario_result`] does for fairness scenarios.
-    pub fn from_topology_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &TopologyGenome,
-    ) -> Self {
-        Self::from_topology_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
-    }
-
-    /// [`EvalOutcome::from_topology_result`] with reusable scoring buffers.
-    pub fn from_topology_result_reusing(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        genome: &TopologyGenome,
-        score: &mut ScoreScratch,
-    ) -> Self {
-        let inputs = genome.traffic.as_ref().map(|t| TraceScoreInputs {
-            traffic_packets: t.packet_count(),
-            traffic_max_packets: t.max_packets,
-            traffic_dropped: result.stats.cross_dropped,
-        });
-        Self::from_multi_flow_result(scoring, result, mss, inputs, score)
-    }
-
-    /// Shared multi-flow aggregation: the legacy per-flow fields of
-    /// [`EvalOutcome`] describe flow 0 in single-flow modes; for multi-flow
-    /// runs they carry aggregates across all competing flows so the outcome
-    /// (and the behaviour signature built from it) reflects the whole
-    /// scenario.
-    fn from_multi_flow_result(
-        scoring: &ScoringConfig,
-        result: &SimResult,
-        mss: u32,
-        inputs: Option<TraceScoreInputs>,
-        score: &mut ScoreScratch,
-    ) -> Self {
+        let inputs = traffic.map(|t| t.trace_score_inputs(result));
         let mut outcome = EvalOutcome::from_result_reusing(scoring, result, mss, inputs, score);
         let flows = &result.stats.flows;
         outcome.delivered_packets = flows.iter().map(|f| f.summary.delivered_packets).sum();
@@ -816,29 +121,22 @@ impl EvalOutcome {
         };
         outcome
     }
-}
 
-impl EvalOutcome {
-    /// Scores a finished dynamic-arrival workload simulation. The per-flow
-    /// aggregates cover the static elephants; the churned flows are
-    /// summarised by `result.stats.workload` which the tail-latency
-    /// objective reads directly.
-    pub fn from_workload_result(
+    /// The scenario-genome name of the multi-flow scorer (kept for the
+    /// benchmark harness; [`ModeGenome::score`] is the generic entry point).
+    pub fn from_scenario_result_reusing(
         scoring: &ScoringConfig,
         result: &SimResult,
         mss: u32,
-        genome: &WorkloadGenome,
+        genome: &ScenarioGenome,
+        score: &mut ScoreScratch,
     ) -> Self {
-        Self::from_workload_result_reusing(
-            scoring,
-            result,
-            mss,
-            genome,
-            &mut ScoreScratch::default(),
-        )
+        Self::from_multi_flow_result(scoring, result, mss, genome.traffic.as_ref(), score)
     }
 
-    /// [`EvalOutcome::from_workload_result`] with reusable scoring buffers.
+    /// The workload-genome name of the multi-flow scorer (kept for the
+    /// benchmark harness). Workload genomes carry no traffic sub-genome: the
+    /// adversarial pressure comes from the arrival process itself.
     pub fn from_workload_result_reusing(
         scoring: &ScoringConfig,
         result: &SimResult,
@@ -846,85 +144,238 @@ impl EvalOutcome {
         _genome: &WorkloadGenome,
         score: &mut ScoreScratch,
     ) -> Self {
-        // Workload genomes carry no traffic sub-genome: the adversarial
-        // pressure comes from the arrival process itself, so there is no
-        // trace-minimality term to feed the scorer.
         Self::from_multi_flow_result(scoring, result, mss, None, score)
     }
 }
 
-impl Evaluator<WorkloadGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &WorkloadGenome) -> EvalOutcome {
-        let result = self.simulate_workload(genome, false);
-        EvalOutcome::from_workload_result(&self.scoring, &result, self.base.mss, genome)
+/// Reusable per-worker evaluation state — the *generation arena*. The
+/// fuzzer creates one per worker thread and threads it through every
+/// evaluation that worker performs; after warm-up an entire genome
+/// generation is evaluated through this one recycled allocation set:
+/// the simulator arena (calendar, pool, endpoints, stat vectors, shared
+/// timestamp buffers), the flow-spec buffer drained by each run, and the
+/// scoring buffers. Scratch reuse never changes results — it only donates
+/// capacity; an empty scratch is a fresh evaluation.
+#[derive(Default)]
+pub struct EvalScratch {
+    /// Simulator arena (see [`SimScratch`]), instantiated for the
+    /// enum-dispatched CCA type the evaluator builds.
+    pub sim: SimScratch<CcaDispatch>,
+    /// Recycled flow-spec buffer; refilled per genome and drained by the
+    /// pooled simulation constructor.
+    specs: Vec<FlowSpec<CcaDispatch>>,
+    /// Recycled CCA-prototype buffer for workload genomes; refilled per
+    /// genome and drained into the arena's clone pool.
+    protos: Vec<CcaDispatch>,
+    /// Recycled scoring buffers (windowed throughput counts/rates).
+    score: ScoreScratch,
+}
+
+impl EvalScratch {
+    /// Creates empty scratch state.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn evaluate_reusing(&self, genome: &WorkloadGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_workload_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_workload_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
+    /// The cross-traffic trace of an optional traffic (sub-)genome, built in
+    /// a recycled timestamp buffer from the arena.
+    pub(crate) fn cross_traffic(
+        &mut self,
+        traffic: Option<&TrafficGenome>,
+        duration: SimDuration,
+    ) -> TrafficTrace {
+        match traffic {
+            Some(t) => {
+                let mut buf = self.sim.take_time_buf();
+                buf.extend_from_slice(&t.timestamps);
+                TrafficTrace::new(buf, t.duration)
+            }
+            None => TrafficTrace::empty(duration),
+        }
+    }
+
+    /// Refills the flow-spec buffer: every flow gene becomes its own sender
+    /// with its own enum-dispatched CC instance (no virtual calls on the
+    /// per-ACK path), so mixed-CCA scenarios work.
+    pub(crate) fn set_flows<'g>(
+        &mut self,
+        cfg: &SimConfig,
+        flows: impl IntoIterator<Item = &'g FlowGene>,
+    ) {
+        self.specs.clear();
+        self.specs.extend(flows.into_iter().map(|f| FlowSpec {
+            cc: f.cca.build_dispatch(cfg.initial_cwnd),
+            start: f.start,
+            stop: f.stop,
+        }));
+    }
+
+    /// Refills the CCA prototypes dynamic arrivals clone from, one per pool
+    /// entry.
+    pub(crate) fn set_arrival_pool(&mut self, cfg: &SimConfig, pool: &[CcaKind]) {
+        self.protos.clear();
+        self.protos
+            .extend(pool.iter().map(|cca| cca.build_dispatch(cfg.initial_cwnd)));
+    }
+}
+
+/// An object that can evaluate genomes of type `G`.
+pub trait Evaluator<G>: Sync + Send {
+    /// Runs the scenario described by `genome` and scores it.
+    fn evaluate(&self, genome: &G) -> EvalOutcome;
+
+    /// Like [`Evaluator::evaluate`], but may reuse `scratch` buffers across
+    /// calls. Must return exactly what `evaluate` returns; the default
+    /// implementation ignores the scratch.
+    fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
+        let _ = scratch;
+        self.evaluate(genome)
+    }
+}
+
+/// The standard simulator-backed evaluator used by every fuzzing mode.
+#[derive(Clone, Debug)]
+pub struct SimEvaluator {
+    /// Base simulation settings (duration, delays, queue, transport options).
+    /// The link model and cross-traffic trace inside it are overwritten per
+    /// genome.
+    pub base: SimConfig,
+    /// Which congestion control algorithm is under test.
+    pub cca: CcaKind,
+    /// How outcomes are scored.
+    pub scoring: ScoringConfig,
+    /// Fixed bottleneck rate of every mode that does not evolve the link
+    /// itself (12 Mbps in the paper).
+    pub link_rate_bps: u64,
+}
+
+impl SimEvaluator {
+    /// Creates an evaluator; `base.record_events` is forced off for speed
+    /// (the GA only needs the aggregate statistics).
+    pub fn new(
+        mut base: SimConfig,
+        cca: CcaKind,
+        scoring: ScoringConfig,
+        link_rate_bps: u64,
+    ) -> Self {
+        base.record_events = false;
+        SimEvaluator {
+            base,
+            cca,
+            scoring,
+            link_rate_bps,
+        }
+    }
+
+    /// The base configuration for one run of `duration`, the starting point
+    /// of every [`ModeGenome::lower`].
+    pub(crate) fn run_cfg(&self, duration: SimDuration, opts: RunOpts) -> SimConfig {
+        let mut cfg = self.base.clone();
+        cfg.record_events = opts.record_events;
+        cfg.duration = duration;
+        cfg
+    }
+
+    /// The single flow of the CCA under test, for the genomes that carry no
+    /// flow genes of their own.
+    pub(crate) fn primary_flow(&self, cfg: &SimConfig) -> FlowGene {
+        FlowGene {
+            cca: self.cca,
+            start: cfg.flow_start,
+            stop: None,
+        }
+    }
+
+    /// Runs one full simulation of `genome`, returning the raw result and —
+    /// when `opts.trace` is set — the structured trace. Every heap structure
+    /// comes from `scratch` and returns to it, so a warm scratch runs
+    /// allocation-free and an empty one (`EvalScratch::new()`) is a fresh
+    /// run; results are bit-identical either way.
+    pub fn simulate<G: ModeGenome>(
+        &self,
+        genome: &G,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> (SimResult, Option<SimTrace>) {
+        let cfg = genome.lower(self, scratch, opts);
+        let churn = cfg.arrivals.is_some();
+        let arena = std::mem::take(&mut scratch.sim);
+        let mut sim = Simulation::new_multi_reusing(cfg, &mut scratch.specs, arena);
+        if churn {
+            sim.install_arrivals(&mut scratch.protos);
+        }
+        if opts.trace {
+            sim.install_tracer(DEFAULT_TRACE_CAPACITY);
+        }
+        let result = sim.run();
+        let trace = sim.take_trace();
+        scratch.sim = sim.into_scratch();
+        (result, trace)
+    }
+
+    /// [`SimEvaluator::simulate`] for a link genome, statistics only (kept
+    /// by name for the benchmark harness, like its three siblings).
+    pub fn simulate_link_reusing(
+        &self,
+        genome: &LinkGenome,
+        scratch: &mut EvalScratch,
+    ) -> SimResult {
+        self.simulate(genome, scratch, RunOpts::default()).0
+    }
+
+    /// [`SimEvaluator::simulate`] for a traffic genome, statistics only.
+    pub fn simulate_traffic_reusing(
+        &self,
+        genome: &TrafficGenome,
+        scratch: &mut EvalScratch,
+    ) -> SimResult {
+        self.simulate(genome, scratch, RunOpts::default()).0
+    }
+
+    /// [`SimEvaluator::simulate`] for a scenario genome, statistics only.
+    pub fn simulate_scenario_reusing(
+        &self,
+        genome: &ScenarioGenome,
+        scratch: &mut EvalScratch,
+    ) -> SimResult {
+        self.simulate(genome, scratch, RunOpts::default()).0
+    }
+
+    /// [`SimEvaluator::simulate`] for a workload genome, statistics only.
+    pub fn simulate_workload_reusing(
+        &self,
+        genome: &WorkloadGenome,
+        scratch: &mut EvalScratch,
+    ) -> SimResult {
+        self.simulate(genome, scratch, RunOpts::default()).0
+    }
+}
+
+impl<G: ModeGenome> Evaluator<G> for SimEvaluator {
+    fn evaluate(&self, genome: &G) -> EvalOutcome {
+        self.evaluate_reusing(genome, &mut EvalScratch::new())
+    }
+
+    fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
+        let (result, _) = self.simulate(genome, scratch, RunOpts::default());
+        let outcome = genome.score(self, &result, &mut scratch.score);
         scratch.sim.recycle_stats(result.stats);
         outcome
     }
 }
-
-impl Evaluator<ScenarioGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &ScenarioGenome) -> EvalOutcome {
-        let result = self.simulate_scenario(genome, false);
-        EvalOutcome::from_scenario_result(&self.scoring, &result, self.base.mss, genome)
-    }
-
-    fn evaluate_reusing(&self, genome: &ScenarioGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_scenario_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_scenario_result_reusing(
-            &self.scoring,
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-impl Evaluator<TopologyGenome> for SimEvaluator {
-    fn evaluate(&self, genome: &TopologyGenome) -> EvalOutcome {
-        let result = self.simulate_topology(genome, false);
-        EvalOutcome::from_topology_result(
-            &self.topology_scoring(genome),
-            &result,
-            self.base.mss,
-            genome,
-        )
-    }
-
-    fn evaluate_reusing(&self, genome: &TopologyGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate_topology_reusing(genome, scratch);
-        let outcome = EvalOutcome::from_topology_result_reusing(
-            &self.topology_scoring(genome),
-            &result,
-            self.base.mss,
-            genome,
-            &mut scratch.score,
-        );
-        scratch.sim.recycle_stats(result.stats);
-        outcome
-    }
-}
-
-use crate::genome::Genome;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scoring::Objective;
+    use crate::topology::TopologyGenome;
     use ccfuzz_netsim::rng::SimRng;
-    use ccfuzz_netsim::time::SimDuration;
+
+    /// A fresh statistics-only run.
+    fn simulate<G: ModeGenome>(eval: &SimEvaluator, genome: &G) -> SimResult {
+        eval.simulate(genome, &mut EvalScratch::new(), RunOpts::default())
+            .0
+    }
 
     fn evaluator() -> SimEvaluator {
         let mut base = SimConfig::short_default();
@@ -1039,7 +490,7 @@ mod tests {
             SimDuration::from_secs(2),
             &mut rng,
         );
-        let result = eval.simulate_workload(&genome, false);
+        let result = simulate(&eval, &genome);
         let w = result.stats.workload().expect("workload stats present");
         assert!(w.spawned > 0, "arrival process must spawn flows");
         let outcome = Evaluator::<WorkloadGenome>::evaluate(&eval, &genome);
@@ -1087,18 +538,21 @@ mod tests {
             SimDuration::from_secs(1),
             &mut rng,
         );
-        let (result, trace) = eval.simulate_workload_traced(&genome);
+        let opts = RunOpts {
+            record_events: true,
+            trace: true,
+        };
+        let (result, trace) = eval.simulate(&genome, &mut EvalScratch::new(), opts);
         assert!(result.stats.workload().is_some());
         assert!(
-            !trace.events.is_empty(),
+            !trace.expect("trace requested").events.is_empty(),
             "tracer must capture simulation activity"
         );
     }
 
     #[test]
     fn scenario_qdisc_gene_reaches_the_gateway() {
-        use crate::scenario::{QdiscChoice, ScenarioGenome};
-        use crate::scoring::Objective;
+        use crate::scenario::QdiscChoice;
         use ccfuzz_netsim::queue::Qdisc;
         let mut eval = evaluator();
         eval.scoring.objective = Objective::AqmBreakage {
@@ -1126,7 +580,7 @@ mod tests {
             ecn: true,
             choice: QdiscChoice::Red,
         });
-        let result = eval.simulate_scenario(&genome, false);
+        let result = simulate(&eval, &genome);
         assert!(
             result.stats.queue_counters.marked_cca > 0,
             "the genome's RED gateway must mark"
@@ -1149,8 +603,6 @@ mod tests {
 
     #[test]
     fn topology_evaluation_runs_the_hop_chain_deterministically() {
-        use crate::scoring::Objective;
-        use crate::topology::TopologyGenome;
         let mut eval = evaluator();
         eval.scoring.objective = Objective::MultiBottleneck {
             window: SimDuration::from_millis(500),
@@ -1167,7 +619,7 @@ mod tests {
             &[CcaKind::Reno],
             &mut rng,
         );
-        let result = eval.simulate_topology(&genome, false);
+        let result = simulate(&eval, &genome);
         assert_eq!(result.stats.hop_counters.len(), genome.hop_count());
         assert_eq!(result.stats.flows.len(), genome.flow_count());
         assert!(result.stats.flow().delivered_packets > 0);
@@ -1182,8 +634,6 @@ mod tests {
 
     #[test]
     fn topology_scoring_caps_the_reference_at_the_chain_bottleneck() {
-        use crate::scoring::Objective;
-        use crate::topology::TopologyGenome;
         let mut eval = evaluator();
         eval.scoring.objective = Objective::MultiBottleneck {
             window: SimDuration::from_millis(500),
@@ -1207,11 +657,15 @@ mod tests {
         }
         // ...must not be rewarded for its low capacity alone: the reference
         // the score normalises by is capped at the chain's bottleneck.
-        assert_eq!(eval.topology_scoring(&genome).reference_rate_bps, 4e6);
         let capped = Evaluator::<TopologyGenome>::evaluate(&eval, &genome);
-        let result = eval.simulate_topology(&genome, false);
-        let uncapped =
-            EvalOutcome::from_topology_result(&eval.scoring, &result, eval.base.mss, &genome);
+        let result = simulate(&eval, &genome);
+        let uncapped = EvalOutcome::from_multi_flow_result(
+            &eval.scoring,
+            &result,
+            eval.base.mss,
+            genome.traffic.as_ref(),
+            &mut ScoreScratch::default(),
+        );
         assert!(
             capped.score < uncapped.score,
             "slow-but-healthy chains must not out-score via the fixed \
@@ -1223,13 +677,20 @@ mod tests {
         for hop in &mut genome.hops {
             hop.rate_bps = 20_000_000;
         }
-        assert_eq!(eval.topology_scoring(&genome).reference_rate_bps, 12e6);
+        let result = simulate(&eval, &genome);
+        let fast = genome.score(&eval, &result, &mut ScoreScratch::default());
+        let uncapped = EvalOutcome::from_multi_flow_result(
+            &eval.scoring,
+            &result,
+            eval.base.mss,
+            genome.traffic.as_ref(),
+            &mut ScoreScratch::default(),
+        );
+        assert_eq!(fast, uncapped);
     }
 
     #[test]
     fn scenario_evaluation_runs_multi_flow_and_aggregates() {
-        use crate::scenario::ScenarioGenome;
-        use crate::scoring::Objective;
         let mut eval = evaluator();
         eval.scoring.objective = Objective::Unfairness {
             starvation_weight: 0.5,
@@ -1242,7 +703,7 @@ mod tests {
             0,
             &mut rng,
         );
-        let result = eval.simulate_scenario(&genome, false);
+        let result = simulate(&eval, &genome);
         assert_eq!(result.stats.flows.len(), genome.flow_count());
         let outcome = Evaluator::<ScenarioGenome>::evaluate(&eval, &genome);
         // Aggregates cover all flows: at least as much as flow 0 alone.

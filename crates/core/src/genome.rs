@@ -9,8 +9,17 @@
 //!   splices the left half of one parent with the right half of the other
 //!   (§3.3).
 
-use crate::trace_gen::{dist_packets, DistPacketsParams};
+use crate::campaign::{Campaign, FuzzMode, PAPER_K_AGG_MS};
+use crate::checkpoint::SnapshotPayload;
+use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use crate::fuzzer::{AnnealFn, FuzzerSnapshot};
+use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::scoring::{ScoreScratch, TraceScoreInputs};
+use crate::trace_gen::{dist_packets, packets_for_rate, DistPacketsParams};
+use ccfuzz_netsim::config::SimConfig;
+use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::rng::SimRng;
+use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::{LinkTrace, TrafficTrace};
 use serde::{Deserialize, Serialize};
@@ -225,6 +234,69 @@ impl Genome for LinkGenome {
     }
 }
 
+impl ModeGenome for LinkGenome {
+    fn serves(mode: FuzzMode) -> bool {
+        mode == FuzzMode::Link
+    }
+
+    fn generate(campaign: &Campaign, rng: &mut SimRng) -> Self {
+        let total_packets =
+            packets_for_rate(campaign.link_rate_bps, campaign.sim.mss, campaign.duration);
+        let k_agg = SimDuration::from_millis(PAPER_K_AGG_MS);
+        LinkGenome::generate(total_packets, campaign.duration, k_agg, rng)
+    }
+
+    fn annealer() -> Option<Box<AnnealFn<Self>>> {
+        Some(Box::new(|genome: &LinkGenome, rng: &mut SimRng| {
+            genome.anneal(3, SimDuration::from_micros(200), rng)
+        }))
+    }
+
+    fn lower(
+        &self,
+        evaluator: &SimEvaluator,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration, opts);
+        // The service curve is built in a recycled timestamp buffer.
+        let mut buf = scratch.sim.take_time_buf();
+        buf.extend_from_slice(&self.timestamps);
+        cfg.link = LinkModel::TraceDriven {
+            trace: LinkTrace::new(buf, self.duration),
+        };
+        cfg.cross_traffic = TrafficTrace::empty(self.duration);
+        scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
+        cfg
+    }
+
+    fn score(
+        &self,
+        evaluator: &SimEvaluator,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        // Link genomes have a fixed packet count: no trace-minimality term.
+        let (scoring, mss) = (&evaluator.scoring, evaluator.base.mss);
+        EvalOutcome::from_result_reusing(scoring, result, mss, None, scratch)
+    }
+
+    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+        SnapshotPayload::Link(snapshot)
+    }
+
+    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+        match payload {
+            SnapshotPayload::Link(s) => Ok(s),
+            other => Err(other.mismatch::<Self>()),
+        }
+    }
+
+    fn wrap(self) -> GenomePayload {
+        GenomePayload::Link(self)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Traffic genome
 // ---------------------------------------------------------------------------
@@ -257,9 +329,15 @@ impl TrafficGenome {
         }
     }
 
-    /// Converts the genome to the simulator's [`TrafficTrace`].
-    pub fn to_trace(&self) -> TrafficTrace {
-        TrafficTrace::new(self.timestamps.clone(), self.duration)
+    /// The trace-minimality scoring inputs of this genome for a finished
+    /// run: its packet count against its cap, and how much of it the
+    /// bottleneck dropped.
+    pub(crate) fn trace_score_inputs(&self, result: &SimResult) -> TraceScoreInputs {
+        TraceScoreInputs {
+            traffic_packets: self.timestamps.len(),
+            traffic_max_packets: self.max_packets,
+            traffic_dropped: result.stats.cross_dropped,
+        }
     }
 
     /// A copy with the timestamps in `range` (by index) removed — the
@@ -456,6 +534,57 @@ impl Genome for TrafficGenome {
             }
         }
         Ok(())
+    }
+}
+
+impl ModeGenome for TrafficGenome {
+    fn serves(mode: FuzzMode) -> bool {
+        mode == FuzzMode::Traffic
+    }
+
+    fn generate(campaign: &Campaign, rng: &mut SimRng) -> Self {
+        TrafficGenome::generate(campaign.traffic_max_packets, campaign.duration, rng)
+    }
+
+    fn lower(
+        &self,
+        evaluator: &SimEvaluator,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration, opts);
+        cfg.link = LinkModel::FixedRate {
+            rate_bps: evaluator.link_rate_bps,
+        };
+        cfg.cross_traffic = scratch.cross_traffic(Some(self), self.duration);
+        scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
+        cfg
+    }
+
+    fn score(
+        &self,
+        evaluator: &SimEvaluator,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        let (scoring, mss) = (&evaluator.scoring, evaluator.base.mss);
+        let inputs = Some(self.trace_score_inputs(result));
+        EvalOutcome::from_result_reusing(scoring, result, mss, inputs, scratch)
+    }
+
+    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+        SnapshotPayload::Traffic(snapshot)
+    }
+
+    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+        match payload {
+            SnapshotPayload::Traffic(s) => Ok(s),
+            other => Err(other.mismatch::<Self>()),
+        }
+    }
+
+    fn wrap(self) -> GenomePayload {
+        GenomePayload::Traffic(self)
     }
 }
 

@@ -25,15 +25,20 @@
 //! * [`workload`] — dynamic-arrival workload genomes for tail-latency
 //!   fuzzing (arrival process, heavy-tailed flow sizes, concurrency cap,
 //!   background elephant mix).
+//! * [`mode`] — the [`ModeGenome`] trait every genome type implements once
+//!   (generate / lower / score / type erasure) and the single
+//!   `FuzzMode → genome type` dispatch; campaigns, the evaluator, hunts and
+//!   replay are generic over it.
 //! * [`campaign`] — ready-made campaigns matching the paper's evaluation,
-//!   plus the fairness/aqm/topology campaign presets built on the
-//!   multi-flow, multi-hop engine.
+//!   plus the fairness/aqm/topology/workload campaign presets built on the
+//!   multi-flow, multi-hop, dynamic-arrival engine.
 //!
 //! ## Quick example
 //!
 //! ```no_run
 //! use ccfuzz_core::campaign::{Campaign, FuzzMode};
 //! use ccfuzz_core::fuzzer::GaParams;
+//! use ccfuzz_core::genome::TrafficGenome;
 //! use ccfuzz_cca::CcaKind;
 //! use ccfuzz_netsim::time::SimDuration;
 //!
@@ -43,7 +48,7 @@
 //!     SimDuration::from_secs(5),
 //!     GaParams::quick(),
 //! );
-//! let result = campaign.run_traffic();
+//! let result = campaign.run::<TrafficGenome>(None);
 //! println!("worst-case goodput found: {:.2} Mbps", result.best_outcome.goodput_bps / 1e6);
 //! ```
 
@@ -55,6 +60,7 @@ pub mod checkpoint;
 pub mod evaluate;
 pub mod fuzzer;
 pub mod genome;
+pub mod mode;
 pub mod realism;
 pub mod scenario;
 pub mod scoring;
@@ -72,6 +78,7 @@ pub use fuzzer::{
     StopReason,
 };
 pub use genome::{Genome, LinkGenome, TrafficGenome};
+pub use mode::{GenomePayload, ModeGenome, RunOpts};
 pub use scenario::{FlowGene, ScenarioGenome};
 pub use scoring::{FairnessBreakdown, Objective, ScoringConfig};
 pub use shard::{

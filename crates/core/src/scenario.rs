@@ -9,10 +9,19 @@
 //! pool, adds/removes flows, and mutates the traffic sub-genome; crossover
 //! splices flow lists and crosses the traffic sub-genomes.
 
+use crate::campaign::{Campaign, FuzzMode};
+use crate::checkpoint::SnapshotPayload;
+use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::{Genome, TrafficGenome};
+use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
+use ccfuzz_netsim::config::SimConfig;
+use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::queue::Qdisc;
 use ccfuzz_netsim::rng::SimRng;
+use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -481,6 +490,77 @@ impl Genome for ScenarioGenome {
             traffic.validate()?;
         }
         Ok(())
+    }
+}
+
+impl ModeGenome for ScenarioGenome {
+    fn serves(mode: FuzzMode) -> bool {
+        matches!(mode, FuzzMode::Fairness | FuzzMode::Aqm)
+    }
+
+    fn generate(campaign: &Campaign, rng: &mut SimRng) -> Self {
+        let (duration, max_packets) = (campaign.duration, campaign.traffic_max_packets);
+        if campaign.mode == FuzzMode::Aqm {
+            let choice = campaign.qdisc_choice;
+            ScenarioGenome::generate_aqm(campaign.cca, duration, max_packets, choice, rng)
+        } else {
+            let (ccas, max_flows) = (&campaign.flow_ccas, campaign.max_flows);
+            ScenarioGenome::generate(ccas, max_flows, duration, max_packets, rng)
+        }
+    }
+
+    fn lower(
+        &self,
+        evaluator: &SimEvaluator,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration, opts);
+        cfg.link = LinkModel::FixedRate {
+            rate_bps: evaluator.link_rate_bps,
+        };
+        cfg.cross_traffic = scratch.cross_traffic(self.traffic.as_ref(), self.duration);
+        // AQM scenarios carry the gateway in the genome; fairness scenarios
+        // leave it as the campaign configured (drop-tail today).
+        if let Some(gene) = &self.qdisc {
+            cfg.qdisc = gene.discipline;
+            cfg.ecn_enabled = gene.ecn;
+        }
+        scratch.set_flows(&cfg, &self.flows);
+        cfg
+    }
+
+    fn score(
+        &self,
+        evaluator: &SimEvaluator,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        let (scoring, mss) = (&evaluator.scoring, evaluator.base.mss);
+        EvalOutcome::from_multi_flow_result(scoring, result, mss, self.traffic.as_ref(), scratch)
+    }
+
+    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+        SnapshotPayload::Scenario(snapshot)
+    }
+
+    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+        match payload {
+            SnapshotPayload::Scenario(s) => Ok(s),
+            other => Err(other.mismatch::<Self>()),
+        }
+    }
+
+    fn wrap(self) -> GenomePayload {
+        GenomePayload::Scenario(self)
+    }
+
+    fn set_primary_cca(&mut self, cca: CcaKind) {
+        self.flows[0].cca = cca;
+    }
+
+    fn flow_ccas(&self) -> Option<Vec<CcaKind>> {
+        Some(self.flows.iter().map(|f| f.cca).collect())
     }
 }
 

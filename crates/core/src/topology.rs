@@ -12,12 +12,20 @@
 //! the traffic sub-genome; crossover splices hop chains and crosses the
 //! traffic sub-genomes.
 
+use crate::campaign::{Campaign, FuzzMode};
+use crate::checkpoint::SnapshotPayload;
+use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::{Genome, TrafficGenome};
+use crate::mode::{GenomePayload, ModeGenome, RunOpts};
 use crate::scenario::FlowGene;
+use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
+use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::queue::{Qdisc, QueueCapacity};
 use ccfuzz_netsim::rng::SimRng;
+use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::topology::{HopConfig, HopRange, Topology};
 use serde::{Deserialize, Serialize};
@@ -531,6 +539,83 @@ impl Genome for TopologyGenome {
             traffic.validate()?;
         }
         Ok(())
+    }
+}
+
+impl ModeGenome for TopologyGenome {
+    fn serves(mode: FuzzMode) -> bool {
+        mode == FuzzMode::Topology
+    }
+
+    fn generate(campaign: &Campaign, rng: &mut SimRng) -> Self {
+        TopologyGenome::generate(
+            campaign.cca,
+            campaign.topology_hops,
+            campaign.duration,
+            campaign.traffic_max_packets,
+            &campaign.flow_ccas,
+            rng,
+        )
+    }
+
+    fn lower(
+        &self,
+        evaluator: &SimEvaluator,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration, opts);
+        // The legacy single-bottleneck fields stay at the campaign defaults;
+        // the genome's hop chain supersedes them. The topology is built
+        // fresh (its hop vector is small and genome-shaped).
+        cfg.topology = Some(self.to_topology());
+        cfg.cross_traffic = scratch.cross_traffic(self.traffic.as_ref(), self.duration);
+        scratch.set_flows(&cfg, self.flows.iter().map(|f| &f.flow));
+        cfg
+    }
+
+    /// The reference rate is capped at the evolved chain's bottleneck rate,
+    /// so the throughput and collapse terms measure *underutilization of the
+    /// capacity the chain actually offers*. Without the cap, the GA's
+    /// steepest gradient would simply be "evolve slower hops" — a 3 Mbps
+    /// chain scores >= 0.75 against the fixed 12 Mbps reference even when
+    /// every flow behaves perfectly (the same reward hack the link genome
+    /// prevents by fixing its total packet count).
+    fn score(
+        &self,
+        evaluator: &SimEvaluator,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        let mut scoring = evaluator.scoring;
+        if let Some(bottleneck) = self.hops.iter().map(|h| h.rate_bps).min() {
+            scoring.reference_rate_bps = scoring.reference_rate_bps.min(bottleneck as f64);
+        }
+        let mss = evaluator.base.mss;
+        EvalOutcome::from_multi_flow_result(&scoring, result, mss, self.traffic.as_ref(), scratch)
+    }
+
+    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+        SnapshotPayload::Topology(snapshot)
+    }
+
+    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+        match payload {
+            SnapshotPayload::Topology(s) => Ok(s),
+            other => Err(other.mismatch::<Self>()),
+        }
+    }
+
+    fn wrap(self) -> GenomePayload {
+        GenomePayload::Topology(self)
+    }
+
+    fn set_primary_cca(&mut self, cca: CcaKind) {
+        self.flows[0].flow.cca = cca;
+    }
+
+    fn flow_ccas(&self) -> Option<Vec<CcaKind>> {
+        Some(self.flows.iter().map(|f| f.flow.cca).collect())
     }
 }
 

@@ -11,11 +11,21 @@
 //! concurrency cap and the elephant mix; crossover mixes arrival genes
 //! field-wise and splices elephant lists.
 
+use crate::campaign::{Campaign, FuzzMode};
+use crate::checkpoint::SnapshotPayload;
+use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::Genome;
+use crate::mode::{GenomePayload, ModeGenome, RunOpts};
 use crate::scenario::FlowGene;
+use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
+use ccfuzz_netsim::config::SimConfig;
+use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::rng::SimRng;
+use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
+use ccfuzz_netsim::trace::TrafficTrace;
 use ccfuzz_netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 use serde::{Deserialize, Serialize};
 
@@ -347,6 +357,80 @@ impl Genome for WorkloadGenome {
             }
         }
         Ok(())
+    }
+}
+
+impl ModeGenome for WorkloadGenome {
+    fn serves(mode: FuzzMode) -> bool {
+        mode == FuzzMode::Workload
+    }
+
+    fn generate(campaign: &Campaign, rng: &mut SimRng) -> Self {
+        // Workload campaigns keep the CCA pool in `flow_ccas` and the
+        // elephant cap in `max_flows` (see `Campaign::paper_workload`).
+        let (pool, max_elephants) = (&campaign.flow_ccas, campaign.max_flows);
+        WorkloadGenome::generate(campaign.cca, pool, max_elephants, campaign.duration, rng)
+    }
+
+    /// The elephants become static flows; the arrival genes drive the
+    /// flow-churn engine spawning (and recycling) one dynamic sender per
+    /// arrival, cloned from the pool's prototypes.
+    fn lower(
+        &self,
+        evaluator: &SimEvaluator,
+        scratch: &mut EvalScratch,
+        opts: RunOpts,
+    ) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration, opts);
+        cfg.link = LinkModel::FixedRate {
+            rate_bps: evaluator.link_rate_bps,
+        };
+        cfg.cross_traffic = TrafficTrace::empty(self.duration);
+        cfg.arrivals = Some(self.arrivals);
+        scratch.set_flows(&cfg, &self.elephants);
+        scratch.set_arrival_pool(&cfg, &self.cca_pool);
+        cfg
+    }
+
+    /// The per-flow aggregates cover the static elephants; the churned flows
+    /// are summarised by `result.stats.workload`, which the tail-latency
+    /// objective reads directly. There is no traffic sub-genome, hence no
+    /// trace-minimality term.
+    fn score(
+        &self,
+        evaluator: &SimEvaluator,
+        result: &SimResult,
+        scratch: &mut ScoreScratch,
+    ) -> EvalOutcome {
+        let (scoring, mss) = (&evaluator.scoring, evaluator.base.mss);
+        EvalOutcome::from_multi_flow_result(scoring, result, mss, None, scratch)
+    }
+
+    fn wrap_snapshot(snapshot: FuzzerSnapshot<Self>) -> SnapshotPayload {
+        SnapshotPayload::Workload(snapshot)
+    }
+
+    fn unwrap_snapshot(payload: SnapshotPayload) -> Result<FuzzerSnapshot<Self>, String> {
+        match payload {
+            SnapshotPayload::Workload(s) => Ok(s),
+            other => Err(other.mismatch::<Self>()),
+        }
+    }
+
+    fn wrap(self) -> GenomePayload {
+        GenomePayload::Workload(self)
+    }
+
+    /// The override replaces the incumbent elephant's algorithm; the
+    /// arrival pool keeps its mix.
+    fn set_primary_cca(&mut self, cca: CcaKind) {
+        self.elephants[0].cca = cca;
+    }
+
+    /// Only the static elephants surface per-flow stats (arriving flows
+    /// aggregate into the workload block).
+    fn flow_ccas(&self) -> Option<Vec<CcaKind>> {
+        Some(self.elephants.iter().map(|f| f.cca).collect())
     }
 }
 

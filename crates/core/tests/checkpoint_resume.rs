@@ -11,9 +11,12 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
+use ccfuzz_core::checkpoint::{CampaignControl, SnapshotPayload};
 use ccfuzz_core::fuzzer::{FuzzResult, GaParams, StopReason};
-use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
+use ccfuzz_core::mode::ModeGenome;
+use ccfuzz_core::scenario::{QdiscChoice, ScenarioGenome};
+use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::SimDuration;
 use proptest::prelude::*;
@@ -32,12 +35,8 @@ fn tiny_ga(seed: u64) -> GaParams {
 /// Runs `campaign` under control, interrupting at `kill_after` completed
 /// generations, then resumes from a JSON-roundtripped checkpoint and returns
 /// the resumed final result.
-fn interrupt_and_resume<G, RunFn>(campaign: &Campaign, kill_after: u32, run: RunFn) -> FuzzResult<G>
-where
-    G: Clone + std::fmt::Debug + PartialEq,
-    RunFn: Fn(&Campaign, CampaignControl<'_>) -> Result<ControlledRun<G>, String>,
-    ControlledRun<G>: IntoPayload,
-{
+fn interrupt_and_resume<G: ModeGenome>(campaign: &Campaign, kill_after: u32) -> FuzzResult<G> {
+    let run = |ctl| campaign.run_controlled::<G>(None, ctl);
     let shutdown = AtomicBool::new(false);
     let mut generations_seen = 0u32;
     let mut on_checkpoint = |_payload: SnapshotPayload| {
@@ -46,16 +45,13 @@ where
             shutdown.store(true, Ordering::SeqCst);
         }
     };
-    let interrupted = run(
-        campaign,
-        CampaignControl {
-            shutdown: Some(&shutdown),
-            checkpoint_every: 1,
-            on_checkpoint: Some(&mut on_checkpoint),
-            panic_budget: None,
-            resume: None,
-        },
-    )
+    let interrupted = run(CampaignControl {
+        shutdown: Some(&shutdown),
+        checkpoint_every: 1,
+        on_checkpoint: Some(&mut on_checkpoint),
+        panic_budget: None,
+        resume: None,
+    })
     .expect("interrupted leg starts");
     assert_eq!(
         interrupted.stop,
@@ -64,47 +60,18 @@ where
     );
 
     // Serialize → deserialize the checkpoint exactly as the CLI would.
-    let payload = interrupted.into_payload();
+    let payload = G::wrap_snapshot(interrupted.final_snapshot);
     let json = serde_json::to_string(&payload).expect("checkpoint serializes");
     let restored: SnapshotPayload = serde_json::from_str(&json).expect("checkpoint parses");
     assert_eq!(payload, restored);
 
-    let resumed = run(
-        campaign,
-        CampaignControl {
-            resume: Some(restored),
-            ..CampaignControl::default()
-        },
-    )
+    let resumed = run(CampaignControl {
+        resume: Some(restored),
+        ..CampaignControl::default()
+    })
     .expect("resumed leg starts");
     assert_eq!(resumed.stop, StopReason::Completed);
     resumed.result
-}
-
-/// Wraps a mode's final snapshot into the mode-erased payload.
-trait IntoPayload {
-    fn into_payload(self) -> SnapshotPayload;
-}
-
-impl IntoPayload for ControlledRun<ccfuzz_core::genome::TrafficGenome> {
-    fn into_payload(self) -> SnapshotPayload {
-        SnapshotPayload::Traffic(self.final_snapshot)
-    }
-}
-impl IntoPayload for ControlledRun<ccfuzz_core::genome::LinkGenome> {
-    fn into_payload(self) -> SnapshotPayload {
-        SnapshotPayload::Link(self.final_snapshot)
-    }
-}
-impl IntoPayload for ControlledRun<ccfuzz_core::scenario::ScenarioGenome> {
-    fn into_payload(self) -> SnapshotPayload {
-        SnapshotPayload::Scenario(self.final_snapshot)
-    }
-}
-impl IntoPayload for ControlledRun<ccfuzz_core::topology::TopologyGenome> {
-    fn into_payload(self) -> SnapshotPayload {
-        SnapshotPayload::Topology(self.final_snapshot)
-    }
 }
 
 fn assert_same_trajectory<G: PartialEq + std::fmt::Debug>(
@@ -138,9 +105,9 @@ fn traffic_kill_and_resume_matches_control() {
         SimDuration::from_secs(2),
         tiny_ga(42),
     );
-    let control = c.run_traffic();
+    let control = c.run::<TrafficGenome>(None);
     let kill = random_kill_generation(42, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_traffic_controlled(None, ctl));
+    let resumed = interrupt_and_resume::<TrafficGenome>(&c, kill);
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -156,9 +123,9 @@ fn link_kill_and_resume_matches_control_with_annealing() {
         SimDuration::from_secs(2),
         ga,
     );
-    let control = c.run_link();
+    let control = c.run::<LinkGenome>(None);
     let kill = random_kill_generation(7, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_link_controlled(None, ctl));
+    let resumed = interrupt_and_resume::<LinkGenome>(&c, kill);
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -169,9 +136,9 @@ fn fairness_kill_and_resume_matches_control() {
         SimDuration::from_secs(2),
         tiny_ga(11),
     );
-    let control = c.run_fairness();
+    let control = c.run::<ScenarioGenome>(None);
     let kill = random_kill_generation(11, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_fairness_controlled(None, ctl));
+    let resumed = interrupt_and_resume::<ScenarioGenome>(&c, kill);
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -183,18 +150,18 @@ fn aqm_kill_and_resume_matches_control() {
         tiny_ga(13),
         QdiscChoice::Any,
     );
-    let control = c.run_aqm();
+    let control = c.run::<ScenarioGenome>(None);
     let kill = random_kill_generation(13, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_aqm_controlled(None, ctl));
+    let resumed = interrupt_and_resume::<ScenarioGenome>(&c, kill);
     assert_same_trajectory(&control, &resumed);
 }
 
 #[test]
 fn topology_kill_and_resume_matches_control() {
     let c = Campaign::paper_topology(CcaKind::Bbr, 3, SimDuration::from_secs(2), tiny_ga(17));
-    let control = c.run_topology();
+    let control = c.run::<TopologyGenome>(None);
     let kill = random_kill_generation(17, c.ga.generations);
-    let resumed = interrupt_and_resume(&c, kill, |c, ctl| c.run_topology_controlled(None, ctl));
+    let resumed = interrupt_and_resume::<TopologyGenome>(&c, kill);
     assert_same_trajectory(&control, &resumed);
 }
 
@@ -210,10 +177,10 @@ fn resuming_a_completed_checkpoint_reproduces_the_result() {
         tiny_ga(42),
     );
     let done = c
-        .run_traffic_controlled(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
         .unwrap();
     let replayed = c
-        .run_traffic_controlled(
+        .run_controlled::<TrafficGenome>(
             None,
             CampaignControl {
                 resume: Some(SnapshotPayload::Traffic(done.final_snapshot)),
@@ -234,7 +201,7 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let run = traffic
-        .run_traffic_controlled(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
         .unwrap();
     let payload = SnapshotPayload::Traffic(run.final_snapshot.clone());
 
@@ -246,7 +213,7 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let err = link
-        .run_link_controlled(
+        .run_controlled::<LinkGenome>(
             None,
             CampaignControl {
                 resume: Some(payload.clone()),
@@ -260,7 +227,7 @@ fn mismatched_checkpoints_are_rejected() {
     let mut other = traffic.clone();
     other.ga.seed = 999;
     let err = other
-        .run_traffic_controlled(
+        .run_controlled::<TrafficGenome>(
             None,
             CampaignControl {
                 resume: Some(payload),
@@ -288,9 +255,9 @@ proptest! {
             SimDuration::from_secs(1),
             tiny_ga(seed),
         );
-        let control = c.run_traffic();
+        let control = c.run::<TrafficGenome>(None);
         let resumed =
-            interrupt_and_resume(&c, kill_after, |c, ctl| c.run_traffic_controlled(None, ctl));
+            interrupt_and_resume::<TrafficGenome>(&c, kill_after);
         prop_assert_eq!(&control.best_genome, &resumed.best_genome);
         prop_assert_eq!(
             control.best_outcome.score.to_bits(),

@@ -17,8 +17,9 @@
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::fuzzer::GaParams;
-use ccfuzz_core::genome::Genome;
-use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
+use ccfuzz_core::scenario::{QdiscChoice, ScenarioGenome};
+use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn tiny_ga(seed: u64) -> GaParams {
@@ -64,7 +65,7 @@ fn traffic_trajectory_is_pinned() {
         SimDuration::from_secs(2),
         tiny_ga(42),
     );
-    let r = c.run_traffic();
+    let r = c.run::<TrafficGenome>(None);
     assert_fingerprint(
         "traffic",
         Fingerprint {
@@ -90,7 +91,7 @@ fn link_trajectory_is_pinned() {
         SimDuration::from_secs(2),
         tiny_ga(7),
     );
-    let r = c.run_link();
+    let r = c.run::<LinkGenome>(None);
     assert_fingerprint(
         "link",
         Fingerprint {
@@ -119,7 +120,7 @@ fn annealed_link_trajectory_is_deterministic_and_pinned() {
             SimDuration::from_secs(2),
             ga,
         );
-        c.run_link()
+        c.run::<LinkGenome>(None)
     };
     let a = run();
     let b = run();
@@ -142,7 +143,7 @@ fn fairness_trajectory_is_pinned() {
         SimDuration::from_secs(2),
         tiny_ga(11),
     );
-    let r = c.run_fairness();
+    let r = c.run::<ScenarioGenome>(None);
     assert_fingerprint(
         "fairness",
         Fingerprint {
@@ -168,7 +169,7 @@ fn aqm_trajectory_is_pinned() {
         tiny_ga(13),
         QdiscChoice::Any,
     );
-    let r = c.run_aqm();
+    let r = c.run::<ScenarioGenome>(None);
     assert_fingerprint(
         "aqm",
         Fingerprint {
@@ -196,7 +197,7 @@ fn topology_trajectory_is_pinned() {
     // here were unaffected); the fuzzer now hunts against the corrected
     // post-recovery behaviour.
     let c = Campaign::paper_topology(CcaKind::Bbr, 3, SimDuration::from_secs(2), tiny_ga(17));
-    let r = c.run_topology();
+    let r = c.run::<TopologyGenome>(None);
     assert_fingerprint(
         "topology",
         Fingerprint {

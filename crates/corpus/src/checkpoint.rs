@@ -18,6 +18,7 @@ use crate::store::CorpusError;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_core::checkpoint::SnapshotPayload;
+use ccfuzz_core::mode::served_names;
 use ccfuzz_obs::write_atomic;
 use ccfuzz_obs::OperatorSnapshot;
 use serde::{Deserialize, Serialize};
@@ -111,7 +112,7 @@ impl CampaignCheckpoint {
         if !ck.state.matches_mode(ck.config.mode) {
             return Err(CorpusError(format!(
                 "checkpoint state holds a {} population but its config is {} mode",
-                ck.state.kind_name(),
+                served_names(|m| ck.state.matches_mode(m)),
                 ck.config.mode.name()
             )));
         }

@@ -30,21 +30,17 @@
 //! cross-island state alongside). A crash between those steps rolls the
 //! fleet back to the previous committed boundary — never to a torn mix.
 
-use crate::hunt::{drive, HuntConfig, HuntControl, HuntOutcome};
+use crate::hunt::{HuntConfig, HuntControl, HuntJob, HuntOutcome};
 use crate::proto::{
     decode, recv_frame, send_frame, Assign, CheckpointDone, Evaluate, Fatal, Finish, Hello,
     Proceed, ASSIGN, CHECKPOINT_DONE, EVALUATE, FATAL, FINAL, FINISH, HELLO, INBOUND, MIGRANTS,
     PROCEED, REPORT,
 };
 use crate::store::{Corpus, CorpusError};
-use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
 use ccfuzz_core::fuzzer::{FuzzerSnapshot, StopReason};
-use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
-use ccfuzz_core::scenario::ScenarioGenome;
+use ccfuzz_core::mode::{dispatch, ModeGenome};
 use ccfuzz_core::shard::{shard_ranges, MigrantBatch, ShardCoordinator, ShardReport};
-use ccfuzz_core::topology::TopologyGenome;
-use ccfuzz_core::workload::WorkloadGenome;
 use ccfuzz_obs::{
     write_atomic, FleetTelemetry, HuntTelemetry, OperatorSnapshot, WorkerLaneSnapshot,
 };
@@ -57,8 +53,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::finding::GenomePayload;
 
 /// Hard cap on fleet respawns when no panic budget bounds them; a
 /// systematically-crashing worker binary must not loop forever.
@@ -119,79 +113,14 @@ pub fn hunt_distributed(
     ctl: HuntControl<'_>,
     dist: &DistOptions<'_>,
 ) -> Result<HuntOutcome, CorpusError> {
-    let campaign = config.campaign();
-    match config.mode {
-        FuzzMode::Traffic => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| {
-                run_fleet::<TrafficGenome>(config, cc, obs, dist, SnapshotPayload::into_traffic)
-            },
-            SnapshotPayload::Traffic,
-            GenomePayload::Traffic,
-        ),
-        FuzzMode::Link => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| run_fleet::<LinkGenome>(config, cc, obs, dist, SnapshotPayload::into_link),
-            SnapshotPayload::Link,
-            GenomePayload::Link,
-        ),
-        FuzzMode::Fairness => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| {
-                run_fleet::<ScenarioGenome>(config, cc, obs, dist, SnapshotPayload::into_scenario)
-            },
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Aqm => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| {
-                run_fleet::<ScenarioGenome>(config, cc, obs, dist, SnapshotPayload::into_scenario)
-            },
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Topology => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| {
-                run_fleet::<TopologyGenome>(config, cc, obs, dist, SnapshotPayload::into_topology)
-            },
-            SnapshotPayload::Topology,
-            GenomePayload::Topology,
-        ),
-        FuzzMode::Workload => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |_, cc| {
-                run_fleet::<WorkloadGenome>(config, cc, obs, dist, SnapshotPayload::into_workload)
-            },
-            SnapshotPayload::Workload,
-            GenomePayload::Workload,
-        ),
-    }
+    let job = HuntJob {
+        corpus,
+        config,
+        obs,
+        ctl,
+        dist: Some(dist),
+    };
+    dispatch(config.mode, job)
 }
 
 /// A worker process plus its coordinator-side socket.
@@ -235,16 +164,12 @@ enum FleetError {
 
 /// The supervision loop: (re)spawn the fleet, drive it, and on worker
 /// death roll back to the last committed boundary and try again.
-fn run_fleet<G>(
+pub(crate) fn run_fleet<G: ModeGenome>(
     config: &HuntConfig,
     control: CampaignControl<'_>,
     obs: Option<&HuntTelemetry>,
     dist: &DistOptions<'_>,
-    unwrap: fn(SnapshotPayload) -> Result<FuzzerSnapshot<G>, String>,
-) -> Result<ControlledRun<G>, String>
-where
-    G: Genome + Serialize + Deserialize,
-{
+) -> Result<ControlledRun<G>, String> {
     if control.resume.is_some() {
         return Err(
             "resuming a checkpointed campaign across a distributed fleet is not supported; \
@@ -291,7 +216,6 @@ where
                     dist,
                     restarts,
                     &mut committed,
-                    unwrap,
                 );
                 match &run {
                     Ok(_) => fleet.reap(),
@@ -486,7 +410,7 @@ fn expect_frame<T: Deserialize>(
 /// absorb (select/summary/stall/last-generation) → evolve + migrate →
 /// checkpoint → shutdown check → panic-budget check.
 #[allow(clippy::too_many_arguments)]
-fn drive_fleet<G>(
+fn drive_fleet<G: ModeGenome>(
     fleet: &mut Fleet,
     coordinator: &mut ShardCoordinator<G>,
     ranges: &[(usize, usize)],
@@ -496,11 +420,7 @@ fn drive_fleet<G>(
     dist: &DistOptions<'_>,
     restarts: u64,
     committed: &mut Option<(u32, ShardCoordinator<G>)>,
-    unwrap: fn(SnapshotPayload) -> Result<FuzzerSnapshot<G>, String>,
-) -> Result<ControlledRun<G>, FleetError>
-where
-    G: Genome + Serialize + Deserialize,
-{
+) -> Result<ControlledRun<G>, FleetError> {
     let islands = config.ga.islands;
     // Workers report cumulative operator counters; the coordinator feeds
     // the per-generation diffs into the hunt telemetry.
@@ -512,17 +432,11 @@ where
         // the same invariant `run_controlled` holds by construction.
         if !coordinator.history().is_empty() {
             if generation >= config.ga.generations {
-                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed, unwrap);
+                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed);
             }
             if let Some(flag) = control.shutdown {
                 if flag.load(Ordering::SeqCst) {
-                    return finish_fleet(
-                        fleet,
-                        coordinator,
-                        ranges,
-                        StopReason::Interrupted,
-                        unwrap,
-                    );
+                    return finish_fleet(fleet, coordinator, ranges, StopReason::Interrupted);
                 }
             }
             if let Some(budget) = control.panic_budget {
@@ -532,7 +446,6 @@ where
                         coordinator,
                         ranges,
                         StopReason::PanicBudgetExhausted,
-                        unwrap,
                     );
                 }
             }
@@ -607,7 +520,7 @@ where
 
         match absorbed.next {
             ccfuzz_core::shard::GenerationOutcome::Completed => {
-                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed, unwrap);
+                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed);
             }
             ccfuzz_core::shard::GenerationOutcome::Evolve { migrate } => {
                 let boundary = generation + 1;
@@ -677,16 +590,12 @@ where
 
 /// Stops the fleet gracefully: align boundaries, collect the final
 /// snapshots, assemble the single-process-equivalent snapshot.
-fn finish_fleet<G>(
+fn finish_fleet<G: ModeGenome>(
     fleet: &mut Fleet,
     coordinator: &ShardCoordinator<G>,
     ranges: &[(usize, usize)],
     stop: StopReason,
-    unwrap: fn(SnapshotPayload) -> Result<FuzzerSnapshot<G>, String>,
-) -> Result<ControlledRun<G>, FleetError>
-where
-    G: Genome + Serialize + Deserialize,
-{
+) -> Result<ControlledRun<G>, FleetError> {
     let next_generation = coordinator.next_generation();
     for (worker, link) in fleet.links.iter_mut().enumerate() {
         send_frame(&mut link.stream, FINISH, &Finish { next_generation })
@@ -695,7 +604,11 @@ where
     let mut finals: Vec<(usize, usize, FuzzerSnapshot<G>)> = Vec::with_capacity(ranges.len());
     for ((worker, link), &(start, end)) in fleet.links.iter_mut().enumerate().zip(ranges) {
         let payload: SnapshotPayload = expect_frame(link, worker, FINAL)?;
-        finals.push((start, end, unwrap(payload).map_err(FleetError::Fatal)?));
+        finals.push((
+            start,
+            end,
+            G::unwrap_snapshot(payload).map_err(FleetError::Fatal)?,
+        ));
     }
     let final_snapshot = coordinator
         .assemble_snapshot(&finals)
@@ -1239,6 +1152,7 @@ pub fn resolve_daemon_addr(value: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use ccfuzz_cca::CcaKind;
+    use ccfuzz_core::campaign::FuzzMode;
     use std::io::Cursor;
 
     #[test]

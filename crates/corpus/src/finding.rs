@@ -9,88 +9,14 @@
 use crate::signature::BehaviorSignature;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::evaluate::{EvalOutcome, SimEvaluator};
-use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
-use ccfuzz_core::scenario::ScenarioGenome;
-use ccfuzz_core::scoring::{fairness_breakdown, ScoringConfig, TraceScoreInputs};
-use ccfuzz_core::topology::TopologyGenome;
-use ccfuzz_core::workload::WorkloadGenome;
+use ccfuzz_core::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use ccfuzz_core::mode::{ModeGenome, RunOpts};
+use ccfuzz_core::scoring::{fairness_breakdown, ScoreScratch, ScoringConfig};
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::simtrace::SimTrace;
 use serde::{Deserialize, Serialize};
 
-/// The evolved trace/scenario, in any of the fuzzing modes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum GenomePayload {
-    /// A bottleneck service curve (link fuzzing).
-    Link(LinkGenome),
-    /// A cross-traffic injection pattern (traffic fuzzing).
-    Traffic(TrafficGenome),
-    /// A multi-flow scenario (fairness fuzzing).
-    Scenario(ScenarioGenome),
-    /// A multi-hop parking-lot topology (topology fuzzing).
-    Topology(TopologyGenome),
-    /// A dynamic-arrival workload (workload fuzzing).
-    Workload(WorkloadGenome),
-}
-
-impl GenomePayload {
-    /// The fuzzing mode this genome belongs to. Scenario genomes serve two
-    /// modes (fairness and aqm); this returns the one the payload's own
-    /// shape implies, see [`GenomePayload::matches_mode`] for validation.
-    pub fn mode(&self) -> FuzzMode {
-        match self {
-            GenomePayload::Link(_) => FuzzMode::Link,
-            GenomePayload::Traffic(_) => FuzzMode::Traffic,
-            GenomePayload::Scenario(g) => {
-                if g.qdisc.is_some() {
-                    FuzzMode::Aqm
-                } else {
-                    FuzzMode::Fairness
-                }
-            }
-            GenomePayload::Topology(_) => FuzzMode::Topology,
-            GenomePayload::Workload(_) => FuzzMode::Workload,
-        }
-    }
-
-    /// `true` when this payload is a legal genome for `mode`: scenario
-    /// payloads serve both multi-flow modes, the others are 1:1.
-    pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        match self {
-            GenomePayload::Link(_) => mode == FuzzMode::Link,
-            GenomePayload::Traffic(_) => mode == FuzzMode::Traffic,
-            GenomePayload::Scenario(_) => {
-                matches!(mode, FuzzMode::Fairness | FuzzMode::Aqm)
-            }
-            GenomePayload::Topology(_) => mode == FuzzMode::Topology,
-            GenomePayload::Workload(_) => mode == FuzzMode::Workload,
-        }
-    }
-
-    /// Number of packets in the genome (cross-traffic packets for
-    /// scenarios and topologies).
-    pub fn packet_count(&self) -> usize {
-        match self {
-            GenomePayload::Link(g) => g.packet_count(),
-            GenomePayload::Traffic(g) => g.packet_count(),
-            GenomePayload::Scenario(g) => g.packet_count(),
-            GenomePayload::Topology(g) => g.packet_count(),
-            GenomePayload::Workload(g) => g.packet_count(),
-        }
-    }
-
-    /// Checks the genome's internal invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            GenomePayload::Link(g) => g.validate(),
-            GenomePayload::Traffic(g) => g.validate(),
-            GenomePayload::Scenario(g) => g.validate(),
-            GenomePayload::Topology(g) => g.validate(),
-            GenomePayload::Workload(g) => g.validate(),
-        }
-    }
-}
+pub use ccfuzz_core::mode::GenomePayload;
 
 /// Recorded per-flow fairness results of a scenario finding, so reports can
 /// show the flow split without re-simulating.
@@ -253,12 +179,6 @@ impl Finding {
         finding
     }
 
-    /// Re-simulates a scenario finding and derives its per-flow fairness
-    /// summary (`None` for single-flow findings).
-    pub fn compute_fairness_summary(&self) -> Option<FairnessSummary> {
-        self.replay_full(None).2
-    }
-
     /// The simulator-backed evaluator that reproduces this finding's scores.
     pub fn evaluator(&self) -> SimEvaluator {
         SimEvaluator::new(self.sim.clone(), self.cca, self.scoring, self.link_rate_bps)
@@ -276,196 +196,77 @@ impl Finding {
     }
 
     /// Like [`Finding::replay_run`], but the single simulation additionally
-    /// yields the per-flow fairness summary for scenario findings (`None`
+    /// yields the per-flow fairness summary for multi-flow findings (`None`
     /// for single-flow genomes). Simulations dominate the cost of creating,
     /// minimizing and replaying findings, so everything that needs both the
     /// digest and the fairness breakdown goes through here.
     pub fn replay_full(&self, cca: Option<CcaKind>) -> (EvalOutcome, u64, Option<FairnessSummary>) {
-        let mut evaluator = self.evaluator();
-        if let Some(cca) = cca {
-            evaluator.cca = cca;
-        }
-        match &self.genome {
-            GenomePayload::Link(g) => {
-                let result = evaluator.simulate_link(g, false);
-                let outcome =
-                    EvalOutcome::from_result(&evaluator.scoring, &result, evaluator.base.mss, None);
-                (outcome, result.stats.digest(), None)
-            }
-            GenomePayload::Traffic(g) => {
-                let result = evaluator.simulate_traffic(g, false);
-                let inputs = TraceScoreInputs {
-                    traffic_packets: g.packet_count(),
-                    traffic_max_packets: g.max_packets,
-                    traffic_dropped: result.stats.cross_dropped,
-                };
-                let outcome = EvalOutcome::from_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    Some(inputs),
-                );
-                (outcome, result.stats.digest(), None)
-            }
-            GenomePayload::Scenario(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    g.flows[0].cca = cca;
-                }
-                let result = evaluator.simulate_scenario(&g, false);
-                let outcome = EvalOutcome::from_scenario_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g.flows.iter().map(|f| f.cca.name().to_string()).collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-            GenomePayload::Topology(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    g.flows[0].flow.cca = cca;
-                }
-                let result = evaluator.simulate_topology(&g, false);
-                // The same capacity-capped scoring the hunt used, so replay
-                // reproduces the stored score exactly.
-                let outcome = EvalOutcome::from_topology_result(
-                    &evaluator.topology_scoring(&g),
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                // Topology findings reuse the per-flow summary so reports
-                // can show the parking-lot split without re-simulating.
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g
-                        .flows
-                        .iter()
-                        .map(|f| f.flow.cca.name().to_string())
-                        .collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-            GenomePayload::Workload(g) => {
-                let mut g = g.clone();
-                if let Some(cca) = cca {
-                    // The override replaces the incumbent elephant's
-                    // algorithm; the arrival pool keeps its mix.
-                    g.elephants[0].cca = cca;
-                }
-                let result = evaluator.simulate_workload(&g, false);
-                let outcome = EvalOutcome::from_workload_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    &g,
-                );
-                // Only the static elephants surface per-flow stats (arriving
-                // flows aggregate into the workload block), so the summary
-                // covers exactly the elephant mix.
-                let breakdown = fairness_breakdown(&result, evaluator.base.mss);
-                let fairness = FairnessSummary {
-                    per_flow_cca: g
-                        .elephants
-                        .iter()
-                        .map(|f| f.cca.name().to_string())
-                        .collect(),
-                    per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
-                    per_flow_delivered: breakdown.per_flow_delivered,
-                    jain_index: breakdown.jain_index,
-                    max_starvation_secs: breakdown.max_starvation_secs,
-                };
-                (outcome, result.stats.digest(), Some(fairness))
-            }
-        }
+        let (outcome, digest, fairness, _) = self.replay(cca, RunOpts::default());
+        (outcome, digest, fairness)
     }
 
-    /// Like [`Finding::replay_run`], but with the structured trace recorder
-    /// installed: returns the scored outcome, the behaviour digest and the
-    /// captured [`SimTrace`]. The recorder is a passive observer, so the
-    /// digest still matches the stored one — `ccfuzz trace` checks this and
-    /// the corpus determinism tests pin it for every committed fixture.
+    /// Like [`Finding::replay_run`], but with event recording on and the
+    /// structured trace recorder installed: returns the scored outcome, the
+    /// behaviour digest and the captured [`SimTrace`]. The recorder is a
+    /// passive observer, so the digest still matches the stored one —
+    /// `ccfuzz trace` checks this and the corpus determinism tests pin it
+    /// for every committed fixture.
     pub fn replay_traced(&self) -> (EvalOutcome, u64, SimTrace) {
-        let evaluator = self.evaluator();
+        let opts = RunOpts {
+            record_events: true,
+            trace: true,
+        };
+        let (outcome, digest, _, trace) = self.replay(None, opts);
+        (outcome, digest, trace.expect("trace requested"))
+    }
+
+    fn replay(
+        &self,
+        cca: Option<CcaKind>,
+        opts: RunOpts,
+    ) -> (EvalOutcome, u64, Option<FairnessSummary>, Option<SimTrace>) {
         match &self.genome {
-            GenomePayload::Link(g) => {
-                let (result, trace) = evaluator.simulate_link_traced(g);
-                let outcome =
-                    EvalOutcome::from_result(&evaluator.scoring, &result, evaluator.base.mss, None);
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Traffic(g) => {
-                let (result, trace) = evaluator.simulate_traffic_traced(g);
-                let inputs = TraceScoreInputs {
-                    traffic_packets: g.packet_count(),
-                    traffic_max_packets: g.max_packets,
-                    traffic_dropped: result.stats.cross_dropped,
-                };
-                let outcome = EvalOutcome::from_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    Some(inputs),
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Scenario(g) => {
-                let (result, trace) = evaluator.simulate_scenario_traced(g);
-                let outcome = EvalOutcome::from_scenario_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Topology(g) => {
-                let (result, trace) = evaluator.simulate_topology_traced(g);
-                let outcome = EvalOutcome::from_topology_result(
-                    &evaluator.topology_scoring(g),
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
-            GenomePayload::Workload(g) => {
-                let (result, trace) = evaluator.simulate_workload_traced(g);
-                let outcome = EvalOutcome::from_workload_result(
-                    &evaluator.scoring,
-                    &result,
-                    evaluator.base.mss,
-                    g,
-                );
-                (outcome, result.stats.digest(), trace)
-            }
+            GenomePayload::Link(g) => self.replay_genome(g, cca, opts),
+            GenomePayload::Traffic(g) => self.replay_genome(g, cca, opts),
+            GenomePayload::Scenario(g) => self.replay_genome(g, cca, opts),
+            GenomePayload::Topology(g) => self.replay_genome(g, cca, opts),
+            GenomePayload::Workload(g) => self.replay_genome(g, cca, opts),
         }
     }
 
-    /// Re-evaluates the stored genome from scratch (a fresh deterministic
-    /// simulation), optionally against a different CCA.
-    pub fn evaluate_against(&self, cca: Option<CcaKind>) -> EvalOutcome {
-        self.replay_run(cca).0
-    }
-
-    /// Re-simulates the stored genome and digests the run (see
-    /// `RunStats::digest`): a determinism fingerprint that is stronger than
-    /// score equality.
-    pub fn compute_behavior_digest(&self) -> u64 {
-        self.replay_run(None).1
+    /// The one replay path of every genome type: a fresh deterministic
+    /// simulation scored exactly as the hunt scored it. A CCA override
+    /// replaces the evaluator's algorithm and the genome's primary flow; the
+    /// competing flows keep theirs.
+    fn replay_genome<G: ModeGenome>(
+        &self,
+        genome: &G,
+        cca: Option<CcaKind>,
+        opts: RunOpts,
+    ) -> (EvalOutcome, u64, Option<FairnessSummary>, Option<SimTrace>) {
+        let mut evaluator = self.evaluator();
+        let overridden = cca.map(|cca| {
+            evaluator.cca = cca;
+            let mut genome = genome.clone();
+            genome.set_primary_cca(cca);
+            genome
+        });
+        let genome = overridden.as_ref().unwrap_or(genome);
+        let (result, trace) = evaluator.simulate(genome, &mut EvalScratch::new(), opts);
+        let outcome = genome.score(&evaluator, &result, &mut ScoreScratch::default());
+        // Multi-flow findings keep the per-flow split so reports can show
+        // it without re-simulating.
+        let fairness = genome.flow_ccas().map(|ccas| {
+            let breakdown = fairness_breakdown(&result, evaluator.base.mss);
+            FairnessSummary {
+                per_flow_cca: ccas.iter().map(|cca| cca.name().to_string()).collect(),
+                per_flow_goodput_bps: breakdown.per_flow_goodput_bps,
+                per_flow_delivered: breakdown.per_flow_delivered,
+                jain_index: breakdown.jain_index,
+                max_starvation_secs: breakdown.max_starvation_secs,
+            }
+        });
+        (outcome, result.stats.digest(), fairness, trace)
     }
 
     /// Checks internal consistency (genome invariants, id/signature match,
@@ -494,6 +295,7 @@ impl Finding {
 mod tests {
     use super::*;
     use ccfuzz_core::fuzzer::GaParams;
+    use ccfuzz_core::genome::TrafficGenome;
     use ccfuzz_netsim::time::SimDuration;
 
     fn tiny_campaign(mode: FuzzMode) -> Campaign {
@@ -507,7 +309,7 @@ mod tests {
     #[test]
     fn finding_from_traffic_campaign_is_valid_and_replayable() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),
@@ -518,15 +320,15 @@ mod tests {
         assert!(finding.id.starts_with("reno-traffic-"));
         assert!(!finding.provenance.minimized);
         // Replay reproduces the recorded outcome exactly (determinism).
-        let replayed = finding.evaluate_against(None);
+        let (replayed, digest) = finding.replay_run(None);
         assert_eq!(replayed, finding.outcome);
-        assert_eq!(finding.behavior_digest, finding.compute_behavior_digest());
+        assert_eq!(finding.behavior_digest, digest);
     }
 
     #[test]
     fn validate_catches_mode_mismatch_and_bad_id() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),
@@ -542,16 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_against_other_cca_differs_in_general() {
+    fn replay_against_other_cca_differs_in_general() {
         let campaign = tiny_campaign(FuzzMode::Traffic);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         let finding = Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),
             result.best_outcome,
             result.total_evaluations as u64,
         );
-        let as_cubic = finding.evaluate_against(Some(CcaKind::Cubic));
+        let (as_cubic, _) = finding.replay_run(Some(CcaKind::Cubic));
         // Not asserting inequality of scores (they may coincide), but the
         // call must succeed and produce a finite score.
         assert!(as_cubic.score.is_finite());

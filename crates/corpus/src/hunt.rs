@@ -7,12 +7,14 @@ use crate::checkpoint::{
     hunt_config_digest, CampaignCheckpoint, PanicFinding, TelemetryCounters, CHECKPOINT_SCHEMA,
     PANIC_SCHEMA,
 };
-use crate::finding::{Finding, GenomePayload};
+use crate::daemon::{run_fleet, DistOptions};
+use crate::finding::Finding;
 use crate::store::{Corpus, CorpusError, InsertOutcome};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams, StopReason};
+use ccfuzz_core::fuzzer::{GaParams, StopReason};
+use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::scenario::QdiscChoice;
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_obs::{HuntTelemetry, Phase};
@@ -176,269 +178,227 @@ pub fn hunt_controlled(
     obs: Option<&HuntTelemetry>,
     ctl: HuntControl<'_>,
 ) -> Result<HuntOutcome, CorpusError> {
-    let campaign = config.campaign();
-    match config.mode {
-        FuzzMode::Traffic => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_traffic_controlled(obs, cc),
-            SnapshotPayload::Traffic,
-            GenomePayload::Traffic,
-        ),
-        FuzzMode::Link => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_link_controlled(obs, cc),
-            SnapshotPayload::Link,
-            GenomePayload::Link,
-        ),
-        FuzzMode::Fairness => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_fairness_controlled(obs, cc),
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Aqm => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_aqm_controlled(obs, cc),
-            SnapshotPayload::Scenario,
-            GenomePayload::Scenario,
-        ),
-        FuzzMode::Topology => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_topology_controlled(obs, cc),
-            SnapshotPayload::Topology,
-            GenomePayload::Topology,
-        ),
-        FuzzMode::Workload => drive(
-            corpus,
-            config,
-            &campaign,
-            obs,
-            ctl,
-            |c, cc| c.run_workload_controlled(obs, cc),
-            SnapshotPayload::Workload,
-            GenomePayload::Workload,
-        ),
-    }
+    let job = HuntJob {
+        corpus,
+        config,
+        obs,
+        ctl,
+        dist: None,
+    };
+    dispatch(config.mode, job)
 }
 
-/// The mode-generic half of [`hunt_controlled`]: runs the campaign under
-/// control, persists checkpoints and panic artifacts, and (on completion)
-/// inserts the best finding.
+/// One hunt, local (`dist: None`) or sharded across a worker fleet: runs
+/// the campaign under control, persists checkpoints and panic artifacts,
+/// and (on completion) inserts the best finding.
 ///
-/// Crate-visible so the distributed driver (`crate::daemon`) can reuse the
-/// exact persistence path — same panic artifacts, same final checkpoint,
-/// same finding construction — with its fleet run plugged in as `run`.
-/// That shared tail is what makes a daemon hunt's payload byte-identical
-/// to `ccfuzz hunt`'s.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<G, RunFn>(
-    corpus: &Corpus,
-    config: &HuntConfig,
-    campaign: &Campaign,
-    obs: Option<&HuntTelemetry>,
-    ctl: HuntControl<'_>,
-    run: RunFn,
-    wrap_snapshot: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
-    wrap_genome: fn(G) -> GenomePayload,
-) -> Result<HuntOutcome, CorpusError>
-where
-    G: Clone,
-    RunFn: FnOnce(&Campaign, CampaignControl<'_>) -> Result<ControlledRun<G>, String>,
-{
-    let HuntControl {
-        shutdown,
-        checkpoint_path,
-        checkpoint_every,
-        panic_budget,
-        resume,
-    } = ctl;
+/// The distributed driver (`crate::daemon::hunt_distributed`) goes through
+/// the exact same persistence path — same panic artifacts, same final
+/// checkpoint, same finding construction — with only the campaign run
+/// swapped for its fleet run. That shared tail is what makes a daemon
+/// hunt's payload byte-identical to `ccfuzz hunt`'s.
+pub(crate) struct HuntJob<'a, 'c> {
+    pub(crate) corpus: &'a Corpus,
+    pub(crate) config: &'a HuntConfig,
+    pub(crate) obs: Option<&'a HuntTelemetry>,
+    pub(crate) ctl: HuntControl<'c>,
+    pub(crate) dist: Option<&'a DistOptions<'a>>,
+}
 
-    // Resume: unwrap the stored fuzzer state and re-seed telemetry totals
-    // so counters continue the interrupted campaign's counts.
-    let resume_state = match resume {
-        Some(ck) => {
-            if &ck.config != config {
-                return Err(CorpusError(
-                    "resume checkpoint was recorded for a different hunt configuration".into(),
-                ));
-            }
-            if let Some(o) = obs {
-                o.metrics.restore_counts(
-                    ck.telemetry.evaluations,
-                    &ck.telemetry.operators,
-                    ck.telemetry.panics_caught,
-                    ck.telemetry.corpus_inserted,
-                    ck.telemetry.corpus_deduplicated,
-                );
-                o.metrics
-                    .checkpoints_written
-                    .add(ck.telemetry.checkpoints_written);
-                o.metrics
-                    .checkpoint_bytes
-                    .add(ck.telemetry.checkpoint_bytes);
-            }
-            Some(ck.state)
-        }
-        None => None,
-    };
+impl ModeVisitor for HuntJob<'_, '_> {
+    type Out = Result<HuntOutcome, CorpusError>;
 
-    let corpus_dir = corpus.root().display().to_string();
-    let persist = |state: SnapshotPayload, completed: bool| -> Result<(), CorpusError> {
-        let Some(path) = checkpoint_path.as_deref() else {
-            return Ok(());
-        };
-        let telemetry = TelemetryCounters {
-            evaluations: state.evaluations() as u64,
-            operators: obs
-                .map(|o| o.metrics.operator_snapshot())
-                .unwrap_or_default(),
-            panics_caught: state.panics_caught(),
-            checkpoints_written: obs
-                .map(|o| o.metrics.checkpoints_written.get() + 1)
-                .unwrap_or(0),
-            checkpoint_bytes: obs.map(|o| o.metrics.checkpoint_bytes.get()).unwrap_or(0),
-            corpus_inserted: obs.map(|o| o.metrics.corpus_inserted.get()).unwrap_or(0),
-            corpus_deduplicated: obs
-                .map(|o| o.metrics.corpus_deduplicated.get())
-                .unwrap_or(0),
-        };
-        let ck = CampaignCheckpoint {
-            schema: CHECKPOINT_SCHEMA,
-            config: config.clone(),
-            config_digest: hunt_config_digest(config),
-            corpus_dir: corpus_dir.clone(),
+    fn visit<G: ModeGenome>(self) -> Self::Out {
+        let HuntJob {
+            corpus,
+            config,
+            obs,
+            ctl,
+            dist,
+        } = self;
+        let campaign = config.campaign();
+        let HuntControl {
+            shutdown,
+            checkpoint_path,
             checkpoint_every,
             panic_budget,
-            completed,
-            telemetry,
-            state,
+            resume,
+        } = ctl;
+
+        // Resume: unwrap the stored fuzzer state and re-seed telemetry totals
+        // so counters continue the interrupted campaign's counts.
+        let resume_state = match resume {
+            Some(ck) => {
+                if &ck.config != config {
+                    return Err(CorpusError(
+                        "resume checkpoint was recorded for a different hunt configuration".into(),
+                    ));
+                }
+                if let Some(o) = obs {
+                    o.metrics.restore_counts(
+                        ck.telemetry.evaluations,
+                        &ck.telemetry.operators,
+                        ck.telemetry.panics_caught,
+                        ck.telemetry.corpus_inserted,
+                        ck.telemetry.corpus_deduplicated,
+                    );
+                    o.metrics
+                        .checkpoints_written
+                        .add(ck.telemetry.checkpoints_written);
+                    o.metrics
+                        .checkpoint_bytes
+                        .add(ck.telemetry.checkpoint_bytes);
+                }
+                Some(ck.state)
+            }
+            None => None,
         };
-        let bytes = ck.write_atomic(path)?;
-        if let Some(o) = obs {
-            o.metrics.checkpoints_written.inc();
-            o.metrics.checkpoint_bytes.add(bytes);
-        }
-        Ok(())
-    };
 
-    // The fuzzer's checkpoint callback cannot return an error, so the first
-    // write failure is parked here and surfaced after the run.
-    let mut write_error: Option<CorpusError> = None;
-    let mut on_checkpoint = |state: SnapshotPayload| {
-        if write_error.is_none() {
-            if let Err(e) = persist(state, false) {
-                write_error = Some(e);
+        let corpus_dir = corpus.root().display().to_string();
+        let persist = |state: SnapshotPayload, completed: bool| -> Result<(), CorpusError> {
+            let Some(path) = checkpoint_path.as_deref() else {
+                return Ok(());
+            };
+            let telemetry = TelemetryCounters {
+                evaluations: state.evaluations() as u64,
+                operators: obs
+                    .map(|o| o.metrics.operator_snapshot())
+                    .unwrap_or_default(),
+                panics_caught: state.panics_caught(),
+                checkpoints_written: obs
+                    .map(|o| o.metrics.checkpoints_written.get() + 1)
+                    .unwrap_or(0),
+                checkpoint_bytes: obs.map(|o| o.metrics.checkpoint_bytes.get()).unwrap_or(0),
+                corpus_inserted: obs.map(|o| o.metrics.corpus_inserted.get()).unwrap_or(0),
+                corpus_deduplicated: obs
+                    .map(|o| o.metrics.corpus_deduplicated.get())
+                    .unwrap_or(0),
+            };
+            let ck = CampaignCheckpoint {
+                schema: CHECKPOINT_SCHEMA,
+                config: config.clone(),
+                config_digest: hunt_config_digest(config),
+                corpus_dir: corpus_dir.clone(),
+                checkpoint_every,
+                panic_budget,
+                completed,
+                telemetry,
+                state,
+            };
+            let bytes = ck.write_atomic(path)?;
+            if let Some(o) = obs {
+                o.metrics.checkpoints_written.inc();
+                o.metrics.checkpoint_bytes.add(bytes);
             }
-        }
-    };
-    let control = CampaignControl {
-        shutdown,
-        checkpoint_every: if checkpoint_path.is_some() {
-            checkpoint_every
-        } else {
-            0
-        },
-        on_checkpoint: if checkpoint_path.is_some() && checkpoint_every > 0 {
-            Some(&mut on_checkpoint)
-        } else {
-            None
-        },
-        panic_budget,
-        resume: resume_state,
-    };
-    let out = run(campaign, control).map_err(CorpusError)?;
-    if let Some(e) = write_error {
-        return Err(e);
-    }
-    let ControlledRun {
-        result,
-        stop,
-        final_snapshot,
-    } = out;
+            Ok(())
+        };
 
-    // Persist panic artifacts. Ordinals are positions in the cumulative
-    // panic log (which survives checkpoints), so re-persisting after a
-    // resume rewrites the same files with the same content.
-    if !final_snapshot.panics.is_empty() {
-        let dir = corpus.root().join("panics");
-        for (pos, record) in final_snapshot.panics.iter().enumerate() {
-            PanicFinding {
-                schema: PANIC_SCHEMA,
-                ordinal: pos as u64 + 1,
-                cca: config.cca,
-                mode: config.mode,
-                generation: record.generation,
-                island: record.island,
-                index: record.index,
-                message: record.message.clone(),
-                genome: wrap_genome(record.genome.clone()),
-            }
-            .write_into(&dir)?;
-        }
-    }
-
-    // The final checkpoint is written on EVERY stop — completion included —
-    // so a crash at any later point (even during the corpus insert below)
-    // resumes to an identical end state.
-    let panics = final_snapshot.panics.len() as u64;
-    let next_generation = final_snapshot.next_generation;
-    let evaluations = final_snapshot.evaluations as u64;
-    persist(wrap_snapshot(final_snapshot), stop == StopReason::Completed)?;
-
-    match stop {
-        StopReason::Completed => {
-            let _timer = obs.map(|o| o.profiler.scope(Phase::CorpusIo));
-            let finding = Finding::from_campaign(
-                campaign,
-                wrap_genome(result.best_genome),
-                result.best_outcome,
-                result.total_evaluations as u64,
-            );
-            let decision = corpus.insert(&finding)?;
-            if let Some(obs) = obs {
-                match decision {
-                    InsertOutcome::Added | InsertOutcome::ReplacedWeaker { .. } => {
-                        obs.metrics.corpus_inserted.inc()
-                    }
-                    InsertOutcome::DuplicateRejected { .. }
-                    | InsertOutcome::BucketFullRejected { .. } => {
-                        obs.metrics.corpus_deduplicated.inc()
-                    }
+        // The fuzzer's checkpoint callback cannot return an error, so the first
+        // write failure is parked here and surfaced after the run.
+        let mut write_error: Option<CorpusError> = None;
+        let mut on_checkpoint = |state: SnapshotPayload| {
+            if write_error.is_none() {
+                if let Err(e) = persist(state, false) {
+                    write_error = Some(e);
                 }
             }
-            Ok(HuntOutcome::Completed {
-                finding: Box::new(finding),
-                decision,
-            })
+        };
+        let control = CampaignControl {
+            shutdown,
+            checkpoint_every: if checkpoint_path.is_some() {
+                checkpoint_every
+            } else {
+                0
+            },
+            on_checkpoint: if checkpoint_path.is_some() && checkpoint_every > 0 {
+                Some(&mut on_checkpoint)
+            } else {
+                None
+            },
+            panic_budget,
+            resume: resume_state,
+        };
+        let out: ControlledRun<G> = match dist {
+            None => campaign.run_controlled(obs, control),
+            Some(dist) => run_fleet(config, control, obs, dist),
         }
-        StopReason::Interrupted => Ok(HuntOutcome::Interrupted {
-            next_generation,
-            evaluations,
-        }),
-        StopReason::PanicBudgetExhausted => Ok(HuntOutcome::PanicBudgetExhausted {
-            panics,
-            next_generation,
-        }),
+        .map_err(CorpusError)?;
+        if let Some(e) = write_error {
+            return Err(e);
+        }
+        let ControlledRun {
+            result,
+            stop,
+            final_snapshot,
+        } = out;
+
+        // Persist panic artifacts. Ordinals are positions in the cumulative
+        // panic log (which survives checkpoints), so re-persisting after a
+        // resume rewrites the same files with the same content.
+        if !final_snapshot.panics.is_empty() {
+            let dir = corpus.root().join("panics");
+            for (pos, record) in final_snapshot.panics.iter().enumerate() {
+                PanicFinding {
+                    schema: PANIC_SCHEMA,
+                    ordinal: pos as u64 + 1,
+                    cca: config.cca,
+                    mode: config.mode,
+                    generation: record.generation,
+                    island: record.island,
+                    index: record.index,
+                    message: record.message.clone(),
+                    genome: record.genome.clone().wrap(),
+                }
+                .write_into(&dir)?;
+            }
+        }
+
+        // The final checkpoint is written on EVERY stop — completion included —
+        // so a crash at any later point (even during the corpus insert below)
+        // resumes to an identical end state.
+        let panics = final_snapshot.panics.len() as u64;
+        let next_generation = final_snapshot.next_generation;
+        let evaluations = final_snapshot.evaluations as u64;
+        persist(
+            G::wrap_snapshot(final_snapshot),
+            stop == StopReason::Completed,
+        )?;
+
+        match stop {
+            StopReason::Completed => {
+                let _timer = obs.map(|o| o.profiler.scope(Phase::CorpusIo));
+                let finding = Finding::from_campaign(
+                    &campaign,
+                    result.best_genome.wrap(),
+                    result.best_outcome,
+                    result.total_evaluations as u64,
+                );
+                let decision = corpus.insert(&finding)?;
+                if let Some(obs) = obs {
+                    match decision {
+                        InsertOutcome::Added | InsertOutcome::ReplacedWeaker { .. } => {
+                            obs.metrics.corpus_inserted.inc()
+                        }
+                        InsertOutcome::DuplicateRejected { .. }
+                        | InsertOutcome::BucketFullRejected { .. } => {
+                            obs.metrics.corpus_deduplicated.inc()
+                        }
+                    }
+                }
+                Ok(HuntOutcome::Completed {
+                    finding: Box::new(finding),
+                    decision,
+                })
+            }
+            StopReason::Interrupted => Ok(HuntOutcome::Interrupted {
+                next_generation,
+                evaluations,
+            }),
+            StopReason::PanicBudgetExhausted => Ok(HuntOutcome::PanicBudgetExhausted {
+                panics,
+                next_generation,
+            }),
+        }
     }
 }
 

@@ -168,6 +168,7 @@ mod tests {
     use crate::finding::{Finding, GenomePayload};
     use ccfuzz_core::campaign::Campaign;
     use ccfuzz_core::fuzzer::GaParams;
+    use ccfuzz_core::genome::TrafficGenome;
     use ccfuzz_netsim::time::SimDuration;
 
     fn quick_finding() -> Finding {
@@ -181,7 +182,7 @@ mod tests {
             SimDuration::from_secs(2),
             ga,
         );
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         Finding::from_campaign(
             &campaign,
             GenomePayload::Traffic(result.best_genome.clone()),

@@ -23,11 +23,8 @@ use crate::proto::{
     ASSIGN, CHECKPOINT_DONE, EVALUATE, FATAL, FINAL, FINISH, HELLO, INBOUND, MIGRANTS, PROCEED,
     REPORT,
 };
-use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_core::checkpoint::SnapshotPayload;
-use ccfuzz_core::evaluate::SimEvaluator;
-use ccfuzz_core::fuzzer::{Fuzzer, FuzzerSnapshot};
-use ccfuzz_core::genome::Genome;
+use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::shard::MigrantBatch;
 use ccfuzz_obs::{write_atomic, HuntTelemetry};
 use serde::{Deserialize, Serialize};
@@ -177,138 +174,106 @@ fn serve_coordinator(stream: &mut TcpStream, worker: usize) -> Result<(), String
             assign.worker
         ));
     }
-    let campaign = assign.config.campaign();
-    // Per-mode dispatch mirrors `hunt_controlled`: the evaluator and the
-    // worker-local telemetry must outlive the fuzzer borrowing them.
-    let telemetry = HuntTelemetry::new();
-    let evaluator = campaign.evaluator();
-    match assign.config.mode {
-        FuzzMode::Traffic => {
-            let resume = load_resume(&assign, SnapshotPayload::into_traffic)?;
-            let fuzzer = campaign.build_traffic_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Traffic)
-        }
-        FuzzMode::Link => {
-            let resume = load_resume(&assign, SnapshotPayload::into_link)?;
-            let fuzzer = campaign.build_link_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Link)
-        }
-        FuzzMode::Fairness => {
-            let resume = load_resume(&assign, SnapshotPayload::into_scenario)?;
-            let fuzzer = campaign.build_fairness_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Scenario)
-        }
-        FuzzMode::Aqm => {
-            let resume = load_resume(&assign, SnapshotPayload::into_scenario)?;
-            let fuzzer = campaign.build_aqm_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Scenario)
-        }
-        FuzzMode::Topology => {
-            let resume = load_resume(&assign, SnapshotPayload::into_topology)?;
-            let fuzzer = campaign.build_topology_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Topology)
-        }
-        FuzzMode::Workload => {
-            let resume = load_resume(&assign, SnapshotPayload::into_workload)?;
-            let fuzzer = campaign.build_workload_fuzzer(&evaluator, resume, Some(&telemetry))?;
-            shard_loop(stream, &assign, fuzzer, SnapshotPayload::Workload)
-        }
-    }
+    dispatch(assign.config.mode, ShardJob { stream, assign })
 }
 
-/// Loads the committed worker checkpoint named by the assignment, if any.
-fn load_resume<G>(
-    assign: &Assign,
-    unwrap: fn(SnapshotPayload) -> Result<FuzzerSnapshot<G>, String>,
-) -> Result<Option<FuzzerSnapshot<G>>, String> {
-    let Some(generation) = assign.resume_generation else {
-        return Ok(None);
-    };
-    let path = Path::new(&assign.checkpoint_dir)
-        .join(WorkerCheckpoint::file_name(assign.worker, generation));
-    let ck = WorkerCheckpoint::load(
-        &path,
-        assign.worker,
-        assign.n_workers,
-        &assign.config,
-        generation,
-    )?;
-    Ok(Some(unwrap(ck.state)?))
+/// Everything a worker does after its assignment: restore or build the
+/// shard's fuzzer, then react to the coordinator's frames until `finish`.
+struct ShardJob<'a> {
+    stream: &'a mut TcpStream,
+    assign: Assign,
 }
 
-/// The worker's reactive generation loop: everything after the assignment.
-fn shard_loop<G>(
-    stream: &mut TcpStream,
-    assign: &Assign,
-    mut fuzzer: Fuzzer<'_, G, SimEvaluator>,
-    wrap: fn(FuzzerSnapshot<G>) -> SnapshotPayload,
-) -> Result<(), String>
-where
-    G: Genome + Serialize + Deserialize,
-    SimEvaluator: ccfuzz_core::evaluate::Evaluator<G>,
-{
-    let (start, end) = (assign.island_start, assign.island_end);
-    let dir = PathBuf::from(&assign.checkpoint_dir);
-    loop {
-        let (kind, body) = recv_frame(stream).map_err(|e| format!("coordinator link: {e}"))?;
-        match kind.as_str() {
-            EVALUATE => {
-                let msg: Evaluate = decode(&kind, &body)?;
-                if msg.generation != fuzzer.next_generation() {
-                    return Err(format!(
-                        "asked to evaluate generation {} but the local boundary is {}",
-                        msg.generation,
-                        fuzzer.next_generation()
-                    ));
-                }
-                let report = fuzzer.shard_evaluate(start, end);
-                send_frame(stream, REPORT, &report).map_err(|e| format!("sending report: {e}"))?;
+impl ModeVisitor for ShardJob<'_> {
+    type Out = Result<(), String>;
+
+    fn visit<G: ModeGenome>(self) -> Self::Out {
+        let ShardJob { stream, assign } = self;
+        let campaign = assign.config.campaign();
+        let telemetry = HuntTelemetry::new();
+        let evaluator = campaign.evaluator();
+        // The committed worker checkpoint named by the assignment, if any.
+        let resume = match assign.resume_generation {
+            Some(generation) => {
+                let path = Path::new(&assign.checkpoint_dir)
+                    .join(WorkerCheckpoint::file_name(assign.worker, generation));
+                let ck = WorkerCheckpoint::load(
+                    &path,
+                    assign.worker,
+                    assign.n_workers,
+                    &assign.config,
+                    generation,
+                )?;
+                Some(G::unwrap_snapshot(ck.state)?)
             }
-            PROCEED => {
-                let msg: Proceed = decode(&kind, &body)?;
-                fuzzer.shard_evolve(start, end);
-                if msg.migrate {
-                    let outbound = fuzzer.shard_collect_migrants(start, end);
-                    send_frame(stream, MIGRANTS, &outbound)
-                        .map_err(|e| format!("sending migrants: {e}"))?;
-                    let (kind, body) =
-                        recv_frame(stream).map_err(|e| format!("awaiting migrants: {e}"))?;
-                    if kind != INBOUND {
-                        return Err(format!("expected `{INBOUND}` frame, got `{kind}`"));
+            None => None,
+        };
+        let mut fuzzer = campaign.build_fuzzer::<G>(&evaluator, resume, Some(&telemetry))?;
+
+        let (start, end) = (assign.island_start, assign.island_end);
+        let dir = PathBuf::from(&assign.checkpoint_dir);
+        loop {
+            let (kind, body) = recv_frame(stream).map_err(|e| format!("coordinator link: {e}"))?;
+            match kind.as_str() {
+                EVALUATE => {
+                    let msg: Evaluate = decode(&kind, &body)?;
+                    if msg.generation != fuzzer.next_generation() {
+                        return Err(format!(
+                            "asked to evaluate generation {} but the local boundary is {}",
+                            msg.generation,
+                            fuzzer.next_generation()
+                        ));
                     }
-                    let inbound: Vec<MigrantBatch<G>> = decode(&kind, &body)?;
-                    fuzzer.shard_apply_migrants(inbound);
+                    let report = fuzzer.shard_evaluate(start, end);
+                    send_frame(stream, REPORT, &report)
+                        .map_err(|e| format!("sending report: {e}"))?;
                 }
-                let boundary = msg.generation + 1;
-                fuzzer.set_next_generation(boundary);
-                if msg.checkpoint {
-                    WorkerCheckpoint {
-                        schema: WORKER_CHECKPOINT_SCHEMA,
-                        worker: assign.worker,
-                        n_workers: assign.n_workers,
-                        config_digest: hunt_config_digest(&assign.config),
-                        generation: boundary,
-                        state: wrap(fuzzer.snapshot()),
+                PROCEED => {
+                    let msg: Proceed = decode(&kind, &body)?;
+                    fuzzer.shard_evolve(start, end);
+                    if msg.migrate {
+                        let outbound = fuzzer.shard_collect_migrants(start, end);
+                        send_frame(stream, MIGRANTS, &outbound)
+                            .map_err(|e| format!("sending migrants: {e}"))?;
+                        let (kind, body) =
+                            recv_frame(stream).map_err(|e| format!("awaiting migrants: {e}"))?;
+                        if kind != INBOUND {
+                            return Err(format!("expected `{INBOUND}` frame, got `{kind}`"));
+                        }
+                        let inbound: Vec<MigrantBatch<G>> = decode(&kind, &body)?;
+                        fuzzer.shard_apply_migrants(inbound);
                     }
-                    .write_into(&dir)?;
-                    send_frame(
-                        stream,
-                        CHECKPOINT_DONE,
-                        &CheckpointDone {
+                    let boundary = msg.generation + 1;
+                    fuzzer.set_next_generation(boundary);
+                    if msg.checkpoint {
+                        WorkerCheckpoint {
+                            schema: WORKER_CHECKPOINT_SCHEMA,
+                            worker: assign.worker,
+                            n_workers: assign.n_workers,
+                            config_digest: hunt_config_digest(&assign.config),
                             generation: boundary,
-                        },
-                    )
-                    .map_err(|e| format!("acknowledging checkpoint: {e}"))?;
+                            state: G::wrap_snapshot(fuzzer.snapshot()),
+                        }
+                        .write_into(&dir)?;
+                        send_frame(
+                            stream,
+                            CHECKPOINT_DONE,
+                            &CheckpointDone {
+                                generation: boundary,
+                            },
+                        )
+                        .map_err(|e| format!("acknowledging checkpoint: {e}"))?;
+                    }
                 }
+                FINISH => {
+                    let msg: Finish = decode(&kind, &body)?;
+                    fuzzer.set_next_generation(msg.next_generation);
+                    send_frame(stream, FINAL, &G::wrap_snapshot(fuzzer.snapshot()))
+                        .map_err(|e| format!("sending final snapshot: {e}"))?;
+                    return Ok(());
+                }
+                other => return Err(format!("unexpected `{other}` frame from coordinator")),
             }
-            FINISH => {
-                let msg: Finish = decode(&kind, &body)?;
-                fuzzer.set_next_generation(msg.next_generation);
-                send_frame(stream, FINAL, &wrap(fuzzer.snapshot()))
-                    .map_err(|e| format!("sending final snapshot: {e}"))?;
-                return Ok(());
-            }
-            other => return Err(format!("unexpected `{other}` frame from coordinator")),
         }
     }
 }
@@ -319,6 +284,7 @@ mod tests {
     use ccfuzz_cca::CcaKind;
     use ccfuzz_core::campaign::FuzzMode;
     use ccfuzz_core::checkpoint::CampaignControl;
+    use ccfuzz_core::genome::TrafficGenome;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -342,9 +308,9 @@ mod tests {
     fn snapshot_for(config: &HuntConfig) -> SnapshotPayload {
         let run = config
             .campaign()
-            .run_traffic_controlled(None, CampaignControl::default())
+            .run_controlled(None, CampaignControl::default())
             .unwrap();
-        SnapshotPayload::Traffic(run.final_snapshot)
+        TrafficGenome::wrap_snapshot(run.final_snapshot)
     }
 
     #[test]

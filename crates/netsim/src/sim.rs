@@ -524,27 +524,16 @@ impl<C: CongestionControl> Simulation<C> {
 
     /// Builds a simulation with N concurrent congestion-controlled flows
     /// sharing the bottleneck. Flow indices follow the order of `specs`.
-    pub fn new_multi(cfg: SimConfig, specs: Vec<FlowSpec<C>>) -> Self {
-        Self::new_multi_with_scratch(cfg, specs, SimScratch::default())
-    }
-
-    /// Like [`Simulation::new_multi`], but adopts previously used calendar
-    /// and pool storage so repeated evaluations skip those allocations.
-    /// Reclaim the storage with [`Simulation::into_scratch`] after the run.
-    pub fn new_multi_with_scratch(
-        cfg: SimConfig,
-        specs: Vec<FlowSpec<C>>,
-        scratch: SimScratch<C>,
-    ) -> Self {
-        let mut specs = specs;
-        Self::new_multi_reusing(cfg, &mut specs, scratch)
+    pub fn new_multi(cfg: SimConfig, mut specs: Vec<FlowSpec<C>>) -> Self {
+        Self::new_multi_reusing(cfg, &mut specs, SimScratch::default())
     }
 
     /// The fully pooled constructor: drains `specs` (leaving the caller's
     /// vector empty but with its capacity, ready to refill) and draws every
     /// heap structure — endpoints, hops, FIFO rings, stat vectors — from
     /// the scratch arena. In steady state this builds a complete multi-flow,
-    /// multi-hop simulation without touching the allocator.
+    /// multi-hop simulation without touching the allocator. Reclaim the
+    /// storage with [`Simulation::into_scratch`] after the run.
     pub fn new_multi_reusing(
         cfg: SimConfig,
         specs: &mut Vec<FlowSpec<C>>,
@@ -1738,40 +1727,13 @@ pub fn run_multi_flow_simulation<C: CongestionControl>(
     Simulation::new_multi(cfg, specs).run()
 }
 
-/// Build and run a multi-flow simulation, recycling `scratch`'s calendar and
-/// pool storage. The result is bit-identical to [`run_multi_flow_simulation`];
-/// only the allocation behaviour differs.
-pub fn run_multi_flow_simulation_reusing<C: CongestionControl>(
-    cfg: SimConfig,
-    specs: Vec<FlowSpec<C>>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut specs = specs;
-    run_multi_flow_simulation_pooled(cfg, &mut specs, scratch)
-}
-
-/// The fully pooled entry point of the batch evaluator: drains `specs`
-/// (keeping the caller's vector and its capacity) and recycles every other
-/// heap structure through `scratch`, so a warm worker builds and runs the
-/// whole simulation allocation-free. Results are bit-identical to
-/// [`run_multi_flow_simulation`].
-pub fn run_multi_flow_simulation_pooled<C: CongestionControl>(
-    cfg: SimConfig,
-    specs: &mut Vec<FlowSpec<C>>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut sim = Simulation::new_multi_reusing(cfg, specs, std::mem::take(scratch));
-    let result = sim.run();
-    *scratch = sim.into_scratch();
-    result
-}
-
-/// The pooled entry point for dynamic-arrival workload runs: like
-/// [`run_multi_flow_simulation_pooled`] but also arms the flow-churn engine.
+/// The pooled entry point for dynamic-arrival workload runs: drains `specs`
+/// (keeping the caller's vector and its capacity), recycles every other heap
+/// structure through `scratch` and arms the flow-churn engine, so a warm
+/// caller builds and runs the whole simulation allocation-free.
 /// `cfg.arrivals` must be `Some`; `specs` are the static background flows
 /// (elephants) and `protos` the CCA prototypes arrivals clone from (drained
-/// into the scratch-held pool on first use, refilled in place thereafter, so
-/// warm calls stay allocation-free).
+/// into the scratch-held pool on first use, refilled in place thereafter).
 pub fn run_workload_simulation_pooled<C: CongestionControl + Clone + 'static>(
     cfg: SimConfig,
     specs: &mut Vec<FlowSpec<C>>,
@@ -1868,11 +1830,10 @@ mod tests {
         let mut scratch = SimScratch::new();
         let fresh = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
         for _ in 0..3 {
-            let reused = run_multi_flow_simulation_reusing(
-                base_cfg(),
-                vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))],
-                &mut scratch,
-            );
+            let mut specs = vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))];
+            let mut sim = Simulation::new_multi_reusing(base_cfg(), &mut specs, scratch);
+            let reused = sim.run();
+            scratch = sim.into_scratch();
             assert_eq!(fresh.stats.digest(), reused.stats.digest());
             assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
         }

@@ -11,8 +11,17 @@ use cc_fuzz::analysis::report::{
 };
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
+use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
+
+/// Fresh runs that keep the per-packet event logs for analysis.
+const RECORD: RunOpts = RunOpts {
+    record_events: true,
+    trace: false,
+};
 
 fn main() {
     let paper_scale = std::env::args().any(|a| a == "--paper-scale");
@@ -30,7 +39,7 @@ fn main() {
         "fuzzing BBR with cross-traffic patterns ({} simulations per generation)...",
         campaign.ga.total_population()
     );
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
 
     println!(
         "\nbest trace: {} cross-traffic packets, BBR goodput {:.2} Mbps (score {:.3})",
@@ -41,13 +50,16 @@ fn main() {
 
     // Replay against both BBR variants.
     let evaluator = campaign.evaluator();
-    let default_run = evaluator.simulate_traffic(&result.best_genome, true);
+    let default_run = evaluator
+        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
+        .0;
 
     let mut fixed_campaign = campaign.clone();
     fixed_campaign.cca = CcaKind::BbrProbeRttOnRto;
     let fixed_run = fixed_campaign
         .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
+        .0;
 
     println!("\n=== default BBR on the adversarial trace ===");
     println!("delivered {} packets, {} RTOs, {} spurious retransmissions, {} retransmission-triggered probe rounds",

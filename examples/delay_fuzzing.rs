@@ -10,8 +10,17 @@ use cc_fuzz::analysis::figures::queuing_delay_series;
 use cc_fuzz::analysis::plot::{ascii_chart, to_csv};
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
+use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
+
+/// Fresh runs that keep the per-packet event logs for analysis.
+const RECORD: RunOpts = RunOpts {
+    record_events: true,
+    trace: false,
+};
 
 fn main() {
     let duration = SimDuration::from_secs(5);
@@ -21,7 +30,7 @@ fn main() {
     let campaign = Campaign::paper_high_delay(FuzzMode::Traffic, CcaKind::Bbr, duration, ga);
 
     println!("traffic fuzzing vs BBR with the high-delay objective (p10 queuing delay)...");
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
     println!(
         "best trace: {} cross-traffic packets, p10-delay score {:.3}",
         result.best_genome.timestamps.len(),
@@ -30,7 +39,8 @@ fn main() {
 
     let replay = campaign
         .evaluator()
-        .simulate_traffic(&result.best_genome, true);
+        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
+        .0;
     let (bbr_delay, cross_delay) = queuing_delay_series(&replay.stats);
     println!(
         "\nBBR flow queuing delay: mean {:.1} ms, max {:.1} ms",

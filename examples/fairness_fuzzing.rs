@@ -12,7 +12,10 @@
 use cc_fuzz::analysis::table::per_flow_table;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::Campaign;
+use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::Genome;
+use cc_fuzz::fuzz::mode::RunOpts;
+use cc_fuzz::fuzz::scenario::ScenarioGenome;
 use cc_fuzz::fuzz::scoring::fairness_breakdown;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
@@ -34,7 +37,7 @@ fn main() {
     );
 
     // 2. Run the genetic algorithm over scenario genomes.
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>(None);
     for summary in &result.history {
         println!(
             "gen {:>3}: best unfairness {:.3}, mean {:.3}",
@@ -45,7 +48,9 @@ fn main() {
     // 3. Replay the most unfair scenario found and print the flow split.
     let best = &result.best_genome;
     let evaluator = campaign.evaluator();
-    let replay = evaluator.simulate_scenario(best, false);
+    let replay = evaluator
+        .simulate(best, &mut EvalScratch::new(), RunOpts::default())
+        .0;
     let breakdown = fairness_breakdown(&replay, campaign.sim.mss);
 
     println!("\nworst scenario found ({} flows):", best.flow_count());

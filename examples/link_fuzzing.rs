@@ -11,6 +11,7 @@ use cc_fuzz::analysis::figures::cumulative_packet_curve;
 use cc_fuzz::analysis::plot::ascii_chart;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
+use cc_fuzz::fuzz::genome::LinkGenome;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
 
@@ -31,7 +32,7 @@ fn main() {
         cca.name(),
         campaign.ga.total_population()
     );
-    let result = campaign.run_link();
+    let result = campaign.run::<LinkGenome>(None);
 
     println!(
         "\nbest trace: {} transmission opportunities, {} goodput {:.2} Mbps (fitness {:.3})",

@@ -14,11 +14,19 @@
 use cc_fuzz::analysis::report::one_line_summary;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::stats::TransportEvent;
 use cc_fuzz::netsim::time::SimDuration;
 use cc_fuzz::netsim::trace::TrafficTrace;
+
+/// Fresh runs that keep the per-packet event logs for analysis.
+const RECORD: RunOpts = RunOpts {
+    record_events: true,
+    trace: false,
+};
 
 fn main() {
     let duration = SimDuration::from_secs(5);
@@ -28,9 +36,11 @@ fn main() {
     let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
 
     println!("fuzzing Reno for low throughput...");
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
     let evaluator = campaign.evaluator();
-    let evolved = evaluator.simulate_traffic(&result.best_genome, true);
+    let evolved = evaluator
+        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
+        .0;
 
     // Hand-written low-rate attack: a burst of ~90 packets every second
     // (matching the 1s min-RTO), enough to overflow the 100-packet queue
@@ -46,7 +56,9 @@ fn main() {
         duration,
         max_packets: campaign.traffic_max_packets,
     };
-    let handmade_run = evaluator.simulate_traffic(&handmade, true);
+    let handmade_run = evaluator
+        .simulate(&handmade, &mut EvalScratch::new(), RECORD)
+        .0;
 
     let backoffs = |stats: &cc_fuzz::netsim::stats::RunStats| {
         stats

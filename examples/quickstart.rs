@@ -8,8 +8,17 @@
 use cc_fuzz::analysis::report::one_line_summary;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
+use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
+
+/// Fresh runs that keep the per-packet event logs for analysis.
+const RECORD: RunOpts = RunOpts {
+    record_events: true,
+    trace: false,
+};
 
 fn main() {
     // 1. Describe the campaign: the paper's standard scenario (12 Mbps
@@ -33,7 +42,7 @@ fn main() {
     );
 
     // 2. Run the genetic algorithm.
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
     for summary in &result.history {
         println!(
             "gen {:>3}: best score {:.3}, mean score {:.3}, top-{} mean delivered {:>6.0} pkts",
@@ -48,7 +57,9 @@ fn main() {
     // 3. Replay the best adversarial trace with full event recording and
     //    print what it does to the flow.
     let evaluator = campaign.evaluator();
-    let replay = evaluator.simulate_traffic(&result.best_genome, true);
+    let replay = evaluator
+        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
+        .0;
     println!(
         "\nworst trace found ({} cross-traffic packets):",
         result.best_genome.timestamps.len()

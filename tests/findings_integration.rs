@@ -6,9 +6,12 @@
 use cc_fuzz::analysis::report::{retransmission_triggered_rounds, spurious_retransmissions};
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{paper_sim_base, PAPER_LINK_RATE_BPS};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::scoring::ScoringConfig;
 use cc_fuzz::fuzz::SimEvaluator;
+use cc_fuzz::netsim::sim::SimResult;
 use cc_fuzz::netsim::stats::TransportEvent;
 use cc_fuzz::netsim::time::{SimDuration, SimTime};
 
@@ -42,11 +45,23 @@ fn evaluator(cca: CcaKind, duration: SimDuration) -> SimEvaluator {
     )
 }
 
+/// A fresh run of `genome` against `cca`, keeping the per-packet event logs
+/// the analyses below read.
+fn recorded(cca: CcaKind, duration: SimDuration, genome: &TrafficGenome) -> SimResult {
+    let opts = RunOpts {
+        record_events: true,
+        trace: false,
+    };
+    evaluator(cca, duration)
+        .simulate(genome, &mut EvalScratch::new(), opts)
+        .0
+}
+
 #[test]
 fn bbr_probe_clocking_is_broken_by_spurious_retransmissions() {
     let duration = SimDuration::from_secs(5);
     let genome = bbr_stall_trace(duration);
-    let run = evaluator(CcaKind::Bbr, duration).simulate_traffic(&genome, true);
+    let run = recorded(CcaKind::Bbr, duration, &genome);
 
     assert!(
         run.stats.flow().rto_count >= 1,
@@ -64,14 +79,12 @@ fn bbr_probe_clocking_is_broken_by_spurious_retransmissions() {
          (enough to expire the bandwidth max-filter), got {broken_rounds}"
     );
     // The flow must visibly lose throughput relative to the clean baseline.
-    let clean = evaluator(CcaKind::Bbr, duration).simulate_traffic(
-        &TrafficGenome {
-            timestamps: vec![],
-            duration,
-            max_packets: 10,
-        },
-        false,
-    );
+    let no_traffic = TrafficGenome {
+        timestamps: vec![],
+        duration,
+        max_packets: 10,
+    };
+    let clean = recorded(CcaKind::Bbr, duration, &no_traffic);
     assert!(
         run.stats.flow().delivered_packets < clean.stats.flow().delivered_packets * 85 / 100,
         "adversarial trace should cost BBR well over 15% of its packets ({} vs {})",
@@ -84,8 +97,8 @@ fn bbr_probe_clocking_is_broken_by_spurious_retransmissions() {
 fn probe_rtt_on_rto_mitigation_avoids_the_spurious_cascade() {
     let duration = SimDuration::from_secs(5);
     let genome = bbr_stall_trace(duration);
-    let default_run = evaluator(CcaKind::Bbr, duration).simulate_traffic(&genome, true);
-    let fixed_run = evaluator(CcaKind::BbrProbeRttOnRto, duration).simulate_traffic(&genome, true);
+    let default_run = recorded(CcaKind::Bbr, duration, &genome);
+    let fixed_run = recorded(CcaKind::BbrProbeRttOnRto, duration, &genome);
 
     let default_spurious =
         spurious_retransmissions(&default_run.stats, SimDuration::from_millis(100));
@@ -122,8 +135,8 @@ fn ns3_cubic_bug_causes_catastrophic_self_inflicted_losses() {
         max_packets: max,
     };
 
-    let buggy = evaluator(CcaKind::CubicNs3Buggy, duration).simulate_traffic(&genome, true);
-    let fixed = evaluator(CcaKind::Cubic, duration).simulate_traffic(&genome, true);
+    let buggy = recorded(CcaKind::CubicNs3Buggy, duration, &genome);
+    let fixed = recorded(CcaKind::Cubic, duration, &genome);
 
     assert!(
         buggy.stats.flow().rto_count >= 1,
@@ -164,7 +177,7 @@ fn reno_low_rate_attack_pattern_causes_repeated_rto_backoff() {
         duration,
         max_packets: max,
     };
-    let run = evaluator(CcaKind::Reno, duration).simulate_traffic(&genome, true);
+    let run = recorded(CcaKind::Reno, duration, &genome);
 
     assert!(
         run.stats.flow().rto_count >= 2,

@@ -4,7 +4,10 @@
 
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
-use cc_fuzz::fuzz::genome::{Genome, TrafficGenome};
+use cc_fuzz::fuzz::evaluate::EvalScratch;
+use cc_fuzz::fuzz::genome::{Genome, LinkGenome, TrafficGenome};
+use cc_fuzz::fuzz::mode::RunOpts;
+use cc_fuzz::fuzz::scenario::ScenarioGenome;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
 
@@ -22,7 +25,7 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(5, 8));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
 
     // Baseline: Reno with no cross traffic.
     let empty = TrafficGenome {
@@ -31,8 +34,10 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
         max_packets: campaign.traffic_max_packets,
     };
     let evaluator = campaign.evaluator();
-    let baseline = evaluator.simulate_traffic(&empty, false);
-    let adversarial = evaluator.simulate_traffic(&result.best_genome, false);
+    let mut scratch = EvalScratch::new();
+    let (baseline, _) = evaluator.simulate(&empty, &mut scratch, RunOpts::default());
+    let (adversarial, _) =
+        evaluator.simulate(&result.best_genome, &mut scratch, RunOpts::default());
 
     assert!(
         adversarial.stats.flow().delivered_packets < baseline.stats.flow().delivered_packets,
@@ -54,7 +59,7 @@ fn fitness_improves_over_generations() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(6, 10));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
     let first = result.history.first().unwrap().best_score;
     let last = result.history.last().unwrap().best_score;
     assert!(
@@ -76,7 +81,7 @@ fn link_fuzzing_finds_service_curves_that_hurt_reno() {
     let mut ga = small_ga(9, 8);
     ga.anneal = true;
     let campaign = Campaign::paper_standard(FuzzMode::Link, CcaKind::Reno, duration, ga);
-    let result = campaign.run_link();
+    let result = campaign.run::<LinkGenome>(None);
     // The evolved 12 Mbps-average service curve must hurt Reno noticeably
     // compared to a smooth 12 Mbps link.
     assert!(
@@ -101,7 +106,7 @@ fn campaigns_are_reproducible_from_their_seed() {
         let mut ga = small_ga(42, 4);
         ga.threads = threads;
         let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
-        let result = campaign.run_traffic();
+        let result = campaign.run::<TrafficGenome>(None);
         (
             result.best_genome.timestamps.clone(),
             result.best_outcome,
@@ -123,7 +128,7 @@ fn fairness_campaign_finds_unfair_multi_flow_scenarios() {
     ga.islands = 2;
     ga.population_per_island = 4;
     let campaign = Campaign::paper_fairness(vec![CcaKind::Bbr, CcaKind::Reno], duration, ga);
-    let result = campaign.run_fairness();
+    let result = campaign.run::<ScenarioGenome>(None);
     result.best_genome.validate().unwrap();
     assert!(result.best_genome.flow_count() >= 2);
 
@@ -131,7 +136,8 @@ fn fairness_campaign_finds_unfair_multi_flow_scenarios() {
     // shared drop-tail queue splits the link badly even before fuzzing, and
     // the GA only amplifies it.
     let evaluator = campaign.evaluator();
-    let replay = evaluator.simulate_scenario(&result.best_genome, false);
+    let mut scratch = EvalScratch::new();
+    let (replay, _) = evaluator.simulate(&result.best_genome, &mut scratch, RunOpts::default());
     let breakdown = cc_fuzz::fuzz::scoring::fairness_breakdown(&replay, campaign.sim.mss);
     assert_eq!(
         breakdown.per_flow_goodput_bps.len(),
@@ -165,7 +171,7 @@ fn trace_minimality_pressure_keeps_traffic_small() {
     let duration = SimDuration::from_secs(3);
     let campaign =
         Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, small_ga(13, 10));
-    let result = campaign.run_traffic();
+    let result = campaign.run::<TrafficGenome>(None);
     assert!(
         result.best_genome.packet_count() < campaign.traffic_max_packets,
         "minimality pressure should keep the trace below the cap ({} vs {})",
