@@ -59,7 +59,7 @@ struct WorkloadReport {
 }
 
 /// Per-workload eval-latency percentiles (nanoseconds per evaluation).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 struct LatencyReport {
     /// One Reno flow, clean link.
     single_flow: LatencyQuantiles,
@@ -67,60 +67,26 @@ struct LatencyReport {
     fairness_8flow: LatencyQuantiles,
     /// Thirty-two mixed-CCA flows plus cross traffic. Zeroed in reports
     /// recorded before the workload existed.
+    #[serde(default)]
     fairness_32flow: LatencyQuantiles,
     /// Three-hop parking lot.
     multi_hop: LatencyQuantiles,
     /// Flow-churn workload (~2000 arriving flows). Zeroed in reports
     /// recorded before the workload existed.
+    #[serde(default)]
     workload_2k: LatencyQuantiles,
     /// Per-evaluation latency inside the GA campaign (from the campaign's
     /// own telemetry histogram, not per-rep wall time).
     mini_campaign: LatencyQuantiles,
 }
 
-// Hand-written for the same reason as `BenchReport`: committed reports
-// predating `fairness_32flow` must still parse (the field defaults to
-// zero), otherwise the carry-forward read would silently drop the frozen
-// baseline block.
-impl Serialize for LatencyReport {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Map(vec![
-            ("single_flow".to_string(), self.single_flow.to_value()),
-            ("fairness_8flow".to_string(), self.fairness_8flow.to_value()),
-            (
-                "fairness_32flow".to_string(),
-                self.fairness_32flow.to_value(),
-            ),
-            ("multi_hop".to_string(), self.multi_hop.to_value()),
-            ("workload_2k".to_string(), self.workload_2k.to_value()),
-            ("mini_campaign".to_string(), self.mini_campaign.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LatencyReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::DeError> {
-        use serde::value::map_get;
-        let m = v.as_map("LatencyReport")?;
-        Ok(LatencyReport {
-            single_flow: Deserialize::from_value(map_get(m, "single_flow")?)?,
-            fairness_8flow: Deserialize::from_value(map_get(m, "fairness_8flow")?)?,
-            fairness_32flow: match map_get(m, "fairness_32flow") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => LatencyQuantiles::default(),
-            },
-            multi_hop: Deserialize::from_value(map_get(m, "multi_hop")?)?,
-            workload_2k: match map_get(m, "workload_2k") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => LatencyQuantiles::default(),
-            },
-            mini_campaign: Deserialize::from_value(map_get(m, "mini_campaign")?)?,
-        })
-    }
-}
-
 /// The full report written to `BENCH_sim.json`.
-#[derive(Clone, Debug, Default)]
+///
+/// Fields added after the first committed report decode to their default
+/// when missing: the committed file, and the frozen baseline block nested in
+/// it, predate them, and a strict decode would silently drop that block on
+/// the carry-forward read.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct BenchReport {
     /// Report schema version.
     schema: u32,
@@ -134,86 +100,27 @@ struct BenchReport {
     fairness_8flow: WorkloadReport,
     /// Thirty-two mixed-CCA flows plus cross traffic. Zeroed in reports
     /// recorded before the workload existed.
+    #[serde(default)]
     fairness_32flow: WorkloadReport,
     /// Three-hop parking lot: one long flow plus one short-path flow.
     /// Zeroed in reports recorded before the topology engine existed.
     multi_hop: WorkloadReport,
     /// Flow-churn stress: ~2000 dynamically arriving flows over 5 s.
     /// Zeroed in reports recorded before the flow-churn engine existed.
+    #[serde(default)]
     workload_2k: WorkloadReport,
     /// Two-generation GA campaign.
     mini_campaign: WorkloadReport,
     /// Eval-latency p50/p95/p99 per workload. `None` in reports recorded
-    /// before the telemetry subsystem existed.
+    /// before the telemetry subsystem existed, and omitted on output then,
+    /// keeping old baseline blocks byte-stable.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     eval_latency: Option<LatencyReport>,
     /// Numbers recorded before the hot-path overhaul, normalised against
     /// that run's own calibration (kept in the same file so the trajectory
     /// travels with the repo).
+    #[serde(default)]
     baseline: Option<Box<BenchReport>>,
-}
-
-// Serde is hand-written (not derived) because the derived `Deserialize` is
-// strict about missing fields: the committed BENCH_sim.json (and the frozen
-// baseline block nested inside it) predates `eval_latency`, so that field
-// must tolerate absence. It is also omitted on output when `None`, keeping
-// old baseline blocks byte-stable.
-impl Serialize for BenchReport {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            ("schema".to_string(), self.schema.to_value()),
-            ("label".to_string(), self.label.to_value()),
-            (
-                "calibration_mops".to_string(),
-                self.calibration_mops.to_value(),
-            ),
-            ("single_flow".to_string(), self.single_flow.to_value()),
-            ("fairness_8flow".to_string(), self.fairness_8flow.to_value()),
-            (
-                "fairness_32flow".to_string(),
-                self.fairness_32flow.to_value(),
-            ),
-            ("multi_hop".to_string(), self.multi_hop.to_value()),
-            ("workload_2k".to_string(), self.workload_2k.to_value()),
-            ("mini_campaign".to_string(), self.mini_campaign.to_value()),
-        ];
-        if let Some(latency) = &self.eval_latency {
-            fields.push(("eval_latency".to_string(), latency.to_value()));
-        }
-        fields.push(("baseline".to_string(), self.baseline.to_value()));
-        serde::value::Value::Map(fields)
-    }
-}
-
-impl Deserialize for BenchReport {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::DeError> {
-        use serde::value::map_get;
-        let m = v.as_map("BenchReport")?;
-        Ok(BenchReport {
-            schema: Deserialize::from_value(map_get(m, "schema")?)?,
-            label: Deserialize::from_value(map_get(m, "label")?)?,
-            calibration_mops: Deserialize::from_value(map_get(m, "calibration_mops")?)?,
-            single_flow: Deserialize::from_value(map_get(m, "single_flow")?)?,
-            fairness_8flow: Deserialize::from_value(map_get(m, "fairness_8flow")?)?,
-            fairness_32flow: match map_get(m, "fairness_32flow") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => WorkloadReport::default(),
-            },
-            multi_hop: Deserialize::from_value(map_get(m, "multi_hop")?)?,
-            workload_2k: match map_get(m, "workload_2k") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => WorkloadReport::default(),
-            },
-            mini_campaign: Deserialize::from_value(map_get(m, "mini_campaign")?)?,
-            eval_latency: match map_get(m, "eval_latency") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-            baseline: match map_get(m, "baseline") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl BenchReport {
@@ -705,5 +612,30 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("OK: all gated workloads within tolerance");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed report — whose frozen `baseline` block predates
+    /// `workload_2k` and `eval_latency` — parses, the missing blocks read as
+    /// zero / `None`, and a write-then-read carries every number forward.
+    #[test]
+    fn committed_report_parses_and_survives_a_rewrite() {
+        let text = include_str!("../../../../BENCH_sim.json");
+        let committed: BenchReport = serde_json::from_str(text).unwrap();
+        assert!(committed.eval_latency.is_some());
+        assert!(committed.workload_2k.reps > 0);
+        let baseline = committed.baseline.as_deref().expect("baseline block");
+        assert_eq!(baseline.workload_2k.reps, 0);
+        assert!(baseline.eval_latency.is_none() && baseline.baseline.is_none());
+        assert!(baseline.mini_campaign.evals_per_sec > 0.0);
+
+        let rewritten = serde_json::to_string_pretty(&committed).unwrap();
+        assert!(!rewritten.contains("\"eval_latency\": null"));
+        let reread: BenchReport = serde_json::from_str(&rewritten).unwrap();
+        assert_eq!(reread.to_value(), committed.to_value());
     }
 }

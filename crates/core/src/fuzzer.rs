@@ -19,7 +19,6 @@ use crate::shard::{migration_k, MigrantBatch, ShardReport, TopStat};
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_obs::{HuntTelemetry, LocalHistogram, Phase};
 use parking_lot::Mutex;
-use serde::value::{map_get, DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,33 +130,12 @@ fn num_threads_default() -> usize {
 }
 
 /// One individual: a genome plus (once evaluated) its outcome.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Individual<G> {
     /// The trace genome.
     pub genome: G,
     /// Its evaluation, if it has been scored.
     pub outcome: Option<EvalOutcome>,
-}
-
-// Serde is written by hand because the derive macro does not emit the
-// generic bounds an `Individual<G>` needs.
-impl<G: Serialize> Serialize for Individual<G> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("genome".to_string(), self.genome.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-        ])
-    }
-}
-
-impl<G: Deserialize> Deserialize for Individual<G> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map("Individual")?;
-        Ok(Individual {
-            genome: Deserialize::from_value(map_get(m, "genome")?)?,
-            outcome: Deserialize::from_value(map_get(m, "outcome")?)?,
-        })
-    }
 }
 
 /// Per-generation summary used for convergence plots (Figure 4d).
@@ -196,7 +174,7 @@ pub struct FuzzResult<G> {
 /// panicking genome is preserved so the crash can be replayed and debugged;
 /// the individual itself scores [`EvalOutcome::default`] and the campaign
 /// continues.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PanicRecord<G> {
     /// Generation during whose evaluation the panic fired.
     pub generation: u32,
@@ -208,31 +186,6 @@ pub struct PanicRecord<G> {
     pub message: String,
     /// The genome whose evaluation panicked.
     pub genome: G,
-}
-
-impl<G: Serialize> Serialize for PanicRecord<G> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("generation".to_string(), self.generation.to_value()),
-            ("island".to_string(), self.island.to_value()),
-            ("index".to_string(), self.index.to_value()),
-            ("message".to_string(), self.message.to_value()),
-            ("genome".to_string(), self.genome.to_value()),
-        ])
-    }
-}
-
-impl<G: Deserialize> Deserialize for PanicRecord<G> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map("PanicRecord")?;
-        Ok(PanicRecord {
-            generation: Deserialize::from_value(map_get(m, "generation")?)?,
-            island: Deserialize::from_value(map_get(m, "island")?)?,
-            index: Deserialize::from_value(map_get(m, "index")?)?,
-            message: Deserialize::from_value(map_get(m, "message")?)?,
-            genome: Deserialize::from_value(map_get(m, "genome")?)?,
-        })
-    }
 }
 
 /// Why a controlled run returned.
@@ -284,7 +237,7 @@ pub const FUZZER_SNAPSHOT_SCHEMA: u32 = 1;
 /// uninterrupted fuzzer would have taken: evaluation is pure, the master RNG
 /// is advanced only at construction time, and every island's population and
 /// cached outcome is carried verbatim.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FuzzerSnapshot<G> {
     /// Snapshot schema version ([`FUZZER_SNAPSHOT_SCHEMA`]).
     pub schema: u32,
@@ -310,48 +263,6 @@ pub struct FuzzerSnapshot<G> {
     pub history: Vec<GenerationSummary>,
     /// Evaluation panics caught so far (genomes preserved for replay).
     pub panics: Vec<PanicRecord<G>>,
-}
-
-impl<G: Serialize> Serialize for FuzzerSnapshot<G> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("schema".to_string(), self.schema.to_value()),
-            ("params".to_string(), self.params.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-            ("anneal_rng".to_string(), self.anneal_rng.to_value()),
-            ("islands".to_string(), self.islands.to_value()),
-            ("evaluations".to_string(), self.evaluations.to_value()),
-            (
-                "next_generation".to_string(),
-                self.next_generation.to_value(),
-            ),
-            ("stall".to_string(), self.stall.to_value()),
-            ("best_genome".to_string(), self.best_genome.to_value()),
-            ("best_outcome".to_string(), self.best_outcome.to_value()),
-            ("history".to_string(), self.history.to_value()),
-            ("panics".to_string(), self.panics.to_value()),
-        ])
-    }
-}
-
-impl<G: Deserialize> Deserialize for FuzzerSnapshot<G> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map("FuzzerSnapshot")?;
-        Ok(FuzzerSnapshot {
-            schema: Deserialize::from_value(map_get(m, "schema")?)?,
-            params: Deserialize::from_value(map_get(m, "params")?)?,
-            rng: Deserialize::from_value(map_get(m, "rng")?)?,
-            anneal_rng: Deserialize::from_value(map_get(m, "anneal_rng")?)?,
-            islands: Deserialize::from_value(map_get(m, "islands")?)?,
-            evaluations: Deserialize::from_value(map_get(m, "evaluations")?)?,
-            next_generation: Deserialize::from_value(map_get(m, "next_generation")?)?,
-            stall: Deserialize::from_value(map_get(m, "stall")?)?,
-            best_genome: Deserialize::from_value(map_get(m, "best_genome")?)?,
-            best_outcome: Deserialize::from_value(map_get(m, "best_outcome")?)?,
-            history: Deserialize::from_value(map_get(m, "history")?)?,
-            panics: Deserialize::from_value(map_get(m, "panics")?)?,
-        })
-    }
 }
 
 impl<G: Genome> FuzzerSnapshot<G> {

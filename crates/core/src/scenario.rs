@@ -176,7 +176,11 @@ impl FlowGene {
 }
 
 /// A multi-flow scenario genome.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The two AQM-era fields are omitted at their defaults and tolerated when
+/// missing, so scenario findings persisted before the qdisc layer existed
+/// deserialize unchanged and re-serialize byte-identically.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioGenome {
     /// The competing flows (at least `min_flows`, at most `max_flows`).
     /// Flow 0 is the primary flow.
@@ -193,55 +197,23 @@ pub struct ScenarioGenome {
     /// Minimum flows mutation keeps: [`MIN_FAIRNESS_FLOWS`] for fairness
     /// scenarios (unfairness needs competition), 1 for AQM scenarios
     /// (a single CCA against an evolved gateway is a complete experiment).
+    #[serde(
+        default = "min_fairness_flows",
+        skip_serializing_if = "is_min_fairness_flows"
+    )]
     pub min_flows: usize,
     /// Optional evolved gateway discipline (AQM scenarios); `None` keeps
     /// the campaign's configured qdisc (drop-tail everywhere today).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub qdisc: Option<QdiscGene>,
 }
 
-// Serde is written by hand (not derived) so the two AQM-era fields are
-// omitted at their defaults and tolerated when missing: scenario findings
-// persisted before the qdisc layer existed deserialize unchanged and
-// re-serialize byte-identically. Field order matches the derive's output.
-impl Serialize for ScenarioGenome {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            ("flows".to_string(), self.flows.to_value()),
-            ("duration".to_string(), self.duration.to_value()),
-            ("max_flows".to_string(), self.max_flows.to_value()),
-            ("cca_pool".to_string(), self.cca_pool.to_value()),
-            ("traffic".to_string(), self.traffic.to_value()),
-        ];
-        if self.min_flows != MIN_FAIRNESS_FLOWS {
-            fields.push(("min_flows".to_string(), self.min_flows.to_value()));
-        }
-        if let Some(qdisc) = &self.qdisc {
-            fields.push(("qdisc".to_string(), qdisc.to_value()));
-        }
-        serde::value::Value::Map(fields)
-    }
+fn min_fairness_flows() -> usize {
+    MIN_FAIRNESS_FLOWS
 }
 
-impl Deserialize for ScenarioGenome {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::DeError> {
-        use serde::value::map_get;
-        let m = v.as_map("ScenarioGenome")?;
-        Ok(ScenarioGenome {
-            flows: Deserialize::from_value(map_get(m, "flows")?)?,
-            duration: Deserialize::from_value(map_get(m, "duration")?)?,
-            max_flows: Deserialize::from_value(map_get(m, "max_flows")?)?,
-            cca_pool: Deserialize::from_value(map_get(m, "cca_pool")?)?,
-            traffic: Deserialize::from_value(map_get(m, "traffic")?)?,
-            min_flows: match map_get(m, "min_flows") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => MIN_FAIRNESS_FLOWS,
-            },
-            qdisc: match map_get(m, "qdisc") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-        })
-    }
+fn is_min_fairness_flows(min_flows: &usize) -> bool {
+    *min_flows == MIN_FAIRNESS_FLOWS
 }
 
 impl ScenarioGenome {

@@ -34,7 +34,6 @@ use crate::fuzzer::{
 };
 use crate::genome::Genome;
 use ccfuzz_obs::OperatorSnapshot;
-use serde::value::{map_get, DeError, Value};
 use serde::{Deserialize, Serialize};
 
 /// Splits `n_islands` islands into at most `n_workers` contiguous,
@@ -77,7 +76,7 @@ pub struct TopStat {
 }
 
 /// What one worker reports after evaluating one generation of its islands.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardReport<G> {
     /// Generation these islands just evaluated.
     pub generation: u32,
@@ -102,66 +101,14 @@ pub struct ShardReport<G> {
     pub operators: OperatorSnapshot,
 }
 
-impl<G: Serialize> Serialize for ShardReport<G> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("generation".to_string(), self.generation.to_value()),
-            ("island_start".to_string(), self.island_start.to_value()),
-            ("eval_delta".to_string(), self.eval_delta.to_value()),
-            ("island_best".to_string(), self.island_best.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("best_genome".to_string(), self.best_genome.to_value()),
-            ("best_outcome".to_string(), self.best_outcome.to_value()),
-            ("panics".to_string(), self.panics.to_value()),
-            ("operators".to_string(), self.operators.to_value()),
-        ])
-    }
-}
-
-impl<G: Deserialize> Deserialize for ShardReport<G> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map("ShardReport")?;
-        Ok(ShardReport {
-            generation: Deserialize::from_value(map_get(m, "generation")?)?,
-            island_start: Deserialize::from_value(map_get(m, "island_start")?)?,
-            eval_delta: Deserialize::from_value(map_get(m, "eval_delta")?)?,
-            island_best: Deserialize::from_value(map_get(m, "island_best")?)?,
-            stats: Deserialize::from_value(map_get(m, "stats")?)?,
-            best_genome: Deserialize::from_value(map_get(m, "best_genome")?)?,
-            best_outcome: Deserialize::from_value(map_get(m, "best_outcome")?)?,
-            panics: Deserialize::from_value(map_get(m, "panics")?)?,
-            operators: Deserialize::from_value(map_get(m, "operators")?)?,
-        })
-    }
-}
-
 /// The top-`k` individuals one island sends around the migration ring,
 /// tagged with the global index of the island they left.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MigrantBatch<G> {
     /// Global index of the source island.
     pub src_island: usize,
     /// Its best individuals, cached outcomes included.
     pub migrants: Vec<Individual<G>>,
-}
-
-impl<G: Serialize> Serialize for MigrantBatch<G> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("src_island".to_string(), self.src_island.to_value()),
-            ("migrants".to_string(), self.migrants.to_value()),
-        ])
-    }
-}
-
-impl<G: Deserialize> Deserialize for MigrantBatch<G> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v.as_map("MigrantBatch")?;
-        Ok(MigrantBatch {
-            src_island: Deserialize::from_value(map_get(m, "src_island")?)?,
-            migrants: Deserialize::from_value(map_get(m, "migrants")?)?,
-        })
-    }
 }
 
 /// What the fleet should do after a generation's reports were absorbed.
@@ -506,20 +453,8 @@ mod tests {
     use crate::StopReason;
     use ccfuzz_netsim::rng::SimRng;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
     struct ToyGenome(Vec<f64>);
-
-    impl Serialize for ToyGenome {
-        fn to_value(&self) -> Value {
-            self.0.to_value()
-        }
-    }
-
-    impl Deserialize for ToyGenome {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            Ok(ToyGenome(Deserialize::from_value(v)?))
-        }
-    }
 
     impl Genome for ToyGenome {
         fn mutate(&self, rng: &mut SimRng) -> Self {

@@ -52,7 +52,7 @@ pub struct Provenance {
 }
 
 /// One persistent, replayable finding.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
     /// Stable identifier: `{cca}-{mode}-{signature key as hex}`.
     pub id: String,
@@ -79,61 +79,12 @@ pub struct Finding {
     pub behavior_digest: u64,
     /// Discovery and minimization history.
     pub provenance: Provenance,
-    /// Per-flow fairness results (fairness-mode findings only).
+    /// Per-flow fairness results (fairness-mode findings only). Omitted when
+    /// absent and tolerated when missing, so findings committed before the
+    /// multi-flow engine existed deserialize unchanged and re-serialize
+    /// byte-identically.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fairness: Option<FairnessSummary>,
-}
-
-// Serde is written by hand (not derived) so the optional `fairness` field is
-// omitted when absent and tolerated when missing: findings committed before
-// the multi-flow engine existed deserialize unchanged and re-serialize
-// byte-identically.
-impl Serialize for Finding {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("cca".to_string(), self.cca.to_value()),
-            ("mode".to_string(), self.mode.to_value()),
-            ("genome".to_string(), self.genome.to_value()),
-            ("sim".to_string(), self.sim.to_value()),
-            ("scoring".to_string(), self.scoring.to_value()),
-            ("link_rate_bps".to_string(), self.link_rate_bps.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-            ("signature".to_string(), self.signature.to_value()),
-            (
-                "behavior_digest".to_string(),
-                self.behavior_digest.to_value(),
-            ),
-            ("provenance".to_string(), self.provenance.to_value()),
-        ];
-        if let Some(fairness) = &self.fairness {
-            fields.push(("fairness".to_string(), fairness.to_value()));
-        }
-        serde::value::Value::Map(fields)
-    }
-}
-
-impl Deserialize for Finding {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::DeError> {
-        use serde::value::map_get;
-        let m = v.as_map("Finding")?;
-        Ok(Finding {
-            id: Deserialize::from_value(map_get(m, "id")?)?,
-            cca: Deserialize::from_value(map_get(m, "cca")?)?,
-            mode: Deserialize::from_value(map_get(m, "mode")?)?,
-            genome: Deserialize::from_value(map_get(m, "genome")?)?,
-            sim: Deserialize::from_value(map_get(m, "sim")?)?,
-            scoring: Deserialize::from_value(map_get(m, "scoring")?)?,
-            link_rate_bps: Deserialize::from_value(map_get(m, "link_rate_bps")?)?,
-            outcome: Deserialize::from_value(map_get(m, "outcome")?)?,
-            signature: Deserialize::from_value(map_get(m, "signature")?)?,
-            behavior_digest: Deserialize::from_value(map_get(m, "behavior_digest")?)?,
-            provenance: Deserialize::from_value(map_get(m, "provenance")?)?,
-            fairness: match map_get(m, "fairness") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 /// Formats a finding id from its parts.

@@ -97,8 +97,13 @@ pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, Value)> {
             format!("frame length {len} exceeds MAX_FRAME_BYTES"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // The prefix is untrusted: grow with the bytes that actually arrive
+    // instead of reserving up to MAX_FRAME_BYTES on a 4-byte header's say-so.
+    let mut buf = Vec::new();
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let text = String::from_utf8(buf).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// [`SimConfig::paper_default`] reproduces the settings from §4 of the paper:
 /// a 12 Mbps bottleneck, 20 ms propagation delay, SACK and delayed ACKs
 /// enabled and a 1 second minimum RTO.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Bottleneck service model (fixed rate for traffic fuzzing, trace driven
     /// for link fuzzing).
@@ -68,10 +68,13 @@ pub struct SimConfig {
     /// Gateway queue discipline (drop-tail in the paper; RED/CoDel for the
     /// `aqm` fuzzing mode). Serialized only when not drop-tail, so
     /// pre-qdisc configurations round-trip byte-identically.
+    #[serde(default = "drop_tail", skip_serializing_if = "is_drop_tail")]
     pub qdisc: Qdisc,
     /// ECN negotiated end to end: senders emit ECT packets, an AQM gateway
     /// marks instead of dropping them, receivers echo the marks, senders
-    /// feed them to the congestion controller. Serialized only when `true`.
+    /// feed them to the congestion controller. Serialized only when `true`
+    /// (and `false` when missing), for the same reason as `qdisc`.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub ecn_enabled: bool,
     /// Optional multi-hop topology. `None` (the default everywhere) is the
     /// paper's single-bottleneck dumbbell built from the `link` /
@@ -80,6 +83,7 @@ pub struct SimConfig {
     /// [`HopConfig`]s (with per-flow [`HopRange`] paths) replaces them.
     /// Serialized only when present, so pre-topology configurations
     /// round-trip byte-identically.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topology: Option<Topology>,
     /// Optional dynamic-flow workload: an arrival process spawning
     /// application-limited flows with heavy-tailed sizes through the flow
@@ -87,117 +91,16 @@ pub struct SimConfig {
     /// keeps the fixed flow population of the classic modes. Serialized
     /// only when present, so pre-workload configurations round-trip
     /// byte-identically.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub arrivals: Option<ArrivalConfig>,
 }
 
-// Serde is written by hand (not derived) so the two qdisc-era fields are
-// omitted at their defaults and tolerated when missing: configurations
-// embedded in findings committed before the qdisc layer existed deserialize
-// unchanged and re-serialize byte-identically. Field order matches the
-// declaration order the derive produced.
-impl Serialize for SimConfig {
-    fn to_value(&self) -> serde::value::Value {
-        let mut fields = vec![
-            ("link".to_string(), self.link.to_value()),
-            (
-                "propagation_delay".to_string(),
-                self.propagation_delay.to_value(),
-            ),
-            ("queue_capacity".to_string(), self.queue_capacity.to_value()),
-            ("cross_traffic".to_string(), self.cross_traffic.to_value()),
-            ("mss".to_string(), self.mss.to_value()),
-            (
-                "cross_traffic_packet_size".to_string(),
-                self.cross_traffic_packet_size.to_value(),
-            ),
-            ("duration".to_string(), self.duration.to_value()),
-            ("flow_start".to_string(), self.flow_start.to_value()),
-            ("sack_enabled".to_string(), self.sack_enabled.to_value()),
-            ("delayed_ack".to_string(), self.delayed_ack.to_value()),
-            (
-                "delayed_ack_timeout".to_string(),
-                self.delayed_ack_timeout.to_value(),
-            ),
-            (
-                "delayed_ack_count".to_string(),
-                self.delayed_ack_count.to_value(),
-            ),
-            ("min_rto".to_string(), self.min_rto.to_value()),
-            ("max_rto".to_string(), self.max_rto.to_value()),
-            ("initial_rto".to_string(), self.initial_rto.to_value()),
-            (
-                "sender_buffer_packets".to_string(),
-                self.sender_buffer_packets.to_value(),
-            ),
-            ("initial_cwnd".to_string(), self.initial_cwnd.to_value()),
-            ("stats_interval".to_string(), self.stats_interval.to_value()),
-            ("record_events".to_string(), self.record_events.to_value()),
-            ("max_events".to_string(), self.max_events.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ];
-        if self.qdisc != Qdisc::DropTail {
-            fields.push(("qdisc".to_string(), self.qdisc.to_value()));
-        }
-        if self.ecn_enabled {
-            fields.push(("ecn_enabled".to_string(), self.ecn_enabled.to_value()));
-        }
-        if let Some(topology) = &self.topology {
-            fields.push(("topology".to_string(), topology.to_value()));
-        }
-        if let Some(arrivals) = &self.arrivals {
-            fields.push(("arrivals".to_string(), arrivals.to_value()));
-        }
-        serde::value::Value::Map(fields)
-    }
+fn drop_tail() -> Qdisc {
+    Qdisc::DropTail
 }
 
-impl Deserialize for SimConfig {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::value::DeError> {
-        use serde::value::map_get;
-        let m = v.as_map("SimConfig")?;
-        Ok(SimConfig {
-            link: Deserialize::from_value(map_get(m, "link")?)?,
-            propagation_delay: Deserialize::from_value(map_get(m, "propagation_delay")?)?,
-            queue_capacity: Deserialize::from_value(map_get(m, "queue_capacity")?)?,
-            cross_traffic: Deserialize::from_value(map_get(m, "cross_traffic")?)?,
-            mss: Deserialize::from_value(map_get(m, "mss")?)?,
-            cross_traffic_packet_size: Deserialize::from_value(map_get(
-                m,
-                "cross_traffic_packet_size",
-            )?)?,
-            duration: Deserialize::from_value(map_get(m, "duration")?)?,
-            flow_start: Deserialize::from_value(map_get(m, "flow_start")?)?,
-            sack_enabled: Deserialize::from_value(map_get(m, "sack_enabled")?)?,
-            delayed_ack: Deserialize::from_value(map_get(m, "delayed_ack")?)?,
-            delayed_ack_timeout: Deserialize::from_value(map_get(m, "delayed_ack_timeout")?)?,
-            delayed_ack_count: Deserialize::from_value(map_get(m, "delayed_ack_count")?)?,
-            min_rto: Deserialize::from_value(map_get(m, "min_rto")?)?,
-            max_rto: Deserialize::from_value(map_get(m, "max_rto")?)?,
-            initial_rto: Deserialize::from_value(map_get(m, "initial_rto")?)?,
-            sender_buffer_packets: Deserialize::from_value(map_get(m, "sender_buffer_packets")?)?,
-            initial_cwnd: Deserialize::from_value(map_get(m, "initial_cwnd")?)?,
-            stats_interval: Deserialize::from_value(map_get(m, "stats_interval")?)?,
-            record_events: Deserialize::from_value(map_get(m, "record_events")?)?,
-            max_events: Deserialize::from_value(map_get(m, "max_events")?)?,
-            seed: Deserialize::from_value(map_get(m, "seed")?)?,
-            qdisc: match map_get(m, "qdisc") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => Qdisc::DropTail,
-            },
-            ecn_enabled: match map_get(m, "ecn_enabled") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => false,
-            },
-            topology: match map_get(m, "topology") {
-                Ok(v) => Some(Deserialize::from_value(v)?),
-                Err(_) => None,
-            },
-            arrivals: match map_get(m, "arrivals") {
-                Ok(v) => Some(Deserialize::from_value(v)?),
-                Err(_) => None,
-            },
-        })
-    }
+fn is_drop_tail(qdisc: &Qdisc) -> bool {
+    *qdisc == Qdisc::DropTail
 }
 
 impl SimConfig {
