@@ -58,6 +58,14 @@ struct WorkloadReport {
     reps: u64,
 }
 
+impl WorkloadReport {
+    /// `true` for the all-zero block a report decodes to for a workload it
+    /// predates; such blocks are left out on output.
+    fn is_unmeasured(&self) -> bool {
+        self.reps == 0
+    }
+}
+
 /// Per-workload eval-latency percentiles (nanoseconds per evaluation).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 struct LatencyReport {
@@ -98,16 +106,17 @@ struct BenchReport {
     single_flow: WorkloadReport,
     /// Eight mixed-CCA flows plus cross traffic.
     fairness_8flow: WorkloadReport,
-    /// Thirty-two mixed-CCA flows plus cross traffic. Zeroed in reports
-    /// recorded before the workload existed.
-    #[serde(default)]
+    /// Thirty-two mixed-CCA flows plus cross traffic. Absent from reports
+    /// recorded before the workload existed (a zeroed block would read as a
+    /// broken gate anchor).
+    #[serde(default, skip_serializing_if = "WorkloadReport::is_unmeasured")]
     fairness_32flow: WorkloadReport,
     /// Three-hop parking lot: one long flow plus one short-path flow.
     /// Zeroed in reports recorded before the topology engine existed.
     multi_hop: WorkloadReport,
     /// Flow-churn stress: ~2000 dynamically arriving flows over 5 s.
-    /// Zeroed in reports recorded before the flow-churn engine existed.
-    #[serde(default)]
+    /// Absent from reports recorded before the flow-churn engine existed.
+    #[serde(default, skip_serializing_if = "WorkloadReport::is_unmeasured")]
     workload_2k: WorkloadReport,
     /// Two-generation GA campaign.
     mini_campaign: WorkloadReport,

@@ -28,7 +28,7 @@
 //! retransmissions — is available via [`BbrConfig::probe_rtt_on_rto`].
 
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
-use ccfuzz_netsim::time::{SimDuration, SimTime};
+use ccfuzz_netsim::time::{ceil_to_u64, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Startup/Drain pacing gain: 2/ln(2).
@@ -255,7 +255,7 @@ impl Bbr {
         if bw <= 0.0 {
             return 0;
         }
-        ((bw * rtt.as_secs_f64()) / (mss as f64 * 8.0)).ceil() as u64
+        ceil_to_u64((bw * rtt.as_secs_f64()) / (mss as f64 * 8.0))
     }
 
     // ------------------------------------------------------------------
@@ -460,7 +460,7 @@ impl Bbr {
             // No model yet: keep the initial window.
             self.cfg.initial_cwnd.max(MIN_CWND)
         } else {
-            ((bdp as f64 * self.cwnd_gain).ceil() as u64).max(MIN_CWND)
+            ceil_to_u64(bdp as f64 * self.cwnd_gain).max(MIN_CWND)
         };
 
         if self.packet_conservation {

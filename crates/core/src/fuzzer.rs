@@ -7,21 +7,21 @@
 //! 20 islands, kElite = 1, 30 % crossovers and 10 % migration every 10
 //! generations.
 //!
-//! Evaluation of a generation is embarrassingly parallel and is spread over
-//! worker threads with `crossbeam::scope`; every simulation is deterministic,
-//! so the end-to-end fuzzing run is reproducible from its seed regardless of
-//! the thread count.
+//! Evaluation of a generation is embarrassingly parallel: `threads` scoped
+//! workers steal individuals off one shared cursor (`steal_map`), and
+//! non-annealed islands evolve through the same helper. Every simulation is
+//! deterministic and results are placed by index, so the end-to-end fuzzing
+//! run is reproducible from its seed regardless of the thread count.
 
 use crate::evaluate::{EvalOutcome, EvalScratch, Evaluator};
 use crate::genome::Genome;
 use crate::selection::{pick_pair, pick_ranked};
 use crate::shard::{migration_k, MigrantBatch, ShardReport, TopStat};
 use ccfuzz_netsim::rng::SimRng;
-use ccfuzz_obs::{HuntTelemetry, LocalHistogram, Phase};
-use parking_lot::Mutex;
+use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -342,6 +342,52 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The campaign's one parallel loop, shared by evaluation and evolution:
+/// `work(slot, k)` runs exactly once for every `k` in `0..n` and the results
+/// come back in index order. One scoped worker per slot (the caller's thread
+/// drives the first) claims the next index from a shared cursor, so a worker
+/// that drew cheap items steals what a slower one has not reached yet.
+/// Which worker ran which index is scheduling-dependent; the returned vector
+/// is not, so state derived from it is identical for any slot count. With a
+/// single slot everything runs in index order on the caller's thread.
+fn steal_map<S: Send, R: Send>(
+    slots: &mut [S],
+    n: usize,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    // The cursor only hands out tickets; results are published by the joins.
+    let cursor = AtomicUsize::new(0);
+    let drive = |slot: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break done;
+            }
+            done.push((k, work(slot, k)));
+        }
+    };
+    let (first, rest) = slots.split_first_mut().expect("at least one worker slot");
+    let mut placed: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest
+            .iter_mut()
+            .map(|slot| scope.spawn(|| drive(slot)))
+            .collect();
+        let mut done = drive(first);
+        for handle in spawned {
+            done.extend(handle.join().expect("pool worker panicked"));
+        }
+        for (k, result) in done {
+            placed[k] = Some(result);
+        }
+    });
+    placed
+        .into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
+}
+
 /// Hook applied to genomes between generations (e.g. link-trace annealing).
 pub type AnnealFn<G> = dyn Fn(&G, &mut SimRng) -> G + Sync + Send;
 
@@ -499,109 +545,65 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
         self.evaluations += pending.len();
 
-        let results: Mutex<Vec<(usize, usize, EvalOutcome)>> =
-            Mutex::new(Vec::with_capacity(pending.len()));
-        // Panics caught inside workers: (island, index, message).
-        let caught: Mutex<Vec<(usize, usize, String)>> = Mutex::new(Vec::new());
-        let threads = self.params.threads.max(1).min(pending.len());
-        let chunk_size = pending.len().div_ceil(threads);
+        // One scratch per worker: consecutive evaluations reuse the
+        // simulator's calendar and packet-pool allocations. Evaluation stays
+        // pure — the scratch only donates capacity. It lives for one pass,
+        // not the campaign: its buffers only ever grow, to the largest any
+        // genome so far needed (DESIGN.md "Evaluation pool").
+        let workers = self.params.threads.clamp(1, pending.len());
+        let mut scratches: Vec<EvalScratch> = (0..workers).map(|_| EvalScratch::new()).collect();
         let islands = &self.islands;
         let evaluator = self.evaluator;
         let observe = self.obs.is_some();
-        // Per-worker latency shards: recorded lock-free into plain local
-        // histograms, merged into the shared registry after the scope joins.
-        // Shard merging is commutative, so the merged histogram is identical
-        // for any thread count (the property tests pin this).
-        let shards: Mutex<Vec<LocalHistogram>> = Mutex::new(Vec::new());
-        crossbeam::scope(|scope| {
-            for chunk in pending.chunks(chunk_size) {
-                let results = &results;
-                let caught = &caught;
-                let shards = &shards;
-                scope.spawn(move |_| {
-                    // One scratch per worker: consecutive evaluations reuse
-                    // the simulator's calendar and packet-pool allocations.
-                    // Evaluation stays pure — the scratch only donates
-                    // capacity — so results are identical to `evaluate`.
-                    let mut scratch = EvalScratch::new();
-                    let mut local = Vec::with_capacity(chunk.len());
-                    let mut shard = LocalHistogram::new();
-                    for &(i, j) in chunk {
-                        let started = observe.then(Instant::now);
-                        // A panicking simulation is isolated here: the
-                        // individual scores the default outcome, the genome
-                        // and message are preserved in the panic log, and
-                        // the campaign continues.
-                        let evaluated = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            maybe_inject_panic();
-                            evaluator.evaluate_reusing(&islands[i][j].genome, &mut scratch)
-                        }));
-                        let outcome = match evaluated {
-                            Ok(outcome) => outcome,
-                            Err(payload) => {
-                                // The scratch arena may hold half-updated
-                                // simulator state; replace it wholesale.
-                                scratch = EvalScratch::new();
-                                caught.lock().push((i, j, panic_message(payload)));
-                                EvalOutcome::default()
-                            }
-                        };
-                        if let Some(started) = started {
-                            shard.record(started.elapsed().as_nanos() as u64);
-                        }
-                        local.push((i, j, outcome));
-                    }
-                    if shard.count() > 0 {
-                        shards.lock().push(shard);
-                    }
-                    results.lock().extend(local);
-                });
-            }
-        })
-        .expect("evaluation worker panicked");
-        if let Some(obs) = self.obs {
-            obs.metrics.evaluations.add(pending.len() as u64);
-            for shard in shards.into_inner().iter() {
-                obs.metrics.eval_latency_ns.merge_local(shard);
-            }
-        }
-        let mut caught = caught.into_inner();
-        if !caught.is_empty() {
-            // Capture order depends on thread scheduling; log in canonical
-            // (island, index) order so persisted panic artifacts are stable.
-            caught.sort_unstable_by_key(|&(i, j, _)| (i, j));
-            if let Some(obs) = self.obs {
-                obs.metrics.panics_caught.add(caught.len() as u64);
-            }
-            let generation = self.next_generation;
-            for (i, j, message) in caught {
-                let genome = self.islands[i][j].genome.clone();
+        let evaluated = steal_map(&mut scratches, pending.len(), |scratch, k| {
+            let (i, j) = pending[k];
+            let started = observe.then(Instant::now);
+            // A panicking simulation is isolated here: the individual scores
+            // the default outcome, the genome and message are preserved in
+            // the panic log, and the campaign continues.
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                maybe_inject_panic();
+                evaluator.evaluate_reusing(&islands[i][j].genome, scratch)
+            }));
+            let (outcome, panic) = match caught {
+                Ok(outcome) => (outcome, None),
+                Err(payload) => {
+                    // The scratch arena may hold half-updated simulator
+                    // state; replace it wholesale.
+                    *scratch = EvalScratch::new();
+                    (EvalOutcome::default(), Some(panic_message(payload)))
+                }
+            };
+            (
+                outcome,
+                panic,
+                started.map(|s| s.elapsed().as_nanos() as u64),
+            )
+        });
+        // `evaluated` is in `pending` order — canonical (island, index) —
+        // whichever worker ran what, so outcomes, the panic log and the
+        // latency histogram come out the same for any thread count.
+        let panics_before = self.panic_log.len();
+        for (&(i, j), (outcome, panic, nanos)) in pending.iter().zip(evaluated) {
+            let individual = &mut self.islands[i][j];
+            individual.outcome = Some(outcome);
+            if let Some(message) = panic {
                 self.panic_log.push(PanicRecord {
-                    generation,
+                    generation: self.next_generation,
                     island: i,
                     index: j,
                     message,
-                    genome,
+                    genome: individual.genome.clone(),
                 });
             }
+            if let (Some(obs), Some(nanos)) = (self.obs, nanos) {
+                obs.metrics.eval_latency_ns.record(nanos);
+            }
         }
-
-        // Workers finish in wall-clock order, so the collected vector's
-        // order depends on the thread count and scheduling. The keyed
-        // assignment below makes the *final state* order-independent either
-        // way; re-imposing the canonical (island, index) order makes that
-        // independence explicit rather than incidental, and lets the
-        // assertion prove every pending individual was evaluated exactly
-        // once.
-        let mut results = results.into_inner();
-        results.sort_by_key(|&(i, j, _)| (i, j));
-        debug_assert_eq!(
-            results.iter().map(|&(i, j, _)| (i, j)).collect::<Vec<_>>(),
-            pending,
-            "every pending individual is evaluated exactly once"
-        );
-        for (i, j, outcome) in results {
-            self.islands[i][j].outcome = Some(outcome);
+        if let Some(obs) = self.obs {
+            obs.metrics.evaluations.add(pending.len() as u64);
+            let caught = self.panic_log.len() - panics_before;
+            obs.metrics.panics_caught.add(caught as u64);
         }
     }
 
@@ -653,22 +655,27 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
     }
 
-    /// Builds the next generation of one island (elitism + crossover + mutation).
-    fn evolve_island(&mut self, island_idx: usize) {
-        let params = self.params;
-        let mut rng = self.rng.fork(1_000 + island_idx as u64);
-        let pop = &mut self.islands[island_idx];
-        Self::sort_island(pop);
-
+    /// Builds the next generation of one island, already sorted best-first
+    /// (elitism + crossover + mutation). Pure in `(params, rng, island_idx,
+    /// pop)` — the island draws from its own fork of the static master RNG —
+    /// unless `anneal` lends it the campaign's one sequential annealing
+    /// stream.
+    fn evolve_island(
+        params: &GaParams,
+        rng: &SimRng,
+        island_idx: usize,
+        pop: &[Individual<G>],
+        mut anneal: Option<(&AnnealFn<G>, &mut SimRng)>,
+        obs: Option<&HuntTelemetry>,
+    ) -> Vec<Individual<G>> {
+        let mut rng = rng.fork(1_000 + island_idx as u64);
         let n = pop.len();
         let k_elite = params.k_elite.min(n);
         let k_crossover = ((n - k_elite) as f64 * params.crossover_fraction).round() as usize;
 
-        let mut next: Vec<Individual<G>> = Vec::with_capacity(n);
         // Elites survive unchanged (and keep their cached outcome).
-        for elite in pop.iter().take(k_elite) {
-            next.push(elite.clone());
-        }
+        let mut next: Vec<Individual<G>> = Vec::with_capacity(n);
+        next.extend_from_slice(&pop[..k_elite]);
         // Crossovers.
         let mut produced = 0usize;
         while produced < k_crossover && next.len() < n {
@@ -687,37 +694,55 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
         // Mutations fill the remainder.
         let mut mutated = 0u64;
-        let mut annealed = 0u64;
         while next.len() < n {
-            let src = pick_ranked(n, &mut rng);
-            let base = if params.anneal {
-                if let Some(anneal) = &self.anneal_fn {
-                    annealed += 1;
-                    // Annealing draws from its own RNG stream (seeded from
-                    // the master seed at construction, serialized in
-                    // snapshots) so it perturbs genomes without shifting the
-                    // mutation stream shared by non-annealing campaigns.
-                    anneal(&pop[src].genome, &mut self.anneal_rng)
-                } else {
-                    pop[src].genome.clone()
-                }
-            } else {
-                pop[src].genome.clone()
+            let src = &pop[pick_ranked(n, &mut rng)].genome;
+            let genome = match &mut anneal {
+                // Annealing draws from its own RNG stream (seeded from the
+                // master seed at construction, serialized in snapshots) so
+                // it perturbs genomes without shifting the mutation stream
+                // shared by non-annealing campaigns.
+                Some((anneal, anneal_rng)) => anneal(src, anneal_rng).mutate(&mut rng),
+                None => src.mutate(&mut rng),
             };
-            let genome = base.mutate(&mut rng);
             mutated += 1;
             next.push(Individual {
                 genome,
                 outcome: None,
             });
         }
-        self.islands[island_idx] = next;
-        if let Some(obs) = self.obs {
+        if let Some(obs) = obs {
             let ops = &obs.metrics.operators;
             ops.elite.add(k_elite as u64);
             ops.crossover.add(produced as u64);
             ops.mutation.add(mutated);
-            ops.anneal.add(annealed);
+            ops.anneal.add(if anneal.is_some() { mutated } else { 0 });
+        }
+        next
+    }
+
+    /// Evolves islands `start..end` into their next generation. Islands are
+    /// independent, so they go through the evaluation pool's [`steal_map`];
+    /// an annealed campaign lends its one sequential `anneal_rng` to a
+    /// single slot, which keeps its islands in serial order.
+    fn evolve_range(&mut self, start: usize, end: usize) {
+        let owned = &mut self.islands[start..end];
+        for pop in owned.iter_mut() {
+            Self::sort_island(pop);
+        }
+        let anneal_fn = self.anneal_fn.as_deref().filter(|_| self.params.anneal);
+        let mut slots: Vec<Option<&mut SimRng>> = match anneal_fn {
+            Some(_) => vec![Some(&mut self.anneal_rng)],
+            None => (0..self.params.threads.clamp(1, owned.len().max(1)))
+                .map(|_| None)
+                .collect(),
+        };
+        let (params, rng, obs) = (&self.params, &self.rng, self.obs);
+        let evolved = steal_map(&mut slots, owned.len(), |anneal_rng, k| {
+            let anneal = anneal_fn.zip(anneal_rng.as_deref_mut());
+            Self::evolve_island(params, rng, start + k, &owned[k], anneal, obs)
+        });
+        for (pop, next) in owned.iter_mut().zip(evolved) {
+            *pop = next;
         }
     }
 
@@ -834,9 +859,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             }
             {
                 let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
-                for island in 0..self.islands.len() {
-                    self.evolve_island(island);
-                }
+                self.evolve_range(0, self.islands.len());
                 if self.params.migration_interval > 0
                     && (generation + 1).is_multiple_of(self.params.migration_interval)
                 {
@@ -974,9 +997,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// Evolves islands `start..end` into their next generation.
     pub fn shard_evolve(&mut self, start: usize, end: usize) {
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
-        for island in start..end {
-            self.evolve_island(island);
-        }
+        self.evolve_range(start, end);
     }
 
     /// Sorts the owned islands and clones out each one's migration
@@ -1025,7 +1046,7 @@ mod tests {
 
     /// A toy genome (a vector of numbers) and evaluator (score = sum) that
     /// exercise the GA machinery without running network simulations.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
     struct ToyGenome(Vec<f64>);
 
     impl Genome for ToyGenome {
@@ -1151,7 +1172,7 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         // Thread count must not affect the result (evaluation is pure and
-        // result application is re-ordered canonically).
+        // results are placed by index).
         assert_eq!(run(1), run(4));
     }
 
@@ -1159,7 +1180,7 @@ mod tests {
     fn evaluation_order_is_identical_for_any_thread_count() {
         // A score plateau makes tie-breaking visible: many individuals share
         // the top score, so *which* genome is reported as best depends on
-        // comparison order. With canonical result ordering, threads=1 and
+        // comparison order. With results placed by index, threads=1 and
         // threads=4 must agree on the exact best genome, not just the score.
         #[derive(Clone, Debug, PartialEq)]
         struct TieGenome(u64);
@@ -1210,6 +1231,200 @@ mod tests {
             );
             assert_eq!(single.1, multi.1);
             assert_eq!(single.2, multi.2);
+        }
+    }
+
+    #[test]
+    fn stolen_work_runs_exactly_once_and_returns_in_index_order() {
+        // The first half of the items costs 20x the second, so a static
+        // split would leave late workers idle; whatever the schedule, every
+        // index is claimed exactly once and results come back in order.
+        let n = 64usize;
+        for workers in [1usize, 2, 3, 8] {
+            let visits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let mut per_worker = vec![0usize; workers];
+            let out = steal_map(&mut per_worker, n, |count, k| {
+                *count += 1;
+                visits[k].fetch_add(1, Ordering::Relaxed);
+                let spins = if k < n / 2 { 20_000u64 } else { 1_000 };
+                let spun = (0..spins).fold(k as u64, |acc, x| {
+                    std::hint::black_box(acc.wrapping_mul(31).wrapping_add(x))
+                });
+                (k, spun)
+            });
+            assert!(out.iter().map(|&(k, _)| k).eq(0..n), "{workers} workers");
+            assert!(visits.iter().all(|v| v.load(Ordering::Relaxed) == 1));
+            assert_eq!(per_worker.iter().sum::<usize>(), n, "{per_worker:?}");
+        }
+        assert!(steal_map(&mut [(); 3], 0, |_, k| k).is_empty());
+    }
+
+    /// Scores by sum and panics on a genome-keyed subset (first gene
+    /// negative), dirtying the scratch first. Counts how often a worker
+    /// handed it a cold scratch and whether a dirtied one ever came back.
+    #[derive(Default)]
+    struct ScratchProbe {
+        calls: AtomicU64,
+        cold: AtomicU64,
+        poisoned: AtomicU64,
+    }
+    const POISON_CAPACITY: usize = 4096;
+    impl Evaluator<ToyGenome> for ScratchProbe {
+        fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
+            self.evaluate_reusing(genome, &mut EvalScratch::new())
+        }
+        fn evaluate_reusing(&self, genome: &ToyGenome, scratch: &mut EvalScratch) -> EvalOutcome {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            let mut buf = scratch.sim.take_time_buf();
+            match buf.capacity() {
+                0 => self.cold.fetch_add(1, Ordering::Relaxed),
+                POISON_CAPACITY.. => self.poisoned.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            };
+            if genome.0[0] < 0.0 {
+                scratch
+                    .sim
+                    .recycle_time_buf(Vec::with_capacity(POISON_CAPACITY));
+                panic!("simulated evaluator crash on negative gene");
+            }
+            buf.reserve(8);
+            scratch.sim.recycle_time_buf(buf);
+            EvalOutcome {
+                score: genome.0.iter().sum(),
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_are_identical_for_any_thread_count() {
+        // The full resumable state after three generations (two evolutions,
+        // one migration), as JSON, for every kind of campaign the pool
+        // serves: plain, with a genome-keyed subset of evaluations panicking,
+        // and annealed (the serial evolve path).
+        let run = |case: &str, threads: usize| {
+            let mut params = quick_params();
+            params.generations = 3;
+            params.migration_interval = 2;
+            params.threads = threads;
+            params.anneal = case == "annealed";
+            let init = |rng: &mut SimRng| {
+                ToyGenome((0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect())
+            };
+            let probe = ScratchProbe::default();
+            let mut snapshot = if case == "panicking" {
+                let mut fuzzer = Fuzzer::new(params, &probe, init);
+                fuzzer.run();
+                fuzzer.snapshot()
+            } else {
+                let mut fuzzer = Fuzzer::new(params, &ToyEvaluator, init).with_annealing(Box::new(
+                    |genome: &ToyGenome, rng: &mut SimRng| {
+                        ToyGenome(genome.0.iter().map(|x| x + rng.next_f64()).collect())
+                    },
+                ));
+                fuzzer.run();
+                fuzzer.snapshot()
+            };
+            if case == "panicking" {
+                let keys: Vec<_> = snapshot
+                    .panics
+                    .iter()
+                    .map(|p| (p.generation, p.island, p.index))
+                    .collect();
+                assert!(!keys.is_empty(), "some evaluations must have panicked");
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "canonical: {keys:?}");
+                // Every evaluation ran once; a worker's scratch stays warm
+                // through a pass and is replaced only after a panic.
+                let cold = probe.cold.load(Ordering::Relaxed);
+                let passes = params.generations as usize;
+                assert_eq!(
+                    probe.calls.load(Ordering::Relaxed),
+                    snapshot.evaluations as u64
+                );
+                assert_eq!(probe.poisoned.load(Ordering::Relaxed), 0);
+                assert!(cold >= passes as u64, "a scratch outlived its pass");
+                assert!(cold <= (passes * threads + keys.len()) as u64);
+            }
+            // `threads` itself is recorded in the snapshot; nothing else may
+            // depend on it.
+            snapshot.params.threads = 0;
+            serde_json::to_string(&snapshot).unwrap()
+        };
+        let mut baselines = Vec::new();
+        for case in ["plain", "panicking", "annealed"] {
+            let single = run(case, 1);
+            for threads in [2, 3, 8] {
+                assert!(single == run(case, threads), "{case} at {threads} threads");
+            }
+            baselines.push(single);
+        }
+        assert_ne!(
+            baselines[0], baselines[2],
+            "the annealing hook must have run"
+        );
+    }
+
+    #[test]
+    fn skewed_evaluation_cost_still_evaluates_everyone_once() {
+        // Individuals are numbered as drawn; the first half of `pending`
+        // costs 20x the second.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Numbered(usize);
+        impl Genome for Numbered {
+            fn mutate(&self, _rng: &mut SimRng) -> Self {
+                self.clone()
+            }
+            fn crossover(&self, _other: &Self, _rng: &mut SimRng) -> Option<Self> {
+                None
+            }
+            fn packet_count(&self) -> usize {
+                0
+            }
+            fn validate(&self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        struct Skewed(Vec<AtomicU64>);
+        impl Evaluator<Numbered> for Skewed {
+            fn evaluate(&self, genome: &Numbered) -> EvalOutcome {
+                self.0[genome.0].fetch_add(1, Ordering::Relaxed);
+                let spins = if genome.0 < self.0.len() / 2 {
+                    20_000u64
+                } else {
+                    1_000
+                };
+                let score = (0..spins).fold(0u64, |acc, x| std::hint::black_box(acc ^ x));
+                EvalOutcome {
+                    score: score as f64,
+                    ..Default::default()
+                }
+            }
+        }
+        for threads in [1usize, 2, 3, 8] {
+            let mut params = quick_params();
+            params.generations = 1;
+            params.threads = threads;
+            let evaluator = Skewed(
+                (0..params.total_population())
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+            );
+            let mut drawn = 0usize;
+            let mut fuzzer = Fuzzer::new(params, &evaluator, |_rng| {
+                drawn += 1;
+                Numbered(drawn - 1)
+            });
+            let result = fuzzer.run();
+            assert_eq!(result.total_evaluations, params.total_population());
+            let calls: Vec<u64> = evaluator
+                .0
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect();
+            assert!(
+                calls.iter().all(|&c| c == 1),
+                "{threads} threads: {calls:?}"
+            );
         }
     }
 
@@ -1332,22 +1547,6 @@ mod tests {
         assert_eq!(r.total_evaluations, control.total_evaluations);
     }
 
-    /// Panics on genomes whose first gene is negative (mutation drifts some
-    /// there); scores the rest by sum.
-    struct FaultyEvaluator;
-    impl Evaluator<ToyGenome> for FaultyEvaluator {
-        fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
-            assert!(
-                genome.0.first().copied().unwrap_or(0.0) >= 0.0,
-                "simulated evaluator crash on negative gene"
-            );
-            EvalOutcome {
-                score: genome.0.iter().sum(),
-                ..Default::default()
-            }
-        }
-    }
-
     #[test]
     fn evaluation_panics_are_isolated_and_logged() {
         struct AlwaysPanics;
@@ -1406,7 +1605,7 @@ mod tests {
         // A run where *some* evaluations panic must still be deterministic
         // and resumable: panicked individuals score the default outcome and
         // selection proceeds.
-        let evaluator = FaultyEvaluator;
+        let evaluator = ScratchProbe::default();
         let mut params = quick_params();
         params.generations = 8;
         let init =

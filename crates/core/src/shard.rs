@@ -609,22 +609,18 @@ mod tests {
         assert_eq!(stop, StopReason::Completed);
         let expected_snapshot = control.snapshot();
 
-        for n_workers in 1..=4usize {
-            let (result, snapshot) = run_sharded(params, &evaluator, toy_init, n_workers);
-            assert_eq!(
-                result.best_genome, expected.best_genome,
-                "best genome diverged at {n_workers} workers"
-            );
+        // Any island split, each worker's pool at any thread count: the
+        // ranged evaluate / evolve passes add up to the whole-population one.
+        for (n_workers, threads) in (1..=4usize).flat_map(|w| [1, 2, 3, 8].map(|t| (w, t))) {
+            let at = format!("at {n_workers} workers x {threads} threads");
+            let sharded = GaParams { threads, ..params };
+            let (result, mut snapshot) = run_sharded(sharded, &evaluator, toy_init, n_workers);
+            assert_eq!(result.best_genome, expected.best_genome, "{at}");
             assert_eq!(result.best_outcome, expected.best_outcome);
-            assert_eq!(
-                result.history, expected.history,
-                "history diverged at {n_workers} workers"
-            );
+            assert_eq!(result.history, expected.history, "{at}");
             assert_eq!(result.total_evaluations, expected.total_evaluations);
-            assert_eq!(
-                snapshot, expected_snapshot,
-                "assembled snapshot diverged at {n_workers} workers"
-            );
+            snapshot.params.threads = params.threads;
+            assert_eq!(snapshot, expected_snapshot, "{at}");
         }
     }
 

@@ -1,0 +1,138 @@
+//! Thread-count invariance of real campaigns, one test per hunt mode.
+//!
+//! The evaluation pool hands individuals (and, for non-annealed campaigns,
+//! islands) to whichever worker is free, so *which* thread simulates what
+//! differs run to run. Nothing observable may: the complete resumable state
+//! after three generations, serialized exactly as a checkpoint would be, has
+//! to be byte-identical for 1, 2, 3 and 8 threads. `GaParams::threads` is
+//! the one field of that state that names the thread count, so it is
+//! blanked before comparing.
+
+use ccfuzz_cca::CcaKind;
+use ccfuzz_core::campaign::{Campaign, FuzzMode};
+use ccfuzz_core::checkpoint::CampaignControl;
+use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
+use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_netsim::time::SimDuration;
+
+/// Three generations over three islands: two evolutions and one migration.
+fn small_ga(seed: u64, anneal: bool) -> GaParams {
+    GaParams {
+        islands: 3,
+        population_per_island: 4,
+        generations: 3,
+        migration_interval: 2,
+        anneal,
+        seed,
+        ..GaParams::quick()
+    }
+}
+
+/// Runs the campaign to completion and returns its final snapshot as JSON.
+struct FinalState(Campaign);
+
+impl ModeVisitor for FinalState {
+    type Out = String;
+
+    fn visit<G: ModeGenome>(self) -> String {
+        let run = self
+            .0
+            .run_controlled::<G>(None, CampaignControl::default())
+            .expect("campaign starts");
+        let mut snapshot = run.final_snapshot;
+        assert_eq!(snapshot.next_generation, 3);
+        snapshot.params.threads = 0;
+        serde_json::to_string(&G::wrap_snapshot(snapshot)).expect("snapshot serializes")
+    }
+}
+
+fn assert_thread_invariant(campaign: Campaign) {
+    let state = |threads: usize| {
+        let mut campaign = campaign.clone();
+        campaign.ga.threads = threads;
+        dispatch(campaign.mode, FinalState(campaign))
+    };
+    let single = state(1);
+    for threads in [2, 3, 8] {
+        assert!(
+            single == state(threads),
+            "{} campaign state differs between 1 and {threads} threads",
+            campaign.mode.name()
+        );
+    }
+}
+
+const SIM: SimDuration = SimDuration::from_secs(2);
+
+#[test]
+fn link_campaign_with_annealing_is_thread_invariant() {
+    // Annealed: evolution stays serial (one sequential annealing stream)
+    // while evaluation still steals.
+    assert_thread_invariant(Campaign::paper_standard(
+        FuzzMode::Link,
+        CcaKind::Bbr,
+        SIM,
+        small_ga(3, true),
+    ));
+}
+
+#[test]
+fn link_campaign_without_annealing_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_standard(
+        FuzzMode::Link,
+        CcaKind::Bbr,
+        SIM,
+        small_ga(3, false),
+    ));
+}
+
+#[test]
+fn traffic_campaign_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_standard(
+        FuzzMode::Traffic,
+        CcaKind::Reno,
+        SIM,
+        small_ga(5, false),
+    ));
+}
+
+#[test]
+fn fairness_campaign_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_fairness(
+        vec![CcaKind::Bbr, CcaKind::Reno, CcaKind::Cubic],
+        SIM,
+        small_ga(7, false),
+    ));
+}
+
+#[test]
+fn aqm_campaign_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_aqm(
+        CcaKind::Cubic,
+        SIM,
+        small_ga(11, false),
+        QdiscChoice::Any,
+    ));
+}
+
+#[test]
+fn topology_campaign_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_topology(
+        CcaKind::Reno,
+        3,
+        SIM,
+        small_ga(13, false),
+    ));
+}
+
+#[test]
+fn workload_campaign_is_thread_invariant() {
+    assert_thread_invariant(Campaign::paper_workload(
+        CcaKind::Reno,
+        vec![CcaKind::Reno, CcaKind::Cubic],
+        2,
+        SIM,
+        small_ga(17, false),
+    ));
+}

@@ -68,7 +68,9 @@ impl WorkerCheckpoint {
     pub fn write_into(&self, dir: &Path) -> Result<u64, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating checkpoint dir {}: {e}", dir.display()))?;
-        let json = serde_json::to_string_pretty(self).map_err(|e| e.to_string())?;
+        // Compact: only `load` ever reads this file, and it is pruned two
+        // boundaries later.
+        let json = serde_json::to_string(self).map_err(|e| e.to_string())?;
         let path = dir.join(Self::file_name(self.worker, self.generation));
         let bytes = write_atomic(&path, (json + "\n").as_bytes())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;

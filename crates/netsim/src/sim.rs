@@ -241,8 +241,8 @@ impl FlowSlab {
 /// happens behind this trait: [`Simulation::install_arrivals`] (which does
 /// require `C: Clone`) boxes a prototype pool once per scratch lifetime and
 /// refills it in place on later installs, keeping warm evaluations off the
-/// allocator.
-trait CcSource<C> {
+/// allocator. `Send`, so a warm scratch can be lent to a pool worker.
+trait CcSource<C>: Send {
     /// Number of prototypes to pick between.
     fn count(&self) -> usize;
     /// Builds a fresh controller from prototype `pick`.

@@ -9,6 +9,38 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
+/// Splits `x` into the saturating cast `x as u64` and, where that cast
+/// truncated, the exact remainder. Every finite `f64` from 2^52 up is an
+/// integer, and below it `x - trunc(x)` is representable; NaN, negative and
+/// overflowing inputs keep the cast's result (0, 0, `u64::MAX`) with a
+/// remainder that never rounds up.
+#[inline]
+fn split_u64(x: f64) -> (u64, f64) {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    let whole = x as u64;
+    if x < TWO_POW_52 {
+        (whole, x - whole as f64)
+    } else {
+        (whole, 0.0)
+    }
+}
+
+/// `x.round() as u64`, bit for bit on every input. On baseline x86-64 (no
+/// SSE4.1) `f64::round` is a call into libm, and the simulator converts
+/// float seconds to nanoseconds several times per ACK.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let (whole, rest) = split_u64(x);
+    whole + u64::from(rest >= 0.5)
+}
+
+/// `x.ceil() as u64`, bit for bit on every input (see [`round_to_u64`]).
+#[inline]
+pub fn ceil_to_u64(x: f64) -> u64 {
+    let (whole, rest) = split_u64(x);
+    whole + u64::from(rest > 0.0)
+}
+
 /// An instant in simulated time (nanoseconds since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(u64);
@@ -42,11 +74,7 @@ impl SimTime {
     ///
     /// Negative values saturate to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimTime(0)
-        } else {
-            SimTime((secs * 1e9).round() as u64)
-        }
+        SimTime(round_to_u64(secs * 1e9))
     }
 
     /// Nanoseconds since simulation start.
@@ -110,11 +138,7 @@ impl SimDuration {
     ///
     /// Negative values saturate to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((secs * 1e9).round() as u64)
-        }
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Nanoseconds in this duration.
@@ -150,11 +174,7 @@ impl SimDuration {
     /// Multiplies the duration by a float factor (used for RTO backoff and
     /// smoothing). Negative factors clamp to zero.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        if factor <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((self.0 as f64 * factor).round() as u64)
-        }
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Integer division of the duration. Unlike `std::ops::Div`, a zero

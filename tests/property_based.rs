@@ -8,7 +8,7 @@ use cc_fuzz::fuzz::trace_gen::{dist_packets, DistPacketsParams};
 use cc_fuzz::netsim::packet::DataPacket;
 use cc_fuzz::netsim::queue::{DropTailQueue, QueueCapacity};
 use cc_fuzz::netsim::rng::SimRng;
-use cc_fuzz::netsim::time::{SimDuration, SimTime};
+use cc_fuzz::netsim::time::{ceil_to_u64, round_to_u64, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -332,6 +332,34 @@ fn env_cases(default: u32) -> ProptestConfig {
         .and_then(|v| v.parse().ok())
         .unwrap_or(default);
     ProptestConfig::with_cases(n)
+}
+
+proptest! {
+    // Pure arithmetic: thousands of cases cost milliseconds.
+    #![proptest_config(env_cases(4096))]
+
+    #[test]
+    fn inline_round_and_ceil_match_libm_bit_for_bit(
+        bits in any::<u64>(),
+        whole in 0u64..(1 << 54),
+        frac in 0.0f64..1.0,
+    ) {
+        const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+        let edges = [
+            0.0, -0.0, 0.49999999999999994, 0.5, 1.5, 2.5, 1e9 + 0.5, TWO_POW_52 - 1.5,
+            TWO_POW_52 - 1.0, TWO_POW_52 - 0.5, TWO_POW_52, TWO_POW_52 + 1.0,
+            2.0 * TWO_POW_52, 18_446_744_073_709_551_616.0, 1e300, f64::MIN_POSITIVE,
+            f64::from_bits(1), f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.3, -0.5, -1.5, -1e300,
+        ];
+        // Random bit patterns reach every exponent, NaNs and subnormals; the
+        // ranged values crowd the interesting band around and below 2^52.
+        let w = whole as f64;
+        let random = [f64::from_bits(bits), w + frac, w + 0.5, (w + frac) / 1024.0, -(w + frac)];
+        for x in edges.into_iter().chain(random) {
+            prop_assert_eq!(round_to_u64(x), x.round() as u64, "round({:e})", x);
+            prop_assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil({:e})", x);
+        }
+    }
 }
 
 proptest! {
