@@ -16,6 +16,8 @@
 use crate::table::text_table;
 use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::simtrace::{SimTrace, TraceEvent};
+use ccfuzz_netsim::workload::{dyn_generation, dyn_slot, is_dynamic};
+use std::collections::BTreeSet;
 
 /// Default number of time buckets in a timeline table.
 pub const DEFAULT_TIMELINE_BUCKETS: usize = 20;
@@ -27,29 +29,44 @@ fn flow_label(flow: FlowId) -> String {
     }
 }
 
-/// Number of CCA flows observed in the trace (max flow index + 1).
-pub fn flow_count(trace: &SimTrace) -> usize {
-    let mut max: Option<u32> = None;
-    let mut seen = |f: u32| max = Some(max.map_or(f, |m: u32| m.max(f)));
+/// The CCA flows that appear in the trace, each once: static flow indices
+/// in ascending order, then the dynamic (workload-mode) flows by handle. A
+/// dynamic handle is a tagged slab reference, not an index — see
+/// [`flow_name`].
+pub fn flows(trace: &SimTrace) -> Vec<u32> {
+    let mut seen = BTreeSet::new();
     for r in &trace.events {
         match r.event {
             TraceEvent::FlowStart { flow }
             | TraceEvent::CwndUpdate { flow, .. }
             | TraceEvent::RecoveryEnter { flow }
             | TraceEvent::RecoveryExit { flow }
-            | TraceEvent::RtoFired { flow } => seen(flow),
-            TraceEvent::Drop {
+            | TraceEvent::RtoFired { flow }
+            | TraceEvent::Drop {
                 flow: FlowId::Cca(flow),
                 ..
             }
             | TraceEvent::EcnMark {
                 flow: FlowId::Cca(flow),
                 ..
-            } => seen(flow),
+            } => {
+                seen.insert(flow);
+            }
             _ => {}
         }
     }
-    max.map_or(0, |m| m as usize + 1)
+    // Dynamic handles carry the top bit, so they sort after every index.
+    seen.into_iter().collect()
+}
+
+/// How a flow is called in rendered output: a static flow by its index, a
+/// dynamic one as `dyn slot/generation` of the slab entry it occupied.
+pub fn flow_name(flow: u32) -> String {
+    if is_dynamic(flow) {
+        format!("dyn {}/{}", dyn_slot(flow), dyn_generation(flow))
+    } else {
+        flow.to_string()
+    }
 }
 
 /// Number of hops observed in the trace (max hop index + 1).
@@ -359,6 +376,7 @@ mod tests {
     use super::*;
     use ccfuzz_netsim::simtrace::{TraceRecord, TraceRecorder};
     use ccfuzz_netsim::time::SimTime;
+    use ccfuzz_netsim::workload::dyn_handle;
 
     fn sample_trace() -> SimTrace {
         let mut rec = TraceRecorder::new(64, 2);
@@ -403,9 +421,39 @@ mod tests {
     #[test]
     fn counts_flows_and_hops() {
         let trace = sample_trace();
-        assert_eq!(flow_count(&trace), 2);
+        assert_eq!(flows(&trace), [0, 1]);
         assert_eq!(hop_count(&trace), 2);
-        assert_eq!(flow_count(&SimTrace::default()), 0);
+        assert!(flows(&SimTrace::default()).is_empty());
+    }
+
+    #[test]
+    fn dynamic_handles_are_flows_not_a_flow_count() {
+        // Workload mode tags a flow as slab slot + generation; read as an
+        // index, this handle alone would claim over two billion flows.
+        let handle = dyn_handle(13, 2);
+        let mut rec = TraceRecorder::new(16, 2);
+        rec.push(SimTime::ZERO, TraceEvent::FlowStart { flow: 1 });
+        rec.push(SimTime::ZERO, TraceEvent::FlowStart { flow: handle });
+        rec.push(
+            SimTime::from_millis(10),
+            TraceEvent::CwndUpdate {
+                flow: handle,
+                cwnd: 10,
+                in_flight: 0,
+            },
+        );
+        rec.push(
+            SimTime::from_millis(20),
+            TraceEvent::Drop {
+                flow: FlowId::Cca(handle),
+                hop: 0,
+            },
+        );
+        let trace = rec.finish();
+        assert_eq!(flows(&trace), [1, handle]);
+        assert_eq!(flow_name(1), "1");
+        assert_eq!(flow_name(handle), "dyn 13/2");
+        assert_eq!(flow_timeline(&trace, handle, 2)[1].drops, 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::genome::{LinkGenome, TrafficGenome};
 use crate::mode::{served_names, ModeGenome};
 use crate::scenario::{QdiscChoice, ScenarioGenome};
 use crate::scoring::ScoringConfig;
+use crate::shard::run_lanes;
 use crate::trace_gen::packets_for_rate;
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::CcaKind;
@@ -288,19 +289,18 @@ impl Campaign {
             .on_checkpoint
             .take()
             .map(|sink| move |snapshot: FuzzerSnapshot<G>| sink(G::wrap_snapshot(snapshot)));
-        let (result, stop) = fuzzer.run_controlled(&mut RunControl {
-            shutdown: ctl.shutdown,
-            checkpoint_every: ctl.checkpoint_every,
-            on_checkpoint: forward
-                .as_mut()
-                .map(|f| f as &mut dyn FnMut(FuzzerSnapshot<G>)),
-            panic_budget: ctl.panic_budget,
-        });
-        Ok(ControlledRun {
-            result,
-            stop,
-            final_snapshot: fuzzer.snapshot(),
-        })
+        // The same loop a fleet runs, over one in-process lane.
+        run_lanes(
+            std::slice::from_mut(&mut fuzzer),
+            &mut RunControl {
+                shutdown: ctl.shutdown,
+                checkpoint_every: ctl.checkpoint_every,
+                on_checkpoint: forward
+                    .as_mut()
+                    .map(|f| f as &mut dyn FnMut(FuzzerSnapshot<G>)),
+                panic_budget: ctl.panic_budget,
+            },
+        )
     }
 
     /// Builds this campaign's fuzzer over genome type `G` — fresh from the

@@ -16,7 +16,7 @@
 use crate::evaluate::{EvalOutcome, EvalScratch, Evaluator};
 use crate::genome::Genome;
 use crate::selection::{pick_pair, pick_ranked};
-use crate::shard::{migration_k, MigrantBatch, ShardReport, TopStat};
+use crate::shard::{migration_k, run_lanes, MigrantBatch, ShardCoordinator, ShardReport, TopStat};
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
@@ -519,11 +519,6 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         &self.params
     }
 
-    /// Evaluates every not-yet-scored individual, in parallel.
-    fn evaluate_pending(&mut self) {
-        self.evaluate_pending_range(0, self.islands.len());
-    }
-
     /// Evaluates every not-yet-scored individual of islands `start..end`, in
     /// parallel. Island indices stay global, so results, panic records and
     /// telemetry are identical whether a range is evaluated by its owning
@@ -607,52 +602,16 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
     }
 
-    fn sort_island(pop: &mut [Individual<G>]) {
-        pop.sort_by(|a, b| {
-            let sa = a.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            let sb = b.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
+    /// The campaign's one ranking: score descending, unevaluated last,
+    /// incomparable (NaN) scores tying. Every sort using it is stable.
+    fn by_score_desc(a: &Individual<G>, b: &Individual<G>) -> std::cmp::Ordering {
+        let sa = a.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
+        let sb = b.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
+        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
     }
 
-    fn summarize(&self, generation: u32) -> GenerationSummary {
-        let mut all: Vec<&Individual<G>> = self.islands.iter().flatten().collect();
-        all.sort_by(|a, b| {
-            let sa = a.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            let sb = b.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let scores: Vec<f64> = all
-            .iter()
-            .filter_map(|i| i.outcome.map(|o| o.score))
-            .collect();
-        let k = self.params.report_top_k.clamp(1, all.len());
-        let top_k: Vec<&EvalOutcome> = all[..k].iter().filter_map(|i| i.outcome.as_ref()).collect();
-        let mean = |values: &[f64]| {
-            if values.is_empty() {
-                0.0
-            } else {
-                values.iter().sum::<f64>() / values.len() as f64
-            }
-        };
-        GenerationSummary {
-            generation,
-            best_score: scores.first().copied().unwrap_or(0.0),
-            mean_score: mean(&scores),
-            top_k_mean_delivered: mean(
-                &top_k
-                    .iter()
-                    .map(|o| o.delivered_packets as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            top_k_mean_sent: mean(
-                &top_k
-                    .iter()
-                    .map(|o| o.sent_packets as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            evaluations: self.evaluations,
-        }
+    fn sort_island(pop: &mut [Individual<G>]) {
+        pop.sort_by(Self::by_score_desc);
     }
 
     /// Builds the next generation of one island, already sorted best-first
@@ -746,49 +705,6 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
     }
 
-    /// Ring migration: each island sends its best `migration_fraction` to the
-    /// next island, replacing that island's worst individuals.
-    fn migrate(&mut self) {
-        let n_islands = self.islands.len();
-        if n_islands < 2 {
-            return;
-        }
-        let k = migration_k(&self.params);
-        for pop in &mut self.islands {
-            Self::sort_island(pop);
-        }
-        // Collect migrants first so migration is simultaneous, not cascading.
-        let migrants: Vec<Vec<Individual<G>>> = self
-            .islands
-            .iter()
-            .map(|pop| pop.iter().take(k).cloned().collect())
-            .collect();
-        for (i, migrant_group) in migrants.into_iter().enumerate() {
-            let dst = (i + 1) % n_islands;
-            let pop = &mut self.islands[dst];
-            let len = pop.len();
-            for (offset, migrant) in migrant_group.into_iter().enumerate() {
-                let idx = len - 1 - offset;
-                pop[idx] = migrant;
-            }
-        }
-        if let Some(obs) = self.obs {
-            obs.metrics.operators.migrant.add((n_islands * k) as u64);
-        }
-    }
-
-    /// Best evaluated score of each island, in island order.
-    fn island_best_scores(&self) -> Vec<f64> {
-        self.islands
-            .iter()
-            .map(|pop| {
-                pop.iter()
-                    .filter_map(|ind| ind.outcome.map(|o| o.score))
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
-    }
-
     /// Runs the campaign and returns the best trace plus per-generation history.
     pub fn run(&mut self) -> FuzzResult<G> {
         self.run_controlled(&mut RunControl::default()).0
@@ -800,117 +716,51 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// evolution + migration), which is exactly the state a
     /// [`FuzzerSnapshot`] captures — so every early stop is resumable and a
     /// resumed run replays the uninterrupted trajectory bit-for-bit.
+    ///
+    /// This is [`crate::shard::drive`] with the whole population as its one
+    /// in-process lane; the fuzzer itself only evaluates and evolves.
     pub fn run_controlled(&mut self, ctl: &mut RunControl<'_, G>) -> (FuzzResult<G>, StopReason) {
-        let mut stop = StopReason::Completed;
-        loop {
-            let generation = self.next_generation;
-            if generation >= self.params.generations {
-                break;
-            }
-            {
-                let _timer = self.obs.map(|o| o.profiler.scope(Phase::Evaluate));
-                self.evaluate_pending();
-            }
-
-            // Track the global best.
-            let _timer = self.obs.map(|o| o.profiler.scope(Phase::Select));
-            let mut improved = false;
-            for ind in self.islands.iter().flatten() {
-                if let Some(outcome) = ind.outcome {
-                    if self
-                        .best
-                        .as_ref()
-                        .map(|(_, b)| outcome.score > b.score)
-                        .unwrap_or(true)
-                    {
-                        self.best = Some((ind.genome.clone(), outcome));
-                        improved = true;
-                    }
-                }
-            }
-            let summary = self.summarize(generation);
-            self.history.push(summary);
-            if let Some(obs) = self.obs {
-                obs.observe_generation(
-                    generation,
-                    self.best.as_ref().map(|(_, b)| b.score).unwrap_or(0.0),
-                    summary.mean_score,
-                    self.island_best_scores(),
-                );
-            }
-            drop(_timer);
-
-            if improved {
-                self.stall = 0;
-            } else {
-                self.stall += 1;
-                if let Some(limit) = self.params.stall_generations {
-                    if self.stall >= limit {
-                        self.next_generation = generation + 1;
-                        break;
-                    }
-                }
-            }
-
-            // Last generation: don't bother producing offspring.
-            if generation + 1 == self.params.generations {
-                self.next_generation = generation + 1;
-                break;
-            }
-            {
-                let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
-                self.evolve_range(0, self.islands.len());
-                if self.params.migration_interval > 0
-                    && (generation + 1).is_multiple_of(self.params.migration_interval)
-                {
-                    self.migrate();
-                }
-            }
-            // Generation boundary: the resumable state a snapshot captures.
-            self.next_generation = generation + 1;
-            if ctl.checkpoint_every > 0 && self.next_generation.is_multiple_of(ctl.checkpoint_every)
-            {
-                if let Some(on_checkpoint) = ctl.on_checkpoint.as_deref_mut() {
-                    on_checkpoint(self.snapshot());
-                }
-            }
-            if let Some(flag) = ctl.shutdown {
-                if flag.load(Ordering::SeqCst) {
-                    stop = StopReason::Interrupted;
-                    break;
-                }
-            }
-            if let Some(budget) = ctl.panic_budget {
-                if self.panic_log.len() as u64 > budget {
-                    stop = StopReason::PanicBudgetExhausted;
-                    break;
-                }
-            }
-        }
-
-        let (best_genome, best_outcome) = self
-            .best
-            .clone()
-            .expect("at least one individual was evaluated");
-        (
-            FuzzResult {
-                best_genome,
-                best_outcome,
-                history: self.history.clone(),
-                total_evaluations: self.evaluations,
-            },
-            stop,
-        )
+        let run = run_lanes(std::slice::from_mut(self), ctl)
+            .expect("one in-process lane covers every island and evaluates at least once");
+        // The driver's coordinator advanced the cross-island state; take it
+        // back so `snapshot` keeps describing the whole campaign.
+        let end = run.final_snapshot;
+        self.stall = end.stall;
+        self.best = end.best_genome.zip(end.best_outcome);
+        self.history = end.history;
+        self.panic_log = end.panics;
+        (run.result, run.stop)
     }
 
-    // --- island-shard API (multi-process campaigns; see `crate::shard`) ---
+    /// The coordinator that continues this fuzzer's campaign: the
+    /// cross-island half of its state (the inverse of
+    /// [`ShardCoordinator::assemble_snapshot`], without copying islands).
+    pub fn coordinator(&self) -> ShardCoordinator<G> {
+        ShardCoordinator {
+            params: self.params,
+            evaluations: self.evaluations,
+            next_generation: self.next_generation,
+            stall: self.stall,
+            best: self.best.clone(),
+            history: self.history.clone(),
+            panics: self.panic_log.clone(),
+        }
+    }
+
+    /// The telemetry observer, if one is installed.
+    pub fn observer(&self) -> Option<&'a HuntTelemetry> {
+        self.obs
+    }
+
+    // --- island-shard API (the calls `crate::shard::drive` is built from) ---
     //
-    // A shard worker constructs the full fuzzer from the campaign seed but
-    // only ever advances islands `start..end`. Because island initialisation
-    // and evolution draw from pure per-island forks of the (static) master
-    // RNG, the owned islands follow exactly the trajectory they would in a
-    // single-process run; all cross-island state (best, stall, history,
-    // panic log) lives in the coordinator, fed by `ShardReport`s.
+    // A shard — an in-process lane or a worker process — holds the full
+    // fuzzer built from the campaign seed but only ever advances islands
+    // `start..end`; a single-process run is the shard `0..islands`. Because
+    // island initialisation and evolution draw from pure per-island forks of
+    // the (static) master RNG, the owned islands follow the same trajectory
+    // under any split; all cross-island state (best, stall, history, panic
+    // log) lives in the coordinator, fed by `ShardReport`s.
 
     /// The generation this fuzzer evaluates next.
     pub fn next_generation(&self) -> u32 {
@@ -941,8 +791,8 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Select));
         // Local best candidate: the first strict maximum in the owned
-        // flatten order, i.e. the same individual the single-process best
-        // scan would pick out of this slice.
+        // flatten order, so the coordinator's scan over reports in island
+        // order picks the first strict maximum of the whole population.
         let mut best: Option<(&G, EvalOutcome)> = None;
         for ind in self.islands[start..end].iter().flatten() {
             if let Some(outcome) = ind.outcome {
@@ -956,11 +806,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             }
         }
         let mut owned: Vec<&Individual<G>> = self.islands[start..end].iter().flatten().collect();
-        owned.sort_by(|a, b| {
-            let sa = a.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            let sb = b.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        owned.sort_by(|a, b| Self::by_score_desc(a, b));
         let stats = owned
             .iter()
             .filter_map(|ind| ind.outcome.as_ref())
@@ -1001,11 +847,13 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     }
 
     /// Sorts the owned islands and clones out each one's migration
-    /// contingent, exactly as the in-process ring migration would. Every
-    /// island is owned by exactly one worker, so after each worker runs
-    /// this, the whole population is sorted and a batch's destination slots
-    /// are its destination island's worst individuals.
+    /// contingent (collecting before anything is applied keeps the ring
+    /// simultaneous, not cascading). Every island is owned by exactly one
+    /// shard, so after each shard runs this, the whole population is sorted
+    /// and a batch's destination slots are its destination island's worst
+    /// individuals.
     pub fn shard_collect_migrants(&mut self, start: usize, end: usize) -> Vec<MigrantBatch<G>> {
+        let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
         let k = migration_k(&self.params);
         (start..end)
             .map(|island| {
@@ -1020,9 +868,25 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 
     /// Installs inbound migrants into the ring destination of each batch's
     /// source island, replacing that island's worst individuals (the owned
-    /// islands were sorted by [`Self::shard_collect_migrants`]).
-    pub fn shard_apply_migrants(&mut self, batches: Vec<MigrantBatch<G>>) {
+    /// islands were sorted by [`Self::shard_collect_migrants`]). Batches
+    /// arrive over the wire in a fleet: one naming an island that does not
+    /// exist, or not holding exactly [`migration_k`] migrants, is rejected
+    /// before anything is installed.
+    pub fn shard_apply_migrants(&mut self, batches: Vec<MigrantBatch<G>>) -> Result<(), String> {
+        let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
         let n_islands = self.islands.len();
+        let k = migration_k(&self.params);
+        if let Some(bad) = batches
+            .iter()
+            .find(|b| b.src_island >= n_islands || b.migrants.len() != k)
+        {
+            return Err(format!(
+                "migrant batch from island {} with {} migrants: the campaign has {n_islands} \
+                 islands exchanging {k} each",
+                bad.src_island,
+                bad.migrants.len()
+            ));
+        }
         let mut applied = 0u64;
         for batch in batches {
             let dst = (batch.src_island + 1) % n_islands;
@@ -1036,6 +900,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         if let Some(obs) = self.obs {
             obs.metrics.operators.migrant.add(applied);
         }
+        Ok(())
     }
 }
 

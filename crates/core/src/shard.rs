@@ -1,40 +1,44 @@
-//! Island sharding for multi-process campaigns.
+//! The generation loop, and the island sharding it runs over.
 //!
-//! A distributed campaign splits the GA's islands across worker processes.
-//! Each worker constructs the *full* fuzzer from the campaign seed — island
-//! initialisation and evolution draw from pure per-island forks of the master
-//! RNG, so a worker that only ever advances its own contiguous island range
-//! reproduces exactly the per-island trajectories of a single-process run.
-//! The coordinator owns every piece of cross-island state (global best,
-//! stall counter, generation history, panic log) and rebuilds it from the
-//! [`ShardReport`] each worker sends after evaluating a generation.
+//! Every campaign — `ccfuzz hunt` in one process, a daemon hunt across
+//! worker processes — is [`drive`]n by the same loop over a
+//! [`ShardCoordinator`] and a [`Shards`] transport. A shard holds the *full*
+//! fuzzer built from the campaign seed but only ever advances its own
+//! contiguous island range: island initialisation and evolution draw from
+//! pure per-island forks of the master RNG, so the per-island trajectories
+//! are the same under any split. A single-process run is the one-shard case
+//! ([`Lanes`] over one fuzzer); a fleet puts each shard in a worker process
+//! (`ccfuzz_corpus::daemon`). The coordinator owns every piece of
+//! cross-island state (global best, stall counter, generation history,
+//! panic log) and rebuilds it from the [`ShardReport`] each shard sends
+//! after evaluating a generation.
 //!
-//! The merge is engineered to be *byte-identical* to the single-process
-//! bookkeeping, not merely equivalent:
+//! The merge does not depend on the split, byte for byte:
 //!
-//! * the global best scan walks reports in island order with the same
-//!   strict-`>` comparison, so ties resolve to the same individual;
-//! * each worker reports its individuals in locally-sorted order, and the
+//! * the global best scan walks reports in island order with a strict `>`,
+//!   so ties resolve to the first individual in flatten order;
+//! * each shard reports its individuals in locally-sorted order, and the
 //!   coordinator stable-merges those runs (earliest island range wins ties)
 //!   — a stable sort of a concatenation equals a stable merge of
-//!   stably-sorted parts, so the merged sequence *is* the single-process
-//!   sorted population and every mean is summed in the identical order;
-//! * panic records arrive pre-sorted per worker and are appended in island
-//!   order, matching the canonical (island, index) order of the log.
+//!   stably-sorted parts, so every mean is summed in the identical order;
+//! * panic records arrive pre-sorted per shard and are appended in island
+//!   order, the canonical (island, index) order of the log.
 //!
 //! The one sharding-visible deviation: annealing draws from one sequential
 //! RNG stream shared by all islands, so annealed campaigns are deterministic
-//! for a *fixed* worker count but only match the single-process trajectory
-//! at one worker. Non-annealed campaigns match at any worker count.
+//! for a *fixed* shard count but only match the one-shard trajectory at one
+//! shard. Non-annealed campaigns match at any shard count.
 
-use crate::evaluate::EvalOutcome;
+use crate::checkpoint::ControlledRun;
+use crate::evaluate::{EvalOutcome, Evaluator};
 use crate::fuzzer::{
-    FuzzResult, FuzzerSnapshot, GaParams, GenerationSummary, Individual, PanicRecord,
-    FUZZER_SNAPSHOT_SCHEMA,
+    FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, Individual, PanicRecord,
+    RunControl, StopReason, FUZZER_SNAPSHOT_SCHEMA,
 };
 use crate::genome::Genome;
-use ccfuzz_obs::OperatorSnapshot;
+use ccfuzz_obs::{HuntTelemetry, OperatorSnapshot, Phase};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Splits `n_islands` islands into at most `n_workers` contiguous,
 /// near-equal ranges, earlier ranges taking the remainder. Returns fewer
@@ -55,8 +59,7 @@ pub fn shard_ranges(n_islands: usize, n_workers: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Number of individuals each island contributes to a migration round —
-/// the same rounding and clamping the in-process ring migration applies.
+/// Number of individuals each island contributes to a migration round.
 pub fn migration_k(params: &GaParams) -> usize {
     ((params.population_per_island as f64 * params.migration_fraction).round() as usize)
         .clamp(1, params.population_per_island / 2 + 1)
@@ -111,6 +114,10 @@ pub struct MigrantBatch<G> {
     pub migrants: Vec<Individual<G>>,
 }
 
+/// One shard's final snapshot with the island range `start..end` it owns
+/// (the snapshot's other islands are the stale view it never advanced).
+pub type ShardFinal<G> = (usize, usize, FuzzerSnapshot<G>);
+
 /// What the fleet should do after a generation's reports were absorbed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GenerationOutcome {
@@ -138,21 +145,22 @@ pub struct AbsorbResult {
     pub next: GenerationOutcome,
 }
 
-/// The cross-island state of a distributed campaign. Mirrors the exact
-/// bookkeeping of `Fuzzer::run_controlled`, fed by [`ShardReport`]s instead
-/// of direct population access; see the module docs for the byte-identity
-/// argument. `Clone` supports checkpoint/rollback: the supervisor keeps the
-/// coordinator state captured at the last committed checkpoint and restores
-/// it when the fleet is respawned.
+/// The cross-island state of a campaign — the one implementation of the
+/// GA's per-generation bookkeeping (best scan, summary, stall rule,
+/// migration cadence), fed by [`ShardReport`]s; see the module docs for why
+/// the result does not depend on how the islands are split. `Clone` supports
+/// checkpoint/rollback: a fleet supervisor keeps the coordinator state
+/// captured at the last committed checkpoint and restores it when the fleet
+/// is respawned.
 #[derive(Clone, Debug)]
 pub struct ShardCoordinator<G> {
-    params: GaParams,
-    evaluations: usize,
-    next_generation: u32,
-    stall: u32,
-    best: Option<(G, EvalOutcome)>,
-    history: Vec<GenerationSummary>,
-    panics: Vec<PanicRecord<G>>,
+    pub(crate) params: GaParams,
+    pub(crate) evaluations: usize,
+    pub(crate) next_generation: u32,
+    pub(crate) stall: u32,
+    pub(crate) best: Option<(G, EvalOutcome)>,
+    pub(crate) history: Vec<GenerationSummary>,
+    pub(crate) panics: Vec<PanicRecord<G>>,
 }
 
 impl<G: Genome> ShardCoordinator<G> {
@@ -184,16 +192,6 @@ impl<G: Genome> ShardCoordinator<G> {
         self.evaluations
     }
 
-    /// Evaluation panics absorbed so far.
-    pub fn panic_count(&self) -> usize {
-        self.panics.len()
-    }
-
-    /// The panic records absorbed so far, in canonical order.
-    pub fn panics(&self) -> &[PanicRecord<G>] {
-        &self.panics
-    }
-
     /// Best score so far, if anything was evaluated.
     pub fn best_score(&self) -> Option<f64> {
         self.best.as_ref().map(|(_, o)| o.score)
@@ -204,14 +202,9 @@ impl<G: Genome> ShardCoordinator<G> {
         &self.history
     }
 
-    /// The campaign parameters.
-    pub fn params(&self) -> &GaParams {
-        &self.params
-    }
-
-    /// Merges one generation's shard reports and applies the single-process
-    /// loop's bookkeeping: best scan, summary + history, stall detection and
-    /// the end-of-campaign checks. Reports must arrive in island order and
+    /// Merges one generation's shard reports and applies the generation's
+    /// bookkeeping: best scan, summary + history, stall detection and the
+    /// end-of-campaign checks. Reports must arrive in island order and
     /// cover every island exactly once.
     pub fn absorb_reports(&mut self, reports: &[ShardReport<G>]) -> Result<AbsorbResult, String> {
         let generation = self.next_generation;
@@ -241,9 +234,9 @@ impl<G: Genome> ShardCoordinator<G> {
             ));
         }
 
-        // Global best scan: walking reports in island order with the same
-        // strict comparison the single-process scan uses keeps tie-breaks
-        // identical (first occurrence in flatten order wins).
+        // Global best scan: walking reports in island order with a strict
+        // comparison makes the first occurrence in flatten order win ties,
+        // however the islands are split.
         let mut improved = false;
         for report in reports {
             if let (Some(genome), Some(outcome)) = (&report.best_genome, &report.best_outcome) {
@@ -298,37 +291,29 @@ impl<G: Genome> ShardCoordinator<G> {
             self.stall = 0;
         } else {
             self.stall += 1;
-            if let Some(limit) = self.params.stall_generations {
-                if self.stall >= limit {
-                    self.next_generation = generation + 1;
-                    return Ok(AbsorbResult {
-                        summary,
-                        island_best,
-                        improved,
-                        next: GenerationOutcome::Completed,
-                    });
-                }
-            }
         }
-        if generation + 1 == self.params.generations {
+        let stalled = !improved
+            && self
+                .params
+                .stall_generations
+                .is_some_and(|limit| self.stall >= limit);
+        let next = if stalled || generation + 1 == self.params.generations {
+            // The campaign is over: no offspring, and the boundary advances
+            // here instead of in `finish_generation`.
             self.next_generation = generation + 1;
-            return Ok(AbsorbResult {
-                summary,
-                island_best,
-                improved,
-                next: GenerationOutcome::Completed,
-            });
-        }
-        // Single-process ring migration silently no-ops below two islands;
-        // the fleet skips the exchange round entirely in that case.
-        let migrate = self.params.islands >= 2
-            && self.params.migration_interval > 0
-            && (generation + 1).is_multiple_of(self.params.migration_interval);
+            GenerationOutcome::Completed
+        } else {
+            // A ring of one island has nobody to exchange with.
+            let migrate = self.params.islands >= 2
+                && self.params.migration_interval > 0
+                && (generation + 1).is_multiple_of(self.params.migration_interval);
+            GenerationOutcome::Evolve { migrate }
+        };
         Ok(AbsorbResult {
             summary,
             island_best,
             improved,
-            next: GenerationOutcome::Evolve { migrate },
+            next,
         })
     }
 
@@ -354,36 +339,37 @@ impl<G: Genome> ShardCoordinator<G> {
         })
     }
 
-    /// Stitches the workers' final snapshots and the coordinator's
-    /// cross-island state into the snapshot the single-process fuzzer would
-    /// have produced: every island comes from the worker that owns it, the
-    /// RNG streams come from the first worker (the master stream is static
-    /// after construction), and best/stall/history/panics come from the
-    /// coordinator. `finals` is `(start, end, snapshot)` per worker, in
-    /// island order, covering every island exactly once.
+    /// [`Self::assemble`] over borrowed finals.
+    pub fn assemble_snapshot(&self, finals: &[ShardFinal<G>]) -> Result<FuzzerSnapshot<G>, String> {
+        self.assemble(finals.to_vec())
+    }
+
+    /// Stitches the shards' final snapshots and the coordinator's
+    /// cross-island state into the campaign's one snapshot: every island is
+    /// moved out of the shard that owns it, the RNG streams come from the
+    /// first shard (the master stream is static after construction), and
+    /// best/stall/history/panics come from the coordinator. `finals` is in
+    /// island order and covers every island exactly once.
     ///
-    /// Caveat: with annealing and more than one worker, each worker advances
-    /// its own annealing stream, so no single worker holds the global
-    /// stream; the assembled `anneal_rng` is worker 0's view.
-    pub fn assemble_snapshot(
-        &self,
-        finals: &[(usize, usize, FuzzerSnapshot<G>)],
-    ) -> Result<FuzzerSnapshot<G>, String> {
+    /// Caveat: with annealing and more than one shard, each shard advances
+    /// its own annealing stream, so no single shard holds the global
+    /// stream; the assembled `anneal_rng` is shard 0's view.
+    pub fn assemble(&self, finals: Vec<ShardFinal<G>>) -> Result<FuzzerSnapshot<G>, String> {
         let mut covered = 0usize;
-        for &(start, end, ref snap) in finals {
-            if start != covered || end < start {
+        for (start, end, snap) in &finals {
+            if *start != covered || end < start {
                 return Err(format!(
                     "final snapshots do not tile the islands: range {start}..{end} after {covered}"
                 ));
             }
             if snap.islands.len() != self.params.islands {
                 return Err(format!(
-                    "worker snapshot has {} islands but the campaign has {}",
+                    "shard snapshot has {} islands but the campaign has {}",
                     snap.islands.len(),
                     self.params.islands
                 ));
             }
-            covered = end;
+            covered = *end;
         }
         if covered != self.params.islands {
             return Err(format!(
@@ -392,16 +378,15 @@ impl<G: Genome> ShardCoordinator<G> {
             ));
         }
         let first = &finals.first().ok_or("no final snapshots to assemble")?.2;
-        let islands = finals
-            .iter()
-            .flat_map(|(start, end, snap)| snap.islands[*start..*end].iter().cloned())
-            .collect();
         Ok(FuzzerSnapshot {
             schema: FUZZER_SNAPSHOT_SCHEMA,
             params: self.params,
             rng: first.rng.clone(),
             anneal_rng: first.anneal_rng.clone(),
-            islands,
+            islands: finals
+                .into_iter()
+                .flat_map(|(start, end, snap)| snap.islands.into_iter().take(end).skip(start))
+                .collect(),
             evaluations: self.evaluations,
             next_generation: self.next_generation,
             stall: self.stall,
@@ -413,10 +398,10 @@ impl<G: Genome> ShardCoordinator<G> {
     }
 }
 
-/// Stable k-way merge of the workers' locally-sorted stat runs, preferring
+/// Stable k-way merge of the shards' locally-sorted stat runs, preferring
 /// the earliest run on ties — exactly the order a stable sort of the
 /// concatenated populations produces, including NaN handling (incomparable
-/// scores count as ties, like the single-process comparator).
+/// scores count as ties, as in the shards' own sort).
 fn merge_sorted_stats<G>(reports: &[ShardReport<G>]) -> Vec<TopStat> {
     let total: usize = reports.iter().map(|r| r.stats.len()).sum();
     let mut heads = vec![0usize; reports.len()];
@@ -445,12 +430,290 @@ fn merge_sorted_stats<G>(reports: &[ShardReport<G>]) -> Vec<TopStat> {
     merged
 }
 
+/// The transport between the generation loop and the shards that hold the
+/// islands. [`drive`] makes exactly these three calls, in this order per
+/// generation; an implementation must
+///
+/// * return one report per shard, in island order, covering every island
+///   exactly once ([`ShardCoordinator::absorb_reports`] refuses anything
+///   else);
+/// * leave every shard at the boundary `generation + 1` when `proceed`
+///   returns, and at `next_generation` when `finish` does;
+/// * when `checkpoint` is set, return from `proceed` only once the boundary
+///   is durable — `coordinator` is the state to commit alongside it, and a
+///   failure before that point must leave the previous commit in force.
+///
+/// There are two: [`Lanes`] (in-process) and the daemon's TCP fleet.
+pub trait Shards<G: Genome> {
+    /// A transport failure; `String`s are the loop's own protocol errors.
+    type Error: From<String>;
+
+    /// Evaluates `generation` on every shard.
+    fn evaluate(&mut self, generation: u32) -> Result<Vec<ShardReport<G>>, Self::Error>;
+
+    /// Evolves every shard past `generation` (running the migration ring
+    /// when `migrate` is set) and, when `checkpoint` is set, persists the
+    /// new boundary. `coordinator` already stands at that boundary.
+    fn proceed(
+        &mut self,
+        generation: u32,
+        migrate: bool,
+        checkpoint: bool,
+        coordinator: &ShardCoordinator<G>,
+    ) -> Result<(), Self::Error>;
+
+    /// Aligns every shard to `next_generation` and collects its final
+    /// snapshot, in island order.
+    fn finish(&mut self, next_generation: u32) -> Result<Vec<ShardFinal<G>>, Self::Error>;
+}
+
+/// What the generation loop itself needs from a campaign's control plane.
+pub struct LoopControl<'c, G> {
+    /// Checked at generation boundaries; when set, the run stops with
+    /// [`StopReason::Interrupted`].
+    pub shutdown: Option<&'c AtomicBool>,
+    /// Checkpoint every this many completed generations (0 = never).
+    pub checkpoint_every: u32,
+    /// Caught evaluation panics (plus `restarts`) tolerated before the run
+    /// stops with [`StopReason::PanicBudgetExhausted`] (`None` = unlimited).
+    pub panic_budget: Option<u64>,
+    /// Times a supervisor respawned the shards and re-entered the loop;
+    /// each is charged to the panic budget. Zero for in-process runs.
+    pub restarts: u64,
+    /// Receives every generation's telemetry snapshot.
+    pub obs: Option<&'c HuntTelemetry>,
+    /// Called after every absorbed generation.
+    #[allow(clippy::type_complexity)]
+    pub on_generation: Option<&'c dyn Fn(&ShardCoordinator<G>)>,
+}
+
+/// The generation loop — the only one. Per generation: evaluate → absorb
+/// (best scan, summary, stall and last-generation rules) → telemetry →
+/// evolve + migrate → checkpoint; then, at the boundary a snapshot
+/// captures, the shutdown flag and the panic budget. On any stop the shards
+/// are aligned and their islands assembled into the final snapshot.
+pub fn drive<G: Genome, S: Shards<G>>(
+    coordinator: &mut ShardCoordinator<G>,
+    shards: &mut S,
+    ctl: &LoopControl<'_, G>,
+) -> Result<ControlledRun<G>, S::Error> {
+    // A fresh or resumed run always evaluates one generation before its
+    // first boundary check. A respawned fleet is different: it re-enters at
+    // a boundary it already stood at, with the restart newly charged to the
+    // budget (and possibly a shutdown requested while it was down), so it
+    // checks before evaluating anything.
+    let mut at_boundary = ctl.restarts > 0 && !coordinator.history.is_empty();
+    let stop = loop {
+        let generation = coordinator.next_generation;
+        if generation >= coordinator.params.generations {
+            break StopReason::Completed;
+        }
+        if at_boundary {
+            if ctl.shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+                break StopReason::Interrupted;
+            }
+            if ctl
+                .panic_budget
+                .is_some_and(|budget| coordinator.panics.len() as u64 + ctl.restarts > budget)
+            {
+                break StopReason::PanicBudgetExhausted;
+            }
+        }
+        at_boundary = true;
+
+        let reports = shards.evaluate(generation)?;
+        let next = {
+            let _timer = ctl.obs.map(|o| o.profiler.scope(Phase::Select));
+            let absorbed = coordinator.absorb_reports(&reports)?;
+            // The reports carry a clone of each shard's best genome.
+            drop(reports);
+            if let Some(obs) = ctl.obs {
+                obs.observe_generation(
+                    generation,
+                    coordinator.best_score().unwrap_or(0.0),
+                    absorbed.summary.mean_score,
+                    absorbed.island_best,
+                );
+            }
+            absorbed.next
+        };
+        if let Some(on_generation) = ctl.on_generation {
+            on_generation(coordinator);
+        }
+        let GenerationOutcome::Evolve { migrate } = next else {
+            break StopReason::Completed;
+        };
+        coordinator.finish_generation();
+        let boundary = coordinator.next_generation;
+        let checkpoint = ctl.checkpoint_every > 0 && boundary.is_multiple_of(ctl.checkpoint_every);
+        shards.proceed(generation, migrate, checkpoint, coordinator)?;
+    };
+    let finals = shards.finish(coordinator.next_generation)?;
+    Ok(ControlledRun {
+        result: coordinator.result()?,
+        stop,
+        final_snapshot: coordinator.assemble(finals)?,
+    })
+}
+
+/// Routes one migration round around the ring: `outbound[w]` is what the
+/// shard owning `ranges[w]` collected, and each batch goes to the shard
+/// owning island `(src_island + 1) % islands`. Taking shards in order
+/// yields batches in global island order — the canonical exchange
+/// sequence. Batches cross a process boundary in a fleet, so a shard may
+/// only speak for islands it owns, with exactly [`migration_k`] migrants
+/// each.
+pub fn route_migrants<G>(
+    params: &GaParams,
+    ranges: &[(usize, usize)],
+    outbound: Vec<Vec<MigrantBatch<G>>>,
+) -> Result<Vec<Vec<MigrantBatch<G>>>, String> {
+    let k = migration_k(params);
+    let mut inbound: Vec<Vec<MigrantBatch<G>>> = ranges.iter().map(|_| Vec::new()).collect();
+    for (shard, (&(start, end), batches)) in ranges.iter().zip(outbound).enumerate() {
+        for batch in batches {
+            if !(start..end).contains(&batch.src_island) {
+                return Err(format!(
+                    "shard {shard} owns islands {start}..{end} but sent migrants from island {}",
+                    batch.src_island
+                ));
+            }
+            if batch.migrants.len() != k {
+                return Err(format!(
+                    "island {} sent {} migrants, the campaign exchanges {k}",
+                    batch.src_island,
+                    batch.migrants.len()
+                ));
+            }
+            let dst = (batch.src_island + 1) % params.islands;
+            let owner = ranges
+                .iter()
+                .position(|&(s, e)| (s..e).contains(&dst))
+                .ok_or_else(|| format!("no shard owns island {dst}"))?;
+            inbound[owner].push(batch);
+        }
+    }
+    Ok(inbound)
+}
+
+/// The in-process [`Shards`] transport: each lane is a full fuzzer that
+/// advances one island range on the caller's thread. One lane over the
+/// whole population is `ccfuzz hunt`; several lanes are a fleet without
+/// the sockets.
+pub struct Lanes<'l, 'c, 'f, G: Genome, E: Evaluator<G>> {
+    lanes: &'l mut [Fuzzer<'f, G, E>],
+    ranges: Vec<(usize, usize)>,
+    on_checkpoint: Option<&'c mut dyn FnMut(FuzzerSnapshot<G>)>,
+}
+
+impl<'l, 'c, 'f, G: Genome, E: Evaluator<G>> Lanes<'l, 'c, 'f, G, E> {
+    /// Splits the islands evenly across `lanes` (at most one lane per
+    /// island). `on_checkpoint` receives the assembled snapshot at every
+    /// checkpoint boundary.
+    pub fn new(
+        lanes: &'l mut [Fuzzer<'f, G, E>],
+        on_checkpoint: Option<&'c mut dyn FnMut(FuzzerSnapshot<G>)>,
+    ) -> Self {
+        let islands = lanes.first().expect("at least one lane").params().islands;
+        let ranges = shard_ranges(islands, lanes.len());
+        assert_eq!(ranges.len(), lanes.len(), "at most one lane per island");
+        Lanes {
+            lanes,
+            ranges,
+            on_checkpoint,
+        }
+    }
+
+    fn snapshots(lanes: &[Fuzzer<'f, G, E>], ranges: &[(usize, usize)]) -> Vec<ShardFinal<G>> {
+        lanes
+            .iter()
+            .zip(ranges)
+            .map(|(lane, &(start, end))| (start, end, lane.snapshot()))
+            .collect()
+    }
+}
+
+impl<G: Genome, E: Evaluator<G>> Shards<G> for Lanes<'_, '_, '_, G, E> {
+    type Error = String;
+
+    fn evaluate(&mut self, _generation: u32) -> Result<Vec<ShardReport<G>>, String> {
+        Ok(self
+            .lanes
+            .iter_mut()
+            .zip(&self.ranges)
+            .map(|(lane, &(start, end))| lane.shard_evaluate(start, end))
+            .collect())
+    }
+
+    fn proceed(
+        &mut self,
+        generation: u32,
+        migrate: bool,
+        checkpoint: bool,
+        coordinator: &ShardCoordinator<G>,
+    ) -> Result<(), String> {
+        for (lane, &(start, end)) in self.lanes.iter_mut().zip(&self.ranges) {
+            lane.shard_evolve(start, end);
+        }
+        if migrate {
+            let outbound = self
+                .lanes
+                .iter_mut()
+                .zip(&self.ranges)
+                .map(|(lane, &(start, end))| lane.shard_collect_migrants(start, end))
+                .collect();
+            let inbound = route_migrants(&coordinator.params, &self.ranges, outbound)?;
+            for (lane, batches) in self.lanes.iter_mut().zip(inbound) {
+                lane.shard_apply_migrants(batches)?;
+            }
+        }
+        for lane in self.lanes.iter_mut() {
+            lane.set_next_generation(generation + 1);
+        }
+        if let Some(sink) = self.on_checkpoint.as_deref_mut().filter(|_| checkpoint) {
+            // One copy of the population: the lanes' snapshots are moved
+            // into the assembled one.
+            sink(coordinator.assemble(Self::snapshots(self.lanes, &self.ranges))?);
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, next_generation: u32) -> Result<Vec<ShardFinal<G>>, String> {
+        for lane in self.lanes.iter_mut() {
+            lane.set_next_generation(next_generation);
+        }
+        Ok(Self::snapshots(self.lanes, &self.ranges))
+    }
+}
+
+/// Runs a campaign over in-process lanes, continuing from the cross-island
+/// state the first lane holds (every lane restored from one snapshot holds
+/// the same). [`Fuzzer::run_controlled`] is this with one lane.
+pub fn run_lanes<G: Genome, E: Evaluator<G>>(
+    lanes: &mut [Fuzzer<'_, G, E>],
+    ctl: &mut RunControl<'_, G>,
+) -> Result<ControlledRun<G>, String> {
+    let first = lanes.first().expect("at least one lane");
+    let mut coordinator = first.coordinator();
+    let control = LoopControl {
+        shutdown: ctl.shutdown,
+        checkpoint_every: ctl.checkpoint_every,
+        panic_budget: ctl.panic_budget,
+        restarts: 0,
+        obs: first.observer(),
+        on_generation: None,
+    };
+    let sink = ctl
+        .on_checkpoint
+        .as_deref_mut()
+        .map(|sink| sink as &mut dyn FnMut(FuzzerSnapshot<G>));
+    let mut shards = Lanes::new(lanes, sink);
+    drive(&mut coordinator, &mut shards, &control)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::Evaluator;
-    use crate::fuzzer::{Fuzzer, RunControl};
-    use crate::StopReason;
     use ccfuzz_netsim::rng::SimRng;
 
     #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -500,7 +763,7 @@ mod tests {
 
     fn toy_params() -> GaParams {
         GaParams {
-            islands: 3,
+            islands: 4,
             population_per_island: 6,
             k_elite: 1,
             crossover_fraction: 0.3,
@@ -515,70 +778,102 @@ mod tests {
         }
     }
 
-    /// Drives a fleet of in-process worker fuzzers through the full
-    /// coordinator protocol: evaluate, absorb, evolve, migrate through the
-    /// coordinator's canonical routing, finish. This is exactly the daemon's
-    /// loop minus the sockets.
-    fn run_sharded<E: Evaluator<ToyGenome>>(
+    /// Scores by sum and panics on a genome-keyed subset (first gene
+    /// negative), so which evaluations panic depends only on the
+    /// trajectory, never on how the islands are split.
+    struct Faulty;
+    impl Evaluator<ToyGenome> for Faulty {
+        fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
+            assert!(genome.0[0] >= 0.0, "simulated evaluator crash");
+            ToyEvaluator.evaluate(genome)
+        }
+    }
+
+    struct Constant;
+    impl Evaluator<ToyGenome> for Constant {
+        fn evaluate(&self, _genome: &ToyGenome) -> EvalOutcome {
+            EvalOutcome {
+                score: 1.0,
+                ..Default::default()
+            }
+        }
+    }
+
+    fn faulty_init(rng: &mut SimRng) -> ToyGenome {
+        ToyGenome((0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect())
+    }
+
+    fn anneal(genome: &ToyGenome, rng: &mut SimRng) -> ToyGenome {
+        ToyGenome(genome.0.iter().map(|x| x + rng.next_f64()).collect())
+    }
+
+    /// What one run through the driver produced, in comparable form: stop
+    /// reason, result, the final snapshot, and the snapshot the checkpoint
+    /// sink saw at every boundary. Snapshots serialize deterministically, so
+    /// equal snapshots are equal checkpoint bytes.
+    #[derive(Debug, PartialEq)]
+    struct Ran {
+        stop: StopReason,
+        result: (ToyGenome, EvalOutcome, Vec<GenerationSummary>, usize),
+        last: FuzzerSnapshot<ToyGenome>,
+        boundaries: Vec<FuzzerSnapshot<ToyGenome>>,
+    }
+
+    /// Runs a campaign over `n_lanes` in-process lanes through the real
+    /// driver — fresh, or every lane restored from `resume` — with a
+    /// checkpoint sink at every boundary that also raises the shutdown flag
+    /// once boundary `stop_at` is reached.
+    fn run_over<E: Evaluator<ToyGenome>>(
+        n_lanes: usize,
         params: GaParams,
         evaluator: &E,
         init: fn(&mut SimRng) -> ToyGenome,
-        n_workers: usize,
-    ) -> (FuzzResult<ToyGenome>, FuzzerSnapshot<ToyGenome>) {
-        let ranges = shard_ranges(params.islands, n_workers);
-        let mut workers: Vec<Fuzzer<'_, ToyGenome, E>> = ranges
-            .iter()
-            .map(|_| Fuzzer::new(params, evaluator, init))
-            .collect();
-        let mut coordinator: ShardCoordinator<ToyGenome> = ShardCoordinator::new(params);
-        loop {
-            let reports: Vec<ShardReport<ToyGenome>> = workers
-                .iter_mut()
-                .zip(&ranges)
-                .map(|(worker, &(start, end))| worker.shard_evaluate(start, end))
-                .collect();
-            let absorbed = coordinator.absorb_reports(&reports).unwrap();
-            match absorbed.next {
-                GenerationOutcome::Completed => break,
-                GenerationOutcome::Evolve { migrate } => {
-                    for (worker, &(start, end)) in workers.iter_mut().zip(&ranges) {
-                        worker.shard_evolve(start, end);
-                    }
-                    if migrate {
-                        let mut inbound: Vec<Vec<MigrantBatch<ToyGenome>>> =
-                            ranges.iter().map(|_| Vec::new()).collect();
-                        for (worker, &(start, end)) in workers.iter_mut().zip(&ranges) {
-                            for batch in worker.shard_collect_migrants(start, end) {
-                                let dst = (batch.src_island + 1) % params.islands;
-                                let owner = ranges
-                                    .iter()
-                                    .position(|&(s, e)| dst >= s && dst < e)
-                                    .unwrap();
-                                inbound[owner].push(batch);
-                            }
-                        }
-                        for (worker, batches) in workers.iter_mut().zip(inbound) {
-                            worker.shard_apply_migrants(batches);
-                        }
-                    }
-                    coordinator.finish_generation();
+        resume: Option<&FuzzerSnapshot<ToyGenome>>,
+        stop_at: Option<u32>,
+        panic_budget: Option<u64>,
+    ) -> Ran {
+        let mut lanes: Vec<Fuzzer<'_, ToyGenome, E>> = (0..n_lanes)
+            .map(|_| {
+                match resume {
+                    Some(snapshot) => Fuzzer::restore(evaluator, snapshot.clone()).unwrap(),
+                    None => Fuzzer::new(params, evaluator, init),
                 }
-            }
-            for worker in &mut workers {
-                worker.set_next_generation(coordinator.next_generation());
-            }
-        }
-        for worker in &mut workers {
-            worker.set_next_generation(coordinator.next_generation());
-        }
-        let finals: Vec<(usize, usize, FuzzerSnapshot<ToyGenome>)> = workers
-            .iter()
-            .zip(&ranges)
-            .map(|(worker, &(start, end))| (start, end, worker.snapshot()))
+                .with_annealing(Box::new(anneal))
+            })
             .collect();
-        let snapshot = coordinator.assemble_snapshot(&finals).unwrap();
-        (coordinator.result().unwrap(), snapshot)
+        let shutdown = AtomicBool::new(stop_at == Some(0));
+        let mut boundaries = Vec::new();
+        let mut sink = |snapshot: FuzzerSnapshot<ToyGenome>| {
+            if stop_at == Some(snapshot.next_generation) {
+                shutdown.store(true, Ordering::SeqCst);
+            }
+            boundaries.push(snapshot);
+        };
+        let run = run_lanes(
+            &mut lanes,
+            &mut RunControl {
+                shutdown: Some(&shutdown),
+                checkpoint_every: 1,
+                on_checkpoint: Some(&mut sink),
+                panic_budget,
+            },
+        )
+        .unwrap();
+        Ran {
+            stop: run.stop,
+            result: (
+                run.result.best_genome,
+                run.result.best_outcome,
+                run.result.history,
+                run.result.total_evaluations,
+            ),
+            last: run.final_snapshot,
+            boundaries,
+        }
     }
+
+    /// One lane, uneven splits, and one lane per island.
+    const LANES: [usize; 4] = [1, 2, 3, 4];
 
     #[test]
     fn shard_ranges_tile_the_islands() {
@@ -601,54 +896,222 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_single_process_for_any_worker_count() {
+    fn any_lane_and_thread_count_runs_the_one_lane_campaign() {
         let params = toy_params();
-        let evaluator = ToyEvaluator;
-        let mut control = Fuzzer::new(params, &evaluator, toy_init);
-        let (expected, stop) = control.run_controlled(&mut RunControl::default());
-        assert_eq!(stop, StopReason::Completed);
-        let expected_snapshot = control.snapshot();
-
-        // Any island split, each worker's pool at any thread count: the
-        // ranged evaluate / evolve passes add up to the whole-population one.
-        for (n_workers, threads) in (1..=4usize).flat_map(|w| [1, 2, 3, 8].map(|t| (w, t))) {
-            let at = format!("at {n_workers} workers x {threads} threads");
+        assert_eq!(*LANES.last().unwrap(), params.islands);
+        let one = run_over(1, params, &ToyEvaluator, toy_init, None, None, None);
+        assert_eq!(one.stop, StopReason::Completed);
+        assert_eq!(one.result.2.len(), params.generations as usize);
+        // One snapshot per boundary that evolved; the last generation and a
+        // stall break produce no offspring and no checkpoint.
+        assert_eq!(one.boundaries.len(), params.generations as usize - 1);
+        for (n_lanes, threads) in LANES.iter().flat_map(|&n| [1, 2, 3, 8].map(|t| (n, t))) {
+            let at = format!("{n_lanes} lanes x {threads} threads");
             let sharded = GaParams { threads, ..params };
-            let (result, mut snapshot) = run_sharded(sharded, &evaluator, toy_init, n_workers);
-            assert_eq!(result.best_genome, expected.best_genome, "{at}");
-            assert_eq!(result.best_outcome, expected.best_outcome);
-            assert_eq!(result.history, expected.history, "{at}");
-            assert_eq!(result.total_evaluations, expected.total_evaluations);
-            snapshot.params.threads = params.threads;
-            assert_eq!(snapshot, expected_snapshot, "{at}");
+            let mut ran = run_over(n_lanes, sharded, &ToyEvaluator, toy_init, None, None, None);
+            // `threads` is recorded in the snapshot; nothing else may
+            // depend on it.
+            ran.last.params.threads = params.threads;
+            for snapshot in &mut ran.boundaries {
+                snapshot.params.threads = params.threads;
+            }
+            assert!(ran == one, "{at}");
         }
     }
 
     #[test]
-    fn sharded_stall_break_matches_single_process() {
-        struct ConstantEvaluator;
-        impl Evaluator<ToyGenome> for ConstantEvaluator {
-            fn evaluate(&self, _genome: &ToyGenome) -> EvalOutcome {
-                EvalOutcome {
-                    score: 1.0,
-                    ..Default::default()
-                }
+    fn every_stop_is_the_one_lane_stop_at_any_lane_count() {
+        let params = toy_params();
+        let budget = Some(2);
+        let stalled = GaParams {
+            generations: 40,
+            stall_generations: Some(3),
+            ..params
+        };
+        for n_lanes in LANES {
+            let at = format!("{n_lanes} lanes");
+            // Shutdown raised at boundary k, for every k: the run stops
+            // there, and its final snapshot is the checkpoint of boundary k.
+            let whole = run_over(n_lanes, params, &ToyEvaluator, toy_init, None, None, None);
+            for k in 1..params.generations {
+                let cut = run_over(
+                    n_lanes,
+                    params,
+                    &ToyEvaluator,
+                    toy_init,
+                    None,
+                    Some(k),
+                    None,
+                );
+                assert_eq!(cut.stop, StopReason::Interrupted, "{at}, boundary {k}");
+                assert_eq!(cut.result.2.len(), k as usize);
+                assert_eq!(cut.boundaries, whole.boundaries[..k as usize]);
+                assert!(
+                    cut.last == whole.boundaries[k as usize - 1],
+                    "{at}, boundary {k}"
+                );
+            }
+            // Panic budget: a genome-keyed subset of evaluations panics.
+            let one = run_over(1, params, &Faulty, faulty_init, None, None, budget);
+            assert_eq!(one.stop, StopReason::PanicBudgetExhausted);
+            assert!(one.result.2.len() < params.generations as usize);
+            let ran = run_over(n_lanes, params, &Faulty, faulty_init, None, None, budget);
+            assert!(ran == one, "{at}: panic budget");
+            // Stall break.
+            let init = |_rng: &mut SimRng| ToyGenome(vec![1.0; 3]);
+            let one = run_over(1, stalled, &Constant, init, None, None, None);
+            assert_eq!(one.stop, StopReason::Completed);
+            assert_eq!(
+                one.result.2.len(),
+                4,
+                "first generation improves, three stall"
+            );
+            let ran = run_over(n_lanes, stalled, &Constant, init, None, None, None);
+            assert!(ran == one, "{at}: stall break");
+        }
+    }
+
+    #[test]
+    fn resuming_any_boundary_through_the_driver_replays_the_run() {
+        let params = toy_params();
+        for n_lanes in LANES {
+            let whole = run_over(n_lanes, params, &ToyEvaluator, toy_init, None, None, None);
+            for (k, snapshot) in whole.boundaries.iter().enumerate() {
+                let at = format!("{n_lanes} lanes from boundary {}", k + 1);
+                let resume = Some(snapshot);
+                let resumed =
+                    run_over(n_lanes, params, &ToyEvaluator, toy_init, resume, None, None);
+                assert_eq!(resumed.stop, StopReason::Completed, "{at}");
+                assert_eq!(resumed.result, whole.result, "{at}");
+                assert!(resumed.last == whole.last, "{at}");
+                assert_eq!(resumed.boundaries, whole.boundaries[k + 1..], "{at}");
+                // Entry with history, in process: a resume with the flag
+                // already raised still runs one generation before it stops
+                // (which completes the campaign if it was the last one).
+                let raised = run_over(
+                    n_lanes,
+                    params,
+                    &ToyEvaluator,
+                    toy_init,
+                    resume,
+                    Some(0),
+                    None,
+                );
+                let last = k + 2 == params.generations as usize;
+                let expected = [StopReason::Interrupted, StopReason::Completed][last as usize];
+                assert_eq!(raised.stop, expected, "{at}");
+                assert_eq!(raised.result.2.len(), k + 2, "{at}");
             }
         }
-        let mut params = toy_params();
-        params.generations = 40;
-        params.stall_generations = Some(3);
-        let evaluator = ConstantEvaluator;
-        let init = |_rng: &mut SimRng| ToyGenome(vec![1.0; 3]);
-        let mut control = Fuzzer::new(params, &evaluator, init);
-        let (expected, _) = control.run_controlled(&mut RunControl::default());
+    }
 
-        let (result, _snapshot) = run_sharded(params, &evaluator, init, 2);
-        assert_eq!(result.history, expected.history);
-        assert!(
-            result.history.len() < 40,
-            "stall break should have stopped early"
+    #[test]
+    fn annealed_campaigns_are_deterministic_per_lane_count() {
+        let params = GaParams {
+            anneal: true,
+            ..toy_params()
+        };
+        let plain = run_over(1, toy_params(), &ToyEvaluator, toy_init, None, None, None);
+        for n_lanes in LANES {
+            let ran = run_over(n_lanes, params, &ToyEvaluator, toy_init, None, None, None);
+            let again = run_over(n_lanes, params, &ToyEvaluator, toy_init, None, None, None);
+            assert!(ran == again, "{n_lanes} lanes");
+            assert_ne!(ran.result, plain.result, "the annealing hook must have run");
+        }
+    }
+
+    #[test]
+    fn a_respawned_fleet_checks_its_entry_boundary_before_evaluating() {
+        // Entry with history, supervised: a fleet respawned onto a committed
+        // boundary has its restart charged to the budget (and may have been
+        // asked to shut down while it was dead), so it stops at once with
+        // that boundary as its final snapshot.
+        let params = toy_params();
+        let whole = run_over(2, params, &ToyEvaluator, toy_init, None, None, None);
+        let committed = &whole.boundaries[4];
+        let enter = |restarts: u64, raised: bool, resume: Option<&FuzzerSnapshot<ToyGenome>>| {
+            let mut lanes: Vec<_> = (0..2)
+                .map(|_| match resume {
+                    Some(snapshot) => Fuzzer::restore(&ToyEvaluator, snapshot.clone()).unwrap(),
+                    None => Fuzzer::new(params, &ToyEvaluator, toy_init),
+                })
+                .collect();
+            let mut coordinator = lanes[0].coordinator();
+            let shutdown = AtomicBool::new(raised);
+            let control = LoopControl {
+                shutdown: Some(&shutdown),
+                checkpoint_every: 0,
+                panic_budget: Some(0),
+                restarts,
+                obs: None,
+                on_generation: None,
+            };
+            let mut shards = Lanes::new(&mut lanes, None);
+            drive(&mut coordinator, &mut shards, &control).unwrap()
+        };
+        let stopped = enter(1, false, Some(committed));
+        assert_eq!(stopped.stop, StopReason::PanicBudgetExhausted);
+        assert_eq!(stopped.final_snapshot, *committed);
+        let stopped = enter(1, true, Some(committed));
+        assert_eq!(
+            stopped.stop,
+            StopReason::Interrupted,
+            "shutdown is checked first"
         );
+        assert_eq!(stopped.final_snapshot, *committed);
+        // With nothing committed the respawned fleet starts from scratch
+        // and, like any fresh run, evaluates one generation first.
+        let fresh = enter(1, false, None);
+        assert_eq!(fresh.stop, StopReason::PanicBudgetExhausted);
+        assert_eq!(fresh.result.history.len(), 1);
+        // Without a restart the same entry is a plain resume.
+        let resumed = enter(0, false, Some(committed));
+        assert_eq!(resumed.stop, StopReason::Completed);
+        assert_eq!(resumed.result.history, whole.result.2);
+    }
+
+    #[test]
+    fn hostile_migrant_batches_are_rejected_not_indexed() {
+        let params = toy_params();
+        let ranges = shard_ranges(params.islands, 2); // shard 0 owns 0..2, shard 1 owns 2..4
+        let migrant = Individual {
+            genome: ToyGenome(vec![1.0]),
+            outcome: Some(EvalOutcome::default()),
+        };
+        let batch = |src_island: usize, len: usize| MigrantBatch {
+            src_island,
+            migrants: vec![migrant.clone(); len],
+        };
+        let k = migration_k(&params);
+        let honest = vec![
+            vec![batch(0, k), batch(1, k)],
+            vec![batch(2, k), batch(3, k)],
+        ];
+        let routed = route_migrants(&params, &ranges, honest).unwrap();
+        let sources = |batches: &[MigrantBatch<ToyGenome>]| -> Vec<usize> {
+            batches.iter().map(|b| b.src_island).collect()
+        };
+        assert_eq!(sources(&routed[0]), [0, 3], "bound for islands 1 and 0");
+        assert_eq!(sources(&routed[1]), [1, 2], "bound for islands 2 and 3");
+
+        // (what shard 1 sends, whether a worker could tell on its own)
+        let hostile = [
+            (batch(2, params.population_per_island + 1), true),
+            (batch(usize::MAX, k), true),
+            (batch(0, k), false), // a real island, but shard 0's
+        ];
+        for (bad, worker_can_tell) in hostile {
+            let at = format!("island {} x {}", bad.src_island, bad.migrants.len());
+            let outbound = vec![vec![batch(0, k), batch(1, k)], vec![bad.clone()]];
+            assert!(route_migrants(&params, &ranges, outbound).is_err(), "{at}");
+            let mut fuzzer = Fuzzer::new(params, &ToyEvaluator, toy_init);
+            let before = fuzzer.snapshot();
+            let applied = fuzzer.shard_apply_migrants(vec![batch(1, k), bad]);
+            assert_eq!(applied.is_err(), worker_can_tell, "{at}");
+            if worker_can_tell {
+                assert_eq!(fuzzer.snapshot(), before, "{at}: nothing was installed");
+            }
+        }
     }
 
     #[test]

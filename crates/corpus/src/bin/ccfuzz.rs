@@ -799,6 +799,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
         );
     }
 
+    let flows = traceview::flows(&trace);
     println!(
         "trace {}: {} events over {:.3}s ({} flows, {} hops)",
         id,
@@ -808,11 +809,11 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
             .last()
             .map(|r| r.at.as_secs_f64())
             .unwrap_or(0.0),
-        traceview::flow_count(&trace),
+        flows.len(),
         traceview::hop_count(&trace),
     );
-    for flow in 0..traceview::flow_count(&trace) as u32 {
-        println!("\nflow {flow} timeline:");
+    for flow in flows {
+        println!("\nflow {} timeline:", traceview::flow_name(flow));
         print!("{}", traceview::flow_timeline_table(&trace, flow, buckets));
     }
     println!("\nper-hop queues:");

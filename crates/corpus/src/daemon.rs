@@ -38,9 +38,12 @@ use crate::proto::{
 };
 use crate::store::{Corpus, CorpusError};
 use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::{FuzzerSnapshot, StopReason};
+use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::mode::{dispatch, ModeGenome};
-use ccfuzz_core::shard::{shard_ranges, MigrantBatch, ShardCoordinator, ShardReport};
+use ccfuzz_core::shard::{
+    drive, route_migrants, shard_ranges, LoopControl, MigrantBatch, ShardCoordinator, ShardFinal,
+    ShardReport, Shards,
+};
 use ccfuzz_obs::{
     write_atomic, FleetTelemetry, HuntTelemetry, OperatorSnapshot, WorkerLaneSnapshot,
 };
@@ -71,9 +74,6 @@ pub struct DistOptions<'a> {
     /// Worker processes to shard the islands across (clamped to the island
     /// count).
     pub workers: usize,
-    /// Worker-checkpoint cadence in generations (0 = never; the fleet then
-    /// always restarts from scratch after a death).
-    pub checkpoint_every: u32,
     /// The binary to spawn workers from (must understand
     /// `worker --connect ADDR --worker K`; the `ccfuzzd` binary does).
     pub exe: &'a Path,
@@ -100,9 +100,13 @@ pub struct DistProgress {
     pub worker_pids: Option<Vec<u32>>,
 }
 
-/// [`crate::hunt::hunt_controlled`], but the campaign runs sharded across
-/// worker processes. Same outcomes, same persistence, same payload bytes on
-/// completion. Resuming from a [`crate::checkpoint::CampaignCheckpoint`]
+/// [`crate::hunt::hunt_controlled`] with the campaign's islands sharded
+/// across worker processes: the same driver (`ccfuzz_core::shard::drive`)
+/// over a TCP fleet instead of an in-process lane, then the same
+/// persistence — so the same outcomes and the same payload bytes on
+/// completion. Workers checkpoint on `ctl.checkpoint_every` (0 = never; the
+/// fleet then always restarts from scratch after a death). Resuming from a
+/// [`crate::checkpoint::CampaignCheckpoint`]
 /// is not supported here — resume interrupted distributed hunts by
 /// submitting them again (the daemon keeps hunts independent) or resume
 /// the final checkpoint single-process with `ccfuzz resume`.
@@ -129,21 +133,25 @@ struct FleetLink {
     stream: TcpStream,
 }
 
-struct Fleet {
+/// The TCP [`Shards`] transport: one worker process per island range,
+/// spoken to in [`crate::proto`] frames.
+struct Fleet<'a, G> {
     links: Vec<FleetLink>,
+    ranges: &'a [(usize, usize)],
+    ga: &'a GaParams,
+    obs: Option<&'a HuntTelemetry>,
+    lanes: Option<&'a FleetTelemetry>,
+    /// Workers report cumulative operator counters; the coordinator feeds
+    /// the per-generation diffs into the hunt telemetry.
+    last_operators: Vec<OperatorSnapshot>,
+    /// The supervisor's rollback point: the last boundary every worker
+    /// durably checkpointed, with the coordinator state at that boundary.
+    committed: &'a mut Option<(u32, ShardCoordinator<G>)>,
 }
 
-impl Fleet {
+impl<G> Fleet<'_, G> {
     fn pids(&self) -> Vec<u32> {
         self.links.iter().map(|l| l.child.id()).collect()
-    }
-
-    /// Hard-stops every worker (used on death or hard failure).
-    fn kill(&mut self) {
-        for link in &mut self.links {
-            let _ = link.child.kill();
-            let _ = link.child.wait();
-        }
     }
 
     /// Reaps workers that were told to finish and exit on their own.
@@ -151,6 +159,32 @@ impl Fleet {
         for link in &mut self.links {
             let _ = link.child.wait();
         }
+    }
+
+    /// Sends one frame to every worker.
+    fn broadcast<T: Serialize>(&mut self, kind: &str, body: &T) -> Result<(), FleetError> {
+        for (worker, link) in self.links.iter_mut().enumerate() {
+            send_frame(&mut link.stream, kind, body)
+                .map_err(|e| FleetError::Death(format!("worker {worker} link: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Receives one `want` frame from every worker, in worker order.
+    fn gather<T: Deserialize>(&mut self, want: &str) -> Result<Vec<T>, FleetError> {
+        self.links
+            .iter_mut()
+            .enumerate()
+            .map(|(worker, link)| expect_frame(link, worker, want))
+            .collect()
+    }
+}
+
+/// Hard-stops every worker (used on death or hard failure).
+fn kill(links: &mut [FleetLink]) {
+    for link in links {
+        let _ = link.child.kill();
+        let _ = link.child.wait();
     }
 }
 
@@ -162,8 +196,15 @@ enum FleetError {
     Fatal(String),
 }
 
-/// The supervision loop: (re)spawn the fleet, drive it, and on worker
-/// death roll back to the last committed boundary and try again.
+impl From<String> for FleetError {
+    fn from(message: String) -> Self {
+        FleetError::Fatal(message)
+    }
+}
+
+/// The supervision loop: (re)spawn the fleet, run the generation loop over
+/// it, and on worker death roll back to the last committed boundary and try
+/// again.
 pub(crate) fn run_fleet<G: ModeGenome>(
     config: &HuntConfig,
     control: CampaignControl<'_>,
@@ -196,33 +237,66 @@ pub(crate) fn run_fleet<G: ModeGenome>(
             None => ShardCoordinator::new(config.ga),
         };
         let resume_generation = committed.as_ref().map(|(g, _)| *g);
-        let attempt = spawn_fleet(&listener, &addr, &ranges, config, dist, resume_generation)
-            .map_err(FleetError::Death)
-            .and_then(|mut fleet| {
-                if let Some(progress) = dist.on_progress {
-                    progress(DistProgress {
-                        restarts,
-                        worker_pids: Some(fleet.pids()),
-                        ..DistProgress::default()
-                    });
-                }
-                let run = drive_fleet(
-                    &mut fleet,
-                    &mut coordinator,
-                    &ranges,
-                    config,
-                    &control,
-                    obs,
-                    dist,
+        let report = |progress: DistProgress| {
+            if let Some(on_progress) = dist.on_progress {
+                on_progress(DistProgress {
                     restarts,
-                    &mut committed,
-                );
-                match &run {
-                    Ok(_) => fleet.reap(),
-                    Err(_) => fleet.kill(),
-                }
-                run
+                    ..progress
+                });
+            }
+        };
+        let on_generation = |c: &ShardCoordinator<G>| {
+            report(DistProgress {
+                generation: c.history().last().map_or(0, |summary| summary.generation),
+                evaluations: c.evaluations() as u64,
+                best_score: c.best_score(),
+                ..DistProgress::default()
+            })
+        };
+        let spawned = spawn_fleet(
+            &listener,
+            &addr,
+            &ranges,
+            config,
+            control.checkpoint_every,
+            dist,
+            resume_generation,
+        );
+        let attempt = spawned.map_err(FleetError::Death).and_then(|links| {
+            let mut fleet = Fleet {
+                links,
+                ranges: &ranges,
+                ga: &config.ga,
+                obs,
+                lanes: dist.fleet,
+                last_operators: vec![OperatorSnapshot::default(); ranges.len()],
+                committed: &mut committed,
+            };
+            report(DistProgress {
+                worker_pids: Some(fleet.pids()),
+                ..DistProgress::default()
             });
+            // The respawn charge and entry check live in the driver: with
+            // `restarts > 0` and a committed boundary it re-checks shutdown
+            // and budget before evaluating anything.
+            let run = drive(
+                &mut coordinator,
+                &mut fleet,
+                &LoopControl {
+                    shutdown: control.shutdown,
+                    checkpoint_every: control.checkpoint_every,
+                    panic_budget: control.panic_budget,
+                    restarts,
+                    obs,
+                    on_generation: Some(&on_generation),
+                },
+            );
+            match &run {
+                Ok(_) => fleet.reap(),
+                Err(_) => kill(&mut fleet.links),
+            }
+            run
+        });
         match attempt {
             Ok(run) => return Ok(run),
             Err(FleetError::Fatal(message)) => return Err(message),
@@ -269,9 +343,10 @@ fn spawn_fleet(
     addr: &str,
     ranges: &[(usize, usize)],
     config: &HuntConfig,
+    checkpoint_every: u32,
     dist: &DistOptions<'_>,
     resume_generation: Option<u32>,
-) -> Result<Fleet, String> {
+) -> Result<Vec<FleetLink>, String> {
     let n = ranges.len();
     let mut children: Vec<Child> = Vec::with_capacity(n);
     for worker in 0..n {
@@ -356,7 +431,7 @@ fn spawn_fleet(
 
     let mut links = Vec::with_capacity(n);
     for (worker, (child, stream)) in children.into_iter().zip(slots).enumerate() {
-        let mut stream = stream.expect("every slot was filled");
+        let stream = stream.expect("every slot was filled");
         let (island_start, island_end) = ranges[worker];
         let assign = Assign {
             config: config.clone(),
@@ -364,19 +439,17 @@ fn spawn_fleet(
             n_workers: n,
             island_start,
             island_end,
-            checkpoint_every: dist.checkpoint_every,
+            checkpoint_every,
             checkpoint_dir: dist.worker_dir.display().to_string(),
             resume_generation,
         };
-        if let Err(e) = send_frame(&mut stream, ASSIGN, &assign) {
-            let mut fleet = Fleet { links };
-            fleet.kill();
-            let _ = child;
+        links.push(FleetLink { child, stream });
+        if let Err(e) = send_frame(&mut links[worker].stream, ASSIGN, &assign) {
+            kill(&mut links);
             return Err(format!("assigning worker {worker}: {e}"));
         }
-        links.push(FleetLink { child, stream });
     }
-    Ok(Fleet { links })
+    Ok(links)
 }
 
 /// Receives one frame from a worker, expecting `want`. EOF/IO errors are
@@ -405,73 +478,24 @@ fn expect_frame<T: Deserialize>(
     decode(&kind, &body).map_err(FleetError::Fatal)
 }
 
-/// Drives one spawned fleet until the campaign stops or a worker dies.
-/// Mirrors `Fuzzer::run_controlled`'s boundary order exactly: evaluate →
-/// absorb (select/summary/stall/last-generation) → evolve + migrate →
-/// checkpoint → shutdown check → panic-budget check.
-#[allow(clippy::too_many_arguments)]
-fn drive_fleet<G: ModeGenome>(
-    fleet: &mut Fleet,
-    coordinator: &mut ShardCoordinator<G>,
-    ranges: &[(usize, usize)],
-    config: &HuntConfig,
-    control: &CampaignControl<'_>,
-    obs: Option<&HuntTelemetry>,
-    dist: &DistOptions<'_>,
-    restarts: u64,
-    committed: &mut Option<(u32, ShardCoordinator<G>)>,
-) -> Result<ControlledRun<G>, FleetError> {
-    let islands = config.ga.islands;
-    // Workers report cumulative operator counters; the coordinator feeds
-    // the per-generation diffs into the hunt telemetry.
-    let mut last_operators = vec![OperatorSnapshot::default(); ranges.len()];
-    loop {
-        let generation = coordinator.next_generation();
-        // Boundary checks, in the single-process order (shutdown first,
-        // then budget). They only fire once at least one generation ran —
-        // the same invariant `run_controlled` holds by construction.
-        if !coordinator.history().is_empty() {
-            if generation >= config.ga.generations {
-                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed);
-            }
-            if let Some(flag) = control.shutdown {
-                if flag.load(Ordering::SeqCst) {
-                    return finish_fleet(fleet, coordinator, ranges, StopReason::Interrupted);
-                }
-            }
-            if let Some(budget) = control.panic_budget {
-                if coordinator.panic_count() as u64 + restarts > budget {
-                    return finish_fleet(
-                        fleet,
-                        coordinator,
-                        ranges,
-                        StopReason::PanicBudgetExhausted,
-                    );
-                }
-            }
-        }
+impl<G: ModeGenome> Shards<G> for Fleet<'_, G> {
+    type Error = FleetError;
 
-        for (worker, link) in fleet.links.iter_mut().enumerate() {
-            send_frame(&mut link.stream, EVALUATE, &Evaluate { generation })
-                .map_err(|e| FleetError::Death(format!("worker {worker} link: {e}")))?;
-        }
-        let mut reports: Vec<ShardReport<G>> = Vec::with_capacity(fleet.links.len());
-        for (worker, link) in fleet.links.iter_mut().enumerate() {
-            reports.push(expect_frame(link, worker, REPORT)?);
-        }
-
+    fn evaluate(&mut self, generation: u32) -> Result<Vec<ShardReport<G>>, FleetError> {
+        self.broadcast(EVALUATE, &Evaluate { generation })?;
+        let reports: Vec<ShardReport<G>> = self.gather(REPORT)?;
         for (worker, report) in reports.iter().enumerate() {
-            if let Some(fleet_t) = dist.fleet {
+            if let Some(fleet_t) = self.lanes {
                 fleet_t
                     .lane(worker)
                     .evaluations
                     .add(report.eval_delta as u64);
                 fleet_t.lane(worker).panics.add(report.panics.len() as u64);
             }
-            if let Some(o) = obs {
+            if let Some(o) = self.obs {
                 o.metrics.evaluations.add(report.eval_delta as u64);
                 o.metrics.panics_caught.add(report.panics.len() as u64);
-                let last = &last_operators[worker];
+                let last = &self.last_operators[worker];
                 let ops = &report.operators;
                 o.metrics
                     .operators
@@ -494,131 +518,65 @@ fn drive_fleet<G: ModeGenome>(
                     .migrant
                     .add(ops.migrant.saturating_sub(last.migrant));
             }
-            last_operators[worker] = report.operators;
+            self.last_operators[worker] = report.operators;
         }
+        Ok(reports)
+    }
 
-        let absorbed = coordinator
-            .absorb_reports(&reports)
-            .map_err(FleetError::Fatal)?;
-        if let Some(o) = obs {
-            o.observe_generation(
+    fn proceed(
+        &mut self,
+        generation: u32,
+        migrate: bool,
+        checkpoint: bool,
+        coordinator: &ShardCoordinator<G>,
+    ) -> Result<(), FleetError> {
+        self.broadcast(
+            PROCEED,
+            &Proceed {
                 generation,
-                coordinator.best_score().unwrap_or(0.0),
-                absorbed.summary.mean_score,
-                absorbed.island_best.clone(),
-            );
-        }
-        if let Some(progress) = dist.on_progress {
-            progress(DistProgress {
-                generation,
-                evaluations: coordinator.evaluations() as u64,
-                best_score: coordinator.best_score(),
-                restarts,
-                worker_pids: None,
-            });
-        }
-
-        match absorbed.next {
-            ccfuzz_core::shard::GenerationOutcome::Completed => {
-                return finish_fleet(fleet, coordinator, ranges, StopReason::Completed);
+                migrate,
+                checkpoint,
+            },
+        )?;
+        if migrate {
+            let outbound: Vec<Vec<MigrantBatch<G>>> = self.gather(MIGRANTS)?;
+            if let Some(fleet_t) = self.lanes {
+                for (worker, batches) in outbound.iter().enumerate() {
+                    let count: usize = batches.iter().map(|b| b.migrants.len()).sum();
+                    fleet_t.lane(worker).migrants_out.add(count as u64);
+                }
             }
-            ccfuzz_core::shard::GenerationOutcome::Evolve { migrate } => {
-                let boundary = generation + 1;
-                let checkpoint =
-                    dist.checkpoint_every > 0 && boundary.is_multiple_of(dist.checkpoint_every);
-                for (worker, link) in fleet.links.iter_mut().enumerate() {
-                    send_frame(
-                        &mut link.stream,
-                        PROCEED,
-                        &Proceed {
-                            generation,
-                            migrate,
-                            checkpoint,
-                        },
-                    )
+            let inbound = route_migrants(self.ga, self.ranges, outbound)?;
+            for ((worker, link), batches) in self.links.iter_mut().enumerate().zip(inbound) {
+                send_frame(&mut link.stream, INBOUND, &batches)
                     .map_err(|e| FleetError::Death(format!("worker {worker} link: {e}")))?;
-                }
-                if migrate {
-                    // Collecting in worker order yields batches in global
-                    // island order — the canonical exchange sequence.
-                    let mut outbound: Vec<MigrantBatch<G>> = Vec::new();
-                    for (worker, link) in fleet.links.iter_mut().enumerate() {
-                        let batches: Vec<MigrantBatch<G>> = expect_frame(link, worker, MIGRANTS)?;
-                        if let Some(fleet_t) = dist.fleet {
-                            let count: usize = batches.iter().map(|b| b.migrants.len()).sum();
-                            fleet_t.lane(worker).migrants_out.add(count as u64);
-                        }
-                        outbound.extend(batches);
-                    }
-                    let mut inbound: Vec<Vec<MigrantBatch<G>>> =
-                        ranges.iter().map(|_| Vec::new()).collect();
-                    for batch in outbound {
-                        let dst = (batch.src_island + 1) % islands;
-                        let owner = ranges
-                            .iter()
-                            .position(|&(s, e)| dst >= s && dst < e)
-                            .expect("every island has an owner");
-                        inbound[owner].push(batch);
-                    }
-                    for ((worker, link), batches) in fleet.links.iter_mut().enumerate().zip(inbound)
-                    {
-                        send_frame(&mut link.stream, INBOUND, &batches)
-                            .map_err(|e| FleetError::Death(format!("worker {worker} link: {e}")))?;
-                    }
-                }
-                if checkpoint {
-                    for (worker, link) in fleet.links.iter_mut().enumerate() {
-                        let done: CheckpointDone = expect_frame(link, worker, CHECKPOINT_DONE)?;
-                        if done.generation != boundary {
-                            return Err(FleetError::Fatal(format!(
-                                "worker {worker} checkpointed boundary {} instead of {boundary}",
-                                done.generation
-                            )));
-                        }
-                    }
-                    coordinator.finish_generation();
-                    // Two-phase commit: every worker has durably persisted
-                    // this boundary, so it is now safe to resume from.
-                    *committed = Some((boundary, coordinator.clone()));
-                } else {
-                    coordinator.finish_generation();
-                }
             }
         }
+        if checkpoint {
+            let boundary = generation + 1;
+            let acks: Vec<CheckpointDone> = self.gather(CHECKPOINT_DONE)?;
+            if let Some(worker) = acks.iter().position(|done| done.generation != boundary) {
+                return Err(FleetError::Fatal(format!(
+                    "worker {worker} checkpointed boundary {} instead of {boundary}",
+                    acks[worker].generation
+                )));
+            }
+            // Two-phase commit: every worker has durably persisted this
+            // boundary, so it is now safe to resume from.
+            *self.committed = Some((boundary, coordinator.clone()));
+        }
+        Ok(())
     }
-}
 
-/// Stops the fleet gracefully: align boundaries, collect the final
-/// snapshots, assemble the single-process-equivalent snapshot.
-fn finish_fleet<G: ModeGenome>(
-    fleet: &mut Fleet,
-    coordinator: &ShardCoordinator<G>,
-    ranges: &[(usize, usize)],
-    stop: StopReason,
-) -> Result<ControlledRun<G>, FleetError> {
-    let next_generation = coordinator.next_generation();
-    for (worker, link) in fleet.links.iter_mut().enumerate() {
-        send_frame(&mut link.stream, FINISH, &Finish { next_generation })
-            .map_err(|e| FleetError::Death(format!("worker {worker} link: {e}")))?;
+    fn finish(&mut self, next_generation: u32) -> Result<Vec<ShardFinal<G>>, FleetError> {
+        self.broadcast(FINISH, &Finish { next_generation })?;
+        let finals: Vec<SnapshotPayload> = self.gather(FINAL)?;
+        finals
+            .into_iter()
+            .zip(self.ranges)
+            .map(|(payload, &(start, end))| Ok((start, end, G::unwrap_snapshot(payload)?)))
+            .collect()
     }
-    let mut finals: Vec<(usize, usize, FuzzerSnapshot<G>)> = Vec::with_capacity(ranges.len());
-    for ((worker, link), &(start, end)) in fleet.links.iter_mut().enumerate().zip(ranges) {
-        let payload: SnapshotPayload = expect_frame(link, worker, FINAL)?;
-        finals.push((
-            start,
-            end,
-            G::unwrap_snapshot(payload).map_err(FleetError::Fatal)?,
-        ));
-    }
-    let final_snapshot = coordinator
-        .assemble_snapshot(&finals)
-        .map_err(FleetError::Fatal)?;
-    let result = coordinator.result().map_err(FleetError::Fatal)?;
-    Ok(ControlledRun {
-        result,
-        stop,
-        final_snapshot,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -828,7 +786,6 @@ fn execute_hunt(
     let worker_dir = hunt_dir.join("workers");
     let dist = DistOptions {
         workers: spec.workers.max(1),
-        checkpoint_every: spec.checkpoint_every,
         exe: &shared.exe,
         worker_dir: &worker_dir,
         fleet: Some(&fleet_t),

@@ -192,11 +192,11 @@ pub fn hunt_controlled(
 /// the campaign under control, persists checkpoints and panic artifacts,
 /// and (on completion) inserts the best finding.
 ///
-/// The distributed driver (`crate::daemon::hunt_distributed`) goes through
-/// the exact same persistence path — same panic artifacts, same final
-/// checkpoint, same finding construction — with only the campaign run
-/// swapped for its fleet run. That shared tail is what makes a daemon
-/// hunt's payload byte-identical to `ccfuzz hunt`'s.
+/// Both kinds run the same driver (`ccfuzz_core::shard::drive`) — over one
+/// in-process lane, or over `crate::daemon`'s TCP fleet under its respawn
+/// supervisor — and then this same persistence path: same panic artifacts,
+/// same final checkpoint, same finding construction. That is what makes a
+/// daemon hunt's payload byte-identical to `ccfuzz hunt`'s.
 pub(crate) struct HuntJob<'a, 'c> {
     pub(crate) corpus: &'a Corpus,
     pub(crate) config: &'a HuntConfig,
@@ -305,11 +305,9 @@ impl ModeVisitor for HuntJob<'_, '_> {
         };
         let control = CampaignControl {
             shutdown,
-            checkpoint_every: if checkpoint_path.is_some() {
-                checkpoint_every
-            } else {
-                0
-            },
+            // One cadence per hunt: a local run hands the sink below a
+            // campaign checkpoint on it, a fleet's workers persist theirs.
+            checkpoint_every,
             on_checkpoint: if checkpoint_path.is_some() && checkpoint_every > 0 {
                 Some(&mut on_checkpoint)
             } else {

@@ -243,7 +243,7 @@ impl ModeVisitor for ShardJob<'_> {
                             return Err(format!("expected `{INBOUND}` frame, got `{kind}`"));
                         }
                         let inbound: Vec<MigrantBatch<G>> = decode(&kind, &body)?;
-                        fuzzer.shard_apply_migrants(inbound);
+                        fuzzer.shard_apply_migrants(inbound)?;
                     }
                     let boundary = msg.generation + 1;
                     fuzzer.set_next_generation(boundary);

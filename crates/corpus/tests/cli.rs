@@ -273,3 +273,49 @@ fn trace_subcommand_renders_timeline_and_exports() {
     );
     assert!(csv.lines().count() > 1, "CSV export has no rows");
 }
+
+#[test]
+fn workload_trace_lists_the_flows_that_appear_not_a_slab_handle() {
+    // A workload-mode trace names its dynamic flows by tagged slab handle
+    // (top bit set); read as "max index + 1" the committed fixture claimed
+    // 2147614733 flows and printed that many timelines.
+    let dir = std::env::temp_dir().join(format!("ccfuzz-cli-wltrace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let csv_path = dir.join("trace.csv");
+    let out = ccfuzz()
+        .args(["trace", "reno-workload-0606011001", "--buckets", "3"])
+        .arg("--corpus")
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
+        .arg("--csv")
+        .arg(&csv_path)
+        .output()
+        .expect("run ccfuzz trace");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+
+    // Distinct CCA flows in the lossless export (column 3; queue samples
+    // leave it empty).
+    let csv = std::fs::read_to_string(&csv_path).expect("CSV export written");
+    let mut distinct: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split(',').nth(2))
+        .filter(|flow| !flow.is_empty() && *flow != "cross")
+        .collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert!(distinct.len() > 100, "the fixture churns through flows");
+
+    let header = stdout.lines().next().expect("summary line");
+    assert!(
+        header.contains(&format!("({} flows, ", distinct.len())),
+        "{header} vs {} distinct flows",
+        distinct.len()
+    );
+    let timelines = stdout.lines().filter(|l| l.ends_with(" timeline:")).count();
+    assert_eq!(timelines, distinct.len());
+    assert!(stdout.contains("\nflow dyn "), "dynamic flows are named");
+    // Per flow: blank, title, header, rule and one row per bucket.
+    assert!(stdout.lines().count() <= distinct.len() * (4 + 3) + 16);
+    let _ = std::fs::remove_dir_all(dir);
+}
