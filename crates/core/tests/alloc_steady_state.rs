@@ -15,7 +15,8 @@ use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::evaluate::{EvalScratch, Evaluator};
 use ccfuzz_core::fuzzer::GaParams;
-use ccfuzz_core::genome::TrafficGenome;
+use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
+use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -46,26 +47,23 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-#[test]
-fn warm_evaluate_phase_allocates_nothing() {
-    // The mini-campaign shape: traffic fuzzing, Reno, the paper's standard
-    // simulation base — exactly what one GA worker evaluates all day.
+/// Evaluates one island's worth of `mode` genomes through a warm arena and
+/// requires the measured pass — and 100 evaluations after it — to leave the
+/// allocator and the arena's timestamp pool untouched.
+fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>(
+    mode: FuzzMode,
+    cca: CcaKind,
+) {
+    // The mini-campaign shape on the paper's standard simulation base —
+    // exactly what one GA worker evaluates all day.
     let ga = GaParams::quick();
-    let campaign = Campaign::paper_standard(
-        FuzzMode::Traffic,
-        CcaKind::Reno,
-        SimDuration::from_secs(3),
-        ga,
-    );
+    let campaign = Campaign::paper_standard(mode, cca, SimDuration::from_secs(3), ga);
     let evaluator = campaign.evaluator();
 
-    // One island's worth of genomes, generated up front (genome generation
-    // is the GA's job and allocates by design; the claim under test is the
-    // evaluate phase).
+    // Genomes are generated up front (genome generation is the GA's job and
+    // allocates by design; the claim under test is the evaluate phase).
     let mut rng = SimRng::new(7);
-    let genomes: Vec<TrafficGenome> = (0..8)
-        .map(|_| TrafficGenome::generate(campaign.traffic_max_packets, campaign.duration, &mut rng))
-        .collect();
+    let genomes: Vec<G> = (0..8).map(|_| G::generate(&campaign, &mut rng)).collect();
 
     let mut scratch = EvalScratch::new();
     // Two warm-up passes: the first grows every arena buffer from empty;
@@ -80,6 +78,7 @@ fn warm_evaluate_phase_allocates_nothing() {
     }
 
     // The measured pass: same population, warm arena.
+    let pooled = scratch.sim.pooled_time_bufs();
     let before = allocations();
     let mut outcomes = Vec::with_capacity(genomes.len());
     let reserved = allocations();
@@ -90,7 +89,7 @@ fn warm_evaluate_phase_allocates_nothing() {
     assert_eq!(
         after - reserved,
         0,
-        "warm evaluate phase must not touch the allocator \
+        "warm {mode:?} evaluate phase must not touch the allocator \
          ({} allocations across {} evaluations)",
         after - reserved,
         genomes.len()
@@ -99,10 +98,32 @@ fn warm_evaluate_phase_allocates_nothing() {
     // between the two reads.
     assert!(reserved - before <= 1);
 
+    // Every evaluation returns exactly the timestamp buffers it took: the
+    // arena holds a fixed set, not one more per evaluation.
+    for genome in genomes.iter().cycle().take(100) {
+        evaluator.evaluate_reusing(genome, &mut scratch);
+    }
+    assert_eq!(allocations(), after, "100 more {mode:?} evaluations");
+    assert_eq!(
+        scratch.sim.pooled_time_bufs(),
+        pooled,
+        "{mode:?} timestamp pool grew"
+    );
+
     // Reuse never changes results: the warm outcomes equal both the earlier
     // reused pass and a cold evaluation.
     assert_eq!(warm, outcomes);
     for (genome, outcome) in genomes.iter().zip(&outcomes) {
         assert_eq!(evaluator.evaluate(genome), *outcome);
     }
+}
+
+#[test]
+fn warm_evaluate_phase_allocates_nothing() {
+    assert_warm_evaluations_are_free::<TrafficGenome>(FuzzMode::Traffic, CcaKind::Reno);
+    // Link mode moves a ~25 KB service curve per genome through the arena:
+    // built in a pooled buffer, moved (never cloned) into the hop, returned.
+    // (Reno again: the claim is about the arena. BBR, the link-mode CCA of
+    // the benchmark, grows its own bandwidth-sample deque per flow.)
+    assert_warm_evaluations_are_free::<LinkGenome>(FuzzMode::Link, CcaKind::Reno);
 }

@@ -164,24 +164,24 @@ impl SimConfig {
         self.topology.as_ref().map(|t| t.hop_count()).unwrap_or(1)
     }
 
-    /// The hop chain this configuration describes: the topology's hops when
-    /// one is set, otherwise a single hop assembled from the legacy
-    /// single-bottleneck fields.
-    pub fn hop_configs(&self) -> Vec<HopConfig> {
-        let mut out = Vec::new();
-        self.hop_configs_into(&mut out);
-        out
-    }
-
-    /// Like [`SimConfig::hop_configs`], but fills a caller-provided buffer so
-    /// batch drivers reuse one allocation across evaluations. The buffer is
-    /// cleared first.
-    pub fn hop_configs_into(&self, out: &mut Vec<HopConfig>) {
+    /// Moves the hop chain this configuration describes into `out` (cleared
+    /// first; a batch driver reuses one buffer across evaluations): the
+    /// topology's hops when one is set, otherwise a single hop assembled
+    /// from the legacy single-bottleneck fields. The link models are moved,
+    /// not cloned — a trace-driven service curve is tens of kilobytes — so
+    /// afterwards `link` (and every topology hop's `link`) holds a zero-rate
+    /// placeholder; everything else stays readable.
+    pub fn take_hop_configs_into(&mut self, out: &mut Vec<HopConfig>) {
         out.clear();
-        match &self.topology {
-            Some(topology) => out.extend(topology.hops.iter().cloned()),
+        match &mut self.topology {
+            Some(topology) => out.extend(topology.hops.iter_mut().map(|h| HopConfig {
+                link: h.link.take(),
+                propagation_delay: h.propagation_delay,
+                queue_capacity: h.queue_capacity,
+                qdisc: h.qdisc,
+            })),
             None => out.push(HopConfig {
-                link: self.link.clone(),
+                link: self.link.take(),
                 propagation_delay: self.propagation_delay,
                 queue_capacity: self.queue_capacity,
                 qdisc: self.qdisc,
@@ -367,12 +367,26 @@ mod tests {
     #[test]
     fn hop_configs_fall_back_to_the_legacy_single_bottleneck() {
         let cfg = SimConfig::paper_default();
-        let hops = cfg.hop_configs();
+        let mut hops = Vec::new();
+        cfg.clone().take_hop_configs_into(&mut hops);
         assert_eq!(hops.len(), 1);
         assert_eq!(hops[0].link, cfg.link);
         assert_eq!(hops[0].propagation_delay, cfg.propagation_delay);
         assert_eq!(hops[0].queue_capacity, cfg.queue_capacity);
         assert_eq!(hops[0].qdisc, cfg.qdisc);
+    }
+
+    #[test]
+    fn taking_the_hop_chain_moves_the_links_out() {
+        let mut cfg = SimConfig::paper_default();
+        let topo = Topology::uniform_chain(2, 12_000_000, SimDuration::from_millis(5), 50);
+        cfg.topology = Some(topo.clone());
+        let mut hops = vec![HopConfig::fixed_rate(1, SimDuration::ZERO, 1)];
+        cfg.take_hop_configs_into(&mut hops);
+        assert_eq!(hops, topo.hops, "buffer cleared, chain moved in");
+        // What is left behind cannot be run by accident.
+        assert!(cfg.validate().unwrap_err().contains("hop 0"));
+        assert_eq!(cfg.flow_path(0), HopRange::full(2), "paths stay readable");
     }
 
     #[test]

@@ -40,6 +40,13 @@ impl LinkModel {
             LinkModel::TraceDriven { .. } => "trace-driven",
         }
     }
+
+    /// Moves the model out, leaving a zero-rate placeholder behind (which
+    /// [`crate::config::SimConfig::validate`] rejects: a gutted
+    /// configuration cannot be run again by accident).
+    pub(crate) fn take(&mut self) -> LinkModel {
+        std::mem::replace(self, LinkModel::FixedRate { rate_bps: 0 })
+    }
 }
 
 /// Runtime state of the bottleneck link.

@@ -400,6 +400,13 @@ impl<C: CongestionControl> SimScratch<C> {
         self.time_bufs.pop().unwrap_or_default()
     }
 
+    /// Timestamp buffers currently idle in the shared pool. A steady-state
+    /// evaluation loop takes and returns the same number, so this stays
+    /// flat from one evaluation to the next.
+    pub fn pooled_time_bufs(&self) -> usize {
+        self.time_bufs.len()
+    }
+
     /// Returns a timestamp buffer to the shared pool. Buffers without
     /// capacity are dropped (nothing to recycle).
     pub fn recycle_time_buf(&mut self, mut buf: Vec<SimTime>) {
@@ -535,7 +542,7 @@ impl<C: CongestionControl> Simulation<C> {
     /// multi-hop simulation without touching the allocator. Reclaim the
     /// storage with [`Simulation::into_scratch`] after the run.
     pub fn new_multi_reusing(
-        cfg: SimConfig,
+        mut cfg: SimConfig,
         specs: &mut Vec<FlowSpec<C>>,
         mut scratch: SimScratch<C>,
     ) -> Self {
@@ -561,8 +568,11 @@ impl<C: CongestionControl> Simulation<C> {
             delayed_ack_timeout: cfg.delayed_ack_timeout,
             max_sack_blocks: 4,
         };
+        // The simulation owns its configuration, so the link models (a
+        // trace-driven service curve is ~41 KB at 5 s) move into the hops
+        // instead of being cloned; nothing reads them from `cfg` again.
         let mut hop_cfgs = std::mem::take(&mut scratch.hop_cfgs);
-        cfg.hop_configs_into(&mut hop_cfgs);
+        cfg.take_hop_configs_into(&mut hop_cfgs);
         let mut paths = std::mem::take(&mut scratch.paths);
         paths.clear();
         paths.extend((0..specs.len()).map(|i| cfg.flow_path(i)));
@@ -596,9 +606,8 @@ impl<C: CongestionControl> Simulation<C> {
                 + 64
         }));
         // Built by *draining* the hop configs: a trace-driven link's
-        // timestamp vector moves into its LinkService instead of being
-        // cloned a second time. FIFO storage comes from the recycled rings
-        // of earlier runs.
+        // timestamp vector moves on into its LinkService. FIFO storage
+        // comes from the recycled rings of earlier runs.
         let mut hops = std::mem::take(&mut scratch.hops);
         hops.clear();
         for (k, h) in hop_cfgs.drain(..).enumerate() {
@@ -874,25 +883,16 @@ impl<C: CongestionControl> Simulation<C> {
         slab.clear();
         scratch.slab = slab;
         scratch.cc_source = self.cc_source.take();
-        // The simulation is consumed, so the config's trace storage can be
-        // harvested too (the traffic and link fuzzing paths rebuild their
+        // The simulation is consumed, so the config's cross-traffic storage
+        // can be harvested too (the link models were harvested from the
+        // hops above; the traffic and link fuzzing paths rebuild their
         // traces from recycled buffers each evaluation).
         let cross = std::mem::replace(
             &mut self.cfg.cross_traffic,
             crate::trace::TrafficTrace::empty(self.cfg.duration),
         );
         scratch.recycle_time_buf(cross.into_injections());
-        if let LinkModel::TraceDriven { trace } =
-            std::mem::replace(&mut self.cfg.link, LinkModel::FixedRate { rate_bps: 0 })
-        {
-            scratch.recycle_time_buf(trace.into_opportunities());
-        }
         scratch
-    }
-
-    /// The configuration this simulation runs.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Number of congestion-controlled flows.
@@ -1251,22 +1251,16 @@ impl<C: CongestionControl> Simulation<C> {
             FlowId::Cca(raw) => {
                 let idx = self.cca_index(raw);
                 self.flows.counters[idx].sink_received += 1;
-                let receiver = &mut self.flows.receivers[idx];
-                let before = receiver.cum_ack() + receiver.ooo_packets();
-                let out = receiver.on_data(&pkt, now);
-                let after = receiver.cum_ack() + receiver.ooo_packets();
-                if is_dynamic(raw) {
-                    // Dynamic flows record completion times through the
-                    // bounded FCT histograms instead of per-delivery
-                    // timestamp vectors — that unboundedness is exactly
-                    // what a 10k-flow workload run cannot afford.
-                } else {
-                    for _ in before..after {
-                        if self.flows.delivery_times[idx].len() < MAX_DELIVERY_SAMPLES_PER_FLOW {
-                            self.flows.delivery_times[idx].push(now);
-                        } else {
-                            self.stats.delivery_samples_dropped += 1;
-                        }
+                let out = self.flows.receivers[idx].on_data(&pkt, now);
+                // Dynamic flows record completion times through the bounded
+                // FCT histograms instead of per-delivery timestamp vectors —
+                // that unboundedness is exactly what a 10k-flow workload run
+                // cannot afford.
+                if out.new_data && !is_dynamic(raw) {
+                    if self.flows.delivery_times[idx].len() < MAX_DELIVERY_SAMPLES_PER_FLOW {
+                        self.flows.delivery_times[idx].push(now);
+                    } else {
+                        self.stats.delivery_samples_dropped += 1;
                     }
                 }
                 if let Some(ack) = out.ack {

@@ -27,3 +27,26 @@ pub use receiver::{ReceiverConfig, ReceiverOutput, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{SendPoll, SenderConfig, TcpSender};
 pub use skb::Skb;
+
+#[cfg(test)]
+thread_local! {
+    /// Scoreboard work done on this thread: SKBs touched and scoreboard
+    /// ranges compared by the ACK path and the data path. Not a shipped
+    /// metric — the endpoints' unit tests read it to pin that per-ACK and
+    /// per-packet work does not grow with the window or the hole count.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one step of scoreboard work; compiles to nothing outside
+/// `cfg(test)`.
+#[inline(always)]
+fn count_visit() {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + 1));
+}
+
+/// Reads and resets this thread's scoreboard work counter.
+#[cfg(test)]
+fn take_visits() -> u64 {
+    VISITS.with(|v| v.replace(0))
+}

@@ -20,10 +20,14 @@
 //!   because packets are sent in order and only removed from the front when
 //!   cumulatively acknowledged. This replaces a `BTreeMap` (pointer-chasing,
 //!   per-node allocation) with O(1) indexed access and cache-linear scans.
-//! * `in_flight`, SACKed and retransmit-pending counts are maintained
+//! * `in_flight` and retransmit-pending counts are maintained
 //!   incrementally instead of recomputed by scanning the queue.
-//! * SACK-based loss detection is a single reverse pass with a running
-//!   "SACKed above" count instead of the former O(window²) per-ACK scan.
+//! * The SACK scoreboard is incremental: `sack_cache` holds exactly the
+//!   SACKed sequences as sorted ranges (binary-searched; a repeated block
+//!   costs one lookup), and dupthresh loss marking reads the third-highest
+//!   SACKed sequence off its top and visits only the sequences between the
+//!   previous threshold and the new one — per-ACK cost follows what the
+//!   ACK newly covers, not the window size or the hole count.
 //! * The congestion controller is a generic parameter, so enum-dispatched
 //!   controllers ([`ccfuzz-cca`]'s `CcaDispatch`) avoid virtual calls on
 //!   every ACK; `Box<dyn CongestionControl>` remains the default for
@@ -32,6 +36,7 @@
 use crate::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 use crate::packet::{AckPacket, DataPacket};
 use crate::stats::{TransportEvent, TransportRecord};
+use crate::tcp::count_visit;
 use crate::tcp::rtt::RttEstimator;
 use crate::tcp::skb::Skb;
 use crate::time::{SimDuration, SimTime};
@@ -88,28 +93,28 @@ impl SenderConfig {
     }
 }
 
-/// Merges `[start, end)` into a sorted list of disjoint, non-adjacent
-/// ranges (the sender's SACK-processing cache).
+/// Merges the non-empty `[start, end)` into a sorted list of disjoint,
+/// non-adjacent ranges (the sender's SACK scoreboard).
 fn insert_sack_range(cache: &mut Vec<(u64, u64)>, start: u64, end: u64) {
-    if start >= end {
-        return;
-    }
+    debug_assert!(start < end);
     // First range that overlaps or is adjacent to the new one.
-    let mut i = 0;
-    while i < cache.len() && cache[i].1 < start {
-        i += 1;
-    }
-    // Absorb every range overlapping or adjacent to [start, end).
-    let mut lo = start;
-    let mut hi = end;
+    let i = cache.partition_point(|r| {
+        count_visit();
+        r.1 < start
+    });
+    // Absorb every range overlapping or adjacent to [start, end): the
+    // first one is widened in place, the rest are removed.
     let mut j = i;
     while j < cache.len() && cache[j].0 <= end {
-        lo = lo.min(cache[j].0);
-        hi = hi.max(cache[j].1);
+        count_visit();
         j += 1;
     }
-    cache.drain(i..j);
-    cache.insert(i, (lo, hi));
+    if j == i {
+        cache.insert(i, (start, end));
+    } else {
+        cache[i] = (start.min(cache[i].0), end.max(cache[j - 1].1));
+        cache.drain(i + 1..j);
+    }
 }
 
 /// Result of polling the sender for a transmission.
@@ -143,31 +148,28 @@ pub struct TcpSender<C: CongestionControl = Box<dyn CongestionControl>> {
     /// Packets currently outstanding (`outstanding == true`), maintained
     /// incrementally.
     outstanding_count: u64,
-    /// SKBs currently SACKed, maintained incrementally (lets the loss
-    /// detector skip its scan entirely on SACK-free ACKs).
-    sacked_count: u64,
     /// Lost packets awaiting retransmission (`lost && !outstanding`),
     /// maintained incrementally (lets `poll_send` skip the retransmit scan).
     rtx_pending: u64,
-    /// SKBs still eligible for dupthresh loss marking
-    /// (`!lost && !sacked && transmissions == 1`), maintained incrementally.
-    /// The SACK loss scan walks the queue from the top and stops as soon as
-    /// no candidates remain below — in recovery, with a large window of
-    /// already-lost/SACKed packets, that turns an O(window) pass per ACK
-    /// into a walk of just the recently sent tail.
-    loss_candidates: u64,
+    /// Every sequence below this has had its dupthresh verdict: no SKB
+    /// below it is still a marking candidate (`!lost && !sacked &&
+    /// transmissions == 1`). It is the highest dupthresh threshold (the
+    /// third-highest SACKed sequence) a loss pass has processed; each pass
+    /// visits only `[loss_floor, threshold)` and raises the floor.
+    loss_floor: u64,
     /// Lowest index in `skbs` that can hold a retransmit-pending packet.
     /// The retransmit scan in `next_to_send` starts here instead of at the
     /// queue head; maintained on marks (min), transmissions (found index)
     /// and cumulative ACKs (shift left with the queue).
     rtx_search_from: usize,
-    /// Sorted, disjoint ranges of sequences already processed as SACKed
-    /// (the equivalent of Linux's `tcp_sack_cache`). Receivers repeat their
-    /// SACK blocks on every ACK, so without the cache the per-sequence walk
-    /// re-visits the whole SACKed region each time — quadratic over a
-    /// recovery episode. Clipping each block against the cache leaves only
-    /// newly SACKed sequences to walk. Exact because a SACKed packet never
-    /// becomes un-SACKed while it remains in the queue.
+    /// The SACK scoreboard: sorted, disjoint, non-adjacent ranges holding
+    /// exactly the queued sequences that are SACKed (a SACKed packet never
+    /// becomes un-SACKed while it remains in the queue, and the ranges are
+    /// clipped on every cumulative advance). Receivers repeat their SACK
+    /// blocks on every ACK; clipping each block against the scoreboard
+    /// leaves only newly SACKed sequences to walk, and a block already
+    /// inside one range — three of the four on almost every ACK — costs a
+    /// single binary search.
     sack_cache: Vec<(u64, u64)>,
 
     // --- Delivery accounting (Linux tcp_rate.c style) ---
@@ -201,8 +203,6 @@ pub struct TcpSender<C: CongestionControl = Box<dyn CongestionControl>> {
 
     // --- Logging / counters ---
     log: Vec<TransportRecord>,
-    /// Reusable scratch for ascending-order loss logging.
-    mark_log_buf: Vec<u64>,
     transmissions: u64,
     retransmissions: u64,
     rto_count: u64,
@@ -236,9 +236,8 @@ impl<C: CongestionControl> TcpSender<C> {
             cum_ack: 0,
             skbs: VecDeque::new(),
             outstanding_count: 0,
-            sacked_count: 0,
             rtx_pending: 0,
-            loss_candidates: 0,
+            loss_floor: 0,
             rtx_search_from: 0,
             sack_cache: Vec::new(),
             delivered: 0,
@@ -254,7 +253,6 @@ impl<C: CongestionControl> TcpSender<C> {
             earliest_next_send: SimTime::ZERO,
             started: false,
             log: Vec::new(),
-            mark_log_buf: Vec::new(),
             transmissions: 0,
             retransmissions: 0,
             rto_count: 0,
@@ -276,8 +274,6 @@ impl<C: CongestionControl> TcpSender<C> {
         fresh.sack_cache.clear();
         fresh.log = std::mem::take(&mut self.log);
         fresh.log.clear();
-        fresh.mark_log_buf = std::mem::take(&mut self.mark_log_buf);
-        fresh.mark_log_buf.clear();
         *self = fresh;
     }
 
@@ -484,14 +480,9 @@ impl<C: CongestionControl> TcpSender<C> {
         let cum_ack = self.cum_ack;
         let skb = self.skb_mut(seq);
         let was_rtx_pending = skb.lost && !skb.sacked && !skb.outstanding;
-        let was_first_transmission = skb.transmissions == 0;
         skb.stamp_transmission(now, delivered, delivered_time, first_sent_time, false);
         let delivered_stamp = skb.tx_delivered;
         self.outstanding_count += 1;
-        if was_first_transmission {
-            // Freshly sent once, not lost, not SACKed: a dupthresh candidate.
-            self.loss_candidates += 1;
-        }
         if was_rtx_pending {
             self.rtx_pending -= 1;
             // This was the lowest pending index; the next pending one (if
@@ -585,9 +576,6 @@ impl<C: CongestionControl> TcpSender<C> {
                 skb.lost = true;
                 skb.outstanding = false;
                 newly_lost += 1;
-                if skb.transmissions == 1 {
-                    self.loss_candidates -= 1;
-                }
             } else if skb.outstanding && !skb.sacked {
                 skb.outstanding = false;
             }
@@ -598,6 +586,8 @@ impl<C: CongestionControl> TcpSender<C> {
         self.rtx_pending += newly_lost;
         self.outstanding_count = 0;
         self.rtx_search_from = 0;
+        // No dupthresh candidate is left anywhere in the queue.
+        self.loss_floor = self.next_seq;
         if self.cfg.record_log {
             let lost_seqs: Vec<u64> = self.skbs.iter().filter(|s| s.lost).map(|s| s.seq).collect();
             for seq in lost_seqs {
@@ -650,12 +640,14 @@ impl<C: CongestionControl> TcpSender<C> {
         };
 
         // --- Cumulative ACK ---
-        if ack.cum_ack > self.cum_ack {
-            // Clamp a (protocol-violating) ACK beyond the highest sent
-            // sequence: the paired simulator receiver never produces one,
-            // but the sender is public API and the dense `seq - cum_ack`
-            // indexing must not be poisoned by an out-of-range cum_ack.
-            let cum_ack = ack.cum_ack.min(self.next_seq);
+        // Clamp a (protocol-violating) ACK beyond the highest sent sequence:
+        // the paired simulator receiver never produces one, but the sender
+        // is public API and the dense `seq - cum_ack` indexing must not be
+        // poisoned by an out-of-range cum_ack. Everything below reads the
+        // clamped value, never `ack.cum_ack`.
+        let cum_ack = ack.cum_ack.min(self.next_seq);
+        let cum_ack_advanced = cum_ack.saturating_sub(prior_cum_ack);
+        if cum_ack_advanced > 0 {
             while self.cum_ack < cum_ack {
                 let Some(skb) = self.skbs.pop_front() else {
                     break;
@@ -664,13 +656,9 @@ impl<C: CongestionControl> TcpSender<C> {
                 if skb.outstanding {
                     self.outstanding_count -= 1;
                 }
-                if skb.sacked {
-                    self.sacked_count -= 1;
-                } else {
+                if !skb.sacked {
                     if skb.lost {
                         self.rtx_pending -= 1;
-                    } else if skb.transmissions == 1 {
-                        self.loss_candidates -= 1;
                     }
                     // Newly delivered by this cumulative ACK.
                     self.delivered += 1;
@@ -690,26 +678,22 @@ impl<C: CongestionControl> TcpSender<C> {
             }
             self.cum_ack = cum_ack;
             self.dup_acks = 0;
-            self.log_event(
-                now,
-                TransportEvent::CumAckAdvanced {
-                    cum_ack: ack.cum_ack,
-                },
-            );
+            self.log_event(now, TransportEvent::CumAckAdvanced { cum_ack });
         }
 
         // --- SACK blocks ---
         let mut newly_sacked = 0u64;
         if self.cfg.sack_enabled {
             let queue_end = self.cum_ack + self.skbs.len() as u64;
-            // Drop cache entries the cumulative ACK has passed; the queue no
-            // longer holds those sequences.
-            if ack.cum_ack > prior_cum_ack && !self.sack_cache.is_empty() {
-                let cum = self.cum_ack;
-                self.sack_cache.retain_mut(|r| {
-                    r.0 = r.0.max(cum);
-                    r.0 < r.1
-                });
+            // Drop scoreboard ranges the cumulative ACK has passed (the
+            // queue no longer holds those sequences) and clip the one it
+            // landed inside.
+            if cum_ack_advanced > 0 && !self.sack_cache.is_empty() {
+                let passed = self.sack_cache.partition_point(|r| r.1 <= cum_ack);
+                self.sack_cache.drain(..passed);
+                if let Some(first) = self.sack_cache.first_mut() {
+                    first.0 = first.0.max(cum_ack);
+                }
             }
             for block in ack.sack_blocks.iter() {
                 let start = block.start.max(self.cum_ack);
@@ -717,16 +701,27 @@ impl<C: CongestionControl> TcpSender<C> {
                 if start >= end {
                     continue;
                 }
-                // Walk only the sub-ranges not covered by the cache: covered
-                // sequences are guaranteed already SACKed, and the loop body
-                // below is a no-op for them.
+                // First scoreboard range ending above `start`. When it holds
+                // the whole block — a repeat of an earlier ACK's block —
+                // nothing is newly SACKed and the scoreboard is unchanged.
+                let mut cache_idx = self.sack_cache.partition_point(|r| {
+                    count_visit();
+                    r.1 <= start
+                });
+                if let Some(&(rs, re)) = self.sack_cache.get(cache_idx) {
+                    if rs <= start && end <= re {
+                        continue;
+                    }
+                }
+                // Walk only the sub-ranges the scoreboard does not cover:
+                // covered sequences are already SACKed.
                 let mut cursor = start;
-                let mut cache_idx = 0;
                 while cursor < end {
-                    // Skip cache ranges entirely below the cursor.
+                    // Skip scoreboard ranges entirely below the cursor.
                     while cache_idx < self.sack_cache.len()
                         && self.sack_cache[cache_idx].1 <= cursor
                     {
+                        count_visit();
                         cache_idx += 1;
                     }
                     let (gap_end, resume) = match self.sack_cache.get(cache_idx) {
@@ -734,11 +729,10 @@ impl<C: CongestionControl> TcpSender<C> {
                         _ => (end, end),
                     };
                     for seq in cursor..gap_end {
+                        count_visit();
                         let idx = (seq - self.cum_ack) as usize;
                         let skb = &mut self.skbs[idx];
-                        if skb.sacked {
-                            continue;
-                        }
+                        debug_assert!(!skb.sacked, "scoreboard gap holds SACKed seq {seq}");
                         skb.sacked = true;
                         if skb.outstanding {
                             self.outstanding_count -= 1;
@@ -746,7 +740,6 @@ impl<C: CongestionControl> TcpSender<C> {
                         skb.outstanding = false;
                         let was_lost = skb.lost;
                         skb.lost = false;
-                        self.sacked_count += 1;
                         newly_sacked += 1;
                         self.delivered += 1;
                         self.delivered_time = now;
@@ -764,8 +757,6 @@ impl<C: CongestionControl> TcpSender<C> {
                             // copy arrived after all; undo the loss accounting.
                             self.lost_total = self.lost_total.saturating_sub(1);
                             self.rtx_pending -= 1;
-                        } else if skb_snapshot.transmissions == 1 {
-                            self.loss_candidates -= 1;
                         }
                         self.log_event(now, TransportEvent::Sacked { seq });
                     }
@@ -776,7 +767,7 @@ impl<C: CongestionControl> TcpSender<C> {
         }
 
         // --- Dup-ACK counting (only meaningful when nothing new was acked) ---
-        if ack.cum_ack == prior_cum_ack && newly_acked == 0 && in_flight_before > 0 {
+        if cum_ack == prior_cum_ack && newly_acked == 0 && in_flight_before > 0 {
             self.dup_acks += 1;
         }
 
@@ -787,13 +778,13 @@ impl<C: CongestionControl> TcpSender<C> {
                 self.rtt.on_sample(rtt);
             }
         }
-        if ack.cum_ack > prior_cum_ack {
+        if cum_ack_advanced > 0 {
             // Progress: reset backoff and restart the timer.
             self.rto_backoff = 0;
         }
         if self.skbs.is_empty() {
             self.disarm_rto();
-        } else if ack.cum_ack > prior_cum_ack {
+        } else if cum_ack_advanced > 0 {
             // RFC 6298: restart the timer when new data is *cumulatively*
             // acknowledged. Pure-SACK ACKs do not push the timer back, which
             // is what lets the RTO for a lost head (and its lost fast
@@ -838,7 +829,7 @@ impl<C: CongestionControl> TcpSender<C> {
                     Some(now.saturating_since(skb.last_tx))
                 },
                 newly_acked,
-                cum_ack_advanced: ack.cum_ack.saturating_sub(prior_cum_ack),
+                cum_ack_advanced,
                 is_retransmitted_sample: skb.retransmitted(),
                 is_app_limited: skb.tx_app_limited,
                 in_flight_before,
@@ -893,6 +884,23 @@ impl<C: CongestionControl> TcpSender<C> {
         self.drain_cc_events(now);
     }
 
+    /// The dupthresh threshold: the [`LOSS_REORDER_THRESHOLD`]-th highest
+    /// SACKed sequence, read off the top of the scoreboard. An un-SACKed
+    /// packet has at least that many SACKed packets above it exactly when
+    /// its sequence is below this. `None` while fewer are SACKed.
+    fn dupthresh_seq(&self) -> Option<u64> {
+        let mut need = LOSS_REORDER_THRESHOLD;
+        for &(start, end) in self.sack_cache.iter().rev() {
+            count_visit();
+            let len = end - start;
+            if len >= need {
+                return Some(end - need);
+            }
+            need -= len;
+        }
+        None
+    }
+
     /// SACK-based (and dup-ACK based) loss detection. Returns the number of
     /// packets newly marked lost.
     fn detect_losses(&mut self, now: SimTime, newly_sacked: u64) -> u64 {
@@ -900,73 +908,59 @@ impl<C: CongestionControl> TcpSender<C> {
         if self.cfg.sack_enabled {
             // A packet is deemed lost when at least LOSS_REORDER_THRESHOLD
             // packets with higher sequence numbers have been SACKed
-            // (simplified RFC 6675). Packets that have already been
-            // retransmitted are exempt while their retransmission is
-            // outstanding: a lost retransmission is recovered by the RTO, not
-            // by dupthresh (otherwise every ACK would re-mark and re-send the
-            // same holes, a retransmission storm real stacks avoid).
+            // (simplified RFC 6675), i.e. when it lies below
+            // `dupthresh_seq`. Packets that have already been retransmitted
+            // are exempt while their retransmission is outstanding: a lost
+            // retransmission is recovered by the RTO, not by dupthresh
+            // (otherwise every ACK would re-mark and re-send the same holes,
+            // a retransmission storm real stacks avoid).
             //
-            // One reverse pass with a running "SACKed above" count replaces
-            // the former quadratic rescan; marking a packet lost never
-            // changes the SACKed count, so in-place marking is exact.
-            //
-            // The pass is skipped outright when this ACK SACKed nothing new:
-            // a packet's SACKed-above count only grows when a SACK flag is
-            // set, so the previous pass already marked everything markable.
-            // It also terminates as soon as no marking candidates remain
-            // below the scan position (`loss_candidates` bookkeeping): the
-            // rest of the queue can only be re-skipped, never re-marked.
-            if self.sacked_count == 0 || newly_sacked == 0 || self.loss_candidates == 0 {
+            // Only `[loss_floor, threshold)` is visited. Every candidate
+            // below an earlier threshold was marked by that pass; first
+            // transmissions only append above every SACKed sequence; and an
+            // SKB that stopped being a candidate (SACKed, marked,
+            // retransmitted) never becomes one again — so nothing below the
+            // floor is markable, and the threshold itself only moves when a
+            // SACK flag is set (an ACK that SACKed nothing new has nothing
+            // to mark).
+            if newly_sacked == 0 {
                 return 0;
             }
-            let record_log = self.cfg.record_log;
-            self.mark_log_buf.clear();
-            let mut higher_sacked = 0u64;
+            let Some(threshold) = self.dupthresh_seq() else {
+                return 0;
+            };
+            let from = self.loss_floor.max(self.cum_ack);
+            if threshold <= from {
+                return 0;
+            }
+            self.loss_floor = threshold;
+            let lo = (from - self.cum_ack) as usize;
+            let hi = (threshold - self.cum_ack) as usize;
             let mut marked = 0u64;
-            let mut marked_outstanding = 0u64;
-            let mut remaining = self.loss_candidates;
-            let mut lowest_marked_idx = usize::MAX;
-            for (idx, skb) in self.skbs.iter_mut().enumerate().rev() {
-                if skb.sacked {
-                    higher_sacked += 1;
+            for (idx, skb) in self.skbs.range_mut(lo..hi).enumerate() {
+                count_visit();
+                if skb.sacked || skb.lost || skb.transmissions != 1 {
                     continue;
                 }
-                if !skb.lost && skb.transmissions == 1 {
-                    if higher_sacked >= LOSS_REORDER_THRESHOLD {
-                        skb.lost = true;
-                        if skb.outstanding {
-                            marked_outstanding += 1;
-                        }
-                        skb.outstanding = false;
-                        marked += 1;
-                        lowest_marked_idx = idx;
-                        if record_log {
-                            self.mark_log_buf.push(skb.seq);
-                        }
-                    }
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
-                    }
+                skb.lost = true;
+                if skb.outstanding {
+                    self.outstanding_count -= 1;
+                }
+                skb.outstanding = false;
+                if marked == 0 {
+                    self.rtx_search_from = self.rtx_search_from.min(lo + idx);
+                }
+                marked += 1;
+                if self.cfg.record_log {
+                    self.log.push(TransportRecord {
+                        at: now,
+                        event: TransportEvent::MarkedLost { seq: skb.seq },
+                    });
                 }
             }
             self.lost_total += marked;
             self.rtx_pending += marked;
-            self.outstanding_count -= marked_outstanding;
-            self.loss_candidates -= marked;
-            if lowest_marked_idx < self.rtx_search_from {
-                self.rtx_search_from = lowest_marked_idx;
-            }
             newly_lost += marked;
-            if record_log && !self.mark_log_buf.is_empty() {
-                // The reverse pass collected marks highest-sequence first;
-                // the log reports them in ascending order as before.
-                let seqs = std::mem::take(&mut self.mark_log_buf);
-                for &seq in seqs.iter().rev() {
-                    self.log_event(now, TransportEvent::MarkedLost { seq });
-                }
-                self.mark_log_buf = seqs;
-            }
         } else if self.dup_acks >= LOSS_REORDER_THRESHOLD {
             // Classic fast retransmit: mark the head lost once per dup-ACK burst.
             if let Some(skb) = self.skbs.front_mut() {
@@ -976,9 +970,6 @@ impl<C: CongestionControl> TcpSender<C> {
                         self.outstanding_count -= 1;
                     }
                     skb.outstanding = false;
-                    if skb.transmissions == 1 {
-                        self.loss_candidates -= 1;
-                    }
                     self.lost_total += 1;
                     self.rtx_pending += 1;
                     self.rtx_search_from = 0;
@@ -1350,14 +1341,60 @@ mod tests {
     fn ack_beyond_highest_sent_is_clamped() {
         // A protocol-violating cumulative ACK above next_seq must not
         // poison the dense retransmission-queue indexing (the old BTreeMap
-        // implementation tolerated it; the dense queue must too).
-        let mut s = sender_with_window(4);
+        // implementation tolerated it; the dense queue must too) — and the
+        // clamp applies to everything derived from it: the advance reported
+        // to the CCA, the log record and the "progress" test behind the RTO
+        // backoff reset.
+        #[derive(Debug, Default)]
+        struct AdvanceProbe {
+            advances: Vec<u64>,
+        }
+        impl CongestionControl for AdvanceProbe {
+            fn name(&self) -> &'static str {
+                "advance-probe"
+            }
+            fn on_ack(&mut self, _: &CcContext, rs: &RateSample) {
+                self.advances.push(rs.cum_ack_advanced);
+            }
+            fn on_congestion(&mut self, _: &CcContext, _: CongestionSignal) {}
+            fn cwnd(&self) -> u64 {
+                4
+            }
+        }
+        let cum_ack_records = |s: &mut TcpSender<AdvanceProbe>| -> Vec<u64> {
+            s.drain_log()
+                .iter()
+                .filter_map(|r| match r.event {
+                    TransportEvent::CumAckAdvanced { cum_ack } => Some(cum_ack),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut s = TcpSender::new(SenderConfig::paper_default(), AdvanceProbe::default());
+        s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
-        let now = SimTime::from_millis(40);
+        // Back the timer off once so the reset below is visible.
+        let (deadline, generation) = s.rto_deadline().unwrap();
+        assert!(s.on_rto_timer(generation, deadline));
+        assert_eq!(s.rto_backoff, 1);
+        let now = deadline + SimDuration::from_millis(40);
         s.on_ack(&ack(100, vec![], now), now);
         assert_eq!(s.cum_ack(), 4, "clamped to highest sent");
         assert_eq!(s.delivered(), 4);
         assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.cc().advances, vec![4], "the CCA sees the clamped advance");
+        assert_eq!(cum_ack_records(&mut s), vec![4], "so does the log");
+        assert_eq!(s.rto_backoff, 0, "four packets acknowledged is progress");
+
+        // The same bogus ACK again acknowledges nothing: no advance record,
+        // no rate sample, no dup-ACK, no timer.
+        s.on_ack(&ack(100, vec![], now), now);
+        assert_eq!(s.cum_ack(), 4);
+        assert_eq!(s.cc().advances, vec![4]);
+        assert!(cum_ack_records(&mut s).is_empty(), "nothing advanced");
+        assert_eq!(s.dup_acks, 0);
+        assert!(s.rto_deadline().is_none());
+
         // The sender keeps working: new packets pick up from next_seq.
         let pkts = drain_packets(&mut s, now);
         assert_eq!(pkts.first().map(|p| p.seq), Some(4));
@@ -1371,21 +1408,22 @@ mod tests {
         let mut s = sender_with_window(12);
         let check = |s: &TcpSender| {
             let outstanding = s.skbs.iter().filter(|k| k.outstanding).count() as u64;
-            let sacked = s.skbs.iter().filter(|k| k.sacked).count() as u64;
             let pending = s
                 .skbs
                 .iter()
                 .filter(|k| k.lost && !k.sacked && !k.outstanding)
                 .count() as u64;
-            let candidates = s
-                .skbs
-                .iter()
-                .filter(|k| !k.lost && !k.sacked && k.transmissions == 1)
-                .count() as u64;
             assert_eq!(s.outstanding_count, outstanding, "outstanding");
-            assert_eq!(s.sacked_count, sacked, "sacked");
             assert_eq!(s.rtx_pending, pending, "rtx pending");
-            assert_eq!(s.loss_candidates, candidates, "loss candidates");
+            // No dupthresh candidate may hide below the loss floor.
+            for k in s.skbs.iter().filter(|k| k.seq < s.loss_floor) {
+                assert!(
+                    k.lost || k.sacked || k.transmissions != 1,
+                    "candidate seq {} below floor {}",
+                    k.seq,
+                    s.loss_floor
+                );
+            }
             // No retransmit-pending SKB may hide below the scan hint.
             let first_pending = s
                 .skbs
@@ -1398,15 +1436,12 @@ mod tests {
                     s.rtx_search_from
                 );
             }
-            // Every cached SACK range must hold only SACKed sequences.
-            for &(rs, re) in &s.sack_cache {
-                for seq in rs.max(s.cum_ack)..re.min(s.cum_ack + s.skbs.len() as u64) {
-                    assert!(
-                        s.skbs[(seq - s.cum_ack) as usize].sacked,
-                        "cache claims unSACKed seq {seq}"
-                    );
-                }
-            }
+            // The scoreboard holds exactly the SACKed sequences, as
+            // sorted non-adjacent ranges inside the queue.
+            let from_flags: Vec<u64> = s.skbs.iter().filter(|k| k.sacked).map(|k| k.seq).collect();
+            let from_ranges: Vec<u64> = s.sack_cache.iter().flat_map(|&(rs, re)| rs..re).collect();
+            assert_eq!(from_ranges, from_flags, "scoreboard vs SACK flags");
+            assert!(s.sack_cache.windows(2).all(|w| w[0].1 < w[1].0));
         };
         drain_packets(&mut s, SimTime::ZERO);
         check(&s);
@@ -1425,5 +1460,66 @@ mod tests {
         let later = deadline + SimDuration::from_millis(50);
         s.on_ack(&ack(9, vec![], later), later);
         check(&s);
+    }
+    /// Scoreboard work (SKBs touched plus scoreboard ranges compared) per
+    /// ACK over one loss episode: a `window`-packet flight with `holes`
+    /// evenly spaced drops is ACKed by a real receiver, then the
+    /// retransmissions fill the holes lowest first.
+    fn visits_per_ack(window: u64, holes: u64) -> f64 {
+        use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
+        use crate::tcp::take_visits;
+        let mut cfg = SenderConfig::paper_default();
+        cfg.record_log = false;
+        let mut s = TcpSender::new(cfg, FixedWindowCc::new(window));
+        s.on_flow_start(SimTime::ZERO);
+        let mut r = TcpReceiver::new(ReceiverConfig {
+            delayed_ack: false,
+            ..ReceiverConfig::paper_default()
+        });
+        let stride = window / holes;
+        let now = SimTime::from_millis(40);
+        let (mut acks, mut visits) = (0u64, 0u64);
+        let mut flight = drain_packets(&mut s, SimTime::ZERO);
+        flight.retain(|p| p.seq % stride != 0);
+        // Popped from the back: lowest sequence first.
+        flight.reverse();
+        // First the surviving originals, then — once — the retransmissions
+        // they triggered (the window is still full of SACKed packets, so
+        // each filled hole releases the next retransmission).
+        while let Some(pkt) = flight.pop() {
+            if let Some(ack) = r.on_data(&pkt, now).ack {
+                // The receiver's own share of the counter is pinned by its
+                // test; only the sender's is measured here.
+                take_visits();
+                s.on_ack(&ack, now);
+                visits += take_visits();
+                acks += 1;
+            }
+            if flight.is_empty() {
+                flight = drain_packets(&mut s, now);
+                flight.retain(|p| p.is_retransmission);
+                flight.reverse();
+            }
+        }
+        assert_eq!(s.lost_total(), holes, "every hole was marked exactly once");
+        assert_eq!(s.cum_ack(), window, "and every one was repaired");
+        visits as f64 / acks as f64
+    }
+
+    #[test]
+    fn per_ack_work_is_independent_of_window_and_hole_count() {
+        // 8x the window and 8x the holes: the scanning scoreboard this
+        // replaced did ~8x the work per ACK; the incremental one may only
+        // pay the binary searches' extra log2(8) = 3 comparisons.
+        let small = visits_per_ack(256, 16);
+        let large = visits_per_ack(2048, 128);
+        assert!(
+            large <= 2.0 * small,
+            "per-ACK scoreboard work grew {small:.1} -> {large:.1}"
+        );
+        assert!(
+            large < 48.0,
+            "per-ACK work is a few dozen steps: {large:.1}"
+        );
     }
 }
