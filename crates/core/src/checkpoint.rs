@@ -67,7 +67,7 @@ impl SnapshotPayload {
         }
     }
 
-    /// Simulations run before the snapshot was taken.
+    /// Evaluations made before the snapshot was taken.
     pub fn evaluations(&self) -> usize {
         match self {
             SnapshotPayload::Traffic(s) => s.evaluations,

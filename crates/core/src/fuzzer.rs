@@ -153,7 +153,7 @@ pub struct GenerationSummary {
     pub top_k_mean_delivered: f64,
     /// Mean transmissions of the `report_top_k` highest-scoring traces.
     pub top_k_mean_sent: f64,
-    /// Simulations run so far (cumulative).
+    /// Evaluations so far, cumulative (reused outcomes included).
     pub evaluations: usize,
 }
 
@@ -166,7 +166,7 @@ pub struct FuzzResult<G> {
     pub best_outcome: EvalOutcome,
     /// Per-generation history.
     pub history: Vec<GenerationSummary>,
-    /// Total simulations run.
+    /// Total evaluations (reused outcomes included).
     pub total_evaluations: usize,
 }
 
@@ -249,7 +249,7 @@ pub struct FuzzerSnapshot<G> {
     pub anneal_rng: SimRng,
     /// Every island's population, elites keeping their cached outcomes.
     pub islands: Vec<Vec<Individual<G>>>,
-    /// Simulations run so far.
+    /// Evaluations so far (reused outcomes included).
     pub evaluations: usize,
     /// The generation the restored fuzzer will evaluate next.
     pub next_generation: u32,
@@ -388,6 +388,14 @@ fn steal_map<S: Send, R: Send>(
         .collect()
 }
 
+/// The value every ranking and best-so-far scan compares: the score, with
+/// NaN (a custom evaluator's incomparable score) ranked with the unevaluated
+/// (`None`), below every comparable score. NaN-free keys make the rankings
+/// total orders, which `sort_by` requires.
+pub(crate) fn rank_key(score: Option<f64>) -> f64 {
+    score.filter(|s| !s.is_nan()).unwrap_or(f64::NEG_INFINITY)
+}
+
 /// Hook applied to genomes between generations (e.g. link-trace annealing).
 pub type AnnealFn<G> = dyn Fn(&G, &mut SimRng) -> G + Sync + Send;
 
@@ -406,6 +414,13 @@ pub struct Fuzzer<'a, G: Genome, E: Evaluator<G>> {
     history: Vec<GenerationSummary>,
     panic_log: Vec<PanicRecord<G>>,
     obs: Option<&'a HuntTelemetry>,
+    /// `(island, child, parent's outcome)` for every child the last evolve
+    /// bred equal to a scored parent; looked up by genome equality, so
+    /// sorting and migration cannot misalign it. Transient: emptied by
+    /// every evaluate pass and never part of a snapshot, so a restored
+    /// fuzzer simply simulates those children (DESIGN.md "Evaluation
+    /// reuse").
+    reuse: Vec<(usize, G, EvalOutcome)>,
 }
 
 impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
@@ -448,6 +463,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             history: Vec::with_capacity(params.generations as usize),
             panic_log: Vec::new(),
             obs: None,
+            reuse: Vec::new(),
         }
     }
 
@@ -474,6 +490,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             history: snapshot.history,
             panic_log: snapshot.panics,
             obs: None,
+            reuse: Vec::new(),
         })
     }
 
@@ -522,8 +539,11 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// Evaluates every not-yet-scored individual of islands `start..end`, in
     /// parallel. Island indices stay global, so results, panic records and
     /// telemetry are identical whether a range is evaluated by its owning
-    /// worker or as part of a whole-population pass.
+    /// worker or as part of a whole-population pass. A child the last
+    /// evolve bred equal to a scored parent takes that parent's outcome
+    /// instead of a simulation; it still counts as an evaluation.
     fn evaluate_pending_range(&mut self, start: usize, end: usize) {
+        let reuse = std::mem::take(&mut self.reuse);
         // Collect (island, index) pairs needing evaluation.
         let pending: Vec<(usize, usize)> = self.islands[start..end]
             .iter()
@@ -555,31 +575,42 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             let started = observe.then(Instant::now);
             // A panicking simulation is isolated here: the individual scores
             // the default outcome, the genome and message are preserved in
-            // the panic log, and the campaign continues.
+            // the panic log, and the campaign continues. The injection
+            // ordinal counts reused evaluations too.
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 maybe_inject_panic();
-                evaluator.evaluate_reusing(&islands[i][j].genome, scratch)
+                let genome = &islands[i][j].genome;
+                match reuse
+                    .iter()
+                    .find(|(island, g, _)| *island == i && g == genome)
+                {
+                    Some(&(_, _, outcome)) => (outcome, true),
+                    None => (evaluator.evaluate_reusing(genome, scratch), false),
+                }
             }));
-            let (outcome, panic) = match caught {
-                Ok(outcome) => (outcome, None),
+            let (outcome, reused, panic) = match caught {
+                Ok((outcome, reused)) => (outcome, reused, None),
                 Err(payload) => {
                     // The scratch arena may hold half-updated simulator
                     // state; replace it wholesale.
                     *scratch = EvalScratch::new();
-                    (EvalOutcome::default(), Some(panic_message(payload)))
+                    (EvalOutcome::default(), false, Some(panic_message(payload)))
                 }
             };
-            (
-                outcome,
-                panic,
-                started.map(|s| s.elapsed().as_nanos() as u64),
-            )
+            // Only simulations are timed: the histogram is simulation
+            // latency.
+            let nanos = started
+                .filter(|_| !reused)
+                .map(|s| s.elapsed().as_nanos() as u64);
+            (outcome, reused, panic, nanos)
         });
         // `evaluated` is in `pending` order — canonical (island, index) —
         // whichever worker ran what, so outcomes, the panic log and the
         // latency histogram come out the same for any thread count.
         let panics_before = self.panic_log.len();
-        for (&(i, j), (outcome, panic, nanos)) in pending.iter().zip(evaluated) {
+        let mut reused_count = 0u64;
+        for (&(i, j), (outcome, reused, panic, nanos)) in pending.iter().zip(evaluated) {
+            reused_count += u64::from(reused);
             let individual = &mut self.islands[i][j];
             individual.outcome = Some(outcome);
             if let Some(message) = panic {
@@ -597,17 +628,18 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
         if let Some(obs) = self.obs {
             obs.metrics.evaluations.add(pending.len() as u64);
+            obs.metrics.evaluations_reused.add(reused_count);
             let caught = self.panic_log.len() - panics_before;
             obs.metrics.panics_caught.add(caught as u64);
         }
     }
 
-    /// The campaign's one ranking: score descending, unevaluated last,
-    /// incomparable (NaN) scores tying. Every sort using it is stable.
+    /// The campaign's one ranking: [`rank_key`] descending, so unevaluated
+    /// and NaN-scored individuals tie last. Every sort using it is stable.
     fn by_score_desc(a: &Individual<G>, b: &Individual<G>) -> std::cmp::Ordering {
-        let sa = a.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-        let sb = b.outcome.map(|o| o.score).unwrap_or(f64::NEG_INFINITY);
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+        let sa = rank_key(a.outcome.map(|o| o.score));
+        let sb = rank_key(b.outcome.map(|o| o.score));
+        sb.partial_cmp(&sa).expect("rank keys are never NaN")
     }
 
     fn sort_island(pop: &mut [Individual<G>]) {
@@ -615,7 +647,8 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     }
 
     /// Builds the next generation of one island, already sorted best-first
-    /// (elitism + crossover + mutation). Pure in `(params, rng, island_idx,
+    /// (elitism + crossover + mutation), plus the outcome each child equal
+    /// to a scored parent can reuse. Pure in `(params, rng, island_idx,
     /// pop)` — the island draws from its own fork of the static master RNG —
     /// unless `anneal` lends it the campaign's one sequential annealing
     /// stream.
@@ -626,7 +659,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         pop: &[Individual<G>],
         mut anneal: Option<(&AnnealFn<G>, &mut SimRng)>,
         obs: Option<&HuntTelemetry>,
-    ) -> Vec<Individual<G>> {
+    ) -> (Vec<Individual<G>>, Vec<(G, EvalOutcome)>) {
         let mut rng = rng.fork(1_000 + island_idx as u64);
         let n = pop.len();
         let k_elite = params.k_elite.min(n);
@@ -635,6 +668,8 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // Elites survive unchanged (and keep their cached outcome).
         let mut next: Vec<Individual<G>> = Vec::with_capacity(n);
         next.extend_from_slice(&pop[..k_elite]);
+        // The parents of each bred child, in `next` order.
+        let mut lineage: Vec<[usize; 2]> = Vec::with_capacity(n - k_elite);
         // Crossovers.
         let mut produced = 0usize;
         while produced < k_crossover && next.len() < n {
@@ -646,6 +681,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
                         genome,
                         outcome: None,
                     });
+                    lineage.push([a, b]);
                     produced += 1;
                 }
                 None => break, // genome type has no crossover (link mode)
@@ -654,21 +690,40 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // Mutations fill the remainder.
         let mut mutated = 0u64;
         while next.len() < n {
-            let src = &pop[pick_ranked(n, &mut rng)].genome;
+            let src = pick_ranked(n, &mut rng);
+            let parent = &pop[src].genome;
             let genome = match &mut anneal {
                 // Annealing draws from its own RNG stream (seeded from the
                 // master seed at construction, serialized in snapshots) so
                 // it perturbs genomes without shifting the mutation stream
                 // shared by non-annealing campaigns.
-                Some((anneal, anneal_rng)) => anneal(src, anneal_rng).mutate(&mut rng),
-                None => src.mutate(&mut rng),
+                Some((anneal, anneal_rng)) => anneal(parent, anneal_rng).mutate(&mut rng),
+                None => parent.mutate(&mut rng),
             };
             mutated += 1;
             next.push(Individual {
                 genome,
                 outcome: None,
             });
+            lineage.push([src, src]);
         }
+        // A child equal to a parent simulates to that parent's outcome
+        // (evaluation is deterministic). A parent whose evaluation panicked
+        // holds the default outcome, not its own, so its copies simulate.
+        let reuse = next[k_elite..]
+            .iter()
+            .zip(&lineage)
+            .filter_map(|(child, &[a, b])| {
+                let outcome = std::iter::once(a)
+                    .chain((b != a).then_some(b))
+                    .find_map(|p| {
+                        pop[p].outcome.filter(|o| {
+                            *o != EvalOutcome::default() && pop[p].genome == child.genome
+                        })
+                    })?;
+                Some((child.genome.clone(), outcome))
+            })
+            .collect();
         if let Some(obs) = obs {
             let ops = &obs.metrics.operators;
             ops.elite.add(k_elite as u64);
@@ -676,7 +731,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             ops.mutation.add(mutated);
             ops.anneal.add(if anneal.is_some() { mutated } else { 0 });
         }
-        next
+        (next, reuse)
     }
 
     /// Evolves islands `start..end` into their next generation. Islands are
@@ -700,8 +755,10 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             let anneal = anneal_fn.zip(anneal_rng.as_deref_mut());
             Self::evolve_island(params, rng, start + k, &owned[k], anneal, obs)
         });
-        for (pop, next) in owned.iter_mut().zip(evolved) {
+        for (k, (pop, (next, reuse))) in owned.iter_mut().zip(evolved).enumerate() {
             *pop = next;
+            self.reuse
+                .extend(reuse.into_iter().map(|(genome, o)| (start + k, genome, o)));
         }
     }
 
@@ -798,7 +855,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             if let Some(outcome) = ind.outcome {
                 if best
                     .as_ref()
-                    .map(|(_, b)| outcome.score > b.score)
+                    .map(|(_, b)| rank_key(Some(outcome.score)) > rank_key(Some(b.score)))
                     .unwrap_or(true)
                 {
                     best = Some((&ind.genome, outcome));
@@ -1177,8 +1234,9 @@ mod tests {
                 ToyGenome((0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect())
             };
             let probe = ScratchProbe::default();
+            let telemetry = HuntTelemetry::new();
             let mut snapshot = if case == "panicking" {
-                let mut fuzzer = Fuzzer::new(params, &probe, init);
+                let mut fuzzer = Fuzzer::new(params, &probe, init).with_observer(&telemetry);
                 fuzzer.run();
                 fuzzer.snapshot()
             } else {
@@ -1198,14 +1256,15 @@ mod tests {
                     .collect();
                 assert!(!keys.is_empty(), "some evaluations must have panicked");
                 assert!(keys.windows(2).all(|w| w[0] < w[1]), "canonical: {keys:?}");
-                // Every evaluation ran once; a worker's scratch stays warm
-                // through a pass and is replaced only after a panic.
+                // Every evaluation either simulated once or reused a
+                // parent's outcome; a worker's scratch stays warm through a
+                // pass and is replaced only after a panic.
                 let cold = probe.cold.load(Ordering::Relaxed);
                 let passes = params.generations as usize;
-                assert_eq!(
-                    probe.calls.load(Ordering::Relaxed),
-                    snapshot.evaluations as u64
-                );
+                let calls = probe.calls.load(Ordering::Relaxed);
+                let reused = telemetry.metrics.evaluations_reused.get();
+                assert_eq!(calls + reused, snapshot.evaluations as u64);
+                assert!(calls < snapshot.evaluations as u64, "reuse fired");
                 assert_eq!(probe.poisoned.load(Ordering::Relaxed), 0);
                 assert!(cold >= passes as u64, "a scratch outlived its pass");
                 assert!(cold <= (passes * threads + keys.len()) as u64);
@@ -1227,6 +1286,273 @@ mod tests {
             baselines[0], baselines[2],
             "the annealing hook must have run"
         );
+    }
+
+    /// [`ToyGenome`] with an equality that never holds, so no child can
+    /// reuse a parent's outcome. Serializes exactly as the genome it wraps.
+    #[derive(Clone, Debug, Serialize, Deserialize)]
+    struct NeverEqual(ToyGenome);
+
+    impl PartialEq for NeverEqual {
+        fn eq(&self, _other: &Self) -> bool {
+            false
+        }
+    }
+
+    impl Genome for NeverEqual {
+        fn mutate(&self, rng: &mut SimRng) -> Self {
+            NeverEqual(self.0.mutate(rng))
+        }
+        fn crossover(&self, other: &Self, rng: &mut SimRng) -> Option<Self> {
+            self.0.crossover(&other.0, rng).map(NeverEqual)
+        }
+        fn packet_count(&self) -> usize {
+            self.0.packet_count()
+        }
+        fn validate(&self) -> Result<(), String> {
+            self.0.validate()
+        }
+    }
+
+    impl Evaluator<NeverEqual> for ToyEvaluator {
+        fn evaluate(&self, genome: &NeverEqual) -> EvalOutcome {
+            self.evaluate(&genome.0)
+        }
+    }
+
+    impl Evaluator<NeverEqual> for ScratchProbe {
+        fn evaluate(&self, genome: &NeverEqual) -> EvalOutcome {
+            self.evaluate(&genome.0)
+        }
+        fn evaluate_reusing(&self, genome: &NeverEqual, scratch: &mut EvalScratch) -> EvalOutcome {
+            self.evaluate_reusing(&genome.0, scratch)
+        }
+    }
+
+    /// The two toy genomes, so one campaign can run on either.
+    trait Toy: Genome + Serialize + 'static {
+        fn wrap(genome: ToyGenome) -> Self;
+        fn toy(&self) -> &ToyGenome;
+    }
+
+    impl Toy for ToyGenome {
+        fn wrap(genome: ToyGenome) -> Self {
+            genome
+        }
+        fn toy(&self) -> &ToyGenome {
+            self
+        }
+    }
+
+    impl Toy for NeverEqual {
+        fn wrap(genome: ToyGenome) -> Self {
+            NeverEqual(genome)
+        }
+        fn toy(&self) -> &ToyGenome {
+            &self.0
+        }
+    }
+
+    /// Runs the toy campaign `case` (plain, genome-keyed panics, annealed,
+    /// or scored NaN on a genome-keyed subset) over `lanes` in-process
+    /// lanes and returns its final snapshot as JSON — `threads` blanked, as
+    /// it is recorded but nothing else may depend on it — plus the
+    /// evaluations that reused a parent's outcome.
+    fn toy_campaign<G: Toy>(case: &str, threads: usize, lanes: usize) -> (String, u64)
+    where
+        ToyEvaluator: Evaluator<G>,
+        ScratchProbe: Evaluator<G>,
+        NanOnSubset: Evaluator<G>,
+    {
+        fn drive<G: Toy, E: Evaluator<G>>(
+            params: GaParams,
+            evaluator: &E,
+            lanes: usize,
+            obs: &HuntTelemetry,
+        ) -> FuzzerSnapshot<G> {
+            let init = |rng: &mut SimRng| {
+                G::wrap(ToyGenome(
+                    (0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect(),
+                ))
+            };
+            let anneal = |genome: &G, rng: &mut SimRng| {
+                G::wrap(ToyGenome(
+                    genome.toy().0.iter().map(|x| x + rng.next_f64()).collect(),
+                ))
+            };
+            let mut fuzzers: Vec<_> = (0..lanes)
+                .map(|_| {
+                    Fuzzer::new(params, evaluator, init)
+                        .with_annealing(Box::new(anneal))
+                        .with_observer(obs)
+                })
+                .collect();
+            run_lanes(&mut fuzzers, &mut RunControl::default())
+                .expect("the toy campaign runs")
+                .final_snapshot
+        }
+        let mut params = quick_params();
+        params.generations = 6;
+        params.migration_interval = 2;
+        params.threads = threads;
+        params.anneal = case == "annealed";
+        // Longer than an island, so the top-k summary shows the order in
+        // which the lanes' rankings were merged.
+        params.report_top_k = 9;
+        let telemetry = HuntTelemetry::new();
+        let mut snapshot = match case {
+            "panicking" => drive::<G, _>(params, &ScratchProbe::default(), lanes, &telemetry),
+            "nan" => drive::<G, _>(params, &NanOnSubset, lanes, &telemetry),
+            _ => drive::<G, _>(params, &ToyEvaluator, lanes, &telemetry),
+        };
+        snapshot.params.threads = 0;
+        (
+            serde_json::to_string(&snapshot).expect("snapshot serializes"),
+            telemetry.metrics.evaluations_reused.get(),
+        )
+    }
+
+    /// Scores by sum, but NaN on a genome-keyed majority of the initial
+    /// population (first gene below 0.2). Delivered packets follow the
+    /// genes, so the merged ranking's order shows in the top-k summary.
+    struct NanOnSubset;
+    impl Evaluator<ToyGenome> for NanOnSubset {
+        fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
+            let score = if genome.0[0] < 0.2 {
+                f64::NAN
+            } else {
+                genome.0.iter().sum()
+            };
+            EvalOutcome {
+                score,
+                delivered_packets: (genome.0.iter().map(|x| x.abs()).sum::<f64>() * 1e3) as u64,
+                ..Default::default()
+            }
+        }
+    }
+    impl Evaluator<NeverEqual> for NanOnSubset {
+        fn evaluate(&self, genome: &NeverEqual) -> EvalOutcome {
+            self.evaluate(&genome.0)
+        }
+    }
+
+    /// Every (lanes, threads) pair the invariance tests sweep.
+    fn lanes_by_threads() -> impl Iterator<Item = (usize, usize)> {
+        [1, 2, 3]
+            .into_iter()
+            .flat_map(|lanes| [1, 2, 3, 8].map(|threads| (lanes, threads)))
+    }
+
+    #[test]
+    fn reuse_changes_no_snapshot_byte() {
+        // The same campaigns with reuse impossible: every child simulates,
+        // and the full resumable state must come out byte-identical.
+        for case in ["plain", "panicking", "annealed"] {
+            for (lanes, threads) in lanes_by_threads() {
+                let at = format!("{case}: {lanes} lanes x {threads} threads");
+                let (reusing, reused) = toy_campaign::<ToyGenome>(case, threads, lanes);
+                let (simulated, none) = toy_campaign::<NeverEqual>(case, threads, lanes);
+                assert!(reused > 0, "{at}: reuse never fired");
+                assert_eq!(none, 0, "{at}");
+                assert!(reusing == simulated, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_scores_rank_last_and_the_campaign_completes() {
+        // A custom evaluator scoring a genome-keyed subset NaN: the rankings
+        // stay total orders (with NaN as a tie they are not, and `sort_by`
+        // may then panic or mis-sort), so the campaign completes with the
+        // same bytes at any lane and thread count.
+        let (single, _) = toy_campaign::<ToyGenome>("nan", 1, 1);
+        assert!(
+            single.contains("\"score\":null"),
+            "NaN scores serialize as null"
+        );
+        for (lanes, threads) in lanes_by_threads() {
+            let (ran, _) = toy_campaign::<ToyGenome>("nan", threads, lanes);
+            assert!(ran == single, "{lanes} lanes x {threads} threads");
+        }
+        // NaN ranks with the unevaluated, below every comparable score.
+        let scored = |score: f64| Individual {
+            genome: ToyGenome(Vec::new()),
+            outcome: Some(EvalOutcome {
+                score,
+                ..Default::default()
+            }),
+        };
+        let mut pop = vec![
+            scored(f64::NAN),
+            scored(1.0),
+            Individual {
+                genome: ToyGenome(vec![1.0]),
+                outcome: None,
+            },
+            scored(f64::NEG_INFINITY),
+            scored(2.0),
+        ];
+        Fuzzer::<ToyGenome, ToyEvaluator>::sort_island(&mut pop);
+        let order: Vec<Option<f64>> = pop.iter().map(|i| i.outcome.map(|o| o.score)).collect();
+        assert_eq!(order[..2], [Some(2.0), Some(1.0)]);
+        assert!(
+            order[2].unwrap().is_nan(),
+            "stable among the last: {order:?}"
+        );
+        assert_eq!(order[3..], [None, Some(f64::NEG_INFINITY)]);
+    }
+
+    #[test]
+    fn a_copy_of_a_panicked_parent_is_simulated_and_logs_its_own_panic() {
+        // Mutation is a no-op, so every bred child equals its parent.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Twin(f64);
+        impl Genome for Twin {
+            fn mutate(&self, _rng: &mut SimRng) -> Self {
+                self.clone()
+            }
+            fn crossover(&self, _other: &Self, _rng: &mut SimRng) -> Option<Self> {
+                None
+            }
+            fn packet_count(&self) -> usize {
+                0
+            }
+            fn validate(&self) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        struct PanicsOnNegative(AtomicU64);
+        impl Evaluator<Twin> for PanicsOnNegative {
+            fn evaluate(&self, genome: &Twin) -> EvalOutcome {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                assert!(genome.0 >= 0.0, "negative genome");
+                EvalOutcome {
+                    score: genome.0,
+                    ..Default::default()
+                }
+            }
+        }
+        let mut params = quick_params();
+        params.generations = 2;
+        let evaluator = PanicsOnNegative(AtomicU64::new(0));
+        let telemetry = HuntTelemetry::new();
+        let mut fuzzer = Fuzzer::new(params, &evaluator, |rng| Twin(rng.gen_range_f64(-1.0, 1.0)))
+            .with_observer(&telemetry);
+        let result = fuzzer.run();
+        let repeated: Vec<&PanicRecord<Twin>> = fuzzer
+            .panics()
+            .iter()
+            .filter(|p| p.generation == 1)
+            .collect();
+        assert!(!repeated.is_empty(), "copies of panicked parents simulate");
+        assert!(repeated.iter().all(|p| p.genome.0 < 0.0));
+        // Generation 1 simulated exactly the copies of panicked parents;
+        // copies of scored parents took their outcomes.
+        let calls = evaluator.0.load(Ordering::Relaxed);
+        let reused = telemetry.metrics.evaluations_reused.get();
+        assert_eq!(calls, (params.total_population() + repeated.len()) as u64);
+        assert!(reused > 0);
+        assert_eq!(calls + reused, result.total_evaluations as u64);
     }
 
     #[test]
@@ -1314,8 +1640,14 @@ mod tests {
 
         let total = observed.2.last().unwrap().evaluations as u64;
         assert_eq!(telemetry.metrics.evaluations.get(), total);
-        // Every evaluation was timed exactly once across all worker shards.
-        assert_eq!(telemetry.metrics.eval_latency_ns.snapshot().count, total);
+        // Every simulated evaluation was timed exactly once across all
+        // worker shards; reused outcomes were not timed.
+        let reused = telemetry.metrics.evaluations_reused.get();
+        assert!(reused > 0);
+        assert_eq!(
+            telemetry.metrics.eval_latency_ns.snapshot().count + reused,
+            total
+        );
         assert_eq!(telemetry.metrics.best_score.get(), observed.1.score);
         let ops = &telemetry.metrics.operators;
         assert!(ops.elite.get() > 0, "elites counted");

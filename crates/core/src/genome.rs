@@ -25,7 +25,11 @@ use ccfuzz_netsim::trace::{LinkTrace, TrafficTrace};
 use serde::{Deserialize, Serialize};
 
 /// Operations the genetic algorithm needs from a trace genome.
-pub trait Genome: Clone + Send + Sync {
+///
+/// `PartialEq` must mean "simulates identically": a child equal to a scored
+/// parent takes that parent's outcome instead of a second simulation
+/// (DESIGN.md "Evaluation reuse").
+pub trait Genome: Clone + PartialEq + Send + Sync {
     /// Produces a mutated copy.
     fn mutate(&self, rng: &mut SimRng) -> Self;
 

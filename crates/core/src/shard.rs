@@ -32,8 +32,8 @@
 use crate::checkpoint::ControlledRun;
 use crate::evaluate::{EvalOutcome, Evaluator};
 use crate::fuzzer::{
-    FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, Individual, PanicRecord,
-    RunControl, StopReason, FUZZER_SNAPSHOT_SCHEMA,
+    rank_key, FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, Individual,
+    PanicRecord, RunControl, StopReason, FUZZER_SNAPSHOT_SCHEMA,
 };
 use crate::genome::Genome;
 use ccfuzz_obs::{HuntTelemetry, OperatorSnapshot, Phase};
@@ -85,7 +85,7 @@ pub struct ShardReport<G> {
     pub generation: u32,
     /// First global island index this worker owns.
     pub island_start: usize,
-    /// Simulations this evaluation round added.
+    /// Evaluations this round added (reused outcomes included).
     pub eval_delta: usize,
     /// Best evaluated score of each owned island, in island order.
     pub island_best: Vec<f64>,
@@ -187,7 +187,7 @@ impl<G: Genome> ShardCoordinator<G> {
         self.next_generation
     }
 
-    /// Simulations run so far across the fleet.
+    /// Evaluations so far across the fleet (reused outcomes included).
     pub fn evaluations(&self) -> usize {
         self.evaluations
     }
@@ -243,7 +243,7 @@ impl<G: Genome> ShardCoordinator<G> {
                 if self
                     .best
                     .as_ref()
-                    .map(|(_, b)| outcome.score > b.score)
+                    .map(|(_, b)| rank_key(Some(outcome.score)) > rank_key(Some(b.score)))
                     .unwrap_or(true)
                 {
                     self.best = Some((genome.clone(), *outcome));
@@ -400,8 +400,8 @@ impl<G: Genome> ShardCoordinator<G> {
 
 /// Stable k-way merge of the shards' locally-sorted stat runs, preferring
 /// the earliest run on ties — exactly the order a stable sort of the
-/// concatenated populations produces, including NaN handling (incomparable
-/// scores count as ties, as in the shards' own sort).
+/// concatenated populations produces, including NaN handling (compared by
+/// [`rank_key`], as in the shards' own sort, so NaN ranks last).
 fn merge_sorted_stats<G>(reports: &[ShardReport<G>]) -> Vec<TopStat> {
     let total: usize = reports.iter().map(|r| r.stats.len()).sum();
     let mut heads = vec![0usize; reports.len()];
@@ -415,9 +415,9 @@ fn merge_sorted_stats<G>(reports: &[ShardReport<G>]) -> Vec<TopStat> {
             match pick {
                 None => pick = Some(w),
                 Some(p) => {
-                    let current = reports[p].stats[heads[p]].score;
-                    let candidate = report.stats[heads[w]].score;
-                    if candidate.partial_cmp(&current) == Some(std::cmp::Ordering::Greater) {
+                    let current = rank_key(Some(reports[p].stats[heads[p]].score));
+                    let candidate = rank_key(Some(report.stats[heads[w]].score));
+                    if candidate > current {
                         pick = Some(w);
                     }
                 }
@@ -1138,6 +1138,50 @@ mod tests {
             .is_err());
         // Partial coverage.
         assert!(coordinator.absorb_reports(&[report(0, 0, 2)]).is_err());
+    }
+
+    #[test]
+    fn merged_stats_rank_nan_last_like_the_shards_own_sort() {
+        let report = |island_start: usize, scores: &[f64]| ShardReport {
+            generation: 0,
+            island_start,
+            eval_delta: 0,
+            island_best: vec![0.0],
+            stats: scores
+                .iter()
+                .enumerate()
+                .map(|(k, &score)| TopStat {
+                    score,
+                    delivered: (10 * island_start + k) as u64,
+                    sent: 0,
+                })
+                .collect(),
+            best_genome: None::<ToyGenome>,
+            best_outcome: None,
+            panics: Vec::new(),
+            operators: OperatorSnapshot::default(),
+        };
+        // Each run is already in the shard's order: comparable scores
+        // descending, NaN last.
+        let merged = merge_sorted_stats(&[
+            report(0, &[1.0, f64::NAN]),
+            report(1, &[2.0, 0.5, f64::NAN]),
+        ]);
+        let order: Vec<(u64, u64)> = merged
+            .iter()
+            .map(|s| (s.score.to_bits(), s.delivered))
+            .collect();
+        let nan = f64::NAN.to_bits();
+        assert_eq!(
+            order,
+            [
+                (2.0f64.to_bits(), 10),
+                (1.0f64.to_bits(), 0),
+                (0.5f64.to_bits(), 11),
+                (nan, 1),
+                (nan, 12),
+            ]
+        );
     }
 
     #[test]

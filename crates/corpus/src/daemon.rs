@@ -626,7 +626,7 @@ pub struct HuntStatus {
     pub state: HuntState,
     /// Latest generation the coordinator absorbed.
     pub generation: u32,
-    /// Fleet-wide simulations so far.
+    /// Fleet-wide evaluations so far.
     pub evaluations: u64,
     /// Best score so far, once anything was evaluated.
     pub best_score: Option<f64>,

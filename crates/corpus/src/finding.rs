@@ -41,7 +41,7 @@ pub struct Provenance {
     pub seed: u64,
     /// Generations the campaign ran.
     pub generations: u32,
-    /// Simulations the campaign spent.
+    /// Evaluations the campaign made (reused outcomes included).
     pub total_evaluations: u64,
     /// Whether the genome has been through trace minimization.
     pub minimized: bool,

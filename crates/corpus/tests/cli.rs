@@ -99,6 +99,62 @@ fn hunt_stdout_is_pure_json_and_telemetry_stream_is_valid() {
 }
 
 #[test]
+fn hunt_phase_report_names_the_reused_share_on_stderr() {
+    // Children bred identical to a scored parent take its outcome instead
+    // of a simulation; the end-of-hunt report says how many, on stderr.
+    // Fixed seed, so the count is deterministic.
+    let dir = scratch_dir("reuse");
+    let out = ccfuzz()
+        .args([
+            "hunt",
+            "--cca",
+            "reno",
+            "--mode",
+            "workload",
+            "--flows",
+            "reno,cubic",
+            "--generations",
+            "3",
+            "--seconds",
+            "2",
+            "--seed",
+            "1",
+            "--threads",
+            "2",
+            "--islands",
+            "3",
+            "--population",
+            "4",
+            "--corpus",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("run ccfuzz hunt");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(out.status.success(), "hunt failed:\n{stderr}");
+    assert_eq!(stdout.lines().count(), 1, "stdout is the finding only");
+    let finding: Finding = serde_json::from_str(stdout.trim())
+        .unwrap_or_else(|e| panic!("hunt stdout is not a single finding JSON: {e}\n---\n{stdout}"));
+
+    let suffix = " evaluations reused an identical parent's outcome";
+    let line = stderr
+        .lines()
+        .find(|line| line.ends_with(suffix))
+        .unwrap_or_else(|| panic!("no reuse line in the phase report:\n{stderr}"));
+    let counts: Vec<u64> = line
+        .trim_end_matches(suffix)
+        .split(" of ")
+        .map(|n| n.parse().expect("R of N"))
+        .collect();
+    let [reused, ran] = counts[..] else {
+        panic!("malformed reuse line: {line}");
+    };
+    assert_eq!(ran, finding.provenance.total_evaluations);
+    assert!(reused > 0 && reused < ran, "{line}");
+}
+
+#[test]
 fn workload_usage_errors_exit_2_and_name_the_valid_set() {
     // Unknown mode: exit 2, and the message names every valid mode so the
     // user can self-correct (workload must be in the set).

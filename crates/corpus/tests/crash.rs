@@ -8,6 +8,7 @@
 //! panics must surface as persisted artifacts.
 
 use ccfuzz_corpus::checkpoint::{CampaignCheckpoint, PanicFinding};
+use ccfuzz_corpus::finding::Finding;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -237,6 +238,64 @@ fn injected_panics_become_artifacts_and_the_budget_aborts_the_campaign() {
     );
     assert!(!out.stdout.is_empty());
     assert!(corpus2.join("panics").join("panic-0001.json").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The first number on the first `stderr` line containing `marker`.
+fn number_on_line(stderr: &str, marker: &str) -> u64 {
+    stderr
+        .lines()
+        .find(|line| line.contains(marker))
+        .and_then(|line| line.split_whitespace().find_map(|word| word.parse().ok()))
+        .unwrap_or_else(|| panic!("no line with `{marker}` and a count in:\n{stderr}"))
+}
+
+#[test]
+fn the_injection_ordinal_counts_reused_evaluations() {
+    // Every Nth evaluation panics, whether it would have simulated or
+    // reused an identical parent's outcome, so a completed hunt catches
+    // exactly total / N panics.
+    let dir = temp_dir("ordinal");
+    let every = 3u64;
+    let out = Command::new(BIN)
+        .args([
+            "hunt",
+            "--cca",
+            "reno",
+            "--mode",
+            "workload",
+            "--flows",
+            "reno,cubic",
+            "--generations",
+            "3",
+            "--seconds",
+            "2",
+            "--seed",
+            "1",
+            "--threads",
+            "1",
+            "--islands",
+            "3",
+            "--population",
+            "4",
+            "--corpus",
+        ])
+        .arg(dir.join("corpus"))
+        .env("CCFUZZ_INJECT_EVAL_PANIC", every.to_string())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let finding: Finding = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let total = finding.provenance.total_evaluations;
+    let reused = number_on_line(&stderr, "evaluations reused an identical parent's outcome");
+    let caught = number_on_line(&stderr, "evaluation panic(s); artifacts persisted");
+    assert_ne!(
+        total / every,
+        (total - reused) / every,
+        "the campaign must reuse enough outcomes to tell the two ordinals apart"
+    );
+    assert_eq!(caught, total / every, "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

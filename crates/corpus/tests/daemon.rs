@@ -203,17 +203,24 @@ fn single_worker_daemon_hunt_payload_matches_ccfuzz_hunt_byte_for_byte() {
 #[test]
 fn sigkilled_worker_respawns_from_checkpoint_and_matches_the_control() {
     let dir = temp_dir("sigkill");
-    let spec = test_spec(CcaKind::Bbr, FuzzMode::Topology, 6, 33, 2);
+    // Sized so the campaign outlives the kill by a wide margin: children
+    // that repeat a parent take its outcome instead of simulating, so a
+    // small, quickly converging campaign finishes in a few generations'
+    // worth of simulations.
+    let mut spec = test_spec(CcaKind::Bbr, FuzzMode::Topology, 12, 33, 2);
+    spec.config.duration = SimDuration::from_secs(20);
     let control = control_payload(&spec, &dir.join("control-corpus"));
 
     let root = dir.join("daemon");
     let daemon = start_daemon(&root);
     let id = submit(&daemon.addr, &spec);
 
-    // Wait for the fleet to be up, then SIGKILL one worker mid-campaign.
-    wait_until("the fleet to spawn", || {
+    // Wait until the fleet has committed a boundary to respawn from (the
+    // status reports generation 1 only after boundary 1 was checkpointed),
+    // then SIGKILL one worker mid-campaign.
+    wait_until("the fleet to commit a boundary", || {
         let s = hunt_status(&daemon.addr, &id);
-        s.worker_pids.len() == 2 || terminal(s.state)
+        (s.worker_pids.len() == 2 && s.generation >= 1) || terminal(s.state)
     });
     let status = hunt_status(&daemon.addr, &id);
     assert!(

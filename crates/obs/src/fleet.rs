@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Lock-free per-worker counters.
 #[derive(Debug, Default)]
 pub struct WorkerLane {
-    /// Simulations this worker's islands have run.
+    /// Evaluations this worker's islands have made (reused outcomes included).
     pub evaluations: Counter,
     /// Evaluation panics caught inside this worker.
     pub panics: Counter,
@@ -39,7 +39,7 @@ impl WorkerLane {
 pub struct WorkerLaneSnapshot {
     /// Worker index (0-based, stable across restarts).
     pub worker: usize,
-    /// Simulations this worker's islands have run.
+    /// Evaluations this worker's islands have made (reused outcomes included).
     pub evaluations: u64,
     /// Evaluation panics caught inside this worker.
     pub panics: u64,

@@ -39,10 +39,14 @@ pub struct OperatorCounters {
 pub struct CampaignMetrics {
     /// Fitness evaluations completed.
     pub evaluations: Counter,
+    /// Evaluations of a child identical to a scored parent, answered with
+    /// that parent's outcome instead of a simulation. Counted by this
+    /// process only: never checkpointed, streamed or sent over the wire.
+    pub evaluations_reused: Counter,
     /// Best score seen so far (gauge; last write wins).
     pub best_score: Gauge,
-    /// Wall-clock nanoseconds per fitness evaluation (sharded per worker,
-    /// merged after each evaluation batch).
+    /// Wall-clock nanoseconds per simulated fitness evaluation (reused
+    /// outcomes are not timed, so the percentiles stay simulation latency).
     pub eval_latency_ns: Histogram,
     /// Per-operator production counts.
     pub operators: OperatorCounters,
@@ -255,9 +259,18 @@ impl HuntTelemetry {
         }
     }
 
-    /// The profiler's wall-time breakdown (printed at campaign end).
+    /// The profiler's wall-time breakdown plus the share of evaluations
+    /// that reused a parent's outcome (printed at campaign end). Both counts
+    /// cover this process: every evaluation it ran was either simulated
+    /// (and timed) or reused, while `evaluations` also carries a resumed
+    /// campaign's restored total.
     pub fn phase_report(&self) -> String {
-        self.profiler.report()
+        let reused = self.metrics.evaluations_reused.get();
+        let ran = self.metrics.eval_latency_ns.snapshot().count + reused;
+        format!(
+            "{}\n{reused} of {ran} evaluations reused an identical parent's outcome",
+            self.profiler.report()
+        )
     }
 }
 
@@ -305,6 +318,23 @@ mod tests {
         let second: Snapshot = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(second.generation, 1);
         assert_eq!(telemetry.metrics.best_score.get(), 0.80);
+    }
+
+    #[test]
+    fn phase_report_counts_this_process_reuse() {
+        let telemetry = HuntTelemetry::new();
+        // A resumed campaign's restored total is not this process's work.
+        telemetry.metrics.evaluations.add(100);
+        for nanos in [1_000, 2_000, 3_000] {
+            telemetry.metrics.eval_latency_ns.record(nanos);
+        }
+        telemetry.metrics.evaluations_reused.add(1);
+        let report = telemetry.phase_report();
+        assert!(report.starts_with("phase breakdown: "), "{report}");
+        assert!(
+            report.ends_with("\n1 of 4 evaluations reused an identical parent's outcome"),
+            "{report}"
+        );
     }
 
     #[test]
