@@ -21,15 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 fn single_flow_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_single_flow_5s");
     group.sample_size(10);
-    group.bench_function("reno_enum_dispatch", |b| {
-        b.iter(|| {
-            let mut cfg = paper_sim_base(SimDuration::from_secs(5));
-            cfg.record_events = false;
-            let result = run_simulation(cfg, CcaKind::Reno.build_dispatch(10));
-            std::hint::black_box(result.stats.events_processed)
-        });
-    });
-    group.bench_function("reno_boxed_dispatch", |b| {
+    group.bench_function("reno", |b| {
         b.iter(|| {
             let mut cfg = paper_sim_base(SimDuration::from_secs(5));
             cfg.record_events = false;
@@ -66,7 +58,7 @@ fn fairness_8flow_run(c: &mut Criterion) {
                 .iter()
                 .enumerate()
                 .map(|(i, kind)| FlowSpec {
-                    cc: kind.build_dispatch(10),
+                    cc: kind.build(10),
                     start: SimTime::from_millis(i as u64 * 250),
                     stop: None,
                 })
@@ -96,7 +88,7 @@ fn aqm_gateway_run(c: &mut Criterion) {
                 cfg.record_events = false;
                 cfg.qdisc = qdisc;
                 cfg.ecn_enabled = true;
-                let result = run_simulation(cfg, CcaKind::Reno.build_dispatch(10));
+                let result = run_simulation(cfg, CcaKind::Reno.build(10));
                 std::hint::black_box(result.stats.events_processed)
             });
         });
@@ -125,12 +117,12 @@ fn multihop_chain_run(c: &mut Criterion) {
             cfg.topology = Some(topology);
             let specs: Vec<FlowSpec<_>> = vec![
                 FlowSpec {
-                    cc: CcaKind::Reno.build_dispatch(10),
+                    cc: CcaKind::Reno.build(10),
                     start: SimTime::ZERO,
                     stop: None,
                 },
                 FlowSpec {
-                    cc: CcaKind::Reno.build_dispatch(10),
+                    cc: CcaKind::Reno.build(10),
                     start: SimTime::from_millis(500),
                     stop: None,
                 },

@@ -257,7 +257,7 @@ fn fairness_8flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         let mut cfg = paper_sim_base(duration);
         cfg.record_events = false;
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), duration);
-        let specs: Vec<FlowSpec> = kinds
+        let specs: Vec<FlowSpec<_>> = kinds
             .iter()
             .enumerate()
             .map(|(i, kind)| FlowSpec {
@@ -281,7 +281,7 @@ fn fairness_32flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         let mut cfg = paper_sim_base(duration);
         cfg.record_events = false;
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), duration);
-        let specs: Vec<FlowSpec> = (0..32)
+        let specs: Vec<FlowSpec<_>> = (0..32)
             .map(|i| FlowSpec {
                 cc: kinds[i % kinds.len()].build(10),
                 start: SimTime::from_millis(i as u64 * 100),
@@ -306,7 +306,7 @@ fn multi_hop(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         ]);
         topology.paths = vec![HopRange::full(3), HopRange::new(1, 1)];
         cfg.topology = Some(topology);
-        let specs: Vec<FlowSpec> = vec![
+        let specs: Vec<FlowSpec<_>> = vec![
             FlowSpec {
                 cc: CcaKind::Reno.build(10),
                 start: SimTime::ZERO,
@@ -345,19 +345,14 @@ fn workload_2k(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
             max_concurrent: 128,
             max_arrivals: 50_000,
         });
-        // Arrivals clone their controller from a prototype pool, so this
-        // workload runs on the clonable `CcaDispatch` (the evaluator's own
-        // representation) rather than boxed trait objects.
+        // Arrivals clone their controller from a prototype pool.
         let specs = vec![FlowSpec {
-            cc: CcaKind::Reno.build_dispatch(10),
+            cc: CcaKind::Reno.build(10),
             start: SimTime::ZERO,
             stop: None,
         }];
         let mut sim = Simulation::new_multi(cfg, specs);
-        let mut protos = vec![
-            CcaKind::Reno.build_dispatch(10),
-            CcaKind::Cubic.build_dispatch(10),
-        ];
+        let mut protos = vec![CcaKind::Reno.build(10), CcaKind::Cubic.build(10)];
         sim.install_arrivals(&mut protos);
         let result = sim.run();
         std::hint::black_box(result.stats.events_processed)

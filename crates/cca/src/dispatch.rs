@@ -1,29 +1,20 @@
 //! Enum dispatch for the congestion control algorithms.
 //!
 //! The fuzzer calls into the congestion controller on every ACK of every
-//! simulated packet — millions of calls per campaign. `Box<dyn
-//! CongestionControl>` pays a virtual call (and defeats inlining) at each of
-//! those; [`CcaDispatch`] replaces it with a `match` the compiler can
-//! flatten and inline, while the [`CcaDispatch::Custom`] variant keeps the
-//! door open for out-of-tree algorithms that only exist as trait objects.
-//!
-//! The simulator is generic over its controller type
-//! ([`TcpSender<C>`](ccfuzz_netsim::tcp::sender::TcpSender)), so plugging
-//! the enum in is just `Simulation<CcaDispatch>` — no simulator changes,
-//! and behaviour is bit-identical to the boxed form (asserted by the
-//! golden-digest suite).
+//! simulated packet — millions of calls per campaign. [`CcaDispatch`] is one
+//! enum over every algorithm in this crate, so each of those calls is a
+//! `match` the compiler can flatten and inline rather than a virtual call.
+//! It is the one controller type [`CcaKind::build`](crate::CcaKind::build)
+//! returns and every campaign simulates (`Simulation<CcaDispatch>`).
 
-use crate::{Bbr, BbrConfig, CcaKind, Cubic, CubicConfig, Reno, RenoConfig, SlowStartBehaviour};
-use crate::{Dctcp, DctcpConfig, Vegas, VegasConfig};
+use crate::{Bbr, Cubic, Dctcp, Reno, Vegas};
 use ccfuzz_netsim::cc::reference_cc::FixedWindowCc;
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 
-/// A congestion control algorithm, dispatched by enum variant instead of
-/// vtable on the per-ACK hot path. `Clone` lets one instance serve as the
-/// prototype a workload simulation stamps per-arrival controllers from;
-/// every registry-built variant clones, only [`CcaDispatch::Custom`]
-/// (an opaque trait object) panics.
-#[derive(Debug)]
+/// A congestion control algorithm, dispatched by enum variant. `Clone` lets
+/// one instance serve as the prototype a workload simulation stamps
+/// per-arrival controllers from.
+#[derive(Clone, Debug)]
 pub enum CcaDispatch {
     /// TCP Reno / NewReno.
     Reno(Reno),
@@ -37,25 +28,6 @@ pub enum CcaDispatch {
     Dctcp(Dctcp),
     /// Fixed congestion window (testing / traffic shaping baseline).
     Fixed(FixedWindowCc),
-    /// Escape hatch for algorithms outside this crate; pays the virtual
-    /// call the other variants avoid.
-    Custom(Box<dyn CongestionControl>),
-}
-
-impl Clone for CcaDispatch {
-    fn clone(&self) -> Self {
-        match self {
-            CcaDispatch::Reno(c) => CcaDispatch::Reno(c.clone()),
-            CcaDispatch::Cubic(c) => CcaDispatch::Cubic(c.clone()),
-            CcaDispatch::Bbr(c) => CcaDispatch::Bbr(c.clone()),
-            CcaDispatch::Vegas(c) => CcaDispatch::Vegas(c.clone()),
-            CcaDispatch::Dctcp(c) => CcaDispatch::Dctcp(c.clone()),
-            CcaDispatch::Fixed(c) => CcaDispatch::Fixed(c.clone()),
-            CcaDispatch::Custom(_) => {
-                panic!("CcaDispatch::Custom holds an opaque trait object and cannot be cloned")
-            }
-        }
-    }
 }
 
 macro_rules! dispatch {
@@ -67,7 +39,6 @@ macro_rules! dispatch {
             CcaDispatch::Vegas($cc) => $body,
             CcaDispatch::Dctcp($cc) => $body,
             CcaDispatch::Fixed($cc) => $body,
-            CcaDispatch::Custom($cc) => $body,
         }
     };
 }
@@ -111,85 +82,9 @@ impl CongestionControl for CcaDispatch {
     }
 }
 
-impl CcaKind {
-    /// Builds the enum-dispatched form of this algorithm with an initial
-    /// window of `initial_cwnd` packets. Behaviour is identical to
-    /// [`CcaKind::build`]; only the dispatch mechanism differs.
-    pub fn build_dispatch(&self, initial_cwnd: u64) -> CcaDispatch {
-        match self {
-            CcaKind::Reno => CcaDispatch::Reno(Reno::new(RenoConfig {
-                initial_cwnd,
-                ..RenoConfig::default()
-            })),
-            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::CappedAtSsthresh,
-                ..CubicConfig::default()
-            })),
-            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::Ns3Uncapped,
-                ..CubicConfig::default()
-            })),
-            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: false,
-                ..BbrConfig::default()
-            })),
-            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: true,
-                ..BbrConfig::default()
-            })),
-            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(VegasConfig {
-                initial_cwnd,
-                ..VegasConfig::default()
-            })),
-            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(DctcpConfig {
-                initial_cwnd,
-                ..DctcpConfig::default()
-            })),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfuzz_netsim::config::SimConfig;
-    use ccfuzz_netsim::sim::run_simulation;
-
-    #[test]
-    fn dispatch_names_match_boxed_names() {
-        for kind in CcaKind::ALL {
-            assert_eq!(kind.build_dispatch(10).name(), kind.build(10).name());
-        }
-    }
-
-    #[test]
-    fn dispatch_behaviour_matches_boxed_behaviour() {
-        // The enum and the trait object must drive the simulator to
-        // byte-identical results for every algorithm.
-        for kind in CcaKind::ALL {
-            let cfg = SimConfig::short_default();
-            let boxed = run_simulation(cfg.clone(), kind.build(cfg.initial_cwnd));
-            let enumed = run_simulation(cfg.clone(), kind.build_dispatch(cfg.initial_cwnd));
-            assert_eq!(
-                boxed.stats.digest(),
-                enumed.stats.digest(),
-                "dispatch mismatch for {}",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn custom_variant_delegates() {
-        let mut cc = CcaDispatch::Custom(CcaKind::Reno.build(10));
-        assert_eq!(cc.name(), "reno");
-        assert!(cc.cwnd() >= 1);
-        assert!(cc.take_events().is_empty());
-    }
 
     #[test]
     fn fixed_variant_is_usable() {

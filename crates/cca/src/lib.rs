@@ -12,13 +12,15 @@
 //!   paper proposes.
 //! * [`vegas`] — TCP Vegas, a delay-based algorithm used to diversify the
 //!   multi-CCA realism scoring of §5.
+//! * [`dctcp`] — DCTCP (RFC 8257), the fractional ECN responder the AQM
+//!   fuzzing mode pits against RED and CoDel gateways.
 //!
 //! All algorithms implement
 //! [`CongestionControl`](ccfuzz_netsim::cc::CongestionControl) and are
 //! constructed either directly or through the [`CcaKind`] factory that the
-//! fuzzer configuration uses. The [`dispatch`] module provides
-//! [`CcaDispatch`], an enum-dispatched wrapper the fuzzer's hot path uses
-//! instead of `Box<dyn CongestionControl>` to avoid per-ACK virtual calls.
+//! fuzzer configuration uses. The factory returns a [`CcaDispatch`] (see
+//! [`dispatch`]): one enum over every algorithm, dispatched by `match` so
+//! no per-ACK call is virtual.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +39,6 @@ pub use dispatch::CcaDispatch;
 pub use reno::{Reno, RenoConfig};
 pub use vegas::{Vegas, VegasConfig};
 
-use ccfuzz_netsim::cc::CongestionControl;
 use serde::{Deserialize, Serialize};
 
 /// Identifies a congestion control algorithm variant; the factory used by
@@ -93,7 +94,7 @@ impl CcaKind {
 
     /// Parses a comma-separated list of CCA names (e.g. `"bbr,reno"`), as
     /// used by multi-flow fairness scenarios where every flow instantiates
-    /// its own boxed algorithm. Whitespace around names and empty segments
+    /// its own algorithm. Whitespace around names and empty segments
     /// are ignored; an unknown name yields an error naming it.
     pub fn parse_list(list: &str) -> Result<Vec<CcaKind>, String> {
         let mut kinds = Vec::new();
@@ -118,37 +119,37 @@ impl CcaKind {
 
     /// Builds a fresh algorithm instance with an initial window of
     /// `initial_cwnd` packets.
-    pub fn build(&self, initial_cwnd: u64) -> Box<dyn CongestionControl> {
+    pub fn build(&self, initial_cwnd: u64) -> CcaDispatch {
         match self {
-            CcaKind::Reno => Box::new(Reno::new(RenoConfig {
+            CcaKind::Reno => CcaDispatch::Reno(Reno::new(RenoConfig {
                 initial_cwnd,
                 ..RenoConfig::default()
             })),
-            CcaKind::Cubic => Box::new(Cubic::new(CubicConfig {
+            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(CubicConfig {
                 initial_cwnd,
                 slow_start: SlowStartBehaviour::CappedAtSsthresh,
                 ..CubicConfig::default()
             })),
-            CcaKind::CubicNs3Buggy => Box::new(Cubic::new(CubicConfig {
+            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(CubicConfig {
                 initial_cwnd,
                 slow_start: SlowStartBehaviour::Ns3Uncapped,
                 ..CubicConfig::default()
             })),
-            CcaKind::Bbr => Box::new(Bbr::new(BbrConfig {
+            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(BbrConfig {
                 initial_cwnd,
                 probe_rtt_on_rto: false,
                 ..BbrConfig::default()
             })),
-            CcaKind::BbrProbeRttOnRto => Box::new(Bbr::new(BbrConfig {
+            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(BbrConfig {
                 initial_cwnd,
                 probe_rtt_on_rto: true,
                 ..BbrConfig::default()
             })),
-            CcaKind::Vegas => Box::new(Vegas::new(VegasConfig {
+            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(VegasConfig {
                 initial_cwnd,
                 ..VegasConfig::default()
             })),
-            CcaKind::Dctcp => Box::new(Dctcp::new(DctcpConfig {
+            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(DctcpConfig {
                 initial_cwnd,
                 ..DctcpConfig::default()
             })),
@@ -159,6 +160,7 @@ impl CcaKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccfuzz_netsim::cc::CongestionControl;
 
     #[test]
     fn names_roundtrip() {
@@ -201,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn each_parsed_flow_gets_its_own_boxed_instance() {
+    fn each_parsed_flow_gets_its_own_instance() {
         // The multi-flow engine builds one CC per flow; instances must be
         // independent state machines even for the same kind.
         let kinds = CcaKind::parse_list("reno,reno").unwrap();

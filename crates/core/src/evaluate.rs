@@ -18,7 +18,7 @@ use crate::scoring::{
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
-use ccfuzz_netsim::sim::{FlowSpec, SimResult, SimScratch, Simulation};
+use ccfuzz_netsim::sim::{FlowSpec, SimResult, Simulation};
 use ccfuzz_netsim::simtrace::{SimTrace, DEFAULT_TRACE_CAPACITY};
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_netsim::trace::TrafficTrace;
@@ -152,20 +152,20 @@ impl EvalOutcome {
 /// fuzzer creates one per worker thread and threads it through every
 /// evaluation that worker performs; after warm-up an entire genome
 /// generation is evaluated through this one recycled allocation set:
-/// the simulator arena (calendar, pool, endpoints, stat vectors, shared
+/// the reused simulator (calendar, pool, endpoints, stat vectors, shared
 /// timestamp buffers), the flow-spec buffer drained by each run, and the
 /// scoring buffers. Scratch reuse never changes results — it only donates
 /// capacity; an empty scratch is a fresh evaluation.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// Simulator arena (see [`SimScratch`]), instantiated for the
-    /// enum-dispatched CCA type the evaluator builds.
-    pub sim: SimScratch<CcaDispatch>,
-    /// Recycled flow-spec buffer; refilled per genome and drained by the
-    /// pooled simulation constructor.
+    /// The simulator, which is its own arena: every evaluation loads into
+    /// it (see [`Simulation::load`]).
+    pub sim: Simulation<CcaDispatch>,
+    /// Recycled flow-spec buffer; refilled per genome and drained by
+    /// [`Simulation::load`].
     specs: Vec<FlowSpec<CcaDispatch>>,
     /// Recycled CCA-prototype buffer for workload genomes; refilled per
-    /// genome and drained into the arena's clone pool.
+    /// genome and drained into the simulation's prototype list.
     protos: Vec<CcaDispatch>,
     /// Recycled scoring buffers (windowed throughput counts/rates).
     score: ScoreScratch,
@@ -204,7 +204,7 @@ impl EvalScratch {
     ) {
         self.specs.clear();
         self.specs.extend(flows.into_iter().map(|f| FlowSpec {
-            cc: f.cca.build_dispatch(cfg.initial_cwnd),
+            cc: f.cca.build(cfg.initial_cwnd),
             start: f.start,
             stop: f.stop,
         }));
@@ -215,7 +215,7 @@ impl EvalScratch {
     pub(crate) fn set_arrival_pool(&mut self, cfg: &SimConfig, pool: &[CcaKind]) {
         self.protos.clear();
         self.protos
-            .extend(pool.iter().map(|cca| cca.build_dispatch(cfg.initial_cwnd)));
+            .extend(pool.iter().map(|cca| cca.build(cfg.initial_cwnd)));
     }
 }
 
@@ -299,8 +299,8 @@ impl SimEvaluator {
     ) -> (SimResult, Option<SimTrace>) {
         let cfg = genome.lower(self, scratch, opts);
         let churn = cfg.arrivals.is_some();
-        let arena = std::mem::take(&mut scratch.sim);
-        let mut sim = Simulation::new_multi_reusing(cfg, &mut scratch.specs, arena);
+        let sim = &mut scratch.sim;
+        sim.load(cfg, &mut scratch.specs);
         if churn {
             sim.install_arrivals(&mut scratch.protos);
         }
@@ -308,9 +308,7 @@ impl SimEvaluator {
             sim.install_tracer(DEFAULT_TRACE_CAPACITY);
         }
         let result = sim.run();
-        let trace = sim.take_trace();
-        scratch.sim = sim.into_scratch();
-        (result, trace)
+        (result, sim.take_trace())
     }
 
     /// [`SimEvaluator::simulate`] for a link genome, statistics only (kept

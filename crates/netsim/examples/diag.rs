@@ -10,7 +10,7 @@ fn main() {
     let mut cfg = SimConfig::short_default();
     cfg.record_events = true;
     let mss = cfg.mss;
-    let result = run_simulation(cfg, Box::new(MiniAimdCc::new(10)));
+    let result = run_simulation(cfg, MiniAimdCc::new(10));
     let f = result.stats.flow();
     println!(
         "delivered={} tx={} retx={} lost={} rtos={} recoveries={} drops={}",

@@ -168,50 +168,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     fn set_event_recording(&mut self, _enabled: bool) {}
 }
 
-/// Boxed algorithms (including `Box<dyn CongestionControl>`) are themselves
-/// algorithms. This is what lets the sender and simulator be generic over
-/// the congestion-control type — statically dispatched for enum/concrete
-/// controllers on the hot path — while every existing `Box<dyn ...>` call
-/// site keeps working unchanged.
-impl<T: CongestionControl + ?Sized> CongestionControl for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn init(&mut self, ctx: &CcContext) {
-        (**self).init(ctx)
-    }
-    fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
-        (**self).on_ack(ctx, rs)
-    }
-    fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
-        (**self).on_congestion(ctx, signal)
-    }
-    fn on_ecn(&mut self, ctx: &CcContext, ce_acked: u64) {
-        (**self).on_ecn(ctx, ce_acked)
-    }
-    fn on_exit_recovery(&mut self, ctx: &CcContext) {
-        (**self).on_exit_recovery(ctx)
-    }
-    fn cwnd(&self) -> u64 {
-        (**self).cwnd()
-    }
-    fn ssthresh(&self) -> u64 {
-        (**self).ssthresh()
-    }
-    fn pacing_rate_bps(&self) -> Option<f64> {
-        (**self).pacing_rate_bps()
-    }
-    fn debug_state(&self) -> String {
-        (**self).debug_state()
-    }
-    fn take_events(&mut self) -> Vec<String> {
-        (**self).take_events()
-    }
-    fn set_event_recording(&mut self, enabled: bool) {
-        (**self).set_event_recording(enabled)
-    }
-}
-
 /// Trivial reference algorithms used by the simulator's own unit tests (the
 /// real algorithms live in `ccfuzz-cca`).
 pub mod reference_cc {

@@ -216,11 +216,10 @@ pub struct EventQueue {
 
 impl Default for EventQueue {
     /// A *non-allocating* empty placeholder: no ring or wheel storage.
-    /// This is what `mem::take` leaves behind when a queue moves between
-    /// an arena and a simulation — it must not pay for bucket vectors that
-    /// are thrown away unused (the generation arena's zero-allocation
-    /// guarantee counts them). [`EventQueue::reset`] materializes real
-    /// storage, and every arena path resets before scheduling.
+    /// An empty [`Simulation`](crate::sim::Simulation) starts from this,
+    /// so building one pays nothing until its first load.
+    /// [`EventQueue::reset`] materializes real storage, and every load
+    /// resets before scheduling.
     fn default() -> Self {
         EventQueue {
             buckets: Vec::new(),

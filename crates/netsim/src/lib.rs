@@ -38,14 +38,19 @@
 //!
 //! ```
 //! use ccfuzz_netsim::config::SimConfig;
-//! use ccfuzz_netsim::sim::Simulation;
+//! use ccfuzz_netsim::sim::{FlowSpec, Simulation};
 //! use ccfuzz_netsim::cc::reference_cc::FixedWindowCc;
 //!
 //! let cfg = SimConfig::paper_default();
-//! let cc = Box::new(FixedWindowCc::new(10));
-//! let mut sim = Simulation::new(cfg, cc);
+//! let mut sim = Simulation::new(cfg, FixedWindowCc::new(10));
 //! let result = sim.run();
 //! assert!(result.stats.flow().delivered_packets > 0);
+//!
+//! // The same value is the arena for the next run: `load` resets it in
+//! // place, keeping every buffer the first run grew.
+//! let mut flows = vec![FlowSpec::new(FixedWindowCc::new(20))];
+//! sim.load(SimConfig::short_default(), &mut flows);
+//! assert!(sim.run().stats.flow().delivered_packets > 0);
 //! ```
 
 #![forbid(unsafe_code)]

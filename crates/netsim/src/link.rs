@@ -93,10 +93,11 @@ impl LinkService {
         &self.model
     }
 
-    /// Consumes the service and returns its model, letting a batch driver
-    /// harvest a trace-driven link's timestamp storage for reuse.
-    pub fn into_model(self) -> LinkModel {
-        self.model
+    /// Moves the model out once the run is over (see [`LinkModel::take`]),
+    /// letting the simulation harvest a trace-driven link's timestamp
+    /// storage for reuse.
+    pub(crate) fn take_model(&mut self) -> LinkModel {
+        self.model.take()
     }
 
     /// Packets transmitted so far.

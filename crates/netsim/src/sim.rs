@@ -39,8 +39,9 @@
 //!   and referenced by 4-byte handles;
 //! * the congestion controller is a generic parameter (`C`), statically
 //!   dispatched when the caller provides an enum or concrete type;
-//! * a [`SimScratch`] lets batch drivers (the fuzzer) recycle the calendar
-//!   and pool allocations across thousands of evaluations.
+//! * a [`Simulation`] is also its own arena: [`Simulation::load`] resets
+//!   it in place, so batch drivers (the fuzzer) recycle every allocation
+//!   across thousands of evaluations.
 
 use crate::cc::CongestionControl;
 use crate::config::SimConfig;
@@ -57,6 +58,7 @@ use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{hop_seed, HopConfig, HopRange};
+use crate::trace::TrafficTrace;
 use crate::workload::{
     dyn_generation, dyn_handle, dyn_slot, exp_duration, is_dynamic, ArrivalConfig, ArrivalProcess,
     GEN_MODULUS,
@@ -103,7 +105,7 @@ impl SimResult {
 }
 
 /// One congestion-controlled flow to simulate: its algorithm and schedule.
-pub struct FlowSpec<C: CongestionControl = Box<dyn CongestionControl>> {
+pub struct FlowSpec<C: CongestionControl> {
     /// The congestion control algorithm driving the flow.
     pub cc: C,
     /// When the flow starts sending.
@@ -236,38 +238,6 @@ impl FlowSlab {
     }
 }
 
-/// Object-safe source of congestion controllers for dynamically spawned
-/// flows. `Simulation<C>` itself carries no `Clone` bound, so the clone
-/// happens behind this trait: [`Simulation::install_arrivals`] (which does
-/// require `C: Clone`) boxes a prototype pool once per scratch lifetime and
-/// refills it in place on later installs, keeping warm evaluations off the
-/// allocator. `Send`, so a warm scratch can be lent to a pool worker.
-trait CcSource<C>: Send {
-    /// Number of prototypes to pick between.
-    fn count(&self) -> usize;
-    /// Builds a fresh controller from prototype `pick`.
-    fn make(&mut self, pick: usize) -> C;
-    /// Replaces the prototype set (drains `protos`, keeping its capacity).
-    fn refill(&mut self, protos: &mut Vec<C>);
-}
-
-struct ClonePool<C> {
-    protos: Vec<C>,
-}
-
-impl<C: CongestionControl + Clone> CcSource<C> for ClonePool<C> {
-    fn count(&self) -> usize {
-        self.protos.len()
-    }
-    fn make(&mut self, pick: usize) -> C {
-        self.protos[pick].clone()
-    }
-    fn refill(&mut self, protos: &mut Vec<C>) {
-        self.protos.clear();
-        self.protos.append(protos);
-    }
-}
-
 /// Runtime state of the workload arrival process (present only when
 /// `SimConfig::arrivals` is configured and prototypes were installed).
 struct WorkloadRt {
@@ -318,84 +288,376 @@ impl WorkloadRt {
     }
 }
 
-/// Reusable simulation storage — the per-worker *generation arena*.
+/// Runtime state of one hop of the chain: its gateway queue, its link and
+/// its propagation delay toward the next stop.
+struct Hop {
+    queue: GatewayQueue,
+    link: LinkService,
+    propagation_delay: SimDuration,
+    /// Dedupe for this hop's LinkReady events.
+    ready_scheduled: Option<SimTime>,
+}
+
+/// The sender and receiver settings every flow derives from the scenario.
+fn endpoint_configs(cfg: &SimConfig) -> (SenderConfig, ReceiverConfig) {
+    let sender = SenderConfig {
+        mss: cfg.mss,
+        sack_enabled: cfg.sack_enabled,
+        min_rto: cfg.min_rto,
+        max_rto: cfg.max_rto,
+        initial_rto: cfg.initial_rto,
+        initial_cwnd: cfg.initial_cwnd,
+        buffer_packets: cfg.sender_buffer_packets,
+        record_log: cfg.record_events,
+        ecn_enabled: cfg.ecn_enabled,
+    };
+    let receiver = ReceiverConfig {
+        sack_enabled: cfg.sack_enabled,
+        delayed_ack: cfg.delayed_ack,
+        delayed_ack_count: cfg.delayed_ack_count,
+        delayed_ack_timeout: cfg.delayed_ack_timeout,
+        max_sack_blocks: 4,
+    };
+    (sender, receiver)
+}
+
+/// The dumbbell simulation, generic over the congestion-control type shared
+/// by its flows — and, in the same value, the per-worker *generation arena*.
 ///
-/// Originally this held only the event calendar's bucket ring and the packet
-/// pool's slabs; it has grown into the full set of heap structures a
-/// simulation touches: flow endpoints (senders keep their retransmission
-/// queues, receivers their SACK buffers), gateway FIFO rings, the hop/path
-/// tables, a cleared [`RunStats`] skeleton, and a shared pool of `SimTime`
-/// vectors that cycle between delivery logs and trace timestamp buffers.
-///
-/// A batch driver creates one `SimScratch` per worker and threads it through
-/// consecutive runs; after warm-up an entire generate → evaluate → select
-/// generation runs through one recycled allocation set. Results are
-/// bit-identical with or without scratch reuse — the scratch only donates
-/// capacity, never state.
-pub struct SimScratch<C: CongestionControl = Box<dyn CongestionControl>> {
+/// [`Simulation::load`] resets the last run's state in place: the calendar,
+/// the packet pool, the flow endpoints (senders keep their retransmission
+/// queues, receivers their SACK buffers), the hop chain and its FIFO rings,
+/// the flow slab and a cleared [`RunStats`] skeleton. A shared pool of
+/// `SimTime` vectors cycles between delivery logs, cross-traffic injections
+/// and trace-driven service curves. A batch driver keeps one `Simulation`
+/// per worker and loads every evaluation into it; after warm-up a whole
+/// generate → evaluate → select generation runs through one recycled
+/// allocation set. Results are bit-identical whether the simulation is
+/// fresh or reused: reuse only donates capacity, never state.
+pub struct Simulation<C: CongestionControl + Clone> {
+    cfg: SimConfig,
     events: EventQueue,
     pool: PacketPool,
-    drop_buf: Vec<DataPacket>,
-    /// Retained flow endpoints; reset in place (keeping their buffers) when
-    /// the next run claims them.
     flows: FlowTable<C>,
-    /// Empty hop-chain vector (capacity only; hops are rebuilt per run).
+    /// The hop chain, in path order (a single hop without a topology).
     hops: Vec<Hop>,
-    /// Recycled gateway FIFO rings, harvested from finished runs' hops.
-    queue_bufs: Vec<VecDeque<DataPacket>>,
+    /// Per-flow paths over the chain (entry/exit hop indices, clamped).
     paths: Vec<HopRange>,
+    /// Per-flow one-way ACK return delay: the sum of the propagation
+    /// delays along the flow's path.
     ack_delays: Vec<SimDuration>,
-    hop_cfgs: Vec<HopConfig>,
-    flow_capacity: Vec<usize>,
-    /// Cleared [`RunStats`] skeleton (vectors with capacity, counters
-    /// zeroed). Refilled by [`SimScratch::recycle_stats`] once the caller is
-    /// done reading a run's results.
     stats: RunStats,
+    /// Set by [`Simulation::run`], cleared by [`Simulation::load`].
+    finished: bool,
+    /// Recycled buffer for AQM head drops in [`Simulation::try_transmit`]
+    /// (CoDel can shed several packets per dequeue; the buffer keeps that
+    /// path allocation-free in steady state).
+    aqm_drop_buf: Vec<DataPacket>,
+    /// Optional structured trace recorder (see [`crate::simtrace`]). Boxed
+    /// so the disabled case costs one pointer on the struct and one
+    /// null-check per hook — the same zero-cost-when-disabled shape as
+    /// `record_events`.
+    tracer: Option<Box<TraceRecorder>>,
+    /// Dynamic-flow slab (empty unless this is a workload run).
+    slab: FlowSlab,
+    /// Controller prototypes dynamic arrivals clone from (workload runs).
+    protos: Vec<C>,
+    /// Arrival-process runtime state; `Some` once
+    /// [`Simulation::install_arrivals`] has run.
+    workload: Option<WorkloadRt>,
+    /// Hop configs drained out of the loaded config (capacity only).
+    hop_cfgs: Vec<HopConfig>,
+    /// FIFO rings of the last run's hops, adopted by the next chain.
+    queue_bufs: Vec<VecDeque<DataPacket>>,
     /// Shared pool of timestamp vectors: per-flow delivery logs, cross
     /// traffic injection traces and link service curves all draw from (and
     /// return to) this one free list.
     time_bufs: Vec<Vec<SimTime>>,
-    /// Cleared dynamic-flow slab (capacity only; see [`FlowSlab`]).
-    slab: FlowSlab,
-    /// Retained CCA prototype pool for workload runs; refilled in place by
-    /// [`Simulation::install_arrivals`].
-    cc_source: Option<Box<dyn CcSource<C>>>,
     /// Cleared [`WorkloadStats`] skeleton recycled between workload runs.
     spare_workload: Option<Box<WorkloadStats>>,
 }
 
-impl<C: CongestionControl> Default for SimScratch<C> {
+impl<C: CongestionControl + Clone> Default for Simulation<C> {
+    /// An empty arena: nothing loaded and nothing allocated.
     fn default() -> Self {
-        SimScratch {
+        Simulation {
+            cfg: SimConfig::short_default(),
             events: EventQueue::default(),
             pool: PacketPool::default(),
-            drop_buf: Vec::new(),
             flows: FlowTable::default(),
             hops: Vec::new(),
-            queue_bufs: Vec::new(),
             paths: Vec::new(),
             ack_delays: Vec::new(),
-            hop_cfgs: Vec::new(),
-            flow_capacity: Vec::new(),
             stats: RunStats::default(),
-            time_bufs: Vec::new(),
+            finished: true,
+            aqm_drop_buf: Vec::new(),
+            tracer: None,
             slab: FlowSlab::default(),
-            cc_source: None,
+            protos: Vec::new(),
+            workload: None,
+            hop_cfgs: Vec::new(),
+            queue_bufs: Vec::new(),
+            time_bufs: Vec::new(),
             spare_workload: None,
         }
     }
 }
 
-impl<C: CongestionControl> SimScratch<C> {
-    /// Creates empty scratch storage.
-    pub fn new() -> Self {
-        Self::default()
+impl<C: CongestionControl + Clone> Simulation<C> {
+    /// Builds a single-flow simulation from a configuration and a congestion
+    /// controller (the paper's original topology). The flow starts at
+    /// `cfg.flow_start` and runs to the end of the scenario.
+    pub fn new(cfg: SimConfig, cc: C) -> Self {
+        let start = cfg.flow_start;
+        Self::new_multi(
+            cfg,
+            vec![FlowSpec {
+                cc,
+                start,
+                stop: None,
+            }],
+        )
+    }
+
+    /// Builds a simulation with N concurrent congestion-controlled flows
+    /// sharing the bottleneck. Flow indices follow the order of `specs`.
+    pub fn new_multi(cfg: SimConfig, mut specs: Vec<FlowSpec<C>>) -> Self {
+        let mut sim = Self::default();
+        sim.load(cfg, &mut specs);
+        sim
+    }
+
+    /// Loads the next run: resets every piece of the last run's state in
+    /// place and builds this configuration's flows and hops from the
+    /// retained storage, so in steady state a complete multi-flow, multi-hop
+    /// simulation is set up without touching the allocator. Drains `specs`
+    /// (leaving the caller's vector empty but with its capacity, ready to
+    /// refill).
+    pub fn load(&mut self, cfg: SimConfig, specs: &mut Vec<FlowSpec<C>>) {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
+        assert!(!specs.is_empty(), "a simulation needs at least one flow");
+        let n = specs.len();
+        self.cfg = cfg;
+        self.finished = false;
+        self.tracer = None;
+        self.workload = None;
+        self.events.reset();
+        self.pool.reset();
+        self.aqm_drop_buf.clear();
+        // Generations restart at zero so a warm run replays a cold run's
+        // handle stream bit-identically.
+        self.slab.clear();
+
+        // The hop chain, built by *draining* the hop configs: the simulation
+        // owns its configuration, so the link models (a trace-driven
+        // service curve is ~41 KB at 5 s) move into the hops instead of
+        // being cloned. FIFO storage comes from the last run's hops.
+        self.cfg.take_hop_configs_into(&mut self.hop_cfgs);
+        self.queue_bufs
+            .extend(self.hops.drain(..).map(|h| h.queue.into_storage()));
+        for (k, h) in self.hop_cfgs.drain(..).enumerate() {
+            let storage = self.queue_bufs.pop().unwrap_or_default();
+            self.hops.push(Hop {
+                queue: GatewayQueue::new_with_storage(
+                    h.qdisc,
+                    h.queue_capacity,
+                    hop_seed(self.cfg.seed, k),
+                    storage,
+                ),
+                link: LinkService::new(h.link),
+                propagation_delay: h.propagation_delay,
+                ready_scheduled: None,
+            });
+        }
+        self.pool.set_hop_count(self.hops.len());
+        self.paths.clear();
+        self.paths.extend((0..n).map(|i| self.cfg.flow_path(i)));
+        self.ack_delays.clear();
+        self.ack_delays.extend(self.paths.iter().map(|p| {
+            self.hops[p.entry as usize..=p.exit as usize]
+                .iter()
+                .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay)
+        }));
+
+        // Workload runs keep endpoint entries beyond the static count: they
+        // are last run's dynamic slots, reclaimed in place (keeping their
+        // buffers) as this run's arrivals spawn.
+        let flows = &mut self.flows;
+        flows.start.clear();
+        flows.stop.clear();
+        flows.pacing_scheduled.clear();
+        flows.pacing_scheduled.resize(n, None);
+        flows.rto_scheduled.clear();
+        flows.rto_scheduled.resize(n, None);
+        flows.delivery_times.clear();
+        flows.counters.clear();
+        flows.counters.resize(n, FlowCounters::default());
+        if self.cfg.arrivals.is_none() {
+            flows.senders.truncate(n);
+            flows.receivers.truncate(n);
+        }
+        // Pre-size each flow's delivery log from the tightest hop *on its
+        // own path* (a parking-lot flow that skips the slow hop can deliver
+        // far more than the chain's global bottleneck allows) so the hot
+        // loop never grows it.
+        let (secs, mss) = (self.cfg.duration.as_secs_f64(), self.cfg.mss as f64);
+        let hop_capacity = |h: &Hop| match h.link.model() {
+            LinkModel::FixedRate { rate_bps } => ((*rate_bps as f64 / 8.0) * secs / mss) as usize,
+            LinkModel::TraceDriven { trace } => trace.len(),
+        };
+        let (sender_cfg, receiver_cfg) = endpoint_configs(&self.cfg);
+        for (i, (spec, p)) in specs.drain(..).zip(&self.paths).enumerate() {
+            // Retained endpoints are reset in place (keeping their queues'
+            // capacity); extra flows beyond the retained count are built
+            // fresh.
+            match flows.senders.get_mut(i) {
+                Some(sender) => sender.reset_reusing(sender_cfg, spec.cc),
+                None => flows.senders.push(TcpSender::new(sender_cfg, spec.cc)),
+            }
+            match flows.receivers.get_mut(i) {
+                Some(receiver) => receiver.reset_reusing(receiver_cfg),
+                None => flows.receivers.push(TcpReceiver::new(receiver_cfg)),
+            }
+            flows.start.push(spec.start);
+            flows.stop.push(spec.stop);
+            let tightest = self.hops[p.entry as usize..=p.exit as usize]
+                .iter()
+                .map(hop_capacity)
+                .min()
+                .unwrap_or(0);
+            let mut delivery = self.time_bufs.pop().unwrap_or_default();
+            delivery.reserve(tightest.min(1 << 22) / n + 64);
+            flows.delivery_times.push(delivery);
+        }
+
+        // Whatever the last run left in the stats (normally the skeleton
+        // `recycle_stats` returned) is recycled, then pre-sized.
+        let stale = std::mem::take(&mut self.stats);
+        self.recycle_stats(stale);
+        let stats = &mut self.stats;
+        stats.flows.reserve(n);
+        let sample_capacity =
+            (self.cfg.duration.as_nanos() / self.cfg.stats_interval.as_nanos().max(1)) as usize + 2;
+        stats.queue_samples.reserve(sample_capacity);
+        if self.hops.len() > 1 {
+            stats.hop_samples.truncate(self.hops.len());
+            for samples in &mut stats.hop_samples {
+                samples.reserve(sample_capacity);
+            }
+            while stats.hop_samples.len() < self.hops.len() {
+                stats.hop_samples.push(Vec::with_capacity(sample_capacity));
+            }
+        } else {
+            stats.hop_samples.clear();
+        }
+    }
+
+    /// Arms the dynamic-flow workload: must be called (with at least one
+    /// congestion-controller prototype) before [`Simulation::run`] whenever
+    /// `SimConfig::arrivals` is configured. Each arrival clones one
+    /// prototype, picked uniformly — weight a CCA by listing it several
+    /// times. Drains `protos`, keeping the caller's vector and capacity.
+    pub fn install_arrivals(&mut self, protos: &mut Vec<C>) {
+        assert!(!self.finished, "install_arrivals must precede run");
+        let cfg = self
+            .cfg
+            .arrivals
+            .expect("install_arrivals requires SimConfig::arrivals");
+        assert!(
+            !protos.is_empty(),
+            "a workload needs at least one CCA prototype"
+        );
+        self.protos.clear();
+        self.protos.append(protos);
+        let root = SimRng::new(self.cfg.seed);
+        let mut rng = root.fork(0xA221_57AD);
+        let reservoir_rng = root.fork(0x5E5E_0115);
+        let on_until = match cfg.process {
+            ArrivalProcess::Poisson { .. } => SimTime::MAX,
+            ArrivalProcess::OnOff { mean_on_secs, .. } => {
+                SimTime::ZERO + exp_duration(1.0 / mean_on_secs, &mut rng)
+            }
+        };
+        let dyn_path = HopRange {
+            entry: 0,
+            exit: (self.hops.len() - 1) as u32,
+        };
+        let dyn_ack_delay = self
+            .hops
+            .iter()
+            .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay);
+        let (sender_cfg, receiver_cfg) = endpoint_configs(&self.cfg);
+        let sender_cfg = SenderConfig {
+            buffer_packets: 1, // overridden with the sampled size per spawn
+            // Dynamic flows never keep a transport log: a churn run spawns
+            // thousands of them and the log is the one per-flow structure
+            // that cannot be bounded.
+            record_log: false,
+            ..sender_cfg
+        };
+        let mut w = self.spare_workload.take().unwrap_or_default();
+        w.clear();
+        self.stats.workload = Some(w);
+        self.workload = Some(WorkloadRt {
+            cfg,
+            rng,
+            reservoir_rng,
+            base: self.flows.start.len(),
+            on_until,
+            dyn_path,
+            dyn_ack_delay,
+            sender_cfg,
+            receiver_cfg,
+        });
+    }
+
+    /// Installs a structured trace recorder retaining the last `capacity`
+    /// events. Must be called before [`Simulation::run`]; retrieve the
+    /// trace afterwards with [`Simulation::take_trace`]. The recorder is a
+    /// pure observer: a traced run's [`RunStats`] (including its digest)
+    /// are byte-identical to an untraced run of the same config.
+    pub fn install_tracer(&mut self, capacity: usize) {
+        assert!(!self.finished, "install_tracer must precede run");
+        self.tracer = Some(Box::new(TraceRecorder::new(capacity, self.flows.len())));
+    }
+
+    /// Removes and finalizes the installed trace recorder, if any.
+    pub fn take_trace(&mut self) -> Option<SimTrace> {
+        self.tracer.take().map(|t| t.finish())
+    }
+
+    #[inline]
+    fn trace(&mut self, at: SimTime, event: TraceEvent) {
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.push(at, event);
+        }
+    }
+
+    /// Samples `flow`'s sender into the trace (cwnd / recovery changes
+    /// only). Called after every event that can move congestion state.
+    #[inline]
+    fn trace_sender(&mut self, flow: usize, now: SimTime) {
+        if self.tracer.is_some() {
+            // Dynamic flows are too churny (and their indices too ambiguous
+            // across recycles) to sample individually.
+            if self.workload.as_ref().is_some_and(|rt| flow >= rt.base) {
+                return;
+            }
+            let s = &self.flows.senders[flow];
+            let (cwnd, in_flight, in_recovery) = (s.cwnd(), s.in_flight(), s.in_recovery());
+            if let Some(tr) = self.tracer.as_deref_mut() {
+                tr.sample_sender(now, flow as u32, cwnd, in_flight, in_recovery);
+            }
+        }
     }
 
     /// Takes a cleared timestamp buffer from the shared pool (or a fresh one
     /// when the pool is empty). Callers use it to build traces or logs and
-    /// the buffer eventually returns through [`SimScratch::recycle_time_buf`]
-    /// or [`SimScratch::recycle_stats`].
+    /// the buffer eventually returns through
+    /// [`Simulation::recycle_time_buf`], the end of a run, or
+    /// [`Simulation::recycle_stats`].
     pub fn take_time_buf(&mut self) -> Vec<SimTime> {
         self.time_bufs.pop().unwrap_or_default()
     }
@@ -461,438 +723,6 @@ impl<C: CongestionControl> SimScratch<C> {
             flows,
             ..RunStats::default()
         };
-    }
-}
-
-/// Runtime state of one hop of the chain: its gateway queue, its link and
-/// its propagation delay toward the next stop.
-struct Hop {
-    queue: GatewayQueue,
-    link: LinkService,
-    propagation_delay: SimDuration,
-    /// Dedupe for this hop's LinkReady events.
-    ready_scheduled: Option<SimTime>,
-}
-
-/// The dumbbell simulation, generic over the congestion-control type shared
-/// by its flows (defaults to `Box<dyn CongestionControl>` for trait-object
-/// call sites; the fuzzer instantiates `C = CcaDispatch` for enum dispatch).
-pub struct Simulation<C: CongestionControl = Box<dyn CongestionControl>> {
-    cfg: SimConfig,
-    events: EventQueue,
-    pool: PacketPool,
-    flows: FlowTable<C>,
-    /// The hop chain, in path order (a single hop without a topology).
-    hops: Vec<Hop>,
-    /// Per-flow paths over the chain (entry/exit hop indices, clamped).
-    paths: Vec<HopRange>,
-    /// Per-flow one-way ACK return delay: the sum of the propagation
-    /// delays along the flow's path.
-    ack_delays: Vec<SimDuration>,
-    stats: RunStats,
-    finished: bool,
-    /// Recycled buffer for AQM head drops in [`Simulation::try_transmit`]
-    /// (CoDel can shed several packets per dequeue; the buffer keeps that
-    /// path allocation-free in steady state).
-    aqm_drop_buf: Vec<DataPacket>,
-    /// Optional structured trace recorder (see [`crate::simtrace`]). Boxed
-    /// so the disabled case costs one pointer on the struct and one
-    /// null-check per hook — the same zero-cost-when-disabled shape as
-    /// `record_events`.
-    tracer: Option<Box<TraceRecorder>>,
-    /// Dynamic-flow slab (empty unless this is a workload run).
-    slab: FlowSlab,
-    /// Congestion-controller source for dynamic spawns (workload runs).
-    cc_source: Option<Box<dyn CcSource<C>>>,
-    /// Arrival-process runtime state; `Some` once
-    /// [`Simulation::install_arrivals`] has run.
-    workload: Option<WorkloadRt>,
-    /// Scratch pools not claimed by this run (recycled FIFO rings, spare
-    /// timestamp buffers, the drained config buffers). Carried through so
-    /// [`Simulation::into_scratch`] can reassemble the full arena.
-    spares: SimScratch<C>,
-}
-
-impl<C: CongestionControl> Simulation<C> {
-    /// Builds a single-flow simulation from a configuration and a congestion
-    /// controller (the paper's original topology). The flow starts at
-    /// `cfg.flow_start` and runs to the end of the scenario.
-    pub fn new(cfg: SimConfig, cc: C) -> Self {
-        let start = cfg.flow_start;
-        Self::new_multi(
-            cfg,
-            vec![FlowSpec {
-                cc,
-                start,
-                stop: None,
-            }],
-        )
-    }
-
-    /// Builds a simulation with N concurrent congestion-controlled flows
-    /// sharing the bottleneck. Flow indices follow the order of `specs`.
-    pub fn new_multi(cfg: SimConfig, mut specs: Vec<FlowSpec<C>>) -> Self {
-        Self::new_multi_reusing(cfg, &mut specs, SimScratch::default())
-    }
-
-    /// The fully pooled constructor: drains `specs` (leaving the caller's
-    /// vector empty but with its capacity, ready to refill) and draws every
-    /// heap structure — endpoints, hops, FIFO rings, stat vectors — from
-    /// the scratch arena. In steady state this builds a complete multi-flow,
-    /// multi-hop simulation without touching the allocator. Reclaim the
-    /// storage with [`Simulation::into_scratch`] after the run.
-    pub fn new_multi_reusing(
-        mut cfg: SimConfig,
-        specs: &mut Vec<FlowSpec<C>>,
-        mut scratch: SimScratch<C>,
-    ) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid SimConfig: {e}");
-        }
-        assert!(!specs.is_empty(), "a simulation needs at least one flow");
-        let sender_cfg = SenderConfig {
-            mss: cfg.mss,
-            sack_enabled: cfg.sack_enabled,
-            min_rto: cfg.min_rto,
-            max_rto: cfg.max_rto,
-            initial_rto: cfg.initial_rto,
-            initial_cwnd: cfg.initial_cwnd,
-            buffer_packets: cfg.sender_buffer_packets,
-            record_log: cfg.record_events,
-            ecn_enabled: cfg.ecn_enabled,
-        };
-        let receiver_cfg = ReceiverConfig {
-            sack_enabled: cfg.sack_enabled,
-            delayed_ack: cfg.delayed_ack,
-            delayed_ack_count: cfg.delayed_ack_count,
-            delayed_ack_timeout: cfg.delayed_ack_timeout,
-            max_sack_blocks: 4,
-        };
-        // The simulation owns its configuration, so the link models (a
-        // trace-driven service curve is ~41 KB at 5 s) move into the hops
-        // instead of being cloned; nothing reads them from `cfg` again.
-        let mut hop_cfgs = std::mem::take(&mut scratch.hop_cfgs);
-        cfg.take_hop_configs_into(&mut hop_cfgs);
-        let mut paths = std::mem::take(&mut scratch.paths);
-        paths.clear();
-        paths.extend((0..specs.len()).map(|i| cfg.flow_path(i)));
-        let mut ack_delays = std::mem::take(&mut scratch.ack_delays);
-        ack_delays.clear();
-        ack_delays.extend(paths.iter().map(|p| {
-            hop_cfgs[p.entry as usize..=p.exit as usize]
-                .iter()
-                .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay)
-        }));
-        // Pre-size each flow's delivery log from the tightest hop *on its
-        // own path* (a parking-lot flow that skips the slow hop can deliver
-        // far more than the chain's global bottleneck allows) so the hot
-        // loop never grows it.
-        let hop_capacity = |h: &HopConfig| match &h.link {
-            LinkModel::FixedRate { rate_bps } => {
-                ((*rate_bps as f64 / 8.0) * cfg.duration.as_secs_f64() / cfg.mss as f64) as usize
-            }
-            LinkModel::TraceDriven { trace } => trace.len(),
-        };
-        let mut per_flow_capacity = std::mem::take(&mut scratch.flow_capacity);
-        per_flow_capacity.clear();
-        per_flow_capacity.extend(paths.iter().map(|p| {
-            hop_cfgs[p.entry as usize..=p.exit as usize]
-                .iter()
-                .map(hop_capacity)
-                .min()
-                .unwrap_or(0)
-                .min(1 << 22)
-                / specs.len()
-                + 64
-        }));
-        // Built by *draining* the hop configs: a trace-driven link's
-        // timestamp vector moves on into its LinkService. FIFO storage
-        // comes from the recycled rings of earlier runs.
-        let mut hops = std::mem::take(&mut scratch.hops);
-        hops.clear();
-        for (k, h) in hop_cfgs.drain(..).enumerate() {
-            let storage = scratch.queue_bufs.pop().unwrap_or_default();
-            hops.push(Hop {
-                queue: GatewayQueue::new_with_storage(
-                    h.qdisc,
-                    h.queue_capacity,
-                    hop_seed(cfg.seed, k),
-                    storage,
-                ),
-                link: LinkService::new(h.link),
-                propagation_delay: h.propagation_delay,
-                ready_scheduled: None,
-            });
-        }
-        let n = specs.len();
-        let mut flows = std::mem::take(&mut scratch.flows);
-        // A previous (unrun) claimant may have left delivery buffers behind;
-        // funnel them through the pool rather than dropping them.
-        for buf in flows.delivery_times.drain(..) {
-            scratch.recycle_time_buf(buf);
-        }
-        flows.start.clear();
-        flows.stop.clear();
-        flows.pacing_scheduled.clear();
-        flows.pacing_scheduled.resize(n, None);
-        flows.rto_scheduled.clear();
-        flows.rto_scheduled.resize(n, None);
-        flows.counters.clear();
-        flows.counters.resize(n, FlowCounters::default());
-        if cfg.arrivals.is_none() {
-            flows.senders.truncate(n);
-            flows.receivers.truncate(n);
-        }
-        // Workload runs keep endpoint entries beyond the static count: they
-        // are last run's dynamic slots, reclaimed in place (keeping their
-        // buffers) as this run's arrivals spawn.
-        for (i, (spec, &capacity)) in specs.drain(..).zip(&per_flow_capacity).enumerate() {
-            // Retained endpoints are reset in place (keeping their queues'
-            // capacity); extra flows beyond the retained count are built
-            // fresh.
-            match flows.senders.get_mut(i) {
-                Some(sender) => sender.reset_reusing(sender_cfg, spec.cc),
-                None => flows.senders.push(TcpSender::new(sender_cfg, spec.cc)),
-            }
-            match flows.receivers.get_mut(i) {
-                Some(receiver) => receiver.reset_reusing(receiver_cfg),
-                None => flows.receivers.push(TcpReceiver::new(receiver_cfg)),
-            }
-            flows.start.push(spec.start);
-            flows.stop.push(spec.stop);
-            let mut delivery = scratch.take_time_buf();
-            delivery.reserve(capacity);
-            flows.delivery_times.push(delivery);
-        }
-        let mut stats = std::mem::take(&mut scratch.stats);
-        stats.flows.reserve(n);
-        let sample_capacity =
-            (cfg.duration.as_nanos() / cfg.stats_interval.as_nanos().max(1)) as usize + 2;
-        stats.queue_samples.reserve(sample_capacity);
-        if hops.len() > 1 {
-            stats.hop_samples.truncate(hops.len());
-            for samples in &mut stats.hop_samples {
-                samples.clear();
-                samples.reserve(sample_capacity);
-            }
-            while stats.hop_samples.len() < hops.len() {
-                stats.hop_samples.push(Vec::with_capacity(sample_capacity));
-            }
-        } else {
-            stats.hop_samples.clear();
-        }
-        scratch.events.reset();
-        scratch.pool.set_hop_count(hops.len());
-        let events = std::mem::take(&mut scratch.events);
-        let pool = std::mem::take(&mut scratch.pool);
-        let drop_buf = std::mem::take(&mut scratch.drop_buf);
-        let slab = std::mem::take(&mut scratch.slab);
-        let cc_source = scratch.cc_source.take();
-        // Return the drained (empty, capacity-keeping) buffers to the arena
-        // for the next construction.
-        scratch.hop_cfgs = hop_cfgs;
-        scratch.flow_capacity = per_flow_capacity;
-        Simulation {
-            flows,
-            hops,
-            paths,
-            ack_delays,
-            events,
-            pool,
-            stats,
-            finished: false,
-            aqm_drop_buf: drop_buf,
-            tracer: None,
-            slab,
-            cc_source,
-            workload: None,
-            cfg,
-            spares: scratch,
-        }
-    }
-
-    /// Arms the dynamic-flow workload: must be called (with at least one
-    /// congestion-controller prototype) before [`Simulation::run`] whenever
-    /// `SimConfig::arrivals` is configured. Each arrival clones one
-    /// prototype, picked uniformly — weight a CCA by listing it several
-    /// times. Drains `protos`, keeping the caller's vector and capacity.
-    pub fn install_arrivals(&mut self, protos: &mut Vec<C>)
-    where
-        C: Clone + 'static,
-    {
-        assert!(!self.finished, "install_arrivals must precede run");
-        let cfg = self
-            .cfg
-            .arrivals
-            .expect("install_arrivals requires SimConfig::arrivals");
-        assert!(
-            !protos.is_empty(),
-            "a workload needs at least one CCA prototype"
-        );
-        match self.cc_source.as_mut() {
-            Some(src) => src.refill(protos),
-            None => {
-                self.cc_source = Some(Box::new(ClonePool {
-                    protos: std::mem::take(protos),
-                }))
-            }
-        }
-        let root = SimRng::new(self.cfg.seed);
-        let mut rng = root.fork(0xA221_57AD);
-        let reservoir_rng = root.fork(0x5E5E_0115);
-        let on_until = match cfg.process {
-            ArrivalProcess::Poisson { .. } => SimTime::MAX,
-            ArrivalProcess::OnOff { mean_on_secs, .. } => {
-                SimTime::ZERO + exp_duration(1.0 / mean_on_secs, &mut rng)
-            }
-        };
-        let dyn_path = HopRange {
-            entry: 0,
-            exit: (self.hops.len() - 1) as u32,
-        };
-        let dyn_ack_delay = self
-            .hops
-            .iter()
-            .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay);
-        let sender_cfg = SenderConfig {
-            mss: self.cfg.mss,
-            sack_enabled: self.cfg.sack_enabled,
-            min_rto: self.cfg.min_rto,
-            max_rto: self.cfg.max_rto,
-            initial_rto: self.cfg.initial_rto,
-            initial_cwnd: self.cfg.initial_cwnd,
-            buffer_packets: 1, // overridden with the sampled size per spawn
-            // Dynamic flows never keep a transport log: a churn run spawns
-            // thousands of them and the log is the one per-flow structure
-            // that cannot be bounded.
-            record_log: false,
-            ecn_enabled: self.cfg.ecn_enabled,
-        };
-        let receiver_cfg = ReceiverConfig {
-            sack_enabled: self.cfg.sack_enabled,
-            delayed_ack: self.cfg.delayed_ack,
-            delayed_ack_count: self.cfg.delayed_ack_count,
-            delayed_ack_timeout: self.cfg.delayed_ack_timeout,
-            max_sack_blocks: 4,
-        };
-        let mut w = self.spares.spare_workload.take().unwrap_or_default();
-        w.clear();
-        self.stats.workload = Some(w);
-        self.workload = Some(WorkloadRt {
-            cfg,
-            rng,
-            reservoir_rng,
-            base: self.flows.start.len(),
-            on_until,
-            dyn_path,
-            dyn_ack_delay,
-            sender_cfg,
-            receiver_cfg,
-        });
-    }
-
-    /// Installs a structured trace recorder retaining the last `capacity`
-    /// events. Must be called before [`Simulation::run`]; retrieve the
-    /// trace afterwards with [`Simulation::take_trace`]. The recorder is a
-    /// pure observer: a traced run's [`RunStats`] (including its digest)
-    /// are byte-identical to an untraced run of the same config.
-    pub fn install_tracer(&mut self, capacity: usize) {
-        assert!(!self.finished, "install_tracer must precede run");
-        self.tracer = Some(Box::new(TraceRecorder::new(capacity, self.flows.len())));
-    }
-
-    /// Removes and finalizes the installed trace recorder, if any.
-    pub fn take_trace(&mut self) -> Option<SimTrace> {
-        self.tracer.take().map(|t| t.finish())
-    }
-
-    #[inline]
-    fn trace(&mut self, at: SimTime, event: TraceEvent) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.push(at, event);
-        }
-    }
-
-    /// Samples `flow`'s sender into the trace (cwnd / recovery changes
-    /// only). Called after every event that can move congestion state.
-    #[inline]
-    fn trace_sender(&mut self, flow: usize, now: SimTime) {
-        if self.tracer.is_some() {
-            // Dynamic flows are too churny (and their indices too ambiguous
-            // across recycles) to sample individually.
-            if self.workload.as_ref().is_some_and(|rt| flow >= rt.base) {
-                return;
-            }
-            let s = &self.flows.senders[flow];
-            let (cwnd, in_flight, in_recovery) = (s.cwnd(), s.in_flight(), s.in_recovery());
-            if let Some(tr) = self.tracer.as_deref_mut() {
-                tr.sample_sender(now, flow as u32, cwnd, in_flight, in_recovery);
-            }
-        }
-    }
-
-    /// Recovers the arena for reuse by a later run: calendar, pool, flow
-    /// endpoints, gateway FIFO rings and every timestamp vector the run
-    /// carried (cross-traffic injections, trace-driven service curves) all
-    /// return to their free lists.
-    pub fn into_scratch(mut self) -> SimScratch<C> {
-        let mut scratch = std::mem::take(&mut self.spares);
-        let mut events = std::mem::take(&mut self.events);
-        events.reset();
-        scratch.events = events;
-        let mut pool = std::mem::take(&mut self.pool);
-        pool.reset();
-        scratch.pool = pool;
-        let mut drop_buf = std::mem::take(&mut self.aqm_drop_buf);
-        drop_buf.clear();
-        scratch.drop_buf = drop_buf;
-        let mut flows = std::mem::take(&mut self.flows);
-        // After a run the delivery logs have moved into RunStats (and come
-        // back via recycle_stats); before a run they still hold capacity —
-        // either way, funnel whatever is left through the shared pool.
-        for buf in flows.delivery_times.drain(..) {
-            scratch.recycle_time_buf(buf);
-        }
-        flows.start.clear();
-        flows.stop.clear();
-        flows.pacing_scheduled.clear();
-        flows.rto_scheduled.clear();
-        flows.counters.clear();
-        scratch.flows = flows;
-        let mut hops = std::mem::take(&mut self.hops);
-        for hop in hops.drain(..) {
-            let ring = hop.queue.into_storage();
-            if ring.capacity() > 0 {
-                scratch.queue_bufs.push(ring);
-            }
-            if let LinkModel::TraceDriven { trace } = hop.link.into_model() {
-                scratch.recycle_time_buf(trace.into_opportunities());
-            }
-        }
-        scratch.hops = hops;
-        let mut paths = std::mem::take(&mut self.paths);
-        paths.clear();
-        scratch.paths = paths;
-        let mut ack_delays = std::mem::take(&mut self.ack_delays);
-        ack_delays.clear();
-        scratch.ack_delays = ack_delays;
-        // The slab's slots (and their endpoint entries, which stay inside
-        // `flows`) recycle wholesale; generations restart at zero so a warm
-        // run replays a cold run's handle stream bit-identically.
-        let mut slab = std::mem::take(&mut self.slab);
-        slab.clear();
-        scratch.slab = slab;
-        scratch.cc_source = self.cc_source.take();
-        // The simulation is consumed, so the config's cross-traffic storage
-        // can be harvested too (the link models were harvested from the
-        // hops above; the traffic and link fuzzing paths rebuild their
-        // traces from recycled buffers each evaluation).
-        let cross = std::mem::replace(
-            &mut self.cfg.cross_traffic,
-            crate::trace::TrafficTrace::empty(self.cfg.duration),
-        );
-        scratch.recycle_time_buf(cross.into_injections());
-        scratch
     }
 
     /// Number of congestion-controlled flows.
@@ -1313,9 +1143,8 @@ impl<C: CongestionControl> Simulation<C> {
             return;
         }
         let size = rt.cfg.size.sample(&mut rt.rng);
-        let source = self.cc_source.as_mut().expect("CCA source missing");
-        let pick = rt.rng.gen_range_usize(0, source.count());
-        let cc = source.make(pick);
+        let pick = rt.rng.gen_range_usize(0, self.protos.len());
+        let cc = self.protos[pick].clone();
         let slot = match self.slab.free.pop() {
             Some(s) => s as usize,
             None => {
@@ -1473,7 +1302,7 @@ impl<C: CongestionControl> Simulation<C> {
 
     /// Runs the simulation to completion and returns the collected results.
     pub fn run(&mut self) -> SimResult {
-        assert!(!self.finished, "a Simulation can only be run once");
+        assert!(!self.finished, "a Simulation runs once per load");
         assert!(
             self.cfg.arrivals.is_none() || self.workload.is_some(),
             "SimConfig::arrivals requires install_arrivals before run"
@@ -1700,6 +1529,16 @@ impl<C: CongestionControl> Simulation<C> {
         if self.cfg.record_events {
             self.stats.transport = self.flows.senders[0].drain_log();
         }
+        // The run's inputs are spent: trace-driven service curves and the
+        // cross-traffic injections return to the timestamp pool.
+        for k in 0..self.hops.len() {
+            if let LinkModel::TraceDriven { trace } = self.hops[k].link.take_model() {
+                self.recycle_time_buf(trace.into_opportunities());
+            }
+        }
+        let spent = TrafficTrace::empty(self.cfg.duration);
+        let cross = std::mem::replace(&mut self.cfg.cross_traffic, spent);
+        self.recycle_time_buf(cross.into_injections());
 
         SimResult {
             stats: std::mem::take(&mut self.stats),
@@ -1709,36 +1548,16 @@ impl<C: CongestionControl> Simulation<C> {
 }
 
 /// Convenience helper: build and run a simulation in one call.
-pub fn run_simulation<C: CongestionControl>(cfg: SimConfig, cc: C) -> SimResult {
+pub fn run_simulation<C: CongestionControl + Clone>(cfg: SimConfig, cc: C) -> SimResult {
     Simulation::new(cfg, cc).run()
 }
 
 /// Convenience helper: build and run a multi-flow simulation in one call.
-pub fn run_multi_flow_simulation<C: CongestionControl>(
+pub fn run_multi_flow_simulation<C: CongestionControl + Clone>(
     cfg: SimConfig,
     specs: Vec<FlowSpec<C>>,
 ) -> SimResult {
     Simulation::new_multi(cfg, specs).run()
-}
-
-/// The pooled entry point for dynamic-arrival workload runs: drains `specs`
-/// (keeping the caller's vector and its capacity), recycles every other heap
-/// structure through `scratch` and arms the flow-churn engine, so a warm
-/// caller builds and runs the whole simulation allocation-free.
-/// `cfg.arrivals` must be `Some`; `specs` are the static background flows
-/// (elephants) and `protos` the CCA prototypes arrivals clone from (drained
-/// into the scratch-held pool on first use, refilled in place thereafter).
-pub fn run_workload_simulation_pooled<C: CongestionControl + Clone + 'static>(
-    cfg: SimConfig,
-    specs: &mut Vec<FlowSpec<C>>,
-    protos: &mut Vec<C>,
-    scratch: &mut SimScratch<C>,
-) -> SimResult {
-    let mut sim = Simulation::new_multi_reusing(cfg, specs, std::mem::take(scratch));
-    sim.install_arrivals(protos);
-    let result = sim.run();
-    *scratch = sim.into_scratch();
-    result
 }
 
 #[cfg(test)]
@@ -1756,14 +1575,10 @@ mod tests {
         cfg
     }
 
-    fn boxed(cc: impl CongestionControl + 'static) -> Box<dyn CongestionControl> {
-        Box::new(cc)
-    }
-
     #[test]
     fn fixed_window_flow_delivers_packets() {
         let cfg = base_cfg();
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(10)));
+        let result = run_simulation(cfg, FixedWindowCc::new(10));
         assert!(
             result.stats.flow().delivered_packets > 100,
             "delivered {}",
@@ -1782,14 +1597,14 @@ mod tests {
         // With a 1-packet window every packet waits for the receiver's
         // delayed-ACK timer (200 ms) plus the 40 ms RTT: ~21 packets in 5 s.
         let cfg = base_cfg();
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(1)));
+        let result = run_simulation(cfg, FixedWindowCc::new(1));
         let delivered = result.stats.flow().delivered_packets;
         assert!((15..=30).contains(&delivered), "delivered {delivered}");
 
         // Disabling delayed ACKs removes the penalty: one packet per RTT.
         let mut cfg = base_cfg();
         cfg.delayed_ack = false;
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(1)));
+        let result = run_simulation(cfg, FixedWindowCc::new(1));
         let delivered = result.stats.flow().delivered_packets;
         assert!((100..=135).contains(&delivered), "delivered {delivered}");
     }
@@ -1798,7 +1613,7 @@ mod tests {
     fn aimd_fills_12mbps_link() {
         let cfg = base_cfg();
         let mss = cfg.mss;
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         let goodput = result.average_goodput_bps(mss);
         // Should reach a reasonable fraction of the 12 Mbps bottleneck.
         assert!(goodput > 6e6, "goodput only {goodput} bps");
@@ -1806,38 +1621,86 @@ mod tests {
     }
 
     #[test]
-    fn static_dispatch_matches_boxed_dispatch() {
-        // The same controller plugged in as a concrete type and as a trait
-        // object must produce byte-identical behaviour — the enum-dispatch
-        // fast path cannot change results.
-        let concrete = run_simulation(base_cfg(), MiniAimdCc::new(10));
-        let dynamic = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
-        assert_eq!(concrete.stats.digest(), dynamic.stats.digest());
-        assert_eq!(
-            concrete.stats.events_processed,
-            dynamic.stats.events_processed
-        );
+    fn scratch_reuse_is_bit_identical() {
+        // One reused simulation loads differently shaped scenarios back to
+        // back — hop count, flow count, churn, tracing and link model all
+        // change between loads, in both directions — and every run must
+        // equal a fresh one.
+        let mut sim = Simulation::default();
+        for shape in [0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 0, 3, 5, 2, 4, 0] {
+            let fresh = run_shape(&mut Simulation::default(), shape);
+            let reused = run_shape(&mut sim, shape);
+            assert_eq!(fresh.stats.digest(), reused.stats.digest(), "{shape}");
+            assert_eq!(
+                fresh.stats.events_processed, reused.stats.events_processed,
+                "{shape}"
+            );
+            let layout = |s: &RunStats| (s.flows.len(), s.hop_samples.len(), s.workload.is_some());
+            assert_eq!(layout(&fresh.stats), layout(&reused.stats), "{shape}");
+            if shape == 1 {
+                let plain = run_simulation(base_cfg(), MiniAimdCc::new(10));
+                assert_eq!(plain.stats.digest(), reused.stats.digest());
+            }
+            sim.recycle_stats(reused.stats);
+        }
     }
 
-    #[test]
-    fn scratch_reuse_is_bit_identical() {
-        let mut scratch = SimScratch::new();
-        let fresh = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
-        for _ in 0..3 {
-            let mut specs = vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))];
-            let mut sim = Simulation::new_multi_reusing(base_cfg(), &mut specs, scratch);
-            let reused = sim.run();
-            scratch = sim.into_scratch();
-            assert_eq!(fresh.stats.digest(), reused.stats.digest());
-            assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
+    /// Loads scenario `shape` into `sim` and runs it: 0 = a 3-hop parking
+    /// lot, 1 = the plain single-flow dumbbell, 2 = eight staggered flows,
+    /// 3 = flow churn, 4 = a traced RED + ECN run, 5 = a trace-driven link
+    /// with cross traffic.
+    fn run_shape(sim: &mut Simulation<MiniAimdCc>, shape: usize) -> SimResult {
+        let mut cfg = base_cfg();
+        let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
+        let mut protos = Vec::new();
+        match shape {
+            0 => {
+                cfg = chain_cfg(&[12, 6, 12]);
+                cfg.topology.as_mut().unwrap().paths = vec![HopRange::full(3), HopRange::new(1, 1)];
+                specs.push(FlowSpec::new(MiniAimdCc::new(20)));
+            }
+            2 => specs.extend((1..8).map(|i| FlowSpec {
+                cc: MiniAimdCc::new(4 + i),
+                start: SimTime::from_millis(100 * i),
+                stop: None,
+            })),
+            3 => {
+                cfg = workload_cfg(60.0, 32);
+                protos = vec![MiniAimdCc::new(4), MiniAimdCc::new(8)];
+            }
+            4 => {
+                cfg.qdisc = Qdisc::red_default(100);
+                cfg.ecn_enabled = true;
+            }
+            5 => {
+                let trace =
+                    LinkTrace::constant_rate(8_000_000, cfg.mss, SimDuration::from_millis(200));
+                cfg.link = LinkModel::TraceDriven { trace };
+                let injections = (0..500).map(|i| SimTime::from_micros(i * 9_000)).collect();
+                cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
+            }
+            _ => {}
         }
+        sim.load(cfg, &mut specs);
+        if !protos.is_empty() {
+            sim.install_arrivals(&mut protos);
+        }
+        if shape == 4 {
+            sim.install_tracer(1 << 12);
+        }
+        let result = sim.run();
+        // A traced run leaves its recorder behind for the next load to drop.
+        if shape != 4 {
+            assert!(sim.take_trace().is_none(), "stale tracer in shape {shape}");
+        }
+        result
     }
 
     #[test]
     fn oversized_window_causes_drops_and_retransmissions() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(20);
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(500)));
+        let result = run_simulation(cfg, FixedWindowCc::new(500));
         assert!(
             result.stats.flow().queue_drops > 0,
             "a 500-packet window must overflow a 20-packet queue"
@@ -1853,7 +1716,7 @@ mod tests {
         let trace = LinkTrace::constant_rate(12_000_000, cfg.mss, SimDuration::from_millis(200));
         let opportunities = trace.len() as u64;
         cfg.link = LinkModel::TraceDriven { trace };
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(50)));
+        let result = run_simulation(cfg, FixedWindowCc::new(50));
         assert!(
             result.stats.flow().delivered_packets <= opportunities,
             "cannot deliver more than the trace's {} opportunities, got {}",
@@ -1871,9 +1734,9 @@ mod tests {
         let injections: Vec<SimTime> = (0..2000).map(|i| SimTime::from_micros(i * 2_500)).collect();
         cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
         let mss = cfg.mss;
-        let with_cross = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let with_cross = run_simulation(cfg, MiniAimdCc::new(10));
 
-        let without_cross = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let without_cross = run_simulation(base_cfg(), MiniAimdCc::new(10));
         assert!(
             with_cross.average_goodput_bps(mss) < without_cross.average_goodput_bps(mss),
             "cross traffic must reduce CCA goodput"
@@ -1884,7 +1747,7 @@ mod tests {
     #[test]
     fn deterministic_repeatability() {
         let run = || {
-            let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+            let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
             (
                 result.stats.flow().delivered_packets,
                 result.stats.flow().transmissions,
@@ -1903,7 +1766,7 @@ mod tests {
     fn queuing_delay_bounded_by_queue_size() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(50);
-        let result = run_simulation(cfg.clone(), boxed(FixedWindowCc::new(200)));
+        let result = run_simulation(cfg.clone(), FixedWindowCc::new(200));
         // Max queuing delay is bounded by 50 packets * ~1ms serialisation.
         let max_delay = result
             .stats
@@ -1924,7 +1787,7 @@ mod tests {
 
     #[test]
     fn delivery_times_monotone_and_match_summary() {
-        let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let times = result.stats.delivery_times();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         // The receiver-side count can exceed the sender's `delivered` by at
@@ -1942,7 +1805,7 @@ mod tests {
     fn stats_disabled_still_produces_summary() {
         let mut cfg = base_cfg();
         cfg.record_events = false;
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         assert!(result.stats.bottleneck.is_empty());
         assert!(result.stats.transport.is_empty());
         assert!(result.stats.flow().delivered_packets > 0);
@@ -1954,7 +1817,7 @@ mod tests {
         cfg.link = LinkModel::TraceDriven {
             trace: LinkTrace::new(Vec::new(), cfg.duration),
         };
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(10)));
+        let result = run_simulation(cfg, FixedWindowCc::new(10));
         assert_eq!(result.stats.flow().delivered_packets, 0);
         // The sender will RTO repeatedly but must not hang or panic.
         assert!(result.stats.flow().rto_count > 0);
@@ -1966,7 +1829,7 @@ mod tests {
         cfg.queue_capacity = QueueCapacity::Packets(30);
         let injections: Vec<SimTime> = (0..1000).map(|i| SimTime::from_micros(i * 4_000)).collect();
         cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
-        let result = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(cfg, MiniAimdCc::new(10));
         let c = result.stats.queue_counters;
         assert!(
             c.total_enqueued() >= c.total_dequeued(),
@@ -1984,9 +1847,8 @@ mod tests {
     #[test]
     fn single_flow_and_multi_constructor_agree() {
         // A single-spec `new_multi` must be indistinguishable from `new`.
-        let a = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
-        let b =
-            run_multi_flow_simulation(base_cfg(), vec![FlowSpec::new(boxed(MiniAimdCc::new(10)))]);
+        let a = run_simulation(base_cfg(), MiniAimdCc::new(10));
+        let b = run_multi_flow_simulation(base_cfg(), vec![FlowSpec::new(MiniAimdCc::new(10))]);
         assert_eq!(a.stats.digest(), b.stats.digest());
         assert_eq!(a.stats.events_processed, b.stats.events_processed);
         assert_eq!(a.stats.flows.len(), 1);
@@ -1997,8 +1859,8 @@ mod tests {
         let result = run_multi_flow_simulation(
             base_cfg(),
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         assert_eq!(result.stats.flows.len(), 2);
@@ -2012,12 +1874,12 @@ mod tests {
     #[test]
     fn two_flows_share_the_bottleneck() {
         let mss = base_cfg().mss;
-        let solo = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let solo = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let pair = run_multi_flow_simulation(
             base_cfg(),
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         let goodputs = pair.per_flow_goodput_bps(mss);
@@ -2043,9 +1905,9 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
                 FlowSpec {
-                    cc: boxed(MiniAimdCc::new(10)),
+                    cc: MiniAimdCc::new(10),
                     start,
                     stop: Some(stop),
                 },
@@ -2076,9 +1938,9 @@ mod tests {
             let result = run_multi_flow_simulation(
                 base_cfg(),
                 vec![
-                    FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                    FlowSpec::new(MiniAimdCc::new(10)),
                     FlowSpec {
-                        cc: boxed(FixedWindowCc::new(30)),
+                        cc: MiniAimdCc::new(30),
                         start: SimTime::from_millis(500),
                         stop: None,
                     },
@@ -2098,7 +1960,7 @@ mod tests {
     /// A window CCA that records every ECN callback, so the end-to-end
     /// feedback loop (mark at queue -> echo at receiver -> sender callback)
     /// is observable without depending on the real algorithms crate.
-    #[derive(Debug)]
+    #[derive(Clone, Debug)]
     struct EcnProbeCc {
         window: u64,
         ece_seen: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -2137,10 +1999,10 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(EcnProbeCc {
+                cc: EcnProbeCc {
                     window: 200, // deep standing queue, above min_thresh
                     ece_seen: ece_seen.clone(),
-                }),
+                },
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2174,7 +2036,7 @@ mod tests {
             mark_probability: 0.5,
         };
         cfg.ecn_enabled = false;
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(200)));
+        let result = run_simulation(cfg, FixedWindowCc::new(200));
         let f = result.stats.flow();
         assert_eq!(f.ce_marked, 0, "no marks without ECN negotiation");
         assert_eq!(f.ece_acked, 0);
@@ -2193,7 +2055,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(FixedWindowCc::new(200)),
+                cc: FixedWindowCc::new(200),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2211,10 +2073,10 @@ mod tests {
     fn drop_tail_run_digest_is_independent_of_ecn_negotiation() {
         // ECN on a drop-tail path never marks, so the digest must not move:
         // the ECN block only mixes into the digest when marks exist.
-        let plain = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let plain = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let mut cfg = base_cfg();
         cfg.ecn_enabled = true;
-        let ecn = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let ecn = run_simulation(cfg, MiniAimdCc::new(10));
         assert_eq!(ecn.stats.flow().ce_marked, 0);
         assert_eq!(plain.stats.digest(), ecn.stats.digest());
     }
@@ -2226,9 +2088,7 @@ mod tests {
             cfg.record_events = false;
             cfg.qdisc = qdisc;
             cfg.ecn_enabled = true;
-            run_simulation(cfg, boxed(MiniAimdCc::new(50)))
-                .stats
-                .digest()
+            run_simulation(cfg, MiniAimdCc::new(50)).stats.digest()
         };
         for qdisc in [Qdisc::red_default(100), Qdisc::codel_default()] {
             assert_eq!(
@@ -2251,7 +2111,7 @@ mod tests {
         // A one-hop topology assembled from the legacy fields must be
         // indistinguishable from the config without a topology: same
         // digest, same event count (the seed of hop 0 is the legacy seed).
-        let legacy = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let legacy = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let mut cfg = base_cfg();
         cfg.topology = Some(Topology::chain(vec![HopConfig {
             link: cfg.link.clone(),
@@ -2259,7 +2119,7 @@ mod tests {
             queue_capacity: cfg.queue_capacity,
             qdisc: cfg.qdisc,
         }]));
-        let topo = run_simulation(cfg, boxed(MiniAimdCc::new(10)));
+        let topo = run_simulation(cfg, MiniAimdCc::new(10));
         assert_eq!(legacy.stats.digest(), topo.stats.digest());
         assert_eq!(legacy.stats.events_processed, topo.stats.events_processed);
         assert_eq!(topo.stats.hop_counters.len(), 1);
@@ -2288,7 +2148,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(MiniAimdCc::new(10)),
+                cc: MiniAimdCc::new(10),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2316,7 +2176,7 @@ mod tests {
         // Two 10 ms hops = 20 ms one-way = 40 ms RTT, same as the paper's
         // single 20 ms hop; min_rtt must reflect the summed path.
         let cfg = chain_cfg(&[12, 12]);
-        let result = run_simulation(cfg, boxed(FixedWindowCc::new(2)));
+        let result = run_simulation(cfg, FixedWindowCc::new(2));
         let min_rtt_us = result.stats.flow().min_rtt_us;
         assert!(
             (40_000..46_000).contains(&min_rtt_us),
@@ -2332,8 +2192,8 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
         let hops = &result.stats.hop_counters;
@@ -2355,7 +2215,7 @@ mod tests {
     #[test]
     fn multi_hop_runs_are_deterministic_and_digest_hop_sensitive() {
         let run = |rates: &[u64]| {
-            run_simulation(chain_cfg(rates), boxed(MiniAimdCc::new(10)))
+            run_simulation(chain_cfg(rates), MiniAimdCc::new(10))
                 .stats
                 .digest()
         };
@@ -2388,7 +2248,7 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![FlowSpec {
-                cc: boxed(FixedWindowCc::new(120)),
+                cc: FixedWindowCc::new(120),
                 start: SimTime::ZERO,
                 stop: Some(SimTime::from_secs_f64(4.0)),
             }],
@@ -2415,10 +2275,7 @@ mod tests {
 
     use crate::simtrace::TraceEvent;
 
-    fn run_traced(
-        cfg: SimConfig,
-        cc: Box<dyn CongestionControl>,
-    ) -> (SimResult, crate::simtrace::SimTrace) {
+    fn run_traced(cfg: SimConfig, cc: MiniAimdCc) -> (SimResult, crate::simtrace::SimTrace) {
         let mut sim = Simulation::new(cfg, cc);
         sim.install_tracer(1 << 14);
         let result = sim.run();
@@ -2430,8 +2287,8 @@ mod tests {
     fn traced_run_digest_matches_untraced_run() {
         // The recorder is a pure observer: digests and event counts are
         // byte-identical with and without it, for drop-tail and AQM+ECN.
-        let plain = run_simulation(base_cfg(), boxed(MiniAimdCc::new(50)));
-        let (traced, trace) = run_traced(base_cfg(), boxed(MiniAimdCc::new(50)));
+        let plain = run_simulation(base_cfg(), MiniAimdCc::new(50));
+        let (traced, trace) = run_traced(base_cfg(), MiniAimdCc::new(50));
         assert_eq!(plain.stats.digest(), traced.stats.digest());
         assert_eq!(plain.stats.events_processed, traced.stats.events_processed);
         assert!(!trace.events.is_empty());
@@ -2439,8 +2296,8 @@ mod tests {
         let mut aqm_cfg = base_cfg();
         aqm_cfg.qdisc = Qdisc::red_default(100);
         aqm_cfg.ecn_enabled = true;
-        let plain = run_simulation(aqm_cfg.clone(), boxed(MiniAimdCc::new(50)));
-        let (traced, _) = run_traced(aqm_cfg, boxed(MiniAimdCc::new(50)));
+        let plain = run_simulation(aqm_cfg.clone(), MiniAimdCc::new(50));
+        let (traced, _) = run_traced(aqm_cfg, MiniAimdCc::new(50));
         assert_eq!(plain.stats.digest(), traced.stats.digest());
     }
 
@@ -2448,7 +2305,7 @@ mod tests {
     fn trace_captures_cwnd_queue_samples_and_drops() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(20);
-        let (result, trace) = run_traced(cfg, boxed(MiniAimdCc::new(200)));
+        let (result, trace) = run_traced(cfg, MiniAimdCc::new(200));
         assert!(result.stats.flow().queue_drops > 0);
         let kinds = |k: &str| trace.events.iter().filter(|r| r.event.kind() == k).count();
         assert!(kinds("cwnd") > 0, "cwnd updates recorded");
@@ -2486,7 +2343,7 @@ mod tests {
             mark_probability: 0.5,
         };
         cfg.ecn_enabled = true;
-        let (result, trace) = run_traced(cfg, boxed(MiniAimdCc::new(120)));
+        let (result, trace) = run_traced(cfg, MiniAimdCc::new(120));
         assert!(result.stats.flow().ce_marked > 0);
         let marks = trace
             .events
@@ -2521,10 +2378,10 @@ mod tests {
         let result = run_multi_flow_simulation(
             cfg,
             vec![
-                FlowSpec::new(boxed(MiniAimdCc::new(10))),
-                FlowSpec::new(boxed(FixedWindowCc::new(40))),
+                FlowSpec::new(MiniAimdCc::new(10)),
+                FlowSpec::new(MiniAimdCc::new(40)),
                 FlowSpec {
-                    cc: boxed(MiniAimdCc::new(5)),
+                    cc: MiniAimdCc::new(5),
                     start: SimTime::from_secs_f64(1.0),
                     stop: Some(SimTime::from_secs_f64(4.0)),
                 },
@@ -2569,16 +2426,15 @@ mod tests {
         cfg
     }
 
-    fn run_workload(cfg: SimConfig, scratch: &mut SimScratch<MiniAimdCc>) -> SimResult {
-        let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
-        let mut protos = vec![MiniAimdCc::new(4)];
-        run_workload_simulation_pooled(cfg, &mut specs, &mut protos, scratch)
+    fn run_workload(cfg: SimConfig, sim: &mut Simulation<MiniAimdCc>) -> SimResult {
+        sim.load(cfg, &mut vec![FlowSpec::new(MiniAimdCc::new(10))]);
+        sim.install_arrivals(&mut vec![MiniAimdCc::new(4)]);
+        sim.run()
     }
 
     #[test]
     fn workload_spawns_and_completes_flows() {
-        let mut scratch = SimScratch::new();
-        let result = run_workload(workload_cfg(60.0, 32), &mut scratch);
+        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
         let w = result.stats.workload().expect("workload stats");
         // 60 arrivals/s over 5 s: the process is random, but far from the
         // tails — well over 100 spawns, and most mice finish within the run.
@@ -2599,17 +2455,17 @@ mod tests {
 
     #[test]
     fn workload_stats_absent_without_arrivals() {
-        let result = run_simulation(base_cfg(), boxed(MiniAimdCc::new(10)));
+        let result = run_simulation(base_cfg(), MiniAimdCc::new(10));
         assert!(result.stats.workload().is_none());
         assert_eq!(result.stats.delivery_samples_dropped, 0);
     }
 
     #[test]
     fn workload_is_deterministic_and_scratch_reuse_is_bit_identical() {
-        let fresh = run_workload(workload_cfg(60.0, 32), &mut SimScratch::new());
-        let mut scratch = SimScratch::new();
+        let fresh = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let mut sim = Simulation::default();
         for _ in 0..3 {
-            let reused = run_workload(workload_cfg(60.0, 32), &mut scratch);
+            let reused = run_workload(workload_cfg(60.0, 32), &mut sim);
             assert_eq!(fresh.stats.digest(), reused.stats.digest());
             assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
             let (a, b) = (
@@ -2619,16 +2475,16 @@ mod tests {
             assert_eq!(a.spawned, b.spawned);
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.fct_mice.count(), b.fct_mice.count());
-            scratch.recycle_stats(reused.stats);
+            sim.recycle_stats(reused.stats);
         }
     }
 
     #[test]
     fn workload_seed_changes_digest() {
-        let a = run_workload(workload_cfg(60.0, 32), &mut SimScratch::new());
+        let a = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
         let mut cfg = workload_cfg(60.0, 32);
         cfg.seed ^= 0xDEAD_BEEF;
-        let b = run_workload(cfg, &mut SimScratch::new());
+        let b = run_workload(cfg, &mut Simulation::default());
         assert_ne!(a.stats.digest(), b.stats.digest());
     }
 
@@ -2637,7 +2493,7 @@ mod tests {
         // A tiny concurrency cap under a heavy arrival rate: the engine must
         // shed arrivals (capped) and keep running flows through recycled
         // slots instead of growing the flow table.
-        let result = run_workload(workload_cfg(200.0, 4), &mut SimScratch::new());
+        let result = run_workload(workload_cfg(200.0, 4), &mut Simulation::default());
         let w = result.stats.workload().expect("workload stats");
         assert!(w.capped > 0, "a 4-slot cap under 200/s must shed arrivals");
         assert!(
@@ -2652,7 +2508,7 @@ mod tests {
     fn workload_max_arrivals_caps_attempts() {
         let mut cfg = workload_cfg(200.0, 32);
         cfg.arrivals.as_mut().unwrap().max_arrivals = 7;
-        let result = run_workload(cfg, &mut SimScratch::new());
+        let result = run_workload(cfg, &mut Simulation::default());
         let w = result.stats.workload().expect("workload stats");
         assert_eq!(w.spawned + w.capped, 7);
     }
@@ -2665,18 +2521,18 @@ mod tests {
             mean_on_secs: 0.5,
             mean_off_secs: 0.5,
         };
-        let result = run_workload(cfg.clone(), &mut SimScratch::new());
+        let result = run_workload(cfg.clone(), &mut Simulation::default());
         let w = result.stats.workload().expect("workload stats");
         assert!(w.spawned > 20, "spawned {}", w.spawned);
         assert!(w.completed > 0);
         // Determinism holds for the bursty process too.
-        let again = run_workload(cfg, &mut SimScratch::new());
+        let again = run_workload(cfg, &mut Simulation::default());
         assert_eq!(result.stats.digest(), again.stats.digest());
     }
 
     #[test]
     fn workload_mice_finish_faster_than_elephants() {
-        let result = run_workload(workload_cfg(60.0, 32), &mut SimScratch::new());
+        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
         let w = result.stats.workload().expect("workload stats");
         if w.fct_mice.count() > 10 && w.fct_elephants.count() > 3 {
             assert!(

@@ -28,10 +28,9 @@
 //!   SACKed sequence off its top and visits only the sequences between the
 //!   previous threshold and the new one — per-ACK cost follows what the
 //!   ACK newly covers, not the window size or the hole count.
-//! * The congestion controller is a generic parameter, so enum-dispatched
-//!   controllers ([`ccfuzz-cca`]'s `CcaDispatch`) avoid virtual calls on
-//!   every ACK; `Box<dyn CongestionControl>` remains the default for
-//!   API compatibility.
+//! * The congestion controller is a generic parameter with no default:
+//!   campaigns use `ccfuzz-cca`'s enum-dispatched `CcaDispatch`, tests a
+//!   concrete reference controller, so no ACK pays a virtual call.
 
 use crate::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 use crate::packet::{AckPacket, DataPacket};
@@ -129,12 +128,9 @@ pub enum SendPoll {
     Blocked,
 }
 
-/// The sender state machine, generic over its congestion controller.
-///
-/// `C` defaults to `Box<dyn CongestionControl>` so existing trait-object
-/// call sites work unchanged; the fuzzer instantiates it with the
-/// enum-dispatched controller from `ccfuzz-cca` for static dispatch.
-pub struct TcpSender<C: CongestionControl = Box<dyn CongestionControl>> {
+/// The sender state machine, generic over its (statically dispatched)
+/// congestion controller.
+pub struct TcpSender<C: CongestionControl> {
     cfg: SenderConfig,
     cc: C,
 
@@ -1011,11 +1007,8 @@ mod tests {
     use crate::cc::reference_cc::{FixedWindowCc, MiniAimdCc};
     use crate::packet::{SackBlock, SackList};
 
-    fn sender_with_window(window: u64) -> TcpSender {
-        let mut s = TcpSender::new(
-            SenderConfig::paper_default(),
-            Box::new(FixedWindowCc::new(window)) as Box<dyn CongestionControl>,
-        );
+    fn sender_with_window(window: u64) -> TcpSender<FixedWindowCc> {
+        let mut s = TcpSender::new(SenderConfig::paper_default(), FixedWindowCc::new(window));
         s.on_flow_start(SimTime::ZERO);
         s
     }
@@ -1060,10 +1053,7 @@ mod tests {
 
     #[test]
     fn does_not_send_before_flow_start() {
-        let mut s = TcpSender::new(
-            SenderConfig::paper_default(),
-            Box::new(FixedWindowCc::new(4)) as Box<dyn CongestionControl>,
-        );
+        let mut s = TcpSender::new(SenderConfig::paper_default(), FixedWindowCc::new(4));
         assert_eq!(s.poll_send(SimTime::ZERO), SendPoll::Blocked);
     }
 
@@ -1120,10 +1110,7 @@ mod tests {
 
     #[test]
     fn recovery_exits_when_cum_ack_passes_recovery_high() {
-        let mut s = TcpSender::new(
-            SenderConfig::paper_default(),
-            Box::new(MiniAimdCc::new(10)) as Box<dyn CongestionControl>,
-        );
+        let mut s = TcpSender::new(SenderConfig::paper_default(), MiniAimdCc::new(10));
         s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
@@ -1144,10 +1131,7 @@ mod tests {
     fn dup_ack_fast_retransmit_without_sack() {
         let mut cfg = SenderConfig::paper_default();
         cfg.sack_enabled = false;
-        let mut s = TcpSender::new(
-            cfg,
-            Box::new(FixedWindowCc::new(10)) as Box<dyn CongestionControl>,
-        );
+        let mut s = TcpSender::new(cfg, FixedWindowCc::new(10));
         s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
@@ -1323,10 +1307,7 @@ mod tests {
     fn log_recording_can_be_disabled() {
         let mut cfg = SenderConfig::paper_default();
         cfg.record_log = false;
-        let mut s = TcpSender::new(
-            cfg,
-            Box::new(FixedWindowCc::new(4)) as Box<dyn CongestionControl>,
-        );
+        let mut s = TcpSender::new(cfg, FixedWindowCc::new(4));
         s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
@@ -1406,7 +1387,7 @@ mod tests {
         // the incrementally maintained counters against a full scan at every
         // step (the scan was the previous implementation's source of truth).
         let mut s = sender_with_window(12);
-        let check = |s: &TcpSender| {
+        let check = |s: &TcpSender<FixedWindowCc>| {
             let outstanding = s.skbs.iter().filter(|k| k.outstanding).count() as u64;
             let pending = s
                 .skbs

@@ -4,14 +4,15 @@
 //! behaviour: the bucketed event calendar pops in the exact `(time, seq)`
 //! order the binary heap did, the packet pool and inline SACK lists change
 //! only allocation, and enum dispatch runs the very same algorithm code.
-//! These constants were recorded by `digest_probe` on the pre-optimization
-//! engine (BinaryHeap calendar, `Box<dyn CongestionControl>` everywhere);
-//! any drift here means the "optimization" changed simulation semantics and
-//! silently invalidated every committed corpus fixture and paper figure.
+//! These constants were recorded on the pre-optimization engine (BinaryHeap
+//! calendar, every controller behind a trait object); any drift here means
+//! an "optimization" changed simulation semantics and silently invalidated
+//! every committed corpus fixture and paper figure.
 //!
 //! If the digest contract is ever changed *deliberately* (e.g. new fields
-//! mixed into `RunStats::digest`), regenerate with:
-//! `cargo run --release -p ccfuzz-bench --bin digest_probe`.
+//! mixed into `RunStats::digest`), re-record by running this test and
+//! copying each failure's `observed` value (printed as `{:#018x}`, the
+//! constants' own format) over the constant it names.
 
 use cc_fuzz::cca::{CcaDispatch, CcaKind};
 use cc_fuzz::fuzz::campaign::paper_sim_base;
@@ -56,20 +57,29 @@ const GOLDEN_CODEL_ECN: [(CcaKind, u64); 7] = [
     (CcaKind::Dctcp, 0x06da2e4e3ea19ff1),
 ];
 
+/// Fails naming the scenario and printing the observed digest in the
+/// constants' format, so a deliberate re-recording copies it from here.
+fn assert_digest(observed: u64, golden: u64, scenario: &str) {
+    assert!(
+        observed == golden,
+        "digest drift for {scenario}: observed {observed:#018x}, recorded {golden:#018x}"
+    );
+}
+
 fn fairness_scenario_specs() -> Vec<FlowSpec<CcaDispatch>> {
     vec![
         FlowSpec {
-            cc: CcaKind::Bbr.build_dispatch(10),
+            cc: CcaKind::Bbr.build(10),
             start: SimTime::ZERO,
             stop: None,
         },
         FlowSpec {
-            cc: CcaKind::Reno.build_dispatch(10),
+            cc: CcaKind::Reno.build(10),
             start: SimTime::from_millis(500),
             stop: Some(SimTime::from_secs_f64(4.0)),
         },
         FlowSpec {
-            cc: CcaKind::Cubic.build_dispatch(10),
+            cc: CcaKind::Cubic.build(10),
             start: SimTime::from_secs_f64(1.0),
             stop: None,
         },
@@ -81,29 +91,11 @@ fn paper_scenario_digests_match_pre_optimization_engine() {
     for (kind, golden) in GOLDEN_SINGLE_FLOW {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        let result = run_simulation(cfg, kind.build_dispatch(10));
-        assert_eq!(
-            result.stats.digest(),
-            golden,
-            "digest drift for {} — the hot-path overhaul changed behaviour",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn boxed_dispatch_matches_the_same_golden_digests() {
-    // The trait-object path must agree with both the enum path and the
-    // pre-overhaul recording.
-    for (kind, golden) in GOLDEN_SINGLE_FLOW {
-        let mut cfg = paper_sim_base(SimDuration::from_secs(5));
-        cfg.record_events = false;
         let result = run_simulation(cfg, kind.build(10));
-        assert_eq!(
+        assert_digest(
             result.stats.digest(),
             golden,
-            "boxed digest drift for {}",
-            kind.name()
+            &format!("single/{}", kind.name()),
         );
     }
 }
@@ -116,11 +108,7 @@ fn fairness_scenario_digest_matches_pre_optimization_engine() {
     let injections: Vec<SimTime> = (0..800).map(|i| SimTime::from_micros(i * 6_000)).collect();
     cfg.cross_traffic = TrafficTrace::new(injections, duration);
     let result = run_multi_flow_simulation(cfg, fairness_scenario_specs());
-    assert_eq!(
-        result.stats.digest(),
-        GOLDEN_FAIRNESS,
-        "fairness digest drift — multi-flow hot path changed behaviour"
-    );
+    assert_digest(result.stats.digest(), GOLDEN_FAIRNESS, "fairness");
 }
 
 #[test]
@@ -130,12 +118,11 @@ fn red_ecn_digests_match_recorded_constants() {
         cfg.record_events = false;
         cfg.qdisc = Qdisc::red_default(100);
         cfg.ecn_enabled = true;
-        let result = run_simulation(cfg, kind.build_dispatch(10));
-        assert_eq!(
+        let result = run_simulation(cfg, kind.build(10));
+        assert_digest(
             result.stats.digest(),
             golden,
-            "RED+ECN digest drift for {}",
-            kind.name()
+            &format!("red+ecn/{}", kind.name()),
         );
     }
 }
@@ -147,12 +134,11 @@ fn codel_ecn_digests_match_recorded_constants() {
         cfg.record_events = false;
         cfg.qdisc = Qdisc::codel_default();
         cfg.ecn_enabled = true;
-        let result = run_simulation(cfg, kind.build_dispatch(10));
-        assert_eq!(
+        let result = run_simulation(cfg, kind.build(10));
+        assert_digest(
             result.stats.digest(),
             golden,
-            "CoDel+ECN digest drift for {}",
-            kind.name()
+            &format!("codel+ecn/{}", kind.name()),
         );
     }
 }
@@ -182,10 +168,8 @@ fn golden_digests_stable_across_repeated_runs() {
     let run = || {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        run_simulation(cfg, CcaKind::Reno.build_dispatch(10))
-            .stats
-            .digest()
+        run_simulation(cfg, CcaKind::Reno.build(10)).stats.digest()
     };
     assert_eq!(run(), run());
-    assert_eq!(run(), GOLDEN_SINGLE_FLOW[0].1);
+    assert_digest(run(), GOLDEN_SINGLE_FLOW[0].1, "single/reno");
 }

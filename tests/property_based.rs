@@ -188,7 +188,7 @@ proptest! {
         // packets the queue accepted plus the packets it dropped; accepted
         // packets are all either transmitted or still resident at the end.
         use cc_fuzz::netsim::sim::{run_multi_flow_simulation, FlowSpec};
-        use cc_fuzz::netsim::cc::{reference_cc::MiniAimdCc, CongestionControl};
+        use cc_fuzz::netsim::cc::reference_cc::MiniAimdCc;
         use cc_fuzz::netsim::trace::TrafficTrace;
 
         let mut cfg = cc_fuzz::fuzz::campaign::paper_sim_base(SimDuration::from_secs(1));
@@ -202,9 +202,9 @@ proptest! {
         injections.sort_unstable();
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), cfg.duration);
 
-        let specs: Vec<FlowSpec> = (0..n_flows)
+        let specs: Vec<FlowSpec<MiniAimdCc>> = (0..n_flows)
             .map(|i| FlowSpec {
-                cc: Box::new(MiniAimdCc::new(window)) as Box<dyn CongestionControl>,
+                cc: MiniAimdCc::new(window),
                 start: SimTime::from_millis(i as u64 * stagger_ms),
                 stop: None,
             })
@@ -258,7 +258,7 @@ proptest! {
         //    here in aggregate over all recycled flows;
         //  * warm scratch reuse replays the identical behaviour digest.
         use cc_fuzz::netsim::cc::reference_cc::MiniAimdCc;
-        use cc_fuzz::netsim::sim::{run_workload_simulation_pooled, FlowSpec, SimScratch};
+        use cc_fuzz::netsim::sim::{FlowSpec, Simulation};
         use cc_fuzz::netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
         let mut cfg = cc_fuzz::fuzz::campaign::paper_sim_base(SimDuration::from_secs(1));
@@ -285,7 +285,7 @@ proptest! {
             max_arrivals: 10_000,
         });
 
-        let run = |scratch: &mut SimScratch<MiniAimdCc>| {
+        let run = |sim: &mut Simulation<MiniAimdCc>| {
             let mut specs: Vec<FlowSpec<MiniAimdCc>> = (0..n_static)
                 .map(|i| FlowSpec {
                     cc: MiniAimdCc::new(8),
@@ -293,11 +293,12 @@ proptest! {
                     stop: None,
                 })
                 .collect();
-            let mut protos = vec![MiniAimdCc::new(4), MiniAimdCc::new(8)];
-            run_workload_simulation_pooled(cfg.clone(), &mut specs, &mut protos, scratch)
+            sim.load(cfg.clone(), &mut specs);
+            sim.install_arrivals(&mut vec![MiniAimdCc::new(4), MiniAimdCc::new(8)]);
+            sim.run()
         };
-        let mut scratch = SimScratch::default();
-        let result = run(&mut scratch);
+        let mut sim = Simulation::default();
+        let result = run(&mut sim);
 
         // Static flows keep their per-flow stats slots regardless of churn.
         prop_assert_eq!(result.stats.flows.len(), n_static);
@@ -315,10 +316,10 @@ proptest! {
         let spawned = w.spawned;
         let digest = result.stats.digest();
 
-        // A second run through the warm scratch (slab, calendar, pools all
-        // recycled) must replay the byte-identical behaviour.
-        scratch.recycle_stats(result.stats);
-        let again = run(&mut scratch);
+        // A second run through the warm simulation (slab, calendar, pools
+        // all recycled) must replay the byte-identical behaviour.
+        sim.recycle_stats(result.stats);
+        let again = run(&mut sim);
         prop_assert_eq!(again.stats.workload().expect("workload stats").spawned, spawned);
         prop_assert_eq!(again.stats.digest(), digest);
     }
@@ -429,7 +430,7 @@ proptest! {
         let stop = SimTime::from_millis(800);
         let specs: Vec<FlowSpec<cc_fuzz::cca::CcaDispatch>> = (0..n_flows)
             .map(|i| FlowSpec {
-                cc: CcaKind::ALL[cca_raw[i % cca_raw.len()]].build_dispatch(10),
+                cc: CcaKind::ALL[cca_raw[i % cca_raw.len()]].build(10),
                 start: SimTime::from_millis(i as u64 * 100),
                 stop: Some(stop),
             })
