@@ -15,6 +15,8 @@
 //! * [`selection`] — rank-based selection (§3.5).
 //! * [`evaluate`] — the simulator-backed fitness function (§3.6).
 //! * [`fuzzer`] — the generation loop with island isolation (Figure 1, §4).
+//! * [`pool`] — the work-stealing evaluation pool shared by the generation
+//!   loop and the corpus minimizer.
 //! * [`realism`] — multi-CCA realism scoring (§5, Figure 5).
 //! * [`scenario`] — multi-flow scenario genomes for fairness fuzzing
 //!   (flow count, per-flow CCA, start/stop schedule, optional traffic
@@ -61,6 +63,7 @@ pub mod evaluate;
 pub mod fuzzer;
 pub mod genome;
 pub mod mode;
+pub mod pool;
 pub mod realism;
 pub mod scenario;
 pub mod scoring;

@@ -19,10 +19,11 @@
 use ccfuzz_analysis::traceview;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::FuzzMode;
+use ccfuzz_core::pool::num_threads_default;
 use ccfuzz_corpus::checkpoint::CampaignCheckpoint;
 use ccfuzz_corpus::daemon::{http_request, resolve_daemon_addr, HuntSpec};
 use ccfuzz_corpus::hunt::{hunt_controlled, HuntConfig, HuntControl, HuntOutcome};
-use ccfuzz_corpus::minimize::{minimize_finding, MinimizeConfig};
+use ccfuzz_corpus::minimize::{minimize_finding_with, MinimizeConfig, MinimizePool};
 use ccfuzz_corpus::replay::replay_findings;
 use ccfuzz_corpus::report::corpus_report;
 use ccfuzz_corpus::store::{Corpus, CorpusConfig, InsertOutcome};
@@ -31,6 +32,7 @@ use ccfuzz_obs::HuntTelemetry;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Exit code for a graceful shutdown (SIGINT/SIGTERM finished the in-flight
 /// generation and wrote the final checkpoint). Distinct from runtime
@@ -142,6 +144,8 @@ minimize OPTIONS:
     --all               Minimize every stored finding
     --retain F          Score fraction to retain, 0..1 (default: 0.8)
     --budget N          Max simulations per finding (default: 300)
+    Candidates are simulated on every available core; the output is the
+    same for any core count. Per finding, stderr gets one cost line.
 
 replay OPTIONS:
     --cca NAME          Replay against this CCA instead of the stored one
@@ -866,7 +870,18 @@ fn cmd_minimize(args: &[String]) -> Result<ExitCode, CliError> {
         let finding = corpus
             .get(&id)
             .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let (minimized, report) = minimize_finding(&finding, &cfg);
+        let started = Instant::now();
+        let mut pool = MinimizePool::new(num_threads_default());
+        let (minimized, report) = minimize_finding_with(&finding, &cfg, &mut pool);
+        // What the speculation cost goes to stderr; stdout is the same for
+        // any worker count.
+        eprintln!(
+            "{id}: {} simulations counted, {} speculative discarded, {} worker(s), {} ms",
+            report.evaluations,
+            pool.discarded(),
+            pool.workers(),
+            started.elapsed().as_millis()
+        );
         // `update` removes the old file and, if the id moved into an
         // occupied signature bucket, keeps whichever finding is stronger.
         let stored = corpus

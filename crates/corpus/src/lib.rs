@@ -53,7 +53,8 @@ pub use daemon::{
 pub use finding::{Finding, GenomePayload, Provenance};
 pub use hunt::{hunt, hunt_controlled, HuntConfig, HuntControl, HuntOutcome};
 pub use minimize::{
-    minimize_finding, minimize_link, minimize_traffic, MinimizeConfig, MinimizeReport,
+    minimize_finding, minimize_finding_with, minimize_link, minimize_traffic, MinimizeConfig,
+    MinimizePool, MinimizeReport,
 };
 pub use replay::{replay_corpus, replay_findings, ReplayReport};
 pub use report::corpus_report;

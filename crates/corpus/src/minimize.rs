@@ -14,14 +14,24 @@
 //!    over-long outages, and (link mode, where packet count is an invariant)
 //!    quantize timestamps to the coarsest grid that keeps the score.
 //!
+//! Every "try these candidates in order, keep the first that holds the
+//! score" scan — ddmin's segments, the link grids, hop and elephant drops —
+//! goes through one primitive that simulates a batch of candidates at once
+//! on the campaign's evaluation pool ([`steal_map`]) and keeps exactly what
+//! the serial scan would have kept, charging exactly its budget. Every
+//! simulation runs on a worker-owned warm [`EvalScratch`]. The result is the
+//! same for any worker count (DESIGN.md "Parallel minimization").
+//!
 //! Invariants, verified by property tests: the minimized trace never has
 //! *more* packets than the input, and its score never drops below
 //! `retain_fraction * original_score`.
 
 use crate::finding::{Finding, GenomePayload};
 use crate::signature::BehaviorSignature;
-use ccfuzz_core::evaluate::{Evaluator, SimEvaluator};
+use ccfuzz_core::evaluate::{EvalOutcome, EvalScratch, Evaluator, SimEvaluator};
 use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
+use ccfuzz_core::mode::ModeGenome;
+use ccfuzz_core::pool::{num_threads_default, steal_map};
 use ccfuzz_core::scenario::{QdiscGene, ScenarioGenome};
 use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_core::workload::WorkloadGenome;
@@ -29,6 +39,7 @@ use ccfuzz_netsim::queue::{Qdisc, QueueCapacity};
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_netsim::workload::ArrivalProcess;
 use serde::{Deserialize, Serialize};
+use std::panic::{self, AssertUnwindSafe};
 
 /// Minimization policy.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -80,20 +91,143 @@ pub struct MinimizeReport {
     pub minimized_score: f64,
     /// The floor the minimized score had to clear.
     pub threshold: f64,
-    /// Simulations spent.
+    /// Simulations spent, as a serial minimizer would have counted them.
     pub evaluations: u64,
     /// Human-readable notes about which passes did what.
     pub passes: Vec<String>,
 }
 
-struct Budget {
-    spent: usize,
-    max: usize,
+/// The minimizer's workers: one warm [`EvalScratch`] each, so the number of
+/// scratches is the number of candidates a scan simulates at once. Scratches
+/// only donate capacity, so a pool of any size minimizes to the same genome
+/// and [`MinimizeReport`]. Their buffers only ever grow, so create one pool
+/// per finding rather than one per corpus.
+pub struct MinimizePool {
+    scratches: Vec<EvalScratch>,
+    discarded: u64,
 }
 
-impl Budget {
+impl MinimizePool {
+    /// A pool of `workers` (at least one) cold scratches.
+    pub fn new(workers: usize) -> Self {
+        MinimizePool {
+            scratches: (0..workers.max(1)).map(|_| EvalScratch::new()).collect(),
+            discarded: 0,
+        }
+    }
+
+    /// How many candidates a scan simulates at once.
+    pub fn workers(&self) -> usize {
+        self.scratches.len()
+    }
+
+    /// Speculative simulations run so far whose results a serial scan would
+    /// never have looked at: the candidates of a batch behind its first
+    /// accepted one. They are the price of the parallelism and are not
+    /// counted in [`MinimizeReport::evaluations`].
+    pub fn discarded(&self) -> u64 {
+        self.discarded
+    }
+}
+
+/// The simulation budget of one minimization and the workers it is spent on.
+struct Budget<'p> {
+    spent: usize,
+    max: usize,
+    pool: &'p mut MinimizePool,
+}
+
+/// What a serial scan over the candidates would have seen: the scores of
+/// the candidates it rejected, in order, then the first one it accepted
+/// (candidate number `rejected.len()`), if any before the candidates or the
+/// budget ran out.
+struct Scan<G> {
+    rejected: Vec<f64>,
+    accepted: Option<(G, f64)>,
+}
+
+impl<'p> Budget<'p> {
+    /// A budget of `cfg.max_evaluations` of which `spent` are gone.
+    fn new(spent: usize, cfg: &MinimizeConfig, pool: &'p mut MinimizePool) -> Self {
+        Budget {
+            spent,
+            max: cfg.max_evaluations.max(1),
+            pool,
+        }
+    }
+
     fn exhausted(&self) -> bool {
         self.spent >= self.max
+    }
+
+    /// Scores one genome on the first worker's warm scratch, charging one
+    /// simulation.
+    fn score<G, E: Evaluator<G>>(&mut self, evaluator: &E, genome: &G) -> f64 {
+        self.spent += 1;
+        evaluator
+            .evaluate_reusing(genome, &mut self.pool.scratches[0])
+            .score
+    }
+
+    /// Tries `candidate(0)`, `candidate(1)`, … `candidate(n - 1)` in order
+    /// and stops at the first whose score reaches `threshold`, exactly as a
+    /// serial loop would, budget checks included. Candidates are simulated
+    /// in batches of `min(workers, budget left, candidates left)` on the
+    /// evaluation pool; the first accepted candidate in index order wins,
+    /// the budget is charged its position + 1 (the whole batch when none is
+    /// accepted), and the rest of the batch is discarded. A candidate that
+    /// panics re-raises its panic only when every earlier candidate of its
+    /// batch was rejected — the serial loop would have reached it — and is
+    /// otherwise discarded with its worker's scratch.
+    fn first_accepted<G: Send, E: Evaluator<G>>(
+        &mut self,
+        evaluator: &E,
+        threshold: f64,
+        n: usize,
+        candidate: impl Fn(usize) -> G + Sync,
+    ) -> Scan<G> {
+        let mut rejected = Vec::new();
+        while rejected.len() < n {
+            let offset = rejected.len();
+            let batch = self
+                .pool
+                .workers()
+                .min(self.max.saturating_sub(self.spent))
+                .min(n - offset);
+            if batch == 0 {
+                break;
+            }
+            let results = steal_map(&mut self.pool.scratches[..batch], batch, |scratch, k| {
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    let genome = candidate(offset + k);
+                    let score = evaluator.evaluate_reusing(&genome, scratch).score;
+                    (genome, score)
+                }))
+                .inspect_err(|_| {
+                    // The arena may hold half-updated simulator state.
+                    *scratch = EvalScratch::new();
+                })
+            });
+            for (k, result) in results.into_iter().enumerate() {
+                match result {
+                    Ok((genome, score)) if score >= threshold => {
+                        self.spent += k + 1;
+                        self.pool.discarded += (batch - k - 1) as u64;
+                        return Scan {
+                            rejected,
+                            accepted: Some((genome, score)),
+                        };
+                    }
+                    Ok((_, score)) => rejected.push(score),
+                    Err(payload) => panic::resume_unwind(payload),
+                }
+            }
+            self.spent += batch;
+        }
+        Scan {
+            rejected,
+            accepted: None,
+        }
     }
 }
 
@@ -102,15 +236,10 @@ pub fn minimize_traffic<E: Evaluator<TrafficGenome>>(
     evaluator: &E,
     genome: &TrafficGenome,
     cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
 ) -> (TrafficGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        evaluator.evaluate(genome).score
-    };
+    let mut budget = Budget::new(0, cfg, pool);
+    let original_score = budget.score(evaluator, genome);
     let threshold = original_score * cfg.retain_fraction;
     let mut current = genome.clone();
     let mut current_score = original_score;
@@ -131,20 +260,22 @@ pub fn minimize_traffic<E: Evaluator<TrafficGenome>>(
         budget.spent
     ));
 
-    // Stage 2: value-level shrinking. Order matters: flattening first makes
-    // outage compression see clean gaps.
-    for (name, candidate) in [
-        ("flatten-bursts", current.flattened_bursts(cfg.burst_gap)),
-        ("shorten-outages", current.shortened_outages(cfg.outage_cap)),
-    ] {
+    // Stage 2: value-level shrinking, each step applied to what the previous
+    // one kept. Order matters: flattening first makes outage compression
+    // see clean gaps.
+    for name in ["flatten-bursts", "shorten-outages"] {
         if budget.exhausted() {
             break;
         }
+        let candidate = if name == "flatten-bursts" {
+            current.flattened_bursts(cfg.burst_gap)
+        } else {
+            current.shortened_outages(cfg.outage_cap)
+        };
         if candidate.timestamps == current.timestamps {
             continue;
         }
-        budget.spent += 1;
-        let score = evaluator.evaluate(&candidate).score;
+        let score = budget.score(evaluator, &candidate);
         if score >= threshold {
             passes.push(format!("{name}: accepted (score {score:.6})"));
             current = candidate;
@@ -177,7 +308,7 @@ fn ddmin_pass<E: Evaluator<TrafficGenome>>(
     current_score: &mut f64,
     threshold: f64,
     cfg: &MinimizeConfig,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
 ) -> usize {
     let start_count = current.packet_count();
     let mut num_segments = 2usize;
@@ -192,21 +323,22 @@ fn ddmin_pass<E: Evaluator<TrafficGenome>>(
         }
         let mut any_removed = false;
         let mut seg = 0usize;
-        while seg * seg_len < current.packet_count() && !budget.exhausted() {
-            let lo = seg * seg_len;
-            let hi = (lo + seg_len).min(current.packet_count());
-            let candidate = current.without_index_range(lo..hi);
-            budget.spent += 1;
-            let score = evaluator.evaluate(&candidate).score;
-            if score >= threshold {
-                *current = candidate;
-                *current_score = score;
-                any_removed = true;
-                // Do not advance `seg`: the segment that slid into this
-                // position is tried next.
-            } else {
-                seg += 1;
-            }
+        loop {
+            let count = current.packet_count();
+            let segments = count.div_ceil(seg_len).saturating_sub(seg);
+            let scan = budget.first_accepted(evaluator, threshold, segments, |i| {
+                let lo = (seg + i) * seg_len;
+                current.without_index_range(lo..(lo + seg_len).min(count))
+            });
+            // Do not advance past an accepted segment: the segment that
+            // slides into its position is tried next.
+            seg += scan.rejected.len();
+            let Some((candidate, score)) = scan.accepted else {
+                break;
+            };
+            *current = candidate;
+            *current_score = score;
+            any_removed = true;
         }
         if !any_removed {
             if seg_len == 1 {
@@ -225,50 +357,44 @@ pub fn minimize_link<E: Evaluator<LinkGenome>>(
     evaluator: &E,
     genome: &LinkGenome,
     cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
 ) -> (LinkGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        evaluator.evaluate(genome).score
-    };
+    let mut budget = Budget::new(0, cfg, pool);
+    let original_score = budget.score(evaluator, genome);
     let threshold = original_score * cfg.retain_fraction;
     let mut current = genome.clone();
     let mut current_score = original_score;
     let mut passes = Vec::new();
 
-    for grid in cfg.link_grids {
-        if budget.exhausted() {
-            break;
-        }
-        let candidate = current.quantized(grid);
-        if candidate.timestamps == current.timestamps {
-            continue;
-        }
-        budget.spent += 1;
-        let score = evaluator.evaluate(&candidate).score;
-        if score >= threshold {
-            passes.push(format!(
-                "quantize-{}ms: accepted (score {score:.6})",
-                grid.as_millis()
-            ));
-            current = candidate;
-            current_score = score;
-            break; // coarsest acceptable grid wins
-        }
+    // The coarsest acceptable grid wins; a grid the trace already sits on
+    // is not worth a simulation.
+    let grids: Vec<SimDuration> = cfg
+        .link_grids
+        .into_iter()
+        .filter(|&grid| current.quantized(grid).timestamps != current.timestamps)
+        .collect();
+    let scan = budget.first_accepted(evaluator, threshold, grids.len(), |i| {
+        current.quantized(grids[i])
+    });
+    for (grid, score) in grids.iter().zip(&scan.rejected) {
         passes.push(format!(
             "quantize-{}ms: rejected (score {score:.6} < {threshold:.6})",
             grid.as_millis()
         ));
     }
+    if let Some((candidate, score)) = scan.accepted {
+        passes.push(format!(
+            "quantize-{}ms: accepted (score {score:.6})",
+            grids[scan.rejected.len()].as_millis()
+        ));
+        current = candidate;
+        current_score = score;
+    }
 
     if !budget.exhausted() {
         let candidate = current.shortened_outages(cfg.outage_cap);
         if candidate.timestamps != current.timestamps {
-            budget.spent += 1;
-            let score = evaluator.evaluate(&candidate).score;
+            let score = budget.score(evaluator, &candidate);
             if score >= threshold {
                 passes.push(format!("shorten-outages: accepted (score {score:.6})"));
                 current = candidate;
@@ -294,19 +420,68 @@ pub fn minimize_link<E: Evaluator<LinkGenome>>(
     (current, report)
 }
 
-/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink a
-/// scenario's cross-traffic sub-genome: every candidate traffic genome is
-/// re-embedded into the (otherwise fixed) scenario before evaluation.
-struct ScenarioTrafficEvaluator<'a> {
+/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink
+/// the cross-traffic sub-genome of a scenario or topology: every candidate
+/// traffic genome is re-embedded into the (otherwise fixed) host genome
+/// before evaluation.
+struct EmbeddedTraffic<'a, G> {
     evaluator: &'a SimEvaluator,
-    scenario: &'a ScenarioGenome,
+    host: &'a G,
+    embed: fn(&G, &TrafficGenome) -> G,
 }
 
-impl Evaluator<TrafficGenome> for ScenarioTrafficEvaluator<'_> {
-    fn evaluate(&self, genome: &TrafficGenome) -> ccfuzz_core::evaluate::EvalOutcome {
-        let mut scenario = self.scenario.clone();
-        scenario.traffic = Some(genome.clone());
-        Evaluator::<ScenarioGenome>::evaluate(self.evaluator, &scenario)
+impl<G: ModeGenome> Evaluator<TrafficGenome> for EmbeddedTraffic<'_, G> {
+    fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
+        self.evaluate_reusing(genome, &mut EvalScratch::new())
+    }
+
+    fn evaluate_reusing(&self, genome: &TrafficGenome, scratch: &mut EvalScratch) -> EvalOutcome {
+        self.evaluator
+            .evaluate_reusing(&(self.embed)(self.host, genome), scratch)
+    }
+}
+
+/// The first stage of scenario and topology minimization: shrink the host
+/// genome's cross-traffic sub-genome, when it has one, with the full traffic
+/// ddmin + value-shrinking pipeline against the host's simulation.
+/// Otherwise one simulation anchors the score and the retention threshold,
+/// and the pass log says that the `host_name` had nothing to shrink.
+fn minimize_cross_traffic<G: ModeGenome>(
+    evaluator: &SimEvaluator,
+    host: &G,
+    host_name: &str,
+    traffic: Option<&TrafficGenome>,
+    embed: fn(&G, &TrafficGenome) -> G,
+    cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
+) -> (G, MinimizeReport) {
+    match traffic {
+        Some(traffic) => {
+            let wrapper = EmbeddedTraffic {
+                evaluator,
+                host,
+                embed,
+            };
+            let (minimized, report) = minimize_traffic(&wrapper, traffic, cfg, pool);
+            (embed(host, &minimized), report)
+        }
+        None => {
+            let score = Budget::new(0, cfg, pool).score(evaluator, host);
+            (
+                host.clone(),
+                MinimizeReport {
+                    original_packets: 0,
+                    minimized_packets: 0,
+                    original_score: score,
+                    minimized_score: score,
+                    threshold: score * cfg.retain_fraction,
+                    evaluations: 1,
+                    passes: vec![format!(
+                        "{host_name} has no cross traffic; nothing to shrink"
+                    )],
+                },
+            )
+        }
     }
 }
 
@@ -355,7 +530,7 @@ fn qdisc_shrink_pass(
     current: &mut ScenarioGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     if current.qdisc.is_none() || budget.exhausted() {
@@ -369,8 +544,7 @@ fn qdisc_shrink_pass(
     // Maximal shrink: the behaviour survives on a plain drop-tail gateway.
     let mut candidate = current.clone();
     candidate.qdisc = None;
-    budget.spent += 1;
-    let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, &candidate).score;
+    let score = budget.score(evaluator, &candidate);
     if score >= threshold {
         passes.push(format!("qdisc->droptail: accepted (score {score:.6})"));
         *current = candidate;
@@ -389,8 +563,7 @@ fn qdisc_shrink_pass(
         };
         let mut candidate = current.clone();
         candidate.qdisc = Some(milder);
-        budget.spent += 1;
-        let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, &candidate).score;
+        let score = budget.score(evaluator, &candidate);
         let label = milder.discipline.label();
         if score >= threshold {
             passes.push(format!("qdisc-milder {label}: accepted (score {score:.6})"));
@@ -414,40 +587,21 @@ pub fn minimize_scenario(
     evaluator: &SimEvaluator,
     genome: &ScenarioGenome,
     cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
 ) -> (ScenarioGenome, MinimizeReport) {
-    let (mut minimized, mut report) = match &genome.traffic {
-        Some(traffic) => {
-            let wrapper = ScenarioTrafficEvaluator {
-                evaluator,
-                scenario: genome,
-            };
-            let (minimized_traffic, report) = minimize_traffic(&wrapper, traffic, cfg);
-            let mut minimized = genome.clone();
-            minimized.traffic = Some(minimized_traffic);
-            (minimized, report)
-        }
-        None => {
-            // Nothing trafficky to shrink: one evaluation to anchor the
-            // score and the retention threshold.
-            let score = Evaluator::<ScenarioGenome>::evaluate(evaluator, genome).score;
-            (
-                genome.clone(),
-                MinimizeReport {
-                    original_packets: 0,
-                    minimized_packets: 0,
-                    original_score: score,
-                    minimized_score: score,
-                    threshold: score * cfg.retain_fraction,
-                    evaluations: 1,
-                    passes: vec!["scenario has no cross traffic; nothing to shrink".into()],
-                },
-            )
-        }
-    };
-    let mut budget = Budget {
-        spent: report.evaluations as usize,
-        max: cfg.max_evaluations.max(1),
-    };
+    let (mut minimized, mut report) = minimize_cross_traffic(
+        evaluator,
+        genome,
+        "scenario",
+        genome.traffic.as_ref(),
+        |scenario, traffic| ScenarioGenome {
+            traffic: Some(traffic.clone()),
+            ..scenario.clone()
+        },
+        cfg,
+        pool,
+    );
+    let mut budget = Budget::new(report.evaluations as usize, cfg, pool);
     let mut score = report.minimized_score;
     qdisc_shrink_pass(
         evaluator,
@@ -462,52 +616,32 @@ pub fn minimize_scenario(
     (minimized, report)
 }
 
-/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink
-/// a topology's cross-traffic sub-genome: every candidate traffic genome is
-/// re-embedded into the (otherwise fixed) topology before evaluation.
-struct TopologyTrafficEvaluator<'a> {
-    evaluator: &'a SimEvaluator,
-    topology: &'a TopologyGenome,
-}
-
-impl Evaluator<TrafficGenome> for TopologyTrafficEvaluator<'_> {
-    fn evaluate(&self, genome: &TrafficGenome) -> ccfuzz_core::evaluate::EvalOutcome {
-        let mut topology = self.topology.clone();
-        topology.traffic = Some(genome.clone());
-        Evaluator::<TopologyGenome>::evaluate(self.evaluator, &topology)
-    }
-}
-
-/// Tries to drop hops one index at a time (re-scanning from the front after
-/// every success), keeping a deletion whenever the re-simulated score
-/// retains the threshold: the minimized chain is the shortest prefix of
-/// bottlenecks the behaviour actually needs, ideally the single-hop
-/// dumbbell.
-fn hop_drop_pass(
-    evaluator: &SimEvaluator,
+/// Drops hops one at a time (re-scanning from the front after every
+/// success), keeping a deletion whenever the re-simulated score retains the
+/// threshold: the minimized chain is the shortest prefix of bottlenecks the
+/// behaviour actually needs, ideally the single-hop dumbbell.
+fn hop_drop_pass<E: Evaluator<TopologyGenome>>(
+    evaluator: &E,
     current: &mut TopologyGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     let start_hops = current.hop_count();
-    let mut at = 0usize;
-    while current.hop_count() > 1 && at < current.hop_count() && !budget.exhausted() {
-        let Some(candidate) = current.without_hop(at) else {
+    while current.hop_count() > 1 {
+        let scan = budget.first_accepted(evaluator, threshold, current.hop_count(), |at| {
+            current
+                .without_hop(at)
+                .expect("a chain of two or more hops can drop any one")
+        });
+        let Some((candidate, score)) = scan.accepted else {
             break;
         };
-        budget.spent += 1;
-        let score = Evaluator::<TopologyGenome>::evaluate(evaluator, &candidate).score;
-        if score >= threshold {
-            *current = candidate;
-            *current_score = score;
-            // Restart the scan: removing this hop changes the dynamics, so
-            // a hop whose removal was rejected earlier may drop cleanly now.
-            at = 0;
-        } else {
-            at += 1;
-        }
+        // Rescan from the front: removing this hop changes the dynamics, so
+        // a hop whose removal was rejected earlier may drop cleanly now.
+        *current = candidate;
+        *current_score = score;
     }
     passes.push(format!(
         "drop-hops: {} -> {} hops",
@@ -556,7 +690,7 @@ fn hop_relax_pass(
     current: &mut TopologyGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     let baseline_rate = evaluator.link_rate_bps;
@@ -565,8 +699,7 @@ fn hop_relax_pass(
             let Some((candidate, step)) = relaxed_hop(current, at, baseline_rate) else {
                 break;
             };
-            budget.spent += 1;
-            let score = Evaluator::<TopologyGenome>::evaluate(evaluator, &candidate).score;
+            let score = budget.score(evaluator, &candidate);
             if score >= threshold {
                 passes.push(format!(
                     "relax hop {at} {step}: accepted (score {score:.6})"
@@ -593,38 +726,21 @@ pub fn minimize_topology(
     evaluator: &SimEvaluator,
     genome: &TopologyGenome,
     cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
 ) -> (TopologyGenome, MinimizeReport) {
-    let (mut minimized, mut report) = match &genome.traffic {
-        Some(traffic) => {
-            let wrapper = TopologyTrafficEvaluator {
-                evaluator,
-                topology: genome,
-            };
-            let (minimized_traffic, report) = minimize_traffic(&wrapper, traffic, cfg);
-            let mut minimized = genome.clone();
-            minimized.traffic = Some(minimized_traffic);
-            (minimized, report)
-        }
-        None => {
-            let score = Evaluator::<TopologyGenome>::evaluate(evaluator, genome).score;
-            (
-                genome.clone(),
-                MinimizeReport {
-                    original_packets: 0,
-                    minimized_packets: 0,
-                    original_score: score,
-                    minimized_score: score,
-                    threshold: score * cfg.retain_fraction,
-                    evaluations: 1,
-                    passes: vec!["topology has no cross traffic; nothing to shrink".into()],
-                },
-            )
-        }
-    };
-    let mut budget = Budget {
-        spent: report.evaluations as usize,
-        max: cfg.max_evaluations.max(1),
-    };
+    let (mut minimized, mut report) = minimize_cross_traffic(
+        evaluator,
+        genome,
+        "topology",
+        genome.traffic.as_ref(),
+        |topology, traffic| TopologyGenome {
+            traffic: Some(traffic.clone()),
+            ..topology.clone()
+        },
+        cfg,
+        pool,
+    );
+    let mut budget = Budget::new(report.evaluations as usize, cfg, pool);
     let mut score = report.minimized_score;
     hop_drop_pass(
         evaluator,
@@ -671,15 +787,14 @@ fn arrival_thin_pass(
     current: &mut WorkloadGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     while !budget.exhausted() {
         let Some(candidate) = thinned_arrivals(current) else {
             break;
         };
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
+        let score = budget.score(evaluator, &candidate);
         let rate = candidate.arrivals.process.rate_per_sec();
         if score >= threshold {
             passes.push(format!(
@@ -705,7 +820,7 @@ fn size_collapse_pass(
     current: &mut WorkloadGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     while !budget.exhausted() {
@@ -716,8 +831,7 @@ fn size_collapse_pass(
         }
         let mut candidate = current.clone();
         candidate.arrivals.size.max_packets = new_max;
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
+        let score = budget.score(evaluator, &candidate);
         if score >= threshold {
             passes.push(format!(
                 "collapse-sizes max={new_max}pkt: accepted (score {score:.6})"
@@ -733,34 +847,32 @@ fn size_collapse_pass(
     }
 }
 
-/// Tries to drop background elephants one index at a time (never the
-/// incumbent at index 0, re-scanning after every success), keeping each
-/// removal while the score holds: the minimized elephant mix is the smallest
-/// background the tail inflation actually needs.
-fn elephant_drop_pass(
-    evaluator: &SimEvaluator,
+/// Drops background elephants one at a time (never the incumbent at index
+/// 0, re-scanning after every success), keeping each removal while the
+/// score holds: the minimized elephant mix is the smallest background the
+/// tail inflation actually needs.
+fn elephant_drop_pass<E: Evaluator<WorkloadGenome>>(
+    evaluator: &E,
     current: &mut WorkloadGenome,
     current_score: &mut f64,
     threshold: f64,
-    budget: &mut Budget,
+    budget: &mut Budget<'_>,
     passes: &mut Vec<String>,
 ) {
     let start_elephants = current.elephant_count();
-    let mut at = 1usize;
-    while current.elephant_count() > 1 && at < current.elephant_count() && !budget.exhausted() {
-        let mut candidate = current.clone();
-        candidate.elephants.remove(at);
-        budget.spent += 1;
-        let score = Evaluator::<WorkloadGenome>::evaluate(evaluator, &candidate).score;
-        if score >= threshold {
-            *current = candidate;
-            *current_score = score;
-            // Restart behind the incumbent: removing one elephant changes
-            // the contention, so earlier rejections may drop cleanly now.
-            at = 1;
-        } else {
-            at += 1;
-        }
+    while current.elephant_count() > 1 {
+        let scan = budget.first_accepted(evaluator, threshold, current.elephant_count() - 1, |i| {
+            let mut candidate = current.clone();
+            candidate.elephants.remove(1 + i);
+            candidate
+        });
+        let Some((candidate, score)) = scan.accepted else {
+            break;
+        };
+        // Rescan behind the incumbent: removing one elephant changes the
+        // contention, so earlier rejections may drop cleanly now.
+        *current = candidate;
+        *current_score = score;
     }
     passes.push(format!(
         "drop-elephants: {} -> {} elephants",
@@ -779,15 +891,10 @@ pub fn minimize_workload(
     evaluator: &SimEvaluator,
     genome: &WorkloadGenome,
     cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
 ) -> (WorkloadGenome, MinimizeReport) {
-    let mut budget = Budget {
-        spent: 0,
-        max: cfg.max_evaluations.max(1),
-    };
-    let original_score = {
-        budget.spent += 1;
-        Evaluator::<WorkloadGenome>::evaluate(evaluator, genome).score
-    };
+    let mut budget = Budget::new(0, cfg, pool);
+    let original_score = budget.score(evaluator, genome);
     let threshold = original_score * cfg.retain_fraction;
     let mut current = genome.clone();
     let mut current_score = original_score;
@@ -834,33 +941,44 @@ pub fn minimize_workload(
 }
 
 /// Minimizes a stored finding: shrinks its genome with the finding's own
-/// evaluator, then refreshes the outcome, signature, digest and provenance.
+/// evaluator on one worker per available core, then refreshes the outcome,
+/// signature, digest and provenance.
 pub fn minimize_finding(finding: &Finding, cfg: &MinimizeConfig) -> (Finding, MinimizeReport) {
+    minimize_finding_with(finding, cfg, &mut MinimizePool::new(num_threads_default()))
+}
+
+/// [`minimize_finding`] on a caller-owned pool, which afterwards tells what
+/// the speculation cost ([`MinimizePool::discarded`]).
+pub fn minimize_finding_with(
+    finding: &Finding,
+    cfg: &MinimizeConfig,
+    pool: &mut MinimizePool,
+) -> (Finding, MinimizeReport) {
     let evaluator = finding.evaluator();
     let mut out = finding.clone();
     let report = match &finding.genome {
         GenomePayload::Traffic(genome) => {
-            let (minimized, report) = minimize_traffic(&evaluator, genome, cfg);
+            let (minimized, report) = minimize_traffic(&evaluator, genome, cfg, pool);
             out.genome = GenomePayload::Traffic(minimized);
             report
         }
         GenomePayload::Link(genome) => {
-            let (minimized, report) = minimize_link(&evaluator, genome, cfg);
+            let (minimized, report) = minimize_link(&evaluator, genome, cfg, pool);
             out.genome = GenomePayload::Link(minimized);
             report
         }
         GenomePayload::Scenario(genome) => {
-            let (minimized, report) = minimize_scenario(&evaluator, genome, cfg);
+            let (minimized, report) = minimize_scenario(&evaluator, genome, cfg, pool);
             out.genome = GenomePayload::Scenario(minimized);
             report
         }
         GenomePayload::Topology(genome) => {
-            let (minimized, report) = minimize_topology(&evaluator, genome, cfg);
+            let (minimized, report) = minimize_topology(&evaluator, genome, cfg, pool);
             out.genome = GenomePayload::Topology(minimized);
             report
         }
         GenomePayload::Workload(genome) => {
-            let (minimized, report) = minimize_workload(&evaluator, genome, cfg);
+            let (minimized, report) = minimize_workload(&evaluator, genome, cfg, pool);
             out.genome = GenomePayload::Workload(minimized);
             report
         }
@@ -887,8 +1005,11 @@ pub fn minimize_finding(finding: &Finding, cfg: &MinimizeConfig) -> (Finding, Mi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfuzz_core::evaluate::EvalOutcome;
-    use ccfuzz_netsim::time::{SimDuration, SimTime};
+    use ccfuzz_cca::CcaKind;
+    use ccfuzz_core::scenario::FlowGene;
+    use ccfuzz_netsim::rng::SimRng;
+    use ccfuzz_netsim::time::SimTime;
+    use std::fmt::Debug;
 
     /// A synthetic evaluator: score = fraction of "payload" packets present
     /// in the window [1s, 2s], plus noise packets contributing nothing.
@@ -934,7 +1055,8 @@ mod tests {
             retain_fraction: 1.0,
             ..Default::default()
         };
-        let (min, report) = minimize_traffic(&WindowEvaluator, &genome, &cfg);
+        let (min, report) =
+            minimize_traffic(&WindowEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
         assert_eq!(
             min.packet_count(),
             6,
@@ -956,7 +1078,8 @@ mod tests {
             retain_fraction: 0.5,
             ..Default::default()
         };
-        let (min, report) = minimize_traffic(&WindowEvaluator, &genome, &cfg);
+        let (min, report) =
+            minimize_traffic(&WindowEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
         assert!(min.packet_count() <= genome.packet_count());
         assert!(report.minimized_score >= report.threshold, "{report:?}");
         assert!(min.packet_count() >= 4, "cannot shrink below the threshold");
@@ -970,14 +1093,20 @@ mod tests {
             max_evaluations: 10,
             ..Default::default()
         };
-        let (_, report) = minimize_traffic(&WindowEvaluator, &genome, &cfg);
+        let (_, report) =
+            minimize_traffic(&WindowEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
         assert!(report.evaluations <= 10, "{report:?}");
     }
 
     #[test]
     fn empty_genome_is_a_fixed_point() {
         let genome = genome_with(&[]);
-        let (min, report) = minimize_traffic(&WindowEvaluator, &genome, &MinimizeConfig::default());
+        let (min, report) = minimize_traffic(
+            &WindowEvaluator,
+            &genome,
+            &MinimizeConfig::default(),
+            &mut MinimizePool::new(1),
+        );
         assert_eq!(min.packet_count(), 0);
         assert_eq!(report.minimized_packets, 0);
     }
@@ -1002,7 +1131,7 @@ mod tests {
 
     #[test]
     fn link_minimization_preserves_count_and_threshold() {
-        let mut rng = ccfuzz_netsim::rng::SimRng::new(7);
+        let mut rng = SimRng::new(7);
         let genome = LinkGenome::generate(
             2_000,
             SimDuration::from_secs(5),
@@ -1013,9 +1142,318 @@ mod tests {
             retain_fraction: 0.8,
             ..Default::default()
         };
-        let (min, report) = minimize_link(&OutageEvaluator, &genome, &cfg);
+        let (min, report) =
+            minimize_link(&OutageEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
         assert_eq!(min.packet_count(), genome.packet_count());
         assert!(report.minimized_score >= report.threshold, "{report:?}");
         min.validate().unwrap();
+    }
+
+    /// Runs `minimize` on a one-worker pool and on pools of 2, 3 and 8, and
+    /// asserts every result equals the serial one, which discards nothing.
+    fn same_at_every_worker_count<T: PartialEq + Debug>(
+        minimize: impl Fn(&mut MinimizePool) -> T,
+    ) -> T {
+        let mut serial_pool = MinimizePool::new(1);
+        let serial = minimize(&mut serial_pool);
+        assert_eq!(serial_pool.discarded(), 0);
+        for workers in [2, 3, 8] {
+            let mut pool = MinimizePool::new(workers);
+            assert_eq!(minimize(&mut pool), serial, "{workers} workers");
+        }
+        serial
+    }
+
+    fn budget_cfg(max_evaluations: usize, retain_fraction: f64) -> MinimizeConfig {
+        MinimizeConfig {
+            max_evaluations,
+            retain_fraction,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn speculation_matches_the_serial_traffic_and_link_scans() {
+        let mut times: Vec<u64> = (0..14).map(|i| 100 + i * 50).collect();
+        times.extend([1_100, 1_200, 1_300, 1_400, 1_500, 1_600]);
+        let traffic = genome_with(&times);
+        let link = LinkGenome::generate(
+            400,
+            SimDuration::from_secs(5),
+            SimDuration::from_millis(50),
+            &mut SimRng::new(7),
+        );
+        // Budgets 1..=12 run out inside batches of every size tried.
+        for budget in 1..=12 {
+            for retain in [1.0, 0.5] {
+                let cfg = budget_cfg(budget, retain);
+                let (_, report) = same_at_every_worker_count(|pool| {
+                    minimize_traffic(&WindowEvaluator, &traffic, &cfg, pool)
+                });
+                assert!(report.evaluations <= budget as u64, "{report:?}");
+                same_at_every_worker_count(|pool| {
+                    minimize_link(&OutageEvaluator, &link, &cfg, pool)
+                });
+            }
+        }
+        // With room to finish, the parallel scans still shrink to the core.
+        let (min, _) = same_at_every_worker_count(|pool| {
+            minimize_traffic(&WindowEvaluator, &traffic, &budget_cfg(300, 1.0), pool)
+        });
+        assert_eq!(min.packet_count(), 6);
+    }
+
+    /// Scores a topology by how many of its hops are slower than 10 Mbps.
+    struct SlowHops;
+
+    impl Evaluator<TopologyGenome> for SlowHops {
+        fn evaluate(&self, genome: &TopologyGenome) -> EvalOutcome {
+            EvalOutcome {
+                score: genome
+                    .hops
+                    .iter()
+                    .filter(|h| h.rate_bps < 10_000_000)
+                    .count() as f64,
+                ..Default::default()
+            }
+        }
+    }
+
+    /// Scores a workload by how many of its elephants run CUBIC.
+    struct CubicElephants;
+
+    impl Evaluator<WorkloadGenome> for CubicElephants {
+        fn evaluate(&self, genome: &WorkloadGenome) -> EvalOutcome {
+            EvalOutcome {
+                score: genome
+                    .elephants
+                    .iter()
+                    .filter(|e| e.cca == CcaKind::Cubic)
+                    .count() as f64,
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn speculation_matches_the_serial_hop_and_elephant_drops() {
+        let mut rng = SimRng::new(3);
+        let mut topology = TopologyGenome::generate(
+            CcaKind::Reno,
+            6,
+            SimDuration::from_secs(2),
+            0,
+            &[CcaKind::Reno],
+            &mut rng,
+        );
+        for (hop, mbps) in topology.hops.iter_mut().zip([5, 20, 20, 5, 20, 5]) {
+            hop.rate_bps = mbps * 1_000_000;
+        }
+        let mut workload = WorkloadGenome::generate(
+            CcaKind::Reno,
+            &[CcaKind::Reno],
+            8,
+            SimDuration::from_secs(2),
+            &mut rng,
+        );
+        for cca in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Reno, CcaKind::Cubic] {
+            workload.elephants.push(FlowGene::whole_run(cca));
+        }
+        for max_evaluations in 1..=12 {
+            let cfg = budget_cfg(max_evaluations, 1.0);
+            let hops = same_at_every_worker_count(|pool| {
+                let mut budget = Budget::new(0, &cfg, pool);
+                let (mut current, mut score, mut passes) = (topology.clone(), 3.0, Vec::new());
+                hop_drop_pass(
+                    &SlowHops,
+                    &mut current,
+                    &mut score,
+                    3.0,
+                    &mut budget,
+                    &mut passes,
+                );
+                (current, score, passes, budget.spent)
+            });
+            let elephants = same_at_every_worker_count(|pool| {
+                let mut budget = Budget::new(0, &cfg, pool);
+                let (mut current, mut score, mut passes) = (workload.clone(), 2.0, Vec::new());
+                elephant_drop_pass(
+                    &CubicElephants,
+                    &mut current,
+                    &mut score,
+                    2.0,
+                    &mut budget,
+                    &mut passes,
+                );
+                (current, score, passes, budget.spent)
+            });
+            if max_evaluations == 12 {
+                assert_eq!(hops.0.hop_count(), 3, "only the slow hops stay");
+                assert_eq!(elephants.0.elephant_count(), 3, "incumbent + two CUBIC");
+            }
+        }
+    }
+
+    /// [`WindowEvaluator`] that panics on one exact genome.
+    struct Poisoned(Vec<u64>);
+
+    impl Evaluator<TrafficGenome> for Poisoned {
+        fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
+            if genome.timestamps == genome_with(&self.0).timestamps {
+                panic!("poisoned candidate");
+            }
+            WindowEvaluator.evaluate(genome)
+        }
+    }
+
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_speculative_panic_behind_an_accepted_candidate_is_discarded() {
+        // ddmin's first batch pairs "drop the noise" (accepted) with "drop
+        // the payload", a genome the serial scan never simulates.
+        let genome = genome_with(&[100, 200, 1_100, 1_200]);
+        let cfg = budget_cfg(300, 1.0);
+        let clean = minimize_traffic(&WindowEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
+        let poisoned = same_at_every_worker_count(|pool| {
+            minimize_traffic(&Poisoned(vec![100, 200]), &genome, &cfg, pool)
+        });
+        assert_eq!(poisoned, clean);
+        let mut pool = MinimizePool::new(2);
+        minimize_traffic(&Poisoned(vec![100, 200]), &genome, &cfg, &mut pool);
+        assert!(
+            pool.discarded() >= 1,
+            "the poisoned candidate ran and was dropped"
+        );
+    }
+
+    #[test]
+    fn a_panic_the_serial_scan_reaches_is_raised_at_every_worker_count() {
+        let genome = genome_with(&[100, 200, 1_100, 1_200]);
+        for workers in [1, 2, 3, 8] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                minimize_traffic(
+                    &Poisoned(vec![1_100, 1_200]),
+                    &genome,
+                    &budget_cfg(300, 1.0),
+                    &mut MinimizePool::new(workers),
+                )
+            }));
+            let payload = caught.expect_err("the first candidate panics");
+            assert_eq!(
+                panic_text(payload),
+                "poisoned candidate",
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Candidates are plain numbers scored from a table; the listed ones
+    /// panic instead.
+    struct Table {
+        scores: Vec<f64>,
+        panics: Vec<u64>,
+    }
+
+    impl Evaluator<u64> for Table {
+        fn evaluate(&self, candidate: &u64) -> EvalOutcome {
+            if self.panics.contains(candidate) {
+                panic!("candidate {candidate} panicked");
+            }
+            EvalOutcome {
+                score: self.scores[*candidate as usize],
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn first_accepted_raises_exactly_the_panics_the_serial_scan_reaches() {
+        let cfg = budget_cfg(100, 1.0);
+        // Rejected, accepted, then a panic no serial scan would reach.
+        let table = Table {
+            scores: vec![0.0, 5.0, 0.0, 5.0],
+            panics: vec![2],
+        };
+        for workers in [1, 2, 3, 8] {
+            let mut pool = MinimizePool::new(workers);
+            let mut budget = Budget::new(0, &cfg, &mut pool);
+            let scan = budget.first_accepted(&table, 1.0, 4, |i| i as u64);
+            assert_eq!(scan.rejected, [0.0]);
+            assert_eq!(scan.accepted, Some((1, 5.0)));
+            assert_eq!(budget.spent, 2, "charged the serial position + 1");
+            assert_eq!(pool.discarded(), workers.min(4).saturating_sub(2) as u64);
+        }
+        // Rejected, then a panic before the accepted candidate: raised even
+        // when the accepted one finished in the same batch.
+        let table = Table {
+            scores: vec![0.0, 0.0, 5.0],
+            panics: vec![1],
+        };
+        for workers in [1, 2, 3, 8] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut pool = MinimizePool::new(workers);
+                Budget::new(0, &cfg, &mut pool)
+                    .first_accepted(&table, 1.0, 3, |i| i as u64)
+                    .rejected
+            }));
+            let payload = caught.expect_err("candidate 1 is reached");
+            assert_eq!(
+                panic_text(payload),
+                "candidate 1 panicked",
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Accepts every candidate.
+    struct AcceptAll;
+
+    impl Evaluator<TrafficGenome> for AcceptAll {
+        fn evaluate(&self, _: &TrafficGenome) -> EvalOutcome {
+            EvalOutcome {
+                score: 1.0,
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_value_passes_compose() {
+        // An uneven burst (every gap under 2 ms), a 1.4 s outage, another
+        // uneven burst. ddmin is switched off so both value passes see it.
+        let genome = TrafficGenome {
+            timestamps: [
+                100_000, 100_100, 101_500, 101_700, 1_500_000, 1_500_300, 1_501_900,
+            ]
+            .into_iter()
+            .map(SimTime::from_micros)
+            .collect(),
+            duration: SimDuration::from_secs(5),
+            max_packets: 100,
+        };
+        let cfg = MinimizeConfig {
+            min_segment: usize::MAX,
+            ..Default::default()
+        };
+        let (min, report) = minimize_traffic(&AcceptAll, &genome, &cfg, &mut MinimizePool::new(1));
+        let both = genome
+            .flattened_bursts(cfg.burst_gap)
+            .shortened_outages(cfg.outage_cap);
+        assert_ne!(both, genome.shortened_outages(cfg.outage_cap));
+        assert_eq!(min, both, "{report:?}");
+        assert_eq!(
+            report.passes[1..],
+            [
+                "flatten-bursts: accepted (score 1.000000)",
+                "shorten-outages: accepted (score 1.000000)"
+            ]
+        );
     }
 }

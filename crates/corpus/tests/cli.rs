@@ -290,6 +290,64 @@ fn workload_hunt_minimize_replay_report_roundtrip() {
 }
 
 #[test]
+fn minimize_cost_line_goes_to_stderr_only() {
+    // One line per finding on stderr says what minimization cost — counted
+    // simulations, speculative ones discarded, workers, wall time — while
+    // stdout keeps only the worker-count-independent summary.
+    let (dir, finding) = tiny_hunt("minimize", None);
+    let out = ccfuzz()
+        .args(["minimize", "--all", "--budget", "30", "--corpus"])
+        .arg(&dir)
+        .output()
+        .expect("run ccfuzz minimize");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(out.status.success(), "minimize failed:\n{stderr}");
+    assert!(
+        !stdout.contains("speculative") && !stdout.contains(" worker(s)"),
+        "cost line leaked to stdout:\n{stdout}"
+    );
+    let summary = stdout
+        .lines()
+        .find(|line| line.starts_with(&format!("{}: ", finding.id)))
+        .unwrap_or_else(|| panic!("no summary for {}:\n{stdout}", finding.id));
+    let cost: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.contains(" speculative discarded, "))
+        .collect();
+    let [cost] = cost[..] else {
+        panic!("expected one cost line for one finding:\n{stderr}");
+    };
+    let fields: Vec<&str> = cost
+        .strip_prefix(&format!("{}: ", finding.id))
+        .unwrap_or_else(|| panic!("cost line names the finding: {cost}"))
+        .split(", ")
+        .collect();
+    let [counted, discarded, workers, wall] = fields[..] else {
+        panic!("malformed cost line: {cost}");
+    };
+    let counted = counted
+        .strip_suffix(" simulations counted")
+        .expect("counted simulations");
+    assert!(
+        summary.contains(&format!("{counted} evals")),
+        "counted simulations match the report: {cost} vs {summary}"
+    );
+    discarded
+        .strip_suffix(" speculative discarded")
+        .and_then(|n| n.parse::<u64>().ok())
+        .expect("discarded count");
+    let workers: usize = workers
+        .strip_suffix(" worker(s)")
+        .and_then(|n| n.parse().ok())
+        .expect("worker count");
+    assert!(workers >= 1, "{cost}");
+    wall.strip_suffix(" ms")
+        .and_then(|n| n.parse::<u128>().ok())
+        .expect("wall milliseconds");
+}
+
+#[test]
 fn trace_subcommand_renders_timeline_and_exports() {
     let (dir, finding) = tiny_hunt("trace", None);
     let json_path = dir.join("trace.jsonl");

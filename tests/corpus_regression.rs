@@ -354,3 +354,29 @@ fn fixture_corpus_is_minimized_and_adversarial() {
         );
     }
 }
+
+#[test]
+fn fixture_minimization_is_identical_at_one_and_three_workers() {
+    // Speculative candidate scans keep exactly what a serial scan keeps,
+    // on the real simulator and every mode's passes: the minimized finding
+    // (byte for byte, as stored) and its report do not depend on the
+    // worker count.
+    use cc_fuzz::corpus::minimize::{minimize_finding_with, MinimizeConfig, MinimizePool};
+
+    let cfg = MinimizeConfig::default();
+    let fixtures = load_fixtures();
+    assert_eq!(fixtures.len(), 7, "one committed fixture per hunt mode");
+    for finding in fixtures {
+        let (serial, serial_report) =
+            minimize_finding_with(&finding, &cfg, &mut MinimizePool::new(1));
+        let (parallel, parallel_report) =
+            minimize_finding_with(&finding, &cfg, &mut MinimizePool::new(3));
+        assert_eq!(parallel_report, serial_report, "{}", finding.id);
+        assert_eq!(
+            serde_json::to_string_pretty(&parallel).unwrap(),
+            serde_json::to_string_pretty(&serial).unwrap(),
+            "{}",
+            finding.id
+        );
+    }
+}

@@ -1,13 +1,14 @@
 //! Property tests for trace minimization: for arbitrary genomes, retention
 //! fractions and (synthetic) objectives, minimization must never *grow* a
 //! trace and must always retain at least the configured fraction of the
-//! original score.
+//! original score — and must come out the same whether its candidate scans
+//! run on one worker or several.
 //!
 //! The evaluators here are synthetic (no network simulation) so the
 //! properties can be checked over many random cases quickly; the real
 //! simulator-backed path is covered by `tests/corpus_regression.rs`.
 
-use cc_fuzz::corpus::minimize::{minimize_link, minimize_traffic, MinimizeConfig};
+use cc_fuzz::corpus::minimize::{minimize_link, minimize_traffic, MinimizeConfig, MinimizePool};
 use cc_fuzz::fuzz::evaluate::{EvalOutcome, Evaluator};
 use cc_fuzz::fuzz::genome::{Genome, LinkGenome, TrafficGenome};
 use cc_fuzz::netsim::rng::SimRng;
@@ -84,7 +85,12 @@ proptest! {
             ..Default::default()
         };
         let original_score = evaluator.evaluate(&genome).score;
-        let (minimized, report) = minimize_traffic(&evaluator, &genome, &cfg);
+        let (minimized, report) =
+            minimize_traffic(&evaluator, &genome, &cfg, &mut MinimizePool::new(1));
+        // Speculative batches of three keep exactly what the serial scan keeps.
+        let parallel = minimize_traffic(&evaluator, &genome, &cfg, &mut MinimizePool::new(3));
+        prop_assert_eq!(&parallel.0, &minimized);
+        prop_assert_eq!(&parallel.1, &report);
 
         // Invariant 1: the trace never grows.
         prop_assert!(minimized.packet_count() <= genome.packet_count(),
@@ -116,7 +122,11 @@ proptest! {
             ..Default::default()
         };
         let original_score = LinkBurstEvaluator.evaluate(&genome).score;
-        let (minimized, report) = minimize_link(&LinkBurstEvaluator, &genome, &cfg);
+        let (minimized, report) =
+            minimize_link(&LinkBurstEvaluator, &genome, &cfg, &mut MinimizePool::new(1));
+        let parallel = minimize_link(&LinkBurstEvaluator, &genome, &cfg, &mut MinimizePool::new(3));
+        prop_assert_eq!(&parallel.0, &minimized);
+        prop_assert_eq!(&parallel.1, &report);
 
         // Link genomes must keep their packet count (it defines the average
         // bandwidth) — "never increases" holds with equality.
