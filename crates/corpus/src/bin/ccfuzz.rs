@@ -842,15 +842,14 @@ fn cmd_minimize(args: &[String]) -> Result<ExitCode, CliError> {
     let _lock = corpus
         .lock()
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let retain: f64 = parse_num(args, "--retain", 0.8)?;
+    let defaults = MinimizeConfig::default();
+    let retain: f64 = parse_num(args, "--retain", defaults.retain_fraction)?;
     if !(0.0..=1.0).contains(&retain) {
         return Err(usage_err("--retain must be within [0, 1]"));
     }
-    let budget: usize = parse_num(args, "--budget", 300)?;
     let cfg = MinimizeConfig {
         retain_fraction: retain,
-        max_evaluations: budget,
-        ..Default::default()
+        max_evaluations: parse_num(args, "--budget", defaults.max_evaluations)?,
     };
 
     let ids: Vec<String> = match flag_value(args, "--id")? {

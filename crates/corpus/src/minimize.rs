@@ -1,24 +1,31 @@
-//! Trace minimization: shrink a winning trace to an interpretable core.
+//! Trace minimization: shrink a finding's genome to an interpretable core.
 //!
-//! The GA's best traces carry a lot of incidental structure — packets that
+//! The GA's best genomes carry a lot of incidental structure — packets that
 //! contribute nothing, bursts with irrelevant micro-timing, outages far
-//! longer than needed. Minimization makes findings *explainable* (the paper's
-//! Figure 4 traces are readable precisely because they are simple) and
-//! cheaper to replay. Two stages, both driven by re-simulation:
+//! longer than needed, hops and elephants the behaviour does not need.
+//! Minimization makes findings *explainable* (the paper's Figure 4 traces
+//! are readable precisely because they are simple) and cheaper to replay.
+//! A candidate is kept when its re-simulated score retains at least
+//! `retain_fraction` of the original score.
 //!
-//! 1. **Delta debugging** over genome segments (traffic mode): repeatedly try
-//!    deleting index ranges, keeping a deletion whenever the re-simulated
-//!    score retains at least `retain_fraction` of the original. Granularity
-//!    halves each round, AFL-tmin style.
-//! 2. **Value-level shrinking**: flatten bursts to even spacing, compress
-//!    over-long outages, and (link mode, where packet count is an invariant)
-//!    quantize timestamps to the coarsest grid that keeps the score.
+//! Each mode's minimizer is a short list of passes, in order:
 //!
-//! Every "try these candidates in order, keep the first that holds the
-//! score" scan — ddmin's segments, the link grids, hop and elephant drops —
-//! goes through one primitive that simulates a batch of candidates at once
-//! on the campaign's evaluation pool ([`steal_map`]) and keeps exactly what
-//! the serial scan would have kept, charging exactly its budget. Every
+//! * traffic: delta debugging over index segments (granularity halves each
+//!   round, AFL-tmin style), then flatten bursts, then shorten outages;
+//! * link (packet count is an invariant): the coarsest timestamp grid that
+//!   keeps the score, then shorten outages;
+//! * scenario (fairness, AQM): the traffic passes on the cross traffic, then
+//!   the qdisc stepped toward drop-tail;
+//! * topology: the traffic passes on the cross traffic, drop hops, then
+//!   relax each surviving hop toward the single-hop baseline;
+//! * workload: thin the arrivals, collapse the size classes, drop elephants.
+//!
+//! Every pass runs over one [`Shrink`] state and is a *step* (one
+//! candidate), a *chain* (each candidate built from the last one kept, until
+//! one is rejected) or a *scan* (candidates built from the same genome, the
+//! first one kept wins). A scan simulates a batch of candidates at once on
+//! the campaign's evaluation pool ([`steal_map`]) and keeps exactly what the
+//! serial scan would have kept, charging exactly its budget. Every
 //! simulation runs on a worker-owned warm [`EvalScratch`]. The result is the
 //! same for any worker count (DESIGN.md "Parallel minimization").
 //!
@@ -28,9 +35,8 @@
 
 use crate::finding::{Finding, GenomePayload};
 use crate::signature::BehaviorSignature;
-use ccfuzz_core::evaluate::{EvalOutcome, EvalScratch, Evaluator, SimEvaluator};
+use ccfuzz_core::evaluate::{EvalScratch, Evaluator, SimEvaluator};
 use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
-use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_core::pool::{num_threads_default, steal_map};
 use ccfuzz_core::scenario::{QdiscGene, ScenarioGenome};
 use ccfuzz_core::topology::TopologyGenome;
@@ -39,10 +45,23 @@ use ccfuzz_netsim::queue::{Qdisc, QueueCapacity};
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_netsim::workload::ArrivalProcess;
 use serde::{Deserialize, Serialize};
+use std::fmt::Display;
 use std::panic::{self, AssertUnwindSafe};
 
+/// Gaps below this are part of one burst when flattening.
+const BURST_GAP: SimDuration = SimDuration::from_millis(2);
+/// Outages longer than this are compressed down to this.
+const OUTAGE_CAP: SimDuration = SimDuration::from_millis(500);
+/// Quantization grids tried for link genomes, coarsest first.
+const LINK_GRIDS: [SimDuration; 4] = [
+    SimDuration::from_millis(100),
+    SimDuration::from_millis(50),
+    SimDuration::from_millis(20),
+    SimDuration::from_millis(10),
+];
+
 /// Minimization policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MinimizeConfig {
     /// Fraction of the original score the minimized trace must retain
     /// (0.8 by default — the acceptance bar from the issue).
@@ -50,14 +69,6 @@ pub struct MinimizeConfig {
     /// Simulation budget: minimization stops when it has spent this many
     /// evaluations.
     pub max_evaluations: usize,
-    /// Delta debugging stops splitting below segments of this many packets.
-    pub min_segment: usize,
-    /// Gaps below this are considered part of one burst when flattening.
-    pub burst_gap: SimDuration,
-    /// Outages longer than this are compressed down to this.
-    pub outage_cap: SimDuration,
-    /// Quantization grids tried for link genomes, coarsest first.
-    pub link_grids: [SimDuration; 4],
 }
 
 impl Default for MinimizeConfig {
@@ -65,15 +76,6 @@ impl Default for MinimizeConfig {
         MinimizeConfig {
             retain_fraction: 0.8,
             max_evaluations: 300,
-            min_segment: 1,
-            burst_gap: SimDuration::from_millis(2),
-            outage_cap: SimDuration::from_millis(500),
-            link_grids: [
-                SimDuration::from_millis(100),
-                SimDuration::from_millis(50),
-                SimDuration::from_millis(20),
-                SimDuration::from_millis(10),
-            ],
         }
     }
 }
@@ -130,29 +132,46 @@ impl MinimizePool {
     }
 }
 
-/// The simulation budget of one minimization and the workers it is spent on.
-struct Budget<'p> {
+/// One minimization in progress: the genome kept so far and its score, the
+/// bar a candidate must clear, the simulation budget and the workers it is
+/// spent on, and the pass log.
+struct Shrink<'a, G, E> {
+    evaluator: &'a E,
+    pool: &'a mut MinimizePool,
+    current: G,
+    score: f64,
+    original_score: f64,
+    threshold: f64,
     spent: usize,
     max: usize,
-    pool: &'p mut MinimizePool,
+    passes: Vec<String>,
 }
 
-/// What a serial scan over the candidates would have seen: the scores of
-/// the candidates it rejected, in order, then the first one it accepted
-/// (candidate number `rejected.len()`), if any before the candidates or the
-/// budget ran out.
-struct Scan<G> {
+/// What a serial scan saw: the scores of the candidates it rejected, in
+/// order, then the score of the first one it kept (candidate number
+/// `rejected.len()`), if any before the candidates or the budget ran out.
+struct Scan {
     rejected: Vec<f64>,
-    accepted: Option<(G, f64)>,
+    accepted: Option<f64>,
 }
 
-impl<'p> Budget<'p> {
-    /// A budget of `cfg.max_evaluations` of which `spent` are gone.
-    fn new(spent: usize, cfg: &MinimizeConfig, pool: &'p mut MinimizePool) -> Self {
-        Budget {
-            spent,
-            max: cfg.max_evaluations.max(1),
+impl<'a, G: Clone + Send + Sync, E: Evaluator<G>> Shrink<'a, G, E> {
+    /// Starts from `genome`; its one simulation, on the first worker's
+    /// scratch, anchors the original score and the threshold.
+    fn new(evaluator: &'a E, genome: &G, cfg: &MinimizeConfig, pool: &'a mut MinimizePool) -> Self {
+        let score = evaluator
+            .evaluate_reusing(genome, &mut pool.scratches[0])
+            .score;
+        Shrink {
+            evaluator,
             pool,
+            current: genome.clone(),
+            score,
+            original_score: score,
+            threshold: score * cfg.retain_fraction,
+            spent: 1,
+            max: cfg.max_evaluations.max(1),
+            passes: Vec::new(),
         }
     }
 
@@ -160,46 +179,86 @@ impl<'p> Budget<'p> {
         self.spent >= self.max
     }
 
-    /// Scores one genome on the first worker's warm scratch, charging one
-    /// simulation.
-    fn score<G, E: Evaluator<G>>(&mut self, evaluator: &E, genome: &G) -> f64 {
-        self.spent += 1;
-        evaluator
-            .evaluate_reusing(genome, &mut self.pool.scratches[0])
-            .score
+    /// Logs the verdict on a candidate that scored `score`; returns whether
+    /// it clears the threshold.
+    fn verdict(&mut self, label: impl Display, score: f64) -> bool {
+        let kept = score >= self.threshold;
+        self.passes.push(if kept {
+            format!("{label}: accepted (score {score:.6})")
+        } else {
+            format!(
+                "{label}: rejected (score {score:.6} < {:.6})",
+                self.threshold
+            )
+        });
+        kept
     }
 
-    /// Tries `candidate(0)`, `candidate(1)`, … `candidate(n - 1)` in order
-    /// and stops at the first whose score reaches `threshold`, exactly as a
-    /// serial loop would, budget checks included. Candidates are simulated
-    /// in batches of `min(workers, budget left, candidates left)` on the
-    /// evaluation pool; the first accepted candidate in index order wins,
-    /// the budget is charged its position + 1 (the whole batch when none is
-    /// accepted), and the rest of the batch is discarded. A candidate that
-    /// panics re-raises its panic only when every earlier candidate of its
-    /// batch was rejected — the serial loop would have reached it — and is
-    /// otherwise discarded with its worker's scratch.
-    fn first_accepted<G: Send, E: Evaluator<G>>(
-        &mut self,
-        evaluator: &E,
-        threshold: f64,
-        n: usize,
-        candidate: impl Fn(usize) -> G + Sync,
-    ) -> Scan<G> {
+    /// Simulates `candidate` on the first worker's warm scratch and keeps it
+    /// if its score clears the threshold; returns whether it did. Once the
+    /// budget is spent, simulates and logs nothing and returns `false`.
+    fn step(&mut self, label: impl Display, candidate: G) -> bool {
+        if self.exhausted() {
+            return false;
+        }
+        self.spent += 1;
+        let score = self
+            .evaluator
+            .evaluate_reusing(&candidate, &mut self.pool.scratches[0])
+            .score;
+        let kept = self.verdict(label, score);
+        if kept {
+            self.current = candidate;
+            self.score = score;
+        }
+        kept
+    }
+
+    /// Steps through `next(current)`, each candidate built from the last one
+    /// kept, until one is rejected, `next` returns `None` or the budget runs
+    /// out.
+    fn chain<L: Display>(&mut self, next: impl Fn(&G) -> Option<(L, G)>) {
+        while let Some((label, candidate)) = next(&self.current) {
+            if !self.step(label, candidate) {
+                break;
+            }
+        }
+    }
+
+    /// Tries `candidate(current, 0)`, `candidate(current, 1)`, …
+    /// `candidate(current, n - 1)` in order and keeps the first whose score
+    /// clears the threshold, exactly as a serial loop would, budget checks
+    /// included. Candidates are simulated in batches of `min(workers, budget
+    /// left, candidates left)` on the evaluation pool; the first accepted
+    /// candidate in index order wins, the budget is charged its position + 1
+    /// (the whole batch when none is accepted), and the rest of the batch is
+    /// discarded. A candidate that panics re-raises its panic only when every
+    /// earlier candidate of its batch was rejected — the serial loop would
+    /// have reached it — and is otherwise discarded with its worker's scratch.
+    fn scan(&mut self, n: usize, candidate: impl Fn(&G, usize) -> G + Sync) -> Scan {
+        let Shrink {
+            evaluator,
+            pool,
+            current,
+            score: current_score,
+            threshold,
+            spent,
+            max,
+            ..
+        } = self;
         let mut rejected = Vec::new();
         while rejected.len() < n {
             let offset = rejected.len();
-            let batch = self
-                .pool
+            let batch = pool
                 .workers()
-                .min(self.max.saturating_sub(self.spent))
+                .min(max.saturating_sub(*spent))
                 .min(n - offset);
             if batch == 0 {
                 break;
             }
-            let results = steal_map(&mut self.pool.scratches[..batch], batch, |scratch, k| {
+            let results = steal_map(&mut pool.scratches[..batch], batch, |scratch, k| {
                 panic::catch_unwind(AssertUnwindSafe(|| {
-                    let genome = candidate(offset + k);
+                    let genome = candidate(current, offset + k);
                     let score = evaluator.evaluate_reusing(&genome, scratch).score;
                     (genome, score)
                 }))
@@ -210,25 +269,149 @@ impl<'p> Budget<'p> {
             });
             for (k, result) in results.into_iter().enumerate() {
                 match result {
-                    Ok((genome, score)) if score >= threshold => {
-                        self.spent += k + 1;
-                        self.pool.discarded += (batch - k - 1) as u64;
+                    Ok((genome, score)) if score >= *threshold => {
+                        *spent += k + 1;
+                        pool.discarded += (batch - k - 1) as u64;
+                        *current = genome;
+                        *current_score = score;
                         return Scan {
                             rejected,
-                            accepted: Some((genome, score)),
+                            accepted: Some(score),
                         };
                     }
                     Ok((_, score)) => rejected.push(score),
                     Err(payload) => panic::resume_unwind(payload),
                 }
             }
-            self.spent += batch;
+            *spent += batch;
         }
         Scan {
             rejected,
             accepted: None,
         }
     }
+
+    /// Removes the `what` at indices `first..count(current)` one at a time
+    /// while at least two remain: a scan over the removals, repeated from
+    /// `first` after every kept one (removing one changes the dynamics, so a
+    /// removal rejected earlier may hold now). Logs the count before and
+    /// after.
+    fn drop_each(
+        &mut self,
+        what: &str,
+        first: usize,
+        count: fn(&G) -> usize,
+        without: fn(&G, usize) -> G,
+    ) {
+        let start = count(&self.current);
+        while count(&self.current) > 1 {
+            let n = count(&self.current) - first;
+            let scan = self.scan(n, |g, i| without(g, first + i));
+            if scan.accepted.is_none() {
+                break;
+            }
+        }
+        self.passes.push(format!(
+            "drop-{what}: {start} -> {} {what}",
+            count(&self.current)
+        ));
+    }
+
+    /// The traffic passes on the cross traffic `get(host)`, when the host has
+    /// any: delta debugging, then flatten bursts, then shorten outages. Each
+    /// candidate goes back into the host with `set` and is judged on the
+    /// host's simulation. A [`TrafficGenome`] is its own host.
+    fn traffic_passes(
+        &mut self,
+        host: &str,
+        get: fn(&G) -> Option<&TrafficGenome>,
+        set: fn(&G, TrafficGenome) -> G,
+    ) {
+        let Some(start) = get(&self.current).map(TrafficGenome::packet_count) else {
+            self.passes
+                .push(format!("{host} has no cross traffic; nothing to shrink"));
+            return;
+        };
+        let packets = |g: &G| cross_traffic(get, g).packet_count();
+
+        // Delta debugging: try deleting each of the segments; on a success
+        // try the segment that slides into its place, and halve the segment
+        // size once a round deletes nothing.
+        let mut num_segments = 2usize;
+        loop {
+            let n = packets(&self.current);
+            if n == 0 || self.exhausted() {
+                break;
+            }
+            let seg_len = n.div_ceil(num_segments);
+            let (mut seg, mut any_removed) = (0, false);
+            loop {
+                let count = packets(&self.current);
+                let scan = self.scan(count.div_ceil(seg_len).saturating_sub(seg), |g, i| {
+                    let lo = (seg + i) * seg_len;
+                    let traffic = cross_traffic(get, g);
+                    set(
+                        g,
+                        traffic.without_index_range(lo..(lo + seg_len).min(count)),
+                    )
+                });
+                seg += scan.rejected.len();
+                if scan.accepted.is_none() {
+                    break;
+                }
+                any_removed = true;
+            }
+            if !any_removed {
+                if seg_len == 1 {
+                    break;
+                }
+                num_segments = num_segments.saturating_mul(2);
+            }
+        }
+        self.passes.push(format!(
+            "ddmin: removed {} of {start} packets ({} evals)",
+            start - packets(&self.current),
+            self.spent
+        ));
+
+        // Value-level shrinking, each candidate built from what the previous
+        // pass kept: flattening first makes outage compression see clean
+        // gaps. A candidate the traffic already equals costs no simulation.
+        let mut value_pass = |label: &str, shrink: fn(&TrafficGenome) -> TrafficGenome| {
+            let traffic = cross_traffic(get, &self.current);
+            let shrunk = shrink(traffic);
+            if shrunk != *traffic {
+                let candidate = set(&self.current, shrunk);
+                self.step(label, candidate);
+            }
+        };
+        value_pass("flatten-bursts", |t| t.flattened_bursts(BURST_GAP));
+        value_pass("shorten-outages", |t| t.shortened_outages(OUTAGE_CAP));
+    }
+}
+
+impl<G: Genome, E: Evaluator<G>> Shrink<'_, G, E> {
+    /// The genome kept, and the report on how it was reached from
+    /// `original`.
+    fn finish(self, original: &G) -> (G, MinimizeReport) {
+        debug_assert!(self.current.packet_count() <= original.packet_count());
+        let report = MinimizeReport {
+            original_packets: original.packet_count() as u64,
+            minimized_packets: self.current.packet_count() as u64,
+            original_score: self.original_score,
+            minimized_score: self.score,
+            threshold: self.threshold,
+            evaluations: self.spent as u64,
+            passes: self.passes,
+        };
+        (self.current, report)
+    }
+}
+
+/// The cross traffic of a host the traffic passes are shrinking; they never
+/// remove it.
+fn cross_traffic<G>(get: fn(&G) -> Option<&TrafficGenome>, host: &G) -> &TrafficGenome {
+    get(host).expect("minimization keeps the cross traffic")
 }
 
 /// Minimizes a traffic genome against an evaluator.
@@ -238,116 +421,9 @@ pub fn minimize_traffic<E: Evaluator<TrafficGenome>>(
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (TrafficGenome, MinimizeReport) {
-    let mut budget = Budget::new(0, cfg, pool);
-    let original_score = budget.score(evaluator, genome);
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
-
-    // Stage 1: delta debugging over index segments.
-    let removed = ddmin_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        cfg,
-        &mut budget,
-    );
-    passes.push(format!(
-        "ddmin: removed {removed} of {} packets ({} evals)",
-        genome.packet_count(),
-        budget.spent
-    ));
-
-    // Stage 2: value-level shrinking, each step applied to what the previous
-    // one kept. Order matters: flattening first makes outage compression
-    // see clean gaps.
-    for name in ["flatten-bursts", "shorten-outages"] {
-        if budget.exhausted() {
-            break;
-        }
-        let candidate = if name == "flatten-bursts" {
-            current.flattened_bursts(cfg.burst_gap)
-        } else {
-            current.shortened_outages(cfg.outage_cap)
-        };
-        if candidate.timestamps == current.timestamps {
-            continue;
-        }
-        let score = budget.score(evaluator, &candidate);
-        if score >= threshold {
-            passes.push(format!("{name}: accepted (score {score:.6})"));
-            current = candidate;
-            current_score = score;
-        } else {
-            passes.push(format!(
-                "{name}: rejected (score {score:.6} < {threshold:.6})"
-            ));
-        }
-    }
-
-    debug_assert!(current.packet_count() <= genome.packet_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
-}
-
-/// Greedy delta-debugging: try deleting each of `n` segments; on success
-/// restart at the same granularity, otherwise halve segment size.
-fn ddmin_pass<E: Evaluator<TrafficGenome>>(
-    evaluator: &E,
-    current: &mut TrafficGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    cfg: &MinimizeConfig,
-    budget: &mut Budget<'_>,
-) -> usize {
-    let start_count = current.packet_count();
-    let mut num_segments = 2usize;
-    loop {
-        let n = current.packet_count();
-        if n == 0 || budget.exhausted() {
-            break;
-        }
-        let seg_len = n.div_ceil(num_segments);
-        if seg_len < cfg.min_segment.max(1) {
-            break;
-        }
-        let mut any_removed = false;
-        let mut seg = 0usize;
-        loop {
-            let count = current.packet_count();
-            let segments = count.div_ceil(seg_len).saturating_sub(seg);
-            let scan = budget.first_accepted(evaluator, threshold, segments, |i| {
-                let lo = (seg + i) * seg_len;
-                current.without_index_range(lo..(lo + seg_len).min(count))
-            });
-            // Do not advance past an accepted segment: the segment that
-            // slides into its position is tried next.
-            seg += scan.rejected.len();
-            let Some((candidate, score)) = scan.accepted else {
-                break;
-            };
-            *current = candidate;
-            *current_score = score;
-            any_removed = true;
-        }
-        if !any_removed {
-            if seg_len == 1 {
-                break;
-            }
-            num_segments = num_segments.saturating_mul(2);
-        }
-    }
-    start_count - current.packet_count()
+    let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
+    shrink.traffic_passes("traffic", |g| Some(g), |_, traffic| traffic);
+    shrink.finish(genome)
 }
 
 /// Minimizes a link genome. Packet count is a link-genome invariant (it
@@ -359,130 +435,24 @@ pub fn minimize_link<E: Evaluator<LinkGenome>>(
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (LinkGenome, MinimizeReport) {
-    let mut budget = Budget::new(0, cfg, pool);
-    let original_score = budget.score(evaluator, genome);
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
-
+    let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
     // The coarsest acceptable grid wins; a grid the trace already sits on
     // is not worth a simulation.
-    let grids: Vec<SimDuration> = cfg
-        .link_grids
+    let grids: Vec<SimDuration> = LINK_GRIDS
         .into_iter()
-        .filter(|&grid| current.quantized(grid).timestamps != current.timestamps)
+        .filter(|&grid| genome.quantized(grid).timestamps != genome.timestamps)
         .collect();
-    let scan = budget.first_accepted(evaluator, threshold, grids.len(), |i| {
-        current.quantized(grids[i])
-    });
-    for (grid, score) in grids.iter().zip(&scan.rejected) {
-        passes.push(format!(
-            "quantize-{}ms: rejected (score {score:.6} < {threshold:.6})",
-            grid.as_millis()
-        ));
+    let scan = shrink.scan(grids.len(), |g, i| g.quantized(grids[i]));
+    let scores = scan.rejected.into_iter().chain(scan.accepted);
+    for (grid, score) in grids.iter().zip(scores) {
+        shrink.verdict(format!("quantize-{}ms", grid.as_millis()), score);
     }
-    if let Some((candidate, score)) = scan.accepted {
-        passes.push(format!(
-            "quantize-{}ms: accepted (score {score:.6})",
-            grids[scan.rejected.len()].as_millis()
-        ));
-        current = candidate;
-        current_score = score;
+    let candidate = shrink.current.shortened_outages(OUTAGE_CAP);
+    if candidate != shrink.current {
+        shrink.step("shorten-outages", candidate);
     }
-
-    if !budget.exhausted() {
-        let candidate = current.shortened_outages(cfg.outage_cap);
-        if candidate.timestamps != current.timestamps {
-            let score = budget.score(evaluator, &candidate);
-            if score >= threshold {
-                passes.push(format!("shorten-outages: accepted (score {score:.6})"));
-                current = candidate;
-                current_score = score;
-            } else {
-                passes.push(format!(
-                    "shorten-outages: rejected (score {score:.6} < {threshold:.6})"
-                ));
-            }
-        }
-    }
-
-    debug_assert_eq!(current.packet_count(), genome.packet_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
-}
-
-/// Adapts a [`SimEvaluator`] so the traffic-minimization passes can shrink
-/// the cross-traffic sub-genome of a scenario or topology: every candidate
-/// traffic genome is re-embedded into the (otherwise fixed) host genome
-/// before evaluation.
-struct EmbeddedTraffic<'a, G> {
-    evaluator: &'a SimEvaluator,
-    host: &'a G,
-    embed: fn(&G, &TrafficGenome) -> G,
-}
-
-impl<G: ModeGenome> Evaluator<TrafficGenome> for EmbeddedTraffic<'_, G> {
-    fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
-        self.evaluate_reusing(genome, &mut EvalScratch::new())
-    }
-
-    fn evaluate_reusing(&self, genome: &TrafficGenome, scratch: &mut EvalScratch) -> EvalOutcome {
-        self.evaluator
-            .evaluate_reusing(&(self.embed)(self.host, genome), scratch)
-    }
-}
-
-/// The first stage of scenario and topology minimization: shrink the host
-/// genome's cross-traffic sub-genome, when it has one, with the full traffic
-/// ddmin + value-shrinking pipeline against the host's simulation.
-/// Otherwise one simulation anchors the score and the retention threshold,
-/// and the pass log says that the `host_name` had nothing to shrink.
-fn minimize_cross_traffic<G: ModeGenome>(
-    evaluator: &SimEvaluator,
-    host: &G,
-    host_name: &str,
-    traffic: Option<&TrafficGenome>,
-    embed: fn(&G, &TrafficGenome) -> G,
-    cfg: &MinimizeConfig,
-    pool: &mut MinimizePool,
-) -> (G, MinimizeReport) {
-    match traffic {
-        Some(traffic) => {
-            let wrapper = EmbeddedTraffic {
-                evaluator,
-                host,
-                embed,
-            };
-            let (minimized, report) = minimize_traffic(&wrapper, traffic, cfg, pool);
-            (embed(host, &minimized), report)
-        }
-        None => {
-            let score = Budget::new(0, cfg, pool).score(evaluator, host);
-            (
-                host.clone(),
-                MinimizeReport {
-                    original_packets: 0,
-                    minimized_packets: 0,
-                    original_score: score,
-                    minimized_score: score,
-                    threshold: score * cfg.retain_fraction,
-                    evaluations: 1,
-                    passes: vec![format!(
-                        "{host_name} has no cross traffic; nothing to shrink"
-                    )],
-                },
-            )
-        }
-    }
+    debug_assert_eq!(shrink.current.packet_count(), genome.packet_count());
+    shrink.finish(genome)
 }
 
 /// A strictly milder (closer-to-drop-tail) version of a qdisc gene: RED
@@ -521,133 +491,59 @@ fn milder_qdisc(gene: &QdiscGene, capacity_packets: usize) -> Option<QdiscGene> 
     Some(out)
 }
 
-/// Shrinks a scenario's qdisc gene toward drop-tail: first the maximal step
-/// (no qdisc gene at all — plain drop-tail, no ECN), then successively
-/// milder parameter settings, keeping each step only when the re-simulated
-/// score retains the threshold.
-fn qdisc_shrink_pass(
-    evaluator: &SimEvaluator,
-    current: &mut ScenarioGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    if current.qdisc.is_none() || budget.exhausted() {
-        return;
-    }
-    let capacity_packets = match evaluator.base.queue_capacity {
-        QueueCapacity::Packets(n) => n,
-        QueueCapacity::Bytes(b) => (b / evaluator.base.mss.max(1) as u64).max(1) as usize,
-    };
-
-    // Maximal shrink: the behaviour survives on a plain drop-tail gateway.
-    let mut candidate = current.clone();
-    candidate.qdisc = None;
-    let score = budget.score(evaluator, &candidate);
-    if score >= threshold {
-        passes.push(format!("qdisc->droptail: accepted (score {score:.6})"));
-        *current = candidate;
-        *current_score = score;
-        return;
-    }
-    passes.push(format!(
-        "qdisc->droptail: rejected (score {score:.6} < {threshold:.6})"
-    ));
-
-    // Stepwise milding of the discipline parameters.
-    while !budget.exhausted() {
-        let Some(gene) = &current.qdisc else { break };
-        let Some(milder) = milder_qdisc(gene, capacity_packets) else {
-            break;
-        };
-        let mut candidate = current.clone();
-        candidate.qdisc = Some(milder);
-        let score = budget.score(evaluator, &candidate);
-        let label = milder.discipline.label();
-        if score >= threshold {
-            passes.push(format!("qdisc-milder {label}: accepted (score {score:.6})"));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "qdisc-milder {label}: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
-    }
-}
-
 /// Minimizes a scenario genome. Flow genes are the scenario's substance and
-/// stay; what shrinks is the cross-traffic helper (when present), using the
-/// full traffic ddmin + value-shrinking pipeline against the multi-flow
-/// simulation, and then the qdisc gene (when present), stepped toward
-/// drop-tail as far as the score allows.
-pub fn minimize_scenario(
+/// stay; what shrinks is the cross-traffic helper (when present), with the
+/// traffic passes against the multi-flow simulation, and then the qdisc
+/// gene (when present): first the maximal step, no qdisc gene at all (plain
+/// drop-tail, no ECN), then successively milder parameter settings.
+fn minimize_scenario(
     evaluator: &SimEvaluator,
     genome: &ScenarioGenome,
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (ScenarioGenome, MinimizeReport) {
-    let (mut minimized, mut report) = minimize_cross_traffic(
-        evaluator,
-        genome,
+    let capacity_packets = match evaluator.base.queue_capacity {
+        QueueCapacity::Packets(n) => n,
+        QueueCapacity::Bytes(b) => (b / evaluator.base.mss.max(1) as u64).max(1) as usize,
+    };
+    let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
+    shrink.traffic_passes(
         "scenario",
-        genome.traffic.as_ref(),
-        |scenario, traffic| ScenarioGenome {
-            traffic: Some(traffic.clone()),
-            ..scenario.clone()
+        |g| g.traffic.as_ref(),
+        |g, traffic| ScenarioGenome {
+            traffic: Some(traffic),
+            ..g.clone()
         },
-        cfg,
-        pool,
     );
-    let mut budget = Budget::new(report.evaluations as usize, cfg, pool);
-    let mut score = report.minimized_score;
-    qdisc_shrink_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    report.minimized_score = score;
-    report.evaluations = budget.spent as u64;
-    (minimized, report)
+    if shrink.current.qdisc.is_some() {
+        let droptail = ScenarioGenome {
+            qdisc: None,
+            ..shrink.current.clone()
+        };
+        shrink.step("qdisc->droptail", droptail);
+        shrink.chain(|g| {
+            let milder = milder_qdisc(g.qdisc.as_ref()?, capacity_packets)?;
+            let label = format!("qdisc-milder {}", milder.discipline.label());
+            Some((
+                label,
+                ScenarioGenome {
+                    qdisc: Some(milder),
+                    ..g.clone()
+                },
+            ))
+        });
+    }
+    shrink.finish(genome)
 }
 
-/// Drops hops one at a time (re-scanning from the front after every
-/// success), keeping a deletion whenever the re-simulated score retains the
-/// threshold: the minimized chain is the shortest prefix of bottlenecks the
-/// behaviour actually needs, ideally the single-hop dumbbell.
-fn hop_drop_pass<E: Evaluator<TopologyGenome>>(
-    evaluator: &E,
-    current: &mut TopologyGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    let start_hops = current.hop_count();
-    while current.hop_count() > 1 {
-        let scan = budget.first_accepted(evaluator, threshold, current.hop_count(), |at| {
-            current
-                .without_hop(at)
-                .expect("a chain of two or more hops can drop any one")
-        });
-        let Some((candidate, score)) = scan.accepted else {
-            break;
-        };
-        // Rescan from the front: removing this hop changes the dynamics, so
-        // a hop whose removal was rejected earlier may drop cleanly now.
-        *current = candidate;
-        *current_score = score;
-    }
-    passes.push(format!(
-        "drop-hops: {} -> {} hops",
-        start_hops,
-        current.hop_count()
-    ));
+/// Drops hops one at a time, keeping a deletion whenever the score holds:
+/// the minimized chain is the shortest prefix of bottlenecks the behaviour
+/// actually needs, ideally the single-hop dumbbell.
+fn drop_hops<E: Evaluator<TopologyGenome>>(shrink: &mut Shrink<'_, TopologyGenome, E>) {
+    shrink.drop_each("hops", 0, TopologyGenome::hop_count, |g, at| {
+        g.without_hop(at)
+            .expect("a chain of two or more hops can drop any one")
+    });
 }
 
 /// One step of relaxing hop `at` toward the paper's single-bottleneck
@@ -659,116 +555,59 @@ fn relaxed_hop(
     genome: &TopologyGenome,
     at: usize,
     baseline_rate_bps: u64,
-) -> Option<(TopologyGenome, &'static str)> {
+) -> Option<(String, TopologyGenome)> {
     let hop = &genome.hops[at];
     let mut child = genome.clone();
-    if hop.qdisc.is_some() {
+    let step = if hop.qdisc.is_some() {
         child.hops[at].qdisc = None;
-        return Some((child, "qdisc->droptail"));
-    }
-    if hop.buffer_packets < 100 {
+        "qdisc->droptail"
+    } else if hop.buffer_packets < 100 {
         child.hops[at].buffer_packets = 100;
-        return Some((child, "buffer->100"));
-    }
-    if hop.rate_bps < baseline_rate_bps {
+        "buffer->100"
+    } else if hop.rate_bps < baseline_rate_bps {
         child.hops[at].rate_bps = baseline_rate_bps;
-        return Some((child, "rate->baseline"));
-    }
-    if hop.delay != SimDuration::from_millis(20) {
+        "rate->baseline"
+    } else if hop.delay != SimDuration::from_millis(20) {
         child.hops[at].delay = SimDuration::from_millis(20);
-        return Some((child, "delay->20ms"));
-    }
-    None
-}
-
-/// Relaxes every surviving hop's parameters toward the single-hop baseline
-/// (drop-tail, 100-packet buffer, the campaign's link rate, 20 ms delay),
-/// keeping each step only while the score holds: whatever stays tightened
-/// in the minimized finding is what the behaviour genuinely depends on.
-fn hop_relax_pass(
-    evaluator: &SimEvaluator,
-    current: &mut TopologyGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    let baseline_rate = evaluator.link_rate_bps;
-    for at in 0..current.hop_count() {
-        while !budget.exhausted() {
-            let Some((candidate, step)) = relaxed_hop(current, at, baseline_rate) else {
-                break;
-            };
-            let score = budget.score(evaluator, &candidate);
-            if score >= threshold {
-                passes.push(format!(
-                    "relax hop {at} {step}: accepted (score {score:.6})"
-                ));
-                *current = candidate;
-                *current_score = score;
-            } else {
-                passes.push(format!(
-                    "relax hop {at} {step}: rejected (score {score:.6} < {threshold:.6})"
-                ));
-                break;
-            }
-        }
-    }
+        "delay->20ms"
+    } else {
+        return None;
+    };
+    Some((format!("relax hop {at} {step}"), child))
 }
 
 /// Minimizes a topology genome. The hop chain is the finding's substance,
-/// so minimization pulls it toward the single-hop paper baseline from two
-/// directions — dropping whole hops, then relaxing the survivors' rate /
-/// buffer / delay / qdisc — and shrinks the cross-traffic helper with the
-/// full traffic ddmin + value-shrinking pipeline against the multi-hop
-/// simulation.
-pub fn minimize_topology(
+/// so minimization shrinks the cross-traffic helper with the traffic passes
+/// against the multi-hop simulation, then pulls the chain toward the
+/// single-hop paper baseline from two directions: dropping whole hops, then
+/// relaxing each survivor's qdisc / buffer / rate / delay while the score
+/// holds. Whatever stays tightened is what the behaviour depends on.
+fn minimize_topology(
     evaluator: &SimEvaluator,
     genome: &TopologyGenome,
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (TopologyGenome, MinimizeReport) {
-    let (mut minimized, mut report) = minimize_cross_traffic(
-        evaluator,
-        genome,
+    let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
+    shrink.traffic_passes(
         "topology",
-        genome.traffic.as_ref(),
-        |topology, traffic| TopologyGenome {
-            traffic: Some(traffic.clone()),
-            ..topology.clone()
+        |g| g.traffic.as_ref(),
+        |g, traffic| TopologyGenome {
+            traffic: Some(traffic),
+            ..g.clone()
         },
-        cfg,
-        pool,
     );
-    let mut budget = Budget::new(report.evaluations as usize, cfg, pool);
-    let mut score = report.minimized_score;
-    hop_drop_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    hop_relax_pass(
-        evaluator,
-        &mut minimized,
-        &mut score,
-        report.threshold,
-        &mut budget,
-        &mut report.passes,
-    );
-    debug_assert!(minimized.hop_count() <= genome.hop_count());
-    report.minimized_score = score;
-    report.evaluations = budget.spent as u64;
-    (minimized, report)
+    drop_hops(&mut shrink);
+    for at in 0..shrink.current.hop_count() {
+        shrink.chain(|g| relaxed_hop(g, at, evaluator.link_rate_bps));
+    }
+    shrink.finish(genome)
 }
 
 /// Halves a workload's arrival rate, flooring at 1 flow/s. Returns `None`
 /// once the rate cannot meaningfully drop further.
-fn thinned_arrivals(genome: &WorkloadGenome) -> Option<WorkloadGenome> {
-    let rate = genome.arrivals.process.rate_per_sec();
-    let new_rate = rate / 2.0;
+fn thinned_arrivals(genome: &WorkloadGenome) -> Option<(String, WorkloadGenome)> {
+    let new_rate = genome.arrivals.process.rate_per_sec() / 2.0;
     if new_rate < 1.0 {
         return None;
     }
@@ -777,167 +616,53 @@ fn thinned_arrivals(genome: &WorkloadGenome) -> Option<WorkloadGenome> {
         ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec = new_rate,
         ArrivalProcess::OnOff { rate_per_sec, .. } => *rate_per_sec = new_rate,
     }
-    Some(child)
+    let rate = child.arrivals.process.rate_per_sec();
+    Some((format!("thin-arrivals {rate:.1}/s"), child))
 }
 
-/// Keeps halving the arrival rate while the score holds: the minimized
-/// workload arrives only as fast as the behaviour actually needs.
-fn arrival_thin_pass(
-    evaluator: &SimEvaluator,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    while !budget.exhausted() {
-        let Some(candidate) = thinned_arrivals(current) else {
-            break;
-        };
-        let score = budget.score(evaluator, &candidate);
-        let rate = candidate.arrivals.process.rate_per_sec();
-        if score >= threshold {
-            passes.push(format!(
-                "thin-arrivals {rate:.1}/s: accepted (score {score:.6})"
-            ));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "thin-arrivals {rate:.1}/s: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
+/// Halves the largest flow-size class toward the smallest. Returns `None`
+/// once the classes have collapsed.
+fn collapsed_sizes(genome: &WorkloadGenome) -> Option<(String, WorkloadGenome)> {
+    let size = genome.arrivals.size;
+    let new_max = (size.max_packets / 2).max(size.min_packets);
+    if new_max == size.max_packets {
+        return None;
     }
+    let mut child = genome.clone();
+    child.arrivals.size.max_packets = new_max;
+    Some((format!("collapse-sizes max={new_max}pkt"), child))
 }
 
-/// Collapses the flow-size distribution from the top: repeatedly halve the
-/// largest size class toward the smallest, keeping each step only while the
-/// score holds. A tail-latency finding that survives with mice-only sizes is
-/// far easier to reason about than one hiding behind a heavy tail.
-fn size_collapse_pass(
-    evaluator: &SimEvaluator,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    while !budget.exhausted() {
-        let size = current.arrivals.size;
-        let new_max = (size.max_packets / 2).max(size.min_packets);
-        if new_max == size.max_packets {
-            break;
-        }
-        let mut candidate = current.clone();
-        candidate.arrivals.size.max_packets = new_max;
-        let score = budget.score(evaluator, &candidate);
-        if score >= threshold {
-            passes.push(format!(
-                "collapse-sizes max={new_max}pkt: accepted (score {score:.6})"
-            ));
-            *current = candidate;
-            *current_score = score;
-        } else {
-            passes.push(format!(
-                "collapse-sizes max={new_max}pkt: rejected (score {score:.6} < {threshold:.6})"
-            ));
-            break;
-        }
-    }
-}
-
-/// Drops background elephants one at a time (never the incumbent at index
-/// 0, re-scanning after every success), keeping each removal while the
-/// score holds: the minimized elephant mix is the smallest background the
-/// tail inflation actually needs.
-fn elephant_drop_pass<E: Evaluator<WorkloadGenome>>(
-    evaluator: &E,
-    current: &mut WorkloadGenome,
-    current_score: &mut f64,
-    threshold: f64,
-    budget: &mut Budget<'_>,
-    passes: &mut Vec<String>,
-) {
-    let start_elephants = current.elephant_count();
-    while current.elephant_count() > 1 {
-        let scan = budget.first_accepted(evaluator, threshold, current.elephant_count() - 1, |i| {
-            let mut candidate = current.clone();
-            candidate.elephants.remove(1 + i);
-            candidate
-        });
-        let Some((candidate, score)) = scan.accepted else {
-            break;
-        };
-        // Rescan behind the incumbent: removing one elephant changes the
-        // contention, so earlier rejections may drop cleanly now.
-        *current = candidate;
-        *current_score = score;
-    }
-    passes.push(format!(
-        "drop-elephants: {} -> {} elephants",
-        start_elephants,
-        current.elephant_count()
-    ));
+/// Drops background elephants one at a time, never the incumbent at index
+/// 0: the minimized elephant mix is the smallest background the tail
+/// inflation actually needs.
+fn drop_elephants<E: Evaluator<WorkloadGenome>>(shrink: &mut Shrink<'_, WorkloadGenome, E>) {
+    shrink.drop_each("elephants", 1, WorkloadGenome::elephant_count, |g, i| {
+        let mut child = g.clone();
+        child.elephants.remove(i);
+        child
+    });
 }
 
 /// Minimizes a workload genome. The arrival genes are the finding's
 /// substance, so minimization pulls them toward the quietest workload that
 /// still shows the behaviour: halve the arrival rate (fewer churning flows),
-/// collapse the size classes from the top (lighter tail), and drop
-/// background elephants, each step kept only while the re-simulated score
-/// retains the threshold.
-pub fn minimize_workload(
+/// collapse the size classes from the top (a tail-latency finding that
+/// survives with mice-only sizes is far easier to reason about than one
+/// hiding behind a heavy tail), and drop background elephants.
+fn minimize_workload(
     evaluator: &SimEvaluator,
     genome: &WorkloadGenome,
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (WorkloadGenome, MinimizeReport) {
-    let mut budget = Budget::new(0, cfg, pool);
-    let original_score = budget.score(evaluator, genome);
-    let threshold = original_score * cfg.retain_fraction;
-    let mut current = genome.clone();
-    let mut current_score = original_score;
-    let mut passes = Vec::new();
-
+    let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
     // Order matters: thinning arrivals first leaves fewer flows for the
     // size and elephant passes to re-simulate, so the budget goes further.
-    arrival_thin_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-    size_collapse_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-    elephant_drop_pass(
-        evaluator,
-        &mut current,
-        &mut current_score,
-        threshold,
-        &mut budget,
-        &mut passes,
-    );
-
-    debug_assert!(current.elephant_count() <= genome.elephant_count());
-    let report = MinimizeReport {
-        original_packets: genome.packet_count() as u64,
-        minimized_packets: current.packet_count() as u64,
-        original_score,
-        minimized_score: current_score,
-        threshold,
-        evaluations: budget.spent as u64,
-        passes,
-    };
-    (current, report)
+    shrink.chain(thinned_arrivals);
+    shrink.chain(collapsed_sizes);
+    drop_elephants(&mut shrink);
+    shrink.finish(genome)
 }
 
 /// Minimizes a stored finding: shrinks its genome with the finding's own
@@ -1006,6 +731,7 @@ pub fn minimize_finding_with(
 mod tests {
     use super::*;
     use ccfuzz_cca::CcaKind;
+    use ccfuzz_core::evaluate::EvalOutcome;
     use ccfuzz_core::scenario::FlowGene;
     use ccfuzz_netsim::rng::SimRng;
     use ccfuzz_netsim::time::SimTime;
@@ -1168,7 +894,28 @@ mod tests {
         MinimizeConfig {
             max_evaluations,
             retain_fraction,
-            ..Default::default()
+        }
+    }
+
+    /// A [`Shrink`] of `genome` at score and threshold `threshold` with
+    /// nothing spent: a pass under test without the anchor simulation.
+    fn shrink_at<'a, G: Clone, E>(
+        evaluator: &'a E,
+        genome: &G,
+        threshold: f64,
+        max_evaluations: usize,
+        pool: &'a mut MinimizePool,
+    ) -> Shrink<'a, G, E> {
+        Shrink {
+            evaluator,
+            pool,
+            current: genome.clone(),
+            score: threshold,
+            original_score: threshold,
+            threshold,
+            spent: 0,
+            max: max_evaluations,
+            passes: Vec::new(),
         }
     }
 
@@ -1260,32 +1007,15 @@ mod tests {
             workload.elephants.push(FlowGene::whole_run(cca));
         }
         for max_evaluations in 1..=12 {
-            let cfg = budget_cfg(max_evaluations, 1.0);
             let hops = same_at_every_worker_count(|pool| {
-                let mut budget = Budget::new(0, &cfg, pool);
-                let (mut current, mut score, mut passes) = (topology.clone(), 3.0, Vec::new());
-                hop_drop_pass(
-                    &SlowHops,
-                    &mut current,
-                    &mut score,
-                    3.0,
-                    &mut budget,
-                    &mut passes,
-                );
-                (current, score, passes, budget.spent)
+                let mut shrink = shrink_at(&SlowHops, &topology, 3.0, max_evaluations, pool);
+                drop_hops(&mut shrink);
+                (shrink.current, shrink.score, shrink.passes, shrink.spent)
             });
             let elephants = same_at_every_worker_count(|pool| {
-                let mut budget = Budget::new(0, &cfg, pool);
-                let (mut current, mut score, mut passes) = (workload.clone(), 2.0, Vec::new());
-                elephant_drop_pass(
-                    &CubicElephants,
-                    &mut current,
-                    &mut score,
-                    2.0,
-                    &mut budget,
-                    &mut passes,
-                );
-                (current, score, passes, budget.spent)
+                let mut shrink = shrink_at(&CubicElephants, &workload, 2.0, max_evaluations, pool);
+                drop_elephants(&mut shrink);
+                (shrink.current, shrink.score, shrink.passes, shrink.spent)
             });
             if max_evaluations == 12 {
                 assert_eq!(hops.0.hop_count(), 3, "only the slow hops stay");
@@ -1374,8 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn first_accepted_raises_exactly_the_panics_the_serial_scan_reaches() {
-        let cfg = budget_cfg(100, 1.0);
+    fn scan_raises_exactly_the_panics_the_serial_scan_reaches() {
         // Rejected, accepted, then a panic no serial scan would reach.
         let table = Table {
             scores: vec![0.0, 5.0, 0.0, 5.0],
@@ -1383,12 +1112,16 @@ mod tests {
         };
         for workers in [1, 2, 3, 8] {
             let mut pool = MinimizePool::new(workers);
-            let mut budget = Budget::new(0, &cfg, &mut pool);
-            let scan = budget.first_accepted(&table, 1.0, 4, |i| i as u64);
+            let mut shrink = shrink_at(&table, &0, 1.0, 100, &mut pool);
+            let scan = shrink.scan(4, |_, i| i as u64);
             assert_eq!(scan.rejected, [0.0]);
-            assert_eq!(scan.accepted, Some((1, 5.0)));
-            assert_eq!(budget.spent, 2, "charged the serial position + 1");
-            assert_eq!(pool.discarded(), workers.min(4).saturating_sub(2) as u64);
+            assert_eq!(scan.accepted, Some(5.0));
+            assert_eq!((shrink.current, shrink.score), (1, 5.0), "kept candidate 1");
+            assert_eq!(shrink.spent, 2, "charged the serial position + 1");
+            assert_eq!(
+                shrink.pool.discarded(),
+                workers.min(4).saturating_sub(2) as u64
+            );
         }
         // Rejected, then a panic before the accepted candidate: raised even
         // when the accepted one finished in the same batch.
@@ -1399,8 +1132,8 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             let caught = panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut pool = MinimizePool::new(workers);
-                Budget::new(0, &cfg, &mut pool)
-                    .first_accepted(&table, 1.0, 3, |i| i as u64)
+                shrink_at(&table, &0, 1.0, 100, &mut pool)
+                    .scan(3, |_, i| i as u64)
                     .rejected
             }));
             let payload = caught.expect_err("candidate 1 is reached");
@@ -1412,13 +1145,14 @@ mod tests {
         }
     }
 
-    /// Accepts every candidate.
-    struct AcceptAll;
+    /// Accepts exactly the candidates that keep all seven packets, so ddmin
+    /// deletes nothing and both value passes see the whole trace.
+    struct KeepsSeven;
 
-    impl Evaluator<TrafficGenome> for AcceptAll {
-        fn evaluate(&self, _: &TrafficGenome) -> EvalOutcome {
+    impl Evaluator<TrafficGenome> for KeepsSeven {
+        fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
             EvalOutcome {
-                score: 1.0,
+                score: if genome.packet_count() == 7 { 1.0 } else { 0.0 },
                 ..Default::default()
             }
         }
@@ -1427,7 +1161,7 @@ mod tests {
     #[test]
     fn accepted_value_passes_compose() {
         // An uneven burst (every gap under 2 ms), a 1.4 s outage, another
-        // uneven burst. ddmin is switched off so both value passes see it.
+        // uneven burst.
         let genome = TrafficGenome {
             timestamps: [
                 100_000, 100_100, 101_500, 101_700, 1_500_000, 1_500_300, 1_501_900,
@@ -1438,15 +1172,12 @@ mod tests {
             duration: SimDuration::from_secs(5),
             max_packets: 100,
         };
-        let cfg = MinimizeConfig {
-            min_segment: usize::MAX,
-            ..Default::default()
-        };
-        let (min, report) = minimize_traffic(&AcceptAll, &genome, &cfg, &mut MinimizePool::new(1));
+        let cfg = MinimizeConfig::default();
+        let (min, report) = minimize_traffic(&KeepsSeven, &genome, &cfg, &mut MinimizePool::new(1));
         let both = genome
-            .flattened_bursts(cfg.burst_gap)
-            .shortened_outages(cfg.outage_cap);
-        assert_ne!(both, genome.shortened_outages(cfg.outage_cap));
+            .flattened_bursts(BURST_GAP)
+            .shortened_outages(OUTAGE_CAP);
+        assert_ne!(both, genome.shortened_outages(OUTAGE_CAP));
         assert_eq!(min, both, "{report:?}");
         assert_eq!(
             report.passes[1..],

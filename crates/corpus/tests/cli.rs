@@ -4,6 +4,7 @@
 //! lines and the phase report all go to stderr.
 
 use ccfuzz_corpus::finding::Finding;
+use ccfuzz_corpus::minimize::MinimizeConfig;
 use ccfuzz_obs::Snapshot;
 use std::path::PathBuf;
 use std::process::Command;
@@ -287,6 +288,29 @@ fn workload_hunt_minimize_replay_report_roundtrip() {
         stdout.contains("workload"),
         "report lists the workload bucket:\n{stdout}"
     );
+}
+
+#[test]
+fn usage_states_the_library_minimize_defaults() {
+    // `cmd_minimize` reads its defaults from `MinimizeConfig::default()`;
+    // the usage text spells them out and must not drift from it.
+    let defaults = MinimizeConfig::default();
+    let out = ccfuzz().output().expect("run bare ccfuzz");
+    assert_eq!(out.status.code(), Some(2), "bare ccfuzz is a usage error");
+    let usage = String::from_utf8(out.stdout).expect("usage is UTF-8");
+    for (flag, default) in [
+        ("--retain", defaults.retain_fraction.to_string()),
+        ("--budget", defaults.max_evaluations.to_string()),
+    ] {
+        let line = usage
+            .lines()
+            .find(|line| line.trim_start().starts_with(flag))
+            .unwrap_or_else(|| panic!("usage names {flag}:\n{usage}"));
+        assert!(
+            line.ends_with(&format!("(default: {default})")),
+            "{flag} must state the library default {default}: {line}"
+        );
+    }
 }
 
 #[test]

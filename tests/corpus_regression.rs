@@ -193,7 +193,6 @@ fn aqm_findings_roundtrip_hunt_minimize_replay() {
     let cfg = MinimizeConfig {
         retain_fraction: 0.8,
         max_evaluations: 150,
-        ..Default::default()
     };
     let (minimized, report) = minimize_finding(&finding, &cfg);
     assert!(report.minimized_packets <= report.original_packets);
@@ -257,7 +256,6 @@ fn aqm_minimizer_shrinks_qdisc_toward_drop_tail_when_harmless() {
     let cfg = MinimizeConfig {
         retain_fraction: 0.8,
         max_evaluations: 50,
-        ..Default::default()
     };
     let (minimized, report) = minimize_finding(&finding, &cfg);
     let GenomePayload::Scenario(min_scenario) = &minimized.genome else {
@@ -355,28 +353,64 @@ fn fixture_corpus_is_minimized_and_adversarial() {
     }
 }
 
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a 64 of each fixture's minimized finding JSON (as stored) followed
+/// by its `MinimizeReport` JSON, at the default `MinimizeConfig`. A
+/// deliberate change to what the minimizer keeps re-records these by
+/// copying each failure's observed value over the constant.
+const MINIMIZED_FIXTURE_DIGESTS: [(&str, u64); 7] = [
+    ("cubic-traffic-0303000c0d", 0x0ede6a27e69f7646),
+    ("reno-aqm-010100060b", 0xa15b353b157892a6),
+    ("reno-fairness-0909030f12", 0x28dac506516e1dd5),
+    ("reno-link-0808000e0a", 0xd77e44c76927a360),
+    ("reno-topology-0809010d12", 0x62ea584bfe41790f),
+    ("reno-traffic-0303000e0d", 0xa831e4ec7278ed1c),
+    ("reno-workload-0606011001", 0x8846a47e039ee54a),
+];
+
 #[test]
 fn fixture_minimization_is_identical_at_one_and_three_workers() {
     // Speculative candidate scans keep exactly what a serial scan keeps,
     // on the real simulator and every mode's passes: the minimized finding
     // (byte for byte, as stored) and its report do not depend on the
-    // worker count.
+    // worker count, and they match the recorded digests.
     use cc_fuzz::corpus::minimize::{minimize_finding_with, MinimizeConfig, MinimizePool};
 
     let cfg = MinimizeConfig::default();
     let fixtures = load_fixtures();
     assert_eq!(fixtures.len(), 7, "one committed fixture per hunt mode");
-    for finding in fixtures {
+    let mut drift = Vec::new();
+    for (finding, (id, golden)) in fixtures.iter().zip(MINIMIZED_FIXTURE_DIGESTS) {
+        assert_eq!(finding.id, id, "fixture order");
         let (serial, serial_report) =
-            minimize_finding_with(&finding, &cfg, &mut MinimizePool::new(1));
+            minimize_finding_with(finding, &cfg, &mut MinimizePool::new(1));
         let (parallel, parallel_report) =
-            minimize_finding_with(&finding, &cfg, &mut MinimizePool::new(3));
-        assert_eq!(parallel_report, serial_report, "{}", finding.id);
+            minimize_finding_with(finding, &cfg, &mut MinimizePool::new(3));
+        assert_eq!(parallel_report, serial_report, "{id}");
+        let stored = serde_json::to_string_pretty(&serial).unwrap();
         assert_eq!(
             serde_json::to_string_pretty(&parallel).unwrap(),
-            serde_json::to_string_pretty(&serial).unwrap(),
-            "{}",
-            finding.id
+            stored,
+            "{id}"
         );
+        let mut bytes = stored.into_bytes();
+        bytes.extend(serde_json::to_string(&serial_report).unwrap().bytes());
+        let observed = fnv1a(&bytes);
+        if observed != golden {
+            drift.push(format!(
+                "{id}: observed {observed:#018x}, recorded {golden:#018x}"
+            ));
+        }
     }
+    assert!(
+        drift.is_empty(),
+        "minimizer output drift:\n{}",
+        drift.join("\n")
+    );
 }

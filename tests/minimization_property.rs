@@ -82,7 +82,6 @@ proptest! {
         let cfg = MinimizeConfig {
             retain_fraction: retain_pct as f64 / 100.0,
             max_evaluations: budget,
-            ..Default::default()
         };
         let original_score = evaluator.evaluate(&genome).score;
         let (minimized, report) =
