@@ -7,7 +7,7 @@
 //! the examples and the integration tests all go through this module so the
 //! experiment definitions live in exactly one place.
 
-use crate::checkpoint::{CampaignControl, ControlledRun};
+use crate::checkpoint::ControlledRun;
 use crate::evaluate::SimEvaluator;
 use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, RunControl};
 use crate::genome::{LinkGenome, TrafficGenome};
@@ -269,38 +269,24 @@ impl Campaign {
     /// evolution and results are identical with or without it. Panics if
     /// `G` does not serve the campaign's mode.
     pub fn run<G: ModeGenome>(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<G> {
-        self.run_controlled(obs, CampaignControl::default())
+        self.run_controlled(obs, None, &mut RunControl::default())
             .expect("uncontrolled campaign runs cannot fail to start")
             .result
     }
 
-    /// [`Campaign::run`] under a [`CampaignControl`] plane: shutdown flag,
-    /// periodic checkpoints, panic budget and resume.
+    /// [`Campaign::run`] under a [`RunControl`] (shutdown flag, periodic
+    /// checkpoints, panic budget), fresh or resumed from `resume` (refusing
+    /// a snapshot whose GA parameters do not match the campaign's).
     pub fn run_controlled<G: ModeGenome>(
         &self,
         obs: Option<&HuntTelemetry>,
-        mut ctl: CampaignControl<'_>,
+        resume: Option<FuzzerSnapshot<G>>,
+        ctl: &mut RunControl<'_, G>,
     ) -> Result<ControlledRun<G>, String> {
         let evaluator = self.evaluator();
-        let resume = ctl.resume.take().map(G::unwrap_snapshot).transpose()?;
         let mut fuzzer = self.build_fuzzer(&evaluator, resume, obs)?;
-        // Each checkpoint snapshot is type-erased on its way to the sink.
-        let mut forward = ctl
-            .on_checkpoint
-            .take()
-            .map(|sink| move |snapshot: FuzzerSnapshot<G>| sink(G::wrap_snapshot(snapshot)));
         // The same loop a fleet runs, over one in-process lane.
-        run_lanes(
-            std::slice::from_mut(&mut fuzzer),
-            &mut RunControl {
-                shutdown: ctl.shutdown,
-                checkpoint_every: ctl.checkpoint_every,
-                on_checkpoint: forward
-                    .as_mut()
-                    .map(|f| f as &mut dyn FnMut(FuzzerSnapshot<G>)),
-                panic_budget: ctl.panic_budget,
-            },
-        )
+        run_lanes(std::slice::from_mut(&mut fuzzer), ctl)
     }
 
     /// Builds this campaign's fuzzer over genome type `G` — fresh from the
@@ -612,7 +598,7 @@ mod tests {
 
             // (i) The tiny campaign runs end to end.
             let run = campaign
-                .run_controlled::<G>(None, CampaignControl::default())
+                .run_controlled::<G>(None, None, &mut RunControl::default())
                 .unwrap();
             let result = &run.result;
             assert_eq!(run.stop, StopReason::Completed);

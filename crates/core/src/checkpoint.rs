@@ -1,21 +1,21 @@
-//! Mode-erased campaign checkpoint state and the campaign control plane.
+//! Mode-erased campaign checkpoint state and the result of a controlled run.
 //!
 //! A [`crate::fuzzer::FuzzerSnapshot`] is generic over its genome type; a
-//! checkpoint file on disk is not. [`SnapshotPayload`] wraps the concrete
-//! genome populations behind one serializable enum (mirroring
-//! [`crate::mode::GenomePayload`] for findings), and [`CampaignControl`]
-//! carries the shutdown flag, checkpoint cadence, panic budget and optional
-//! resume state into [`crate::campaign::Campaign::run_controlled`].
+//! checkpoint file on disk, a worker frame or a daemon reply is not.
+//! [`SnapshotPayload`] wraps the concrete genome populations behind one
+//! serializable enum (mirroring [`crate::mode::GenomePayload`] for
+//! findings). The erasure happens only where bytes leave the process: a
+//! controlled run ([`crate::campaign::Campaign::run_controlled`]) takes and
+//! hands out typed snapshots, and its caller wraps one when it writes.
 
 use crate::campaign::FuzzMode;
 use crate::fuzzer::{FuzzResult, FuzzerSnapshot, StopReason};
 use crate::genome::{LinkGenome, TrafficGenome};
-use crate::mode::{served_names, ModeGenome};
+use crate::mode::{each_mode, served_names, ModeGenome};
 use crate::scenario::ScenarioGenome;
 use crate::topology::TopologyGenome;
 use crate::workload::WorkloadGenome;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::AtomicBool;
 
 /// The resumable fuzzer state of one campaign, with the genome type erased
 /// for persistence. `Scenario` serves both the fairness and AQM modes (they
@@ -38,13 +38,7 @@ pub enum SnapshotPayload {
 impl SnapshotPayload {
     /// Whether this payload can resume a campaign of the given mode.
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        match self {
-            SnapshotPayload::Traffic(_) => TrafficGenome::serves(mode),
-            SnapshotPayload::Link(_) => LinkGenome::serves(mode),
-            SnapshotPayload::Scenario(_) => ScenarioGenome::serves(mode),
-            SnapshotPayload::Topology(_) => TopologyGenome::serves(mode),
-            SnapshotPayload::Workload(_) => WorkloadGenome::serves(mode),
-        }
+        each_mode!(SnapshotPayload, self, type G => G::serves(mode))
     }
 
     /// The error for unwrapping this payload as a `G` population.
@@ -58,47 +52,18 @@ impl SnapshotPayload {
 
     /// The generation the resumed fuzzer will evaluate next.
     pub fn next_generation(&self) -> u32 {
-        match self {
-            SnapshotPayload::Traffic(s) => s.next_generation,
-            SnapshotPayload::Link(s) => s.next_generation,
-            SnapshotPayload::Scenario(s) => s.next_generation,
-            SnapshotPayload::Topology(s) => s.next_generation,
-            SnapshotPayload::Workload(s) => s.next_generation,
-        }
+        each_mode!(SnapshotPayload, self, s => s.next_generation)
     }
 
     /// Evaluations made before the snapshot was taken.
     pub fn evaluations(&self) -> usize {
-        match self {
-            SnapshotPayload::Traffic(s) => s.evaluations,
-            SnapshotPayload::Link(s) => s.evaluations,
-            SnapshotPayload::Scenario(s) => s.evaluations,
-            SnapshotPayload::Topology(s) => s.evaluations,
-            SnapshotPayload::Workload(s) => s.evaluations,
-        }
-    }
-
-    /// Evaluation panics caught before the snapshot was taken.
-    pub fn panics_caught(&self) -> u64 {
-        match self {
-            SnapshotPayload::Traffic(s) => s.panics.len() as u64,
-            SnapshotPayload::Link(s) => s.panics.len() as u64,
-            SnapshotPayload::Scenario(s) => s.panics.len() as u64,
-            SnapshotPayload::Topology(s) => s.panics.len() as u64,
-            SnapshotPayload::Workload(s) => s.panics.len() as u64,
-        }
+        each_mode!(SnapshotPayload, self, s => s.evaluations)
     }
 
     /// Structural validation of the embedded snapshot (schema, shape,
     /// genome invariants). Run before trusting a payload loaded from disk.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            SnapshotPayload::Traffic(s) => s.validate(),
-            SnapshotPayload::Link(s) => s.validate(),
-            SnapshotPayload::Scenario(s) => s.validate(),
-            SnapshotPayload::Topology(s) => s.validate(),
-            SnapshotPayload::Workload(s) => s.validate(),
-        }
+        each_mode!(SnapshotPayload, self, s => s.validate())
     }
 
     /// Unwraps a traffic-mode snapshot. This and its three siblings are the
@@ -124,25 +89,6 @@ impl SnapshotPayload {
     }
 }
 
-/// External control plane for a campaign run: cooperative shutdown, periodic
-/// checkpoints, panic budget, and (optionally) the snapshot to resume from.
-/// The default is a plain uncontrolled run.
-#[derive(Default)]
-pub struct CampaignControl<'c> {
-    /// Checked at generation boundaries; raising it stops the run with
-    /// [`StopReason::Interrupted`] after the in-flight generation finishes.
-    pub shutdown: Option<&'c AtomicBool>,
-    /// Emit a checkpoint every this many completed generations (0 = never).
-    pub checkpoint_every: u32,
-    /// Receives each periodic checkpoint payload.
-    pub on_checkpoint: Option<&'c mut dyn FnMut(SnapshotPayload)>,
-    /// Caught evaluation panics tolerated before aborting (`None` =
-    /// unlimited).
-    pub panic_budget: Option<u64>,
-    /// Resume from this snapshot instead of generating a fresh population.
-    pub resume: Option<SnapshotPayload>,
-}
-
 /// Everything a controlled campaign run produced: the classic result, why
 /// the run stopped, and the final resumable snapshot (which also carries the
 /// accumulated panic log).
@@ -162,7 +108,7 @@ pub struct ControlledRun<G> {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
-    use crate::fuzzer::GaParams;
+    use crate::fuzzer::{GaParams, RunControl};
     use ccfuzz_cca::CcaKind;
     use ccfuzz_netsim::time::SimDuration;
 
@@ -185,7 +131,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         assert!(payload.matches_mode(FuzzMode::Traffic));
@@ -193,7 +139,6 @@ mod tests {
         assert!(!payload.matches_mode(FuzzMode::Fairness));
         assert_eq!(payload.next_generation(), 3);
         assert!(payload.evaluations() >= 6);
-        assert_eq!(payload.panics_caught(), 0);
         payload.validate().unwrap();
         let err = payload.into_scenario().unwrap_err();
         assert!(
@@ -211,7 +156,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_controlled::<TrafficGenome>(None, CampaignControl::default())
+            .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         let json = serde_json::to_string(&payload).unwrap();

@@ -333,6 +333,30 @@ impl TrafficGenome {
         }
     }
 
+    /// The optional cross-traffic helper of a multi-flow genome: a fresh
+    /// genome when `max_packets > 0`, none (and no RNG draw) otherwise.
+    pub(crate) fn generate_optional(
+        max_packets: usize,
+        duration: SimDuration,
+        rng: &mut SimRng,
+    ) -> Option<Self> {
+        (max_packets > 0).then(|| TrafficGenome::generate(max_packets, duration, rng))
+    }
+
+    /// Crosses two optional helpers: both present cross, one present is
+    /// inherited, neither stays none. Only crossing draws from `rng`.
+    pub(crate) fn cross_optional(
+        a: &Option<Self>,
+        b: &Option<Self>,
+        rng: &mut SimRng,
+    ) -> Option<Self> {
+        match (a, b) {
+            (Some(x), Some(y)) => x.crossover(y, rng),
+            (Some(x), None) | (None, Some(x)) => Some(x.clone()),
+            (None, None) => None,
+        }
+    }
+
     /// The trace-minimality scoring inputs of this genome for a finished
     /// run: its packet count against its cap, and how much of it the
     /// bottleneck dropped.

@@ -74,7 +74,7 @@ pub mod trace_gen;
 pub mod workload;
 
 pub use campaign::{Campaign, FuzzMode};
-pub use checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
+pub use checkpoint::{ControlledRun, SnapshotPayload};
 pub use evaluate::{EvalOutcome, Evaluator, SimEvaluator};
 pub use fuzzer::{
     FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, PanicRecord, RunControl,

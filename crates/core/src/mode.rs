@@ -110,6 +110,48 @@ pub fn dispatch<V: ModeVisitor>(mode: FuzzMode, visitor: V) -> V::Out {
     }
 }
 
+/// Evaluates `$body` for whichever variant a mode-erased payload enum
+/// holds — [`GenomePayload`] and [`crate::checkpoint::SnapshotPayload`]
+/// share their variant names — the payload twin of `ccfuzz_cca`'s
+/// `dispatch!`. The `type G` form names the variant's genome type `G`; the
+/// plain form binds its value.
+macro_rules! each_mode {
+    ($payload:ident, $value:expr, type $g:ident => $body:expr) => {
+        match $value {
+            $payload::Link(_) => {
+                type $g = $crate::genome::LinkGenome;
+                $body
+            }
+            $payload::Traffic(_) => {
+                type $g = $crate::genome::TrafficGenome;
+                $body
+            }
+            $payload::Scenario(_) => {
+                type $g = $crate::scenario::ScenarioGenome;
+                $body
+            }
+            $payload::Topology(_) => {
+                type $g = $crate::topology::TopologyGenome;
+                $body
+            }
+            $payload::Workload(_) => {
+                type $g = $crate::workload::WorkloadGenome;
+                $body
+            }
+        }
+    };
+    ($payload:ident, $value:expr, $inner:ident => $body:expr) => {
+        match $value {
+            $payload::Link($inner) => $body,
+            $payload::Traffic($inner) => $body,
+            $payload::Scenario($inner) => $body,
+            $payload::Topology($inner) => $body,
+            $payload::Workload($inner) => $body,
+        }
+    };
+}
+pub(crate) use each_mode;
+
 /// `/`-joined names of the modes `serves` accepts (`"fairness/aqm"`), for
 /// error messages about a payload or genome type.
 pub fn served_names(serves: impl Fn(FuzzMode) -> bool) -> String {
@@ -139,35 +181,17 @@ pub enum GenomePayload {
 impl GenomePayload {
     /// `true` when this payload is a legal genome for `mode`.
     pub fn matches_mode(&self, mode: FuzzMode) -> bool {
-        match self {
-            GenomePayload::Link(_) => LinkGenome::serves(mode),
-            GenomePayload::Traffic(_) => TrafficGenome::serves(mode),
-            GenomePayload::Scenario(_) => ScenarioGenome::serves(mode),
-            GenomePayload::Topology(_) => TopologyGenome::serves(mode),
-            GenomePayload::Workload(_) => WorkloadGenome::serves(mode),
-        }
+        each_mode!(GenomePayload, self, type G => G::serves(mode))
     }
 
     /// Number of packets in the genome (cross-traffic packets for
     /// scenarios and topologies).
     pub fn packet_count(&self) -> usize {
-        match self {
-            GenomePayload::Link(g) => g.packet_count(),
-            GenomePayload::Traffic(g) => g.packet_count(),
-            GenomePayload::Scenario(g) => g.packet_count(),
-            GenomePayload::Topology(g) => g.packet_count(),
-            GenomePayload::Workload(g) => g.packet_count(),
-        }
+        each_mode!(GenomePayload, self, g => g.packet_count())
     }
 
     /// Checks the genome's internal invariants.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            GenomePayload::Link(g) => g.validate(),
-            GenomePayload::Traffic(g) => g.validate(),
-            GenomePayload::Scenario(g) => g.validate(),
-            GenomePayload::Topology(g) => g.validate(),
-            GenomePayload::Workload(g) => g.validate(),
-        }
+        each_mode!(GenomePayload, self, g => g.validate())
     }
 }

@@ -173,6 +173,146 @@ impl FlowGene {
             stop: None,
         }
     }
+
+    /// A fresh competitor: an algorithm from `pool`, then a start in the
+    /// first `start_frac` of the scenario; it runs to the end.
+    pub(crate) fn random(
+        pool: &[CcaKind],
+        duration: SimDuration,
+        start_frac: f64,
+        rng: &mut SimRng,
+    ) -> Self {
+        FlowGene {
+            cca: random_cca(pool, rng),
+            start: random_time(duration, 0.0, start_frac, rng),
+            stop: None,
+        }
+    }
+
+    /// A stop time in the second half of the scenario, at least a tenth of
+    /// it (and 100 ms) after `start`, never past the end.
+    pub(crate) fn random_stop(start: SimTime, duration: SimDuration, rng: &mut SimRng) -> SimTime {
+        let earliest = start + duration.div(10).max(SimDuration::from_millis(100));
+        random_time(duration, 0.5, 1.0, rng)
+            .max(earliest)
+            .min(SimTime::ZERO + duration)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Competitor-flow operators, shared by every multi-flow genome. Flow 0 of a
+// list is the always-on incumbent running the algorithm under test: no
+// operator here re-schedules, re-draws or removes it, so every scenario has
+// a flow to be unfair *to*, and the finding id and corpus bucket (derived
+// from flow 0's algorithm) describe a flow the scenario actually contains.
+// ---------------------------------------------------------------------------
+
+/// A uniformly random instant between the `lo_frac` and `hi_frac` fractions
+/// of `duration`.
+pub(crate) fn random_time(
+    duration: SimDuration,
+    lo_frac: f64,
+    hi_frac: f64,
+    rng: &mut SimRng,
+) -> SimTime {
+    let span = duration.as_nanos() as f64;
+    let lo = (span * lo_frac) as u64;
+    let hi = ((span * hi_frac) as u64).max(lo + 1);
+    SimTime::from_nanos(rng.gen_range_u64(lo, hi))
+}
+
+/// A uniformly random algorithm from `pool` (which must not be empty).
+pub(crate) fn random_cca(pool: &[CcaKind], rng: &mut SimRng) -> CcaKind {
+    pool[rng.gen_range_usize(0, pool.len())]
+}
+
+/// Randomly perturbs one competitor's schedule: usually a new start, then
+/// half the time no stop and half the time a fresh stop.
+pub(crate) fn perturb_schedule(flows: &mut [FlowGene], duration: SimDuration, rng: &mut SimRng) {
+    if flows.len() < 2 {
+        return;
+    }
+    let flow = &mut flows[rng.gen_range_usize(1, flows.len())];
+    if rng.gen_bool(0.7) {
+        flow.start = random_time(duration, 0.0, 0.5, rng);
+    }
+    flow.stop = if rng.gen_bool(0.5) {
+        None
+    } else {
+        Some(FlowGene::random_stop(flow.start, duration, rng))
+    };
+}
+
+/// Swaps one competitor's algorithm for one drawn from `pool`.
+pub(crate) fn swap_cca(flows: &mut [FlowGene], pool: &[CcaKind], rng: &mut SimRng) {
+    if pool.is_empty() || flows.len() < 2 {
+        return;
+    }
+    let idx = rng.gen_range_usize(1, flows.len());
+    flows[idx].cca = random_cca(pool, rng);
+}
+
+/// Appends a fresh competitor starting in the first 70 % of the scenario,
+/// unless the list is at its `max` or the pool is empty.
+pub(crate) fn add_flow(
+    flows: &mut Vec<FlowGene>,
+    max: usize,
+    pool: &[CcaKind],
+    duration: SimDuration,
+    rng: &mut SimRng,
+) {
+    if flows.len() >= max || pool.is_empty() {
+        return;
+    }
+    flows.push(FlowGene::random(pool, duration, 0.7, rng));
+}
+
+/// Removes one competitor, keeping at least `min` flows.
+pub(crate) fn remove_competitor<T>(flows: &mut Vec<T>, min: usize, rng: &mut SimRng) {
+    if flows.len() <= min {
+        return;
+    }
+    flows.remove(rng.gen_range_usize(1, flows.len()));
+}
+
+/// Crosses two flow lists: a prefix of one parent (a coin flip picks which)
+/// and the rest of the other, cut to `max` and padded from the second
+/// parent up to `min`. Flow 0 starts at time zero.
+pub(crate) fn splice(
+    x: &[FlowGene],
+    y: &[FlowGene],
+    min: usize,
+    max: usize,
+    rng: &mut SimRng,
+) -> Vec<FlowGene> {
+    let (a, b) = if rng.gen_bool(0.5) { (x, y) } else { (y, x) };
+    let split = rng.gen_range_usize(1, a.len() + 1);
+    let mut flows: Vec<FlowGene> = a.iter().copied().take(split).collect();
+    flows.extend(b.iter().copied().skip(split));
+    flows.truncate(max.max(min));
+    while flows.len() < min {
+        flows.push(b[flows.len() % b.len()]);
+    }
+    flows[0].start = SimTime::ZERO;
+    flows
+}
+
+/// Checks that every flow starts within `duration` and stops after it
+/// starts; errors name the flow as `{noun} {index}`.
+pub(crate) fn validate_schedules<'a>(
+    flows: impl IntoIterator<Item = &'a FlowGene>,
+    duration: SimDuration,
+    noun: &str,
+) -> Result<(), String> {
+    for (i, f) in flows.into_iter().enumerate() {
+        if f.start.as_nanos() > duration.as_nanos() {
+            return Err(format!("{noun} {i} starts beyond the scenario duration"));
+        }
+        if f.stop.is_some_and(|stop| stop <= f.start) {
+            return Err(format!("{noun} {i} stops before it starts"));
+        }
+    }
+    Ok(())
 }
 
 /// A multi-flow scenario genome.
@@ -236,11 +376,7 @@ impl ScenarioGenome {
             .iter()
             .map(|&cca| FlowGene::whole_run(cca))
             .collect();
-        let traffic = if traffic_max_packets > 0 {
-            Some(TrafficGenome::generate(traffic_max_packets, duration, rng))
-        } else {
-            None
-        };
+        let traffic = TrafficGenome::generate_optional(traffic_max_packets, duration, rng);
         let mut genome = ScenarioGenome {
             flows,
             duration,
@@ -251,7 +387,7 @@ impl ScenarioGenome {
             qdisc: None,
         };
         // One schedule perturbation so the initial population is diverse.
-        genome.perturb_schedule(rng);
+        perturb_schedule(&mut genome.flows, duration, rng);
         genome
     }
 
@@ -266,11 +402,7 @@ impl ScenarioGenome {
         choice: QdiscChoice,
         rng: &mut SimRng,
     ) -> Self {
-        let traffic = if traffic_max_packets > 0 {
-            Some(TrafficGenome::generate(traffic_max_packets, duration, rng))
-        } else {
-            None
-        };
+        let traffic = TrafficGenome::generate_optional(traffic_max_packets, duration, rng);
         ScenarioGenome {
             flows: vec![FlowGene::whole_run(cca)],
             duration,
@@ -286,88 +418,25 @@ impl ScenarioGenome {
     pub fn flow_count(&self) -> usize {
         self.flows.len()
     }
-
-    fn random_time(&self, lo_frac: f64, hi_frac: f64, rng: &mut SimRng) -> SimTime {
-        let span = self.duration.as_nanos() as f64;
-        let lo = (span * lo_frac) as u64;
-        let hi = ((span * hi_frac) as u64).max(lo + 1);
-        SimTime::from_nanos(rng.gen_range_u64(lo, hi))
-    }
-
-    /// Randomly perturbs one competing flow's schedule. Flow 0 is the
-    /// always-on incumbent (the algorithm under test, whose stats mirror
-    /// the legacy single-flow fields): it keeps `start = 0` and never gains
-    /// a stop time, so every scenario has a flow to be unfair *to*.
-    fn perturb_schedule(&mut self, rng: &mut SimRng) {
-        if self.flows.len() < 2 {
-            return;
-        }
-        let idx = rng.gen_range_usize(1, self.flows.len());
-        if rng.gen_bool(0.7) {
-            self.flows[idx].start = self.random_time(0.0, 0.5, rng);
-        }
-        // Half the time toggle/resample the stop time.
-        if rng.gen_bool(0.5) {
-            self.flows[idx].stop = None;
-        } else {
-            let start = self.flows[idx].start;
-            let earliest = start + self.duration.div(10).max(SimDuration::from_millis(100));
-            let stop = self.random_time(0.5, 1.0, rng).max(earliest);
-            self.flows[idx].stop = Some(stop.min(SimTime::ZERO + self.duration));
-        }
-    }
-
-    /// Swaps one *competing* flow's algorithm. Flow 0's CCA is pinned: the
-    /// finding id and corpus bucket are derived from it (`Campaign::cca`),
-    /// so a `bbr-fairness-…` finding must actually contain a BBR flow.
-    fn swap_cca(&mut self, rng: &mut SimRng) {
-        if self.cca_pool.is_empty() || self.flows.len() < 2 {
-            return;
-        }
-        let idx = rng.gen_range_usize(1, self.flows.len());
-        let cca = self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())];
-        self.flows[idx].cca = cca;
-    }
-
-    fn add_flow(&mut self, rng: &mut SimRng) {
-        if self.flows.len() >= self.max_flows || self.cca_pool.is_empty() {
-            return;
-        }
-        let cca = self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())];
-        let start = self.random_time(0.0, 0.7, rng);
-        self.flows.push(FlowGene {
-            cca,
-            start,
-            stop: None,
-        });
-    }
-
-    fn remove_flow(&mut self, rng: &mut SimRng) {
-        if self.flows.len() <= self.min_flows.max(1) {
-            return;
-        }
-        // Never remove flow 0 (the incumbent).
-        let idx = rng.gen_range_usize(1, self.flows.len());
-        self.flows.remove(idx);
-    }
 }
 
 impl Genome for ScenarioGenome {
     fn mutate(&self, rng: &mut SimRng) -> Self {
         let mut child = self.clone();
+        let (flows, duration, pool) = (&mut child.flows, self.duration, &self.cca_pool);
         // Genomes with qdisc genes get a sixth mutation arm; plain fairness
         // genomes keep the original five (and the original rng stream).
         let arms = if child.qdisc.is_some() { 6 } else { 5 };
         match rng.gen_range_usize(0, arms) {
-            0 => child.perturb_schedule(rng),
-            1 => child.swap_cca(rng),
-            2 => child.add_flow(rng),
-            3 => child.remove_flow(rng),
+            0 => perturb_schedule(flows, duration, rng),
+            1 => swap_cca(flows, pool, rng),
+            2 => add_flow(flows, self.max_flows, pool, duration, rng),
+            3 => remove_competitor(flows, self.min_flows.max(1), rng),
             4 => {
                 if let Some(traffic) = &child.traffic {
                     child.traffic = Some(traffic.mutate(rng));
-                } else if child.flows.len() >= 2 {
-                    child.perturb_schedule(rng);
+                } else if flows.len() >= 2 {
+                    perturb_schedule(flows, duration, rng);
                 } else if let Some(gene) = &child.qdisc {
                     child.qdisc = Some(gene.mutate(rng));
                 }
@@ -381,28 +450,9 @@ impl Genome for ScenarioGenome {
     }
 
     fn crossover(&self, other: &Self, rng: &mut SimRng) -> Option<Self> {
-        // Splice flow lists: take the first `split` flow genes from one
-        // parent and fill the rest from the other, capped at max_flows.
-        let (a, b) = if rng.gen_bool(0.5) {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let split = rng.gen_range_usize(1, a.flows.len() + 1);
-        let mut flows: Vec<FlowGene> = a.flows.iter().copied().take(split).collect();
-        flows.extend(b.flows.iter().copied().skip(split));
         let min_flows = self.min_flows.max(1);
-        flows.truncate(self.max_flows.max(min_flows));
-        while flows.len() < min_flows {
-            flows.push(b.flows[flows.len() % b.flows.len()]);
-        }
-        // Flow 0 stays an always-on incumbent.
-        flows[0].start = SimTime::ZERO;
-        let traffic = match (&self.traffic, &other.traffic) {
-            (Some(x), Some(y)) => x.crossover(y, rng),
-            (Some(x), None) | (None, Some(x)) => Some(x.clone()),
-            (None, None) => None,
-        };
+        let flows = splice(&self.flows, &other.flows, min_flows, self.max_flows, rng);
+        let traffic = TrafficGenome::cross_optional(&self.traffic, &other.traffic, rng);
         // Qdisc genes cross by inheriting one parent's gene wholesale (the
         // discipline parameters are too entangled to splice field-wise).
         // The rng is only consulted when a gene exists, so plain fairness
@@ -448,16 +498,7 @@ impl Genome for ScenarioGenome {
         if let Some(gene) = &self.qdisc {
             gene.discipline.validate()?;
         }
-        for (i, f) in self.flows.iter().enumerate() {
-            if f.start.as_nanos() > self.duration.as_nanos() {
-                return Err(format!("flow {i} starts beyond the scenario duration"));
-            }
-            if let Some(stop) = f.stop {
-                if stop <= f.start {
-                    return Err(format!("flow {i} stops before it starts"));
-                }
-            }
-        }
+        validate_schedules(&self.flows, self.duration, "flow")?;
         if let Some(traffic) = &self.traffic {
             traffic.validate()?;
         }

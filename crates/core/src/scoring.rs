@@ -14,7 +14,7 @@
 use ccfuzz_analysis::timeseries::{mean_of_lowest_fraction_mut, percentile, windowed_rates_into};
 use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::sim::SimResult;
-use ccfuzz_netsim::time::SimDuration;
+use ccfuzz_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// What kind of poor behaviour the fuzzer is hunting for.
@@ -375,24 +375,12 @@ pub fn performance_score_reusing(
     reference_rate_bps: f64,
     scratch: &mut ScoreScratch,
 ) -> f64 {
+    let reference = reference_rate_bps.max(1.0);
     match objective {
         Objective::LowThroughput {
             window,
             lowest_fraction,
-        } => {
-            let duration = SimDuration::from_secs_f64(result.duration_secs);
-            windowed_rates_into(
-                result.stats.delivery_times(),
-                mss,
-                *window,
-                duration,
-                &mut scratch.counts,
-                &mut scratch.rates,
-            );
-            let low = mean_of_lowest_fraction_mut(&mut scratch.rates, *lowest_fraction);
-            let reference = reference_rate_bps.max(1.0);
-            (1.0 - low / reference).clamp(0.0, 1.0)
-        }
+        } => low_throughput(result, mss, *window, *lowest_fraction, reference, scratch),
         Objective::HighDelay { percentile: p } => {
             let delays: Vec<f64> = result
                 .stats
@@ -410,12 +398,8 @@ pub fn performance_score_reusing(
         }
         Objective::Unfairness { starvation_weight } => {
             let b = fairness_breakdown(result, mss);
-            // Normalise by the maximum attainable value instead of clamping:
-            // a hard cap at 1.0 would flatten the fitness gradient once
-            // scenarios combine a bad Jain split with heavy starvation, and
-            // the GA could no longer tell strictly-worse scenarios apart.
-            let raw = (1.0 - b.jain_index) + starvation_weight * b.max_starvation_fraction;
-            (raw / (1.0 + starvation_weight.max(0.0))).clamp(0.0, 1.0)
+            let starvation = (*starvation_weight, b.max_starvation_fraction);
+            normalized(1.0 - b.jain_index, &[starvation])
         }
         Objective::AqmBreakage {
             window,
@@ -423,18 +407,8 @@ pub fn performance_score_reusing(
             mark_weight,
             delay_weight,
         } => {
-            let duration = SimDuration::from_secs_f64(result.duration_secs);
-            windowed_rates_into(
-                result.stats.delivery_times(),
-                mss,
-                *window,
-                duration,
-                &mut scratch.counts,
-                &mut scratch.rates,
-            );
-            let low = mean_of_lowest_fraction_mut(&mut scratch.rates, *lowest_fraction);
-            let reference = reference_rate_bps.max(1.0);
-            let throughput_term = (1.0 - low / reference).clamp(0.0, 1.0);
+            let throughput =
+                low_throughput(result, mss, *window, *lowest_fraction, reference, scratch);
 
             // Mark rate: CE marks per packet offered to the gateway by the
             // CCA population.
@@ -442,24 +416,11 @@ pub fn performance_score_reusing(
             let offered = (c.enqueued_cca + c.dropped_cca).max(1);
             let mark_term = (c.marked_cca as f64 / offered as f64).clamp(0.0, 1.0);
 
-            // Standing queue: mean sampled occupancy expressed as seconds
-            // of drain time at the reference rate (computable without the
-            // per-packet event log the fuzzer's hot loop disables).
-            let delay_term = if result.stats.queue_samples.is_empty() {
-                0.0
-            } else {
-                let mean_bytes = result
-                    .stats
-                    .queue_samples
-                    .iter()
-                    .map(|(_, _, bytes)| *bytes as f64)
-                    .sum::<f64>()
-                    / result.stats.queue_samples.len() as f64;
-                (mean_bytes * 8.0 / reference).min(1.0)
-            };
-
-            let raw = throughput_term + mark_weight * mark_term + delay_weight * delay_term;
-            (raw / (1.0 + mark_weight.max(0.0) + delay_weight.max(0.0))).clamp(0.0, 1.0)
+            let delay_term = standing_queue(&result.stats.queue_samples, reference);
+            normalized(
+                throughput,
+                &[(*mark_weight, mark_term), (*delay_weight, delay_term)],
+            )
         }
         Objective::MultiBottleneck {
             window,
@@ -467,50 +428,29 @@ pub fn performance_score_reusing(
             cascade_weight,
             collapse_weight,
         } => {
-            let duration = SimDuration::from_secs_f64(result.duration_secs);
-            windowed_rates_into(
-                result.stats.delivery_times(),
-                mss,
-                *window,
-                duration,
-                &mut scratch.counts,
-                &mut scratch.rates,
-            );
-            let low = mean_of_lowest_fraction_mut(&mut scratch.rates, *lowest_fraction);
-            let reference = reference_rate_bps.max(1.0);
-            let throughput_term = (1.0 - low / reference).clamp(0.0, 1.0);
+            let throughput =
+                low_throughput(result, mss, *window, *lowest_fraction, reference, scratch);
 
             // Cascaded standing queues: the mean of the *per-hop* standing
-            // queue terms (each the hop's mean sampled occupancy expressed
-            // as seconds of drain time at the reference rate, capped at
-            // 1 s). Averaging across hops means a chain of simultaneously
-            // bloated queues beats one deep queue — the cascade is exactly
-            // what single-bottleneck fuzzing cannot produce. Single-hop
-            // runs keep everything in `queue_samples`, which then is the
-            // one "hop".
-            let standing = |samples: &[(ccfuzz_netsim::time::SimTime, usize, u64)]| {
-                if samples.is_empty() {
-                    return 0.0;
-                }
-                let mean_bytes =
-                    samples.iter().map(|(_, _, b)| *b as f64).sum::<f64>() / samples.len() as f64;
-                (mean_bytes * 8.0 / reference).min(1.0)
-            };
-            let cascade_term = if result.stats.hop_samples.is_empty() {
-                standing(&result.stats.queue_samples)
+            // queue terms. Averaging across hops means a chain of
+            // simultaneously bloated queues beats one deep queue — the
+            // cascade is exactly what single-bottleneck fuzzing cannot
+            // produce. Single-hop runs keep everything in `queue_samples`,
+            // which then is the one "hop".
+            let hops = &result.stats.hop_samples;
+            let cascade_term = if hops.is_empty() {
+                standing_queue(&result.stats.queue_samples, reference)
             } else {
-                result
-                    .stats
-                    .hop_samples
-                    .iter()
-                    .map(|samples| standing(samples))
+                hops.iter()
+                    .map(|samples| standing_queue(samples, reference))
                     .sum::<f64>()
-                    / result.stats.hop_samples.len() as f64
+                    / hops.len() as f64
             };
 
             // Per-path throughput collapse: the worst flow's goodput over
             // its own active interval, normalised by the reference rate.
             // A starved parking-lot flow drives this toward 1.
+            let duration = SimDuration::from_secs_f64(result.duration_secs);
             let collapse_term = result
                 .stats
                 .flows
@@ -518,9 +458,13 @@ pub fn performance_score_reusing(
                 .map(|f| 1.0 - (f.goodput_bps(mss, duration) / reference).clamp(0.0, 1.0))
                 .fold(0.0f64, f64::max);
 
-            let raw =
-                throughput_term + cascade_weight * cascade_term + collapse_weight * collapse_term;
-            (raw / (1.0 + cascade_weight.max(0.0) + collapse_weight.max(0.0))).clamp(0.0, 1.0)
+            normalized(
+                throughput,
+                &[
+                    (*cascade_weight, cascade_term),
+                    (*collapse_weight, collapse_term),
+                ],
+            )
         }
         Objective::TailLatency {
             percentile: p,
@@ -548,10 +492,55 @@ pub fn performance_score_reusing(
             } else {
                 w.active_at_end as f64 / w.spawned as f64
             };
-            let raw = inflation_term + stranded_weight * stranded_term;
-            (raw / (1.0 + stranded_weight.max(0.0))).clamp(0.0, 1.0)
+            normalized(inflation_term, &[(*stranded_weight, stranded_term)])
         }
     }
+}
+
+/// The paper's windowed low-throughput term: one minus the mean of the
+/// lowest `lowest_fraction` of `window`-sized throughput windows, as a
+/// fraction of `reference`, in `[0, 1]`.
+fn low_throughput(
+    result: &SimResult,
+    mss: u32,
+    window: SimDuration,
+    lowest_fraction: f64,
+    reference: f64,
+    scratch: &mut ScoreScratch,
+) -> f64 {
+    let duration = SimDuration::from_secs_f64(result.duration_secs);
+    windowed_rates_into(
+        result.stats.delivery_times(),
+        mss,
+        window,
+        duration,
+        &mut scratch.counts,
+        &mut scratch.rates,
+    );
+    let low = mean_of_lowest_fraction_mut(&mut scratch.rates, lowest_fraction);
+    (1.0 - low / reference).clamp(0.0, 1.0)
+}
+
+/// A standing-queue term: the mean sampled queue occupancy expressed as
+/// seconds of drain time at `reference`, capped at 1 s (computable without
+/// the per-packet event log the fuzzer's hot loop disables). 0 without
+/// samples.
+fn standing_queue(samples: &[(SimTime, usize, u64)], reference: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mean_bytes = samples.iter().map(|(_, _, b)| *b as f64).sum::<f64>() / samples.len() as f64;
+    (mean_bytes * 8.0 / reference).min(1.0)
+}
+
+/// Combines a base term with weighted extra terms and normalises by the
+/// maximum attainable value, `1 + Σ max(weight, 0)`, instead of clamping:
+/// a hard cap at 1.0 would flatten the fitness gradient once several terms
+/// are high, and the GA could no longer tell strictly-worse cases apart.
+fn normalized(base: f64, terms: &[(f64, f64)]) -> f64 {
+    let raw = terms.iter().fold(base, |raw, (w, term)| raw + w * term);
+    let scale = terms.iter().fold(1.0, |scale, (w, _)| scale + w.max(0.0));
+    (raw / scale).clamp(0.0, 1.0)
 }
 
 /// Computes the trace component in `[0, 1]` (higher = more minimal trace).

@@ -18,7 +18,7 @@ use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::{Genome, TrafficGenome};
 use crate::mode::{GenomePayload, ModeGenome, RunOpts};
-use crate::scenario::FlowGene;
+use crate::scenario::{random_cca, random_time, remove_competitor, validate_schedules, FlowGene};
 use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
@@ -170,11 +170,7 @@ impl TopologyGenome {
         } else {
             cca_pool.to_vec()
         };
-        let traffic = if traffic_max_packets > 0 {
-            Some(TrafficGenome::generate(traffic_max_packets, duration, rng))
-        } else {
-            None
-        };
+        let traffic = TrafficGenome::generate_optional(traffic_max_packets, duration, rng);
         let mut genome = TopologyGenome {
             hops: hop_genes,
             flows,
@@ -255,35 +251,15 @@ impl TopologyGenome {
         HopRange::new(entry as u32, exit as u32)
     }
 
-    fn random_time(&self, lo_frac: f64, hi_frac: f64, rng: &mut SimRng) -> SimTime {
-        let span = self.duration.as_nanos() as f64;
-        let lo = (span * lo_frac) as u64;
-        let hi = ((span * hi_frac) as u64).max(lo + 1);
-        SimTime::from_nanos(rng.gen_range_u64(lo, hi))
-    }
-
+    /// Appends a competitor starting in the first half of the run, then
+    /// routes it over a random sub-path.
     fn add_flow(&mut self, rng: &mut SimRng) {
         if self.flows.len() >= self.max_flows || self.cca_pool.is_empty() {
             return;
         }
-        let cca = self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())];
-        self.flows.push(PathedFlowGene {
-            flow: FlowGene {
-                cca,
-                start: self.random_time(0.0, 0.5, rng),
-                stop: None,
-            },
-            path: self.random_subpath(rng),
-        });
-    }
-
-    fn remove_flow(&mut self, rng: &mut SimRng) {
-        if self.flows.len() <= 1 {
-            return;
-        }
-        // Never remove flow 0 (the incumbent under test).
-        let idx = rng.gen_range_usize(1, self.flows.len());
-        self.flows.remove(idx);
+        let flow = FlowGene::random(&self.cca_pool, self.duration, 0.5, rng);
+        let path = self.random_subpath(rng);
+        self.flows.push(PathedFlowGene { flow, path });
     }
 
     /// Inserts a fresh hop at a random position, shifting flow paths that
@@ -391,29 +367,22 @@ impl TopologyGenome {
             return;
         }
         let idx = rng.gen_range_usize(1, self.flows.len());
+        let duration = self.duration;
         match rng.gen_range_usize(0, 3) {
             // Re-route over a fresh sub-path.
             0 => self.flows[idx].path = self.random_subpath(rng),
-            // Re-schedule.
+            // Re-schedule: unlike `perturb_schedule`, always a new start.
             1 => {
-                self.flows[idx].flow.start = self.random_time(0.0, 0.5, rng);
-                self.flows[idx].flow.stop = if rng.gen_bool(0.5) {
+                let flow = &mut self.flows[idx].flow;
+                flow.start = random_time(duration, 0.0, 0.5, rng);
+                flow.stop = if rng.gen_bool(0.5) {
                     None
                 } else {
-                    let start = self.flows[idx].flow.start;
-                    let earliest = start + self.duration.div(10).max(SimDuration::from_millis(100));
-                    Some(
-                        self.random_time(0.5, 1.0, rng)
-                            .max(earliest)
-                            .min(SimTime::ZERO + self.duration),
-                    )
+                    Some(FlowGene::random_stop(flow.start, duration, rng))
                 };
             }
             // Swap the algorithm.
-            _ => {
-                self.flows[idx].flow.cca =
-                    self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())]
-            }
+            _ => self.flows[idx].flow.cca = random_cca(&self.cca_pool, rng),
         }
     }
 }
@@ -431,7 +400,7 @@ impl Genome for TopologyGenome {
                 if rng.gen_bool(0.5) {
                     child.add_flow(rng);
                 } else {
-                    child.remove_flow(rng);
+                    remove_competitor(&mut child.flows, 1, rng);
                 }
             }
             _ => {
@@ -471,11 +440,7 @@ impl Genome for TopologyGenome {
                 f.path.clamped(hop_count)
             };
         }
-        let traffic = match (&self.traffic, &other.traffic) {
-            (Some(x), Some(y)) => x.crossover(y, rng),
-            (Some(x), None) | (None, Some(x)) => Some(x.clone()),
-            (None, None) => None,
-        };
+        let traffic = TrafficGenome::cross_optional(&self.traffic, &other.traffic, rng);
         Some(TopologyGenome {
             hops,
             flows,
@@ -515,6 +480,9 @@ impl Genome for TopologyGenome {
                 self.max_flows
             ));
         }
+        if self.cca_pool.is_empty() {
+            return Err("topology genome has an empty CCA pool".into());
+        }
         let primary = &self.flows[0];
         if primary.flow.start != SimTime::ZERO || primary.flow.stop.is_some() {
             return Err("flow 0 must be the always-on incumbent".into());
@@ -526,15 +494,8 @@ impl Genome for TopologyGenome {
             f.path
                 .validate(self.hops.len())
                 .map_err(|e| format!("flow {i}: {e}"))?;
-            if f.flow.start.as_nanos() > self.duration.as_nanos() {
-                return Err(format!("flow {i} starts beyond the scenario duration"));
-            }
-            if let Some(stop) = f.flow.stop {
-                if stop <= f.flow.start {
-                    return Err(format!("flow {i} stops before it starts"));
-                }
-            }
         }
+        validate_schedules(self.flows.iter().map(|f| &f.flow), self.duration, "flow")?;
         if let Some(traffic) = &self.traffic {
             traffic.validate()?;
         }
@@ -765,6 +726,12 @@ mod tests {
         let mut g = base();
         g.flows[0].flow.stop = Some(SimTime::from_secs_f64(1.0));
         assert!(g.validate().unwrap_err().contains("always-on"));
+
+        // The swap arm of mutation draws from the pool, and evolution runs
+        // outside panic isolation.
+        let mut g = base();
+        g.cca_pool.clear();
+        assert!(g.validate().unwrap_err().contains("empty CCA pool"));
 
         let mut g = base();
         if g.flows.len() < 2 {

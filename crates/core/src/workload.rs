@@ -17,14 +17,16 @@ use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::Genome;
 use crate::mode::{GenomePayload, ModeGenome, RunOpts};
-use crate::scenario::FlowGene;
+use crate::scenario::{
+    add_flow, perturb_schedule, remove_competitor, splice, swap_cca, validate_schedules, FlowGene,
+};
 use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::sim::SimResult;
-use ccfuzz_netsim::time::{SimDuration, SimTime};
+use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_netsim::trace::TrafficTrace;
 use ccfuzz_netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 use serde::{Deserialize, Serialize};
@@ -131,13 +133,6 @@ impl WorkloadGenome {
         self.elephants.len()
     }
 
-    fn random_time(&self, lo_frac: f64, hi_frac: f64, rng: &mut SimRng) -> SimTime {
-        let span = self.duration.as_nanos() as f64;
-        let lo = (span * lo_frac) as u64;
-        let hi = ((span * hi_frac) as u64).max(lo + 1);
-        SimTime::from_nanos(rng.gen_range_u64(lo, hi))
-    }
-
     fn perturb_rate(&mut self, rng: &mut SimRng) {
         let rate = log_uniform(RATE_RANGE.0, RATE_RANGE.1, rng);
         match &mut self.arrivals.process {
@@ -203,76 +198,29 @@ impl WorkloadGenome {
         self.arrivals.max_concurrent =
             rng.gen_range_u64(CONCURRENT_RANGE.0, CONCURRENT_RANGE.1 + 1) as u32;
     }
-
-    /// Randomly perturbs one non-incumbent elephant's schedule. Elephant 0
-    /// stays always-on: every workload keeps a long-lived flow for mice to
-    /// queue behind (and for the legacy single-flow stats to describe).
-    fn perturb_elephant_schedule(&mut self, rng: &mut SimRng) {
-        if self.elephants.len() < 2 {
-            return;
-        }
-        let idx = rng.gen_range_usize(1, self.elephants.len());
-        if rng.gen_bool(0.7) {
-            self.elephants[idx].start = self.random_time(0.0, 0.5, rng);
-        }
-        if rng.gen_bool(0.5) {
-            self.elephants[idx].stop = None;
-        } else {
-            let start = self.elephants[idx].start;
-            let earliest = start + self.duration.div(10).max(SimDuration::from_millis(100));
-            let stop = self.random_time(0.5, 1.0, rng).max(earliest);
-            self.elephants[idx].stop = Some(stop.min(SimTime::ZERO + self.duration));
-        }
-    }
-
-    fn add_elephant(&mut self, rng: &mut SimRng) {
-        if self.elephants.len() >= self.max_elephants || self.cca_pool.is_empty() {
-            return;
-        }
-        let cca = self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())];
-        let start = self.random_time(0.0, 0.7, rng);
-        self.elephants.push(FlowGene {
-            cca,
-            start,
-            stop: None,
-        });
-    }
-
-    fn remove_elephant(&mut self, rng: &mut SimRng) {
-        if self.elephants.len() <= MIN_ELEPHANTS {
-            return;
-        }
-        // Never remove elephant 0 (the incumbent).
-        let idx = rng.gen_range_usize(1, self.elephants.len());
-        self.elephants.remove(idx);
-    }
-
-    fn swap_elephant_cca(&mut self, rng: &mut SimRng) {
-        if self.cca_pool.is_empty() || self.elephants.len() < 2 {
-            return;
-        }
-        let idx = rng.gen_range_usize(1, self.elephants.len());
-        self.elephants[idx].cca = self.cca_pool[rng.gen_range_usize(0, self.cca_pool.len())];
-    }
 }
 
 impl Genome for WorkloadGenome {
     fn mutate(&self, rng: &mut SimRng) -> Self {
         let mut child = self.clone();
+        // The elephants are competitor flows: elephant 0 stays always-on,
+        // so every workload keeps a long-lived flow for mice to queue
+        // behind (and for the legacy single-flow stats to describe).
+        let (elephants, duration, pool) = (&mut child.elephants, self.duration, &self.cca_pool);
         match rng.gen_range_usize(0, 7) {
             0 => child.perturb_rate(rng),
             1 => child.perturb_process(rng),
             2 => child.perturb_size(rng),
             3 => child.perturb_concurrency(rng),
-            4 => child.perturb_elephant_schedule(rng),
+            4 => perturb_schedule(elephants, duration, rng),
             5 => {
                 if rng.gen_bool(0.5) {
-                    child.add_elephant(rng);
+                    add_flow(elephants, self.max_elephants, pool, duration, rng);
                 } else {
-                    child.remove_elephant(rng);
+                    remove_competitor(elephants, MIN_ELEPHANTS, rng);
                 }
             }
-            _ => child.swap_elephant_cca(rng),
+            _ => swap_cca(elephants, pool, rng),
         }
         child
     }
@@ -297,18 +245,10 @@ impl Genome for WorkloadGenome {
         } else {
             other.arrivals.max_concurrent
         };
-        // Elephants splice like scenario flow lists.
-        let (a, b) = if rng.gen_bool(0.5) {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let split = rng.gen_range_usize(1, a.elephants.len() + 1);
-        let mut elephants: Vec<FlowGene> = a.elephants.iter().copied().take(split).collect();
-        elephants.extend(b.elephants.iter().copied().skip(split));
-        elephants.truncate(self.max_elephants.max(MIN_ELEPHANTS));
-        // Elephant 0 stays an always-on incumbent.
-        elephants[0].start = SimTime::ZERO;
+        // Elephants splice like scenario flow lists; elephant 0 stays an
+        // always-on incumbent.
+        let (min, max) = (MIN_ELEPHANTS, self.max_elephants);
+        let mut elephants = splice(&self.elephants, &other.elephants, min, max, rng);
         elephants[0].stop = None;
         Some(WorkloadGenome {
             arrivals: ArrivalConfig {
@@ -346,17 +286,7 @@ impl Genome for WorkloadGenome {
         if self.cca_pool.is_empty() {
             return Err("workload genome has an empty CCA pool".into());
         }
-        for (i, f) in self.elephants.iter().enumerate() {
-            if f.start.as_nanos() > self.duration.as_nanos() {
-                return Err(format!("elephant {i} starts beyond the scenario duration"));
-            }
-            if let Some(stop) = f.stop {
-                if stop <= f.start {
-                    return Err(format!("elephant {i} stops before it starts"));
-                }
-            }
-        }
-        Ok(())
+        validate_schedules(&self.elephants, self.duration, "elephant")
     }
 }
 
@@ -437,6 +367,7 @@ impl ModeGenome for WorkloadGenome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccfuzz_netsim::time::SimTime;
 
     const DUR: SimDuration = SimDuration::from_secs(5);
 

@@ -11,8 +11,8 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::checkpoint::{CampaignControl, SnapshotPayload};
-use ccfuzz_core::fuzzer::{FuzzResult, GaParams, StopReason};
+use ccfuzz_core::checkpoint::SnapshotPayload;
+use ccfuzz_core::fuzzer::{FuzzResult, FuzzerSnapshot, GaParams, RunControl, StopReason};
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
 use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_core::scenario::{QdiscChoice, ScenarioGenome};
@@ -36,23 +36,26 @@ fn tiny_ga(seed: u64) -> GaParams {
 /// generations, then resumes from a JSON-roundtripped checkpoint and returns
 /// the resumed final result.
 fn interrupt_and_resume<G: ModeGenome>(campaign: &Campaign, kill_after: u32) -> FuzzResult<G> {
-    let run = |ctl| campaign.run_controlled::<G>(None, ctl);
     let shutdown = AtomicBool::new(false);
     let mut generations_seen = 0u32;
-    let mut on_checkpoint = |_payload: SnapshotPayload| {
+    let mut on_checkpoint = |_snapshot: FuzzerSnapshot<G>| {
         generations_seen += 1;
         if generations_seen >= kill_after {
             shutdown.store(true, Ordering::SeqCst);
         }
     };
-    let interrupted = run(CampaignControl {
-        shutdown: Some(&shutdown),
-        checkpoint_every: 1,
-        on_checkpoint: Some(&mut on_checkpoint),
-        panic_budget: None,
-        resume: None,
-    })
-    .expect("interrupted leg starts");
+    let interrupted = campaign
+        .run_controlled::<G>(
+            None,
+            None,
+            &mut RunControl {
+                shutdown: Some(&shutdown),
+                checkpoint_every: 1,
+                on_checkpoint: Some(&mut on_checkpoint),
+                panic_budget: None,
+            },
+        )
+        .expect("interrupted leg starts");
     assert_eq!(
         interrupted.stop,
         StopReason::Interrupted,
@@ -65,11 +68,10 @@ fn interrupt_and_resume<G: ModeGenome>(campaign: &Campaign, kill_after: u32) -> 
     let restored: SnapshotPayload = serde_json::from_str(&json).expect("checkpoint parses");
     assert_eq!(payload, restored);
 
-    let resumed = run(CampaignControl {
-        resume: Some(restored),
-        ..CampaignControl::default()
-    })
-    .expect("resumed leg starts");
+    let resume = G::unwrap_snapshot(restored).expect("checkpoint holds a G population");
+    let resumed = campaign
+        .run_controlled::<G>(None, Some(resume), &mut RunControl::default())
+        .expect("resumed leg starts");
     assert_eq!(resumed.stop, StopReason::Completed);
     resumed.result
 }
@@ -177,16 +179,11 @@ fn resuming_a_completed_checkpoint_reproduces_the_result() {
         tiny_ga(42),
     );
     let done = c
-        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
         .unwrap();
+    let resume = Some(done.final_snapshot);
     let replayed = c
-        .run_controlled::<TrafficGenome>(
-            None,
-            CampaignControl {
-                resume: Some(SnapshotPayload::Traffic(done.final_snapshot)),
-                ..CampaignControl::default()
-            },
-        )
+        .run_controlled::<TrafficGenome>(None, resume, &mut RunControl::default())
         .unwrap();
     assert_eq!(replayed.stop, StopReason::Completed);
     assert_same_trajectory(&done.result, &replayed.result);
@@ -201,39 +198,20 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let run = traffic
-        .run_controlled::<TrafficGenome>(None, CampaignControl::default())
+        .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
         .unwrap();
     let payload = SnapshotPayload::Traffic(run.final_snapshot.clone());
 
-    // Wrong genome kind.
-    let link = Campaign::paper_standard(
-        FuzzMode::Link,
-        CcaKind::Reno,
-        SimDuration::from_secs(1),
-        tiny_ga(1),
-    );
-    let err = link
-        .run_controlled::<LinkGenome>(
-            None,
-            CampaignControl {
-                resume: Some(payload.clone()),
-                ..CampaignControl::default()
-            },
-        )
-        .unwrap_err();
+    // Wrong genome kind: the payload cannot even be unwrapped for a link
+    // campaign.
+    let err = LinkGenome::unwrap_snapshot(payload).unwrap_err();
     assert!(err.contains("traffic population"), "{err}");
 
     // Wrong GA parameters.
     let mut other = traffic.clone();
     other.ga.seed = 999;
     let err = other
-        .run_controlled::<TrafficGenome>(
-            None,
-            CampaignControl {
-                resume: Some(payload),
-                ..CampaignControl::default()
-            },
-        )
+        .run_controlled::<TrafficGenome>(None, Some(run.final_snapshot), &mut RunControl::default())
         .unwrap_err();
     assert!(err.contains("GA parameters"), "{err}");
 }

@@ -10,8 +10,7 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::checkpoint::CampaignControl;
-use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::fuzzer::{GaParams, RunControl};
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::scenario::QdiscChoice;
 use ccfuzz_netsim::time::SimDuration;
@@ -38,7 +37,7 @@ impl ModeVisitor for FinalState {
     fn visit<G: ModeGenome>(self) -> String {
         let run = self
             .0
-            .run_controlled::<G>(None, CampaignControl::default())
+            .run_controlled::<G>(None, None, &mut RunControl::default())
             .expect("campaign starts");
         let mut snapshot = run.final_snapshot;
         assert_eq!(snapshot.next_generation, 3);

@@ -1,4 +1,4 @@
-//! Pins campaign trajectories bit-for-bit across all five hunt modes.
+//! Pins campaign trajectories bit-for-bit across all six hunt modes.
 //!
 //! The fuzzer's master RNG draws exactly once after seeding the initial
 //! islands (the annealing-stream seed), and every per-island fork derives
@@ -20,6 +20,7 @@ use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::genome::{Genome, LinkGenome, TrafficGenome};
 use ccfuzz_core::scenario::{QdiscChoice, ScenarioGenome};
 use ccfuzz_core::topology::TopologyGenome;
+use ccfuzz_core::workload::WorkloadGenome;
 use ccfuzz_netsim::time::SimDuration;
 
 fn tiny_ga(seed: u64) -> GaParams {
@@ -211,6 +212,35 @@ fn topology_trajectory_is_pinned() {
             evaluations: 14,
             mean_bits: 0x3fe4ea519d5a92e2,
             packets: 138,
+        },
+    );
+}
+
+#[test]
+fn workload_trajectory_is_pinned() {
+    // Workload genomes inject no cross traffic, so the genome-shape check
+    // is the background elephant count.
+    let c = Campaign::paper_workload(
+        CcaKind::Reno,
+        vec![CcaKind::Reno, CcaKind::Cubic],
+        3,
+        SimDuration::from_secs(2),
+        tiny_ga(19),
+    );
+    let r = c.run::<WorkloadGenome>(None);
+    assert_fingerprint(
+        "workload",
+        Fingerprint {
+            score_bits: r.best_outcome.score.to_bits(),
+            evaluations: r.total_evaluations,
+            mean_bits: r.history.last().unwrap().mean_score.to_bits(),
+            packets: r.best_genome.elephant_count(),
+        },
+        Fingerprint {
+            score_bits: 0x3fea9acf2579c86d,
+            evaluations: 14,
+            mean_bits: 0x3fe441c020d9057f,
+            packets: 1,
         },
     );
 }

@@ -397,7 +397,8 @@ fn daemon_addr(args: &[String]) -> Result<String, CliError> {
     resolve_daemon_addr(&value).map_err(CliError::Runtime)
 }
 
-/// The positional (non-flag) argument, if any — e.g. a hunt id.
+/// The positional argument, if any — e.g. a hunt id: the first argument
+/// that is neither a flag nor a flag's value, wherever the flags are.
 fn positional(args: &[String]) -> Option<String> {
     args.iter()
         .enumerate()
@@ -483,15 +484,7 @@ fn cmd_fetch(args: &[String]) -> Result<ExitCode, CliError> {
 /// trajectory — findings, digests, stdout payload — is byte-identical to
 /// what the uninterrupted hunt would have produced.
 fn cmd_resume(args: &[String]) -> Result<ExitCode, CliError> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .filter(|a| {
-            let pos = args.iter().position(|x| x == *a).unwrap_or(0);
-            pos == 0 || !args[pos - 1].starts_with("--")
-        })
-        .cloned()
-        .ok_or_else(|| usage_err("resume requires a checkpoint path"))?;
+    let path = positional(args).ok_or_else(|| usage_err("resume requires a checkpoint path"))?;
     let checkpoint =
         CampaignCheckpoint::load(&path).map_err(|e| CliError::Runtime(e.to_string()))?;
     let dir = flag_value(args, "--corpus")?.unwrap_or_else(|| checkpoint.corpus_dir.clone());
@@ -753,15 +746,7 @@ fn run_campaign(
 /// recorder installed and render per-flow timelines plus the per-hop queue
 /// table. Optionally exports the raw event stream as JSONL / CSV.
 fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
-    let id = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // Reject a flag's value masquerading as the positional id.
-            let pos = args.iter().position(|x| x == *a).unwrap_or(0);
-            pos == 0 || !args[pos - 1].starts_with("--")
-        })
-        .cloned()
+    let id = positional(args)
         .ok_or_else(|| usage_err("trace requires a finding id (see `ccfuzz report`)"))?;
     let buckets: usize = parse_num(args, "--buckets", traceview::DEFAULT_TIMELINE_BUCKETS)?;
     if buckets == 0 {

@@ -257,4 +257,39 @@ mod tests {
         assert!(CampaignCheckpoint::load(&cut).is_err());
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    #[test]
+    fn checkpoint_with_an_empty_topology_cca_pool_is_refused() {
+        // Evolution runs outside panic isolation, so a genome an operator
+        // cannot breed (a swap from an empty pool) must fail at load time.
+        let dir = temp_dir("empty-pool");
+        let corpus = Corpus::open_with(&dir, CorpusConfig::default()).unwrap();
+        let mut config = tiny_config();
+        config.mode = FuzzMode::Topology;
+        config.ga.generations = 2;
+        let path = dir.join("ck.json");
+        hunt_controlled(
+            &corpus,
+            &config,
+            None,
+            HuntControl {
+                checkpoint_path: Some(path.clone()),
+                ..HuntControl::default()
+            },
+        )
+        .unwrap();
+
+        let mut ck = CampaignCheckpoint::load(&path).unwrap();
+        let SnapshotPayload::Topology(snapshot) = &mut ck.state else {
+            panic!("a topology hunt checkpoints a topology population");
+        };
+        for individual in snapshot.islands.iter_mut().flatten() {
+            individual.genome.cca_pool.clear();
+        }
+        let emptied = dir.join("emptied.json");
+        ck.write_atomic(&emptied).unwrap();
+        let err = CampaignCheckpoint::load(&emptied).unwrap_err();
+        assert!(err.0.contains("empty CCA pool"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

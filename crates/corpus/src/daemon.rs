@@ -37,8 +37,8 @@ use crate::proto::{
     PROCEED, REPORT,
 };
 use crate::store::{Corpus, CorpusError};
-use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::checkpoint::{ControlledRun, SnapshotPayload};
+use ccfuzz_core::fuzzer::{GaParams, RunControl};
 use ccfuzz_core::mode::{dispatch, ModeGenome};
 use ccfuzz_core::shard::{
     drive, route_migrants, shard_ranges, LoopControl, MigrantBatch, ShardCoordinator, ShardFinal,
@@ -204,20 +204,14 @@ impl From<String> for FleetError {
 
 /// The supervision loop: (re)spawn the fleet, run the generation loop over
 /// it, and on worker death roll back to the last committed boundary and try
-/// again.
+/// again. The fleet always starts from scratch, and `control`'s checkpoint
+/// sink is not called: the workers persist their own boundaries.
 pub(crate) fn run_fleet<G: ModeGenome>(
     config: &HuntConfig,
-    control: CampaignControl<'_>,
+    control: &RunControl<'_, G>,
     obs: Option<&HuntTelemetry>,
     dist: &DistOptions<'_>,
 ) -> Result<ControlledRun<G>, String> {
-    if control.resume.is_some() {
-        return Err(
-            "resuming a checkpointed campaign across a distributed fleet is not supported; \
-             resume it single-process with `ccfuzz resume`"
-                .into(),
-        );
-    }
     let ranges = shard_ranges(config.ga.islands, dist.workers.max(1));
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("binding coordinator socket: {e}"))?;

@@ -12,8 +12,8 @@ use crate::finding::Finding;
 use crate::store::{Corpus, CorpusError, InsertOutcome};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::checkpoint::{CampaignControl, ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::{GaParams, StopReason};
+use ccfuzz_core::checkpoint::ControlledRun;
+use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams, RunControl, StopReason};
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::scenario::QdiscChoice;
 use ccfuzz_netsim::time::SimDuration;
@@ -234,6 +234,13 @@ impl ModeVisitor for HuntJob<'_, '_> {
                         "resume checkpoint was recorded for a different hunt configuration".into(),
                     ));
                 }
+                if dist.is_some() {
+                    return Err(CorpusError(
+                        "resuming a checkpointed campaign across a distributed fleet is not \
+                         supported; resume it single-process with `ccfuzz resume`"
+                            .into(),
+                    ));
+                }
                 if let Some(o) = obs {
                     o.metrics.restore_counts(
                         ck.telemetry.evaluations,
@@ -249,22 +256,24 @@ impl ModeVisitor for HuntJob<'_, '_> {
                         .checkpoint_bytes
                         .add(ck.telemetry.checkpoint_bytes);
                 }
-                Some(ck.state)
+                Some(G::unwrap_snapshot(ck.state).map_err(CorpusError)?)
             }
             None => None,
         };
 
+        // The fuzzer state stays typed until it is written: the genome type
+        // is erased here, for the file, and nowhere else.
         let corpus_dir = corpus.root().display().to_string();
-        let persist = |state: SnapshotPayload, completed: bool| -> Result<(), CorpusError> {
+        let persist = |state: FuzzerSnapshot<G>, completed: bool| -> Result<(), CorpusError> {
             let Some(path) = checkpoint_path.as_deref() else {
                 return Ok(());
             };
             let telemetry = TelemetryCounters {
-                evaluations: state.evaluations() as u64,
+                evaluations: state.evaluations as u64,
                 operators: obs
                     .map(|o| o.metrics.operator_snapshot())
                     .unwrap_or_default(),
-                panics_caught: state.panics_caught(),
+                panics_caught: state.panics.len() as u64,
                 checkpoints_written: obs
                     .map(|o| o.metrics.checkpoints_written.get() + 1)
                     .unwrap_or(0),
@@ -283,7 +292,7 @@ impl ModeVisitor for HuntJob<'_, '_> {
                 panic_budget,
                 completed,
                 telemetry,
-                state,
+                state: G::wrap_snapshot(state),
             };
             let bytes = ck.write_atomic(path)?;
             if let Some(o) = obs {
@@ -296,14 +305,14 @@ impl ModeVisitor for HuntJob<'_, '_> {
         // The fuzzer's checkpoint callback cannot return an error, so the first
         // write failure is parked here and surfaced after the run.
         let mut write_error: Option<CorpusError> = None;
-        let mut on_checkpoint = |state: SnapshotPayload| {
+        let mut on_checkpoint = |state: FuzzerSnapshot<G>| {
             if write_error.is_none() {
                 if let Err(e) = persist(state, false) {
                     write_error = Some(e);
                 }
             }
         };
-        let control = CampaignControl {
+        let mut control = RunControl {
             shutdown,
             // One cadence per hunt: a local run hands the sink below a
             // campaign checkpoint on it, a fleet's workers persist theirs.
@@ -314,11 +323,10 @@ impl ModeVisitor for HuntJob<'_, '_> {
                 None
             },
             panic_budget,
-            resume: resume_state,
         };
         let out: ControlledRun<G> = match dist {
-            None => campaign.run_controlled(obs, control),
-            Some(dist) => run_fleet(config, control, obs, dist),
+            None => campaign.run_controlled(obs, resume_state, &mut control),
+            Some(dist) => run_fleet(config, &control, obs, dist),
         }
         .map_err(CorpusError)?;
         if let Some(e) = write_error {
@@ -357,10 +365,7 @@ impl ModeVisitor for HuntJob<'_, '_> {
         let panics = final_snapshot.panics.len() as u64;
         let next_generation = final_snapshot.next_generation;
         let evaluations = final_snapshot.evaluations as u64;
-        persist(
-            G::wrap_snapshot(final_snapshot),
-            stop == StopReason::Completed,
-        )?;
+        persist(final_snapshot, stop == StopReason::Completed)?;
 
         match stop {
             StopReason::Completed => {

@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use ccfuzz_cca::CcaKind;
     use ccfuzz_core::campaign::FuzzMode;
-    use ccfuzz_core::checkpoint::CampaignControl;
+    use ccfuzz_core::fuzzer::RunControl;
     use ccfuzz_core::genome::TrafficGenome;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -310,7 +310,7 @@ mod tests {
     fn snapshot_for(config: &HuntConfig) -> SnapshotPayload {
         let run = config
             .campaign()
-            .run_controlled(None, CampaignControl::default())
+            .run_controlled(None, None, &mut RunControl::default())
             .unwrap();
         TrafficGenome::wrap_snapshot(run.final_snapshot)
     }

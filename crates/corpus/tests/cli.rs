@@ -413,6 +413,75 @@ fn trace_subcommand_renders_timeline_and_exports() {
 }
 
 #[test]
+fn trace_takes_its_finding_id_after_a_flag() {
+    let out = ccfuzz()
+        .arg("trace")
+        .arg("--corpus")
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
+        .args(["--buckets", "1", "reno-traffic-0303000e0d"])
+        .output()
+        .expect("run ccfuzz trace");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(out.status.success(), "trace failed:\n{stderr}");
+    assert!(
+        stdout.starts_with("trace reno-traffic-0303000e0d: "),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn resume_takes_its_checkpoint_path_after_a_flag() {
+    // Resuming a completed checkpoint into another corpus re-emits the
+    // hunt's finding; `--corpus` may come before the path, as the usage
+    // text lists it.
+    let dir = scratch_dir("resume-flag-first");
+    let checkpoint = dir.join("ck.json");
+    let out = ccfuzz()
+        .args([
+            "hunt",
+            "--cca",
+            "reno",
+            "--generations",
+            "2",
+            "--seconds",
+            "1",
+            "--seed",
+            "3",
+            "--islands",
+            "2",
+            "--population",
+            "3",
+            "--corpus",
+        ])
+        .arg(dir.join("first"))
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .output()
+        .expect("run ccfuzz hunt");
+    let hunted = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(out.status.success(), "hunt failed");
+
+    let second = dir.join("second");
+    let out = ccfuzz()
+        .arg("resume")
+        .arg("--corpus")
+        .arg(&second)
+        .arg(&checkpoint)
+        .output()
+        .expect("run ccfuzz resume");
+    let resumed = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(out.status.success(), "resume failed:\n{stderr}");
+    assert_eq!(
+        resumed, hunted,
+        "a completed checkpoint re-emits its finding"
+    );
+    assert!(second.join("findings").is_dir(), "--corpus was honoured");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn workload_trace_lists_the_flows_that_appear_not_a_slab_handle() {
     // A workload-mode trace names its dynamic flows by tagged slab handle
     // (top bit set); read as "max index + 1" the committed fixture claimed
