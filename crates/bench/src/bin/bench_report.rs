@@ -640,6 +640,9 @@ mod tests {
         let rewritten = serde_json::to_string_pretty(&committed).unwrap();
         assert!(!rewritten.contains("\"eval_latency\": null"));
         let reread: BenchReport = serde_json::from_str(&rewritten).unwrap();
-        assert_eq!(reread.to_value(), committed.to_value());
+        assert_eq!(
+            serde_json::to_string(&reread).unwrap(),
+            serde_json::to_string(&committed).unwrap()
+        );
     }
 }

@@ -49,7 +49,7 @@ use ccfuzz_obs::{
 };
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -580,6 +580,11 @@ impl<G: ModeGenome> Shards<G> for Fleet<'_, G> {
 /// Upper bound on one HTTP request (head + body) the daemon accepts.
 const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
+/// How long a client has to deliver its whole request, and the daemon to
+/// deliver its reply. Connections are served on the accept thread, so this
+/// bounds how long one client can hold the API (and the shutdown drain).
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
 /// A hunt submission: the campaign plus its distribution knobs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HuntSpec {
@@ -830,9 +835,9 @@ fn execute_hunt(
 /// Serves one connection: parse, route, respond. All failures are reported
 /// to the client and/or stderr; none abort the daemon.
 fn handle_connection(shared: &DaemonShared<'_>, mut stream: TcpStream) {
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    stream.set_write_timeout(Some(REQUEST_DEADLINE)).ok();
     stream.set_nodelay(true).ok();
-    match read_request(&mut stream) {
+    match read_request(&mut Deadline::after(&stream, REQUEST_DEADLINE)) {
         Ok((method, path, body)) => {
             let (code, content_type, reply) = route(shared, &method, &path, &body);
             respond(&mut stream, code, content_type, &reply);
@@ -846,9 +851,45 @@ fn handle_connection(shared: &DaemonShared<'_>, mut stream: TcpStream) {
     }
 }
 
-/// Reads one HTTP/1.1 request: head until the blank line, then
-/// `Content-Length` bytes of body.
-fn read_request<R: Read>(r: &mut R) -> Result<(String, String, String), String> {
+/// A socket whose reads share one deadline: each read waits at most for the
+/// time left, so a client trickling bytes is cut off when it runs out
+/// rather than after one timeout per byte.
+struct Deadline<'s> {
+    stream: &'s TcpStream,
+    at: Instant,
+}
+
+impl<'s> Deadline<'s> {
+    fn after(stream: &'s TcpStream, budget: Duration) -> Self {
+        Deadline {
+            stream,
+            at: Instant::now() + budget,
+        }
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            self.stream.set_read_timeout(Some(left))?;
+            match self.stream.read(buf) {
+                // A timed-out read reports `WouldBlock` on Unix.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                read => return read,
+            }
+        }
+        Err(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "request deadline passed",
+        ))
+    }
+}
+
+/// Reads one HTTP/1.1 request as `(method, path, body)`: head until the
+/// blank line, then `Content-Length` bytes of body. Both are capped at
+/// 64 KiB; anything malformed is an `Err` naming the problem.
+pub fn read_request<R: Read>(r: &mut R) -> Result<(String, String, String), String> {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -1122,6 +1163,36 @@ mod tests {
 
         // A request cut before the blank line is an error, not a hang.
         assert!(read_request(&mut Cursor::new(&b"GET /"[..])).is_err());
+    }
+
+    #[test]
+    fn a_trickling_client_is_refused_at_the_request_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // One byte every 50 ms, never finishing the head: each read returns
+        // well inside any per-read timeout.
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for _ in 0..100 {
+                if stream.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let budget = Duration::from_millis(400);
+        let started = Instant::now();
+        let err = read_request(&mut Deadline::after(&stream, budget)).unwrap_err();
+        let took = started.elapsed();
+        assert!(
+            err.contains("deadline") || err.contains("timed out"),
+            "{err}"
+        );
+        assert!(took >= budget, "refused after {took:?}");
+        assert!(took < budget * 5, "refused only after {took:?}");
+        drop(stream);
+        client.join().unwrap();
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ([`ccfuzz_core::ShardReport`], migrant batches, final snapshots) are
 //! encoded and decoded at the call sites, so the framing layer itself stays
 //! non-generic and the envelope can be routed before the payload type is
-//! known.
+//! known: [`recv_frame`] checks the whole frame and keeps the body as text,
+//! and [`decode`] reads that text straight into the message type.
 //!
 //! The protocol is strictly coordinator-driven: a worker only ever reacts
 //! to the frame it just received, so the coordinator alone decides when a
@@ -30,9 +31,10 @@
 //! ```
 
 use crate::hunt::HuntConfig;
-use serde::value::{map_get, Value};
-use serde::{Deserialize, Serialize};
+use serde::value::DeError;
+use serde::{Deserialize, Reader, Serialize, Writer};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Upper bound on a single frame's payload. Far above any real snapshot;
 /// this guards against a corrupt length prefix allocating the moon.
@@ -67,13 +69,14 @@ pub fn send_frame<W: Write, T: Serialize + ?Sized>(
     kind: &str,
     body: &T,
 ) -> io::Result<()> {
-    let envelope = Value::Map(vec![
-        ("kind".to_string(), Value::Str(kind.to_string())),
-        ("body".to_string(), body.to_value()),
-    ]);
-    let json = serde_json::to_string(&envelope)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encoding frame: {e}")))?;
-    let bytes = json.as_bytes();
+    let mut json = Writer::compact();
+    json.begin_object();
+    json.key("kind");
+    json.str(kind);
+    json.key("body");
+    body.serialize(&mut json);
+    json.end_object();
+    let bytes = json.into_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -81,13 +84,22 @@ pub fn send_frame<W: Write, T: Serialize + ?Sized>(
         ));
     }
     w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    w.write_all(&bytes)?;
     w.flush()
 }
 
-/// Reads one frame and splits the envelope into `(kind, body)`. An
-/// `UnexpectedEof` error here is how a dead peer announces itself.
-pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, Value)> {
+/// A received frame's body, still as JSON text; [`decode`] reads it.
+#[derive(Debug)]
+pub struct FrameBody {
+    frame: String,
+    body: Range<usize>,
+}
+
+/// Reads one frame and splits the envelope into `(kind, body)`. The whole
+/// frame is checked as JSON here, so a malformed frame is an `InvalidData`
+/// error of the link rather than of the message. An `UnexpectedEof` error
+/// here is how a dead peer announces itself.
+pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, FrameBody)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -104,34 +116,47 @@ pub fn recv_frame<R: Read>(r: &mut R) -> io::Result<(String, Value)> {
     if buf.len() < len {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let text = String::from_utf8(buf).map_err(|e| {
+    let frame = String::from_utf8(buf).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame is not UTF-8: {e}"),
         )
     })?;
-    let value: Value = serde_json::from_str(&text).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame is not JSON: {e}"),
-        )
-    })?;
-    let map = value
-        .as_map("frame envelope")
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let kind: String = map_get(map, "kind")
-        .and_then(String::from_value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let body = map_get(map, "body")
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        .clone();
-    Ok((kind, body))
+    let (kind, body) = read_envelope(&frame)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame envelope: {e}")))?;
+    Ok((kind, FrameBody { frame, body }))
+}
+
+/// Checks a whole frame and returns its kind and the byte range of its
+/// body. As everywhere, unknown keys are skipped and the first of a
+/// repeated key wins.
+fn read_envelope(frame: &str) -> Result<(String, Range<usize>), DeError> {
+    let mut r = Reader::new(frame);
+    let (mut kind, mut body) = (None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "kind" if kind.is_none() => kind = Some(String::deserialize(&mut r)?),
+            "body" if body.is_none() => {
+                let start = r.position();
+                r.skip_value()?;
+                body = Some(start..r.position());
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    r.finish()?;
+    Ok((
+        kind.ok_or_else(|| DeError::missing_field("kind"))?,
+        body.ok_or_else(|| DeError::missing_field("body"))?,
+    ))
 }
 
 /// Decodes a frame body into its typed message, prefixing errors with the
 /// frame kind for diagnosis.
-pub fn decode<T: Deserialize>(kind: &str, body: &Value) -> Result<T, String> {
-    T::from_value(body).map_err(|e| format!("decoding `{kind}` frame: {e}"))
+pub fn decode<T: Deserialize>(kind: &str, body: &FrameBody) -> Result<T, String> {
+    serde_json::from_str(&body.frame[body.body.clone()])
+        .map_err(|e| format!("decoding `{kind}` frame: {e}"))
 }
 
 /// Worker → coordinator handshake.

@@ -13,7 +13,6 @@ use ccfuzz_corpus::daemon::{http_request, HuntSpec, HuntState, HuntStatus};
 use ccfuzz_corpus::hunt::HuntConfig;
 use ccfuzz_netsim::time::SimDuration;
 use serde::value::{map_get, Value};
-use serde::Deserialize;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -140,7 +139,10 @@ fn submit(addr: &str, spec: &HuntSpec) -> String {
     assert_eq!(code, 200, "submit rejected: {reply}");
     let value: Value = serde_json::from_str(reply.trim()).unwrap();
     let map = value.as_map("submit reply").unwrap();
-    map_get(map, "id").and_then(String::from_value).unwrap()
+    match map_get(map, "id").unwrap() {
+        Value::Str(id) => id.clone(),
+        other => panic!("submit reply id is not a string: {other:?}"),
+    }
 }
 
 fn hunt_status(addr: &str, id: &str) -> HuntStatus {

@@ -334,8 +334,8 @@ mod tests {
             },
             ..ArrivalConfig::paper_default()
         };
-        let v = cfg.to_value();
-        let back = ArrivalConfig::from_value(&v).expect("round trip");
+        let json = serde_json::to_string(&cfg).unwrap();
+        let back: ArrivalConfig = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back, cfg);
     }
 }

@@ -1,17 +1,19 @@
 //! Hostile input through the hand-rolled JSON layer (`vendor/serde_json`) and
 //! everything that decodes through it at a trust boundary: finding and
-//! checkpoint files, and coordinator/worker frames. Whatever the bytes, a
-//! decode returns — it never panics, never overflows the stack, and never
-//! holds more memory than a small multiple of the input — and whatever the
-//! value tree, both writers produce text that parses back to it.
+//! checkpoint files, coordinator/worker frames, and the daemon's HTTP API.
+//! Whatever the bytes, a decode returns — it never panics, never overflows
+//! the stack, and never holds more memory than a small multiple of the
+//! input — and whatever the value tree, both writers produce text that
+//! parses back to it.
 //!
 //! Run with `CCFUZZ_PROPTEST_CASES=1000` (the CI property job does) for the
 //! deep sweep; cases are fixed-seed, so a failure reproduces exactly.
 
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::corpus::checkpoint::CampaignCheckpoint;
+use cc_fuzz::corpus::daemon::{read_request, HuntSpec};
 use cc_fuzz::corpus::hunt::{hunt_controlled, HuntConfig, HuntControl};
-use cc_fuzz::corpus::proto::{recv_frame, send_frame, MAX_FRAME_BYTES, REPORT};
+use cc_fuzz::corpus::proto::{decode, recv_frame, send_frame, MAX_FRAME_BYTES, REPORT};
 use cc_fuzz::corpus::store::{Corpus, CorpusConfig};
 use cc_fuzz::corpus::Finding;
 use cc_fuzz::fuzz::campaign::FuzzMode;
@@ -73,27 +75,77 @@ fn peak_heap_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, (PEAK.with(Cell::get) - start) as usize)
 }
 
-/// Peak heap a decode of `input_len` bytes may hold. The densest input is
-/// `[0,0,0,…`: each two bytes become a 32-byte `Value` in a `Vec` that is
-/// just doubling, plus the clone `Value::from_value` returns — 48× measured.
-fn heap_budget(input_len: usize) -> usize {
+/// Peak heap a `Value` decode of `input_len` bytes may hold. The densest
+/// input is `[0,0,0,…`: each two bytes become a 32-byte `Value` in a `Vec`
+/// that is just doubling.
+fn tree_budget(input_len: usize) -> usize {
     64 * input_len + 16 * 1024
 }
 
+/// Peak heap a typed decode of `input_len` bytes may hold: the decoder
+/// builds nothing but the result, whose integers are no larger than the
+/// digits and separators they were written with.
+fn typed_budget(input_len: usize) -> usize {
+    8 * input_len + 16 * 1024
+}
+
 /// Feeds `bytes` to every decoder a trust boundary reaches and checks each
-/// returns within the heap budget. Returning at all is the no-panic,
+/// returns within its heap budget. Returning at all is the no-panic,
 /// no-stack-overflow half of the property.
 fn assert_decoders_contain(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
-    let budget = heap_budget(bytes.len());
+    let (tree, typed) = (tree_budget(bytes.len()), typed_budget(bytes.len()));
     let (_, peak) = peak_heap_during(|| serde_json::from_str::<Value>(&text).is_ok());
-    assert!(peak <= budget, "Value: {peak} B for {} B", bytes.len());
+    assert!(peak <= tree, "Value: {peak} B for {} B", bytes.len());
     let (_, peak) = peak_heap_during(|| serde_json::from_str::<Finding>(&text).is_ok());
-    assert!(peak <= budget, "Finding: {peak} B for {} B", bytes.len());
+    assert!(peak <= typed, "Finding: {peak} B for {} B", bytes.len());
     let (_, peak) = peak_heap_during(|| serde_json::from_str::<CampaignCheckpoint>(&text).is_ok());
-    assert!(peak <= budget, "checkpoint: {peak} B for {} B", bytes.len());
-    let (_, peak) = peak_heap_during(|| recv_frame(&mut &bytes[..]).is_ok());
-    assert!(peak <= budget, "recv_frame: {peak} B for {} B", bytes.len());
+    assert!(peak <= typed, "checkpoint: {peak} B for {} B", bytes.len());
+    let (_, peak) = peak_heap_during(|| {
+        recv_frame(&mut &bytes[..]).map(|(kind, body)| decode::<CampaignCheckpoint>(&kind, &body))
+    });
+    assert!(
+        peak <= typed,
+        "recv_frame + decode: {peak} B for {} B",
+        bytes.len()
+    );
+}
+
+/// Feeds `bytes` to the daemon's HTTP boundary as `POST /hunts` would: the
+/// request parser, then the hunt-spec decode of whatever body it yields.
+fn assert_http_contained(bytes: &[u8]) {
+    let (_, peak) = peak_heap_during(|| {
+        read_request(&mut &bytes[..]).map(|(_, _, body)| serde_json::from_str::<HuntSpec>(&body))
+    });
+    let budget = typed_budget(bytes.len());
+    assert!(
+        peak <= budget,
+        "POST /hunts: {peak} B for {} B",
+        bytes.len()
+    );
+}
+
+/// A well-formed `POST /hunts` request, as `ccfuzz submit` sends it.
+fn valid_request() -> &'static [u8] {
+    static REQUEST: OnceLock<Vec<u8>> = OnceLock::new();
+    REQUEST.get_or_init(|| {
+        let spec = HuntSpec {
+            config: HuntConfig::quick(CcaKind::Bbr, FuzzMode::Workload, 3, 7),
+            workers: 2,
+            checkpoint_every: 1,
+            panic_budget: Some(4),
+        };
+        let body = serde_json::to_string(&spec).unwrap();
+        let request = format!(
+            "POST /hunts HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let (method, path, read) = read_request(&mut request.as_bytes()).unwrap();
+        assert_eq!((method.as_str(), path.as_str()), ("POST", "/hunts"));
+        assert_eq!(serde_json::from_str::<HuntSpec>(&read).unwrap(), spec);
+        request.into_bytes()
+    })
 }
 
 fn cases() -> ProptestConfig {
@@ -157,6 +209,7 @@ fn uncorrupted_and_densest_documents_decode_inside_the_heap_budget() {
     }
     // The densest document, sized to sit just past a `Vec` doubling.
     assert_decoders_contain(format!("[{}0]", "0,".repeat(65_537)).as_bytes());
+    assert_http_contained(valid_request());
 }
 
 // ---------------------------------------------------------------------------
@@ -244,6 +297,39 @@ proptest! {
     }
 
     #[test]
+    fn arbitrary_http_requests_never_panic_or_balloon(
+        raw in collection::vec(0u16..768, 0..600),
+        with_head in any::<bool>(),
+    ) {
+        // Two thirds HTTP and JSON punctuation, one third arbitrary bytes;
+        // half the cases start with a plausible request head.
+        const HTTP: &[u8] = b"POST /hunts HTTP/1.1\r\nContent-Length: 0123456789{}[]:,\"\r\n\r\n";
+        let mut bytes = if with_head {
+            b"POST /hunts HTTP/1.1\r\nContent-Length: 40\r\n\r\n".to_vec()
+        } else {
+            Vec::new()
+        };
+        bytes.extend(raw.iter().map(|&v| if v < 256 { v as u8 } else { HTTP[v as usize % HTTP.len()] }));
+        assert_http_contained(&bytes);
+    }
+
+    #[test]
+    fn corrupted_http_requests_never_panic_or_balloon(
+        at in 0.0f64..1.0,
+        truncate in any::<bool>(),
+        flip in 1u8..255,
+    ) {
+        let mut bytes = valid_request().to_vec();
+        let offset = (at * bytes.len() as f64) as usize;
+        if truncate {
+            bytes.truncate(offset);
+        } else {
+            bytes[offset] ^= flip;
+        }
+        assert_http_contained(&bytes);
+    }
+
+    #[test]
     fn value_trees_round_trip_through_both_writers(seed in any::<u64>()) {
         let value = random_value(&mut TestRng::new(seed), 4);
         let compact = serde_json::to_string(&value).unwrap();
@@ -308,5 +394,5 @@ fn a_lying_length_prefix_is_unexpected_eof_and_reserves_nothing() {
         result.unwrap_err().kind(),
         std::io::ErrorKind::UnexpectedEof
     );
-    assert!(peak <= heap_budget(header.len()), "{peak} B reserved");
+    assert!(peak <= typed_budget(header.len()), "{peak} B reserved");
 }
