@@ -152,8 +152,10 @@ pub struct Bbr {
     round_count: u64,
     round_start: bool,
 
-    // Bandwidth filter (windowed max over BW_WINDOW_ROUNDS rounds).
+    // Bandwidth filter (windowed max over BW_WINDOW_ROUNDS rounds) and its
+    // current max, refreshed wherever the filter or `round_count` changes.
     bw_samples: BwMaxFilter,
+    bw: f64,
 
     // Min RTT.
     min_rtt: Option<SimDuration>,
@@ -179,6 +181,14 @@ pub struct Bbr {
 
     pacing_gain: f64,
     cwnd_gain: f64,
+
+    // Per-ACK model cache: `bdp` is the BDP for `bdp_key = (bw bits,
+    // min_rtt, mss)` and `cwnd_target` the window target for `target_key =
+    // (bdp, cwnd_gain bits)`; each is recomputed only when its key changes.
+    bdp_key: (u64, Option<SimDuration>, u32),
+    bdp: u64,
+    target_key: (u64, u64),
+    cwnd_target: u64,
 
     // Event log for Figure 4c style timelines (skipped entirely when the
     // host signals events will not be consumed).
@@ -206,6 +216,7 @@ impl Bbr {
             round_count: 0,
             round_start: false,
             bw_samples: BwMaxFilter::default(),
+            bw: 0.0,
             min_rtt: None,
             min_rtt_stamp: SimTime::ZERO,
             full_bw: 0.0,
@@ -220,6 +231,11 @@ impl Bbr {
             conservation_ends_round: 0,
             pacing_gain: HIGH_GAIN,
             cwnd_gain: HIGH_GAIN,
+            // Consistent with the initial model: no bandwidth, no RTT.
+            bdp_key: (0.0f64.to_bits(), None, 0),
+            bdp: 0,
+            target_key: (0, 0),
+            cwnd_target: MIN_CWND,
             record_events: true,
             events: Vec::new(),
             cfg,
@@ -234,7 +250,7 @@ impl Bbr {
     /// The current bottleneck bandwidth estimate in bits per second (max of
     /// the filter window), or 0 when no sample exists yet.
     pub fn bottleneck_bw_bps(&self) -> f64 {
-        self.bw_samples.max(self.round_count)
+        self.bw
     }
 
     /// The current min-RTT estimate.
@@ -250,12 +266,35 @@ impl Bbr {
     /// Bandwidth-delay product in packets for the given MSS (0 until both a
     /// bandwidth and an RTT estimate exist).
     pub fn bdp_packets(&self, mss: u32) -> u64 {
-        let bw = self.bottleneck_bw_bps();
         let Some(rtt) = self.min_rtt else { return 0 };
-        if bw <= 0.0 {
+        if self.bw <= 0.0 {
             return 0;
         }
-        ceil_to_u64((bw * rtt.as_secs_f64()) / (mss as f64 * 8.0))
+        ceil_to_u64((self.bw * rtt.as_secs_f64()) / (mss as f64 * 8.0))
+    }
+
+    /// [`Bbr::bdp_packets`] for this ACK, recomputed only when the
+    /// bandwidth, min-RTT or MSS changed since the last call. Neither
+    /// estimate changes after `update_min_rtt`, so one value serves the
+    /// whole rest of the ACK.
+    fn model_bdp(&mut self, mss: u32) -> u64 {
+        let key = (self.bw.to_bits(), self.min_rtt, mss);
+        if key != self.bdp_key {
+            self.bdp_key = key;
+            self.bdp = self.bdp_packets(mss);
+        }
+        self.bdp
+    }
+
+    /// `ceil(bdp × cwnd_gain)`, at least [`MIN_CWND`], recomputed only when
+    /// the BDP or the gain changed.
+    fn target_cwnd(&mut self, bdp: u64) -> u64 {
+        let key = (bdp, self.cwnd_gain.to_bits());
+        if key != self.target_key {
+            self.target_key = key;
+            self.cwnd_target = ceil_to_u64(bdp as f64 * self.cwnd_gain).max(MIN_CWND);
+        }
+        self.cwnd_target
     }
 
     // ------------------------------------------------------------------
@@ -266,6 +305,7 @@ impl Bbr {
         if rs.prior_delivered >= self.next_rtt_delivered {
             self.next_rtt_delivered = ctx.delivered;
             self.round_count += 1;
+            self.bw = self.bw_samples.max(self.round_count);
             self.round_start = true;
             if rs.is_retransmitted_sample {
                 bbr_log!(
@@ -289,10 +329,11 @@ impl Bbr {
         }
         let bw = rs.delivery_rate_bps;
         // App-limited samples only raise the estimate, never lower it.
-        if rs.is_app_limited && bw < self.bottleneck_bw_bps() {
+        if rs.is_app_limited && bw < self.bw {
             return;
         }
         self.bw_samples.push(self.round_count, bw);
+        self.bw = self.bw_samples.max(self.round_count);
     }
 
     fn update_min_rtt(&mut self, ctx: &CcContext, rs: &RateSample) {
@@ -369,7 +410,7 @@ impl Bbr {
         if self.filled_pipe || !self.round_start || rs.is_app_limited {
             return;
         }
-        let bw = self.bottleneck_bw_bps();
+        let bw = self.bw;
         if bw >= self.full_bw * 1.25 {
             self.full_bw = bw;
             self.full_bw_count = 0;
@@ -382,7 +423,7 @@ impl Bbr {
         }
     }
 
-    fn update_state_machine(&mut self, ctx: &CcContext, rs: &RateSample) {
+    fn update_state_machine(&mut self, ctx: &CcContext, rs: &RateSample, bdp: u64) {
         match self.state {
             BbrState::Startup => {
                 self.check_full_pipe(rs);
@@ -394,8 +435,7 @@ impl Bbr {
                 }
             }
             BbrState::Drain => {
-                let bdp = self.bdp_packets(ctx.mss).max(1);
-                if ctx.in_flight <= bdp {
+                if ctx.in_flight <= bdp.max(1) {
                     self.state = BbrState::ProbeBw;
                     self.cycle_index = 2;
                     self.cycle_stamp = ctx.now;
@@ -405,7 +445,7 @@ impl Bbr {
                 }
             }
             BbrState::ProbeBw => {
-                self.advance_cycle_phase(ctx);
+                self.advance_cycle_phase(ctx, bdp);
             }
             BbrState::ProbeRtt => {
                 self.handle_probe_rtt(ctx);
@@ -420,14 +460,13 @@ impl Bbr {
         }
     }
 
-    fn advance_cycle_phase(&mut self, ctx: &CcContext) {
+    fn advance_cycle_phase(&mut self, ctx: &CcContext, bdp: u64) {
         let min_rtt = self.min_rtt.unwrap_or(SimDuration::from_millis(10));
         let elapsed = ctx.now.saturating_since(self.cycle_stamp);
         let gain = CYCLE_GAINS[self.cycle_index];
-        let bdp = self.bdp_packets(ctx.mss).max(1);
         let should_advance = if (gain - 0.75).abs() < f64::EPSILON {
             // Leave the draining phase as soon as the queue we created is gone.
-            elapsed > min_rtt || ctx.in_flight <= bdp
+            elapsed > min_rtt || ctx.in_flight <= bdp.max(1)
         } else if (gain - 1.25).abs() < f64::EPSILON {
             // Probe for a full min_rtt (and until we actually used the gain).
             elapsed > min_rtt
@@ -441,7 +480,7 @@ impl Bbr {
         }
     }
 
-    fn update_cwnd(&mut self, ctx: &CcContext, rs: &RateSample) {
+    fn update_cwnd(&mut self, ctx: &CcContext, rs: &RateSample, bdp: u64) {
         // End packet conservation one full round after recovery began.
         if self.packet_conservation
             && self.round_start
@@ -455,12 +494,11 @@ impl Bbr {
             self.cwnd = self.cwnd.max(self.prior_cwnd);
         }
 
-        let bdp = self.bdp_packets(ctx.mss);
         let target = if bdp == 0 {
             // No model yet: keep the initial window.
             self.cfg.initial_cwnd.max(MIN_CWND)
         } else {
-            ceil_to_u64(bdp as f64 * self.cwnd_gain).max(MIN_CWND)
+            self.target_cwnd(bdp)
         };
 
         if self.packet_conservation {
@@ -498,8 +536,9 @@ impl CongestionControl for Bbr {
         self.update_round(ctx, rs);
         self.update_bw(rs);
         self.update_min_rtt(ctx, rs);
-        self.update_state_machine(ctx, rs);
-        self.update_cwnd(ctx, rs);
+        let bdp = self.model_bdp(ctx.mss);
+        self.update_state_machine(ctx, rs, bdp);
+        self.update_cwnd(ctx, rs, bdp);
     }
 
     fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
@@ -549,7 +588,7 @@ impl CongestionControl for Bbr {
     }
 
     fn pacing_rate_bps(&self) -> Option<f64> {
-        let bw = self.bottleneck_bw_bps();
+        let bw = self.bw;
         if bw <= 0.0 {
             // No estimate yet: pace at a high multiple of a nominal 10 Mbps so
             // startup is not artificially limited before the first sample.
@@ -979,6 +1018,392 @@ mod tests {
             events.iter().any(|e| e.contains("RETRANSMITTED")),
             "event log should flag retransmitted-sample rounds"
         );
+    }
+
+    /// BBR v1's constants against the draft / Linux `tcp_bbr.c` values, as
+    /// renet's `rechannel/src/bbr.rs` (SNIPPETS.md) lists them: high gain
+    /// 2/ln 2 ≈ 2.89, an 8-phase gain cycle, a 10-round bandwidth filter, a
+    /// 4-packet minimum pipe and a 10 s / 200 ms ProbeRTT.
+    #[test]
+    fn v1_constants_match_the_specification() {
+        let ln2 = std::f64::consts::LN_2;
+        let floats: [(&str, f64, f64, f64); 3] = [
+            ("HIGH_GAIN", HIGH_GAIN, 2.0 / ln2, 1e-3),
+            ("Drain pacing gain", 1.0 / HIGH_GAIN, ln2 / 2.0, 1e-3),
+            (
+                "ProbeBW cwnd gain",
+                BbrConfig::default().cwnd_gain,
+                2.0,
+                0.0,
+            ),
+        ];
+        for (name, ours, spec, tolerance) in floats {
+            assert!((ours - spec).abs() <= tolerance, "{name}: {ours} vs {spec}");
+        }
+        assert_eq!(CYCLE_GAINS, [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let integers: [(&str, u64, u64); 2] = [
+            ("BW_WINDOW_ROUNDS", BW_WINDOW_ROUNDS, 10),
+            ("MIN_CWND", MIN_CWND, 4),
+        ];
+        for (name, ours, spec) in integers {
+            assert_eq!(ours, spec, "{name}");
+        }
+        let cfg = BbrConfig::default();
+        assert_eq!(cfg.min_rtt_window, SimDuration::from_secs(10));
+        assert_eq!(cfg.probe_rtt_duration, SimDuration::from_millis(200));
+        // The paper's §4.1 mitigation is a flagged deviation from v1, off
+        // by default: stock BBR v1 does not enter ProbeRTT on an RTO.
+        assert!(!cfg.probe_rtt_on_rto, "probe_rtt_on_rto deviates from v1");
+        assert_eq!(Bbr::new(cfg).name(), "bbr");
+    }
+
+    /// BBR without the per-ACK model cache: the windowed max rescans the
+    /// filter on every read and every BDP and cwnd target recomputes its
+    /// `ceil`, as the controller did before the cache. Event logging is
+    /// left out; nothing here reads it.
+    struct Uncached {
+        cfg: BbrConfig,
+        state: BbrState,
+        next_rtt_delivered: u64,
+        round_count: u64,
+        round_start: bool,
+        bw_samples: BwMaxFilter,
+        min_rtt: Option<SimDuration>,
+        min_rtt_stamp: SimTime,
+        full_bw: f64,
+        full_bw_count: u32,
+        filled_pipe: bool,
+        cycle_index: usize,
+        cycle_stamp: SimTime,
+        probe_rtt_done_stamp: Option<SimTime>,
+        cwnd: u64,
+        prior_cwnd: u64,
+        packet_conservation: bool,
+        conservation_ends_round: u64,
+        pacing_gain: f64,
+        cwnd_gain: f64,
+    }
+
+    impl Uncached {
+        fn new(cfg: BbrConfig) -> Self {
+            Uncached {
+                state: BbrState::Startup,
+                next_rtt_delivered: 0,
+                round_count: 0,
+                round_start: false,
+                bw_samples: BwMaxFilter::default(),
+                min_rtt: None,
+                min_rtt_stamp: SimTime::ZERO,
+                full_bw: 0.0,
+                full_bw_count: 0,
+                filled_pipe: false,
+                cycle_index: 2,
+                cycle_stamp: SimTime::ZERO,
+                probe_rtt_done_stamp: None,
+                cwnd: cfg.initial_cwnd.max(MIN_CWND),
+                prior_cwnd: cfg.initial_cwnd.max(MIN_CWND),
+                packet_conservation: false,
+                conservation_ends_round: 0,
+                pacing_gain: HIGH_GAIN,
+                cwnd_gain: HIGH_GAIN,
+                cfg,
+            }
+        }
+
+        fn bw(&self) -> f64 {
+            self.bw_samples.max(self.round_count)
+        }
+
+        fn bdp(&self, mss: u32) -> u64 {
+            let bw = self.bw();
+            let Some(rtt) = self.min_rtt else { return 0 };
+            if bw <= 0.0 {
+                return 0;
+            }
+            ceil_to_u64((bw * rtt.as_secs_f64()) / (mss as f64 * 8.0))
+        }
+
+        fn pacing_rate(&self) -> f64 {
+            let bw = self.bw();
+            if bw <= 0.0 {
+                HIGH_GAIN * 10e6
+            } else {
+                (self.pacing_gain * bw).max(1_000.0)
+            }
+        }
+
+        fn save_cwnd(&mut self, in_recovery: bool) {
+            if !in_recovery && self.state != BbrState::ProbeRtt {
+                self.prior_cwnd = self.cwnd;
+            } else {
+                self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
+            }
+        }
+
+        fn enter_probe_rtt(&mut self, ctx: &CcContext) {
+            if self.state == BbrState::ProbeRtt {
+                return;
+            }
+            self.save_cwnd(ctx.in_recovery);
+            self.state = BbrState::ProbeRtt;
+            self.pacing_gain = 1.0;
+            self.cwnd_gain = 1.0;
+            self.probe_rtt_done_stamp = None;
+        }
+
+        fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
+            // Round counting.
+            if rs.prior_delivered >= self.next_rtt_delivered {
+                self.next_rtt_delivered = ctx.delivered;
+                self.round_count += 1;
+                self.round_start = true;
+            } else {
+                self.round_start = false;
+            }
+            // Bandwidth.
+            if rs.is_valid() && !(rs.is_app_limited && rs.delivery_rate_bps < self.bw()) {
+                self.bw_samples.push(self.round_count, rs.delivery_rate_bps);
+            }
+            // Min RTT.
+            let expired = ctx.now.saturating_since(self.min_rtt_stamp) > self.cfg.min_rtt_window;
+            if let Some(rtt) = rs.rtt {
+                if self.min_rtt.map(|m| rtt <= m).unwrap_or(true) || expired {
+                    self.min_rtt = Some(rtt);
+                    self.min_rtt_stamp = ctx.now;
+                }
+            }
+            if expired && self.state != BbrState::ProbeRtt {
+                self.enter_probe_rtt(ctx);
+            }
+            // State machine.
+            match self.state {
+                BbrState::Startup => {
+                    if !self.filled_pipe && self.round_start && !rs.is_app_limited {
+                        let bw = self.bw();
+                        if bw >= self.full_bw * 1.25 {
+                            self.full_bw = bw;
+                            self.full_bw_count = 0;
+                        } else {
+                            self.full_bw_count += 1;
+                            self.filled_pipe |= self.full_bw_count >= 3;
+                        }
+                    }
+                    if self.filled_pipe {
+                        self.state = BbrState::Drain;
+                        self.pacing_gain = 1.0 / HIGH_GAIN;
+                        self.cwnd_gain = HIGH_GAIN;
+                    }
+                }
+                BbrState::Drain => {
+                    if ctx.in_flight <= self.bdp(ctx.mss).max(1) {
+                        self.state = BbrState::ProbeBw;
+                        self.cycle_index = 2;
+                        self.cycle_stamp = ctx.now;
+                        self.pacing_gain = CYCLE_GAINS[self.cycle_index];
+                        self.cwnd_gain = self.cfg.cwnd_gain;
+                    }
+                }
+                BbrState::ProbeBw => {
+                    let min_rtt = self.min_rtt.unwrap_or(SimDuration::from_millis(10));
+                    let elapsed = ctx.now.saturating_since(self.cycle_stamp);
+                    let draining = CYCLE_GAINS[self.cycle_index] == 0.75;
+                    if elapsed > min_rtt || (draining && ctx.in_flight <= self.bdp(ctx.mss).max(1))
+                    {
+                        self.cycle_index = (self.cycle_index + 1) % CYCLE_GAINS.len();
+                        self.cycle_stamp = ctx.now;
+                        self.pacing_gain = CYCLE_GAINS[self.cycle_index];
+                    }
+                }
+                BbrState::ProbeRtt => match self.probe_rtt_done_stamp {
+                    None if ctx.in_flight <= MIN_CWND => {
+                        self.probe_rtt_done_stamp = Some(ctx.now + self.cfg.probe_rtt_duration);
+                    }
+                    Some(done) if ctx.now >= done => {
+                        self.min_rtt_stamp = ctx.now;
+                        self.state = if self.filled_pipe {
+                            self.cycle_index = 2;
+                            self.cycle_stamp = ctx.now;
+                            BbrState::ProbeBw
+                        } else {
+                            BbrState::Startup
+                        };
+                        self.cwnd = self.cwnd.max(self.prior_cwnd);
+                    }
+                    _ => {}
+                },
+            }
+            if self.state == BbrState::Startup {
+                self.pacing_gain = HIGH_GAIN;
+                self.cwnd_gain = HIGH_GAIN;
+            } else if self.state == BbrState::ProbeBw {
+                self.pacing_gain = CYCLE_GAINS[self.cycle_index];
+                self.cwnd_gain = self.cfg.cwnd_gain;
+            }
+            // Window.
+            if self.packet_conservation
+                && self.round_start
+                && self.round_count >= self.conservation_ends_round
+            {
+                self.packet_conservation = false;
+                self.cwnd = self.cwnd.max(self.prior_cwnd);
+            }
+            if !ctx.in_recovery && self.packet_conservation {
+                self.packet_conservation = false;
+                self.cwnd = self.cwnd.max(self.prior_cwnd);
+            }
+            let bdp = self.bdp(ctx.mss);
+            let target = if bdp == 0 {
+                self.cfg.initial_cwnd.max(MIN_CWND)
+            } else {
+                ceil_to_u64(bdp as f64 * self.cwnd_gain).max(MIN_CWND)
+            };
+            if self.packet_conservation {
+                self.cwnd = (ctx.in_flight + rs.newly_acked).max(MIN_CWND);
+            } else if self.filled_pipe {
+                self.cwnd = (self.cwnd + rs.newly_acked).min(target);
+            } else if self.cwnd < target || ctx.delivered < self.cfg.initial_cwnd {
+                self.cwnd += rs.newly_acked;
+            }
+            if self.state == BbrState::ProbeRtt {
+                self.cwnd = self.cwnd.min(MIN_CWND);
+            }
+            self.cwnd = self.cwnd.clamp(MIN_CWND, self.cfg.max_cwnd);
+        }
+
+        fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
+            match signal {
+                CongestionSignal::FastRetransmitLoss { new_episode, .. } => {
+                    if new_episode {
+                        self.save_cwnd(false);
+                        self.packet_conservation = true;
+                        self.conservation_ends_round = self.round_count + 1;
+                        self.cwnd = (ctx.in_flight + 1).max(MIN_CWND);
+                    }
+                }
+                CongestionSignal::Rto if self.cfg.probe_rtt_on_rto => {
+                    self.enter_probe_rtt(ctx);
+                    self.cwnd = MIN_CWND;
+                }
+                CongestionSignal::Rto => self.save_cwnd(ctx.in_recovery),
+            }
+        }
+
+        fn on_exit_recovery(&mut self) {
+            self.packet_conservation = false;
+            self.cwnd = self.cwnd.max(self.prior_cwnd);
+        }
+    }
+
+    /// Cases for the cached-model sweep: `CCFUZZ_PROPTEST_CASES` when set
+    /// (the CI property job raises it to 1000), else `default`.
+    fn cases(default: u64) -> u64 {
+        std::env::var("CCFUZZ_PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    #[test]
+    fn cached_model_equals_the_uncached_reference_on_random_streams() {
+        use ccfuzz_netsim::rng::SimRng;
+        // 8 × 2000 calls by default: ≥ 10k per run.
+        const CALLS: u64 = 2_000;
+        let mut states_seen = std::collections::BTreeSet::new();
+        for case in 0..cases(8) {
+            let mut rng = SimRng::new(0xBB0 + case);
+            let cfg = BbrConfig {
+                probe_rtt_on_rto: case % 2 == 1,
+                // Short windows make min-RTT expiry (and ProbeRTT) frequent.
+                min_rtt_window: SimDuration::from_millis([500, 2_000, 10_000][case as usize % 3]),
+                ..BbrConfig::default()
+            };
+            let mut bbr = Bbr::new(cfg);
+            let mut reference = Uncached::new(cfg);
+            let (mut now, mut delivered) = (0u64, 0u64);
+            let base_rate = rng.gen_range_f64(0.5e6, 50e6);
+            for call in 0..CALLS {
+                now += match rng.gen_range_u64(0, 100) {
+                    0 => rng.gen_range_u64(1_000, 12_000), // an idle stretch
+                    _ => rng.gen_range_u64(0, 60),
+                } * 1_000_000;
+                let newly_acked = rng.gen_range_u64(0, 30);
+                delivered += newly_acked;
+                let ctx = CcContext {
+                    now: SimTime::from_nanos(now),
+                    mss: if rng.gen_range_u64(0, 50) == 0 {
+                        536
+                    } else {
+                        1448
+                    },
+                    in_flight: rng.gen_range_u64(0, 120),
+                    delivered,
+                    lost: 0,
+                    srtt: None,
+                    last_rtt: None,
+                    min_rtt: None,
+                    in_recovery: rng.gen_range_u64(0, 4) == 0,
+                };
+                match rng.gen_range_u64(0, 40) {
+                    0 => {
+                        let signal = CongestionSignal::FastRetransmitLoss {
+                            newly_lost: 1,
+                            new_episode: rng.gen_range_u64(0, 2) == 0,
+                        };
+                        bbr.on_congestion(&ctx, signal);
+                        reference.on_congestion(&ctx, signal);
+                    }
+                    1 => {
+                        bbr.on_congestion(&ctx, CongestionSignal::Rto);
+                        reference.on_congestion(&ctx, CongestionSignal::Rto);
+                    }
+                    2 => {
+                        bbr.on_exit_recovery(&ctx);
+                        reference.on_exit_recovery();
+                    }
+                    _ => {
+                        // Mostly rounds that follow `delivered`; sometimes a
+                        // restamped (spurious-retransmission) sample.
+                        let prior = delivered.saturating_sub(rng.gen_range_u64(0, 80));
+                        let rate = base_rate * rng.gen_range_f64(0.02, 2.0);
+                        let rs = RateSample {
+                            prior_delivered: prior,
+                            delivery_rate_bps: rate,
+                            // A zero interval makes the sample invalid.
+                            interval: SimDuration::from_millis(rng.gen_range_u64(0, 20)),
+                            delivered_in_interval: delivered - prior,
+                            rtt: (rng.gen_range_u64(0, 10) != 0).then(|| {
+                                SimDuration::from_micros(rng.gen_range_u64(5_000, 200_000))
+                            }),
+                            is_retransmitted_sample: rng.gen_range_u64(0, 8) == 0,
+                            is_app_limited: rng.gen_range_u64(0, 6) == 0,
+                            ..sample(prior, delivered, rate, 40, newly_acked)
+                        };
+                        bbr.on_ack(&ctx, &rs);
+                        reference.on_ack(&ctx, &rs);
+                    }
+                }
+                let at = format!("case {case}, call {call}");
+                assert_eq!(
+                    bbr.bottleneck_bw_bps().to_bits(),
+                    reference.bw().to_bits(),
+                    "{at}"
+                );
+                assert_eq!(bbr.bdp_packets(1448), reference.bdp(1448), "{at}");
+                assert_eq!(bbr.bdp_packets(ctx.mss), reference.bdp(ctx.mss), "{at}");
+                assert_eq!(
+                    bbr.pacing_rate_bps().map(f64::to_bits),
+                    Some(reference.pacing_rate().to_bits()),
+                    "{at}"
+                );
+                assert_eq!(bbr.cwnd(), reference.cwnd.max(MIN_CWND), "{at}");
+                assert_eq!(bbr.state(), reference.state, "{at}");
+                assert_eq!(bbr.round_count(), reference.round_count, "{at}");
+                assert_eq!(bbr.min_rtt(), reference.min_rtt, "{at}");
+                states_seen.insert(format!("{:?}", bbr.state()));
+            }
+        }
+        // The streams reached every phase the cache has to survive.
+        assert_eq!(states_seen.len(), 4, "{states_seen:?}");
     }
 
     #[test]

@@ -372,25 +372,27 @@ pub struct Fuzzer<'a, G: Genome, E: Evaluator<G>> {
 }
 
 impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
-    /// Creates a fuzzer with an initial population drawn from `init`.
-    pub fn new(params: GaParams, evaluator: &'a E, mut init: impl FnMut(&mut SimRng) -> G) -> Self {
+    /// Creates a fuzzer with an initial population drawn from `init`. Each
+    /// island draws from its own fork of the master RNG, so the islands are
+    /// built in parallel on the evaluation pool and the population is the
+    /// same at any thread count.
+    pub fn new(params: GaParams, evaluator: &'a E, init: impl Fn(&mut SimRng) -> G + Sync) -> Self {
         assert!(
             params.validate().is_ok(),
             "invalid GaParams: {:?}",
             params.validate()
         );
         let mut rng = SimRng::new(params.seed);
-        let islands = (0..params.islands)
-            .map(|island| {
-                let mut island_rng = rng.fork(island as u64 + 1);
-                (0..params.population_per_island)
-                    .map(|_| Individual {
-                        genome: init(&mut island_rng),
-                        outcome: None,
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut workers = vec![(); params.threads.clamp(1, params.islands)];
+        let islands = steal_map(&mut workers, params.islands, |_, island| {
+            let mut island_rng = rng.fork(island as u64 + 1);
+            (0..params.population_per_island)
+                .map(|_| Individual {
+                    genome: init(&mut island_rng),
+                    outcome: None,
+                })
+                .collect()
+        });
         // The annealing hook gets its own RNG stream, seeded from the master
         // stream. This draw also fixes the master RNG's post-construction
         // state, which every later per-island fork derives from — it must
@@ -913,6 +915,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 mod tests {
     use super::*;
     use crate::genome::Genome;
+    use std::sync::atomic::AtomicUsize;
 
     /// A toy genome (a vector of numbers) and evaluator (score = sum) that
     /// exercise the GA machinery without running network simulations.
@@ -1523,10 +1526,9 @@ mod tests {
                     .map(|_| AtomicU64::new(0))
                     .collect(),
             );
-            let mut drawn = 0usize;
+            let drawn = AtomicUsize::new(0);
             let mut fuzzer = Fuzzer::new(params, &evaluator, |_rng| {
-                drawn += 1;
-                Numbered(drawn - 1)
+                Numbered(drawn.fetch_add(1, Ordering::Relaxed))
             });
             let result = fuzzer.run();
             assert_eq!(result.total_evaluations, params.total_population());
@@ -1755,11 +1757,11 @@ mod tests {
         let mut params = quick_params();
         params.generations = 8;
         params.migration_interval = 2;
-        let mut counter = 0usize;
-        let mut fuzzer = Fuzzer::new(params, &evaluator, move |rng| {
-            counter += 1;
-            if counter == 1 {
-                ToyGenome(vec![100.0; 5]) // super-fit individual in island 0
+        // Whichever island draws first gets the super-fit individual.
+        let drawn = AtomicUsize::new(0);
+        let mut fuzzer = Fuzzer::new(params, &evaluator, |rng| {
+            if drawn.fetch_add(1, Ordering::Relaxed) == 0 {
+                ToyGenome(vec![100.0; 5])
             } else {
                 ToyGenome((0..5).map(|_| rng.gen_range_f64(0.0, 1.0)).collect())
             }

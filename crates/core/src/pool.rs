@@ -1,6 +1,7 @@
 //! The evaluation pool: one work-stealing parallel loop for every caller
-//! that fans simulations out over worker threads — a campaign's evaluate
-//! and evolve passes, and the minimizer's speculative candidate scans.
+//! that fans work out over worker threads — a campaign's initial
+//! population, its evaluate and evolve passes, and the minimizer's
+//! speculative candidate scans.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

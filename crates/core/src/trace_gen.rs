@@ -90,16 +90,18 @@ fn dist_packets_rec(
         return;
     }
 
-    let rate = num as f64 / span as f64;
+    // Below the aggregation threshold the constraints are not enforced, and
+    // the parent rate they compare against is never needed.
+    let rate = (span >= params.k_agg.as_nanos() && params.enforce_rate_bounds)
+        .then(|| num as f64 / span as f64);
     let mut attempts = 0u32;
     let (tsplit, numleft) = loop {
         let tsplit = rng.gen_range_u64(start_ns + 1, end_ns);
         let numleft = rng.gen_range_usize(0, num + 1);
         attempts += 1;
-        // Below the aggregation threshold the constraints are not enforced.
-        if span < params.k_agg.as_nanos() || !params.enforce_rate_bounds {
+        let Some(rate) = rate else {
             break (tsplit, numleft);
-        }
+        };
         if attempts > params.max_attempts {
             // Relax the constraint rather than looping forever; split evenly.
             break (start_ns + span / 2, num / 2);

@@ -6,7 +6,9 @@
 //! after three generations, serialized exactly as a checkpoint would be, has
 //! to be byte-identical for 1, 2, 3 and 8 threads. `GaParams::threads` is
 //! the one field of that state that names the thread count, so it is
-//! blanked before comparing.
+//! blanked before comparing. The initial population, which `Fuzzer::new`
+//! builds island by island on the same pool, is held to the same standard
+//! on its own.
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
@@ -46,11 +48,38 @@ impl ModeVisitor for FinalState {
     }
 }
 
+/// Builds the campaign's fuzzer and returns its snapshot as JSON before
+/// anything is evaluated: the initial population alone.
+struct InitialState(Campaign);
+
+impl ModeVisitor for InitialState {
+    type Out = String;
+
+    fn visit<G: ModeGenome>(self) -> String {
+        let evaluator = self.0.evaluator();
+        let fuzzer = self
+            .0
+            .build_fuzzer::<G>(&evaluator, None, None)
+            .expect("fuzzer builds");
+        let mut snapshot = fuzzer.snapshot();
+        assert_eq!(snapshot.evaluations, 0);
+        snapshot.params.threads = 0;
+        serde_json::to_string(&G::wrap_snapshot(snapshot)).expect("snapshot serializes")
+    }
+}
+
 fn assert_thread_invariant(campaign: Campaign) {
+    assert_state_thread_invariant(campaign, FinalState);
+}
+
+fn assert_state_thread_invariant<V: ModeVisitor<Out = String>>(
+    campaign: Campaign,
+    state_of: fn(Campaign) -> V,
+) {
     let state = |threads: usize| {
         let mut campaign = campaign.clone();
         campaign.ga.threads = threads;
-        dispatch(campaign.mode, FinalState(campaign))
+        dispatch(campaign.mode, state_of(campaign))
     };
     let single = state(1);
     for threads in [2, 3, 8] {
@@ -134,4 +163,28 @@ fn workload_campaign_is_thread_invariant() {
         SIM,
         small_ga(17, false),
     ));
+}
+
+#[test]
+fn initial_population_is_thread_invariant() {
+    // More islands than workers at every thread count but 8, so islands are
+    // stolen; the population must not depend on who drew which.
+    let ga = GaParams {
+        islands: 9,
+        population_per_island: 5,
+        ..small_ga(19, false)
+    };
+    for campaign in [
+        Campaign::paper_standard(FuzzMode::Link, CcaKind::Bbr, SIM, ga),
+        Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, SIM, ga),
+        Campaign::paper_workload(
+            CcaKind::Reno,
+            vec![CcaKind::Reno, CcaKind::Cubic],
+            2,
+            SIM,
+            ga,
+        ),
+    ] {
+        assert_state_thread_invariant(campaign, InitialState);
+    }
 }

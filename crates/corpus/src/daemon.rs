@@ -423,9 +423,13 @@ fn spawn_fleet(
         }
     }
 
+    // The loop above exits only once every slot holds a stream.
+    let Some(streams) = slots.into_iter().collect::<Option<Vec<TcpStream>>>() else {
+        kill_all(&mut children);
+        return Err("fleet handshake ended with a worker slot unfilled".into());
+    };
     let mut links = Vec::with_capacity(n);
-    for (worker, (child, stream)) in children.into_iter().zip(slots).enumerate() {
-        let stream = stream.expect("every slot was filled");
+    for (worker, (child, stream)) in children.into_iter().zip(streams).enumerate() {
         let (island_start, island_end) = ranges[worker];
         let assign = Assign {
             config: config.clone(),

@@ -3,6 +3,26 @@
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
+/// Durations below this many nanoseconds take the integer EWMA path of
+/// [`scaled`]: `k·x` then stays below 2^53 for every `k ≤ 7`.
+const EXACT_EWMA_BELOW_NS: u64 = 1 << 50;
+
+/// `x.mul_f64(k / d)` for `d` a power of two, bit for bit. Below 2^50 ns,
+/// `x as f64 · (k/d)` is exact in f64 — `k·x` fits the 53-bit mantissa and
+/// dividing by a power of two only shifts the exponent — so its
+/// round-half-up is the integer `(k·x + d/2) / d`. Above, the float path
+/// stays (an RTT of 13 days is never simulated, but stays defined).
+#[inline]
+fn scaled(x: SimDuration, k: u64, d: u64) -> SimDuration {
+    debug_assert!(d.is_power_of_two() && k <= 7);
+    let ns = x.as_nanos();
+    if ns < EXACT_EWMA_BELOW_NS {
+        SimDuration::from_nanos((k * ns + d / 2) / d)
+    } else {
+        x.mul_f64(k as f64 / d as f64)
+    }
+}
+
 /// RFC 6298 smoothed-RTT estimator with configurable RTO clamps.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RttEstimator {
@@ -47,8 +67,8 @@ impl RttEstimator {
                 // RFC 6298: rttvar = 3/4 rttvar + 1/4 |srtt - rtt|
                 //           srtt   = 7/8 srtt + 1/8 rtt
                 let diff = if srtt > rtt { srtt - rtt } else { rtt - srtt };
-                self.rttvar = self.rttvar.mul_f64(0.75) + diff.mul_f64(0.25);
-                self.srtt = Some(srtt.mul_f64(7.0 / 8.0) + rtt.mul_f64(1.0 / 8.0));
+                self.rttvar = scaled(self.rttvar, 3, 4) + scaled(diff, 1, 4);
+                self.srtt = Some(scaled(srtt, 7, 8) + scaled(rtt, 1, 8));
             }
         }
     }
@@ -184,5 +204,73 @@ mod tests {
             "capped at max_rto"
         );
         assert_eq!(e.rto_backed_off(63), SimDuration::from_secs(60));
+    }
+
+    /// The four RFC 6298 weights as the float expressions `scaled` replaces.
+    const WEIGHTS: [(u64, u64, f64); 4] = [
+        (3, 4, 0.75),
+        (1, 4, 0.25),
+        (7, 8, 7.0 / 8.0),
+        (1, 8, 1.0 / 8.0),
+    ];
+
+    #[test]
+    fn integer_ewma_equals_the_float_expressions() {
+        let edge = [
+            0,
+            1,
+            2,
+            3,
+            5,
+            7,
+            999,
+            40_000_001,
+            (1 << 50) - 1,
+            1 << 50,
+            (1 << 50) + 1,
+            (1 << 53) + 3,
+            u64::MAX / 8,
+            u64::MAX,
+        ];
+        let mut rng = crate::rng::SimRng::new(6298);
+        let random = (0..200_000).map(|i| {
+            // Uniform over a random bit width, so every magnitude is hit.
+            let bits = (i % 64) as u32 + 1;
+            rng.next_u64() >> (64 - bits)
+        });
+        for ns in edge.into_iter().chain(random) {
+            let x = SimDuration::from_nanos(ns);
+            for (k, d, f) in WEIGHTS {
+                assert_eq!(scaled(x, k, d), x.mul_f64(f), "{ns} ns × {k}/{d}");
+            }
+        }
+    }
+
+    #[test]
+    fn estimator_matches_a_float_reference_on_a_random_stream() {
+        // The RFC 6298 update exactly as it was written with `mul_f64`.
+        let mut reference: Option<(SimDuration, SimDuration)> = None;
+        let mut e = estimator();
+        let mut rng = crate::rng::SimRng::new(40);
+        for i in 0..50_000u64 {
+            let rtt = SimDuration::from_nanos(match i % 5 {
+                0 => rng.gen_range_u64(1, 1_000),
+                4 if i % 1_000 == 4 => rng.gen_range_u64(1 << 49, 1 << 51),
+                _ => rng.gen_range_u64(1_000_000, 2_000_000_000),
+            });
+            reference = Some(match reference {
+                None => (rtt, rtt.div(2)),
+                Some((srtt, rttvar)) => {
+                    let diff = if srtt > rtt { srtt - rtt } else { rtt - srtt };
+                    (
+                        srtt.mul_f64(7.0 / 8.0) + rtt.mul_f64(1.0 / 8.0),
+                        rttvar.mul_f64(0.75) + diff.mul_f64(0.25),
+                    )
+                }
+            });
+            e.on_sample(rtt);
+            let (srtt, rttvar) = reference.unwrap();
+            assert_eq!((e.srtt(), e.rttvar()), (Some(srtt), rttvar), "sample {i}");
+        }
     }
 }

@@ -193,6 +193,10 @@ pub struct TcpSender<C: CongestionControl> {
 
     // --- Pacing ---
     earliest_next_send: SimTime,
+    /// The last pacing rate's bits and the inter-packet gap it gives; the
+    /// gap's float→integer rounding runs only when the rate changes.
+    pace_rate_bits: u64,
+    pace_gap: SimDuration,
 
     // --- Flow lifecycle ---
     started: bool,
@@ -247,6 +251,9 @@ impl<C: CongestionControl> TcpSender<C> {
             recovery_high: 0,
             dup_acks: 0,
             earliest_next_send: SimTime::ZERO,
+            // A zero rate never paces, so this key matches no real rate.
+            pace_rate_bits: 0.0f64.to_bits(),
+            pace_gap: SimDuration::ZERO,
             started: false,
             log: Vec::new(),
             transmissions: 0,
@@ -497,9 +504,13 @@ impl<C: CongestionControl> TcpSender<C> {
         // Pacing: space the next transmission according to the CCA's rate.
         if let Some(rate_bps) = self.cc.pacing_rate_bps() {
             if rate_bps > 0.0 {
-                let gap = SimDuration::from_secs_f64(self.cfg.mss as f64 * 8.0 / rate_bps);
+                if rate_bps.to_bits() != self.pace_rate_bits {
+                    self.pace_rate_bits = rate_bps.to_bits();
+                    self.pace_gap =
+                        SimDuration::from_secs_f64(self.cfg.mss as f64 * 8.0 / rate_bps);
+                }
                 let base = self.earliest_next_send.max(now);
-                self.earliest_next_send = base + gap;
+                self.earliest_next_send = base + self.pace_gap;
             }
         }
 
@@ -1286,6 +1297,54 @@ mod tests {
             s.poll_send(SimTime::from_millis(10)),
             SendPoll::Packet(_)
         ));
+    }
+
+    #[test]
+    fn memoized_pacing_gap_follows_every_rate_change() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        /// Paces at whatever rate the test last stored.
+        #[derive(Debug)]
+        struct SteeredCc(Arc<AtomicU64>);
+        impl CongestionControl for SteeredCc {
+            fn name(&self) -> &'static str {
+                "steered"
+            }
+            fn on_ack(&mut self, _: &CcContext, _: &RateSample) {}
+            fn on_congestion(&mut self, _: &CcContext, _: CongestionSignal) {}
+            fn cwnd(&self) -> u64 {
+                u64::MAX / 2
+            }
+            fn pacing_rate_bps(&self) -> Option<f64> {
+                Some(f64::from_bits(self.0.load(Ordering::Relaxed)))
+            }
+        }
+        let rate = Arc::new(AtomicU64::new(0));
+        let cfg = SenderConfig::paper_default();
+        let mut s = TcpSender::new(cfg, SteeredCc(Arc::clone(&rate)));
+        s.on_flow_start(SimTime::ZERO);
+        // Repeats, alternations, a zero rate (never paces) and random rates.
+        let fixed = [12e6, 12e6, 0.7e6, 12e6, 0.0, 12e6, 33.3e6, 1_000.0, 1_000.0];
+        let mut rng = crate::rng::SimRng::new(500);
+        let mut now = SimTime::ZERO;
+        let mut expected = SimTime::ZERO;
+        for i in 0..4_000 {
+            let r = if i % 2 == 0 {
+                fixed[(i / 2) % fixed.len()]
+            } else {
+                rng.gen_range_f64(1e3, 1e9)
+            };
+            rate.store(r.to_bits(), Ordering::Relaxed);
+            assert!(matches!(s.poll_send(now), SendPoll::Packet(_)), "send {i}");
+            if r > 0.0 {
+                // The gap as computed before it was memoized.
+                let gap = SimDuration::from_secs_f64(cfg.mss as f64 * 8.0 / r);
+                expected = expected.max(now) + gap;
+            }
+            assert_eq!(s.earliest_next_send, expected, "send {i} at {r} bps");
+            // Sometimes send late, so the `max(now)` base is exercised too.
+            now = expected + SimDuration::from_nanos(rng.gen_range_u64(0, 3) * 1_000);
+        }
     }
 
     #[test]
