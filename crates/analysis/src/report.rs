@@ -3,8 +3,9 @@
 //! Figure 4c of the paper is a hand-drawn timeline of how the BBR stall is
 //! triggered: an RTO, spurious retransmissions of packets whose SACKs are in
 //! flight, SACKs arriving right after, and premature probe-round ends. This
-//! module extracts exactly that window of events from a run's transport log
-//! so the `fig4c` binary (and debugging sessions) can print it.
+//! module extracts exactly that window of events from a run's transport log,
+//! and defines each §4 finding's signature once, as a [`Verdict`] over a run,
+//! for the findings tests and the `paper` table alike.
 
 use ccfuzz_netsim::stats::{RunStats, TransportEvent, TransportRecord};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
@@ -83,7 +84,79 @@ pub fn retransmission_triggered_rounds(stats: &RunStats) -> usize {
         .count()
 }
 
-/// One-line summary of a run, used by example binaries.
+/// What a finding's predicate read from a run, and whether it held.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Verdict {
+    /// Whether the expected shape holds.
+    pub holds: bool,
+    /// The numbers the predicate read, with the bounds it compared them to.
+    pub numbers: String,
+}
+
+/// The §4.1 signature: BBR's probe-round clocking broken after an RTO. At
+/// least one RTO, at least 10 spurious retransmissions (SACKed within
+/// 100 ms), and at least 10 probe rounds ended by retransmitted samples —
+/// enough to expire every estimate in BBR's 10-round bandwidth max-filter.
+pub fn bbr_spurious_stall(stats: &RunStats) -> Verdict {
+    let rtos = stats.flow().rto_count;
+    let spurious = spurious_retransmissions(stats, SimDuration::from_millis(100));
+    let broken = retransmission_triggered_rounds(stats);
+    Verdict {
+        holds: rtos >= 1 && spurious >= 10 && broken >= 10,
+        numbers: format!(
+            "{rtos} RTOs (need >= 1), {spurious} spurious retransmissions (need >= 10), \
+             {broken} probe rounds ended by retransmitted samples (need >= 10)"
+        ),
+    }
+}
+
+/// The §4.2 signature of the ns-3 CUBIC slow-start bug on one trace: the
+/// buggy CUBIC (`buggy`) hits an RTO and then drops at least 200 more of its
+/// own packets at the queue than the capped CUBIC (`fixed`) — the burst of
+/// about one RTO's worth of data after the cumulative ACK jumps.
+pub fn cubic_self_inflicted_losses(buggy: &RunStats, fixed: &RunStats) -> Verdict {
+    let (rtos, drops) = (buggy.flow().rto_count, buggy.flow().queue_drops);
+    let fixed_drops = fixed.flow().queue_drops;
+    Verdict {
+        holds: rtos >= 1 && drops >= fixed_drops + 200,
+        numbers: format!(
+            "buggy CUBIC: {rtos} RTOs (need >= 1), {drops} queue drops; \
+             fixed CUBIC: {fixed_drops} queue drops (need buggy >= fixed + 200)"
+        ),
+    }
+}
+
+/// The §4.3 signature of the low-rate attack on Reno over `duration`: at
+/// least two RTOs fired, retransmissions, and goodput (of `mss`-byte
+/// packets) collapsed below 8 Mbps, well under the 12 Mbps link.
+pub fn reno_repeated_rto(stats: &RunStats, mss: u32, duration: SimDuration) -> Verdict {
+    let flow = stats.flow();
+    let backoffs: Vec<u32> = stats
+        .transport
+        .iter()
+        .filter_map(|r| match r.event {
+            TransportEvent::RtoFired { backoff } => Some(backoff),
+            _ => None,
+        })
+        .collect();
+    let goodput = flow.delivered_packets as f64 * mss as f64 * 8.0 / duration.as_secs_f64();
+    Verdict {
+        holds: flow.rto_count >= 2
+            && backoffs.len() >= 2
+            && flow.retransmissions > 0
+            && goodput < 8e6,
+        numbers: format!(
+            "{} RTOs (need >= 2), max backoff exponent {}, {} retransmissions (need > 0), \
+             goodput {:.2} Mbps (need < 8)",
+            flow.rto_count,
+            backoffs.iter().max().copied().unwrap_or(0),
+            flow.retransmissions,
+            goodput / 1e6
+        ),
+    }
+}
+
+/// One-line summary of a run: goodput, deliveries, losses and RTOs.
 pub fn one_line_summary(stats: &RunStats, duration_secs: f64, mss: u32) -> String {
     let goodput =
         stats.flow().delivered_packets as f64 * mss as f64 * 8.0 / duration_secs.max(1e-9);

@@ -1,15 +1,15 @@
 //! Criterion benchmarks for the per-figure building blocks that are cheap
 //! enough to benchmark directly: the Figure 3 trace-generation sweep, the
-//! Figure 4c hand-crafted adversarial replay against both BBR variants, and
+//! Figure 4c crafted §4.1 trace replayed against both BBR variants, and
 //! the Figure 5 realism scoring of one trace.
 //!
-//! (The GA-driven figures 4a/4b/4d/4e are regenerated by the `fig4*`
-//! binaries; benchmarking whole campaigns is not meaningful.)
+//! (The GA-driven rows of the `paper` table are whole campaigns;
+//! benchmarking them is not meaningful.)
 
 use ccfuzz_cca::CcaKind;
-use ccfuzz_core::campaign::{paper_sim_base, PAPER_LINK_RATE_BPS};
+use ccfuzz_core::campaign::{bbr_stall_trace, paper_sim_base, PAPER_LINK_RATE_BPS};
 use ccfuzz_core::evaluate::EvalScratch;
-use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
+use ccfuzz_core::genome::LinkGenome;
 use ccfuzz_core::mode::RunOpts;
 use ccfuzz_core::realism::RealismScorer;
 use ccfuzz_core::scoring::ScoringConfig;
@@ -43,19 +43,8 @@ fn fig3_trace_sweep(c: &mut Criterion) {
 }
 
 fn fig4c_adversarial_replay(c: &mut Criterion) {
-    let duration = SimDuration::from_secs(5);
-    let mut timestamps = Vec::new();
-    for (start_ms, count) in [(1_000u64, 140u64), (1_090, 140), (2_020, 130)] {
-        for i in 0..count {
-            timestamps.push(SimTime::from_micros(start_ms * 1_000 + i * 50));
-        }
-    }
-    let genome = TrafficGenome {
-        max_packets: timestamps.len() * 2,
-        timestamps,
-        duration,
-    };
-    let base = paper_sim_base(duration);
+    let genome = bbr_stall_trace();
+    let base = paper_sim_base(genome.duration);
     let scoring = ScoringConfig::low_throughput_default(PAPER_LINK_RATE_BPS as f64);
 
     let mut group = c.benchmark_group("fig4c_replay");

@@ -42,7 +42,7 @@ pub use vegas::{Vegas, VegasConfig};
 use serde::{Deserialize, Serialize};
 
 /// Identifies a congestion control algorithm variant; the factory used by
-/// fuzzer configurations and the figure binaries.
+/// fuzzer configurations and the `paper` table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CcaKind {
     /// TCP Reno / NewReno.

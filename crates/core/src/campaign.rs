@@ -3,9 +3,10 @@
 //! A *campaign* bundles the network scenario (§3.1/§4: 12 Mbps bottleneck,
 //! 20 ms propagation delay, SACK + delayed ACKs, 1 s min-RTO), a CCA under
 //! test, a scoring configuration and the GA parameters, and runs any of the
-//! fuzzing modes end to end through [`Campaign::run`]. The figure binaries,
-//! the examples and the integration tests all go through this module so the
-//! experiment definitions live in exactly one place.
+//! fuzzing modes end to end through [`Campaign::run`]. The `paper` table,
+//! the examples and the integration tests all go through this module, and
+//! replay the crafted §4 traces defined here, so the experiment definitions
+//! live in exactly one place.
 
 use crate::checkpoint::ControlledRun;
 use crate::evaluate::SimEvaluator;
@@ -386,6 +387,59 @@ pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
     cfg.delayed_ack = true;
     cfg.flow_start = SimTime::ZERO;
     cfg
+}
+
+/// Cross traffic of sustained pulses at twice the paper's link rate (one
+/// packet every 500 µs, against the ~1 ms the 12 Mbps link needs per
+/// packet), one per `[start_ms, end_ms)` window, keeping the drop-tail queue
+/// pinned full while each pulse lasts. The budget is twice the pulses' size.
+fn pulses(duration: SimDuration, windows_ms: &[(u64, u64)]) -> TrafficGenome {
+    let timestamps: Vec<SimTime> = windows_ms
+        .iter()
+        .flat_map(|&(start, end)| (start * 1_000..end * 1_000).step_by(500))
+        .map(SimTime::from_micros)
+        .collect();
+    TrafficGenome {
+        max_packets: timestamps.len() * 2,
+        timestamps,
+        duration,
+    }
+}
+
+/// The §4.1 (Figure 4c) trace that breaks BBR's probe-round clocking, 5 s.
+/// Pulse 1 (1.00–1.25 s) keeps the queue full for ~350 ms, so a window of
+/// BBR packets is dropped *and* the fast retransmission of the first hole,
+/// leaving it to the RTO (armed at the last cumulative-ACK advance, ~1.1 s,
+/// plus the 1 s min-RTO). Pulse 2 (2.00–2.30 s) pins the queue full around
+/// that RTO, so the packets BBR sent just before it are still queued when it
+/// fires: BBR retransmits them spuriously and their SACKs arrive right after,
+/// each ending a probe round on a retransmitted sample.
+pub fn bbr_stall_trace() -> TrafficGenome {
+    pulses(SimDuration::from_secs(5), &[(1_000, 1_250), (2_000, 2_300)])
+}
+
+/// The §4.2 trace for the ns-3 CUBIC slow-start bug, 5 s: one 400 ms pulse
+/// long enough that a lost packet's fast retransmission is lost too, forcing
+/// an RTO; the retransmission after it fills a large hole and the cumulative
+/// ACK jumps by hundreds of packets.
+pub fn cubic_pulse_trace() -> TrafficGenome {
+    pulses(SimDuration::from_secs(5), &[(1_000, 1_400)])
+}
+
+/// The §4.3 low-rate attack (Kuzmanovic & Knightly, SIGCOMM 2003), 6 s: a
+/// 300 ms pulse roughly every second, aligned with the 1 s min-RTO, that
+/// loses both the original packets and their fast retransmissions and so
+/// forces Reno into RTO over and over.
+pub fn lowrate_pulse_trace() -> TrafficGenome {
+    pulses(
+        SimDuration::from_secs(6),
+        &[
+            (1_000, 1_300),
+            (2_100, 2_400),
+            (3_200, 3_500),
+            (4_300, 4_600),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunOpts {
     /// Keep the per-packet bottleneck/transport event logs in the result's
-    /// `RunStats` (figure binaries and analyses read them).
+    /// `RunStats` (the `paper` table and analyses read them).
     pub record_events: bool,
     /// Install the structured trace recorder and return its `SimTrace`. The
     /// recorder is a passive observer: the run digests identically.

@@ -217,7 +217,7 @@ impl TopologyGenome {
     /// Renders the deterministic per-hop table of the chain (rates, delays,
     /// buffers, qdiscs, with the bottleneck hop flagged) followed by one
     /// line per flow naming its path. Shared by the corpus report, the
-    /// `ccfuzz hunt` output and the `fig_parking_lot` binary, so every
+    /// `ccfuzz hunt` output and the `paper` table's topology row, so every
     /// renderer of a topology genome shows the same columns.
     pub fn detail_table(&self) -> String {
         let rates: Vec<u64> = self.hops.iter().map(|h| h.rate_bps).collect();
