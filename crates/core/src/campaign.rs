@@ -10,12 +10,12 @@
 
 use crate::checkpoint::ControlledRun;
 use crate::evaluate::SimEvaluator;
-use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, RunControl};
+use crate::fuzzer::{FuzzResult, Fuzzer, FuzzerSnapshot, GaParams};
 use crate::genome::{LinkGenome, TrafficGenome};
 use crate::mode::{served_names, ModeGenome};
 use crate::scenario::{QdiscChoice, ScenarioGenome};
 use crate::scoring::ScoringConfig;
-use crate::shard::run_lanes;
+use crate::shard::{run_lanes, LoopControl};
 use crate::trace_gen::packets_for_rate;
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::CcaKind;
@@ -270,24 +270,30 @@ impl Campaign {
     /// evolution and results are identical with or without it. Panics if
     /// `G` does not serve the campaign's mode.
     pub fn run<G: ModeGenome>(&self, obs: Option<&HuntTelemetry>) -> FuzzResult<G> {
-        self.run_controlled(obs, None, &mut RunControl::default())
+        let ctl = LoopControl {
+            obs,
+            ..LoopControl::default()
+        };
+        self.run_controlled(None, &ctl, None)
             .expect("uncontrolled campaign runs cannot fail to start")
             .result
     }
 
-    /// [`Campaign::run`] under a [`RunControl`] (shutdown flag, periodic
-    /// checkpoints, panic budget), fresh or resumed from `resume` (refusing
-    /// a snapshot whose GA parameters do not match the campaign's).
+    /// [`Campaign::run`] under a [`LoopControl`] (shutdown flag, checkpoint
+    /// cadence, panic budget, observer), fresh or resumed from `resume`
+    /// (refusing a snapshot whose GA parameters do not match the
+    /// campaign's); `on_checkpoint` receives the snapshot of every
+    /// checkpoint boundary.
     pub fn run_controlled<G: ModeGenome>(
         &self,
-        obs: Option<&HuntTelemetry>,
         resume: Option<FuzzerSnapshot<G>>,
-        ctl: &mut RunControl<'_, G>,
+        ctl: &LoopControl<'_, G>,
+        on_checkpoint: Option<&mut dyn FnMut(FuzzerSnapshot<G>)>,
     ) -> Result<ControlledRun<G>, String> {
         let evaluator = self.evaluator();
-        let mut fuzzer = self.build_fuzzer(&evaluator, resume, obs)?;
+        let mut fuzzer = self.build_fuzzer(&evaluator, resume, ctl.obs)?;
         // The same loop a fleet runs, over one in-process lane.
-        run_lanes(std::slice::from_mut(&mut fuzzer), ctl)
+        run_lanes(std::slice::from_mut(&mut fuzzer), ctl, on_checkpoint)
     }
 
     /// Builds this campaign's fuzzer over genome type `G` — fresh from the
@@ -650,9 +656,16 @@ mod tests {
             let campaign = self.0;
             let mode = campaign.mode;
 
-            // (i) The tiny campaign runs end to end.
+            // (i) The tiny campaign runs end to end, checkpointing its one
+            // boundary.
+            let mut checkpoints = Vec::new();
+            let mut capture = |snapshot: FuzzerSnapshot<G>| checkpoints.push(snapshot);
+            let ctl = LoopControl {
+                checkpoint_every: 1,
+                ..LoopControl::default()
+            };
             let run = campaign
-                .run_controlled::<G>(None, None, &mut RunControl::default())
+                .run_controlled::<G>(None, &ctl, Some(&mut capture))
                 .unwrap();
             let result = &run.result;
             assert_eq!(run.stop, StopReason::Completed);
@@ -724,6 +737,20 @@ mod tests {
             assert_eq!(back, payload);
             let typed = G::unwrap_snapshot(back).unwrap();
             assert_eq!(G::wrap_snapshot(typed), payload);
+            // Restoring the checkpoint or the final snapshot splits it into
+            // a fuzzer's coordinator, islands and RNG streams; snapshotting
+            // that fuzzer joins them again without moving a byte.
+            assert_eq!(checkpoints.len(), 1, "{mode:?}");
+            for snapshot in checkpoints.iter().chain([&run.final_snapshot]) {
+                let again = Fuzzer::restore(&evaluator, snapshot.clone())
+                    .unwrap()
+                    .snapshot();
+                assert_eq!(
+                    serde_json::to_string(&again).unwrap(),
+                    serde_json::to_string(snapshot).unwrap(),
+                    "{mode:?}"
+                );
+            }
 
             // ...and (v) a genome type that does not serve the mode can
             // neither unwrap that payload nor build the campaign's fuzzer.

@@ -108,7 +108,8 @@ pub struct ControlledRun<G> {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
-    use crate::fuzzer::{GaParams, RunControl};
+    use crate::fuzzer::GaParams;
+    use crate::shard::LoopControl;
     use ccfuzz_cca::CcaKind;
     use ccfuzz_netsim::time::SimDuration;
 
@@ -131,7 +132,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
+            .run_controlled::<TrafficGenome>(None, &LoopControl::default(), None)
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         assert!(payload.matches_mode(FuzzMode::Traffic));
@@ -156,7 +157,7 @@ mod tests {
             tiny_ga(),
         );
         let run = c
-            .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
+            .run_controlled::<TrafficGenome>(None, &LoopControl::default(), None)
             .unwrap();
         let payload = SnapshotPayload::Traffic(run.final_snapshot);
         let json = serde_json::to_string(&payload).unwrap();

@@ -17,12 +17,14 @@ use crate::evaluate::{EvalOutcome, EvalScratch, Evaluator};
 use crate::genome::Genome;
 use crate::pool::{num_threads_default, steal_map};
 use crate::selection::{pick_pair, pick_ranked};
-use crate::shard::{migration_k, run_lanes, MigrantBatch, ShardCoordinator, ShardReport, TopStat};
+use crate::shard::{
+    migration_k, run_lanes, LoopControl, MigrantBatch, ShardCoordinator, ShardReport, TopStat,
+};
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -194,34 +196,6 @@ pub enum StopReason {
     PanicBudgetExhausted,
 }
 
-/// External control plane for [`Fuzzer::run_controlled`]: cooperative
-/// shutdown, periodic checkpointing and the panic budget. The default is
-/// exactly [`Fuzzer::run`]: no flag, no checkpoints, unlimited budget.
-pub struct RunControl<'c, G> {
-    /// Checked at each generation boundary; when set, the run stops with
-    /// [`StopReason::Interrupted`] after finishing the in-flight generation.
-    pub shutdown: Option<&'c AtomicBool>,
-    /// Call `on_checkpoint` every this many completed generations
-    /// (0 disables periodic checkpoints).
-    pub checkpoint_every: u32,
-    /// Receives a [`FuzzerSnapshot`] at each periodic checkpoint boundary.
-    pub on_checkpoint: Option<&'c mut dyn FnMut(FuzzerSnapshot<G>)>,
-    /// Caught evaluation panics tolerated before the run stops with
-    /// [`StopReason::PanicBudgetExhausted`] (`None` = unlimited).
-    pub panic_budget: Option<u64>,
-}
-
-impl<G> Default for RunControl<'_, G> {
-    fn default() -> Self {
-        RunControl {
-            shutdown: None,
-            checkpoint_every: 0,
-            on_checkpoint: None,
-            panic_budget: None,
-        }
-    }
-}
-
 /// Schema version of [`FuzzerSnapshot`], bumped on breaking field changes.
 pub const FUZZER_SNAPSHOT_SCHEMA: u32 = 1;
 
@@ -347,20 +321,19 @@ pub(crate) fn rank_key(score: Option<f64>) -> f64 {
 /// Hook applied to genomes between generations (e.g. link-trace annealing).
 pub type AnnealFn<G> = dyn Fn(&G, &mut SimRng) -> G + Sync + Send;
 
-/// The genetic-algorithm fuzzer.
+/// The genetic-algorithm fuzzer: one shard of a campaign (see
+/// [`crate::shard`]), advanced by [`crate::shard::drive`].
 pub struct Fuzzer<'a, G: Genome, E: Evaluator<G>> {
-    params: GaParams,
+    /// The cross-island state this shard was built or restored with. The
+    /// shard adds only its own evaluations, panics and generation counter;
+    /// best, stall and history stay as they were, because the driver's
+    /// coordinator, not the shard's, merges the reports.
+    coordinator: ShardCoordinator<G>,
     evaluator: &'a E,
     islands: Vec<Vec<Individual<G>>>,
     rng: SimRng,
     anneal_rng: SimRng,
     anneal_fn: Option<Box<AnnealFn<G>>>,
-    evaluations: usize,
-    next_generation: u32,
-    stall: u32,
-    best: Option<(G, EvalOutcome)>,
-    history: Vec<GenerationSummary>,
-    panic_log: Vec<PanicRecord<G>>,
     obs: Option<&'a HuntTelemetry>,
     /// `(island, child, parent's outcome)` for every child the last evolve
     /// bred equal to a scored parent; looked up by genome equality, so
@@ -377,11 +350,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// built in parallel on the evaluation pool and the population is the
     /// same at any thread count.
     pub fn new(params: GaParams, evaluator: &'a E, init: impl Fn(&mut SimRng) -> G + Sync) -> Self {
-        assert!(
-            params.validate().is_ok(),
-            "invalid GaParams: {:?}",
-            params.validate()
-        );
+        let coordinator = ShardCoordinator::new(params);
         let mut rng = SimRng::new(params.seed);
         let mut workers = vec![(); params.threads.clamp(1, params.islands)];
         let islands = steal_map(&mut workers, params.islands, |_, island| {
@@ -400,18 +369,12 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // campaign trajectory (and the golden fixtures) would shift.
         let anneal_seed = rng.next_u64();
         Fuzzer {
-            params,
+            coordinator,
             evaluator,
             islands,
             rng,
             anneal_rng: SimRng::new(anneal_seed),
             anneal_fn: None,
-            evaluations: 0,
-            next_generation: 0,
-            stall: 0,
-            best: None,
-            history: Vec::with_capacity(params.generations as usize),
-            panic_log: Vec::new(),
             obs: None,
             reuse: Vec::new(),
         }
@@ -420,51 +383,54 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// Rebuilds a fuzzer from a [`FuzzerSnapshot`], resuming mid-campaign.
     /// The annealing hook and observer are not part of the snapshot; re-attach
     /// them with [`Fuzzer::with_annealing`] / [`Fuzzer::with_observer`].
+    ///
+    /// The snapshot splits into the cross-island state (the coordinator this
+    /// shard holds) and the islands with their RNG streams; [`Self::snapshot`]
+    /// joins them again byte for byte.
     pub fn restore(evaluator: &'a E, snapshot: FuzzerSnapshot<G>) -> Result<Self, String> {
         snapshot.validate()?;
+        let best = match (snapshot.best_genome, snapshot.best_outcome) {
+            (Some(g), Some(o)) => Some((g, o)),
+            (None, None) => None,
+            _ => return Err("snapshot has half of a best-so-far pair".into()),
+        };
         Ok(Fuzzer {
-            params: snapshot.params,
+            coordinator: ShardCoordinator {
+                params: snapshot.params,
+                evaluations: snapshot.evaluations,
+                next_generation: snapshot.next_generation,
+                stall: snapshot.stall,
+                best,
+                history: snapshot.history,
+                panics: snapshot.panics,
+            },
             evaluator,
             islands: snapshot.islands,
             rng: snapshot.rng,
             anneal_rng: snapshot.anneal_rng,
             anneal_fn: None,
-            evaluations: snapshot.evaluations,
-            next_generation: snapshot.next_generation,
-            stall: snapshot.stall,
-            best: match (snapshot.best_genome, snapshot.best_outcome) {
-                (Some(g), Some(o)) => Some((g, o)),
-                (None, None) => None,
-                _ => return Err("snapshot has half of a best-so-far pair".into()),
-            },
-            history: snapshot.history,
-            panic_log: snapshot.panics,
             obs: None,
             reuse: Vec::new(),
         })
     }
 
-    /// The complete resumable state at the current generation boundary.
+    /// This shard's state at the current generation boundary: its islands
+    /// and RNG streams, joined with the coordinator it holds. The campaign's
+    /// state is what the driver assembles from its shards — a checkpoint
+    /// sink's snapshot, or a run's
+    /// [`final_snapshot`](crate::checkpoint::ControlledRun::final_snapshot).
     pub fn snapshot(&self) -> FuzzerSnapshot<G> {
-        FuzzerSnapshot {
-            schema: FUZZER_SNAPSHOT_SCHEMA,
-            params: self.params,
-            rng: self.rng.clone(),
-            anneal_rng: self.anneal_rng.clone(),
-            islands: self.islands.clone(),
-            evaluations: self.evaluations,
-            next_generation: self.next_generation,
-            stall: self.stall,
-            best_genome: self.best.as_ref().map(|(g, _)| g.clone()),
-            best_outcome: self.best.as_ref().map(|(_, o)| *o),
-            history: self.history.clone(),
-            panics: self.panic_log.clone(),
-        }
+        self.coordinator.snapshot_of(
+            self.rng.clone(),
+            self.anneal_rng.clone(),
+            self.islands.clone(),
+        )
     }
 
-    /// Evaluation panics caught so far (accumulated across restore).
-    pub fn panics(&self) -> &[PanicRecord<G>] {
-        &self.panic_log
+    /// The cross-island state this shard holds: what [`run_lanes`] hands the
+    /// driver to continue the campaign from.
+    pub fn coordinator(&self) -> &ShardCoordinator<G> {
+        &self.coordinator
     }
 
     /// Installs an annealing hook (used for link-trace Gaussian smoothing).
@@ -483,7 +449,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 
     /// The configured parameters.
     pub fn params(&self) -> &GaParams {
-        &self.params
+        &self.coordinator.params
     }
 
     /// Evaluates every not-yet-scored individual of islands `start..end`, in
@@ -508,14 +474,14 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         if pending.is_empty() {
             return;
         }
-        self.evaluations += pending.len();
+        self.coordinator.evaluations += pending.len();
 
         // One scratch per worker: consecutive evaluations reuse the
         // simulator's calendar and packet-pool allocations. Evaluation stays
         // pure — the scratch only donates capacity. It lives for one pass,
         // not the campaign: its buffers only ever grow, to the largest any
         // genome so far needed (DESIGN.md "Evaluation pool").
-        let workers = self.params.threads.clamp(1, pending.len());
+        let workers = self.coordinator.params.threads.clamp(1, pending.len());
         let mut scratches: Vec<EvalScratch> = (0..workers).map(|_| EvalScratch::new()).collect();
         let islands = &self.islands;
         let evaluator = self.evaluator;
@@ -557,15 +523,16 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // `evaluated` is in `pending` order — canonical (island, index) —
         // whichever worker ran what, so outcomes, the panic log and the
         // latency histogram come out the same for any thread count.
-        let panics_before = self.panic_log.len();
+        let panic_log = &mut self.coordinator.panics;
+        let panics_before = panic_log.len();
         let mut reused_count = 0u64;
         for (&(i, j), (outcome, reused, panic, nanos)) in pending.iter().zip(evaluated) {
             reused_count += u64::from(reused);
             let individual = &mut self.islands[i][j];
             individual.outcome = Some(outcome);
             if let Some(message) = panic {
-                self.panic_log.push(PanicRecord {
-                    generation: self.next_generation,
+                panic_log.push(PanicRecord {
+                    generation: self.coordinator.next_generation,
                     island: i,
                     index: j,
                     message,
@@ -579,7 +546,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         if let Some(obs) = self.obs {
             obs.metrics.evaluations.add(pending.len() as u64);
             obs.metrics.evaluations_reused.add(reused_count);
-            let caught = self.panic_log.len() - panics_before;
+            let caught = panic_log.len() - panics_before;
             obs.metrics.panics_caught.add(caught as u64);
         }
     }
@@ -693,14 +660,15 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         for pop in owned.iter_mut() {
             Self::sort_island(pop);
         }
-        let anneal_fn = self.anneal_fn.as_deref().filter(|_| self.params.anneal);
+        let params = &self.coordinator.params;
+        let anneal_fn = self.anneal_fn.as_deref().filter(|_| params.anneal);
         let mut slots: Vec<Option<&mut SimRng>> = match anneal_fn {
             Some(_) => vec![Some(&mut self.anneal_rng)],
-            None => (0..self.params.threads.clamp(1, owned.len().max(1)))
+            None => (0..params.threads.clamp(1, owned.len().max(1)))
                 .map(|_| None)
                 .collect(),
         };
-        let (params, rng, obs) = (&self.params, &self.rng, self.obs);
+        let (rng, obs) = (&self.rng, self.obs);
         let evolved = steal_map(&mut slots, owned.len(), |anneal_rng, k| {
             let anneal = anneal_fn.zip(anneal_rng.as_deref_mut());
             Self::evolve_island(params, rng, start + k, &owned[k], anneal, obs)
@@ -712,51 +680,19 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
     }
 
-    /// Runs the campaign and returns the best trace plus per-generation history.
+    /// Runs the campaign to its end as the one in-process lane and returns
+    /// the best trace plus per-generation history: one call to [`run_lanes`].
+    /// The fuzzer stays a shard, so a caller that needs the campaign's end
+    /// state (a checkpoint, the full panic log) calls [`run_lanes`] itself
+    /// and keeps its `final_snapshot`.
     pub fn run(&mut self) -> FuzzResult<G> {
-        self.run_controlled(&mut RunControl::default()).0
-    }
-
-    /// Runs the campaign under an external control plane: a cooperative
-    /// shutdown flag, periodic snapshot checkpoints and a panic budget.
-    /// Shutdown and budget are checked only at generation boundaries (after
-    /// evolution + migration), which is exactly the state a
-    /// [`FuzzerSnapshot`] captures — so every early stop is resumable and a
-    /// resumed run replays the uninterrupted trajectory bit-for-bit.
-    ///
-    /// This is [`crate::shard::drive`] with the whole population as its one
-    /// in-process lane; the fuzzer itself only evaluates and evolves.
-    pub fn run_controlled(&mut self, ctl: &mut RunControl<'_, G>) -> (FuzzResult<G>, StopReason) {
-        let run = run_lanes(std::slice::from_mut(self), ctl)
-            .expect("one in-process lane covers every island and evaluates at least once");
-        // The driver's coordinator advanced the cross-island state; take it
-        // back so `snapshot` keeps describing the whole campaign.
-        let end = run.final_snapshot;
-        self.stall = end.stall;
-        self.best = end.best_genome.zip(end.best_outcome);
-        self.history = end.history;
-        self.panic_log = end.panics;
-        (run.result, run.stop)
-    }
-
-    /// The coordinator that continues this fuzzer's campaign: the
-    /// cross-island half of its state (the inverse of
-    /// [`ShardCoordinator::assemble_snapshot`], without copying islands).
-    pub fn coordinator(&self) -> ShardCoordinator<G> {
-        ShardCoordinator {
-            params: self.params,
-            evaluations: self.evaluations,
-            next_generation: self.next_generation,
-            stall: self.stall,
-            best: self.best.clone(),
-            history: self.history.clone(),
-            panics: self.panic_log.clone(),
-        }
-    }
-
-    /// The telemetry observer, if one is installed.
-    pub fn observer(&self) -> Option<&'a HuntTelemetry> {
-        self.obs
+        let ctl = LoopControl {
+            obs: self.obs,
+            ..LoopControl::default()
+        };
+        run_lanes(std::slice::from_mut(self), &ctl, None)
+            .expect("one in-process lane covers every island and evaluates at least once")
+            .result
     }
 
     // --- island-shard API (the calls `crate::shard::drive` is built from) ---
@@ -767,18 +703,18 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     // island initialisation and evolution draw from pure per-island forks of
     // the (static) master RNG, the owned islands follow the same trajectory
     // under any split; all cross-island state (best, stall, history, panic
-    // log) lives in the coordinator, fed by `ShardReport`s.
+    // log) is merged by the driver's coordinator, fed by `ShardReport`s.
 
     /// The generation this fuzzer evaluates next.
     pub fn next_generation(&self) -> u32 {
-        self.next_generation
+        self.coordinator.next_generation
     }
 
     /// Sets the generation counter; the coordinator advances shard workers
     /// in lock-step across generation boundaries. Panic records stamp the
     /// current value, so it must be set before the boundary's evaluation.
     pub fn set_next_generation(&mut self, generation: u32) {
-        self.next_generation = generation;
+        self.coordinator.next_generation = generation;
     }
 
     /// Evaluates the pending individuals of islands `start..end` and reports
@@ -790,8 +726,8 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             "shard range {start}..{end} out of bounds for {} islands",
             self.islands.len()
         );
-        let panics_before = self.panic_log.len();
-        let evals_before = self.evaluations;
+        let panics_before = self.coordinator.panics.len();
+        let evals_before = self.coordinator.evaluations;
         {
             let _timer = self.obs.map(|o| o.profiler.scope(Phase::Evaluate));
             self.evaluate_pending_range(start, end);
@@ -832,14 +768,14 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             })
             .collect();
         ShardReport {
-            generation: self.next_generation,
+            generation: self.coordinator.next_generation,
             island_start: start,
-            eval_delta: self.evaluations - evals_before,
+            eval_delta: self.coordinator.evaluations - evals_before,
             island_best,
             stats,
             best_genome: best.map(|(g, _)| g.clone()),
             best_outcome: best.map(|(_, o)| o),
-            panics: self.panic_log[panics_before..].to_vec(),
+            panics: self.coordinator.panics[panics_before..].to_vec(),
             operators: self
                 .obs
                 .map(|o| o.metrics.operator_snapshot())
@@ -861,7 +797,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// individuals.
     pub fn shard_collect_migrants(&mut self, start: usize, end: usize) -> Vec<MigrantBatch<G>> {
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
-        let k = migration_k(&self.params);
+        let k = migration_k(&self.coordinator.params);
         (start..end)
             .map(|island| {
                 Self::sort_island(&mut self.islands[island]);
@@ -882,7 +818,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     pub fn shard_apply_migrants(&mut self, batches: Vec<MigrantBatch<G>>) -> Result<(), String> {
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
         let n_islands = self.islands.len();
-        let k = migration_k(&self.params);
+        let k = migration_k(&self.coordinator.params);
         if let Some(bad) = batches
             .iter()
             .find(|b| b.src_island >= n_islands || b.migrants.len() != k)
@@ -914,8 +850,9 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::ControlledRun;
     use crate::genome::Genome;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// A toy genome (a vector of numbers) and evaluator (score = sum) that
     /// exercise the GA machinery without running network simulations.
@@ -958,6 +895,15 @@ mod tests {
                 ..Default::default()
             }
         }
+    }
+
+    /// Runs `fuzzer` as the one in-process lane under `ctl`; the run's
+    /// final snapshot is the campaign's end state.
+    fn run_one<G: Genome, E: Evaluator<G>>(
+        fuzzer: &mut Fuzzer<'_, G, E>,
+        ctl: LoopControl<'_, G>,
+    ) -> ControlledRun<G> {
+        run_lanes(std::slice::from_mut(fuzzer), &ctl, None).expect("the toy campaign runs")
     }
 
     fn quick_params() -> GaParams {
@@ -1163,16 +1109,14 @@ mod tests {
             let telemetry = HuntTelemetry::new();
             let mut snapshot = if case == "panicking" {
                 let mut fuzzer = Fuzzer::new(params, &probe, init).with_observer(&telemetry);
-                fuzzer.run();
-                fuzzer.snapshot()
+                run_one(&mut fuzzer, LoopControl::default()).final_snapshot
             } else {
                 let mut fuzzer = Fuzzer::new(params, &ToyEvaluator, init).with_annealing(Box::new(
                     |genome: &ToyGenome, rng: &mut SimRng| {
                         ToyGenome(genome.0.iter().map(|x| x + rng.next_f64()).collect())
                     },
                 ));
-                fuzzer.run();
-                fuzzer.snapshot()
+                run_one(&mut fuzzer, LoopControl::default()).final_snapshot
             };
             if case == "panicking" {
                 let keys: Vec<_> = snapshot
@@ -1313,7 +1257,11 @@ mod tests {
                         .with_observer(obs)
                 })
                 .collect();
-            run_lanes(&mut fuzzers, &mut RunControl::default())
+            let ctl = LoopControl {
+                obs: Some(obs),
+                ..LoopControl::default()
+            };
+            run_lanes(&mut fuzzers, &ctl, None)
                 .expect("the toy campaign runs")
                 .final_snapshot
         }
@@ -1464,9 +1412,11 @@ mod tests {
         let telemetry = HuntTelemetry::new();
         let mut fuzzer = Fuzzer::new(params, &evaluator, |rng| Twin(rng.gen_range_f64(-1.0, 1.0)))
             .with_observer(&telemetry);
-        let result = fuzzer.run();
-        let repeated: Vec<&PanicRecord<Twin>> = fuzzer
-            .panics()
+        let run = run_one(&mut fuzzer, LoopControl::default());
+        let result = run.result;
+        let repeated: Vec<&PanicRecord<Twin>> = run
+            .final_snapshot
+            .panics
             .iter()
             .filter(|p| p.generation == 1)
             .collect();
@@ -1619,19 +1569,26 @@ mod tests {
         // identical run.
         let mut snapshots: Vec<FuzzerSnapshot<ToyGenome>> = Vec::new();
         let mut capture = |snap: FuzzerSnapshot<ToyGenome>| snapshots.push(snap);
-        let (result, stop) =
-            Fuzzer::new(quick_params(), &evaluator, init).run_controlled(&mut RunControl {
-                checkpoint_every: 1,
-                on_checkpoint: Some(&mut capture),
-                ..RunControl::default()
-            });
-        assert_eq!(stop, StopReason::Completed);
-        assert_eq!(result.history, control.history);
+        let ctl = LoopControl {
+            checkpoint_every: 1,
+            ..LoopControl::default()
+        };
+        let mut fuzzer = Fuzzer::new(quick_params(), &evaluator, init);
+        let run = run_lanes(std::slice::from_mut(&mut fuzzer), &ctl, Some(&mut capture)).unwrap();
+        assert_eq!(run.stop, StopReason::Completed);
+        assert_eq!(run.result.history, control.history);
         assert_eq!(snapshots.len(), quick_params().generations as usize - 1);
 
         for snap in snapshots {
             let boundary = snap.next_generation;
+            // Restoring splits the snapshot into the fuzzer's coordinator,
+            // islands and RNG streams; snapshotting joins them byte for byte.
+            let json = serde_json::to_string(&snap).unwrap();
             let mut resumed = Fuzzer::restore(&evaluator, snap).unwrap();
+            assert!(
+                serde_json::to_string(&resumed.snapshot()).unwrap() == json,
+                "restore and snapshot at generation {boundary} moved bytes"
+            );
             let r = resumed.run();
             assert_eq!(
                 r.best_genome, control.best_genome,
@@ -1654,15 +1611,18 @@ mod tests {
         // in-flight generation, then stops.
         let shutdown = AtomicBool::new(true);
         let mut fuzzer = Fuzzer::new(quick_params(), &evaluator, init);
-        let (partial, stop) = fuzzer.run_controlled(&mut RunControl {
-            shutdown: Some(&shutdown),
-            ..RunControl::default()
-        });
-        assert_eq!(stop, StopReason::Interrupted);
-        assert_eq!(partial.history.len(), 1, "one full generation ran");
+        let partial = run_one(
+            &mut fuzzer,
+            LoopControl {
+                shutdown: Some(&shutdown),
+                ..LoopControl::default()
+            },
+        );
+        assert_eq!(partial.stop, StopReason::Interrupted);
+        assert_eq!(partial.result.history.len(), 1, "one full generation ran");
 
         // Resuming from the interruption replays the control trajectory.
-        let mut resumed = Fuzzer::restore(&evaluator, fuzzer.snapshot()).unwrap();
+        let mut resumed = Fuzzer::restore(&evaluator, partial.final_snapshot).unwrap();
         let r = resumed.run();
         assert_eq!(r.best_genome, control.best_genome);
         assert_eq!(r.history, control.history);
@@ -1683,24 +1643,29 @@ mod tests {
         let mut fuzzer = Fuzzer::new(params, &evaluator, |_rng| ToyGenome(vec![1.0; 3]));
         let telemetry = HuntTelemetry::new();
         fuzzer = fuzzer.with_observer(&telemetry);
-        let (result, stop) = fuzzer.run_controlled(&mut RunControl::default());
+        let ControlledRun {
+            result,
+            stop,
+            final_snapshot,
+        } = run_one(&mut fuzzer, LoopControl::default());
         // Every evaluation panicked, every panic was isolated, the campaign
         // still completed with default-scored individuals.
         assert_eq!(stop, StopReason::Completed);
         assert_eq!(result.history.len(), 3);
         assert_eq!(result.best_outcome, EvalOutcome::default());
-        assert_eq!(fuzzer.panics().len(), result.total_evaluations);
+        assert_eq!(final_snapshot.panics.len(), result.total_evaluations);
         assert_eq!(
             telemetry.metrics.panics_caught.get(),
             result.total_evaluations as u64
         );
-        let record = &fuzzer.panics()[0];
+        let record = &final_snapshot.panics[0];
         assert_eq!(record.message, "boom");
         assert_eq!(record.generation, 0);
         assert_eq!(record.genome, ToyGenome(vec![1.0; 3]));
-        // The panic log survives a snapshot roundtrip.
-        let snap = fuzzer.snapshot();
-        assert_eq!(snap.panics.len(), fuzzer.panics().len());
+        // The panic log survives a restore, as does every other byte.
+        let json = serde_json::to_string(&final_snapshot).unwrap();
+        let restored = Fuzzer::restore(&evaluator, final_snapshot).unwrap();
+        assert!(serde_json::to_string(&restored.snapshot()).unwrap() == json);
     }
 
     #[test]
@@ -1713,13 +1678,16 @@ mod tests {
         }
         let evaluator = AlwaysPanics;
         let mut fuzzer = Fuzzer::new(quick_params(), &evaluator, |_rng| ToyGenome(vec![1.0; 3]));
-        let (result, stop) = fuzzer.run_controlled(&mut RunControl {
-            panic_budget: Some(2),
-            ..RunControl::default()
-        });
-        assert_eq!(stop, StopReason::PanicBudgetExhausted);
-        assert_eq!(result.history.len(), 1, "stopped at the first boundary");
-        assert!(fuzzer.panics().len() as u64 > 2);
+        let run = run_one(
+            &mut fuzzer,
+            LoopControl {
+                panic_budget: Some(2),
+                ..LoopControl::default()
+            },
+        );
+        assert_eq!(run.stop, StopReason::PanicBudgetExhausted);
+        assert_eq!(run.result.history.len(), 1, "stopped at the first boundary");
+        assert!(run.final_snapshot.panics.len() as u64 > 2);
     }
 
     #[test]
@@ -1733,10 +1701,12 @@ mod tests {
         let init =
             |rng: &mut SimRng| ToyGenome((0..3).map(|_| rng.gen_range_f64(-0.4, 0.6)).collect());
         let run_once = || {
-            let mut fuzzer = Fuzzer::new(params, &evaluator, init);
-            let (result, stop) = fuzzer.run_controlled(&mut RunControl::default());
-            assert_eq!(stop, StopReason::Completed);
-            (result, fuzzer.panics().to_vec())
+            let run = run_one(
+                &mut Fuzzer::new(params, &evaluator, init),
+                LoopControl::default(),
+            );
+            assert_eq!(run.stop, StopReason::Completed);
+            (run.result, run.final_snapshot.panics)
         };
         let (a, panics_a) = run_once();
         let (b, panics_b) = run_once();

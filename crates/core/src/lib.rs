@@ -14,7 +14,10 @@
 //! * [`scoring`] — performance and trace scores (§3.4).
 //! * [`selection`] — rank-based selection (§3.5).
 //! * [`evaluate`] — the simulator-backed fitness function (§3.6).
-//! * [`fuzzer`] — the generation loop with island isolation (Figure 1, §4).
+//! * [`fuzzer`] — the GA over island-isolated populations (Figure 1, §4):
+//!   one shard's evaluation, evolution and migration.
+//! * [`shard`] — the one generation loop and the cross-island coordinator
+//!   every fuzzer holds.
 //! * [`pool`] — the work-stealing evaluation pool shared by the generation
 //!   loop and the corpus minimizer.
 //! * [`realism`] — multi-CCA realism scoring (§5, Figure 5).
@@ -77,16 +80,15 @@ pub use campaign::{Campaign, FuzzMode};
 pub use checkpoint::{ControlledRun, SnapshotPayload};
 pub use evaluate::{EvalOutcome, Evaluator, SimEvaluator};
 pub use fuzzer::{
-    FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, PanicRecord, RunControl,
-    StopReason,
+    FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, PanicRecord, StopReason,
 };
 pub use genome::{Genome, LinkGenome, TrafficGenome};
 pub use mode::{GenomePayload, ModeGenome, RunOpts};
 pub use scenario::{FlowGene, ScenarioGenome};
 pub use scoring::{FairnessBreakdown, Objective, ScoringConfig};
 pub use shard::{
-    migration_k, shard_ranges, AbsorbResult, GenerationOutcome, MigrantBatch, ShardCoordinator,
-    ShardReport, TopStat,
+    migration_k, shard_ranges, AbsorbResult, GenerationOutcome, LoopControl, MigrantBatch,
+    ShardCoordinator, ShardReport, TopStat,
 };
 pub use topology::{HopGene, PathedFlowGene, TopologyGenome};
 pub use workload::WorkloadGenome;

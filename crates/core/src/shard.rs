@@ -33,9 +33,10 @@ use crate::checkpoint::ControlledRun;
 use crate::evaluate::{EvalOutcome, Evaluator};
 use crate::fuzzer::{
     rank_key, FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, Individual,
-    PanicRecord, RunControl, StopReason, FUZZER_SNAPSHOT_SCHEMA,
+    PanicRecord, StopReason, FUZZER_SNAPSHOT_SCHEMA,
 };
 use crate::genome::Genome;
+use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_obs::{HuntTelemetry, OperatorSnapshot, Phase};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,10 +149,11 @@ pub struct AbsorbResult {
 /// The cross-island state of a campaign — the one implementation of the
 /// GA's per-generation bookkeeping (best scan, summary, stall rule,
 /// migration cadence), fed by [`ShardReport`]s; see the module docs for why
-/// the result does not depend on how the islands are split. `Clone` supports
-/// checkpoint/rollback: a fleet supervisor keeps the coordinator state
-/// captured at the last committed checkpoint and restores it when the fleet
-/// is respawned.
+/// the result does not depend on how the islands are split. Every
+/// [`Fuzzer`] holds one (its shard's view); [`drive`] advances a copy.
+/// `Clone` supports checkpoint/rollback: a fleet supervisor keeps the
+/// coordinator state captured at the last committed checkpoint and restores
+/// it when the fleet is respawned.
 #[derive(Clone, Debug)]
 pub struct ShardCoordinator<G> {
     pub(crate) params: GaParams,
@@ -339,6 +341,31 @@ impl<G: Genome> ShardCoordinator<G> {
         })
     }
 
+    /// The one constructor of a [`FuzzerSnapshot`]: this cross-island state
+    /// joined with a population and its RNG streams. [`Fuzzer::restore`]
+    /// splits a snapshot back into exactly these parts.
+    pub(crate) fn snapshot_of(
+        &self,
+        rng: SimRng,
+        anneal_rng: SimRng,
+        islands: Vec<Vec<Individual<G>>>,
+    ) -> FuzzerSnapshot<G> {
+        FuzzerSnapshot {
+            schema: FUZZER_SNAPSHOT_SCHEMA,
+            params: self.params,
+            rng,
+            anneal_rng,
+            islands,
+            evaluations: self.evaluations,
+            next_generation: self.next_generation,
+            stall: self.stall,
+            best_genome: self.best.as_ref().map(|(g, _)| g.clone()),
+            best_outcome: self.best.as_ref().map(|(_, o)| *o),
+            history: self.history.clone(),
+            panics: self.panics.clone(),
+        }
+    }
+
     /// [`Self::assemble`] over borrowed finals.
     pub fn assemble_snapshot(&self, finals: &[ShardFinal<G>]) -> Result<FuzzerSnapshot<G>, String> {
         self.assemble(finals.to_vec())
@@ -378,23 +405,12 @@ impl<G: Genome> ShardCoordinator<G> {
             ));
         }
         let first = &finals.first().ok_or("no final snapshots to assemble")?.2;
-        Ok(FuzzerSnapshot {
-            schema: FUZZER_SNAPSHOT_SCHEMA,
-            params: self.params,
-            rng: first.rng.clone(),
-            anneal_rng: first.anneal_rng.clone(),
-            islands: finals
-                .into_iter()
-                .flat_map(|(start, end, snap)| snap.islands.into_iter().take(end).skip(start))
-                .collect(),
-            evaluations: self.evaluations,
-            next_generation: self.next_generation,
-            stall: self.stall,
-            best_genome: self.best.as_ref().map(|(g, _)| g.clone()),
-            best_outcome: self.best.as_ref().map(|(_, o)| *o),
-            history: self.history.clone(),
-            panics: self.panics.clone(),
-        })
+        let (rng, anneal_rng) = (first.rng.clone(), first.anneal_rng.clone());
+        let islands = finals
+            .into_iter()
+            .flat_map(|(start, end, snap)| snap.islands.into_iter().take(end).skip(start))
+            .collect();
+        Ok(self.snapshot_of(rng, anneal_rng, islands))
     }
 }
 
@@ -467,7 +483,10 @@ pub trait Shards<G: Genome> {
     fn finish(&mut self, next_generation: u32) -> Result<Vec<ShardFinal<G>>, Self::Error>;
 }
 
-/// What the generation loop itself needs from a campaign's control plane.
+/// A campaign's control plane, from the hunt down to the generation loop:
+/// cooperative shutdown, the checkpoint cadence, the panic budget and the
+/// observers. The default runs to the end: no flag, no checkpoints,
+/// unlimited budget, nothing observed.
 pub struct LoopControl<'c, G> {
     /// Checked at generation boundaries; when set, the run stops with
     /// [`StopReason::Interrupted`].
@@ -485,6 +504,19 @@ pub struct LoopControl<'c, G> {
     /// Called after every absorbed generation.
     #[allow(clippy::type_complexity)]
     pub on_generation: Option<&'c dyn Fn(&ShardCoordinator<G>)>,
+}
+
+impl<G> Default for LoopControl<'_, G> {
+    fn default() -> Self {
+        LoopControl {
+            shutdown: None,
+            checkpoint_every: 0,
+            panic_budget: None,
+            restarts: 0,
+            obs: None,
+            on_generation: None,
+        }
+    }
 }
 
 /// The generation loop — the only one. Per generation: evaluate → absorb
@@ -686,29 +718,22 @@ impl<G: Genome, E: Evaluator<G>> Shards<G> for Lanes<'_, '_, '_, G, E> {
     }
 }
 
-/// Runs a campaign over in-process lanes, continuing from the cross-island
-/// state the first lane holds (every lane restored from one snapshot holds
-/// the same). [`Fuzzer::run_controlled`] is this with one lane.
+/// Runs a campaign over in-process lanes under `ctl`, continuing from the
+/// cross-island state the first lane holds (every lane restored from one
+/// snapshot holds the same). `on_checkpoint` receives the campaign's
+/// snapshot at every checkpoint boundary. [`Fuzzer::run`] is this with one
+/// lane.
 pub fn run_lanes<G: Genome, E: Evaluator<G>>(
     lanes: &mut [Fuzzer<'_, G, E>],
-    ctl: &mut RunControl<'_, G>,
+    ctl: &LoopControl<'_, G>,
+    on_checkpoint: Option<&mut dyn FnMut(FuzzerSnapshot<G>)>,
 ) -> Result<ControlledRun<G>, String> {
-    let first = lanes.first().expect("at least one lane");
-    let mut coordinator = first.coordinator();
-    let control = LoopControl {
-        shutdown: ctl.shutdown,
-        checkpoint_every: ctl.checkpoint_every,
-        panic_budget: ctl.panic_budget,
-        restarts: 0,
-        obs: first.observer(),
-        on_generation: None,
-    };
-    let sink = ctl
-        .on_checkpoint
-        .as_deref_mut()
-        .map(|sink| sink as &mut dyn FnMut(FuzzerSnapshot<G>));
-    let mut shards = Lanes::new(lanes, sink);
-    drive(&mut coordinator, &mut shards, &control)
+    let mut coordinator = lanes
+        .first()
+        .expect("at least one lane")
+        .coordinator()
+        .clone();
+    drive(&mut coordinator, &mut Lanes::new(lanes, on_checkpoint), ctl)
 }
 
 #[cfg(test)]
@@ -849,16 +874,13 @@ mod tests {
             }
             boundaries.push(snapshot);
         };
-        let run = run_lanes(
-            &mut lanes,
-            &mut RunControl {
-                shutdown: Some(&shutdown),
-                checkpoint_every: 1,
-                on_checkpoint: Some(&mut sink),
-                panic_budget,
-            },
-        )
-        .unwrap();
+        let ctl = LoopControl {
+            shutdown: Some(&shutdown),
+            checkpoint_every: 1,
+            panic_budget,
+            ..LoopControl::default()
+        };
+        let run = run_lanes(&mut lanes, &ctl, Some(&mut sink)).unwrap();
         Ran {
             stop: run.stop,
             result: (
@@ -1036,15 +1058,13 @@ mod tests {
                     None => Fuzzer::new(params, &ToyEvaluator, toy_init),
                 })
                 .collect();
-            let mut coordinator = lanes[0].coordinator();
+            let mut coordinator = lanes[0].coordinator().clone();
             let shutdown = AtomicBool::new(raised);
             let control = LoopControl {
                 shutdown: Some(&shutdown),
-                checkpoint_every: 0,
                 panic_budget: Some(0),
                 restarts,
-                obs: None,
-                on_generation: None,
+                ..LoopControl::default()
             };
             let mut shards = Lanes::new(&mut lanes, None);
             drive(&mut coordinator, &mut shards, &control).unwrap()

@@ -12,10 +12,11 @@
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::checkpoint::SnapshotPayload;
-use ccfuzz_core::fuzzer::{FuzzResult, FuzzerSnapshot, GaParams, RunControl, StopReason};
+use ccfuzz_core::fuzzer::{FuzzResult, FuzzerSnapshot, GaParams, StopReason};
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
 use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_core::scenario::{QdiscChoice, ScenarioGenome};
+use ccfuzz_core::shard::LoopControl;
 use ccfuzz_core::topology::TopologyGenome;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::SimDuration;
@@ -47,13 +48,12 @@ fn interrupt_and_resume<G: ModeGenome>(campaign: &Campaign, kill_after: u32) -> 
     let interrupted = campaign
         .run_controlled::<G>(
             None,
-            None,
-            &mut RunControl {
+            &LoopControl {
                 shutdown: Some(&shutdown),
                 checkpoint_every: 1,
-                on_checkpoint: Some(&mut on_checkpoint),
-                panic_budget: None,
+                ..LoopControl::default()
             },
+            Some(&mut on_checkpoint),
         )
         .expect("interrupted leg starts");
     assert_eq!(
@@ -70,7 +70,7 @@ fn interrupt_and_resume<G: ModeGenome>(campaign: &Campaign, kill_after: u32) -> 
 
     let resume = G::unwrap_snapshot(restored).expect("checkpoint holds a G population");
     let resumed = campaign
-        .run_controlled::<G>(None, Some(resume), &mut RunControl::default())
+        .run_controlled::<G>(Some(resume), &LoopControl::default(), None)
         .expect("resumed leg starts");
     assert_eq!(resumed.stop, StopReason::Completed);
     resumed.result
@@ -179,11 +179,11 @@ fn resuming_a_completed_checkpoint_reproduces_the_result() {
         tiny_ga(42),
     );
     let done = c
-        .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
+        .run_controlled::<TrafficGenome>(None, &LoopControl::default(), None)
         .unwrap();
     let resume = Some(done.final_snapshot);
     let replayed = c
-        .run_controlled::<TrafficGenome>(None, resume, &mut RunControl::default())
+        .run_controlled::<TrafficGenome>(resume, &LoopControl::default(), None)
         .unwrap();
     assert_eq!(replayed.stop, StopReason::Completed);
     assert_same_trajectory(&done.result, &replayed.result);
@@ -198,7 +198,7 @@ fn mismatched_checkpoints_are_rejected() {
         tiny_ga(1),
     );
     let run = traffic
-        .run_controlled::<TrafficGenome>(None, None, &mut RunControl::default())
+        .run_controlled::<TrafficGenome>(None, &LoopControl::default(), None)
         .unwrap();
     let payload = SnapshotPayload::Traffic(run.final_snapshot.clone());
 
@@ -211,7 +211,7 @@ fn mismatched_checkpoints_are_rejected() {
     let mut other = traffic.clone();
     other.ga.seed = 999;
     let err = other
-        .run_controlled::<TrafficGenome>(None, Some(run.final_snapshot), &mut RunControl::default())
+        .run_controlled::<TrafficGenome>(Some(run.final_snapshot), &LoopControl::default(), None)
         .unwrap_err();
     assert!(err.contains("GA parameters"), "{err}");
 }

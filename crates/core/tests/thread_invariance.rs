@@ -12,9 +12,10 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::fuzzer::{GaParams, RunControl};
+use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::shard::LoopControl;
 use ccfuzz_netsim::time::SimDuration;
 
 /// Three generations over three islands: two evolutions and one migration.
@@ -39,7 +40,7 @@ impl ModeVisitor for FinalState {
     fn visit<G: ModeGenome>(self) -> String {
         let run = self
             .0
-            .run_controlled::<G>(None, None, &mut RunControl::default())
+            .run_controlled::<G>(None, &LoopControl::default(), None)
             .expect("campaign starts");
         let mut snapshot = run.final_snapshot;
         assert_eq!(snapshot.next_generation, 3);

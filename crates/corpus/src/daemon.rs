@@ -38,7 +38,7 @@ use crate::proto::{
 };
 use crate::store::{Corpus, CorpusError};
 use ccfuzz_core::checkpoint::{ControlledRun, SnapshotPayload};
-use ccfuzz_core::fuzzer::{GaParams, RunControl};
+use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::mode::{dispatch, ModeGenome};
 use ccfuzz_core::shard::{
     drive, route_migrants, shard_ranges, LoopControl, MigrantBatch, ShardCoordinator, ShardFinal,
@@ -204,12 +204,12 @@ impl From<String> for FleetError {
 
 /// The supervision loop: (re)spawn the fleet, run the generation loop over
 /// it, and on worker death roll back to the last committed boundary and try
-/// again. The fleet always starts from scratch, and `control`'s checkpoint
-/// sink is not called: the workers persist their own boundaries.
+/// again. The fleet always starts from scratch and runs under the hunt's
+/// `control`, with its own restart count and progress callback; the workers
+/// persist their own boundaries.
 pub(crate) fn run_fleet<G: ModeGenome>(
     config: &HuntConfig,
-    control: &RunControl<'_, G>,
-    obs: Option<&HuntTelemetry>,
+    control: &LoopControl<'_, G>,
     dist: &DistOptions<'_>,
 ) -> Result<ControlledRun<G>, String> {
     let ranges = shard_ranges(config.ga.islands, dist.workers.max(1));
@@ -261,7 +261,7 @@ pub(crate) fn run_fleet<G: ModeGenome>(
                 links,
                 ranges: &ranges,
                 ga: &config.ga,
-                obs,
+                obs: control.obs,
                 lanes: dist.fleet,
                 last_operators: vec![OperatorSnapshot::default(); ranges.len()],
                 committed: &mut committed,
@@ -277,12 +277,9 @@ pub(crate) fn run_fleet<G: ModeGenome>(
                 &mut coordinator,
                 &mut fleet,
                 &LoopControl {
-                    shutdown: control.shutdown,
-                    checkpoint_every: control.checkpoint_every,
-                    panic_budget: control.panic_budget,
                     restarts,
-                    obs,
                     on_generation: Some(&on_generation),
+                    ..*control
                 },
             );
             match &run {
@@ -1007,12 +1004,10 @@ fn submit_hunt(shared: &DaemonShared<'_>, body: &str) -> (u16, &'static str, Str
         Ok(spec) => spec,
         Err(e) => return (400, "text/plain", format!("invalid hunt spec: {e}\n")),
     };
-    if spec.config.ga.islands == 0 || spec.config.ga.population_per_island == 0 {
-        return (
-            400,
-            "text/plain",
-            "invalid hunt spec: islands and population must be non-zero\n".to_string(),
-        );
+    // The runner builds the campaign from these parameters, and building
+    // asserts them: a spec that fails here would panic the runner thread.
+    if let Err(e) = spec.config.ga.validate() {
+        return (400, "text/plain", format!("invalid hunt spec: {e}\n"));
     }
     let mut hunts = lock(&shared.hunts);
     let id = format!("hunt-{:04}", hunts.len() + 1);

@@ -13,9 +13,10 @@ use crate::store::{Corpus, CorpusError, InsertOutcome};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::checkpoint::ControlledRun;
-use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams, RunControl, StopReason};
+use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams, StopReason};
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::scenario::QdiscChoice;
+use ccfuzz_core::shard::LoopControl;
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
@@ -312,21 +313,21 @@ impl ModeVisitor for HuntJob<'_, '_> {
                 }
             }
         };
-        let mut control = RunControl {
+        let control = LoopControl {
             shutdown,
             // One cadence per hunt: a local run hands the sink below a
             // campaign checkpoint on it, a fleet's workers persist theirs.
             checkpoint_every,
-            on_checkpoint: if checkpoint_path.is_some() && checkpoint_every > 0 {
-                Some(&mut on_checkpoint)
-            } else {
-                None
-            },
             panic_budget,
+            obs,
+            ..LoopControl::default()
         };
         let out: ControlledRun<G> = match dist {
-            None => campaign.run_controlled(obs, resume_state, &mut control),
-            Some(dist) => run_fleet(config, &control, obs, dist),
+            None => {
+                let sink = checkpoint_path.is_some().then_some(&mut on_checkpoint as _);
+                campaign.run_controlled(resume_state, &control, sink)
+            }
+            Some(dist) => run_fleet(config, &control, dist),
         }
         .map_err(CorpusError)?;
         if let Some(e) = write_error {

@@ -285,8 +285,8 @@ mod tests {
     use super::*;
     use ccfuzz_cca::CcaKind;
     use ccfuzz_core::campaign::FuzzMode;
-    use ccfuzz_core::fuzzer::RunControl;
     use ccfuzz_core::genome::TrafficGenome;
+    use ccfuzz_core::shard::LoopControl;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -310,7 +310,7 @@ mod tests {
     fn snapshot_for(config: &HuntConfig) -> SnapshotPayload {
         let run = config
             .campaign()
-            .run_controlled(None, None, &mut RunControl::default())
+            .run_controlled(None, &LoopControl::default(), None)
             .unwrap();
         TrafficGenome::wrap_snapshot(run.final_snapshot)
     }

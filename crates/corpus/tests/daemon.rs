@@ -314,3 +314,46 @@ fn a_fixed_worker_count_replays_a_deterministic_trajectory() {
     drain(daemon, &root);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn specs_failing_ga_validation_get_400_and_later_hunts_still_run() {
+    let dir = temp_dir("invalid");
+    let root = dir.join("daemon");
+    let daemon = start_daemon(&root);
+
+    // Each of these used to be queued and then panic the runner thread when
+    // the campaign was built, wedging every hunt behind it.
+    let valid = test_spec(CcaKind::Reno, FuzzMode::Traffic, 2, 7, 1);
+    let mut no_room_to_breed = valid.clone();
+    no_room_to_breed.config.ga.k_elite = valid.config.ga.population_per_island;
+    let mut no_generations = valid.clone();
+    no_generations.config.ga.generations = 0;
+    let mut crossover_above_one = valid.clone();
+    crossover_above_one.config.ga.crossover_fraction = 2.0;
+    for (what, spec) in [
+        ("k_elite", no_room_to_breed),
+        ("generation", no_generations),
+        ("crossover_fraction", crossover_above_one),
+    ] {
+        let body = serde_json::to_string(&spec).unwrap();
+        let (code, reply) = http_request(&daemon.addr, "POST", "/hunts", Some(&body)).unwrap();
+        assert_eq!(code, 400, "{what}: {reply}");
+        assert!(reply.contains(what), "{what}: the reply names it: {reply}");
+    }
+
+    let id = submit(&daemon.addr, &valid);
+    assert_eq!(id, "hunt-0001", "a rejected spec is never queued");
+    wait_until("the valid hunt to finish", || {
+        terminal(hunt_status(&daemon.addr, &id).state)
+    });
+    let status = hunt_status(&daemon.addr, &id);
+    assert_eq!(
+        status.state,
+        HuntState::Completed,
+        "hunt did not complete: {:?}",
+        status.error
+    );
+
+    drain(daemon, &root);
+    let _ = std::fs::remove_dir_all(dir);
+}

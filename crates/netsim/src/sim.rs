@@ -746,11 +746,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         &self.flows.senders[0]
     }
 
-    /// Immutable access to the sender of an arbitrary flow.
-    pub fn sender_of(&self, flow: usize) -> &TcpSender<C> {
-        &self.flows.senders[flow]
-    }
-
     fn end_time(&self) -> SimTime {
         SimTime::ZERO + self.cfg.duration
     }

@@ -283,15 +283,6 @@ impl FctHistogram {
         self.count
     }
 
-    /// Mean FCT in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Approximate percentile (`p` in `[0, 100]`) in nanoseconds, linearly
     /// interpolated within the bucket holding the target rank and clamped
     /// to the observed min/max (the obs snapshot convention, so p95 < p99
@@ -497,24 +488,11 @@ impl RunStats {
             .unwrap_or(&[])
     }
     /// Queuing-delay samples for a flow: `(dequeue time, delay)`. Multi-hop
-    /// runs contribute one sample per hop crossed; see
-    /// [`RunStats::queuing_delays_at_hop`] for a single hop's view.
+    /// runs contribute one sample per hop crossed.
     pub fn queuing_delays(&self, flow: FlowId) -> Vec<(SimTime, SimDuration)> {
         self.bottleneck
             .iter()
             .filter(|r| r.flow == flow)
-            .filter_map(|r| match r.event {
-                BottleneckEvent::Dequeued { queuing_delay } => Some((r.at, queuing_delay)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Queuing-delay samples for a flow at one specific hop.
-    pub fn queuing_delays_at_hop(&self, hop: u32, flow: FlowId) -> Vec<(SimTime, SimDuration)> {
-        self.bottleneck
-            .iter()
-            .filter(|r| r.flow == flow && r.hop == hop)
             .filter_map(|r| match r.event {
                 BottleneckEvent::Dequeued { queuing_delay } => Some((r.at, queuing_delay)),
                 _ => None,

@@ -50,18 +50,6 @@ impl ArrivalProcess {
             ArrivalProcess::OnOff { rate_per_sec, .. } => rate_per_sec,
         }
     }
-
-    /// Long-run average arrivals per second (ON duty cycle applied).
-    pub fn mean_rate_per_sec(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalProcess::OnOff {
-                rate_per_sec,
-                mean_on_secs,
-                mean_off_secs,
-            } => rate_per_sec * mean_on_secs / (mean_on_secs + mean_off_secs),
-        }
-    }
 }
 
 /// Bounded-Pareto flow sizes in packets: the canonical heavy-tailed

@@ -218,17 +218,6 @@ impl LocalHistogram {
         self.count
     }
 
-    /// Folds another shard into this one.
-    pub fn merge_from(&mut self, other: &LocalHistogram) {
-        for (dst, &src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// The shard's state as a snapshot (for tests and direct readers).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

@@ -271,14 +271,10 @@ fn toy_fleet_frames_and_worker_checkpoint_keep_their_bytes() {
         };
         fleet.record(ASSIGN, &assign);
     }
-    let mut coordinator = fleet.lanes[0].coordinator();
+    let mut coordinator = fleet.lanes[0].coordinator().clone();
     let control = LoopControl {
-        shutdown: None,
         checkpoint_every: 1,
-        panic_budget: None,
-        restarts: 0,
-        obs: None,
-        on_generation: None,
+        ..LoopControl::default()
     };
     drive(&mut coordinator, &mut fleet, &control).unwrap();
     fleet.record(
