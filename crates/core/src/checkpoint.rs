@@ -66,6 +66,13 @@ impl SnapshotPayload {
         each_mode!(SnapshotPayload, self, s => s.validate())
     }
 
+    /// [`Self::validate`] for one shard's slice: islands `start..end` full
+    /// and valid, every other island empty
+    /// ([`FuzzerSnapshot::validate_slice`]).
+    pub fn validate_slice(&self, start: usize, end: usize) -> Result<(), String> {
+        each_mode!(SnapshotPayload, self, s => s.validate_slice(start, end))
+    }
+
     /// Unwraps a traffic-mode snapshot. This and its three siblings are the
     /// monomorphic names of [`ModeGenome::unwrap_snapshot`] the benchmark
     /// harness compiles against.

@@ -238,6 +238,15 @@ impl<G: Genome> FuzzerSnapshot<G> {
     /// genome must pass its own invariants. Run before trusting a snapshot
     /// loaded from disk.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_slice(0, self.params.islands)
+    }
+
+    /// [`Self::validate`] for one shard's slice of the campaign: islands
+    /// `start..end` must be full and hold valid genomes, and every other
+    /// island must be empty. This is the shape a fleet worker persists and
+    /// ships, because it keeps only the islands it owns
+    /// ([`Self::validate`] is the slice `0..islands`).
+    pub fn validate_slice(&self, start: usize, end: usize) -> Result<(), String> {
         if self.schema != FUZZER_SNAPSHOT_SCHEMA {
             return Err(format!(
                 "unsupported fuzzer snapshot schema {} (expected {FUZZER_SNAPSHOT_SCHEMA})",
@@ -253,6 +262,16 @@ impl<G: Genome> FuzzerSnapshot<G> {
             ));
         }
         for (idx, pop) in self.islands.iter().enumerate() {
+            if !(start..end).contains(&idx) {
+                if !pop.is_empty() {
+                    return Err(format!(
+                        "island {idx} holds {} individuals but lies outside the slice \
+                         {start}..{end}",
+                        pop.len()
+                    ));
+                }
+                continue;
+            }
             if pop.len() != self.params.population_per_island {
                 return Err(format!(
                     "island {idx} has {} individuals but params say {}",
@@ -697,9 +716,10 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 
     // --- island-shard API (the calls `crate::shard::drive` is built from) ---
     //
-    // A shard — an in-process lane or a worker process — holds the full
-    // fuzzer built from the campaign seed but only ever advances islands
-    // `start..end`; a single-process run is the shard `0..islands`. Because
+    // A shard — an in-process lane or a worker process — is a fuzzer built
+    // from the campaign seed that only ever advances islands `start..end`
+    // (a worker process empties the rest with `shard_retain`); a
+    // single-process run is the shard `0..islands`. Because
     // island initialisation and evolution draw from pure per-island forks of
     // the (static) master RNG, the owned islands follow the same trajectory
     // under any split; all cross-island state (best, stall, history, panic
@@ -715,6 +735,21 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// current value, so it must be set before the boundary's evaluation.
     pub fn set_next_generation(&mut self, generation: u32) {
         self.coordinator.next_generation = generation;
+    }
+
+    /// Keeps islands `start..end` and empties every other one. Nothing on
+    /// the shard path reads a foreign island again: evaluate, evolve and
+    /// migrant collection touch only the owned range, and
+    /// [`route_migrants`](crate::shard::route_migrants) delivers a shard
+    /// only batches bound for its own islands. A retained shard's
+    /// [`Self::snapshot`] is therefore its slice, `[]` for every foreign
+    /// island ([`FuzzerSnapshot::validate_slice`]).
+    pub fn shard_retain(&mut self, start: usize, end: usize) {
+        for (island, pop) in self.islands.iter_mut().enumerate() {
+            if !(start..end).contains(&island) {
+                *pop = Vec::new();
+            }
+        }
     }
 
     /// Evaluates the pending individuals of islands `start..end` and reports
@@ -813,12 +848,15 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// source island, replacing that island's worst individuals (the owned
     /// islands were sorted by [`Self::shard_collect_migrants`]). Batches
     /// arrive over the wire in a fleet: one naming an island that does not
-    /// exist, or not holding exactly [`migration_k`] migrants, is rejected
-    /// before anything is installed.
+    /// exist, not holding exactly [`migration_k`] migrants, or bound for an
+    /// island this shard does not hold in full (a foreign island a
+    /// [`Self::shard_retain`] emptied) is rejected before anything is
+    /// installed.
     pub fn shard_apply_migrants(&mut self, batches: Vec<MigrantBatch<G>>) -> Result<(), String> {
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
         let n_islands = self.islands.len();
-        let k = migration_k(&self.coordinator.params);
+        let params = &self.coordinator.params;
+        let k = migration_k(params);
         if let Some(bad) = batches
             .iter()
             .find(|b| b.src_island >= n_islands || b.migrants.len() != k)
@@ -828,6 +866,18 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
                  islands exchanging {k} each",
                 bad.src_island,
                 bad.migrants.len()
+            ));
+        }
+        if let Some(dst) = batches
+            .iter()
+            .map(|b| (b.src_island + 1) % n_islands)
+            .find(|&dst| self.islands[dst].len() != params.population_per_island)
+        {
+            return Err(format!(
+                "migrant batch bound for island {dst}, which this shard does not hold \
+                 ({} of {} individuals)",
+                self.islands[dst].len(),
+                params.population_per_island
             ));
         }
         let mut applied = 0u64;

@@ -2,9 +2,10 @@
 //!
 //! Every campaign — `ccfuzz hunt` in one process, a daemon hunt across
 //! worker processes — is [`drive`]n by the same loop over a
-//! [`ShardCoordinator`] and a [`Shards`] transport. A shard holds the *full*
-//! fuzzer built from the campaign seed but only ever advances its own
-//! contiguous island range: island initialisation and evolution draw from
+//! [`ShardCoordinator`] and a [`Shards`] transport. A shard is a fuzzer
+//! built from the campaign seed that only ever advances its own contiguous
+//! island range (a worker process keeps nothing else; see
+//! [`Fuzzer::shard_retain`]): island initialisation and evolution draw from
 //! pure per-island forks of the master RNG, so the per-island trajectories
 //! are the same under any split. A single-process run is the one-shard case
 //! ([`Lanes`] over one fuzzer); a fleet puts each shard in a worker process
@@ -116,7 +117,8 @@ pub struct MigrantBatch<G> {
 }
 
 /// One shard's final snapshot with the island range `start..end` it owns
-/// (the snapshot's other islands are the stale view it never advanced).
+/// (the snapshot's other islands are empty for a fleet worker and the
+/// stale view it never advanced for an in-process lane).
 pub type ShardFinal<G> = (usize, usize, FuzzerSnapshot<G>);
 
 /// What the fleet should do after a generation's reports were absorbed.
@@ -376,7 +378,9 @@ impl<G: Genome> ShardCoordinator<G> {
     /// moved out of the shard that owns it, the RNG streams come from the
     /// first shard (the master stream is static after construction), and
     /// best/stall/history/panics come from the coordinator. `finals` is in
-    /// island order and covers every island exactly once.
+    /// island order and covers every island exactly once, and each final
+    /// holds its owned islands in full; its other islands are never read
+    /// (a fleet worker ships them empty, an in-process lane stale).
     ///
     /// Caveat: with annealing and more than one shard, each shard advances
     /// its own annealing stream, so no single shard holds the global
@@ -394,6 +398,20 @@ impl<G: Genome> ShardCoordinator<G> {
                     "shard snapshot has {} islands but the campaign has {}",
                     snap.islands.len(),
                     self.params.islands
+                ));
+            }
+            if let Some((island, pop)) = snap
+                .islands
+                .iter()
+                .enumerate()
+                .take(*end)
+                .skip(*start)
+                .find(|(_, pop)| pop.len() != self.params.population_per_island)
+            {
+                return Err(format!(
+                    "shard {start}..{end} ships island {island} with {} individuals, not {}",
+                    pop.len(),
+                    self.params.population_per_island
                 ));
             }
             covered = *end;
@@ -1114,24 +1132,67 @@ mod tests {
         assert_eq!(sources(&routed[0]), [0, 3], "bound for islands 1 and 0");
         assert_eq!(sources(&routed[1]), [1, 2], "bound for islands 2 and 3");
 
-        // (what shard 1 sends, whether a worker could tell on its own)
+        // What shard 1 sends. A worker holds only its own islands, so it
+        // can tell every one on its own, including a real batch bound for
+        // the other shard.
+        let (start, end) = ranges[1];
         let hostile = [
-            (batch(2, params.population_per_island + 1), true),
-            (batch(usize::MAX, k), true),
-            (batch(0, k), false), // a real island, but shard 0's
+            (batch(2, params.population_per_island + 1), "from island 2"),
+            (batch(usize::MAX, k), "islands exchanging"),
+            // A real island, but bound for shard 0's island 1.
+            (batch(0, k), "bound for island 1"),
         ];
-        for (bad, worker_can_tell) in hostile {
+        for (bad, named) in hostile {
             let at = format!("island {} x {}", bad.src_island, bad.migrants.len());
             let outbound = vec![vec![batch(0, k), batch(1, k)], vec![bad.clone()]];
             assert!(route_migrants(&params, &ranges, outbound).is_err(), "{at}");
             let mut fuzzer = Fuzzer::new(params, &ToyEvaluator, toy_init);
+            fuzzer.shard_retain(start, end);
             let before = fuzzer.snapshot();
-            let applied = fuzzer.shard_apply_migrants(vec![batch(1, k), bad]);
-            assert_eq!(applied.is_err(), worker_can_tell, "{at}");
-            if worker_can_tell {
-                assert_eq!(fuzzer.snapshot(), before, "{at}: nothing was installed");
-            }
+            let err = fuzzer
+                .shard_apply_migrants(vec![batch(1, k), bad])
+                .unwrap_err();
+            assert!(err.contains(named), "{at}: {err}");
+            assert_eq!(fuzzer.snapshot(), before, "{at}: nothing was installed");
         }
+    }
+
+    #[test]
+    fn assemble_takes_retained_slices_and_refuses_short_owned_islands() {
+        let params = toy_params();
+        let ranges = shard_ranges(params.islands, 2);
+        let whole = Fuzzer::new(params, &ToyEvaluator, toy_init);
+        let coordinator = whole.coordinator().clone();
+        let finals = |edit: &dyn Fn(usize, &mut FuzzerSnapshot<ToyGenome>)| {
+            let finals: Vec<ShardFinal<ToyGenome>> = ranges
+                .iter()
+                .enumerate()
+                .map(|(shard, &(start, end))| {
+                    let mut lane = Fuzzer::new(params, &ToyEvaluator, toy_init);
+                    lane.shard_retain(start, end);
+                    let mut snapshot = lane.snapshot();
+                    edit(shard, &mut snapshot);
+                    (start, end, snapshot)
+                })
+                .collect();
+            coordinator.assemble(finals)
+        };
+        assert_eq!(finals(&|_, _| {}).unwrap(), whole.snapshot());
+        // An owned island one individual short, or shipped empty, is refused.
+        let short = finals(&|shard, snapshot| {
+            if shard == 1 {
+                snapshot.islands[3].pop();
+            }
+        })
+        .unwrap_err();
+        assert!(short.contains("island 3"), "{short}");
+        let empty = finals(&|shard, snapshot| {
+            if shard == 0 {
+                snapshot.islands[1].clear();
+            }
+        })
+        .unwrap_err();
+        assert!(empty.contains("island 1"), "{empty}");
     }
 
     #[test]

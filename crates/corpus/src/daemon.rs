@@ -50,11 +50,11 @@ use ccfuzz_obs::{
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Hard cap on fleet respawns when no panic budget bounds them; a
@@ -410,8 +410,11 @@ fn spawn_fleet(
                     }
                 }
             }
+            // The handshake must keep watching for child exits and its
+            // deadline, so it polls; a short poll keeps it off the hunt's
+            // critical path.
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(Duration::from_millis(1));
             }
             Err(e) => {
                 kill_all(&mut children);
@@ -654,8 +657,16 @@ struct DaemonShared<'a> {
     root: PathBuf,
     exe: PathBuf,
     hunts: Mutex<Vec<HuntEntry>>,
+    /// Signalled (under the `hunts` lock) when a hunt is queued and on
+    /// shutdown; the idle runner waits on it.
+    queued: Condvar,
     shutdown: &'a AtomicBool,
 }
+
+/// How often the shutdown watcher looks at the flag. Shutdown is raised by
+/// a signal handler, which can neither take a lock nor open a socket, so one
+/// thread polls for it and then wakes the blocked accept loop and runner.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
 
 /// Locks poison-tolerantly: a panicking HTTP handler must not wedge the
 /// runner (or vice versa) for the daemon's remaining lifetime.
@@ -674,13 +685,10 @@ pub fn serve(root: &Path, bind: &str, shutdown: &AtomicBool) -> Result<(), Strin
         .map_err(|e| format!("creating {}: {e}", root.join("hunts").display()))?;
     let exe = std::env::current_exe().map_err(|e| format!("resolving own binary: {e}"))?;
     let listener = TcpListener::bind(bind).map_err(|e| format!("binding {bind}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("configuring listener: {e}"))?;
-    let addr = listener
+    let local = listener
         .local_addr()
-        .map_err(|e| format!("resolving listener address: {e}"))?
-        .to_string();
+        .map_err(|e| format!("resolving listener address: {e}"))?;
+    let addr = local.to_string();
     write_atomic(&root.join("daemon.addr"), addr.as_bytes())
         .map_err(|e| format!("publishing daemon.addr: {e}"))?;
     eprintln!("ccfuzzd: listening on {addr} (root {})", root.display());
@@ -689,16 +697,18 @@ pub fn serve(root: &Path, bind: &str, shutdown: &AtomicBool) -> Result<(), Strin
         root: root.to_path_buf(),
         exe,
         hunts: Mutex::new(Vec::new()),
+        queued: Condvar::new(),
         shutdown,
     };
     std::thread::scope(|scope| {
         scope.spawn(|| runner_loop(&shared));
+        scope.spawn(|| watch_shutdown(&shared, local));
+        // Blocks in `accept`; the watcher's one wake-up connection is
+        // dropped unread.
         while !shutdown.load(Ordering::SeqCst) {
             match listener.accept() {
+                Ok(_) if shutdown.load(Ordering::SeqCst) => {}
                 Ok((stream, _)) => handle_connection(&shared, stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
                 Err(e) => eprintln!("ccfuzzd: accept failed: {e}"),
             }
         }
@@ -709,20 +719,49 @@ pub fn serve(root: &Path, bind: &str, shutdown: &AtomicBool) -> Result<(), Strin
     Ok(())
 }
 
+/// Waits for shutdown, then wakes the runner and the accept loop (blocked in
+/// `accept`: one connection to the daemon's own address).
+fn watch_shutdown(shared: &DaemonShared<'_>, mut local: SocketAddr) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        std::thread::sleep(SHUTDOWN_POLL);
+    }
+    // Notified under the lock the runner checks the flag under, so the
+    // wake-up cannot fall between its check and its wait.
+    {
+        let _hunts = lock(&shared.hunts);
+        shared.queued.notify_all();
+    }
+    if local.ip().is_unspecified() {
+        local.set_ip(match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect(local) {
+        eprintln!("ccfuzzd: waking the accept loop at {local}: {e}");
+    }
+}
+
 /// The runner thread: executes queued hunts in submission order, one at a
-/// time, until shutdown.
+/// time, until shutdown. Idle, it waits for `submit_hunt` or the shutdown
+/// watcher to signal `queued`.
 fn runner_loop(shared: &DaemonShared<'_>) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let next = lock(&shared.hunts)
-            .iter()
-            .position(|h| h.status.state == HuntState::Queued);
-        match next {
-            Some(idx) => run_one_hunt(shared, idx),
-            None => std::thread::sleep(Duration::from_millis(50)),
-        }
+        let mut hunts = lock(&shared.hunts);
+        let idx = loop {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match hunts
+                .iter()
+                .position(|h| h.status.state == HuntState::Queued)
+            {
+                Some(idx) => break idx,
+                None => hunts = shared.queued.wait(hunts).unwrap_or_else(|e| e.into_inner()),
+            }
+        };
+        drop(hunts);
+        run_one_hunt(shared, idx);
     }
 }
 
@@ -1026,6 +1065,7 @@ fn submit_hunt(shared: &DaemonShared<'_>, body: &str) -> (u16, &'static str, Str
         },
         payload: None,
     });
+    shared.queued.notify_one();
     let reply = Value::Map(vec![("id".to_string(), Value::Str(id))]);
     json_ok(&reply)
 }

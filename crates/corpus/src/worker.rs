@@ -2,13 +2,15 @@
 //!
 //! A worker is a `ccfuzzd worker --connect ADDR --worker K` process. It
 //! connects to the per-hunt coordinator socket, receives its
-//! [`Assign`]ment, builds the *full* fuzzer from the campaign seed (island
+//! [`Assign`]ment, builds the fuzzer from the campaign seed (island
 //! initialisation is a pure per-island fork, so construction is cheap and
-//! byte-identical across the fleet) and then reacts — strictly
-//! message-driven — to the coordinator's frames: evaluate its island
-//! range, evolve past a boundary, exchange migrants through the
+//! byte-identical across the fleet) and at once empties every island
+//! outside its range: nothing it does reads them again. It then reacts —
+//! strictly message-driven — to the coordinator's frames: evaluate its
+//! island range, evolve past a boundary, exchange migrants through the
 //! coordinator, persist a [`WorkerCheckpoint`] on cadence and finally ship
-//! its snapshot back.
+//! its snapshot back. Both the checkpoint and the final snapshot are the
+//! worker's slice: its own islands in full and `[]` for every other one.
 //!
 //! Checkpoints are kept two-deep per worker: the round in flight plus the
 //! previously committed one, because the coordinator only commits a
@@ -25,7 +27,7 @@ use crate::proto::{
 };
 use ccfuzz_core::checkpoint::SnapshotPayload;
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
-use ccfuzz_core::shard::MigrantBatch;
+use ccfuzz_core::shard::{shard_ranges, MigrantBatch};
 use ccfuzz_obs::{write_atomic, HuntTelemetry};
 use serde::{Deserialize, Serialize};
 use std::net::TcpStream;
@@ -34,11 +36,12 @@ use std::path::{Path, PathBuf};
 /// Worker-checkpoint file schema version.
 pub const WORKER_CHECKPOINT_SCHEMA: u32 = 1;
 
-/// One worker's resumable state at a committed generation boundary. Only
-/// the worker's own island range is authoritative; the rest of the
-/// embedded snapshot is the stale view the worker stopped advancing (the
-/// coordinator owns all cross-island state and keeps its own committed
-/// copy).
+/// One worker's resumable state at a committed generation boundary. The
+/// embedded snapshot holds the worker's own island range in full and every
+/// other island empty ([`SnapshotPayload::validate_slice`]); its
+/// cross-island fields are the worker's view, which nothing resumes from
+/// (the coordinator owns all cross-island state and keeps its own
+/// committed copy).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkerCheckpoint {
     /// File schema version ([`WORKER_CHECKPOINT_SCHEMA`]).
@@ -78,7 +81,10 @@ impl WorkerCheckpoint {
         Ok(bytes)
     }
 
-    /// Loads a worker checkpoint and verifies schema, identity and digest.
+    /// Loads a worker checkpoint and verifies schema, identity, digest and
+    /// slice shape: the islands `worker` owns under
+    /// [`shard_ranges`]`(islands, n_workers)` full and valid, every other
+    /// island empty.
     pub fn load(
         path: &Path,
         worker: usize,
@@ -110,9 +116,27 @@ impl WorkerCheckpoint {
                 ck.generation
             ));
         }
-        ck.state.validate()?;
+        let (start, end) = owned_range(config, worker, n_workers)?;
+        ck.state.validate_slice(start, end)?;
         Ok(ck)
     }
+}
+
+/// The islands worker `worker` of `n_workers` owns.
+fn owned_range(
+    config: &HuntConfig,
+    worker: usize,
+    n_workers: usize,
+) -> Result<(usize, usize), String> {
+    (config.ga.islands > 0 && n_workers > 0)
+        .then(|| shard_ranges(config.ga.islands, n_workers))
+        .and_then(|ranges| ranges.get(worker).copied())
+        .ok_or_else(|| {
+            format!(
+                "worker {worker}/{n_workers} owns no islands of {}",
+                config.ga.islands
+            )
+        })
 }
 
 /// Deletes this worker's checkpoint files older than the previous boundary,
@@ -194,6 +218,14 @@ impl ModeVisitor for ShardJob<'_> {
         let campaign = assign.config.campaign();
         let telemetry = HuntTelemetry::new();
         let evaluator = campaign.evaluator();
+        let (start, end) = (assign.island_start, assign.island_end);
+        let owned = owned_range(&assign.config, assign.worker, assign.n_workers)?;
+        if owned != (start, end) {
+            return Err(format!(
+                "assigned islands {start}..{end}, but worker {} of {} owns {}..{}",
+                assign.worker, assign.n_workers, owned.0, owned.1
+            ));
+        }
         // The committed worker checkpoint named by the assignment, if any.
         let resume = match assign.resume_generation {
             Some(generation) => {
@@ -206,13 +238,23 @@ impl ModeVisitor for ShardJob<'_> {
                     &assign.config,
                     generation,
                 )?;
-                Some(G::unwrap_snapshot(ck.state)?)
+                let mut slice = G::unwrap_snapshot(ck.state)?;
+                // `load` checked `start..end` is exactly the slice it holds.
+                // `restore` takes a whole snapshot, so the foreign islands
+                // come from a fresh build; `shard_retain` empties them again.
+                let mut islands = campaign
+                    .build_fuzzer::<G>(&evaluator, None, None)?
+                    .snapshot()
+                    .islands;
+                islands[start..end].swap_with_slice(&mut slice.islands[start..end]);
+                slice.islands = islands;
+                Some(slice)
             }
             None => None,
         };
         let mut fuzzer = campaign.build_fuzzer::<G>(&evaluator, resume, Some(&telemetry))?;
+        fuzzer.shard_retain(start, end);
 
-        let (start, end) = (assign.island_start, assign.island_end);
         let dir = PathBuf::from(&assign.checkpoint_dir);
         loop {
             let (kind, body) = recv_frame(stream).map_err(|e| format!("coordinator link: {e}"))?;
@@ -285,8 +327,11 @@ mod tests {
     use super::*;
     use ccfuzz_cca::CcaKind;
     use ccfuzz_core::campaign::FuzzMode;
+    use ccfuzz_core::fuzzer::FuzzerSnapshot;
     use ccfuzz_core::genome::TrafficGenome;
     use ccfuzz_core::shard::LoopControl;
+    use ccfuzz_netsim::time::SimTime;
+    use std::net::TcpListener;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -307,31 +352,37 @@ mod tests {
         config
     }
 
-    fn snapshot_for(config: &HuntConfig) -> SnapshotPayload {
-        let run = config
+    /// Worker 1 of 2's slice of a finished tiny campaign: island 1 in full,
+    /// island 0 empty.
+    fn slice_for(config: &HuntConfig) -> FuzzerSnapshot<TrafficGenome> {
+        let mut snapshot = config
             .campaign()
             .run_controlled(None, &LoopControl::default(), None)
-            .unwrap();
-        TrafficGenome::wrap_snapshot(run.final_snapshot)
+            .unwrap()
+            .final_snapshot;
+        snapshot.islands[0].clear();
+        snapshot
     }
 
     #[test]
     fn worker_checkpoints_roundtrip_verify_and_prune() {
         let dir = temp_dir("roundtrip");
         let config = tiny_config();
-        let state = snapshot_for(&config);
+        let slice = slice_for(&config);
+        let state = TrafficGenome::wrap_snapshot(slice.clone());
         let digest = hunt_config_digest(&config);
+        let checkpoint = |generation: u32, state: SnapshotPayload| WorkerCheckpoint {
+            schema: WORKER_CHECKPOINT_SCHEMA,
+            worker: 1,
+            n_workers: 2,
+            config_digest: digest,
+            generation,
+            state,
+        };
         for generation in 1..=4u32 {
-            WorkerCheckpoint {
-                schema: WORKER_CHECKPOINT_SCHEMA,
-                worker: 1,
-                n_workers: 2,
-                config_digest: digest,
-                generation,
-                state: state.clone(),
-            }
-            .write_into(&dir)
-            .unwrap();
+            checkpoint(generation, state.clone())
+                .write_into(&dir)
+                .unwrap();
         }
         // Only the newest two boundaries survive pruning.
         let mut names: Vec<String> = std::fs::read_dir(&dir)
@@ -361,6 +412,78 @@ mod tests {
         other.ga.seed += 1;
         let err = WorkerCheckpoint::load(&path, 1, 2, &other, 4).unwrap_err();
         assert!(err.contains("different hunt configuration"), "{err}");
+
+        // So is any other slice shape: a foreign island holding genomes, an
+        // owned island one individual short, an owned invalid genome.
+        let mut foreign = slice.clone();
+        foreign.islands[0] = foreign.islands[1].clone();
+        let mut short = slice.clone();
+        short.islands[1].pop();
+        let mut invalid = slice;
+        let genome = &mut invalid.islands[1][0].genome;
+        genome.max_packets = genome.timestamps.len();
+        genome.timestamps.push(SimTime::ZERO);
+        for (what, bad) in [
+            ("outside the slice", foreign),
+            ("individuals but params say", short),
+            ("invalid genome", invalid),
+        ] {
+            checkpoint(5, TrafficGenome::wrap_snapshot(bad))
+                .write_into(&dir)
+                .unwrap();
+            let path = dir.join(WorkerCheckpoint::file_name(1, 5));
+            let err = WorkerCheckpoint::load(&path, 1, 2, &config, 5).unwrap_err();
+            assert!(err.contains(what), "{what}: {err}");
+        }
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_worker_refuses_inbound_migrants_bound_for_the_other_worker() {
+        let mut config = tiny_config();
+        config.ga.migration_interval = 1;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || run_worker(&addr, 0));
+        let (mut stream, _) = listener.accept().unwrap();
+        // A worker that installed the batch would wait for the next frame:
+        // fail then instead of hanging.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let (kind, _) = recv_frame(&mut stream).unwrap();
+        assert_eq!(kind, HELLO);
+        let assign = Assign {
+            config,
+            worker: 0,
+            n_workers: 2,
+            island_start: 0,
+            island_end: 1,
+            checkpoint_every: 0,
+            checkpoint_dir: temp_dir("misrouted").display().to_string(),
+            resume_generation: None,
+        };
+        send_frame(&mut stream, ASSIGN, &assign).unwrap();
+        send_frame(&mut stream, EVALUATE, &Evaluate { generation: 0 }).unwrap();
+        assert_eq!(recv_frame(&mut stream).unwrap().0, REPORT);
+        let proceed = Proceed {
+            generation: 0,
+            migrate: true,
+            checkpoint: false,
+        };
+        send_frame(&mut stream, PROCEED, &proceed).unwrap();
+        let (kind, body) = recv_frame(&mut stream).unwrap();
+        assert_eq!(kind, MIGRANTS);
+        // Worker 0's own batch leaves island 0 for island 1, which worker 1
+        // owns: routed back to worker 0, it must be refused, not installed
+        // into (or indexed out of) the island worker 0 emptied.
+        let outbound: Vec<MigrantBatch<TrafficGenome>> = decode(&kind, &body).unwrap();
+        send_frame(&mut stream, INBOUND, &outbound).unwrap();
+        let (kind, body) = recv_frame(&mut stream).unwrap();
+        assert_eq!(kind, FATAL);
+        let fatal: Fatal = decode(&kind, &body).unwrap();
+        assert!(fatal.message.contains("island 1"), "{}", fatal.message);
+        let err = worker.join().expect("the worker returns, not panics");
+        assert_eq!(err, Err(fatal.message));
     }
 }

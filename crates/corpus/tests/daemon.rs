@@ -1,7 +1,8 @@
 //! Process-level tests for the distributed orchestration layer: a real
 //! `ccfuzzd` daemon driven over its HTTP socket, hunts sharded across
-//! worker processes, a SIGKILL-induced fleet respawn that must resume from
-//! the committed checkpoint, and the graceful SIGTERM drain.
+//! worker processes (each keeping, checkpointing and shipping only its own
+//! islands), a SIGKILL-induced fleet respawn that must resume from the
+//! committed checkpoint, and the graceful SIGTERM drain.
 //!
 //! The load-bearing assertion throughout: a daemon hunt's fetched finding
 //! payload is byte-identical to what a single-process `ccfuzz hunt` with
@@ -11,6 +12,7 @@ use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_corpus::daemon::{http_request, HuntSpec, HuntState, HuntStatus};
 use ccfuzz_corpus::hunt::HuntConfig;
+use ccfuzz_corpus::worker::WorkerCheckpoint;
 use ccfuzz_netsim::time::SimDuration;
 use serde::value::{map_get, Value};
 use std::path::{Path, PathBuf};
@@ -204,12 +206,23 @@ fn single_worker_daemon_hunt_payload_matches_ccfuzz_hunt_byte_for_byte() {
 
 #[test]
 fn sigkilled_worker_respawns_from_checkpoint_and_matches_the_control() {
-    let dir = temp_dir("sigkill");
+    sigkill_a_worker_and_match_the_control(FuzzMode::Topology);
+}
+
+/// Traffic is the mode the benchmark's fleet workload runs: its respawned
+/// workers splice their checkpointed island slice into a fresh population.
+#[test]
+fn sigkilled_traffic_worker_respawns_from_checkpoint_and_matches_the_control() {
+    sigkill_a_worker_and_match_the_control(FuzzMode::Traffic);
+}
+
+fn sigkill_a_worker_and_match_the_control(mode: FuzzMode) {
+    let dir = temp_dir(&format!("sigkill-{}", mode.name()));
     // Sized so the campaign outlives the kill by a wide margin: children
     // that repeat a parent take its outcome instead of simulating, so a
     // small, quickly converging campaign finishes in a few generations'
     // worth of simulations.
-    let mut spec = test_spec(CcaKind::Bbr, FuzzMode::Topology, 12, 33, 2);
+    let mut spec = test_spec(CcaKind::Bbr, mode, 12, 33, 2);
     spec.config.duration = SimDuration::from_secs(20);
     let control = control_payload(&spec, &dir.join("control-corpus"));
 
@@ -258,6 +271,84 @@ fn sigkilled_worker_respawns_from_checkpoint_and_matches_the_control() {
         payload.as_bytes(),
         &control[..],
         "respawned hunt's payload differs from the single-process control"
+    );
+
+    drain(daemon, &root);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn an_uneven_fleet_ships_and_persists_only_its_own_islands() {
+    let dir = temp_dir("uneven");
+    // Five islands over three workers: a 2/2/1 split.
+    let mut spec = test_spec(CcaKind::Reno, FuzzMode::Traffic, 3, 5, 3);
+    spec.config.ga.islands = 5;
+    let control = control_payload(&spec, &dir.join("control-corpus"));
+
+    let root = dir.join("daemon");
+    let daemon = start_daemon(&root);
+    let id = submit(&daemon.addr, &spec);
+    wait_until("the hunt to finish", || {
+        terminal(hunt_status(&daemon.addr, &id).state)
+    });
+    let status = hunt_status(&daemon.addr, &id);
+    assert_eq!(
+        status.state,
+        HuntState::Completed,
+        "hunt did not complete: {:?}",
+        status.error
+    );
+    let (code, payload) =
+        http_request(&daemon.addr, "GET", &format!("/hunts/{id}/findings"), None).unwrap();
+    assert_eq!(code, 200);
+    assert_eq!(
+        payload.as_bytes(),
+        &control[..],
+        "2/2/1 fleet payload differs from the single-process control"
+    );
+
+    // Every checkpoint a worker left behind is its slice: `load` accepts
+    // only its own islands in full and every other island empty.
+    let workers = root.join("hunts").join(&id).join("workers");
+    let mut files: Vec<String> = std::fs::read_dir(&workers)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let owners: Vec<usize> = files.iter().map(|f| f[7..9].parse().unwrap()).collect();
+    assert_eq!(owners, [0, 0, 1, 1, 2, 2], "{files:?}");
+    for (file, worker) in files.iter().zip(owners) {
+        let generation: u32 = file[14..20].parse().unwrap();
+        let loaded =
+            WorkerCheckpoint::load(&workers.join(file), worker, 3, &spec.config, generation);
+        assert!(loaded.is_ok(), "{file}: {:?}", loaded.err());
+    }
+
+    drain(daemon, &root);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn an_idle_daemon_answers_sequential_requests_without_polling() {
+    let dir = temp_dir("idle");
+    let root = dir.join("daemon");
+    let daemon = start_daemon(&root);
+    let list = || {
+        let (code, reply) = http_request(&daemon.addr, "GET", "/hunts", None).unwrap();
+        assert_eq!((code, reply.trim()), (200, "[]"));
+    };
+    list();
+    // An accept loop that sleeps between polls makes each request wait for
+    // the next poll: about 12 ms on average at a 25 ms poll, 0.6 s in all.
+    let started = Instant::now();
+    for _ in 0..50 {
+        list();
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "50 sequential requests took {took:?}"
     );
 
     drain(daemon, &root);

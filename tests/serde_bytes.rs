@@ -153,6 +153,8 @@ fn campaign_checkpoints_of_every_mode_keep_their_bytes() {
 
 /// A two-worker fleet without the sockets: every message the daemon and its
 /// workers exchange is encoded with `send_frame`, grouped by frame kind.
+/// Each lane keeps only its own islands, as a worker process does, so the
+/// `final` frames and the worker checkpoint carry the worker's slice.
 struct WireLanes<'f> {
     lanes: Vec<Fuzzer<'f, TrafficGenome, SimEvaluator>>,
     ranges: Vec<(usize, usize)>,
@@ -243,14 +245,17 @@ fn toy_fleet_frames_and_worker_checkpoint_keep_their_bytes() {
     config.ga.migration_interval = 1;
     let campaign = config.campaign();
     let evaluator = campaign.evaluator();
-    let lanes: Vec<_> = (0..2)
-        .map(|_| {
-            campaign
+    let ranges = shard_ranges(config.ga.islands, 2);
+    let lanes: Vec<_> = ranges
+        .iter()
+        .map(|&(start, end)| {
+            let mut lane = campaign
                 .build_fuzzer::<TrafficGenome>(&evaluator, None, None)
-                .unwrap()
+                .unwrap();
+            lane.shard_retain(start, end);
+            lane
         })
         .collect();
-    let ranges = shard_ranges(config.ga.islands, 2);
     let mut fleet = WireLanes {
         lanes,
         ranges: ranges.clone(),
@@ -311,14 +316,14 @@ fn toy_fleet_frames_and_worker_checkpoint_keep_their_bytes() {
             ("checkpoint_done", 0x7b291502d57e6ad5),
             ("evaluate", 0xbc055dff9598632f),
             ("fatal", 0x24a7c1fbef156821),
-            ("final", 0xdaafcea2a6a7e8e9),
+            ("final", 0x17566a1d249aa503),
             ("finish", 0x40a2a84a04c035b5),
             ("hello", 0xd5e3ea861fe0971e),
             ("inbound", 0xa9563e82f023cf92),
             ("migrants", 0xfce0d63838cd3f86),
             ("proceed", 0xfdcf57a8fcd22587),
             ("report", 0x6258cf5ec0cb622c),
-            ("worker_checkpoint", 0xa619b8c0f83e90f3),
+            ("worker_checkpoint", 0x1ddb1d9c99052064),
         ],
     );
 }
