@@ -526,3 +526,78 @@ fn workload_trace_lists_the_flows_that_appear_not_a_slab_handle() {
     assert!(stdout.lines().count() <= distinct.len() * (4 + 3) + 16);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn trace_output_is_pinned_on_the_static_fixtures() {
+    // (finding id, FNV-1a of `ccfuzz trace <id>` stdout, FNV-1a of the
+    // `--json` export's lines sorted and joined by '\n'). Sorting pins the
+    // event multiset, not the order of events that share a timestamp.
+    const PINS: [(&str, u64, u64); 6] = [
+        (
+            "cubic-traffic-0303000c0d",
+            0xc11cf546300e9231,
+            0x135b781866dfcadd,
+        ),
+        (
+            "reno-aqm-010100060b",
+            0x327f5f1f29163c0c,
+            0x5f13088042c69166,
+        ),
+        (
+            "reno-fairness-0909030f12",
+            0x71ff32f69772f25f,
+            0xfec92752be39ca5d,
+        ),
+        (
+            "reno-link-0808000e0a",
+            0x71427972247cf800,
+            0x49cdff26e09e320a,
+        ),
+        (
+            "reno-topology-0809010d12",
+            0xb8a96ea68fae42bb,
+            0xa6b02eed4ae27476,
+        ),
+        (
+            "reno-traffic-0303000e0d",
+            0x46ca57a2f8a640f5,
+            0xd04f8c7f1c5f2465,
+        ),
+    ];
+    let dir = scratch_dir("trace-pins");
+    let mut drift = Vec::new();
+    for (id, stdout_pin, json_pin) in PINS {
+        let json_path = dir.join(format!("{id}.jsonl"));
+        let out = ccfuzz()
+            .args(["trace", id, "--corpus"])
+            .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
+            .arg("--json")
+            .arg(&json_path)
+            .output()
+            .expect("run ccfuzz trace");
+        assert!(out.status.success(), "trace {id} failed");
+        let jsonl = std::fs::read_to_string(&json_path).expect("JSONL export written");
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        lines.sort_unstable();
+        let observed = (fnv1a(&out.stdout), fnv1a(lines.join("\n").as_bytes()));
+        if observed != (stdout_pin, json_pin) {
+            drift.push(format!(
+                "(\"{id}\", {:#018x}, {:#018x}),",
+                observed.0, observed.1
+            ));
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    assert!(
+        drift.is_empty(),
+        "`ccfuzz trace` output drifted; observed:\n{}",
+        drift.join("\n")
+    );
+}
