@@ -3,11 +3,13 @@
 //! Figure 4c of the paper is a hand-drawn timeline of how the BBR stall is
 //! triggered: an RTO, spurious retransmissions of packets whose SACKs are in
 //! flight, SACKs arriving right after, and premature probe-round ends. This
-//! module extracts exactly that window of events from a run's transport log,
-//! and defines each §4 finding's signature once, as a [`Verdict`] over a run,
-//! for the findings tests and the `paper` table alike.
+//! module extracts exactly that window of events from the primary flow's
+//! sender records in the run log, and defines each §4 finding's signature
+//! once, as a [`Verdict`] over a run, for the findings tests and the `paper`
+//! table alike.
 
-use ccfuzz_netsim::stats::{RunStats, TransportEvent, TransportRecord};
+use ccfuzz_netsim::packet::FlowId;
+use ccfuzz_netsim::stats::{RunStats, TransportEvent};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -15,10 +17,9 @@ use std::fmt::Write as _;
 pub fn rto_timeline(stats: &RunStats, context_after: SimDuration, max_events: usize) -> String {
     let mut out = String::new();
     let rto_times: Vec<SimTime> = stats
-        .transport
-        .iter()
-        .filter(|r| matches!(r.event, TransportEvent::RtoFired { .. }))
-        .map(|r| r.at)
+        .transport(FlowId::Cca(0))
+        .filter(|(_, e)| matches!(e, TransportEvent::RtoFired { .. }))
+        .map(|(at, _)| at)
         .collect();
     if rto_times.is_empty() {
         let _ = writeln!(out, "(no RTO fired during this run)");
@@ -28,15 +29,15 @@ pub fn rto_timeline(stats: &RunStats, context_after: SimDuration, max_events: us
         let _ = writeln!(out, "--- RTO #{} at {} ---", i + 1, rto_at);
         let window_end = rto_at + context_after;
         let mut shown = 0usize;
-        for rec in &stats.transport {
-            if rec.at < rto_at || rec.at > window_end {
+        for (at, event) in stats.transport(FlowId::Cca(0)) {
+            if at < rto_at || at > window_end {
                 continue;
             }
             if shown >= max_events {
                 let _ = writeln!(out, "  ... (truncated)");
                 break;
             }
-            let _ = writeln!(out, "  {}", format_record(rec));
+            let _ = writeln!(out, "  {}", format_record(at, event));
             shown += 1;
         }
     }
@@ -49,21 +50,22 @@ pub fn rto_timeline(stats: &RunStats, context_after: SimDuration, max_events: us
 /// retransmissions whose sequence is SACKed within `window` after the
 /// retransmission was sent.
 pub fn spurious_retransmissions(stats: &RunStats, window: SimDuration) -> usize {
+    let log: Vec<_> = stats.transport(FlowId::Cca(0)).collect();
     let mut count = 0usize;
-    for (i, rec) in stats.transport.iter().enumerate() {
-        let TransportEvent::Sent {
+    for (i, &(at, event)) in log.iter().enumerate() {
+        let &TransportEvent::Sent {
             seq,
             retransmission: true,
             ..
-        } = rec.event
+        } = event
         else {
             continue;
         };
-        let deadline = rec.at + window;
-        let sacked_soon = stats.transport[i + 1..]
+        let deadline = at + window;
+        let sacked_soon = log[i + 1..]
             .iter()
-            .take_while(|r| r.at <= deadline)
-            .any(|r| matches!(r.event, TransportEvent::Sacked { seq: s } if s == seq));
+            .take_while(|(at, _)| *at <= deadline)
+            .any(|(_, e)| matches!(e, TransportEvent::Sacked { seq: s } if *s == seq));
         if sacked_soon {
             count += 1;
         }
@@ -75,9 +77,8 @@ pub fn spurious_retransmissions(stats: &RunStats, window: SimDuration) -> usize 
 /// signature of the §4.1 interaction), based on the CC event log.
 pub fn retransmission_triggered_rounds(stats: &RunStats) -> usize {
     stats
-        .transport
-        .iter()
-        .filter(|r| match &r.event {
+        .transport(FlowId::Cca(0))
+        .filter(|(_, e)| match e {
             TransportEvent::Cc { detail } => detail.contains("RETRANSMITTED"),
             _ => false,
         })
@@ -132,9 +133,8 @@ pub fn cubic_self_inflicted_losses(buggy: &RunStats, fixed: &RunStats) -> Verdic
 pub fn reno_repeated_rto(stats: &RunStats, mss: u32, duration: SimDuration) -> Verdict {
     let flow = stats.flow();
     let backoffs: Vec<u32> = stats
-        .transport
-        .iter()
-        .filter_map(|r| match r.event {
+        .transport(FlowId::Cca(0))
+        .filter_map(|(_, e)| match *e {
             TransportEvent::RtoFired { backoff } => Some(backoff),
             _ => None,
         })
@@ -172,9 +172,9 @@ pub fn one_line_summary(stats: &RunStats, duration_secs: f64, mss: u32) -> Strin
     )
 }
 
-fn format_record(rec: &TransportRecord) -> String {
-    let t = format!("{:>10.4}s", rec.at.as_secs_f64());
-    match &rec.event {
+fn format_record(at: SimTime, event: &TransportEvent) -> String {
+    let t = format!("{:>10.4}s", at.as_secs_f64());
+    match event {
         TransportEvent::Sent {
             seq,
             retransmission,
@@ -199,18 +199,20 @@ fn format_record(rec: &TransportRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfuzz_netsim::stats::FlowSummary;
+    use ccfuzz_netsim::stats::{FlowSummary, LogEvent, LogRecord};
 
-    fn rec(at_ms: u64, event: TransportEvent) -> TransportRecord {
-        TransportRecord {
+    fn rec(at_ms: u64, event: TransportEvent) -> LogRecord {
+        LogRecord {
             at: SimTime::from_millis(at_ms),
-            event,
+            flow: FlowId::Cca(0),
+            hop: 0,
+            event: LogEvent::Transport(event),
         }
     }
 
-    fn stats_with(transport: Vec<TransportRecord>) -> RunStats {
+    fn stats_with(log: Vec<LogRecord>) -> RunStats {
         RunStats {
-            transport,
+            log,
             ..Default::default()
         }
     }

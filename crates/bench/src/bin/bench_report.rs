@@ -34,7 +34,6 @@ use ccfuzz_core::campaign::{paper_sim_base, Campaign, FuzzMode};
 use ccfuzz_core::evaluate::EvalScratch;
 use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::genome::TrafficGenome;
-use ccfuzz_core::mode::RunOpts;
 use ccfuzz_netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::TrafficTrace;
@@ -386,9 +385,7 @@ fn mini_campaign(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
                 &mut rng,
             )
         };
-        let result = evaluator
-            .simulate(&genome, &mut EvalScratch::new(), RunOpts::default())
-            .0;
+        let result = evaluator.simulate(&genome, &mut EvalScratch::new(), false);
         events_per_run = result.stats.events_processed;
     }
     // The campaign's own telemetry histogram gives true per-evaluation

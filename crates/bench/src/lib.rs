@@ -25,7 +25,7 @@ use ccfuzz_core::campaign::{
 use ccfuzz_core::evaluate::{EvalScratch, SimEvaluator};
 use ccfuzz_core::fuzzer::{GaParams, GenerationSummary};
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
-use ccfuzz_core::mode::{dispatch, GenomePayload, ModeGenome, ModeVisitor, RunOpts};
+use ccfuzz_core::mode::{dispatch, GenomePayload, ModeGenome, ModeVisitor};
 use ccfuzz_core::realism::RealismScorer;
 use ccfuzz_core::scoring::fairness_breakdown;
 use ccfuzz_core::trace_gen::{dist_packets, packets_for_rate, DistPacketsParams};
@@ -267,13 +267,9 @@ impl Evidence {
         &self.runs[0].1
     }
 
-    /// Replays `genome` against `evaluator` with full event recording.
+    /// Replays `genome` against `evaluator`, recording the run log.
     fn replay<G: ModeGenome>(&mut self, cca: CcaKind, evaluator: &SimEvaluator, genome: &G) {
-        let opts = RunOpts {
-            record_events: true,
-            trace: false,
-        };
-        let run = evaluator.simulate(genome, &mut EvalScratch::new(), opts).0;
+        let run = evaluator.simulate(genome, &mut EvalScratch::new(), true);
         self.runs.push((cca.name().to_string(), run));
     }
 }
@@ -956,7 +952,7 @@ pub const TABLE: &[Row] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfuzz_netsim::stats::{BottleneckEvent, BottleneckRecord, RunStats};
+    use ccfuzz_netsim::stats::{BottleneckEvent, LogEvent, LogRecord, RunStats};
 
     fn parse(args: &[&str]) -> Result<(Scale, Vec<&'static str>), String> {
         let parsed = parse_args(args.iter().map(|a| a.to_string()))?;
@@ -1020,13 +1016,12 @@ mod tests {
         }
     }
 
-    fn record(at_ms: u64, flow: FlowId, event: BottleneckEvent) -> BottleneckRecord {
-        BottleneckRecord {
+    fn record(at_ms: u64, flow: FlowId, event: BottleneckEvent) -> LogRecord {
+        LogRecord {
             at: SimTime::from_millis(at_ms),
             flow,
             hop: 0,
-            size: 1_000,
-            event,
+            event: LogEvent::Queue { size: 1_000, event },
         }
     }
 
@@ -1036,11 +1031,11 @@ mod tests {
         }
     }
 
-    /// Evidence of one replay with these bottleneck records.
-    fn evidence(bottleneck: Vec<BottleneckRecord>) -> Evidence {
+    /// Evidence of one replay with these gateway records.
+    fn evidence(log: Vec<LogRecord>) -> Evidence {
         let mut ev = Evidence::new(SimDuration::from_secs(1));
         let stats = RunStats {
-            bottleneck,
+            log,
             ..Default::default()
         };
         let run = SimResult {

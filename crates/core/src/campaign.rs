@@ -455,7 +455,8 @@ mod tests {
     use crate::evaluate::{EvalScratch, Evaluator};
     use crate::fuzzer::StopReason;
     use crate::genome::Genome;
-    use crate::mode::{dispatch, GenomePayload, ModeVisitor, RunOpts};
+    use crate::mode::{dispatch, GenomePayload, ModeVisitor};
+    use crate::scoring::ScoreScratch;
 
     #[test]
     fn paper_base_matches_paper_settings() {
@@ -617,14 +618,20 @@ mod tests {
         }
     }
 
-    /// A minimal end-to-end campaign per mode (kept tiny so the unit-test
-    /// suite stays fast; the integration tests run bigger ones).
-    fn tiny_campaign(mode: FuzzMode) -> Campaign {
+    /// GA settings of the tiny conformance campaigns.
+    fn tiny_ga(mode: FuzzMode) -> GaParams {
         let mut ga = GaParams::quick();
         ga.islands = 2;
         ga.population_per_island = 3;
         ga.generations = 2;
         ga.anneal = mode == FuzzMode::Link;
+        ga
+    }
+
+    /// A minimal end-to-end campaign per mode (kept tiny so the unit-test
+    /// suite stays fast; the integration tests run bigger ones).
+    fn tiny_campaign(mode: FuzzMode) -> Campaign {
+        let ga = tiny_ga(mode);
         let duration = SimDuration::from_secs(2);
         match mode {
             FuzzMode::Traffic | FuzzMode::Link => {
@@ -702,8 +709,9 @@ mod tests {
             }
 
             // (ii) A cold scratch and a warm one score identically, and
-            // (iii) the trace recorder (with or without event recording)
-            // never moves the run's digest.
+            // (iii) recording the run log never moves the run's digest, and
+            // a recorded run scores what `evaluate` scored (an objective
+            // that reads the log records it on every run).
             let evaluator = campaign.evaluator();
             let mut warm = EvalScratch::new();
             let population = run.final_snapshot.islands.iter().flatten();
@@ -715,17 +723,12 @@ mod tests {
                     evaluator.evaluate_reusing(genome, &mut warm),
                     "{mode:?}"
                 );
-                let (plain, no_trace) = evaluator.simulate(genome, &mut warm, RunOpts::default());
-                assert!(no_trace.is_none());
-                for record_events in [false, true] {
-                    let opts = RunOpts {
-                        record_events,
-                        trace: true,
-                    };
-                    let (traced, trace) = evaluator.simulate(genome, &mut warm, opts);
-                    assert_eq!(traced.stats.digest(), plain.stats.digest(), "{mode:?}");
-                    assert!(!trace.expect("trace requested").events.is_empty());
-                }
+                let plain = evaluator.simulate(genome, &mut warm, false);
+                let recorded = evaluator.simulate(genome, &mut warm, true);
+                assert_eq!(recorded.stats.digest(), plain.stats.digest(), "{mode:?}");
+                assert!(!recorded.stats.log.is_empty(), "{mode:?}");
+                let rescored = genome.score(&evaluator, &recorded, &mut ScoreScratch::default());
+                assert_eq!(rescored, cold, "{mode:?}");
             }
 
             // (iv) The final snapshot round-trips through the mode-erased
@@ -781,8 +784,19 @@ mod tests {
 
     #[test]
     fn every_mode_conforms_end_to_end() {
-        for mode in FuzzMode::ALL {
-            dispatch(mode, Conformance(tiny_campaign(mode)));
+        // Every mode, plus the one objective that scores the run log.
+        let high_delay = Campaign::paper_high_delay(
+            FuzzMode::Traffic,
+            CcaKind::Reno,
+            SimDuration::from_secs(2),
+            tiny_ga(FuzzMode::Traffic),
+        );
+        for campaign in FuzzMode::ALL
+            .map(tiny_campaign)
+            .into_iter()
+            .chain([high_delay])
+        {
+            dispatch(campaign.mode, Conformance(campaign));
         }
     }
 }

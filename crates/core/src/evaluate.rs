@@ -9,17 +9,16 @@
 //! [`Evaluator`] impl scores the result through the same trait.
 
 use crate::genome::{LinkGenome, TrafficGenome};
-use crate::mode::{ModeGenome, RunOpts};
+use crate::mode::ModeGenome;
 use crate::scenario::{FlowGene, ScenarioGenome};
 use crate::scoring::{
-    performance_score_reusing, total_score, trace_score, ScoreScratch, ScoringConfig,
+    performance_score_reusing, total_score, trace_score, Objective, ScoreScratch, ScoringConfig,
     TraceScoreInputs,
 };
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::sim::{FlowSpec, SimResult, Simulation};
-use ccfuzz_netsim::simtrace::{SimTrace, DEFAULT_TRACE_CAPACITY};
 use ccfuzz_netsim::time::SimDuration;
 use ccfuzz_netsim::trace::TrafficTrace;
 use serde::{Deserialize, Serialize};
@@ -250,15 +249,9 @@ pub struct SimEvaluator {
 }
 
 impl SimEvaluator {
-    /// Creates an evaluator; `base.record_events` is forced off for speed
-    /// (the GA only needs the aggregate statistics).
-    pub fn new(
-        mut base: SimConfig,
-        cca: CcaKind,
-        scoring: ScoringConfig,
-        link_rate_bps: u64,
-    ) -> Self {
-        base.record_events = false;
+    /// Creates an evaluator. Whether a run records its log is decided per
+    /// run by [`SimEvaluator::simulate`], not by `base.record_events`.
+    pub fn new(base: SimConfig, cca: CcaKind, scoring: ScoringConfig, link_rate_bps: u64) -> Self {
         SimEvaluator {
             base,
             cca,
@@ -269,9 +262,8 @@ impl SimEvaluator {
 
     /// The base configuration for one run of `duration`, the starting point
     /// of every [`ModeGenome::lower`].
-    pub(crate) fn run_cfg(&self, duration: SimDuration, opts: RunOpts) -> SimConfig {
+    pub(crate) fn run_cfg(&self, duration: SimDuration) -> SimConfig {
         let mut cfg = self.base.clone();
-        cfg.record_events = opts.record_events;
         cfg.duration = duration;
         cfg
     }
@@ -286,29 +278,29 @@ impl SimEvaluator {
         }
     }
 
-    /// Runs one full simulation of `genome`, returning the raw result and —
-    /// when `opts.trace` is set — the structured trace. Every heap structure
-    /// comes from `scratch` and returns to it, so a warm scratch runs
-    /// allocation-free and an empty one (`EvalScratch::new()`) is a fresh
-    /// run; results are bit-identical either way.
+    /// Runs one full simulation of `genome`. With `record_events` the
+    /// result's `RunStats::log` holds the run log; a
+    /// [`Objective::HighDelay`] evaluator records it regardless, since that
+    /// objective scores it. Every heap structure comes from `scratch` and
+    /// returns to it, so a warm scratch runs allocation-free and an empty
+    /// one (`EvalScratch::new()`) is a fresh run; results are bit-identical
+    /// either way.
     pub fn simulate<G: ModeGenome>(
         &self,
         genome: &G,
         scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> (SimResult, Option<SimTrace>) {
-        let cfg = genome.lower(self, scratch, opts);
+        record_events: bool,
+    ) -> SimResult {
+        let mut cfg = genome.lower(self, scratch);
+        cfg.record_events =
+            record_events || matches!(self.scoring.objective, Objective::HighDelay { .. });
         let churn = cfg.arrivals.is_some();
         let sim = &mut scratch.sim;
         sim.load(cfg, &mut scratch.specs);
         if churn {
             sim.install_arrivals(&mut scratch.protos);
         }
-        if opts.trace {
-            sim.install_tracer(DEFAULT_TRACE_CAPACITY);
-        }
-        let result = sim.run();
-        (result, sim.take_trace())
+        sim.run()
     }
 
     /// [`SimEvaluator::simulate`] for a link genome, statistics only (kept
@@ -318,7 +310,7 @@ impl SimEvaluator {
         genome: &LinkGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, RunOpts::default()).0
+        self.simulate(genome, scratch, false)
     }
 
     /// [`SimEvaluator::simulate`] for a traffic genome, statistics only.
@@ -327,7 +319,7 @@ impl SimEvaluator {
         genome: &TrafficGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, RunOpts::default()).0
+        self.simulate(genome, scratch, false)
     }
 
     /// [`SimEvaluator::simulate`] for a scenario genome, statistics only.
@@ -336,7 +328,7 @@ impl SimEvaluator {
         genome: &ScenarioGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, RunOpts::default()).0
+        self.simulate(genome, scratch, false)
     }
 
     /// [`SimEvaluator::simulate`] for a workload genome, statistics only.
@@ -345,7 +337,7 @@ impl SimEvaluator {
         genome: &WorkloadGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, RunOpts::default()).0
+        self.simulate(genome, scratch, false)
     }
 }
 
@@ -355,7 +347,7 @@ impl<G: ModeGenome> Evaluator<G> for SimEvaluator {
     }
 
     fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
-        let (result, _) = self.simulate(genome, scratch, RunOpts::default());
+        let result = self.simulate(genome, scratch, false);
         let outcome = genome.score(self, &result, &mut scratch.score);
         scratch.sim.recycle_stats(result.stats);
         outcome
@@ -371,8 +363,7 @@ mod tests {
 
     /// A fresh statistics-only run.
     fn simulate<G: ModeGenome>(eval: &SimEvaluator, genome: &G) -> SimResult {
-        eval.simulate(genome, &mut EvalScratch::new(), RunOpts::default())
-            .0
+        eval.simulate(genome, &mut EvalScratch::new(), false)
     }
 
     fn evaluator() -> SimEvaluator {
@@ -525,7 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn workload_traced_evaluation_produces_a_trace() {
+    fn workload_recorded_evaluation_logs_flows_by_handle() {
+        use ccfuzz_netsim::packet::FlowId;
+        use ccfuzz_netsim::workload::is_dynamic;
         let mut eval = evaluator();
         eval.scoring = ScoringConfig::workload_default(12e6);
         let mut rng = SimRng::new(5);
@@ -536,16 +529,19 @@ mod tests {
             SimDuration::from_secs(1),
             &mut rng,
         );
-        let opts = RunOpts {
-            record_events: true,
-            trace: true,
-        };
-        let (result, trace) = eval.simulate(&genome, &mut EvalScratch::new(), opts);
+        let result = eval.simulate(&genome, &mut EvalScratch::new(), true);
         assert!(result.stats.workload().is_some());
-        assert!(
-            !trace.expect("trace requested").events.is_empty(),
-            "tracer must capture simulation activity"
-        );
+        // Every record names its flow by raw handle: a static index or a
+        // tagged dynamic handle, never a flow-table slot.
+        let statics = result.stats.flows.len() as u32;
+        let handles: Vec<u32> = (result.stats.log.iter())
+            .filter_map(|r| match r.flow {
+                FlowId::Cca(raw) => Some(raw),
+                FlowId::CrossTraffic => None,
+            })
+            .collect();
+        assert!(handles.iter().any(|&raw| is_dynamic(raw)));
+        assert!(handles.iter().all(|&raw| is_dynamic(raw) || raw < statics));
     }
 
     #[test]

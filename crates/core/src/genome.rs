@@ -13,7 +13,7 @@ use crate::campaign::{Campaign, FuzzMode, PAPER_K_AGG_MS};
 use crate::checkpoint::SnapshotPayload;
 use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::{AnnealFn, FuzzerSnapshot};
-use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::mode::{GenomePayload, ModeGenome};
 use crate::scoring::{ScoreScratch, TraceScoreInputs};
 use crate::trace_gen::{dist_packets, packets_for_rate, DistPacketsParams};
 use ccfuzz_netsim::config::SimConfig;
@@ -256,13 +256,8 @@ impl ModeGenome for LinkGenome {
         }))
     }
 
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig {
-        let mut cfg = evaluator.run_cfg(self.duration, opts);
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration);
         // The service curve is built in a recycled timestamp buffer.
         let mut buf = scratch.sim.take_time_buf();
         buf.extend_from_slice(&self.timestamps);
@@ -574,13 +569,8 @@ impl ModeGenome for TrafficGenome {
         TrafficGenome::generate(campaign.traffic_max_packets, campaign.duration, rng)
     }
 
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig {
-        let mut cfg = evaluator.run_cfg(self.duration, opts);
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration);
         cfg.link = LinkModel::FixedRate {
             rate_bps: evaluator.link_rate_bps,
         };

@@ -83,7 +83,7 @@ pub use fuzzer::{
     FuzzResult, Fuzzer, FuzzerSnapshot, GaParams, GenerationSummary, PanicRecord, StopReason,
 };
 pub use genome::{Genome, LinkGenome, TrafficGenome};
-pub use mode::{GenomePayload, ModeGenome, RunOpts};
+pub use mode::{GenomePayload, ModeGenome};
 pub use scenario::{FlowGene, ScenarioGenome};
 pub use scoring::{FairnessBreakdown, Objective, ScoringConfig};
 pub use shard::{

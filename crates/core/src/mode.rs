@@ -24,18 +24,6 @@ use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::sim::SimResult;
 use serde::{Deserialize, Serialize};
 
-/// What a simulation run keeps besides its aggregate statistics. The GA
-/// hot path runs with both off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunOpts {
-    /// Keep the per-packet bottleneck/transport event logs in the result's
-    /// `RunStats` (the `paper` table and analyses read them).
-    pub record_events: bool,
-    /// Install the structured trace recorder and return its `SimTrace`. The
-    /// recorder is a passive observer: the run digests identically.
-    pub trace: bool,
-}
-
 /// A genome a campaign can evolve end to end.
 pub trait ModeGenome: Genome + Serialize + Deserialize {
     /// Whether campaigns of `mode` evolve this genome type.
@@ -53,12 +41,7 @@ pub trait ModeGenome: Genome + Serialize + Deserialize {
     /// Lowers the genome into a simulator configuration on top of
     /// `evaluator.base`, filling the arena's flow-spec (and, for dynamic
     /// arrivals, CCA-prototype) buffers from recycled storage.
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig;
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig;
 
     /// Scores a finished simulation of this genome.
     fn score(

@@ -14,7 +14,7 @@ use crate::checkpoint::SnapshotPayload;
 use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::{Genome, TrafficGenome};
-use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::mode::{GenomePayload, ModeGenome};
 use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
@@ -522,13 +522,8 @@ impl ModeGenome for ScenarioGenome {
         }
     }
 
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig {
-        let mut cfg = evaluator.run_cfg(self.duration, opts);
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration);
         cfg.link = LinkModel::FixedRate {
             rate_bps: evaluator.link_rate_bps,
         };

@@ -629,27 +629,29 @@ mod tests {
 
     #[test]
     fn high_delay_score_uses_percentile_of_queuing_delay() {
-        use ccfuzz_netsim::stats::{BottleneckEvent, BottleneckRecord};
+        use ccfuzz_netsim::stats::{BottleneckEvent, LogEvent, LogRecord};
         let objective = Objective::HighDelay { percentile: 10.0 };
-        let mk = |delay_ms: u64| BottleneckRecord {
+        let mk = |delay_ms: u64| LogRecord {
             at: SimTime::from_millis(delay_ms),
             flow: FlowId::Cca(0),
             hop: 0,
-            size: 1448,
-            event: BottleneckEvent::Dequeued {
-                queuing_delay: SimDuration::from_millis(delay_ms),
+            event: LogEvent::Queue {
+                size: 1448,
+                event: BottleneckEvent::Dequeued {
+                    queuing_delay: SimDuration::from_millis(delay_ms),
+                },
             },
         };
         let low_delay = SimResult {
             stats: RunStats {
-                bottleneck: (1..=100).map(mk).collect(),
+                log: (1..=100).map(mk).collect(),
                 ..Default::default()
             },
             duration_secs: 5.0,
         };
         let high_delay = SimResult {
             stats: RunStats {
-                bottleneck: (150..=250).map(mk).collect(),
+                log: (150..=250).map(mk).collect(),
                 ..Default::default()
             },
             duration_secs: 5.0,

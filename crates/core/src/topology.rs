@@ -17,7 +17,7 @@ use crate::checkpoint::SnapshotPayload;
 use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::{Genome, TrafficGenome};
-use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::mode::{GenomePayload, ModeGenome};
 use crate::scenario::{random_cca, random_time, remove_competitor, validate_schedules, FlowGene};
 use crate::scoring::ScoreScratch;
 use ccfuzz_cca::CcaKind;
@@ -519,13 +519,8 @@ impl ModeGenome for TopologyGenome {
         )
     }
 
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig {
-        let mut cfg = evaluator.run_cfg(self.duration, opts);
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration);
         // The legacy single-bottleneck fields stay at the campaign defaults;
         // the genome's hop chain supersedes them. The topology is built
         // fresh (its hop vector is small and genome-shaped).

@@ -16,7 +16,7 @@ use crate::checkpoint::SnapshotPayload;
 use crate::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
 use crate::fuzzer::FuzzerSnapshot;
 use crate::genome::Genome;
-use crate::mode::{GenomePayload, ModeGenome, RunOpts};
+use crate::mode::{GenomePayload, ModeGenome};
 use crate::scenario::{
     add_flow, perturb_schedule, remove_competitor, splice, swap_cca, validate_schedules, FlowGene,
 };
@@ -305,13 +305,8 @@ impl ModeGenome for WorkloadGenome {
     /// The elephants become static flows; the arrival genes drive the
     /// flow-churn engine spawning (and recycling) one dynamic sender per
     /// arrival, cloned from the pool's prototypes.
-    fn lower(
-        &self,
-        evaluator: &SimEvaluator,
-        scratch: &mut EvalScratch,
-        opts: RunOpts,
-    ) -> SimConfig {
-        let mut cfg = evaluator.run_cfg(self.duration, opts);
+    fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
+        let mut cfg = evaluator.run_cfg(self.duration);
         cfg.link = LinkModel::FixedRate {
             rate_bps: evaluator.link_rate_bps,
         };

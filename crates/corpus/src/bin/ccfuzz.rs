@@ -89,7 +89,7 @@ SUBCOMMANDS:
     minimize    Shrink stored finding(s) while retaining their score
     replay      Re-simulate the corpus and report score drift
     report      Print a per-bucket summary of the corpus
-    trace       Replay one finding with tracing on and render its timeline
+    trace       Replay one finding with recording on and render its timeline
     submit      Queue a hunt on a ccfuzzd daemon (same flags as hunt)
     status      Poll a daemon for one hunt's (or every hunt's) status
     fetch       Print a completed daemon hunt's finding payload
@@ -365,6 +365,8 @@ fn parse_hunt_config(args: &[String]) -> Result<HuntConfig, CliError> {
             .parse()
             .map_err(|_| usage_err("--population: invalid value"))?;
     }
+    // Building the campaign asserts these; refuse them here instead.
+    config.ga.validate().map_err(usage_err)?;
     Ok(config)
 }
 
@@ -742,9 +744,9 @@ fn run_campaign(
     Ok(ExitCode::SUCCESS)
 }
 
-/// `ccfuzz trace ID`: replay one stored finding with the structured trace
-/// recorder installed and render per-flow timelines plus the per-hop queue
-/// table. Optionally exports the raw event stream as JSONL / CSV.
+/// `ccfuzz trace ID`: replay one stored finding with the run log recorded
+/// and render its trace view: per-flow timelines plus the per-hop queue
+/// table. Optionally exports the view's event stream as JSONL / CSV.
 fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
     let id = positional(args)
         .ok_or_else(|| usage_err("trace requires a finding id (see `ccfuzz report`)"))?;
@@ -766,7 +768,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
         finding.mode.name(),
         finding.outcome.score
     );
-    let (outcome, digest, trace) = finding.replay_traced();
+    let (outcome, digest, result) = finding.replay_recorded();
     if digest != finding.behavior_digest {
         return Err(CliError::Runtime(format!(
             "traced replay of {id} diverged from the stored behaviour \
@@ -779,42 +781,31 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
         "  replayed score {:.6} (stored {:.6}), digest verified",
         outcome.score, finding.outcome.score
     );
-    if trace.overwritten > 0 {
-        eprintln!(
-            "  note: ring kept the newest {} of {} events ({} evicted)",
-            trace.events.len(),
-            trace.total_observed(),
-            trace.overwritten
-        );
-    }
 
-    let flows = traceview::flows(&trace);
+    let events = traceview::events(&result.stats);
+    let flows = traceview::flows(&events);
     println!(
         "trace {}: {} events over {:.3}s ({} flows, {} hops)",
         id,
-        trace.events.len(),
-        trace
-            .events
-            .last()
-            .map(|r| r.at.as_secs_f64())
-            .unwrap_or(0.0),
+        events.len(),
+        events.last().map(|r| r.at.as_secs_f64()).unwrap_or(0.0),
         flows.len(),
-        traceview::hop_count(&trace),
+        traceview::hop_count(&events),
     );
     for flow in flows {
         println!("\nflow {} timeline:", traceview::flow_name(flow));
-        print!("{}", traceview::flow_timeline_table(&trace, flow, buckets));
+        print!("{}", traceview::flow_timeline_table(&events, flow, buckets));
     }
     println!("\nper-hop queues:");
-    print!("{}", traceview::hop_queue_table(&trace));
+    print!("{}", traceview::hop_queue_table(&events));
 
     if let Some(path) = flag_value(args, "--json")? {
-        std::fs::write(&path, traceview::trace_to_jsonl(&trace))
+        std::fs::write(&path, traceview::trace_to_jsonl(&events))
             .map_err(|e| CliError::Runtime(format!("--json {path}: {e}")))?;
         eprintln!("wrote JSONL event stream to {path}");
     }
     if let Some(path) = flag_value(args, "--csv")? {
-        std::fs::write(&path, traceview::trace_to_csv(&trace))
+        std::fs::write(&path, traceview::trace_to_csv(&events))
             .map_err(|e| CliError::Runtime(format!("--csv {path}: {e}")))?;
         eprintln!("wrote CSV event stream to {path}");
     }

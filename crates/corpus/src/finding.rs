@@ -10,10 +10,10 @@ use crate::signature::BehaviorSignature;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
-use ccfuzz_core::mode::{ModeGenome, RunOpts};
+use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_core::scoring::{fairness_breakdown, ScoreScratch, ScoringConfig};
 use ccfuzz_netsim::config::SimConfig;
-use ccfuzz_netsim::simtrace::SimTrace;
+use ccfuzz_netsim::sim::SimResult;
 use serde::{Deserialize, Serialize};
 
 pub use ccfuzz_core::mode::GenomePayload;
@@ -152,36 +152,31 @@ impl Finding {
     /// minimizing and replaying findings, so everything that needs both the
     /// digest and the fairness breakdown goes through here.
     pub fn replay_full(&self, cca: Option<CcaKind>) -> (EvalOutcome, u64, Option<FairnessSummary>) {
-        let (outcome, digest, fairness, _) = self.replay(cca, RunOpts::default());
-        (outcome, digest, fairness)
+        let (outcome, fairness, result) = self.replay(cca, false);
+        (outcome, result.stats.digest(), fairness)
     }
 
-    /// Like [`Finding::replay_run`], but with event recording on and the
-    /// structured trace recorder installed: returns the scored outcome, the
-    /// behaviour digest and the captured [`SimTrace`]. The recorder is a
-    /// passive observer, so the digest still matches the stored one —
-    /// `ccfuzz trace` checks this and the corpus determinism tests pin it
-    /// for every committed fixture.
-    pub fn replay_traced(&self) -> (EvalOutcome, u64, SimTrace) {
-        let opts = RunOpts {
-            record_events: true,
-            trace: true,
-        };
-        let (outcome, digest, _, trace) = self.replay(None, opts);
-        (outcome, digest, trace.expect("trace requested"))
+    /// Like [`Finding::replay_run`], but recording the run log: returns the
+    /// scored outcome, the behaviour digest and the recorded run. Recording
+    /// is passive, so the digest still matches the stored one — `ccfuzz
+    /// trace` checks this and the corpus determinism tests pin it for every
+    /// committed fixture.
+    pub fn replay_recorded(&self) -> (EvalOutcome, u64, SimResult) {
+        let (outcome, _, result) = self.replay(None, true);
+        (outcome, result.stats.digest(), result)
     }
 
     fn replay(
         &self,
         cca: Option<CcaKind>,
-        opts: RunOpts,
-    ) -> (EvalOutcome, u64, Option<FairnessSummary>, Option<SimTrace>) {
+        record_events: bool,
+    ) -> (EvalOutcome, Option<FairnessSummary>, SimResult) {
         match &self.genome {
-            GenomePayload::Link(g) => self.replay_genome(g, cca, opts),
-            GenomePayload::Traffic(g) => self.replay_genome(g, cca, opts),
-            GenomePayload::Scenario(g) => self.replay_genome(g, cca, opts),
-            GenomePayload::Topology(g) => self.replay_genome(g, cca, opts),
-            GenomePayload::Workload(g) => self.replay_genome(g, cca, opts),
+            GenomePayload::Link(g) => self.replay_genome(g, cca, record_events),
+            GenomePayload::Traffic(g) => self.replay_genome(g, cca, record_events),
+            GenomePayload::Scenario(g) => self.replay_genome(g, cca, record_events),
+            GenomePayload::Topology(g) => self.replay_genome(g, cca, record_events),
+            GenomePayload::Workload(g) => self.replay_genome(g, cca, record_events),
         }
     }
 
@@ -193,8 +188,8 @@ impl Finding {
         &self,
         genome: &G,
         cca: Option<CcaKind>,
-        opts: RunOpts,
-    ) -> (EvalOutcome, u64, Option<FairnessSummary>, Option<SimTrace>) {
+        record_events: bool,
+    ) -> (EvalOutcome, Option<FairnessSummary>, SimResult) {
         let mut evaluator = self.evaluator();
         let overridden = cca.map(|cca| {
             evaluator.cca = cca;
@@ -203,7 +198,7 @@ impl Finding {
             genome
         });
         let genome = overridden.as_ref().unwrap_or(genome);
-        let (result, trace) = evaluator.simulate(genome, &mut EvalScratch::new(), opts);
+        let result = evaluator.simulate(genome, &mut EvalScratch::new(), record_events);
         let outcome = genome.score(&evaluator, &result, &mut ScoreScratch::default());
         // Multi-flow findings keep the per-flow split so reports can show
         // it without re-simulating.
@@ -217,7 +212,7 @@ impl Finding {
                 max_starvation_secs: breakdown.max_starvation_secs,
             }
         });
-        (outcome, result.stats.digest(), fairness, trace)
+        (outcome, fairness, result)
     }
 
     /// Checks internal consistency (genome invariants, id/signature match,

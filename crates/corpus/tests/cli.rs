@@ -5,6 +5,7 @@
 
 use ccfuzz_corpus::finding::Finding;
 use ccfuzz_corpus::minimize::MinimizeConfig;
+use ccfuzz_netsim::workload::is_dynamic;
 use ccfuzz_obs::Snapshot;
 use std::path::PathBuf;
 use std::process::Command;
@@ -153,6 +154,31 @@ fn hunt_phase_report_names_the_reused_share_on_stderr() {
     };
     assert_eq!(ran, finding.provenance.total_evaluations);
     assert!(reused > 0 && reused < ran, "{line}");
+}
+
+#[test]
+fn invalid_ga_shapes_are_usage_errors_not_panics() {
+    // Building a campaign asserts its GA shape; `hunt` and `submit` refuse
+    // a bad one up front with the validation message, as the daemon does.
+    for (flag, value, message) in [
+        ("--islands", "0", "need at least one island"),
+        ("--population", "1", "k_elite must be smaller"),
+    ] {
+        for subcommand in ["hunt", "submit"] {
+            let out = ccfuzz()
+                .args([subcommand, "--cca", "reno", flag, value])
+                .output()
+                .expect("run ccfuzz");
+            let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{subcommand} {flag} {value}:\n{stderr}"
+            );
+            assert!(stderr.contains(message), "{subcommand}:\n{stderr}");
+            assert!(!stderr.contains("panicked"), "{subcommand}:\n{stderr}");
+        }
+    }
 }
 
 #[test]
@@ -512,6 +538,24 @@ fn workload_trace_lists_the_flows_that_appear_not_a_slab_handle() {
     distinct.sort_unstable();
     distinct.dedup();
     assert!(distinct.len() > 100, "the fixture churns through flows");
+    // Every row names a flow by its handle: a static flow's index, or a
+    // dynamic flow's tagged slab handle — never the flow-table slot a
+    // dynamic flow happened to occupy (that split one flow's RTOs from its
+    // drops).
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/fixtures/findings/reno-workload-0606011001.json"
+    );
+    let finding: Finding =
+        serde_json::from_str(&std::fs::read_to_string(fixture).expect("fixture")).unwrap();
+    let statics = finding.replay_recorded().2.stats.flows.len() as u32;
+    for flow in &distinct {
+        let handle: u32 = flow.parse().expect("a CCA flow is named by its handle");
+        assert!(
+            is_dynamic(handle) || handle < statics,
+            "row names flow {handle}, a plain index past the {statics} static flows"
+        );
+    }
 
     let header = stdout.lines().next().expect("summary line");
     assert!(

@@ -3,8 +3,8 @@
 
 use ccfuzz_netsim::cc::reference_cc::MiniAimdCc;
 use ccfuzz_netsim::config::SimConfig;
+use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::sim::run_simulation;
-use ccfuzz_netsim::stats::TransportEvent;
 
 fn main() {
     let mut cfg = SimConfig::short_default();
@@ -32,41 +32,7 @@ fn main() {
         f.final_srtt_us, f.min_rtt_us
     );
     // Print the first 80 transport events to see early dynamics.
-    for rec in result.stats.transport.iter().take(80) {
-        match &rec.event {
-            TransportEvent::Sent {
-                seq,
-                retransmission,
-                ..
-            } => {
-                println!(
-                    "{:>10.4}s SENT  seq={} retx={}",
-                    rec.at.as_secs_f64(),
-                    seq,
-                    retransmission
-                )
-            }
-            TransportEvent::CumAckAdvanced { cum_ack } => {
-                println!("{:>10.4}s ACK   cum={}", rec.at.as_secs_f64(), cum_ack)
-            }
-            TransportEvent::Sacked { seq } => {
-                println!("{:>10.4}s SACK  seq={}", rec.at.as_secs_f64(), seq)
-            }
-            TransportEvent::MarkedLost { seq } => {
-                println!("{:>10.4}s LOST  seq={}", rec.at.as_secs_f64(), seq)
-            }
-            TransportEvent::RtoFired { backoff } => {
-                println!("{:>10.4}s RTO   backoff={}", rec.at.as_secs_f64(), backoff)
-            }
-            TransportEvent::EnterRecovery => {
-                println!("{:>10.4}s ENTER-RECOVERY", rec.at.as_secs_f64())
-            }
-            TransportEvent::ExitRecovery => {
-                println!("{:>10.4}s EXIT-RECOVERY", rec.at.as_secs_f64())
-            }
-            TransportEvent::Cc { detail } => {
-                println!("{:>10.4}s CC    {}", rec.at.as_secs_f64(), detail)
-            }
-        }
+    for (at, event) in result.stats.transport(FlowId::Cca(0)).take(80) {
+        println!("{:>10.4}s {event:?}", at.as_secs_f64());
     }
 }

@@ -54,9 +54,10 @@ pub struct SimConfig {
     pub initial_cwnd: u64,
     /// Interval between periodic statistics samples.
     pub stats_interval: SimDuration,
-    /// Record the per-event transport log and per-packet bottleneck records.
-    /// The fuzzer's inner loop disables this for speed; figure generation and
-    /// debugging enable it.
+    /// Record the run log (`RunStats::log`): every gateway record, every
+    /// sender record and the static flows' cwnd samples. The fuzzer's inner
+    /// loop disables this for speed; figures, `ccfuzz trace`, reports and
+    /// the high-delay objective enable it.
     pub record_events: bool,
     /// Event-budget safety valve: the simulation aborts (with a flag in the
     /// result) after this many events, protecting the fuzzer from adversarial

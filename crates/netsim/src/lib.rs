@@ -65,7 +65,6 @@ pub mod packet;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod simtrace;
 pub mod stats;
 pub mod tcp;
 pub mod time;

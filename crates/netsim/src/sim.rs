@@ -50,9 +50,8 @@ use crate::link::{LinkAction, LinkModel, LinkService};
 use crate::packet::{AckPacket, DataPacket, FlowId, PacketPool};
 use crate::queue::{EnqueueOutcome, GatewayQueue};
 use crate::rng::SimRng;
-use crate::simtrace::{SimTrace, TraceEvent, TraceRecorder};
 use crate::stats::{
-    BottleneckEvent, BottleneckRecord, FctSample, FlowRates, FlowStats, RunStats, WorkloadStats,
+    BottleneckEvent, FctSample, FlowRates, FlowStats, LogEvent, LogRecord, RunStats, WorkloadStats,
 };
 use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
@@ -162,6 +161,8 @@ struct FlowTable<C: CongestionControl> {
     delivery_times: Vec<Vec<SimTime>>,
     /// Drop / mark / sink counters.
     counters: Vec<FlowCounters>,
+    /// Each static flow's last logged cwnd sample (0 = none yet).
+    sampled_cwnd: Vec<u64>,
 }
 
 impl<C: CongestionControl> FlowTable<C> {
@@ -186,6 +187,7 @@ impl<C: CongestionControl> Default for FlowTable<C> {
             rto_scheduled: Vec::new(),
             delivery_times: Vec::new(),
             counters: Vec::new(),
+            sampled_cwnd: Vec::new(),
         }
     }
 }
@@ -353,11 +355,6 @@ pub struct Simulation<C: CongestionControl + Clone> {
     /// (CoDel can shed several packets per dequeue; the buffer keeps that
     /// path allocation-free in steady state).
     aqm_drop_buf: Vec<DataPacket>,
-    /// Optional structured trace recorder (see [`crate::simtrace`]). Boxed
-    /// so the disabled case costs one pointer on the struct and one
-    /// null-check per hook — the same zero-cost-when-disabled shape as
-    /// `record_events`.
-    tracer: Option<Box<TraceRecorder>>,
     /// Dynamic-flow slab (empty unless this is a workload run).
     slab: FlowSlab,
     /// Controller prototypes dynamic arrivals clone from (workload runs).
@@ -391,7 +388,6 @@ impl<C: CongestionControl + Clone> Default for Simulation<C> {
             stats: RunStats::default(),
             finished: true,
             aqm_drop_buf: Vec::new(),
-            tracer: None,
             slab: FlowSlab::default(),
             protos: Vec::new(),
             workload: None,
@@ -441,7 +437,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         let n = specs.len();
         self.cfg = cfg;
         self.finished = false;
-        self.tracer = None;
         self.workload = None;
         self.events.reset();
         self.pool.reset();
@@ -494,6 +489,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         flows.delivery_times.clear();
         flows.counters.clear();
         flows.counters.resize(n, FlowCounters::default());
+        flows.sampled_cwnd.clear();
+        flows.sampled_cwnd.resize(n, 0);
         if self.cfg.arrivals.is_none() {
             flows.senders.truncate(n);
             flows.receivers.truncate(n);
@@ -591,10 +588,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         let (sender_cfg, receiver_cfg) = endpoint_configs(&self.cfg);
         let sender_cfg = SenderConfig {
             buffer_packets: 1, // overridden with the sampled size per spawn
-            // Dynamic flows never keep a transport log: a churn run spawns
-            // thousands of them and the log is the one per-flow structure
-            // that cannot be bounded.
-            record_log: false,
             ..sender_cfg
         };
         let mut w = self.spare_workload.take().unwrap_or_default();
@@ -611,46 +604,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             sender_cfg,
             receiver_cfg,
         });
-    }
-
-    /// Installs a structured trace recorder retaining the last `capacity`
-    /// events. Must be called before [`Simulation::run`]; retrieve the
-    /// trace afterwards with [`Simulation::take_trace`]. The recorder is a
-    /// pure observer: a traced run's [`RunStats`] (including its digest)
-    /// are byte-identical to an untraced run of the same config.
-    pub fn install_tracer(&mut self, capacity: usize) {
-        assert!(!self.finished, "install_tracer must precede run");
-        self.tracer = Some(Box::new(TraceRecorder::new(capacity, self.flows.len())));
-    }
-
-    /// Removes and finalizes the installed trace recorder, if any.
-    pub fn take_trace(&mut self) -> Option<SimTrace> {
-        self.tracer.take().map(|t| t.finish())
-    }
-
-    #[inline]
-    fn trace(&mut self, at: SimTime, event: TraceEvent) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.push(at, event);
-        }
-    }
-
-    /// Samples `flow`'s sender into the trace (cwnd / recovery changes
-    /// only). Called after every event that can move congestion state.
-    #[inline]
-    fn trace_sender(&mut self, flow: usize, now: SimTime) {
-        if self.tracer.is_some() {
-            // Dynamic flows are too churny (and their indices too ambiguous
-            // across recycles) to sample individually.
-            if self.workload.as_ref().is_some_and(|rt| flow >= rt.base) {
-                return;
-            }
-            let s = &self.flows.senders[flow];
-            let (cwnd, in_flight, in_recovery) = (s.cwnd(), s.in_flight(), s.in_recovery());
-            if let Some(tr) = self.tracer.as_deref_mut() {
-                tr.sample_sender(now, flow as u32, cwnd, in_flight, in_recovery);
-            }
-        }
     }
 
     /// Takes a cleared timestamp buffer from the shared pool (or a fresh one
@@ -686,8 +639,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// results are bit-identical whether or not its stats came from here.
     pub fn recycle_stats(&mut self, stats: RunStats) {
         let RunStats {
-            mut bottleneck,
-            mut transport,
+            mut log,
             mut queue_samples,
             queue_counters: _,
             mut hop_counters,
@@ -707,16 +659,14 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         for flow in flows.drain(..) {
             self.recycle_time_buf(flow.delivery_times);
         }
-        bottleneck.clear();
-        transport.clear();
+        log.clear();
         queue_samples.clear();
         hop_counters.clear();
         for samples in &mut hop_samples {
             samples.clear();
         }
         self.stats = RunStats {
-            bottleneck,
-            transport,
+            log,
             queue_samples,
             hop_counters,
             hop_samples,
@@ -750,7 +700,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         SimTime::ZERO + self.cfg.duration
     }
 
-    fn record_bottleneck(
+    fn record_queue(
         &mut self,
         hop: usize,
         at: SimTime,
@@ -759,12 +709,47 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         event: BottleneckEvent,
     ) {
         if self.cfg.record_events {
-            self.stats.bottleneck.push(BottleneckRecord {
+            self.stats.log.push(LogRecord {
                 at,
                 flow,
                 hop: hop as u32,
-                size,
-                event,
+                event: LogEvent::Queue { size, event },
+            });
+        }
+    }
+
+    /// Moves the records `flow`'s sender logged during its last call into
+    /// the run log, so the log keeps event-processing order.
+    #[inline]
+    fn flush_sender_log(&mut self, flow: usize) {
+        if self.cfg.record_events {
+            let (raw, hop) = (self.raw_flow(flow), self.paths[flow].entry);
+            self.stats
+                .log
+                .extend(self.flows.senders[flow].drain_log().map(|r| LogRecord {
+                    at: r.at,
+                    flow: FlowId::Cca(raw),
+                    hop,
+                    event: LogEvent::Transport(r.event),
+                }));
+        }
+    }
+
+    /// Logs a static flow's congestion window if it moved since the flow's
+    /// last sample.
+    #[inline]
+    fn sample_cwnd(&mut self, flow: usize, now: SimTime) {
+        if !self.cfg.record_events || flow >= self.flows.sampled_cwnd.len() {
+            return;
+        }
+        let sender = &self.flows.senders[flow];
+        let (cwnd, in_flight) = (sender.cwnd(), sender.in_flight());
+        if std::mem::replace(&mut self.flows.sampled_cwnd[flow], cwnd) != cwnd {
+            self.stats.log.push(LogRecord {
+                at: now,
+                flow: FlowId::Cca(flow as u32),
+                hop: self.paths[flow].entry,
+                event: LogEvent::Cwnd { cwnd, in_flight },
             });
         }
     }
@@ -848,30 +833,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     let mut aqm_drops = std::mem::take(&mut self.aqm_drop_buf);
                     let pkt = self.hops[hop].queue.dequeue_at(now, |p| aqm_drops.push(p));
                     for dropped in aqm_drops.drain(..) {
-                        self.record_bottleneck(
-                            hop,
-                            now,
-                            dropped.flow,
-                            dropped.size,
-                            BottleneckEvent::Dropped,
-                        );
-                        match dropped.flow {
-                            FlowId::CrossTraffic => self.stats.cross_dropped += 1,
-                            FlowId::Cca(raw) => {
-                                let idx = self.cca_index(raw);
-                                self.flows.counters[idx].queue_drops += 1;
-                                if is_dynamic(raw) {
-                                    self.dyn_packet_gone(dyn_slot(raw));
-                                }
-                            }
-                        }
-                        self.trace(
-                            now,
-                            TraceEvent::Drop {
-                                flow: dropped.flow,
-                                hop: hop as u32,
-                            },
-                        );
+                        self.drop_packet(hop, now, dropped.flow, dropped.size);
                     }
                     self.aqm_drop_buf = aqm_drops;
                     let Some((pkt, marked_now)) = pkt else {
@@ -885,27 +847,10 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                         // record at enqueue time), so this accounting stays
                         // correct for any future discipline without changes
                         // here.
-                        self.record_bottleneck(
-                            hop,
-                            now,
-                            pkt.flow,
-                            pkt.size,
-                            BottleneckEvent::Marked,
-                        );
-                        if let FlowId::Cca(raw) = pkt.flow {
-                            let idx = self.cca_index(raw);
-                            self.flows.counters[idx].ce_marked += 1;
-                        }
-                        self.trace(
-                            now,
-                            TraceEvent::EcnMark {
-                                flow: pkt.flow,
-                                hop: hop as u32,
-                            },
-                        );
+                        self.mark_packet(hop, now, pkt.flow, pkt.size);
                     }
                     let queuing_delay = now.saturating_since(pkt.enqueued_at);
-                    self.record_bottleneck(
+                    self.record_queue(
                         hop,
                         now,
                         pkt.flow,
@@ -953,50 +898,40 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         let flow = pkt.flow;
         let size = pkt.size;
         let outcome = self.hops[hop].queue.enqueue(pkt, now);
-        let event = if outcome.accepted() {
-            BottleneckEvent::Enqueued
-        } else {
-            BottleneckEvent::Dropped
-        };
-        self.record_bottleneck(hop, now, flow, size, event);
-        match outcome {
-            EnqueueOutcome::Dropped => {
-                match flow {
-                    FlowId::CrossTraffic => self.stats.cross_dropped += 1,
-                    FlowId::Cca(raw) => {
-                        let idx = self.cca_index(raw);
-                        self.flows.counters[idx].queue_drops += 1;
-                        if is_dynamic(raw) {
-                            self.dyn_packet_gone(dyn_slot(raw));
-                        }
-                    }
-                }
-                self.trace(
-                    now,
-                    TraceEvent::Drop {
-                        flow,
-                        hop: hop as u32,
-                    },
-                );
-            }
-            EnqueueOutcome::AcceptedMarked => {
-                self.record_bottleneck(hop, now, flow, size, BottleneckEvent::Marked);
-                if let FlowId::Cca(raw) = flow {
-                    let idx = self.cca_index(raw);
-                    self.flows.counters[idx].ce_marked += 1;
-                }
-                self.trace(
-                    now,
-                    TraceEvent::EcnMark {
-                        flow,
-                        hop: hop as u32,
-                    },
-                );
-            }
-            EnqueueOutcome::Accepted => {}
+        if outcome == EnqueueOutcome::Dropped {
+            self.drop_packet(hop, now, flow, size);
+            return;
         }
-        if outcome.accepted() {
-            self.try_transmit(hop, now);
+        self.record_queue(hop, now, flow, size, BottleneckEvent::Enqueued);
+        if outcome == EnqueueOutcome::AcceptedMarked {
+            self.mark_packet(hop, now, flow, size);
+        }
+        self.try_transmit(hop, now);
+    }
+
+    /// Records and accounts one packet dropped at `hop`: a tail or early
+    /// drop at arrival, or a CoDel drop at the head of the queue.
+    fn drop_packet(&mut self, hop: usize, now: SimTime, flow: FlowId, size: u32) {
+        self.record_queue(hop, now, flow, size, BottleneckEvent::Dropped);
+        match flow {
+            FlowId::CrossTraffic => self.stats.cross_dropped += 1,
+            FlowId::Cca(raw) => {
+                let idx = self.cca_index(raw);
+                self.flows.counters[idx].queue_drops += 1;
+                if is_dynamic(raw) {
+                    self.dyn_packet_gone(dyn_slot(raw));
+                }
+            }
+        }
+    }
+
+    /// Records and accounts one packet CE-marked at `hop` (RED marks at
+    /// enqueue, CoDel at dequeue).
+    fn mark_packet(&mut self, hop: usize, now: SimTime, flow: FlowId, size: u32) {
+        self.record_queue(hop, now, flow, size, BottleneckEvent::Marked);
+        if let FlowId::Cca(raw) = flow {
+            let idx = self.cca_index(raw);
+            self.flows.counters[idx].ce_marked += 1;
         }
     }
 
@@ -1028,6 +963,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         loop {
             match self.flows.senders[flow].poll_send(now) {
                 SendPoll::Packet(mut pkt) => {
+                    // The send is logged before its gateway records.
+                    self.flush_sender_log(flow);
                     pkt.flow = FlowId::Cca(raw);
                     if is_dynamic(raw) {
                         self.slab.in_network[dyn_slot(raw)] += 1;
@@ -1065,6 +1002,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             return;
         }
         self.flows.senders[flow].on_ack(&ack, now);
+        self.flush_sender_log(flow);
         self.pump_sender(flow, now);
     }
 
@@ -1189,6 +1127,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         }
         w.spawned += 1;
         self.flows.senders[idx].on_flow_start(now);
+        self.flush_sender_log(idx);
         self.pump_sender(idx, now);
     }
 
@@ -1366,10 +1305,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 Event::FlowStart { flow } => {
                     let flow = flow as usize;
                     self.flows.senders[flow].on_flow_start(now);
-                    if self.tracer.is_some() {
-                        self.trace(now, TraceEvent::FlowStart { flow: flow as u32 });
-                        self.trace_sender(flow, now);
-                    }
+                    self.flush_sender_log(flow);
+                    self.sample_cwnd(flow, now);
                     self.pump_sender(flow, now);
                 }
                 Event::GatewayArrival { hop, pkt: parked } => {
@@ -1396,7 +1333,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     if is_dynamic(flow) {
                         self.after_dyn_ack(dyn_slot(flow), now);
                     } else {
-                        self.trace_sender(idx, now);
+                        self.sample_cwnd(idx, now);
                     }
                 }
                 Event::RtoTimer { flow, generation } => {
@@ -1416,10 +1353,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                         continue;
                     }
                     if self.flows.senders[flow].on_rto_timer(generation, now) {
-                        if self.tracer.is_some() {
-                            self.trace(now, TraceEvent::RtoFired { flow: flow as u32 });
-                            self.trace_sender(flow, now);
-                        }
+                        self.flush_sender_log(flow);
+                        self.sample_cwnd(flow, now);
                         self.pump_sender(flow, now);
                     } else {
                         self.sync_rto_timer(flow);
@@ -1472,18 +1407,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                             ));
                         }
                     }
-                    if let Some(tr) = self.tracer.as_deref_mut() {
-                        for (k, hop) in self.hops.iter().enumerate() {
-                            tr.push(
-                                now,
-                                TraceEvent::QueueSample {
-                                    hop: k as u32,
-                                    packets: hop.queue.len() as u32,
-                                    bytes: hop.queue.bytes(),
-                                },
-                            );
-                        }
-                    }
                     let next = now + self.cfg.stats_interval;
                     if next <= end {
                         self.events.schedule(next, Event::StatsTick);
@@ -1520,9 +1443,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 stop: self.flows.stop[i],
                 sink_received: counters.sink_received,
             });
-        }
-        if self.cfg.record_events {
-            self.stats.transport = self.flows.senders[0].drain_log();
         }
         // The run's inputs are spent: trace-driven service curves and the
         // cross-traffic injections return to the timestamp pool.
@@ -1618,9 +1538,9 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical() {
         // One reused simulation loads differently shaped scenarios back to
-        // back — hop count, flow count, churn, tracing and link model all
-        // change between loads, in both directions — and every run must
-        // equal a fresh one.
+        // back — hop count, flow count, churn, recording and link model all
+        // change between loads, in both directions — and every run, run log
+        // included, must equal a fresh one.
         let mut sim = Simulation::default();
         for shape in [0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 0, 3, 5, 2, 4, 0] {
             let fresh = run_shape(&mut Simulation::default(), shape);
@@ -1632,6 +1552,8 @@ mod tests {
             );
             let layout = |s: &RunStats| (s.flows.len(), s.hop_samples.len(), s.workload.is_some());
             assert_eq!(layout(&fresh.stats), layout(&reused.stats), "{shape}");
+            assert_eq!(fresh.stats.log, reused.stats.log, "{shape}");
+            assert_eq!(reused.stats.log.is_empty(), shape == 1, "{shape}");
             if shape == 1 {
                 let plain = run_simulation(base_cfg(), MiniAimdCc::new(10));
                 assert_eq!(plain.stats.digest(), reused.stats.digest());
@@ -1641,11 +1563,12 @@ mod tests {
     }
 
     /// Loads scenario `shape` into `sim` and runs it: 0 = a 3-hop parking
-    /// lot, 1 = the plain single-flow dumbbell, 2 = eight staggered flows,
-    /// 3 = flow churn, 4 = a traced RED + ECN run, 5 = a trace-driven link
-    /// with cross traffic.
+    /// lot, 1 = the plain single-flow dumbbell (the one shape run without
+    /// recording), 2 = eight staggered flows, 3 = flow churn, 4 = RED + ECN,
+    /// 5 = a trace-driven link with cross traffic.
     fn run_shape(sim: &mut Simulation<MiniAimdCc>, shape: usize) -> SimResult {
         let mut cfg = base_cfg();
+        cfg.record_events = shape != 1;
         let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
         let mut protos = Vec::new();
         match shape {
@@ -1680,15 +1603,7 @@ mod tests {
         if !protos.is_empty() {
             sim.install_arrivals(&mut protos);
         }
-        if shape == 4 {
-            sim.install_tracer(1 << 12);
-        }
-        let result = sim.run();
-        // A traced run leaves its recorder behind for the next load to drop.
-        if shape != 4 {
-            assert!(sim.take_trace().is_none(), "stale tracer in shape {shape}");
-        }
-        result
+        sim.run()
     }
 
     #[test]
@@ -1801,8 +1716,7 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.record_events = false;
         let result = run_simulation(cfg, MiniAimdCc::new(10));
-        assert!(result.stats.bottleneck.is_empty());
-        assert!(result.stats.transport.is_empty());
+        assert!(result.stats.log.is_empty());
         assert!(result.stats.flow().delivered_packets > 0);
     }
 
@@ -2265,72 +2179,83 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Structured tracing
+    // The run log
     // ------------------------------------------------------------------
 
-    use crate::simtrace::TraceEvent;
+    use crate::stats::TransportEvent;
 
-    fn run_traced(cfg: SimConfig, cc: MiniAimdCc) -> (SimResult, crate::simtrace::SimTrace) {
-        let mut sim = Simulation::new(cfg, cc);
-        sim.install_tracer(1 << 14);
-        let result = sim.run();
-        let trace = sim.take_trace().expect("tracer installed");
-        (result, trace)
+    fn run_unrecorded(mut cfg: SimConfig, cc: MiniAimdCc) -> SimResult {
+        cfg.record_events = false;
+        run_simulation(cfg, cc)
+    }
+
+    fn count(result: &SimResult, pred: impl Fn(&LogRecord) -> bool) -> u64 {
+        result.stats.log.iter().filter(|r| pred(r)).count() as u64
     }
 
     #[test]
-    fn traced_run_digest_matches_untraced_run() {
-        // The recorder is a pure observer: digests and event counts are
+    fn recorded_run_digest_matches_unrecorded_run() {
+        // Recording is a pure observer: digests and event counts are
         // byte-identical with and without it, for drop-tail and AQM+ECN.
-        let plain = run_simulation(base_cfg(), MiniAimdCc::new(50));
-        let (traced, trace) = run_traced(base_cfg(), MiniAimdCc::new(50));
-        assert_eq!(plain.stats.digest(), traced.stats.digest());
-        assert_eq!(plain.stats.events_processed, traced.stats.events_processed);
-        assert!(!trace.events.is_empty());
+        let plain = run_unrecorded(base_cfg(), MiniAimdCc::new(50));
+        let recorded = run_simulation(base_cfg(), MiniAimdCc::new(50));
+        assert_eq!(plain.stats.digest(), recorded.stats.digest());
+        assert_eq!(
+            plain.stats.events_processed,
+            recorded.stats.events_processed
+        );
+        assert!(plain.stats.log.is_empty() && !recorded.stats.log.is_empty());
 
         let mut aqm_cfg = base_cfg();
         aqm_cfg.qdisc = Qdisc::red_default(100);
         aqm_cfg.ecn_enabled = true;
-        let plain = run_simulation(aqm_cfg.clone(), MiniAimdCc::new(50));
-        let (traced, _) = run_traced(aqm_cfg, MiniAimdCc::new(50));
-        assert_eq!(plain.stats.digest(), traced.stats.digest());
+        let plain = run_unrecorded(aqm_cfg.clone(), MiniAimdCc::new(50));
+        let recorded = run_simulation(aqm_cfg, MiniAimdCc::new(50));
+        assert_eq!(plain.stats.digest(), recorded.stats.digest());
     }
 
     #[test]
-    fn trace_captures_cwnd_queue_samples_and_drops() {
+    fn log_captures_cwnd_samples_and_every_drop() {
         let mut cfg = base_cfg();
         cfg.queue_capacity = QueueCapacity::Packets(20);
-        let (result, trace) = run_traced(cfg, MiniAimdCc::new(200));
+        let result = run_simulation(cfg, MiniAimdCc::new(200));
         assert!(result.stats.flow().queue_drops > 0);
-        let kinds = |k: &str| trace.events.iter().filter(|r| r.event.kind() == k).count();
-        assert!(kinds("cwnd") > 0, "cwnd updates recorded");
-        assert!(kinds("queue") > 0, "queue samples recorded");
-        assert!(kinds("drop") > 0, "drops recorded");
-        assert_eq!(kinds("queue"), trace.hop_samples(0).count());
-        // Events come out in time order.
-        assert!(trace.events.windows(2).all(|w| w[0].at <= w[1].at));
-        // Every CCA drop in the trace is mirrored in the stats (ring did
-        // not overflow at this capacity).
-        if trace.overwritten == 0 {
-            let traced_drops = trace
-                .events
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.event,
-                        TraceEvent::Drop {
-                            flow: FlowId::Cca(0),
-                            ..
-                        }
-                    )
-                })
-                .count() as u64;
-            assert_eq!(traced_drops, result.stats.flow().queue_drops);
-        }
+        let cwnds: Vec<u64> = (result.stats.log.iter())
+            .filter_map(|r| match r.event {
+                LogEvent::Cwnd { cwnd, .. } => Some(cwnd),
+                _ => None,
+            })
+            .collect();
+        assert!(cwnds.len() > 1, "cwnd samples recorded");
+        assert!(
+            cwnds.windows(2).all(|w| w[0] != w[1]),
+            "only moves are logged"
+        );
+        assert!(!result.stats.queue_samples.is_empty(), "queue samples kept");
+        // Records come out in time order, and every CCA drop is in the log.
+        assert!(result.stats.log.windows(2).all(|w| w[0].at <= w[1].at));
+        let drops = count(&result, |r| {
+            r.flow == FlowId::Cca(0)
+                && matches!(
+                    r.event,
+                    LogEvent::Queue {
+                        event: BottleneckEvent::Dropped,
+                        ..
+                    }
+                )
+        });
+        assert_eq!(drops, result.stats.flow().queue_drops);
+        let rtos = count(&result, |r| {
+            matches!(
+                r.event,
+                LogEvent::Transport(TransportEvent::RtoFired { .. })
+            )
+        });
+        assert_eq!(rtos, result.stats.flow().rto_count);
     }
 
     #[test]
-    fn trace_captures_ecn_marks_and_recovery_transitions() {
+    fn log_captures_ecn_marks_and_recovery_transitions() {
         let mut cfg = base_cfg();
         cfg.qdisc = Qdisc::Red {
             min_thresh: 5,
@@ -2338,27 +2263,27 @@ mod tests {
             mark_probability: 0.5,
         };
         cfg.ecn_enabled = true;
-        let (result, trace) = run_traced(cfg, MiniAimdCc::new(120));
+        let result = run_simulation(cfg, MiniAimdCc::new(120));
         assert!(result.stats.flow().ce_marked > 0);
-        let marks = trace
-            .events
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::EcnMark { .. }))
-            .count() as u64;
-        assert!(marks > 0, "ECN marks recorded");
+        let marks = count(&result, |r| {
+            matches!(
+                r.event,
+                LogEvent::Queue {
+                    event: BottleneckEvent::Marked,
+                    ..
+                }
+            )
+        });
+        assert_eq!(marks, result.stats.flow().ce_marked, "ECN marks recorded");
         // A 120-packet AIMD window over a 100-packet queue loses packets
-        // and recovers; the state transitions show up in the trace.
-        let enters = trace
-            .events
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::RecoveryEnter { .. }))
-            .count();
-        let exits = trace
-            .events
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::RecoveryExit { .. }))
-            .count();
-        assert!(enters > 0, "recovery entries recorded");
+        // and recovers; the state transitions show up in the log.
+        let transport =
+            |e: TransportEvent| count(&result, |r| r.event == LogEvent::Transport(e.clone()));
+        let (enters, exits) = (
+            transport(TransportEvent::EnterRecovery),
+            transport(TransportEvent::ExitRecovery),
+        );
+        assert_eq!(enters, result.stats.flow().recovery_episodes);
         assert!(exits > 0 && exits <= enters);
     }
 

@@ -3,23 +3,25 @@
 //! The simulator records enough per-packet and per-flow information to
 //! rebuild every curve plotted in the paper: ingress/egress rates at the
 //! bottleneck (Figures 4a/4b), per-packet queuing delay (Figure 4e), packets
-//! delivered over time (the fitness signal for the genetic algorithm), and a
-//! transport event log detailed enough to print the Figure 4c timeline.
+//! delivered over time (the fitness signal for the genetic algorithm), and —
+//! under `SimConfig::record_events` — one run log of gateway, sender and
+//! cwnd records detailed enough to print the Figure 4c timeline and every
+//! `ccfuzz trace` view.
 
 use crate::packet::FlowId;
 use crate::queue::QueueCounters;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// One bottleneck-crossing record: a packet either entered the queue,
-/// left the queue onto the link, or was dropped at the tail.
+/// What happened to a packet at a hop's gateway queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BottleneckEvent {
     /// The packet arrived at the gateway and was accepted into the queue.
     Enqueued,
-    /// The packet arrived at the gateway and was dropped (queue full).
+    /// The packet was dropped: at arrival (queue full, RED early drop) or
+    /// at the head of the queue (CoDel).
     Dropped,
-    /// The packet was transmitted over the bottleneck link.
+    /// The packet was transmitted over the hop's link.
     Dequeued {
         /// Time the packet spent in the queue.
         queuing_delay: SimDuration,
@@ -30,24 +32,8 @@ pub enum BottleneckEvent {
     Marked,
 }
 
-/// A timestamped bottleneck record for one packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BottleneckRecord {
-    /// When the event happened.
-    pub at: SimTime,
-    /// Which flow the packet belongs to.
-    pub flow: FlowId,
-    /// Index of the hop whose queue/link produced the record (always 0 in
-    /// the paper's single-bottleneck dumbbell).
-    pub hop: u32,
-    /// Packet size in bytes.
-    pub size: u32,
-    /// What happened.
-    pub event: BottleneckEvent,
-}
-
-/// Transport-level events for the CCA flow, used for root-cause timelines
-/// (Figure 4c) and for assertions in tests.
+/// Transport-level events of one flow's sender, used for root-cause
+/// timelines (Figure 4c) and for assertions in tests.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TransportEvent {
     /// A data packet was (re)transmitted.
@@ -98,6 +84,43 @@ pub struct TransportRecord {
     pub at: SimTime,
     /// What happened.
     pub event: TransportEvent,
+}
+
+/// What one record of the run log says.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum LogEvent {
+    /// A packet of `size` bytes at the record's hop.
+    Queue {
+        /// Packet size in bytes.
+        size: u32,
+        /// What the gateway did with it.
+        event: BottleneckEvent,
+    },
+    /// A record of the flow's sender.
+    Transport(TransportEvent),
+    /// The flow's congestion window, sampled when the flow starts and after
+    /// each ACK and RTO it processes, and logged only when it moved (static
+    /// flows only). A flow's first sample is its start.
+    Cwnd {
+        /// Congestion window, in packets.
+        cwnd: u64,
+        /// Packets in flight at the sample.
+        in_flight: u64,
+    },
+}
+
+/// One record of the run log.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LogRecord {
+    /// When it happened.
+    pub at: SimTime,
+    /// The flow: cross traffic, or a CCA flow's raw handle (a static flow's
+    /// index or a dynamic flow's tagged slab handle).
+    pub flow: FlowId,
+    /// The gateway's hop for a queue record, the flow's entry hop otherwise.
+    pub hop: u32,
+    /// What happened.
+    pub event: LogEvent,
 }
 
 /// Summary statistics for the CCA flow.
@@ -410,10 +433,10 @@ impl WorkloadStats {
 /// every run — a pure waste on the fuzzer's hot path).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RunStats {
-    /// Per-packet bottleneck records (enqueue/dequeue/drop), time ordered.
-    pub bottleneck: Vec<BottleneckRecord>,
-    /// Transport event log for the primary CCA flow, time ordered.
-    pub transport: Vec<TransportRecord>,
+    /// The run log (kept only under `SimConfig::record_events`): every
+    /// gateway record of every packet and hop, every sender record of every
+    /// flow and the static flows' cwnd samples, in event-processing order.
+    pub log: Vec<LogRecord>,
     /// Queue occupancy samples `(time, packets, bytes)` taken every
     /// `stats_interval`, summed across every hop of the path (identical to
     /// the single queue's occupancy in the one-hop dumbbell).
@@ -490,11 +513,9 @@ impl RunStats {
     /// Queuing-delay samples for a flow: `(dequeue time, delay)`. Multi-hop
     /// runs contribute one sample per hop crossed.
     pub fn queuing_delays(&self, flow: FlowId) -> Vec<(SimTime, SimDuration)> {
-        self.bottleneck
-            .iter()
-            .filter(|r| r.flow == flow)
-            .filter_map(|r| match r.event {
-                BottleneckEvent::Dequeued { queuing_delay } => Some((r.at, queuing_delay)),
+        self.queue_records(flow)
+            .filter_map(|(at, _, event)| match event {
+                BottleneckEvent::Dequeued { queuing_delay } => Some((at, queuing_delay)),
                 _ => None,
             })
             .collect()
@@ -503,40 +524,49 @@ impl RunStats {
     /// Cumulative bytes that entered the queue for `flow`, as `(time, bytes)`
     /// step points (the "ingress" curves of Figures 4a/4b).
     pub fn ingress_bytes(&self, flow: FlowId) -> Vec<(SimTime, u64)> {
-        let mut total = 0u64;
-        self.bottleneck
-            .iter()
-            .filter(|r| r.flow == flow)
-            .filter_map(|r| match r.event {
-                BottleneckEvent::Enqueued | BottleneckEvent::Dropped => {
-                    total += r.size as u64;
-                    Some((r.at, total))
-                }
-                _ => None,
-            })
-            .collect()
+        self.cumulative_bytes(flow, |e| {
+            matches!(e, BottleneckEvent::Enqueued | BottleneckEvent::Dropped)
+        })
     }
 
     /// Cumulative bytes that left the queue (crossed the bottleneck) for
     /// `flow`, as `(time, bytes)` step points (the "egress" curves).
     pub fn egress_bytes(&self, flow: FlowId) -> Vec<(SimTime, u64)> {
+        self.cumulative_bytes(flow, |e| matches!(e, BottleneckEvent::Dequeued { .. }))
+    }
+
+    fn cumulative_bytes(
+        &self,
+        flow: FlowId,
+        counts: impl Fn(BottleneckEvent) -> bool,
+    ) -> Vec<(SimTime, u64)> {
         let mut total = 0u64;
-        self.bottleneck
-            .iter()
-            .filter(|r| r.flow == flow)
-            .filter_map(|r| match r.event {
-                BottleneckEvent::Dequeued { .. } => {
-                    total += r.size as u64;
-                    Some((r.at, total))
-                }
-                _ => None,
+        self.queue_records(flow)
+            .filter(|&(_, _, event)| counts(event))
+            .map(|(at, size, _)| {
+                total += size as u64;
+                (at, total)
             })
             .collect()
     }
 
-    /// Count of transport events matching a predicate.
-    pub fn count_transport<F: Fn(&TransportEvent) -> bool>(&self, pred: F) -> usize {
-        self.transport.iter().filter(|r| pred(&r.event)).count()
+    /// `flow`'s gateway records as `(time, size, event)`.
+    fn queue_records(
+        &self,
+        flow: FlowId,
+    ) -> impl Iterator<Item = (SimTime, u32, BottleneckEvent)> + '_ {
+        self.log.iter().filter_map(move |r| match r.event {
+            LogEvent::Queue { size, event } if r.flow == flow => Some((r.at, size, event)),
+            _ => None,
+        })
+    }
+
+    /// `flow`'s sender records, in the order the sender logged them.
+    pub fn transport(&self, flow: FlowId) -> impl Iterator<Item = (SimTime, &TransportEvent)> {
+        self.log.iter().filter_map(move |r| match &r.event {
+            LogEvent::Transport(event) if r.flow == flow => Some((r.at, event)),
+            _ => None,
+        })
     }
 
     /// A deterministic fingerprint of the run's observable behaviour
@@ -692,20 +722,19 @@ impl RunStats {
 mod tests {
     use super::*;
 
-    fn record(at_ms: u64, flow: FlowId, event: BottleneckEvent) -> BottleneckRecord {
-        BottleneckRecord {
+    fn record(at_ms: u64, flow: FlowId, event: BottleneckEvent) -> LogRecord {
+        LogRecord {
             at: SimTime::from_millis(at_ms),
             flow,
             hop: 0,
-            size: 1000,
-            event,
+            event: LogEvent::Queue { size: 1000, event },
         }
     }
 
     #[test]
     fn queuing_delay_extraction() {
         let stats = RunStats {
-            bottleneck: vec![
+            log: vec![
                 record(1, FlowId::Cca(0), BottleneckEvent::Enqueued),
                 record(
                     3,
@@ -734,7 +763,7 @@ mod tests {
     #[test]
     fn ingress_and_egress_accumulate() {
         let stats = RunStats {
-            bottleneck: vec![
+            log: vec![
                 record(1, FlowId::Cca(0), BottleneckEvent::Enqueued),
                 record(2, FlowId::Cca(0), BottleneckEvent::Dropped),
                 record(
@@ -756,36 +785,38 @@ mod tests {
     }
 
     #[test]
-    fn transport_event_counting() {
+    fn transport_records_are_filtered_by_flow() {
+        let sender = |at_ms: u64, flow: u32, event: TransportEvent| LogRecord {
+            at: SimTime::from_millis(at_ms),
+            flow: FlowId::Cca(flow),
+            hop: 0,
+            event: LogEvent::Transport(event),
+        };
+        let sent = TransportEvent::Sent {
+            seq: 0,
+            retransmission: false,
+            delivered_stamp: 0,
+        };
         let stats = RunStats {
-            transport: vec![
-                TransportRecord {
-                    at: SimTime::ZERO,
-                    event: TransportEvent::Sent {
-                        seq: 0,
-                        retransmission: false,
-                        delivered_stamp: 0,
-                    },
-                },
-                TransportRecord {
-                    at: SimTime::from_millis(1),
-                    event: TransportEvent::RtoFired { backoff: 0 },
-                },
-                TransportRecord {
-                    at: SimTime::from_millis(2),
-                    event: TransportEvent::RtoFired { backoff: 1 },
-                },
+            log: vec![
+                sender(0, 0, sent.clone()),
+                record(0, FlowId::Cca(0), BottleneckEvent::Enqueued),
+                sender(1, 0, TransportEvent::RtoFired { backoff: 0 }),
+                sender(1, 1, TransportEvent::RtoFired { backoff: 0 }),
+                sender(2, 0, TransportEvent::RtoFired { backoff: 1 }),
             ],
             ..Default::default()
         };
-        assert_eq!(
-            stats.count_transport(|e| matches!(e, TransportEvent::RtoFired { .. })),
-            2
-        );
-        assert_eq!(
-            stats.count_transport(|e| matches!(e, TransportEvent::Sent { .. })),
-            1
-        );
+        let flow0: Vec<_> = stats.transport(FlowId::Cca(0)).collect();
+        assert_eq!(flow0.len(), 3, "queue records and other flows are skipped");
+        assert_eq!(flow0[0], (SimTime::ZERO, &sent));
+        let rtos = |flow| {
+            stats
+                .transport(FlowId::Cca(flow))
+                .filter(|(_, e)| matches!(e, TransportEvent::RtoFired { .. }))
+                .count()
+        };
+        assert_eq!((rtos(0), rtos(1)), (2, 1));
     }
 
     fn single_flow_stats(delivery_times: Vec<SimTime>, summary: FlowSummary) -> RunStats {

@@ -359,9 +359,10 @@ impl<C: CongestionControl> TcpSender<C> {
         self.ece_acked
     }
 
-    /// Drains the transport event log collected since the last call.
-    pub fn drain_log(&mut self) -> Vec<TransportRecord> {
-        std::mem::take(&mut self.log)
+    /// Drains the transport records logged since the last call (the
+    /// simulation moves them into its run log after every sender call).
+    pub fn drain_log(&mut self) -> std::vec::Drain<'_, TransportRecord> {
+        self.log.drain(..)
     }
 
     #[inline]
@@ -1222,9 +1223,8 @@ mod tests {
         s.on_ack(&ack(0, vec![SackBlock { start: 9, end: 10 }], later), later);
         // The rate sample's prior_delivered must reflect the freshly stamped
         // (post-RTO) value, not the value at 9's original transmission (0).
-        let log = s.drain_log();
-        let stamped: Vec<u64> = log
-            .iter()
+        let stamped: Vec<u64> = s
+            .drain_log()
             .filter_map(|r| match r.event {
                 TransportEvent::Sent {
                     seq: 9,
@@ -1371,7 +1371,7 @@ mod tests {
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
         s.on_ack(&ack(2, vec![], now), now);
-        assert!(s.drain_log().is_empty(), "no log entries when disabled");
+        assert_eq!(s.drain_log().count(), 0, "no log entries when disabled");
         // Counters are unaffected by the logging switch.
         assert_eq!(s.delivered(), 2);
         assert_eq!(s.transmissions(), 4);
@@ -1403,7 +1403,6 @@ mod tests {
         }
         let cum_ack_records = |s: &mut TcpSender<AdvanceProbe>| -> Vec<u64> {
             s.drain_log()
-                .iter()
                 .filter_map(|r| match r.event {
                     TransportEvent::CumAckAdvanced { cum_ack } => Some(cum_ack),
                     _ => None,

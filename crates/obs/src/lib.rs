@@ -14,8 +14,6 @@
 //!   bench reporter.
 //! * [`profile`] — a scoped wall-clock [`PhaseProfiler`] for the campaign
 //!   loop's generate / evaluate / select / mutate / corpus-io phases.
-//! * [`ring`] — the fixed-capacity [`RingBuffer`] backing the simulator's
-//!   structured trace recorder.
 //! * [`telemetry`] — the per-hunt [`HuntTelemetry`] bundle: the metric
 //!   registry, the JSONL [`Snapshot`] progress stream and the stderr
 //!   status line.
@@ -31,12 +29,10 @@ pub mod fleet;
 pub mod metrics;
 pub mod persist;
 pub mod profile;
-pub mod ring;
 pub mod telemetry;
 
 pub use fleet::{FleetTelemetry, WorkerLane, WorkerLaneSnapshot};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram};
 pub use persist::write_atomic;
 pub use profile::{Phase, PhaseProfiler};
-pub use ring::RingBuffer;
 pub use telemetry::{CampaignMetrics, HuntTelemetry, LatencyQuantiles, OperatorSnapshot, Snapshot};

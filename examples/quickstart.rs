@@ -10,15 +10,8 @@ use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::TrafficGenome;
-use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
-
-/// Fresh runs that keep the per-packet event logs for analysis.
-const RECORD: RunOpts = RunOpts {
-    record_events: true,
-    trace: false,
-};
 
 fn main() {
     // 1. Describe the campaign: the paper's standard scenario (12 Mbps
@@ -54,12 +47,10 @@ fn main() {
         );
     }
 
-    // 3. Replay the best adversarial trace with full event recording and
+    // 3. Replay the best adversarial trace, recording its run log, and
     //    print what it does to the flow.
     let evaluator = campaign.evaluator();
-    let replay = evaluator
-        .simulate(&result.best_genome, &mut EvalScratch::new(), RECORD)
-        .0;
+    let replay = evaluator.simulate(&result.best_genome, &mut EvalScratch::new(), true);
     println!(
         "\nworst trace found ({} cross-traffic packets):",
         result.best_genome.timestamps.len()

@@ -6,6 +6,7 @@
 //!   must replay cleanly — any simulator/CCA behaviour change that alters
 //!   what these traces do shows up here as drift or a digest mismatch.
 
+use cc_fuzz::analysis::traceview;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::corpus::finding::Finding;
 use cc_fuzz::corpus::hunt::{hunt, HuntConfig};
@@ -288,40 +289,40 @@ fn fixture_corpus_replays_without_drift() {
     assert_eq!(report.to_text(), again.to_text());
 }
 
-/// The sim tracer must be an observer, not a participant: replaying every
-/// committed fixture with tracing enabled must reproduce the stored golden
-/// digest, and the strict replay report must stay byte-identical to one
-/// produced without tracing in the picture.
+/// Recording the run log must be an observer, not a participant: replaying
+/// every committed fixture the way `ccfuzz trace` does (recording on) must
+/// reproduce the stored golden digest, and the strict replay report must
+/// stay byte-identical to one produced without recording in the picture.
 #[test]
 fn traced_replay_is_passive_on_every_fixture() {
     let findings = load_fixtures();
     let untraced = replay_findings(&findings, None).to_text();
     for finding in &findings {
-        let (outcome, digest, trace) = finding.replay_traced();
+        let (outcome, digest, result) = finding.replay_recorded();
         assert_eq!(
             digest, finding.behavior_digest,
-            "{}: tracing perturbed the behaviour digest",
+            "{}: recording perturbed the behaviour digest",
             finding.id
         );
         let (plain_outcome, plain_digest) = finding.replay_run(None);
         assert_eq!(
             digest, plain_digest,
-            "{}: traced vs untraced digest",
+            "{}: recorded vs unrecorded digest",
             finding.id
         );
         assert_eq!(
             outcome.score.to_bits(),
             plain_outcome.score.to_bits(),
-            "{}: traced vs untraced score",
+            "{}: recorded vs unrecorded score",
             finding.id
         );
         assert!(
-            trace.total_observed() > 0,
+            !traceview::events(&result.stats).is_empty(),
             "{}: a replayed fixture must produce trace events",
             finding.id
         );
     }
-    // Interleaving traced replays changed nothing for the strict report.
+    // Interleaving recorded replays changed nothing for the strict report.
     let after = replay_findings(&findings, None).to_text();
     assert_eq!(untraced, after);
 }

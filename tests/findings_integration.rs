@@ -15,27 +15,21 @@ use cc_fuzz::fuzz::campaign::{
 };
 use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::TrafficGenome;
-use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::scoring::ScoringConfig;
 use cc_fuzz::fuzz::SimEvaluator;
 use cc_fuzz::netsim::sim::SimResult;
 use cc_fuzz::netsim::time::SimDuration;
 
-/// A fresh run of `genome` against `cca`, keeping the per-packet event logs
-/// the analyses below read.
+/// A fresh run of `genome` against `cca`, keeping the run log the analyses
+/// below read.
 fn recorded(cca: CcaKind, genome: &TrafficGenome) -> SimResult {
-    let opts = RunOpts {
-        record_events: true,
-        trace: false,
-    };
     SimEvaluator::new(
         paper_sim_base(genome.duration),
         cca,
         ScoringConfig::low_throughput_default(PAPER_LINK_RATE_BPS as f64),
         PAPER_LINK_RATE_BPS,
     )
-    .simulate(genome, &mut EvalScratch::new(), opts)
-    .0
+    .simulate(genome, &mut EvalScratch::new(), true)
 }
 
 #[test]

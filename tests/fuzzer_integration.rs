@@ -6,7 +6,6 @@ use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::{Genome, LinkGenome, TrafficGenome};
-use cc_fuzz::fuzz::mode::RunOpts;
 use cc_fuzz::fuzz::scenario::ScenarioGenome;
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
@@ -35,9 +34,8 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
     };
     let evaluator = campaign.evaluator();
     let mut scratch = EvalScratch::new();
-    let (baseline, _) = evaluator.simulate(&empty, &mut scratch, RunOpts::default());
-    let (adversarial, _) =
-        evaluator.simulate(&result.best_genome, &mut scratch, RunOpts::default());
+    let baseline = evaluator.simulate(&empty, &mut scratch, false);
+    let adversarial = evaluator.simulate(&result.best_genome, &mut scratch, false);
 
     assert!(
         adversarial.stats.flow().delivered_packets < baseline.stats.flow().delivered_packets,
@@ -137,7 +135,7 @@ fn fairness_campaign_finds_unfair_multi_flow_scenarios() {
     // the GA only amplifies it.
     let evaluator = campaign.evaluator();
     let mut scratch = EvalScratch::new();
-    let (replay, _) = evaluator.simulate(&result.best_genome, &mut scratch, RunOpts::default());
+    let replay = evaluator.simulate(&result.best_genome, &mut scratch, false);
     let breakdown = cc_fuzz::fuzz::scoring::fairness_breakdown(&replay, campaign.sim.mss);
     assert_eq!(
         breakdown.per_flow_goodput_bps.len(),

@@ -555,7 +555,7 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
             "step {step}: in_recovery"
         );
         assert_eq!(
-            sender.drain_log(),
+            sender.drain_log().collect::<Vec<_>>(),
             std::mem::take(&mut ref_sender.log),
             "step {step}: transport log"
         );
