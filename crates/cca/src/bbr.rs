@@ -597,19 +597,6 @@ impl CongestionControl for Bbr {
         Some((self.pacing_gain * bw).max(1_000.0))
     }
 
-    fn debug_state(&self) -> String {
-        format!(
-            "state={:?} bw={:.3}Mbps min_rtt={:?} round={} cwnd={} pacing_gain={:.2} filled={}",
-            self.state,
-            self.bottleneck_bw_bps() / 1e6,
-            self.min_rtt,
-            self.round_count,
-            self.cwnd,
-            self.pacing_gain,
-            self.filled_pipe
-        )
-    }
-
     fn take_events(&mut self) -> Vec<String> {
         std::mem::take(&mut self.events)
     }

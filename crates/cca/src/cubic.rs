@@ -251,17 +251,6 @@ impl CongestionControl for Cubic {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn debug_state(&self) -> String {
-        format!(
-            "cwnd={:.2} ssthresh={} w_max={:.2} k={:.3} slow_start={}",
-            self.cwnd,
-            self.ssthresh,
-            self.w_max,
-            self.k,
-            self.in_slow_start()
-        )
-    }
 }
 
 #[cfg(test)]

@@ -183,13 +183,6 @@ impl CongestionControl for Dctcp {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn debug_state(&self) -> String {
-        format!(
-            "cwnd={:.2} ssthresh={} alpha={:.4}",
-            self.cwnd, self.ssthresh, self.alpha
-        )
-    }
 }
 
 #[cfg(test)]
@@ -320,11 +313,5 @@ mod tests {
         assert_eq!(d.cwnd(), 20);
         d.on_congestion(&ctx(0), CongestionSignal::Rto);
         assert_eq!(d.cwnd(), 1);
-    }
-
-    #[test]
-    fn debug_state_mentions_alpha() {
-        let d = Dctcp::new(DctcpConfig::default());
-        assert!(d.debug_state().contains("alpha="));
     }
 }

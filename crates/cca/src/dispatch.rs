@@ -71,9 +71,6 @@ impl CongestionControl for CcaDispatch {
     fn pacing_rate_bps(&self) -> Option<f64> {
         dispatch!(self, cc => cc.pacing_rate_bps())
     }
-    fn debug_state(&self) -> String {
-        dispatch!(self, cc => cc.debug_state())
-    }
     fn take_events(&mut self) -> Vec<String> {
         dispatch!(self, cc => cc.take_events())
     }

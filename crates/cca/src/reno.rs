@@ -142,10 +142,6 @@ impl CongestionControl for Reno {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn debug_state(&self) -> String {
-        format!("cwnd={:.2} ssthresh={}", self.cwnd, self.ssthresh)
-    }
 }
 
 #[cfg(test)]
@@ -362,11 +358,5 @@ mod tests {
         let before = r.cwnd();
         r.on_ack(&ctx(false), &sample(0));
         assert_eq!(r.cwnd(), before);
-    }
-
-    #[test]
-    fn debug_state_mentions_window() {
-        let r = Reno::new(RenoConfig::default());
-        assert!(r.debug_state().contains("cwnd="));
     }
 }

@@ -157,13 +157,6 @@ impl CongestionControl for Vegas {
     fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
-
-    fn debug_state(&self) -> String {
-        format!(
-            "cwnd={:.2} base_rtt={:?} ssthresh={}",
-            self.cwnd, self.base_rtt, self.ssthresh
-        )
-    }
 }
 
 #[cfg(test)]

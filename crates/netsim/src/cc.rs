@@ -148,12 +148,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
         None
     }
 
-    /// Free-form internal state for logging/figures (e.g. BBR's bandwidth
-    /// estimate and gain-cycle phase).
-    fn debug_state(&self) -> String {
-        String::new()
-    }
-
     /// Drains algorithm-internal events recorded since the last call
     /// (used to build the Figure 4c timeline without coupling the simulator
     /// to any specific algorithm).

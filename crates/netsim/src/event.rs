@@ -17,15 +17,13 @@
 //! sorted **lazily, once**, when the clock reaches it, so the common case is
 //! an O(1) append and an O(1) pop of a 32-byte entry.
 //!
-//! Events beyond the ring's horizon live in a **hierarchical second level**:
-//! a coarse wheel of [`L2_BUCKETS`] slots, each spanning the entire
-//! fine ring's horizon (2^32 ns ≈ 4.3 s, for a combined reach of ≈ 4.6
-//! minutes). Scheduling into it is an O(1) push; as the fine ring rotates,
-//! any slot whose tracked minimum falls inside the new horizon drains into
-//! the fine buckets — each event is touched O(1) amortized times instead of
-//! paying the `log n` sift of the old overflow `BinaryHeap`. Only events
-//! beyond even the coarse wheel (long-RTO backoff in pathological scenarios)
-//! fall back to a heap, which real workloads never populate.
+//! Events at or beyond the ring's horizon (2^32 ns ≈ 4.3 s past the cursor
+//! bucket) wait in one overflow `BinaryHeap`, min-first on `(at, seq)`. Real
+//! runs put only a few percent of their events there — mostly cross-traffic
+//! injections queued at time zero for instants past 4.3 s — so each pays one
+//! push and one pop of O(log F) with F in the hundreds. As the ring rotates
+//! one bucket, the heap heads that now fall inside the horizon move into the
+//! newly exposed bucket; when none do, the rotation costs one `peek`.
 //!
 //! ## Determinism contract
 //!
@@ -33,6 +31,9 @@
 //! the order the binary heap produced:
 //! * buckets partition time, so cross-bucket order is automatic;
 //! * within a bucket, the lazy sort orders by `(at, seq)`;
+//! * overflow events enter their bucket before the cursor reaches it (a
+//!   rotation exposes the bucket furthest from the cursor; a jump refills
+//!   an unsorted cursor bucket), so the lazy sort orders them too;
 //! * events scheduled into the *currently draining* bucket are placed by
 //!   binary search on `(at, seq)`, preserving FIFO among equal timestamps
 //!   (their sequence numbers are necessarily the largest so far).
@@ -125,31 +126,6 @@ const BUCKET_SHIFT: u32 = 20;
 /// Ring size: 4096 buckets ≈ 4.3 s of horizon; almost every event of a
 /// typical scenario is schedulable directly into the ring.
 const NUM_BUCKETS: usize = 4096;
-/// Second-level slot width: one slot covers the whole fine ring's span
-/// (4096 × 2^20 = 2^32 ns ≈ 4.3 s).
-const L2_SHIFT: u32 = BUCKET_SHIFT + 12;
-/// Second-level slot count: 64 × 4.3 s ≈ 4.6 minutes of coarse horizon.
-const L2_BUCKETS: usize = 64;
-
-/// One slot of the coarse wheel: an unsorted event list plus its tracked
-/// minimum timestamp, so the per-rotation "anything due?" check is a single
-/// integer compare.
-#[derive(Debug)]
-struct L2Slot {
-    events: Vec<ScheduledEvent>,
-    /// Minimum `at` among `events` (`u64::MAX` when empty). A lower bound is
-    /// maintained exactly: pushes take `min`, drains recompute.
-    min_at: u64,
-}
-
-impl Default for L2Slot {
-    fn default() -> Self {
-        L2Slot {
-            events: Vec::new(),
-            min_at: u64::MAX,
-        }
-    }
-}
 
 #[derive(Debug)]
 struct ScheduledEvent {
@@ -198,13 +174,7 @@ pub struct EventQueue {
     pos: usize,
     /// Whether the cursor bucket's remainder is sorted by `(at, seq)`.
     sorted: bool,
-    /// Coarse second-level wheel: events beyond the fine ring's horizon,
-    /// slotted by `(at >> L2_SHIFT) & (L2_BUCKETS - 1)`.
-    l2: Vec<L2Slot>,
-    /// Events currently in the coarse wheel.
-    l2_len: usize,
-    /// Events beyond even the coarse wheel's horizon, min-first on
-    /// `(at, seq)`. Practically always empty.
+    /// Events at or beyond the ring's horizon, min-first on `(at, seq)`.
     far: BinaryHeap<ScheduledEvent>,
     /// Events currently in the ring.
     ring_len: usize,
@@ -215,7 +185,7 @@ pub struct EventQueue {
 }
 
 impl Default for EventQueue {
-    /// A *non-allocating* empty placeholder: no ring or wheel storage.
+    /// A *non-allocating* empty placeholder: no ring storage.
     /// An empty [`Simulation`](crate::sim::Simulation) starts from this,
     /// so building one pays nothing until its first load.
     /// [`EventQueue::reset`] materializes real storage, and every load
@@ -227,8 +197,6 @@ impl Default for EventQueue {
             cursor_start: 0,
             pos: 0,
             sorted: false,
-            l2: Vec::new(),
-            l2_len: 0,
             far: BinaryHeap::new(),
             ring_len: 0,
             len: 0,
@@ -248,14 +216,11 @@ impl EventQueue {
 
     /// Clears the queue back to time zero, keeping every allocation (bucket
     /// capacity, overflow heap) for reuse by the next simulation run. On a
-    /// placeholder queue (see [`Default`]) this materializes the ring and
-    /// wheel storage.
+    /// placeholder queue (see [`Default`]) this materializes the ring
+    /// storage.
     pub fn reset(&mut self) {
         if self.buckets.is_empty() {
             self.buckets = (0..NUM_BUCKETS).map(|_| Vec::new()).collect();
-        }
-        if self.l2.is_empty() {
-            self.l2 = (0..L2_BUCKETS).map(|_| L2Slot::default()).collect();
         }
         for bucket in &mut self.buckets {
             bucket.clear();
@@ -264,11 +229,6 @@ impl EventQueue {
         self.cursor_start = 0;
         self.pos = 0;
         self.sorted = false;
-        for slot in &mut self.l2 {
-            slot.events.clear();
-            slot.min_at = u64::MAX;
-        }
-        self.l2_len = 0;
         self.far.clear();
         self.ring_len = 0;
         self.len = 0;
@@ -295,15 +255,6 @@ impl EventQueue {
         self.cursor_start + ((NUM_BUCKETS as u64) << BUCKET_SHIFT)
     }
 
-    /// End of the coarse wheel's reach: [`L2_BUCKETS`] slots starting at the
-    /// slot containing the fine ring's window. The slot holding
-    /// `cursor_start` itself is provably empty of schedulable events (they
-    /// would fall inside the fine horizon), so no epoch collision is
-    /// possible within this bound.
-    fn l2_horizon_end(&self) -> u64 {
-        ((self.cursor_start >> L2_SHIFT) << L2_SHIFT) + ((L2_BUCKETS as u64) << L2_SHIFT)
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error in the simulator; in release
@@ -321,14 +272,7 @@ impl EventQueue {
         let entry = ScheduledEvent { at, seq, event };
 
         if at >= self.horizon_end() {
-            if at < self.l2_horizon_end() {
-                let slot = &mut self.l2[((at >> L2_SHIFT) as usize) & (L2_BUCKETS - 1)];
-                slot.min_at = slot.min_at.min(at);
-                slot.events.push(entry);
-                self.l2_len += 1;
-            } else {
-                self.far.push(entry);
-            }
+            self.far.push(entry);
             return;
         }
         debug_assert!(at >= self.cursor_start);
@@ -394,107 +338,29 @@ impl EventQueue {
             if self.ring_len == 0 {
                 // Ring drained: jump the window straight to the earliest
                 // pending event instead of rotating bucket by bucket.
-                let min_at = self.beyond_min().expect("len > 0");
+                let min_at = self.far.peek().expect("len > 0").at;
                 self.cursor = 0;
                 self.cursor_start = (min_at >> BUCKET_SHIFT) << BUCKET_SHIFT;
-                self.migrate_far();
-                // The new fine window straddles at most two coarse slots:
-                // the one holding `cursor_start` and its successor.
-                let end = self.horizon_end();
-                let first = (self.cursor_start >> L2_SHIFT) as usize;
-                self.drain_l2_slot(first & (L2_BUCKETS - 1), end);
-                self.drain_l2_slot((first + 1) & (L2_BUCKETS - 1), end);
             } else {
                 self.cursor = (self.cursor + 1) & (NUM_BUCKETS - 1);
                 self.cursor_start += 1 << BUCKET_SHIFT;
-                // The horizon gained one fine-bucket width; that strip lies
-                // inside a single coarse slot. An O(1) min-check decides
-                // whether anything actually migrates.
-                let end = self.horizon_end();
-                let slot = (((end - (1 << BUCKET_SHIFT)) >> L2_SHIFT) as usize) & (L2_BUCKETS - 1);
-                self.drain_l2_slot(slot, end);
-                if self.cursor_start & ((1 << L2_SHIFT) - 1) == 0 {
-                    // Crossed a coarse-slot boundary: the coarse wheel's own
-                    // horizon advanced, so far-future stragglers may now fit.
-                    self.migrate_far();
-                }
             }
+            self.migrate_far();
         }
     }
 
-    /// Minimum pending timestamp beyond the fine ring (coarse wheel + far
-    /// heap). Only called on the rare ring-drained jump path.
-    fn beyond_min(&self) -> Option<u64> {
-        let l2_min = self.l2.iter().map(|s| s.min_at).min().unwrap_or(u64::MAX);
-        let far_min = self.far.peek().map(|e| e.at).unwrap_or(u64::MAX);
-        let min = l2_min.min(far_min);
-        (min != u64::MAX).then_some(min)
-    }
-
-    /// Moves events of coarse slot `slot` with `at < before` into the fine
-    /// ring. O(1) when the slot's minimum is not yet due.
-    fn drain_l2_slot(&mut self, slot: usize, before: u64) {
-        if self.l2[slot].min_at >= before {
-            return;
-        }
-        let mut events = std::mem::take(&mut self.l2[slot].events);
-        let mut min = u64::MAX;
-        let mut i = 0;
-        while i < events.len() {
-            if events[i].at < before {
-                let entry = events.swap_remove(i);
-                debug_assert!(entry.at >= self.cursor_start);
-                let delta = ((entry.at - self.cursor_start) >> BUCKET_SHIFT) as usize;
-                let idx = (self.cursor + delta) & (NUM_BUCKETS - 1);
-                self.buckets[idx].push(entry);
-                self.l2_len -= 1;
-                self.ring_len += 1;
-            } else {
-                min = min.min(events[i].at);
-                i += 1;
-            }
-        }
-        self.l2[slot].events = events;
-        self.l2[slot].min_at = min;
-    }
-
-    /// Moves far-future events that now fall inside the coarse wheel's
-    /// horizon into their slots.
+    /// Moves overflow events that now fall inside the ring's horizon into
+    /// their buckets. After a one-bucket rotation they all land in the newly
+    /// exposed bucket, never the cursor's, so the lazy sort still sees them;
+    /// when none are due this is one `peek`.
     fn migrate_far(&mut self) {
-        let end = self.l2_horizon_end();
-        while let Some(head) = self.far.peek() {
-            if head.at >= end {
-                break;
-            }
+        let end = self.horizon_end();
+        while self.far.peek().is_some_and(|head| head.at < end) {
             let entry = self.far.pop().expect("peeked");
-            let slot = &mut self.l2[((entry.at >> L2_SHIFT) as usize) & (L2_BUCKETS - 1)];
-            slot.min_at = slot.min_at.min(entry.at);
-            slot.events.push(entry);
-            self.l2_len += 1;
+            let delta = ((entry.at - self.cursor_start) >> BUCKET_SHIFT) as usize;
+            self.buckets[(self.cursor + delta) & (NUM_BUCKETS - 1)].push(entry);
+            self.ring_len += 1;
         }
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        // The first non-empty bucket from the cursor holds the global
-        // minimum (buckets partition time; overflow is beyond the horizon).
-        for step in 0..NUM_BUCKETS {
-            let idx = (self.cursor + step) & (NUM_BUCKETS - 1);
-            let from = if step == 0 { self.pos } else { 0 };
-            let bucket = &self.buckets[idx];
-            if from < bucket.len() {
-                let min = bucket[from..]
-                    .iter()
-                    .map(|e| e.at)
-                    .min()
-                    .expect("non-empty slice");
-                return Some(SimTime::from_nanos(min));
-            }
-        }
-        self.beyond_min().map(SimTime::from_nanos)
     }
 }
 
@@ -562,7 +428,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), t(10));
-        assert_eq!(q.peek_time(), Some(t(15)));
         q.pop();
         assert_eq!(q.now(), t(15));
     }
@@ -662,9 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn events_beyond_the_coarse_wheel_still_pop_in_order() {
-        // The coarse wheel reaches ~4.6 minutes; these land in the far heap
-        // and must migrate down through both levels in exact (at, seq) order.
+    fn minutes_out_events_still_pop_in_order() {
+        // Minutes past the ring's horizon: these wait in the overflow heap
+        // and must migrate into the ring in exact (at, seq) order.
         let mut q = EventQueue::new();
         let far = [1000.0, 999.0, 280.0, 275.0];
         for (i, secs) in far.iter().enumerate() {
@@ -685,7 +550,7 @@ mod tests {
         sorted.sort();
         assert_eq!(times, sorted);
         assert_eq!(times.len(), far.len() + 1);
-        // Ties across the two levels keep insertion order.
+        // Ties in the overflow heap keep insertion order.
         let mut q = EventQueue::new();
         let at = SimTime::from_secs_f64(300.0);
         q.schedule(

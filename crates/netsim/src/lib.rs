@@ -58,7 +58,6 @@
 
 pub mod cc;
 pub mod config;
-pub mod crosstraffic;
 pub mod event;
 pub mod link;
 pub mod packet;

@@ -7,12 +7,14 @@
 //! The gateway is pluggable: a [`Qdisc`] configuration selects between
 //! classic drop-tail, RED (random early detection, marking or dropping
 //! before the tail based on occupancy) and CoDel (controlled delay, marking
-//! or dropping at the head based on sojourn time). The runtime queue is the
-//! [`GatewayQueue`] enum, dispatched by `match` exactly like the CCA layer's
-//! `CcaDispatch` — no virtual calls on the per-packet path. ECN-capable
-//! packets (`ect`) are CE-marked instead of dropped wherever the discipline
-//! allows; the receiver echoes marks back to the sender (see
-//! [`crate::tcp::receiver`]), closing the RFC 3168 feedback loop.
+//! or dropping at the head based on sojourn time). The runtime queue is one
+//! [`GatewayQueue`] struct: a FIFO ring with its byte and counter
+//! bookkeeping, plus the discipline's own state, which it consults only
+//! where the discipline acts (RED at enqueue, CoDel at dequeue) — no
+//! virtual calls on the per-packet path. ECN-capable packets (`ect`) are
+//! CE-marked instead of dropped wherever the discipline allows; the
+//! receiver echoes marks back to the sender (see [`crate::tcp::receiver`]),
+//! closing the RFC 3168 feedback loop.
 
 use crate::packet::{DataPacket, FlowId};
 use crate::rng::SimRng;
@@ -101,129 +103,12 @@ impl QueueCounters {
             FlowId::CrossTraffic => self.marked_cross += 1,
         }
     }
-}
 
-/// The FIFO storage plus byte/counter bookkeeping every discipline shares:
-/// the admission/enqueue/dequeue accounting lives here exactly once, so the
-/// disciplines cannot drift apart on how packets, bytes and per-flow
-/// counters are tracked.
-#[derive(Clone, Debug)]
-struct FifoCore {
-    capacity: QueueCapacity,
-    queue: VecDeque<DataPacket>,
-    bytes: u64,
-    counters: QueueCounters,
-}
-
-impl FifoCore {
-    fn new(capacity: QueueCapacity) -> Self {
-        FifoCore {
-            capacity,
-            queue: VecDeque::new(),
-            bytes: 0,
-            counters: QueueCounters::default(),
+    fn count_dequeue(&mut self, flow: FlowId) {
+        match flow {
+            FlowId::Cca(_) => self.dequeued_cca += 1,
+            FlowId::CrossTraffic => self.dequeued_cross += 1,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn admits(&self, pkt: &DataPacket) -> bool {
-        self.capacity.admits(self.queue.len(), self.bytes, pkt)
-    }
-
-    /// Unconditionally appends `pkt` (the caller has already checked
-    /// [`FifoCore::admits`]), stamping the enqueue time and counters.
-    fn push(&mut self, mut pkt: DataPacket, now: SimTime) {
-        pkt.enqueued_at = now;
-        self.bytes += pkt.size as u64;
-        match pkt.flow {
-            FlowId::Cca(_) => self.counters.enqueued_cca += 1,
-            FlowId::CrossTraffic => self.counters.enqueued_cross += 1,
-        }
-        self.queue.push_back(pkt);
-    }
-
-    /// Removes the head-of-line packet and counts it as dequeued.
-    fn pop_dequeued(&mut self) -> Option<DataPacket> {
-        let pkt = self.pop_uncounted()?;
-        match pkt.flow {
-            FlowId::Cca(_) => self.counters.dequeued_cca += 1,
-            FlowId::CrossTraffic => self.counters.dequeued_cross += 1,
-        }
-        Some(pkt)
-    }
-
-    /// Removes the head-of-line packet without deciding its fate (CoDel's
-    /// control law counts it as dequeued or dropped afterwards).
-    fn pop_uncounted(&mut self) -> Option<DataPacket> {
-        let pkt = self.queue.pop_front()?;
-        self.bytes -= pkt.size as u64;
-        Some(pkt)
-    }
-}
-
-/// A drop-tail FIFO queue.
-#[derive(Clone, Debug)]
-pub struct DropTailQueue {
-    core: FifoCore,
-}
-
-impl DropTailQueue {
-    /// Creates an empty queue with the given capacity.
-    pub fn new(capacity: QueueCapacity) -> Self {
-        DropTailQueue {
-            core: FifoCore::new(capacity),
-        }
-    }
-
-    /// Current queue occupancy in packets.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.core.queue.is_empty()
-    }
-
-    /// Current queue occupancy in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.core.bytes
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> QueueCapacity {
-        self.core.capacity
-    }
-
-    /// Lifetime counters.
-    pub fn counters(&self) -> QueueCounters {
-        self.core.counters
-    }
-
-    /// Attempts to enqueue `pkt` at time `now`.
-    ///
-    /// Returns `true` if the packet was accepted and `false` if it was
-    /// dropped at the tail.
-    pub fn enqueue(&mut self, pkt: DataPacket, now: SimTime) -> bool {
-        if !self.core.admits(&pkt) {
-            self.core.counters.count_drop(pkt.flow);
-            return false;
-        }
-        self.core.push(pkt, now);
-        true
-    }
-
-    /// Removes the head-of-line packet, if any.
-    pub fn dequeue(&mut self) -> Option<DataPacket> {
-        self.core.pop_dequeued()
-    }
-
-    /// Peeks at the head-of-line packet without removing it.
-    pub fn peek(&self) -> Option<&DataPacket> {
-        self.core.queue.front()
     }
 }
 
@@ -364,243 +249,39 @@ impl EnqueueOutcome {
     }
 }
 
-/// A RED queue: drop-tail FIFO storage plus early marking/dropping between
-/// the configured thresholds. Probabilistic decisions draw from a private
-/// deterministic [`SimRng`], so identical (config, trace, seed) runs remain
-/// bit-identical.
+/// The runtime gateway queue: one FIFO ring with its byte and counter
+/// bookkeeping, plus the state of its [`Qdisc`]. The discipline branches only
+/// where it acts — RED at [`GatewayQueue::enqueue`], CoDel at
+/// [`GatewayQueue::dequeue_at`] — so drop-tail pays one discriminant test
+/// per enqueue and per dequeue, and no virtual call.
 #[derive(Clone, Debug)]
-pub struct RedQueue {
-    min_thresh: usize,
-    max_thresh: usize,
-    mark_probability: f64,
-    core: FifoCore,
+pub struct GatewayQueue {
+    qdisc: Qdisc,
+    capacity: QueueCapacity,
+    queue: VecDeque<DataPacket>,
+    bytes: u64,
+    counters: QueueCounters,
+    /// RED's early-action lottery. Drawn only under [`Qdisc::Red`], so
+    /// identical (config, trace, seed) runs remain bit-identical.
     rng: SimRng,
-}
-
-impl RedQueue {
-    fn new(
-        capacity: QueueCapacity,
-        min_thresh: usize,
-        max_thresh: usize,
-        mark_probability: f64,
-        seed: u64,
-    ) -> Self {
-        RedQueue {
-            min_thresh,
-            max_thresh,
-            mark_probability,
-            core: FifoCore::new(capacity),
-            // A fixed stream offset keeps the queue's randomness independent
-            // of any other consumer of the scenario seed.
-            rng: SimRng::new(seed).fork(0x71d5_c0de),
-        }
-    }
-
-    fn enqueue(&mut self, mut pkt: DataPacket, now: SimTime) -> EnqueueOutcome {
-        let occupancy = self.core.len();
-        // Hard limits first: the physical buffer and the full-drop threshold.
-        if !self.core.admits(&pkt) || occupancy >= self.max_thresh {
-            self.core.counters.count_drop(pkt.flow);
-            return EnqueueOutcome::Dropped;
-        }
-        let mut marked = false;
-        if occupancy >= self.min_thresh {
-            // Linear ramp of the early-action probability over
-            // [min_thresh, max_thresh).
-            let span = (self.max_thresh - self.min_thresh).max(1) as f64;
-            let p = self.mark_probability * (occupancy - self.min_thresh) as f64 / span;
-            if self.rng.gen_bool(p) {
-                if pkt.ect {
-                    pkt.ce = true;
-                    marked = true;
-                    self.core.counters.count_mark(pkt.flow);
-                } else {
-                    self.core.counters.count_drop(pkt.flow);
-                    return EnqueueOutcome::Dropped;
-                }
-            }
-        }
-        self.core.push(pkt, now);
-        if marked {
-            EnqueueOutcome::AcceptedMarked
-        } else {
-            EnqueueOutcome::Accepted
-        }
-    }
-}
-
-/// A CoDel queue: drop-tail FIFO storage plus sojourn-time-driven marking or
-/// dropping at the head (RFC 8289, simplified to packet granularity).
-#[derive(Clone, Debug)]
-pub struct CoDelQueue {
-    target: SimDuration,
-    interval: SimDuration,
-    core: FifoCore,
-    /// When the sojourn time first exceeded `target` (0 = not above).
+    /// CoDel: when the head sojourn time first exceeded `target`, plus one
+    /// `interval` (`None` = not above target).
     first_above_time: Option<SimTime>,
-    /// Whether the queue is in the dropping state.
+    /// CoDel: whether the queue is in the dropping state.
     dropping: bool,
-    /// Next scheduled mark/drop instant while dropping.
+    /// CoDel: next scheduled mark/drop instant while dropping.
     drop_next: SimTime,
-    /// Marks/drops performed in the current dropping episode.
+    /// CoDel: marks/drops performed in the current dropping episode.
     count: u64,
-    /// `count` when the previous dropping episode ended.
+    /// CoDel: `count` when the previous dropping episode ended.
     last_count: u64,
-}
-
-impl CoDelQueue {
-    fn new(capacity: QueueCapacity, target: SimDuration, interval: SimDuration) -> Self {
-        CoDelQueue {
-            target,
-            interval,
-            core: FifoCore::new(capacity),
-            first_above_time: None,
-            dropping: false,
-            drop_next: SimTime::ZERO,
-            count: 0,
-            last_count: 0,
-        }
-    }
-
-    fn enqueue(&mut self, pkt: DataPacket, now: SimTime) -> EnqueueOutcome {
-        if !self.core.admits(&pkt) {
-            self.core.counters.count_drop(pkt.flow);
-            return EnqueueOutcome::Dropped;
-        }
-        self.core.push(pkt, now);
-        EnqueueOutcome::Accepted
-    }
-
-    /// `interval / sqrt(count)`, the CoDel control-law spacing.
-    fn control_law(&self, from: SimTime) -> SimTime {
-        let scaled = self.interval.as_nanos() as f64 / (self.count.max(1) as f64).sqrt();
-        from + SimDuration::from_nanos(scaled as u64)
-    }
-
-    /// Checks whether the head packet should be acted upon at `now`.
-    /// Returns `false` (and resets the above-target tracking) when the
-    /// sojourn time is back below target or the queue drained.
-    fn should_act(&mut self, now: SimTime) -> bool {
-        let Some(head) = self.core.queue.front() else {
-            self.first_above_time = None;
-            return false;
-        };
-        let sojourn = now.saturating_since(head.enqueued_at);
-        if sojourn < self.target {
-            self.first_above_time = None;
-            return false;
-        }
-        match self.first_above_time {
-            None => {
-                self.first_above_time = Some(now + self.interval);
-                false
-            }
-            Some(t) => now >= t,
-        }
-    }
-
-    /// Acts on the head packet per the control law: an ECT head is marked
-    /// and delivered (`Some((pkt, true))`), a non-ECT head is dropped and
-    /// reported (`None` — the caller's loop continues to the next packet).
-    fn act_on_head<F: FnMut(DataPacket)>(
-        &mut self,
-        on_drop: &mut F,
-    ) -> Option<Option<(DataPacket, bool)>> {
-        let mut pkt = self.core.pop_uncounted()?;
-        if pkt.ect {
-            pkt.ce = true;
-            self.core.counters.count_mark(pkt.flow);
-            match pkt.flow {
-                FlowId::Cca(_) => self.core.counters.dequeued_cca += 1,
-                FlowId::CrossTraffic => self.core.counters.dequeued_cross += 1,
-            }
-            Some(Some((pkt, true)))
-        } else {
-            self.core.counters.count_drop(pkt.flow);
-            on_drop(pkt);
-            Some(None)
-        }
-    }
-
-    /// Dequeues the next deliverable packet, applying the CoDel control law:
-    /// while in the dropping state, due packets are CE-marked (ECT) or
-    /// dropped (non-ECT, reported through `on_drop`) at `drop_next` instants.
-    /// The `bool` of a returned pair is `true` when the packet was marked by
-    /// this dequeue.
-    fn dequeue_at<F: FnMut(DataPacket)>(
-        &mut self,
-        now: SimTime,
-        mut on_drop: F,
-    ) -> Option<(DataPacket, bool)> {
-        loop {
-            let act = self.should_act(now);
-            if self.dropping {
-                if !act {
-                    self.dropping = false;
-                } else if now >= self.drop_next {
-                    self.count += 1;
-                    self.drop_next = self.control_law(self.drop_next);
-                    match self.act_on_head(&mut on_drop)? {
-                        Some(delivered) => return Some(delivered),
-                        None => continue,
-                    }
-                }
-            } else if act {
-                // Enter the dropping state. Resume from the previous
-                // episode's rate when it ended recently (standard CoDel
-                // hysteresis), otherwise restart from 1.
-                self.dropping = true;
-                self.count =
-                    if self.count > self.last_count + 1 && now < self.drop_next + self.interval {
-                        self.count - self.last_count
-                    } else {
-                        1
-                    };
-                self.last_count = self.count;
-                self.drop_next = self.control_law(now);
-                match self.act_on_head(&mut on_drop)? {
-                    Some(delivered) => return Some(delivered),
-                    None => continue,
-                }
-            }
-            return self.core.pop_dequeued().map(|pkt| (pkt, false));
-        }
-    }
-}
-
-/// The runtime gateway queue: one variant per [`Qdisc`], dispatched by
-/// `match` (like `CcaDispatch`) so the per-packet path pays no virtual call.
-#[derive(Clone, Debug)]
-pub enum GatewayQueue {
-    /// Plain drop-tail FIFO.
-    DropTail(DropTailQueue),
-    /// Random Early Detection.
-    Red(RedQueue),
-    /// Controlled Delay.
-    CoDel(CoDelQueue),
 }
 
 impl GatewayQueue {
     /// Builds the gateway queue for a discipline. `seed` feeds RED's
     /// deterministic mark lottery (ignored by the other disciplines).
     pub fn new(qdisc: Qdisc, capacity: QueueCapacity, seed: u64) -> Self {
-        match qdisc {
-            Qdisc::DropTail => GatewayQueue::DropTail(DropTailQueue::new(capacity)),
-            Qdisc::Red {
-                min_thresh,
-                max_thresh,
-                mark_probability,
-            } => GatewayQueue::Red(RedQueue::new(
-                capacity,
-                min_thresh,
-                max_thresh,
-                mark_probability,
-                seed,
-            )),
-            Qdisc::CoDel { target, interval } => {
-                GatewayQueue::CoDel(CoDelQueue::new(capacity, target, interval))
-            }
-        }
+        GatewayQueue::new_with_storage(qdisc, capacity, seed, VecDeque::new())
     }
 
     /// Like [`GatewayQueue::new`], but adopts a previously used FIFO ring as
@@ -614,87 +295,98 @@ impl GatewayQueue {
         mut storage: VecDeque<DataPacket>,
     ) -> Self {
         storage.clear();
-        let mut q = GatewayQueue::new(qdisc, capacity, seed);
-        match &mut q {
-            GatewayQueue::DropTail(d) => d.core.queue = storage,
-            GatewayQueue::Red(r) => r.core.queue = storage,
-            GatewayQueue::CoDel(c) => c.core.queue = storage,
+        GatewayQueue {
+            qdisc,
+            capacity,
+            queue: storage,
+            bytes: 0,
+            counters: QueueCounters::default(),
+            // A fixed stream offset keeps the queue's randomness independent
+            // of any other consumer of the scenario seed.
+            rng: SimRng::new(seed).fork(0x71d5_c0de),
+            first_above_time: None,
+            dropping: false,
+            drop_next: SimTime::ZERO,
+            count: 0,
+            last_count: 0,
         }
-        q
     }
 
     /// Recovers the FIFO storage for reuse by a later queue (cleared).
-    pub fn into_storage(self) -> VecDeque<DataPacket> {
-        let mut queue = match self {
-            GatewayQueue::DropTail(q) => q.core.queue,
-            GatewayQueue::Red(q) => q.core.queue,
-            GatewayQueue::CoDel(q) => q.core.queue,
-        };
-        queue.clear();
-        queue
+    pub fn into_storage(mut self) -> VecDeque<DataPacket> {
+        self.queue.clear();
+        self.queue
     }
 
     /// The configured discipline.
     pub fn qdisc(&self) -> Qdisc {
-        match self {
-            GatewayQueue::DropTail(_) => Qdisc::DropTail,
-            GatewayQueue::Red(q) => Qdisc::Red {
-                min_thresh: q.min_thresh,
-                max_thresh: q.max_thresh,
-                mark_probability: q.mark_probability,
-            },
-            GatewayQueue::CoDel(q) => Qdisc::CoDel {
-                target: q.target,
-                interval: q.interval,
-            },
-        }
+        self.qdisc
     }
 
     /// Current queue occupancy in packets.
     pub fn len(&self) -> usize {
-        match self {
-            GatewayQueue::DropTail(q) => q.len(),
-            GatewayQueue::Red(q) => q.core.len(),
-            GatewayQueue::CoDel(q) => q.core.len(),
-        }
+        self.queue.len()
     }
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 
     /// Current queue occupancy in bytes.
     pub fn bytes(&self) -> u64 {
-        match self {
-            GatewayQueue::DropTail(q) => q.bytes(),
-            GatewayQueue::Red(q) => q.core.bytes,
-            GatewayQueue::CoDel(q) => q.core.bytes,
-        }
+        self.bytes
     }
 
     /// Lifetime counters.
     pub fn counters(&self) -> QueueCounters {
-        match self {
-            GatewayQueue::DropTail(q) => q.counters(),
-            GatewayQueue::Red(q) => q.core.counters,
-            GatewayQueue::CoDel(q) => q.core.counters,
-        }
+        self.counters
     }
 
-    /// Offers `pkt` to the gateway at `now`.
-    pub fn enqueue(&mut self, pkt: DataPacket, now: SimTime) -> EnqueueOutcome {
-        match self {
-            GatewayQueue::DropTail(q) => {
-                if q.enqueue(pkt, now) {
-                    EnqueueOutcome::Accepted
-                } else {
-                    EnqueueOutcome::Dropped
+    /// Offers `pkt` to the gateway at `now`. Every discipline drops at the
+    /// physical capacity; RED also drops at or beyond `max_thresh` and, above
+    /// `min_thresh`, marks (ECT) or drops (non-ECT) by lottery.
+    pub fn enqueue(&mut self, mut pkt: DataPacket, now: SimTime) -> EnqueueOutcome {
+        let occupancy = self.queue.len();
+        if !self.capacity.admits(occupancy, self.bytes, &pkt) {
+            self.counters.count_drop(pkt.flow);
+            return EnqueueOutcome::Dropped;
+        }
+        let mut outcome = EnqueueOutcome::Accepted;
+        if let Qdisc::Red {
+            min_thresh,
+            max_thresh,
+            mark_probability,
+        } = self.qdisc
+        {
+            if occupancy >= max_thresh {
+                self.counters.count_drop(pkt.flow);
+                return EnqueueOutcome::Dropped;
+            }
+            if occupancy >= min_thresh {
+                // Linear ramp of the early-action probability over
+                // [min_thresh, max_thresh).
+                let span = (max_thresh - min_thresh).max(1) as f64;
+                let p = mark_probability * (occupancy - min_thresh) as f64 / span;
+                if self.rng.gen_bool(p) {
+                    if !pkt.ect {
+                        self.counters.count_drop(pkt.flow);
+                        return EnqueueOutcome::Dropped;
+                    }
+                    pkt.ce = true;
+                    self.counters.count_mark(pkt.flow);
+                    outcome = EnqueueOutcome::AcceptedMarked;
                 }
             }
-            GatewayQueue::Red(q) => q.enqueue(pkt, now),
-            GatewayQueue::CoDel(q) => q.enqueue(pkt, now),
         }
+        pkt.enqueued_at = now;
+        self.bytes += pkt.size as u64;
+        match pkt.flow {
+            FlowId::Cca(_) => self.counters.enqueued_cca += 1,
+            FlowId::CrossTraffic => self.counters.enqueued_cross += 1,
+        }
+        self.queue.push_back(pkt);
+        outcome
     }
 
     /// Removes the next deliverable packet at `now`; the returned `bool` is
@@ -702,17 +394,97 @@ impl GatewayQueue {
     /// account dequeue-time marks without knowing which discipline marks
     /// where). CoDel may drop (non-ECT) head packets while searching; each
     /// such casualty is reported through `on_drop` before the next candidate
-    /// is considered. Drop-tail and RED never drop or mark at dequeue, so
-    /// for them this is exactly [`DropTailQueue::dequeue`].
+    /// is considered. Drop-tail and RED never drop or mark at dequeue.
     pub fn dequeue_at<F: FnMut(DataPacket)>(
         &mut self,
         now: SimTime,
-        on_drop: F,
+        mut on_drop: F,
     ) -> Option<(DataPacket, bool)> {
-        match self {
-            GatewayQueue::DropTail(q) => q.dequeue().map(|pkt| (pkt, false)),
-            GatewayQueue::Red(q) => q.core.pop_dequeued().map(|pkt| (pkt, false)),
-            GatewayQueue::CoDel(q) => q.dequeue_at(now, on_drop),
+        if let Qdisc::CoDel { target, interval } = self.qdisc {
+            // The CoDel control law (RFC 8289, simplified to packet
+            // granularity): while dropping, due head packets are CE-marked
+            // (ECT) or dropped (non-ECT) at `drop_next` instants.
+            loop {
+                let act = self.codel_should_act(now, target, interval);
+                if self.dropping {
+                    if !act {
+                        self.dropping = false;
+                        break;
+                    }
+                    if now < self.drop_next {
+                        break;
+                    }
+                    self.count += 1;
+                    self.drop_next = self.codel_control_law(self.drop_next, interval);
+                } else if act {
+                    // Enter the dropping state. Resume from the previous
+                    // episode's rate when it ended recently (standard CoDel
+                    // hysteresis), otherwise restart from 1.
+                    self.dropping = true;
+                    self.count =
+                        if self.count > self.last_count + 1 && now < self.drop_next + interval {
+                            self.count - self.last_count
+                        } else {
+                            1
+                        };
+                    self.last_count = self.count;
+                    self.drop_next = self.codel_control_law(now, interval);
+                } else {
+                    break;
+                }
+                let mut pkt = self.pop()?;
+                if pkt.ect {
+                    pkt.ce = true;
+                    self.counters.count_mark(pkt.flow);
+                    self.counters.count_dequeue(pkt.flow);
+                    return Some((pkt, true));
+                }
+                self.counters.count_drop(pkt.flow);
+                on_drop(pkt);
+            }
+        }
+        let pkt = self.pop()?;
+        self.counters.count_dequeue(pkt.flow);
+        Some((pkt, false))
+    }
+
+    /// Removes the head-of-line packet without deciding its fate.
+    fn pop(&mut self) -> Option<DataPacket> {
+        let pkt = self.queue.pop_front()?;
+        self.bytes -= pkt.size as u64;
+        Some(pkt)
+    }
+
+    /// `interval / sqrt(count)` after `from`, the CoDel control-law spacing.
+    fn codel_control_law(&self, from: SimTime, interval: SimDuration) -> SimTime {
+        let scaled = interval.as_nanos() as f64 / (self.count.max(1) as f64).sqrt();
+        from + SimDuration::from_nanos(scaled as u64)
+    }
+
+    /// Whether CoDel should act on the head packet at `now`: its sojourn
+    /// time has been at or above `target` for at least `interval`. Resets
+    /// the above-target tracking when the sojourn time is back below target
+    /// or the queue drained.
+    fn codel_should_act(
+        &mut self,
+        now: SimTime,
+        target: SimDuration,
+        interval: SimDuration,
+    ) -> bool {
+        let Some(head) = self.queue.front() else {
+            self.first_above_time = None;
+            return false;
+        };
+        if now.saturating_since(head.enqueued_at) < target {
+            self.first_above_time = None;
+            return false;
+        }
+        match self.first_above_time {
+            None => {
+                self.first_above_time = Some(now + interval);
+                false
+            }
+            Some(t) => now >= t,
         }
     }
 }
@@ -726,41 +498,63 @@ mod tests {
         DataPacket::cca(seq, DEFAULT_MSS, false, SimTime::ZERO)
     }
 
+    fn drop_tail(capacity: QueueCapacity) -> GatewayQueue {
+        GatewayQueue::new(Qdisc::DropTail, capacity, 42)
+    }
+
+    /// Offers `pkt` to a drop-tail queue: `true` when accepted. Drop-tail
+    /// never marks.
+    fn offer(q: &mut GatewayQueue, pkt: DataPacket, now: SimTime) -> bool {
+        let outcome = q.enqueue(pkt, now);
+        assert_ne!(outcome, EnqueueOutcome::AcceptedMarked);
+        outcome.accepted()
+    }
+
+    /// Dequeues from a drop-tail queue, which never drops or marks there.
+    fn take(q: &mut GatewayQueue) -> Option<DataPacket> {
+        let (pkt, marked) = q.dequeue_at(SimTime::ZERO, |_| {
+            panic!("drop-tail never drops at dequeue")
+        })?;
+        assert!(!marked, "drop-tail never marks at dequeue");
+        Some(pkt)
+    }
+
     #[test]
     fn fifo_order() {
-        let mut q = DropTailQueue::new(QueueCapacity::Packets(10));
+        let mut q = drop_tail(QueueCapacity::Packets(10));
         for i in 0..5 {
-            assert!(q.enqueue(pkt(i), SimTime::from_millis(i)));
+            assert!(offer(&mut q, pkt(i), SimTime::from_millis(i)));
         }
         for i in 0..5 {
-            assert_eq!(q.dequeue().unwrap().seq, i);
+            assert_eq!(take(&mut q).unwrap().seq, i);
         }
-        assert!(q.dequeue().is_none());
+        assert!(take(&mut q).is_none());
+        assert_eq!(q.counters().total_marked(), 0);
     }
 
     #[test]
     fn drop_tail_on_packet_capacity() {
-        let mut q = DropTailQueue::new(QueueCapacity::Packets(3));
-        assert!(q.enqueue(pkt(0), SimTime::ZERO));
-        assert!(q.enqueue(pkt(1), SimTime::ZERO));
-        assert!(q.enqueue(pkt(2), SimTime::ZERO));
+        let mut q = drop_tail(QueueCapacity::Packets(3));
+        assert!(offer(&mut q, pkt(0), SimTime::ZERO));
+        assert!(offer(&mut q, pkt(1), SimTime::ZERO));
+        assert!(offer(&mut q, pkt(2), SimTime::ZERO));
         assert!(
-            !q.enqueue(pkt(3), SimTime::ZERO),
+            !offer(&mut q, pkt(3), SimTime::ZERO),
             "fourth packet must be dropped"
         );
         assert_eq!(q.len(), 3);
         assert_eq!(q.counters().dropped_cca, 1);
         // After a dequeue there is room again.
-        q.dequeue();
-        assert!(q.enqueue(pkt(4), SimTime::ZERO));
+        take(&mut q);
+        assert!(offer(&mut q, pkt(4), SimTime::ZERO));
     }
 
     #[test]
     fn drop_tail_on_byte_capacity() {
-        let mut q = DropTailQueue::new(QueueCapacity::Bytes(3_000));
-        assert!(q.enqueue(pkt(0), SimTime::ZERO)); // 1448
-        assert!(q.enqueue(pkt(1), SimTime::ZERO)); // 2896
-        assert!(!q.enqueue(pkt(2), SimTime::ZERO)); // would be 4344 > 3000
+        let mut q = drop_tail(QueueCapacity::Bytes(3_000));
+        assert!(offer(&mut q, pkt(0), SimTime::ZERO)); // 1448
+        assert!(offer(&mut q, pkt(1), SimTime::ZERO)); // 2896
+        assert!(!offer(&mut q, pkt(2), SimTime::ZERO)); // would be 4344 > 3000
         assert_eq!(q.bytes(), 2 * DEFAULT_MSS as u64);
     }
 
@@ -774,29 +568,29 @@ mod tests {
         let sized = |seq: u64, size: u32| DataPacket::cca(seq, size, false, SimTime::ZERO);
 
         // Exactly filling the capacity is admitted...
-        let mut q = DropTailQueue::new(QueueCapacity::Bytes(3 * 1_000));
-        assert!(q.enqueue(sized(0, 1_000), SimTime::ZERO));
-        assert!(q.enqueue(sized(1, 1_000), SimTime::ZERO));
+        let mut q = drop_tail(QueueCapacity::Bytes(3 * 1_000));
+        assert!(offer(&mut q, sized(0, 1_000), SimTime::ZERO));
+        assert!(offer(&mut q, sized(1, 1_000), SimTime::ZERO));
         assert!(
-            q.enqueue(sized(2, 1_000), SimTime::ZERO),
+            offer(&mut q, sized(2, 1_000), SimTime::ZERO),
             "a packet that lands exactly on the byte limit is admitted"
         );
         assert_eq!(q.bytes(), 3_000);
         // ...one byte over is not, even though the pre-enqueue total
         // (3000) equals the limit.
         assert!(
-            !q.enqueue(sized(3, 1), SimTime::ZERO),
+            !offer(&mut q, sized(3, 1), SimTime::ZERO),
             "pre-enqueue total == limit must not admit another packet"
         );
         assert_eq!(q.bytes(), 3_000, "resident bytes never exceed capacity");
 
         // A single packet larger than the whole capacity never fits.
-        let mut q = DropTailQueue::new(QueueCapacity::Bytes(500));
-        assert!(!q.enqueue(sized(0, 501), SimTime::ZERO));
-        assert!(q.enqueue(sized(1, 500), SimTime::ZERO));
+        let mut q = drop_tail(QueueCapacity::Bytes(500));
+        assert!(!offer(&mut q, sized(0, 501), SimTime::ZERO));
+        assert!(offer(&mut q, sized(1, 500), SimTime::ZERO));
 
-        // All disciplines share the same admission helper, so the boundary
-        // is identical behind RED and CoDel.
+        // Every discipline checks the capacity first, so the boundary is
+        // identical behind RED and CoDel.
         for qdisc in [Qdisc::red_default(100), Qdisc::codel_default()] {
             let mut q = GatewayQueue::new(qdisc, QueueCapacity::Bytes(2 * 1_000), 1);
             assert!(q.enqueue(sized(0, 1_000), SimTime::ZERO).accepted());
@@ -851,33 +645,6 @@ mod tests {
             interval: SimDuration::from_millis(100),
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn gateway_droptail_matches_plain_droptail() {
-        // The DropTail variant must behave exactly like the standalone
-        // queue: same admissions, same counters, no marks ever.
-        let mut plain = DropTailQueue::new(QueueCapacity::Packets(3));
-        let mut gw = GatewayQueue::new(Qdisc::DropTail, QueueCapacity::Packets(3), 42);
-        for i in 0..6 {
-            let a = plain.enqueue(pkt(i), SimTime::ZERO);
-            let b = gw.enqueue(pkt(i), SimTime::ZERO);
-            assert_eq!(a, b.accepted());
-            assert_ne!(b, EnqueueOutcome::AcceptedMarked);
-        }
-        for _ in 0..4 {
-            let a = plain.dequeue();
-            let b = gw.dequeue_at(SimTime::ZERO, |_| {
-                panic!("drop-tail never drops at dequeue")
-            });
-            assert_eq!(a, b.map(|(pkt, _)| pkt));
-            assert!(
-                !b.map(|(_, marked)| marked).unwrap_or(false),
-                "drop-tail never marks at dequeue"
-            );
-        }
-        assert_eq!(plain.counters(), gw.counters());
-        assert_eq!(gw.counters().total_marked(), 0);
     }
 
     #[test]
@@ -1018,28 +785,30 @@ mod tests {
 
     #[test]
     fn enqueue_timestamps_recorded() {
-        let mut q = DropTailQueue::new(QueueCapacity::Packets(10));
+        let mut q = drop_tail(QueueCapacity::Packets(10));
         let t = SimTime::from_millis(42);
-        q.enqueue(pkt(0), t);
-        assert_eq!(q.peek().unwrap().enqueued_at, t);
+        offer(&mut q, pkt(0), t);
+        assert_eq!(take(&mut q).unwrap().enqueued_at, t);
     }
 
     #[test]
     fn per_flow_counters() {
-        let mut q = DropTailQueue::new(QueueCapacity::Packets(2));
-        q.enqueue(pkt(0), SimTime::ZERO);
-        q.enqueue(
+        let mut q = drop_tail(QueueCapacity::Packets(2));
+        offer(&mut q, pkt(0), SimTime::ZERO);
+        offer(
+            &mut q,
             DataPacket::cross_traffic(0, DEFAULT_MSS, SimTime::ZERO),
             SimTime::ZERO,
         );
         // Queue full; both further arrivals dropped.
-        q.enqueue(pkt(1), SimTime::ZERO);
-        q.enqueue(
+        offer(&mut q, pkt(1), SimTime::ZERO);
+        offer(
+            &mut q,
             DataPacket::cross_traffic(1, DEFAULT_MSS, SimTime::ZERO),
             SimTime::ZERO,
         );
-        q.dequeue();
-        q.dequeue();
+        take(&mut q);
+        take(&mut q);
         let c = q.counters();
         assert_eq!(c.enqueued_cca, 1);
         assert_eq!(c.enqueued_cross, 1);
@@ -1054,14 +823,14 @@ mod tests {
 
     #[test]
     fn conservation_invariant() {
-        let mut q = DropTailQueue::new(QueueCapacity::Packets(5));
+        let mut q = drop_tail(QueueCapacity::Packets(5));
         let mut accepted = 0u64;
         for i in 0..20 {
-            if q.enqueue(pkt(i), SimTime::ZERO) {
+            if offer(&mut q, pkt(i), SimTime::ZERO) {
                 accepted += 1;
             }
             if i % 3 == 0 {
-                q.dequeue();
+                take(&mut q);
             }
         }
         let c = q.counters();

@@ -1267,9 +1267,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         }
         {
             // Split borrows: the injection schedule is read straight from the
-            // config (no intermediate copy — the former CrossTrafficSource
-            // cloned the whole trace per run) while the pool and calendar
-            // are driven mutably.
+            // config (no intermediate copy) while the pool and calendar are
+            // driven mutably.
             let Simulation {
                 cfg, pool, events, ..
             } = &mut *self;

@@ -11,6 +11,7 @@
 use crate::packet::FlowId;
 use crate::queue::QueueCounters;
 use crate::time::{SimDuration, SimTime};
+use ccfuzz_obs::metrics::HISTOGRAM_BUCKETS;
 use serde::{Deserialize, Serialize};
 
 /// What happened to a packet at a hop's gateway queue.
@@ -272,7 +273,7 @@ impl<'a> IntoIterator for &'a FlowRates {
 /// `delivery_times` retention for dynamic flows.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FctHistogram {
-    /// Per-bucket counts (256 buckets; allocated on first record).
+    /// Per-bucket counts ([`HISTOGRAM_BUCKETS`]; allocated on first record).
     buckets: Vec<u64>,
     /// Total recorded values.
     count: u64,
@@ -284,14 +285,11 @@ pub struct FctHistogram {
     max: u64,
 }
 
-/// Number of buckets in [`FctHistogram`] (mirrors the obs histogram).
-const FCT_BUCKETS: usize = 256;
-
 impl FctHistogram {
     /// Records one FCT sample in nanoseconds.
     pub fn record(&mut self, nanos: u64) {
         if self.buckets.is_empty() {
-            self.buckets.resize(FCT_BUCKETS, 0);
+            self.buckets.resize(HISTOGRAM_BUCKETS, 0);
             self.min = u64::MAX;
         }
         self.buckets[ccfuzz_obs::metrics::bucket_index(nanos)] += 1;
@@ -306,10 +304,13 @@ impl FctHistogram {
         self.count
     }
 
-    /// Approximate percentile (`p` in `[0, 100]`) in nanoseconds, linearly
-    /// interpolated within the bucket holding the target rank and clamped
-    /// to the observed min/max (the obs snapshot convention, so p95 < p99
-    /// stays ordered even inside one log bucket). Returns 0 when empty.
+    /// Approximate percentile (`p` in `[0, 100]`) in nanoseconds: the
+    /// rank-`ceil(p/100 * count)` value, linearly interpolated within the
+    /// bucket holding it and clamped to the observed min/max, so p95 < p99
+    /// stays ordered even inside one log bucket. The rank is placed at the
+    /// *end* of its slot in the bucket (`rank / n` of the way up), not at
+    /// its midpoint as the obs histogram's `percentile` does; workload
+    /// scores depend on this exact estimate. Returns 0 when empty.
     pub fn percentile_nanos(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -327,7 +328,7 @@ impl FctHistogram {
             seen += n;
             if seen >= target {
                 let lo = ccfuzz_obs::metrics::bucket_floor(i);
-                let hi = if i + 1 < FCT_BUCKETS {
+                let hi = if i + 1 < HISTOGRAM_BUCKETS {
                     ccfuzz_obs::metrics::bucket_floor(i + 1)
                 } else {
                     u64::MAX

@@ -6,7 +6,7 @@ use cc_fuzz::analysis::timeseries::{mean_of_lowest_fraction, percentile, windowe
 use cc_fuzz::fuzz::genome::{Genome, LinkGenome, TrafficGenome};
 use cc_fuzz::fuzz::trace_gen::{dist_packets, DistPacketsParams};
 use cc_fuzz::netsim::packet::DataPacket;
-use cc_fuzz::netsim::queue::{DropTailQueue, QueueCapacity};
+use cc_fuzz::netsim::queue::{GatewayQueue, Qdisc, QueueCapacity};
 use cc_fuzz::netsim::rng::SimRng;
 use cc_fuzz::netsim::time::{ceil_to_u64, round_to_u64, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -131,18 +131,20 @@ proptest! {
         capacity in 1usize..64,
         dequeue_every in 1usize..8,
     ) {
-        let mut queue = DropTailQueue::new(QueueCapacity::Packets(capacity));
+        let mut queue = GatewayQueue::new(Qdisc::DropTail, QueueCapacity::Packets(capacity), 0);
         let mut accepted = 0u64;
         let mut dropped = 0u64;
         let mut dequeued = 0u64;
         for (i, &size) in sizes.iter().enumerate() {
             let pkt = DataPacket::cca(i as u64, size, false, SimTime::from_millis(i as u64));
-            if queue.enqueue(pkt, SimTime::from_millis(i as u64)) {
+            if queue.enqueue(pkt, SimTime::from_millis(i as u64)).accepted() {
                 accepted += 1;
             } else {
                 dropped += 1;
             }
-            if i % dequeue_every == 0 && queue.dequeue().is_some() {
+            if i % dequeue_every == 0
+                && queue.dequeue_at(SimTime::from_millis(i as u64), |_| unreachable!()).is_some()
+            {
                 dequeued += 1;
             }
         }
