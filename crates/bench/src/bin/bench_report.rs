@@ -27,7 +27,10 @@
 //! fairness_32flow, multi_hop and workload_2k) regressed by more than `--tolerance`
 //! (default 0.20, i.e. 20 %). A zeroed workload block in the committed
 //! report is a hard failure, not a silent skip: an all-zero anchor would
-//! otherwise let any regression through for that workload.
+//! otherwise let any regression through for that workload. The reference is
+//! read before the report is written, and an `--out` (default
+//! `BENCH_sim.json`) that resolves to the `--check` file exits 2: the gate
+//! would compare the fresh report with itself.
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, Campaign, FuzzMode};
@@ -39,6 +42,7 @@ use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::TrafficTrace;
 use ccfuzz_obs::{HistogramSnapshot, HuntTelemetry, LatencyQuantiles, LocalHistogram};
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::time::Instant;
 
 /// Timing record for one workload.
@@ -408,6 +412,20 @@ fn mini_campaign(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
     (report, per_eval)
 }
 
+/// Refuses an `--out` that resolves to the `--check` reference: the report
+/// would overwrite the reference and then be gated against itself.
+fn refuse_self_check(out: &Path, check: &Path) -> Result<(), String> {
+    let resolved = |p: &Path| std::fs::canonicalize(p).ok();
+    match resolved(check) {
+        Some(reference) if resolved(out).as_ref() == Some(&reference) => Err(format!(
+            "--out {} is the --check reference {}; write the report elsewhere",
+            out.display(),
+            check.display()
+        )),
+        _ => Ok(()),
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: bench_report [--fast] [--out PATH] [--check PATH] [--tolerance F] [--label S]"
@@ -437,6 +455,17 @@ fn main() {
             _ => usage(),
         }
     }
+    // The reference is read before anything is written: a report checked
+    // against the file it was just written to would always pass.
+    let committed: Option<BenchReport> = check_path.as_deref().map(|path| {
+        if let Err(e) = refuse_self_check(Path::new(&out_path), Path::new(path)) {
+            eprintln!("bench_report: {e}");
+            std::process::exit(2);
+        }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("--check {path}: cannot read: {e}"));
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check {path}: bad JSON: {e}"))
+    });
     // Full-mode rep counts are high enough that p95 and p99 are distinct
     // ranks (ceil(.99 n) > ceil(.95 n) needs n > 100): the arena-era hot
     // path runs hundreds of evals/sec, so 120+ reps cost well under a
@@ -575,11 +604,7 @@ fn main() {
         .expect("write report");
     eprintln!("wrote {out_path}");
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check {path}: cannot read: {e}"));
-        let committed: BenchReport =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check {path}: bad JSON: {e}"));
+    if let (Some(path), Some(committed)) = (check_path, committed) {
         let mut failed = false;
         let current_workloads = report.gated_workloads();
         for ((name, reference_workload), (_, current_workload)) in
@@ -619,6 +644,21 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `--out` naming the `--check` file, by any spelling, is refused; a
+    /// distinct (even not yet existing) output is not.
+    #[test]
+    fn out_resolving_to_the_checked_report_is_refused() {
+        let dir = std::env::temp_dir().join(format!("bench_report_check_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = dir.join("BENCH_sim.json");
+        std::fs::write(&reference, "{}").unwrap();
+        let respelled = dir.join(".").join("BENCH_sim.json");
+        assert!(refuse_self_check(&reference, &reference).is_err());
+        assert!(refuse_self_check(&respelled, &reference).is_err());
+        assert!(refuse_self_check(&dir.join("BENCH_sim_current.json"), &reference).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// The committed report — whose frozen `baseline` block predates
     /// `workload_2k` and `eval_latency` — parses, the missing blocks read as

@@ -227,12 +227,18 @@ impl ScoringConfig {
 /// everything. Empty or all-zero inputs score 1.0 (nothing to be unfair
 /// about).
 pub fn jains_index(values: &[f64]) -> f64 {
-    let n = values.len();
+    jain(values.iter().copied())
+}
+
+/// [`jains_index`] over any re-iterable sequence, so the scorer can take
+/// per-flow goodputs as it computes them without collecting them.
+fn jain(values: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n = values.clone().count();
     if n == 0 {
         return 1.0;
     }
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
+    let sum: f64 = values.clone().sum();
+    let sum_sq: f64 = values.map(|v| v * v).sum();
     if sum_sq <= 0.0 {
         return 1.0;
     }
@@ -290,19 +296,38 @@ pub struct FairnessBreakdown {
 /// Computes the fairness breakdown of a (multi-flow) simulation result.
 /// With fewer than two flows the breakdown is trivially fair.
 pub fn fairness_breakdown(result: &SimResult, mss: u32) -> FairnessBreakdown {
-    let duration = SimDuration::from_secs_f64(result.duration_secs);
-    let per_flow_goodput_bps: Vec<f64> = result
-        .stats
-        .flows
-        .iter()
-        .map(|f| f.goodput_bps(mss, duration))
-        .collect();
+    let per_flow_goodput_bps: Vec<f64> = flow_goodputs(result, mss).collect();
     let per_flow_delivered: Vec<u64> = result
         .stats
         .flows
         .iter()
         .map(|f| f.delivery_times.len() as u64)
         .collect();
+    let (max_starvation_secs, max_starvation_fraction) = max_starvation(result);
+    FairnessBreakdown {
+        jain_index: jains_index(&per_flow_goodput_bps),
+        per_flow_goodput_bps,
+        per_flow_delivered,
+        max_starvation_secs,
+        max_starvation_fraction,
+    }
+}
+
+/// Sink-side goodput of each flow over its active interval, bits/s.
+fn flow_goodputs(result: &SimResult, mss: u32) -> impl Iterator<Item = f64> + Clone + '_ {
+    let duration = SimDuration::from_secs_f64(result.duration_secs);
+    result
+        .stats
+        .flows
+        .iter()
+        .map(move |f| f.goodput_bps(mss, duration))
+}
+
+/// The longest zero-delivery interval of any flow, in seconds, and the
+/// largest per-flow ratio of starvation to active time (see
+/// [`FairnessBreakdown`]).
+fn max_starvation(result: &SimResult) -> (f64, f64) {
+    let duration = SimDuration::from_secs_f64(result.duration_secs);
     let mut max_starvation_secs = 0.0f64;
     let mut max_starvation_fraction = 0.0f64;
     for f in &result.stats.flows {
@@ -320,13 +345,7 @@ pub fn fairness_breakdown(result: &SimResult, mss: u32) -> FairnessBreakdown {
             max_starvation_fraction = fraction;
         }
     }
-    FairnessBreakdown {
-        jain_index: jains_index(&per_flow_goodput_bps),
-        per_flow_goodput_bps,
-        per_flow_delivered,
-        max_starvation_secs,
-        max_starvation_fraction,
-    }
+    (max_starvation_secs, max_starvation_fraction)
 }
 
 /// Inputs for the trace-score component (traffic fuzzing only).
@@ -397,9 +416,8 @@ pub fn performance_score_reusing(
             (result.stats.flow().marked_lost as f64 / tx as f64).clamp(0.0, 1.0)
         }
         Objective::Unfairness { starvation_weight } => {
-            let b = fairness_breakdown(result, mss);
-            let starvation = (*starvation_weight, b.max_starvation_fraction);
-            normalized(1.0 - b.jain_index, &[starvation])
+            let starvation = (*starvation_weight, max_starvation(result).1);
+            normalized(1.0 - jain(flow_goodputs(result, mss)), &[starvation])
         }
         Objective::AqmBreakage {
             window,

@@ -17,6 +17,7 @@ use ccfuzz_core::evaluate::{EvalScratch, Evaluator};
 use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
 use ccfuzz_core::mode::ModeGenome;
+use ccfuzz_core::scenario::ScenarioGenome;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -47,19 +48,13 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Evaluates one island's worth of `mode` genomes, simulated for `duration`,
-/// through a warm arena and requires the measured pass — and 100 evaluations
-/// after it — to leave the allocator and the arena's timestamp pool
-/// untouched.
+/// Evaluates one island's worth of `campaign`'s genomes through a warm arena
+/// and requires the measured pass — and 100 evaluations after it — to leave
+/// the allocator and the arena's timestamp pool untouched.
 fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>(
-    mode: FuzzMode,
-    cca: CcaKind,
-    duration: SimDuration,
+    campaign: Campaign,
 ) {
-    // The mini-campaign shape on the paper's standard simulation base —
-    // exactly what one GA worker evaluates all day.
-    let ga = GaParams::quick();
-    let campaign = Campaign::paper_standard(mode, cca, duration, ga);
+    let mode = campaign.mode;
     let evaluator = campaign.evaluator();
 
     // Genomes are generated up front (genome generation is the GA's job and
@@ -120,21 +115,34 @@ fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>
     }
 }
 
+/// The mini-campaign shape on the paper's standard simulation base —
+/// exactly what one GA worker evaluates all day.
+fn standard(mode: FuzzMode, duration: SimDuration) -> Campaign {
+    Campaign::paper_standard(mode, CcaKind::Reno, duration, GaParams::quick())
+}
+
 #[test]
 fn warm_evaluate_phase_allocates_nothing() {
     let three_s = SimDuration::from_secs(3);
-    assert_warm_evaluations_are_free::<TrafficGenome>(FuzzMode::Traffic, CcaKind::Reno, three_s);
+    assert_warm_evaluations_are_free::<TrafficGenome>(standard(FuzzMode::Traffic, three_s));
     // Past the event calendar's ~4.3 s ring horizon: the cross-traffic
     // injections queued at time zero for later instants wait in the
     // calendar's overflow heap, whose storage must be recycled too.
-    assert_warm_evaluations_are_free::<TrafficGenome>(
+    assert_warm_evaluations_are_free::<TrafficGenome>(standard(
         FuzzMode::Traffic,
-        CcaKind::Reno,
         SimDuration::from_secs(5),
-    );
+    ));
     // Link mode moves a ~25 KB service curve per genome through the arena:
     // built in a pooled buffer, moved (never cloned) into the hop, returned.
     // (Reno again: the claim is about the arena. BBR, the link-mode CCA of
     // the benchmark, grows its own bandwidth-sample deque per flow.)
-    assert_warm_evaluations_are_free::<LinkGenome>(FuzzMode::Link, CcaKind::Reno, three_s);
+    assert_warm_evaluations_are_free::<LinkGenome>(standard(FuzzMode::Link, three_s));
+    // The benchmark's sixteen-flow fairness campaign, where calendar buckets
+    // burst hardest: the node arena and the cursor bucket must be recycled.
+    let flows = [CcaKind::Reno, CcaKind::Reno, CcaKind::Cubic, CcaKind::Vegas].repeat(4);
+    assert_warm_evaluations_are_free::<ScenarioGenome>(Campaign::paper_fairness(
+        flows,
+        three_s,
+        GaParams::quick(),
+    ));
 }

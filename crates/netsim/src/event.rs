@@ -13,9 +13,13 @@
 //! push/pop sifted those fat entries through `log n` levels. The calendar
 //! queue exploits what a heap cannot: simulation time only moves forward and
 //! event timestamps cluster tightly around "now" (serialization times,
-//! RTTs). Events land in a ring of fixed-width time buckets; a bucket is
-//! sorted **lazily, once**, when the clock reaches it, so the common case is
-//! an O(1) append and an O(1) pop of a 32-byte entry.
+//! RTTs). Events land in a ring of fixed-width time buckets. A bucket is an
+//! unsorted singly linked list threaded through one node arena shared by all
+//! buckets (a free list recycles its slots); when the clock reaches a bucket
+//! its nodes move into one `cur` vector that is sorted **once**, so the
+//! common case is an O(1) push and an O(1) pop of a 32-byte entry. Storage
+//! is the peak number of pending events plus the largest bucket, not the sum
+//! of every bucket's largest-ever burst that per-bucket vectors would keep.
 //!
 //! Events at or beyond the ring's horizon (2^32 ns ≈ 4.3 s past the cursor
 //! bucket) wait in one overflow `BinaryHeap`, min-first on `(at, seq)`. Real
@@ -30,11 +34,11 @@
 //! Pops are globally ordered by `(timestamp, schedule sequence)` — exactly
 //! the order the binary heap produced:
 //! * buckets partition time, so cross-bucket order is automatic;
-//! * within a bucket, the lazy sort orders by `(at, seq)`;
-//! * overflow events enter their bucket before the cursor reaches it (a
-//!   rotation exposes the bucket furthest from the cursor; a jump refills
-//!   an unsorted cursor bucket), so the lazy sort orders them too;
-//! * events scheduled into the *currently draining* bucket are placed by
+//! * within a bucket, the sort on entering `cur` orders by `(at, seq)`;
+//! * overflow events enter their bucket's list before the cursor reaches it
+//!   (a rotation exposes the furthest bucket; a jump migrates, then loads),
+//!   so that sort orders them too;
+//! * events scheduled into the cursor bucket go straight into `cur` by
 //!   binary search on `(at, seq)`, preserving FIFO among equal timestamps
 //!   (their sequence numbers are necessarily the largest so far).
 //!
@@ -156,54 +160,52 @@ impl PartialOrd for ScheduledEvent {
 impl Ord for ScheduledEvent {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (then
-        // first-scheduled) event is popped first from the overflow heap.
+        // first-scheduled) event is popped first from the overflow heap, and
+        // an ascending sort of `cur` puts the earliest event last.
         other.key().cmp(&self.key())
     }
 }
 
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: an event and the next node of its bucket's list (or, once
+/// freed, of the free list).
+struct Node {
+    entry: ScheduledEvent,
+    next: u32,
+}
+
 /// The future event list.
+///
+/// `Default` is a *non-allocating* placeholder with no ring storage: an empty
+/// [`Simulation`](crate::sim::Simulation) starts from it, so building one
+/// pays nothing until its first load. [`EventQueue::reset`] materializes the
+/// storage, and every load resets before scheduling.
+#[derive(Default)]
 pub struct EventQueue {
-    /// Ring of time buckets; `buckets[cursor]` covers
-    /// `[cursor_start, cursor_start + width)`.
-    buckets: Vec<Vec<ScheduledEvent>>,
+    /// Head node of each time bucket's list; bucket `(cursor + k) % N`
+    /// covers `[cursor_start + k·width, cursor_start + (k+1)·width)`. The
+    /// cursor bucket's list is always empty: its events are in `cur`.
+    heads: Vec<u32>,
+    /// Node arena shared by every bucket list.
+    nodes: Vec<Node>,
+    /// Head of the free list threaded through `nodes`.
+    free: u32,
+    /// The cursor bucket's pending events, sorted by descending `(at, seq)`
+    /// so the next event is `cur.pop()`.
+    cur: Vec<ScheduledEvent>,
     cursor: usize,
     /// Bucket-aligned nanosecond timestamp of the cursor bucket's range.
     cursor_start: u64,
-    /// Consumed prefix of the cursor bucket (only ever non-zero once the
-    /// bucket has been sorted).
-    pos: usize,
-    /// Whether the cursor bucket's remainder is sorted by `(at, seq)`.
-    sorted: bool,
     /// Events at or beyond the ring's horizon, min-first on `(at, seq)`.
     far: BinaryHeap<ScheduledEvent>,
-    /// Events currently in the ring.
+    /// Events currently in the ring (bucket lists and `cur`).
     ring_len: usize,
     /// Total pending events (ring + overflow).
     len: usize,
     next_seq: u64,
     now: SimTime,
-}
-
-impl Default for EventQueue {
-    /// A *non-allocating* empty placeholder: no ring storage.
-    /// An empty [`Simulation`](crate::sim::Simulation) starts from this,
-    /// so building one pays nothing until its first load.
-    /// [`EventQueue::reset`] materializes real storage, and every load
-    /// resets before scheduling.
-    fn default() -> Self {
-        EventQueue {
-            buckets: Vec::new(),
-            cursor: 0,
-            cursor_start: 0,
-            pos: 0,
-            sorted: false,
-            far: BinaryHeap::new(),
-            ring_len: 0,
-            len: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
 }
 
 impl EventQueue {
@@ -214,21 +216,18 @@ impl EventQueue {
         q
     }
 
-    /// Clears the queue back to time zero, keeping every allocation (bucket
-    /// capacity, overflow heap) for reuse by the next simulation run. On a
-    /// placeholder queue (see [`Default`]) this materializes the ring
-    /// storage.
+    /// Clears the queue back to time zero, keeping every allocation (node
+    /// arena, `cur`, overflow heap) for reuse by the next simulation run. On
+    /// a placeholder queue (see [`Default`]) this materializes the ring's
+    /// list heads.
     pub fn reset(&mut self) {
-        if self.buckets.is_empty() {
-            self.buckets = (0..NUM_BUCKETS).map(|_| Vec::new()).collect();
-        }
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.heads.clear();
+        self.heads.resize(NUM_BUCKETS, NIL);
+        self.nodes.clear();
+        self.free = NIL;
+        self.cur.clear();
         self.cursor = 0;
         self.cursor_start = 0;
-        self.pos = 0;
-        self.sorted = false;
         self.far.clear();
         self.ring_len = 0;
         self.len = 0;
@@ -277,19 +276,31 @@ impl EventQueue {
         }
         debug_assert!(at >= self.cursor_start);
         let delta = ((at - self.cursor_start) >> BUCKET_SHIFT) as usize;
-        let idx = (self.cursor + delta) & (NUM_BUCKETS - 1);
         self.ring_len += 1;
-        let bucket = &mut self.buckets[idx];
-        if delta == 0 && self.sorted {
-            // The cursor bucket is mid-drain: keep its remainder sorted.
-            // `seq` is the largest so far, so the slot is right after every
-            // pending event with `at' <= at`.
-            let tail = &bucket[self.pos..];
-            let offset = tail.partition_point(|e| e.at <= at);
-            bucket.insert(self.pos + offset, entry);
+        if delta == 0 {
+            // The cursor bucket drains from `cur`: keep it sorted. `seq` is
+            // the largest so far, so the slot is right after every pending
+            // event with `at' > at` (those pop later).
+            let slot = self.cur.partition_point(|e| e.at > at);
+            self.cur.insert(slot, entry);
         } else {
-            bucket.push(entry);
+            self.link((self.cursor + delta) & (NUM_BUCKETS - 1), entry);
         }
+    }
+
+    /// Pushes `entry` onto bucket `bucket`'s list in a recycled arena slot.
+    fn link(&mut self, bucket: usize, entry: ScheduledEvent) {
+        let next = self.heads[bucket];
+        let slot = if self.free == NIL {
+            self.nodes.push(Node { entry, next });
+            self.nodes.len() - 1
+        } else {
+            let slot = self.free as usize;
+            self.free = self.nodes[slot].next;
+            self.nodes[slot] = Node { entry, next };
+            slot
+        };
+        self.heads[bucket] = slot as u32;
     }
 
     /// Pops the next event, advancing the simulation clock to its timestamp.
@@ -297,44 +308,8 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        loop {
-            if self.pos < self.buckets[self.cursor].len() {
-                if !self.sorted {
-                    debug_assert_eq!(self.pos, 0);
-                    self.buckets[self.cursor].sort_unstable_by_key(|e| e.key());
-                    self.sorted = true;
-                }
-                let bucket = &mut self.buckets[self.cursor];
-                let entry = if self.pos + 1 == bucket.len() {
-                    // Last pending entry: take it and recycle the bucket.
-                    let entry = bucket.pop().expect("bucket non-empty");
-                    bucket.clear();
-                    self.pos = 0;
-                    self.sorted = false;
-                    entry
-                } else {
-                    let entry = std::mem::replace(
-                        &mut bucket[self.pos],
-                        ScheduledEvent {
-                            at: 0,
-                            seq: 0,
-                            event: Event::LinkReady { hop: 0 },
-                        },
-                    );
-                    self.pos += 1;
-                    entry
-                };
-                self.ring_len -= 1;
-                self.len -= 1;
-                let at = SimTime::from_nanos(entry.at);
-                debug_assert!(at >= self.now);
-                self.now = at;
-                return Some((at, entry.event));
-            }
-
+        while self.cur.is_empty() {
             // Cursor bucket exhausted.
-            self.pos = 0;
-            self.sorted = false;
             if self.ring_len == 0 {
                 // Ring drained: jump the window straight to the earliest
                 // pending event instead of rotating bucket by bucket.
@@ -346,19 +321,43 @@ impl EventQueue {
                 self.cursor_start += 1 << BUCKET_SHIFT;
             }
             self.migrate_far();
+            self.load_cursor_bucket();
         }
+        let entry = self.cur.pop().expect("cursor bucket non-empty");
+        self.ring_len -= 1;
+        self.len -= 1;
+        let at = SimTime::from_nanos(entry.at);
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, entry.event))
+    }
+
+    /// Moves the cursor bucket's list into `cur`, freeing its nodes, and
+    /// sorts it once.
+    fn load_cursor_bucket(&mut self) {
+        let mut slot = std::mem::replace(&mut self.heads[self.cursor], NIL);
+        while slot != NIL {
+            let node = &mut self.nodes[slot as usize];
+            let event = std::mem::replace(&mut node.entry.event, Event::StatsTick);
+            let (at, seq) = node.entry.key();
+            self.cur.push(ScheduledEvent { at, seq, event });
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = slot;
+            slot = next;
+        }
+        self.cur.sort_unstable();
     }
 
     /// Moves overflow events that now fall inside the ring's horizon into
-    /// their buckets. After a one-bucket rotation they all land in the newly
-    /// exposed bucket, never the cursor's, so the lazy sort still sees them;
-    /// when none are due this is one `peek`.
+    /// their buckets' lists: after a one-bucket rotation, all into the newly
+    /// exposed bucket; after a jump, the cursor bucket's share is loaded
+    /// next. When none are due this is one `peek`.
     fn migrate_far(&mut self) {
         let end = self.horizon_end();
         while self.far.peek().is_some_and(|head| head.at < end) {
             let entry = self.far.pop().expect("peeked");
             let delta = ((entry.at - self.cursor_start) >> BUCKET_SHIFT) as usize;
-            self.buckets[(self.cursor + delta) & (NUM_BUCKETS - 1)].push(entry);
+            self.link((self.cursor + delta) & (NUM_BUCKETS - 1), entry);
             self.ring_len += 1;
         }
     }
@@ -590,5 +589,35 @@ mod tests {
         q.schedule(t(5), Event::LinkReady { hop: 0 });
         assert!(matches!(q.pop(), Some((_, Event::StatsTick))));
         assert!(matches!(q.pop(), Some((_, Event::LinkReady { hop: 0 }))));
+    }
+
+    #[test]
+    fn storage_tracks_pending_events_not_every_buckets_largest_burst() {
+        // Every bucket of the ring takes a 200-event burst in turn, three
+        // runs over. Per-bucket vectors would end holding each bucket's
+        // largest burst, >= 4096 x 200 slots; the arena holds what is
+        // pending and `cur` one bucket.
+        const BURST: u64 = 200;
+        let width = 1u64 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        let mut peak_pending = 0;
+        for _ in 0..3 {
+            q.reset();
+            for bucket in 1..=NUM_BUCKETS as u64 {
+                for i in 0..BURST {
+                    let at = bucket * width + i * (width / BURST);
+                    q.schedule(SimTime::from_nanos(at), Event::StatsTick);
+                }
+                peak_pending = peak_pending.max(q.len());
+                let mut last = q.now();
+                while let Some((at, _)) = q.pop() {
+                    assert!(at >= last);
+                    last = at;
+                }
+                assert!(q.nodes.capacity() <= 2 * peak_pending);
+                assert!(q.cur.capacity() <= 2 * BURST as usize);
+            }
+        }
+        assert_eq!(peak_pending, BURST as usize);
     }
 }

@@ -46,6 +46,20 @@ fn offset_ns(raw: u64) -> u64 {
     }
 }
 
+/// Pops one event from each of `calendar` and `reference` and requires the
+/// same `(time, seq)`.
+fn pop_matches_reference(
+    calendar: &mut EventQueue,
+    reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+) {
+    match (calendar.pop(), reference.pop()) {
+        (Some((at, Event::RtoTimer { generation, .. })), Some(Reverse(expect))) => {
+            assert_eq!((at.as_nanos(), generation), expect);
+        }
+        (got, expect) => panic!("stream mismatch: {got:?} vs {expect:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(cases(1000))]
 
@@ -100,6 +114,35 @@ proptest! {
         }
         prop_assert!(calendar.pop().is_none());
         prop_assert!(calendar.is_empty());
+    }
+
+    #[test]
+    fn one_reused_calendar_matches_the_reference_across_resets(
+        runs in collection::vec(collection::vec(any::<u64>(), 1..150), 2..6),
+        pop_every in 1usize..4,
+    ) {
+        // A simulation reuses one calendar for every evaluation of a pass, so
+        // reset() must recycle the node arena, its free list, the cursor
+        // bucket and the overflow heap without carrying anything over. Each
+        // run leaves part of its schedule pending when the next reset comes.
+        let mut calendar = EventQueue::new();
+        for raws in runs {
+            calendar.reset();
+            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            for (seq, raw) in (0u64..).zip(&raws) {
+                let at = calendar.now() + SimDuration::from_nanos(offset_ns(*raw));
+                reference.push(Reverse((at.as_nanos(), seq)));
+                calendar.schedule(at, Event::RtoTimer { flow: 0, generation: seq });
+                if (seq as usize + 1).is_multiple_of(pop_every) {
+                    pop_matches_reference(&mut calendar, &mut reference);
+                }
+            }
+            let keep = raws[0] as usize % (reference.len() + 1);
+            while reference.len() > keep {
+                pop_matches_reference(&mut calendar, &mut reference);
+            }
+            prop_assert_eq!(calendar.len(), keep);
+        }
     }
 
     #[test]
