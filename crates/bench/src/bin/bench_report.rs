@@ -40,7 +40,7 @@ use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::trace::TrafficTrace;
-use ccfuzz_obs::{HistogramSnapshot, HuntTelemetry, LatencyQuantiles, LocalHistogram};
+use ccfuzz_obs::{Histogram, HistogramSnapshot, HuntTelemetry, LatencyQuantiles};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Instant;
@@ -203,7 +203,7 @@ fn time_workload<F: FnMut() -> u64>(
 ) -> (WorkloadReport, LatencyQuantiles) {
     // Warm-up run (untimed) so allocator state and caches settle.
     std::hint::black_box(run_once());
-    let mut latency = LocalHistogram::new();
+    let latency = Histogram::new();
     let mut events_total = 0u64;
     // Every workload is deterministic, so all reps do identical work and
     // differ only in host interference — which can only add time. The

@@ -25,7 +25,7 @@
 //! implementation the paper tested effectively does). The paper's proposed
 //! mitigation — *enter ProbeRTT when an RTO fires*, so the flow slows down
 //! long enough for in-flight ACKs to arrive instead of triggering spurious
-//! retransmissions — is available via [`BbrConfig::probe_rtt_on_rto`].
+//! retransmissions — is selected by [`Bbr::new`]'s `probe_rtt_on_rto`.
 
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 use ccfuzz_netsim::time::{ceil_to_u64, SimDuration, SimTime};
@@ -39,6 +39,14 @@ pub const CYCLE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 pub const BW_WINDOW_ROUNDS: u64 = 10;
 /// Minimum congestion window, packets.
 pub const MIN_CWND: u64 = 4;
+/// Maximum congestion window, packets (safety bound).
+pub const MAX_CWND: u64 = 20_000;
+/// cwnd gain applied to the BDP in ProbeBW.
+pub const CWND_GAIN: f64 = 2.0;
+/// Min-RTT filter window.
+pub const MIN_RTT_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Duration of a ProbeRTT episode.
+pub const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 
 /// BBR state machine phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,98 +61,86 @@ pub enum BbrState {
     ProbeRtt,
 }
 
-/// BBR configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BbrConfig {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: u64,
-    /// Maximum congestion window, packets (safety bound).
-    pub max_cwnd: u64,
-    /// cwnd gain applied to the BDP in ProbeBW.
-    pub cwnd_gain: f64,
-    /// Min-RTT filter window.
-    pub min_rtt_window: SimDuration,
-    /// Duration of a ProbeRTT episode.
-    pub probe_rtt_duration: SimDuration,
-    /// The paper's §4.1 mitigation: enter ProbeRTT whenever an RTO fires.
-    pub probe_rtt_on_rto: bool,
-}
-
-impl Default for BbrConfig {
-    fn default() -> Self {
-        BbrConfig {
-            initial_cwnd: 10,
-            max_cwnd: 20_000,
-            cwnd_gain: 2.0,
-            min_rtt_window: SimDuration::from_secs(10),
-            probe_rtt_duration: SimDuration::from_millis(200),
-            probe_rtt_on_rto: false,
-        }
-    }
-}
-
 /// One bandwidth sample retained by the windowed max filter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 struct BwSample {
     round: u64,
     bw_bps: f64,
 }
 
+/// Capacity of [`BwMaxFilter`]: one entry per round of the window.
+const BW_FILTER_LEN: usize = BW_WINDOW_ROUNDS as usize;
+
 /// Windowed max filter over the last [`BW_WINDOW_ROUNDS`] packet-timed
-/// rounds, as a monotonic deque: rounds increase and bandwidths strictly
-/// decrease from front to back, so the windowed max is the front-most
-/// unexpired entry and every operation is O(1) amortized.
+/// rounds, as a monotonic deque in a fixed ring: rounds strictly increase
+/// and bandwidths strictly decrease from front to back, so the windowed max
+/// is the front-most unexpired entry and every operation is O(1) amortized.
 ///
-/// This replaces a flat `Vec` that was scanned (and `retain`ed) on every
-/// ACK — with ~20 samples/round × 10 rounds in the window, those O(n)
-/// passes dominated BBR's per-ACK cost. The deque is query-equivalent: a
-/// sample evicted from the back (older round, bandwidth ≤ the new sample's)
-/// can never be the windowed max while the newer sample is in the window,
-/// and samples evicted from the front have expired for good (`round_count`
-/// is monotone), so `max()` returns exactly what the full scan returned.
+/// It answers exactly what a scan over every sample would: a sample dropped
+/// from the back (older or same round, bandwidth ≤ the new sample's) can
+/// never be the windowed max while the newer sample is in the window, and
+/// samples dropped from the front have expired for good (`round_count` is
+/// monotone). A same-round sample no larger than that round's entry is not
+/// stored, so each round of the window holds at most one entry: the ring
+/// never allocates.
 #[derive(Clone, Debug, Default)]
 struct BwMaxFilter {
-    samples: std::collections::VecDeque<BwSample>,
+    ring: [BwSample; BW_FILTER_LEN],
+    /// Ring index of the front entry.
+    head: usize,
+    len: usize,
 }
 
 impl BwMaxFilter {
+    /// The `i`-th entry from the front.
+    #[inline]
+    fn at(&self, i: usize) -> &BwSample {
+        &self.ring[(self.head + i) % BW_FILTER_LEN]
+    }
+
     /// The windowed max among samples with `round + BW_WINDOW_ROUNDS >
-    /// round_count`, or 0 when none exists (same contract as the former
-    /// filtered scan).
+    /// round_count`, or 0 when none exists.
     #[inline]
     fn max(&self, round_count: u64) -> f64 {
-        // Entries are round-ordered, so the in-window samples form a suffix
-        // and the first in-window entry holds the largest bandwidth.
-        for s in &self.samples {
-            if s.round + BW_WINDOW_ROUNDS > round_count {
-                return s.bw_bps;
-            }
-        }
-        0.0
+        // The in-window entries form a suffix, and the first of them holds
+        // the largest bandwidth.
+        (0..self.len)
+            .map(|i| self.at(i))
+            .find(|s| s.round + BW_WINDOW_ROUNDS > round_count)
+            .map_or(0.0, |s| s.bw_bps)
     }
 
     /// Inserts a sample taken during `round_count` and prunes entries that
     /// have left the filter window for good.
     #[inline]
     fn push(&mut self, round_count: u64, bw_bps: f64) {
-        while self.samples.back().is_some_and(|b| b.bw_bps <= bw_bps) {
-            self.samples.pop_back();
+        while self.len > 0 && self.at(0).round + BW_WINDOW_ROUNDS <= round_count {
+            self.head = (self.head + 1) % BW_FILTER_LEN;
+            self.len -= 1;
         }
-        self.samples.push_back(BwSample {
+        while self.len > 0 && self.at(self.len - 1).bw_bps <= bw_bps {
+            self.len -= 1;
+        }
+        if self.len > 0 && self.at(self.len - 1).round == round_count {
+            // A larger sample of this round leaves the window with this one.
+            return;
+        }
+        // Live rounds are distinct, in the window and before `round_count`.
+        debug_assert!(self.len < BW_FILTER_LEN);
+        self.ring[(self.head + self.len) % BW_FILTER_LEN] = BwSample {
             round: round_count,
             bw_bps,
-        });
-        let cutoff = round_count.saturating_sub(BW_WINDOW_ROUNDS);
-        while self.samples.front().is_some_and(|f| f.round < cutoff) {
-            self.samples.pop_front();
-        }
+        };
+        self.len += 1;
     }
 }
 
 /// TCP BBR v1.
 #[derive(Clone, Debug)]
 pub struct Bbr {
-    cfg: BbrConfig,
+    initial_cwnd: u64,
+    /// The paper's §4.1 mitigation: enter ProbeRTT whenever an RTO fires.
+    probe_rtt_on_rto: bool,
     state: BbrState,
 
     // Round counting.
@@ -208,9 +204,12 @@ macro_rules! bbr_log {
 }
 
 impl Bbr {
-    /// Creates a BBR instance.
-    pub fn new(cfg: BbrConfig) -> Self {
+    /// Creates a BBR instance with an initial window of `initial_cwnd`
+    /// packets; `probe_rtt_on_rto` enables the paper's §4.1 mitigation.
+    pub fn new(initial_cwnd: u64, probe_rtt_on_rto: bool) -> Self {
         Bbr {
+            initial_cwnd,
+            probe_rtt_on_rto,
             state: BbrState::Startup,
             next_rtt_delivered: 0,
             round_count: 0,
@@ -225,8 +224,8 @@ impl Bbr {
             cycle_index: 2,
             cycle_stamp: SimTime::ZERO,
             probe_rtt_done_stamp: None,
-            cwnd: cfg.initial_cwnd.max(MIN_CWND),
-            prior_cwnd: cfg.initial_cwnd.max(MIN_CWND),
+            cwnd: initial_cwnd.max(MIN_CWND),
+            prior_cwnd: initial_cwnd.max(MIN_CWND),
             packet_conservation: false,
             conservation_ends_round: 0,
             pacing_gain: HIGH_GAIN,
@@ -238,7 +237,6 @@ impl Bbr {
             cwnd_target: MIN_CWND,
             record_events: true,
             events: Vec::new(),
-            cfg,
         }
     }
 
@@ -337,7 +335,7 @@ impl Bbr {
     }
 
     fn update_min_rtt(&mut self, ctx: &CcContext, rs: &RateSample) {
-        let expired = ctx.now.saturating_since(self.min_rtt_stamp) > self.cfg.min_rtt_window;
+        let expired = ctx.now.saturating_since(self.min_rtt_stamp) > MIN_RTT_WINDOW;
         if let Some(rtt) = rs.rtt {
             if self.min_rtt.map(|m| rtt <= m).unwrap_or(true) || expired {
                 self.min_rtt = Some(rtt);
@@ -382,7 +380,7 @@ impl Bbr {
                 // Wait until the pipe has drained to the ProbeRTT cwnd before
                 // starting the 200 ms clock.
                 if ctx.in_flight <= MIN_CWND {
-                    self.probe_rtt_done_stamp = Some(ctx.now + self.cfg.probe_rtt_duration);
+                    self.probe_rtt_done_stamp = Some(ctx.now + PROBE_RTT_DURATION);
                 }
             }
             Some(done) => {
@@ -440,7 +438,7 @@ impl Bbr {
                     self.cycle_index = 2;
                     self.cycle_stamp = ctx.now;
                     self.pacing_gain = CYCLE_GAINS[self.cycle_index];
-                    self.cwnd_gain = self.cfg.cwnd_gain;
+                    self.cwnd_gain = CWND_GAIN;
                     bbr_log!(self, "enter ProbeBW at {}", ctx.now);
                 }
             }
@@ -456,7 +454,7 @@ impl Bbr {
             self.cwnd_gain = HIGH_GAIN;
         } else if self.state == BbrState::ProbeBw {
             self.pacing_gain = CYCLE_GAINS[self.cycle_index];
-            self.cwnd_gain = self.cfg.cwnd_gain;
+            self.cwnd_gain = CWND_GAIN;
         }
     }
 
@@ -496,7 +494,7 @@ impl Bbr {
 
         let target = if bdp == 0 {
             // No model yet: keep the initial window.
-            self.cfg.initial_cwnd.max(MIN_CWND)
+            self.initial_cwnd.max(MIN_CWND)
         } else {
             self.target_cwnd(bdp)
         };
@@ -505,7 +503,7 @@ impl Bbr {
             self.cwnd = (ctx.in_flight + rs.newly_acked).max(MIN_CWND);
         } else if self.filled_pipe {
             self.cwnd = (self.cwnd + rs.newly_acked).min(target);
-        } else if self.cwnd < target || ctx.delivered < self.cfg.initial_cwnd {
+        } else if self.cwnd < target || ctx.delivered < self.initial_cwnd {
             // Startup (Linux bbr_set_cwnd): grow by the acked count only while
             // below the model-derived target, so the exponential search tracks
             // cwnd_gain × (current BDP estimate) instead of overshooting it.
@@ -514,13 +512,13 @@ impl Bbr {
         if self.state == BbrState::ProbeRtt {
             self.cwnd = self.cwnd.min(MIN_CWND);
         }
-        self.cwnd = self.cwnd.clamp(MIN_CWND, self.cfg.max_cwnd);
+        self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
     }
 }
 
 impl CongestionControl for Bbr {
     fn name(&self) -> &'static str {
-        if self.cfg.probe_rtt_on_rto {
+        if self.probe_rtt_on_rto {
             "bbr-probertt-on-rto"
         } else {
             "bbr"
@@ -561,7 +559,7 @@ impl CongestionControl for Bbr {
             }
             CongestionSignal::Rto => {
                 bbr_log!(self, "RTO at {}", ctx.now);
-                if self.cfg.probe_rtt_on_rto {
+                if self.probe_rtt_on_rto {
                     // The paper's mitigation (§4.1): slow down via ProbeRTT so
                     // the in-flight ACKs arrive before we spuriously
                     // retransmit their packets.
@@ -655,7 +653,7 @@ mod tests {
 
     #[test]
     fn starts_in_startup_with_high_gain() {
-        let bbr = Bbr::new(BbrConfig::default());
+        let bbr = Bbr::new(10, false);
         assert_eq!(bbr.state(), BbrState::Startup);
         assert!(bbr.pacing_rate_bps().unwrap() > 0.0);
         assert_eq!(bbr.cwnd(), 10);
@@ -663,7 +661,7 @@ mod tests {
 
     #[test]
     fn bandwidth_filter_takes_windowed_max() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         for (i, bw) in [5e6, 8e6, 6e6].iter().enumerate() {
             delivered += 10;
@@ -677,7 +675,7 @@ mod tests {
 
     #[test]
     fn old_bandwidth_samples_expire_after_ten_rounds() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 10u64;
         // One good 12 Mbps sample in round 1.
         bbr.on_ack(&ctx(40, 10, delivered), &sample(0, delivered, 12e6, 40, 10));
@@ -701,7 +699,7 @@ mod tests {
 
     #[test]
     fn round_counting_follows_prior_delivered() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         // prior_delivered = 0 >= threshold 0: round 1 starts, threshold := 10.
         bbr.on_ack(&ctx(40, 10, 10), &sample(0, 10, 10e6, 40, 10));
         assert_eq!(bbr.round_count(), 1);
@@ -715,7 +713,7 @@ mod tests {
 
     #[test]
     fn startup_exits_to_drain_then_probe_bw() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         let mut now = 40u64;
         // Bandwidth stops growing at 12 Mbps: after 3 rounds of no growth,
@@ -749,7 +747,7 @@ mod tests {
 
     #[test]
     fn probe_bw_cycles_gains() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         let mut now = 40u64;
         for _ in 0..10 {
@@ -789,13 +787,9 @@ mod tests {
 
     #[test]
     fn stale_min_rtt_triggers_probe_rtt_and_exit_restores() {
-        let cfg = BbrConfig {
-            min_rtt_window: SimDuration::from_millis(500),
-            ..BbrConfig::default()
-        };
-        let mut bbr = Bbr::new(cfg);
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
-        // Establish the model.
+        // Establish the model; the last min-RTT sample is at 400 ms.
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
@@ -804,11 +798,12 @@ mod tests {
                 &sample(prior, delivered, 12e6, 40, 20),
             );
         }
-        // Jump time past the min-RTT window.
+        // Jump time past the 10 s min-RTT window.
+        let stale = 400 + MIN_RTT_WINDOW.as_millis() + 100;
         let prior = delivered;
         delivered += 5;
         bbr.on_ack(
-            &ctx(2_000, 20, delivered),
+            &ctx(stale, 20, delivered),
             &sample(prior, delivered, 12e6, 41, 5),
         );
         assert_eq!(bbr.state(), BbrState::ProbeRtt);
@@ -817,13 +812,13 @@ mod tests {
         let prior = delivered;
         delivered += 2;
         bbr.on_ack(
-            &ctx(2_050, 3, delivered),
+            &ctx(stale + 50, 3, delivered),
             &sample(prior, delivered, 12e6, 41, 2),
         );
         let prior = delivered;
         delivered += 2;
         bbr.on_ack(
-            &ctx(2_300, 3, delivered),
+            &ctx(stale + 300, 3, delivered),
             &sample(prior, delivered, 12e6, 41, 2),
         );
         assert_ne!(
@@ -839,7 +834,7 @@ mod tests {
         // Regression test for the save-cwnd semantics: after the bandwidth
         // model collapses, a fresh loss episode must save the *current*
         // (small) window, not keep restoring the all-time-high one.
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         let mut now = 40u64;
         // Establish a fat model at 12 Mbps and exit Startup.
@@ -900,7 +895,7 @@ mod tests {
 
     #[test]
     fn rto_default_keeps_model_driven_window() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         for i in 0..10 {
             let prior = delivered;
@@ -926,10 +921,7 @@ mod tests {
 
     #[test]
     fn rto_with_mitigation_enters_probe_rtt() {
-        let mut bbr = Bbr::new(BbrConfig {
-            probe_rtt_on_rto: true,
-            ..Default::default()
-        });
+        let mut bbr = Bbr::new(10, true);
         let mut delivered = 0u64;
         for i in 0..10 {
             let prior = delivered;
@@ -947,7 +939,7 @@ mod tests {
 
     #[test]
     fn fast_retransmit_triggers_packet_conservation_then_restore() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         for i in 0..10 {
             let prior = delivered;
@@ -979,7 +971,7 @@ mod tests {
         // refreshed by a retransmission exceed the round threshold every time,
         // so every ACK advances the round counter and the good bandwidth
         // sample ages out of the filter.
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 200u64;
         bbr.on_ack(&ctx(40, 20, delivered), &sample(0, delivered, 12e6, 40, 20));
         let rounds_before = bbr.round_count();
@@ -1017,12 +1009,7 @@ mod tests {
         let floats: [(&str, f64, f64, f64); 3] = [
             ("HIGH_GAIN", HIGH_GAIN, 2.0 / ln2, 1e-3),
             ("Drain pacing gain", 1.0 / HIGH_GAIN, ln2 / 2.0, 1e-3),
-            (
-                "ProbeBW cwnd gain",
-                BbrConfig::default().cwnd_gain,
-                2.0,
-                0.0,
-            ),
+            ("CWND_GAIN", CWND_GAIN, 2.0, 0.0),
         ];
         for (name, ours, spec, tolerance) in floats {
             assert!((ours - spec).abs() <= tolerance, "{name}: {ours} vs {spec}");
@@ -1035,13 +1022,12 @@ mod tests {
         for (name, ours, spec) in integers {
             assert_eq!(ours, spec, "{name}");
         }
-        let cfg = BbrConfig::default();
-        assert_eq!(cfg.min_rtt_window, SimDuration::from_secs(10));
-        assert_eq!(cfg.probe_rtt_duration, SimDuration::from_millis(200));
-        // The paper's §4.1 mitigation is a flagged deviation from v1, off
-        // by default: stock BBR v1 does not enter ProbeRTT on an RTO.
-        assert!(!cfg.probe_rtt_on_rto, "probe_rtt_on_rto deviates from v1");
-        assert_eq!(Bbr::new(cfg).name(), "bbr");
+        assert_eq!(MIN_RTT_WINDOW, SimDuration::from_secs(10));
+        assert_eq!(PROBE_RTT_DURATION, SimDuration::from_millis(200));
+        // The paper's §4.1 mitigation is a flagged deviation from v1 that
+        // only `BbrProbeRttOnRto` turns on: stock BBR v1 does not enter
+        // ProbeRTT on an RTO.
+        assert_eq!(crate::CcaKind::Bbr.build(10).name(), "bbr");
     }
 
     /// BBR without the per-ACK model cache: the windowed max rescans the
@@ -1049,7 +1035,8 @@ mod tests {
     /// `ceil`, as the controller did before the cache. Event logging is
     /// left out; nothing here reads it.
     struct Uncached {
-        cfg: BbrConfig,
+        initial_cwnd: u64,
+        probe_rtt_on_rto: bool,
         state: BbrState,
         next_rtt_delivered: u64,
         round_count: u64,
@@ -1072,8 +1059,10 @@ mod tests {
     }
 
     impl Uncached {
-        fn new(cfg: BbrConfig) -> Self {
+        fn new(initial_cwnd: u64, probe_rtt_on_rto: bool) -> Self {
             Uncached {
+                initial_cwnd,
+                probe_rtt_on_rto,
                 state: BbrState::Startup,
                 next_rtt_delivered: 0,
                 round_count: 0,
@@ -1087,13 +1076,12 @@ mod tests {
                 cycle_index: 2,
                 cycle_stamp: SimTime::ZERO,
                 probe_rtt_done_stamp: None,
-                cwnd: cfg.initial_cwnd.max(MIN_CWND),
-                prior_cwnd: cfg.initial_cwnd.max(MIN_CWND),
+                cwnd: initial_cwnd.max(MIN_CWND),
+                prior_cwnd: initial_cwnd.max(MIN_CWND),
                 packet_conservation: false,
                 conservation_ends_round: 0,
                 pacing_gain: HIGH_GAIN,
                 cwnd_gain: HIGH_GAIN,
-                cfg,
             }
         }
 
@@ -1152,7 +1140,7 @@ mod tests {
                 self.bw_samples.push(self.round_count, rs.delivery_rate_bps);
             }
             // Min RTT.
-            let expired = ctx.now.saturating_since(self.min_rtt_stamp) > self.cfg.min_rtt_window;
+            let expired = ctx.now.saturating_since(self.min_rtt_stamp) > MIN_RTT_WINDOW;
             if let Some(rtt) = rs.rtt {
                 if self.min_rtt.map(|m| rtt <= m).unwrap_or(true) || expired {
                     self.min_rtt = Some(rtt);
@@ -1187,7 +1175,7 @@ mod tests {
                         self.cycle_index = 2;
                         self.cycle_stamp = ctx.now;
                         self.pacing_gain = CYCLE_GAINS[self.cycle_index];
-                        self.cwnd_gain = self.cfg.cwnd_gain;
+                        self.cwnd_gain = CWND_GAIN;
                     }
                 }
                 BbrState::ProbeBw => {
@@ -1203,7 +1191,7 @@ mod tests {
                 }
                 BbrState::ProbeRtt => match self.probe_rtt_done_stamp {
                     None if ctx.in_flight <= MIN_CWND => {
-                        self.probe_rtt_done_stamp = Some(ctx.now + self.cfg.probe_rtt_duration);
+                        self.probe_rtt_done_stamp = Some(ctx.now + PROBE_RTT_DURATION);
                     }
                     Some(done) if ctx.now >= done => {
                         self.min_rtt_stamp = ctx.now;
@@ -1224,7 +1212,7 @@ mod tests {
                 self.cwnd_gain = HIGH_GAIN;
             } else if self.state == BbrState::ProbeBw {
                 self.pacing_gain = CYCLE_GAINS[self.cycle_index];
-                self.cwnd_gain = self.cfg.cwnd_gain;
+                self.cwnd_gain = CWND_GAIN;
             }
             // Window.
             if self.packet_conservation
@@ -1240,7 +1228,7 @@ mod tests {
             }
             let bdp = self.bdp(ctx.mss);
             let target = if bdp == 0 {
-                self.cfg.initial_cwnd.max(MIN_CWND)
+                self.initial_cwnd.max(MIN_CWND)
             } else {
                 ceil_to_u64(bdp as f64 * self.cwnd_gain).max(MIN_CWND)
             };
@@ -1248,13 +1236,13 @@ mod tests {
                 self.cwnd = (ctx.in_flight + rs.newly_acked).max(MIN_CWND);
             } else if self.filled_pipe {
                 self.cwnd = (self.cwnd + rs.newly_acked).min(target);
-            } else if self.cwnd < target || ctx.delivered < self.cfg.initial_cwnd {
+            } else if self.cwnd < target || ctx.delivered < self.initial_cwnd {
                 self.cwnd += rs.newly_acked;
             }
             if self.state == BbrState::ProbeRtt {
                 self.cwnd = self.cwnd.min(MIN_CWND);
             }
-            self.cwnd = self.cwnd.clamp(MIN_CWND, self.cfg.max_cwnd);
+            self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
         }
 
         fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
@@ -1267,7 +1255,7 @@ mod tests {
                         self.cwnd = (ctx.in_flight + 1).max(MIN_CWND);
                     }
                 }
-                CongestionSignal::Rto if self.cfg.probe_rtt_on_rto => {
+                CongestionSignal::Rto if self.probe_rtt_on_rto => {
                     self.enter_probe_rtt(ctx);
                     self.cwnd = MIN_CWND;
                 }
@@ -1290,6 +1278,58 @@ mod tests {
             .unwrap_or(default)
     }
 
+    /// The windowed max by a full scan over every sample ever pushed.
+    fn scanned_max(samples: &[BwSample], round_count: u64) -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.round + BW_WINDOW_ROUNDS > round_count)
+            .fold(0.0, |max, s| max.max(s.bw_bps))
+    }
+
+    #[test]
+    fn bandwidth_filter_equals_a_full_scan_on_random_streams() {
+        use ccfuzz_netsim::rng::SimRng;
+        for case in 0..cases(64) {
+            let mut rng = SimRng::new(0xF11 + case);
+            let mut filter = BwMaxFilter::default();
+            let mut pushed = Vec::new();
+            let (mut round, mut bw_bps) = (0u64, 8e6);
+            for step in 0..500 {
+                round += match rng.gen_range_u64(0, 10) {
+                    0..=4 => 0, // a same-round burst
+                    5..=7 => 1,
+                    8 => rng.gen_range_u64(2, BW_WINDOW_ROUNDS + 3), // a round jump
+                    _ => rng.gen_range_u64(0, 3 * BW_WINDOW_ROUNDS),
+                };
+                // A round that advances without a sample is read too
+                // (`update_round`).
+                let at = format!("case {case}, step {step}, round {round}");
+                assert_eq!(
+                    filter.max(round).to_bits(),
+                    scanned_max(&pushed, round).to_bits(),
+                    "{at}"
+                );
+                if rng.gen_range_u64(0, 8) == 0 {
+                    continue;
+                }
+                // A falling rate fills the ring (one entry per round),
+                // coarse values make equal samples, fine values make order.
+                bw_bps = match (case % 3, rng.gen_range_u64(0, 2)) {
+                    (0, _) => bw_bps * rng.gen_range_f64(0.9, 1.0),
+                    (1, _) | (2, 0) => rng.gen_range_u64(1, 8) as f64 * 1e6,
+                    _ => rng.gen_range_f64(0.1e6, 8e6),
+                };
+                filter.push(round, bw_bps);
+                pushed.push(BwSample { round, bw_bps });
+                assert_eq!(
+                    filter.max(round).to_bits(),
+                    scanned_max(&pushed, round).to_bits(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn cached_model_equals_the_uncached_reference_on_random_streams() {
         use ccfuzz_netsim::rng::SimRng;
@@ -1298,14 +1338,9 @@ mod tests {
         let mut states_seen = std::collections::BTreeSet::new();
         for case in 0..cases(8) {
             let mut rng = SimRng::new(0xBB0 + case);
-            let cfg = BbrConfig {
-                probe_rtt_on_rto: case % 2 == 1,
-                // Short windows make min-RTT expiry (and ProbeRTT) frequent.
-                min_rtt_window: SimDuration::from_millis([500, 2_000, 10_000][case as usize % 3]),
-                ..BbrConfig::default()
-            };
-            let mut bbr = Bbr::new(cfg);
-            let mut reference = Uncached::new(cfg);
+            let probe_rtt_on_rto = case % 2 == 1;
+            let mut bbr = Bbr::new(10, probe_rtt_on_rto);
+            let mut reference = Uncached::new(10, probe_rtt_on_rto);
             let (mut now, mut delivered) = (0u64, 0u64);
             let base_rate = rng.gen_range_f64(0.5e6, 50e6);
             for call in 0..CALLS {
@@ -1395,7 +1430,7 @@ mod tests {
 
     #[test]
     fn pacing_rate_follows_gain_and_bw() {
-        let mut bbr = Bbr::new(BbrConfig::default());
+        let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         for i in 0..10 {
             let prior = delivered;

@@ -1,4 +1,4 @@
-//! TCP CUBIC (RFC 8312) with a switchable slow-start behaviour.
+//! TCP CUBIC (RFC 9438) with a switchable slow-start behaviour.
 //!
 //! The paper's §4.2 finding is an NS3-specific implementation bug: when a
 //! retransmission fills a large hole, the cumulative ACK jumps by hundreds of
@@ -12,12 +12,12 @@
 //! rediscover the bug ([`SlowStartBehaviour::Ns3Uncapped`]) and confirm the
 //! fixed behaviour ([`SlowStartBehaviour::CappedAtSsthresh`]).
 
+use crate::reno::rtt_or_default;
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
-use ccfuzz_netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use ccfuzz_netsim::time::SimTime;
 
 /// How the slow-start window increase treats the slow-start threshold.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlowStartBehaviour {
     /// Linux-correct: the window never grows past `ssthresh` inside a single
     /// slow-start increase call.
@@ -28,43 +28,20 @@ pub enum SlowStartBehaviour {
     Ns3Uncapped,
 }
 
-/// CUBIC configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CubicConfig {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: u64,
-    /// Minimum congestion window, packets.
-    pub min_cwnd: u64,
-    /// Maximum congestion window, packets (safety bound).
-    pub max_cwnd: u64,
-    /// CUBIC `C` constant (window growth scaling), RFC 8312 default 0.4.
-    pub c: f64,
-    /// CUBIC multiplicative-decrease factor `beta`, RFC 8312 default 0.7.
-    pub beta: f64,
-    /// Whether fast convergence is enabled.
-    pub fast_convergence: bool,
-    /// Slow-start behaviour (the §4.2 bug switch).
-    pub slow_start: SlowStartBehaviour,
-}
+/// Minimum congestion window after a reduction, packets.
+pub const MIN_CWND: u64 = 2;
+/// Maximum congestion window, packets (safety bound).
+pub const MAX_CWND: u64 = 20_000;
+/// CUBIC `C` constant (window growth scaling), RFC 9438: 0.4.
+pub const C: f64 = 0.4;
+/// CUBIC multiplicative-decrease factor `beta_cubic`, RFC 9438: 0.7.
+pub const BETA: f64 = 0.7;
 
-impl Default for CubicConfig {
-    fn default() -> Self {
-        CubicConfig {
-            initial_cwnd: 10,
-            min_cwnd: 2,
-            max_cwnd: 20_000,
-            c: 0.4,
-            beta: 0.7,
-            fast_convergence: true,
-            slow_start: SlowStartBehaviour::CappedAtSsthresh,
-        }
-    }
-}
-
-/// TCP CUBIC.
+/// TCP CUBIC, with fast convergence (RFC 9438 §4.7).
 #[derive(Clone, Debug)]
 pub struct Cubic {
-    cfg: CubicConfig,
+    /// Slow-start behaviour (the §4.2 bug switch).
+    slow_start: SlowStartBehaviour,
     cwnd: f64,
     ssthresh: u64,
     /// Window size just before the last reduction (`W_max`).
@@ -82,10 +59,12 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    /// Creates a CUBIC instance.
-    pub fn new(cfg: CubicConfig) -> Self {
+    /// Creates a CUBIC instance with an initial window of `initial_cwnd`
+    /// packets and the given slow-start behaviour.
+    pub fn new(initial_cwnd: u64, slow_start: SlowStartBehaviour) -> Self {
         Cubic {
-            cwnd: cfg.initial_cwnd.max(cfg.min_cwnd) as f64,
+            slow_start,
+            cwnd: initial_cwnd.max(MIN_CWND) as f64,
             ssthresh: u64::MAX,
             w_max: 0.0,
             epoch_start: None,
@@ -93,7 +72,6 @@ impl Cubic {
             w_est: 0.0,
             ack_cnt: 0.0,
             ecn_hold_until: None,
-            cfg,
         }
     }
 
@@ -104,17 +82,17 @@ impl Cubic {
 
     /// The configured slow-start behaviour.
     pub fn slow_start_behaviour(&self) -> SlowStartBehaviour {
-        self.cfg.slow_start
+        self.slow_start
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self.cwnd.clamp(1.0, self.cfg.max_cwnd as f64);
+        self.cwnd = self.cwnd.clamp(1.0, MAX_CWND as f64);
     }
 
     fn reset_epoch(&mut self, now: SimTime) {
         self.epoch_start = Some(now);
         self.k = if self.w_max > self.cwnd {
-            ((self.w_max - self.cwnd) / self.cfg.c).cbrt()
+            ((self.w_max - self.cwnd) / C).cbrt()
         } else {
             0.0
         };
@@ -132,11 +110,11 @@ impl Cubic {
         let rtt = ctx.srtt.map(|d| d.as_secs_f64()).unwrap_or(0.1).max(1e-6);
 
         // Cubic target window one RTT into the future.
-        let w_cubic = self.cfg.c * (t + rtt - self.k).powi(3) + self.w_max;
+        let w_cubic = C * (t + rtt - self.k).powi(3) + self.w_max;
 
         // TCP-friendly (Reno-equivalent) window estimate.
         self.ack_cnt += newly_acked as f64;
-        let reno_slope = 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta);
+        let reno_slope = 3.0 * (1.0 - BETA) / (1.0 + BETA);
         self.w_est += reno_slope * self.ack_cnt / self.cwnd.max(1.0);
         self.ack_cnt = 0.0;
 
@@ -151,23 +129,17 @@ impl Cubic {
         self.clamp();
     }
 
-    fn rtt_or_default(&self, ctx: &CcContext) -> SimDuration {
-        ctx.srtt
-            .or(ctx.min_rtt)
-            .unwrap_or(SimDuration::from_millis(100))
-    }
-
     fn on_loss_reduction(&mut self) {
         let cwnd = self.cwnd;
         // Fast convergence: if the new W_max is below the previous one, the
         // flow is competing and should release bandwidth faster.
-        self.w_max = if self.cfg.fast_convergence && cwnd < self.w_max {
-            cwnd * (1.0 + self.cfg.beta) / 2.0
+        self.w_max = if cwnd < self.w_max {
+            cwnd * (1.0 + BETA) / 2.0
         } else {
             cwnd
         };
-        self.ssthresh = ((cwnd * self.cfg.beta) as u64).max(self.cfg.min_cwnd);
-        self.cwnd = (cwnd * self.cfg.beta).max(self.cfg.min_cwnd as f64);
+        self.ssthresh = ((cwnd * BETA) as u64).max(MIN_CWND);
+        self.cwnd = (cwnd * BETA).max(MIN_CWND as f64);
         self.epoch_start = None;
         self.clamp();
     }
@@ -175,7 +147,7 @@ impl Cubic {
 
 impl CongestionControl for Cubic {
     fn name(&self) -> &'static str {
-        match self.cfg.slow_start {
+        match self.slow_start {
             SlowStartBehaviour::CappedAtSsthresh => "cubic",
             SlowStartBehaviour::Ns3Uncapped => "cubic-ns3-buggy",
         }
@@ -189,7 +161,7 @@ impl CongestionControl for Cubic {
             return;
         }
         if self.in_slow_start() {
-            match self.cfg.slow_start {
+            match self.slow_start {
                 SlowStartBehaviour::CappedAtSsthresh => {
                     // Linux: grow by the acked count but never beyond ssthresh
                     // in one step; any remainder is handled by congestion
@@ -225,7 +197,7 @@ impl CongestionControl for Cubic {
         }
         // A loss reduction covers any CE marks from the same congestion
         // event (see Reno::on_congestion): hold ECN reactions for one RTT.
-        self.ecn_hold_until = Some(ctx.now + self.rtt_or_default(ctx));
+        self.ecn_hold_until = Some(ctx.now + rtt_or_default(ctx));
     }
 
     fn on_ecn(&mut self, ctx: &CcContext, _ce_acked: u64) {
@@ -241,7 +213,7 @@ impl CongestionControl for Cubic {
             }
         }
         self.on_loss_reduction();
-        self.ecn_hold_until = Some(ctx.now + self.rtt_or_default(ctx));
+        self.ecn_hold_until = Some(ctx.now + rtt_or_default(ctx));
     }
 
     fn cwnd(&self) -> u64 {
@@ -294,7 +266,7 @@ mod tests {
 
     #[test]
     fn slow_start_grows_exponentially() {
-        let mut c = Cubic::new(CubicConfig::default());
+        let mut c = Cubic::new(10, SlowStartBehaviour::CappedAtSsthresh);
         assert!(c.in_slow_start());
         c.on_ack(&ctx(0, false), &sample(10, 10));
         assert_eq!(c.cwnd(), 20);
@@ -302,10 +274,7 @@ mod tests {
 
     #[test]
     fn loss_reduces_window_by_beta() {
-        let mut c = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            ..Default::default()
-        });
+        let mut c = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         c.on_congestion(
             &ctx(0, false),
             CongestionSignal::FastRetransmitLoss {
@@ -320,10 +289,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_to_one() {
-        let mut c = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            ..Default::default()
-        });
+        let mut c = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         c.on_congestion(&ctx(0, false), CongestionSignal::Rto);
         assert_eq!(c.cwnd(), 1);
         assert!(c.in_slow_start());
@@ -331,10 +297,7 @@ mod tests {
 
     #[test]
     fn concave_growth_approaches_w_max() {
-        let mut c = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            ..Default::default()
-        });
+        let mut c = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         // Reduce from 100: w_max = 100 (no fast convergence effect on first loss), cwnd = 70.
         c.on_congestion(
             &ctx(0, false),
@@ -361,10 +324,7 @@ mod tests {
 
     #[test]
     fn cubic_is_slower_than_slow_start_right_after_loss() {
-        let mut c = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            ..Default::default()
-        });
+        let mut c = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         c.on_congestion(
             &ctx(0, false),
             CongestionSignal::FastRetransmitLoss {
@@ -383,11 +343,7 @@ mod tests {
     fn ns3_bug_explodes_window_on_large_cumulative_jump() {
         // The §4.2 scenario: after an RTO the flow is in slow start with
         // cwnd=1 and ssthresh=70; the retransmission fills a 500-packet hole.
-        let mut buggy = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            slow_start: SlowStartBehaviour::Ns3Uncapped,
-            ..Default::default()
-        });
+        let mut buggy = Cubic::new(100, SlowStartBehaviour::Ns3Uncapped);
         buggy.on_congestion(&ctx(0, false), CongestionSignal::Rto);
         assert!(buggy.in_slow_start());
         buggy.on_ack(&ctx(1000, false), &sample(1, 500));
@@ -397,11 +353,7 @@ mod tests {
             buggy.cwnd()
         );
 
-        let mut fixed = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            slow_start: SlowStartBehaviour::CappedAtSsthresh,
-            ..Default::default()
-        });
+        let mut fixed = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         fixed.on_congestion(&ctx(0, false), CongestionSignal::Rto);
         let ssthresh = fixed.ssthresh();
         fixed.on_ack(&ctx(1000, false), &sample(1, 500));
@@ -415,7 +367,7 @@ mod tests {
 
     #[test]
     fn no_growth_during_recovery() {
-        let mut c = Cubic::new(CubicConfig::default());
+        let mut c = Cubic::new(10, SlowStartBehaviour::CappedAtSsthresh);
         let before = c.cwnd();
         c.on_ack(&ctx(0, true), &sample(10, 10));
         assert_eq!(c.cwnd(), before);
@@ -423,10 +375,7 @@ mod tests {
 
     #[test]
     fn fast_convergence_lowers_w_max_on_consecutive_losses() {
-        let mut c = Cubic::new(CubicConfig {
-            initial_cwnd: 100,
-            ..Default::default()
-        });
+        let mut c = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         c.on_congestion(
             &ctx(0, false),
             CongestionSignal::FastRetransmitLoss {
@@ -436,6 +385,7 @@ mod tests {
         );
         let w_max_first = c.w_max;
         // Second loss at a smaller window.
+        let cwnd = c.cwnd;
         c.on_congestion(
             &ctx(100, false),
             CongestionSignal::FastRetransmitLoss {
@@ -444,17 +394,18 @@ mod tests {
             },
         );
         assert!(c.w_max < w_max_first, "fast convergence reduces W_max");
+        // RFC 9438 §4.7: W_max = cwnd × (1 + β) / 2.
+        assert_eq!(c.w_max, cwnd * (1.0 + BETA) / 2.0);
     }
 
     #[test]
     fn names_reflect_variant() {
-        assert_eq!(Cubic::new(CubicConfig::default()).name(), "cubic");
         assert_eq!(
-            Cubic::new(CubicConfig {
-                slow_start: SlowStartBehaviour::Ns3Uncapped,
-                ..Default::default()
-            })
-            .name(),
+            Cubic::new(10, SlowStartBehaviour::CappedAtSsthresh).name(),
+            "cubic"
+        );
+        assert_eq!(
+            Cubic::new(10, SlowStartBehaviour::Ns3Uncapped).name(),
             "cubic-ns3-buggy"
         );
     }

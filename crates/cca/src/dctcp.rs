@@ -12,43 +12,20 @@
 //! handling identical to Reno (DCTCP degrades to Reno without marks, so
 //! mark-free runs behave like a plain AIMD flow).
 
+use crate::reno::{rtt_or_default, Reno};
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
-use ccfuzz_netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use ccfuzz_netsim::time::SimTime;
 
-/// DCTCP configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DctcpConfig {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: u64,
-    /// Minimum congestion window, packets.
-    pub min_cwnd: u64,
-    /// Maximum congestion window, packets (safety bound).
-    pub max_cwnd: u64,
-    /// EWMA gain `g` for the mark-fraction estimate (RFC 8257: 1/16).
-    pub gain: f64,
-    /// Initial `alpha` (RFC 8257 recommends 1: conservative until measured).
-    pub initial_alpha: f64,
-}
+/// EWMA gain `g` for the mark-fraction estimate (RFC 8257: 1/16).
+pub const GAIN: f64 = 1.0 / 16.0;
+/// Initial `alpha` (RFC 8257: 1, conservative until measured).
+pub const INITIAL_ALPHA: f64 = 1.0;
 
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig {
-            initial_cwnd: 10,
-            min_cwnd: 2,
-            max_cwnd: 10_000,
-            gain: 1.0 / 16.0,
-            initial_alpha: 1.0,
-        }
-    }
-}
-
-/// The DCTCP congestion controller.
+/// The DCTCP congestion controller: Reno's window, plus the mark-fraction
+/// estimate that replaces Reno's reaction to ECN echoes.
 #[derive(Clone, Debug)]
 pub struct Dctcp {
-    cfg: DctcpConfig,
-    cwnd: f64,
-    ssthresh: u64,
+    reno: Reno,
     /// EWMA of the CE-marked fraction.
     alpha: f64,
     /// Packets acknowledged in the current observation window.
@@ -62,40 +39,27 @@ pub struct Dctcp {
 }
 
 impl Dctcp {
-    /// Creates a DCTCP instance.
-    pub fn new(cfg: DctcpConfig) -> Self {
+    /// Creates a DCTCP instance with an initial window of `initial_cwnd`
+    /// packets.
+    pub fn new(initial_cwnd: u64) -> Self {
         Dctcp {
-            cwnd: cfg.initial_cwnd.max(cfg.min_cwnd) as f64,
-            ssthresh: u64::MAX,
-            alpha: cfg.initial_alpha.clamp(0.0, 1.0),
+            reno: Reno::new(initial_cwnd),
+            alpha: INITIAL_ALPHA,
             acked_window: 0,
             marked_window: 0,
             window_end: None,
             reduced_this_window: false,
-            cfg,
         }
     }
 
     /// `true` while in slow start.
     pub fn in_slow_start(&self) -> bool {
-        (self.cwnd as u64) < self.ssthresh
+        self.reno.in_slow_start()
     }
 
     /// Current mark-fraction estimate.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    fn clamp(&mut self) {
-        self.cwnd = self
-            .cwnd
-            .clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
-    }
-
-    fn rtt(&self, ctx: &CcContext) -> SimDuration {
-        ctx.srtt
-            .or(ctx.min_rtt)
-            .unwrap_or(SimDuration::from_millis(100))
     }
 
     /// Rolls the observation window forward if it elapsed, folding the
@@ -104,7 +68,7 @@ impl Dctcp {
     fn maybe_roll_window(&mut self, ctx: &CcContext) {
         let now = ctx.now;
         let Some(end) = self.window_end else {
-            self.window_end = Some(now + self.rtt(ctx));
+            self.window_end = Some(now + rtt_or_default(ctx));
             return;
         };
         if now < end {
@@ -115,17 +79,15 @@ impl Dctcp {
             // same ACKs (the sender delivers on_ecn before on_ack), but a
             // fraction above 1 must never leak into alpha.
             let fraction = (self.marked_window as f64 / self.acked_window as f64).min(1.0);
-            self.alpha = (1.0 - self.cfg.gain) * self.alpha + self.cfg.gain * fraction;
+            self.alpha = (1.0 - GAIN) * self.alpha + GAIN * fraction;
         }
         if self.marked_window > 0 && !self.reduced_this_window {
-            self.cwnd *= 1.0 - self.alpha / 2.0;
-            self.ssthresh = (self.cwnd as u64).max(self.cfg.min_cwnd);
-            self.clamp();
+            self.reno.scale_window(1.0 - self.alpha / 2.0);
         }
         self.acked_window = 0;
         self.marked_window = 0;
         self.reduced_this_window = false;
-        self.window_end = Some(now + self.rtt(ctx));
+        self.window_end = Some(now + rtt_or_default(ctx));
     }
 }
 
@@ -140,16 +102,7 @@ impl CongestionControl for Dctcp {
         }
         self.acked_window += rs.newly_acked;
         self.maybe_roll_window(ctx);
-        if ctx.in_recovery {
-            return;
-        }
-        if self.in_slow_start() {
-            let headroom = self.ssthresh.saturating_sub(self.cwnd as u64) as f64;
-            self.cwnd += (rs.newly_acked as f64).min(headroom.max(0.0));
-        } else {
-            self.cwnd += rs.newly_acked as f64 / self.cwnd.max(1.0);
-        }
-        self.clamp();
+        self.reno.on_ack(ctx, rs);
     }
 
     fn on_ecn(&mut self, _ctx: &CcContext, ce_acked: u64) {
@@ -159,35 +112,32 @@ impl CongestionControl for Dctcp {
         self.marked_window += ce_acked;
     }
 
-    fn on_congestion(&mut self, _ctx: &CcContext, signal: CongestionSignal) {
-        match signal {
-            CongestionSignal::FastRetransmitLoss { new_episode, .. } => {
-                if new_episode {
-                    self.ssthresh = ((self.cwnd * 0.5) as u64).max(self.cfg.min_cwnd);
-                    self.cwnd = self.ssthresh as f64;
-                    self.reduced_this_window = true;
-                }
-            }
-            CongestionSignal::Rto => {
-                self.ssthresh = ((self.cwnd * 0.5) as u64).max(self.cfg.min_cwnd);
-                self.cwnd = 1.0;
-                self.reduced_this_window = true;
-            }
+    fn on_congestion(&mut self, ctx: &CcContext, signal: CongestionSignal) {
+        // Reno's loss reaction. Its ECN hold is never read: `on_ecn` above
+        // replaces Reno's.
+        self.reno.on_congestion(ctx, signal);
+        if let CongestionSignal::Rto
+        | CongestionSignal::FastRetransmitLoss {
+            new_episode: true, ..
+        } = signal
+        {
+            self.reduced_this_window = true;
         }
     }
 
     fn cwnd(&self) -> u64 {
-        (self.cwnd as u64).max(1)
+        self.reno.cwnd()
     }
 
     fn ssthresh(&self) -> u64 {
-        self.ssthresh
+        self.reno.ssthresh()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccfuzz_netsim::time::SimDuration;
 
     fn ctx(now_ms: u64) -> CcContext {
         CcContext {
@@ -225,7 +175,7 @@ mod tests {
 
     #[test]
     fn mark_free_windows_decay_alpha_and_never_reduce() {
-        let mut d = Dctcp::new(DctcpConfig::default());
+        let mut d = Dctcp::new(10);
         let alpha0 = d.alpha();
         // Leave slow start so growth is additive and observable.
         d.on_congestion(
@@ -246,7 +196,7 @@ mod tests {
 
     #[test]
     fn fully_marked_windows_converge_to_halving() {
-        let mut d = Dctcp::new(DctcpConfig::default());
+        let mut d = Dctcp::new(10);
         d.on_congestion(
             &ctx(0),
             CongestionSignal::FastRetransmitLoss {
@@ -272,10 +222,7 @@ mod tests {
     #[test]
     fn partial_marking_reduces_less_than_halving() {
         let run = |mark_every: u64| {
-            let mut d = Dctcp::new(DctcpConfig {
-                initial_alpha: 0.0,
-                ..Default::default()
-            });
+            let mut d = Dctcp::new(10);
             d.on_congestion(
                 &ctx(0),
                 CongestionSignal::FastRetransmitLoss {
@@ -283,8 +230,14 @@ mod tests {
                     new_episode: true,
                 },
             );
+            // Mark-free windows first: alpha decays from 1 to near 0, so the
+            // marked phase starts from an unbiased estimate.
+            for i in 0..100u64 {
+                d.on_ack(&ctx(i * 50), &sample(8));
+            }
+            assert!(d.alpha() < 0.01, "alpha {:.4}", d.alpha());
             for i in 0..40u64 {
-                let ms = i * 50;
+                let ms = 5_000 + i * 50;
                 if i % mark_every == 0 {
                     d.on_ecn(&ctx(ms), 1);
                 }
@@ -299,10 +252,7 @@ mod tests {
 
     #[test]
     fn loss_still_halves_like_reno() {
-        let mut d = Dctcp::new(DctcpConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut d = Dctcp::new(40);
         d.on_congestion(
             &ctx(0),
             CongestionSignal::FastRetransmitLoss {

@@ -8,12 +8,14 @@
 //! returns and every campaign simulates (`Simulation<CcaDispatch>`).
 
 use crate::{Bbr, Cubic, Dctcp, Reno, Vegas};
-use ccfuzz_netsim::cc::reference_cc::FixedWindowCc;
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 
 /// A congestion control algorithm, dispatched by enum variant. `Clone` lets
 /// one instance serve as the prototype a workload simulation stamps
 /// per-arrival controllers from.
+// `Bbr` is the largest variant because its bandwidth filter is stored
+// inline; boxing it would allocate once per controller per evaluation.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CcaDispatch {
     /// TCP Reno / NewReno.
@@ -26,8 +28,6 @@ pub enum CcaDispatch {
     Vegas(Vegas),
     /// DCTCP (fractional ECN responder).
     Dctcp(Dctcp),
-    /// Fixed congestion window (testing / traffic shaping baseline).
-    Fixed(FixedWindowCc),
 }
 
 macro_rules! dispatch {
@@ -38,7 +38,6 @@ macro_rules! dispatch {
             CcaDispatch::Bbr($cc) => $body,
             CcaDispatch::Vegas($cc) => $body,
             CcaDispatch::Dctcp($cc) => $body,
-            CcaDispatch::Fixed($cc) => $body,
         }
     };
 }
@@ -76,17 +75,5 @@ impl CongestionControl for CcaDispatch {
     }
     fn set_event_recording(&mut self, enabled: bool) {
         dispatch!(self, cc => cc.set_event_recording(enabled))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixed_variant_is_usable() {
-        let cc = CcaDispatch::Fixed(FixedWindowCc::new(7));
-        assert_eq!(cc.cwnd(), 7);
-        assert_eq!(cc.name(), "fixed-window");
     }
 }

@@ -32,12 +32,12 @@ pub mod dispatch;
 pub mod reno;
 pub mod vegas;
 
-pub use bbr::{Bbr, BbrConfig};
-pub use cubic::{Cubic, CubicConfig, SlowStartBehaviour};
-pub use dctcp::{Dctcp, DctcpConfig};
+pub use bbr::Bbr;
+pub use cubic::{Cubic, SlowStartBehaviour};
+pub use dctcp::Dctcp;
 pub use dispatch::CcaDispatch;
-pub use reno::{Reno, RenoConfig};
-pub use vegas::{Vegas, VegasConfig};
+pub use reno::Reno;
+pub use vegas::Vegas;
 
 use serde::{Deserialize, Serialize};
 
@@ -120,39 +120,15 @@ impl CcaKind {
     /// Builds a fresh algorithm instance with an initial window of
     /// `initial_cwnd` packets.
     pub fn build(&self, initial_cwnd: u64) -> CcaDispatch {
+        use SlowStartBehaviour::{CappedAtSsthresh, Ns3Uncapped};
         match self {
-            CcaKind::Reno => CcaDispatch::Reno(Reno::new(RenoConfig {
-                initial_cwnd,
-                ..RenoConfig::default()
-            })),
-            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::CappedAtSsthresh,
-                ..CubicConfig::default()
-            })),
-            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(CubicConfig {
-                initial_cwnd,
-                slow_start: SlowStartBehaviour::Ns3Uncapped,
-                ..CubicConfig::default()
-            })),
-            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: false,
-                ..BbrConfig::default()
-            })),
-            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(BbrConfig {
-                initial_cwnd,
-                probe_rtt_on_rto: true,
-                ..BbrConfig::default()
-            })),
-            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(VegasConfig {
-                initial_cwnd,
-                ..VegasConfig::default()
-            })),
-            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(DctcpConfig {
-                initial_cwnd,
-                ..DctcpConfig::default()
-            })),
+            CcaKind::Reno => CcaDispatch::Reno(Reno::new(initial_cwnd)),
+            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(initial_cwnd, CappedAtSsthresh)),
+            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(initial_cwnd, Ns3Uncapped)),
+            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(initial_cwnd, false)),
+            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(initial_cwnd, true)),
+            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(initial_cwnd)),
+            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(initial_cwnd)),
         }
     }
 }
@@ -221,5 +197,33 @@ mod tests {
         }
         assert_eq!(CcaKind::Bbr.build(10).name(), "bbr");
         assert_eq!(CcaKind::Reno.build(10).name(), "reno");
+    }
+
+    /// Each algorithm's constants against the document that defines it.
+    /// BBR's are checked in `bbr::tests::v1_constants_match_the_specification`,
+    /// CUBIC's fast convergence, which is code rather than a constant, in
+    /// `cubic::tests::fast_convergence_lowers_w_max_on_consecutive_losses`,
+    /// and DCTCP's window and loss reaction, which are Reno's, in
+    /// `dctcp::tests::loss_still_halves_like_reno`.
+    #[test]
+    fn constants_match_their_specifications() {
+        let table: [(&str, f64, f64); 9] = [
+            // RFC 5681 §3.1, equation (4): ssthresh = max(FlightSize / 2, 2 * SMSS).
+            ("reno::BETA", reno::BETA, 0.5),
+            ("reno::MIN_CWND", reno::MIN_CWND as f64, 2.0),
+            // RFC 9438: C = 0.4, and beta_cubic = 0.7 (§4.6).
+            ("cubic::C", cubic::C, 0.4),
+            ("cubic::BETA", cubic::BETA, 0.7),
+            ("cubic::MIN_CWND", cubic::MIN_CWND as f64, 2.0),
+            // RFC 8257 §3.3: the alpha EWMA's gain g and alpha's initial value.
+            ("dctcp::GAIN", dctcp::GAIN, 1.0 / 16.0),
+            ("dctcp::INITIAL_ALPHA", dctcp::INITIAL_ALPHA, 1.0),
+            // Brakmo & Peterson 1995 and Linux `tcp_vegas.c`: alpha 2, beta 4.
+            ("vegas::ALPHA", vegas::ALPHA, 2.0),
+            ("vegas::BETA", vegas::BETA, 4.0),
+        ];
+        for (name, ours, spec) in table {
+            assert_eq!(ours, spec, "{name}");
+        }
     }
 }

@@ -6,53 +6,45 @@
 //! per recovery episode), and window collapse to one packet on RTO.
 
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
-use serde::{Deserialize, Serialize};
+use ccfuzz_netsim::time::{SimDuration, SimTime};
 
-/// Reno configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RenoConfig {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: u64,
-    /// Minimum congestion window, packets.
-    pub min_cwnd: u64,
-    /// Maximum congestion window, packets (safety bound).
-    pub max_cwnd: u64,
-    /// Multiplicative-decrease factor applied to the window on loss.
-    pub beta: f64,
-}
-
-impl Default for RenoConfig {
-    fn default() -> Self {
-        RenoConfig {
-            initial_cwnd: 10,
-            min_cwnd: 2,
-            max_cwnd: 10_000,
-            beta: 0.5,
-        }
-    }
-}
+/// Minimum congestion window, packets: RFC 5681's `2*SMSS` floor on
+/// `ssthresh`.
+pub const MIN_CWND: u64 = 2;
+/// Maximum congestion window, packets (safety bound).
+pub const MAX_CWND: u64 = 10_000;
+/// Multiplicative-decrease factor applied to the window on loss: RFC 5681
+/// halves.
+pub const BETA: f64 = 0.5;
 
 /// TCP Reno / NewReno.
 #[derive(Clone, Debug)]
 pub struct Reno {
-    cfg: RenoConfig,
     /// Congestion window in packets, with fractional accumulation for
     /// congestion avoidance.
     cwnd: f64,
     ssthresh: u64,
     /// End of the current ECN-reaction round: further echoes are ignored
     /// until this instant (RFC 3168's once-per-RTT reduction guard).
-    ecn_hold_until: Option<ccfuzz_netsim::time::SimTime>,
+    ecn_hold_until: Option<SimTime>,
+}
+
+/// The smoothed RTT, else the min RTT, else 100 ms: the length of one
+/// reaction round for the algorithms that have no RTT model of their own.
+pub(crate) fn rtt_or_default(ctx: &CcContext) -> SimDuration {
+    ctx.srtt
+        .or(ctx.min_rtt)
+        .unwrap_or(SimDuration::from_millis(100))
 }
 
 impl Reno {
-    /// Creates a Reno instance.
-    pub fn new(cfg: RenoConfig) -> Self {
+    /// Creates a Reno instance with an initial window of `initial_cwnd`
+    /// packets.
+    pub fn new(initial_cwnd: u64) -> Self {
         Reno {
-            cwnd: cfg.initial_cwnd.max(cfg.min_cwnd) as f64,
+            cwnd: initial_cwnd.max(MIN_CWND) as f64,
             ssthresh: u64::MAX,
             ecn_hold_until: None,
-            cfg,
         }
     }
 
@@ -61,16 +53,16 @@ impl Reno {
         (self.cwnd as u64) < self.ssthresh
     }
 
-    fn clamp(&mut self) {
-        self.cwnd = self
-            .cwnd
-            .clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
+    /// Multiplies the window by `factor` and makes the result the new
+    /// slow-start threshold (DCTCP's proportional reduction).
+    pub(crate) fn scale_window(&mut self, factor: f64) {
+        self.cwnd *= factor;
+        self.ssthresh = (self.cwnd as u64).max(MIN_CWND);
+        self.clamp();
     }
 
-    fn rtt_or_default(&self, ctx: &CcContext) -> ccfuzz_netsim::time::SimDuration {
-        ctx.srtt
-            .or(ctx.min_rtt)
-            .unwrap_or(ccfuzz_netsim::time::SimDuration::from_millis(100))
+    fn clamp(&mut self) {
+        self.cwnd = self.cwnd.clamp(MIN_CWND as f64, MAX_CWND as f64);
     }
 }
 
@@ -102,19 +94,19 @@ impl CongestionControl for Reno {
         match signal {
             CongestionSignal::FastRetransmitLoss { new_episode, .. } => {
                 if new_episode {
-                    self.ssthresh = ((self.cwnd * self.cfg.beta) as u64).max(self.cfg.min_cwnd);
+                    self.ssthresh = ((self.cwnd * BETA) as u64).max(MIN_CWND);
                     self.cwnd = self.ssthresh as f64;
                 }
             }
             CongestionSignal::Rto => {
-                self.ssthresh = ((self.cwnd * self.cfg.beta) as u64).max(self.cfg.min_cwnd);
+                self.ssthresh = ((self.cwnd * BETA) as u64).max(MIN_CWND);
                 self.cwnd = 1.0;
             }
         }
         // A loss reduction covers any CE marks from the same congestion
         // event: without this hold, an AQM that both marks and drops in one
         // RTT (e.g. RED straddling max_thresh) would quarter the window.
-        self.ecn_hold_until = Some(ctx.now + self.rtt_or_default(ctx));
+        self.ecn_hold_until = Some(ctx.now + rtt_or_default(ctx));
     }
 
     fn on_ecn(&mut self, ctx: &CcContext, _ce_acked: u64) {
@@ -130,9 +122,9 @@ impl CongestionControl for Reno {
                 return;
             }
         }
-        self.ssthresh = ((self.cwnd * self.cfg.beta) as u64).max(self.cfg.min_cwnd);
+        self.ssthresh = ((self.cwnd * BETA) as u64).max(MIN_CWND);
         self.cwnd = self.ssthresh as f64;
-        self.ecn_hold_until = Some(ctx.now + self.rtt_or_default(ctx));
+        self.ecn_hold_until = Some(ctx.now + rtt_or_default(ctx));
     }
 
     fn cwnd(&self) -> u64 {
@@ -185,7 +177,7 @@ mod tests {
 
     #[test]
     fn slow_start_grows_per_acked_packet() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::new(10);
         assert!(r.in_slow_start());
         assert_eq!(r.cwnd(), 10);
         r.on_ack(&ctx(false), &sample(5));
@@ -194,7 +186,7 @@ mod tests {
 
     #[test]
     fn congestion_avoidance_is_one_packet_per_window() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::new(10);
         // Leave slow start via a loss.
         r.on_congestion(
             &ctx(false),
@@ -220,10 +212,7 @@ mod tests {
 
     #[test]
     fn halves_on_new_loss_episode_only() {
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut r = Reno::new(40);
         r.on_congestion(
             &ctx(false),
             CongestionSignal::FastRetransmitLoss {
@@ -245,10 +234,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_to_one() {
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut r = Reno::new(40);
         r.on_congestion(&ctx(false), CongestionSignal::Rto);
         assert_eq!(r.cwnd(), 1);
         assert_eq!(r.ssthresh(), 20);
@@ -257,7 +243,7 @@ mod tests {
 
     #[test]
     fn no_growth_during_recovery() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::new(10);
         let before = r.cwnd();
         r.on_ack(&ctx(true), &sample(5));
         assert_eq!(r.cwnd(), before);
@@ -265,16 +251,10 @@ mod tests {
 
     #[test]
     fn slow_start_does_not_overshoot_ssthresh() {
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 2,
-            ..Default::default()
-        });
+        let mut r = Reno::new(2);
         r.on_congestion(&ctx(false), CongestionSignal::Rto); // ssthresh = 1? no: beta*2 = 1 -> min_cwnd 2
                                                              // Set a known threshold: halve from 40.
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut r = Reno::new(40);
         r.on_congestion(&ctx(false), CongestionSignal::Rto); // ssthresh = 20, cwnd = 1
                                                              // A huge cumulative ACK in slow start must not blow past ssthresh.
         r.on_ack(&ctx(false), &sample(1000));
@@ -283,16 +263,10 @@ mod tests {
 
     #[test]
     fn respects_min_and_max() {
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 4,
-            min_cwnd: 2,
-            max_cwnd: 6,
-            beta: 0.5,
-        });
-        for _ in 0..10 {
-            r.on_ack(&ctx(false), &sample(10));
-        }
-        assert_eq!(r.cwnd(), 6);
+        assert_eq!(Reno::new(1).cwnd(), MIN_CWND);
+        let mut r = Reno::new(4);
+        r.on_ack(&ctx(false), &sample(2 * MAX_CWND));
+        assert_eq!(r.cwnd(), MAX_CWND);
         r.on_congestion(
             &ctx(false),
             CongestionSignal::FastRetransmitLoss {
@@ -300,9 +274,11 @@ mod tests {
                 new_episode: true,
             },
         );
+        assert_eq!(r.cwnd(), MAX_CWND / 2);
         r.on_congestion(&ctx(false), CongestionSignal::Rto);
-        assert!(r.cwnd() >= 1);
-        assert!(r.ssthresh() >= 2);
+        r.on_congestion(&ctx(false), CongestionSignal::Rto);
+        assert_eq!(r.cwnd(), 1);
+        assert_eq!(r.ssthresh(), MIN_CWND);
     }
 
     fn ctx_at(now_ms: u64, in_recovery: bool) -> CcContext {
@@ -314,10 +290,7 @@ mod tests {
 
     #[test]
     fn ecn_halves_once_per_rtt() {
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut r = Reno::new(40);
         r.on_ecn(&ctx_at(0, false), 2);
         assert_eq!(r.cwnd(), 20, "first echo halves");
         // Further echoes within the same RTT (srtt = 40 ms) are ignored.
@@ -332,10 +305,7 @@ mod tests {
     fn one_reduction_per_congestion_event_with_marks_and_losses() {
         // An AQM that both marks and drops in the same RTT (e.g. RED
         // straddling max_thresh) must cost one halving, not two.
-        let mut r = Reno::new(RenoConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut r = Reno::new(40);
         r.on_congestion(
             &ctx_at(0, false),
             CongestionSignal::FastRetransmitLoss {
@@ -354,7 +324,7 @@ mod tests {
 
     #[test]
     fn zero_ack_sample_is_ignored() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::new(10);
         let before = r.cwnd();
         r.on_ack(&ctx(false), &sample(0));
         assert_eq!(r.cwnd(), before);

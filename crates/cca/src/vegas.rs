@@ -6,39 +6,19 @@
 
 use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
 use ccfuzz_netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
-/// Vegas configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct VegasConfig {
-    /// Initial congestion window, packets.
-    pub initial_cwnd: u64,
-    /// Minimum congestion window, packets.
-    pub min_cwnd: u64,
-    /// Maximum congestion window, packets.
-    pub max_cwnd: u64,
-    /// Lower bound on the number of "extra" packets buffered in the network.
-    pub alpha: f64,
-    /// Upper bound on the number of "extra" packets buffered in the network.
-    pub beta: f64,
-}
-
-impl Default for VegasConfig {
-    fn default() -> Self {
-        VegasConfig {
-            initial_cwnd: 10,
-            min_cwnd: 2,
-            max_cwnd: 10_000,
-            alpha: 2.0,
-            beta: 4.0,
-        }
-    }
-}
+/// Minimum congestion window, packets.
+pub const MIN_CWND: u64 = 2;
+/// Maximum congestion window, packets.
+pub const MAX_CWND: u64 = 10_000;
+/// Lower bound on the number of "extra" packets buffered in the network.
+pub const ALPHA: f64 = 2.0;
+/// Upper bound on the number of "extra" packets buffered in the network.
+pub const BETA: f64 = 4.0;
 
 /// TCP Vegas.
 #[derive(Clone, Debug)]
 pub struct Vegas {
-    cfg: VegasConfig,
     cwnd: f64,
     ssthresh: u64,
     base_rtt: Option<SimDuration>,
@@ -49,15 +29,15 @@ pub struct Vegas {
 }
 
 impl Vegas {
-    /// Creates a Vegas instance.
-    pub fn new(cfg: VegasConfig) -> Self {
+    /// Creates a Vegas instance with an initial window of `initial_cwnd`
+    /// packets.
+    pub fn new(initial_cwnd: u64) -> Self {
         Vegas {
-            cwnd: cfg.initial_cwnd.max(cfg.min_cwnd) as f64,
+            cwnd: initial_cwnd.max(MIN_CWND) as f64,
             ssthresh: u64::MAX,
             base_rtt: None,
             interval_min_rtt: None,
             acked_in_interval: 0,
-            cfg,
         }
     }
 
@@ -72,9 +52,7 @@ impl Vegas {
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self
-            .cwnd
-            .clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
+        self.cwnd = self.cwnd.clamp(MIN_CWND as f64, MAX_CWND as f64);
     }
 
     fn per_rtt_adjustment(&mut self) {
@@ -87,14 +65,14 @@ impl Vegas {
         // buffered in the network: diff = cwnd * (1 - base/current).
         let diff = self.cwnd * (1.0 - base_s / current_s);
         if self.in_slow_start() {
-            if diff > self.cfg.beta {
+            if diff > BETA {
                 // Leave slow start when the queue starts building.
-                self.ssthresh = (self.cwnd as u64).max(self.cfg.min_cwnd);
+                self.ssthresh = (self.cwnd as u64).max(MIN_CWND);
                 self.cwnd -= 1.0;
             }
-        } else if diff < self.cfg.alpha {
+        } else if diff < ALPHA {
             self.cwnd += 1.0;
-        } else if diff > self.cfg.beta {
+        } else if diff > BETA {
             self.cwnd -= 1.0;
         }
         self.clamp();
@@ -138,13 +116,13 @@ impl CongestionControl for Vegas {
         match signal {
             CongestionSignal::FastRetransmitLoss { new_episode, .. } => {
                 if new_episode {
-                    self.ssthresh = ((self.cwnd * 0.75) as u64).max(self.cfg.min_cwnd);
+                    self.ssthresh = ((self.cwnd * 0.75) as u64).max(MIN_CWND);
                     self.cwnd = self.ssthresh as f64;
                 }
             }
             CongestionSignal::Rto => {
-                self.ssthresh = ((self.cwnd * 0.5) as u64).max(self.cfg.min_cwnd);
-                self.cwnd = self.cfg.min_cwnd as f64;
+                self.ssthresh = ((self.cwnd * 0.5) as u64).max(MIN_CWND);
+                self.cwnd = MIN_CWND as f64;
             }
         }
         self.clamp();
@@ -200,7 +178,7 @@ mod tests {
 
     #[test]
     fn tracks_base_rtt_as_minimum() {
-        let mut v = Vegas::new(VegasConfig::default());
+        let mut v = Vegas::new(10);
         v.on_ack(&ctx(), &sample(1, 60));
         v.on_ack(&ctx(), &sample(1, 40));
         v.on_ack(&ctx(), &sample(1, 80));
@@ -209,10 +187,7 @@ mod tests {
 
     #[test]
     fn grows_when_delay_is_low_and_shrinks_when_high() {
-        let mut v = Vegas::new(VegasConfig {
-            initial_cwnd: 20,
-            ..Default::default()
-        });
+        let mut v = Vegas::new(20);
         // Establish base RTT and leave slow start.
         v.on_congestion(
             &ctx(),
@@ -238,10 +213,7 @@ mod tests {
 
     #[test]
     fn loss_reduces_window() {
-        let mut v = Vegas::new(VegasConfig {
-            initial_cwnd: 40,
-            ..Default::default()
-        });
+        let mut v = Vegas::new(40);
         v.on_congestion(
             &ctx(),
             CongestionSignal::FastRetransmitLoss {
@@ -256,10 +228,7 @@ mod tests {
 
     #[test]
     fn slow_start_exits_on_queue_buildup() {
-        let mut v = Vegas::new(VegasConfig {
-            initial_cwnd: 4,
-            ..Default::default()
-        });
+        let mut v = Vegas::new(4);
         assert!(v.in_slow_start());
         // Establish a low base RTT, then feed many ACKs at a much higher RTT
         // (queue building): Vegas should cap the window well before the max.

@@ -117,29 +117,33 @@ fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>
 
 /// The mini-campaign shape on the paper's standard simulation base —
 /// exactly what one GA worker evaluates all day.
-fn standard(mode: FuzzMode, duration: SimDuration) -> Campaign {
-    Campaign::paper_standard(mode, CcaKind::Reno, duration, GaParams::quick())
+fn standard(mode: FuzzMode, cca: CcaKind, duration: SimDuration) -> Campaign {
+    Campaign::paper_standard(mode, cca, duration, GaParams::quick())
 }
 
 #[test]
 fn warm_evaluate_phase_allocates_nothing() {
     let three_s = SimDuration::from_secs(3);
-    assert_warm_evaluations_are_free::<TrafficGenome>(standard(FuzzMode::Traffic, three_s));
+    assert_warm_evaluations_are_free::<TrafficGenome>(standard(
+        FuzzMode::Traffic,
+        CcaKind::Reno,
+        three_s,
+    ));
     // Past the event calendar's ~4.3 s ring horizon: the cross-traffic
     // injections queued at time zero for later instants wait in the
     // calendar's overflow heap, whose storage must be recycled too.
     assert_warm_evaluations_are_free::<TrafficGenome>(standard(
         FuzzMode::Traffic,
+        CcaKind::Reno,
         SimDuration::from_secs(5),
     ));
     // Link mode moves a ~25 KB service curve per genome through the arena:
     // built in a pooled buffer, moved (never cloned) into the hop, returned.
-    // (Reno again: the claim is about the arena. BBR, the link-mode CCA of
-    // the benchmark, grows its own bandwidth-sample deque per flow.)
-    assert_warm_evaluations_are_free::<LinkGenome>(standard(FuzzMode::Link, three_s));
+    // BBR, the benchmark's link-mode CCA, keeps its bandwidth filter inline.
+    assert_warm_evaluations_are_free::<LinkGenome>(standard(FuzzMode::Link, CcaKind::Bbr, three_s));
     // The benchmark's sixteen-flow fairness campaign, where calendar buckets
     // burst hardest: the node arena and the cursor bucket must be recycled.
-    let flows = [CcaKind::Reno, CcaKind::Reno, CcaKind::Cubic, CcaKind::Vegas].repeat(4);
+    let flows = [CcaKind::Bbr, CcaKind::Reno, CcaKind::Cubic, CcaKind::Vegas].repeat(4);
     assert_warm_evaluations_are_free::<ScenarioGenome>(Campaign::paper_fairness(
         flows,
         three_s,

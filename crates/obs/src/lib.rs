@@ -7,8 +7,7 @@
 //! * [`fleet`] — worker-tagged counter lanes for distributed hunts
 //!   (per-worker evaluations, panics, restarts, migrant routing).
 //! * [`metrics`] — lock-free counters, gauges and 256-bucket log-scale
-//!   histograms with per-worker [`LocalHistogram`] shards that merge into
-//!   the shared [`Histogram`] on snapshot.
+//!   [`Histogram`]s that any number of threads record into.
 //! * [`persist`] — crash-safe [`write_atomic`] (write-temp + fsync +
 //!   rename) shared by the corpus store, campaign checkpoints and the
 //!   bench reporter.
@@ -32,7 +31,7 @@ pub mod profile;
 pub mod telemetry;
 
 pub use fleet::{FleetTelemetry, WorkerLane, WorkerLaneSnapshot};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use persist::write_atomic;
 pub use profile::{Phase, PhaseProfiler};
 pub use telemetry::{CampaignMetrics, HuntTelemetry, LatencyQuantiles, OperatorSnapshot, Snapshot};

@@ -1,10 +1,9 @@
 //! Lock-free metric primitives: counters, gauges and log-bucketed
-//! histograms with per-worker shards.
+//! histograms.
 //!
 //! Everything here is built for the campaign hot path: recording is a
-//! handful of relaxed atomic operations (or plain integer arithmetic for
-//! the thread-local [`LocalHistogram`] shards), and aggregation happens
-//! only when a snapshot is taken. None of the types allocate after
+//! handful of relaxed atomic operations, and aggregation happens only when
+//! a snapshot is taken. None of the types allocate after
 //! construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,8 +98,8 @@ impl Gauge {
 }
 
 /// A shared log-bucketed histogram: 256 atomic buckets plus sum / count /
-/// min / max, all updated with relaxed atomics. Workers either record
-/// directly or batch into a [`LocalHistogram`] shard and merge once.
+/// min / max, all updated with relaxed atomics, so any number of threads
+/// may record into one histogram.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64; HISTOGRAM_BUCKETS]>,
@@ -138,23 +137,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Folds a worker shard into this histogram (the merge half of
-    /// record-locally / merge-on-snapshot).
-    pub fn merge_local(&self, shard: &LocalHistogram) {
-        if shard.count == 0 {
-            return;
-        }
-        for (bucket, &n) in self.buckets.iter().zip(shard.buckets.iter()) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(shard.count, Ordering::Relaxed);
-        self.sum.fetch_add(shard.sum, Ordering::Relaxed);
-        self.min.fetch_min(shard.min, Ordering::Relaxed);
-        self.max.fetch_max(shard.max, Ordering::Relaxed);
-    }
-
     /// A consistent-enough copy of the current state (individual loads are
     /// relaxed; concurrent recording may skew a bucket by a few counts,
     /// which is fine for progress reporting).
@@ -169,63 +151,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain, single-threaded histogram shard. One per worker; recording is
-/// non-atomic, and the shard is merged into the shared [`Histogram`] when
-/// the worker finishes its batch.
-#[derive(Clone, Debug)]
-pub struct LocalHistogram {
-    buckets: Box<[u64; HISTOGRAM_BUCKETS]>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalHistogram {
-    /// An empty shard.
-    pub fn new() -> Self {
-        LocalHistogram {
-            buckets: Box::new([0u64; HISTOGRAM_BUCKETS]),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one value.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The shard's state as a snapshot (for tests and direct readers).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: *self.buckets,
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
         }
     }
 }
@@ -420,25 +345,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn local_shard_merge_equals_direct_recording() {
-        let direct = Histogram::new();
-        let sharded = Histogram::new();
-        let mut a = LocalHistogram::new();
-        let mut b = LocalHistogram::new();
-        for v in 0..1000u64 {
-            direct.record(v * v % 7919);
-            if v % 2 == 0 {
-                a.record(v * v % 7919);
-            } else {
-                b.record(v * v % 7919);
-            }
-        }
-        sharded.merge_local(&a);
-        sharded.merge_local(&b);
-        assert_eq!(direct.snapshot(), sharded.snapshot());
     }
 
     #[test]

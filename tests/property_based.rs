@@ -494,31 +494,19 @@ proptest! {
     #[test]
     fn histogram_merge_is_order_independent_and_lossless(
         values in proptest::collection::vec(0u64..1_000_000_000, 1..400),
-        shards in 1usize..8,
     ) {
-        use cc_fuzz::obs::{Histogram, LocalHistogram};
+        use cc_fuzz::obs::Histogram;
 
-        // Reference: record everything directly into one histogram.
+        // Recording order does not matter: forward and reverse recordings
+        // of the same values give the same histogram.
         let direct = Histogram::new();
         for &v in &values {
             direct.record(v);
         }
-
-        // Shard round-robin, then merge the shards in two opposite orders.
-        let mut locals: Vec<LocalHistogram> =
-            (0..shards).map(|_| LocalHistogram::new()).collect();
-        for (i, &v) in values.iter().enumerate() {
-            locals[i % shards].record(v);
-        }
-        let forward = Histogram::new();
-        for shard in &locals {
-            forward.merge_local(shard);
-        }
         let reverse = Histogram::new();
-        for shard in locals.iter().rev() {
-            reverse.merge_local(shard);
+        for &v in values.iter().rev() {
+            reverse.record(v);
         }
-        prop_assert_eq!(forward.snapshot(), direct.snapshot());
         prop_assert_eq!(reverse.snapshot(), direct.snapshot());
 
         // Lossless aggregates, and percentiles within bucket error of a
@@ -527,7 +515,7 @@ proptest! {
         // holds the exact rank value, so the relative error is bounded on
         // *both* sides (the estimate may sit above or below the exact
         // value, unlike the old bucket-floor reader).
-        let snap = forward.snapshot();
+        let snap = direct.snapshot();
         prop_assert_eq!(snap.count, values.len() as u64);
         prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
         let mut sorted = values.clone();
@@ -566,7 +554,7 @@ proptest! {
         increments in proptest::collection::vec(0u64..1_000, 1..200),
         threads in 1usize..6,
     ) {
-        use cc_fuzz::obs::{Counter, Histogram, LocalHistogram};
+        use cc_fuzz::obs::{Counter, Histogram};
         use std::sync::Arc;
 
         let expected: u64 = increments.iter().sum();
@@ -581,12 +569,10 @@ proptest! {
                 let counter = Arc::clone(&counter);
                 let histogram = Arc::clone(&histogram);
                 std::thread::spawn(move || {
-                    let mut shard = LocalHistogram::new();
                     for v in chunk {
                         counter.add(v);
-                        shard.record(v);
+                        histogram.record(v);
                     }
-                    histogram.merge_local(&shard);
                 })
             })
             .collect();
