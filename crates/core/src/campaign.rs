@@ -291,23 +291,26 @@ impl Campaign {
         on_checkpoint: Option<&mut dyn FnMut(FuzzerSnapshot<G>)>,
     ) -> Result<ControlledRun<G>, String> {
         let evaluator = self.evaluator();
-        let mut fuzzer = self.build_fuzzer(&evaluator, resume, ctl.obs)?;
+        let mut fuzzer = self.build_fuzzer(&evaluator, resume, ctl.obs, 0, self.ga.islands)?;
         // The same loop a fleet runs, over one in-process lane.
         run_lanes(std::slice::from_mut(&mut fuzzer), ctl, on_checkpoint)
     }
 
-    /// Builds this campaign's fuzzer over genome type `G` — fresh from the
-    /// campaign seed, or restored from `resume` (refusing checkpoints whose
-    /// GA parameters do not match), with the annealing hook attached when
-    /// `ga.anneal` is set and `G` has one. Single-process runs and every
-    /// shard worker of a distributed run go through this one constructor, so
-    /// their fuzzers are byte-identical by construction. Panics if `G` does
-    /// not serve the campaign's mode.
+    /// Builds this campaign's fuzzer over genome type `G` for the shard that
+    /// owns islands `start..end` (`0..islands` is the whole campaign): fresh
+    /// from the campaign seed or restored from `resume`, that slice (refusing
+    /// checkpoints whose GA parameters do not match), with the annealing
+    /// hook attached when `ga.anneal` is set and `G` has one. Every run and
+    /// shard worker goes through this one constructor, so a worker's islands
+    /// are the whole build's, byte for byte. Panics if `G` does not serve the
+    /// campaign's mode.
     pub fn build_fuzzer<'e, G: ModeGenome>(
         &self,
         evaluator: &'e SimEvaluator,
         resume: Option<FuzzerSnapshot<G>>,
         obs: Option<&'e HuntTelemetry>,
+        start: usize,
+        end: usize,
     ) -> Result<Fuzzer<'e, G, SimEvaluator>, String> {
         assert!(
             G::serves(self.mode),
@@ -321,10 +324,10 @@ impl Campaign {
                     "checkpoint GA parameters do not match the campaign's configuration".into(),
                 );
             }
-            Some(snapshot) => Fuzzer::restore(evaluator, snapshot)?,
+            Some(snapshot) => Fuzzer::restore_shard(evaluator, snapshot, start, end)?,
             None => {
                 let _timer = obs.map(|o| o.profiler.scope(Phase::Generate));
-                Fuzzer::new(self.ga, evaluator, |rng| G::generate(self, rng))
+                Fuzzer::new_shard(self.ga, evaluator, |rng| G::generate(self, rng), start, end)
             }
         };
         if let (true, Some(anneal)) = (self.ga.anneal, G::annealer()) {
@@ -345,7 +348,7 @@ impl Campaign {
         resume: Option<FuzzerSnapshot<LinkGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, LinkGenome, SimEvaluator>, String> {
-        self.build_fuzzer(evaluator, resume, obs)
+        self.build_fuzzer(evaluator, resume, obs, 0, self.ga.islands)
     }
 
     /// [`Campaign::build_fuzzer`] for traffic genomes.
@@ -355,7 +358,7 @@ impl Campaign {
         resume: Option<FuzzerSnapshot<TrafficGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, TrafficGenome, SimEvaluator>, String> {
-        self.build_fuzzer(evaluator, resume, obs)
+        self.build_fuzzer(evaluator, resume, obs, 0, self.ga.islands)
     }
 
     /// [`Campaign::build_fuzzer`] for scenario genomes.
@@ -365,7 +368,7 @@ impl Campaign {
         resume: Option<FuzzerSnapshot<ScenarioGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, ScenarioGenome, SimEvaluator>, String> {
-        self.build_fuzzer(evaluator, resume, obs)
+        self.build_fuzzer(evaluator, resume, obs, 0, self.ga.islands)
     }
 
     /// [`Campaign::build_fuzzer`] for workload genomes.
@@ -375,7 +378,7 @@ impl Campaign {
         resume: Option<FuzzerSnapshot<WorkloadGenome>>,
         obs: Option<&'e HuntTelemetry>,
     ) -> Result<Fuzzer<'e, WorkloadGenome, SimEvaluator>, String> {
-        self.build_fuzzer(evaluator, resume, obs)
+        self.build_fuzzer(evaluator, resume, obs, 0, self.ga.islands)
     }
 }
 
@@ -771,7 +774,7 @@ mod tests {
         let evaluator = campaign.evaluator();
         let built = std::panic::catch_unwind(|| {
             campaign
-                .build_fuzzer::<Wrong>(&evaluator, None, None)
+                .build_fuzzer::<Wrong>(&evaluator, None, None, 0, campaign.ga.islands)
                 .map(|_| ())
         });
         let panic = built.expect_err("building a fuzzer over the wrong genome type panics");

@@ -25,7 +25,7 @@ use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Genetic-algorithm parameters.
@@ -369,10 +369,26 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// built in parallel on the evaluation pool and the population is the
     /// same at any thread count.
     pub fn new(params: GaParams, evaluator: &'a E, init: impl Fn(&mut SimRng) -> G + Sync) -> Self {
+        Self::new_shard(params, evaluator, init, 0, params.islands)
+    }
+
+    /// [`Self::new`] for the shard that owns islands `start..end`: those as
+    /// the whole build has them, every other island empty
+    /// ([`FuzzerSnapshot::validate_slice`]).
+    pub(crate) fn new_shard(
+        params: GaParams,
+        evaluator: &'a E,
+        init: impl Fn(&mut SimRng) -> G + Sync,
+        start: usize,
+        end: usize,
+    ) -> Self {
         let coordinator = ShardCoordinator::new(params);
         let mut rng = SimRng::new(params.seed);
         let mut workers = vec![(); params.threads.clamp(1, params.islands)];
         let islands = steal_map(&mut workers, params.islands, |_, island| {
+            if !(start..end).contains(&island) {
+                return Vec::new();
+            }
             let mut island_rng = rng.fork(island as u64 + 1);
             (0..params.population_per_island)
                 .map(|_| Individual {
@@ -407,7 +423,19 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// shard holds) and the islands with their RNG streams; [`Self::snapshot`]
     /// joins them again byte for byte.
     pub fn restore(evaluator: &'a E, snapshot: FuzzerSnapshot<G>) -> Result<Self, String> {
-        snapshot.validate()?;
+        let islands = snapshot.params.islands;
+        Self::restore_shard(evaluator, snapshot, 0, islands)
+    }
+
+    /// [`Self::restore`] for the shard that owns islands `start..end`, from
+    /// its slice: those islands full, every other one empty.
+    pub(crate) fn restore_shard(
+        evaluator: &'a E,
+        snapshot: FuzzerSnapshot<G>,
+        start: usize,
+        end: usize,
+    ) -> Result<Self, String> {
+        snapshot.validate_slice(start, end)?;
         let best = match (snapshot.best_genome, snapshot.best_outcome) {
             (Some(g), Some(o)) => Some((g, o)),
             (None, None) => None,
@@ -444,6 +472,14 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             self.anneal_rng.clone(),
             self.islands.clone(),
         )
+    }
+
+    /// [`Self::snapshot`] for a shard that is done: the islands move into
+    /// the snapshot, not cloned, and the fuzzer keeps none.
+    pub fn take_snapshot(&mut self) -> FuzzerSnapshot<G> {
+        let (rng, anneal_rng) = (self.rng.clone(), self.anneal_rng.clone());
+        self.coordinator
+            .snapshot_of(rng, anneal_rng, std::mem::take(&mut self.islands))
     }
 
     /// The cross-island state this shard holds: what [`run_lanes`] hands the
@@ -578,42 +614,38 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         sb.partial_cmp(&sa).expect("rank keys are never NaN")
     }
 
-    fn sort_island(pop: &mut [Individual<G>]) {
-        pop.sort_by(Self::by_score_desc);
-    }
-
-    /// Builds the next generation of one island, already sorted best-first
-    /// (elitism + crossover + mutation), plus the outcome each child equal
-    /// to a scored parent can reuse. Pure in `(params, rng, island_idx,
-    /// pop)` — the island draws from its own fork of the static master RNG —
-    /// unless `anneal` lends it the campaign's one sequential annealing
-    /// stream.
+    /// Sorts one island and breeds its next generation, already sorted
+    /// best-first (elitism + crossover + mutation), plus the outcome each
+    /// child equal to a scored parent can reuse. Pure in `(params, rng,
+    /// island_idx, pop)` — the island draws from its own fork of the static
+    /// master RNG — unless `anneal` lends it the campaign's one sequential
+    /// annealing stream. The island is consumed: its elites move into the
+    /// next generation, every other parent is dropped once the children exist.
     fn evolve_island(
         params: &GaParams,
         rng: &SimRng,
         island_idx: usize,
-        pop: &[Individual<G>],
+        mut pop: Vec<Individual<G>>,
         mut anneal: Option<(&AnnealFn<G>, &mut SimRng)>,
         obs: Option<&HuntTelemetry>,
     ) -> (Vec<Individual<G>>, Vec<(G, EvalOutcome)>) {
         let mut rng = rng.fork(1_000 + island_idx as u64);
+        pop.sort_by(Self::by_score_desc);
         let n = pop.len();
         let k_elite = params.k_elite.min(n);
         let k_crossover = ((n - k_elite) as f64 * params.crossover_fraction).round() as usize;
 
-        // Elites survive unchanged (and keep their cached outcome).
-        let mut next: Vec<Individual<G>> = Vec::with_capacity(n);
-        next.extend_from_slice(&pop[..k_elite]);
-        // The parents of each bred child, in `next` order.
+        // The bred children, and the parents of each.
+        let mut children: Vec<Individual<G>> = Vec::with_capacity(n - k_elite);
         let mut lineage: Vec<[usize; 2]> = Vec::with_capacity(n - k_elite);
         // Crossovers.
         let mut produced = 0usize;
-        while produced < k_crossover && next.len() < n {
+        while produced < k_crossover && k_elite + children.len() < n {
             let (a, b) = pick_pair(n, &mut rng);
             let child = pop[a].genome.crossover(&pop[b].genome, &mut rng);
             match child {
                 Some(genome) => {
-                    next.push(Individual {
+                    children.push(Individual {
                         genome,
                         outcome: None,
                     });
@@ -625,7 +657,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         }
         // Mutations fill the remainder.
         let mut mutated = 0u64;
-        while next.len() < n {
+        while k_elite + children.len() < n {
             let src = pick_ranked(n, &mut rng);
             let parent = &pop[src].genome;
             let genome = match &mut anneal {
@@ -637,7 +669,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
                 None => parent.mutate(&mut rng),
             };
             mutated += 1;
-            next.push(Individual {
+            children.push(Individual {
                 genome,
                 outcome: None,
             });
@@ -646,7 +678,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // A child equal to a parent simulates to that parent's outcome
         // (evaluation is deterministic). A parent whose evaluation panicked
         // holds the default outcome, not its own, so its copies simulate.
-        let reuse = next[k_elite..]
+        let reuse = children
             .iter()
             .zip(&lineage)
             .filter_map(|(child, &[a, b])| {
@@ -667,18 +699,20 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             ops.mutation.add(mutated);
             ops.anneal.add(if anneal.is_some() { mutated } else { 0 });
         }
-        (next, reuse)
+        // Elites survive unchanged (and keep their cached outcome).
+        pop.truncate(k_elite);
+        pop.extend(children);
+        (pop, reuse)
     }
 
     /// Evolves islands `start..end` into their next generation. Islands are
     /// independent, so they go through the evaluation pool's [`steal_map`];
     /// an annealed campaign lends its one sequential `anneal_rng` to a
-    /// single slot, which keeps its islands in serial order.
+    /// single slot, which keeps its islands in serial order. Each island
+    /// moves into the pool worker that breeds it, so the range holds one
+    /// generation plus the islands in flight, never two generations.
     fn evolve_range(&mut self, start: usize, end: usize) {
-        let owned = &mut self.islands[start..end];
-        for pop in owned.iter_mut() {
-            Self::sort_island(pop);
-        }
+        let owned = Vec::from_iter(self.islands[start..end].iter_mut().map(Mutex::new));
         let params = &self.coordinator.params;
         let anneal_fn = self.anneal_fn.as_deref().filter(|_| params.anneal);
         let mut slots: Vec<Option<&mut SimRng>> = match anneal_fn {
@@ -689,11 +723,12 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         };
         let (rng, obs) = (&self.rng, self.obs);
         let evolved = steal_map(&mut slots, owned.len(), |anneal_rng, k| {
+            let pop = std::mem::take(*owned[k].lock().expect("nothing panics holding an island"));
             let anneal = anneal_fn.zip(anneal_rng.as_deref_mut());
-            Self::evolve_island(params, rng, start + k, &owned[k], anneal, obs)
+            Self::evolve_island(params, rng, start + k, pop, anneal, obs)
         });
-        for (k, (pop, (next, reuse))) in owned.iter_mut().zip(evolved).enumerate() {
-            *pop = next;
+        for (k, (next, reuse)) in evolved.into_iter().enumerate() {
+            self.islands[start + k] = next;
             self.reuse
                 .extend(reuse.into_iter().map(|(genome, o)| (start + k, genome, o)));
         }
@@ -701,9 +736,10 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
 
     /// Runs the campaign to its end as the one in-process lane and returns
     /// the best trace plus per-generation history: one call to [`run_lanes`].
-    /// The fuzzer stays a shard, so a caller that needs the campaign's end
-    /// state (a checkpoint, the full panic log) calls [`run_lanes`] itself
-    /// and keeps its `final_snapshot`.
+    /// The islands move into the run's final snapshot, which this drops, so
+    /// the fuzzer holds none afterwards; a caller that needs the campaign's
+    /// end state (a checkpoint, the full panic log) calls [`run_lanes`]
+    /// itself and keeps its `final_snapshot`.
     pub fn run(&mut self) -> FuzzResult<G> {
         let ctl = LoopControl {
             obs: self.obs,
@@ -718,12 +754,12 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     //
     // A shard — an in-process lane or a worker process — is a fuzzer built
     // from the campaign seed that only ever advances islands `start..end`
-    // (a worker process empties the rest with `shard_retain`); a
-    // single-process run is the shard `0..islands`. Because
-    // island initialisation and evolution draw from pure per-island forks of
-    // the (static) master RNG, the owned islands follow the same trajectory
-    // under any split; all cross-island state (best, stall, history, panic
-    // log) is merged by the driver's coordinator, fed by `ShardReport`s.
+    // (a worker process builds only those); a single-process run is the
+    // shard `0..islands`. Because island initialisation and evolution draw
+    // from pure per-island forks of the (static) master RNG, the owned
+    // islands follow the same trajectory under any split; all cross-island
+    // state (best, stall, history, panic log) is merged by the driver's
+    // coordinator, fed by `ShardReport`s.
 
     /// The generation this fuzzer evaluates next.
     pub fn next_generation(&self) -> u32 {
@@ -735,21 +771,6 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// current value, so it must be set before the boundary's evaluation.
     pub fn set_next_generation(&mut self, generation: u32) {
         self.coordinator.next_generation = generation;
-    }
-
-    /// Keeps islands `start..end` and empties every other one. Nothing on
-    /// the shard path reads a foreign island again: evaluate, evolve and
-    /// migrant collection touch only the owned range, and
-    /// [`route_migrants`](crate::shard::route_migrants) delivers a shard
-    /// only batches bound for its own islands. A retained shard's
-    /// [`Self::snapshot`] is therefore its slice, `[]` for every foreign
-    /// island ([`FuzzerSnapshot::validate_slice`]).
-    pub fn shard_retain(&mut self, start: usize, end: usize) {
-        for (island, pop) in self.islands.iter_mut().enumerate() {
-            if !(start..end).contains(&island) {
-                *pop = Vec::new();
-            }
-        }
     }
 
     /// Evaluates the pending individuals of islands `start..end` and reports
@@ -835,7 +856,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         let k = migration_k(&self.coordinator.params);
         (start..end)
             .map(|island| {
-                Self::sort_island(&mut self.islands[island]);
+                self.islands[island].sort_by(Self::by_score_desc);
                 MigrantBatch {
                     src_island: island,
                     migrants: self.islands[island].iter().take(k).cloned().collect(),
@@ -849,9 +870,8 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
     /// islands were sorted by [`Self::shard_collect_migrants`]). Batches
     /// arrive over the wire in a fleet: one naming an island that does not
     /// exist, not holding exactly [`migration_k`] migrants, or bound for an
-    /// island this shard does not hold in full (a foreign island a
-    /// [`Self::shard_retain`] emptied) is rejected before anything is
-    /// installed.
+    /// island this shard does not hold in full (a foreign island a worker's
+    /// build left empty) is rejected before anything is installed.
     pub fn shard_apply_migrants(&mut self, batches: Vec<MigrantBatch<G>>) -> Result<(), String> {
         let _timer = self.obs.map(|o| o.profiler.scope(Phase::Mutate));
         let n_islands = self.islands.len();
@@ -1406,7 +1426,7 @@ mod tests {
                 ..Default::default()
             }),
         };
-        let mut pop = vec![
+        let mut pop = [
             scored(f64::NAN),
             scored(1.0),
             Individual {
@@ -1416,7 +1436,7 @@ mod tests {
             scored(f64::NEG_INFINITY),
             scored(2.0),
         ];
-        Fuzzer::<ToyGenome, ToyEvaluator>::sort_island(&mut pop);
+        pop.sort_by(Fuzzer::<ToyGenome, ToyEvaluator>::by_score_desc);
         let order: Vec<Option<f64>> = pop.iter().map(|i| i.outcome.map(|o| o.score)).collect();
         assert_eq!(order[..2], [Some(2.0), Some(1.0)]);
         assert!(

@@ -4,10 +4,11 @@
 //! worker processes — is [`drive`]n by the same loop over a
 //! [`ShardCoordinator`] and a [`Shards`] transport. A shard is a fuzzer
 //! built from the campaign seed that only ever advances its own contiguous
-//! island range (a worker process keeps nothing else; see
-//! [`Fuzzer::shard_retain`]): island initialisation and evolution draw from
-//! pure per-island forks of the master RNG, so the per-island trajectories
-//! are the same under any split. A single-process run is the one-shard case
+//! island range (a worker process holds nothing else; see
+//! [`Campaign::build_fuzzer`](crate::campaign::Campaign::build_fuzzer)):
+//! island initialisation and evolution draw from pure per-island forks of
+//! the master RNG, so the per-island trajectories are the same under any
+//! split. A single-process run is the one-shard case
 //! ([`Lanes`] over one fuzzer); a fleet puts each shard in a worker process
 //! (`ccfuzz_corpus::daemon`). The coordinator owns every piece of
 //! cross-island state (global best, stall counter, generation history,
@@ -673,14 +674,6 @@ impl<'l, 'c, 'f, G: Genome, E: Evaluator<G>> Lanes<'l, 'c, 'f, G, E> {
             on_checkpoint,
         }
     }
-
-    fn snapshots(lanes: &[Fuzzer<'f, G, E>], ranges: &[(usize, usize)]) -> Vec<ShardFinal<G>> {
-        lanes
-            .iter()
-            .zip(ranges)
-            .map(|(lane, &(start, end))| (start, end, lane.snapshot()))
-            .collect()
-    }
 }
 
 impl<G: Genome, E: Evaluator<G>> Shards<G> for Lanes<'_, '_, '_, G, E> {
@@ -721,18 +714,25 @@ impl<G: Genome, E: Evaluator<G>> Shards<G> for Lanes<'_, '_, '_, G, E> {
             lane.set_next_generation(generation + 1);
         }
         if let Some(sink) = self.on_checkpoint.as_deref_mut().filter(|_| checkpoint) {
-            // One copy of the population: the lanes' snapshots are moved
-            // into the assembled one.
-            sink(coordinator.assemble(Self::snapshots(self.lanes, &self.ranges))?);
+            // The lanes carry on, so their islands are cloned: a checkpoint
+            // boundary holds the population twice until the sink is done
+            // with it (DESIGN.md "One population in memory").
+            let lanes = self.lanes.iter().zip(&self.ranges);
+            let finals = lanes.map(|(lane, &(start, end))| (start, end, lane.snapshot()));
+            sink(coordinator.assemble(finals.collect())?);
         }
         Ok(())
     }
 
     fn finish(&mut self, next_generation: u32) -> Result<Vec<ShardFinal<G>>, String> {
-        for lane in self.lanes.iter_mut() {
-            lane.set_next_generation(next_generation);
-        }
-        Ok(Self::snapshots(self.lanes, &self.ranges))
+        // The lanes are done: their islands move into the finals.
+        let lanes = self.lanes.iter_mut().zip(&self.ranges);
+        Ok(lanes
+            .map(|(lane, &(start, end))| {
+                lane.set_next_generation(next_generation);
+                (start, end, lane.take_snapshot())
+            })
+            .collect())
     }
 }
 
@@ -1146,8 +1146,7 @@ mod tests {
             let at = format!("island {} x {}", bad.src_island, bad.migrants.len());
             let outbound = vec![vec![batch(0, k), batch(1, k)], vec![bad.clone()]];
             assert!(route_migrants(&params, &ranges, outbound).is_err(), "{at}");
-            let mut fuzzer = Fuzzer::new(params, &ToyEvaluator, toy_init);
-            fuzzer.shard_retain(start, end);
+            let mut fuzzer = Fuzzer::new_shard(params, &ToyEvaluator, toy_init, start, end);
             let before = fuzzer.snapshot();
             let err = fuzzer
                 .shard_apply_migrants(vec![batch(1, k), bad])
@@ -1155,44 +1154,6 @@ mod tests {
             assert!(err.contains(named), "{at}: {err}");
             assert_eq!(fuzzer.snapshot(), before, "{at}: nothing was installed");
         }
-    }
-
-    #[test]
-    fn assemble_takes_retained_slices_and_refuses_short_owned_islands() {
-        let params = toy_params();
-        let ranges = shard_ranges(params.islands, 2);
-        let whole = Fuzzer::new(params, &ToyEvaluator, toy_init);
-        let coordinator = whole.coordinator().clone();
-        let finals = |edit: &dyn Fn(usize, &mut FuzzerSnapshot<ToyGenome>)| {
-            let finals: Vec<ShardFinal<ToyGenome>> = ranges
-                .iter()
-                .enumerate()
-                .map(|(shard, &(start, end))| {
-                    let mut lane = Fuzzer::new(params, &ToyEvaluator, toy_init);
-                    lane.shard_retain(start, end);
-                    let mut snapshot = lane.snapshot();
-                    edit(shard, &mut snapshot);
-                    (start, end, snapshot)
-                })
-                .collect();
-            coordinator.assemble(finals)
-        };
-        assert_eq!(finals(&|_, _| {}).unwrap(), whole.snapshot());
-        // An owned island one individual short, or shipped empty, is refused.
-        let short = finals(&|shard, snapshot| {
-            if shard == 1 {
-                snapshot.islands[3].pop();
-            }
-        })
-        .unwrap_err();
-        assert!(short.contains("island 3"), "{short}");
-        let empty = finals(&|shard, snapshot| {
-            if shard == 0 {
-                snapshot.islands[1].clear();
-            }
-        })
-        .unwrap_err();
-        assert!(empty.contains("island 1"), "{empty}");
     }
 
     #[test]

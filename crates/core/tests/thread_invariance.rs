@@ -60,7 +60,7 @@ impl ModeVisitor for InitialState {
         let evaluator = self.0.evaluator();
         let fuzzer = self
             .0
-            .build_fuzzer::<G>(&evaluator, None, None)
+            .build_fuzzer::<G>(&evaluator, None, None, 0, self.0.ga.islands)
             .expect("fuzzer builds");
         let mut snapshot = fuzzer.snapshot();
         assert_eq!(snapshot.evaluations, 0);

@@ -494,27 +494,7 @@ impl<G: ModeGenome> Shards<G> for Fleet<'_, G> {
                 o.metrics.evaluations.add(report.eval_delta as u64);
                 o.metrics.panics_caught.add(report.panics.len() as u64);
                 let last = &self.last_operators[worker];
-                let ops = &report.operators;
-                o.metrics
-                    .operators
-                    .elite
-                    .add(ops.elite.saturating_sub(last.elite));
-                o.metrics
-                    .operators
-                    .crossover
-                    .add(ops.crossover.saturating_sub(last.crossover));
-                o.metrics
-                    .operators
-                    .mutation
-                    .add(ops.mutation.saturating_sub(last.mutation));
-                o.metrics
-                    .operators
-                    .anneal
-                    .add(ops.anneal.saturating_sub(last.anneal));
-                o.metrics
-                    .operators
-                    .migrant
-                    .add(ops.migrant.saturating_sub(last.migrant));
+                o.metrics.operators.add(&report.operators.since(last));
             }
             self.last_operators[worker] = report.operators;
         }

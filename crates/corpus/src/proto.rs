@@ -169,9 +169,9 @@ pub struct Hello {
 /// Coordinator → worker: everything a worker needs to build its fuzzer.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Assign {
-    /// The full hunt configuration; every worker builds the *complete*
-    /// fuzzer from it (island init is a pure per-island fork of the seed),
-    /// then only ever advances its own island range.
+    /// The full hunt configuration; every worker builds only its own
+    /// island range from it (island init is a pure per-island fork of the
+    /// seed) and only ever advances that range.
     pub config: HuntConfig,
     /// This worker's index.
     pub worker: usize,

@@ -2,15 +2,16 @@
 //!
 //! A worker is a `ccfuzzd worker --connect ADDR --worker K` process. It
 //! connects to the per-hunt coordinator socket, receives its
-//! [`Assign`]ment, builds the fuzzer from the campaign seed (island
-//! initialisation is a pure per-island fork, so construction is cheap and
-//! byte-identical across the fleet) and at once empties every island
-//! outside its range: nothing it does reads them again. It then reacts —
-//! strictly message-driven — to the coordinator's frames: evaluate its
-//! island range, evolve past a boundary, exchange migrants through the
-//! coordinator, persist a [`WorkerCheckpoint`] on cadence and finally ship
-//! its snapshot back. Both the checkpoint and the final snapshot are the
-//! worker's slice: its own islands in full and `[]` for every other one.
+//! [`Assign`]ment and builds its island range from the campaign seed, or
+//! restores it from its checkpoint (island initialisation is a pure
+//! per-island fork, so the range is byte-identical to the whole build's);
+//! every other island stays empty, because nothing it does reads them. It
+//! then reacts — strictly message-driven — to the coordinator's frames:
+//! evaluate its island range, evolve past a boundary, exchange migrants
+//! through the coordinator, persist a [`WorkerCheckpoint`] on cadence and
+//! finally ship its snapshot back. Both the checkpoint and the final
+//! snapshot are the worker's slice: its own islands in full and `[]` for
+//! every other one; the final one moves the islands, it does not clone them.
 //!
 //! Checkpoints are kept two-deep per worker: the round in flight plus the
 //! previously committed one, because the coordinator only commits a
@@ -226,7 +227,8 @@ impl ModeVisitor for ShardJob<'_> {
                 assign.worker, assign.n_workers, owned.0, owned.1
             ));
         }
-        // The committed worker checkpoint named by the assignment, if any.
+        // The committed worker checkpoint named by the assignment, if any;
+        // `load` checked it holds exactly the slice `start..end`.
         let resume = match assign.resume_generation {
             Some(generation) => {
                 let path = Path::new(&assign.checkpoint_dir)
@@ -238,22 +240,12 @@ impl ModeVisitor for ShardJob<'_> {
                     &assign.config,
                     generation,
                 )?;
-                let mut slice = G::unwrap_snapshot(ck.state)?;
-                // `load` checked `start..end` is exactly the slice it holds.
-                // `restore` takes a whole snapshot, so the foreign islands
-                // come from a fresh build; `shard_retain` empties them again.
-                let mut islands = campaign
-                    .build_fuzzer::<G>(&evaluator, None, None)?
-                    .snapshot()
-                    .islands;
-                islands[start..end].swap_with_slice(&mut slice.islands[start..end]);
-                slice.islands = islands;
-                Some(slice)
+                Some(G::unwrap_snapshot(ck.state)?)
             }
             None => None,
         };
-        let mut fuzzer = campaign.build_fuzzer::<G>(&evaluator, resume, Some(&telemetry))?;
-        fuzzer.shard_retain(start, end);
+        let obs = Some(&telemetry);
+        let mut fuzzer = campaign.build_fuzzer::<G>(&evaluator, resume, obs, start, end)?;
 
         let dir = PathBuf::from(&assign.checkpoint_dir);
         loop {
@@ -312,7 +304,8 @@ impl ModeVisitor for ShardJob<'_> {
                 FINISH => {
                     let msg: Finish = decode(&kind, &body)?;
                     fuzzer.set_next_generation(msg.next_generation);
-                    send_frame(stream, FINAL, &G::wrap_snapshot(fuzzer.snapshot()))
+                    // The worker is done: its islands move into the frame.
+                    send_frame(stream, FINAL, &G::wrap_snapshot(fuzzer.take_snapshot()))
                         .map_err(|e| format!("sending final snapshot: {e}"))?;
                     return Ok(());
                 }
@@ -362,6 +355,110 @@ mod tests {
             .final_snapshot;
         snapshot.islands[0].clear();
         snapshot
+    }
+
+    /// What a worker process ships back when `assign` is finished at once:
+    /// the islands it holds. `run_worker` is driven over a real socket.
+    fn held_islands(assign: Assign, finish_at: u32) -> FuzzerSnapshot<TrafficGenome> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = assign.worker;
+        let process = std::thread::spawn(move || run_worker(&addr, worker));
+        let (mut stream, _) = listener.accept().unwrap();
+        assert_eq!(recv_frame(&mut stream).unwrap().0, HELLO);
+        send_frame(&mut stream, ASSIGN, &assign).unwrap();
+        let finish = Finish {
+            next_generation: finish_at,
+        };
+        send_frame(&mut stream, FINISH, &finish).unwrap();
+        let (kind, body) = recv_frame(&mut stream).unwrap();
+        assert_eq!(kind, FINAL);
+        process.join().unwrap().unwrap();
+        let payload: SnapshotPayload = decode(&kind, &body).unwrap();
+        TrafficGenome::unwrap_snapshot(payload).unwrap()
+    }
+
+    /// Every worker of every fleet size holds exactly the whole build's
+    /// islands in its range and `[]` elsewhere, both fresh and restored from
+    /// a worker checkpoint; the fresh slices assemble into the whole build,
+    /// and an owned island shipped short or empty is refused.
+    #[test]
+    fn a_worker_holds_exactly_its_slice_fresh_and_restored() {
+        let mut config = tiny_config();
+        config.ga.islands = 20;
+        config.ga.population_per_island = 2;
+        config.ga.generations = 2;
+        let campaign = config.campaign();
+        let evaluator = campaign.evaluator();
+        let whole = campaign
+            .build_fuzzer::<TrafficGenome>(&evaluator, None, None, 0, 20)
+            .unwrap();
+        let later = campaign
+            .run_controlled::<TrafficGenome>(None, &LoopControl::default(), None)
+            .unwrap()
+            .final_snapshot;
+        let dir = temp_dir("slices");
+        let slice_of = |of: &FuzzerSnapshot<TrafficGenome>, (start, end): (usize, usize)| {
+            let mut slice = of.clone();
+            for (island, pop) in slice.islands.iter_mut().enumerate() {
+                if !(start..end).contains(&island) {
+                    pop.clear();
+                }
+            }
+            slice
+        };
+        for n_workers in 1..=3 {
+            let mut finals = Vec::new();
+            for (worker, &range) in shard_ranges(20, n_workers).iter().enumerate() {
+                let assign = Assign {
+                    config: config.clone(),
+                    worker,
+                    n_workers,
+                    island_start: range.0,
+                    island_end: range.1,
+                    checkpoint_every: 0,
+                    checkpoint_dir: dir.display().to_string(),
+                    resume_generation: None,
+                };
+                let fresh = held_islands(assign.clone(), 0);
+                assert_eq!(fresh, slice_of(&whole.snapshot(), range), "{range:?}");
+                finals.push((range.0, range.1, fresh));
+
+                let generation = later.next_generation;
+                WorkerCheckpoint {
+                    schema: WORKER_CHECKPOINT_SCHEMA,
+                    worker,
+                    n_workers,
+                    config_digest: hunt_config_digest(&config),
+                    generation,
+                    state: TrafficGenome::wrap_snapshot(slice_of(&later, range)),
+                }
+                .write_into(&dir)
+                .unwrap();
+                let resumed = Assign {
+                    resume_generation: Some(generation),
+                    ..assign
+                };
+                let restored = held_islands(resumed, generation);
+                assert_eq!(restored, slice_of(&later, range), "{range:?}");
+            }
+            let coordinator = whole.coordinator();
+            assert_eq!(
+                coordinator.assemble_snapshot(&finals).unwrap(),
+                whole.snapshot()
+            );
+            // An owned island one individual short, or shipped empty, is
+            // refused.
+            let mut short = finals.clone();
+            short.last_mut().unwrap().2.islands[19].pop();
+            let err = coordinator.assemble(short).unwrap_err();
+            assert!(err.contains("island 19"), "{err}");
+            let mut empty = finals;
+            empty[0].2.islands[0].clear();
+            let err = coordinator.assemble(empty).unwrap_err();
+            assert!(err.contains("island 0"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -32,6 +32,17 @@ pub struct OperatorCounters {
     pub migrant: Counter,
 }
 
+impl OperatorCounters {
+    /// Adds every count of `counts`.
+    pub fn add(&self, counts: &OperatorSnapshot) {
+        self.elite.add(counts.elite);
+        self.crossover.add(counts.crossover);
+        self.mutation.add(counts.mutation);
+        self.anneal.add(counts.anneal);
+        self.migrant.add(counts.migrant);
+    }
+}
+
 /// The campaign's metric registry: fixed, named, lock-free slots covering
 /// everything a hunt records. Recording costs a relaxed atomic op; reads
 /// happen only when a snapshot is taken.
@@ -77,11 +88,7 @@ impl CampaignMetrics {
         corpus_deduplicated: u64,
     ) {
         self.evaluations.add(evaluations);
-        self.operators.elite.add(operators.elite);
-        self.operators.crossover.add(operators.crossover);
-        self.operators.mutation.add(operators.mutation);
-        self.operators.anneal.add(operators.anneal);
-        self.operators.migrant.add(operators.migrant);
+        self.operators.add(operators);
         self.panics_caught.add(panics_caught);
         self.corpus_inserted.add(corpus_inserted);
         self.corpus_deduplicated.add(corpus_deduplicated);
@@ -113,6 +120,20 @@ pub struct OperatorSnapshot {
     pub anneal: u64,
     /// Migrated individuals.
     pub migrant: u64,
+}
+
+impl OperatorSnapshot {
+    /// The counts this cumulative snapshot adds to an `earlier` one
+    /// (saturating, so a counter that went backwards adds nothing).
+    pub fn since(&self, earlier: &OperatorSnapshot) -> OperatorSnapshot {
+        OperatorSnapshot {
+            elite: self.elite.saturating_sub(earlier.elite),
+            crossover: self.crossover.saturating_sub(earlier.crossover),
+            mutation: self.mutation.saturating_sub(earlier.mutation),
+            anneal: self.anneal.saturating_sub(earlier.anneal),
+            migrant: self.migrant.saturating_sub(earlier.migrant),
+        }
+    }
 }
 
 /// Eval-latency percentiles in nanoseconds.

@@ -249,11 +249,9 @@ fn toy_fleet_frames_and_worker_checkpoint_keep_their_bytes() {
     let lanes: Vec<_> = ranges
         .iter()
         .map(|&(start, end)| {
-            let mut lane = campaign
-                .build_fuzzer::<TrafficGenome>(&evaluator, None, None)
-                .unwrap();
-            lane.shard_retain(start, end);
-            lane
+            campaign
+                .build_fuzzer::<TrafficGenome>(&evaluator, None, None, start, end)
+                .unwrap()
         })
         .collect();
     let mut fleet = WireLanes {
