@@ -323,8 +323,8 @@ fn occupancy(name: String, samples: &[(SimTime, usize, u64)]) -> FigureSeries {
 fn capacity(ev: &Evidence) -> Vec<(SimTime, u64)> {
     match &ev.best {
         Some(GenomePayload::Link(g)) => (1..)
-            .zip(&g.timestamps)
-            .map(|(i, &t)| (t, i * ev.mss as u64))
+            .zip(g.timestamps())
+            .map(|(i, t)| (t, i * ev.mss as u64))
             .collect(),
         _ => (0..=ev.duration.as_nanos() / WINDOW.as_nanos())
             .map(|i| SimTime::from_nanos(i * WINDOW.as_nanos()))
@@ -487,7 +487,7 @@ impl ModeVisitor for Hunt {
         if let GenomePayload::Link(g) = &best {
             ev.traces.push(SweepTrace {
                 label: "Packet Count".into(),
-                timestamps: g.timestamps.clone(),
+                timestamps: g.timestamps(),
                 accepted: None,
             });
         }
@@ -548,11 +548,7 @@ impl Row {
                     let timestamps = dist_packets(total, SimTime::ZERO, end, &params, &mut rng);
                     let (mut label, mut accepted) = (format!("trace {i}"), None);
                     if let Some(scorer) = &scorer {
-                        let genome = LinkGenome {
-                            timestamps: timestamps.clone(),
-                            duration: DURATION,
-                            k_agg: params.k_agg,
-                        };
+                        let genome = LinkGenome::new(&timestamps, DURATION, params.k_agg);
                         let outcome = scorer.score_link(&genome);
                         label = format!("trace {i} ({:.2})", outcome.score);
                         accepted = Some(outcome.accepted);
@@ -1072,11 +1068,11 @@ mod tests {
     fn a_link_finding_serves_one_mss_per_opportunity_and_has_no_traffic() {
         let mut ev = evidence(vec![record(100, FlowId::Cca(0), BottleneckEvent::Enqueued)]);
         let opportunities = vec![SimTime::from_millis(1), SimTime::from_millis(2)];
-        ev.best = Some(GenomePayload::Link(LinkGenome {
-            timestamps: opportunities.clone(),
-            duration: ev.duration,
-            k_agg: SimDuration::from_millis(50),
-        }));
+        ev.best = Some(GenomePayload::Link(LinkGenome::new(
+            &opportunities,
+            ev.duration,
+            SimDuration::from_millis(50),
+        )));
         let mss = ev.mss as u64;
         assert_eq!(
             capacity(&ev),

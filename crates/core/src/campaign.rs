@@ -408,11 +408,7 @@ fn pulses(duration: SimDuration, windows_ms: &[(u64, u64)]) -> TrafficGenome {
         .flat_map(|&(start, end)| (start * 1_000..end * 1_000).step_by(500))
         .map(SimTime::from_micros)
         .collect();
-    TrafficGenome {
-        max_packets: timestamps.len() * 2,
-        timestamps,
-        duration,
-    }
+    TrafficGenome::new(&timestamps, duration, timestamps.len() * 2)
 }
 
 /// The §4.1 (Figure 4c) trace that breaks BBR's probe-round clocking, 5 s.

@@ -176,8 +176,8 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// The cross-traffic trace of an optional traffic (sub-)genome, built in
-    /// a recycled timestamp buffer from the arena.
+    /// The cross-traffic trace of an optional traffic (sub-)genome, unpacked
+    /// into a recycled timestamp buffer from the arena.
     pub(crate) fn cross_traffic(
         &mut self,
         traffic: Option<&TrafficGenome>,
@@ -186,7 +186,7 @@ impl EvalScratch {
         match traffic {
             Some(t) => {
                 let mut buf = self.sim.take_time_buf();
-                buf.extend_from_slice(&t.timestamps);
+                t.unpack_into(&mut buf);
                 TrafficTrace::new(buf, t.duration)
             }
             None => TrafficTrace::empty(duration),
@@ -380,11 +380,7 @@ mod tests {
     #[test]
     fn empty_traffic_genome_scores_low() {
         let eval = evaluator();
-        let genome = TrafficGenome {
-            timestamps: vec![],
-            duration: SimDuration::from_secs(3),
-            max_packets: 1_000,
-        };
+        let genome = TrafficGenome::new(&[], SimDuration::from_secs(3), 1_000);
         let outcome = eval.evaluate(&genome);
         // Reno alone on a clean 12 Mbps link: high goodput, low fitness.
         assert!(outcome.goodput_bps > 6e6, "goodput {}", outcome.goodput_bps);
@@ -401,11 +397,7 @@ mod tests {
         let eval = evaluator();
         let mut rng = SimRng::new(3);
         let duration = SimDuration::from_secs(3);
-        let empty = TrafficGenome {
-            timestamps: vec![],
-            duration,
-            max_packets: 4_000,
-        };
+        let empty = TrafficGenome::new(&[], duration, 4_000);
         let heavy = TrafficGenome::generate(4_000, duration, &mut rng);
         let empty_out = eval.evaluate(&empty);
         let heavy_out = eval.evaluate(&heavy);

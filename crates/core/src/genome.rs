@@ -8,6 +8,11 @@
 //!   side of a split point with a randomly changed packet count; crossover
 //!   splices the left half of one parent with the right half of the other
 //!   (§3.3).
+//!
+//! Both hold their packet timestamps packed (zigzag-LEB128 deltas, about
+//! 2.7 bytes a packet instead of 8; DESIGN.md "Packed timestamps"). An
+//! operator unpacks its parents into a `Vec<SimTime>`, works on that, and
+//! packs the child; JSON still carries the absolute nanoseconds.
 
 use crate::campaign::{Campaign, FuzzMode, PAPER_K_AGG_MS};
 use crate::checkpoint::SnapshotPayload;
@@ -45,6 +50,227 @@ pub trait Genome: Clone + PartialEq + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
+// Packed timestamps
+// ---------------------------------------------------------------------------
+
+/// A genome's packet timestamps, packed: each is stored as its difference
+/// from the previous one (the first from zero), zigzag-encoded and written
+/// as LEB128, seven bits a byte. A 12 Mbps service curve's ~1 ms gaps take
+/// about 2.7 bytes each instead of 8. Signed deltas keep any sequence exact,
+/// unsorted or repeated, so `validate` still sees what it was given; the
+/// encoding is canonical, so two packings are equal exactly when their
+/// sequences are.
+#[derive(Clone, PartialEq)]
+struct PackedTimes {
+    bytes: Box<[u8]>,
+    /// The number of timestamps.
+    len: usize,
+}
+
+/// The zigzag form of the step from `prev` to `next`: small steps either
+/// way become small numbers. Wrapping keeps every `u64` pair exact.
+fn zigzag(prev: u64, next: u64) -> u64 {
+    let delta = next.wrapping_sub(prev) as i64;
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`]: the timestamp `z` steps to from `prev`.
+fn unzigzag(prev: u64, z: u64) -> u64 {
+    let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
+    prev.wrapping_add(delta as u64)
+}
+
+/// The LEB128 length of `z`: one byte per started seven bits.
+fn varint_len(z: u64) -> usize {
+    (64 - (z | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The continuation bit of each of eight LEB128 bytes in a word.
+const STOPS: u64 = 0x8080_8080_8080_8080;
+
+/// Writes `z` as LEB128 at the start of `out` and returns its length.
+/// Values under 2^56 (every step of a real trace) take a few word
+/// operations and one eight-byte store instead of a branch per byte: the
+/// seven-bit groups are spread one per byte, every byte but the last gets
+/// its continuation bit, and the bytes past the value are zeros for the
+/// next one to overwrite.
+fn put_varint(out: &mut [u8], mut z: u64) -> usize {
+    let n = varint_len(z);
+    if n <= 8 {
+        let mut x = (z & 0x0fff_ffff) | ((z & 0x00ff_ffff_f000_0000) << 4);
+        x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+        x = (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1);
+        x |= STOPS & ((1 << (8 * (n - 1))) - 1);
+        out[..8].copy_from_slice(&x.to_le_bytes());
+        return n;
+    }
+    for byte in &mut out[..n - 1] {
+        *byte = z as u8 | 0x80;
+        z >>= 7;
+    }
+    out[n - 1] = z as u8;
+    n
+}
+
+impl PackedTimes {
+    fn pack(times: &[SimTime]) -> Self {
+        let steps = || {
+            let mut prev = 0;
+            times.iter().map(move |t| {
+                let z = zigzag(prev, t.as_nanos());
+                prev = t.as_nanos();
+                z
+            })
+        };
+        // Eight bytes of room past the end for the last value's store.
+        let size = steps().map(varint_len).sum();
+        let mut bytes = vec![0; size + 8];
+        let mut pos = 0;
+        for z in steps() {
+            pos += put_varint(&mut bytes[pos..], z);
+        }
+        bytes.truncate(size);
+        PackedTimes {
+            bytes: bytes.into_boxed_slice(),
+            len: times.len(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn iter(&self) -> Unpack<'_> {
+        Unpack {
+            bytes: &self.bytes,
+            pos: 0,
+            prev: 0,
+            left: self.len,
+        }
+    }
+
+    fn unpack(&self) -> Vec<SimTime> {
+        let mut times = Vec::new();
+        self.unpack_into(&mut times);
+        times
+    }
+
+    /// Appends the timestamps to `buf` (no allocation when it has room).
+    fn unpack_into(&self, buf: &mut Vec<SimTime>) {
+        buf.reserve(self.len);
+        buf.extend(self.iter());
+    }
+
+    /// The shared half of `Genome::validate`: in order, and the last one
+    /// inside `duration`.
+    fn check(&self, what: &str, duration: SimDuration) -> Result<(), String> {
+        let mut last = SimTime::ZERO;
+        for t in self.iter() {
+            if t < last {
+                return Err(format!("{what} genome timestamps out of order"));
+            }
+            last = t;
+        }
+        if last.as_nanos() > duration.as_nanos() {
+            return Err(format!("{what} genome timestamp beyond duration"));
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Debug for PackedTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The timestamps of a [`PackedTimes`], in order.
+struct Unpack<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next LEB128 value in `bytes`.
+    pos: usize,
+    prev: u64,
+    left: usize,
+}
+
+impl Unpack<'_> {
+    /// The next LEB128 value. Where eight bytes remain and the value ends
+    /// inside them, it is read as one word: the first clear continuation
+    /// bit gives its length, and its seven-bit groups are gathered without
+    /// a branch per byte.
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let stops = !word & STOPS;
+            if stops != 0 {
+                let n = stops.trailing_zeros() / 8 + 1;
+                self.pos += n as usize;
+                let mut x = word & (u64::MAX >> (64 - 8 * n)) & !STOPS;
+                x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+                x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+                return (x & 0x0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
+            }
+        }
+        let (mut z, mut shift) = (0u64, 0);
+        loop {
+            let byte = self.bytes[self.pos];
+            self.pos += 1;
+            z |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return z;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for Unpack<'_> {
+    type Item = SimTime;
+
+    #[inline]
+    fn next(&mut self) -> Option<SimTime> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let z = self.varint();
+        self.prev = unzigzag(self.prev, z);
+        Some(SimTime::from_nanos(self.prev))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// `#[serde(with = "packed_times")]`: a [`PackedTimes`] reads and writes
+/// the JSON array of absolute nanoseconds a `Vec<SimTime>` would.
+mod packed_times {
+    use super::PackedTimes;
+    use ccfuzz_netsim::time::SimTime;
+    use serde::value::DeError;
+    use serde::{Deserialize, Reader, Serialize, Writer};
+
+    pub(super) fn serialize(times: &PackedTimes, w: &mut Writer<'_>) {
+        w.begin_array();
+        for t in times.iter() {
+            w.element();
+            t.serialize(w);
+        }
+        w.end_array();
+    }
+
+    pub(super) fn deserialize(r: &mut Reader<'_>) -> Result<PackedTimes, DeError> {
+        Ok(PackedTimes::pack(&Vec::<SimTime>::deserialize(r)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Link genome
 // ---------------------------------------------------------------------------
 
@@ -52,7 +278,8 @@ pub trait Genome: Clone + PartialEq + Send + Sync {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LinkGenome {
     /// Sorted packet transmission opportunities.
-    pub timestamps: Vec<SimTime>,
+    #[serde(with = "packed_times")]
+    timestamps: PackedTimes,
     /// Scenario duration.
     pub duration: SimDuration,
     /// Aggregation threshold used when (re)generating segments.
@@ -60,6 +287,20 @@ pub struct LinkGenome {
 }
 
 impl LinkGenome {
+    /// A link genome serving `timestamps` over `duration`.
+    pub fn new(timestamps: &[SimTime], duration: SimDuration, k_agg: SimDuration) -> Self {
+        LinkGenome {
+            timestamps: PackedTimes::pack(timestamps),
+            duration,
+            k_agg,
+        }
+    }
+
+    /// The transmission opportunities, unpacked.
+    pub fn timestamps(&self) -> Vec<SimTime> {
+        self.timestamps.unpack()
+    }
+
     /// Generates a fresh random link genome carrying `total_packets` over
     /// `duration` (i.e. a fixed average bandwidth).
     pub fn generate(
@@ -80,16 +321,17 @@ impl LinkGenome {
             &params,
             rng,
         );
-        LinkGenome {
-            timestamps,
-            duration,
-            k_agg,
-        }
+        LinkGenome::new(&timestamps, duration, k_agg)
+    }
+
+    /// A child with this genome's duration and aggregation threshold.
+    fn with_times(&self, timestamps: &[SimTime]) -> Self {
+        LinkGenome::new(timestamps, self.duration, self.k_agg)
     }
 
     /// Converts the genome to the simulator's [`LinkTrace`].
     pub fn to_trace(&self) -> LinkTrace {
-        LinkTrace::new(self.timestamps.clone(), self.duration)
+        LinkTrace::new(self.timestamps(), self.duration)
     }
 
     /// The average service rate in bits per second for `packet_size`-byte packets.
@@ -121,21 +363,13 @@ impl LinkGenome {
             })
             .collect();
         timestamps.sort_unstable();
-        LinkGenome {
-            timestamps,
-            duration: self.duration,
-            k_agg: self.k_agg,
-        }
+        self.with_times(&timestamps)
     }
 
     /// A copy with service outages (gaps between opportunities) longer than
     /// `max_gap` compressed down to `max_gap`, preserving packet count.
     pub fn shortened_outages(&self, max_gap: SimDuration) -> Self {
-        LinkGenome {
-            timestamps: compress_gaps(&self.timestamps, max_gap),
-            duration: self.duration,
-            k_agg: self.k_agg,
-        }
+        self.with_times(&compress_gaps(&self.timestamps(), max_gap))
     }
 
     /// Applies Gaussian smoothing to the packet timestamps (trace annealing,
@@ -146,13 +380,14 @@ impl LinkGenome {
         if self.timestamps.len() < 3 {
             return self.clone();
         }
+        let timestamps = self.timestamps();
         let w = window.max(1);
-        let n = self.timestamps.len();
+        let n = timestamps.len();
         let mut smoothed = Vec::with_capacity(n);
         for i in 0..n {
             let lo = i.saturating_sub(w);
             let hi = (i + w + 1).min(n);
-            let mean_ns = self.timestamps[lo..hi]
+            let mean_ns = timestamps[lo..hi]
                 .iter()
                 .map(|t| t.as_nanos() as f64)
                 .sum::<f64>()
@@ -162,11 +397,7 @@ impl LinkGenome {
             smoothed.push(SimTime::from_nanos(t as u64));
         }
         smoothed.sort_unstable();
-        LinkGenome {
-            timestamps: smoothed,
-            duration: self.duration,
-            k_agg: self.k_agg,
-        }
+        self.with_times(&smoothed)
     }
 }
 
@@ -187,16 +418,17 @@ impl Genome for LinkGenome {
             ..Default::default()
         };
 
-        let split_idx = self.timestamps.partition_point(|&t| t < split);
-        let mut timestamps = Vec::with_capacity(self.timestamps.len());
+        let parent = self.timestamps();
+        let split_idx = parent.partition_point(|&t| t < split);
+        let mut timestamps = Vec::with_capacity(parent.len());
         if left_is_mutated {
             let regenerated = dist_packets(split_idx, SimTime::ZERO, split, &params, rng);
             timestamps.extend(regenerated);
-            timestamps.extend_from_slice(&self.timestamps[split_idx..]);
+            timestamps.extend_from_slice(&parent[split_idx..]);
         } else {
-            timestamps.extend_from_slice(&self.timestamps[..split_idx]);
+            timestamps.extend_from_slice(&parent[..split_idx]);
             let regenerated = dist_packets(
-                self.timestamps.len() - split_idx,
+                parent.len() - split_idx,
                 split,
                 SimTime::ZERO + self.duration,
                 &params,
@@ -205,11 +437,7 @@ impl Genome for LinkGenome {
             timestamps.extend(regenerated);
         }
         timestamps.sort_unstable();
-        LinkGenome {
-            timestamps,
-            duration: self.duration,
-            k_agg: self.k_agg,
-        }
+        self.with_times(&timestamps)
     }
 
     fn crossover(&self, _other: &Self, _rng: &mut SimRng) -> Option<Self> {
@@ -224,17 +452,7 @@ impl Genome for LinkGenome {
     }
 
     fn validate(&self) -> Result<(), String> {
-        for w in self.timestamps.windows(2) {
-            if w[0] > w[1] {
-                return Err("link genome timestamps out of order".into());
-            }
-        }
-        if let Some(last) = self.timestamps.last() {
-            if last.as_nanos() > self.duration.as_nanos() {
-                return Err("link genome timestamp beyond duration".into());
-            }
-        }
-        Ok(())
+        self.timestamps.check("link", self.duration)
     }
 }
 
@@ -258,9 +476,9 @@ impl ModeGenome for LinkGenome {
 
     fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
         let mut cfg = evaluator.run_cfg(self.duration);
-        // The service curve is built in a recycled timestamp buffer.
+        // The service curve is unpacked into a recycled timestamp buffer.
         let mut buf = scratch.sim.take_time_buf();
-        buf.extend_from_slice(&self.timestamps);
+        self.timestamps.unpack_into(&mut buf);
         cfg.link = LinkModel::TraceDriven {
             trace: LinkTrace::new(buf, self.duration),
         };
@@ -304,7 +522,8 @@ impl ModeGenome for LinkGenome {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrafficGenome {
     /// Sorted injection timestamps.
-    pub timestamps: Vec<SimTime>,
+    #[serde(with = "packed_times")]
+    timestamps: PackedTimes,
     /// Scenario duration.
     pub duration: SimDuration,
     /// Maximum number of cross-traffic packets allowed.
@@ -312,6 +531,30 @@ pub struct TrafficGenome {
 }
 
 impl TrafficGenome {
+    /// A traffic genome injecting at `timestamps`, at most `max_packets`.
+    pub fn new(timestamps: &[SimTime], duration: SimDuration, max_packets: usize) -> Self {
+        TrafficGenome {
+            timestamps: PackedTimes::pack(timestamps),
+            duration,
+            max_packets,
+        }
+    }
+
+    /// The injection timestamps, unpacked.
+    pub fn timestamps(&self) -> Vec<SimTime> {
+        self.timestamps.unpack()
+    }
+
+    /// Appends the injection timestamps to `buf`.
+    pub(crate) fn unpack_into(&self, buf: &mut Vec<SimTime>) {
+        self.timestamps.unpack_into(buf);
+    }
+
+    /// A child with this genome's duration and cap.
+    fn with_times(&self, timestamps: &[SimTime]) -> Self {
+        TrafficGenome::new(timestamps, self.duration, self.max_packets)
+    }
+
     /// Generates a fresh random traffic genome with a uniformly random packet
     /// count up to `max_packets`, distributed without local rate constraints.
     pub fn generate(max_packets: usize, duration: SimDuration, rng: &mut SimRng) -> Self {
@@ -321,11 +564,7 @@ impl TrafficGenome {
             ..Default::default()
         };
         let timestamps = dist_packets(count, SimTime::ZERO, SimTime::ZERO + duration, &params, rng);
-        TrafficGenome {
-            timestamps,
-            duration,
-            max_packets,
-        }
+        TrafficGenome::new(&timestamps, duration, max_packets)
     }
 
     /// The optional cross-traffic helper of a multi-flow genome: a fresh
@@ -357,7 +596,7 @@ impl TrafficGenome {
     /// bottleneck dropped.
     pub(crate) fn trace_score_inputs(&self, result: &SimResult) -> TraceScoreInputs {
         TraceScoreInputs {
-            traffic_packets: self.timestamps.len(),
+            traffic_packets: self.packet_count(),
             traffic_max_packets: self.max_packets,
             traffic_dropped: result.stats.cross_dropped,
         }
@@ -366,14 +605,11 @@ impl TrafficGenome {
     /// A copy with the timestamps in `range` (by index) removed — the
     /// delta-debugging primitive used by trace minimization.
     pub fn without_index_range(&self, range: std::ops::Range<usize>) -> Self {
-        let mut timestamps = Vec::with_capacity(self.timestamps.len().saturating_sub(range.len()));
-        timestamps.extend_from_slice(&self.timestamps[..range.start.min(self.timestamps.len())]);
-        timestamps.extend_from_slice(&self.timestamps[range.end.min(self.timestamps.len())..]);
-        TrafficGenome {
-            timestamps,
-            duration: self.duration,
-            max_packets: self.max_packets,
-        }
+        let parent = self.timestamps();
+        let mut timestamps = Vec::with_capacity(parent.len().saturating_sub(range.len()));
+        timestamps.extend_from_slice(&parent[..range.start.min(parent.len())]);
+        timestamps.extend_from_slice(&parent[range.end.min(parent.len())..]);
+        self.with_times(&timestamps)
     }
 
     /// A copy with every burst (run of packets whose consecutive gaps are
@@ -382,22 +618,14 @@ impl TrafficGenome {
     /// incidental micro-structure while preserving packet count and the
     /// burst's position and extent.
     pub fn flattened_bursts(&self, min_gap: SimDuration) -> Self {
-        TrafficGenome {
-            timestamps: flatten_bursts(&self.timestamps, min_gap),
-            duration: self.duration,
-            max_packets: self.max_packets,
-        }
+        self.with_times(&flatten_bursts(&self.timestamps(), min_gap))
     }
 
     /// A copy with every silent gap longer than `max_gap` compressed down to
     /// `max_gap` (later packets shift earlier). Shortens outages that are
     /// longer than needed to trigger the behaviour under test.
     pub fn shortened_outages(&self, max_gap: SimDuration) -> Self {
-        TrafficGenome {
-            timestamps: compress_gaps(&self.timestamps, max_gap),
-            duration: self.duration,
-            max_packets: self.max_packets,
-        }
+        self.with_times(&compress_gaps(&self.timestamps(), max_gap))
     }
 }
 
@@ -458,7 +686,8 @@ impl Genome for TrafficGenome {
         // emerge).
         let split = SimTime::from_nanos(rng.gen_range_u64(1, self.duration.as_nanos().max(2)));
         let left_is_mutated = rng.gen_bool(0.5);
-        let split_idx = self.timestamps.partition_point(|&t| t < split);
+        let parent = self.timestamps();
+        let split_idx = parent.partition_point(|&t| t < split);
         let params = DistPacketsParams {
             enforce_rate_bounds: false,
             ..Default::default()
@@ -467,12 +696,12 @@ impl Genome for TrafficGenome {
         let kept: Vec<SimTime>;
         let (regen_start, regen_end, other_count);
         if left_is_mutated {
-            kept = self.timestamps[split_idx..].to_vec();
+            kept = parent[split_idx..].to_vec();
             regen_start = SimTime::ZERO;
             regen_end = split;
             other_count = kept.len();
         } else {
-            kept = self.timestamps[..split_idx].to_vec();
+            kept = parent[..split_idx].to_vec();
             regen_start = split;
             regen_end = SimTime::ZERO + self.duration;
             other_count = kept.len();
@@ -484,11 +713,7 @@ impl Genome for TrafficGenome {
         let mut timestamps = kept;
         timestamps.extend(regenerated);
         timestamps.sort_unstable();
-        TrafficGenome {
-            timestamps,
-            duration: self.duration,
-            max_packets: self.max_packets,
-        }
+        self.with_times(&timestamps)
     }
 
     fn crossover(&self, other: &Self, rng: &mut SimRng) -> Option<Self> {
@@ -506,32 +731,17 @@ impl Genome for TrafficGenome {
             (other, self)
         };
         // The time at which the left parent has emitted `split_count` packets.
-        let split_time = left_parent
-            .timestamps
+        let left_times = left_parent.timestamps();
+        let split_time = left_times
             .get(split_count.saturating_sub(1))
             .copied()
             .unwrap_or(SimTime::ZERO + left_parent.duration);
 
-        let mut timestamps: Vec<SimTime> = left_parent
-            .timestamps
-            .iter()
-            .copied()
-            .take(split_count)
-            .collect();
-        timestamps.extend(
-            right_parent
-                .timestamps
-                .iter()
-                .copied()
-                .filter(|&t| t > split_time),
-        );
+        let mut timestamps: Vec<SimTime> = left_times.iter().copied().take(split_count).collect();
+        timestamps.extend(right_parent.timestamps.iter().filter(|&t| t > split_time));
         timestamps.sort_unstable();
         timestamps.truncate(self.max_packets.max(other.max_packets));
-        Some(TrafficGenome {
-            timestamps,
-            duration: self.duration,
-            max_packets: self.max_packets,
-        })
+        Some(self.with_times(&timestamps))
     }
 
     fn packet_count(&self) -> usize {
@@ -546,17 +756,7 @@ impl Genome for TrafficGenome {
                 self.max_packets
             ));
         }
-        for w in self.timestamps.windows(2) {
-            if w[0] > w[1] {
-                return Err("traffic genome timestamps out of order".into());
-            }
-        }
-        if let Some(last) = self.timestamps.last() {
-            if last.as_nanos() > self.duration.as_nanos() {
-                return Err("traffic genome timestamp beyond duration".into());
-            }
-        }
-        Ok(())
+        self.timestamps.check("traffic", self.duration)
     }
 }
 
@@ -645,7 +845,7 @@ mod tests {
         let mut rng = rng();
         let g = LinkGenome::generate(2_000, DUR, SimDuration::from_millis(50), &mut rng);
         let m = g.mutate(&mut rng);
-        assert_ne!(m.timestamps, g.timestamps);
+        assert_ne!(m, g);
     }
 
     #[test]
@@ -669,7 +869,7 @@ mod tests {
             let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
             gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64
         };
-        assert!(gap_var(&a.timestamps) <= gap_var(&g.timestamps));
+        assert!(gap_var(&a.timestamps()) <= gap_var(&g.timestamps()));
     }
 
     #[test]
@@ -706,9 +906,9 @@ mod tests {
             child.validate().unwrap();
             assert!(child.packet_count() <= 500);
             // Every child timestamp comes from one of the parents.
-            for t in &child.timestamps {
+            for t in &child.timestamps() {
                 assert!(
-                    a.timestamps.contains(t) || b.timestamps.contains(t),
+                    a.timestamps().contains(t) || b.timestamps().contains(t),
                     "child timestamp {t} not found in either parent"
                 );
             }
@@ -718,11 +918,7 @@ mod tests {
     #[test]
     fn traffic_crossover_of_empty_parents_is_empty() {
         let mut rng = rng();
-        let a = TrafficGenome {
-            timestamps: vec![],
-            duration: DUR,
-            max_packets: 100,
-        };
+        let a = TrafficGenome::new(&[], DUR, 100);
         let b = a.clone();
         let child = a.crossover(&b, &mut rng).unwrap();
         assert_eq!(child.packet_count(), 0);
@@ -739,8 +935,9 @@ mod tests {
         let cut = g.without_index_range(1..3);
         assert_eq!(cut.packet_count(), n - 2);
         cut.validate().unwrap();
-        assert_eq!(cut.timestamps[0], g.timestamps[0]);
-        assert_eq!(cut.timestamps[1], g.timestamps[3]);
+        let (kept, all) = (cut.timestamps(), g.timestamps());
+        assert_eq!(kept[0], all[0]);
+        assert_eq!(kept[1], all[3]);
         // Out-of-range ends are clamped.
         assert_eq!(g.without_index_range(0..usize::MAX).packet_count(), 0);
     }
@@ -751,20 +948,17 @@ mod tests {
             .into_iter()
             .map(SimTime::from_micros)
             .collect();
-        let g = TrafficGenome {
-            timestamps: ts.clone(),
-            duration: DUR,
-            max_packets: 100,
-        };
+        let g = TrafficGenome::new(&ts, DUR, 100);
         let flat = g.flattened_bursts(SimDuration::from_millis(1));
         assert_eq!(flat.packet_count(), g.packet_count());
         flat.validate().unwrap();
+        let flat = flat.timestamps();
         // The burst's first and last packets stay in place.
-        assert_eq!(flat.timestamps[0], ts[0]);
-        assert_eq!(flat.timestamps[4], ts[4]);
-        assert_eq!(flat.timestamps[5], ts[5]);
+        assert_eq!(flat[0], ts[0]);
+        assert_eq!(flat[4], ts[4]);
+        assert_eq!(flat[5], ts[5]);
         // Interior packets are evenly spaced across the burst span.
-        let gaps: Vec<u64> = flat.timestamps[..5]
+        let gaps: Vec<u64> = flat[..5]
             .windows(2)
             .map(|w| (w[1] - w[0]).as_nanos())
             .collect();
@@ -780,26 +974,14 @@ mod tests {
             .into_iter()
             .map(SimTime::from_millis)
             .collect();
-        let g = TrafficGenome {
-            timestamps: ts,
-            duration: DUR,
-            max_packets: 100,
-        };
+        let g = TrafficGenome::new(&ts, DUR, 100);
         let s = g.shortened_outages(SimDuration::from_millis(500));
         assert_eq!(s.packet_count(), 4);
         s.validate().unwrap();
-        assert_eq!(
-            s.timestamps[1] - s.timestamps[0],
-            SimDuration::from_millis(100)
-        );
-        assert_eq!(
-            s.timestamps[2] - s.timestamps[1],
-            SimDuration::from_millis(500)
-        );
-        assert_eq!(
-            s.timestamps[3] - s.timestamps[2],
-            SimDuration::from_millis(100)
-        );
+        let s = s.timestamps();
+        assert_eq!(s[1] - s[0], SimDuration::from_millis(100));
+        assert_eq!(s[2] - s[1], SimDuration::from_millis(500));
+        assert_eq!(s[3] - s[2], SimDuration::from_millis(100));
     }
 
     #[test]
@@ -810,7 +992,7 @@ mod tests {
         assert_eq!(q.packet_count(), g.packet_count());
         q.validate().unwrap();
         assert!(q
-            .timestamps
+            .timestamps()
             .iter()
             .all(|t| t.as_nanos() % 10_000_000 == 0 || t.as_nanos() == g.duration.as_nanos()));
         // Distinct instants shrink dramatically.
@@ -819,7 +1001,7 @@ mod tests {
             v.dedup();
             v.len()
         };
-        assert!(distinct(&q.timestamps) < distinct(&g.timestamps));
+        assert!(distinct(&q.timestamps()) < distinct(&g.timestamps()));
     }
 
     #[test]
@@ -828,18 +1010,57 @@ mod tests {
             .into_iter()
             .map(SimTime::from_millis)
             .collect();
-        let g = LinkGenome {
-            timestamps: ts,
-            duration: DUR,
-            k_agg: SimDuration::from_millis(50),
-        };
+        let g = LinkGenome::new(&ts, DUR, SimDuration::from_millis(50));
         let s = g.shortened_outages(SimDuration::from_millis(200));
         assert_eq!(s.packet_count(), 4);
         s.validate().unwrap();
+        let s = s.timestamps();
+        assert_eq!(s[2] - s[1], SimDuration::from_millis(200));
+    }
+
+    #[test]
+    fn validate_sees_packed_timestamps_as_given() {
+        let ms =
+            |v: &[u64]| -> Vec<SimTime> { v.iter().map(|&m| SimTime::from_millis(m)).collect() };
+        let k_agg = SimDuration::from_millis(50);
+        let link = |v: &[u64]| LinkGenome::new(&ms(v), DUR, k_agg).validate();
+        assert_eq!(link(&[0, 0, 5, 5_000]), Ok(()));
         assert_eq!(
-            s.timestamps[2] - s.timestamps[1],
-            SimDuration::from_millis(200)
+            link(&[5, 3]).unwrap_err(),
+            "link genome timestamps out of order"
         );
+        assert_eq!(
+            link(&[1, 5_001]).unwrap_err(),
+            "link genome timestamp beyond duration"
+        );
+        let traffic = |v: &[u64], cap| TrafficGenome::new(&ms(v), DUR, cap).validate();
+        assert_eq!(traffic(&[], 0), Ok(()));
+        assert_eq!(
+            traffic(&[9, 2, 7_000], 3).unwrap_err(),
+            "traffic genome timestamps out of order"
+        );
+        assert_eq!(
+            traffic(&[7_000], 3).unwrap_err(),
+            "traffic genome timestamp beyond duration"
+        );
+        assert_eq!(
+            traffic(&[1, 2], 1).unwrap_err(),
+            "traffic genome has 2 packets, cap is 1"
+        );
+    }
+
+    #[test]
+    fn packing_takes_a_third_of_the_bytes_of_a_service_curve() {
+        let mut rng = rng();
+        let g = LinkGenome::generate(5_180, DUR, SimDuration::from_millis(50), &mut rng);
+        let bytes = g.timestamps.bytes.len() as f64 / g.packet_count() as f64;
+        assert!(bytes < 3.0, "{bytes:.2} B per timestamp");
+        assert_eq!(PackedTimes::pack(&g.timestamps()), g.timestamps);
+        // Extremes round-trip through the ten-byte encoding.
+        let edges = [u64::MAX, 0, u64::MAX - 1, 1, 1 << 63].map(SimTime::from_nanos);
+        let packed = PackedTimes::pack(&edges);
+        assert_eq!(packed.unpack(), edges);
+        assert_eq!(format!("{packed:?}"), format!("{:?}", edges.to_vec()));
     }
 
     #[test]

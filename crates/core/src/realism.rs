@@ -131,11 +131,11 @@ mod tests {
         let timestamps: Vec<SimTime> = (0..3_000)
             .map(|i| SimTime::from_nanos(1 + i * 30_000))
             .collect();
-        let genome = LinkGenome {
-            timestamps,
-            duration: SimDuration::from_secs(3),
-            k_agg: SimDuration::from_millis(50),
-        };
+        let genome = LinkGenome::new(
+            &timestamps,
+            SimDuration::from_secs(3),
+            SimDuration::from_millis(50),
+        );
         let outcome = scorer().score_link(&genome);
         assert!(
             outcome.score < 0.5,

@@ -4,6 +4,11 @@
 //! takes the islands instead of cloning them, so live heap over a whole
 //! `Fuzzer::run` stays within one population plus the islands in flight.
 //!
+//! The population itself is small because link genomes hold their
+//! timestamps packed: a built population costs at most
+//! `MAX_BYTES_PER_TIMESTAMP` per service opportunity, everything else it
+//! holds included.
+//!
 //! A counting global allocator tracks live and peak live bytes. This lives
 //! in its own integration-test binary so the allocator cannot perturb any
 //! other test, and the single `#[test]` keeps the measurements apart.
@@ -14,6 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
 use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::trace_gen::packets_for_rate;
 use ccfuzz_netsim::time::SimDuration;
 
 struct CountingAlloc;
@@ -52,27 +58,56 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Bytes allowed on top of the population and the islands in flight: the
 /// simulator scratch each pool worker evaluates with, the reports,
-/// histories and best-genome copies the generation loop keeps. The peak
-/// reads about 0.6 MB above one population plus one island at one thread
-/// (5 s BBR link simulations at 12 Mbps); holding a second population, as
-/// cloning the final snapshot or breeding every island before dropping any
-/// does, reads 3.4 MB above one population.
+/// histories and best-genome copies the generation loop keeps. With 16 × 10
+/// five-second BBR link genomes at 12 Mbps (a 2.2 MB packed population) the
+/// peak reads about 0.6 MB above one population plus one island at one
+/// thread and 0.9 MB above one population plus two islands at two. Holding
+/// a second population, as cloning the final snapshot or breeding every
+/// island before dropping any does, adds the whole 2.2 MB: cloning the
+/// final snapshot reads 4.5 MB at one thread, past the 3.6 MB bound. At
+/// 8 × 10 the packed population (1.1 MB) is too small next to the scratch
+/// for that clone to show.
 const SLACK: usize = 1 << 20;
 
-/// Runs a small link campaign at `threads` and returns `(population, peak)`:
-/// the live bytes the freshly built fuzzer holds, and the peak live bytes
-/// over its `run` above what was live before the build.
-fn population_and_peak(threads: usize) -> (usize, usize) {
+/// Live bytes a built link population may hold per packet timestamp, its
+/// outcomes and containers included. Packed, a 12 Mbps service curve's
+/// timestamps take about 2.7 bytes each; held as `Vec<SimTime>` they take 8.
+const MAX_BYTES_PER_TIMESTAMP: f64 = 3.5;
+
+/// A link campaign of `islands` × 10 five-second BBR genomes, three
+/// generations at `threads`.
+fn campaign(islands: usize, threads: usize) -> Campaign {
     let ga = GaParams {
-        islands: 8,
+        islands,
         population_per_island: 10,
         generations: 3,
         migration_interval: 2,
         threads,
         ..GaParams::quick()
     };
-    let campaign =
-        Campaign::paper_standard(FuzzMode::Link, CcaKind::Bbr, SimDuration::from_secs(5), ga);
+    Campaign::paper_standard(FuzzMode::Link, CcaKind::Bbr, SimDuration::from_secs(5), ga)
+}
+
+/// Builds the campaign's fuzzer and returns `(population, timestamps)`: the
+/// live bytes the freshly built fuzzer holds and the number of packet
+/// timestamps its genomes carry.
+fn built_population(campaign: &Campaign) -> (usize, usize) {
+    let evaluator = campaign.evaluator();
+    let before = LIVE.load(Ordering::Relaxed);
+    let fuzzer = campaign
+        .build_link_fuzzer(&evaluator, None, None)
+        .expect("fuzzer builds");
+    let population = LIVE.load(Ordering::Relaxed) - before;
+    drop(fuzzer);
+    let per_genome = packets_for_rate(campaign.link_rate_bps, campaign.sim.mss, campaign.duration);
+    let genomes = campaign.ga.islands * campaign.ga.population_per_island;
+    (population, genomes * per_genome)
+}
+
+/// Runs the campaign and returns `(population, peak)`: the live bytes the
+/// freshly built fuzzer holds, and the peak live bytes over its `run` above
+/// what was live before the build.
+fn population_and_peak(campaign: &Campaign) -> (usize, usize) {
     let evaluator = campaign.evaluator();
     let before = LIVE.load(Ordering::Relaxed);
     let mut fuzzer = campaign
@@ -88,9 +123,17 @@ fn population_and_peak(threads: usize) -> (usize, usize) {
 
 #[test]
 fn a_run_holds_one_population_plus_the_islands_in_flight() {
+    let (population, timestamps) = built_population(&campaign(8, 1));
+    let per_timestamp = population as f64 / timestamps as f64;
+    println!("8 x 10: population {population} B, {per_timestamp:.2} B per timestamp");
+    assert!(
+        per_timestamp <= MAX_BYTES_PER_TIMESTAMP,
+        "the population holds {per_timestamp:.2} B per timestamp ({population} B for \
+         {timestamps}); packed it holds at most {MAX_BYTES_PER_TIMESTAMP}"
+    );
     for threads in [1usize, 2] {
-        let (population, peak) = population_and_peak(threads);
-        let island = population / 8;
+        let (population, peak) = population_and_peak(&campaign(16, threads));
+        let island = population / 16;
         let bound = population + (threads + 1) * island + SLACK;
         println!(
             "threads {threads}: population {population} B, island {island} B, \

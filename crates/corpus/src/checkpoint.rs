@@ -19,8 +19,8 @@ use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_core::checkpoint::SnapshotPayload;
 use ccfuzz_core::mode::served_names;
-use ccfuzz_obs::write_atomic;
 use ccfuzz_obs::OperatorSnapshot;
+use ccfuzz_obs::{write_atomic, write_atomic_from};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -80,10 +80,12 @@ pub struct CampaignCheckpoint {
 
 impl CampaignCheckpoint {
     /// Serializes and atomically writes the checkpoint, returning the bytes
-    /// written.
+    /// written. The JSON streams into the staging file, never held whole.
     pub fn write_atomic<P: AsRef<Path>>(&self, path: P) -> Result<u64, CorpusError> {
-        let json = serde_json::to_string_pretty(self)?;
-        Ok(write_atomic(path.as_ref(), (json + "\n").as_bytes())?)
+        Ok(write_atomic_from(path.as_ref(), |file| {
+            serde_json::to_writer_pretty(&mut *file, self).map_err(std::io::Error::other)?;
+            file.write_all(b"\n")
+        })?)
     }
 
     /// Loads and fully verifies a checkpoint: schema version, config

@@ -440,7 +440,7 @@ pub fn minimize_link<E: Evaluator<LinkGenome>>(
     // is not worth a simulation.
     let grids: Vec<SimDuration> = LINK_GRIDS
         .into_iter()
-        .filter(|&grid| genome.quantized(grid).timestamps != genome.timestamps)
+        .filter(|&grid| genome.quantized(grid) != *genome)
         .collect();
     let scan = shrink.scan(grids.len(), |g, i| g.quantized(grids[i]));
     let scores = scan.rejected.into_iter().chain(scan.accepted);
@@ -745,7 +745,7 @@ mod tests {
     impl Evaluator<TrafficGenome> for WindowEvaluator {
         fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
             let in_window = genome
-                .timestamps
+                .timestamps()
                 .iter()
                 .filter(|t| {
                     **t >= SimTime::from_millis(1_000) && **t <= SimTime::from_millis(2_000)
@@ -759,14 +759,11 @@ mod tests {
     }
 
     fn genome_with(times_ms: &[u64]) -> TrafficGenome {
-        TrafficGenome {
-            timestamps: times_ms
-                .iter()
-                .map(|&ms| SimTime::from_millis(ms))
-                .collect(),
-            duration: SimDuration::from_secs(5),
-            max_packets: 10_000,
-        }
+        let times: Vec<SimTime> = times_ms
+            .iter()
+            .map(|&ms| SimTime::from_millis(ms))
+            .collect();
+        TrafficGenome::new(&times, SimDuration::from_secs(5), 10_000)
     }
 
     #[test]
@@ -844,7 +841,7 @@ mod tests {
     impl Evaluator<LinkGenome> for OutageEvaluator {
         fn evaluate(&self, genome: &LinkGenome) -> EvalOutcome {
             let early = genome
-                .timestamps
+                .timestamps()
                 .iter()
                 .filter(|t| **t < SimTime::from_millis(1_000))
                 .count();
@@ -1029,7 +1026,7 @@ mod tests {
 
     impl Evaluator<TrafficGenome> for Poisoned {
         fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
-            if genome.timestamps == genome_with(&self.0).timestamps {
+            if *genome == genome_with(&self.0) {
                 panic!("poisoned candidate");
             }
             WindowEvaluator.evaluate(genome)
@@ -1162,16 +1159,13 @@ mod tests {
     fn accepted_value_passes_compose() {
         // An uneven burst (every gap under 2 ms), a 1.4 s outage, another
         // uneven burst.
-        let genome = TrafficGenome {
-            timestamps: [
-                100_000, 100_100, 101_500, 101_700, 1_500_000, 1_500_300, 1_501_900,
-            ]
-            .into_iter()
-            .map(SimTime::from_micros)
-            .collect(),
-            duration: SimDuration::from_secs(5),
-            max_packets: 100,
-        };
+        let times: Vec<SimTime> = [
+            100_000, 100_100, 101_500, 101_700, 1_500_000, 1_500_300, 1_501_900,
+        ]
+        .into_iter()
+        .map(SimTime::from_micros)
+        .collect();
+        let genome = TrafficGenome::new(&times, SimDuration::from_secs(5), 100);
         let cfg = MinimizeConfig::default();
         let (min, report) = minimize_traffic(&KeepsSeven, &genome, &cfg, &mut MinimizePool::new(1));
         let both = genome

@@ -549,11 +549,8 @@ mod tests {
             ..Default::default()
         };
         let signature = BehaviorSignature::from_outcome(&outcome, 12e6);
-        let genome = TrafficGenome {
-            timestamps: vec![SimTime::from_millis(100), SimTime::from_millis(200)],
-            duration,
-            max_packets: 100,
-        };
+        let times = [SimTime::from_millis(100), SimTime::from_millis(200)];
+        let genome = TrafficGenome::new(&times, duration, 100);
         Finding {
             id: finding_id(cca, FuzzMode::Traffic, &signature),
             cca,

@@ -29,7 +29,7 @@ use crate::proto::{
 use ccfuzz_core::checkpoint::SnapshotPayload;
 use ccfuzz_core::mode::{dispatch, ModeGenome, ModeVisitor};
 use ccfuzz_core::shard::{shard_ranges, MigrantBatch};
-use ccfuzz_obs::{write_atomic, HuntTelemetry};
+use ccfuzz_obs::{write_atomic_from, HuntTelemetry};
 use serde::{Deserialize, Serialize};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -73,11 +73,13 @@ impl WorkerCheckpoint {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("creating checkpoint dir {}: {e}", dir.display()))?;
         // Compact: only `load` ever reads this file, and it is pruned two
-        // boundaries later.
-        let json = serde_json::to_string(self).map_err(|e| e.to_string())?;
+        // boundaries later. The JSON streams into the staging file.
         let path = dir.join(Self::file_name(self.worker, self.generation));
-        let bytes = write_atomic(&path, (json + "\n").as_bytes())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let bytes = write_atomic_from(&path, |file| {
+            serde_json::to_writer(&mut *file, self).map_err(std::io::Error::other)?;
+            file.write_all(b"\n")
+        })
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
         prune_checkpoints(dir, self.worker, self.generation);
         Ok(bytes)
     }
@@ -518,8 +520,9 @@ mod tests {
         short.islands[1].pop();
         let mut invalid = slice;
         let genome = &mut invalid.islands[1][0].genome;
-        genome.max_packets = genome.timestamps.len();
-        genome.timestamps.push(SimTime::ZERO);
+        let mut times = genome.timestamps();
+        times.push(SimTime::ZERO);
+        *genome = TrafficGenome::new(&times, genome.duration, times.len() - 1);
         for (what, bad) in [
             ("outside the slice", foreign),
             ("individuals but params say", short),

@@ -32,6 +32,6 @@ pub mod telemetry;
 
 pub use fleet::{FleetTelemetry, WorkerLane, WorkerLaneSnapshot};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use persist::write_atomic;
+pub use persist::{write_atomic, write_atomic_from};
 pub use profile::{Phase, PhaseProfiler};
 pub use telemetry::{CampaignMetrics, HuntTelemetry, LatencyQuantiles, OperatorSnapshot, Snapshot};

@@ -7,7 +7,7 @@
 //! `.tmp` extension so recovery passes can sweep strays.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,23 +27,38 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// one process racing on the same target ever share a staging file; last
 /// rename wins, and either way `path` holds one complete write.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<u64> {
+    write_atomic_from(path, |file| file.write_all(bytes))
+}
+
+/// [`write_atomic`] for a document produced as it is written: `fill`
+/// writes the bytes straight into the staging file, so they are never held
+/// in memory whole. An error from `fill` fails the write like any other,
+/// leaving `path` as it was.
+pub fn write_atomic_from(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<u64> {
     let tmp = tmp_sibling(path)?;
-    let result = write_via_tmp(path, &tmp, bytes);
+    let result = write_via_tmp(path, &tmp, fill);
     if result.is_err() {
         // Never leave a stray staging file behind a failed write.
         let _ = std::fs::remove_file(&tmp);
     }
-    result?;
-    Ok(bytes.len() as u64)
+    result
 }
 
-fn write_via_tmp(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_via_tmp(
+    path: &Path,
+    tmp: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<u64> {
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(tmp)?;
-    file.write_all(bytes)?;
+    fill(&mut file)?;
+    let written = file.stream_position()?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(tmp, path)?;
@@ -57,7 +72,7 @@ fn write_via_tmp(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
             }
         }
     }
-    Ok(())
+    Ok(written)
 }
 
 fn tmp_sibling(path: &Path) -> io::Result<PathBuf> {
@@ -153,6 +168,31 @@ mod tests {
             .filter(|e| e.as_ref().unwrap().path().extension().map(|x| x == "tmp") == Some(true))
             .count();
         assert_eq!(strays, 0, "staging files survived the hammering");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_streamed_write_counts_its_bytes_and_a_failed_one_keeps_the_old_file() {
+        let dir = scratch_dir("streamed");
+        let path = dir.join("artifact.json");
+        let written = write_atomic_from(&path, |file| {
+            file.write_all(b"{\"ok\":")?;
+            file.write_all(b"true}\n")
+        })
+        .unwrap();
+        assert_eq!(written, 12);
+        let err = write_atomic_from(&path, |file| {
+            file.write_all(b"{\"torn\":")?;
+            Err(io::Error::other("serializer gave up"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "serializer gave up");
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"ok\":true}\n");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "staging file left"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,7 +9,7 @@ use cc_fuzz::analysis::report::one_line_summary;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
 use cc_fuzz::fuzz::evaluate::EvalScratch;
-use cc_fuzz::fuzz::genome::TrafficGenome;
+use cc_fuzz::fuzz::genome::{Genome, TrafficGenome};
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
 
@@ -53,7 +53,7 @@ fn main() {
     let replay = evaluator.simulate(&result.best_genome, &mut EvalScratch::new(), true);
     println!(
         "\nworst trace found ({} cross-traffic packets):",
-        result.best_genome.timestamps.len()
+        result.best_genome.packet_count()
     );
     println!(
         "  {}",

@@ -40,11 +40,7 @@ fn bbr_probe_clocking_is_broken_by_spurious_retransmissions() {
     let stall = bbr_spurious_stall(&run.stats);
     assert!(stall.holds, "§4.1 signature missing: {}", stall.numbers);
     // The flow must visibly lose throughput relative to the clean baseline.
-    let no_traffic = TrafficGenome {
-        timestamps: vec![],
-        duration: genome.duration,
-        max_packets: 10,
-    };
+    let no_traffic = TrafficGenome::new(&[], genome.duration, 10);
     let clean = recorded(CcaKind::Bbr, &no_traffic);
     assert!(
         run.stats.flow().delivered_packets < clean.stats.flow().delivered_packets * 85 / 100,

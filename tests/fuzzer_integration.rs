@@ -27,11 +27,7 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
     let result = campaign.run::<TrafficGenome>(None);
 
     // Baseline: Reno with no cross traffic.
-    let empty = TrafficGenome {
-        timestamps: vec![],
-        duration,
-        max_packets: campaign.traffic_max_packets,
-    };
+    let empty = TrafficGenome::new(&[], duration, campaign.traffic_max_packets);
     let evaluator = campaign.evaluator();
     let mut scratch = EvalScratch::new();
     let baseline = evaluator.simulate(&empty, &mut scratch, false);
@@ -106,7 +102,7 @@ fn campaigns_are_reproducible_from_their_seed() {
         let campaign = Campaign::paper_standard(FuzzMode::Traffic, CcaKind::Reno, duration, ga);
         let result = campaign.run::<TrafficGenome>(None);
         (
-            result.best_genome.timestamps.clone(),
+            result.best_genome.timestamps(),
             result.best_outcome,
             result.history,
             result.total_evaluations,

@@ -26,16 +26,12 @@ struct WindowCountEvaluator {
 
 impl Evaluator<TrafficGenome> for WindowCountEvaluator {
     fn evaluate(&self, genome: &TrafficGenome) -> EvalOutcome {
-        let in_window = genome
-            .timestamps
+        let times = genome.timestamps();
+        let in_window = times
             .iter()
             .filter(|t| **t >= self.window_start && **t <= self.window_end)
             .count() as f64;
-        let early = genome
-            .timestamps
-            .iter()
-            .filter(|t| **t < self.window_start)
-            .count() as f64;
+        let early = times.iter().filter(|t| **t < self.window_start).count() as f64;
         EvalOutcome {
             score: in_window + 0.1 * early.sqrt(),
             ..Default::default()
@@ -49,7 +45,7 @@ impl Evaluator<LinkGenome> for LinkBurstEvaluator {
     fn evaluate(&self, genome: &LinkGenome) -> EvalOutcome {
         // Score: largest service gap in seconds (an "outage depth" proxy).
         let max_gap = genome
-            .timestamps
+            .timestamps()
             .windows(2)
             .map(|w| (w[1] - w[0]).as_secs_f64())
             .fold(0.0, f64::max);

@@ -593,3 +593,110 @@ proptest! {
         prop_assert_eq!(reference.snapshot(), concurrent);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Packed genome timestamps: any sequence (sorted or not, repeated, zero,
+// near `u64::MAX`) unpacks exactly, writes the JSON a plain `Vec<SimTime>`
+// writes, and compares equal exactly when the sequences are equal.
+
+/// A traffic genome's JSON shape with its timestamps held unpacked.
+#[derive(serde::Serialize)]
+struct PlainTraffic {
+    timestamps: Vec<SimTime>,
+    duration: SimDuration,
+    max_packets: usize,
+}
+
+/// One of six sequence shapes, built from the raw draws.
+fn shaped(shape: usize, raw: &[u64], gaps: &[u64]) -> Vec<SimTime> {
+    let sorted = || {
+        gaps.iter().scan(0u64, |t, &gap| {
+            *t += gap;
+            Some(*t)
+        })
+    };
+    let ns: Vec<u64> = match shape {
+        // Anything: unsorted, any magnitude.
+        0 => raw.to_vec(),
+        // A service curve.
+        1 => sorted().collect(),
+        // Every instant twice.
+        2 => sorted().flat_map(|t| [t, t]).collect(),
+        // Just below `u64::MAX`, descending.
+        3 => sorted().map(|t| u64::MAX - t).collect(),
+        // Every magnitude from one bit to 64, unsorted.
+        4 => raw.iter().map(|&r| r >> (r % 64)).collect(),
+        // Zeros between small values.
+        _ => raw
+            .iter()
+            .zip(gaps)
+            .map(|(&r, &gap)| if gap % 3 == 0 { 0 } else { r % 1_000 })
+            .collect(),
+    };
+    ns.into_iter().map(SimTime::from_nanos).collect()
+}
+
+proptest! {
+    // Pure encoding: thousands of cases cost well under a second.
+    #![proptest_config(env_cases(512))]
+
+    #[test]
+    fn packed_timestamps_round_trip_and_serialize_as_the_plain_vector(
+        shape in 0usize..6,
+        raw in proptest::collection::vec(any::<u64>(), 0..300),
+        gaps in proptest::collection::vec(0u64..3_000_000, 0..300),
+        edit in 0usize..4_000,
+        duration_ns in 0u64..1_000_000_000,
+    ) {
+        let times = shaped(shape, &raw, &gaps);
+        let duration = SimDuration::from_nanos(duration_ns);
+        let genome = TrafficGenome::new(&times, duration, times.len());
+        prop_assert_eq!(genome.timestamps(), times.clone());
+        prop_assert_eq!(genome.packet_count(), times.len());
+
+        // The JSON bytes are the plain vector's, compact and pretty, and
+        // they read back to an equal genome.
+        let plain = PlainTraffic {
+            timestamps: times.clone(),
+            duration,
+            max_packets: times.len(),
+        };
+        let json = serde_json::to_string(&genome).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&plain).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&genome).unwrap(),
+            serde_json::to_string_pretty(&plain).unwrap()
+        );
+        prop_assert_eq!(serde_json::from_str::<TrafficGenome>(&json).unwrap(), genome.clone());
+        let link = LinkGenome::new(&times, duration, SimDuration::from_millis(50));
+        prop_assert_eq!(link.timestamps(), times.clone());
+        let link_json = serde_json::to_string(&link).unwrap();
+        prop_assert_eq!(serde_json::from_str::<LinkGenome>(&link_json).unwrap(), link);
+
+        // Equal exactly when the sequences are: an unedited copy is equal,
+        // one flipped bit, one dropped or one appended timestamp is not.
+        let mut other = times.clone();
+        match (edit % 4, other.len()) {
+            (0, _) => {}
+            (1, n) if n > 0 => {
+                let t = &mut other[edit % n];
+                *t = SimTime::from_nanos(t.as_nanos() ^ (1 << (edit % 64)));
+            }
+            (2, n) if n > 0 => {
+                other.remove(edit % n);
+            }
+            _ => other.push(SimTime::from_nanos(raw.first().copied().unwrap_or(0))),
+        }
+        let twin = TrafficGenome::new(&other, duration, times.len());
+        prop_assert_eq!(twin == genome, other == times);
+
+        // `validate` still sees the sequence as given.
+        let sorted = times.windows(2).all(|w| w[0] <= w[1]);
+        let inside = times.last().is_none_or(|t| t.as_nanos() <= duration_ns);
+        match genome.validate() {
+            Ok(()) => prop_assert!(sorted && inside),
+            Err(e) if !sorted => prop_assert_eq!(e, "traffic genome timestamps out of order"),
+            Err(e) => prop_assert_eq!((e.as_str(), inside), ("traffic genome timestamp beyond duration", false)),
+        }
+    }
+}

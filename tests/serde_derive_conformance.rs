@@ -191,3 +191,52 @@ fn pre_qdisc_and_pre_aqm_literals_reserialize_byte_identically() {
     );
     assert_eq!(serde_json::from_str::<SimConfig>(&json).unwrap(), sim);
 }
+
+/// A field written and read by a module instead of its own impls.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+struct WithModule {
+    #[serde(with = "as_text")]
+    count: u32,
+    #[serde(default, with = "as_text")]
+    spare: u32,
+    plain: u32,
+}
+
+/// `#[serde(with = "as_text")]`: a `u32` as a JSON string of its digits.
+mod as_text {
+    use serde::value::DeError;
+    use serde::{Reader, Writer};
+
+    pub fn serialize(n: &u32, w: &mut Writer<'_>) {
+        w.str(&n.to_string());
+    }
+
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<u32, DeError> {
+        r.str()?
+            .parse()
+            .map_err(|e| DeError(format!("not a count: {e}")))
+    }
+}
+
+#[test]
+fn with_routes_one_field_through_a_module() {
+    let value = WithModule {
+        count: 42,
+        spare: 0,
+        plain: 42,
+    };
+    let json = r#"{"count":"42","spare":"0","plain":42}"#;
+    assert_eq!(serde_json::to_string(&value).unwrap(), json);
+    assert_eq!(serde_json::from_str::<WithModule>(json).unwrap(), value);
+    // `default` still covers a missing key; a present one goes through the
+    // module, which refuses what it cannot read.
+    let missing = r#"{"count":"42","plain":42}"#;
+    assert_eq!(serde_json::from_str::<WithModule>(missing).unwrap(), value);
+    for bad in [
+        r#"{"count":42,"plain":42}"#,
+        r#"{"count":"x","plain":42}"#,
+        r#"{"plain":42}"#,
+    ] {
+        assert!(serde_json::from_str::<WithModule>(bad).is_err(), "{bad}");
+    }
+}
