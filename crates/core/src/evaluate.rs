@@ -20,7 +20,6 @@ use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::sim::{FlowSpec, SimResult, Simulation};
 use ccfuzz_netsim::time::SimDuration;
-use ccfuzz_netsim::trace::TrafficTrace;
 use serde::{Deserialize, Serialize};
 
 /// Everything the genetic algorithm needs to know about one evaluation.
@@ -151,8 +150,8 @@ impl EvalOutcome {
 /// fuzzer creates one per worker thread and threads it through every
 /// evaluation that worker performs; after warm-up an entire genome
 /// generation is evaluated through this one recycled allocation set:
-/// the reused simulator (calendar, pool, endpoints, stat vectors, shared
-/// timestamp buffers), the flow-spec buffer drained by each run, and the
+/// the reused simulator (calendar, pool, endpoints, stat vectors, pooled
+/// delivery logs), the flow-spec buffer drained by each run, and the
 /// scoring buffers. Scratch reuse never changes results — it only donates
 /// capacity; an empty scratch is a fresh evaluation.
 #[derive(Default)]
@@ -174,23 +173,6 @@ impl EvalScratch {
     /// Creates empty scratch state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The cross-traffic trace of an optional traffic (sub-)genome, unpacked
-    /// into a recycled timestamp buffer from the arena.
-    pub(crate) fn cross_traffic(
-        &mut self,
-        traffic: Option<&TrafficGenome>,
-        duration: SimDuration,
-    ) -> TrafficTrace {
-        match traffic {
-            Some(t) => {
-                let mut buf = self.sim.take_time_buf();
-                t.unpack_into(&mut buf);
-                TrafficTrace::new(buf, t.duration)
-            }
-            None => TrafficTrace::empty(duration),
-        }
     }
 
     /// Refills the flow-spec buffer: every flow gene becomes its own sender
@@ -357,6 +339,7 @@ impl<G: ModeGenome> Evaluator<G> for SimEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genome::Genome;
     use crate::scoring::Objective;
     use crate::topology::TopologyGenome;
     use ccfuzz_netsim::rng::SimRng;
@@ -423,6 +406,42 @@ mod tests {
         assert!(outcome.delivered_packets > 0);
         assert!(outcome.delivered_packets <= 3_000);
         assert_eq!(outcome.trace_score, 0.0, "link mode has no trace score");
+    }
+
+    #[test]
+    fn unsorted_genomes_simulate_as_their_sorted_twins() {
+        // A genome holds its timestamps as given; lowering sorts them, so a
+        // hand-built out-of-order genome runs exactly as its sorted twin.
+        let eval = evaluator();
+        let duration = SimDuration::from_secs(3);
+        let mut times = LinkGenome::generate(
+            2_000,
+            duration,
+            SimDuration::from_millis(50),
+            &mut SimRng::new(5),
+        )
+        .timestamps();
+        let sorted_link = LinkGenome::new(&times, duration, SimDuration::from_millis(50));
+        times.swap(10, 1_500);
+        times.reverse();
+        let unsorted_link = LinkGenome::new(&times, duration, SimDuration::from_millis(50));
+        assert!(unsorted_link.validate().is_err());
+        assert_eq!(
+            simulate(&eval, &unsorted_link).stats.digest(),
+            simulate(&eval, &sorted_link).stats.digest()
+        );
+
+        let mut times = TrafficGenome::generate(2_000, duration, &mut SimRng::new(6)).timestamps();
+        assert!(times.len() > 2);
+        let sorted_traffic = TrafficGenome::new(&times, duration, 2_000);
+        let half = times.len() / 2;
+        times.rotate_left(half);
+        let unsorted_traffic = TrafficGenome::new(&times, duration, 2_000);
+        assert!(unsorted_traffic.validate().is_err());
+        assert_eq!(
+            simulate(&eval, &unsorted_traffic).stats.digest(),
+            simulate(&eval, &sorted_traffic).stats.digest()
+        );
     }
 
     #[test]

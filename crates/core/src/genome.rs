@@ -9,10 +9,12 @@
 //!   splices the left half of one parent with the right half of the other
 //!   (§3.3).
 //!
-//! Both hold their packet timestamps packed (zigzag-LEB128 deltas, about
-//! 2.7 bytes a packet instead of 8; DESIGN.md "Packed timestamps"). An
-//! operator unpacks its parents into a `Vec<SimTime>`, works on that, and
-//! packs the child; JSON still carries the absolute nanoseconds.
+//! Both hold their packet timestamps in the simulator's store,
+//! [`PackedTimes`] (zigzag-LEB128 deltas, about 2.7 bytes a packet instead
+//! of 8, behind shared bytes; DESIGN.md "Packed timestamps"). An operator
+//! unpacks its parents into a `Vec<SimTime>`, works on that, and packs the
+//! child; lowering a genome to a trace shares its bytes, and JSON still
+//! carries the absolute nanoseconds.
 
 use crate::campaign::{Campaign, FuzzMode, PAPER_K_AGG_MS};
 use crate::checkpoint::SnapshotPayload;
@@ -26,7 +28,7 @@ use ccfuzz_netsim::link::LinkModel;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
-use ccfuzz_netsim::trace::{LinkTrace, TrafficTrace};
+use ccfuzz_netsim::trace::{LinkTrace, PackedTimes, TrafficTrace};
 use serde::{Deserialize, Serialize};
 
 /// Operations the genetic algorithm needs from a trace genome.
@@ -50,227 +52,6 @@ pub trait Genome: Clone + PartialEq + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Packed timestamps
-// ---------------------------------------------------------------------------
-
-/// A genome's packet timestamps, packed: each is stored as its difference
-/// from the previous one (the first from zero), zigzag-encoded and written
-/// as LEB128, seven bits a byte. A 12 Mbps service curve's ~1 ms gaps take
-/// about 2.7 bytes each instead of 8. Signed deltas keep any sequence exact,
-/// unsorted or repeated, so `validate` still sees what it was given; the
-/// encoding is canonical, so two packings are equal exactly when their
-/// sequences are.
-#[derive(Clone, PartialEq)]
-struct PackedTimes {
-    bytes: Box<[u8]>,
-    /// The number of timestamps.
-    len: usize,
-}
-
-/// The zigzag form of the step from `prev` to `next`: small steps either
-/// way become small numbers. Wrapping keeps every `u64` pair exact.
-fn zigzag(prev: u64, next: u64) -> u64 {
-    let delta = next.wrapping_sub(prev) as i64;
-    ((delta << 1) ^ (delta >> 63)) as u64
-}
-
-/// The inverse of [`zigzag`]: the timestamp `z` steps to from `prev`.
-fn unzigzag(prev: u64, z: u64) -> u64 {
-    let delta = (z >> 1) as i64 ^ -((z & 1) as i64);
-    prev.wrapping_add(delta as u64)
-}
-
-/// The LEB128 length of `z`: one byte per started seven bits.
-fn varint_len(z: u64) -> usize {
-    (64 - (z | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-/// The continuation bit of each of eight LEB128 bytes in a word.
-const STOPS: u64 = 0x8080_8080_8080_8080;
-
-/// Writes `z` as LEB128 at the start of `out` and returns its length.
-/// Values under 2^56 (every step of a real trace) take a few word
-/// operations and one eight-byte store instead of a branch per byte: the
-/// seven-bit groups are spread one per byte, every byte but the last gets
-/// its continuation bit, and the bytes past the value are zeros for the
-/// next one to overwrite.
-fn put_varint(out: &mut [u8], mut z: u64) -> usize {
-    let n = varint_len(z);
-    if n <= 8 {
-        let mut x = (z & 0x0fff_ffff) | ((z & 0x00ff_ffff_f000_0000) << 4);
-        x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
-        x = (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1);
-        x |= STOPS & ((1 << (8 * (n - 1))) - 1);
-        out[..8].copy_from_slice(&x.to_le_bytes());
-        return n;
-    }
-    for byte in &mut out[..n - 1] {
-        *byte = z as u8 | 0x80;
-        z >>= 7;
-    }
-    out[n - 1] = z as u8;
-    n
-}
-
-impl PackedTimes {
-    fn pack(times: &[SimTime]) -> Self {
-        let steps = || {
-            let mut prev = 0;
-            times.iter().map(move |t| {
-                let z = zigzag(prev, t.as_nanos());
-                prev = t.as_nanos();
-                z
-            })
-        };
-        // Eight bytes of room past the end for the last value's store.
-        let size = steps().map(varint_len).sum();
-        let mut bytes = vec![0; size + 8];
-        let mut pos = 0;
-        for z in steps() {
-            pos += put_varint(&mut bytes[pos..], z);
-        }
-        bytes.truncate(size);
-        PackedTimes {
-            bytes: bytes.into_boxed_slice(),
-            len: times.len(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn iter(&self) -> Unpack<'_> {
-        Unpack {
-            bytes: &self.bytes,
-            pos: 0,
-            prev: 0,
-            left: self.len,
-        }
-    }
-
-    fn unpack(&self) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        self.unpack_into(&mut times);
-        times
-    }
-
-    /// Appends the timestamps to `buf` (no allocation when it has room).
-    fn unpack_into(&self, buf: &mut Vec<SimTime>) {
-        buf.reserve(self.len);
-        buf.extend(self.iter());
-    }
-
-    /// The shared half of `Genome::validate`: in order, and the last one
-    /// inside `duration`.
-    fn check(&self, what: &str, duration: SimDuration) -> Result<(), String> {
-        let mut last = SimTime::ZERO;
-        for t in self.iter() {
-            if t < last {
-                return Err(format!("{what} genome timestamps out of order"));
-            }
-            last = t;
-        }
-        if last.as_nanos() > duration.as_nanos() {
-            return Err(format!("{what} genome timestamp beyond duration"));
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for PackedTimes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// The timestamps of a [`PackedTimes`], in order.
-struct Unpack<'a> {
-    bytes: &'a [u8],
-    /// Offset of the next LEB128 value in `bytes`.
-    pos: usize,
-    prev: u64,
-    left: usize,
-}
-
-impl Unpack<'_> {
-    /// The next LEB128 value. Where eight bytes remain and the value ends
-    /// inside them, it is read as one word: the first clear continuation
-    /// bit gives its length, and its seven-bit groups are gathered without
-    /// a branch per byte.
-    #[inline]
-    fn varint(&mut self) -> u64 {
-        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            let stops = !word & STOPS;
-            if stops != 0 {
-                let n = stops.trailing_zeros() / 8 + 1;
-                self.pos += n as usize;
-                let mut x = word & (u64::MAX >> (64 - 8 * n)) & !STOPS;
-                x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
-                x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
-                return (x & 0x0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4);
-            }
-        }
-        let (mut z, mut shift) = (0u64, 0);
-        loop {
-            let byte = self.bytes[self.pos];
-            self.pos += 1;
-            z |= u64::from(byte & 0x7f) << shift;
-            if byte < 0x80 {
-                return z;
-            }
-            shift += 7;
-        }
-    }
-}
-
-impl Iterator for Unpack<'_> {
-    type Item = SimTime;
-
-    #[inline]
-    fn next(&mut self) -> Option<SimTime> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let z = self.varint();
-        self.prev = unzigzag(self.prev, z);
-        Some(SimTime::from_nanos(self.prev))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-/// `#[serde(with = "packed_times")]`: a [`PackedTimes`] reads and writes
-/// the JSON array of absolute nanoseconds a `Vec<SimTime>` would.
-mod packed_times {
-    use super::PackedTimes;
-    use ccfuzz_netsim::time::SimTime;
-    use serde::value::DeError;
-    use serde::{Deserialize, Reader, Serialize, Writer};
-
-    pub(super) fn serialize(times: &PackedTimes, w: &mut Writer<'_>) {
-        w.begin_array();
-        for t in times.iter() {
-            w.element();
-            t.serialize(w);
-        }
-        w.end_array();
-    }
-
-    pub(super) fn deserialize(r: &mut Reader<'_>) -> Result<PackedTimes, DeError> {
-        Ok(PackedTimes::pack(&Vec::<SimTime>::deserialize(r)?))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Link genome
 // ---------------------------------------------------------------------------
 
@@ -278,7 +59,7 @@ mod packed_times {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LinkGenome {
     /// Sorted packet transmission opportunities.
-    #[serde(with = "packed_times")]
+    #[serde(with = "ccfuzz_netsim::trace::packed_times")]
     timestamps: PackedTimes,
     /// Scenario duration.
     pub duration: SimDuration,
@@ -329,18 +110,9 @@ impl LinkGenome {
         LinkGenome::new(timestamps, self.duration, self.k_agg)
     }
 
-    /// Converts the genome to the simulator's [`LinkTrace`].
+    /// The simulator's [`LinkTrace`] of this genome, sharing its bytes.
     pub fn to_trace(&self) -> LinkTrace {
-        LinkTrace::new(self.timestamps(), self.duration)
-    }
-
-    /// The average service rate in bits per second for `packet_size`-byte packets.
-    pub fn average_rate_bps(&self, packet_size: u32) -> f64 {
-        let secs = self.duration.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.timestamps.len() as f64 * packet_size as f64 * 8.0 / secs
+        LinkTrace::packed(self.timestamps.clone(), self.duration)
     }
 
     /// A copy with every timestamp rounded to the nearest multiple of
@@ -452,7 +224,7 @@ impl Genome for LinkGenome {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.timestamps.check("link", self.duration)
+        self.timestamps.check("link genome", self.duration)
     }
 }
 
@@ -476,11 +248,8 @@ impl ModeGenome for LinkGenome {
 
     fn lower(&self, evaluator: &SimEvaluator, scratch: &mut EvalScratch) -> SimConfig {
         let mut cfg = evaluator.run_cfg(self.duration);
-        // The service curve is unpacked into a recycled timestamp buffer.
-        let mut buf = scratch.sim.take_time_buf();
-        self.timestamps.unpack_into(&mut buf);
         cfg.link = LinkModel::TraceDriven {
-            trace: LinkTrace::new(buf, self.duration),
+            trace: self.to_trace(),
         };
         cfg.cross_traffic = TrafficTrace::empty(self.duration);
         scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
@@ -522,7 +291,7 @@ impl ModeGenome for LinkGenome {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrafficGenome {
     /// Sorted injection timestamps.
-    #[serde(with = "packed_times")]
+    #[serde(with = "ccfuzz_netsim::trace::packed_times")]
     timestamps: PackedTimes,
     /// Scenario duration.
     pub duration: SimDuration,
@@ -545,9 +314,9 @@ impl TrafficGenome {
         self.timestamps.unpack()
     }
 
-    /// Appends the injection timestamps to `buf`.
-    pub(crate) fn unpack_into(&self, buf: &mut Vec<SimTime>) {
-        self.timestamps.unpack_into(buf);
+    /// The simulator's [`TrafficTrace`] of this genome, sharing its bytes.
+    pub fn to_trace(&self) -> TrafficTrace {
+        TrafficTrace::packed(self.timestamps.clone(), self.duration)
     }
 
     /// A child with this genome's duration and cap.
@@ -756,7 +525,7 @@ impl Genome for TrafficGenome {
                 self.max_packets
             ));
         }
-        self.timestamps.check("traffic", self.duration)
+        self.timestamps.check("traffic genome", self.duration)
     }
 }
 
@@ -774,7 +543,7 @@ impl ModeGenome for TrafficGenome {
         cfg.link = LinkModel::FixedRate {
             rate_bps: evaluator.link_rate_bps,
         };
-        cfg.cross_traffic = scratch.cross_traffic(Some(self), self.duration);
+        cfg.cross_traffic = self.to_trace();
         scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
         cfg
     }
@@ -823,9 +592,9 @@ mod tests {
         assert_eq!(g.packet_count(), 5_000);
         g.validate().unwrap();
         // 5000 packets of 1500B over 5s = 12 Mbps.
-        assert!((g.average_rate_bps(1500) - 12e6).abs() / 12e6 < 0.01);
         let trace = g.to_trace();
         assert_eq!(trace.len(), 5_000);
+        assert!((trace.average_rate_bps(1500) - 12e6).abs() / 12e6 < 0.01);
     }
 
     #[test]
@@ -1047,20 +816,6 @@ mod tests {
             traffic(&[1, 2], 1).unwrap_err(),
             "traffic genome has 2 packets, cap is 1"
         );
-    }
-
-    #[test]
-    fn packing_takes_a_third_of_the_bytes_of_a_service_curve() {
-        let mut rng = rng();
-        let g = LinkGenome::generate(5_180, DUR, SimDuration::from_millis(50), &mut rng);
-        let bytes = g.timestamps.bytes.len() as f64 / g.packet_count() as f64;
-        assert!(bytes < 3.0, "{bytes:.2} B per timestamp");
-        assert_eq!(PackedTimes::pack(&g.timestamps()), g.timestamps);
-        // Extremes round-trip through the ten-byte encoding.
-        let edges = [u64::MAX, 0, u64::MAX - 1, 1, 1 << 63].map(SimTime::from_nanos);
-        let packed = PackedTimes::pack(&edges);
-        assert_eq!(packed.unpack(), edges);
-        assert_eq!(format!("{packed:?}"), format!("{:?}", edges.to_vec()));
     }
 
     #[test]

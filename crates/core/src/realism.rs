@@ -59,14 +59,15 @@ impl RealismScorer {
 
     /// Scores a link genome by running every configured CCA over it.
     pub fn score_link(&self, genome: &LinkGenome) -> RealismOutcome {
-        let reference = genome.average_rate_bps(self.base.mss).max(1.0);
+        let trace = genome.to_trace();
+        let reference = trace.average_rate_bps(self.base.mss).max(1.0);
         let mut normalized: Vec<(String, f64)> = Vec::with_capacity(self.ccas.len());
         for cca in &self.ccas {
             let mut cfg = self.base.clone();
             cfg.record_events = false;
             cfg.duration = genome.duration;
             cfg.link = LinkModel::TraceDriven {
-                trace: genome.to_trace(),
+                trace: trace.clone(),
             };
             cfg.cross_traffic = TrafficTrace::empty(genome.duration);
             let result = run_simulation(cfg.clone(), cca.build(cfg.initial_cwnd));

@@ -23,6 +23,7 @@ use ccfuzz_netsim::queue::Qdisc;
 use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
+use ccfuzz_netsim::trace::TrafficTrace;
 use serde::{Deserialize, Serialize};
 
 /// Minimum flows a fairness scenario keeps (unfairness needs competition).
@@ -527,7 +528,10 @@ impl ModeGenome for ScenarioGenome {
         cfg.link = LinkModel::FixedRate {
             rate_bps: evaluator.link_rate_bps,
         };
-        cfg.cross_traffic = scratch.cross_traffic(self.traffic.as_ref(), self.duration);
+        cfg.cross_traffic = match &self.traffic {
+            Some(traffic) => traffic.to_trace(),
+            None => TrafficTrace::empty(self.duration),
+        };
         // AQM scenarios carry the gateway in the genome; fairness scenarios
         // leave it as the campaign configured (drop-tail today).
         if let Some(gene) = &self.qdisc {

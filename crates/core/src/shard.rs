@@ -714,9 +714,10 @@ impl<G: Genome, E: Evaluator<G>> Shards<G> for Lanes<'_, '_, '_, G, E> {
             lane.set_next_generation(generation + 1);
         }
         if let Some(sink) = self.on_checkpoint.as_deref_mut().filter(|_| checkpoint) {
-            // The lanes carry on, so their islands are cloned: a checkpoint
-            // boundary holds the population twice until the sink is done
-            // with it (DESIGN.md "One population in memory").
+            // The lanes carry on, so the snapshot clones their islands. A
+            // genome clone shares its packed timestamps, so that copies
+            // genome headers and outcomes, not the population's timestamps
+            // (DESIGN.md "One population in memory").
             let lanes = self.lanes.iter().zip(&self.ranges);
             let finals = lanes.map(|(lane, &(start, end))| (start, end, lane.snapshot()));
             sink(coordinator.assemble(finals.collect())?);

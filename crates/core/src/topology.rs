@@ -28,6 +28,7 @@ use ccfuzz_netsim::rng::SimRng;
 use ccfuzz_netsim::sim::SimResult;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_netsim::topology::{HopConfig, HopRange, Topology};
+use ccfuzz_netsim::trace::TrafficTrace;
 use serde::{Deserialize, Serialize};
 
 /// Evolved hop-rate range, bracketing the paper's 12 Mbps bottleneck.
@@ -525,7 +526,10 @@ impl ModeGenome for TopologyGenome {
         // the genome's hop chain supersedes them. The topology is built
         // fresh (its hop vector is small and genome-shaped).
         cfg.topology = Some(self.to_topology());
-        cfg.cross_traffic = scratch.cross_traffic(self.traffic.as_ref(), self.duration);
+        cfg.cross_traffic = match &self.traffic {
+            Some(traffic) => traffic.to_trace(),
+            None => TrafficTrace::empty(self.duration),
+        };
         scratch.set_flows(&cfg, self.flows.iter().map(|f| &f.flow));
         cfg
     }

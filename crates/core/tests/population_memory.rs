@@ -7,7 +7,10 @@
 //! The population itself is small because link genomes hold their
 //! timestamps packed: a built population costs at most
 //! `MAX_BYTES_PER_TIMESTAMP` per service opportunity, everything else it
-//! holds included.
+//! holds included. The packed bytes are shared, so a checkpoint, which
+//! snapshots the islands while the run carries on, copies genome headers
+//! and outcomes but no timestamps: a run that checkpoints every generation
+//! and streams each snapshot out as pretty JSON stays within the same bound.
 //!
 //! A counting global allocator tracks live and peak live bytes. This lives
 //! in its own integration-test binary so the allocator cannot perturb any
@@ -18,7 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::fuzzer::GaParams;
+use ccfuzz_core::fuzzer::{FuzzerSnapshot, GaParams};
+use ccfuzz_core::genome::LinkGenome;
+use ccfuzz_core::shard::LoopControl;
 use ccfuzz_core::trace_gen::packets_for_rate;
 use ccfuzz_netsim::time::SimDuration;
 
@@ -121,6 +126,31 @@ fn population_and_peak(campaign: &Campaign) -> (usize, usize) {
     (population, peak)
 }
 
+/// Runs the campaign under `Campaign::run_controlled`, checkpointing every
+/// generation into a sink that streams the snapshot as pretty JSON (as
+/// `ccfuzz hunt --checkpoint` writes it) into `io::sink()`, and returns the
+/// peak live bytes over the run above what was live before it, and the
+/// number of checkpoints taken.
+fn checkpointing_peak(campaign: &Campaign) -> (usize, usize) {
+    let ctl = LoopControl {
+        checkpoint_every: 1,
+        ..LoopControl::default()
+    };
+    let mut checkpoints = 0;
+    let mut sink = |snapshot: FuzzerSnapshot<LinkGenome>| {
+        serde_json::to_writer_pretty(std::io::sink(), &snapshot).expect("snapshot streams");
+        checkpoints += 1;
+    };
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let run = campaign
+        .run_controlled(None, &ctl, Some(&mut sink))
+        .expect("campaign runs");
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    drop(run);
+    (peak, checkpoints)
+}
+
 #[test]
 fn a_run_holds_one_population_plus_the_islands_in_flight() {
     let (population, timestamps) = built_population(&campaign(8, 1));
@@ -143,6 +173,16 @@ fn a_run_holds_one_population_plus_the_islands_in_flight() {
             peak <= bound,
             "threads {threads}: peak live {peak} B exceeds one population ({population} B) \
              + {} islands ({island} B each) + {SLACK} B slack",
+            threads + 1
+        );
+        let (peak, checkpoints) = checkpointing_peak(&campaign(16, threads));
+        println!("threads {threads}, checkpointing: peak {peak} B, bound {bound} B");
+        // One per boundary the run carries on past: after generations 1 and 2.
+        assert_eq!(checkpoints, 2);
+        assert!(
+            peak <= bound,
+            "threads {threads}: checkpointing every generation, peak live {peak} B exceeds \
+             one population ({population} B) + {} islands ({island} B each) + {SLACK} B slack",
             threads + 1
         );
     }

@@ -165,28 +165,19 @@ impl SimConfig {
         self.topology.as_ref().map(|t| t.hop_count()).unwrap_or(1)
     }
 
-    /// Moves the hop chain this configuration describes into `out` (cleared
-    /// first; a batch driver reuses one buffer across evaluations): the
-    /// topology's hops when one is set, otherwise a single hop assembled
-    /// from the legacy single-bottleneck fields. The link models are moved,
-    /// not cloned — a trace-driven service curve is tens of kilobytes — so
-    /// afterwards `link` (and every topology hop's `link`) holds a zero-rate
-    /// placeholder; everything else stays readable.
-    pub fn take_hop_configs_into(&mut self, out: &mut Vec<HopConfig>) {
-        out.clear();
-        match &mut self.topology {
-            Some(topology) => out.extend(topology.hops.iter_mut().map(|h| HopConfig {
-                link: h.link.take(),
-                propagation_delay: h.propagation_delay,
-                queue_capacity: h.queue_capacity,
-                qdisc: h.qdisc,
-            })),
-            None => out.push(HopConfig {
-                link: self.link.take(),
+    /// Hop `k < hop_count()` of the chain this configuration describes: the
+    /// topology's when one is set, otherwise the single hop assembled from
+    /// the legacy single-bottleneck fields. A copy, and a cheap one: a
+    /// trace-driven link's service curve shares its bytes.
+    pub fn hop_config(&self, k: usize) -> HopConfig {
+        match &self.topology {
+            Some(topology) => topology.hops[k].clone(),
+            None => HopConfig {
+                link: self.link.clone(),
                 propagation_delay: self.propagation_delay,
                 queue_capacity: self.queue_capacity,
                 qdisc: self.qdisc,
-            }),
+            },
         }
     }
 
@@ -368,26 +359,23 @@ mod tests {
     #[test]
     fn hop_configs_fall_back_to_the_legacy_single_bottleneck() {
         let cfg = SimConfig::paper_default();
-        let mut hops = Vec::new();
-        cfg.clone().take_hop_configs_into(&mut hops);
-        assert_eq!(hops.len(), 1);
-        assert_eq!(hops[0].link, cfg.link);
-        assert_eq!(hops[0].propagation_delay, cfg.propagation_delay);
-        assert_eq!(hops[0].queue_capacity, cfg.queue_capacity);
-        assert_eq!(hops[0].qdisc, cfg.qdisc);
+        assert_eq!(cfg.hop_count(), 1);
+        let hop = cfg.hop_config(0);
+        assert_eq!(hop.link, cfg.link);
+        assert_eq!(hop.propagation_delay, cfg.propagation_delay);
+        assert_eq!(hop.queue_capacity, cfg.queue_capacity);
+        assert_eq!(hop.qdisc, cfg.qdisc);
     }
 
     #[test]
-    fn taking_the_hop_chain_moves_the_links_out() {
+    fn hop_configs_read_the_topology_chain() {
         let mut cfg = SimConfig::paper_default();
         let topo = Topology::uniform_chain(2, 12_000_000, SimDuration::from_millis(5), 50);
         cfg.topology = Some(topo.clone());
-        let mut hops = vec![HopConfig::fixed_rate(1, SimDuration::ZERO, 1)];
-        cfg.take_hop_configs_into(&mut hops);
-        assert_eq!(hops, topo.hops, "buffer cleared, chain moved in");
-        // What is left behind cannot be run by accident.
-        assert!(cfg.validate().unwrap_err().contains("hop 0"));
-        assert_eq!(cfg.flow_path(0), HopRange::full(2), "paths stay readable");
+        let hops: Vec<HopConfig> = (0..cfg.hop_count()).map(|k| cfg.hop_config(k)).collect();
+        assert_eq!(hops, topo.hops);
+        cfg.validate().unwrap();
+        assert_eq!(cfg.flow_path(0), HopRange::full(2));
     }
 
     #[test]

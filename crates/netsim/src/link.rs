@@ -14,7 +14,7 @@
 //! delay.
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::LinkTrace;
+use crate::trace::{Cursor, LinkTrace};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the bottleneck service discipline.
@@ -40,27 +40,17 @@ impl LinkModel {
             LinkModel::TraceDriven { .. } => "trace-driven",
         }
     }
-
-    /// Moves the model out, leaving a zero-rate placeholder behind (which
-    /// [`crate::config::SimConfig::validate`] rejects: a gutted
-    /// configuration cannot be run again by accident).
-    pub(crate) fn take(&mut self) -> LinkModel {
-        std::mem::replace(self, LinkModel::FixedRate { rate_bps: 0 })
-    }
 }
 
 /// Runtime state of the bottleneck link.
 #[derive(Clone, Debug)]
 pub struct LinkService {
     model: LinkModel,
-    /// For `TraceDriven`: index of the next unused opportunity.
-    next_opportunity: usize,
+    /// For `TraceDriven`: the next unused opportunity, read in place from
+    /// the trace's packed bytes.
+    next_opportunity: Cursor,
     /// For `FixedRate`: whether a packet is currently being serialized.
     busy_until: Option<SimTime>,
-    /// Packets transmitted so far.
-    transmitted: u64,
-    /// Trace-driven opportunities that found an empty queue.
-    wasted_opportunities: u64,
 }
 
 /// What the link should do next, as computed by [`LinkService::next_action`].
@@ -79,35 +69,20 @@ pub enum LinkAction {
 impl LinkService {
     /// Creates the link service for a model.
     pub fn new(model: LinkModel) -> Self {
+        let next_opportunity = match &model {
+            LinkModel::FixedRate { .. } => Cursor::default(),
+            LinkModel::TraceDriven { trace } => Cursor::new(trace.times()),
+        };
         LinkService {
             model,
-            next_opportunity: 0,
+            next_opportunity,
             busy_until: None,
-            transmitted: 0,
-            wasted_opportunities: 0,
         }
     }
 
     /// The configured model.
     pub fn model(&self) -> &LinkModel {
         &self.model
-    }
-
-    /// Moves the model out once the run is over (see [`LinkModel::take`]),
-    /// letting the simulation harvest a trace-driven link's timestamp
-    /// storage for reuse.
-    pub(crate) fn take_model(&mut self) -> LinkModel {
-        self.model.take()
-    }
-
-    /// Packets transmitted so far.
-    pub fn transmitted(&self) -> u64 {
-        self.transmitted
-    }
-
-    /// Trace opportunities that found an empty queue (trace-driven only).
-    pub fn wasted_opportunities(&self) -> u64 {
-        self.wasted_opportunities
     }
 
     /// Decides what the link can do at `now`, given whether the queue has a
@@ -128,25 +103,17 @@ impl LinkService {
                     LinkAction::WaitUntil(SimTime::MAX)
                 }
             }
-            LinkModel::TraceDriven { trace } => {
-                let opportunities = trace.opportunities();
-                loop {
-                    match opportunities.get(self.next_opportunity) {
-                        None => return LinkAction::Exhausted,
-                        Some(&t) if t > now => return LinkAction::WaitUntil(t),
-                        Some(_) => {
-                            // An opportunity is due now (or was missed while we
-                            // were idle). Use it if there is a packet, otherwise
-                            // it is wasted (MahiMahi semantics).
-                            if queue_nonempty {
-                                return LinkAction::TransmitNow;
-                            }
-                            self.next_opportunity += 1;
-                            self.wasted_opportunities += 1;
-                        }
-                    }
+            LinkModel::TraceDriven { trace } => loop {
+                match self.next_opportunity.peek() {
+                    None => return LinkAction::Exhausted,
+                    Some(t) if t > now => return LinkAction::WaitUntil(t),
+                    // An opportunity is due now (or was missed while we were
+                    // idle). Use it if there is a packet, otherwise it is
+                    // wasted (MahiMahi semantics).
+                    Some(_) if queue_nonempty => return LinkAction::TransmitNow,
+                    Some(_) => self.next_opportunity.advance(trace.times()),
                 }
-            }
+            },
         }
     }
 
@@ -154,7 +121,6 @@ impl LinkService {
     /// and returns the time at which it fully crosses the bottleneck (i.e.
     /// when it should be handed to the propagation-delay stage).
     pub fn on_transmit(&mut self, now: SimTime, size: u32) -> SimTime {
-        self.transmitted += 1;
         match &self.model {
             LinkModel::FixedRate { rate_bps } => {
                 let tx_time = SimDuration::transmission_time(size as u64, *rate_bps);
@@ -162,10 +128,10 @@ impl LinkService {
                 self.busy_until = Some(done);
                 done
             }
-            LinkModel::TraceDriven { .. } => {
+            LinkModel::TraceDriven { trace } => {
                 // One whole packet per opportunity; the packet leaves the
                 // bottleneck at the opportunity instant.
-                self.next_opportunity += 1;
+                self.next_opportunity.advance(trace.times());
                 now
             }
         }
@@ -192,7 +158,6 @@ mod tests {
         );
         // At completion, ready again.
         assert_eq!(link.next_action(done, true), LinkAction::TransmitNow);
-        assert_eq!(link.transmitted(), 1);
     }
 
     #[test]
@@ -243,13 +208,26 @@ mod tests {
             SimDuration::from_millis(100),
         );
         let mut link = LinkService::new(LinkModel::TraceDriven { trace });
-        // At 25ms with an empty queue both past opportunities are wasted.
+        // A due opportunity at an empty queue is skipped: the next one is
+        // what the link waits for, and a packet arriving before it waits too.
+        assert_eq!(
+            link.next_action(SimTime::from_millis(10), false),
+            LinkAction::WaitUntil(SimTime::from_millis(20))
+        );
+        assert_eq!(
+            link.next_action(SimTime::from_millis(15), true),
+            LinkAction::WaitUntil(SimTime::from_millis(20))
+        );
+        // At 25ms with an empty queue the remaining past opportunity is
+        // wasted too, and a packet arriving afterwards finds nothing left.
         assert_eq!(
             link.next_action(SimTime::from_millis(25), false),
             LinkAction::Exhausted
         );
-        assert_eq!(link.wasted_opportunities(), 2);
-        assert_eq!(link.transmitted(), 0);
+        assert_eq!(
+            link.next_action(SimTime::from_millis(25), true),
+            LinkAction::Exhausted
+        );
     }
 
     #[test]

@@ -61,8 +61,7 @@ use crate::stats::{
 use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{hop_seed, HopConfig, HopRange};
-use crate::trace::TrafficTrace;
+use crate::topology::{hop_seed, HopRange};
 use crate::workload::{
     dyn_generation, dyn_handle, dyn_slot, exp_duration, is_dynamic, ArrivalConfig, ArrivalProcess,
     GEN_MODULUS,
@@ -332,10 +331,11 @@ fn endpoint_configs(cfg: &SimConfig) -> (SenderConfig, ReceiverConfig) {
 /// [`Simulation::load`] resets the last run's state in place: the calendar,
 /// the packet pool, the flow endpoints (senders keep their retransmission
 /// queues, receivers their SACK buffers), the hop chain and its FIFO rings,
-/// the flow slab and a cleared [`RunStats`] skeleton. A shared pool of
-/// `SimTime` vectors cycles between delivery logs, cross-traffic injections
-/// and trace-driven service curves. A batch driver keeps one `Simulation`
-/// per worker and loads every evaluation into it; after warm-up a whole
+/// the flow slab and a cleared [`RunStats`] skeleton. A pool of `SimTime`
+/// vectors cycles the per-flow delivery logs; trace-driven service curves
+/// and cross-traffic injections are read in place from their packed, shared
+/// bytes ([`crate::trace::PackedTimes`]). A batch driver keeps one
+/// `Simulation` per worker and loads every evaluation into it; after warm-up a whole
 /// generate → evaluate → select generation runs through one recycled
 /// allocation set. Results are bit-identical whether the simulation is
 /// fresh or reused: reuse only donates capacity, never state.
@@ -365,13 +365,10 @@ pub struct Simulation<C: CongestionControl + Clone> {
     /// Arrival-process runtime state; `Some` once
     /// [`Simulation::install_arrivals`] has run.
     workload: Option<WorkloadRt>,
-    /// Hop configs drained out of the loaded config (capacity only).
-    hop_cfgs: Vec<HopConfig>,
     /// FIFO rings of the last run's hops, adopted by the next chain.
     queue_bufs: Vec<VecDeque<DataPacket>>,
-    /// Shared pool of timestamp vectors: per-flow delivery logs, cross
-    /// traffic injection traces and link service curves all draw from (and
-    /// return to) this one free list.
+    /// Pool of timestamp vectors the per-flow delivery logs draw from (and
+    /// return to).
     time_bufs: Vec<Vec<SimTime>>,
     /// Cleared [`WorkloadStats`] skeleton recycled between workload runs.
     spare_workload: Option<Box<WorkloadStats>>,
@@ -394,7 +391,6 @@ impl<C: CongestionControl + Clone> Default for Simulation<C> {
             slab: FlowSlab::default(),
             protos: Vec::new(),
             workload: None,
-            hop_cfgs: Vec::new(),
             queue_bufs: Vec::new(),
             time_bufs: Vec::new(),
             spare_workload: None,
@@ -448,14 +444,14 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         // handle stream bit-identically.
         self.slab.clear();
 
-        // The hop chain, built by *draining* the hop configs: the simulation
-        // owns its configuration, so the link models (a trace-driven
-        // service curve is ~41 KB at 5 s) move into the hops instead of
-        // being cloned. FIFO storage comes from the last run's hops.
-        self.cfg.take_hop_configs_into(&mut self.hop_cfgs);
+        // The hop chain, copied from the configuration: a trace-driven
+        // link's service curve shares its packed bytes, so the copy is a
+        // reference count, and the link reads the curve in place. FIFO
+        // storage comes from the last run's hops.
         self.queue_bufs
             .extend(self.hops.drain(..).map(|h| h.queue.into_storage()));
-        for (k, h) in self.hop_cfgs.drain(..).enumerate() {
+        for k in 0..self.cfg.hop_count() {
+            let h = self.cfg.hop_config(k);
             let storage = self.queue_bufs.pop().unwrap_or_default();
             self.hops.push(Hop {
                 queue: GatewayQueue::new_with_storage(
@@ -604,10 +600,9 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         });
     }
 
-    /// Takes a cleared timestamp buffer from the shared pool (or a fresh one
-    /// when the pool is empty). Callers use it to build traces or logs and
-    /// the buffer eventually returns through
-    /// [`Simulation::recycle_time_buf`], the end of a run, or
+    /// Takes a cleared timestamp buffer from the pool (or a fresh one when
+    /// the pool is empty). The simulation fills them as delivery logs; they
+    /// return through [`Simulation::recycle_time_buf`] or
     /// [`Simulation::recycle_stats`].
     pub fn take_time_buf(&mut self) -> Vec<SimTime> {
         self.time_bufs.pop().unwrap_or_default()
@@ -1256,14 +1251,14 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             }
         }
         {
-            // Split borrows: the injection schedule is read straight from the
-            // config (no intermediate copy) while the pool and calendar are
-            // driven mutably.
+            // Split borrows: the injection schedule is decoded straight from
+            // the config's packed bytes (no intermediate copy) while the pool
+            // and calendar are driven mutably.
             let Simulation {
                 cfg, pool, events, ..
             } = &mut *self;
             let packet_size = cfg.cross_traffic_packet_size;
-            for (seq, &t) in cfg.cross_traffic.injections().iter().enumerate() {
+            for (seq, t) in cfg.cross_traffic.iter().enumerate() {
                 if t > seed_end {
                     break;
                 }
@@ -1418,17 +1413,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 sink_received: self.flows.receivers[i].total_received(),
             });
         }
-        // The run's inputs are spent: trace-driven service curves and the
-        // cross-traffic injections return to the timestamp pool.
-        for k in 0..self.hops.len() {
-            if let LinkModel::TraceDriven { trace } = self.hops[k].link.take_model() {
-                self.recycle_time_buf(trace.into_opportunities());
-            }
-        }
-        let spent = TrafficTrace::empty(self.cfg.duration);
-        let cross = std::mem::replace(&mut self.cfg.cross_traffic, spent);
-        self.recycle_time_buf(cross.into_injections());
-
         SimResult {
             stats: std::mem::take(&mut self.stats),
             duration_secs: self.cfg.duration.as_secs_f64(),

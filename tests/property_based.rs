@@ -5,10 +5,12 @@
 use cc_fuzz::analysis::timeseries::{mean_of_lowest_fraction, percentile, windowed_throughput_bps};
 use cc_fuzz::fuzz::genome::{Genome, LinkGenome, TrafficGenome};
 use cc_fuzz::fuzz::trace_gen::{dist_packets, DistPacketsParams};
+use cc_fuzz::netsim::link::{LinkAction, LinkModel, LinkService};
 use cc_fuzz::netsim::packet::DataPacket;
 use cc_fuzz::netsim::queue::{GatewayQueue, Qdisc, QueueCapacity};
 use cc_fuzz::netsim::rng::SimRng;
 use cc_fuzz::netsim::time::{ceil_to_u64, round_to_u64, SimDuration, SimTime};
+use cc_fuzz::netsim::trace::{LinkTrace, PackedTimes, TrafficTrace};
 use proptest::prelude::*;
 
 proptest! {
@@ -595,9 +597,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Packed genome timestamps: any sequence (sorted or not, repeated, zero,
-// near `u64::MAX`) unpacks exactly, writes the JSON a plain `Vec<SimTime>`
-// writes, and compares equal exactly when the sequences are equal.
+// Packed timestamps: any sequence (sorted or not, repeated, zero, near
+// `u64::MAX`) unpacks exactly, writes the JSON a plain `Vec<SimTime>`
+// writes, and compares equal exactly when the sequences are equal. The
+// simulator's traces hold the same store, sorted.
 
 /// A traffic genome's JSON shape with its timestamps held unpacked.
 #[derive(serde::Serialize)]
@@ -605,6 +608,20 @@ struct PlainTraffic {
     timestamps: Vec<SimTime>,
     duration: SimDuration,
     max_packets: usize,
+}
+
+/// A link trace's JSON shape with its opportunities held unpacked.
+#[derive(serde::Serialize)]
+struct PlainLinkTrace {
+    opportunities: Vec<SimTime>,
+    duration: SimDuration,
+}
+
+/// A traffic trace's JSON shape with its injections held unpacked.
+#[derive(serde::Serialize)]
+struct PlainTrafficTrace {
+    injections: Vec<SimTime>,
+    duration: SimDuration,
 }
 
 /// One of six sequence shapes, built from the raw draws.
@@ -671,7 +688,40 @@ proptest! {
         let link = LinkGenome::new(&times, duration, SimDuration::from_millis(50));
         prop_assert_eq!(link.timestamps(), times.clone());
         let link_json = serde_json::to_string(&link).unwrap();
-        prop_assert_eq!(serde_json::from_str::<LinkGenome>(&link_json).unwrap(), link);
+        prop_assert_eq!(serde_json::from_str::<LinkGenome>(&link_json).unwrap(), link.clone());
+
+        // A trace iterates the sorted sequence, however it was built (from a
+        // vector, from a packing as given, from either genome), and its JSON,
+        // compact and pretty, is the plain sorted vector's.
+        let mut in_order = times.clone();
+        in_order.sort_unstable();
+        let link_trace = LinkTrace::new(times.clone(), duration);
+        prop_assert_eq!(link_trace.iter().collect::<Vec<_>>(), in_order.clone());
+                prop_assert_eq!(&LinkTrace::packed(PackedTimes::pack(&times), duration), &link_trace);
+        prop_assert_eq!(&link.to_trace(), &link_trace);
+        let plain_link = PlainLinkTrace { opportunities: in_order.clone(), duration };
+        let link_trace_json = serde_json::to_string(&link_trace).unwrap();
+        prop_assert_eq!(&link_trace_json, &serde_json::to_string(&plain_link).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&link_trace).unwrap(),
+            serde_json::to_string_pretty(&plain_link).unwrap()
+        );
+        prop_assert_eq!(serde_json::from_str::<LinkTrace>(&link_trace_json).unwrap(), link_trace);
+        let traffic_trace = TrafficTrace::new(times.clone(), duration);
+        prop_assert_eq!(traffic_trace.iter().collect::<Vec<_>>(), in_order.clone());
+        prop_assert_eq!(&genome.to_trace(), &traffic_trace);
+        prop_assert_eq!(&TrafficTrace::packed(PackedTimes::pack(&times), duration), &traffic_trace);
+        let plain_traffic = PlainTrafficTrace { injections: in_order.clone(), duration };
+        let traffic_trace_json = serde_json::to_string(&traffic_trace).unwrap();
+        prop_assert_eq!(&traffic_trace_json, &serde_json::to_string(&plain_traffic).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&traffic_trace).unwrap(),
+            serde_json::to_string_pretty(&plain_traffic).unwrap()
+        );
+        prop_assert_eq!(
+            serde_json::from_str::<TrafficTrace>(&traffic_trace_json).unwrap(),
+            traffic_trace
+        );
 
         // Equal exactly when the sequences are: an unedited copy is equal,
         // one flipped bit, one dropped or one appended timestamp is not.
@@ -697,6 +747,97 @@ proptest! {
             Ok(()) => prop_assert!(sorted && inside),
             Err(e) if !sorted => prop_assert_eq!(e, "traffic genome timestamps out of order"),
             Err(e) => prop_assert_eq!((e.as_str(), inside), ("traffic genome timestamp beyond duration", false)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The trace-driven link reads its packed service curve with a forward
+// cursor. It answers every call exactly as the index walk over a plain
+// vector, which it replaced, did.
+
+/// The index-walking trace-driven link, kept as the reference.
+struct IndexedLink {
+    opportunities: Vec<SimTime>,
+    next: usize,
+}
+
+impl IndexedLink {
+    fn next_action(&mut self, now: SimTime, queue_nonempty: bool) -> LinkAction {
+        loop {
+            match self.opportunities.get(self.next) {
+                None => return LinkAction::Exhausted,
+                Some(&t) if t > now => return LinkAction::WaitUntil(t),
+                Some(_) => {
+                    if queue_nonempty {
+                        return LinkAction::TransmitNow;
+                    }
+                    self.next += 1;
+                }
+            }
+        }
+    }
+
+    fn on_transmit(&mut self, now: SimTime) -> SimTime {
+        self.next += 1;
+        now
+    }
+}
+
+/// A sorted service curve of one of six shapes, built from the gap draws.
+fn curve(shape: usize, gaps: &[u64]) -> Vec<SimTime> {
+    let from_gaps = |gap: &dyn Fn(u64) -> u64| -> Vec<u64> {
+        gaps.iter()
+            .scan(0u64, |t, &g| {
+                *t += gap(g);
+                Some(*t)
+            })
+            .collect()
+    };
+    let ns: Vec<u64> = match shape {
+        // Empty.
+        0 => Vec::new(),
+        // One entry.
+        1 => gaps.iter().take(1).copied().collect(),
+        // Every instant twice.
+        2 => from_gaps(&|g| g).into_iter().flat_map(|t| [t, t]).collect(),
+        // Dense bursts a few nanoseconds apart, between longer gaps.
+        3 => from_gaps(&|g| if g % 7 == 0 { g } else { g % 50 }),
+        // Gaps longer than the whole call sequence.
+        4 => from_gaps(&|g| g * 1_000),
+        // A plain service curve.
+        _ => from_gaps(&|g| g),
+    };
+    ns.into_iter().map(SimTime::from_nanos).collect()
+}
+
+proptest! {
+    #![proptest_config(env_cases(512))]
+
+    #[test]
+    fn packed_link_answers_every_call_as_the_index_walk(
+        shape in 0usize..6,
+        gaps in proptest::collection::vec(0u64..5_000_000, 0..200),
+        steps in proptest::collection::vec(0u64..3_000_000, 1..400),
+        flags in proptest::collection::vec(0u8..4, 1..400),
+    ) {
+        let opportunities = curve(shape, &gaps);
+        let trace = LinkTrace::new(opportunities.clone(), SimDuration::from_secs(1_000));
+        prop_assert_eq!(trace.iter().collect::<Vec<_>>(), opportunities.clone());
+        let mut packed = LinkService::new(LinkModel::TraceDriven { trace });
+        let mut reference = IndexedLink { opportunities, next: 0 };
+        let mut now = SimTime::ZERO;
+        for (&step, &flag) in steps.iter().zip(&flags) {
+            // Every fifth call lands on the instant of the one before it.
+            if step % 5 != 0 {
+                now += SimDuration::from_nanos(step);
+            }
+            let (queue_nonempty, transmit) = (flag & 1 == 1, flag & 2 == 2);
+            let action = packed.next_action(now, queue_nonempty);
+            prop_assert_eq!(action, reference.next_action(now, queue_nonempty));
+            if action == LinkAction::TransmitNow && transmit {
+                prop_assert_eq!(packed.on_transmit(now, 1500), reference.on_transmit(now));
+            }
         }
     }
 }

@@ -50,9 +50,8 @@ fn loss_based_ccas_recover_from_cross_traffic_bursts() {
     );
     cfg.cross_traffic = TrafficTrace::new(
         burst
-            .injections()
             .iter()
-            .map(|t| *t + SimDuration::from_secs(1))
+            .map(|t| t + SimDuration::from_secs(1))
             .collect(),
         cfg.duration,
     );
