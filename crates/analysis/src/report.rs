@@ -8,6 +8,7 @@
 //! once, as a [`Verdict`] over a run, for the findings tests and the `paper`
 //! table alike.
 
+use ccfuzz_netsim::cc::CcEvent;
 use ccfuzz_netsim::packet::FlowId;
 use ccfuzz_netsim::stats::{RunStats, TransportEvent};
 use ccfuzz_netsim::time::{SimDuration, SimTime};
@@ -78,9 +79,14 @@ pub fn spurious_retransmissions(stats: &RunStats, window: SimDuration) -> usize 
 pub fn retransmission_triggered_rounds(stats: &RunStats) -> usize {
     stats
         .transport(FlowId::Cca(0))
-        .filter(|(_, e)| match e {
-            TransportEvent::Cc { detail } => detail.contains("RETRANSMITTED"),
-            _ => false,
+        .filter(|(_, e)| {
+            matches!(
+                e,
+                TransportEvent::Cc(CcEvent::RoundStart {
+                    retransmitted: true,
+                    ..
+                })
+            )
         })
         .count()
 }
@@ -192,7 +198,7 @@ fn format_record(at: SimTime, event: &TransportEvent) -> String {
         TransportEvent::RtoFired { backoff } => format!("{t}  RTO    backoff={backoff}"),
         TransportEvent::EnterRecovery => format!("{t}  ENTER-RECOVERY"),
         TransportEvent::ExitRecovery => format!("{t}  EXIT-RECOVERY"),
-        TransportEvent::Cc { detail } => format!("{t}  CC     {detail}"),
+        TransportEvent::Cc(event) => format!("{t}  CC     {event}"),
     }
 }
 
@@ -302,21 +308,29 @@ mod tests {
 
     #[test]
     fn counts_retransmission_triggered_rounds_from_cc_log() {
+        let round = |round, retransmitted| {
+            TransportEvent::Cc(CcEvent::RoundStart {
+                round,
+                prior_delivered: 40 * round,
+                retransmitted,
+            })
+        };
+        let rto = SimTime::from_millis(3);
         let stats = stats_with(vec![
+            rec(1, round(5, true)),
+            rec(2, round(6, false)),
+            rec(3, TransportEvent::Cc(CcEvent::Rto(rto))),
             rec(
-                1,
-                TransportEvent::Cc {
-                    detail: "round 5 started by a RETRANSMITTED sample".into(),
-                },
+                3,
+                TransportEvent::Cc(CcEvent::EnterProbeRtt {
+                    at: rto,
+                    on_rto: true,
+                }),
             ),
-            rec(
-                2,
-                TransportEvent::Cc {
-                    detail: "round 6 start".into(),
-                },
-            ),
+            rec(4, round(7, true)),
+            rec(5, TransportEvent::Sacked { seq: 7 }),
         ]);
-        assert_eq!(retransmission_triggered_rounds(&stats), 1);
+        assert_eq!(retransmission_triggered_rounds(&stats), 2);
     }
 
     #[test]

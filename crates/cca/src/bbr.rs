@@ -27,7 +27,9 @@
 //! long enough for in-flight ACKs to arrive instead of triggering spurious
 //! retransmissions — is selected by [`Bbr::new`]'s `probe_rtt_on_rto`.
 
-use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
+use ccfuzz_netsim::cc::{
+    CcContext, CcEvent, CcEvents, CongestionControl, CongestionSignal, RateSample,
+};
 use ccfuzz_netsim::time::{ceil_to_u64, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -186,21 +188,8 @@ pub struct Bbr {
     target_key: (u64, u64),
     cwnd_target: u64,
 
-    // Event log for Figure 4c style timelines (skipped entirely when the
-    // host signals events will not be consumed).
-    record_events: bool,
-    events: Vec<String>,
-}
-
-/// Records a debug event without evaluating the `format!` unless event
-/// recording is enabled (the fuzzer's hot path disables it, and formatting
-/// would otherwise allocate a `String` per round/transition per evaluation).
-macro_rules! bbr_log {
-    ($self:ident, $($fmt:tt)*) => {
-        if $self.record_events {
-            $self.events.push(format!($($fmt)*));
-        }
-    };
+    // Events since the sender's last drain (the Figure 4c timeline).
+    events: CcEvents,
 }
 
 impl Bbr {
@@ -235,8 +224,7 @@ impl Bbr {
             bdp: 0,
             target_key: (0, 0),
             cwnd_target: MIN_CWND,
-            record_events: true,
-            events: Vec::new(),
+            events: CcEvents::default(),
         }
     }
 
@@ -305,17 +293,11 @@ impl Bbr {
             self.round_count += 1;
             self.bw = self.bw_samples.max(self.round_count);
             self.round_start = true;
-            if rs.is_retransmitted_sample {
-                bbr_log!(
-                    self,
-                    "round {} started by a RETRANSMITTED sample (prior_delivered={} >= threshold): \
-                     probable spurious-retransmission interaction",
-                    self.round_count,
-                    rs.prior_delivered
-                );
-            } else {
-                bbr_log!(self, "round {} start", self.round_count);
-            }
+            self.events.push(CcEvent::RoundStart {
+                round: self.round_count,
+                prior_delivered: rs.prior_delivered,
+                retransmitted: rs.is_retransmitted_sample,
+            });
         } else {
             self.round_start = false;
         }
@@ -344,7 +326,7 @@ impl Bbr {
         }
         // Enter ProbeRTT when the estimate went stale.
         if expired && self.state != BbrState::ProbeRtt {
-            self.enter_probe_rtt(ctx, "min_rtt estimate expired");
+            self.enter_probe_rtt(ctx, false);
         }
     }
 
@@ -362,7 +344,7 @@ impl Bbr {
         }
     }
 
-    fn enter_probe_rtt(&mut self, ctx: &CcContext, reason: &str) {
+    fn enter_probe_rtt(&mut self, ctx: &CcContext, on_rto: bool) {
         if self.state == BbrState::ProbeRtt {
             return;
         }
@@ -371,7 +353,10 @@ impl Bbr {
         self.pacing_gain = 1.0;
         self.cwnd_gain = 1.0;
         self.probe_rtt_done_stamp = None;
-        bbr_log!(self, "enter ProbeRTT at {} ({reason})", ctx.now);
+        self.events.push(CcEvent::EnterProbeRtt {
+            at: ctx.now,
+            on_rto,
+        });
     }
 
     fn handle_probe_rtt(&mut self, ctx: &CcContext) {
@@ -401,7 +386,10 @@ impl Bbr {
             BbrState::Startup
         };
         self.cwnd = self.cwnd.max(self.prior_cwnd);
-        bbr_log!(self, "exit ProbeRTT to {:?} at {}", self.state, ctx.now);
+        self.events.push(CcEvent::ExitProbeRtt {
+            at: ctx.now,
+            to_probe_bw: self.filled_pipe,
+        });
     }
 
     fn check_full_pipe(&mut self, rs: &RateSample) {
@@ -417,7 +405,7 @@ impl Bbr {
         self.full_bw_count += 1;
         if self.full_bw_count >= 3 {
             self.filled_pipe = true;
-            bbr_log!(self, "pipe filled at {:.2} Mbps", self.full_bw / 1e6);
+            self.events.push(CcEvent::PipeFilled(self.full_bw));
         }
     }
 
@@ -429,7 +417,7 @@ impl Bbr {
                     self.state = BbrState::Drain;
                     self.pacing_gain = 1.0 / HIGH_GAIN;
                     self.cwnd_gain = HIGH_GAIN;
-                    bbr_log!(self, "enter Drain at {}", ctx.now);
+                    self.events.push(CcEvent::EnterDrain(ctx.now));
                 }
             }
             BbrState::Drain => {
@@ -439,7 +427,7 @@ impl Bbr {
                     self.cycle_stamp = ctx.now;
                     self.pacing_gain = CYCLE_GAINS[self.cycle_index];
                     self.cwnd_gain = CWND_GAIN;
-                    bbr_log!(self, "enter ProbeBW at {}", ctx.now);
+                    self.events.push(CcEvent::EnterProbeBw(ctx.now));
                 }
             }
             BbrState::ProbeBw => {
@@ -461,17 +449,10 @@ impl Bbr {
     fn advance_cycle_phase(&mut self, ctx: &CcContext, bdp: u64) {
         let min_rtt = self.min_rtt.unwrap_or(SimDuration::from_millis(10));
         let elapsed = ctx.now.saturating_since(self.cycle_stamp);
-        let gain = CYCLE_GAINS[self.cycle_index];
-        let should_advance = if (gain - 0.75).abs() < f64::EPSILON {
-            // Leave the draining phase as soon as the queue we created is gone.
-            elapsed > min_rtt || ctx.in_flight <= bdp.max(1)
-        } else if (gain - 1.25).abs() < f64::EPSILON {
-            // Probe for a full min_rtt (and until we actually used the gain).
-            elapsed > min_rtt
-        } else {
-            elapsed > min_rtt
-        };
-        if should_advance {
+        // Each phase lasts a min_rtt; the draining phase also ends as soon as
+        // the queue the probing phase created is gone.
+        let draining = CYCLE_GAINS[self.cycle_index] == 0.75;
+        if elapsed > min_rtt || (draining && ctx.in_flight <= bdp.max(1)) {
             self.cycle_index = (self.cycle_index + 1) % CYCLE_GAINS.len();
             self.cycle_stamp = ctx.now;
             self.pacing_gain = CYCLE_GAINS[self.cycle_index];
@@ -479,15 +460,10 @@ impl Bbr {
     }
 
     fn update_cwnd(&mut self, ctx: &CcContext, rs: &RateSample, bdp: u64) {
-        // End packet conservation one full round after recovery began.
-        if self.packet_conservation
-            && self.round_start
-            && self.round_count >= self.conservation_ends_round
-        {
-            self.packet_conservation = false;
-            self.cwnd = self.cwnd.max(self.prior_cwnd);
-        }
-        if !ctx.in_recovery && self.packet_conservation {
+        // End packet conservation one full round after recovery began, or
+        // with recovery.
+        let round_done = self.round_start && self.round_count >= self.conservation_ends_round;
+        if self.packet_conservation && (round_done || !ctx.in_recovery) {
             self.packet_conservation = false;
             self.cwnd = self.cwnd.max(self.prior_cwnd);
         }
@@ -550,20 +526,16 @@ impl CongestionControl for Bbr {
                     self.packet_conservation = true;
                     self.conservation_ends_round = self.round_count + 1;
                     self.cwnd = (ctx.in_flight + 1).max(MIN_CWND);
-                    bbr_log!(
-                        self,
-                        "fast-retransmit loss at {}: packet conservation",
-                        ctx.now
-                    );
+                    self.events.push(CcEvent::FastRetransmitLoss(ctx.now));
                 }
             }
             CongestionSignal::Rto => {
-                bbr_log!(self, "RTO at {}", ctx.now);
+                self.events.push(CcEvent::Rto(ctx.now));
                 if self.probe_rtt_on_rto {
                     // The paper's mitigation (§4.1): slow down via ProbeRTT so
                     // the in-flight ACKs arrive before we spuriously
                     // retransmit their packets.
-                    self.enter_probe_rtt(ctx, "RTO (mitigation enabled)");
+                    self.enter_probe_rtt(ctx, true);
                     self.cwnd = MIN_CWND;
                 } else {
                     // BBR v1 deliberately does not reduce its window/pacing in
@@ -595,21 +567,15 @@ impl CongestionControl for Bbr {
         Some((self.pacing_gain * bw).max(1_000.0))
     }
 
-    fn take_events(&mut self) -> Vec<String> {
+    fn take_events(&mut self) -> CcEvents {
         std::mem::take(&mut self.events)
-    }
-
-    fn set_event_recording(&mut self, enabled: bool) {
-        self.record_events = enabled;
-        if !enabled {
-            self.events.clear();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccfuzz_netsim::cc::CC_EVENTS_CAPACITY;
 
     fn ctx(now_ms: u64, in_flight: u64, delivered: u64) -> CcContext {
         CcContext {
@@ -651,6 +617,18 @@ mod tests {
         }
     }
 
+    /// The events logged since the last drain.
+    fn drained(bbr: &mut Bbr) -> Vec<CcEvent> {
+        bbr.take_events().iter().collect()
+    }
+
+    /// `on_ack`, then the events it logged, drained as the sender drains
+    /// after every ACK.
+    fn ack(bbr: &mut Bbr, ctx: &CcContext, rs: &RateSample) -> Vec<CcEvent> {
+        bbr.on_ack(ctx, rs);
+        drained(bbr)
+    }
+
     #[test]
     fn starts_in_startup_with_high_gain() {
         let bbr = Bbr::new(10, false);
@@ -665,7 +643,8 @@ mod tests {
         let mut delivered = 0u64;
         for (i, bw) in [5e6, 8e6, 6e6].iter().enumerate() {
             delivered += 10;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i as u64 + 1), 10, delivered),
                 &sample(delivered - 10, delivered, *bw, 40, 10),
             );
@@ -678,14 +657,19 @@ mod tests {
         let mut bbr = Bbr::new(10, false);
         let mut delivered = 10u64;
         // One good 12 Mbps sample in round 1.
-        bbr.on_ack(&ctx(40, 10, delivered), &sample(0, delivered, 12e6, 40, 10));
+        ack(
+            &mut bbr,
+            &ctx(40, 10, delivered),
+            &sample(0, delivered, 12e6, 40, 10),
+        );
         assert!(bbr.bottleneck_bw_bps() >= 12e6 - 1.0);
         // Now 12 more rounds of 1 Mbps samples; each sample's prior_delivered
         // equals the current threshold so every ACK starts a new round.
         for i in 0..12 {
             let prior = delivered;
             delivered += 2;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(80 + i * 40, 4, delivered),
                 &sample(prior, delivered, 1e6, 40, 2),
             );
@@ -701,13 +685,13 @@ mod tests {
     fn round_counting_follows_prior_delivered() {
         let mut bbr = Bbr::new(10, false);
         // prior_delivered = 0 >= threshold 0: round 1 starts, threshold := 10.
-        bbr.on_ack(&ctx(40, 10, 10), &sample(0, 10, 10e6, 40, 10));
+        ack(&mut bbr, &ctx(40, 10, 10), &sample(0, 10, 10e6, 40, 10));
         assert_eq!(bbr.round_count(), 1);
         // prior_delivered = 5 < 10: same round.
-        bbr.on_ack(&ctx(60, 10, 15), &sample(5, 15, 10e6, 40, 5));
+        ack(&mut bbr, &ctx(60, 10, 15), &sample(5, 15, 10e6, 40, 5));
         assert_eq!(bbr.round_count(), 1);
         // prior_delivered = 12 >= 10: next round.
-        bbr.on_ack(&ctx(80, 10, 20), &sample(12, 20, 10e6, 40, 5));
+        ack(&mut bbr, &ctx(80, 10, 20), &sample(12, 20, 10e6, 40, 5));
         assert_eq!(bbr.round_count(), 2);
     }
 
@@ -716,29 +700,44 @@ mod tests {
         let mut bbr = Bbr::new(10, false);
         let mut delivered = 0u64;
         let mut now = 40u64;
+        let mut events = Vec::new();
         // Bandwidth stops growing at 12 Mbps: after 3 rounds of no growth,
-        // Startup ends.
+        // Startup ends. 60 packets stay in flight, above the 42-packet BDP.
         for _ in 0..8 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
-                &ctx(now, 30, delivered),
+            events.extend(ack(
+                &mut bbr,
+                &ctx(now, 60, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
-            );
+            ));
             now += 40;
         }
-        assert!(
-            bbr.state() == BbrState::Drain || bbr.state() == BbrState::ProbeBw,
-            "state after flat bandwidth: {:?}",
-            bbr.state()
-        );
+        // Every ACK starts a round. Round 1 sets the full bandwidth, and
+        // rounds 2-4 do not grow it: the pipe fills at round 4.
+        let round = |round: u64| CcEvent::RoundStart {
+            round,
+            prior_delivered: 20 * (round - 1),
+            retransmitted: false,
+        };
+        let mut expected: Vec<_> = (1..=4).map(round).collect();
+        expected.extend([
+            CcEvent::PipeFilled(12e6),
+            CcEvent::EnterDrain(SimTime::from_millis(160)),
+        ]);
+        expected.extend((5..=8).map(round));
+        assert_eq!(events, expected);
+        assert_eq!(bbr.state(), BbrState::Drain);
         // Once in-flight drops to the BDP, Drain ends.
         let prior = delivered;
         delivered += 1;
-        bbr.on_ack(
+        let events = ack(
+            &mut bbr,
             &ctx(now, 1, delivered),
             &sample(prior, delivered, 12e6, 40, 1),
         );
+        let probe_bw = CcEvent::EnterProbeBw(SimTime::from_millis(360));
+        assert_eq!(events, [round(9), probe_bw]);
         assert_eq!(bbr.state(), BbrState::ProbeBw);
         // cwnd should be near cwnd_gain * BDP (BDP ≈ 41 packets at 12Mbps/40ms).
         let bdp = bbr.bdp_packets(1448);
@@ -753,7 +752,8 @@ mod tests {
         for _ in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(now, 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
@@ -764,7 +764,8 @@ mod tests {
         for _ in 0..40 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(now, 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
@@ -793,34 +794,54 @@ mod tests {
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i + 1), 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
         }
         // Jump time past the 10 s min-RTT window.
         let stale = 400 + MIN_RTT_WINDOW.as_millis() + 100;
+        let round = |round, prior_delivered| CcEvent::RoundStart {
+            round,
+            prior_delivered,
+            retransmitted: false,
+        };
         let prior = delivered;
         delivered += 5;
-        bbr.on_ack(
+        let events = ack(
+            &mut bbr,
             &ctx(stale, 20, delivered),
             &sample(prior, delivered, 12e6, 41, 5),
         );
+        let enter = CcEvent::EnterProbeRtt {
+            at: SimTime::from_millis(stale),
+            on_rto: false,
+        };
+        assert_eq!(events, [round(11, 200), enter]);
         assert_eq!(bbr.state(), BbrState::ProbeRtt);
         assert_eq!(bbr.cwnd(), MIN_CWND);
         // Drain in-flight to 4, then 200 ms later ProbeRTT ends.
         let prior = delivered;
         delivered += 2;
-        bbr.on_ack(
+        let events = ack(
+            &mut bbr,
             &ctx(stale + 50, 3, delivered),
             &sample(prior, delivered, 12e6, 41, 2),
         );
+        assert_eq!(events, [round(12, 205)]);
         let prior = delivered;
         delivered += 2;
-        bbr.on_ack(
+        let events = ack(
+            &mut bbr,
             &ctx(stale + 300, 3, delivered),
             &sample(prior, delivered, 12e6, 41, 2),
         );
+        let exit = CcEvent::ExitProbeRtt {
+            at: SimTime::from_millis(stale + 300),
+            to_probe_bw: true,
+        };
+        assert_eq!(events, [round(13, 207), exit]);
         assert_ne!(
             bbr.state(),
             BbrState::ProbeRtt,
@@ -841,7 +862,8 @@ mod tests {
         for _ in 0..12 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(now, 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
@@ -864,7 +886,8 @@ mod tests {
         for _ in 0..12 {
             let prior = delivered;
             delivered += 2;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(now, 4, delivered),
                 &sample(prior, delivered, 1e6, 40, 2),
             );
@@ -900,13 +923,16 @@ mod tests {
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i + 1), 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
         }
         let cwnd_before = bbr.cwnd();
         bbr.on_congestion(&ctx(500, 0, delivered), CongestionSignal::Rto);
+        let at = SimTime::from_millis(500);
+        assert_eq!(drained(&mut bbr), [CcEvent::Rto(at)]);
         assert_eq!(
             bbr.state(),
             BbrState::ProbeBw,
@@ -926,12 +952,16 @@ mod tests {
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i + 1), 20, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
         }
         bbr.on_congestion(&ctx(500, 0, delivered), CongestionSignal::Rto);
+        let at = SimTime::from_millis(500);
+        let probe_rtt = CcEvent::EnterProbeRtt { at, on_rto: true };
+        assert_eq!(drained(&mut bbr), [CcEvent::Rto(at), probe_rtt]);
         assert_eq!(bbr.state(), BbrState::ProbeRtt);
         assert_eq!(bbr.cwnd(), MIN_CWND);
         assert_eq!(bbr.name(), "bbr-probertt-on-rto");
@@ -944,7 +974,8 @@ mod tests {
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i + 1), 40, delivered),
                 &sample(prior, delivered, 12e6, 40, 20),
             );
@@ -957,11 +988,14 @@ mod tests {
                 new_episode: true,
             },
         );
+        let at = SimTime::from_millis(500);
+        assert_eq!(drained(&mut bbr), [CcEvent::FastRetransmitLoss(at)]);
         assert!(
             bbr.cwnd() <= before,
             "conservation shrinks the window to ~in_flight"
         );
         bbr.on_exit_recovery(&ctx(600, 10, delivered));
+        assert_eq!(drained(&mut bbr), []);
         assert_eq!(bbr.cwnd(), before, "window restored after recovery");
     }
 
@@ -973,15 +1007,20 @@ mod tests {
         // sample ages out of the filter.
         let mut bbr = Bbr::new(10, false);
         let mut delivered = 200u64;
-        bbr.on_ack(&ctx(40, 20, delivered), &sample(0, delivered, 12e6, 40, 20));
+        ack(
+            &mut bbr,
+            &ctx(40, 20, delivered),
+            &sample(0, delivered, 12e6, 40, 20),
+        );
         let rounds_before = bbr.round_count();
         assert!(bbr.bottleneck_bw_bps() >= 12e6 - 1.0);
+        let mut events = Vec::new();
         for i in 0..12 {
             let prior = delivered; // == current threshold → premature round end
             delivered += 1;
             let mut rs = sample(prior, delivered, 0.8e6, 45, 1);
             rs.is_retransmitted_sample = true;
-            bbr.on_ack(&ctx(1_000 + i * 10, 5, delivered), &rs);
+            events.extend(ack(&mut bbr, &ctx(1_000 + i * 10, 5, delivered), &rs));
         }
         assert!(
             bbr.round_count() >= rounds_before + 12,
@@ -992,9 +1031,14 @@ mod tests {
             "bandwidth estimate collapsed to {} bps",
             bbr.bottleneck_bw_bps()
         );
-        let events = bbr.take_events();
         assert!(
-            events.iter().any(|e| e.contains("RETRANSMITTED")),
+            events.iter().any(|e| matches!(
+                e,
+                CcEvent::RoundStart {
+                    retransmitted: true,
+                    ..
+                }
+            )),
             "event log should flag retransmitted-sample rounds"
         );
     }
@@ -1336,6 +1380,7 @@ mod tests {
         // 8 × 2000 calls by default: ≥ 10k per run.
         const CALLS: u64 = 2_000;
         let mut states_seen = std::collections::BTreeSet::new();
+        let mut most_logged = 0;
         for case in 0..cases(8) {
             let mut rng = SimRng::new(0xBB0 + case);
             let probe_rtt_on_rto = case % 2 == 1;
@@ -1402,8 +1447,20 @@ mod tests {
                         };
                         bbr.on_ack(&ctx, &rs);
                         reference.on_ack(&ctx, &rs);
+                        // The loss episode the same ACK may start.
+                        if rng.gen_range_u64(0, 8) == 0 {
+                            let signal = CongestionSignal::FastRetransmitLoss {
+                                newly_lost: 1,
+                                new_episode: true,
+                            };
+                            bbr.on_congestion(&ctx, signal);
+                            reference.on_congestion(&ctx, signal);
+                        }
                     }
                 }
+                // Each call is what the sender delivers between two drains;
+                // overflowing the inline buffer panics.
+                most_logged = most_logged.max(bbr.take_events().iter().count());
                 let at = format!("case {case}, call {call}");
                 assert_eq!(
                     bbr.bottleneck_bw_bps().to_bits(),
@@ -1426,6 +1483,9 @@ mod tests {
         }
         // The streams reached every phase the cache has to survive.
         assert_eq!(states_seen.len(), 4, "{states_seen:?}");
+        // Some call filled the buffer: the bound is tight, and one more
+        // event per drain would have panicked in `CcEvents::push`.
+        assert_eq!(most_logged, CC_EVENTS_CAPACITY);
     }
 
     #[test]
@@ -1435,7 +1495,8 @@ mod tests {
         for i in 0..10 {
             let prior = delivered;
             delivered += 20;
-            bbr.on_ack(
+            ack(
+                &mut bbr,
                 &ctx(40 * (i + 1), 20, delivered),
                 &sample(prior, delivered, 10e6, 40, 20),
             );

@@ -80,11 +80,6 @@ impl Cubic {
         (self.cwnd as u64) < self.ssthresh
     }
 
-    /// The configured slow-start behaviour.
-    pub fn slow_start_behaviour(&self) -> SlowStartBehaviour {
-        self.slow_start
-    }
-
     fn clamp(&mut self) {
         self.cwnd = self.cwnd.clamp(1.0, MAX_CWND as f64);
     }

@@ -8,13 +8,14 @@
 //! returns and every campaign simulates (`Simulation<CcaDispatch>`).
 
 use crate::{Bbr, Cubic, Dctcp, Reno, Vegas};
-use ccfuzz_netsim::cc::{CcContext, CongestionControl, CongestionSignal, RateSample};
+use ccfuzz_netsim::cc::{CcContext, CcEvents, CongestionControl, CongestionSignal, RateSample};
 
 /// A congestion control algorithm, dispatched by enum variant. `Clone` lets
 /// one instance serve as the prototype a workload simulation stamps
 /// per-arrival controllers from.
-// `Bbr` is the largest variant because its bandwidth filter is stored
-// inline; boxing it would allocate once per controller per evaluation.
+// `Bbr` is the largest variant (488 bytes) because its bandwidth filter and
+// event buffer are stored inline; boxing it would allocate once per
+// controller per evaluation.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CcaDispatch {
@@ -70,10 +71,7 @@ impl CongestionControl for CcaDispatch {
     fn pacing_rate_bps(&self) -> Option<f64> {
         dispatch!(self, cc => cc.pacing_rate_bps())
     }
-    fn take_events(&mut self) -> Vec<String> {
+    fn take_events(&mut self) -> CcEvents {
         dispatch!(self, cc => cc.take_events())
-    }
-    fn set_event_recording(&mut self, enabled: bool) {
-        dispatch!(self, cc => cc.set_event_recording(enabled))
     }
 }

@@ -594,10 +594,8 @@ mod tests {
 
     #[test]
     fn low_throughput_score_rewards_starvation() {
-        let objective = Objective::LowThroughput {
-            window: SimDuration::from_millis(500),
-            lowest_fraction: 0.2,
-        };
+        // The default: the mean of the lowest two of ten 500 ms windows.
+        let objective = ScoringConfig::low_throughput_default(12e6).objective;
         // Full-rate delivery: ~1000 packets/s of 1448B ≈ 11.6 Mbps.
         let busy: Vec<SimTime> = (0..5_000).map(SimTime::from_millis).collect();
         let busy_score =
@@ -618,6 +616,23 @@ mod tests {
         assert!(
             busy_score < 0.2,
             "a link-filling flow should score near 0: {busy_score}"
+        );
+        // The saturation: one 1 s gap (a stall of one 1 s `min_rto`) in a
+        // run that otherwise fills the link empties two windows, the whole
+        // lowest 20 %, so a single stall already scores near the maximum.
+        let one_gap: Vec<SimTime> = (0..5_000)
+            .filter(|ms| !(2_000..3_000).contains(ms))
+            .map(SimTime::from_millis)
+            .collect();
+        let one_gap_score = performance_score(
+            &objective,
+            &result_with_deliveries(one_gap, 5.0),
+            1448,
+            12e6,
+        );
+        assert!(
+            one_gap_score >= 0.95,
+            "one 1 s gap saturates the objective: {one_gap_score}"
         );
     }
 

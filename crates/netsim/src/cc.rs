@@ -4,15 +4,16 @@
 //! ([`crate::tcp::sender`]) and receives the same signals a Linux/NS3
 //! congestion module would: per-ACK delivery-rate samples ([`RateSample`],
 //! modelled on Linux `tcp_rate.c`), loss events detected by fast retransmit,
-//! and RTO expirations. It exposes a congestion window (in packets) and an
-//! optional pacing rate.
+//! and RTO expirations. It exposes a congestion window (in packets), an
+//! optional pacing rate and its transitions as typed [`CcEvent`]s.
 //!
-//! Concrete algorithms (Reno, CUBIC, BBR, Vegas) live in the `ccfuzz-cca`
-//! crate; this module only defines the contract plus a couple of trivial
-//! reference implementations used by the simulator's own tests.
+//! Concrete algorithms live in the `ccfuzz-cca` crate; this module defines
+//! the contract, the events it names and two trivial reference
+//! implementations used by the simulator's own tests.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A delivery rate sample, generated for every ACK that (cumulatively or
 /// selectively) acknowledges at least one packet.
@@ -108,6 +109,113 @@ pub enum CongestionSignal {
     Rto,
 }
 
+/// An algorithm-internal event, which the sender drains into the run log
+/// for the Figure 4c timeline. Each variant is one of BBR's transitions, a
+/// bare `SimTime` is when it happened, and `Display` prints the timeline's
+/// text.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum CcEvent {
+    /// A packet-timed round began.
+    RoundStart {
+        /// The round's number (the first is 1).
+        round: u64,
+        /// The `prior_delivered` of the sample that reached the threshold.
+        prior_delivered: u64,
+        /// Whether that sample was retransmitted: the §4.1 signature.
+        retransmitted: bool,
+    },
+    /// Startup saw three rounds without 25 % growth of this bandwidth
+    /// (bits per second).
+    PipeFilled(f64),
+    /// Startup handed over to Drain.
+    EnterDrain(SimTime),
+    /// Drain handed over to ProbeBW.
+    EnterProbeBw(SimTime),
+    /// ProbeRTT began.
+    EnterProbeRtt {
+        /// When.
+        at: SimTime,
+        /// An RTO triggered it (the §4.1 mitigation), not an expired
+        /// min-RTT estimate.
+        on_rto: bool,
+    },
+    /// ProbeRTT ended.
+    ExitProbeRtt {
+        /// When.
+        at: SimTime,
+        /// Back to ProbeBW (the pipe was filled), not to Startup.
+        to_probe_bw: bool,
+    },
+    /// A new fast-retransmit loss episode began packet conservation.
+    FastRetransmitLoss(SimTime),
+    /// The retransmission timer expired.
+    Rto(SimTime),
+}
+
+impl fmt::Display for CcEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            CcEvent::RoundStart {
+                round,
+                prior_delivered,
+                retransmitted: true,
+            } => write!(
+                f,
+                "round {round} started by a RETRANSMITTED sample \
+                 (prior_delivered={prior_delivered} >= threshold): \
+                 probable spurious-retransmission interaction"
+            ),
+            CcEvent::RoundStart { round, .. } => write!(f, "round {round} start"),
+            CcEvent::PipeFilled(bw) => write!(f, "pipe filled at {:.2} Mbps", bw / 1e6),
+            CcEvent::EnterDrain(at) => write!(f, "enter Drain at {at}"),
+            CcEvent::EnterProbeBw(at) => write!(f, "enter ProbeBW at {at}"),
+            CcEvent::EnterProbeRtt { at, on_rto: false } => {
+                write!(f, "enter ProbeRTT at {at} (min_rtt estimate expired)")
+            }
+            CcEvent::EnterProbeRtt { at, on_rto: true } => {
+                write!(f, "enter ProbeRTT at {at} (RTO (mitigation enabled))")
+            }
+            CcEvent::ExitProbeRtt { at, to_probe_bw } => {
+                let to = if to_probe_bw { "ProbeBw" } else { "Startup" };
+                write!(f, "exit ProbeRTT to {to} at {at}")
+            }
+            CcEvent::FastRetransmitLoss(at) => {
+                write!(f, "fast-retransmit loss at {at}: packet conservation")
+            }
+            CcEvent::Rto(at) => write!(f, "RTO at {at}"),
+        }
+    }
+}
+
+/// Capacity of [`CcEvents`]. The sender drains its controller after flow
+/// start, after an RTO and after each ACK. BBR, the one algorithm that
+/// logs, logs nothing at flow start, at most two events at an RTO (the RTO,
+/// then ProbeRTT under the mitigation), and at most four on one ACK: three
+/// from `on_ack` (a round start, then either pipe filled and Drain or one
+/// other transition; entering ProbeRTT leaves its exit to a later ACK) and
+/// one for the fast-retransmit loss episode the same ACK may start.
+pub const CC_EVENTS_CAPACITY: usize = 4;
+
+/// The [`CcEvent`]s logged since the last drain, in a fixed inline buffer
+/// that never allocates. A fifth event before a drain panics rather than
+/// drop one.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CcEvents([Option<CcEvent>; CC_EVENTS_CAPACITY]);
+
+impl CcEvents {
+    /// Appends `event`.
+    #[inline]
+    pub fn push(&mut self, event: CcEvent) {
+        let slot = self.0.iter_mut().find(|slot| slot.is_none());
+        *slot.expect("more CC events than CC_EVENTS_CAPACITY between two drains") = Some(event);
+    }
+
+    /// The events in the order they were logged.
+    pub fn iter(&self) -> impl Iterator<Item = CcEvent> + '_ {
+        self.0.iter().map_while(|slot| *slot)
+    }
+}
+
 /// The congestion control algorithm contract.
 pub trait CongestionControl: std::fmt::Debug + Send {
     /// Short algorithm name (e.g. `"reno"`, `"cubic"`, `"bbr"`).
@@ -148,18 +256,13 @@ pub trait CongestionControl: std::fmt::Debug + Send {
         None
     }
 
-    /// Drains algorithm-internal events recorded since the last call
-    /// (used to build the Figure 4c timeline without coupling the simulator
-    /// to any specific algorithm).
-    fn take_events(&mut self) -> Vec<String> {
-        Vec::new()
+    /// Drains the [`CcEvent`]s logged since the last call. The sender calls
+    /// it after every flow start, RTO and ACK (see [`CC_EVENTS_CAPACITY`])
+    /// and keeps the events only when it records its log; an algorithm
+    /// logs unconditionally into its [`CcEvents`].
+    fn take_events(&mut self) -> CcEvents {
+        CcEvents::default()
     }
-
-    /// Tells the algorithm whether its debug events will actually be
-    /// consumed. When `false` (the fuzzer's hot path), algorithms should
-    /// skip formatting and storing events entirely — the strings would be
-    /// allocated and then thrown away millions of times per campaign.
-    fn set_event_recording(&mut self, _enabled: bool) {}
 }
 
 /// Trivial reference algorithms used by the simulator's own unit tests (the
@@ -293,6 +396,74 @@ mod tests {
             in_flight_before: 6,
             now: SimTime::ZERO,
         }
+    }
+
+    /// Each event's text, byte for byte: the Figure 4c timeline and the
+    /// `paper` table's RTO timelines print it.
+    #[test]
+    fn event_display_is_the_timeline_text() {
+        let at = SimTime::from_micros(1_234_567);
+        let round = |round, retransmitted| CcEvent::RoundStart {
+            round,
+            prior_delivered: 812,
+            retransmitted,
+        };
+        let cases = [
+            (round(7, false), "round 7 start"),
+            (
+                round(42, true),
+                "round 42 started by a RETRANSMITTED sample (prior_delivered=812 >= threshold): \
+                 probable spurious-retransmission interaction",
+            ),
+            (
+                CcEvent::PipeFilled(11_586_301.4),
+                "pipe filled at 11.59 Mbps",
+            ),
+            (CcEvent::EnterDrain(at), "enter Drain at 1.234567s"),
+            (CcEvent::EnterProbeBw(at), "enter ProbeBW at 1.234567s"),
+            (
+                CcEvent::EnterProbeRtt { at, on_rto: false },
+                "enter ProbeRTT at 1.234567s (min_rtt estimate expired)",
+            ),
+            (
+                CcEvent::EnterProbeRtt { at, on_rto: true },
+                "enter ProbeRTT at 1.234567s (RTO (mitigation enabled))",
+            ),
+            (
+                CcEvent::ExitProbeRtt {
+                    at,
+                    to_probe_bw: true,
+                },
+                "exit ProbeRTT to ProbeBw at 1.234567s",
+            ),
+            (
+                CcEvent::ExitProbeRtt {
+                    at,
+                    to_probe_bw: false,
+                },
+                "exit ProbeRTT to Startup at 1.234567s",
+            ),
+            (
+                CcEvent::FastRetransmitLoss(at),
+                "fast-retransmit loss at 1.234567s: packet conservation",
+            ),
+            (CcEvent::Rto(at), "RTO at 1.234567s"),
+        ];
+        for (event, text) in cases {
+            assert_eq!(event.to_string(), text, "{event:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CC_EVENTS_CAPACITY")]
+    fn event_buffer_keeps_order_and_refuses_to_drop() {
+        let mut events = CcEvents::default();
+        let rtos = (0..CC_EVENTS_CAPACITY as u64).map(|s| CcEvent::Rto(SimTime::from_millis(s)));
+        for rto in rtos.clone() {
+            events.push(rto);
+        }
+        assert!(events.iter().eq(rtos));
+        events.push(CcEvent::Rto(SimTime::ZERO));
     }
 
     #[test]

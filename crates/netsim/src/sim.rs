@@ -56,7 +56,7 @@ use crate::packet::{AckPacket, DataPacket, FlowId, PacketPool};
 use crate::queue::{EnqueueOutcome, GatewayQueue};
 use crate::rng::SimRng;
 use crate::stats::{
-    BottleneckEvent, FctSample, FlowRates, FlowStats, LogEvent, LogRecord, RunStats, WorkloadStats,
+    BottleneckEvent, FctSample, FlowStats, LogEvent, LogRecord, RunStats, WorkloadStats,
 };
 use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
@@ -94,16 +94,11 @@ impl SimResult {
     }
 
     /// Per-flow goodput (sink-side, normalised by each flow's active
-    /// interval), in bits per second. Returns an inline-array
-    /// [`FlowRates`], so the common single-flow (and up-to-four-flow) case
-    /// performs no allocation.
-    pub fn per_flow_goodput_bps(&self, mss: u32) -> FlowRates {
+    /// interval), in bits per second.
+    pub fn per_flow_goodput_bps(&self, mss: u32) -> Vec<f64> {
         let duration = crate::time::SimDuration::from_secs_f64(self.duration_secs);
-        let mut rates = FlowRates::new();
-        for f in &self.stats.flows {
-            rates.push(f.goodput_bps(mss, duration));
-        }
-        rates
+        let flows = self.stats.flows.iter();
+        flows.map(|f| f.goodput_bps(mss, duration)).collect()
     }
 }
 
@@ -2237,8 +2232,7 @@ mod tests {
         assert_eq!(marks, result.stats.flow().ce_marked, "ECN marks recorded");
         // A 120-packet AIMD window over a 100-packet queue loses packets
         // and recovers; the state transitions show up in the log.
-        let transport =
-            |e: TransportEvent| count(&result, |r| r.event == LogEvent::Transport(e.clone()));
+        let transport = |e: TransportEvent| count(&result, |r| r.event == LogEvent::Transport(e));
         let (enters, exits) = (
             transport(TransportEvent::EnterRecovery),
             transport(TransportEvent::ExitRecovery),

@@ -8,6 +8,7 @@
 //! cwnd records detailed enough to print the Figure 4c timeline and every
 //! `ccfuzz trace` view.
 
+use crate::cc::CcEvent;
 use crate::packet::FlowId;
 use crate::queue::QueueCounters;
 use crate::time::{SimDuration, SimTime};
@@ -35,7 +36,7 @@ pub enum BottleneckEvent {
 
 /// Transport-level events of one flow's sender, used for root-cause
 /// timelines (Figure 4c) and for assertions in tests.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TransportEvent {
     /// A data packet was (re)transmitted.
     Sent {
@@ -70,16 +71,13 @@ pub enum TransportEvent {
     EnterRecovery,
     /// The sender exited recovery.
     ExitRecovery,
-    /// An algorithm-internal event (string produced by the CCA, e.g. BBR
-    /// probe-round transitions).
-    Cc {
-        /// Free-form description.
-        detail: String,
-    },
+    /// An algorithm-internal event (e.g. BBR's probe rounds and mode
+    /// transitions).
+    Cc(CcEvent),
 }
 
 /// A timestamped transport event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TransportRecord {
     /// When the event happened.
     pub at: SimTime,
@@ -88,7 +86,7 @@ pub struct TransportRecord {
 }
 
 /// What one record of the run log says.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LogEvent {
     /// A packet of `size` bytes at the record's hop.
     Queue {
@@ -111,7 +109,7 @@ pub enum LogEvent {
 }
 
 /// One record of the run log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LogRecord {
     /// When it happened.
     pub at: SimTime,
@@ -203,65 +201,6 @@ impl FlowStats {
             return 0.0;
         }
         self.delivery_times.len() as f64 * mss as f64 * 8.0 / secs
-    }
-}
-
-/// Inline-array per-flow rate vector.
-///
-/// [`SimResult::per_flow_goodput_bps`](crate::sim::SimResult::per_flow_goodput_bps)
-/// used to allocate a `Vec<f64>` per call even for the dominant single-flow
-/// case; `FlowRates` stores up to four rates inline and only spills to the
-/// heap for larger fairness scenarios. It dereferences to `&[f64]`, so call
-/// sites treat it exactly like a slice.
-#[derive(Clone, Debug, Default)]
-pub struct FlowRates {
-    inline: [f64; 4],
-    len: u32,
-    spill: Vec<f64>,
-}
-
-impl FlowRates {
-    /// An empty rate vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a rate.
-    pub fn push(&mut self, rate: f64) {
-        if self.spill.is_empty() && (self.len as usize) < self.inline.len() {
-            self.inline[self.len as usize] = rate;
-            self.len += 1;
-        } else {
-            if self.spill.is_empty() {
-                self.spill
-                    .extend_from_slice(&self.inline[..self.len as usize]);
-            }
-            self.spill.push(rate);
-        }
-    }
-
-    /// The rates as a slice.
-    pub fn as_slice(&self) -> &[f64] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl std::ops::Deref for FlowRates {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a FlowRates {
-    type Item = &'a f64;
-    type IntoIter = std::slice::Iter<'a, f64>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
     }
 }
 
@@ -799,7 +738,7 @@ mod tests {
         };
         let stats = RunStats {
             log: vec![
-                sender(0, 0, sent.clone()),
+                sender(0, 0, sent),
                 record(0, FlowId::Cca(0), BottleneckEvent::Enqueued),
                 sender(1, 0, TransportEvent::RtoFired { backoff: 0 }),
                 sender(1, 1, TransportEvent::RtoFired { backoff: 0 }),
@@ -858,24 +797,6 @@ mod tests {
         // summary + counters the accessors fall back to). Pinning the value
         // catches any drift in the EMPTY_FLOW_SUMMARY fallback path.
         assert_eq!(empty.digest(), 0x8421_ae12_6c7c_ed25);
-    }
-
-    #[test]
-    fn flow_rates_inline_and_spill() {
-        let mut rates = FlowRates::new();
-        assert!(rates.is_empty());
-        for i in 0..4 {
-            rates.push(i as f64);
-        }
-        assert_eq!(rates.len(), 4);
-        assert_eq!(rates.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
-        // Fifth element spills to the heap without losing the first four.
-        rates.push(4.0);
-        assert_eq!(rates.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-        rates.push(5.0);
-        assert_eq!(rates.len(), 6);
-        let total: f64 = rates.iter().sum();
-        assert_eq!(total, 15.0);
     }
 
     #[test]

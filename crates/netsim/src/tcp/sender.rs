@@ -226,8 +226,7 @@ impl<C: CongestionControl> std::fmt::Debug for TcpSender<C> {
 
 impl<C: CongestionControl> TcpSender<C> {
     /// Creates a sender with the given configuration and congestion control.
-    pub fn new(cfg: SenderConfig, mut cc: C) -> Self {
-        cc.set_event_recording(cfg.record_log);
+    pub fn new(cfg: SenderConfig, cc: C) -> Self {
         TcpSender {
             rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto),
             cfg,
@@ -393,18 +392,15 @@ impl<C: CongestionControl> TcpSender<C> {
         }
     }
 
+    /// Empties the controller's event buffer, keeping the events only when
+    /// the log is recorded.
     fn drain_cc_events(&mut self, now: SimTime) {
-        if !self.cfg.record_log {
-            // Still drain (and discard) so an algorithm that ignores the
-            // recording hint cannot accumulate events unread all run long.
-            self.cc.take_events();
-            return;
-        }
-        for detail in self.cc.take_events() {
-            self.log.push(TransportRecord {
+        let events = self.cc.take_events();
+        if self.cfg.record_log {
+            self.log.extend(events.iter().map(|event| TransportRecord {
                 at: now,
-                event: TransportEvent::Cc { detail },
-            });
+                event: TransportEvent::Cc(event),
+            }));
         }
     }
 
