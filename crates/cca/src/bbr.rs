@@ -493,14 +493,6 @@ impl Bbr {
 }
 
 impl CongestionControl for Bbr {
-    fn name(&self) -> &'static str {
-        if self.probe_rtt_on_rto {
-            "bbr-probertt-on-rto"
-        } else {
-            "bbr"
-        }
-    }
-
     fn init(&mut self, ctx: &CcContext) {
         self.min_rtt_stamp = ctx.now;
         self.cycle_stamp = ctx.now;
@@ -583,9 +575,7 @@ mod tests {
             mss: 1448,
             in_flight,
             delivered,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery: false,
         }
@@ -599,11 +589,7 @@ mod tests {
         newly_acked: u64,
     ) -> RateSample {
         RateSample {
-            delivered,
             prior_delivered,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(12),
             interval: SimDuration::from_millis(12),
             delivered_in_interval: delivered - prior_delivered,
             delivery_rate_bps: rate_bps,
@@ -612,8 +598,6 @@ mod tests {
             cum_ack_advanced: newly_acked,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 10,
-            now: SimTime::ZERO,
         }
     }
 
@@ -964,7 +948,6 @@ mod tests {
         assert_eq!(drained(&mut bbr), [CcEvent::Rto(at), probe_rtt]);
         assert_eq!(bbr.state(), BbrState::ProbeRtt);
         assert_eq!(bbr.cwnd(), MIN_CWND);
-        assert_eq!(bbr.name(), "bbr-probertt-on-rto");
     }
 
     #[test]
@@ -1071,7 +1054,13 @@ mod tests {
         // The paper's §4.1 mitigation is a flagged deviation from v1 that
         // only `BbrProbeRttOnRto` turns on: stock BBR v1 does not enter
         // ProbeRTT on an RTO.
-        assert_eq!(crate::CcaKind::Bbr.build(10).name(), "bbr");
+        assert!(matches!(
+            crate::CcaKind::Bbr.build(10),
+            crate::CcaDispatch::Bbr(Bbr {
+                probe_rtt_on_rto: false,
+                ..
+            })
+        ));
     }
 
     /// BBR without the per-ACK model cache: the windowed max rescans the
@@ -1404,9 +1393,7 @@ mod tests {
                     },
                     in_flight: rng.gen_range_u64(0, 120),
                     delivered,
-                    lost: 0,
                     srtt: None,
-                    last_rtt: None,
                     min_rtt: None,
                     in_recovery: rng.gen_range_u64(0, 4) == 0,
                 };

@@ -141,13 +141,6 @@ impl Cubic {
 }
 
 impl CongestionControl for Cubic {
-    fn name(&self) -> &'static str {
-        match self.slow_start {
-            SlowStartBehaviour::CappedAtSsthresh => "cubic",
-            SlowStartBehaviour::Ns3Uncapped => "cubic-ns3-buggy",
-        }
-    }
-
     fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
         if rs.newly_acked == 0 && rs.cum_ack_advanced == 0 {
             return;
@@ -214,10 +207,6 @@ impl CongestionControl for Cubic {
     fn cwnd(&self) -> u64 {
         (self.cwnd as u64).max(1)
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
@@ -231,9 +220,7 @@ mod tests {
             mss: 1448,
             in_flight: 10,
             delivered: 100,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery,
         }
@@ -241,11 +228,7 @@ mod tests {
 
     fn sample(newly_acked: u64, cum_advance: u64) -> RateSample {
         RateSample {
-            delivered: 100,
             prior_delivered: 90,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(10),
             interval: SimDuration::from_millis(10),
             delivered_in_interval: 10,
             delivery_rate_bps: 10e6,
@@ -254,8 +237,6 @@ mod tests {
             cum_ack_advanced: cum_advance,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 10,
-            now: SimTime::ZERO,
         }
     }
 
@@ -278,7 +259,7 @@ mod tests {
             },
         );
         assert_eq!(c.cwnd(), 70);
-        assert_eq!(c.ssthresh(), 70);
+        assert_eq!(c.ssthresh, 70);
         assert!(!c.in_slow_start());
     }
 
@@ -350,7 +331,7 @@ mod tests {
 
         let mut fixed = Cubic::new(100, SlowStartBehaviour::CappedAtSsthresh);
         fixed.on_congestion(&ctx(0, false), CongestionSignal::Rto);
-        let ssthresh = fixed.ssthresh();
+        let ssthresh = fixed.ssthresh;
         fixed.on_ack(&ctx(1000, false), &sample(1, 500));
         assert!(
             fixed.cwnd() <= ssthresh,
@@ -391,17 +372,5 @@ mod tests {
         assert!(c.w_max < w_max_first, "fast convergence reduces W_max");
         // RFC 9438 §4.7: W_max = cwnd × (1 + β) / 2.
         assert_eq!(c.w_max, cwnd * (1.0 + BETA) / 2.0);
-    }
-
-    #[test]
-    fn names_reflect_variant() {
-        assert_eq!(
-            Cubic::new(10, SlowStartBehaviour::CappedAtSsthresh).name(),
-            "cubic"
-        );
-        assert_eq!(
-            Cubic::new(10, SlowStartBehaviour::Ns3Uncapped).name(),
-            "cubic-ns3-buggy"
-        );
     }
 }

@@ -92,10 +92,6 @@ impl Dctcp {
 }
 
 impl CongestionControl for Dctcp {
-    fn name(&self) -> &'static str {
-        "dctcp"
-    }
-
     fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
         if rs.newly_acked == 0 {
             return;
@@ -128,10 +124,6 @@ impl CongestionControl for Dctcp {
     fn cwnd(&self) -> u64 {
         self.reno.cwnd()
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.reno.ssthresh()
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +137,7 @@ mod tests {
             mss: 1448,
             in_flight: 10,
             delivered: 100,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery: false,
         }
@@ -155,11 +145,7 @@ mod tests {
 
     fn sample(newly_acked: u64) -> RateSample {
         RateSample {
-            delivered: 100,
             prior_delivered: 90,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(10),
             interval: SimDuration::from_millis(10),
             delivered_in_interval: 10,
             delivery_rate_bps: 10e6,
@@ -168,8 +154,6 @@ mod tests {
             cum_ack_advanced: newly_acked,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 10,
-            now: SimTime::ZERO,
         }
     }
 

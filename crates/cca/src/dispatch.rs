@@ -44,9 +44,6 @@ macro_rules! dispatch {
 }
 
 impl CongestionControl for CcaDispatch {
-    fn name(&self) -> &'static str {
-        dispatch!(self, cc => cc.name())
-    }
     fn init(&mut self, ctx: &CcContext) {
         dispatch!(self, cc => cc.init(ctx))
     }
@@ -64,9 +61,6 @@ impl CongestionControl for CcaDispatch {
     }
     fn cwnd(&self) -> u64 {
         dispatch!(self, cc => cc.cwnd())
-    }
-    fn ssthresh(&self) -> u64 {
-        dispatch!(self, cc => cc.ssthresh())
     }
     fn pacing_rate_bps(&self) -> Option<f64> {
         dispatch!(self, cc => cc.pacing_rate_bps())

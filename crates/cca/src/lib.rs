@@ -185,18 +185,32 @@ mod tests {
         let kinds = CcaKind::parse_list("reno,reno").unwrap();
         let ccs: Vec<_> = kinds.iter().map(|k| k.build(10)).collect();
         assert_eq!(ccs.len(), 2);
-        assert_eq!(ccs[0].name(), ccs[1].name());
+        assert_eq!(format!("{:?}", ccs[0]), format!("{:?}", ccs[1]));
     }
 
     #[test]
     fn factory_builds_named_algorithms() {
         for kind in CcaKind::ALL {
             let cc = kind.build(10);
-            assert!(!cc.name().is_empty());
             assert!(cc.cwnd() >= 1);
+            // The variant, and the switch the kind selects, as `Debug`
+            // prints them.
+            let (variant, switch) = match kind {
+                CcaKind::Reno => ("Reno(", ""),
+                CcaKind::Cubic => ("Cubic(", "slow_start: CappedAtSsthresh"),
+                CcaKind::CubicNs3Buggy => ("Cubic(", "slow_start: Ns3Uncapped"),
+                CcaKind::Bbr => ("Bbr(", "probe_rtt_on_rto: false"),
+                CcaKind::BbrProbeRttOnRto => ("Bbr(", "probe_rtt_on_rto: true"),
+                CcaKind::Vegas => ("Vegas(", ""),
+                CcaKind::Dctcp => ("Dctcp(", ""),
+            };
+            let debug = format!("{cc:?}");
+            assert!(
+                debug.starts_with(variant) && debug.contains(switch),
+                "{}: {debug}",
+                kind.name()
+            );
         }
-        assert_eq!(CcaKind::Bbr.build(10).name(), "bbr");
-        assert_eq!(CcaKind::Reno.build(10).name(), "reno");
     }
 
     /// Each algorithm's constants against the document that defines it.

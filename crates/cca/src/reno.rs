@@ -67,10 +67,6 @@ impl Reno {
 }
 
 impl CongestionControl for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
     fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
         if rs.newly_acked == 0 {
             return;
@@ -130,10 +126,6 @@ impl CongestionControl for Reno {
     fn cwnd(&self) -> u64 {
         (self.cwnd as u64).max(1)
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +139,7 @@ mod tests {
             mss: 1448,
             in_flight: 10,
             delivered: 100,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery,
         }
@@ -157,11 +147,7 @@ mod tests {
 
     fn sample(newly_acked: u64) -> RateSample {
         RateSample {
-            delivered: 100,
             prior_delivered: 90,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(10),
             interval: SimDuration::from_millis(10),
             delivered_in_interval: 10,
             delivery_rate_bps: 10e6,
@@ -170,8 +156,6 @@ mod tests {
             cum_ack_advanced: newly_acked,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 10,
-            now: SimTime::ZERO,
         }
     }
 
@@ -221,7 +205,7 @@ mod tests {
             },
         );
         assert_eq!(r.cwnd(), 20);
-        assert_eq!(r.ssthresh(), 20);
+        assert_eq!(r.ssthresh, 20);
         r.on_congestion(
             &ctx(false),
             CongestionSignal::FastRetransmitLoss {
@@ -237,7 +221,7 @@ mod tests {
         let mut r = Reno::new(40);
         r.on_congestion(&ctx(false), CongestionSignal::Rto);
         assert_eq!(r.cwnd(), 1);
-        assert_eq!(r.ssthresh(), 20);
+        assert_eq!(r.ssthresh, 20);
         assert!(r.in_slow_start());
     }
 
@@ -278,7 +262,7 @@ mod tests {
         r.on_congestion(&ctx(false), CongestionSignal::Rto);
         r.on_congestion(&ctx(false), CongestionSignal::Rto);
         assert_eq!(r.cwnd(), 1);
-        assert_eq!(r.ssthresh(), MIN_CWND);
+        assert_eq!(r.ssthresh, MIN_CWND);
     }
 
     fn ctx_at(now_ms: u64, in_recovery: bool) -> CcContext {

@@ -80,10 +80,6 @@ impl Vegas {
 }
 
 impl CongestionControl for Vegas {
-    fn name(&self) -> &'static str {
-        "vegas"
-    }
-
     fn on_ack(&mut self, ctx: &CcContext, rs: &RateSample) {
         if let Some(rtt) = rs.rtt {
             self.base_rtt = Some(match self.base_rtt {
@@ -131,10 +127,6 @@ impl CongestionControl for Vegas {
     fn cwnd(&self) -> u64 {
         (self.cwnd as u64).max(1)
     }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
 }
 
 #[cfg(test)]
@@ -148,9 +140,7 @@ mod tests {
             mss: 1448,
             in_flight: 10,
             delivered: 100,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery: false,
         }
@@ -158,11 +148,7 @@ mod tests {
 
     fn sample(newly_acked: u64, rtt_ms: u64) -> RateSample {
         RateSample {
-            delivered: 100,
             prior_delivered: 90,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(10),
             interval: SimDuration::from_millis(10),
             delivered_in_interval: 10,
             delivery_rate_bps: 10e6,
@@ -171,8 +157,6 @@ mod tests {
             cum_ack_advanced: newly_acked,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 10,
-            now: SimTime::ZERO,
         }
     }
 

@@ -392,7 +392,6 @@ pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
     cfg.propagation_delay = SimDuration::from_millis(PAPER_PROP_DELAY_MS);
     cfg.queue_capacity = QueueCapacity::Packets(100);
     cfg.min_rto = SimDuration::from_secs(1);
-    cfg.sack_enabled = true;
     cfg.delayed_ack = true;
     cfg.flow_start = SimTime::ZERO;
     cfg

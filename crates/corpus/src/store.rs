@@ -788,6 +788,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A finding file with `"sack_enabled": false` fails `Finding::validate`
+    /// by the field's name, so opening the corpus quarantines it instead of
+    /// leaving it for `Simulation::load` to panic on.
+    #[test]
+    fn a_finding_without_sack_is_quarantined_on_open() {
+        let (corpus, dir) = temp_corpus(CorpusConfig::default());
+        let mut finding = synthetic(CcaKind::Reno, 0.9, 4);
+        finding.sim.sack_enabled = false;
+        let err = finding.validate().unwrap_err();
+        assert!(err.contains("sack_enabled"), "{err}");
+        let name = format!("{}.json", finding.id);
+        let text = serde_json::to_string_pretty(&finding).unwrap();
+        assert!(text.contains("\"sack_enabled\": false"));
+        std::fs::write(corpus.findings_dir().join(&name), text).unwrap();
+
+        let reopened = Corpus::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().quarantined, vec![name.clone()]);
+        assert!(reopened.quarantine_dir().join(&name).exists());
+        assert!(reopened.load_all().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn lock_excludes_a_second_holder_and_releases_on_drop() {
         let (corpus, dir) = temp_corpus(CorpusConfig::default());

@@ -22,22 +22,15 @@ use std::fmt;
 /// `tcp_rate.c`, because the BBR finding in §4.1 of the paper hinges on this
 /// exact bookkeeping: `prior_delivered` is read from the *per-packet* state
 /// stamped at the packet's **most recent** (possibly spurious) transmission.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// It carries what the algorithms read and nothing more.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RateSample {
-    /// Total packets delivered at the sender when this ACK was processed
-    /// (`tp->delivered`).
-    pub delivered: u64,
     /// `tp->delivered` stamped on the acknowledged packet when it was last
     /// transmitted (`skb->tx.delivered`, the "prior delivered" of the paper).
     pub prior_delivered: u64,
-    /// Time at which `prior_delivered` was stamped (`skb->tx.delivered_mstamp`).
-    pub prior_delivered_time: SimTime,
-    /// Time between the first and last transmissions of the sampled
-    /// packet's send window (`send_elapsed`).
-    pub send_elapsed: SimDuration,
-    /// Time between the stamped delivered time and now (`ack_elapsed`).
-    pub ack_elapsed: SimDuration,
-    /// The sampling interval: `max(send_elapsed, ack_elapsed)`.
+    /// The sampling interval: the longer of the sampled packet's send
+    /// window and the time from its delivered-count stamp to this ACK
+    /// (`tcp_rate.c`'s send and ACK phases).
     pub interval: SimDuration,
     /// Packets delivered over `interval` (`delivered - prior_delivered`).
     pub delivered_in_interval: u64,
@@ -57,10 +50,6 @@ pub struct RateSample {
     pub is_retransmitted_sample: bool,
     /// Whether the sender was application limited when the packet was sent.
     pub is_app_limited: bool,
-    /// Packets in flight just before this ACK was processed.
-    pub in_flight_before: u64,
-    /// Current time.
-    pub now: SimTime,
 }
 
 impl RateSample {
@@ -71,7 +60,7 @@ impl RateSample {
 }
 
 /// Snapshot of connection state passed to every congestion-control callback.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CcContext {
     /// Current simulation time.
     pub now: SimTime,
@@ -81,12 +70,8 @@ pub struct CcContext {
     pub in_flight: u64,
     /// Total packets delivered so far (`tp->delivered`).
     pub delivered: u64,
-    /// Total packets marked lost so far.
-    pub lost: u64,
     /// Smoothed RTT, if at least one sample exists.
     pub srtt: Option<SimDuration>,
-    /// Latest RTT sample, if any.
-    pub last_rtt: Option<SimDuration>,
     /// Minimum RTT observed over the connection.
     pub min_rtt: Option<SimDuration>,
     /// `true` while the sender is in fast-recovery.
@@ -218,9 +203,6 @@ impl CcEvents {
 
 /// The congestion control algorithm contract.
 pub trait CongestionControl: std::fmt::Debug + Send {
-    /// Short algorithm name (e.g. `"reno"`, `"cubic"`, `"bbr"`).
-    fn name(&self) -> &'static str;
-
     /// Called once when the flow starts.
     fn init(&mut self, _ctx: &CcContext) {}
 
@@ -244,11 +226,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// Current congestion window, in packets. The sender never lets the
     /// window drop below one packet regardless of what this returns.
     fn cwnd(&self) -> u64;
-
-    /// Current slow-start threshold, in packets (`u64::MAX` when unset).
-    fn ssthresh(&self) -> u64 {
-        u64::MAX
-    }
 
     /// Pacing rate in bits per second, or `None` for pure window-based
     /// sending (ACK clocking).
@@ -287,9 +264,6 @@ pub mod reference_cc {
     }
 
     impl CongestionControl for FixedWindowCc {
-        fn name(&self) -> &'static str {
-            "fixed-window"
-        }
         fn on_ack(&mut self, _ctx: &CcContext, _rs: &RateSample) {}
         fn on_congestion(&mut self, _ctx: &CcContext, _signal: CongestionSignal) {}
         fn cwnd(&self) -> u64 {
@@ -302,7 +276,7 @@ pub mod reference_cc {
     #[derive(Debug, Clone)]
     pub struct MiniAimdCc {
         cwnd: u64,
-        ssthresh: u64,
+        pub(super) ssthresh: u64,
         acked_since_increase: u64,
     }
 
@@ -318,10 +292,6 @@ pub mod reference_cc {
     }
 
     impl CongestionControl for MiniAimdCc {
-        fn name(&self) -> &'static str {
-            "mini-aimd"
-        }
-
         fn on_ack(&mut self, _ctx: &CcContext, rs: &RateSample) {
             if self.cwnd < self.ssthresh {
                 self.cwnd += rs.newly_acked;
@@ -352,10 +322,6 @@ pub mod reference_cc {
         fn cwnd(&self) -> u64 {
             self.cwnd
         }
-
-        fn ssthresh(&self) -> u64 {
-            self.ssthresh
-        }
     }
 }
 
@@ -370,9 +336,7 @@ mod tests {
             mss: 1448,
             in_flight: 5,
             delivered: 10,
-            lost: 0,
             srtt: Some(SimDuration::from_millis(40)),
-            last_rtt: Some(SimDuration::from_millis(40)),
             min_rtt: Some(SimDuration::from_millis(40)),
             in_recovery: false,
         }
@@ -380,11 +344,7 @@ mod tests {
 
     fn sample(newly_acked: u64) -> RateSample {
         RateSample {
-            delivered: 10,
             prior_delivered: 5,
-            prior_delivered_time: SimTime::ZERO,
-            send_elapsed: SimDuration::from_millis(10),
-            ack_elapsed: SimDuration::from_millis(12),
             interval: SimDuration::from_millis(12),
             delivered_in_interval: 5,
             delivery_rate_bps: 5.0 * 1448.0 * 8.0 / 0.012,
@@ -393,8 +353,6 @@ mod tests {
             cum_ack_advanced: newly_acked,
             is_retransmitted_sample: false,
             is_app_limited: false,
-            in_flight_before: 6,
-            now: SimTime::ZERO,
         }
     }
 
@@ -484,7 +442,6 @@ mod tests {
         cc.on_ack(&ctx(), &sample(3));
         cc.on_congestion(&ctx(), CongestionSignal::Rto);
         assert_eq!(cc.cwnd(), 17);
-        assert_eq!(cc.name(), "fixed-window");
         assert_eq!(cc.pacing_rate_bps(), None);
     }
 
@@ -525,7 +482,7 @@ mod tests {
         assert_eq!(cc.cwnd(), 8);
         cc.on_congestion(&ctx(), CongestionSignal::Rto);
         assert_eq!(cc.cwnd(), 1);
-        assert_eq!(cc.ssthresh(), 4);
+        assert_eq!(cc.ssthresh, 4);
     }
 
     #[test]

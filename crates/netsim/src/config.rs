@@ -33,7 +33,10 @@ pub struct SimConfig {
     pub duration: SimDuration,
     /// Time at which the CCA flow starts.
     pub flow_start: SimTime,
-    /// Enable selective acknowledgements.
+    /// Selective acknowledgements: always `true`. The transport has one
+    /// loss-recovery path, SACK's; the field stays so that findings and
+    /// checkpoints keep their bytes, and [`SimConfig::validate`] refuses
+    /// `false`.
     pub sack_enabled: bool,
     /// Enable delayed ACKs at the receiver.
     pub delayed_ack: bool,
@@ -209,6 +212,9 @@ impl SimConfig {
         if self.initial_cwnd == 0 {
             return Err("initial cwnd must be at least 1".into());
         }
+        if !self.sack_enabled {
+            return Err("sack_enabled must be true: the transport always runs SACK".into());
+        }
         if self.delayed_ack && self.delayed_ack_count == 0 {
             return Err("delayed_ack_count must be at least 1".into());
         }
@@ -282,6 +288,12 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.delayed_ack_count = 0;
         assert!(cfg.validate().is_err());
+
+        // Refused by name rather than run as SACK.
+        let mut cfg = SimConfig::paper_default();
+        cfg.sack_enabled = false;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("sack_enabled"), "{err}");
     }
 
     #[test]

@@ -115,12 +115,12 @@ pub enum Event {
         /// Timer generation; only the latest armed generation is valid.
         generation: u64,
     },
-    /// A sender's pacing timer fires (used by paced CCAs such as BBR).
+    /// A sender's pacing timer fires (used by paced CCAs such as BBR). It
+    /// carries no generation: a stale one only polls the sender early, and
+    /// the sender answers with its pacing deadline.
     PacingTimer {
         /// Index of the flow whose pacing timer fires.
         flow: u32,
-        /// Timer generation; only the latest armed generation is valid.
-        generation: u64,
     },
     /// Periodic statistics sampling tick.
     StatsTick,
@@ -596,6 +596,14 @@ mod tests {
         q.schedule(t(5), Event::LinkReady { hop: 0 });
         assert!(matches!(q.pop(), Some((_, Event::StatsTick))));
         assert!(matches!(q.pop(), Some((_, Event::LinkReady { hop: 0 }))));
+    }
+
+    /// The sizes the module documentation promises: a 16-byte event in a
+    /// 32-byte calendar entry.
+    #[test]
+    fn events_and_entries_keep_their_size() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<ScheduledEvent>(), 32);
     }
 
     #[test]

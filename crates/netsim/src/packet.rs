@@ -244,7 +244,7 @@ pub struct AckPacket {
     /// Cumulative ACK: all packets with `seq < cum_ack` have been received.
     pub cum_ack: u64,
     /// SACK blocks above the cumulative ACK (most recently changed first),
-    /// empty when SACK is disabled.
+    /// empty when nothing above it has arrived.
     pub sack_blocks: SackList,
     /// Number of data packets this ACK acknowledges at the receiver (1 for an
     /// immediate ACK, 2+ when delayed ACKs coalesce).

@@ -301,7 +301,6 @@ struct Hop {
 fn endpoint_configs(cfg: &SimConfig) -> (SenderConfig, ReceiverConfig) {
     let sender = SenderConfig {
         mss: cfg.mss,
-        sack_enabled: cfg.sack_enabled,
         min_rto: cfg.min_rto,
         max_rto: cfg.max_rto,
         initial_rto: cfg.initial_rto,
@@ -311,11 +310,9 @@ fn endpoint_configs(cfg: &SimConfig) -> (SenderConfig, ReceiverConfig) {
         ecn_enabled: cfg.ecn_enabled,
     };
     let receiver = ReceiverConfig {
-        sack_enabled: cfg.sack_enabled,
         delayed_ack: cfg.delayed_ack,
         delayed_ack_count: cfg.delayed_ack_count,
         delayed_ack_timeout: cfg.delayed_ack_timeout,
-        max_sack_blocks: 4,
     };
     (sender, receiver)
 }
@@ -961,13 +958,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                             .map(|s| s > t || s <= now)
                             .unwrap_or(true)
                     {
-                        self.events.schedule(
-                            t,
-                            Event::PacingTimer {
-                                flow: raw,
-                                generation: 0,
-                            },
-                        );
+                        self.events.schedule(t, Event::PacingTimer { flow: raw });
                         self.flows.pacing_scheduled[flow] = Some(t);
                     }
                     break;
@@ -1356,7 +1347,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                         );
                     }
                 }
-                Event::PacingTimer { flow, .. } => {
+                Event::PacingTimer { flow } => {
                     let Some(flow) = self.resolve_flow(flow) else {
                         continue;
                     };
@@ -1829,9 +1820,6 @@ mod tests {
     }
 
     impl CongestionControl for EcnProbeCc {
-        fn name(&self) -> &'static str {
-            "ecn-probe"
-        }
         fn on_ack(&mut self, _: &crate::cc::CcContext, _: &crate::cc::RateSample) {}
         fn on_congestion(&mut self, _: &crate::cc::CcContext, _: crate::cc::CongestionSignal) {}
         fn on_ecn(&mut self, _: &crate::cc::CcContext, ce_acked: u64) {

@@ -5,8 +5,8 @@
 //! source. What *is* modelled faithfully — because the paper's findings
 //! depend on it — is the loss-recovery and measurement machinery:
 //!
-//! * SACK scoreboard and SACK-based loss detection (3-dup threshold),
-//!   plus classic dup-ACK counting when SACK is disabled;
+//! * SACK scoreboard and SACK-based loss detection (3-dup threshold), the
+//!   only loss detection short of an RTO;
 //! * fast retransmit / fast recovery with a recovery-exit point;
 //! * RTO per RFC 6298 with a configurable minimum (1 s in the paper) and
 //!   exponential backoff, including the *spurious retransmissions* of

@@ -13,33 +13,27 @@
 use crate::packet::{AckPacket, DataPacket, SackBlock, SackList, MAX_SACK_BLOCKS};
 use crate::tcp::count_visit;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// Receiver configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// Receiver configuration. SACK is always on: every ACK carries up to
+/// [`MAX_SACK_BLOCKS`] blocks.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReceiverConfig {
-    /// Whether SACK blocks are generated.
-    pub sack_enabled: bool,
     /// Whether delayed ACKs are enabled.
     pub delayed_ack: bool,
     /// ACK after this many unacknowledged in-order packets (2 is standard).
     pub delayed_ack_count: u32,
     /// Delayed-ACK timeout.
     pub delayed_ack_timeout: SimDuration,
-    /// Maximum number of SACK blocks carried per ACK (TCP options fit 3–4).
-    pub max_sack_blocks: usize,
 }
 
 impl ReceiverConfig {
-    /// Linux/NS3-like defaults matching the paper's setup: SACK on, delayed
-    /// ACKs on with a 200 ms timer and a 2-packet threshold.
+    /// Linux/NS3-like defaults matching the paper's setup: delayed ACKs on
+    /// with a 200 ms timer and a 2-packet threshold.
     pub fn paper_default() -> Self {
         ReceiverConfig {
-            sack_enabled: true,
             delayed_ack: true,
             delayed_ack_count: 2,
             delayed_ack_timeout: SimDuration::from_millis(200),
-            max_sack_blocks: 4,
         }
     }
 }
@@ -102,16 +96,7 @@ pub struct TcpReceiver {
 
 impl TcpReceiver {
     /// Creates a receiver.
-    ///
-    /// Panics if `cfg.max_sack_blocks` exceeds [`MAX_SACK_BLOCKS`]: the
-    /// inline [`SackList`] cannot carry more, and silently truncating would
-    /// change ACK content (and run digests) behind the caller's back.
     pub fn new(cfg: ReceiverConfig) -> Self {
-        assert!(
-            cfg.max_sack_blocks <= MAX_SACK_BLOCKS,
-            "max_sack_blocks {} exceeds the wire-format cap {MAX_SACK_BLOCKS}",
-            cfg.max_sack_blocks
-        );
         TcpReceiver {
             cfg,
             cum_ack: 0,
@@ -239,19 +224,17 @@ impl TcpReceiver {
         }
     }
 
+    /// The ACK's SACK blocks: the most recently updated range first, then
+    /// the others in ascending order, up to [`MAX_SACK_BLOCKS`].
     fn sack_blocks(&self) -> SackList {
         let mut blocks = SackList::new();
-        if !self.cfg.sack_enabled || self.ooo_ranges.is_empty() {
-            return blocks;
-        }
-        let cap = self.cfg.max_sack_blocks;
         if let Some(idx) = self.last_updated_range {
             if let Some(b) = self.ooo_ranges.get(idx) {
                 blocks.push(*b);
             }
         }
         for (i, b) in self.ooo_ranges.iter().enumerate() {
-            if blocks.len() >= cap {
+            if blocks.len() >= MAX_SACK_BLOCKS {
                 break;
             }
             if Some(i) != self.last_updated_range {
@@ -462,15 +445,22 @@ mod tests {
 
     #[test]
     fn sack_blocks_capped() {
-        let mut cfg = no_delack();
-        cfg.max_sack_blocks = 2;
-        let mut r = recv(cfg);
-        // Create 4 disjoint SACK ranges: 1,3,5,7 received, 0,2,4,6 missing.
-        for seq in [1u64, 3, 5, 7] {
-            r.on_data(&pkt(seq), SimTime::ZERO);
+        let mut r = recv(no_delack());
+        // Six disjoint ranges: 1, 3, .., 11 received, the even ones missing.
+        let mut out = ReceiverOutput::default();
+        for seq in [1u64, 3, 5, 7, 9, 11] {
+            out = r.on_data(&pkt(seq), SimTime::ZERO);
         }
-        let out = r.on_data(&pkt(9), SimTime::ZERO);
-        assert_eq!(out.ack.unwrap().sack_blocks.len(), 2);
+        // The newest range first, then the lowest ones, four in all.
+        let blocks: Vec<u64> = out
+            .ack
+            .unwrap()
+            .sack_blocks
+            .iter()
+            .map(|b| b.start)
+            .collect();
+        assert_eq!(MAX_SACK_BLOCKS, 4);
+        assert_eq!(blocks, [11, 1, 3, 5]);
     }
 
     #[test]
@@ -486,18 +476,6 @@ mod tests {
         let out = r.on_data(&pkt(5), SimTime::from_millis(7));
         assert!(out.ack.is_some());
         assert_eq!(r.duplicates(), 2);
-    }
-
-    #[test]
-    fn sack_disabled_produces_plain_dup_acks() {
-        let mut cfg = no_delack();
-        cfg.sack_enabled = false;
-        let mut r = recv(cfg);
-        r.on_data(&pkt(0), SimTime::ZERO);
-        let out = r.on_data(&pkt(2), SimTime::ZERO);
-        let ack = out.ack.unwrap();
-        assert_eq!(ack.cum_ack, 1);
-        assert!(ack.sack_blocks.is_empty());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! RTT estimation and retransmission timeout computation (RFC 6298).
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Durations below this many nanoseconds take the integer EWMA path of
 /// [`scaled`]: `k·x` then stays below 2^53 for every `k ≤ 7`.
@@ -24,11 +23,10 @@ fn scaled(x: SimDuration, k: u64, d: u64) -> SimDuration {
 }
 
 /// RFC 6298 smoothed-RTT estimator with configurable RTO clamps.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
-    latest: Option<SimDuration>,
     min_rtt: Option<SimDuration>,
     min_rto: SimDuration,
     max_rto: SimDuration,
@@ -42,7 +40,6 @@ impl RttEstimator {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
-            latest: None,
             min_rtt: None,
             min_rto,
             max_rto,
@@ -53,7 +50,6 @@ impl RttEstimator {
     /// Feeds one RTT measurement (callers must respect Karn's rule and never
     /// sample retransmitted packets).
     pub fn on_sample(&mut self, rtt: SimDuration) {
-        self.latest = Some(rtt);
         self.min_rtt = Some(match self.min_rtt {
             Some(m) => m.min(rtt),
             None => rtt,
@@ -76,11 +72,6 @@ impl RttEstimator {
     /// Smoothed RTT, if at least one sample has been recorded.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
-    }
-
-    /// The most recent raw sample.
-    pub fn latest(&self) -> Option<SimDuration> {
-        self.latest
     }
 
     /// The minimum RTT observed.
@@ -188,7 +179,6 @@ mod tests {
         e.on_sample(SimDuration::from_millis(45));
         e.on_sample(SimDuration::from_millis(90));
         assert_eq!(e.min_rtt(), Some(SimDuration::from_millis(45)));
-        assert_eq!(e.latest(), Some(SimDuration::from_millis(90)));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Per-packet sender state (the simulator's equivalent of a Linux SKB).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// State the sender keeps for every transmitted-but-unacknowledged packet.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// paper's BBR finding (§4.1) arises precisely because a *spurious*
 /// retransmission refreshes `tx_delivered` right before the SACK for the
 /// original copy arrives.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Skb {
     /// Packet-level sequence number.
     pub seq: u64,

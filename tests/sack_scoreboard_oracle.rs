@@ -10,7 +10,7 @@
 //! interleavings of sends, drops, reordering, duplicates, forged ACKs
 //! (repeated / overlapping / inverted / out-of-range SACK blocks, stale and
 //! beyond-the-window cumulative ACKs), RTO and delayed-ACK timer fires,
-//! with and without SACK. After every step the counters, every packet
+//! with and without delayed ACKs. After every step the counters, every packet
 //! `poll_send` hands out, every emitted `AckPacket` (blocks and their order
 //! included) and the full transport log must be equal.
 //!
@@ -28,8 +28,11 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The classic dupthresh, restated rather than imported: this many SACKed
-/// packets above an un-SACKed one (or this many duplicate ACKs) mark it lost.
+/// packets above an un-SACKed one mark it lost.
 const DUPTHRESH: u64 = 3;
+
+/// SACK blocks an ACK carries at most, restated: TCP options fit four.
+const SACK_BLOCKS: usize = 4;
 
 fn cases(default: u32) -> ProptestConfig {
     let n = std::env::var("CCFUZZ_PROPTEST_CASES")
@@ -53,7 +56,6 @@ struct Flags {
 
 #[derive(Default)]
 struct RefSender {
-    sack_enabled: bool,
     buffer_packets: u64,
     queue: BTreeMap<u64, Flags>,
     next_seq: u64,
@@ -62,7 +64,6 @@ struct RefSender {
     lost_total: u64,
     retransmissions: u64,
     rto_backoff: u32,
-    dup_acks: u64,
     in_recovery: bool,
     recovery_high: u64,
     log: Vec<TransportRecord>,
@@ -114,7 +115,6 @@ impl RefSender {
     }
 
     fn on_ack(&mut self, ack: &AckPacket, now: SimTime) {
-        let in_flight_before = self.in_flight();
         let prior = self.cum_ack;
         let mut newly_acked = 0u64;
         let cum = ack.cum_ack.min(self.next_seq);
@@ -123,53 +123,38 @@ impl RefSender {
             let acked = std::mem::replace(&mut self.queue, kept);
             newly_acked += acked.values().filter(|f| !f.sacked).count() as u64;
             self.cum_ack = cum;
-            self.dup_acks = 0;
             self.rto_backoff = 0;
             self.record(now, TransportEvent::CumAckAdvanced { cum_ack: cum });
         }
-        if self.sack_enabled {
-            for block in ack.sack_blocks.iter() {
-                for seq in block.start.max(self.cum_ack)..block.end.min(self.next_seq) {
-                    let flags = self.queue.get_mut(&seq).expect("queue is dense");
-                    if flags.sacked {
-                        continue;
-                    }
-                    flags.sacked = true;
-                    flags.outstanding = false;
-                    if std::mem::take(&mut flags.lost) {
-                        self.lost_total -= 1;
-                    }
-                    newly_acked += 1;
-                    self.record(now, TransportEvent::Sacked { seq });
+        for block in ack.sack_blocks.iter() {
+            for seq in block.start.max(self.cum_ack)..block.end.min(self.next_seq) {
+                let flags = self.queue.get_mut(&seq).expect("queue is dense");
+                if flags.sacked {
+                    continue;
                 }
+                flags.sacked = true;
+                flags.outstanding = false;
+                if std::mem::take(&mut flags.lost) {
+                    self.lost_total -= 1;
+                }
+                newly_acked += 1;
+                self.record(now, TransportEvent::Sacked { seq });
             }
         }
         self.delivered += newly_acked;
-        if cum == prior && newly_acked == 0 && in_flight_before > 0 {
-            self.dup_acks += 1;
-        }
 
         // Loss detection, the slow way: a pass over the whole queue on every
         // ACK, counting the SACKed packets above each one.
         let mut newly_lost = Vec::new();
-        if self.sack_enabled {
-            let mut sacked_above = 0u64;
-            for (&seq, flags) in self.queue.iter().rev() {
-                if flags.sacked {
-                    sacked_above += 1;
-                } else if !flags.lost && flags.transmissions == 1 && sacked_above >= DUPTHRESH {
-                    newly_lost.push(seq);
-                }
-            }
-            newly_lost.reverse();
-        } else if self.dup_acks >= DUPTHRESH {
-            self.dup_acks = 0;
-            if let Some((&seq, flags)) = self.queue.iter().next() {
-                if !flags.lost && !flags.sacked {
-                    newly_lost.push(seq);
-                }
+        let mut sacked_above = 0u64;
+        for (&seq, flags) in self.queue.iter().rev() {
+            if flags.sacked {
+                sacked_above += 1;
+            } else if !flags.lost && flags.transmissions == 1 && sacked_above >= DUPTHRESH {
+                newly_lost.push(seq);
             }
         }
+        newly_lost.reverse();
         for &seq in &newly_lost {
             let flags = self.queue.get_mut(&seq).expect("just seen");
             flags.lost = true;
@@ -269,16 +254,13 @@ impl RefReceiver {
 
     fn make_ack(&mut self, now: SimTime, acked_now: u64) -> AckPacket {
         self.unacked = 0;
-        let mut blocks = Vec::new();
-        if self.cfg.sack_enabled {
-            let runs = self.runs();
-            let first = self
-                .last_touched
-                .and_then(|seq| runs.iter().find(|r| r.contains(seq)).copied());
-            blocks.extend(first);
-            blocks.extend(runs.into_iter().filter(|r| Some(*r) != first));
-            blocks.truncate(self.cfg.max_sack_blocks);
-        }
+        let runs = self.runs();
+        let first = self
+            .last_touched
+            .and_then(|seq| runs.iter().find(|r| r.contains(seq)).copied());
+        let mut blocks: Vec<SackBlock> = first.into_iter().collect();
+        blocks.extend(runs.into_iter().filter(|r| Some(*r) != first));
+        blocks.truncate(SACK_BLOCKS);
         AckPacket {
             cum_ack: self.cum_ack,
             sack_blocks: blocks.into_iter().collect::<SackList>(),
@@ -353,9 +335,7 @@ impl RefReceiver {
 // ---------------------------------------------------------------------------
 
 struct Setup {
-    sack_enabled: bool,
     delayed_ack: bool,
-    max_sack_blocks: usize,
     window: u64,
     buffer_packets: u64,
 }
@@ -401,20 +381,16 @@ fn forged_ack(raw: u64, cum_ack: u64, next_seq: u64, now: SimTime) -> AckPacket 
 
 fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
     let sender_cfg = SenderConfig {
-        sack_enabled: setup.sack_enabled,
         buffer_packets: setup.buffer_packets,
         record_log: true,
         ..SenderConfig::paper_default()
     };
     let receiver_cfg = ReceiverConfig {
-        sack_enabled: setup.sack_enabled,
         delayed_ack: setup.delayed_ack,
-        max_sack_blocks: setup.max_sack_blocks,
         ..ReceiverConfig::paper_default()
     };
     let mut sender = TcpSender::new(sender_cfg, cc);
     let mut ref_sender = RefSender {
-        sack_enabled: setup.sack_enabled,
         buffer_packets: setup.buffer_packets,
         ..RefSender::default()
     };
@@ -578,14 +554,12 @@ proptest! {
     #[test]
     fn endpoints_match_the_naive_scoreboards(
         raws in collection::vec(any::<u64>(), 50..600),
-        sack_enabled in any::<bool>(),
         delayed_ack in any::<bool>(),
         adaptive_window in any::<bool>(),
-        max_sack_blocks in 1usize..5,
         window in 2u64..48,
         buffer_packets in 20u64..400,
     ) {
-        let setup = Setup { sack_enabled, delayed_ack, max_sack_blocks, window, buffer_packets };
+        let setup = Setup { delayed_ack, window, buffer_packets };
         if adaptive_window {
             // The window shrinks on loss: in_flight can exceed it.
             run_lockstep(&setup, MiniAimdCc::new(setup.window), &raws);
@@ -620,9 +594,7 @@ proptest! {
             })
             .collect();
         let setup = Setup {
-            sack_enabled: true,
             delayed_ack: false,
-            max_sack_blocks: 4,
             window,
             buffer_packets: u64::MAX / 4,
         };
