@@ -14,27 +14,18 @@ pub fn windowed_throughput_bps(
     window: SimDuration,
     duration: SimDuration,
 ) -> Vec<(SimTime, f64)> {
+    let (mut counts, mut rates) = (Vec::new(), Vec::new());
+    windowed_rates_into(
+        delivery_times,
+        packet_size_bytes,
+        window,
+        duration,
+        &mut counts,
+        &mut rates,
+    );
     let window_ns = window.as_nanos().max(1);
-    let total_ns = duration.as_nanos().max(1);
-    let n_windows = total_ns.div_ceil(window_ns) as usize;
-    let mut counts = vec![0u64; n_windows.max(1)];
-    for t in delivery_times {
-        let idx = (t.as_nanos() / window_ns) as usize;
-        if idx < counts.len() {
-            counts[idx] += 1;
-        }
-    }
-    let window_secs = window.as_secs_f64();
-    counts
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            (
-                SimTime::from_nanos(i as u64 * window_ns),
-                c as f64 * packet_size_bytes as f64 * 8.0 / window_secs,
-            )
-        })
-        .collect()
+    let starts = (0..).map(|i: u64| SimTime::from_nanos(i * window_ns));
+    starts.zip(rates).collect()
 }
 
 /// Scratch-based core of [`windowed_throughput_bps`] for the scoring hot

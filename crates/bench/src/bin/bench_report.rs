@@ -349,14 +349,14 @@ fn workload_2k(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
             max_arrivals: 50_000,
         });
         // Arrivals clone their controller from a prototype pool.
-        let specs = vec![FlowSpec {
+        let mut specs = vec![FlowSpec {
             cc: CcaKind::Reno.build(10),
             start: SimTime::ZERO,
             stop: None,
         }];
-        let mut sim = Simulation::new_multi(cfg, specs);
         let mut protos = vec![CcaKind::Reno.build(10), CcaKind::Cubic.build(10)];
-        sim.install_arrivals(&mut protos);
+        let mut sim = Simulation::default();
+        sim.load(cfg, &mut specs, &mut protos);
         let result = sim.run();
         std::hint::black_box(result.stats.events_processed)
     })

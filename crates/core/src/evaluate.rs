@@ -276,12 +276,8 @@ impl SimEvaluator {
         let mut cfg = genome.lower(self, scratch);
         cfg.record_events =
             record_events || matches!(self.scoring.objective, Objective::HighDelay { .. });
-        let churn = cfg.arrivals.is_some();
         let sim = &mut scratch.sim;
-        sim.load(cfg, &mut scratch.specs);
-        if churn {
-            sim.install_arrivals(&mut scratch.protos);
-        }
+        sim.load(cfg, &mut scratch.specs, &mut scratch.protos);
         sim.run()
     }
 

@@ -47,9 +47,10 @@
 //! assert!(result.stats.flow().delivered_packets > 0);
 //!
 //! // The same value is the arena for the next run: `load` resets it in
-//! // place, keeping every buffer the first run grew.
+//! // place, keeping every buffer the first run grew. The last argument
+//! // holds the controllers a workload's arrivals clone (none here).
 //! let mut flows = vec![FlowSpec::new(FixedWindowCc::new(20))];
-//! sim.load(SimConfig::short_default(), &mut flows);
+//! sim.load(SimConfig::short_default(), &mut flows, &mut Vec::new());
 //! assert!(sim.run().stats.flow().delivered_packets > 0);
 //! ```
 

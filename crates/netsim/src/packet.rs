@@ -32,20 +32,6 @@ pub enum FlowId {
 impl FlowId {
     /// The primary (index 0) congestion-controlled flow.
     pub const PRIMARY: FlowId = FlowId::Cca(0);
-
-    /// `true` for any congestion-controlled flow.
-    pub fn is_cca(&self) -> bool {
-        matches!(self, FlowId::Cca(_))
-    }
-
-    /// The flow index for congestion-controlled flows, `None` for cross
-    /// traffic.
-    pub fn cca_index(&self) -> Option<u32> {
-        match self {
-            FlowId::Cca(i) => Some(*i),
-            FlowId::CrossTraffic => None,
-        }
-    }
 }
 
 /// A data packet traversing the forward path (sender → gateway → sink).
@@ -469,20 +455,15 @@ mod tests {
         let p = DataPacket::cca(42, DEFAULT_MSS, false, t);
         assert_eq!(p.flow, FlowId::Cca(0));
         assert_eq!(p.flow, FlowId::PRIMARY);
-        assert!(p.flow.is_cca());
-        assert_eq!(p.flow.cca_index(), Some(0));
         assert_eq!(p.seq, 42);
         assert_eq!(p.enqueued_at, t);
         assert!(!p.is_retransmission);
 
         let p1 = DataPacket::cca_flow(3, 7, DEFAULT_MSS, false, t);
         assert_eq!(p1.flow, FlowId::Cca(3));
-        assert_eq!(p1.flow.cca_index(), Some(3));
 
         let x = DataPacket::cross_traffic(7, 1200, t);
         assert_eq!(x.flow, FlowId::CrossTraffic);
-        assert!(!x.flow.is_cca());
-        assert_eq!(x.flow.cca_index(), None);
         assert_eq!(x.size, 1200);
     }
 

@@ -144,32 +144,46 @@ struct FlowCounters {
 /// each of those accesses walks a dense homogeneous array instead of
 /// striding over whole flow records (sender + receiver together are several
 /// hundred bytes), so the hot scalar state of all N flows shares a handful
-/// of cache lines.
+/// of cache lines. Every column is written by [`Simulation::open_flow`];
+/// the last two hold static flows only.
 struct FlowTable<C: CongestionControl> {
     senders: Vec<TcpSender<C>>,
     receivers: Vec<TcpReceiver>,
     start: Vec<SimTime>,
+    /// When the flow stops: its scheduled stop (static flows) or the
+    /// instant its whole transfer was ACKed (dynamic flows).
     stop: Vec<Option<SimTime>>,
     /// Dedupe for pacing timer events.
     pacing_scheduled: Vec<Option<SimTime>>,
     /// Last RTO (deadline, generation) scheduled as an event.
     rto_scheduled: Vec<Option<(SimTime, u64)>>,
-    /// Sink-side first-delivery times.
-    delivery_times: Vec<Vec<SimTime>>,
     /// Drop / mark counters.
     counters: Vec<FlowCounters>,
+    /// Sink-side first-delivery times.
+    delivery_times: Vec<Vec<SimTime>>,
     /// Each static flow's last logged cwnd sample (0 = none yet).
     sampled_cwnd: Vec<u64>,
 }
 
 impl<C: CongestionControl> FlowTable<C> {
-    fn len(&self) -> usize {
-        self.senders.len()
-    }
-
+    /// Whether a flow ignores ACKs, timers and send opportunities. Events
+    /// pop in non-decreasing time, so a dynamic flow whose stop was set at
+    /// its completion reads as stopped from then on.
     #[inline]
     fn stopped(&self, flow: usize, now: SimTime) -> bool {
         self.stop[flow].map(|t| now >= t).unwrap_or(false)
+    }
+}
+
+/// Writes `v` at `idx` of a flow-table column, growing it by one when
+/// `idx` is its end: flows open densely, the static ones at load and each
+/// new dynamic slot at its first spawn.
+fn set<T>(col: &mut Vec<T>, idx: usize, v: T) {
+    if idx < col.len() {
+        col[idx] = v;
+    } else {
+        debug_assert_eq!(idx, col.len(), "flows open densely");
+        col.push(v);
     }
 }
 
@@ -182,42 +196,36 @@ impl<C: CongestionControl> Default for FlowTable<C> {
             stop: Vec::new(),
             pacing_scheduled: Vec::new(),
             rto_scheduled: Vec::new(),
-            delivery_times: Vec::new(),
             counters: Vec::new(),
+            delivery_times: Vec::new(),
             sampled_cwnd: Vec::new(),
         }
     }
 }
 
-/// The dynamic-flow slab: bookkeeping for slots that spawn, complete and
-/// recycle during a workload run (see [`crate::workload`]).
+/// The dynamic-flow slab: what slot reuse needs during a workload run (see
+/// [`crate::workload`]).
 ///
-/// Slot `s` owns the [`FlowTable`] entry at index `base + s` (where `base`
-/// is the static flow count), so dynamic flows reuse all the per-flow
-/// machinery — senders, receivers, timer dedupe slots, counters — that
-/// static flows use. The slab only adds lifecycle state: a recycle
-/// generation that invalidates stale timer events, the flow's byte budget,
-/// and an `in_network` reference count (data packets in queues/links plus
-/// ACKs in flight) that defers recycling until nothing in the simulation
-/// can still name the slot. Per-event cost is O(active): completed and
-/// recycled slots are never iterated, and the slab never grows past the
-/// configured concurrency cap — the peak *concurrent* population, not the
-/// total arrival count, bounds both memory and bookkeeping.
+/// Slot `s` owns the [`FlowTable`] entry at index `static_flows + s`, so a
+/// dynamic flow opens, runs and stops through the same per-flow machinery
+/// as a static one: its spawn is its `start` and its completion its `stop`.
+/// The slab only adds a recycle generation that invalidates stale timer
+/// events and an `in_network` reference count (data packets in queues/links
+/// plus ACKs in flight) that defers recycling until nothing in the
+/// simulation can still name the slot. Per-event cost is O(active):
+/// completed and recycled slots are never iterated, and the slab never
+/// grows past the configured concurrency cap — the peak *concurrent*
+/// population, not the total arrival count, bounds both memory and
+/// bookkeeping.
 #[derive(Default)]
 struct FlowSlab {
     /// Recycled slot indices available for the next spawn.
     free: Vec<u32>,
     /// Per-slot recycle generation (wraps at [`GEN_MODULUS`]).
     generation: Vec<u16>,
-    /// Per-slot transfer size in packets.
-    budget: Vec<u64>,
-    /// Per-slot spawn time (FCT = completion − spawn).
-    spawned_at: Vec<SimTime>,
     /// Per-slot count of this flow's packets/ACKs still inside the
-    /// simulation; the slot recycles only once complete *and* zero.
+    /// simulation; the slot recycles only once stopped *and* zero.
     in_network: Vec<u32>,
-    /// Per-slot completion flag (whole budget cumulatively ACKed).
-    complete: Vec<bool>,
 }
 
 impl FlowSlab {
@@ -226,19 +234,29 @@ impl FlowSlab {
         self.generation.len() - self.free.len()
     }
 
+    /// A recycled slot, or a new one (slots allocate densely). A recycled
+    /// slot has nothing left in the network.
+    fn claim(&mut self) -> usize {
+        match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                self.generation.push(0);
+                self.in_network.push(0);
+                self.generation.len() - 1
+            }
+        }
+    }
+
     /// Clears all slots, keeping every vector's capacity for the next run.
     fn clear(&mut self) {
         self.free.clear();
         self.generation.clear();
-        self.budget.clear();
-        self.spawned_at.clear();
         self.in_network.clear();
-        self.complete.clear();
     }
 }
 
-/// Runtime state of the workload arrival process (present only when
-/// `SimConfig::arrivals` is configured and prototypes were installed).
+/// The arrival process of a workload run (present only when
+/// `SimConfig::arrivals` is configured).
 struct WorkloadRt {
     cfg: ArrivalConfig,
     /// Arrival/size randomness, forked off the scenario seed.
@@ -246,22 +264,30 @@ struct WorkloadRt {
     /// Independent stream for reservoir sampling, so retaining samples
     /// never perturbs the arrival process.
     reservoir_rng: SimRng,
-    /// Index of the first dynamic slot in the flow table (= static count).
-    base: usize,
     /// ON/OFF process: end of the current ON burst (`SimTime::MAX` for
     /// Poisson).
     on_until: SimTime,
-    /// Path of every dynamic flow: the whole chain.
-    dyn_path: HopRange,
-    /// ACK return delay along that path.
-    dyn_ack_delay: SimDuration,
-    /// Sender config template; `buffer_packets` is overridden per spawn
-    /// with the flow's sampled size (application-limited transfer).
-    sender_cfg: SenderConfig,
-    receiver_cfg: ReceiverConfig,
 }
 
 impl WorkloadRt {
+    fn new(cfg: ArrivalConfig, seed: u64) -> Self {
+        let root = SimRng::new(seed);
+        let mut rng = root.fork(0xA221_57AD);
+        let reservoir_rng = root.fork(0x5E5E_0115);
+        let on_until = match cfg.process {
+            ArrivalProcess::Poisson { .. } => SimTime::MAX,
+            ArrivalProcess::OnOff { mean_on_secs, .. } => {
+                SimTime::ZERO + exp_duration(1.0 / mean_on_secs, &mut rng)
+            }
+        };
+        WorkloadRt {
+            cfg,
+            rng,
+            reservoir_rng,
+            on_until,
+        }
+    }
+
     /// Draws the next arrival instant strictly after `t`, stepping the
     /// ON/OFF state machine across silent periods when configured.
     fn next_arrival_after(&mut self, t: SimTime) -> SimTime {
@@ -297,26 +323,6 @@ struct Hop {
     ready_scheduled: Option<SimTime>,
 }
 
-/// The sender and receiver settings every flow derives from the scenario.
-fn endpoint_configs(cfg: &SimConfig) -> (SenderConfig, ReceiverConfig) {
-    let sender = SenderConfig {
-        mss: cfg.mss,
-        min_rto: cfg.min_rto,
-        max_rto: cfg.max_rto,
-        initial_rto: cfg.initial_rto,
-        initial_cwnd: cfg.initial_cwnd,
-        buffer_packets: cfg.sender_buffer_packets,
-        record_log: cfg.record_events,
-        ecn_enabled: cfg.ecn_enabled,
-    };
-    let receiver = ReceiverConfig {
-        delayed_ack: cfg.delayed_ack,
-        delayed_ack_count: cfg.delayed_ack_count,
-        delayed_ack_timeout: cfg.delayed_ack_timeout,
-    };
-    (sender, receiver)
-}
-
 /// The dumbbell simulation, generic over the congestion-control type shared
 /// by its flows — and, in the same value, the per-worker *generation arena*.
 ///
@@ -343,6 +349,9 @@ pub struct Simulation<C: CongestionControl + Clone> {
     /// Per-flow one-way ACK return delay: the sum of the propagation
     /// delays along the flow's path.
     ack_delays: Vec<SimDuration>,
+    /// Flows loaded from specs: flow-table indices `0..static_flows`.
+    /// Dynamic slots follow them.
+    static_flows: usize,
     stats: RunStats,
     /// Set by [`Simulation::run`], cleared by [`Simulation::load`].
     finished: bool,
@@ -354,8 +363,7 @@ pub struct Simulation<C: CongestionControl + Clone> {
     slab: FlowSlab,
     /// Controller prototypes dynamic arrivals clone from (workload runs).
     protos: Vec<C>,
-    /// Arrival-process runtime state; `Some` once
-    /// [`Simulation::install_arrivals`] has run.
+    /// The arrival process (workload runs).
     workload: Option<WorkloadRt>,
     /// FIFO rings of the last run's hops, adopted by the next chain.
     queue_bufs: Vec<VecDeque<DataPacket>>,
@@ -377,6 +385,7 @@ impl<C: CongestionControl + Clone> Default for Simulation<C> {
             hops: Vec::new(),
             paths: Vec::new(),
             ack_delays: Vec::new(),
+            static_flows: 0,
             stats: RunStats::default(),
             finished: true,
             aqm_drop_buf: Vec::new(),
@@ -410,25 +419,37 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// sharing the bottleneck. Flow indices follow the order of `specs`.
     pub fn new_multi(cfg: SimConfig, mut specs: Vec<FlowSpec<C>>) -> Self {
         let mut sim = Self::default();
-        sim.load(cfg, &mut specs);
+        sim.load(cfg, &mut specs, &mut Vec::new());
         sim
     }
 
     /// Loads the next run: resets every piece of the last run's state in
     /// place and builds this configuration's flows and hops from the
     /// retained storage, so in steady state a complete multi-flow, multi-hop
-    /// simulation is set up without touching the allocator. Drains `specs`
-    /// (leaving the caller's vector empty but with its capacity, ready to
-    /// refill).
-    pub fn load(&mut self, cfg: SimConfig, specs: &mut Vec<FlowSpec<C>>) {
+    /// simulation is set up without touching the allocator.
+    ///
+    /// `specs` are the static flows. A workload run (`SimConfig::arrivals`
+    /// set) also needs `protos`, the controllers its arrivals clone: each
+    /// arrival picks one uniformly, so list a CCA several times to weight
+    /// it. Any other run takes no prototypes. Drains both vectors, leaving
+    /// the caller's storage empty but with its capacity, ready to refill.
+    pub fn load(&mut self, cfg: SimConfig, specs: &mut Vec<FlowSpec<C>>, protos: &mut Vec<C>) {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
         assert!(!specs.is_empty(), "a simulation needs at least one flow");
+        assert!(
+            cfg.arrivals.is_none() || !protos.is_empty(),
+            "SimConfig::arrivals needs at least one CCA prototype in `protos`"
+        );
+        assert!(
+            cfg.arrivals.is_some() || protos.is_empty(),
+            "`protos` are for a run with SimConfig::arrivals, which is None"
+        );
         let n = specs.len();
         self.cfg = cfg;
         self.finished = false;
-        self.workload = None;
+        self.static_flows = n;
         self.events.reset();
         self.pool.reset();
         self.aqm_drop_buf.clear();
@@ -458,66 +479,28 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             });
         }
         self.pool.set_hop_count(self.hops.len());
-        self.paths.clear();
-        self.paths.extend((0..n).map(|i| self.cfg.flow_path(i)));
-        self.ack_delays.clear();
-        self.ack_delays.extend(self.paths.iter().map(|p| {
-            self.hops[p.entry as usize..=p.exit as usize]
-                .iter()
-                .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay)
-        }));
 
-        // Workload runs keep endpoint entries beyond the static count: they
-        // are last run's dynamic slots, reclaimed in place (keeping their
+        // Workload runs keep endpoints beyond the static count: they are
+        // last run's dynamic slots, reclaimed in place (keeping their
         // buffers) as this run's arrivals spawn.
         let flows = &mut self.flows;
         flows.start.clear();
         flows.stop.clear();
         flows.pacing_scheduled.clear();
-        flows.pacing_scheduled.resize(n, None);
         flows.rto_scheduled.clear();
-        flows.rto_scheduled.resize(n, None);
-        flows.delivery_times.clear();
         flows.counters.clear();
-        flows.counters.resize(n, FlowCounters::default());
+        flows.delivery_times.clear();
         flows.sampled_cwnd.clear();
-        flows.sampled_cwnd.resize(n, 0);
+        self.paths.clear();
+        self.ack_delays.clear();
         if self.cfg.arrivals.is_none() {
             flows.senders.truncate(n);
             flows.receivers.truncate(n);
         }
-        // Pre-size each flow's delivery log from the tightest hop *on its
-        // own path* (a parking-lot flow that skips the slow hop can deliver
-        // far more than the chain's global bottleneck allows) so the hot
-        // loop never grows it.
-        let (secs, mss) = (self.cfg.duration.as_secs_f64(), self.cfg.mss as f64);
-        let hop_capacity = |h: &Hop| match h.link.model() {
-            LinkModel::FixedRate { rate_bps } => ((*rate_bps as f64 / 8.0) * secs / mss) as usize,
-            LinkModel::TraceDriven { trace } => trace.len(),
-        };
-        let (sender_cfg, receiver_cfg) = endpoint_configs(&self.cfg);
-        for (i, (spec, p)) in specs.drain(..).zip(&self.paths).enumerate() {
-            // Retained endpoints are reset in place (keeping their queues'
-            // capacity); extra flows beyond the retained count are built
-            // fresh.
-            match flows.senders.get_mut(i) {
-                Some(sender) => sender.reset_reusing(sender_cfg, spec.cc),
-                None => flows.senders.push(TcpSender::new(sender_cfg, spec.cc)),
-            }
-            match flows.receivers.get_mut(i) {
-                Some(receiver) => receiver.reset_reusing(receiver_cfg),
-                None => flows.receivers.push(TcpReceiver::new(receiver_cfg)),
-            }
-            flows.start.push(spec.start);
-            flows.stop.push(spec.stop);
-            let tightest = self.hops[p.entry as usize..=p.exit as usize]
-                .iter()
-                .map(hop_capacity)
-                .min()
-                .unwrap_or(0);
-            let mut delivery = self.time_bufs.pop().unwrap_or_default();
-            delivery.reserve(tightest.min(1 << 22) / n + 64);
-            flows.delivery_times.push(delivery);
+        for (i, spec) in specs.drain(..).enumerate() {
+            let path = self.cfg.flow_path(i);
+            let buffer = self.cfg.sender_buffer_packets;
+            self.open_flow(i, spec.cc, spec.start, spec.stop, path, buffer);
         }
 
         // Whatever the last run left in the stats (normally the skeleton
@@ -535,61 +518,85 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         while stats.hop_samples.len() < self.hops.len() {
             stats.hop_samples.push(Vec::with_capacity(sample_capacity));
         }
-    }
 
-    /// Arms the dynamic-flow workload: must be called (with at least one
-    /// congestion-controller prototype) before [`Simulation::run`] whenever
-    /// `SimConfig::arrivals` is configured. Each arrival clones one
-    /// prototype, picked uniformly — weight a CCA by listing it several
-    /// times. Drains `protos`, keeping the caller's vector and capacity.
-    pub fn install_arrivals(&mut self, protos: &mut Vec<C>) {
-        assert!(!self.finished, "install_arrivals must precede run");
-        let cfg = self
-            .cfg
-            .arrivals
-            .expect("install_arrivals requires SimConfig::arrivals");
-        assert!(
-            !protos.is_empty(),
-            "a workload needs at least one CCA prototype"
-        );
         self.protos.clear();
         self.protos.append(protos);
-        let root = SimRng::new(self.cfg.seed);
-        let mut rng = root.fork(0xA221_57AD);
-        let reservoir_rng = root.fork(0x5E5E_0115);
-        let on_until = match cfg.process {
-            ArrivalProcess::Poisson { .. } => SimTime::MAX,
-            ArrivalProcess::OnOff { mean_on_secs, .. } => {
-                SimTime::ZERO + exp_duration(1.0 / mean_on_secs, &mut rng)
-            }
+        self.workload = self.cfg.arrivals.map(|arrivals| {
+            // `recycle_stats` left the last workload skeleton cleared.
+            self.stats.workload = Some(self.spare_workload.take().unwrap_or_default());
+            WorkloadRt::new(arrivals, self.cfg.seed)
+        });
+    }
+
+    /// Opens flow `idx` at `start`: claims (or builds) its sender and
+    /// receiver, and sets its schedule, path, ACK delay (the propagation
+    /// delays along the path), timer dedupe and counters. `buffer` is its
+    /// application data in packets. A static flow also takes a pooled
+    /// delivery log, pre-sized from the tightest hop *on its own path* (a
+    /// parking-lot flow that skips the slow hop can deliver far more than
+    /// the chain's global bottleneck allows) so the hot loop never grows it.
+    fn open_flow(
+        &mut self,
+        idx: usize,
+        cc: C,
+        start: SimTime,
+        stop: Option<SimTime>,
+        path: HopRange,
+        buffer: u64,
+    ) {
+        let cfg = &self.cfg;
+        let sender_cfg = SenderConfig {
+            mss: cfg.mss,
+            min_rto: cfg.min_rto,
+            max_rto: cfg.max_rto,
+            initial_rto: cfg.initial_rto,
+            initial_cwnd: cfg.initial_cwnd,
+            buffer_packets: buffer,
+            record_log: cfg.record_events,
+            ecn_enabled: cfg.ecn_enabled,
         };
-        let dyn_path = HopRange {
-            entry: 0,
-            exit: (self.hops.len() - 1) as u32,
+        let receiver_cfg = ReceiverConfig {
+            delayed_ack: cfg.delayed_ack,
+            delayed_ack_count: cfg.delayed_ack_count,
+            delayed_ack_timeout: cfg.delayed_ack_timeout,
         };
-        let dyn_ack_delay = self
-            .hops
+        let flows = &mut self.flows;
+        match flows.senders.get_mut(idx) {
+            Some(sender) => sender.reset_reusing(sender_cfg, cc),
+            None => flows.senders.push(TcpSender::new(sender_cfg, cc)),
+        }
+        match flows.receivers.get_mut(idx) {
+            Some(receiver) => receiver.reset_reusing(receiver_cfg),
+            None => flows.receivers.push(TcpReceiver::new(receiver_cfg)),
+        }
+        set(&mut flows.start, idx, start);
+        set(&mut flows.stop, idx, stop);
+        set(&mut flows.pacing_scheduled, idx, None);
+        set(&mut flows.rto_scheduled, idx, None);
+        set(&mut flows.counters, idx, FlowCounters::default());
+        let hops = &self.hops[path.entry as usize..=path.exit as usize];
+        let ack_delay = hops
             .iter()
             .fold(SimDuration::ZERO, |acc, h| acc + h.propagation_delay);
-        let (sender_cfg, receiver_cfg) = endpoint_configs(&self.cfg);
-        let sender_cfg = SenderConfig {
-            buffer_packets: 1, // overridden with the sampled size per spawn
-            ..sender_cfg
-        };
-        let mut w = self.spare_workload.take().unwrap_or_default();
-        w.clear();
-        self.stats.workload = Some(w);
-        self.workload = Some(WorkloadRt {
-            cfg,
-            rng,
-            reservoir_rng,
-            base: self.flows.start.len(),
-            on_until,
-            dyn_path,
-            dyn_ack_delay,
-            sender_cfg,
-            receiver_cfg,
-        });
+        set(&mut self.paths, idx, path);
+        set(&mut self.ack_delays, idx, ack_delay);
+        if idx < self.static_flows {
+            let (secs, mss) = (cfg.duration.as_secs_f64(), cfg.mss as f64);
+            let tightest = hops
+                .iter()
+                .map(|h| match h.link.model() {
+                    LinkModel::FixedRate { rate_bps } => {
+                        ((*rate_bps as f64 / 8.0) * secs / mss) as usize
+                    }
+                    LinkModel::TraceDriven { trace } => trace.len(),
+                })
+                .min()
+                .unwrap_or(0);
+            let mut delivery = self.time_bufs.pop().unwrap_or_default();
+            delivery.reserve(tightest.min(1 << 22) / self.static_flows + 64);
+            flows.delivery_times.push(delivery);
+            flows.sampled_cwnd.push(0);
+        }
     }
 
     /// Takes a cleared timestamp buffer from the pool (or a fresh one when
@@ -654,27 +661,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             flows,
             ..RunStats::default()
         };
-    }
-
-    /// Number of congestion-controlled flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Number of hops on the simulated path (1 without a topology).
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// The path of CCA flow `flow` over the hop chain.
-    pub fn path_of(&self, flow: usize) -> HopRange {
-        self.paths[flow]
-    }
-
-    /// Immutable access to the primary flow's sender (e.g. to inspect CCA
-    /// state mid-run in tests).
-    pub fn sender(&self) -> &TcpSender<C> {
-        &self.flows.senders[0]
     }
 
     fn end_time(&self) -> SimTime {
@@ -758,8 +744,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             return Some(raw as usize);
         }
         let slot = dyn_slot(raw);
-        let rt = self.workload.as_ref()?;
-        (self.slab.generation.get(slot) == Some(&dyn_generation(raw))).then(|| rt.base + slot)
+        (self.slab.generation.get(slot) == Some(&dyn_generation(raw)))
+            .then(|| self.static_flows + slot)
     }
 
     /// Resolves a handle carried by a packet or ACK. These can never go
@@ -777,26 +763,10 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// slots pack slot + generation with the top bit set.
     #[inline]
     fn raw_flow(&self, idx: usize) -> u32 {
-        match &self.workload {
-            Some(rt) if idx >= rt.base => {
-                let slot = idx - rt.base;
-                dyn_handle(slot as u16, self.slab.generation[slot])
-            }
-            _ => idx as u32,
+        match idx.checked_sub(self.static_flows) {
+            Some(slot) => dyn_handle(slot as u16, self.slab.generation[slot]),
+            None => idx as u32,
         }
-    }
-
-    /// Whether a flow should ignore ACKs, timers and send opportunities:
-    /// past its scheduled stop (static flows) or already complete (dynamic
-    /// flows, which have no stop schedule).
-    #[inline]
-    fn flow_inactive(&self, idx: usize, now: SimTime) -> bool {
-        if let Some(rt) = &self.workload {
-            if idx >= rt.base {
-                return self.slab.complete[idx - rt.base];
-            }
-        }
-        self.flows.stopped(idx, now)
     }
 
     // ------------------------------------------------------------------
@@ -934,7 +904,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     }
 
     fn pump_sender(&mut self, flow: usize, now: SimTime) {
-        if self.flow_inactive(flow, now) {
+        if self.flows.stopped(flow, now) {
             return;
         }
         let raw = self.raw_flow(flow);
@@ -969,8 +939,17 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         self.sync_rto_timer(flow);
     }
 
+    /// Starts an opened flow at `now`: a static flow at its scheduled
+    /// start, a dynamic one at its arrival.
+    fn start_flow(&mut self, flow: usize, now: SimTime) {
+        self.flows.senders[flow].on_flow_start(now);
+        self.flush_sender_log(flow);
+        self.sample_cwnd(flow, now);
+        self.pump_sender(flow, now);
+    }
+
     fn deliver_ack_to_sender(&mut self, flow: usize, ack: AckPacket, now: SimTime) {
-        if self.flow_inactive(flow, now) {
+        if self.flows.stopped(flow, now) {
             return;
         }
         self.flows.senders[flow].on_ack(&ack, now);
@@ -1032,11 +1011,11 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     // Dynamic flow lifecycle
     // ------------------------------------------------------------------
 
-    /// Spawns one dynamic flow at `now` (or counts a capped arrival when
-    /// the concurrency limit is reached), claiming a recycled slab slot
-    /// when one is free.
+    /// Spawns one dynamic flow at `now` over the whole chain (or counts a
+    /// capped arrival when the concurrency limit is reached), claiming a
+    /// recycled slab slot when one is free.
     fn spawn_dynamic(&mut self, now: SimTime) {
-        let rt = self.workload.as_mut().expect("arrivals not installed");
+        let rt = self.workload.as_mut().expect("arrivals not loaded");
         let w = self
             .stats
             .workload
@@ -1046,72 +1025,27 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             w.capped += 1;
             return;
         }
+        w.spawned += 1;
         let size = rt.cfg.size.sample(&mut rt.rng);
         let pick = rt.rng.gen_range_usize(0, self.protos.len());
         let cc = self.protos[pick].clone();
-        let slot = match self.slab.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slab.generation.push(0);
-                self.slab.budget.push(0);
-                self.slab.spawned_at.push(SimTime::ZERO);
-                self.slab.in_network.push(0);
-                self.slab.complete.push(false);
-                self.slab.generation.len() - 1
-            }
-        };
-        self.slab.budget[slot] = size;
-        self.slab.spawned_at[slot] = now;
-        self.slab.in_network[slot] = 0;
-        self.slab.complete[slot] = false;
-        let idx = rt.base + slot;
-        let sender_cfg = SenderConfig {
-            buffer_packets: size,
-            ..rt.sender_cfg
-        };
-        // Claim (or create) the slot's flow-table entry. Slots allocate
-        // densely, so `idx` is at most one past the current table end.
-        if self.flows.senders.len() <= idx {
-            self.flows.senders.push(TcpSender::new(sender_cfg, cc));
-            self.flows.receivers.push(TcpReceiver::new(rt.receiver_cfg));
-        } else {
-            self.flows.senders[idx].reset_reusing(sender_cfg, cc);
-            self.flows.receivers[idx].reset_reusing(rt.receiver_cfg);
-        }
-        if self.flows.start.len() <= idx {
-            self.flows.start.push(now);
-            self.flows.stop.push(None);
-            self.flows.pacing_scheduled.push(None);
-            self.flows.rto_scheduled.push(None);
-            self.flows.delivery_times.push(Vec::new());
-            self.flows.counters.push(FlowCounters::default());
-            self.paths.push(rt.dyn_path);
-            self.ack_delays.push(rt.dyn_ack_delay);
-        } else {
-            self.flows.start[idx] = now;
-            self.flows.stop[idx] = None;
-            self.flows.pacing_scheduled[idx] = None;
-            self.flows.rto_scheduled[idx] = None;
-            self.flows.counters[idx] = FlowCounters::default();
-            self.paths[idx] = rt.dyn_path;
-            self.ack_delays[idx] = rt.dyn_ack_delay;
-        }
-        w.spawned += 1;
-        self.flows.senders[idx].on_flow_start(now);
-        self.flush_sender_log(idx);
-        self.pump_sender(idx, now);
+        let idx = self.static_flows + self.slab.claim();
+        let path = HopRange::full(self.hops.len());
+        self.open_flow(idx, cc, now, None, path, size);
+        self.start_flow(idx, now);
     }
 
     /// Checks a dynamic flow for completion after an ACK reached its
-    /// sender, then releases the consumed ACK's network reference.
+    /// sender, then releases the consumed ACK's network reference. A flow
+    /// completes, and stops, once its whole transfer is cumulatively ACKed.
     fn after_dyn_ack(&mut self, slot: usize, now: SimTime) {
-        let rt = self.workload.as_mut().expect("arrivals not installed");
-        let idx = rt.base + slot;
-        if !self.slab.complete[slot] && self.flows.senders[idx].cum_ack() >= self.slab.budget[slot]
-        {
-            self.slab.complete[slot] = true;
-            let fct = now.saturating_since(self.slab.spawned_at[slot]);
-            let size = self.slab.budget[slot];
+        let rt = self.workload.as_mut().expect("arrivals not loaded");
+        let idx = self.static_flows + slot;
+        let sender = &self.flows.senders[idx];
+        let size = sender.buffer_packets();
+        if self.flows.stop[idx].is_none() && sender.cum_ack() >= size {
+            self.flows.stop[idx] = Some(now);
+            let fct = now.saturating_since(self.flows.start[idx]);
             let w = self
                 .stats
                 .workload
@@ -1144,22 +1078,18 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     }
 
     /// Releases one `in_network` reference of a dynamic slot (a data packet
-    /// delivered or dropped, or an ACK consumed) and recycles the slot once
-    /// it is complete with nothing left in flight.
+    /// delivered or dropped, or an ACK consumed). Once the flow has stopped
+    /// with nothing left in flight, the slot returns to the free list: its
+    /// per-flow counters fold into the workload aggregates and its
+    /// generation bumps, so any still-scheduled timer event for it dies on
+    /// decode. The flow's columns stay as they are until a spawn reopens it.
     fn dyn_packet_gone(&mut self, slot: usize) {
         debug_assert!(self.slab.in_network[slot] > 0, "in_network underflow");
         self.slab.in_network[slot] -= 1;
-        if self.slab.complete[slot] && self.slab.in_network[slot] == 0 {
-            self.recycle_dyn_slot(slot);
+        let idx = self.static_flows + slot;
+        if self.flows.stop[idx].is_none() || self.slab.in_network[slot] > 0 {
+            return;
         }
-    }
-
-    /// Returns a completed, fully drained slot to the free list, folding
-    /// its per-flow counters into the workload aggregates and bumping its
-    /// generation so any still-scheduled timer event for it dies on decode.
-    fn recycle_dyn_slot(&mut self, slot: usize) {
-        let rt = self.workload.as_ref().expect("arrivals not installed");
-        let idx = rt.base + slot;
         let c = self.flows.counters[idx];
         let tx = self.flows.senders[idx].transmissions();
         let received = self.flows.receivers[idx].total_received();
@@ -1179,9 +1109,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         w.completed_tx += tx;
         w.completed_delivered += received;
         w.completed_dropped += c.queue_drops;
-        self.flows.counters[idx] = FlowCounters::default();
-        self.flows.pacing_scheduled[idx] = None;
-        self.flows.rto_scheduled[idx] = None;
         self.slab.generation[slot] = (self.slab.generation[slot] + 1) % GEN_MODULUS;
         self.slab.free.push(slot as u32);
     }
@@ -1191,7 +1118,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     fn schedule_next_arrival(&mut self, now: SimTime) {
         let w = self.stats.workload.as_ref().expect("workload stats");
         let attempts = w.spawned + w.capped;
-        let rt = self.workload.as_mut().expect("arrivals not installed");
+        let rt = self.workload.as_mut().expect("arrivals not loaded");
         if attempts >= rt.cfg.max_arrivals {
             return;
         }
@@ -1208,21 +1135,13 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// Runs the simulation to completion and returns the collected results.
     pub fn run(&mut self) -> SimResult {
         assert!(!self.finished, "a Simulation runs once per load");
-        assert!(
-            self.cfg.arrivals.is_none() || self.workload.is_some(),
-            "SimConfig::arrivals requires install_arrivals before run"
-        );
         self.finished = true;
 
         // Seed the event calendar: flow starts in index order, then the
         // stats tick, then cross-traffic injections (known up front).
-        // Static flows always occupy indices 0..base; dynamic flows spawn
+        // Static flows occupy indices 0..static_flows; dynamic flows spawn
         // past that boundary as arrivals fire.
-        let static_flows = self
-            .workload
-            .as_ref()
-            .map(|rt| rt.base)
-            .unwrap_or(self.flows.start.len());
+        let static_flows = self.static_flows;
         for i in 0..static_flows {
             let start = self.flows.start[i];
             self.events
@@ -1272,13 +1191,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 break;
             }
             match event {
-                Event::FlowStart { flow } => {
-                    let flow = flow as usize;
-                    self.flows.senders[flow].on_flow_start(now);
-                    self.flush_sender_log(flow);
-                    self.sample_cwnd(flow, now);
-                    self.pump_sender(flow, now);
-                }
+                Event::FlowStart { flow } => self.start_flow(flow as usize, now),
                 Event::GatewayArrival { hop, pkt: parked } => {
                     let pkt = self.pool.take_data_at(hop as usize, parked);
                     self.handle_gateway_arrival(hop as usize, pkt, now);
@@ -1300,10 +1213,9 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     let idx = self.cca_index(flow);
                     let ack = self.pool.take_ack(ack);
                     self.deliver_ack_to_sender(idx, ack, now);
+                    self.sample_cwnd(idx, now);
                     if is_dynamic(flow) {
                         self.after_dyn_ack(dyn_slot(flow), now);
-                    } else {
-                        self.sample_cwnd(idx, now);
                     }
                 }
                 Event::RtoTimer { flow, generation } => {
@@ -1319,7 +1231,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     {
                         self.flows.rto_scheduled[flow] = None;
                     }
-                    if self.flow_inactive(flow, now) {
+                    if self.flows.stopped(flow, now) {
                         continue;
                     }
                     if self.flows.senders[flow].on_rto_timer(generation, now) {
@@ -1543,10 +1455,7 @@ mod tests {
             }
             _ => {}
         }
-        sim.load(cfg, &mut specs);
-        if !protos.is_empty() {
-            sim.install_arrivals(&mut protos);
-        }
+        sim.load(cfg, &mut specs, &mut protos);
         sim.run()
     }
 
@@ -2289,8 +2198,8 @@ mod tests {
     }
 
     fn run_workload(cfg: SimConfig, sim: &mut Simulation<MiniAimdCc>) -> SimResult {
-        sim.load(cfg, &mut vec![FlowSpec::new(MiniAimdCc::new(10))]);
-        sim.install_arrivals(&mut vec![MiniAimdCc::new(4)]);
+        let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
+        sim.load(cfg, &mut specs, &mut vec![MiniAimdCc::new(4)]);
         sim.run()
     }
 
@@ -2404,13 +2313,21 @@ mod tests {
     }
 
     #[test]
-    fn workload_requires_install_arrivals() {
-        let cfg = workload_cfg(60.0, 32);
-        let result = std::panic::catch_unwind(|| {
-            let mut sim = Simulation::new_multi(cfg, vec![FlowSpec::new(MiniAimdCc::new(10))]);
-            sim.run()
-        });
-        assert!(result.is_err(), "run without install_arrivals must panic");
+    fn load_refuses_arrivals_without_prototypes_and_prototypes_without_arrivals() {
+        let refusal = |cfg: SimConfig, protos: Vec<MiniAimdCc>| {
+            let err = std::panic::catch_unwind(move || {
+                let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
+                Simulation::default().load(cfg, &mut specs, &mut { protos });
+            })
+            .expect_err("load must refuse the run");
+            *err.downcast::<&str>().expect("a message")
+        };
+        let message = refusal(workload_cfg(60.0, 32), Vec::new());
+        assert!(message.contains("SimConfig::arrivals"), "{message}");
+        assert!(message.contains("protos"), "{message}");
+        let message = refusal(base_cfg(), vec![MiniAimdCc::new(4)]);
+        assert!(message.contains("protos"), "{message}");
+        assert!(message.contains("SimConfig::arrivals"), "{message}");
     }
 
     // ------------------------------------------------------------------
@@ -2419,20 +2336,16 @@ mod tests {
 
     #[test]
     fn every_run_keeps_one_sample_series_and_one_counter_set_per_hop() {
-        let check = |sim: &Simulation<MiniAimdCc>, result: &SimResult, hops: usize| {
-            assert_eq!(sim.hop_count(), hops);
+        let check = |result: &SimResult, hops: usize| {
             assert_eq!(result.stats.hop_counters.len(), hops);
             assert_eq!(result.stats.hop_samples.len(), hops);
             assert!(result.stats.hop_samples.iter().all(|s| !s.is_empty()));
         };
         for (cfg, hops) in [(base_cfg(), 1), (chain_cfg(&[12, 8, 10]), 3)] {
-            let mut sim = Simulation::new(cfg, MiniAimdCc::new(10));
-            let result = sim.run();
-            check(&sim, &result, hops);
+            check(&run_simulation(cfg, MiniAimdCc::new(10)), hops);
         }
-        let mut sim = Simulation::default();
-        let result = run_workload(workload_cfg(60.0, 32), &mut sim);
-        check(&sim, &result, 1);
+        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        check(&result, 1);
         let w = result.stats.workload().expect("workload stats");
         assert!(w.completed() > 0);
         assert_eq!(w.completed(), w.fct_mice.count() + w.fct_elephants.count());

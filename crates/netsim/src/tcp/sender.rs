@@ -291,6 +291,11 @@ impl<C: CongestionControl> TcpSender<C> {
         self.cum_ack
     }
 
+    /// The application data this sender has to send, in packets.
+    pub fn buffer_packets(&self) -> u64 {
+        self.cfg.buffer_packets
+    }
+
     /// Next new sequence to be sent.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

@@ -17,9 +17,11 @@
 use cc_fuzz::cca::{CcaDispatch, CcaKind};
 use cc_fuzz::fuzz::campaign::paper_sim_base;
 use cc_fuzz::netsim::queue::Qdisc;
-use cc_fuzz::netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
+use cc_fuzz::netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec, Simulation};
 use cc_fuzz::netsim::time::{SimDuration, SimTime};
+use cc_fuzz::netsim::topology::{HopConfig, HopRange, Topology};
 use cc_fuzz::netsim::trace::TrafficTrace;
+use cc_fuzz::netsim::workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
 /// Pre-overhaul digests of the paper scenario (5 s, clean 12 Mbps link) per
 /// CCA, recorded at the last commit before the hot-path rewrite.
@@ -56,6 +58,13 @@ const GOLDEN_CODEL_ECN: [(CcaKind, u64); 7] = [
     (CcaKind::Vegas, 0x7a7ab36b84a02c2b),
     (CcaKind::Dctcp, 0x06da2e4e3ea19ff1),
 ];
+
+/// Digest and event count of the churn scenario of
+/// `churn_workload_digest_matches_recorded_constants`, recorded on the
+/// engine in which dynamic flows still had their own spawn and completion
+/// state in the flow slab.
+const GOLDEN_CHURN: u64 = 0x854761890142fdcf;
+const GOLDEN_CHURN_EVENTS: u64 = 15042;
 
 /// Fails naming the scenario and printing the observed digest in the
 /// constants' format, so a deliberate re-recording copies it from here.
@@ -172,4 +181,59 @@ fn golden_digests_stable_across_repeated_runs() {
     };
     assert_eq!(run(), run());
     assert_digest(run(), GOLDEN_SINGLE_FLOW[0].1, "single/reno");
+}
+
+/// A Poisson workload on a two-hop chain beside two static flows: flow 0
+/// crosses both hops, flow 1 only the second and stops at 2.5 s. The
+/// concurrency cap (6) is hit, so dynamic slots recycle, and the hops'
+/// unequal propagation delays make every dynamic flow's ACK delay the sum
+/// of both.
+#[test]
+fn churn_workload_digest_matches_recorded_constants() {
+    let mut cfg = paper_sim_base(SimDuration::from_secs(4));
+    cfg.record_events = false;
+    let mut topology = Topology::chain(vec![
+        HopConfig::fixed_rate(12_000_000, SimDuration::from_millis(10), 100),
+        HopConfig::fixed_rate(8_000_000, SimDuration::from_millis(15), 60),
+    ]);
+    topology.paths = vec![HopRange::full(2), HopRange::new(1, 1)];
+    cfg.topology = Some(topology);
+    cfg.arrivals = Some(ArrivalConfig {
+        process: ArrivalProcess::Poisson { rate_per_sec: 40.0 },
+        size: SizeDistribution {
+            shape: 1.2,
+            min_packets: 2,
+            max_packets: 300,
+        },
+        mice_threshold_packets: 32,
+        max_concurrent: 6,
+        max_arrivals: 10_000,
+    });
+    let mut specs = vec![
+        FlowSpec::new(CcaKind::Cubic.build(10)),
+        FlowSpec {
+            cc: CcaKind::Reno.build(10),
+            start: SimTime::from_millis(300),
+            stop: Some(SimTime::from_secs_f64(2.5)),
+        },
+    ];
+    let mut protos = vec![
+        CcaKind::Reno.build(10),
+        CcaKind::Cubic.build(10),
+        CcaKind::Bbr.build(10),
+    ];
+    let mut sim = Simulation::default();
+    sim.load(cfg, &mut specs, &mut protos);
+    let stats = sim.run().stats;
+    let w = stats.workload().expect("workload stats");
+    assert!(w.capped > 0, "the concurrency cap must be hit");
+    assert!(w.completed() > 6, "slots must recycle");
+    assert_eq!(stats.flows.len(), 2);
+    assert_eq!(stats.hop_counters.len(), 2);
+    assert!(
+        stats.events_processed == GOLDEN_CHURN_EVENTS,
+        "event count drift for churn: observed {}, recorded {GOLDEN_CHURN_EVENTS}",
+        stats.events_processed
+    );
+    assert_digest(stats.digest(), GOLDEN_CHURN, "churn");
 }

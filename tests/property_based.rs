@@ -297,8 +297,8 @@ proptest! {
                     stop: None,
                 })
                 .collect();
-            sim.load(cfg.clone(), &mut specs);
-            sim.install_arrivals(&mut vec![MiniAimdCc::new(4), MiniAimdCc::new(8)]);
+            let mut protos = vec![MiniAimdCc::new(4), MiniAimdCc::new(8)];
+            sim.load(cfg.clone(), &mut specs, &mut protos);
             sim.run()
         };
         let mut sim = Simulation::default();
