@@ -8,8 +8,9 @@
 //! ccfuzz trace    ID [--buckets N] [--json PATH] [--csv PATH] ...
 //! ```
 //!
-//! All subcommands take `--corpus DIR` (default `./corpus`). Run with no
-//! arguments for full usage.
+//! The corpus subcommands take `--corpus DIR` (default `./corpus`), and
+//! every subcommand refuses a flag it does not take. Run with no arguments
+//! for full usage.
 //!
 //! Stdout carries only machine-consumable payloads (the hunt's finding as
 //! JSON, replay/report tables, trace timelines); all progress and resolved
@@ -34,7 +35,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 mod cli;
-use cli::{flag_value, install_signal_handlers, usage_err, CliError, SHUTDOWN};
+use cli::{check_args, flag_value, install_signal_handlers, usage_err, CliError, SHUTDOWN};
 
 /// Exit code for a graceful shutdown (SIGINT/SIGTERM finished the in-flight
 /// generation and wrote the final checkpoint). Distinct from runtime
@@ -59,9 +60,11 @@ SUBCOMMANDS:
     status      Poll a daemon for one hunt's (or every hunt's) status
     fetch       Print a completed daemon hunt's finding payload
 
-COMMON OPTIONS:
+COMMON OPTIONS (hunt, resume, minimize, replay, report, trace):
     --corpus DIR        Corpus directory (default: ./corpus)
     --top-k N           Findings retained per (CCA, mode) bucket (default: 8)
+
+A subcommand refuses any flag it does not list (exit 2).
 
 Progress and configuration chatter go to stderr; stdout carries only the
 subcommand's payload (hunt prints the finding as JSON).
@@ -206,6 +209,40 @@ fn open_corpus(args: &[String]) -> Result<Corpus, CliError> {
     open_corpus_at(args, dir)
 }
 
+/// The flags of every subcommand that opens a corpus.
+const CORPUS_FLAGS: &[&str] = &["--corpus", "--top-k"];
+
+/// The campaign flags [`parse_hunt_config`] reads, for `hunt` and `submit`.
+const HUNT_FLAGS: &[&str] = &[
+    "--cca",
+    "--mode",
+    "--flows",
+    "--qdisc",
+    "--hops",
+    "--generations",
+    "--seconds",
+    "--seed",
+    "--threads",
+    "--islands",
+    "--population",
+];
+
+/// The flags a local hunt takes beside [`HUNT_FLAGS`] and the corpus.
+const CAMPAIGN_FLAGS: &[&str] = &[
+    "--telemetry",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--panic-budget",
+];
+
+/// The flags `submit` takes beside [`HUNT_FLAGS`].
+const SUBMIT_FLAGS: &[&str] = &[
+    "--daemon",
+    "--workers",
+    "--checkpoint-every",
+    "--panic-budget",
+];
+
 fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(subcommand) = args.first() else {
         print!("{USAGE}");
@@ -314,6 +351,13 @@ fn parse_hunt_config(args: &[String]) -> Result<HuntConfig, CliError> {
 }
 
 fn cmd_hunt(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        args,
+        "hunt",
+        &[HUNT_FLAGS, CORPUS_FLAGS, CAMPAIGN_FLAGS],
+        &[],
+        false,
+    )?;
     let config = parse_hunt_config(args)?;
     let checkpoint_path = flag_value(args, "--checkpoint")?.map(PathBuf::from);
     if flag_present(args, "--checkpoint-every") && checkpoint_path.is_none() {
@@ -354,6 +398,7 @@ fn positional(args: &[String]) -> Option<String> {
 /// `ccfuzz submit`: build the same hunt a local `ccfuzz hunt` would run and
 /// queue it on a `ccfuzzd` daemon instead. Prints the assigned hunt id.
 fn cmd_submit(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "submit", &[HUNT_FLAGS, SUBMIT_FLAGS], &[], false)?;
     let config = parse_hunt_config(args)?;
     let workers: usize = parse_num(args, "--workers", 1)?;
     if workers == 0 {
@@ -391,6 +436,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, CliError> {
 
 /// `ccfuzz status [ID]`: one hunt's status, or every hunt's.
 fn cmd_status(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "status", &[&["--daemon"]], &[], true)?;
     let addr = daemon_addr(args)?;
     let path = match positional(args) {
         Some(id) => format!("/hunts/{id}"),
@@ -410,6 +456,7 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, CliError> {
 /// `ccfuzz fetch ID`: a completed hunt's finding payload — the exact bytes
 /// `ccfuzz hunt` would have printed to stdout.
 fn cmd_fetch(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "fetch", &[&["--daemon"]], &[], true)?;
     let addr = daemon_addr(args)?;
     let id = positional(args).ok_or_else(|| usage_err("fetch requires a hunt id"))?;
     let (code, reply) = http_request(&addr, "GET", &format!("/hunts/{id}/findings"), None)
@@ -429,6 +476,7 @@ fn cmd_fetch(args: &[String]) -> Result<ExitCode, CliError> {
 /// trajectory — findings, digests, stdout payload — is byte-identical to
 /// what the uninterrupted hunt would have produced.
 fn cmd_resume(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "resume", &[CORPUS_FLAGS, &["--telemetry"]], &[], true)?;
     let path = positional(args).ok_or_else(|| usage_err("resume requires a checkpoint path"))?;
     let checkpoint =
         CampaignCheckpoint::load(&path).map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -691,6 +739,13 @@ fn run_campaign(
 /// and render its trace view: per-flow timelines plus the per-hop queue
 /// table. Optionally exports the view's event stream as JSONL / CSV.
 fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        args,
+        "trace",
+        &[CORPUS_FLAGS, &["--buckets", "--json", "--csv"]],
+        &[],
+        true,
+    )?;
     let id = positional(args)
         .ok_or_else(|| usage_err("trace requires a finding id (see `ccfuzz report`)"))?;
     let buckets: usize = parse_num(args, "--buckets", traceview::DEFAULT_TIMELINE_BUCKETS)?;
@@ -756,6 +811,13 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_minimize(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        args,
+        "minimize",
+        &[CORPUS_FLAGS, &["--id", "--retain", "--budget"]],
+        &["--all"],
+        false,
+    )?;
     let corpus = open_corpus(args)?;
     // Minimization rewrites findings in place, so it is a campaign writer.
     let _lock = corpus
@@ -844,6 +906,13 @@ fn cmd_minimize(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        args,
+        "replay",
+        &[CORPUS_FLAGS, &["--cca"]],
+        &["--strict"],
+        false,
+    )?;
     let corpus = open_corpus(args)?;
     let cca_override = match flag_value(args, "--cca")? {
         Some(name) => Some(parse_cca(&name)?),
@@ -869,6 +938,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "report", &[CORPUS_FLAGS], &[], false)?;
     let corpus = open_corpus(args)?;
     print!(
         "{}",

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 mod cli;
-use cli::{flag_value, install_signal_handlers, usage_err, CliError, SHUTDOWN};
+use cli::{check_args, flag_value, install_signal_handlers, usage_err, CliError, SHUTDOWN};
 
 const USAGE: &str = "\
 ccfuzzd — CC-Fuzz distributed hunt daemon
@@ -64,6 +64,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         print!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
+    check_args(args, "ccfuzzd", &[&["--root", "--bind"]], &[], false)?;
     let Some(root) = flag_value(args, "--root")? else {
         print!("{USAGE}");
         return Ok(ExitCode::from(2));
@@ -78,6 +79,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 /// The hidden `worker` subcommand the coordinator spawns: connect back to
 /// the coordinator socket and serve one island shard. Not for human use.
 fn run_worker(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(args, "worker", &[&["--connect", "--worker"]], &[], false)?;
     let addr = flag_value(args, "--connect")?
         .ok_or_else(|| usage_err("worker requires --connect ADDR"))?;
     let worker: usize = flag_value(args, "--worker")?

@@ -57,6 +57,42 @@ pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliErro
     }
 }
 
+/// Refuses every argument of `subcommand` that is not one of its `flags`
+/// (given in groups, each flag followed by its value), one of its
+/// `switches` or, when it takes one, its single `positional` argument. The
+/// error names the flags, so a typo is a usage error instead of a silently
+/// ignored setting.
+pub fn check_args(
+    args: &[String],
+    subcommand: &str,
+    flags: &[&[&str]],
+    switches: &[&str],
+    positional: bool,
+) -> Result<(), CliError> {
+    let mut positional_free = positional;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next().map(String::as_str) {
+        if flags.iter().any(|group| group.contains(&arg)) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                return Err(usage_err(format!("{arg} requires a value")));
+            }
+        } else if positional_free && !arg.starts_with("--") {
+            positional_free = false;
+        } else if !switches.contains(&arg) {
+            let known: Vec<&str> = flags
+                .concat()
+                .into_iter()
+                .chain(switches.iter().copied())
+                .collect();
+            return Err(usage_err(format!(
+                "unexpected argument `{arg}` for {subcommand} (its flags: {})",
+                known.join(" ")
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Runs a binary's `run` on the process arguments and maps its error to
 /// the exit code.
 pub fn main(run: fn(&[String]) -> Result<ExitCode, CliError>) -> ExitCode {

@@ -502,10 +502,7 @@ fn minimize_scenario(
     cfg: &MinimizeConfig,
     pool: &mut MinimizePool,
 ) -> (ScenarioGenome, MinimizeReport) {
-    let capacity_packets = match evaluator.base.queue_capacity {
-        QueueCapacity::Packets(n) => n,
-        QueueCapacity::Bytes(b) => (b / evaluator.base.mss.max(1) as u64).max(1) as usize,
-    };
+    let QueueCapacity::Packets(capacity_packets) = evaluator.base.queue_capacity;
     let mut shrink = Shrink::new(evaluator, genome, cfg, pool);
     shrink.traffic_passes(
         "scenario",

@@ -810,6 +810,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The gateway admits by packet count only: a finding file whose queue
+    /// capacity names bytes no longer parses, and opening the corpus
+    /// quarantines it.
+    #[test]
+    fn a_finding_with_a_byte_capacity_is_quarantined_on_open() {
+        let (corpus, dir) = temp_corpus(CorpusConfig::default());
+        let finding = synthetic(CcaKind::Reno, 0.9, 4);
+        let name = format!("{}.json", finding.id);
+        let text = serde_json::to_string_pretty(&finding).unwrap();
+        let packets = "\"queue_capacity\": {\n      \"Packets\": 100\n    }";
+        assert!(text.contains(packets), "{text}");
+        let bytes = text.replace(packets, "\"queue_capacity\": {\"Bytes\": 150000}");
+        std::fs::write(corpus.findings_dir().join(&name), bytes).unwrap();
+
+        let reopened = Corpus::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().quarantined, vec![name.clone()]);
+        assert!(reopened.quarantine_dir().join(&name).exists());
+        assert!(reopened.load_all().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn lock_excludes_a_second_holder_and_releases_on_drop() {
         let (corpus, dir) = temp_corpus(CorpusConfig::default());

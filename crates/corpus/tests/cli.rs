@@ -235,6 +235,73 @@ fn workload_usage_errors_exit_2_and_name_the_valid_set() {
 }
 
 #[test]
+fn every_subcommand_refuses_an_argument_it_does_not_take() {
+    // A misspelt or misplaced flag used to be ignored: `hunt --generation 1`
+    // ran the default five generations and exited 0. Each case exits 2
+    // before any work, naming the argument and the subcommand's flags.
+    let dir = scratch_dir("unknown-args");
+    let corpus = dir.join("corpus");
+    let corpus = corpus.to_str().expect("UTF-8 path");
+    let cases: [(&[&str], &str, &str); 7] = [
+        (
+            &["hunt", "--cca", "reno", "--generation", "1"],
+            "`--generation`",
+            "--generations",
+        ),
+        (
+            &["report", "--corpus", corpus, "--bogus-flag"],
+            "`--bogus-flag`",
+            "--corpus --top-k",
+        ),
+        (
+            &["report", "--corpus", corpus, "stray"],
+            "`stray`",
+            "--top-k",
+        ),
+        (
+            &["replay", "--corpus", corpus, "--all"],
+            "`--all`",
+            "--strict",
+        ),
+        (
+            &["minimize", "--corpus", corpus, "--strict"],
+            "`--strict`",
+            "--all",
+        ),
+        (
+            &["submit", "--cca", "reno", "--corpus", corpus],
+            "`--corpus`",
+            "--daemon",
+        ),
+        (
+            &["status", "--daemon", "127.0.0.1:1", "id", "other"],
+            "`other`",
+            "--daemon",
+        ),
+    ];
+    for (args, offender, flags) in cases {
+        let out = ccfuzz().args(args).output().expect("run ccfuzz");
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(offender), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(args[0]), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(flags), "{args:?}:\n{stderr}");
+    }
+    assert!(
+        !dir.join("corpus").exists(),
+        "a refused command opened its corpus"
+    );
+    // A flag's missing value is named as before.
+    let out = ccfuzz()
+        .args(["report", "--corpus"])
+        .output()
+        .expect("run ccfuzz");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--corpus requires a value"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn workload_hunt_minimize_replay_report_roundtrip() {
     // The full workload-mode lifecycle through the binary: hunt persists a
     // finding, minimize shrinks it in place, replay --strict verifies the

@@ -454,9 +454,25 @@ fn ccfuzzd_usage_errors_exit_2_and_name_the_flag() {
     // None of these reaches `serve` or a coordinator connection: a bad
     // invocation is a usage error (2), as it is for `ccfuzz`, not a
     // runtime failure (1).
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--root"], "--root requires a value"),
         (&["--root", "unused", "--bind"], "--bind requires a value"),
+        (
+            &["--root", "unused", "--bnd", "x"],
+            "unexpected argument `--bnd`",
+        ),
+        (
+            &[
+                "worker",
+                "--connect",
+                "127.0.0.1:1",
+                "--worker",
+                "0",
+                "--root",
+                "x",
+            ],
+            "unexpected argument `--root` for worker",
+        ),
         (&["worker", "--connect"], "--connect requires a value"),
         (&["worker", "--connect", "127.0.0.1:1"], "--worker K"),
         (

@@ -13,9 +13,6 @@ use serde::{Deserialize, Serialize};
 /// IP + TCP headers), used for both the CCA flow and cross traffic.
 pub const DEFAULT_MSS: u32 = 1448;
 
-/// Size in bytes used for pure ACK packets on the (uncongested) reverse path.
-pub const ACK_SIZE: u32 = 60;
-
 /// Identifies which traffic source a packet belongs to.
 ///
 /// The simulator supports N concurrent congestion-controlled flows; each
@@ -36,10 +33,11 @@ impl FlowId {
 
 /// A data packet traversing the forward path (sender → gateway → sink).
 ///
-/// `Copy`: the packet is a flat 48-byte record, so moving it through the
+/// `Copy`: the packet is a flat 32-byte record, so moving it through the
 /// queue, the calendar's packet pool and the statistics never touches the
-/// allocator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// allocator. It carries only what the network and the receiver read:
+/// whether a send is a retransmission lives in the sender's records.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DataPacket {
     /// Owning flow.
     pub flow: FlowId,
@@ -48,65 +46,44 @@ pub struct DataPacket {
     pub seq: u64,
     /// Wire size in bytes.
     pub size: u32,
-    /// `true` when this transmission is a retransmission of `seq`.
-    pub is_retransmission: bool,
     /// ECN-Capable Transport: `true` when the sender negotiated ECN, so an
     /// AQM gateway may mark the packet instead of dropping it (RFC 3168).
     pub ect: bool,
     /// Congestion Experienced: set by the gateway queue when the active
     /// queue-management discipline decides to mark rather than drop.
     pub ce: bool,
-    /// Time at which the sender handed the packet to the network.
-    pub sent_at: SimTime,
-    /// Time the packet entered the bottleneck queue (set by the gateway).
+    /// Time the packet entered its current hop's queue (set by the gateway
+    /// on every enqueue).
     pub enqueued_at: SimTime,
 }
 
 impl DataPacket {
-    /// Creates a data packet for the primary (index 0) CCA flow.
-    pub fn cca(seq: u64, size: u32, is_retransmission: bool, sent_at: SimTime) -> Self {
-        Self::cca_flow(0, seq, size, is_retransmission, sent_at)
-    }
-
-    /// Creates a data packet for the CCA flow with the given index.
-    pub fn cca_flow(
-        flow_index: u32,
-        seq: u64,
-        size: u32,
-        is_retransmission: bool,
-        sent_at: SimTime,
-    ) -> Self {
+    /// Creates a data packet for the primary (index 0) CCA flow; the
+    /// simulator re-tags it with the sending flow.
+    pub fn cca(seq: u64, size: u32) -> Self {
         DataPacket {
-            flow: FlowId::Cca(flow_index),
+            flow: FlowId::PRIMARY,
             seq,
             size,
-            is_retransmission,
             ect: false,
             ce: false,
-            sent_at,
-            enqueued_at: sent_at,
+            enqueued_at: SimTime::ZERO,
         }
     }
 
     /// Creates a cross-traffic packet (never ECN-capable: the unresponsive
     /// source would ignore marks, so an AQM must drop it).
-    pub fn cross_traffic(index: u64, size: u32, sent_at: SimTime) -> Self {
+    pub fn cross_traffic(index: u64, size: u32) -> Self {
         DataPacket {
             flow: FlowId::CrossTraffic,
-            seq: index,
-            size,
-            is_retransmission: false,
-            ect: false,
-            ce: false,
-            sent_at,
-            enqueued_at: sent_at,
+            ..DataPacket::cca(index, size)
         }
     }
 }
 
 /// A selective acknowledgement block: packets in `[start, end)` have been
 /// received (packet-level sequence numbers, end exclusive).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SackBlock {
     /// First packet covered by the block.
     pub start: u64,
@@ -224,7 +201,9 @@ impl FromIterator<SackBlock> for SackList {
 /// An acknowledgement travelling on the reverse path (sink → sender).
 ///
 /// `Copy`: the SACK blocks are stored inline ([`SackList`]), so generating,
-/// queueing and delivering an ACK is allocation-free.
+/// queueing and delivering an ACK is allocation-free. It carries only what
+/// the sender reads; ACKs cross the reverse path on a fixed per-path delay,
+/// so they have no wire size.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AckPacket {
     /// Cumulative ACK: all packets with `seq < cum_ack` have been received.
@@ -232,32 +211,12 @@ pub struct AckPacket {
     /// SACK blocks above the cumulative ACK (most recently changed first),
     /// empty when nothing above it has arrived.
     pub sack_blocks: SackList,
-    /// Number of data packets this ACK acknowledges at the receiver (1 for an
-    /// immediate ACK, 2+ when delayed ACKs coalesce).
-    pub acked_now: u64,
-    /// Receiver timestamp at which the ACK was generated.
-    pub generated_at: SimTime,
-    /// Echo of the newest data packet's send timestamp, used by the sender
-    /// for RTT measurement of the cumulative ACK.
-    pub echo_sent_at: SimTime,
-    /// Sequence number of the newest data packet that triggered this ACK.
-    pub for_seq: u64,
-    /// `true` if the newest data packet covered was a retransmission.
-    pub for_retransmission: bool,
     /// ECN Echo: number of CE-marked data packets this ACK reports (0 when
     /// ECN is off or nothing was marked). Real TCP latches a single ECE bit
     /// until CWR; carrying the exact count instead keeps the feedback loop
     /// conservation-testable (every mark is echoed exactly once) and gives
     /// DCTCP its per-ACK mark fraction without a separate option.
     pub ece_marks: u64,
-}
-
-/// ACK packet wire size used when modelling the reverse path.
-impl AckPacket {
-    /// Wire size of an ACK in bytes.
-    pub const fn size(&self) -> u32 {
-        ACK_SIZE
-    }
 }
 
 /// Handle to a [`DataPacket`] parked in a [`PacketPool`].
@@ -451,35 +410,27 @@ mod tests {
 
     #[test]
     fn packet_constructors() {
-        let t = SimTime::from_millis(5);
-        let p = DataPacket::cca(42, DEFAULT_MSS, false, t);
+        let p = DataPacket::cca(42, DEFAULT_MSS);
         assert_eq!(p.flow, FlowId::Cca(0));
         assert_eq!(p.flow, FlowId::PRIMARY);
         assert_eq!(p.seq, 42);
-        assert_eq!(p.enqueued_at, t);
-        assert!(!p.is_retransmission);
+        assert_eq!(p.size, DEFAULT_MSS);
+        assert!(!p.ect && !p.ce);
 
-        let p1 = DataPacket::cca_flow(3, 7, DEFAULT_MSS, false, t);
-        assert_eq!(p1.flow, FlowId::Cca(3));
-
-        let x = DataPacket::cross_traffic(7, 1200, t);
+        let x = DataPacket::cross_traffic(7, 1200);
         assert_eq!(x.flow, FlowId::CrossTraffic);
+        assert_eq!(x.seq, 7);
         assert_eq!(x.size, 1200);
+        assert!(!x.ect);
     }
 
     #[test]
-    fn ack_size_constant() {
-        let ack = AckPacket {
-            cum_ack: 3,
-            sack_blocks: SackList::new(),
-            acked_now: 1,
-            generated_at: SimTime::ZERO,
-            echo_sent_at: SimTime::ZERO,
-            for_seq: 2,
-            for_retransmission: false,
-            ece_marks: 0,
-        };
-        assert_eq!(ack.size(), ACK_SIZE);
+    fn packets_and_skbs_keep_their_size() {
+        // Every field is read by an endpoint or the network: one without a
+        // reader would grow these.
+        assert_eq!(std::mem::size_of::<DataPacket>(), 32);
+        assert_eq!(std::mem::size_of::<AckPacket>(), 88);
+        assert_eq!(std::mem::size_of::<crate::tcp::Skb>(), 48);
     }
 
     #[test]
@@ -508,13 +459,12 @@ mod tests {
     #[test]
     fn packet_pool_recycles_slots() {
         let mut pool = PacketPool::new();
-        let t = SimTime::ZERO;
-        let a = pool.put_data(DataPacket::cca(1, 100, false, t));
-        let b = pool.put_data(DataPacket::cca(2, 100, false, t));
+        let a = pool.put_data(DataPacket::cca(1, 100));
+        let b = pool.put_data(DataPacket::cca(2, 100));
         assert_eq!(pool.live(), 2);
         assert_eq!(pool.take_data(a).seq, 1);
         // The freed slot is reused for the next packet.
-        let c = pool.put_data(DataPacket::cca(3, 100, false, t));
+        let c = pool.put_data(DataPacket::cca(3, 100));
         assert_eq!(c, a);
         assert_eq!(pool.take_data(b).seq, 2);
         assert_eq!(pool.take_data(c).seq, 3);

@@ -1167,7 +1167,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 if t > seed_end {
                     break;
                 }
-                let pkt = DataPacket::cross_traffic(seq as u64, packet_size, t);
+                let pkt = DataPacket::cross_traffic(seq as u64, packet_size);
                 let parked = pool.put_data(pkt);
                 events.schedule(
                     t,
@@ -1246,9 +1246,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     let Some(flow_idx) = self.resolve_flow(flow) else {
                         continue;
                     };
-                    if let Some(ack) =
-                        self.flows.receivers[flow_idx].on_delack_timer(generation, now)
-                    {
+                    if let Some(ack) = self.flows.receivers[flow_idx].on_delack_timer(generation) {
                         if is_dynamic(flow) {
                             self.slab.in_network[dyn_slot(flow)] += 1;
                         }
@@ -1416,6 +1414,27 @@ mod tests {
             }
             sim.recycle_stats(reused.stats);
         }
+    }
+
+    #[test]
+    fn a_reused_arena_reports_an_empty_size_class_as_a_fresh_one_does() {
+        // A heavy-churn run fills both FCT histograms; the next run on the
+        // same arena completes no elephant (every size is a mouse), so its
+        // elephant histogram is one the arena cleared. The whole run, that
+        // histogram included, must print as the same run on a fresh arena.
+        let mut mice_only = workload_cfg(60.0, 32);
+        let arrivals = mice_only.arrivals.as_mut().unwrap();
+        arrivals.mice_threshold_packets = arrivals.size.max_packets;
+        let fresh = run_workload(mice_only.clone(), &mut Simulation::default());
+        let w = fresh.stats.workload().unwrap();
+        assert!(w.fct_mice.count() > 0 && w.fct_elephants.count() == 0);
+
+        let mut sim = Simulation::default();
+        let heavy = run_workload(workload_cfg(200.0, 32), &mut sim);
+        assert!(heavy.stats.workload().unwrap().fct_elephants.count() > 0);
+        sim.recycle_stats(heavy.stats);
+        let reused = run_workload(mice_only, &mut sim);
+        assert_eq!(format!("{:?}", reused.stats), format!("{:?}", fresh.stats));
     }
 
     /// Loads scenario `shape` into `sim` and runs it: 0 = a 3-hop parking

@@ -218,7 +218,7 @@ pub struct FctHistogram {
     count: u64,
     /// Sum of recorded values (nanoseconds).
     sum: u64,
-    /// Smallest recorded value (`u64::MAX` when empty).
+    /// Smallest recorded value (0 when empty).
     min: u64,
     /// Largest recorded value (0 when empty).
     max: u64,
@@ -280,12 +280,13 @@ impl FctHistogram {
         self.max
     }
 
-    /// Clears all samples, keeping the bucket allocation.
+    /// Clears all samples: the histogram equals a fresh one, apart from
+    /// the bucket vector's capacity, which the next `record` reuses.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.buckets.clear();
         self.count = 0;
         self.sum = 0;
-        self.min = if self.buckets.is_empty() { 0 } else { u64::MAX };
+        self.min = 0;
         self.max = 0;
     }
 

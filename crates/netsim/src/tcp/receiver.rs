@@ -71,10 +71,6 @@ pub struct TcpReceiver {
     last_updated_range: Option<usize>,
     /// In-order packets received since the last ACK was sent.
     unacked_count: u32,
-    /// Info about the newest data packet (for ACK echo fields).
-    newest_seq: u64,
-    newest_sent_at: SimTime,
-    newest_was_retransmission: bool,
     /// Delayed-ACK timer generation (incremented on every arm/disarm).
     delack_generation: u64,
     delack_armed: bool,
@@ -104,9 +100,6 @@ impl TcpReceiver {
             ooo_count: 0,
             last_updated_range: None,
             unacked_count: 0,
-            newest_seq: 0,
-            newest_sent_at: SimTime::ZERO,
-            newest_was_retransmission: false,
             delack_generation: 0,
             delack_armed: false,
             total_received: 0,
@@ -156,12 +149,6 @@ impl TcpReceiver {
     /// cumulative ACK).
     pub fn ooo_packets(&self) -> u64 {
         self.ooo_count
-    }
-
-    fn record_newest(&mut self, pkt: &DataPacket) {
-        self.newest_seq = pkt.seq;
-        self.newest_sent_at = pkt.sent_at;
-        self.newest_was_retransmission = pkt.is_retransmission;
     }
 
     /// Inserts `seq` (above `cum_ack`) into the out-of-order ranges.
@@ -244,7 +231,7 @@ impl TcpReceiver {
         blocks
     }
 
-    fn make_ack(&mut self, now: SimTime, acked_now: u64) -> AckPacket {
+    fn make_ack(&mut self) -> AckPacket {
         self.unacked_count = 0;
         let ece_marks = self.pending_ece;
         self.pending_ece = 0;
@@ -252,11 +239,6 @@ impl TcpReceiver {
         AckPacket {
             cum_ack: self.cum_ack,
             sack_blocks: self.sack_blocks(),
-            acked_now,
-            generated_at: now,
-            echo_sent_at: self.newest_sent_at,
-            for_seq: self.newest_seq,
-            for_retransmission: self.newest_was_retransmission,
             ece_marks,
         }
     }
@@ -276,7 +258,6 @@ impl TcpReceiver {
             self.ce_received += 1;
             self.pending_ece += 1;
         }
-        self.record_newest(pkt);
         let mut out = ReceiverOutput::default();
 
         // An out-of-order arrival is looked up and recorded in one step.
@@ -286,7 +267,7 @@ impl TcpReceiver {
             self.duplicates += 1;
             // Duplicate data: acknowledge immediately (flushes anything pending).
             self.disarm_delack();
-            out.ack = Some(self.make_ack(now, 0));
+            out.ack = Some(self.make_ack());
             return out;
         }
         out.new_data = true;
@@ -303,9 +284,8 @@ impl TcpReceiver {
                 || !self.cfg.delayed_ack
                 || self.unacked_count >= self.cfg.delayed_ack_count
             {
-                let acked = self.unacked_count as u64;
                 self.disarm_delack();
-                out.ack = Some(self.make_ack(now, acked));
+                out.ack = Some(self.make_ack());
             } else {
                 // Arm (or re-arm) the delayed-ACK timer.
                 self.delack_armed = true;
@@ -315,16 +295,15 @@ impl TcpReceiver {
         } else {
             // Out of order (recorded above): ACK immediately (duplicate ACK
             // with SACK).
-            let pending = self.unacked_count as u64;
             self.disarm_delack();
-            out.ack = Some(self.make_ack(now, pending));
+            out.ack = Some(self.make_ack());
         }
         out
     }
 
     /// Handles a delayed-ACK timer expiry for `generation`. Returns an ACK if
     /// the timer is still valid and data is pending acknowledgement.
-    pub fn on_delack_timer(&mut self, generation: u64, now: SimTime) -> Option<AckPacket> {
+    pub fn on_delack_timer(&mut self, generation: u64) -> Option<AckPacket> {
         if !self.delack_armed || generation != self.delack_generation {
             return None;
         }
@@ -332,8 +311,7 @@ impl TcpReceiver {
         if self.unacked_count == 0 {
             return None;
         }
-        let acked = self.unacked_count as u64;
-        Some(self.make_ack(now, acked))
+        Some(self.make_ack())
     }
 }
 
@@ -343,7 +321,7 @@ mod tests {
     use crate::packet::DEFAULT_MSS;
 
     fn pkt(seq: u64) -> DataPacket {
-        DataPacket::cca(seq, DEFAULT_MSS, false, SimTime::from_millis(seq))
+        DataPacket::cca(seq, DEFAULT_MSS)
     }
 
     fn recv(cfg: ReceiverConfig) -> TcpReceiver {
@@ -378,7 +356,6 @@ mod tests {
         let out1 = r.on_data(&pkt(1), SimTime::from_millis(1));
         let ack1 = out1.ack.expect("coalesced ack");
         assert_eq!(ack1.cum_ack, 2);
-        assert_eq!(ack1.acked_now, 2);
     }
 
     #[test]
@@ -388,12 +365,11 @@ mod tests {
         let (deadline, generation) = out.arm_delack.unwrap();
         assert_eq!(deadline, SimTime::from_millis(200));
         // A stale generation does nothing.
-        assert!(r.on_delack_timer(generation + 5, deadline).is_none());
-        let ack = r.on_delack_timer(generation, deadline).unwrap();
+        assert!(r.on_delack_timer(generation + 5).is_none());
+        let ack = r.on_delack_timer(generation).unwrap();
         assert_eq!(ack.cum_ack, 1);
-        assert_eq!(ack.acked_now, 1);
         // Timer is one-shot.
-        assert!(r.on_delack_timer(generation, deadline).is_none());
+        assert!(r.on_delack_timer(generation).is_none());
     }
 
     #[test]
@@ -479,20 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn ack_echo_fields_reflect_newest_packet() {
-        let mut r = recv(no_delack());
-        let mut p = pkt(0);
-        p.sent_at = SimTime::from_millis(123);
-        p.is_retransmission = true;
-        let out = r.on_data(&p, SimTime::from_millis(150));
-        let ack = out.ack.unwrap();
-        assert_eq!(ack.echo_sent_at, SimTime::from_millis(123));
-        assert_eq!(ack.for_seq, 0);
-        assert!(ack.for_retransmission);
-        assert_eq!(ack.generated_at, SimTime::from_millis(150));
-    }
-
-    #[test]
     fn ce_marks_are_echoed_exactly_once() {
         let mut r = recv(no_delack());
         let ce = |seq: u64| {
@@ -536,8 +498,8 @@ mod tests {
         assert_eq!(r.ece_echoed(), 2);
         // A mark pending when the delack timer fires is echoed by it.
         let out = r.on_data(&ce(2), SimTime::from_millis(2));
-        let (deadline, generation) = out.arm_delack.unwrap();
-        let ack = r.on_delack_timer(generation, deadline).unwrap();
+        let (_, generation) = out.arm_delack.unwrap();
+        let ack = r.on_delack_timer(generation).unwrap();
         assert_eq!(ack.ece_marks, 1);
         assert_eq!(r.ce_received(), 3);
         assert_eq!(r.ece_echoed(), 3);

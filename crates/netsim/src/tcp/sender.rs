@@ -112,6 +112,39 @@ fn insert_sack_range(cache: &mut Vec<(u64, u64)>, start: u64, end: u64) {
     }
 }
 
+/// What one ACK newly delivers, gathered over its cumulative and SACK
+/// passes.
+#[derive(Default)]
+struct Delivery {
+    /// Packets newly delivered.
+    packets: u64,
+    /// The rate-sample candidate: the delivered packet transmitted most
+    /// recently (largest `tx_delivered`, then latest `last_tx`), mirroring
+    /// `tcp_rate_skb_delivered`. `Skb` is `Copy`, so keeping it is a
+    /// register move, not an allocation.
+    sample: Option<Skb>,
+    /// Karn's RTT candidate: the latest transmission time among the
+    /// delivered packets that were never retransmitted.
+    rtt_from: Option<SimTime>,
+}
+
+impl Delivery {
+    /// Counts `skb` as newly delivered.
+    #[inline]
+    fn add(&mut self, skb: &Skb) {
+        self.packets += 1;
+        if self
+            .sample
+            .is_none_or(|cur| (skb.tx_delivered, skb.last_tx) > (cur.tx_delivered, cur.last_tx))
+        {
+            self.sample = Some(*skb);
+        }
+        if !skb.retransmitted() && self.rtt_from.is_none_or(|t| skb.last_tx > t) {
+            self.rtt_from = Some(skb.last_tx);
+        }
+    }
+}
+
 /// Result of polling the sender for a transmission.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SendPoll {
@@ -471,7 +504,7 @@ impl<C: CongestionControl> TcpSender<C> {
             (self.delivered, self.delivered_time, self.first_sent_time);
 
         if !is_retransmission && seq == self.cum_ack + self.skbs.len() as u64 {
-            self.skbs.push_back(Skb::new(seq, self.cfg.mss));
+            self.skbs.push_back(Skb::new(seq));
         }
         let cum_ack = self.cum_ack;
         let skb = self.skb_mut(seq);
@@ -521,7 +554,7 @@ impl<C: CongestionControl> TcpSender<C> {
             },
         );
 
-        let mut pkt = DataPacket::cca(seq, self.cfg.mss, is_retransmission, now);
+        let mut pkt = DataPacket::cca(seq, self.cfg.mss);
         pkt.ect = self.cfg.ecn_enabled;
         SendPoll::Packet(pkt)
     }
@@ -617,26 +650,7 @@ impl<C: CongestionControl> TcpSender<C> {
     /// Processes an arriving ACK at `now`.
     pub fn on_ack(&mut self, ack: &AckPacket, now: SimTime) {
         let prior_cum_ack = self.cum_ack;
-        let mut newly_acked = 0u64;
-        // The rate sample is taken from the newly acknowledged packet that
-        // was transmitted most recently (largest tx_delivered), mirroring
-        // tcp_rate_skb_delivered. `Skb` is `Copy`, so snapshotting the
-        // candidate is a register move, not an allocation.
-        let mut sample_skb: Option<Skb> = None;
-        let mut rtt_candidate: Option<(SimTime, bool)> = None; // (last_tx, retransmitted)
-
-        let consider_sample = |skb: &Skb, sample_skb: &mut Option<Skb>| {
-            let better = match sample_skb {
-                None => true,
-                Some(cur) => {
-                    skb.tx_delivered > cur.tx_delivered
-                        || (skb.tx_delivered == cur.tx_delivered && skb.last_tx > cur.last_tx)
-                }
-            };
-            if better {
-                *sample_skb = Some(*skb);
-            }
-        };
+        let mut delivery = Delivery::default();
 
         // --- Cumulative ACK ---
         // Clamp a (protocol-violating) ACK beyond the highest sent sequence:
@@ -660,18 +674,7 @@ impl<C: CongestionControl> TcpSender<C> {
                         self.rtx_pending -= 1;
                     }
                     // Newly delivered by this cumulative ACK.
-                    self.delivered += 1;
-                    self.delivered_time = now;
-                    newly_acked += 1;
-                    consider_sample(&skb, &mut sample_skb);
-                    // RTT sample per Karn's rule: only from never-retransmitted
-                    // packets; take the newest.
-                    if !skb.retransmitted() {
-                        match rtt_candidate {
-                            Some((t, _)) if t >= skb.last_tx => {}
-                            _ => rtt_candidate = Some((skb.last_tx, false)),
-                        }
-                    }
+                    delivery.add(&skb);
                 }
                 self.cum_ack += 1;
             }
@@ -736,17 +739,7 @@ impl<C: CongestionControl> TcpSender<C> {
                     let was_lost = skb.lost;
                     skb.lost = false;
                     newly_sacked += 1;
-                    self.delivered += 1;
-                    self.delivered_time = now;
-                    newly_acked += 1;
-                    let skb_snapshot = *skb;
-                    consider_sample(&skb_snapshot, &mut sample_skb);
-                    if !skb_snapshot.retransmitted() {
-                        match rtt_candidate {
-                            Some((t, _)) if t >= skb_snapshot.last_tx => {}
-                            _ => rtt_candidate = Some((skb_snapshot.last_tx, false)),
-                        }
-                    }
+                    delivery.add(skb);
                     if was_lost {
                         // The packet had been marked lost but the original
                         // copy arrived after all; undo the loss accounting.
@@ -759,9 +752,13 @@ impl<C: CongestionControl> TcpSender<C> {
             }
             insert_sack_range(&mut self.sack_cache, start, end);
         }
+        if delivery.packets > 0 {
+            self.delivered += delivery.packets;
+            self.delivered_time = now;
+        }
 
         // --- RTT / RTO updates ---
-        if let Some((last_tx, _)) = rtt_candidate {
+        if let Some(last_tx) = delivery.rtt_from {
             let rtt = now.saturating_since(last_tx);
             if rtt > SimDuration::ZERO {
                 self.rtt.on_sample(rtt);
@@ -788,12 +785,12 @@ impl<C: CongestionControl> TcpSender<C> {
         // (`tp->first_tx_mstamp`) to the send time of the most recently ACKed
         // packet, so the next packets' send_elapsed measures just their own
         // send window rather than time since the connection started.
-        if let Some(skb) = &sample_skb {
+        if let Some(skb) = &delivery.sample {
             if skb.last_tx > self.first_sent_time {
                 self.first_sent_time = skb.last_tx;
             }
         }
-        let rate_sample = sample_skb.map(|skb| {
+        let rate_sample = delivery.sample.map(|skb| {
             let send_elapsed = skb.last_tx.saturating_since(skb.tx_first_sent_time);
             let ack_elapsed = self.delivered_time.saturating_since(skb.tx_delivered_time);
             let interval = send_elapsed.max(ack_elapsed);
@@ -813,7 +810,7 @@ impl<C: CongestionControl> TcpSender<C> {
                 } else {
                     Some(now.saturating_since(skb.last_tx))
                 },
-                newly_acked,
+                newly_acked: delivery.packets,
                 cum_ack_advanced,
                 is_retransmitted_sample: skb.retransmitted(),
                 is_app_limited: skb.tx_app_limited,
@@ -978,15 +975,10 @@ mod tests {
         s
     }
 
-    fn ack(cum: u64, blocks: Vec<SackBlock>, now: SimTime) -> AckPacket {
+    fn ack(cum: u64, blocks: Vec<SackBlock>) -> AckPacket {
         AckPacket {
             cum_ack: cum,
             sack_blocks: blocks.into_iter().collect::<SackList>(),
-            acked_now: 1,
-            generated_at: now,
-            echo_sent_at: now,
-            for_seq: cum.saturating_sub(1),
-            for_retransmission: false,
             ece_marks: 0,
         }
     }
@@ -997,6 +989,25 @@ mod tests {
             out.push(p);
         }
         out
+    }
+
+    /// Polls out everything sendable at `now` and returns each send's
+    /// `(seq, retransmission)` as its `Sent` record states it (the log is
+    /// left undrained).
+    fn drain_sends<C: CongestionControl>(s: &mut TcpSender<C>, now: SimTime) -> Vec<(u64, bool)> {
+        let from = s.log.len();
+        drain_packets(s, now);
+        s.log[from..]
+            .iter()
+            .filter_map(|r| match r.event {
+                TransportEvent::Sent {
+                    seq,
+                    retransmission,
+                    ..
+                } => Some((seq, retransmission)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1027,7 +1038,7 @@ mod tests {
         let mut s = sender_with_window(4);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(2, vec![], now), now);
+        s.on_ack(&ack(2, vec![]), now);
         assert_eq!(s.cum_ack(), 2);
         assert_eq!(s.delivered(), 2);
         assert_eq!(s.in_flight(), 2);
@@ -1042,7 +1053,7 @@ mod tests {
         let mut s = sender_with_window(2);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(1, vec![], now), now);
+        s.on_ack(&ack(1, vec![]), now);
         assert_eq!(s.rtt().min_rtt(), Some(SimDuration::from_millis(40)));
         assert_eq!(s.rtt().srtt(), Some(SimDuration::from_millis(40)));
     }
@@ -1053,11 +1064,11 @@ mod tests {
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
         // Packet 0 missing; 1, 2, 3 SACKed one at a time.
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 2 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 2 }]), now);
         assert_eq!(s.lost_total(), 0);
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 3 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 3 }]), now);
         assert_eq!(s.lost_total(), 0);
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 4 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 4 }]), now);
         assert_eq!(
             s.lost_total(),
             1,
@@ -1066,10 +1077,10 @@ mod tests {
         assert!(s.in_recovery());
         assert_eq!(s.delivered(), 3);
         // The retransmission goes out next.
-        let next = drain_packets(&mut s, now);
+        let next = drain_sends(&mut s, now);
         assert!(!next.is_empty());
-        assert_eq!(next[0].seq, 0);
-        assert!(next[0].is_retransmission);
+        assert_eq!(next[0].0, 0);
+        assert!(next[0].1, "a retransmission");
         assert_eq!(s.retransmissions(), 1);
     }
 
@@ -1079,13 +1090,13 @@ mod tests {
         s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 5 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 5 }]), now);
         assert!(s.in_recovery());
         let recovery_high = s.next_seq();
         // Retransmit and then cumulative ACK beyond recovery_high.
         drain_packets(&mut s, now);
         let later = SimTime::from_millis(120);
-        s.on_ack(&ack(recovery_high, vec![], later), later);
+        s.on_ack(&ack(recovery_high, vec![]), later);
         assert!(
             !s.in_recovery(),
             "recovery exits once cum_ack reaches recovery point"
@@ -1106,9 +1117,9 @@ mod tests {
         assert_eq!(s.rto_count(), 1);
         assert_eq!(s.lost_total(), 5);
         assert_eq!(s.in_flight(), 0, "nothing considered in flight after RTO");
-        let pkts = drain_packets(&mut s, deadline);
-        assert_eq!(pkts[0].seq, 0, "head retransmitted first");
-        assert!(pkts[0].is_retransmission);
+        let sends = drain_sends(&mut s, deadline);
+        assert_eq!(sends[0].0, 0, "head retransmitted first");
+        assert!(sends[0].1, "a retransmission");
         // Stale generation is ignored.
         assert!(!s.on_rto_timer(generation, deadline + SimDuration::from_secs(5)));
     }
@@ -1140,21 +1151,21 @@ mod tests {
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
         // Packets 1..8 SACKed (packet 0 lost): delivered = 8.
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 9 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 9 }]), now);
         assert_eq!(s.delivered(), 8);
         // RTO fires (the retransmission of 0 was also lost, say).
         let (deadline, generation) = s.rto_deadline().unwrap();
         assert!(s.on_rto_timer(generation, deadline.max(now)));
         // Head (0) and then 9 (never SACKed) get retransmitted; 9's original
         // SACK is still "in the network".
-        let pkts = drain_packets(&mut s, deadline);
+        let sends = drain_sends(&mut s, deadline);
         assert!(
-            pkts.iter().any(|p| p.seq == 9 && p.is_retransmission),
-            "packet 9 spuriously retransmitted after RTO: {pkts:?}"
+            sends.contains(&(9, true)),
+            "packet 9 spuriously retransmitted after RTO: {sends:?}"
         );
         // Now the SACK for the *original* transmission of 9 arrives.
         let later = deadline + SimDuration::from_millis(5);
-        s.on_ack(&ack(0, vec![SackBlock { start: 9, end: 10 }], later), later);
+        s.on_ack(&ack(0, vec![SackBlock { start: 9, end: 10 }]), later);
         // The rate sample's prior_delivered must reflect the freshly stamped
         // (post-RTO) value, not the value at 9's original transmission (0).
         let stamped: Vec<u64> = s
@@ -1180,11 +1191,11 @@ mod tests {
         let mut s = sender_with_window(5);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 3 }], now), now);
+        s.on_ack(&ack(0, vec![SackBlock { start: 1, end: 3 }]), now);
         assert_eq!(s.delivered(), 2);
         // Cumulative ACK now covers 0..3; only packet 0 is newly delivered.
         let later = SimTime::from_millis(45);
-        s.on_ack(&ack(3, vec![], later), later);
+        s.on_ack(&ack(3, vec![]), later);
         assert_eq!(s.delivered(), 3);
         assert_eq!(s.cum_ack(), 3);
     }
@@ -1194,7 +1205,7 @@ mod tests {
         let mut s = sender_with_window(2);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(2, vec![], now), now);
+        s.on_ack(&ack(2, vec![]), now);
         assert!(
             s.rto_deadline().is_none(),
             "no data outstanding, no RTO armed"
@@ -1280,7 +1291,7 @@ mod tests {
         let mut s = sender_with_window(3);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(3, vec![], now), now);
+        s.on_ack(&ack(3, vec![]), now);
         let summary = s.summary();
         assert_eq!(summary.delivered_packets, 3);
         assert_eq!(summary.transmissions, 3);
@@ -1298,7 +1309,7 @@ mod tests {
         s.on_flow_start(SimTime::ZERO);
         drain_packets(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(2, vec![], now), now);
+        s.on_ack(&ack(2, vec![]), now);
         assert_eq!(s.drain_log().count(), 0, "no log entries when disabled");
         // Counters are unaffected by the logging switch.
         assert_eq!(s.delivered(), 2);
@@ -1342,7 +1353,7 @@ mod tests {
         assert!(s.on_rto_timer(generation, deadline));
         assert_eq!(s.rto_backoff, 1);
         let now = deadline + SimDuration::from_millis(40);
-        s.on_ack(&ack(100, vec![], now), now);
+        s.on_ack(&ack(100, vec![]), now);
         assert_eq!(s.cum_ack(), 4, "clamped to highest sent");
         assert_eq!(s.delivered(), 4);
         assert_eq!(s.in_flight(), 0);
@@ -1352,7 +1363,7 @@ mod tests {
 
         // The same bogus ACK again acknowledges nothing: no advance record,
         // no rate sample, no timer.
-        s.on_ack(&ack(100, vec![], now), now);
+        s.on_ack(&ack(100, vec![]), now);
         assert_eq!(s.cum_ack(), 4);
         assert_eq!(s.cc().advances, vec![4]);
         assert!(cum_ack_records(&mut s).is_empty(), "nothing advanced");
@@ -1409,9 +1420,9 @@ mod tests {
         drain_packets(&mut s, SimTime::ZERO);
         check(&s);
         let now = SimTime::from_millis(40);
-        s.on_ack(&ack(2, vec![SackBlock { start: 5, end: 9 }], now), now);
+        s.on_ack(&ack(2, vec![SackBlock { start: 5, end: 9 }]), now);
         check(&s);
-        s.on_ack(&ack(2, vec![SackBlock { start: 5, end: 11 }], now), now);
+        s.on_ack(&ack(2, vec![SackBlock { start: 5, end: 11 }]), now);
         check(&s);
         drain_packets(&mut s, now);
         check(&s);
@@ -1421,7 +1432,7 @@ mod tests {
         drain_packets(&mut s, deadline);
         check(&s);
         let later = deadline + SimDuration::from_millis(50);
-        s.on_ack(&ack(9, vec![], later), later);
+        s.on_ack(&ack(9, vec![]), later);
         check(&s);
     }
     /// Scoreboard work (SKBs touched plus scoreboard ranges compared) per
@@ -1460,7 +1471,9 @@ mod tests {
             }
             if flight.is_empty() {
                 flight = drain_packets(&mut s, now);
-                flight.retain(|p| p.is_retransmission);
+                // The first flight sent `0..window`: a later send below it
+                // is a retransmission.
+                flight.retain(|p| p.seq < window);
                 flight.reverse();
             }
         }

@@ -13,12 +13,8 @@ use crate::time::SimTime;
 pub struct Skb {
     /// Packet-level sequence number.
     pub seq: u64,
-    /// Packet size in bytes.
-    pub size: u32,
     /// Number of times this packet has been transmitted.
     pub transmissions: u32,
-    /// Time of the first transmission.
-    pub first_tx: SimTime,
     /// Time of the most recent transmission.
     pub last_tx: SimTime,
     /// `tp->delivered` stamped at the most recent transmission
@@ -41,12 +37,10 @@ pub struct Skb {
 
 impl Skb {
     /// Creates the SKB for a packet about to be transmitted for the first time.
-    pub fn new(seq: u64, size: u32) -> Self {
+    pub fn new(seq: u64) -> Self {
         Skb {
             seq,
-            size,
             transmissions: 0,
-            first_tx: SimTime::ZERO,
             last_tx: SimTime::ZERO,
             tx_delivered: 0,
             tx_delivered_time: SimTime::ZERO,
@@ -69,9 +63,6 @@ impl Skb {
         first_sent_time: SimTime,
         app_limited: bool,
     ) {
-        if self.transmissions == 0 {
-            self.first_tx = now;
-        }
         self.transmissions += 1;
         self.last_tx = now;
         self.tx_delivered = delivered;
@@ -93,8 +84,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_transmission_sets_first_tx() {
-        let mut skb = Skb::new(5, 1448);
+    fn first_transmission_stamps_delivery_state() {
+        let mut skb = Skb::new(5);
         assert_eq!(skb.transmissions, 0);
         skb.stamp_transmission(
             SimTime::from_millis(10),
@@ -104,7 +95,6 @@ mod tests {
             false,
         );
         assert_eq!(skb.transmissions, 1);
-        assert_eq!(skb.first_tx, SimTime::from_millis(10));
         assert_eq!(skb.last_tx, SimTime::from_millis(10));
         assert_eq!(skb.tx_delivered, 3);
         assert!(skb.outstanding);
@@ -116,7 +106,7 @@ mod tests {
         // This is the mechanism behind the paper's BBR finding: the second
         // (spurious) transmission refreshes tx_delivered to the *current*
         // delivered count.
-        let mut skb = Skb::new(7, 1448);
+        let mut skb = Skb::new(7);
         skb.stamp_transmission(
             SimTime::from_millis(10),
             3,
@@ -135,11 +125,6 @@ mod tests {
         );
         assert_eq!(skb.transmissions, 2);
         assert!(skb.retransmitted());
-        assert_eq!(
-            skb.first_tx,
-            SimTime::from_millis(10),
-            "first_tx is preserved"
-        );
         assert_eq!(skb.last_tx, SimTime::from_millis(1200));
         assert_eq!(
             skb.tx_delivered, 57,

@@ -138,7 +138,7 @@ proptest! {
         let mut dropped = 0u64;
         let mut dequeued = 0u64;
         for (i, &size) in sizes.iter().enumerate() {
-            let pkt = DataPacket::cca(i as u64, size, false, SimTime::from_millis(i as u64));
+            let pkt = DataPacket::cca(i as u64, size);
             if queue.enqueue(pkt, SimTime::from_millis(i as u64)).accepted() {
                 accepted += 1;
             } else {

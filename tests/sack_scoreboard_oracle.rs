@@ -216,7 +216,6 @@ struct RefReceiver {
     /// when the cumulative ACK swallows a run).
     last_touched: Option<u64>,
     unacked: u32,
-    newest: (u64, SimTime, bool),
     delack_armed: bool,
     delack_generation: u64,
     pending_ece: u64,
@@ -230,7 +229,6 @@ impl RefReceiver {
             above: BTreeSet::new(),
             last_touched: None,
             unacked: 0,
-            newest: (0, SimTime::ZERO, false),
             delack_armed: false,
             delack_generation: 0,
             pending_ece: 0,
@@ -252,7 +250,7 @@ impl RefReceiver {
         runs
     }
 
-    fn make_ack(&mut self, now: SimTime, acked_now: u64) -> AckPacket {
+    fn make_ack(&mut self) -> AckPacket {
         self.unacked = 0;
         let runs = self.runs();
         let first = self
@@ -264,11 +262,6 @@ impl RefReceiver {
         AckPacket {
             cum_ack: self.cum_ack,
             sack_blocks: blocks.into_iter().collect::<SackList>(),
-            acked_now,
-            generated_at: now,
-            echo_sent_at: self.newest.1,
-            for_seq: self.newest.0,
-            for_retransmission: self.newest.2,
             ece_marks: std::mem::take(&mut self.pending_ece),
         }
     }
@@ -286,17 +279,15 @@ impl RefReceiver {
         now: SimTime,
     ) -> (bool, Option<AckPacket>, Option<(SimTime, u64)>) {
         self.pending_ece += u64::from(pkt.ce);
-        self.newest = (pkt.seq, pkt.sent_at, pkt.is_retransmission);
         if pkt.seq < self.cum_ack || self.above.contains(&pkt.seq) {
             self.disarm();
-            return (false, Some(self.make_ack(now, 0)), None);
+            return (false, Some(self.make_ack()), None);
         }
         if pkt.seq > self.cum_ack {
             self.above.insert(pkt.seq);
             self.last_touched = Some(pkt.seq);
-            let pending = self.unacked as u64;
             self.disarm();
-            return (true, Some(self.make_ack(now, pending)), None);
+            return (true, Some(self.make_ack()), None);
         }
         self.cum_ack += 1;
         while self.above.remove(&self.cum_ack) {
@@ -306,9 +297,8 @@ impl RefReceiver {
         let filled_gap = self.cum_ack > pkt.seq + 1 || !self.above.is_empty();
         self.unacked += 1;
         if filled_gap || !self.cfg.delayed_ack || self.unacked >= self.cfg.delayed_ack_count {
-            let acked = self.unacked as u64;
             self.disarm();
-            (true, Some(self.make_ack(now, acked)), None)
+            (true, Some(self.make_ack()), None)
         } else {
             self.delack_armed = true;
             self.delack_generation += 1;
@@ -317,7 +307,7 @@ impl RefReceiver {
         }
     }
 
-    fn on_delack_timer(&mut self, generation: u64, now: SimTime) -> Option<AckPacket> {
+    fn on_delack_timer(&mut self, generation: u64) -> Option<AckPacket> {
         if !self.delack_armed || generation != self.delack_generation {
             return None;
         }
@@ -325,8 +315,7 @@ impl RefReceiver {
         if self.unacked == 0 {
             return None;
         }
-        let acked = self.unacked as u64;
-        Some(self.make_ack(now, acked))
+        Some(self.make_ack())
     }
 }
 
@@ -343,7 +332,7 @@ struct Setup {
 /// A forged ACK: any cumulative value around the window (stale, current,
 /// jumping, beyond `next_seq`) and up to four arbitrary blocks — repeated,
 /// overlapping, empty, inverted, below the cumulative ACK, beyond the queue.
-fn forged_ack(raw: u64, cum_ack: u64, next_seq: u64, now: SimTime) -> AckPacket {
+fn forged_ack(raw: u64, cum_ack: u64, next_seq: u64) -> AckPacket {
     let span = next_seq - cum_ack + 8;
     let pick = |shift: u32| (cum_ack + (raw >> shift) % span).saturating_sub(4);
     let first = SackBlock {
@@ -370,11 +359,6 @@ fn forged_ack(raw: u64, cum_ack: u64, next_seq: u64, now: SimTime) -> AckPacket 
     AckPacket {
         cum_ack: cum,
         sack_blocks: blocks.into_iter().take((raw >> 50) as usize % 5).collect(),
-        acked_now: 1,
-        generated_at: now,
-        echo_sent_at: now,
-        for_seq: cum.saturating_sub(1),
-        for_retransmission: false,
         ece_marks: 0,
     }
 }
@@ -403,6 +387,8 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
     sender.on_flow_start(now);
 
     for (step, &raw) in raws.iter().enumerate() {
+        // The sender's records of this step; sends are read back from it.
+        let mut log: Vec<TransportRecord> = Vec::new();
         now += SimDuration::from_micros(1 + (raw >> 56));
         let pick = |len: usize| (raw >> 8) as usize % len;
         match raw % 16 {
@@ -413,8 +399,18 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
                     let expected = ref_sender.poll_send(now, sender.cwnd());
                     match sender.poll_send(now) {
                         SendPoll::Packet(pkt) => {
+                            log.extend(sender.drain_log());
+                            let Some(TransportEvent::Sent {
+                                seq,
+                                retransmission,
+                                ..
+                            }) = log.last().map(|r| r.event)
+                            else {
+                                panic!("step {step}: a send without its Sent record");
+                            };
+                            assert_eq!(seq, pkt.seq, "step {step}: Sent record");
                             assert_eq!(
-                                Some((pkt.seq, pkt.is_retransmission)),
+                                Some((pkt.seq, retransmission)),
                                 expected,
                                 "step {step}: poll_send"
                             );
@@ -475,7 +471,7 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
             }
             // Deliver a forged ACK.
             14 => {
-                let ack = forged_ack(raw, sender.cum_ack(), sender.next_seq(), now);
+                let ack = forged_ack(raw, sender.cum_ack(), sender.next_seq());
                 sender.on_ack(&ack, now);
                 ref_sender.on_ack(&ack, now);
             }
@@ -490,8 +486,8 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
                     }
                 } else if let Some((deadline, generation)) = delack {
                     now = now.max(deadline);
-                    let ack = receiver.on_delack_timer(generation, now);
-                    let expected = ref_receiver.on_delack_timer(generation, now);
+                    let ack = receiver.on_delack_timer(generation);
+                    let expected = ref_receiver.on_delack_timer(generation);
                     assert_eq!(ack, expected, "step {step}: delayed ACK");
                     ack_net.extend(ack);
                 }
@@ -530,8 +526,9 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
             ref_sender.in_recovery,
             "step {step}: in_recovery"
         );
+        log.extend(sender.drain_log());
         assert_eq!(
-            sender.drain_log().collect::<Vec<_>>(),
+            log,
             std::mem::take(&mut ref_sender.log),
             "step {step}: transport log"
         );
