@@ -34,7 +34,6 @@
 
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{paper_sim_base, Campaign, FuzzMode};
-use ccfuzz_core::evaluate::EvalScratch;
 use ccfuzz_core::fuzzer::GaParams;
 use ccfuzz_core::genome::TrafficGenome;
 use ccfuzz_netsim::sim::{run_multi_flow_simulation, run_simulation, FlowSpec};
@@ -357,8 +356,8 @@ fn workload_2k(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         let mut protos = vec![CcaKind::Reno.build(10), CcaKind::Cubic.build(10)];
         let mut sim = Simulation::default();
         sim.load(cfg, &mut specs, &mut protos);
-        let result = sim.run();
-        std::hint::black_box(result.stats.events_processed)
+        sim.run();
+        std::hint::black_box(sim.result().stats.events_processed)
     })
 }
 
@@ -389,8 +388,8 @@ fn mini_campaign(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
                 &mut rng,
             )
         };
-        let result = evaluator.simulate(&genome, &mut EvalScratch::new(), false);
-        events_per_run = result.stats.events_processed;
+        let run = evaluator.simulate_once(&genome, false);
+        events_per_run = run.stats.events_processed;
     }
     // The campaign's own telemetry histogram gives true per-evaluation
     // latency quantiles (per-rep wall time would only show whole campaigns).

@@ -22,7 +22,7 @@ use ccfuzz_core::campaign::{
     bbr_stall_trace, cubic_pulse_trace, lowrate_pulse_trace, paper_sim_base, Campaign, FuzzMode,
     PAPER_LINK_RATE_BPS, PAPER_PROP_DELAY_MS,
 };
-use ccfuzz_core::evaluate::{EvalScratch, SimEvaluator};
+use ccfuzz_core::evaluate::SimEvaluator;
 use ccfuzz_core::fuzzer::{GaParams, GenerationSummary};
 use ccfuzz_core::genome::{LinkGenome, TrafficGenome};
 use ccfuzz_core::mode::{dispatch, GenomePayload, ModeGenome, ModeVisitor};
@@ -269,7 +269,7 @@ impl Evidence {
 
     /// Replays `genome` against `evaluator`, recording the run log.
     fn replay<G: ModeGenome>(&mut self, cca: CcaKind, evaluator: &SimEvaluator, genome: &G) {
-        let run = evaluator.simulate(genome, &mut EvalScratch::new(), true);
+        let run = evaluator.simulate_once(genome, true);
         self.runs.push((cca.name().to_string(), run));
     }
 }

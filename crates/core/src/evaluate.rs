@@ -150,10 +150,10 @@ impl EvalOutcome {
 /// fuzzer creates one per worker thread and threads it through every
 /// evaluation that worker performs; after warm-up an entire genome
 /// generation is evaluated through this one recycled allocation set:
-/// the reused simulator (calendar, pool, endpoints, stat vectors, pooled
-/// delivery logs), the flow-spec buffer drained by each run, and the
-/// scoring buffers. Scratch reuse never changes results — it only donates
-/// capacity; an empty scratch is a fresh evaluation.
+/// the reused simulator (calendar, pool, endpoints, and the last result's
+/// statistics and delivery logs), the flow-spec buffer drained by each
+/// run, and the scoring buffers. Scratch reuse never changes results — it
+/// only donates capacity; an empty scratch is a fresh evaluation.
 #[derive(Default)]
 pub struct EvalScratch {
     /// The simulator, which is its own arena: every evaluation loads into
@@ -260,62 +260,73 @@ impl SimEvaluator {
         }
     }
 
-    /// Runs one full simulation of `genome`. With `record_events` the
-    /// result's `RunStats::log` holds the run log; a
+    /// Runs one full simulation of `genome` in `scratch`'s arena and lends
+    /// out its result until the scratch's next run. With `record_events`
+    /// the result's `RunStats::log` holds the run log; a
     /// [`Objective::HighDelay`] evaluator records it regardless, since that
     /// objective scores it. Every heap structure comes from `scratch` and
-    /// returns to it, so a warm scratch runs allocation-free and an empty
-    /// one (`EvalScratch::new()`) is a fresh run; results are bit-identical
+    /// stays in it, so a warm scratch runs allocation-free and an empty one
+    /// (`EvalScratch::new()`) is a fresh run; results are bit-identical
     /// either way.
-    pub fn simulate<G: ModeGenome>(
+    pub fn simulate<'s, G: ModeGenome>(
         &self,
         genome: &G,
-        scratch: &mut EvalScratch,
+        scratch: &'s mut EvalScratch,
         record_events: bool,
-    ) -> SimResult {
+    ) -> &'s SimResult {
         let mut cfg = genome.lower(self, scratch);
         cfg.record_events =
             record_events || matches!(self.scoring.objective, Objective::HighDelay { .. });
         let sim = &mut scratch.sim;
         sim.load(cfg, &mut scratch.specs, &mut scratch.protos);
-        sim.run()
+        sim.run();
+        sim.result()
     }
 
-    /// [`SimEvaluator::simulate`] for a link genome, statistics only (kept
-    /// by name for the benchmark harness, like its three siblings).
+    /// [`SimEvaluator::simulate`] in a fresh arena, whose result it moves
+    /// out: how a one-shot caller (a replay, a report) owns a run.
+    pub fn simulate_once<G: ModeGenome>(&self, genome: &G, record_events: bool) -> SimResult {
+        let mut scratch = EvalScratch::new();
+        self.simulate(genome, &mut scratch, record_events);
+        scratch.sim.into_result()
+    }
+
+    /// A copy of [`SimEvaluator::simulate`]'s result for a link genome,
+    /// statistics only (kept by name for the benchmark harness, like its
+    /// three siblings; DESIGN.md "Frozen names").
     pub fn simulate_link_reusing(
         &self,
         genome: &LinkGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, false)
+        self.simulate(genome, scratch, false).clone()
     }
 
-    /// [`SimEvaluator::simulate`] for a traffic genome, statistics only.
+    /// A copy of [`SimEvaluator::simulate`]'s result for a traffic genome.
     pub fn simulate_traffic_reusing(
         &self,
         genome: &TrafficGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, false)
+        self.simulate(genome, scratch, false).clone()
     }
 
-    /// [`SimEvaluator::simulate`] for a scenario genome, statistics only.
+    /// A copy of [`SimEvaluator::simulate`]'s result for a scenario genome.
     pub fn simulate_scenario_reusing(
         &self,
         genome: &ScenarioGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, false)
+        self.simulate(genome, scratch, false).clone()
     }
 
-    /// [`SimEvaluator::simulate`] for a workload genome, statistics only.
+    /// A copy of [`SimEvaluator::simulate`]'s result for a workload genome.
     pub fn simulate_workload_reusing(
         &self,
         genome: &WorkloadGenome,
         scratch: &mut EvalScratch,
     ) -> SimResult {
-        self.simulate(genome, scratch, false)
+        self.simulate(genome, scratch, false).clone()
     }
 }
 
@@ -325,10 +336,8 @@ impl<G: ModeGenome> Evaluator<G> for SimEvaluator {
     }
 
     fn evaluate_reusing(&self, genome: &G, scratch: &mut EvalScratch) -> EvalOutcome {
-        let result = self.simulate(genome, scratch, false);
-        let outcome = genome.score(self, &result, &mut scratch.score);
-        scratch.sim.recycle_stats(result.stats);
-        outcome
+        self.simulate(genome, scratch, false);
+        genome.score(self, scratch.sim.result(), &mut scratch.score)
     }
 }
 
@@ -342,7 +351,7 @@ mod tests {
 
     /// A fresh statistics-only run.
     fn simulate<G: ModeGenome>(eval: &SimEvaluator, genome: &G) -> SimResult {
-        eval.simulate(genome, &mut EvalScratch::new(), false)
+        eval.simulate_once(genome, false)
     }
 
     fn evaluator() -> SimEvaluator {
@@ -536,7 +545,7 @@ mod tests {
             SimDuration::from_secs(1),
             &mut rng,
         );
-        let result = eval.simulate(&genome, &mut EvalScratch::new(), true);
+        let result = eval.simulate_once(&genome, true);
         assert!(result.stats.workload().is_some());
         // Every record names its flow by raw handle: a static index or a
         // tagged dynamic handle, never a flow-table slot.

@@ -922,6 +922,10 @@ mod tests {
     use super::*;
     use crate::checkpoint::ControlledRun;
     use crate::genome::Genome;
+    use ccfuzz_cca::CcaKind;
+    use ccfuzz_netsim::config::SimConfig;
+    use ccfuzz_netsim::sim::FlowSpec;
+    use ccfuzz_netsim::time::SimDuration;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// A toy genome (a vector of numbers) and evaluator (score = sum) that
@@ -1124,35 +1128,38 @@ mod tests {
     }
 
     /// Scores by sum and panics on a genome-keyed subset (first gene
-    /// negative), dirtying the scratch first. Counts how often a worker
-    /// handed it a cold scratch and whether a dirtied one ever came back.
+    /// negative). Every call first runs a short simulation in the scratch's
+    /// arena — one flow, or two when it is about to panic — and reads the
+    /// arena's last result before that, to count how often a worker handed
+    /// it a cold scratch (no flows yet) and whether a scratch whose
+    /// evaluation panicked (two flows) ever came back.
     #[derive(Default)]
     struct ScratchProbe {
         calls: AtomicU64,
         cold: AtomicU64,
         poisoned: AtomicU64,
     }
-    const POISON_CAPACITY: usize = 4096;
     impl Evaluator<ToyGenome> for ScratchProbe {
         fn evaluate(&self, genome: &ToyGenome) -> EvalOutcome {
             self.evaluate_reusing(genome, &mut EvalScratch::new())
         }
         fn evaluate_reusing(&self, genome: &ToyGenome, scratch: &mut EvalScratch) -> EvalOutcome {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let mut buf = scratch.sim.take_time_buf();
-            match buf.capacity() {
+            match scratch.sim.result().stats.flows.len() {
                 0 => self.cold.fetch_add(1, Ordering::Relaxed),
-                POISON_CAPACITY.. => self.poisoned.fetch_add(1, Ordering::Relaxed),
+                2 => self.poisoned.fetch_add(1, Ordering::Relaxed),
                 _ => 0,
             };
-            if genome.0[0] < 0.0 {
-                scratch
-                    .sim
-                    .recycle_time_buf(Vec::with_capacity(POISON_CAPACITY));
+            let poison = genome.0[0] < 0.0;
+            let mut cfg = SimConfig::short_default();
+            cfg.duration = SimDuration::from_millis(1);
+            let flow = |_| FlowSpec::new(CcaKind::Reno.build(cfg.initial_cwnd));
+            let mut specs: Vec<_> = (0..1 + poison as usize).map(flow).collect();
+            scratch.sim.load(cfg, &mut specs, &mut Vec::new());
+            scratch.sim.run();
+            if poison {
                 panic!("simulated evaluator crash on negative gene");
             }
-            buf.reserve(8);
-            scratch.sim.recycle_time_buf(buf);
             EvalOutcome {
                 score: genome.0.iter().sum(),
                 ..Default::default()

@@ -50,7 +50,7 @@ fn allocations() -> u64 {
 
 /// Evaluates one island's worth of `campaign`'s genomes through a warm arena
 /// and requires the measured pass — and 100 evaluations after it — to leave
-/// the allocator and the arena's timestamp pool untouched.
+/// the allocator untouched.
 fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>(
     campaign: Campaign,
 ) {
@@ -64,8 +64,8 @@ fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>
 
     let mut scratch = EvalScratch::new();
     // Two warm-up passes: the first grows every arena buffer from empty;
-    // the second lets the shared timestamp-buffer free list settle into its
-    // steady-state capacity ordering.
+    // the second leaves each at the largest size any genome of the
+    // population asks of it.
     let warm: Vec<_> = genomes
         .iter()
         .map(|g| evaluator.evaluate_reusing(g, &mut scratch))
@@ -75,7 +75,6 @@ fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>
     }
 
     // The measured pass: same population, warm arena.
-    let pooled = scratch.sim.pooled_time_bufs();
     let before = allocations();
     let mut outcomes = Vec::with_capacity(genomes.len());
     let reserved = allocations();
@@ -95,17 +94,12 @@ fn assert_warm_evaluations_are_free<G: ModeGenome + PartialEq + std::fmt::Debug>
     // between the two reads.
     assert!(reserved - before <= 1);
 
-    // Every evaluation returns exactly the timestamp buffers it took: the
-    // arena holds a fixed set, not one more per evaluation.
+    // The arena holds a fixed set of buffers, reset in place: not one more
+    // per evaluation.
     for genome in genomes.iter().cycle().take(100) {
         evaluator.evaluate_reusing(genome, &mut scratch);
     }
     assert_eq!(allocations(), after, "100 more {mode:?} evaluations");
-    assert_eq!(
-        scratch.sim.pooled_time_bufs(),
-        pooled,
-        "{mode:?} timestamp pool grew"
-    );
 
     // Reuse never changes results: the warm outcomes equal both the earlier
     // reused pass and a cold evaluation.
@@ -138,7 +132,7 @@ fn warm_evaluate_phase_allocates_nothing() {
         SimDuration::from_secs(5),
     ));
     // Link mode moves a ~25 KB service curve per genome through the arena:
-    // built in a pooled buffer, moved (never cloned) into the hop, returned.
+    // the hop's link reads the genome's shared packed bytes in place.
     // BBR, the benchmark's link-mode CCA, keeps its bandwidth filter inline.
     assert_warm_evaluations_are_free::<LinkGenome>(standard(FuzzMode::Link, CcaKind::Bbr, three_s));
     // The benchmark's sixteen-flow fairness campaign, where calendar buckets

@@ -293,11 +293,6 @@ pub(crate) fn run_fleet<G: ModeGenome>(
             Err(FleetError::Fatal(message)) => return Err(message),
             Err(FleetError::Death(message)) => {
                 restarts += 1;
-                if let Some(fleet) = dist.fleet {
-                    // Without knowing which worker died first, charge lane 0;
-                    // the fleet restarts as a whole anyway.
-                    fleet.lane(0).restarts.inc();
-                }
                 // Restarts count against the panic budget. When a committed
                 // boundary exists, an exhausted budget still respawns once
                 // more: the boundary check then stops the resumed fleet

@@ -9,7 +9,7 @@
 use crate::signature::BehaviorSignature;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::{Campaign, FuzzMode};
-use ccfuzz_core::evaluate::{EvalOutcome, EvalScratch, SimEvaluator};
+use ccfuzz_core::evaluate::{EvalOutcome, SimEvaluator};
 use ccfuzz_core::mode::ModeGenome;
 use ccfuzz_core::scoring::{fairness_breakdown, ScoreScratch, ScoringConfig};
 use ccfuzz_netsim::config::SimConfig;
@@ -198,7 +198,7 @@ impl Finding {
             genome
         });
         let genome = overridden.as_ref().unwrap_or(genome);
-        let result = evaluator.simulate(genome, &mut EvalScratch::new(), record_events);
+        let result = evaluator.simulate_once(genome, record_events);
         let outcome = genome.score(&evaluator, &result, &mut ScoreScratch::default());
         // Multi-flow findings keep the per-flow split so reports can show
         // it without re-simulating.

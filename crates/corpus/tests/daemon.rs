@@ -263,6 +263,18 @@ fn sigkill_a_worker_and_match_the_control(mode: FuzzMode) {
         status.restarts >= 1,
         "the killed worker must have forced at least one fleet respawn"
     );
+    // The supervisor respawns the whole fleet, so the hunt counts restarts
+    // once: no worker lane of the status JSON carries a count of its own.
+    let (code, reply) = http_request(&daemon.addr, "GET", &format!("/hunts/{id}"), None).unwrap();
+    assert_eq!(code, 200, "status failed: {reply}");
+    let value: Value = serde_json::from_str(reply.trim()).unwrap();
+    let workers = map_get(value.as_map("status").unwrap(), "workers").unwrap();
+    let workers = workers.as_seq("workers").unwrap();
+    assert_eq!(workers.len(), 2, "{reply}");
+    for lane in workers {
+        let lane = lane.as_map("worker lane").unwrap();
+        assert!(lane.iter().all(|(key, _)| key != "restarts"), "{reply}");
+    }
 
     let (code, payload) =
         http_request(&daemon.addr, "GET", &format!("/hunts/{id}/findings"), None).unwrap();

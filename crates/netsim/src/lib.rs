@@ -43,15 +43,18 @@
 //!
 //! let cfg = SimConfig::paper_default();
 //! let mut sim = Simulation::new(cfg, FixedWindowCc::new(10));
-//! let result = sim.run();
-//! assert!(result.stats.flow().delivered_packets > 0);
+//! sim.run();
+//! assert!(sim.result().stats.flow().delivered_packets > 0);
 //!
 //! // The same value is the arena for the next run: `load` resets it in
-//! // place, keeping every buffer the first run grew. The last argument
-//! // holds the controllers a workload's arrivals clone (none here).
+//! // place, the last result included, keeping every buffer the first run
+//! // grew. The last argument holds the controllers a workload's arrivals
+//! // clone (none here). A caller that keeps a result moves it out.
 //! let mut flows = vec![FlowSpec::new(FixedWindowCc::new(20))];
 //! sim.load(SimConfig::short_default(), &mut flows, &mut Vec::new());
-//! assert!(sim.run().stats.flow().delivered_packets > 0);
+//! sim.run();
+//! let result = sim.into_result();
+//! assert!(result.stats.flow().delivered_packets > 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -274,24 +274,10 @@ impl GatewayQueue {
     /// Builds the gateway queue for a discipline. `seed` feeds RED's
     /// deterministic mark lottery (ignored by the other disciplines).
     pub fn new(qdisc: Qdisc, capacity: QueueCapacity, seed: u64) -> Self {
-        GatewayQueue::new_with_storage(qdisc, capacity, seed, VecDeque::new())
-    }
-
-    /// Like [`GatewayQueue::new`], but adopts a previously used FIFO ring as
-    /// the queue's storage so repeated simulation set-ups skip the deque
-    /// growth. The storage is cleared first: a recycled queue is
-    /// indistinguishable from a fresh one apart from capacity.
-    pub fn new_with_storage(
-        qdisc: Qdisc,
-        capacity: QueueCapacity,
-        seed: u64,
-        mut storage: VecDeque<DataPacket>,
-    ) -> Self {
-        storage.clear();
         GatewayQueue {
             qdisc,
             capacity,
-            queue: storage,
+            queue: VecDeque::new(),
             bytes: 0,
             counters: QueueCounters::default(),
             // A fixed stream offset keeps the queue's randomness independent
@@ -305,10 +291,16 @@ impl GatewayQueue {
         }
     }
 
-    /// Recovers the FIFO storage for reuse by a later queue (cleared).
-    pub fn into_storage(mut self) -> VecDeque<DataPacket> {
-        self.queue.clear();
-        self.queue
+    /// Turns this queue into [`GatewayQueue::new`]'s for the arguments,
+    /// keeping only the FIFO ring's capacity: a reset queue is
+    /// indistinguishable from a fresh one.
+    pub fn reset(&mut self, qdisc: Qdisc, capacity: QueueCapacity, seed: u64) {
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        *self = GatewayQueue {
+            queue,
+            ..GatewayQueue::new(qdisc, capacity, seed)
+        };
     }
 
     /// The configured discipline.
@@ -720,6 +712,25 @@ mod tests {
         assert_eq!(c.dropped_cca, dropped);
         assert_eq!(c.dequeued_cca, delivered);
         assert_eq!(c.total_marked(), 0);
+    }
+
+    #[test]
+    fn a_reset_queue_equals_a_new_one() {
+        // Reset in the middle of a CoDel dropping episode, with packets
+        // queued, a queue keeps nothing but its ring's capacity.
+        let mut q = GatewayQueue::new(Qdisc::codel_default(), QueueCapacity::Packets(500), 1);
+        for i in 0..300 {
+            q.enqueue(pkt(i), SimTime::ZERO);
+        }
+        for ms in 200..420 {
+            q.dequeue_at(SimTime::from_millis(ms), |_| {});
+        }
+        assert!(format!("{q:?}").contains("dropping: true, "), "{q:?}");
+        assert!(q.counters().dropped_cca > 1 && !q.is_empty());
+        let (qdisc, capacity) = (Qdisc::codel_default(), QueueCapacity::Packets(50));
+        q.reset(qdisc, capacity, 9);
+        let fresh = GatewayQueue::new(qdisc, capacity, 9);
+        assert_eq!(format!("{q:?}"), format!("{fresh:?}"));
     }
 
     #[test]

@@ -56,7 +56,8 @@ use crate::packet::{AckPacket, DataPacket, FlowId, PacketPool};
 use crate::queue::{EnqueueOutcome, GatewayQueue};
 use crate::rng::SimRng;
 use crate::stats::{
-    BottleneckEvent, FctSample, FlowStats, LogEvent, LogRecord, RunStats, WorkloadStats,
+    BottleneckEvent, FctSample, FlowStats, FlowSummary, LogEvent, LogRecord, RunStats,
+    WorkloadStats,
 };
 use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
@@ -66,7 +67,6 @@ use crate::workload::{
     dyn_generation, dyn_handle, dyn_slot, exp_duration, is_dynamic, ArrivalConfig, ArrivalProcess,
     GEN_MODULUS,
 };
-use std::collections::VecDeque;
 
 /// Per-flow retention cap on sink-side delivery timestamps. Far above what
 /// any classic (≤ 32 flow, seconds-long) scenario can deliver, so existing
@@ -75,7 +75,7 @@ use std::collections::VecDeque;
 const MAX_DELIVERY_SAMPLES_PER_FLOW: usize = 1 << 20;
 
 /// The outcome of a simulation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimResult {
     /// Everything measured during the run.
     pub stats: RunStats,
@@ -91,14 +91,6 @@ impl SimResult {
             return 0.0;
         }
         self.stats.flow().delivered_packets as f64 * mss as f64 * 8.0 / self.duration_secs
-    }
-
-    /// Per-flow goodput (sink-side, normalised by each flow's active
-    /// interval), in bits per second.
-    pub fn per_flow_goodput_bps(&self, mss: u32) -> Vec<f64> {
-        let duration = crate::time::SimDuration::from_secs_f64(self.duration_secs);
-        let flows = self.stats.flows.iter();
-        flows.map(|f| f.goodput_bps(mss, duration)).collect()
     }
 }
 
@@ -145,7 +137,7 @@ struct FlowCounters {
 /// striding over whole flow records (sender + receiver together are several
 /// hundred bytes), so the hot scalar state of all N flows shares a handful
 /// of cache lines. Every column is written by [`Simulation::open_flow`];
-/// the last two hold static flows only.
+/// the last holds static flows only.
 struct FlowTable<C: CongestionControl> {
     senders: Vec<TcpSender<C>>,
     receivers: Vec<TcpReceiver>,
@@ -159,8 +151,6 @@ struct FlowTable<C: CongestionControl> {
     rto_scheduled: Vec<Option<(SimTime, u64)>>,
     /// Drop / mark counters.
     counters: Vec<FlowCounters>,
-    /// Sink-side first-delivery times.
-    delivery_times: Vec<Vec<SimTime>>,
     /// Each static flow's last logged cwnd sample (0 = none yet).
     sampled_cwnd: Vec<u64>,
 }
@@ -197,7 +187,6 @@ impl<C: CongestionControl> Default for FlowTable<C> {
             pacing_scheduled: Vec::new(),
             rto_scheduled: Vec::new(),
             counters: Vec::new(),
-            delivery_times: Vec::new(),
             sampled_cwnd: Vec::new(),
         }
     }
@@ -328,15 +317,17 @@ struct Hop {
 ///
 /// [`Simulation::load`] resets the last run's state in place: the calendar,
 /// the packet pool, the flow endpoints (senders keep their retransmission
-/// queues, receivers their SACK buffers), the hop chain and its FIFO rings,
-/// the flow slab and a cleared [`RunStats`] skeleton. A pool of `SimTime`
-/// vectors cycles the per-flow delivery logs; trace-driven service curves
-/// and cross-traffic injections are read in place from their packed, shared
-/// bytes ([`crate::trace::PackedTimes`]). A batch driver keeps one
-/// `Simulation` per worker and loads every evaluation into it; after warm-up a whole
-/// generate → evaluate → select generation runs through one recycled
-/// allocation set. Results are bit-identical whether the simulation is
-/// fresh or reused: reuse only donates capacity, never state.
+/// queues, receivers their SACK buffers), the hop chain (queues keep their
+/// FIFO rings), the flow slab and the last [`SimResult`], cleared where it
+/// is. [`Simulation::run`] leaves its result in the arena for callers to
+/// borrow ([`Simulation::result`]) or move out ([`Simulation::into_result`]).
+/// Trace-driven service curves and cross-traffic injections are read in
+/// place from their packed, shared bytes ([`crate::trace::PackedTimes`]). A
+/// batch driver keeps one `Simulation` per worker and loads every evaluation
+/// into it; after warm-up a whole generate → evaluate → select generation
+/// runs through one recycled allocation set. Results are bit-identical
+/// whether the simulation is fresh or reused: reuse only donates capacity,
+/// never state.
 pub struct Simulation<C: CongestionControl + Clone> {
     cfg: SimConfig,
     events: EventQueue,
@@ -352,7 +343,8 @@ pub struct Simulation<C: CongestionControl + Clone> {
     /// Flows loaded from specs: flow-table indices `0..static_flows`.
     /// Dynamic slots follow them.
     static_flows: usize,
-    stats: RunStats,
+    /// The last run's result, cleared in place by [`Simulation::load`].
+    result: SimResult,
     /// Set by [`Simulation::run`], cleared by [`Simulation::load`].
     finished: bool,
     /// Recycled buffer for AQM head drops in [`Simulation::try_transmit`]
@@ -365,13 +357,6 @@ pub struct Simulation<C: CongestionControl + Clone> {
     protos: Vec<C>,
     /// The arrival process (workload runs).
     workload: Option<WorkloadRt>,
-    /// FIFO rings of the last run's hops, adopted by the next chain.
-    queue_bufs: Vec<VecDeque<DataPacket>>,
-    /// Pool of timestamp vectors the per-flow delivery logs draw from (and
-    /// return to).
-    time_bufs: Vec<Vec<SimTime>>,
-    /// Cleared [`WorkloadStats`] skeleton recycled between workload runs.
-    spare_workload: Option<Box<WorkloadStats>>,
 }
 
 impl<C: CongestionControl + Clone> Default for Simulation<C> {
@@ -386,15 +371,12 @@ impl<C: CongestionControl + Clone> Default for Simulation<C> {
             paths: Vec::new(),
             ack_delays: Vec::new(),
             static_flows: 0,
-            stats: RunStats::default(),
+            result: SimResult::default(),
             finished: true,
             aqm_drop_buf: Vec::new(),
             slab: FlowSlab::default(),
             protos: Vec::new(),
             workload: None,
-            queue_bufs: Vec::new(),
-            time_bufs: Vec::new(),
-            spare_workload: None,
         }
     }
 }
@@ -457,28 +439,69 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         // handle stream bit-identically.
         self.slab.clear();
 
-        // The hop chain, copied from the configuration: a trace-driven
-        // link's service curve shares its packed bytes, so the copy is a
-        // reference count, and the link reads the curve in place. FIFO
-        // storage comes from the last run's hops.
-        self.queue_bufs
-            .extend(self.hops.drain(..).map(|h| h.queue.into_storage()));
-        for k in 0..self.cfg.hop_count() {
+        // The hop chain, from the configuration: a surviving hop resets its
+        // queue in place, keeping its FIFO ring. A trace-driven link's
+        // service curve shares its packed bytes, so the copy is a reference
+        // count, and the link reads the curve in place.
+        let hop_count = self.cfg.hop_count();
+        self.hops.truncate(hop_count);
+        for k in 0..hop_count {
             let h = self.cfg.hop_config(k);
-            let storage = self.queue_bufs.pop().unwrap_or_default();
-            self.hops.push(Hop {
-                queue: GatewayQueue::new_with_storage(
-                    h.qdisc,
-                    h.queue_capacity,
-                    hop_seed(self.cfg.seed, k),
-                    storage,
-                ),
-                link: LinkService::new(h.link),
-                propagation_delay: h.propagation_delay,
-                ready_scheduled: None,
-            });
+            let (link, seed) = (LinkService::new(h.link), hop_seed(self.cfg.seed, k));
+            match self.hops.get_mut(k) {
+                Some(hop) => {
+                    hop.queue.reset(h.qdisc, h.queue_capacity, seed);
+                    hop.link = link;
+                    hop.propagation_delay = h.propagation_delay;
+                    hop.ready_scheduled = None;
+                }
+                None => self.hops.push(Hop {
+                    queue: GatewayQueue::new(h.qdisc, h.queue_capacity, seed),
+                    link,
+                    propagation_delay: h.propagation_delay,
+                    ready_scheduled: None,
+                }),
+            }
         }
-        self.pool.set_hop_count(self.hops.len());
+        self.pool.set_hop_count(hop_count);
+
+        // The last run's statistics, cleared in place: every vector keeps
+        // its capacity, every counter restarts at zero, and entries past
+        // this run's flow and hop counts are freed. `open_flow` rewrites
+        // each static flow's entry.
+        let RunStats {
+            mut log,
+            mut hop_counters,
+            mut hop_samples,
+            mut flows,
+            mut workload,
+            ..
+        } = std::mem::take(&mut self.result.stats);
+        log.clear();
+        hop_counters.clear();
+        flows.truncate(n);
+        let sample_capacity =
+            (self.cfg.duration.as_nanos() / self.cfg.stats_interval.as_nanos().max(1)) as usize + 2;
+        hop_samples.resize_with(hop_count, Vec::new);
+        for samples in &mut hop_samples {
+            samples.clear();
+            samples.reserve(sample_capacity);
+        }
+        match &mut workload {
+            Some(w) if self.cfg.arrivals.is_some() => w.clear(),
+            _ => workload = self.cfg.arrivals.map(|_| Box::default()),
+        }
+        self.result = SimResult {
+            stats: RunStats {
+                log,
+                hop_counters,
+                hop_samples,
+                flows,
+                workload,
+                ..RunStats::default()
+            },
+            duration_secs: self.cfg.duration.as_secs_f64(),
+        };
 
         // Workload runs keep endpoints beyond the static count: they are
         // last run's dynamic slots, reclaimed in place (keeping their
@@ -489,7 +512,6 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         flows.pacing_scheduled.clear();
         flows.rto_scheduled.clear();
         flows.counters.clear();
-        flows.delivery_times.clear();
         flows.sampled_cwnd.clear();
         self.paths.clear();
         self.ack_delays.clear();
@@ -503,36 +525,18 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             self.open_flow(i, spec.cc, spec.start, spec.stop, path, buffer);
         }
 
-        // Whatever the last run left in the stats (normally the skeleton
-        // `recycle_stats` returned) is recycled, then pre-sized.
-        let stale = std::mem::take(&mut self.stats);
-        self.recycle_stats(stale);
-        let stats = &mut self.stats;
-        stats.flows.reserve(n);
-        let sample_capacity =
-            (self.cfg.duration.as_nanos() / self.cfg.stats_interval.as_nanos().max(1)) as usize + 2;
-        stats.hop_samples.truncate(self.hops.len());
-        for samples in &mut stats.hop_samples {
-            samples.reserve(sample_capacity);
-        }
-        while stats.hop_samples.len() < self.hops.len() {
-            stats.hop_samples.push(Vec::with_capacity(sample_capacity));
-        }
-
         self.protos.clear();
         self.protos.append(protos);
-        self.workload = self.cfg.arrivals.map(|arrivals| {
-            // `recycle_stats` left the last workload skeleton cleared.
-            self.stats.workload = Some(self.spare_workload.take().unwrap_or_default());
-            WorkloadRt::new(arrivals, self.cfg.seed)
-        });
+        let (arrivals, seed) = (self.cfg.arrivals, self.cfg.seed);
+        self.workload = arrivals.map(|arrivals| WorkloadRt::new(arrivals, seed));
     }
 
     /// Opens flow `idx` at `start`: claims (or builds) its sender and
     /// receiver, and sets its schedule, path, ACK delay (the propagation
     /// delays along the path), timer dedupe and counters. `buffer` is its
-    /// application data in packets. A static flow also takes a pooled
-    /// delivery log, pre-sized from the tightest hop *on its own path* (a
+    /// application data in packets. A static flow also gets its run
+    /// statistics entry, whose delivery log keeps the last run's capacity
+    /// and is pre-sized from the tightest hop *on its own path* (a
     /// parking-lot flow that skips the slow hop can deliver far more than
     /// the chain's global bottleneck allows) so the hot loop never grows it.
     fn open_flow(
@@ -592,76 +596,40 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 })
                 .min()
                 .unwrap_or(0);
-            let mut delivery = self.time_bufs.pop().unwrap_or_default();
-            delivery.reserve(tightest.min(1 << 22) / self.static_flows + 64);
-            flows.delivery_times.push(delivery);
+            let stats = &mut self.result.stats.flows;
+            let mut delivery_times = stats
+                .get_mut(idx)
+                .map(|f| std::mem::take(&mut f.delivery_times))
+                .unwrap_or_default();
+            delivery_times.clear();
+            delivery_times.reserve(tightest.min(1 << 22) / self.static_flows + 64);
+            let entry = FlowStats {
+                delivery_times,
+                start,
+                stop,
+                ..FlowStats::default()
+            };
+            set(stats, idx, entry);
             flows.sampled_cwnd.push(0);
         }
     }
 
-    /// Takes a cleared timestamp buffer from the pool (or a fresh one when
-    /// the pool is empty). The simulation fills them as delivery logs; they
-    /// return through [`Simulation::recycle_time_buf`] or
-    /// [`Simulation::recycle_stats`].
-    pub fn take_time_buf(&mut self) -> Vec<SimTime> {
-        self.time_bufs.pop().unwrap_or_default()
+    /// The last run's result, borrowed from the arena until the next
+    /// [`Simulation::load`] clears it in place.
+    pub fn result(&self) -> &SimResult {
+        &self.result
     }
 
-    /// Timestamp buffers currently idle in the shared pool. A steady-state
-    /// evaluation loop takes and returns the same number, so this stays
-    /// flat from one evaluation to the next.
-    pub fn pooled_time_bufs(&self) -> usize {
-        self.time_bufs.len()
+    /// Drops the arena and keeps the last run's result: how a one-shot
+    /// caller owns a result without copying it.
+    pub fn into_result(self) -> SimResult {
+        self.result
     }
 
-    /// Returns a timestamp buffer to the shared pool. Buffers without
-    /// capacity are dropped (nothing to recycle).
-    pub fn recycle_time_buf(&mut self, mut buf: Vec<SimTime>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        self.time_bufs.push(buf);
-    }
-
-    /// Recycles a finished run's [`RunStats`] once the caller has extracted
-    /// everything it needs: per-flow delivery logs return to the timestamp
-    /// pool and the cleared skeleton (vectors keeping their capacity,
-    /// counters zeroed) seeds the next run's statistics. The next run's
-    /// results are bit-identical whether or not its stats came from here.
-    pub fn recycle_stats(&mut self, stats: RunStats) {
-        let RunStats {
-            mut log,
-            mut hop_counters,
-            mut hop_samples,
-            mut flows,
-            cross_delivered: _,
-            cross_dropped: _,
-            truncated: _,
-            events_processed: _,
-            delivery_samples_dropped: _,
-            workload,
-        } = stats;
-        if let Some(mut w) = workload {
-            w.clear();
-            self.spare_workload = Some(w);
-        }
-        for flow in flows.drain(..) {
-            self.recycle_time_buf(flow.delivery_times);
-        }
-        log.clear();
-        hop_counters.clear();
-        for samples in &mut hop_samples {
-            samples.clear();
-        }
-        self.stats = RunStats {
-            log,
-            hop_counters,
-            hop_samples,
-            flows,
-            ..RunStats::default()
-        };
-    }
+    /// A no-op, kept by name for the benchmark harness (DESIGN.md "Frozen
+    /// names"): the arena keeps its run's statistics and clears them in
+    /// place at the next load, so a caller's copy is simply dropped.
+    pub fn recycle_stats(&mut self, _stats: RunStats) {}
 
     fn end_time(&self) -> SimTime {
         SimTime::ZERO + self.cfg.duration
@@ -676,7 +644,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         event: BottleneckEvent,
     ) {
         if self.cfg.record_events {
-            self.stats.log.push(LogRecord {
+            self.result.stats.log.push(LogRecord {
                 at,
                 flow,
                 hop: hop as u32,
@@ -691,7 +659,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     fn flush_sender_log(&mut self, flow: usize) {
         if self.cfg.record_events {
             let (raw, hop) = (self.raw_flow(flow), self.paths[flow].entry);
-            self.stats
+            self.result
+                .stats
                 .log
                 .extend(self.flows.senders[flow].drain_log().map(|r| LogRecord {
                     at: r.at,
@@ -712,7 +681,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         let sender = &self.flows.senders[flow];
         let (cwnd, in_flight) = (sender.cwnd(), sender.in_flight());
         if std::mem::replace(&mut self.flows.sampled_cwnd[flow], cwnd) != cwnd {
-            self.stats.log.push(LogRecord {
+            self.result.stats.log.push(LogRecord {
                 at: now,
                 flow: FlowId::Cca(flow as u32),
                 hop: self.paths[flow].entry,
@@ -960,7 +929,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     fn handle_sink_arrival(&mut self, pkt: DataPacket, now: SimTime) {
         match pkt.flow {
             FlowId::CrossTraffic => {
-                self.stats.cross_delivered += 1;
+                self.result.stats.cross_delivered += 1;
             }
             FlowId::Cca(raw) => {
                 let idx = self.cca_index(raw);
@@ -970,10 +939,12 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 // that unboundedness is exactly what a 10k-flow workload run
                 // cannot afford.
                 if out.new_data && !is_dynamic(raw) {
-                    if self.flows.delivery_times[idx].len() < MAX_DELIVERY_SAMPLES_PER_FLOW {
-                        self.flows.delivery_times[idx].push(now);
+                    let stats = &mut self.result.stats;
+                    let log = &mut stats.flows[idx].delivery_times;
+                    if log.len() < MAX_DELIVERY_SAMPLES_PER_FLOW {
+                        log.push(now);
                     } else {
-                        self.stats.delivery_samples_dropped += 1;
+                        stats.delivery_samples_dropped += 1;
                     }
                 }
                 if let Some(ack) = out.ack {
@@ -1016,11 +987,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// recycled slab slot when one is free.
     fn spawn_dynamic(&mut self, now: SimTime) {
         let rt = self.workload.as_mut().expect("arrivals not loaded");
-        let w = self
-            .stats
-            .workload
-            .as_mut()
-            .expect("workload stats missing");
+        let w = self.result.stats.workload.as_mut().expect("workload stats");
         if self.slab.live() >= rt.cfg.max_concurrent as usize {
             w.capped += 1;
             return;
@@ -1046,11 +1013,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         if self.flows.stop[idx].is_none() && sender.cum_ack() >= size {
             self.flows.stop[idx] = Some(now);
             let fct = now.saturating_since(self.flows.start[idx]);
-            let w = self
-                .stats
-                .workload
-                .as_mut()
-                .expect("workload stats missing");
+            let w = self.result.stats.workload.as_mut().expect("workload stats");
             if rt.cfg.is_mouse(size) {
                 w.fct_mice.record(fct.as_nanos());
             } else {
@@ -1101,11 +1064,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             received + c.queue_drops,
             "per-flow conservation violated at recycle (slot {slot})"
         );
-        let w = self
-            .stats
-            .workload
-            .as_mut()
-            .expect("workload stats missing");
+        let w = self.result.stats.workload.as_mut().expect("workload stats");
         w.completed_tx += tx;
         w.completed_delivered += received;
         w.completed_dropped += c.queue_drops;
@@ -1116,7 +1075,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     /// Draws and schedules the next arrival, respecting the total-arrival
     /// cap and the scenario end.
     fn schedule_next_arrival(&mut self, now: SimTime) {
-        let w = self.stats.workload.as_ref().expect("workload stats");
+        let w = self.result.stats.workload.as_ref().expect("workload stats");
         let attempts = w.spawned + w.capped;
         let rt = self.workload.as_mut().expect("arrivals not loaded");
         if attempts >= rt.cfg.max_arrivals {
@@ -1132,8 +1091,9 @@ impl<C: CongestionControl + Clone> Simulation<C> {
     // Main loop
     // ------------------------------------------------------------------
 
-    /// Runs the simulation to completion and returns the collected results.
-    pub fn run(&mut self) -> SimResult {
+    /// Runs the simulation to completion, leaving its result in the arena
+    /// ([`Simulation::result`]).
+    pub fn run(&mut self) {
         assert!(!self.finished, "a Simulation runs once per load");
         self.finished = true;
 
@@ -1187,7 +1147,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             }
             events_processed += 1;
             if events_processed > self.cfg.max_events {
-                self.stats.truncated = true;
+                self.result.stats.truncated = true;
                 break;
             }
             match event {
@@ -1271,7 +1231,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     self.schedule_next_arrival(now);
                 }
                 Event::StatsTick => {
-                    for (samples, hop) in self.stats.hop_samples.iter_mut().zip(&self.hops) {
+                    for (samples, hop) in self.result.stats.hop_samples.iter_mut().zip(&self.hops) {
                         samples.push((now, hop.queue.len(), hop.queue.bytes()));
                     }
                     let next = now + self.cfg.stats_interval;
@@ -1282,43 +1242,33 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             }
         }
 
-        // Finalize statistics. The primary flow's summary and delivery
-        // times live in `flows[0]` and are *borrowed* by the legacy
-        // accessors — the former end-of-run clone of both is gone.
-        self.stats.events_processed = events_processed;
-        self.stats.hop_counters.clear();
-        self.stats
-            .hop_counters
-            .extend(self.hops.iter().map(|h| h.queue.counters()));
-        let hops = &self.stats.hop_counters;
-        self.stats.cross_dropped = hops.iter().map(|c| c.dropped_cross).sum();
+        let stats = &mut self.result.stats;
+        stats.events_processed = events_processed;
+        let counters = self.hops.iter().map(|h| h.queue.counters());
+        stats.hop_counters.extend(counters);
+        stats.cross_dropped = stats.hop_counters.iter().map(|c| c.dropped_cross).sum();
         // Only static flows surface per-flow summaries; dynamic flows are
         // aggregated in the workload block.
-        for i in 0..static_flows {
-            let mut summary = self.flows.senders[i].summary();
+        for (i, flow) in stats.flows.iter_mut().enumerate() {
+            let (sender, receiver) = (&self.flows.senders[i], &self.flows.receivers[i]);
             let counters = self.flows.counters[i];
-            summary.queue_drops = counters.queue_drops;
-            summary.ce_marked = counters.ce_marked;
-            summary.ce_received = self.flows.receivers[i].ce_received();
-            summary.ece_echoed = self.flows.receivers[i].ece_echoed();
-            self.stats.flows.push(FlowStats {
-                summary,
-                delivery_times: std::mem::take(&mut self.flows.delivery_times[i]),
-                start: self.flows.start[i],
-                stop: self.flows.stop[i],
-                sink_received: self.flows.receivers[i].total_received(),
-            });
-        }
-        SimResult {
-            stats: std::mem::take(&mut self.stats),
-            duration_secs: self.cfg.duration.as_secs_f64(),
+            flow.summary = FlowSummary {
+                queue_drops: counters.queue_drops,
+                ce_marked: counters.ce_marked,
+                ce_received: receiver.ce_received(),
+                ece_echoed: receiver.ece_echoed(),
+                ..sender.summary()
+            };
+            flow.sink_received = receiver.total_received();
         }
     }
 }
 
 /// Convenience helper: build and run a simulation in one call.
 pub fn run_simulation<C: CongestionControl + Clone>(cfg: SimConfig, cc: C) -> SimResult {
-    Simulation::new(cfg, cc).run()
+    let mut sim = Simulation::new(cfg, cc);
+    sim.run();
+    sim.into_result()
 }
 
 /// Convenience helper: build and run a multi-flow simulation in one call.
@@ -1326,7 +1276,9 @@ pub fn run_multi_flow_simulation<C: CongestionControl + Clone>(
     cfg: SimConfig,
     specs: Vec<FlowSpec<C>>,
 ) -> SimResult {
-    Simulation::new_multi(cfg, specs).run()
+    let mut sim = Simulation::new_multi(cfg, specs);
+    sim.run();
+    sim.into_result()
 }
 
 #[cfg(test)]
@@ -1392,27 +1344,23 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical() {
         // One reused simulation loads differently shaped scenarios back to
-        // back — hop count, flow count, churn, recording and link model all
-        // change between loads, in both directions — and every run, run log
-        // included, must equal a fresh one.
+        // back — hop count, flow count, stops, churn, recording, queue
+        // discipline and link model all change between loads, in both
+        // directions — and every run's whole `RunStats` must print as a
+        // fresh run's: per-flow start, stop and sink counts, hop samples
+        // and counters, the workload block and the run log included.
         let mut sim = Simulation::default();
-        for shape in [0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 0, 3, 5, 2, 4, 0] {
-            let fresh = run_shape(&mut Simulation::default(), shape);
-            let reused = run_shape(&mut sim, shape);
-            assert_eq!(fresh.stats.digest(), reused.stats.digest(), "{shape}");
-            assert_eq!(
-                fresh.stats.events_processed, reused.stats.events_processed,
-                "{shape}"
-            );
-            let layout = |s: &RunStats| (s.flows.len(), s.hop_samples.len(), s.workload.is_some());
-            assert_eq!(layout(&fresh.stats), layout(&reused.stats), "{shape}");
-            assert_eq!(fresh.stats.log, reused.stats.log, "{shape}");
-            assert_eq!(reused.stats.log.is_empty(), shape == 1, "{shape}");
+        for shape in [0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 6, 0, 3, 5, 2, 0, 4, 6, 0] {
+            let mut arena = Simulation::default();
+            let fresh = &run_shape(&mut arena, shape).stats;
+            let reused = &run_shape(&mut sim, shape).stats;
+            let same = format!("{fresh:?}") == format!("{reused:?}");
+            assert!(same, "shape {shape}: a reused run differs from a fresh one");
+            assert_eq!(reused.log.is_empty(), shape == 1, "{shape}");
             if shape == 1 {
                 let plain = run_simulation(base_cfg(), MiniAimdCc::new(10));
-                assert_eq!(plain.stats.digest(), reused.stats.digest());
+                assert_eq!(plain.stats.digest(), reused.digest());
             }
-            sim.recycle_stats(reused.stats);
         }
     }
 
@@ -1425,23 +1373,25 @@ mod tests {
         let mut mice_only = workload_cfg(60.0, 32);
         let arrivals = mice_only.arrivals.as_mut().unwrap();
         arrivals.mice_threshold_packets = arrivals.size.max_packets;
-        let fresh = run_workload(mice_only.clone(), &mut Simulation::default());
+        let fresh = run_workload(mice_only.clone());
         let w = fresh.stats.workload().unwrap();
         assert!(w.fct_mice.count() > 0 && w.fct_elephants.count() == 0);
 
         let mut sim = Simulation::default();
-        let heavy = run_workload(workload_cfg(200.0, 32), &mut sim);
+        let heavy = run_workload_in(&mut sim, workload_cfg(200.0, 32));
         assert!(heavy.stats.workload().unwrap().fct_elephants.count() > 0);
-        sim.recycle_stats(heavy.stats);
-        let reused = run_workload(mice_only, &mut sim);
+        let reused = run_workload_in(&mut sim, mice_only);
         assert_eq!(format!("{:?}", reused.stats), format!("{:?}", fresh.stats));
     }
 
     /// Loads scenario `shape` into `sim` and runs it: 0 = a 3-hop parking
     /// lot, 1 = the plain single-flow dumbbell (the one shape run without
-    /// recording), 2 = eight staggered flows, 3 = flow churn, 4 = RED + ECN,
-    /// 5 = a trace-driven link with cross traffic.
-    fn run_shape(sim: &mut Simulation<MiniAimdCc>, shape: usize) -> SimResult {
+    /// recording), 2 = eight staggered flows, four of them stopping early,
+    /// 3 = flow churn, 4 = RED + ECN, 5 = a trace-driven link with cross
+    /// traffic, 6 = two flows, one stopping, and two cross-traffic bursts
+    /// through a 30-packet CoDel queue without ECN, which drops at dequeue
+    /// and is still dropping when the run ends.
+    fn run_shape(sim: &mut Simulation<MiniAimdCc>, shape: usize) -> &SimResult {
         let mut cfg = base_cfg();
         cfg.record_events = shape != 1;
         let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
@@ -1455,7 +1405,7 @@ mod tests {
             2 => specs.extend((1..8).map(|i| FlowSpec {
                 cc: MiniAimdCc::new(4 + i),
                 start: SimTime::from_millis(100 * i),
-                stop: None,
+                stop: (i % 2 == 1).then(|| SimTime::from_millis(2_000 + 300 * i)),
             })),
             3 => {
                 cfg = workload_cfg(60.0, 32);
@@ -1472,10 +1422,28 @@ mod tests {
                 let injections = (0..500).map(|i| SimTime::from_micros(i * 9_000)).collect();
                 cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
             }
+            6 => {
+                cfg.qdisc = Qdisc::codel_default();
+                cfg.queue_capacity = QueueCapacity::Packets(30);
+                specs.push(FlowSpec {
+                    cc: MiniAimdCc::new(40),
+                    start: SimTime::from_millis(500),
+                    stop: Some(SimTime::from_millis(3_000)),
+                });
+                // Cross traffic at twice the link rate for 600 ms, twice:
+                // from the start, so the run's first CoDel episode drops
+                // several packets (a drop count carried over from the last
+                // run would move them), and to the end of the run.
+                let bursts = [0, 4_400_000].into_iter();
+                let at = bursts.flat_map(|at| (0..1_500).map(move |i| at + i * 400));
+                let injections = at.map(SimTime::from_micros).collect();
+                cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
+            }
             _ => {}
         }
         sim.load(cfg, &mut specs, &mut protos);
-        sim.run()
+        sim.run();
+        sim.result()
     }
 
     #[test]
@@ -1654,7 +1622,7 @@ mod tests {
 
     #[test]
     fn two_flows_share_the_bottleneck() {
-        let mss = base_cfg().mss;
+        let (mss, duration) = (base_cfg().mss, base_cfg().duration);
         let solo = run_simulation(base_cfg(), MiniAimdCc::new(10));
         let pair = run_multi_flow_simulation(
             base_cfg(),
@@ -1663,7 +1631,8 @@ mod tests {
                 FlowSpec::new(MiniAimdCc::new(10)),
             ],
         );
-        let goodputs = pair.per_flow_goodput_bps(mss);
+        let flows = pair.stats.flows.iter();
+        let goodputs: Vec<f64> = flows.map(|f| f.goodput_bps(mss, duration)).collect();
         assert_eq!(goodputs.len(), 2);
         // Each flow gets materially less than the whole link, and together
         // they do not exceed it.
@@ -1985,8 +1954,10 @@ mod tests {
         // only what hop 1 passed of flow 0.
         assert!(hops[2].enqueued_cca <= hops[1].dequeued_cca);
         // Both flows make progress through the shared 6 Mbps bottleneck.
-        let goodputs = result.per_flow_goodput_bps(1448);
-        assert!(goodputs[0] > 0.5e6 && goodputs[1] > 0.5e6);
+        let duration = chain_cfg(&[12, 6, 12]).duration;
+        let flows = &result.stats.flows;
+        assert!(flows[0].goodput_bps(1448, duration) > 0.5e6);
+        assert!(flows[1].goodput_bps(1448, duration) > 0.5e6);
     }
 
     #[test]
@@ -2216,15 +2187,24 @@ mod tests {
         cfg
     }
 
-    fn run_workload(cfg: SimConfig, sim: &mut Simulation<MiniAimdCc>) -> SimResult {
+    /// Loads the workload `cfg`, with one static flow, into `sim` and runs it.
+    fn run_workload_in(sim: &mut Simulation<MiniAimdCc>, cfg: SimConfig) -> &SimResult {
         let mut specs = vec![FlowSpec::new(MiniAimdCc::new(10))];
         sim.load(cfg, &mut specs, &mut vec![MiniAimdCc::new(4)]);
-        sim.run()
+        sim.run();
+        sim.result()
+    }
+
+    /// [`run_workload_in`] on a fresh arena.
+    fn run_workload(cfg: SimConfig) -> SimResult {
+        let mut sim = Simulation::default();
+        run_workload_in(&mut sim, cfg);
+        sim.into_result()
     }
 
     #[test]
     fn workload_spawns_and_completes_flows() {
-        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let result = run_workload(workload_cfg(60.0, 32));
         let w = result.stats.workload().expect("workload stats");
         // 60 arrivals/s over 5 s: the process is random, but far from the
         // tails — well over 100 spawns, and most mice finish within the run.
@@ -2251,10 +2231,10 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_scratch_reuse_is_bit_identical() {
-        let fresh = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let fresh = run_workload(workload_cfg(60.0, 32));
         let mut sim = Simulation::default();
         for _ in 0..3 {
-            let reused = run_workload(workload_cfg(60.0, 32), &mut sim);
+            let reused = run_workload_in(&mut sim, workload_cfg(60.0, 32));
             assert_eq!(fresh.stats.digest(), reused.stats.digest());
             assert_eq!(fresh.stats.events_processed, reused.stats.events_processed);
             let (a, b) = (
@@ -2264,16 +2244,15 @@ mod tests {
             assert_eq!(a.spawned, b.spawned);
             assert_eq!(a.completed(), b.completed());
             assert_eq!(a.fct_mice.count(), b.fct_mice.count());
-            sim.recycle_stats(reused.stats);
         }
     }
 
     #[test]
     fn workload_seed_changes_digest() {
-        let a = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let a = run_workload(workload_cfg(60.0, 32));
         let mut cfg = workload_cfg(60.0, 32);
         cfg.seed ^= 0xDEAD_BEEF;
-        let b = run_workload(cfg, &mut Simulation::default());
+        let b = run_workload(cfg);
         assert_ne!(a.stats.digest(), b.stats.digest());
     }
 
@@ -2282,7 +2261,7 @@ mod tests {
         // A tiny concurrency cap under a heavy arrival rate: the engine must
         // shed arrivals (capped) and keep running flows through recycled
         // slots instead of growing the flow table.
-        let result = run_workload(workload_cfg(200.0, 4), &mut Simulation::default());
+        let result = run_workload(workload_cfg(200.0, 4));
         let w = result.stats.workload().expect("workload stats");
         assert!(w.capped > 0, "a 4-slot cap under 200/s must shed arrivals");
         assert!(
@@ -2297,7 +2276,7 @@ mod tests {
     fn workload_max_arrivals_caps_attempts() {
         let mut cfg = workload_cfg(200.0, 32);
         cfg.arrivals.as_mut().unwrap().max_arrivals = 7;
-        let result = run_workload(cfg, &mut Simulation::default());
+        let result = run_workload(cfg);
         let w = result.stats.workload().expect("workload stats");
         assert_eq!(w.spawned + w.capped, 7);
     }
@@ -2310,18 +2289,18 @@ mod tests {
             mean_on_secs: 0.5,
             mean_off_secs: 0.5,
         };
-        let result = run_workload(cfg.clone(), &mut Simulation::default());
+        let result = run_workload(cfg.clone());
         let w = result.stats.workload().expect("workload stats");
         assert!(w.spawned > 20, "spawned {}", w.spawned);
         assert!(w.completed() > 0);
         // Determinism holds for the bursty process too.
-        let again = run_workload(cfg, &mut Simulation::default());
+        let again = run_workload(cfg);
         assert_eq!(result.stats.digest(), again.stats.digest());
     }
 
     #[test]
     fn workload_mice_finish_faster_than_elephants() {
-        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let result = run_workload(workload_cfg(60.0, 32));
         let w = result.stats.workload().expect("workload stats");
         if w.fct_mice.count() > 10 && w.fct_elephants.count() > 3 {
             assert!(
@@ -2363,7 +2342,7 @@ mod tests {
         for (cfg, hops) in [(base_cfg(), 1), (chain_cfg(&[12, 8, 10]), 3)] {
             check(&run_simulation(cfg, MiniAimdCc::new(10)), hops);
         }
-        let result = run_workload(workload_cfg(60.0, 32), &mut Simulation::default());
+        let result = run_workload(workload_cfg(60.0, 32));
         check(&result, 1);
         let w = result.stats.workload().expect("workload stats");
         assert!(w.completed() > 0);

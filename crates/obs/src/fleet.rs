@@ -2,9 +2,11 @@
 //!
 //! A multi-process hunt shards its islands across worker processes; the
 //! coordinator records per-worker activity into a [`FleetTelemetry`] so the
-//! daemon's status endpoint can show where the work (and the churn —
-//! restarts, panics) is happening. Like the rest of this crate, recording
-//! is lock-free counter bumps; serialization happens only at snapshot time.
+//! daemon's status endpoint can show where the work (and the panics) is
+//! happening. Fleet restarts are not per worker: the supervisor respawns
+//! the whole fleet, and the hunt's status counts each respawn once. Like
+//! the rest of this crate, recording is lock-free counter bumps;
+//! serialization happens only at snapshot time.
 
 use crate::metrics::Counter;
 use serde::{Deserialize, Serialize};
@@ -16,8 +18,6 @@ pub struct WorkerLane {
     pub evaluations: Counter,
     /// Evaluation panics caught inside this worker.
     pub panics: Counter,
-    /// Times this worker's process was respawned by the supervisor.
-    pub restarts: Counter,
     /// Migrants routed *out of* this worker's islands.
     pub migrants_out: Counter,
 }
@@ -28,7 +28,6 @@ impl WorkerLane {
             worker,
             evaluations: self.evaluations.get(),
             panics: self.panics.get(),
-            restarts: self.restarts.get(),
             migrants_out: self.migrants_out.get(),
         }
     }
@@ -43,8 +42,6 @@ pub struct WorkerLaneSnapshot {
     pub evaluations: u64,
     /// Evaluation panics caught inside this worker.
     pub panics: u64,
-    /// Times this worker's process was respawned.
-    pub restarts: u64,
     /// Migrants routed out of this worker's islands.
     pub migrants_out: u64,
 }
@@ -92,14 +89,12 @@ mod tests {
         let fleet = FleetTelemetry::new(3);
         fleet.lane(0).evaluations.add(10);
         fleet.lane(1).panics.add(2);
-        fleet.lane(2).restarts.add(1);
         fleet.lane(2).migrants_out.add(7);
         let snap = fleet.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].worker, 0);
         assert_eq!(snap[0].evaluations, 10);
         assert_eq!(snap[1].panics, 2);
-        assert_eq!(snap[2].restarts, 1);
         assert_eq!(snap[2].migrants_out, 7);
         assert_eq!(snap[0].panics, 0);
     }

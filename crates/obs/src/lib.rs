@@ -5,7 +5,7 @@
 //! core, the corpus driver and the bench harness — can record into it:
 //!
 //! * [`fleet`] — worker-tagged counter lanes for distributed hunts
-//!   (per-worker evaluations, panics, restarts, migrant routing).
+//!   (per-worker evaluations, panics, migrant routing).
 //! * [`metrics`] — lock-free counters, gauges and 256-bucket log-scale
 //!   [`Histogram`]s that any number of threads record into.
 //! * [`persist`] — crash-safe [`write_atomic`] (write-temp + fsync +

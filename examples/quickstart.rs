@@ -8,7 +8,6 @@
 use cc_fuzz::analysis::report::one_line_summary;
 use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{Campaign, FuzzMode};
-use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::{Genome, TrafficGenome};
 use cc_fuzz::fuzz::GaParams;
 use cc_fuzz::netsim::time::SimDuration;
@@ -50,7 +49,7 @@ fn main() {
     // 3. Replay the best adversarial trace, recording its run log, and
     //    print what it does to the flow.
     let evaluator = campaign.evaluator();
-    let replay = evaluator.simulate(&result.best_genome, &mut EvalScratch::new(), true);
+    let replay = evaluator.simulate_once(&result.best_genome, true);
     println!(
         "\nworst trace found ({} cross-traffic packets):",
         result.best_genome.packet_count()

@@ -13,7 +13,6 @@ use cc_fuzz::cca::CcaKind;
 use cc_fuzz::fuzz::campaign::{
     bbr_stall_trace, cubic_pulse_trace, lowrate_pulse_trace, paper_sim_base, PAPER_LINK_RATE_BPS,
 };
-use cc_fuzz::fuzz::evaluate::EvalScratch;
 use cc_fuzz::fuzz::genome::TrafficGenome;
 use cc_fuzz::fuzz::scoring::ScoringConfig;
 use cc_fuzz::fuzz::SimEvaluator;
@@ -29,7 +28,7 @@ fn recorded(cca: CcaKind, genome: &TrafficGenome) -> SimResult {
         ScoringConfig::low_throughput_default(PAPER_LINK_RATE_BPS as f64),
         PAPER_LINK_RATE_BPS,
     )
-    .simulate(genome, &mut EvalScratch::new(), true)
+    .simulate_once(genome, true)
 }
 
 #[test]

@@ -30,14 +30,16 @@ fn traffic_fuzzing_finds_traces_that_hurt_reno() {
     let empty = TrafficGenome::new(&[], duration, campaign.traffic_max_packets);
     let evaluator = campaign.evaluator();
     let mut scratch = EvalScratch::new();
-    let baseline = evaluator.simulate(&empty, &mut scratch, false);
-    let adversarial = evaluator.simulate(&result.best_genome, &mut scratch, false);
+    let delivered = |genome, scratch: &mut EvalScratch| {
+        let run = evaluator.simulate(genome, scratch, false);
+        run.stats.flow().delivered_packets
+    };
+    let baseline = delivered(&empty, &mut scratch);
+    let adversarial = delivered(&result.best_genome, &mut scratch);
 
     assert!(
-        adversarial.stats.flow().delivered_packets < baseline.stats.flow().delivered_packets,
-        "the best evolved trace must reduce Reno's delivery ({} vs baseline {})",
-        adversarial.stats.flow().delivered_packets,
-        baseline.stats.flow().delivered_packets
+        adversarial < baseline,
+        "the best evolved trace must reduce Reno's delivery ({adversarial} vs baseline {baseline})"
     );
     assert!(
         result.best_outcome.performance_score > 0.2,
@@ -132,7 +134,7 @@ fn fairness_campaign_finds_unfair_multi_flow_scenarios() {
     let evaluator = campaign.evaluator();
     let mut scratch = EvalScratch::new();
     let replay = evaluator.simulate(&result.best_genome, &mut scratch, false);
-    let breakdown = cc_fuzz::fuzz::scoring::fairness_breakdown(&replay, campaign.sim.mss);
+    let breakdown = cc_fuzz::fuzz::scoring::fairness_breakdown(replay, campaign.sim.mss);
     assert_eq!(
         breakdown.per_flow_goodput_bps.len(),
         result.best_genome.flow_count()

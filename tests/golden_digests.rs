@@ -224,7 +224,8 @@ fn churn_workload_digest_matches_recorded_constants() {
     ];
     let mut sim = Simulation::default();
     sim.load(cfg, &mut specs, &mut protos);
-    let stats = sim.run().stats;
+    sim.run();
+    let stats = &sim.result().stats;
     let w = stats.workload().expect("workload stats");
     assert!(w.capped > 0, "the concurrency cap must be hit");
     assert!(w.completed() > 6, "slots must recycle");

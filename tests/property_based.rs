@@ -299,10 +299,11 @@ proptest! {
                 .collect();
             let mut protos = vec![MiniAimdCc::new(4), MiniAimdCc::new(8)];
             sim.load(cfg.clone(), &mut specs, &mut protos);
-            sim.run()
+            sim.run();
         };
         let mut sim = Simulation::default();
-        let result = run(&mut sim);
+        run(&mut sim);
+        let result = sim.result();
 
         // Static flows keep their per-flow stats slots regardless of churn.
         prop_assert_eq!(result.stats.flows.len(), n_static);
@@ -321,9 +322,10 @@ proptest! {
         let digest = result.stats.digest();
 
         // A second run through the warm simulation (slab, calendar, pools
-        // all recycled) must replay the byte-identical behaviour.
-        sim.recycle_stats(result.stats);
-        let again = run(&mut sim);
+        // and statistics all reset in place) must replay the byte-identical
+        // behaviour.
+        run(&mut sim);
+        let again = sim.result();
         prop_assert_eq!(again.stats.workload().expect("workload stats").spawned, spawned);
         prop_assert_eq!(again.stats.digest(), digest);
     }

@@ -166,7 +166,7 @@ fn two_identical_reno_flows_converge_to_a_fair_share() {
     // scenario, two identical Reno flows sharing the drop-tail bottleneck
     // must converge to Jain's index >= 0.95.
     let cfg = base(20);
-    let mss = cfg.mss;
+    let (mss, duration) = (cfg.mss, cfg.duration);
     let result = run_multi_flow_simulation(
         cfg,
         vec![
@@ -174,7 +174,8 @@ fn two_identical_reno_flows_converge_to_a_fair_share() {
             FlowSpec::new(CcaKind::Reno.build(10)),
         ],
     );
-    let goodputs = result.per_flow_goodput_bps(mss);
+    let flows = result.stats.flows.iter();
+    let goodputs: Vec<f64> = flows.map(|f| f.goodput_bps(mss, duration)).collect();
     assert_eq!(goodputs.len(), 2);
     let jain = jains_index(&goodputs);
     assert!(
@@ -195,7 +196,7 @@ fn mixed_cca_flows_share_a_bottleneck_with_per_flow_stats() {
     // BBR vs. Reno: each flow has its own boxed CC instance; per-flow stats
     // must reflect two live senders competing for one queue.
     let cfg = base(5);
-    let mss = cfg.mss;
+    let (mss, duration) = (cfg.mss, cfg.duration);
     let result = run_multi_flow_simulation(
         cfg,
         vec![
@@ -211,7 +212,8 @@ fn mixed_cca_flows_share_a_bottleneck_with_per_flow_stats() {
             f.summary.delivered_packets
         );
     }
-    let goodputs = result.per_flow_goodput_bps(mss);
+    let flows = result.stats.flows.iter();
+    let goodputs: Vec<f64> = flows.map(|f| f.goodput_bps(mss, duration)).collect();
     let total: f64 = goodputs.iter().sum();
     assert!(total < 12.5e6, "flows cannot exceed the link: {total}");
     // The queue counters aggregate both flows.

@@ -31,7 +31,7 @@ fn three_hop_parking_lot_conserves_and_favours_the_short_flow() {
     // crossing only hop 1 (the 8 Mbps bottleneck both compete for).
     topology.paths = vec![HopRange::full(3), HopRange::new(1, 1)];
     cfg.topology = Some(topology);
-    let mss = cfg.mss;
+    let (mss, duration) = (cfg.mss, cfg.duration);
 
     // Both flows stop 2 s before the end so every queue and every
     // inter-hop propagation pipe drains: the conservation checks below are
@@ -94,7 +94,8 @@ fn three_hop_parking_lot_conserves_and_favours_the_short_flow() {
     }
 
     // (b) The short flow beats the long flow through the shared bottleneck.
-    let goodputs = result.per_flow_goodput_bps(mss);
+    let flows = result.stats.flows.iter();
+    let goodputs: Vec<f64> = flows.map(|f| f.goodput_bps(mss, duration)).collect();
     assert!(
         goodputs[1] > goodputs[0] * 1.2,
         "short flow ({:.2} Mbps) must beat the 3-hop flow ({:.2} Mbps)",
