@@ -579,7 +579,6 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
         // whichever worker ran what, so outcomes, the panic log and the
         // latency histogram come out the same for any thread count.
         let panic_log = &mut self.coordinator.panics;
-        let panics_before = panic_log.len();
         let mut reused_count = 0u64;
         for (&(i, j), (outcome, reused, panic, nanos)) in pending.iter().zip(evaluated) {
             reused_count += u64::from(reused);
@@ -599,10 +598,7 @@ impl<'a, G: Genome, E: Evaluator<G>> Fuzzer<'a, G, E> {
             }
         }
         if let Some(obs) = self.obs {
-            obs.metrics.evaluations.add(pending.len() as u64);
             obs.metrics.evaluations_reused.add(reused_count);
-            let caught = panic_log.len() - panics_before;
-            obs.metrics.panics_caught.add(caught as u64);
         }
     }
 
@@ -927,6 +923,38 @@ mod tests {
     use ccfuzz_netsim::sim::FlowSpec;
     use ccfuzz_netsim::time::SimDuration;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Arc;
+
+    /// A JSONL sink the test keeps a handle on: what telemetry streams into
+    /// it reads back as a hunt's `--telemetry` file would.
+    #[derive(Clone, Default)]
+    struct Stream(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Stream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Stream {
+        /// Telemetry streaming into a new sink, and the sink.
+        fn telemetry() -> (HuntTelemetry, Stream) {
+            let stream = Stream::default();
+            let telemetry = HuntTelemetry::new().with_sink(Box::new(stream.clone()));
+            (telemetry, stream)
+        }
+
+        /// The last snapshot streamed.
+        fn last(&self) -> ccfuzz_obs::Snapshot {
+            let bytes = self.0.lock().unwrap();
+            let line = std::str::from_utf8(&bytes).unwrap().lines().last();
+            serde_json::from_str(line.expect("a snapshot was streamed")).unwrap()
+        }
+    }
 
     /// A toy genome (a vector of numbers) and evaluator (score = sum) that
     /// exercise the GA machinery without running network simulations.
@@ -1585,13 +1613,14 @@ mod tests {
             (r.best_genome, r.best_outcome, r.history)
         };
         let plain = run(None);
-        let telemetry = HuntTelemetry::new();
+        let (telemetry, stream) = Stream::telemetry();
         let observed = run(Some(&telemetry));
         // Observation must not change what evolves.
         assert_eq!(plain, observed);
 
         let total = observed.2.last().unwrap().evaluations as u64;
-        assert_eq!(telemetry.metrics.evaluations.get(), total);
+        let last = stream.last();
+        assert_eq!(last.evaluations, total);
         // Every simulated evaluation was timed exactly once across all
         // worker shards; reused outcomes were not timed.
         let reused = telemetry.metrics.evaluations_reused.get();
@@ -1600,7 +1629,7 @@ mod tests {
             telemetry.metrics.eval_latency_ns.snapshot().count + reused,
             total
         );
-        assert_eq!(telemetry.metrics.best_score.get(), observed.1.score);
+        assert_eq!(last.best_score, observed.1.score);
         let ops = &telemetry.metrics.operators;
         assert!(ops.elite.get() > 0, "elites counted");
         assert!(ops.mutation.get() > 0, "mutations counted");
@@ -1718,23 +1747,26 @@ mod tests {
         let mut params = quick_params();
         params.generations = 3;
         let mut fuzzer = Fuzzer::new(params, &evaluator, |_rng| ToyGenome(vec![1.0; 3]));
-        let telemetry = HuntTelemetry::new();
+        let (telemetry, stream) = Stream::telemetry();
         fuzzer = fuzzer.with_observer(&telemetry);
         let ControlledRun {
             result,
             stop,
             final_snapshot,
-        } = run_one(&mut fuzzer, LoopControl::default());
+        } = run_one(
+            &mut fuzzer,
+            LoopControl {
+                obs: Some(&telemetry),
+                ..LoopControl::default()
+            },
+        );
         // Every evaluation panicked, every panic was isolated, the campaign
         // still completed with default-scored individuals.
         assert_eq!(stop, StopReason::Completed);
         assert_eq!(result.history.len(), 3);
         assert_eq!(result.best_outcome, EvalOutcome::default());
         assert_eq!(final_snapshot.panics.len(), result.total_evaluations);
-        assert_eq!(
-            telemetry.metrics.panics_caught.get(),
-            result.total_evaluations as u64
-        );
+        assert_eq!(stream.last().evaluations, result.total_evaluations as u64);
         let record = &final_snapshot.panics[0];
         assert_eq!(record.message, "boom");
         assert_eq!(record.generation, 0);

@@ -93,7 +93,6 @@ impl LinkGenome {
         let params = DistPacketsParams {
             k_agg,
             enforce_rate_bounds: true,
-            ..Default::default()
         };
         let timestamps = dist_packets(
             total_packets,
@@ -187,7 +186,6 @@ impl Genome for LinkGenome {
         let params = DistPacketsParams {
             k_agg: self.k_agg,
             enforce_rate_bounds: true,
-            ..Default::default()
         };
 
         let parent = self.timestamps();

@@ -36,8 +36,6 @@ pub enum Objective {
         /// Percentile of the per-packet queuing delay used as the score.
         percentile: f64,
     },
-    /// Maximise the CCA's loss ratio (marked-lost / transmissions).
-    HighLoss,
     /// Multi-flow objective: maximise *unfairness* between concurrent
     /// congestion-controlled flows sharing the bottleneck. The score is
     /// `(1 - Jain's index over per-flow goodput) + starvation_weight * s`,
@@ -411,10 +409,6 @@ pub fn performance_score_reusing(
             // still being monotone in delay.
             percentile(&delays, *p).min(1.0)
         }
-        Objective::HighLoss => {
-            let tx = result.stats.flow().transmissions.max(1);
-            (result.stats.flow().marked_lost as f64 / tx as f64).clamp(0.0, 1.0)
-        }
         Objective::Unfairness { starvation_weight } => {
             let starvation = (*starvation_weight, max_starvation(result).1);
             normalized(1.0 - jain(flow_goodputs(result, mss)), &[starvation])
@@ -576,7 +570,7 @@ pub fn total_score(cfg: &ScoringConfig, performance: f64, trace: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccfuzz_netsim::stats::{FlowStats, FlowSummary, RunStats};
+    use ccfuzz_netsim::stats::{FlowStats, RunStats};
     use ccfuzz_netsim::time::SimTime;
 
     fn result_with_deliveries(times: Vec<SimTime>, duration_secs: f64) -> SimResult {
@@ -634,26 +628,6 @@ mod tests {
             one_gap_score >= 0.95,
             "one 1 s gap saturates the objective: {one_gap_score}"
         );
-    }
-
-    #[test]
-    fn high_loss_score_is_loss_ratio() {
-        let objective = Objective::HighLoss;
-        let result = SimResult {
-            stats: RunStats {
-                flows: vec![FlowStats {
-                    summary: FlowSummary {
-                        transmissions: 100,
-                        marked_lost: 25,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                }],
-                ..Default::default()
-            },
-            duration_secs: 5.0,
-        };
-        assert_eq!(performance_score(&objective, &result, 1448, 12e6), 0.25);
     }
 
     #[test]
@@ -719,7 +693,7 @@ mod tests {
     #[test]
     fn total_score_weights_components() {
         let cfg = ScoringConfig {
-            objective: Objective::HighLoss,
+            objective: Objective::HighDelay { percentile: 10.0 },
             performance_weight: 1.0,
             trace_weight: 0.5,
             reference_rate_bps: 12e6,

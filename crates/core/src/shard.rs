@@ -581,6 +581,7 @@ pub fn drive<G: Genome, S: Shards<G>>(
             if let Some(obs) = ctl.obs {
                 obs.observe_generation(
                     generation,
+                    coordinator.evaluations() as u64,
                     coordinator.best_score().unwrap_or(0.0),
                     absorbed.summary.mean_score,
                     absorbed.island_best,

@@ -22,18 +22,18 @@ pub struct DistPacketsParams {
     /// unconstrained variant is also what Figure 5 feeds to the realism
     /// scorer.
     pub enforce_rate_bounds: bool,
-    /// Upper bound on the rejection-sampling attempts per split before the
-    /// constraints are relaxed for that split (keeps generation total-time
-    /// bounded on adversarial inputs; the paper's pseudocode loops forever).
-    pub max_attempts: u32,
 }
+
+/// Upper bound on the rejection-sampling attempts per split before the
+/// constraints are relaxed for that split (keeps generation total-time
+/// bounded on adversarial inputs; the paper's pseudocode loops forever).
+const MAX_ATTEMPTS: u32 = 64;
 
 impl Default for DistPacketsParams {
     fn default() -> Self {
         DistPacketsParams {
             k_agg: SimDuration::from_millis(50),
             enforce_rate_bounds: true,
-            max_attempts: 64,
         }
     }
 }
@@ -102,7 +102,7 @@ fn dist_packets_rec(
         let Some(rate) = rate else {
             break (tsplit, numleft);
         };
-        if attempts > params.max_attempts {
+        if attempts > MAX_ATTEMPTS {
             // Relax the constraint rather than looping forever; split evenly.
             break (start_ns + span / 2, num / 2);
         }

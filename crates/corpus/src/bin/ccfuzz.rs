@@ -624,7 +624,7 @@ fn run_campaign(
     )
     .map_err(|e| CliError::Runtime(e.to_string()))?;
 
-    let caught = telemetry.metrics.panics_caught.get();
+    let caught = outcome.panics();
     if caught > 0 {
         eprintln!(
             "caught {caught} evaluation panic(s); artifacts persisted under {}",
@@ -632,10 +632,13 @@ fn run_campaign(
         );
     }
     let (finding, decision) = match outcome {
-        HuntOutcome::Completed { finding, decision } => (*finding, decision),
+        HuntOutcome::Completed {
+            finding, decision, ..
+        } => (*finding, decision),
         HuntOutcome::Interrupted {
             next_generation,
             evaluations,
+            ..
         } => {
             eprintln!("{}", telemetry.phase_report());
             eprintln!(

@@ -486,8 +486,6 @@ impl<G: ModeGenome> Shards<G> for Fleet<'_, G> {
                 fleet_t.lane(worker).panics.add(report.panics.len() as u64);
             }
             if let Some(o) = self.obs {
-                o.metrics.evaluations.add(report.eval_delta as u64);
-                o.metrics.panics_caught.add(report.panics.len() as u64);
                 let last = &self.last_operators[worker];
                 o.metrics.operators.add(&report.operators.since(last));
             }
@@ -813,7 +811,9 @@ fn execute_hunt(
         resume: None,
     };
     match hunt_distributed(&corpus, &spec.config, Some(&telemetry), ctl, &dist) {
-        Ok(HuntOutcome::Completed { finding, decision }) => {
+        Ok(HuntOutcome::Completed {
+            finding, decision, ..
+        }) => {
             let json = serde_json::to_string(&*finding).map_err(|e| e.to_string())?;
             // The exact bytes `ccfuzz hunt` prints: JSON line + newline.
             let payload = format!("{json}\n");

@@ -114,7 +114,9 @@ pub fn hunt_with(
     obs: Option<&HuntTelemetry>,
 ) -> Result<(Finding, InsertOutcome), CorpusError> {
     match hunt_controlled(corpus, config, obs, HuntControl::default())? {
-        HuntOutcome::Completed { finding, decision } => Ok((*finding, decision)),
+        HuntOutcome::Completed {
+            finding, decision, ..
+        } => Ok((*finding, decision)),
         other => Err(CorpusError(format!(
             "uncontrolled hunt stopped early: {other:?}"
         ))),
@@ -152,6 +154,8 @@ pub enum HuntOutcome {
         finding: Box<Finding>,
         /// What the corpus did with it.
         decision: InsertOutcome,
+        /// Caught evaluation panics (each persisted as a panic artifact).
+        panics: u64,
     },
     /// The shutdown flag stopped the campaign at a resumable boundary; the
     /// final checkpoint (if a path was configured) resumes it.
@@ -160,6 +164,8 @@ pub enum HuntOutcome {
         next_generation: u32,
         /// Simulations completed before stopping.
         evaluations: u64,
+        /// Caught evaluation panics (each persisted as a panic artifact).
+        panics: u64,
     },
     /// More evaluation panics were caught than the budget tolerates.
     PanicBudgetExhausted {
@@ -168,6 +174,18 @@ pub enum HuntOutcome {
         /// Generation the campaign stopped after.
         next_generation: u32,
     },
+}
+
+impl HuntOutcome {
+    /// Evaluation panics the whole campaign caught, a resumed run's earlier
+    /// ones included: the length of the final snapshot's panic log.
+    pub fn panics(&self) -> u64 {
+        match self {
+            HuntOutcome::Completed { panics, .. }
+            | HuntOutcome::Interrupted { panics, .. }
+            | HuntOutcome::PanicBudgetExhausted { panics, .. } => *panics,
+        }
+    }
 }
 
 /// [`hunt_with`] plus the crash-safety control plane: periodic + final
@@ -244,9 +262,7 @@ impl ModeVisitor for HuntJob<'_, '_> {
                 }
                 if let Some(o) = obs {
                     o.metrics.restore_counts(
-                        ck.telemetry.evaluations,
                         &ck.telemetry.operators,
-                        ck.telemetry.panics_caught,
                         ck.telemetry.corpus_inserted,
                         ck.telemetry.corpus_deduplicated,
                     );
@@ -392,11 +408,13 @@ impl ModeVisitor for HuntJob<'_, '_> {
                 Ok(HuntOutcome::Completed {
                     finding: Box::new(finding),
                     decision,
+                    panics,
                 })
             }
             StopReason::Interrupted => Ok(HuntOutcome::Interrupted {
                 next_generation,
                 evaluations,
+                panics,
             }),
             StopReason::PanicBudgetExhausted => Ok(HuntOutcome::PanicBudgetExhausted {
                 panics,

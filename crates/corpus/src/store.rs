@@ -810,6 +810,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// No campaign hunts for loss: a finding file whose objective names the
+    /// loss ratio no longer parses, and opening the corpus quarantines it.
+    #[test]
+    fn a_finding_with_the_loss_objective_is_quarantined_on_open() {
+        let (corpus, dir) = temp_corpus(CorpusConfig::default());
+        let finding = synthetic(CcaKind::Reno, 0.9, 4);
+        let name = format!("{}.json", finding.id);
+        let text = serde_json::to_string(&finding).unwrap();
+        let objective = serde_json::to_string(&finding.scoring.objective).unwrap();
+        let field = format!("\"objective\":{objective}");
+        assert!(text.contains(&field), "{text}");
+        let loss = text.replace(&field, "\"objective\":\"HighLoss\"");
+        std::fs::write(corpus.findings_dir().join(&name), loss).unwrap();
+
+        let reopened = Corpus::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().quarantined, vec![name.clone()]);
+        assert!(reopened.quarantine_dir().join(&name).exists());
+        assert!(reopened.load_all().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     /// The gateway admits by packet count only: a finding file whose queue
     /// capacity names bytes no longer parses, and opening the corpus
     /// quarantines it.

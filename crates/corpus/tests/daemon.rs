@@ -2,7 +2,8 @@
 //! `ccfuzzd` daemon driven over its HTTP socket, hunts sharded across
 //! worker processes (each keeping, checkpointing and shipping only its own
 //! islands), a SIGKILL-induced fleet respawn that must resume from the
-//! committed checkpoint, and the graceful SIGTERM drain.
+//! committed checkpoint (and stream the campaign's true evaluation count
+//! through it), and the graceful SIGTERM drain.
 //!
 //! The load-bearing assertion throughout: a daemon hunt's fetched finding
 //! payload is byte-identical to what a single-process `ccfuzz hunt` with
@@ -11,9 +12,11 @@
 use ccfuzz_cca::CcaKind;
 use ccfuzz_core::campaign::FuzzMode;
 use ccfuzz_corpus::daemon::{http_request, HuntSpec, HuntState, HuntStatus};
+use ccfuzz_corpus::finding::Finding;
 use ccfuzz_corpus::hunt::HuntConfig;
 use ccfuzz_corpus::worker::WorkerCheckpoint;
 use ccfuzz_netsim::time::SimDuration;
+use ccfuzz_obs::Snapshot;
 use serde::value::{map_get, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -41,6 +44,17 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 struct Daemon {
     child: Child,
     addr: String,
+}
+
+/// A daemon the test did not [`drain`] — a failed assertion unwinds past
+/// it — is killed and reaped, so no `ccfuzzd` outlives its test.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
 }
 
 fn start_daemon(root: &Path) -> Daemon {
@@ -206,36 +220,50 @@ fn single_worker_daemon_hunt_payload_matches_ccfuzz_hunt_byte_for_byte() {
 
 #[test]
 fn sigkilled_worker_respawns_from_checkpoint_and_matches_the_control() {
-    sigkill_a_worker_and_match_the_control(FuzzMode::Topology);
+    sigkill_a_worker_and_match_the_control(FuzzMode::Topology, 1);
 }
 
 /// Traffic is the mode the benchmark's fleet workload runs: its respawned
 /// workers splice their checkpointed island slice into a fresh population.
 #[test]
 fn sigkilled_traffic_worker_respawns_from_checkpoint_and_matches_the_control() {
-    sigkill_a_worker_and_match_the_control(FuzzMode::Traffic);
+    sigkill_a_worker_and_match_the_control(FuzzMode::Traffic, 1);
 }
 
-fn sigkill_a_worker_and_match_the_control(mode: FuzzMode) {
-    let dir = temp_dir(&format!("sigkill-{}", mode.name()));
+/// With a checkpoint every second boundary, the kill lands after the
+/// coordinator absorbed generation 2 but before boundary 4 is committed:
+/// the respawn rolls back to boundary 2 and evaluates generation 2 again.
+/// The telemetry stream must still end on the campaign's own count.
+#[test]
+fn a_respawn_that_repeats_an_absorbed_generation_streams_the_campaign_total() {
+    sigkill_a_worker_and_match_the_control(FuzzMode::Traffic, 2);
+}
+
+fn sigkill_a_worker_and_match_the_control(mode: FuzzMode, checkpoint_every: u32) {
+    let dir = temp_dir(&format!("sigkill-{}-every-{checkpoint_every}", mode.name()));
     // Sized so the campaign outlives the kill by a wide margin: children
     // that repeat a parent take its outcome instead of simulating, so a
     // small, quickly converging campaign finishes in a few generations'
     // worth of simulations.
     let mut spec = test_spec(CcaKind::Bbr, mode, 12, 33, 2);
     spec.config.duration = SimDuration::from_secs(20);
+    spec.checkpoint_every = checkpoint_every;
     let control = control_payload(&spec, &dir.join("control-corpus"));
 
     let root = dir.join("daemon");
     let daemon = start_daemon(&root);
     let id = submit(&daemon.addr, &spec);
 
-    // Wait until the fleet has committed a boundary to respawn from (the
-    // status reports generation 1 only after boundary 1 was checkpointed),
-    // then SIGKILL one worker mid-campaign.
+    // Wait until the fleet has committed a boundary to respawn from, then
+    // SIGKILL one worker mid-campaign. The status reports generation `g`
+    // once the coordinator absorbed it, which the fleet evaluated from
+    // boundary `g`; with `g` a multiple of the cadence, that boundary was
+    // checkpointed and the next one is not yet.
     wait_until("the fleet to commit a boundary", || {
         let s = hunt_status(&daemon.addr, &id);
-        (s.worker_pids.len() == 2 && s.generation >= 1) || terminal(s.state)
+        let committed =
+            s.generation >= checkpoint_every && s.generation.is_multiple_of(checkpoint_every);
+        (s.worker_pids.len() == 2 && committed) || terminal(s.state)
     });
     let status = hunt_status(&daemon.addr, &id);
     assert!(
@@ -283,6 +311,17 @@ fn sigkill_a_worker_and_match_the_control(mode: FuzzMode) {
         payload.as_bytes(),
         &control[..],
         "respawned hunt's payload differs from the single-process control"
+    );
+
+    // The telemetry stream counts the campaign as the coordinator does: the
+    // generations the respawn evaluated again are not counted twice.
+    let finding: Finding = serde_json::from_str(payload.trim()).unwrap();
+    let stream =
+        std::fs::read_to_string(root.join("hunts").join(&id).join("telemetry.jsonl")).unwrap();
+    let last: Snapshot = serde_json::from_str(stream.lines().last().unwrap()).unwrap();
+    assert_eq!(
+        last.evaluations, finding.provenance.total_evaluations,
+        "the last telemetry snapshot disagrees with the finding's provenance"
     );
 
     drain(daemon, &root);

@@ -160,6 +160,28 @@ pub struct FlowSummary {
     pub ece_acked: u64,
 }
 
+impl FlowSummary {
+    /// The twelve transport counters [`RunStats::digest`] mixes for every
+    /// flow, in digest order (the ECN counters are mixed separately, and
+    /// only when a run produced marks).
+    fn digest_fields(&self) -> [u64; 12] {
+        [
+            self.delivered_packets,
+            self.delivered_bytes,
+            self.transmissions,
+            self.retransmissions,
+            self.marked_lost,
+            self.queue_drops,
+            self.rto_count,
+            self.recovery_episodes,
+            self.final_srtt_us,
+            self.min_rtt_us,
+            self.highest_sent,
+            self.final_cum_ack,
+        ]
+    }
+}
+
 /// Per-flow measurements for one congestion-controlled flow.
 ///
 /// `flows[0]` is the primary flow; the [`RunStats::flow`] and
@@ -524,25 +546,13 @@ impl RunStats {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        let f = self.flow();
-        for v in [
-            f.delivered_packets,
-            f.delivered_bytes,
-            f.transmissions,
-            f.retransmissions,
-            f.marked_lost,
-            f.queue_drops,
-            f.rto_count,
-            f.recovery_episodes,
-            f.final_srtt_us,
-            f.min_rtt_us,
-            f.highest_sent,
-            f.final_cum_ack,
+        let run = [
             self.cross_delivered,
             self.cross_dropped,
             self.events_processed,
             self.truncated as u64,
-        ] {
+        ];
+        for v in self.flow().digest_fields().into_iter().chain(run) {
             mix(v);
         }
         for t in self.delivery_times() {
@@ -595,24 +605,12 @@ impl RunStats {
         // which keeps the committed corpus fixtures byte-identical.
         if self.flows.len() > 1 {
             for fs in &self.flows[1..] {
-                let f = &fs.summary;
-                for v in [
-                    f.delivered_packets,
-                    f.delivered_bytes,
-                    f.transmissions,
-                    f.retransmissions,
-                    f.marked_lost,
-                    f.queue_drops,
-                    f.rto_count,
-                    f.recovery_episodes,
-                    f.final_srtt_us,
-                    f.min_rtt_us,
-                    f.highest_sent,
-                    f.final_cum_ack,
+                let lifetime = [
                     fs.sink_received,
                     fs.start.as_nanos(),
                     fs.stop.map(|t| t.as_nanos()).unwrap_or(u64::MAX),
-                ] {
+                ];
+                for v in fs.summary.digest_fields().into_iter().chain(lifetime) {
                     mix(v);
                 }
                 for t in &fs.delivery_times {

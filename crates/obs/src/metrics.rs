@@ -1,5 +1,4 @@
-//! Lock-free metric primitives: counters, gauges and log-bucketed
-//! histograms.
+//! Lock-free metric primitives: counters and log-bucketed histograms.
 //!
 //! Everything here is built for the campaign hot path: recording is a
 //! handful of relaxed atomic operations, and aggregation happens only when
@@ -71,29 +70,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins floating-point gauge (stored as `f64` bits in an
-/// `AtomicU64`).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the stored value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -274,15 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
     }
 
     #[test]

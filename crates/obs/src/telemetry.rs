@@ -1,13 +1,22 @@
 //! Campaign-level telemetry: the hunt's metric registry, the periodic
 //! progress [`Snapshot`] stream (JSONL) and the human status line.
 //!
+//! Telemetry measures the process; the coordinator counts the campaign.
+//! The campaign's totals — evaluations, the best score, caught panics —
+//! live in `core::shard::ShardCoordinator`, which checkpoints them and rolls
+//! them back on a fleet respawn, and each [`Snapshot`] reads them from the
+//! generation loop. The registry keeps only what this process saw: eval
+//! latency, reused outcomes, operator counts, corpus and checkpoint I/O.
+//! Operator counts (like the fleet's worker lanes) therefore include the
+//! generations a fleet respawn repeats.
+//!
 //! A [`HuntTelemetry`] is shared by reference between the campaign driver
 //! and the GA worker threads: all recording goes through lock-free
 //! [`metrics`](crate::metrics) primitives, and the only lock (around the
 //! JSONL sink) is taken once per generation by whichever thread emits the
 //! snapshot.
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Histogram};
 use crate::profile::PhaseProfiler;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -43,19 +52,15 @@ impl OperatorCounters {
     }
 }
 
-/// The campaign's metric registry: fixed, named, lock-free slots covering
-/// everything a hunt records. Recording costs a relaxed atomic op; reads
+/// The hunt's metric registry: fixed, named, lock-free slots for what
+/// this process measures. Recording costs a relaxed atomic op; reads
 /// happen only when a snapshot is taken.
 #[derive(Debug, Default)]
 pub struct CampaignMetrics {
-    /// Fitness evaluations completed.
-    pub evaluations: Counter,
     /// Evaluations of a child identical to a scored parent, answered with
     /// that parent's outcome instead of a simulation. Counted by this
     /// process only: never checkpointed, streamed or sent over the wire.
     pub evaluations_reused: Counter,
-    /// Best score seen so far (gauge; last write wins).
-    pub best_score: Gauge,
     /// Wall-clock nanoseconds per simulated fitness evaluation (reused
     /// outcomes are not timed, so the percentiles stay simulation latency).
     pub eval_latency_ns: Histogram,
@@ -69,8 +74,6 @@ pub struct CampaignMetrics {
     pub checkpoints_written: Counter,
     /// Total bytes of checkpoint payload persisted.
     pub checkpoint_bytes: Counter,
-    /// Evaluation panics caught and isolated by the fuzzer workers.
-    pub panics_caught: Counter,
     /// Finding files quarantined or swept by corpus startup recovery.
     pub recovered_files: Counter,
 }
@@ -78,18 +81,15 @@ pub struct CampaignMetrics {
 impl CampaignMetrics {
     /// Re-seeds the cumulative counters from a resumed campaign's
     /// checkpoint so post-resume telemetry continues the original
-    /// campaign's totals instead of restarting from zero.
+    /// campaign's totals instead of restarting from zero. (Evaluations and
+    /// caught panics need no re-seeding: the resumed snapshot carries them.)
     pub fn restore_counts(
         &self,
-        evaluations: u64,
         operators: &OperatorSnapshot,
-        panics_caught: u64,
         corpus_inserted: u64,
         corpus_deduplicated: u64,
     ) {
-        self.evaluations.add(evaluations);
         self.operators.add(operators);
-        self.panics_caught.add(panics_caught);
         self.corpus_inserted.add(corpus_inserted);
         self.corpus_deduplicated.add(corpus_deduplicated);
     }
@@ -154,7 +154,7 @@ pub struct Snapshot {
     pub schema: u32,
     /// Generation index (0-based).
     pub generation: u32,
-    /// Total fitness evaluations so far.
+    /// The campaign's fitness evaluations so far (the coordinator's count).
     pub evaluations: u64,
     /// Wall-clock seconds since the hunt started.
     pub elapsed_secs: f64,
@@ -216,15 +216,17 @@ impl HuntTelemetry {
         self
     }
 
-    /// Builds the current [`Snapshot`] for a finished generation.
+    /// Builds the current [`Snapshot`] for a finished generation: the
+    /// campaign's totals as the coordinator counts them, plus this
+    /// process's measurements.
     pub fn snapshot(
         &self,
         generation: u32,
+        evaluations: u64,
         best_score: f64,
         mean_score: f64,
         island_best: Vec<f64>,
     ) -> Snapshot {
-        let evaluations = self.metrics.evaluations.get();
         let elapsed_secs = self.started.elapsed().as_secs_f64();
         let latency = self.metrics.eval_latency_ns.snapshot();
         Snapshot {
@@ -245,19 +247,18 @@ impl HuntTelemetry {
         }
     }
 
-    /// Records a finished generation: updates the best-score gauge, appends
-    /// a JSONL snapshot to the sink (if any) and prints the status line (if
-    /// enabled). Sink write errors are swallowed — telemetry must never
-    /// abort a hunt.
+    /// Records a finished generation: appends a JSONL snapshot to the sink
+    /// (if any) and prints the status line (if enabled). Sink write errors
+    /// are swallowed — telemetry must never abort a hunt.
     pub fn observe_generation(
         &self,
         generation: u32,
+        evaluations: u64,
         best_score: f64,
         mean_score: f64,
         island_best: Vec<f64>,
     ) {
-        self.metrics.best_score.set(best_score);
-        let snap = self.snapshot(generation, best_score, mean_score, island_best);
+        let snap = self.snapshot(generation, evaluations, best_score, mean_score, island_best);
         if let Ok(mut guard) = self.sink.lock() {
             if let Some(sink) = guard.as_mut() {
                 let line = serde_json::to_string(&snap).expect("snapshot serializes");
@@ -283,8 +284,8 @@ impl HuntTelemetry {
     /// The profiler's wall-time breakdown plus the share of evaluations
     /// that reused a parent's outcome (printed at campaign end). Both counts
     /// cover this process: every evaluation it ran was either simulated
-    /// (and timed) or reused, while `evaluations` also carries a resumed
-    /// campaign's restored total.
+    /// (and timed) or reused, while a [`Snapshot`]'s `evaluations` also
+    /// carries a resumed campaign's earlier work.
     pub fn phase_report(&self) -> String {
         let reused = self.metrics.evaluations_reused.get();
         let ran = self.metrics.eval_latency_ns.snapshot().count + reused;
@@ -318,11 +319,10 @@ mod tests {
     fn snapshots_round_trip_and_stream_as_jsonl() {
         let buf = SharedBuf::default();
         let telemetry = HuntTelemetry::new().with_sink(Box::new(buf.clone()));
-        telemetry.metrics.evaluations.add(12);
         telemetry.metrics.eval_latency_ns.record(1_000_000);
         telemetry.metrics.operators.mutation.add(5);
-        telemetry.observe_generation(0, 0.75, 0.40, vec![0.75, 0.60]);
-        telemetry.observe_generation(1, 0.80, 0.55, vec![0.80, 0.61]);
+        telemetry.observe_generation(0, 12, 0.75, 0.40, vec![0.75, 0.60]);
+        telemetry.observe_generation(1, 24, 0.80, 0.55, vec![0.80, 0.61]);
 
         let bytes = buf.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
@@ -338,14 +338,16 @@ mod tests {
         assert!(first.eval_latency_ns.p50_ns > 0);
         let second: Snapshot = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(second.generation, 1);
-        assert_eq!(telemetry.metrics.best_score.get(), 0.80);
+        assert_eq!(second.evaluations, 24);
+        assert_eq!(second.best_score, 0.80);
     }
 
     #[test]
     fn phase_report_counts_this_process_reuse() {
         let telemetry = HuntTelemetry::new();
-        // A resumed campaign's restored total is not this process's work.
-        telemetry.metrics.evaluations.add(100);
+        // A resumed campaign's earlier evaluations are not this process's
+        // work: the snapshot carries them, the report does not.
+        telemetry.observe_generation(4, 100, 1.0, 1.0, vec![1.0]);
         for nanos in [1_000, 2_000, 3_000] {
             telemetry.metrics.eval_latency_ns.record(nanos);
         }
@@ -361,9 +363,8 @@ mod tests {
     #[test]
     fn metrics_only_telemetry_needs_no_sink() {
         let telemetry = HuntTelemetry::new();
-        telemetry.metrics.evaluations.inc();
-        telemetry.observe_generation(0, 1.0, 1.0, vec![1.0]);
-        let snap = telemetry.snapshot(0, 1.0, 1.0, vec![1.0]);
+        telemetry.observe_generation(0, 1, 1.0, 1.0, vec![1.0]);
+        let snap = telemetry.snapshot(0, 1, 1.0, 1.0, vec![1.0]);
         assert_eq!(snap.evaluations, 1);
         assert!(snap.evals_per_sec > 0.0);
     }

@@ -28,7 +28,6 @@ proptest! {
         let params = DistPacketsParams {
             k_agg: SimDuration::from_millis(k_agg_ms),
             enforce_rate_bounds: enforce,
-            ..Default::default()
         };
         let end = SimTime::from_millis(duration_ms);
         let ts = dist_packets(num, SimTime::ZERO, end, &params, &mut rng);
