@@ -235,7 +235,7 @@ fn single_flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
     time_workload(reps, || {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        let result = run_simulation(cfg, CcaKind::Reno.build(10));
+        let result = run_simulation(cfg, CcaKind::Reno.build());
         std::hint::black_box(result.stats.events_processed)
     })
 }
@@ -263,7 +263,7 @@ fn fairness_8flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
             .iter()
             .enumerate()
             .map(|(i, kind)| FlowSpec {
-                cc: kind.build(10),
+                cc: kind.build(),
                 start: SimTime::from_millis(i as u64 * 250),
                 stop: None,
             })
@@ -285,7 +285,7 @@ fn fairness_32flow(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         cfg.cross_traffic = TrafficTrace::new(injections.clone(), duration);
         let specs: Vec<FlowSpec<_>> = (0..32)
             .map(|i| FlowSpec {
-                cc: kinds[i % kinds.len()].build(10),
+                cc: kinds[i % kinds.len()].build(),
                 start: SimTime::from_millis(i as u64 * 100),
                 stop: None,
             })
@@ -310,12 +310,12 @@ fn multi_hop(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         cfg.topology = Some(topology);
         let specs: Vec<FlowSpec<_>> = vec![
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build(),
                 start: SimTime::ZERO,
                 stop: None,
             },
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build(),
                 start: SimTime::from_millis(500),
                 stop: None,
             },
@@ -349,11 +349,11 @@ fn workload_2k(reps: u64) -> (WorkloadReport, LatencyQuantiles) {
         });
         // Arrivals clone their controller from a prototype pool.
         let mut specs = vec![FlowSpec {
-            cc: CcaKind::Reno.build(10),
+            cc: CcaKind::Reno.build(),
             start: SimTime::ZERO,
             stop: None,
         }];
-        let mut protos = vec![CcaKind::Reno.build(10), CcaKind::Cubic.build(10)];
+        let mut protos = vec![CcaKind::Reno.build(), CcaKind::Cubic.build()];
         let mut sim = Simulation::default();
         sim.load(cfg, &mut specs, &mut protos);
         sim.run();

@@ -1055,7 +1055,7 @@ mod tests {
         // only `BbrProbeRttOnRto` turns on: stock BBR v1 does not enter
         // ProbeRTT on an RTO.
         assert!(matches!(
-            crate::CcaKind::Bbr.build(10),
+            crate::CcaKind::Bbr.build(),
             crate::CcaDispatch::Bbr(Bbr {
                 probe_rtt_on_rto: false,
                 ..

@@ -52,8 +52,6 @@ pub struct Cubic {
     k: f64,
     /// Estimated Reno-friendly window for the TCP-friendliness check.
     w_est: f64,
-    /// ACK accounting for the TCP-friendly region.
-    ack_cnt: f64,
     /// End of the current ECN-reaction round (once-per-RTT guard).
     ecn_hold_until: Option<SimTime>,
 }
@@ -70,7 +68,6 @@ impl Cubic {
             epoch_start: None,
             k: 0.0,
             w_est: 0.0,
-            ack_cnt: 0.0,
             ecn_hold_until: None,
         }
     }
@@ -92,7 +89,6 @@ impl Cubic {
             0.0
         };
         self.w_est = self.cwnd;
-        self.ack_cnt = 0.0;
     }
 
     fn cubic_update(&mut self, ctx: &CcContext, newly_acked: u64) {
@@ -108,10 +104,8 @@ impl Cubic {
         let w_cubic = C * (t + rtt - self.k).powi(3) + self.w_max;
 
         // TCP-friendly (Reno-equivalent) window estimate.
-        self.ack_cnt += newly_acked as f64;
         let reno_slope = 3.0 * (1.0 - BETA) / (1.0 + BETA);
-        self.w_est += reno_slope * self.ack_cnt / self.cwnd.max(1.0);
-        self.ack_cnt = 0.0;
+        self.w_est += reno_slope * newly_acked as f64 / self.cwnd.max(1.0);
 
         let target = w_cubic.max(self.w_est);
         if target > self.cwnd {

@@ -234,6 +234,72 @@ mod tests {
         assert!(run(8) > run(1), "{} vs {}", run(8), run(1));
     }
 
+    /// RFC 8257 §3.3, one observation window per row: `(packets acked,
+    /// packets CE-marked, a loss reduction inside the window)`.
+    const WINDOWS: [(u64, u64, bool); 8] = [
+        (10, 0, false),
+        (10, 10, false),
+        (20, 5, false),
+        (8, 8, true),
+        (16, 4, false),
+        (12, 0, true),
+        (12, 3, false),
+        (40, 1, false),
+    ];
+
+    #[test]
+    fn alpha_and_the_window_follow_rfc_8257_per_observation_window() {
+        use crate::reno::{BETA, MAX_CWND, MIN_CWND};
+        // In recovery Reno never grows, so the window moves only by the
+        // reductions under test.
+        let recovering = |ms: u64| CcContext {
+            in_recovery: true,
+            ..ctx(ms)
+        };
+        let mut d = Dctcp::new(1_000);
+        let (mut alpha, mut cwnd) = (INITIAL_ALPHA, 1_000.0f64);
+        for (i, &(acked, marked, loss)) in WINDOWS.iter().enumerate() {
+            // Window i spans [40i, 40i + 40) ms (srtt is 40 ms): its first
+            // `acked - 1` ACKs land 1 ms apart from its start, its last at
+            // its end, where it closes. Window 0 opens at the first ACK.
+            let start = 40 * i as u64;
+            if loss {
+                d.on_congestion(
+                    &recovering(start),
+                    CongestionSignal::FastRetransmitLoss {
+                        newly_lost: 1,
+                        new_episode: true,
+                    },
+                );
+                cwnd = ((cwnd * BETA) as u64).max(MIN_CWND) as f64;
+            }
+            for j in 0..acked {
+                let (before_alpha, before_cwnd) = (d.alpha(), d.cwnd());
+                let at = if j + 1 == acked {
+                    start + 40
+                } else {
+                    start + j
+                };
+                if j < marked {
+                    d.on_ecn(&recovering(at), 1);
+                }
+                d.on_ack(&recovering(at), &sample(1));
+                if j + 1 < acked {
+                    assert_eq!(d.alpha().to_bits(), before_alpha.to_bits(), "window {i}");
+                    assert_eq!(d.cwnd(), before_cwnd, "window {i}: no cut mid-window");
+                }
+            }
+            let before = (cwnd as u64).max(1);
+            alpha = (1.0 - GAIN) * alpha + GAIN * (marked as f64 / acked as f64);
+            assert_eq!(d.alpha().to_bits(), alpha.to_bits(), "window {i}: alpha");
+            if marked > 0 && !loss {
+                cwnd = (cwnd * (1.0 - alpha / 2.0)).clamp(MIN_CWND as f64, MAX_CWND as f64);
+                assert!((cwnd as u64) < before, "window {i}: marks cut the window");
+            }
+            assert_eq!(d.cwnd(), (cwnd as u64).max(1), "window {i}: cwnd");
+        }
+    }
+
     #[test]
     fn loss_still_halves_like_reno() {
         let mut d = Dctcp::new(40);

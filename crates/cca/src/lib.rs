@@ -39,6 +39,7 @@ pub use dispatch::CcaDispatch;
 pub use reno::Reno;
 pub use vegas::Vegas;
 
+use ccfuzz_netsim::cc::INITIAL_CWND;
 use serde::{Deserialize, Serialize};
 
 /// Identifies a congestion control algorithm variant; the factory used by
@@ -117,18 +118,19 @@ impl CcaKind {
         Ok(kinds)
     }
 
-    /// Builds a fresh algorithm instance with an initial window of
-    /// `initial_cwnd` packets.
-    pub fn build(&self, initial_cwnd: u64) -> CcaDispatch {
+    /// Builds a fresh algorithm instance with the transport's initial
+    /// window, [`INITIAL_CWND`] packets.
+    pub fn build(&self) -> CcaDispatch {
         use SlowStartBehaviour::{CappedAtSsthresh, Ns3Uncapped};
+        let w = INITIAL_CWND;
         match self {
-            CcaKind::Reno => CcaDispatch::Reno(Reno::new(initial_cwnd)),
-            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(initial_cwnd, CappedAtSsthresh)),
-            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(initial_cwnd, Ns3Uncapped)),
-            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(initial_cwnd, false)),
-            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(initial_cwnd, true)),
-            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(initial_cwnd)),
-            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(initial_cwnd)),
+            CcaKind::Reno => CcaDispatch::Reno(Reno::new(w)),
+            CcaKind::Cubic => CcaDispatch::Cubic(Cubic::new(w, CappedAtSsthresh)),
+            CcaKind::CubicNs3Buggy => CcaDispatch::Cubic(Cubic::new(w, Ns3Uncapped)),
+            CcaKind::Bbr => CcaDispatch::Bbr(Bbr::new(w, false)),
+            CcaKind::BbrProbeRttOnRto => CcaDispatch::Bbr(Bbr::new(w, true)),
+            CcaKind::Vegas => CcaDispatch::Vegas(Vegas::new(w)),
+            CcaKind::Dctcp => CcaDispatch::Dctcp(Dctcp::new(w)),
         }
     }
 }
@@ -183,7 +185,7 @@ mod tests {
         // The multi-flow engine builds one CC per flow; instances must be
         // independent state machines even for the same kind.
         let kinds = CcaKind::parse_list("reno,reno").unwrap();
-        let ccs: Vec<_> = kinds.iter().map(|k| k.build(10)).collect();
+        let ccs: Vec<_> = kinds.iter().map(|k| k.build()).collect();
         assert_eq!(ccs.len(), 2);
         assert_eq!(format!("{:?}", ccs[0]), format!("{:?}", ccs[1]));
     }
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn factory_builds_named_algorithms() {
         for kind in CcaKind::ALL {
-            let cc = kind.build(10);
+            let cc = kind.build();
             assert!(cc.cwnd() >= 1);
             // The variant, and the switch the kind selects, as `Debug`
             // prints them.

@@ -20,7 +20,6 @@ use crate::trace_gen::packets_for_rate;
 use crate::workload::WorkloadGenome;
 use ccfuzz_cca::CcaKind;
 use ccfuzz_netsim::config::SimConfig;
-use ccfuzz_netsim::queue::QueueCapacity;
 use ccfuzz_netsim::time::{SimDuration, SimTime};
 use ccfuzz_obs::{HuntTelemetry, Phase};
 use serde::{Deserialize, Serialize};
@@ -382,18 +381,14 @@ impl Campaign {
     }
 }
 
-/// The paper's base simulation settings (§4) for a scenario of `duration`:
-/// 12 Mbps bottleneck, 20 ms propagation delay, SACK and delayed ACKs
-/// enabled, 1 s minimum RTO, and a bottleneck queue of roughly 2.5 BDP.
+/// The paper's base simulation settings (§4), [`SimConfig::paper_default`],
+/// for a scenario of `duration`: 12 Mbps bottleneck, 20 ms propagation
+/// delay, SACK and delayed ACKs enabled, 1 s minimum RTO, and a bottleneck
+/// queue of roughly 2.5 BDP.
 pub fn paper_sim_base(duration: SimDuration) -> SimConfig {
     let mut cfg = SimConfig::paper_default();
     cfg.duration = duration;
     cfg.cross_traffic = ccfuzz_netsim::trace::TrafficTrace::empty(duration);
-    cfg.propagation_delay = SimDuration::from_millis(PAPER_PROP_DELAY_MS);
-    cfg.queue_capacity = QueueCapacity::Packets(100);
-    cfg.min_rto = SimDuration::from_secs(1);
-    cfg.delayed_ack = true;
-    cfg.flow_start = SimTime::ZERO;
     cfg
 }
 
@@ -459,9 +454,15 @@ mod tests {
     #[test]
     fn paper_base_matches_paper_settings() {
         let cfg = paper_sim_base(SimDuration::from_secs(5));
-        assert_eq!(cfg.propagation_delay, SimDuration::from_millis(20));
-        assert_eq!(cfg.min_rto, SimDuration::from_secs(1));
-        assert!(cfg.sack_enabled && cfg.delayed_ack);
+        assert_eq!(
+            cfg.propagation_delay,
+            SimDuration::from_millis(PAPER_PROP_DELAY_MS)
+        );
+        assert_eq!(
+            cfg.queue_capacity,
+            ccfuzz_netsim::queue::QueueCapacity::Packets(100)
+        );
+        assert!(cfg.delayed_ack);
         cfg.validate().unwrap();
     }
 

@@ -19,7 +19,7 @@ use crate::workload::WorkloadGenome;
 use ccfuzz_cca::{CcaDispatch, CcaKind};
 use ccfuzz_netsim::config::SimConfig;
 use ccfuzz_netsim::sim::{FlowSpec, SimResult, Simulation};
-use ccfuzz_netsim::time::SimDuration;
+use ccfuzz_netsim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Everything the genetic algorithm needs to know about one evaluation.
@@ -178,14 +178,10 @@ impl EvalScratch {
     /// Refills the flow-spec buffer: every flow gene becomes its own sender
     /// with its own enum-dispatched CC instance (no virtual calls on the
     /// per-ACK path), so mixed-CCA scenarios work.
-    pub(crate) fn set_flows<'g>(
-        &mut self,
-        cfg: &SimConfig,
-        flows: impl IntoIterator<Item = &'g FlowGene>,
-    ) {
+    pub(crate) fn set_flows<'g>(&mut self, flows: impl IntoIterator<Item = &'g FlowGene>) {
         self.specs.clear();
         self.specs.extend(flows.into_iter().map(|f| FlowSpec {
-            cc: f.cca.build(cfg.initial_cwnd),
+            cc: f.cca.build(),
             start: f.start,
             stop: f.stop,
         }));
@@ -193,10 +189,9 @@ impl EvalScratch {
 
     /// Refills the CCA prototypes dynamic arrivals clone from, one per pool
     /// entry.
-    pub(crate) fn set_arrival_pool(&mut self, cfg: &SimConfig, pool: &[CcaKind]) {
+    pub(crate) fn set_arrival_pool(&mut self, pool: &[CcaKind]) {
         self.protos.clear();
-        self.protos
-            .extend(pool.iter().map(|cca| cca.build(cfg.initial_cwnd)));
+        self.protos.extend(pool.iter().map(CcaKind::build));
     }
 }
 
@@ -252,10 +247,10 @@ impl SimEvaluator {
 
     /// The single flow of the CCA under test, for the genomes that carry no
     /// flow genes of their own.
-    pub(crate) fn primary_flow(&self, cfg: &SimConfig) -> FlowGene {
+    pub(crate) fn primary_flow(&self) -> FlowGene {
         FlowGene {
             cca: self.cca,
-            start: cfg.flow_start,
+            start: SimTime::ZERO,
             stop: None,
         }
     }

@@ -1181,7 +1181,7 @@ mod tests {
             let poison = genome.0[0] < 0.0;
             let mut cfg = SimConfig::short_default();
             cfg.duration = SimDuration::from_millis(1);
-            let flow = |_| FlowSpec::new(CcaKind::Reno.build(cfg.initial_cwnd));
+            let flow = |_| FlowSpec::new(CcaKind::Reno.build());
             let mut specs: Vec<_> = (0..1 + poison as usize).map(flow).collect();
             scratch.sim.load(cfg, &mut specs, &mut Vec::new());
             scratch.sim.run();

@@ -250,7 +250,7 @@ impl ModeGenome for LinkGenome {
             trace: self.to_trace(),
         };
         cfg.cross_traffic = TrafficTrace::empty(self.duration);
-        scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
+        scratch.set_flows([&evaluator.primary_flow()]);
         cfg
     }
 
@@ -542,7 +542,7 @@ impl ModeGenome for TrafficGenome {
             rate_bps: evaluator.link_rate_bps,
         };
         cfg.cross_traffic = self.to_trace();
-        scratch.set_flows(&cfg, [&evaluator.primary_flow(&cfg)]);
+        scratch.set_flows([&evaluator.primary_flow()]);
         cfg
     }
 

@@ -70,7 +70,7 @@ impl RealismScorer {
                 trace: trace.clone(),
             };
             cfg.cross_traffic = TrafficTrace::empty(genome.duration);
-            let result = run_simulation(cfg.clone(), cca.build(cfg.initial_cwnd));
+            let result = run_simulation(cfg.clone(), cca.build());
             let goodput = result.average_goodput_bps(self.base.mss);
             normalized.push((cca.name().to_string(), (goodput / reference).min(1.5)));
         }

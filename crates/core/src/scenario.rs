@@ -538,7 +538,7 @@ impl ModeGenome for ScenarioGenome {
             cfg.qdisc = gene.discipline;
             cfg.ecn_enabled = gene.ecn;
         }
-        scratch.set_flows(&cfg, &self.flows);
+        scratch.set_flows(&self.flows);
         cfg
     }
 

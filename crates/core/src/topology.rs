@@ -530,7 +530,7 @@ impl ModeGenome for TopologyGenome {
             Some(traffic) => traffic.to_trace(),
             None => TrafficTrace::empty(self.duration),
         };
-        scratch.set_flows(&cfg, self.flows.iter().map(|f| &f.flow));
+        scratch.set_flows(self.flows.iter().map(|f| &f.flow));
         cfg
     }
 

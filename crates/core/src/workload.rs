@@ -312,8 +312,8 @@ impl ModeGenome for WorkloadGenome {
         };
         cfg.cross_traffic = TrafficTrace::empty(self.duration);
         cfg.arrivals = Some(self.arrivals);
-        scratch.set_flows(&cfg, &self.elephants);
-        scratch.set_arrival_pool(&cfg, &self.cca_pool);
+        scratch.set_flows(&self.elephants);
+        scratch.set_arrival_pool(&self.cca_pool);
         cfg
     }
 

@@ -788,25 +788,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// A finding file with `"sack_enabled": false` fails `Finding::validate`
-    /// by the field's name, so opening the corpus quarantines it instead of
-    /// leaving it for `Simulation::load` to panic on.
+    /// The simulated transport has one value for each of these
+    /// `SimConfig` fields, restated here rather than read from the
+    /// simulator so a field that drops out of its table shows up.
+    const FIXED_FIELDS: [&str; 12] = [
+        "cross_traffic_packet_size",
+        "flow_start",
+        "sack_enabled",
+        "delayed_ack_timeout",
+        "delayed_ack_count",
+        "min_rto",
+        "max_rto",
+        "initial_rto",
+        "sender_buffer_packets",
+        "initial_cwnd",
+        "stats_interval",
+        "max_events",
+    ];
+
+    /// A finding file holding any other value for a fixed field fails
+    /// `Finding::validate` by the field's name, so opening the corpus
+    /// quarantines it instead of replaying it on a transport it was not
+    /// found on (or leaving it for `Simulation::load` to panic on).
     #[test]
-    fn a_finding_without_sack_is_quarantined_on_open() {
+    fn a_finding_with_another_fixed_value_is_quarantined_on_open() {
         let (corpus, dir) = temp_corpus(CorpusConfig::default());
-        let mut finding = synthetic(CcaKind::Reno, 0.9, 4);
-        finding.sim.sack_enabled = false;
-        let err = finding.validate().unwrap_err();
-        assert!(err.contains("sack_enabled"), "{err}");
-        let name = format!("{}.json", finding.id);
-        let text = serde_json::to_string_pretty(&finding).unwrap();
-        assert!(text.contains("\"sack_enabled\": false"));
-        std::fs::write(corpus.findings_dir().join(&name), text).unwrap();
+        let finding = synthetic(CcaKind::Reno, 0.9, 4);
+        let text = serde_json::to_string(&finding).unwrap();
+        let mut names = Vec::new();
+        for field in FIXED_FIELDS {
+            // The one occurrence of `"field":value`, and its value bumped:
+            // a flag flips, a number grows by one.
+            let key = format!("\"{field}\":");
+            assert_eq!(text.matches(&key).count(), 1, "{field}");
+            let at = text.find(&key).unwrap() + key.len();
+            let len = text[at..].find([',', '}']).unwrap();
+            let other = match &text[at..at + len] {
+                "true" => "false".to_string(),
+                n => (n.parse::<u64>().unwrap() + 1).to_string(),
+            };
+            let changed = format!("{}{other}{}", &text[..at], &text[at + len..]);
+            let parsed: Finding = serde_json::from_str(&changed).unwrap();
+            let err = parsed.validate().err();
+            assert!(
+                err.as_ref().is_some_and(|e| e.contains(field)),
+                "{field} = {other}: {err:?}"
+            );
+            let name = format!("fixed-{field}.json");
+            std::fs::write(corpus.findings_dir().join(&name), changed).unwrap();
+            names.push(name);
+        }
+        corpus.save(&finding).unwrap();
 
         let reopened = Corpus::open(&dir).unwrap();
-        assert_eq!(reopened.recovery().quarantined, vec![name.clone()]);
-        assert!(reopened.quarantine_dir().join(&name).exists());
-        assert!(reopened.load_all().unwrap().is_empty());
+        names.sort();
+        assert_eq!(reopened.recovery().quarantined, names);
+        for name in &names {
+            assert!(reopened.quarantine_dir().join(name).exists());
+        }
+        assert_eq!(reopened.load_all().unwrap(), vec![finding]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

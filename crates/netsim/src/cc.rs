@@ -15,6 +15,10 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Every flow's initial congestion window, packets: RFC 6928's ten
+/// segments. `ccfuzz-cca`'s `CcaKind::build` starts each algorithm at it.
+pub const INITIAL_CWND: u64 = 10;
+
 /// A delivery rate sample, generated for every ACK that (cumulatively or
 /// selectively) acknowledges at least one packet.
 ///

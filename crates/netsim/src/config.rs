@@ -1,8 +1,12 @@
 //! Simulation configuration.
 
+use crate::cc::INITIAL_CWND;
 use crate::link::LinkModel;
 use crate::packet::DEFAULT_MSS;
 use crate::queue::{Qdisc, QueueCapacity};
+use crate::sim::{CROSS_TRAFFIC_PACKET_SIZE, MAX_EVENTS, SENDER_BUFFER_PACKETS, STATS_INTERVAL};
+use crate::tcp::receiver::{DELAYED_ACK_COUNT, DELAYED_ACK_TIMEOUT};
+use crate::tcp::rtt::{INITIAL_RTO, MAX_RTO, MIN_RTO};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HopConfig, HopRange, Topology};
 use crate::trace::TrafficTrace;
@@ -14,6 +18,11 @@ use serde::{Deserialize, Serialize};
 /// [`SimConfig::paper_default`] reproduces the settings from §4 of the paper:
 /// a 12 Mbps bottleneck, 20 ms propagation delay, SACK and delayed ACKs
 /// enabled and a 1 second minimum RTO.
+///
+/// The twelve fields documented as "Fixed" have one value: the simulator
+/// reads the `const` each names. They stay so that every finding,
+/// checkpoint and payload keeps its bytes, and [`SimConfig::validate`]
+/// refuses any other value by the field's name.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Bottleneck service model (fixed rate for traffic fuzzing, trace driven
@@ -27,44 +36,43 @@ pub struct SimConfig {
     pub cross_traffic: TrafficTrace,
     /// Maximum segment size for the CCA flow, bytes.
     pub mss: u32,
-    /// Cross-traffic packet size, bytes.
+    /// Cross-traffic packet size, bytes. Fixed at
+    /// `CROSS_TRAFFIC_PACKET_SIZE`.
     pub cross_traffic_packet_size: u32,
     /// Total simulated duration.
     pub duration: SimDuration,
-    /// Time at which the CCA flow starts.
+    /// Time at which the single flow of [`crate::Simulation::new`] starts.
+    /// Fixed at zero: flows with other schedules are `FlowSpec`s.
     pub flow_start: SimTime,
-    /// Selective acknowledgements: always `true`. The transport has one
-    /// loss-recovery path, SACK's; the field stays so that findings and
-    /// checkpoints keep their bytes, and [`SimConfig::validate`] refuses
-    /// `false`.
+    /// Selective acknowledgements. Fixed at `true`: the transport has one
+    /// loss-recovery path, SACK's.
     pub sack_enabled: bool,
     /// Enable delayed ACKs at the receiver.
     pub delayed_ack: bool,
-    /// Delayed-ACK timeout (Linux/NS3 default: 200 ms).
+    /// Delayed-ACK timeout. Fixed at `DELAYED_ACK_TIMEOUT`.
     pub delayed_ack_timeout: SimDuration,
-    /// Delayed-ACK packet threshold (ACK every n-th packet; 2 is standard).
+    /// Delayed-ACK packet threshold. Fixed at `DELAYED_ACK_COUNT`.
     pub delayed_ack_count: u32,
-    /// Minimum retransmission timeout. The paper uses 1 s (RFC 6298 §2.4).
+    /// Minimum retransmission timeout. Fixed at `MIN_RTO`.
     pub min_rto: SimDuration,
-    /// Maximum retransmission timeout (backoff cap).
+    /// Maximum retransmission timeout. Fixed at `MAX_RTO`.
     pub max_rto: SimDuration,
-    /// Initial RTO before any RTT sample exists (RFC 6298: 1 s).
+    /// RTO before any RTT sample exists. Fixed at `INITIAL_RTO`.
     pub initial_rto: SimDuration,
-    /// Sender buffer: the maximum number of packets the application will ever
-    /// have outstanding (effectively unlimited for bulk transfer).
+    /// A static flow's application data, packets. Fixed at
+    /// `SENDER_BUFFER_PACKETS`.
     pub sender_buffer_packets: u64,
-    /// Initial congestion window in packets.
+    /// Initial congestion window, packets. Fixed at [`INITIAL_CWND`].
     pub initial_cwnd: u64,
-    /// Interval between periodic statistics samples.
+    /// Interval between queue-occupancy samples. Fixed at
+    /// `STATS_INTERVAL`.
     pub stats_interval: SimDuration,
     /// Record the run log (`RunStats::log`): every gateway record, every
     /// sender record and the static flows' cwnd samples. The fuzzer's inner
     /// loop disables this for speed; figures, `ccfuzz trace`, reports and
     /// the high-delay objective enable it.
     pub record_events: bool,
-    /// Event-budget safety valve: the simulation aborts (with a flag in the
-    /// result) after this many events, protecting the fuzzer from adversarial
-    /// traces that would otherwise run forever.
+    /// Event budget of one run. Fixed at `MAX_EVENTS`.
     pub max_events: u64,
     /// Seed for any randomized behaviour inside the simulator (kept fixed so
     /// that the genetic algorithm converges, §3.6).
@@ -110,7 +118,8 @@ fn is_drop_tail(qdisc: &Qdisc) -> bool {
 impl SimConfig {
     /// The paper's evaluation settings (§4): 12 Mbps bottleneck, 20 ms
     /// propagation delay, SACK + delayed ACKs, 1 s min RTO, and a queue of
-    /// one bandwidth-delay product (~40 packets) — with a 30 s scenario.
+    /// 100 packets (about 2.4 bandwidth-delay products at 12 Mbps × 40 ms)
+    /// — with a 30 s scenario.
     pub fn paper_default() -> Self {
         SimConfig {
             link: LinkModel::FixedRate {
@@ -120,21 +129,21 @@ impl SimConfig {
             queue_capacity: QueueCapacity::Packets(100),
             cross_traffic: TrafficTrace::empty(SimDuration::from_secs(30)),
             mss: DEFAULT_MSS,
-            cross_traffic_packet_size: DEFAULT_MSS,
+            cross_traffic_packet_size: CROSS_TRAFFIC_PACKET_SIZE,
             duration: SimDuration::from_secs(30),
             flow_start: SimTime::ZERO,
             sack_enabled: true,
             delayed_ack: true,
-            delayed_ack_timeout: SimDuration::from_millis(200),
-            delayed_ack_count: 2,
-            min_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(60),
-            initial_rto: SimDuration::from_secs(1),
-            sender_buffer_packets: u64::MAX / 4,
-            initial_cwnd: 10,
-            stats_interval: SimDuration::from_millis(10),
+            delayed_ack_timeout: DELAYED_ACK_TIMEOUT,
+            delayed_ack_count: DELAYED_ACK_COUNT,
+            min_rto: MIN_RTO,
+            max_rto: MAX_RTO,
+            initial_rto: INITIAL_RTO,
+            sender_buffer_packets: SENDER_BUFFER_PACKETS,
+            initial_cwnd: INITIAL_CWND,
+            stats_interval: STATS_INTERVAL,
             record_events: true,
-            max_events: 20_000_000,
+            max_events: MAX_EVENTS,
             seed: 1,
             qdisc: Qdisc::DropTail,
             ecn_enabled: false,
@@ -193,9 +202,29 @@ impl SimConfig {
         }
     }
 
+    /// The twelve fixed fields, each with whether it holds its one value.
+    #[rustfmt::skip]
+    fn fixed_fields(&self) -> [(&'static str, bool); 12] {
+        [
+            ("cross_traffic_packet_size", self.cross_traffic_packet_size == CROSS_TRAFFIC_PACKET_SIZE),
+            ("flow_start", self.flow_start == SimTime::ZERO),
+            ("sack_enabled", self.sack_enabled),
+            ("delayed_ack_timeout", self.delayed_ack_timeout == DELAYED_ACK_TIMEOUT),
+            ("delayed_ack_count", self.delayed_ack_count == DELAYED_ACK_COUNT),
+            ("min_rto", self.min_rto == MIN_RTO),
+            ("max_rto", self.max_rto == MAX_RTO),
+            ("initial_rto", self.initial_rto == INITIAL_RTO),
+            ("sender_buffer_packets", self.sender_buffer_packets == SENDER_BUFFER_PACKETS),
+            ("initial_cwnd", self.initial_cwnd == INITIAL_CWND),
+            ("stats_interval", self.stats_interval == STATS_INTERVAL),
+            ("max_events", self.max_events == MAX_EVENTS),
+        ]
+    }
+
     /// Validates internal consistency, returning a descriptive error for
     /// the first violated invariant instead of letting the simulator panic
-    /// (or spin) downstream.
+    /// (or spin) downstream. A fixed field holding anything but its one
+    /// value is refused by name.
     pub fn validate(&self) -> Result<(), String> {
         if self.mss == 0 {
             return Err("mss must be positive".into());
@@ -203,23 +232,8 @@ impl SimConfig {
         if self.duration == SimDuration::ZERO {
             return Err("duration must be positive".into());
         }
-        if self.flow_start.as_nanos() >= self.duration.as_nanos() {
-            return Err(format!(
-                "flow_start {} is at or beyond the scenario duration {}",
-                self.flow_start, self.duration
-            ));
-        }
-        if self.initial_cwnd == 0 {
-            return Err("initial cwnd must be at least 1".into());
-        }
-        if !self.sack_enabled {
-            return Err("sack_enabled must be true: the transport always runs SACK".into());
-        }
-        if self.delayed_ack && self.delayed_ack_count == 0 {
-            return Err("delayed_ack_count must be at least 1".into());
-        }
-        if self.min_rto > self.max_rto {
-            return Err("min_rto must not exceed max_rto".into());
+        if let Some((name, _)) = self.fixed_fields().into_iter().find(|f| !f.1) {
+            return Err(format!("{name} differs from the value the simulator fixes"));
         }
         match &self.link {
             LinkModel::FixedRate { rate_bps: 0 } => {
@@ -249,8 +263,7 @@ mod tests {
         let cfg = SimConfig::paper_default();
         cfg.validate().unwrap();
         assert_eq!(cfg.propagation_delay, SimDuration::from_millis(20));
-        assert_eq!(cfg.min_rto, SimDuration::from_secs(1));
-        assert!(cfg.sack_enabled);
+        assert_eq!(MIN_RTO, SimDuration::from_secs(1));
         assert!(cfg.delayed_ack);
         match cfg.link {
             LinkModel::FixedRate { rate_bps } => assert_eq!(rate_bps, 12_000_000),
@@ -277,23 +290,36 @@ mod tests {
         cfg.duration = SimDuration::ZERO;
         assert!(cfg.validate().is_err());
 
-        let mut cfg = SimConfig::paper_default();
-        cfg.initial_cwnd = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::paper_default();
-        cfg.min_rto = SimDuration::from_secs(90);
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::paper_default();
-        cfg.delayed_ack_count = 0;
-        assert!(cfg.validate().is_err());
-
-        // Refused by name rather than run as SACK.
-        let mut cfg = SimConfig::paper_default();
-        cfg.sack_enabled = false;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("sack_enabled"), "{err}");
+        // Every fixed field, set to another value, is refused by its name.
+        type Row = (&'static str, fn(&mut SimConfig));
+        let rows: [Row; 12] = [
+            ("cross_traffic_packet_size", |c| {
+                c.cross_traffic_packet_size = 1500
+            }),
+            ("flow_start", |c| c.flow_start = SimTime::ZERO + c.duration),
+            ("sack_enabled", |c| c.sack_enabled = false),
+            ("delayed_ack_timeout", |c| {
+                c.delayed_ack_timeout = SimDuration::from_millis(40)
+            }),
+            ("delayed_ack_count", |c| c.delayed_ack_count = 0),
+            ("min_rto", |c| c.min_rto = SimDuration::from_secs(90)),
+            ("max_rto", |c| c.max_rto = SimDuration::from_secs(120)),
+            ("initial_rto", |c| c.initial_rto = SimDuration::from_secs(3)),
+            ("sender_buffer_packets", |c| c.sender_buffer_packets = 1_000),
+            ("initial_cwnd", |c| c.initial_cwnd = 0),
+            ("stats_interval", |c| {
+                c.stats_interval = SimDuration::from_millis(1)
+            }),
+            ("max_events", |c| c.max_events = 1_000),
+        ];
+        let table = SimConfig::paper_default().fixed_fields().map(|f| f.0);
+        assert_eq!(rows.map(|r| r.0), table, "one row per fixed field");
+        for (name, set) in rows {
+            let mut cfg = SimConfig::paper_default();
+            set(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.starts_with(&format!("{name} differs")), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -395,10 +421,6 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.link = LinkModel::FixedRate { rate_bps: 0 };
         assert!(cfg.validate().unwrap_err().contains("link rate"));
-
-        let mut cfg = SimConfig::paper_default();
-        cfg.flow_start = SimTime::ZERO + cfg.duration;
-        assert!(cfg.validate().unwrap_err().contains("flow_start"));
 
         let mut cfg = SimConfig::paper_default();
         cfg.topology = Some(Topology::chain(Vec::new()));

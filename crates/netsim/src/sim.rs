@@ -52,14 +52,14 @@ use crate::cc::CongestionControl;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::link::{LinkAction, LinkModel, LinkService};
-use crate::packet::{AckPacket, DataPacket, FlowId, PacketPool};
+use crate::packet::{AckPacket, DataPacket, FlowId, PacketPool, DEFAULT_MSS};
 use crate::queue::{EnqueueOutcome, GatewayQueue};
 use crate::rng::SimRng;
 use crate::stats::{
     BottleneckEvent, FctSample, FlowStats, FlowSummary, LogEvent, LogRecord, RunStats,
     WorkloadStats,
 };
-use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
+use crate::tcp::receiver::TcpReceiver;
 use crate::tcp::sender::{SendPoll, SenderConfig, TcpSender};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{hop_seed, HopRange};
@@ -67,6 +67,17 @@ use crate::workload::{
     dyn_generation, dyn_handle, dyn_slot, exp_duration, is_dynamic, ArrivalConfig, ArrivalProcess,
     GEN_MODULUS,
 };
+
+/// Size of every cross-traffic packet, bytes: a full segment.
+pub(crate) const CROSS_TRAFFIC_PACKET_SIZE: u32 = DEFAULT_MSS;
+/// A static flow's application data, packets: a bulk transfer that never
+/// runs dry.
+pub(crate) const SENDER_BUFFER_PACKETS: u64 = u64::MAX / 4;
+/// Interval between the per-hop queue-occupancy samples.
+pub(crate) const STATS_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Event budget of one run: past it the run stops and its statistics are
+/// flagged `truncated`, so an adversarial trace cannot stall the fuzzer.
+pub(crate) const MAX_EVENTS: u64 = 20_000_000;
 
 /// Per-flow retention cap on sink-side delivery timestamps. Far above what
 /// any classic (≤ 32 flow, seconds-long) scenario can deliver, so existing
@@ -383,18 +394,10 @@ impl<C: CongestionControl + Clone> Default for Simulation<C> {
 
 impl<C: CongestionControl + Clone> Simulation<C> {
     /// Builds a single-flow simulation from a configuration and a congestion
-    /// controller (the paper's original topology). The flow starts at
-    /// `cfg.flow_start` and runs to the end of the scenario.
+    /// controller (the paper's original topology). The flow runs for the
+    /// whole scenario.
     pub fn new(cfg: SimConfig, cc: C) -> Self {
-        let start = cfg.flow_start;
-        Self::new_multi(
-            cfg,
-            vec![FlowSpec {
-                cc,
-                start,
-                stop: None,
-            }],
-        )
+        Self::new_multi(cfg, vec![FlowSpec::new(cc)])
     }
 
     /// Builds a simulation with N concurrent congestion-controlled flows
@@ -481,7 +484,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         hop_counters.clear();
         flows.truncate(n);
         let sample_capacity =
-            (self.cfg.duration.as_nanos() / self.cfg.stats_interval.as_nanos().max(1)) as usize + 2;
+            (self.cfg.duration.as_nanos() / STATS_INTERVAL.as_nanos()) as usize + 2;
         hop_samples.resize_with(hop_count, Vec::new);
         for samples in &mut hop_samples {
             samples.clear();
@@ -521,8 +524,14 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         }
         for (i, spec) in specs.drain(..).enumerate() {
             let path = self.cfg.flow_path(i);
-            let buffer = self.cfg.sender_buffer_packets;
-            self.open_flow(i, spec.cc, spec.start, spec.stop, path, buffer);
+            self.open_flow(
+                i,
+                spec.cc,
+                spec.start,
+                spec.stop,
+                path,
+                SENDER_BUFFER_PACKETS,
+            );
         }
 
         self.protos.clear();
@@ -551,18 +560,9 @@ impl<C: CongestionControl + Clone> Simulation<C> {
         let cfg = &self.cfg;
         let sender_cfg = SenderConfig {
             mss: cfg.mss,
-            min_rto: cfg.min_rto,
-            max_rto: cfg.max_rto,
-            initial_rto: cfg.initial_rto,
-            initial_cwnd: cfg.initial_cwnd,
             buffer_packets: buffer,
             record_log: cfg.record_events,
             ecn_enabled: cfg.ecn_enabled,
-        };
-        let receiver_cfg = ReceiverConfig {
-            delayed_ack: cfg.delayed_ack,
-            delayed_ack_count: cfg.delayed_ack_count,
-            delayed_ack_timeout: cfg.delayed_ack_timeout,
         };
         let flows = &mut self.flows;
         match flows.senders.get_mut(idx) {
@@ -570,8 +570,8 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             None => flows.senders.push(TcpSender::new(sender_cfg, cc)),
         }
         match flows.receivers.get_mut(idx) {
-            Some(receiver) => receiver.reset_reusing(receiver_cfg),
-            None => flows.receivers.push(TcpReceiver::new(receiver_cfg)),
+            Some(receiver) => receiver.reset_reusing(cfg.delayed_ack),
+            None => flows.receivers.push(TcpReceiver::new(cfg.delayed_ack)),
         }
         set(&mut flows.start, idx, start);
         set(&mut flows.stop, idx, stop);
@@ -1122,12 +1122,11 @@ impl<C: CongestionControl + Clone> Simulation<C> {
             let Simulation {
                 cfg, pool, events, ..
             } = &mut *self;
-            let packet_size = cfg.cross_traffic_packet_size;
             for (seq, t) in cfg.cross_traffic.iter().enumerate() {
                 if t > seed_end {
                     break;
                 }
-                let pkt = DataPacket::cross_traffic(seq as u64, packet_size);
+                let pkt = DataPacket::cross_traffic(seq as u64, CROSS_TRAFFIC_PACKET_SIZE);
                 let parked = pool.put_data(pkt);
                 events.schedule(
                     t,
@@ -1146,7 +1145,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                 break;
             }
             events_processed += 1;
-            if events_processed > self.cfg.max_events {
+            if events_processed > MAX_EVENTS {
                 self.result.stats.truncated = true;
                 break;
             }
@@ -1234,7 +1233,7 @@ impl<C: CongestionControl + Clone> Simulation<C> {
                     for (samples, hop) in self.result.stats.hop_samples.iter_mut().zip(&self.hops) {
                         samples.push((now, hop.queue.len(), hop.queue.bytes()));
                     }
-                    let next = now + self.cfg.stats_interval;
+                    let next = now + STATS_INTERVAL;
                     if next <= end {
                         self.events.schedule(next, Event::StatsTick);
                     }

@@ -8,7 +8,7 @@
 //! * SACK scoreboard and SACK-based loss detection (3-dup threshold), the
 //!   only loss detection short of an RTO;
 //! * fast retransmit / fast recovery with a recovery-exit point;
-//! * RTO per RFC 6298 with a configurable minimum (1 s in the paper) and
+//! * RTO per RFC 6298 with its 1 s minimum (the paper's setting) and
 //!   exponential backoff, including the *spurious retransmissions* of
 //!   packets whose ACKs are still in flight after a timeout;
 //! * delayed ACKs at the receiver (count- and timer-based);
@@ -23,7 +23,7 @@ pub mod rtt;
 pub mod sender;
 pub mod skb;
 
-pub use receiver::{ReceiverConfig, ReceiverOutput, TcpReceiver};
+pub use receiver::{ReceiverOutput, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{SendPoll, SenderConfig, TcpSender};
 pub use skb::Skb;

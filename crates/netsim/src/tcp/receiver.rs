@@ -14,29 +14,12 @@ use crate::packet::{AckPacket, DataPacket, SackBlock, SackList, MAX_SACK_BLOCKS}
 use crate::tcp::count_visit;
 use crate::time::{SimDuration, SimTime};
 
-/// Receiver configuration. SACK is always on: every ACK carries up to
-/// [`MAX_SACK_BLOCKS`] blocks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReceiverConfig {
-    /// Whether delayed ACKs are enabled.
-    pub delayed_ack: bool,
-    /// ACK after this many unacknowledged in-order packets (2 is standard).
-    pub delayed_ack_count: u32,
-    /// Delayed-ACK timeout.
-    pub delayed_ack_timeout: SimDuration,
-}
-
-impl ReceiverConfig {
-    /// Linux/NS3-like defaults matching the paper's setup: delayed ACKs on
-    /// with a 200 ms timer and a 2-packet threshold.
-    pub fn paper_default() -> Self {
-        ReceiverConfig {
-            delayed_ack: true,
-            delayed_ack_count: 2,
-            delayed_ack_timeout: SimDuration::from_millis(200),
-        }
-    }
-}
+/// With delayed ACKs, an ACK goes out after this many unacknowledged
+/// in-order packets (RFC 1122 §4.2.3.2 / RFC 5681 §4.2: every second one).
+pub(crate) const DELAYED_ACK_COUNT: u32 = 2;
+/// With delayed ACKs, a lone in-order packet is acknowledged after this
+/// long (the Linux and ns-3 default).
+pub(crate) const DELAYED_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 
 /// What the receiver wants the network to do after processing a packet or a
 /// timer: send this ACK now (at most one per data packet), and (re)arm or
@@ -55,10 +38,13 @@ pub struct ReceiverOutput {
     pub arm_delack: Option<(SimTime, u64)>,
 }
 
-/// The receiver state machine.
+/// The receiver state machine. SACK is always on: every ACK carries up to
+/// [`MAX_SACK_BLOCKS`] blocks.
 #[derive(Clone, Debug)]
 pub struct TcpReceiver {
-    cfg: ReceiverConfig,
+    /// Delay ACKs (`DELAYED_ACK_COUNT`, `DELAYED_ACK_TIMEOUT`); without,
+    /// every packet is acknowledged at once.
+    delayed_ack: bool,
     /// All packets below this sequence have been received.
     cum_ack: u64,
     /// Received out-of-order ranges above `cum_ack`: sorted, disjoint and
@@ -91,10 +77,10 @@ pub struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    /// Creates a receiver.
-    pub fn new(cfg: ReceiverConfig) -> Self {
+    /// Creates a receiver, delaying its ACKs if `delayed_ack`.
+    pub fn new(delayed_ack: bool) -> Self {
         TcpReceiver {
-            cfg,
+            delayed_ack,
             cum_ack: 0,
             ooo_ranges: Vec::new(),
             ooo_count: 0,
@@ -111,10 +97,10 @@ impl TcpReceiver {
     }
 
     /// Reinitializes this receiver in place for a fresh flow, keeping the
-    /// out-of-order range buffer. Equivalent to `*self = TcpReceiver::new(cfg)`
-    /// apart from recycled capacity.
-    pub fn reset_reusing(&mut self, cfg: ReceiverConfig) {
-        let mut fresh = TcpReceiver::new(cfg);
+    /// out-of-order range buffer. Equivalent to
+    /// `*self = TcpReceiver::new(delayed_ack)` apart from recycled capacity.
+    pub fn reset_reusing(&mut self, delayed_ack: bool) {
+        let mut fresh = TcpReceiver::new(delayed_ack);
         fresh.ooo_ranges = std::mem::take(&mut self.ooo_ranges);
         fresh.ooo_ranges.clear();
         *self = fresh;
@@ -280,17 +266,14 @@ impl TcpReceiver {
             // acknowledge immediately so the sender learns promptly.
             let filled_gap = self.cum_ack > pkt.seq + 1 || !self.ooo_ranges.is_empty();
             self.unacked_count += 1;
-            if filled_gap
-                || !self.cfg.delayed_ack
-                || self.unacked_count >= self.cfg.delayed_ack_count
-            {
+            if filled_gap || !self.delayed_ack || self.unacked_count >= DELAYED_ACK_COUNT {
                 self.disarm_delack();
                 out.ack = Some(self.make_ack());
             } else {
                 // Arm (or re-arm) the delayed-ACK timer.
                 self.delack_armed = true;
                 self.delack_generation += 1;
-                out.arm_delack = Some((now + self.cfg.delayed_ack_timeout, self.delack_generation));
+                out.arm_delack = Some((now + DELAYED_ACK_TIMEOUT, self.delack_generation));
             }
         } else {
             // Out of order (recorded above): ACK immediately (duplicate ACK
@@ -324,20 +307,9 @@ mod tests {
         DataPacket::cca(seq, DEFAULT_MSS)
     }
 
-    fn recv(cfg: ReceiverConfig) -> TcpReceiver {
-        TcpReceiver::new(cfg)
-    }
-
-    fn no_delack() -> ReceiverConfig {
-        ReceiverConfig {
-            delayed_ack: false,
-            ..ReceiverConfig::paper_default()
-        }
-    }
-
     #[test]
     fn in_order_without_delayed_ack_acks_every_packet() {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         for i in 0..5 {
             let out = r.on_data(&pkt(i), SimTime::from_millis(i));
             let ack = out.ack.expect("immediate ack");
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn delayed_ack_coalesces_two_packets() {
-        let mut r = recv(ReceiverConfig::paper_default());
+        let mut r = TcpReceiver::new(true);
         let out0 = r.on_data(&pkt(0), SimTime::from_millis(0));
         assert!(out0.ack.is_none(), "first in-order packet is delayed");
         assert!(out0.arm_delack.is_some());
@@ -360,7 +332,7 @@ mod tests {
 
     #[test]
     fn delayed_ack_timer_flushes_pending() {
-        let mut r = recv(ReceiverConfig::paper_default());
+        let mut r = TcpReceiver::new(true);
         let out = r.on_data(&pkt(0), SimTime::from_millis(0));
         let (deadline, generation) = out.arm_delack.unwrap();
         assert_eq!(deadline, SimTime::from_millis(200));
@@ -374,7 +346,7 @@ mod tests {
 
     #[test]
     fn out_of_order_generates_immediate_sack() {
-        let mut r = recv(ReceiverConfig::paper_default());
+        let mut r = TcpReceiver::new(true);
         r.on_data(&pkt(0), SimTime::ZERO);
         r.on_data(&pkt(1), SimTime::ZERO);
         // Packet 2 is missing; 3 and 4 arrive.
@@ -401,7 +373,7 @@ mod tests {
 
     #[test]
     fn multiple_gaps_produce_multiple_sack_blocks_most_recent_first() {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         r.on_data(&pkt(0), SimTime::ZERO);
         // Gaps at 1, 3, 5: receive 2, 4, 6.
         r.on_data(&pkt(2), SimTime::ZERO);
@@ -421,7 +393,7 @@ mod tests {
 
     #[test]
     fn sack_blocks_capped() {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         // Six disjoint ranges: 1, 3, .., 11 received, the even ones missing.
         let mut out = ReceiverOutput::default();
         for seq in [1u64, 3, 5, 7, 9, 11] {
@@ -441,7 +413,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_acked_immediately_and_counted() {
-        let mut r = recv(ReceiverConfig::paper_default());
+        let mut r = TcpReceiver::new(true);
         r.on_data(&pkt(0), SimTime::ZERO);
         r.on_data(&pkt(1), SimTime::ZERO);
         let out = r.on_data(&pkt(0), SimTime::from_millis(5));
@@ -456,7 +428,7 @@ mod tests {
 
     #[test]
     fn ce_marks_are_echoed_exactly_once() {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         let ce = |seq: u64| {
             let mut p = pkt(seq);
             p.ce = true;
@@ -482,7 +454,7 @@ mod tests {
 
     #[test]
     fn ce_marks_coalesce_under_delayed_acks() {
-        let mut r = recv(ReceiverConfig::paper_default());
+        let mut r = TcpReceiver::new(true);
         let ce = |seq: u64| {
             let mut p = pkt(seq);
             p.ce = true;
@@ -507,7 +479,7 @@ mod tests {
 
     #[test]
     fn gap_fill_merges_ranges() {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         r.on_data(&pkt(0), SimTime::ZERO);
         r.on_data(&pkt(2), SimTime::ZERO);
         r.on_data(&pkt(4), SimTime::ZERO);
@@ -522,7 +494,7 @@ mod tests {
     /// flight with `holes` evenly spaced drops arrives, every tenth survivor
     /// duplicated.
     fn visits_per_packet(window: u64, holes: u64) -> f64 {
-        let mut r = recv(no_delack());
+        let mut r = TcpReceiver::new(false);
         let stride = window / holes;
         let mut packets = 0u64;
         crate::tcp::take_visits();

@@ -2,6 +2,14 @@
 
 use crate::time::SimDuration;
 
+/// The RTO floor, RFC 6298 §2.4: 1 s. The paper's §4 findings are timed
+/// against it (the §4.3 low-rate pulses arrive once per floor).
+pub(crate) const MIN_RTO: SimDuration = SimDuration::from_secs(1);
+/// The backoff cap, RFC 6298 §2.5's optional maximum: 60 s.
+pub(crate) const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// The RTO before the first RTT sample, RFC 6298 §2.1: 1 s.
+pub(crate) const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+
 /// Durations below this many nanoseconds take the integer EWMA path of
 /// [`scaled`]: `k·x` then stays below 2^53 for every `k ≤ 7`.
 const EXACT_EWMA_BELOW_NS: u64 = 1 << 50;
@@ -22,29 +30,19 @@ fn scaled(x: SimDuration, k: u64, d: u64) -> SimDuration {
     }
 }
 
-/// RFC 6298 smoothed-RTT estimator with configurable RTO clamps.
-#[derive(Clone, Debug, PartialEq)]
+/// RFC 6298 smoothed-RTT estimator with the RTO clamped to
+/// `[MIN_RTO, MAX_RTO]`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     min_rtt: Option<SimDuration>,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
-    initial_rto: SimDuration,
 }
 
 impl RttEstimator {
-    /// Creates an estimator. `min_rto` is 1 s in the paper's setup
-    /// (RFC 6298 §2.4); `initial_rto` applies before the first sample.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration, initial_rto: SimDuration) -> Self {
-        RttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            min_rtt: None,
-            min_rto,
-            max_rto,
-            initial_rto,
-        }
+    /// Creates an estimator with no sample yet: its RTO is `INITIAL_RTO`.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one RTT measurement (callers must respect Karn's rule and never
@@ -85,23 +83,24 @@ impl RttEstimator {
     }
 
     /// The base retransmission timeout (before backoff): `srtt + 4·rttvar`,
-    /// clamped to `[min_rto, max_rto]`, or `initial_rto` before any sample.
+    /// clamped to `[MIN_RTO, MAX_RTO]`, or `INITIAL_RTO` before any
+    /// sample.
     pub fn rto(&self) -> SimDuration {
         match self.srtt {
-            None => self.initial_rto.max(self.min_rto).min(self.max_rto),
+            None => INITIAL_RTO,
             Some(srtt) => {
                 let raw = srtt + self.rttvar.saturating_mul(4);
-                raw.max(self.min_rto).min(self.max_rto)
+                raw.max(MIN_RTO).min(MAX_RTO)
             }
         }
     }
 
     /// The RTO after `backoff` consecutive expirations (doubles each time,
-    /// clamped to `max_rto`).
+    /// clamped to `MAX_RTO`).
     pub fn rto_backed_off(&self, backoff: u32) -> SimDuration {
         let base = self.rto();
         let factor = 1u64.checked_shl(backoff.min(32)).unwrap_or(u64::MAX);
-        base.saturating_mul(factor).min(self.max_rto)
+        base.saturating_mul(factor).min(MAX_RTO)
     }
 }
 
@@ -109,17 +108,9 @@ impl RttEstimator {
 mod tests {
     use super::*;
 
-    fn estimator() -> RttEstimator {
-        RttEstimator::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(1),
-        )
-    }
-
     #[test]
-    fn initial_rto_before_samples() {
-        let e = estimator();
+    fn rto_before_any_sample_is_the_initial_one() {
+        let e = RttEstimator::new();
         assert_eq!(e.rto(), SimDuration::from_secs(1));
         assert_eq!(e.srtt(), None);
         assert_eq!(e.min_rtt(), None);
@@ -127,7 +118,7 @@ mod tests {
 
     #[test]
     fn first_sample_initializes() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_millis(40));
         assert_eq!(e.srtt(), Some(SimDuration::from_millis(40)));
         assert_eq!(e.rttvar(), SimDuration::from_millis(20));
@@ -137,8 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn min_rto_floor_enforced() {
-        let mut e = estimator();
+    fn rto_floor_enforced() {
+        let mut e = RttEstimator::new();
         for _ in 0..50 {
             e.on_sample(SimDuration::from_millis(40));
         }
@@ -151,7 +142,7 @@ mod tests {
 
     #[test]
     fn large_rtts_raise_rto_above_floor() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_millis(800));
         e.on_sample(SimDuration::from_millis(1200));
         assert!(e.rto() > SimDuration::from_secs(1));
@@ -160,7 +151,7 @@ mod tests {
 
     #[test]
     fn smoothing_converges_toward_stable_rtt() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_millis(200));
         for _ in 0..100 {
             e.on_sample(SimDuration::from_millis(50));
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn min_rtt_tracks_minimum() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_millis(60));
         e.on_sample(SimDuration::from_millis(45));
         e.on_sample(SimDuration::from_millis(90));
@@ -183,7 +174,7 @@ mod tests {
 
     #[test]
     fn exponential_backoff_doubles_and_caps() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_millis(40));
         assert_eq!(e.rto_backed_off(0), SimDuration::from_secs(1));
         assert_eq!(e.rto_backed_off(1), SimDuration::from_secs(2));
@@ -191,7 +182,7 @@ mod tests {
         assert_eq!(
             e.rto_backed_off(10),
             SimDuration::from_secs(60),
-            "capped at max_rto"
+            "capped at MAX_RTO"
         );
         assert_eq!(e.rto_backed_off(63), SimDuration::from_secs(60));
     }
@@ -240,7 +231,7 @@ mod tests {
     fn estimator_matches_a_float_reference_on_a_random_stream() {
         // The RFC 6298 update exactly as it was written with `mul_f64`.
         let mut reference: Option<(SimDuration, SimDuration)> = None;
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         let mut rng = crate::rng::SimRng::new(40);
         for i in 0..50_000u64 {
             let rtt = SimDuration::from_nanos(match i % 5 {

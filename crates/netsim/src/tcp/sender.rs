@@ -50,15 +50,6 @@ pub const LOSS_REORDER_THRESHOLD: u64 = 3;
 pub struct SenderConfig {
     /// Maximum segment size in bytes.
     pub mss: u32,
-    /// Minimum retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout.
-    pub max_rto: SimDuration,
-    /// RTO before the first RTT sample.
-    pub initial_rto: SimDuration,
-    /// Initial congestion window (packets); also the floor applied on top of
-    /// whatever the CCA requests is 1 packet.
-    pub initial_cwnd: u64,
     /// Maximum packets the application will ever provide (bulk transfer:
     /// effectively unlimited).
     pub buffer_packets: u64,
@@ -73,15 +64,12 @@ pub struct SenderConfig {
 }
 
 impl SenderConfig {
-    /// Paper-default sender parameters (1 s min RTO).
+    /// Paper-default sender parameters: a bulk transfer of full-size
+    /// segments, with its log recorded.
     pub fn paper_default() -> Self {
         SenderConfig {
             mss: crate::packet::DEFAULT_MSS,
-            min_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(60),
-            initial_rto: SimDuration::from_secs(1),
-            initial_cwnd: 10,
-            buffer_packets: u64::MAX / 4,
+            buffer_packets: crate::sim::SENDER_BUFFER_PACKETS,
             record_log: true,
             ecn_enabled: false,
         }
@@ -255,7 +243,7 @@ impl<C: CongestionControl> TcpSender<C> {
     /// Creates a sender with the given configuration and congestion control.
     pub fn new(cfg: SenderConfig, cc: C) -> Self {
         TcpSender {
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto),
+            rtt: RttEstimator::new(),
             cfg,
             cc,
             next_seq: 0,
@@ -1440,16 +1428,13 @@ mod tests {
     /// evenly spaced drops is ACKed by a real receiver, then the
     /// retransmissions fill the holes lowest first.
     fn visits_per_ack(window: u64, holes: u64) -> f64 {
-        use crate::tcp::receiver::{ReceiverConfig, TcpReceiver};
+        use crate::tcp::receiver::TcpReceiver;
         use crate::tcp::take_visits;
         let mut cfg = SenderConfig::paper_default();
         cfg.record_log = false;
         let mut s = TcpSender::new(cfg, FixedWindowCc::new(window));
         s.on_flow_start(SimTime::ZERO);
-        let mut r = TcpReceiver::new(ReceiverConfig {
-            delayed_ack: false,
-            ..ReceiverConfig::paper_default()
-        });
+        let mut r = TcpReceiver::new(false);
         let stride = window / holes;
         let now = SimTime::from_millis(40);
         let (mut acks, mut visits) = (0u64, 0u64);

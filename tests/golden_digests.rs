@@ -78,17 +78,17 @@ fn assert_digest(observed: u64, golden: u64, scenario: &str) {
 fn fairness_scenario_specs() -> Vec<FlowSpec<CcaDispatch>> {
     vec![
         FlowSpec {
-            cc: CcaKind::Bbr.build(10),
+            cc: CcaKind::Bbr.build(),
             start: SimTime::ZERO,
             stop: None,
         },
         FlowSpec {
-            cc: CcaKind::Reno.build(10),
+            cc: CcaKind::Reno.build(),
             start: SimTime::from_millis(500),
             stop: Some(SimTime::from_secs_f64(4.0)),
         },
         FlowSpec {
-            cc: CcaKind::Cubic.build(10),
+            cc: CcaKind::Cubic.build(),
             start: SimTime::from_secs_f64(1.0),
             stop: None,
         },
@@ -100,7 +100,7 @@ fn paper_scenario_digests_match_pre_optimization_engine() {
     for (kind, golden) in GOLDEN_SINGLE_FLOW {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         assert_digest(
             result.stats.digest(),
             golden,
@@ -127,7 +127,7 @@ fn red_ecn_digests_match_recorded_constants() {
         cfg.record_events = false;
         cfg.qdisc = Qdisc::red_default(100);
         cfg.ecn_enabled = true;
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         assert_digest(
             result.stats.digest(),
             golden,
@@ -143,7 +143,7 @@ fn codel_ecn_digests_match_recorded_constants() {
         cfg.record_events = false;
         cfg.qdisc = Qdisc::codel_default();
         cfg.ecn_enabled = true;
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         assert_digest(
             result.stats.digest(),
             golden,
@@ -177,7 +177,7 @@ fn golden_digests_stable_across_repeated_runs() {
     let run = || {
         let mut cfg = paper_sim_base(SimDuration::from_secs(5));
         cfg.record_events = false;
-        run_simulation(cfg, CcaKind::Reno.build(10)).stats.digest()
+        run_simulation(cfg, CcaKind::Reno.build()).stats.digest()
     };
     assert_eq!(run(), run());
     assert_digest(run(), GOLDEN_SINGLE_FLOW[0].1, "single/reno");
@@ -210,17 +210,17 @@ fn churn_workload_digest_matches_recorded_constants() {
         max_arrivals: 10_000,
     });
     let mut specs = vec![
-        FlowSpec::new(CcaKind::Cubic.build(10)),
+        FlowSpec::new(CcaKind::Cubic.build()),
         FlowSpec {
-            cc: CcaKind::Reno.build(10),
+            cc: CcaKind::Reno.build(),
             start: SimTime::from_millis(300),
             stop: Some(SimTime::from_secs_f64(2.5)),
         },
     ];
     let mut protos = vec![
-        CcaKind::Reno.build(10),
-        CcaKind::Cubic.build(10),
-        CcaKind::Bbr.build(10),
+        CcaKind::Reno.build(),
+        CcaKind::Cubic.build(),
+        CcaKind::Bbr.build(),
     ];
     let mut sim = Simulation::default();
     sim.load(cfg, &mut specs, &mut protos);

@@ -435,7 +435,7 @@ proptest! {
         let stop = SimTime::from_millis(800);
         let specs: Vec<FlowSpec<cc_fuzz::cca::CcaDispatch>> = (0..n_flows)
             .map(|i| FlowSpec {
-                cc: CcaKind::ALL[cca_raw[i % cca_raw.len()]].build(10),
+                cc: CcaKind::ALL[cca_raw[i % cca_raw.len()]].build(),
                 start: SimTime::from_millis(i as u64 * 100),
                 stop: Some(stop),
             })

@@ -22,7 +22,7 @@ use cc_fuzz::netsim::cc::reference_cc::{FixedWindowCc, MiniAimdCc};
 use cc_fuzz::netsim::cc::CongestionControl;
 use cc_fuzz::netsim::packet::{AckPacket, DataPacket, SackBlock, SackList};
 use cc_fuzz::netsim::stats::{TransportEvent, TransportRecord};
-use cc_fuzz::netsim::tcp::{ReceiverConfig, SendPoll, SenderConfig, TcpReceiver, TcpSender};
+use cc_fuzz::netsim::tcp::{SendPoll, SenderConfig, TcpReceiver, TcpSender};
 use cc_fuzz::netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,6 +33,11 @@ const DUPTHRESH: u64 = 3;
 
 /// SACK blocks an ACK carries at most, restated: TCP options fit four.
 const SACK_BLOCKS: usize = 4;
+
+/// Delayed ACKs, restated: every second in-order packet, or 200 ms after a
+/// lone one.
+const DELACK_EVERY: u32 = 2;
+const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 
 fn cases(default: u32) -> ProptestConfig {
     let n = std::env::var("CCFUZZ_PROPTEST_CASES")
@@ -209,7 +214,7 @@ impl RefSender {
 // ---------------------------------------------------------------------------
 
 struct RefReceiver {
-    cfg: ReceiverConfig,
+    delayed_ack: bool,
     cum_ack: u64,
     above: BTreeSet<u64>,
     /// A sequence inside the most recently grown out-of-order run (cleared
@@ -222,9 +227,9 @@ struct RefReceiver {
 }
 
 impl RefReceiver {
-    fn new(cfg: ReceiverConfig) -> Self {
+    fn new(delayed_ack: bool) -> Self {
         RefReceiver {
-            cfg,
+            delayed_ack,
             cum_ack: 0,
             above: BTreeSet::new(),
             last_touched: None,
@@ -296,13 +301,13 @@ impl RefReceiver {
         }
         let filled_gap = self.cum_ack > pkt.seq + 1 || !self.above.is_empty();
         self.unacked += 1;
-        if filled_gap || !self.cfg.delayed_ack || self.unacked >= self.cfg.delayed_ack_count {
+        if filled_gap || !self.delayed_ack || self.unacked >= DELACK_EVERY {
             self.disarm();
             (true, Some(self.make_ack()), None)
         } else {
             self.delack_armed = true;
             self.delack_generation += 1;
-            let deadline = now + self.cfg.delayed_ack_timeout;
+            let deadline = now + DELACK_TIMEOUT;
             (true, None, Some((deadline, self.delack_generation)))
         }
     }
@@ -369,17 +374,13 @@ fn run_lockstep<C: CongestionControl>(setup: &Setup, cc: C, raws: &[u64]) {
         record_log: true,
         ..SenderConfig::paper_default()
     };
-    let receiver_cfg = ReceiverConfig {
-        delayed_ack: setup.delayed_ack,
-        ..ReceiverConfig::paper_default()
-    };
     let mut sender = TcpSender::new(sender_cfg, cc);
     let mut ref_sender = RefSender {
         buffer_packets: setup.buffer_packets,
         ..RefSender::default()
     };
-    let mut receiver = TcpReceiver::new(receiver_cfg);
-    let mut ref_receiver = RefReceiver::new(receiver_cfg);
+    let mut receiver = TcpReceiver::new(setup.delayed_ack);
+    let mut ref_receiver = RefReceiver::new(setup.delayed_ack);
     let mut data_net: Vec<DataPacket> = Vec::new();
     let mut ack_net: Vec<AckPacket> = Vec::new();
     let mut delack: Option<(SimTime, u64)> = None;

@@ -23,7 +23,7 @@ fn every_cca_fills_most_of_a_clean_12mbps_link() {
     for kind in [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr, CcaKind::Vegas] {
         let cfg = base(5);
         let mss = cfg.mss;
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         let goodput = result.average_goodput_bps(mss);
         assert!(
             goodput > 7e6,
@@ -58,7 +58,7 @@ fn loss_based_ccas_recover_from_cross_traffic_bursts() {
     );
     for kind in [CcaKind::Reno, CcaKind::Cubic] {
         let mss = cfg.mss;
-        let result = run_simulation(cfg.clone(), kind.build(10));
+        let result = run_simulation(cfg.clone(), kind.build());
         assert!(
             result.stats.flow().retransmissions > 0,
             "{} should retransmit",
@@ -84,7 +84,7 @@ fn trace_driven_starvation_starves_every_cca() {
         trace: LinkTrace::new(opportunities, cfg.duration),
     };
     for kind in [CcaKind::Reno, CcaKind::Bbr] {
-        let result = run_simulation(cfg.clone(), kind.build(10));
+        let result = run_simulation(cfg.clone(), kind.build());
         assert!(
             result.stats.flow().delivered_packets <= 1_000,
             "{} cannot deliver more than the trace allows",
@@ -109,7 +109,7 @@ fn bbr_builds_less_queue_than_loss_based_ccas() {
     // CUBIC, which fills the buffer until it drops.
     let queue_p95 = |kind: CcaKind| {
         let cfg = base(5);
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         let mut delays: Vec<f64> = result
             .stats
             .queuing_delays(FlowId::Cca(0))
@@ -142,7 +142,7 @@ fn delayed_ack_setting_changes_behaviour() {
     every_packet.delayed_ack = false;
 
     let cum_acks = |cfg: cc_fuzz::netsim::config::SimConfig| {
-        let result = run_simulation(cfg, CcaKind::Reno.build(10));
+        let result = run_simulation(cfg, CcaKind::Reno.build());
         assert!(result.stats.flow().retransmissions > 0);
         let advances = result
             .stats
@@ -170,8 +170,8 @@ fn two_identical_reno_flows_converge_to_a_fair_share() {
     let result = run_multi_flow_simulation(
         cfg,
         vec![
-            FlowSpec::new(CcaKind::Reno.build(10)),
-            FlowSpec::new(CcaKind::Reno.build(10)),
+            FlowSpec::new(CcaKind::Reno.build()),
+            FlowSpec::new(CcaKind::Reno.build()),
         ],
     );
     let flows = result.stats.flows.iter();
@@ -200,8 +200,8 @@ fn mixed_cca_flows_share_a_bottleneck_with_per_flow_stats() {
     let result = run_multi_flow_simulation(
         cfg,
         vec![
-            FlowSpec::new(CcaKind::Bbr.build(10)),
-            FlowSpec::new(CcaKind::Reno.build(10)),
+            FlowSpec::new(CcaKind::Bbr.build()),
+            FlowSpec::new(CcaKind::Reno.build()),
         ],
     );
     assert_eq!(result.stats.flows.len(), 2);
@@ -235,7 +235,7 @@ fn simulations_are_bit_reproducible() {
             .map(|i| SimTime::from_micros(500_000 + i * 2_100))
             .collect();
         cfg.cross_traffic = TrafficTrace::new(injections, cfg.duration);
-        let result = run_simulation(cfg, kind.build(10));
+        let result = run_simulation(cfg, kind.build());
         (
             result.stats.flow().delivered_packets,
             result.stats.flow().transmissions,

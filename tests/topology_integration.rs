@@ -41,12 +41,12 @@ fn three_hop_parking_lot_conserves_and_favours_the_short_flow() {
         cfg,
         vec![
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build(),
                 start: SimTime::ZERO,
                 stop,
             },
             FlowSpec {
-                cc: CcaKind::Reno.build(10),
+                cc: CcaKind::Reno.build(),
                 start: SimTime::ZERO,
                 stop,
             },
